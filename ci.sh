@@ -26,6 +26,13 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The benchmark's self-check: builds the CLI and the spine harness offline,
+# runs the harness's unit tests, smoke-runs both workloads in both passes
+# (tracing off and on), and fails on any failed operation or on metric
+# names drifting from BENCHMARK.json in either direction.
+echo "==> spine check (bash spine/check.sh)"
+bash spine/check.sh
+
 # PROPTEST_CASES pins the property-suite budget (notably the incremental-
 # refresh differential suite, the correctness anchor of dynamic-graph
 # support) so the sweep is deterministic in runtime as well as in inputs
@@ -33,14 +40,6 @@ cargo test -q
 # pass an explicit with_cases(..) config are unaffected.
 echo "==> workspace tests (all crates, PROPTEST_CASES=32)"
 PROPTEST_CASES=32 cargo test --workspace -q
-
-# The shard differential/parity suite is the correctness anchor of sharded
-# serving (byte-identical answers to the single-index engine for every shard
-# count × thread count, including after apply_delta). It already ran in the
-# workspace sweep above; this explicit pinned-budget invocation documents the
-# contract and keeps it enforced even if the sweep's scope ever changes.
-echo "==> shard parity suite (PROPTEST_CASES=32)"
-PROPTEST_CASES=32 cargo test -q -p imm-shard
 
 # The execution runtime underpins every parallel phase; its stress suite
 # (panic recovery, shutdown under churn, nested scopes, degenerate pool

@@ -29,10 +29,17 @@ use std::sync::Arc;
 ///
 /// The unit is *postings entries walked*: a spread query over seeds
 /// `S` scans `Σ_v degree(v)` postings across all shards; a top-k query
-/// repeatedly rescans the surviving postings, so it is priced at
-/// `k × mean-degree` plus the audience's postings. The estimates are
-/// deliberately cheap (O(query size) lookups against CSR offsets) —
-/// they gate the engine, so they cannot themselves be expensive.
+/// walks one postings list per round, so it is priced at
+/// `k × mean-degree`, plus — with an audience — the audience's postings
+/// `Σ_{v ∈ audience} degree(v)`. That sum is what the sparse masked
+/// session walks to collect its eligible sets and an upper bound on how
+/// many it collects (a set is counted once per audience member it
+/// holds), and every later step of the session — counting, the frontier,
+/// the retire walks, the scratch restore — is proportional to the
+/// eligible sets, no longer to `n + θ`: the price bounds the work. The
+/// estimates are deliberately cheap (O(query size) lookups against CSR
+/// offsets) — they gate the engine, so they cannot themselves be
+/// expensive.
 #[derive(Clone)]
 pub struct CostModel {
     segments: Vec<Arc<ShardSegment>>,

@@ -22,6 +22,7 @@
 use crate::cache::{CacheStats, QueryCache};
 use crate::dynamic::{DynamicError, RefreshStats};
 use crate::index::SketchIndex;
+use crate::masked::MaskedPool;
 use crate::query::{Query, QueryKey, QueryResponse};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId};
@@ -88,6 +89,35 @@ pub fn serve_batch(
     responses.into_iter().map(|r| r.expect("every slot is filled by its worker")).collect()
 }
 
+/// A CELF frontier: lazy `(count upper bound, vertex)` entries in a
+/// max-heap ordered by count, then toward the smaller vertex id.
+pub type Frontier = BinaryHeap<(u64, Reverse<NodeId>)>;
+
+/// Pop the round's argmax off a whole-index CELF frontier (one entry per
+/// vertex): revalidate stale entries against the `live` counts until the
+/// top entry's bound matches. Ties resolve toward the smaller vertex id via
+/// the comparator — identical to the selection kernels' reduction order.
+/// Shared by every fresh-session greedy (single-index and sharded), which
+/// makes it the one place their CELF metrics are recorded.
+pub fn pop_argmax(frontier: &mut Frontier, live: &[u64]) -> (NodeId, u64) {
+    let mut pops = 0u64;
+    loop {
+        pops += 1;
+        let (stored, Reverse(v)) = frontier.pop().expect("one entry per vertex");
+        let count = live[v as usize];
+        if stored == count {
+            // Metric totals are folded in once per round, not per pop;
+            // the last pop is the accepted argmax, the rest were stale.
+            crate::metrics::CELF_ROUNDS.increment();
+            crate::metrics::CELF_HEAP_POPS.add(pops);
+            crate::metrics::CELF_REVALIDATIONS.add(pops - 1);
+            return (v, count);
+        }
+        debug_assert!(count < stored, "counts only fall as sets retire");
+        frontier.push((count, Reverse(v)));
+    }
+}
+
 /// The resumable greedy selection state (the shared prefix).
 #[derive(Debug)]
 struct GreedyState {
@@ -102,9 +132,8 @@ struct GreedyState {
     /// The greedy prefix selected so far.
     seeds: Vec<NodeId>,
     /// The CELF frontier: exactly one entry per vertex, holding a lazy
-    /// upper bound on its live count. `(count, Reverse(vertex))` orders the
-    /// max-heap by count, then toward the smaller vertex id.
-    frontier: BinaryHeap<(u64, Reverse<NodeId>)>,
+    /// upper bound on its live count.
+    frontier: Frontier,
 }
 
 impl GreedyState {
@@ -120,50 +149,12 @@ impl GreedyState {
         }
     }
 
-    /// Greedy state restricted to the `eligible` sets (targeted-audience
-    /// Top-K). Counters are built from the eligible sets only and every other
-    /// set starts retired, so the shared [`GreedyState::extend_to`] loop runs
-    /// the masked selection unchanged.
-    fn masked(index: &SketchIndex, eligible: &BitSet) -> Self {
-        let mut counts = vec![0u64; index.num_nodes()];
-        let mut alive = vec![false; index.num_sets()];
-        for sid in eligible.iter() {
-            alive[sid] = true;
-            index.sets().get(sid).for_each(|v| counts[v as usize] += 1);
-        }
-        let frontier = counts.iter().enumerate().map(|(v, &c)| (c, Reverse(v as NodeId))).collect();
-        GreedyState { counts, alive, covered_after: Vec::new(), seeds: Vec::new(), frontier }
-    }
-
-    /// Pop the round's argmax off the CELF frontier: revalidate stale
-    /// entries until the top entry's bound matches its live count. Ties
-    /// resolve toward the smaller vertex id via the comparator — identical
-    /// to the selection kernels' reduction order.
-    fn pop_argmax(&mut self) -> (NodeId, u64) {
-        let mut pops = 0u64;
-        loop {
-            pops += 1;
-            let (stored, Reverse(v)) = self.frontier.pop().expect("one entry per vertex");
-            let live = self.counts[v as usize];
-            if stored == live {
-                // Metric totals are folded in once per round, not per pop;
-                // the last pop is the accepted argmax, the rest were stale.
-                crate::metrics::CELF_ROUNDS.increment();
-                crate::metrics::CELF_HEAP_POPS.add(pops);
-                crate::metrics::CELF_REVALIDATIONS.add(pops - 1);
-                return (v, live);
-            }
-            debug_assert!(live < stored, "counts only fall as sets retire");
-            self.frontier.push((live, Reverse(v)));
-        }
-    }
-
     /// Run greedy rounds until `min(k, n)` seeds are selected. Rounds already
     /// played are never repeated.
     fn extend_to(&mut self, index: &SketchIndex, k: usize) {
         let n = index.num_nodes();
         while self.seeds.len() < k.min(n) {
-            let (best, best_count) = self.pop_argmax();
+            let (best, best_count) = pop_argmax(&mut self.frontier, &self.counts);
             self.seeds.push(best);
             let covered_so_far = self.covered_after.last().copied().unwrap_or(0);
             if best_count == 0 {
@@ -211,6 +202,8 @@ pub struct QueryEngine {
     /// marginal queries check one out instead of allocating a fresh
     /// θ-sized buffer per call; concurrent batch workers each pop their own.
     scratch: Mutex<Vec<BitSet>>,
+    /// Pool of audience Top-K sessions (see [`crate::masked`]).
+    masked: MaskedPool,
 }
 
 impl QueryEngine {
@@ -228,6 +221,7 @@ impl QueryEngine {
             greedy,
             cache: QueryCache::new(capacity),
             scratch: Mutex::new(Vec::new()),
+            masked: MaskedPool::default(),
         }
     }
 
@@ -317,24 +311,12 @@ impl QueryEngine {
 
     /// Targeted-audience Top-K: greedy max coverage over the sets containing
     /// at least one audience vertex (see [`Query::TopK`] for the estimator's
-    /// semantics). Each distinct audience runs its own transient greedy (the
-    /// shared prefix belongs to the unrestricted selection); repeats are
-    /// served by the response cache.
+    /// semantics). Each query runs its own transient sparse session out of
+    /// the pool (the shared prefix belongs to the unrestricted selection),
+    /// holding no engine lock; repeats are served by the response cache.
     fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
-        let n = self.index.num_nodes();
-        let mut eligible = BitSet::new(self.index.num_sets());
-        for v in audience.iter() {
-            if v < n {
-                for &sid in self.index.postings(v as NodeId) {
-                    eligible.insert(sid as usize);
-                }
-            }
-        }
-        let mut state = GreedyState::masked(&self.index, &eligible);
-        state.extend_to(&self.index, k);
-        let take = k.min(n);
-        let covered = if take == 0 { 0 } else { state.covered_after[take - 1] };
-        self.topk_response(state.seeds[..take].to_vec(), covered)
+        let (seeds, covered) = self.masked.top_k(self.index.sets(), &*self.index, k, audience);
+        self.topk_response(seeds, covered)
     }
 
     fn topk_response(&self, seeds: Vec<NodeId>, covered: usize) -> QueryResponse {

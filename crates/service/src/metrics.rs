@@ -11,7 +11,9 @@
 //!   engine route through the same wrapper, so these cover both.
 //! * **CELF** — rounds, heap pops, and stale revalidations. A
 //!   revalidation blow-up (pops ≫ rounds) is the classic lazy-greedy
-//!   failure mode and is invisible from end-to-end latency alone.
+//!   failure mode and is invisible from end-to-end latency alone. Plus the
+//!   eligible-set count of each audience Top-K session, the quantity its
+//!   work is proportional to.
 //! * **Dynamic refresh** — delta edges applied, sets invalidated vs
 //!   actually resampled, and postings candidates skipped by the edge
 //!   footprint filter (the pruning that keeps refresh sublinear).
@@ -76,6 +78,14 @@ pub static CELF_REVALIDATIONS: Counter = Counter::new(
     "Stale CELF frontier entries revalidated (reinserted with the live count)",
 );
 
+/// Eligible sets (those containing an audience vertex) per audience Top-K:
+/// the size of the sparse masked session, which bounds its work.
+pub static MASKED_SESSION_SETS: Histogram = Histogram::new(
+    "service_masked_session_sets",
+    "Eligible RRR sets (containing an audience vertex) per audience TopK session",
+    Unit::Count,
+);
+
 /// Edge mutations applied by dynamic deltas.
 pub static DELTA_EDGES_APPLIED: Counter = Counter::new(
     "service_delta_edges_applied",
@@ -127,6 +137,7 @@ pub fn register() {
             &CELF_ROUNDS as &'static dyn Metric,
             &CELF_HEAP_POPS as &'static dyn Metric,
             &CELF_REVALIDATIONS as &'static dyn Metric,
+            &MASKED_SESSION_SETS as &'static dyn Metric,
             &DELTA_EDGES_APPLIED as &'static dyn Metric,
             &DELTA_SETS_INVALIDATED as &'static dyn Metric,
             &DELTA_SETS_RESAMPLED as &'static dyn Metric,
@@ -149,6 +160,7 @@ mod tests {
             "service_topk_latency",
             "service_cache_hits",
             "service_celf_revalidations",
+            "service_masked_session_sets",
             "service_delta_footprint_skips",
             "service_queries",
             "snapshot_recoveries",

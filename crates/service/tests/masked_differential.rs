@@ -1,0 +1,101 @@
+//! The masked session's acceptance property on the single-index engine:
+//! the sparse audience Top-K (`imm_service::masked`) is **byte-identical**
+//! to the dense whole-index construction it replaced (kept as the oracle
+//! in `support/masked_oracle.rs`) — over random collections of list and
+//! bitmap sets × every audience shape × budgets on both sides of coverage
+//! exhaustion — and its pooled scratch never leaks from one query into the
+//! next, into the persistent prefix, or across concurrent batch workers.
+
+#[path = "support/masked_oracle.rs"]
+mod masked_oracle;
+
+use imm_graph::GraphDelta;
+use imm_service::{Query, QueryEngine, SketchIndex};
+use masked_oracle::{
+    audience_queries, audiences, budgets, dense_masked_top_k, index_from, sampled_index,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const NUM_NODES: usize = 48;
+
+proptest! {
+    #[test]
+    fn sparse_session_equals_the_dense_oracle(
+        raw_sets in proptest::collection::vec(
+            proptest::collection::hash_set(0u32..NUM_NODES as u32, 0..20),
+            0..30,
+        ),
+        bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
+        seed in 0u64..1_000_000,
+    ) {
+        let index = index_from(NUM_NODES, &raw_sets, &bitmap_choices);
+        // One engine for the whole sweep: every query after the first runs
+        // on a recycled session.
+        let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+        for (shape, audience) in audiences(NUM_NODES, seed) {
+            for k in budgets(NUM_NODES) {
+                prop_assert_eq!(
+                    engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
+                    dense_masked_top_k(&index, k, &audience),
+                    "audience: {}, k = {}", shape, k
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn back_to_back_audiences_equal_fresh_engine_answers() {
+    let (_, _, index) = sampled_index();
+    let index = Arc::new(index);
+    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    // A leaked count or alive bit of query i would change query i + 1.
+    for query in &audience_queries(&index).0 {
+        let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+        assert_eq!(engine.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
+    }
+}
+
+#[test]
+fn a_masked_query_leaves_the_persistent_prefix_intact() {
+    let (_, _, index) = sampled_index();
+    let index = Arc::new(index);
+    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    let three = engine.execute_uncached(&Query::top_k(3));
+    for query in audience_queries(&index).0.iter().take(3) {
+        engine.execute_uncached(query);
+    }
+    assert_eq!(engine.execute_uncached(&Query::top_k(3)), three);
+    assert_eq!(engine.execute_uncached(&Query::top_k(9)), fresh.execute_uncached(&Query::top_k(9)));
+}
+
+#[test]
+fn concurrent_audience_batches_equal_sequential_execution() {
+    let (_, _, index) = sampled_index();
+    let index = Arc::new(index);
+    let (queries, sequential) = audience_queries(&index);
+    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    for threads in [1usize, 2, 4] {
+        assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads = {threads}");
+    }
+}
+
+#[test]
+fn sessions_pooled_before_a_refresh_serve_the_refreshed_index() {
+    let (graph, weights, index) = sampled_index();
+    let (queries, _) = audience_queries(&index);
+    let mut engine = QueryEngine::with_cache_capacity(Arc::new(index), 0);
+    for query in &queries {
+        engine.execute_uncached(query); // stock the pool on the old generation
+    }
+    let (src, dst) = graph.edges().next().expect("graph has edges");
+    let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
+    engine.apply_delta(&graph, &weights, &delta).expect("refresh");
+    let refreshed = SketchIndex::clone(engine.index());
+    let (_, expected) = audience_queries(&refreshed);
+    for (query, expected) in queries.iter().zip(&expected) {
+        assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
+    }
+}

@@ -6,13 +6,14 @@
 //! the crate's acceptance property — while structuring every counting pass
 //! as **typed requests to pinned shard cells** ([`imm_exec::PinnedPool`]):
 //! each cell permanently owns one [`ShardSegment`] plus its mutable serving
-//! state (alive flags, audience masks), and a request round-trip replaces
+//! state (alive flags, marking scratch), and a request round-trip replaces
 //! the per-round thread spawn that made PR 5's scatter/gather slower than
 //! the single index (`BENCH_5.json`).
 //!
 //! * **Spread / Marginal**: each shard counts covered sets among *its own*
-//!   range using its local postings and a shard-sized marking bitset; the
-//!   gathered per-shard counts sum to exactly the single-index tally.
+//!   range using its local postings and the cell's own shard-sized marking
+//!   scratch (restored after each request, never reallocated); the gathered
+//!   per-shard counts sum to exactly the single-index tally.
 //! * **Top-K**: CELF lazy greedy over **merged bounds held engine-side**.
 //!   The frontier holds one `(bound, vertex)` entry per vertex; the merged
 //!   live counts start as the sum of the per-shard degrees and are kept
@@ -27,19 +28,25 @@
 //!   and zero-gain rounds emit deterministically, exactly like the
 //!   single-index CELF — so Top-K stays lazy end to end and the seeds are
 //!   byte-identical for any shard count and any worker-thread count.
+//! * **Audience Top-K**: not scattered at all. The masked session is
+//!   transient engine-side state — `imm_service::masked`'s sparse greedy,
+//!   the very code the single-index engine runs — reading the shards'
+//!   postings as one "sets containing v" source over the shared
+//!   collection. It touches no cell state and takes no engine lock, so
+//!   audience queries of one batch run concurrently.
 
 use crate::index::ShardedIndex;
-use crate::segment::ShardSegment;
+use crate::segment::{LocalSetId, ShardSegment};
 use imm_exec::{Pinned, PinnedPool, ScatterError, WakeMode};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
 use imm_rrr::{BitSet, NodeId};
 use imm_service::{
-    serve_batch, CacheStats, DynamicError, Query, QueryCache, QueryKey, QueryResponse, RefreshStats,
+    pop_argmax, serve_batch, CacheStats, DynamicError, Frontier, MaskedPool, Query, QueryCache,
+    QueryKey, QueryResponse, RefreshStats, SetsContaining,
 };
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Attempts for idempotent scatters before giving up: every retry first
@@ -50,25 +57,17 @@ const SCATTER_RETRIES: usize = 8;
 /// Global id of an RRR set (its index in the shared collection).
 type GlobalSetId = u32;
 
-/// Which per-shard alive session a request operates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Session {
-    /// The persistent whole-index greedy session.
-    Fresh,
-    /// The audience-restricted session (serialized under the greedy lock).
-    Masked,
-}
-
 /// One pinned worker's state: a permanent shard assignment plus the
 /// mutable serving state for that shard.
 struct ShardCell {
     /// The served index; `None` only mid-`apply_delta` (Release/Install).
     index: Option<Arc<ShardedIndex>>,
     shard: usize,
-    /// Alive flags of the fresh session, one per local set.
-    fresh_alive: Vec<bool>,
-    /// Alive flags of the masked session, when one is open.
-    masked_alive: Option<Vec<bool>>,
+    /// Alive flags of the persistent greedy session, one per local set.
+    alive: Vec<bool>,
+    /// Marking scratch of the Spread/Marginal walks, one bit per local
+    /// set; all zero between requests.
+    marks: Vec<u64>,
 }
 
 /// The typed request vocabulary a pinned shard cell serves.
@@ -76,19 +75,13 @@ enum ShardRequest {
     /// Per-vertex occurrence counts of this shard (the engine merges them
     /// into the initial CELF bounds).
     Degrees,
-    /// Live-set count of one vertex in the given session — the
-    /// distributed revalidation probe. The hot path revalidates against
-    /// engine-side merged counts; this request is the consistency
-    /// cross-check (debug assertions, tests).
-    LiveCount { vertex: NodeId, session: Session },
+    /// Live-set count of one vertex — the distributed revalidation probe.
+    /// The hot path revalidates against engine-side merged counts; this
+    /// request is the consistency cross-check (debug assertions, tests).
+    LiveCount { vertex: NodeId },
     /// Retire this shard's live sets containing `vertex`, streaming their
     /// global ids into `buf` (recycled round to round by the engine).
-    Retire { vertex: NodeId, session: Session, buf: Vec<GlobalSetId> },
-    /// Open the masked session: the shard's sets containing an audience
-    /// vertex become alive; responds with the shard's per-vertex counts.
-    MaskedInit { audience: Arc<BitSet> },
-    /// Close the masked session.
-    MaskedClear,
+    Retire { vertex: NodeId, buf: Vec<GlobalSetId> },
     /// Postings walk: count sets covered by `seeds` in this shard.
     Spread { seeds: Arc<Vec<NodeId>> },
     /// Postings walk: count sets `candidate` adds over `seeds`.
@@ -96,7 +89,7 @@ enum ShardRequest {
     /// Drop the cell's index handle (first half of `apply_delta`, so the
     /// engine holds the only reference while rebuilding).
     Release,
-    /// Serve this index from now on, with a fully-alive fresh session.
+    /// Serve this index from now on, with a fully-alive greedy session.
     Install { index: Arc<ShardedIndex> },
 }
 
@@ -113,26 +106,15 @@ impl ShardCell {
     }
 
     /// Disjoint borrows of the serving state: the shard's segment and the
-    /// requested session's alive flags (mutable), without cloning the
-    /// index handle per request.
-    fn segment_and_alive(&mut self, session: Session) -> (&ShardSegment, &mut Vec<bool>) {
+    /// alive flags (mutable), without cloning the index handle per request.
+    fn segment_and_alive(&mut self) -> (&ShardSegment, &mut Vec<bool>) {
         let index = self.index.as_ref().expect("shard cell has an installed index");
-        let segment = &index.segments()[self.shard];
-        let alive = match session {
-            Session::Fresh => &mut self.fresh_alive,
-            Session::Masked => self.masked_alive.as_mut().expect("masked session is open"),
-        };
-        (segment, alive)
+        (&index.segments()[self.shard], &mut self.alive)
     }
 
-    fn retire(
-        &mut self,
-        vertex: NodeId,
-        session: Session,
-        mut buf: Vec<GlobalSetId>,
-    ) -> ShardResponse {
+    fn retire(&mut self, vertex: NodeId, mut buf: Vec<GlobalSetId>) -> ShardResponse {
         buf.clear();
-        let (segment, alive) = self.segment_and_alive(session);
+        let (segment, alive) = self.segment_and_alive();
         let start = segment.start() as GlobalSetId;
         for &lsid in segment.postings(vertex) {
             let slot = &mut alive[lsid as usize];
@@ -144,38 +126,50 @@ impl ShardCell {
         ShardResponse::Retired { buf }
     }
 
-    /// The requested session's alive flags, for the fused (all-locks-held)
-    /// serving path.
-    fn alive_mut(&mut self, session: Session) -> &mut Vec<bool> {
-        match session {
-            Session::Fresh => &mut self.fresh_alive,
-            Session::Masked => self.masked_alive.as_mut().expect("masked session is open"),
-        }
-    }
-
-    fn masked_init(&mut self, audience: &BitSet) -> ShardResponse {
+    /// Mark this shard's sets covered by `seeds` in the cell's scratch, hand
+    /// the marks and the newly covered count to `tally`, then restore the
+    /// scratch by whichever touches less: zeroing the words the same
+    /// postings walk reaches (sparse sets: a few entries against a
+    /// shard-sized word array) or one fill (dense sets: the walk is the
+    /// longer one).
+    fn with_marked(
+        &mut self,
+        seeds: &[NodeId],
+        tally: impl FnOnce(&ShardSegment, &[u64], usize) -> usize,
+    ) -> ShardResponse {
         let index = self.index.as_ref().expect("shard cell has an installed index");
         let segment = &index.segments()[self.shard];
-        let collection = index.collection();
+        let marks = &mut self.marks[..];
         let n = index.num_nodes();
-        let mut alive = vec![false; segment.len()];
-        for v in audience.iter() {
-            if v < n {
-                for &lsid in segment.postings(v as NodeId) {
-                    alive[lsid as usize] = true;
+        let in_range = || seeds.iter().filter(|&&seed| (seed as usize) < n);
+        let (mut covered, mut walked) = (0usize, 0usize);
+        for &seed in in_range() {
+            let postings = segment.postings(seed);
+            walked += postings.len();
+            for &lsid in postings {
+                let (word, mask) = mark_of(lsid);
+                covered += usize::from(marks[word] & mask == 0);
+                marks[word] |= mask;
+            }
+        }
+        let count = tally(segment, marks, covered);
+        if walked < marks.len() {
+            for &seed in in_range() {
+                for &lsid in segment.postings(seed) {
+                    marks[mark_of(lsid).0] = 0;
                 }
             }
+        } else {
+            marks.fill(0);
         }
-        let mut counts = vec![0u64; n];
-        let slice = segment.slice(collection);
-        for (lsid, live) in alive.iter().enumerate() {
-            if *live {
-                slice.get(lsid).for_each(|v| counts[v as usize] += 1);
-            }
-        }
-        self.masked_alive = Some(alive);
-        ShardResponse::Counts(counts)
+        ShardResponse::Count(count)
     }
+}
+
+/// Word index and bit mask of a local set id in a cell's marking scratch.
+#[inline]
+fn mark_of(lsid: LocalSetId) -> (usize, u64) {
+    ((lsid / 64) as usize, 1u64 << (lsid % 64))
 }
 
 impl Pinned for ShardCell {
@@ -190,54 +184,29 @@ impl Pinned for ShardCell {
                 let n = index.num_nodes();
                 ShardResponse::Counts((0..n).map(|v| segment.degree(v as NodeId)).collect())
             }
-            ShardRequest::LiveCount { vertex, session } => {
-                let (segment, alive) = self.segment_and_alive(session);
+            ShardRequest::LiveCount { vertex } => {
+                let (segment, alive) = self.segment_and_alive();
                 let live = segment.postings(vertex).iter().filter(|&&l| alive[l as usize]).count();
                 ShardResponse::Count(live)
             }
-            ShardRequest::Retire { vertex, session, buf } => self.retire(vertex, session, buf),
-            ShardRequest::MaskedInit { audience } => self.masked_init(&audience),
-            ShardRequest::MaskedClear => {
-                self.masked_alive = None;
-                ShardResponse::Unit
-            }
-            ShardRequest::Spread { seeds } => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                let mut marks = BitSet::new(segment.len());
-                let mut covered = 0usize;
-                for &seed in seeds.iter() {
-                    if (seed as usize) < n {
-                        for &lsid in segment.postings(seed) {
-                            covered += usize::from(marks.insert(lsid as usize));
-                        }
-                    }
-                }
-                ShardResponse::Count(covered)
-            }
+            ShardRequest::Retire { vertex, buf } => self.retire(vertex, buf),
+            ShardRequest::Spread { seeds } => self.with_marked(&seeds, |_, _, covered| covered),
             ShardRequest::Marginal { seeds, candidate } => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                let mut marks = BitSet::new(segment.len());
-                for &seed in seeds.iter() {
-                    if (seed as usize) < n {
-                        for &lsid in segment.postings(seed) {
-                            marks.insert(lsid as usize);
-                        }
+                let n = self.index().num_nodes();
+                self.with_marked(&seeds, |segment, marks, _| {
+                    if (candidate as usize) < n {
+                        segment
+                            .postings(candidate)
+                            .iter()
+                            .filter(|&&lsid| {
+                                let (word, mask) = mark_of(lsid);
+                                marks[word] & mask == 0
+                            })
+                            .count()
+                    } else {
+                        0
                     }
-                }
-                let gained = if (candidate as usize) < n {
-                    segment
-                        .postings(candidate)
-                        .iter()
-                        .filter(|&&lsid| !marks.contains(lsid as usize))
-                        .count()
-                } else {
-                    0
-                };
-                ShardResponse::Count(gained)
+                })
             }
             ShardRequest::Release => {
                 self.index = None;
@@ -246,8 +215,8 @@ impl Pinned for ShardCell {
             ShardRequest::Install { index } => {
                 let len = index.segments()[self.shard].len();
                 self.index = Some(index);
-                self.fresh_alive = vec![true; len];
-                self.masked_alive = None;
+                self.alive = vec![true; len];
+                self.marks.resize(len.div_ceil(64), 0);
                 ShardResponse::Unit
             }
         }
@@ -286,7 +255,7 @@ struct DistributedGreedy {
     merged: Vec<u64>,
     /// CELF frontier: one entry per vertex, ordered by bound then toward
     /// the smaller vertex id — the single-index comparator.
-    frontier: BinaryHeap<(u64, Reverse<NodeId>)>,
+    frontier: Frontier,
     covered_after: Vec<usize>,
     seeds: Vec<NodeId>,
     /// Recycled per-shard retire buffers (one per shard, reused each
@@ -309,20 +278,6 @@ impl DistributedGreedy {
             seeds: Vec::new(),
             bufs: vec![Vec::new(); shards],
             needs_reset: false,
-        }
-    }
-
-    /// Pop the round's argmax: revalidate stale bounds against the merged
-    /// live counts (a local read) until the top entry is live.
-    fn pop_argmax(&mut self) -> (NodeId, u64) {
-        loop {
-            let (stored, Reverse(v)) = self.frontier.pop().expect("one entry per vertex");
-            let live = self.merged[v as usize];
-            if stored == live {
-                return (v, live);
-            }
-            debug_assert!(live < stored, "merged counts only fall as sets retire");
-            self.frontier.push((live, Reverse(v)));
         }
     }
 }
@@ -373,6 +328,28 @@ impl MergedPostings {
     }
 }
 
+impl SetsContaining for MergedPostings {
+    #[inline]
+    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(GlobalSetId)) {
+        self.get(v).iter().copied().for_each(f);
+    }
+}
+
+/// The shards' own postings as one source of global set ids (each
+/// segment's local ids rebased by its `start`), for pools with workers,
+/// where no merged copy is built.
+struct SegmentPostings<'a>(&'a [Arc<ShardSegment>]);
+
+impl SetsContaining for SegmentPostings<'_> {
+    #[inline]
+    fn for_each_set_containing(&self, v: NodeId, mut f: impl FnMut(GlobalSetId)) {
+        for segment in self.0 {
+            let start = segment.start() as GlobalSetId;
+            segment.postings(v).iter().for_each(|&lsid| f(start + lsid));
+        }
+    }
+}
+
 /// A query-serving engine over a [`ShardedIndex`], answering the same
 /// vocabulary as `imm_service::QueryEngine` with byte-identical results.
 ///
@@ -388,6 +365,8 @@ pub struct ShardedEngine {
     /// Present exactly when the pool has no workers (fused serving).
     merged_postings: Option<MergedPostings>,
     greedy: Mutex<DistributedGreedy>,
+    /// Pool of audience Top-K sessions (`imm_service::masked`).
+    masked: MaskedPool,
     cache: QueryCache,
 }
 
@@ -446,8 +425,8 @@ impl ShardedEngine {
             .map(|shard| ShardCell {
                 index: Some(Arc::clone(&index)),
                 shard,
-                fresh_alive: vec![true; index.segments()[shard].len()],
-                masked_alive: None,
+                alive: vec![true; index.segments()[shard].len()],
+                marks: vec![0; index.segments()[shard].len().div_ceil(64)],
             })
             .collect();
         let pool = PinnedPool::with_placement(cells, threads, wake, placement);
@@ -461,6 +440,7 @@ impl ShardedEngine {
             base_counts,
             merged_postings,
             greedy,
+            masked: MaskedPool::default(),
             cache: QueryCache::new(cache_capacity),
         }
     }
@@ -582,7 +562,7 @@ impl ShardedEngine {
     pub fn try_execute_uncached(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
         match query {
             Query::TopK { k, audience: None } => self.top_k(*k),
-            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
+            Query::TopK { k, audience: Some(audience) } => Ok(self.masked_top_k(*k, audience)),
             Query::Spread { seeds } => self.spread(seeds),
             Query::Marginal { seeds, candidate } => self.marginal(seeds, *candidate),
         }
@@ -625,7 +605,7 @@ impl ShardedEngine {
         }
     }
 
-    /// Rebuild the persistent fresh greedy session when a failed retire
+    /// Rebuild the persistent greedy session when a failed retire
     /// round left it dirty ([`DistributedGreedy::needs_reset`]): reinstall
     /// the index on every cell (resetting the alive flags), rebuild the
     /// merged counts and frontier from the base degrees, and drop the
@@ -653,21 +633,15 @@ impl ShardedEngine {
     /// locks are taken once and every round walks one merged postings
     /// list — identical arithmetic, no per-round envelopes, id buffers,
     /// or lock traffic, and a round cost independent of the shard count.
-    fn extend_to(
-        &self,
-        state: &mut DistributedGreedy,
-        k: usize,
-        session: Session,
-    ) -> Result<(), ScatterError> {
+    fn extend_to(&self, state: &mut DistributedGreedy, k: usize) -> Result<(), ScatterError> {
         match &self.merged_postings {
             // Zero workers: the serving thread does everything inline, so
             // there is no worker to die — the fused path is infallible.
             Some(postings) => {
-                self.pool
-                    .with_all_cells(|cells| self.extend_fused(state, k, session, cells, postings));
+                self.pool.with_all_cells(|cells| self.extend_fused(state, k, cells, postings));
                 Ok(())
             }
-            None => self.extend_scattered(state, k, session),
+            None => self.extend_scattered(state, k),
         }
     }
 
@@ -678,7 +652,6 @@ impl ShardedEngine {
         &self,
         state: &mut DistributedGreedy,
         k: usize,
-        session: Session,
         cells: &mut [&mut ShardCell],
         postings: &MergedPostings,
     ) {
@@ -688,13 +661,13 @@ impl ShardedEngine {
         let starts: Vec<usize> = segments.iter().map(|s| s.start()).collect();
         let ends: Vec<usize> = segments.iter().map(|s| s.start() + s.len()).collect();
         let mut alives: Vec<&mut Vec<bool>> =
-            cells.iter_mut().map(|cell| cell.alive_mut(session)).collect();
+            cells.iter_mut().map(|cell| &mut cell.alive).collect();
         // Per-shard retired tallies, reused across rounds so the fused
         // path records the same per-shard walk lengths the scattered
         // path gathers from its responses.
         let mut retired_per_shard = vec![0u64; alives.len()];
         while state.seeds.len() < k.min(n) {
-            let (best, best_count) = state.pop_argmax();
+            let (best, best_count) = pop_argmax(&mut state.frontier, &state.merged);
             state.seeds.push(best);
             let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
             if best_count == 0 {
@@ -747,12 +720,11 @@ impl ShardedEngine {
         &self,
         state: &mut DistributedGreedy,
         k: usize,
-        session: Session,
     ) -> Result<(), ScatterError> {
         let n = self.index.num_nodes();
         let collection = self.index.collection();
         while state.seeds.len() < k.min(n) {
-            let (best, best_count) = state.pop_argmax();
+            let (best, best_count) = pop_argmax(&mut state.frontier, &state.merged);
             state.seeds.push(best);
             let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
             if best_count == 0 {
@@ -769,7 +741,7 @@ impl ShardedEngine {
             let responses = match self.pool.try_scatter(
                 bufs.into_iter()
                     .enumerate()
-                    .map(|(s, buf)| (s, ShardRequest::Retire { vertex: best, session, buf })),
+                    .map(|(s, buf)| (s, ShardRequest::Retire { vertex: best, buf })),
             ) {
                 Ok(responses) => responses,
                 Err(e) => {
@@ -798,7 +770,7 @@ impl ShardedEngine {
                 "retiring every live set containing the seed zeroes its count"
             );
             debug_assert_eq!(
-                self.scattered_live_count(best, session).unwrap_or(0),
+                self.scattered_live_count(best).unwrap_or(0),
                 0,
                 "shard alive flags agree with the merged counts"
             );
@@ -811,13 +783,8 @@ impl ShardedEngine {
 
     /// Sum of the shards' live counts for one vertex — the distributed
     /// revalidation probe, used to cross-check the merged counts.
-    fn scattered_live_count(
-        &self,
-        vertex: NodeId,
-        session: Session,
-    ) -> Result<usize, ScatterError> {
-        let responses =
-            scatter_idempotent(&self.pool, |_| ShardRequest::LiveCount { vertex, session })?;
+    fn scattered_live_count(&self, vertex: NodeId) -> Result<usize, ScatterError> {
+        let responses = scatter_idempotent(&self.pool, |_| ShardRequest::LiveCount { vertex })?;
         Ok(responses.into_iter().map(ShardResponse::count).sum())
     }
 
@@ -825,42 +792,23 @@ impl ShardedEngine {
         let take = k.min(self.index.num_nodes());
         let mut state = self.greedy.lock();
         self.ensure_fresh_session(&mut state)?;
-        self.extend_to(&mut state, k, Session::Fresh)?;
+        self.extend_to(&mut state, k)?;
         let seeds = state.seeds[..take].to_vec();
         let covered = if take == 0 { 0 } else { state.covered_after[take - 1] };
         drop(state);
         Ok(self.topk_response(seeds, covered))
     }
 
-    fn masked_top_k(&self, k: usize, audience: &BitSet) -> Result<QueryResponse, ScatterError> {
-        // The masked session lives in the shard cells; holding the greedy
-        // lock serializes it against both fresh Top-K and other masks.
-        let _session = self.greedy.lock();
-        let audience = Arc::new(audience.clone());
-        let n = self.index.num_nodes();
-        let shards = self.pool.len();
-        let mut merged = vec![0u64; n];
-        let init = scatter_idempotent(&self.pool, |_| ShardRequest::MaskedInit {
-            audience: Arc::clone(&audience),
-        })?;
-        for response in init {
-            for (v, c) in response.counts().into_iter().enumerate() {
-                merged[v] += c;
-            }
-        }
-        let mut state = DistributedGreedy::from_merged(merged, shards);
-        let extended = self.extend_to(&mut state, k, Session::Masked);
-        // Close the masked session even when extension failed — MaskedClear
-        // is idempotent and a dirty masked session must not outlive the
-        // query (the throwaway greedy state dies here either way).
-        let cleared = scatter_idempotent(&self.pool, |_| ShardRequest::MaskedClear);
-        extended?;
-        for response in cleared? {
-            debug_assert!(matches!(response, ShardResponse::Unit));
-        }
-        let take = k.min(n);
-        let covered = if take == 0 { 0 } else { state.covered_after[take - 1] };
-        Ok(self.topk_response(state.seeds[..take].to_vec(), covered))
+    /// Audience Top-K on a transient engine-side session: the shared
+    /// sparse greedy over the shards' postings. No scatter, no cell state,
+    /// no greedy lock — so no worker death can fail it.
+    fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
+        let sets = self.index.collection();
+        let (seeds, covered) = match &self.merged_postings {
+            Some(postings) => self.masked.top_k(sets, postings, k, audience),
+            None => self.masked.top_k(sets, &SegmentPostings(self.index.segments()), k, audience),
+        };
+        self.topk_response(seeds, covered)
     }
 
     fn topk_response(&self, seeds: Vec<NodeId>, covered: usize) -> QueryResponse {
@@ -904,8 +852,8 @@ impl ShardedEngine {
 }
 
 /// Scatter one request per shard, retrying on worker deaths. Only valid
-/// for *idempotent* requests (degrees, postings walks, install/release,
-/// session init/clear): a retry re-serves shards that already answered,
+/// for *idempotent* requests (degrees, postings walks, install/release):
+/// a retry re-serves shards that already answered,
 /// which must not change their state beyond what a first serve does.
 /// Retire streams are NOT idempotent and never come through here.
 fn scatter_idempotent(
@@ -1106,13 +1054,56 @@ mod tests {
     }
 
     #[test]
+    fn marking_scratch_is_restored_between_point_queries() {
+        // Sparse: 2000 two-vertex sets over 2 shards — a query walks a
+        // handful of postings against a 16-word scratch (the un-marking
+        // restore). Dense: 8 sets holding every vertex over 1 shard — any
+        // walk is longer than the 1-word scratch (the fill restore).
+        let sparse: Vec<Vec<NodeId>> = (0..2000u32).map(|i| vec![i % 997, 997 + i % 991]).collect();
+        let dense: Vec<Vec<NodeId>> = (0..8).map(|_| (0..2000).collect()).collect();
+        for (sets, shards) in [(sparse, 2usize), (dense, 1)] {
+            let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+            let reused = sharded_engine(2000, &sets, shards);
+            // A mark leaked by query i would shrink the tallies of i + 1.
+            for v in 0..40u32 {
+                for query in [
+                    Query::Spread { seeds: vec![v, v + 997, 5000] },
+                    Query::Marginal { seeds: vec![v + 1, v + 998], candidate: v },
+                ] {
+                    let fresh = sharded_engine(2000, &sets, shards);
+                    assert_eq!(
+                        reused.execute_uncached(&query),
+                        fresh.execute_uncached(&query),
+                        "{shards} shards, {query:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_top_k_records_the_celf_counters() {
+        if !imm_obs::recording_enabled() {
+            return;
+        }
+        // Other tests of this process add to the same counters: lower bounds.
+        use imm_service::metrics::{CELF_HEAP_POPS, CELF_ROUNDS};
+        let read = || (CELF_ROUNDS.value(), CELF_HEAP_POPS.value());
+        let (rounds, pops) = read();
+        figure3(3).execute(&Query::top_k(3));
+        let (rounds_after, pops_after) = read();
+        assert!(rounds_after >= rounds + 3, "three rounds: {rounds} -> {rounds_after}");
+        assert!(pops_after >= pops + 3, "one pop per round at least: {pops} -> {pops_after}");
+    }
+
+    #[test]
     fn merged_counts_match_the_distributed_live_probe() {
         let engine = figure3(3);
         let _ = engine.execute(&Query::top_k(2));
         let state = engine.greedy.lock();
         for v in 0..6u32 {
             assert_eq!(
-                engine.scattered_live_count(v, Session::Fresh).unwrap() as u64,
+                engine.scattered_live_count(v).unwrap() as u64,
                 state.merged[v as usize],
                 "vertex {v}"
             );

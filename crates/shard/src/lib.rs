@@ -27,8 +27,10 @@
 //!   CELF round costs one message round-trip per shard (and zero channel
 //!   traffic when the pool runs inline on a single hardware thread). The
 //!   greedy runs over merged bounds held engine-side, kept exact by the
-//!   shards' retire streams. Results are **byte-identical** to the
-//!   single-index `QueryEngine` for every shard count, thread count, and
+//!   shards' retire streams; an audience Top-K is the one query that does
+//!   not scatter — it runs `imm_service::masked`'s sparse session
+//!   engine-side over the shards' postings. Results are **byte-identical**
+//!   to the single-index `QueryEngine` for every shard count, thread count, and
 //!   [`WakeMode`] — the crate's parity suite pins this, including after
 //!   `apply_delta`.
 //! * [`snapshot`] — split a v3 index snapshot into per-shard files (each a

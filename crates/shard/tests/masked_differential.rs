@@ -1,0 +1,141 @@
+//! The masked session's acceptance property on the sharded engine: the
+//! audience Top-K a `ShardedEngine` serves — the engine-side sparse greedy
+//! over the shards' postings, at every shard count, inline and across real
+//! worker threads — is **byte-identical** to the dense whole-index oracle
+//! (`imm-service`'s `tests/support/masked_oracle.rs`, shared by path), and
+//! its pooled scratch leaks neither into the next query, nor into the
+//! persistent greedy session, nor between concurrent batch workers.
+
+#[path = "../../service/tests/support/masked_oracle.rs"]
+mod masked_oracle;
+
+use imm_graph::GraphDelta;
+use imm_rrr::BitSet;
+use imm_service::{Query, QueryResponse, SketchIndex};
+use imm_shard::{ShardedEngine, ShardedIndex, WakeMode};
+use masked_oracle::{
+    audience_queries, audiences, budgets, dense_masked_top_k, index_from, sampled_index,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const NUM_NODES: usize = 48;
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
+
+/// A cache-less engine over `index`: inline (one thread, zero workers, the
+/// merged-postings source) or with forced pinned workers (the per-segment
+/// source).
+fn engine(index: &SketchIndex, shards: usize, workers: bool) -> ShardedEngine {
+    let sharded = Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable"));
+    if workers {
+        let engine = ShardedEngine::with_runtime(sharded, 3, 0, WakeMode::Always);
+        assert!(engine.num_workers() >= 1, "Always mode must spawn workers");
+        engine
+    } else {
+        ShardedEngine::with_options(sharded, 1, 0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn sharded_sparse_session_equals_the_dense_oracle(
+        raw_sets in proptest::collection::vec(
+            proptest::collection::hash_set(0u32..NUM_NODES as u32, 0..20),
+            0..30,
+        ),
+        bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
+        seed in 0u64..1_000_000,
+    ) {
+        let index = index_from(NUM_NODES, &raw_sets, &bitmap_choices);
+        let cases: Vec<(&str, BitSet, usize, QueryResponse)> = audiences(NUM_NODES, seed)
+            .into_iter()
+            .flat_map(|(shape, audience)| {
+                budgets(NUM_NODES).map(|k| {
+                    let expected = dense_masked_top_k(&index, k, &audience);
+                    (shape, audience.clone(), k, expected)
+                })
+            })
+            .collect();
+        for shards in SHARD_COUNTS {
+            for workers in [false, true] {
+                let engine = engine(&index, shards, workers);
+                for (shape, audience, k, expected) in &cases {
+                    prop_assert_eq!(
+                        &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
+                        expected,
+                        "{} shards, workers: {}, audience: {}, k = {}", shards, workers, shape, k
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn back_to_back_audiences_equal_fresh_engine_answers() {
+    let (_, _, index) = sampled_index();
+    let (queries, _) = audience_queries(&index);
+    for workers in [false, true] {
+        let reused = engine(&index, 4, workers);
+        // A leaked count or alive bit of query i would change query i + 1.
+        for query in &queries {
+            let fresh = engine(&index, 4, workers);
+            assert_eq!(reused.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
+        }
+    }
+}
+
+#[test]
+fn a_masked_query_leaves_the_persistent_prefix_intact() {
+    let (_, _, index) = sampled_index();
+    let (queries, _) = audience_queries(&index);
+    for workers in [false, true] {
+        let served = engine(&index, 4, workers);
+        let fresh = engine(&index, 4, workers);
+        let three = served.execute_uncached(&Query::top_k(3));
+        for query in queries.iter().take(3) {
+            served.execute_uncached(query);
+        }
+        assert_eq!(served.execute_uncached(&Query::top_k(3)), three);
+        assert_eq!(
+            served.execute_uncached(&Query::top_k(9)),
+            fresh.execute_uncached(&Query::top_k(9))
+        );
+    }
+}
+
+#[test]
+fn concurrent_audience_batches_equal_sequential_execution() {
+    let (_, _, index) = sampled_index();
+    let (queries, sequential) = audience_queries(&index);
+    for workers in [false, true] {
+        let engine = engine(&index, 4, workers);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(
+                engine.execute_batch(&queries, threads),
+                sequential,
+                "workers: {workers}, threads = {threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sessions_pooled_before_a_refresh_serve_the_refreshed_index() {
+    let (graph, weights, index) = sampled_index();
+    let (queries, _) = audience_queries(&index);
+    let mut engine = engine(&index, 4, false);
+    for query in &queries {
+        engine.execute_uncached(query); // stock the pool on the old generation
+    }
+    let (src, dst) = graph.edges().next().expect("graph has edges");
+    let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
+    engine.apply_delta(&graph, &weights, &delta).expect("refresh");
+    let refreshed = ShardedIndex::clone(engine.index()).into_index().expect("reassembles");
+    let (_, expected) = audience_queries(&refreshed);
+    for (query, expected) in queries.iter().zip(&expected) {
+        assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
+    }
+}
