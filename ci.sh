@@ -37,65 +37,32 @@ bash spine/check.sh
 # refresh differential suite, the correctness anchor of dynamic-graph
 # support) so the sweep is deterministic in runtime as well as in inputs
 # (the vendored proptest derives its cases from a fixed seed). Suites that
-# pass an explicit with_cases(..) config are unaffected.
-echo "==> workspace tests (all crates, PROPTEST_CASES=32)"
-PROPTEST_CASES=32 cargo test --workspace -q
+# pass an explicit with_cases(..) config are unaffected. FAULT_SEED_COUNT
+# pins the seed grid of imm-fault's daemon/client chaos sweep.
+echo "==> workspace tests (all crates, PROPTEST_CASES=32, FAULT_SEED_COUNT=4)"
+PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 
-# The execution runtime underpins every parallel phase; its stress suite
-# (panic recovery, shutdown under churn, nested scopes, degenerate pool
-# shapes) already ran in the workspace sweep, but is re-invoked here by
-# name so a test-scoping change can never silently drop it.
-echo "==> execution runtime stress suite"
-cargo test -q -p imm-exec --test runtime_stress
-
-# The serving daemon's contracts — byte-identical socket parity across
-# shard counts and rollouts, structured admission rejections, and a decoder
-# that survives corrupted/hostile frames without panicking or allocating
-# unboundedly — already ran in the workspace sweep; re-invoked by name so a
-# test-scoping change can never silently drop them.
-echo "==> imm-serve socket parity + frame corruption suites (PROPTEST_CASES=32)"
-PROPTEST_CASES=32 cargo test -q -p imm-serve
-
-# The metrics layer is load-bearing for every subsystem's instrumentation;
-# its histogram correctness suite (bucket boundaries, percentile agreement
-# with a sorted-vec reference, concurrent increments) and the workspace-wide
-# catalog gates (unique snake_case names, README drift) are re-invoked here
-# by name so a test-scoping change can never silently drop them.
-echo "==> imm-obs histogram suite (PROPTEST_CASES=32)"
-PROPTEST_CASES=32 cargo test -q -p imm-obs --test histogram
-
-echo "==> metric catalog gates (uniqueness, naming, README drift)"
-cargo test -q --test metrics_catalog
-
-# The fault-tolerance contracts all ran in the workspace sweep; the named
-# re-invocations pin the chaos seed grid (FAULT_SEED_COUNT) and keep the
-# suites enforced even if the sweep's scope ever changes:
-#  * imm-fault — the harness's own determinism/no-op guarantees plus the
-#    daemon/client chaos sweep (every survived batch byte-identical to the
-#    oracle, every failure a typed error, at every seed).
-#  * crash_safety — a snapshot save killed at *every* write point leaves
-#    old-or-new, never a torn file, and the next load sweeps the wreckage.
-#  * fault_tolerance — idle shedding, retry-through-restart, failed
-#    rollouts keeping the old generation, batch deadlines.
-echo "==> fault harness + chaos sweep (FAULT_SEED_COUNT=4)"
-FAULT_SEED_COUNT=4 cargo test -q -p imm-fault
-
-echo "==> crash-safety suite (kill-at-every-write-point grid)"
-cargo test -q -p imm-service --test crash_safety
-
-# The mmap store's contracts — byte-identical serving from the mapping vs
-# the heap decode, counted fallbacks on every unmappable input, and the
-# golden v4 fixture freezing the page-aligned layout — already ran in the
-# workspace sweep; re-invoked by name so a test-scoping change can never
-# silently drop them.
-echo "==> imm-store parity + fallback suites"
-cargo test -q -p imm-store
-
-echo "==> snapshot fixture + alignment gate"
-cargo test -q -p imm-service --test snapshot_fixtures
-
-echo "==> daemon fault-tolerance suite (deadlines, retries, rollouts)"
-cargo test -q -p imm-serve --test fault_tolerance
+# The sweep above is the only run of the suites below, so a test-scoping
+# change must not be able to drop one silently: each must still be a test
+# binary of the workspace. In order: the execution runtime's stress suite;
+# the daemon's unit, socket-parity, frame-corruption and fault-tolerance
+# suites; the histogram and metric-catalog gates; the fault harness and its
+# chaos sweep; snapshot crash safety and golden fixtures; the mmap store's
+# unit, parity and fallback suites.
+echo "==> load-bearing test binaries are part of the workspace sweep"
+TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
+  | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
+for expected in runtime_stress \
+  imm_serve socket_parity frame_corruption fault_tolerance \
+  histogram metrics_catalog \
+  imm_fault chaos \
+  crash_safety snapshot_fixtures \
+  imm_store store_parity mmap_fallback; do
+  if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
+    echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
+    exit 1
+  fi
+done
 
 echo "==> test guard: no #[ignore] in crates/{service,shard,exec,obs,serve,fault,store}/tests"
 if grep -rn '#\[ignore' crates/service/tests crates/shard/tests crates/exec/tests crates/obs/tests crates/serve/tests crates/fault/tests crates/store/tests; then

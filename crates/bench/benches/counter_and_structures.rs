@@ -62,8 +62,7 @@ fn bench_rrr_membership(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(4);
     let members: Vec<u32> = (0..n as u32 / 8).map(|_| rng.gen_range(0..n as u32)).collect();
     let sorted = RrrSet::from_vertices(members.clone(), n, &AdaptivePolicy::always_sorted());
-    let bitmap = RrrSet::from_vertices(members.clone(), n, &AdaptivePolicy::always_bitmap());
-    let compressed = imm_rrr::CompressedRrrSet::from_vertices(members);
+    let bitmap = RrrSet::from_vertices(members, n, &AdaptivePolicy::always_bitmap());
     let probes: Vec<u32> = (0..10_000).map(|_| rng.gen_range(0..n as u32)).collect();
 
     let mut group = c.benchmark_group("rrr_membership_10k_probes");
@@ -73,13 +72,6 @@ fn bench_rrr_membership(c: &mut Criterion) {
     });
     group.bench_function("bitmap_bit_test", |b| {
         b.iter(|| probes.iter().filter(|&&v| bitmap.contains(v)).count())
-    });
-    // The HBMax-style codec pays a streaming decode per probe — the overhead
-    // the paper's adaptive representation is designed to avoid. Probe count is
-    // reduced so the benchmark stays short.
-    let few_probes = &probes[..100];
-    group.bench_function("compressed_varint_decode_100_probes", |b| {
-        b.iter(|| few_probes.iter().filter(|&&v| compressed.contains(v)).count())
     });
     group.finish();
 }

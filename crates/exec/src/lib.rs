@@ -12,7 +12,7 @@
 //!   hosts) and makes nested scopes deadlock-free by construction.
 //! * **Pinned pool** ([`PinnedPool`]) — stateful cells (one per shard)
 //!   with permanently assigned workers serving typed requests over
-//!   per-cell queues ([`Pinned::serve`]). A distributed CELF round is one
+//!   per-cell queues ([`Pinned::serve`]). A sharded point query is one
 //!   [`PinnedPool::scatter`]; with zero workers it degenerates to a loop
 //!   over shards with no parking or cross-thread traffic.
 //!

@@ -7,9 +7,8 @@
 //! [`Pinned`] implementation (for the sharded engine: one `ShardSegment`
 //! plus its mutable serving state). Requests are typed
 //! (`P::Request -> P::Response`) and travel through per-cell queues, so a
-//! distributed CELF round costs one message round-trip per shard instead
-//! of one OS thread spawn per shard — the regression `BENCH_5.json`
-//! measured.
+//! scattered query costs one message round-trip per shard instead of one
+//! OS thread spawn per shard — the regression `BENCH_5.json` measured.
 //!
 //! Ownership is an *affinity*, not an exclusivity: every cell is guarded
 //! by a mutex, and the thread issuing a [`PinnedPool::scatter`] helps
@@ -520,19 +519,6 @@ impl<P: Pinned> PinnedPool<P> {
         f(&mut inner.pinned)
     }
 
-    /// Exclusive access to *every* cell's pinned state at once, locking
-    /// the cells in index order. This is the fused serving path for
-    /// zero-worker pools: a caller driving many rounds against all cells
-    /// pays each cell lock once per call instead of once per round.
-    /// Concurrent callers also acquire in index order, so the multi-lock
-    /// cannot deadlock against `call`/`scatter`/another `with_all_cells`.
-    pub fn with_all_cells<R>(&self, f: impl FnOnce(&mut [&mut P]) -> R) -> R {
-        let mut guards: Vec<MutexGuard<'_, CellInner<P>>> =
-            self.cells.iter().map(Cell::lock).collect();
-        let mut refs: Vec<&mut P> = guards.iter_mut().map(|g| &mut g.pinned).collect();
-        f(&mut refs)
-    }
-
     /// Scatter a batch of `(cell, request)` pairs and gather the responses
     /// in input order. Requests for distinct cells run in parallel when
     /// the pool has workers; the calling thread always helps drain the
@@ -709,6 +695,11 @@ mod tests {
         served: u64,
     }
 
+    /// A request that is served only once the armed fault plan has
+    /// injected a fault (or a generous deadline passed, so a broken test
+    /// fails instead of hanging).
+    const AFTER_THE_FAULT: u64 = u64::MAX - 1;
+
     impl Pinned for Adder {
         type Request = u64;
         type Response = u64;
@@ -717,12 +708,30 @@ mod tests {
             if request == u64::MAX {
                 panic!("poison request");
             }
+            if request == AFTER_THE_FAULT {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while imm_fault::active().is_some_and(|plan| plan.injected() == 0)
+                    && std::time::Instant::now() < deadline
+                {
+                    thread::yield_now();
+                }
+                return self.base;
+            }
             self.base + request
         }
     }
 
     fn adders(n: usize) -> Vec<Adder> {
         (0..n).map(|i| Adder { base: (i as u64) * 1000, served: 0 }).collect()
+    }
+
+    /// Run a test that scatters to worker threads with no fault armed.
+    /// `placement_survives_supervised_respawn` arms the process-global
+    /// fault plan, and cargo runs tests on parallel threads: a pool whose
+    /// workers must survive takes the serialisation `with_plan` takes,
+    /// under an all-zero plan.
+    fn disarmed(test: impl FnOnce()) {
+        imm_fault::with_plan(imm_fault::FaultConfig::default(), |_| test())
     }
 
     #[test]
@@ -735,21 +744,25 @@ mod tests {
 
     #[test]
     fn worker_scatter_matches_inline_results() {
-        let pool = PinnedPool::with_wake_mode(adders(4), 3, WakeMode::Always);
-        assert!(pool.num_workers() >= 1);
-        for round in 0..200u64 {
-            let out = pool.scatter((0..4).map(|c| (c, round)));
-            let expect: Vec<u64> = (0..4u64).map(|c| c * 1000 + round).collect();
-            assert_eq!(out, expect, "round {round}");
-        }
+        disarmed(|| {
+            let pool = PinnedPool::with_wake_mode(adders(4), 3, WakeMode::Always);
+            assert!(pool.num_workers() >= 1);
+            for round in 0..200u64 {
+                let out = pool.scatter((0..4).map(|c| (c, round)));
+                let expect: Vec<u64> = (0..4u64).map(|c| c * 1000 + round).collect();
+                assert_eq!(out, expect, "round {round}");
+            }
+        });
     }
 
     #[test]
     fn more_cells_than_workers_still_drains() {
-        let pool = PinnedPool::with_wake_mode(adders(5), 2, WakeMode::Always);
-        assert_eq!(pool.num_workers(), 1);
-        let out = pool.scatter((0..5).map(|c| (c, 1)));
-        assert_eq!(out, vec![1, 1001, 2001, 3001, 4001]);
+        disarmed(|| {
+            let pool = PinnedPool::with_wake_mode(adders(5), 2, WakeMode::Always);
+            assert_eq!(pool.num_workers(), 1);
+            let out = pool.scatter((0..5).map(|c| (c, 1)));
+            assert_eq!(out, vec![1, 1001, 2001, 3001, 4001]);
+        });
     }
 
     #[test]
@@ -771,36 +784,45 @@ mod tests {
 
     #[test]
     fn serve_panic_propagates_and_pool_survives() {
-        for mode in [WakeMode::Never, WakeMode::Always] {
-            let pool = PinnedPool::with_wake_mode(adders(2), 2, mode);
-            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.scatter(vec![(0, u64::MAX), (1, 3)]);
-            }));
-            assert!(caught.is_err(), "scatter must re-throw serve panics ({mode:?})");
-            // The pool (cells, locks, workers) is unharmed.
-            assert_eq!(pool.scatter(vec![(0, 2), (1, 3)]), vec![2, 1003]);
-        }
+        disarmed(|| {
+            for mode in [WakeMode::Never, WakeMode::Always] {
+                let pool = PinnedPool::with_wake_mode(adders(2), 2, mode);
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                    pool.scatter(vec![(0, u64::MAX), (1, 3)]);
+                }));
+                assert!(caught.is_err(), "scatter must re-throw serve panics ({mode:?})");
+                // The pool (cells, locks, workers) is unharmed.
+                assert_eq!(pool.scatter(vec![(0, 2), (1, 3)]), vec![2, 1003]);
+            }
+        });
     }
 
     #[test]
     fn queue_depths_are_zero_when_idle() {
-        let pool = PinnedPool::with_wake_mode(adders(3), 2, WakeMode::Always);
-        pool.scatter((0..3).map(|c| (c, 1)));
-        assert_eq!(pool.queue_depths(), vec![0, 0, 0]);
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
+        disarmed(|| {
+            let pool = PinnedPool::with_wake_mode(adders(3), 2, WakeMode::Always);
+            pool.scatter((0..3).map(|c| (c, 1)));
+            assert_eq!(pool.queue_depths(), vec![0, 0, 0]);
+            assert_eq!(pool.len(), 3);
+            assert!(!pool.is_empty());
+        });
     }
 
-    static TEST_LOCAL: Counter = Counter::new("test_placement_local", "test-only local counter");
-    static TEST_REMOTE: Counter = Counter::new("test_placement_remote", "test-only remote counter");
+    /// A placement test's own local/remote pair: the tests run on parallel
+    /// threads, so counters they assert on cannot be shared between them.
+    fn placement_counters() -> (&'static Counter, &'static Counter) {
+        let leak = |name| &*Box::leak(Box::new(Counter::new(name, "test-only counter")));
+        (leak("test_placement_local"), leak("test_placement_remote"))
+    }
 
     fn two_node_placement(hook: Option<Arc<dyn Fn(usize) + Send + Sync>>) -> PoolPlacement {
+        let (local, remote) = placement_counters();
         // Two workers on nodes 0/1; four cells alternating between them.
         PoolPlacement {
             worker_node: vec![0, 1],
             cell_node: vec![0, 1, 0, 1],
-            local: &TEST_LOCAL,
-            remote: &TEST_REMOTE,
+            local,
+            remote,
             on_worker_start: hook,
         }
     }
@@ -815,27 +837,25 @@ mod tests {
                 started.lock().unwrap().insert(w);
             }) as Arc<dyn Fn(usize) + Send + Sync>
         };
-        let pool = PinnedPool::with_placement(
-            adders(4),
-            3,
-            WakeMode::Always,
-            Some(two_node_placement(Some(hook))),
-        );
-        assert_eq!(pool.num_workers(), 2);
-        // Serve a round so both workers have certainly started and the
-        // hook set is stable before we read it.
-        pool.scatter((0..4).map(|c| (c, 1)));
-        // The hook runs on thread start, before any serving; after a full
-        // scatter both workers exist (they may still be mid-hook only if
-        // they never served, which the scatter above rules out for at
-        // least one — poll briefly for the pair).
-        for _ in 0..100 {
-            if started.lock().unwrap().len() == 2 {
-                break;
+        let placement = two_node_placement(Some(hook));
+        disarmed(|| {
+            let pool = PinnedPool::with_placement(adders(4), 3, WakeMode::Always, Some(placement));
+            assert_eq!(pool.num_workers(), 2);
+            // Serve a round so both workers have certainly started and the
+            // hook set is stable before we read it.
+            pool.scatter((0..4).map(|c| (c, 1)));
+            // The hook runs on thread start, before any serving; after a full
+            // scatter both workers exist (they may still be mid-hook only if
+            // they never served, which the scatter above rules out for at
+            // least one — poll briefly for the pair).
+            for _ in 0..100 {
+                if started.lock().unwrap().len() == 2 {
+                    break;
+                }
+                thread::sleep(std::time::Duration::from_millis(1));
             }
-            thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(*started.lock().unwrap(), HashSet::from([0, 1]));
+            assert_eq!(*started.lock().unwrap(), HashSet::from([0, 1]));
+        });
     }
 
     #[test]
@@ -843,20 +863,17 @@ mod tests {
         if !imm_obs::recording_enabled() {
             return;
         }
-        let pool = PinnedPool::with_placement(
-            adders(4),
-            3,
-            WakeMode::Always,
-            Some(two_node_placement(None)),
-        );
-        let local_before = TEST_LOCAL.value();
-        let remote_before = TEST_REMOTE.value();
-        let rounds = 50u64;
-        for round in 0..rounds {
-            pool.scatter((0..4).map(|c| (c, round)));
-        }
-        let counted = (TEST_LOCAL.value() - local_before) + (TEST_REMOTE.value() - remote_before);
-        assert_eq!(counted, rounds * 4, "every serve lands in exactly one bucket");
+        let placement = two_node_placement(None);
+        let (local, remote) = (placement.local, placement.remote);
+        disarmed(|| {
+            let pool = PinnedPool::with_placement(adders(4), 3, WakeMode::Always, Some(placement));
+            let rounds = 50u64;
+            for round in 0..rounds {
+                pool.scatter((0..4).map(|c| (c, round)));
+            }
+            let counted = local.value() + remote.value();
+            assert_eq!(counted, rounds * 4, "every serve lands in exactly one bucket");
+        });
     }
 
     #[test]
@@ -864,19 +881,18 @@ mod tests {
         if !imm_obs::recording_enabled() {
             return;
         }
+        let (local, remote) = placement_counters();
         let placement = PoolPlacement {
             worker_node: Vec::new(),
             cell_node: vec![0, 1],
-            local: &TEST_LOCAL,
-            remote: &TEST_REMOTE,
+            local,
+            remote,
             on_worker_start: None,
         };
         let pool = PinnedPool::with_placement(adders(2), 1, WakeMode::Never, Some(placement));
-        let local_before = TEST_LOCAL.value();
-        let remote_before = TEST_REMOTE.value();
         pool.scatter(vec![(0, 1), (1, 2), (0, 3)]);
-        assert_eq!(TEST_LOCAL.value(), local_before, "no placed workers, nothing is local");
-        assert_eq!(TEST_REMOTE.value(), remote_before + 3);
+        assert_eq!(local.value(), 0, "no placed workers, nothing is local");
+        assert_eq!(remote.value(), 3);
     }
 
     #[test]
@@ -889,6 +905,7 @@ mod tests {
                 starts.fetch_add(1, Ordering::SeqCst);
             }) as Arc<dyn Fn(usize) + Send + Sync>
         };
+        let (local, remote) = placement_counters();
         let pool = PinnedPool::with_placement(
             adders(2),
             2,
@@ -896,15 +913,22 @@ mod tests {
             Some(PoolPlacement {
                 worker_node: vec![0],
                 cell_node: vec![0, 0],
-                local: &TEST_LOCAL,
-                remote: &TEST_REMOTE,
+                local,
+                remote,
                 on_worker_start: Some(hook),
             }),
         );
         assert_eq!(pool.num_workers(), 1);
+        // The first start is asynchronous too: count respawns from after it.
+        while starts.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
         let before = starts.load(Ordering::SeqCst);
         // Kill the worker thread with an injected loop fault, then
         // scatter: supervision respawns it and the hook must run again.
+        // The scattering thread helps drain the queues it filled and would
+        // usually win both envelopes; parking its help-drain on cell 1
+        // until the fault has landed leaves cell 0's envelope to the worker.
         imm_fault::with_plan(
             imm_fault::FaultConfig {
                 worker_panic: 1.0,
@@ -912,8 +936,10 @@ mod tests {
                 ..imm_fault::FaultConfig::seeded(11)
             },
             |_| {
-                let _ = pool.try_scatter(vec![(0, 1), (1, 2)]);
-                // Respawn happens at the top of the next scatter.
+                let lost = pool.try_scatter(vec![(1, AFTER_THE_FAULT), (0, 1)]);
+                assert_eq!(lost, Err(ScatterError { lost: 1 }), "the worker died on cell 0");
+                // Respawn happens at the top of the next scatter, once the
+                // dying thread has finished unwinding.
                 for _ in 0..100 {
                     if pool.worker_restarts() > 0 {
                         break;

@@ -223,14 +223,3 @@ fn single_cell_pool_serializes_all_requests() {
     assert_eq!(responses, (1..=100).collect::<Vec<_>>());
     assert_eq!(pool.with_cell(0, |t| t.served), 100);
 }
-
-#[test]
-fn with_all_cells_sees_every_cell_exactly_once() {
-    let pool = tally_pool(5, 1, WakeMode::Never);
-    pool.scatter((0..5).map(|c| (c, Req::Add(c + 1))));
-    let total = pool.with_all_cells(|cells| {
-        assert_eq!(cells.len(), 5);
-        cells.iter_mut().map(|t| t.served).sum::<usize>()
-    });
-    assert_eq!(total, 1 + 2 + 3 + 4 + 5);
-}

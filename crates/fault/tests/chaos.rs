@@ -127,9 +127,10 @@ fn seeded_connection_chaos_never_corrupts_a_served_answer() {
     assert!(total_served > 0, "the retrying client must get some batches through");
 }
 
-/// With the plan cleared (the default state), the same stack serves the
-/// same battery with zero injected faults — the hooks really are no-ops
-/// when disarmed.
+/// Under an all-zero plan the same stack serves the same battery with zero
+/// injected faults and zero retries — the hooks inject nothing unless a rate
+/// arms them. Run through `with_plan` so the chaos grid above, which arms
+/// the process-global plan on a parallel test thread, cannot leak into it.
 #[test]
 fn a_disarmed_stack_serves_cleanly() {
     let (sharded, battery) = fixture();
@@ -140,21 +141,24 @@ fn a_disarmed_stack_serves_cleanly() {
     let mut config = ServerConfig::new(Listen::Unix(socket));
     config.threads = 2;
     config.tick = Duration::from_millis(10);
-    let handle = Server::start(Arc::clone(&sharded), None, config, || "{}".into())
-        .expect("the daemon must start");
-    let mut client = RetryClient::new(handle.address().clone(), RetryPolicy::default());
-    let budget_before = client.budget_left();
-    for _ in 0..3 {
-        let answers: Vec<_> = client
-            .batch(&battery)
-            .expect("a clean stack must serve")
-            .into_iter()
-            .map(|o| o.expect("no admission control is configured"))
-            .collect();
-        assert_eq!(answers, expected);
-    }
-    assert_eq!(client.budget_left(), budget_before, "no retries on a clean stack");
-    drop(client);
-    handle.stop();
-    handle.join().expect("clean shutdown");
+    imm_fault::with_plan(FaultConfig::default(), |plan| {
+        let handle = Server::start(Arc::clone(&sharded), None, config, || "{}".into())
+            .expect("the daemon must start");
+        let mut client = RetryClient::new(handle.address().clone(), RetryPolicy::default());
+        let budget_before = client.budget_left();
+        for _ in 0..3 {
+            let answers: Vec<_> = client
+                .batch(&battery)
+                .expect("a clean stack must serve")
+                .into_iter()
+                .map(|o| o.expect("no admission control is configured"))
+                .collect();
+            assert_eq!(answers, expected);
+        }
+        assert_eq!(client.budget_left(), budget_before, "no retries on a clean stack");
+        drop(client);
+        handle.stop();
+        handle.join().expect("clean shutdown");
+        assert_eq!(plan.injected(), 0);
+    });
 }

@@ -28,7 +28,6 @@
 pub mod bitset;
 pub mod codec;
 pub mod collection;
-pub mod compressed;
 pub mod provenance;
 pub mod set;
 
@@ -37,7 +36,6 @@ pub use codec::{ByteReader, CodecError};
 pub use collection::{
     ArenaSource, CollectionSlice, CoverageStats, RrrCollection, SetView, SetViews, SliceViews,
 };
-pub use compressed::CompressedRrrSet;
 pub use provenance::{EdgeFootprint, NoTrace, ProbeTrace, SetProvenance, FOOTPRINT_WORDS};
 pub use set::{AdaptivePolicy, Representation, RrrSet};
 

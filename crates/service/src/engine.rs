@@ -1,56 +1,45 @@
 //! The query engine: incremental greedy Top-K, coverage-based spread and
 //! marginal-gain estimates, a batch executor, and the response cache.
 //!
-//! The Top-K path is the point of the subsystem: greedy max coverage is
-//! prefix-stable (the first `k` seeds of a budget-`k+Δ` selection are the
-//! budget-`k` selection), so the engine keeps one shared greedy prefix —
-//! counters, alive flags, selected seeds — and only ever *extends* it.
-//! Asking for `k` and later `k+5` computes five new rounds, not `k+5`;
-//! nothing is resampled, ever.
-//!
-//! Each greedy round runs **lazy greedy (CELF)** instead of a full counter
-//! rescan: a max-heap holds one `(count upper bound, vertex)` entry per
-//! vertex. Counts only fall as sets are retired, so a popped entry whose
-//! stored count still matches the live counter *is* the round's argmax —
-//! every other entry's bound, and hence its live count, is no larger. Stale
-//! entries are revalidated (reinserted with the live count) on the spot.
-//! The comparator breaks ties toward the smaller vertex id and zero-count
-//! rounds still emit a seed, so the served seeds stay byte-identical to a
-//! fresh `run_imm`/`select_seeds` pass over the same collection — a round
-//! costs O(revalidations · log n) instead of O(n).
+//! The Top-K path is the point of the subsystem: the engine keeps one
+//! persistent lazy-greedy session ([`crate::masked::LazyGreedy`]) — counts,
+//! alive flags, selected seeds — and only ever *extends* it. Asking for `k`
+//! and later `k+5` computes five new rounds, not `k+5`; nothing is
+//! resampled, ever. The served seeds stay byte-identical to a fresh
+//! `run_imm`/`select_seeds` pass over the same collection.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::dynamic::{DynamicError, RefreshStats};
 use crate::index::SketchIndex;
-use crate::masked::MaskedPool;
+use crate::masked::{LazyGreedy, MaskedPool};
 use crate::query::{Query, QueryKey, QueryResponse};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId};
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Default response-cache capacity of a new engine.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Memoize one query through a response cache: consult it under the query's
-/// normalized key, compute on a miss, insert, return. The shared serving
-/// wrapper of every engine (single-index and sharded) — which also makes it
-/// the one place query metrics are recorded: hit/miss counters, the
-/// queries/sec meter, and the per-query-type latency histogram around the
-/// miss-path compute (hits return in nanoseconds and would drown the
-/// percentiles, so they are counted, not timed).
-pub fn serve_cached(
+/// normalized key, compute on a miss, insert, return. A failed compute is
+/// returned as is and caches nothing. The shared serving wrapper of every
+/// engine (single-index and sharded) — which also makes it the one place
+/// query metrics are recorded: hit/miss counters, the queries/sec meter,
+/// and the per-query-type latency histogram around the miss-path compute
+/// (hits return in nanoseconds and would drown the percentiles, so they are
+/// counted, not timed).
+pub fn serve_cached<E>(
     cache: &QueryCache,
     query: &Query,
-    compute: impl FnOnce() -> QueryResponse,
-) -> QueryResponse {
+    compute: impl FnOnce() -> Result<QueryResponse, E>,
+) -> Result<QueryResponse, E> {
     crate::metrics::QUERY_RATE.mark();
     let key = QueryKey::from_query(query);
     if let Some(hit) = cache.get(&key) {
         crate::metrics::CACHE_HITS.increment();
-        return hit;
+        return Ok(hit);
     }
     crate::metrics::CACHE_MISSES.increment();
     let latency = match query {
@@ -58,9 +47,9 @@ pub fn serve_cached(
         Query::Spread { .. } => &crate::metrics::SPREAD_LATENCY,
         Query::Marginal { .. } => &crate::metrics::MARGINAL_LATENCY,
     };
-    let response = latency.time(compute);
+    let response = latency.time(compute)?;
     cache.insert(key, response.clone());
-    response
+    Ok(response)
 }
 
 /// Fan a batch of queries across `threads` workers, preserving input order
@@ -89,105 +78,6 @@ pub fn serve_batch(
     responses.into_iter().map(|r| r.expect("every slot is filled by its worker")).collect()
 }
 
-/// A CELF frontier: lazy `(count upper bound, vertex)` entries in a
-/// max-heap ordered by count, then toward the smaller vertex id.
-pub type Frontier = BinaryHeap<(u64, Reverse<NodeId>)>;
-
-/// Pop the round's argmax off a whole-index CELF frontier (one entry per
-/// vertex): revalidate stale entries against the `live` counts until the
-/// top entry's bound matches. Ties resolve toward the smaller vertex id via
-/// the comparator — identical to the selection kernels' reduction order.
-/// Shared by every fresh-session greedy (single-index and sharded), which
-/// makes it the one place their CELF metrics are recorded.
-pub fn pop_argmax(frontier: &mut Frontier, live: &[u64]) -> (NodeId, u64) {
-    let mut pops = 0u64;
-    loop {
-        pops += 1;
-        let (stored, Reverse(v)) = frontier.pop().expect("one entry per vertex");
-        let count = live[v as usize];
-        if stored == count {
-            // Metric totals are folded in once per round, not per pop;
-            // the last pop is the accepted argmax, the rest were stale.
-            crate::metrics::CELF_ROUNDS.increment();
-            crate::metrics::CELF_HEAP_POPS.add(pops);
-            crate::metrics::CELF_REVALIDATIONS.add(pops - 1);
-            return (v, count);
-        }
-        debug_assert!(count < stored, "counts only fall as sets retire");
-        frontier.push((count, Reverse(v)));
-    }
-}
-
-/// The resumable greedy selection state (the shared prefix).
-#[derive(Debug)]
-struct GreedyState {
-    /// Working occurrence counter over alive sets, seeded from the index's
-    /// precomputed degrees.
-    counts: Vec<u64>,
-    /// Which sets are still uncovered.
-    alive: Vec<bool>,
-    /// Cumulative covered-set count after each selected seed, so a smaller
-    /// budget's coverage can be answered from the prefix.
-    covered_after: Vec<usize>,
-    /// The greedy prefix selected so far.
-    seeds: Vec<NodeId>,
-    /// The CELF frontier: exactly one entry per vertex, holding a lazy
-    /// upper bound on its live count.
-    frontier: Frontier,
-}
-
-impl GreedyState {
-    fn new(index: &SketchIndex) -> Self {
-        let counts = index.degree_vector();
-        let frontier = counts.iter().enumerate().map(|(v, &c)| (c, Reverse(v as NodeId))).collect();
-        GreedyState {
-            counts,
-            alive: vec![true; index.num_sets()],
-            covered_after: Vec::new(),
-            seeds: Vec::new(),
-            frontier,
-        }
-    }
-
-    /// Run greedy rounds until `min(k, n)` seeds are selected. Rounds already
-    /// played are never repeated.
-    fn extend_to(&mut self, index: &SketchIndex, k: usize) {
-        let n = index.num_nodes();
-        while self.seeds.len() < k.min(n) {
-            let (best, best_count) = pop_argmax(&mut self.frontier, &self.counts);
-            self.seeds.push(best);
-            let covered_so_far = self.covered_after.last().copied().unwrap_or(0);
-            if best_count == 0 {
-                // No alive set contains any vertex; later seeds are emitted
-                // deterministically with zero gain (kernel behaviour: the
-                // all-zero argmax is the smallest vertex id). The selected
-                // vertex stays a candidate, exactly like the kernels'.
-                self.covered_after.push(covered_so_far);
-                self.frontier.push((0, Reverse(best)));
-                continue;
-            }
-            // Retire the covered sets: the postings list gives them directly
-            // (the kernel rescans all sets; same result, less work), and the
-            // flat arena slices stream the counter decrements.
-            let mut covered = covered_so_far;
-            for &sid in index.postings(best) {
-                if self.alive[sid as usize] {
-                    self.alive[sid as usize] = false;
-                    covered += 1;
-                    index.sets().get(sid as usize).for_each(|v| {
-                        self.counts[v as usize] -= 1;
-                    });
-                }
-            }
-            self.covered_after.push(covered);
-            // Re-admit the selected vertex with its post-retirement count
-            // (zero: every alive set containing it was just retired), so it
-            // remains selectable in all-zero rounds.
-            self.frontier.push((self.counts[best as usize], Reverse(best)));
-        }
-    }
-}
-
 /// A query-serving engine over one frozen [`SketchIndex`].
 ///
 /// The engine is `Sync`: spread/marginal queries run lock-free against the
@@ -196,7 +86,8 @@ impl GreedyState {
 #[derive(Debug)]
 pub struct QueryEngine {
     index: Arc<SketchIndex>,
-    greedy: Mutex<GreedyState>,
+    /// The persistent fresh Top-K session (the shared greedy prefix).
+    greedy: Mutex<LazyGreedy>,
     cache: QueryCache,
     /// Pool of cleared coverage-marking bitsets (capacity θ). Spread and
     /// marginal queries check one out instead of allocating a fresh
@@ -215,7 +106,7 @@ impl QueryEngine {
     /// Engine with an explicit cache capacity (0 disables caching).
     pub fn with_cache_capacity(index: Arc<SketchIndex>, capacity: usize) -> Self {
         crate::metrics::register();
-        let greedy = Mutex::new(GreedyState::new(&index));
+        let greedy = Mutex::new(fresh_session(&index));
         QueryEngine {
             index,
             greedy,
@@ -273,14 +164,16 @@ impl QueryEngine {
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
         let index = Arc::make_mut(&mut self.index);
         let out = index.apply_delta(graph, weights, delta)?;
-        *self.greedy.lock() = GreedyState::new(&self.index);
+        *self.greedy.lock() = fresh_session(&self.index);
         self.cache.clear();
         Ok(out)
     }
 
     /// Answer one query, consulting the response cache first.
     pub fn execute(&self, query: &Query) -> QueryResponse {
-        serve_cached(&self.cache, query, || self.execute_uncached(query))
+        let Ok(response) =
+            serve_cached::<Infallible>(&self.cache, query, || Ok(self.execute_uncached(query)));
+        response
     }
 
     /// Answer one query without touching the cache.
@@ -300,12 +193,7 @@ impl QueryEngine {
     }
 
     fn top_k(&self, k: usize) -> QueryResponse {
-        let take = k.min(self.index.num_nodes());
-        let mut state = self.greedy.lock();
-        state.extend_to(&self.index, k);
-        let seeds = state.seeds[..take].to_vec();
-        let covered = if take == 0 { 0 } else { state.covered_after[take - 1] };
-        drop(state);
+        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), &*self.index, k);
         self.topk_response(seeds, covered)
     }
 
@@ -365,6 +253,11 @@ impl QueryEngine {
         self.release_scratch(marks);
         QueryResponse::marginal_from_tallies(gained, self.index.num_sets(), self.index.num_nodes())
     }
+}
+
+/// The all-alive, empty-prefix Top-K session of `index`.
+fn fresh_session(index: &SketchIndex) -> LazyGreedy {
+    LazyGreedy::fresh(index.degree_vector(), index.num_sets())
 }
 
 #[cfg(test)]
@@ -531,6 +424,27 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn apply_delta_leaves_the_fresh_session_all_alive_with_an_empty_prefix() {
+        use crate::dynamic::SampleSpec;
+        use imm_diffusion::DiffusionModel;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let edges = imm_graph::generators::social_network(120, 5, 0.3, &mut rng);
+        let graph = CsrGraph::from_edge_list(&edges);
+        let weights = EdgeWeights::constant(&graph, 0.2);
+        let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
+        let index = SketchIndex::sample(&graph, &weights, spec, 200, 2, "fresh").unwrap();
+        let mut engine = QueryEngine::new(Arc::new(index));
+        assert!(engine.greedy.lock().is_fresh_over(engine.index()));
+        engine.execute(&Query::top_k(4));
+        assert!(!engine.greedy.lock().is_fresh_over(engine.index()), "a prefix was played");
+        let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6);
+        engine.apply_delta(&graph, &weights, &delta).unwrap();
+        // Fresh over the *refreshed* index: its degrees, all of its sets.
+        assert!(engine.greedy.lock().is_fresh_over(engine.index()));
     }
 
     #[test]

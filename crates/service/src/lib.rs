@@ -15,8 +15,8 @@
 //! * [`QueryEngine`] — answers [`Query::TopK`] (incremental greedy with a
 //!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
 //!   never resample; an optional **audience** bitmap restricts coverage to
-//!   the sets touching a vertex slice — served by the sparse [`masked`]
-//!   session, whose work follows those sets), [`Query::Spread`] and
+//!   the sets touching a vertex slice — a sparse session whose work follows
+//!   those sets; both run the one lazy greedy of [`masked`]), [`Query::Spread`] and
 //!   [`Query::Marginal`]; batches fan out across worker threads and
 //!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
 //!   normalized queries.
@@ -70,11 +70,9 @@ pub use dynamic::{
     invalidated_sets, resample_sets, DeltaLogEntry, DynamicError, RefreshStats, SampleSpec,
     SketchProvenance,
 };
-pub use engine::{
-    pop_argmax, serve_batch, serve_cached, Frontier, QueryEngine, DEFAULT_CACHE_CAPACITY,
-};
+pub use engine::{serve_batch, serve_cached, QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
-pub use masked::{MaskedPool, SetsContaining};
+pub use masked::{LazyGreedy, MaskedPool, SetsContaining};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
     load_collection, load_collection_from_path, load_parts, parse_v4_head,

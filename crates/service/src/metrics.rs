@@ -9,11 +9,12 @@
 //!   counted, not timed), plus hit/miss/eviction counters and a
 //!   queries/sec rate meter. Both the single-index and the sharded
 //!   engine route through the same wrapper, so these cover both.
-//! * **CELF** — rounds, heap pops, and stale revalidations. A
-//!   revalidation blow-up (pops ≫ rounds) is the classic lazy-greedy
-//!   failure mode and is invisible from end-to-end latency alone. Plus the
-//!   eligible-set count of each audience Top-K session, the quantity its
-//!   work is proportional to.
+//! * **CELF** — rounds, heap pops, and stale revalidations, recorded by
+//!   the one frontier pop every Top-K session of every engine goes
+//!   through ([`crate::masked`]). A revalidation blow-up (pops ≫ rounds)
+//!   is the classic lazy-greedy failure mode and is invisible from
+//!   end-to-end latency alone. Plus the eligible-set count of each
+//!   audience Top-K session, the quantity its work is proportional to.
 //! * **Dynamic refresh** — delta edges applied, sets invalidated vs
 //!   actually resampled, and postings candidates skipped by the edge
 //!   footprint filter (the pruning that keeps refresh sublinear).

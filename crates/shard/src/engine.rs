@@ -1,39 +1,29 @@
-//! Scatter/gather query serving over a [`ShardedIndex`], on a persistent
-//! shard-pinned worker pool.
+//! Query serving over a [`ShardedIndex`], on a persistent shard-pinned
+//! worker pool.
 //!
 //! The engine answers the full `imm-service` query vocabulary with the same
 //! byte-identical results as the single-index `QueryEngine` — that parity is
-//! the crate's acceptance property — while structuring every counting pass
-//! as **typed requests to pinned shard cells** ([`imm_exec::PinnedPool`]):
-//! each cell permanently owns one [`ShardSegment`] plus its mutable serving
-//! state (alive flags, marking scratch), and a request round-trip replaces
-//! the per-round thread spawn that made PR 5's scatter/gather slower than
-//! the single index (`BENCH_5.json`).
+//! the crate's acceptance property.
 //!
-//! * **Spread / Marginal**: each shard counts covered sets among *its own*
-//!   range using its local postings and the cell's own shard-sized marking
-//!   scratch (restored after each request, never reallocated); the gathered
-//!   per-shard counts sum to exactly the single-index tally.
-//! * **Top-K**: CELF lazy greedy over **merged bounds held engine-side**.
-//!   The frontier holds one `(bound, vertex)` entry per vertex; the merged
-//!   live counts start as the sum of the per-shard degrees and are kept
-//!   exact by the retire stream: each round scatters one
-//!   `ShardRequest::Retire`, every shard flips its own covered sets and
-//!   streams back their global ids (in recycled buffers), and the engine
-//!   walks those sets once to decrement the merged counts. Revalidating a
-//!   popped frontier entry is therefore a local array read — a CELF round
-//!   costs exactly one message round-trip per shard, and on a host without
-//!   real parallelism the pool serves the round inline with no parking or
-//!   cross-thread traffic at all. Ties break toward the smaller vertex id
-//!   and zero-gain rounds emit deterministically, exactly like the
-//!   single-index CELF — so Top-K stays lazy end to end and the seeds are
-//!   byte-identical for any shard count and any worker-thread count.
-//! * **Audience Top-K**: not scattered at all. The masked session is
-//!   transient engine-side state — `imm_service::masked`'s sparse greedy,
-//!   the very code the single-index engine runs — reading the shards'
-//!   postings as one "sets containing v" source over the shared
-//!   collection. It touches no cell state and takes no engine lock, so
-//!   audience queries of one batch run concurrently.
+//! * **Spread / Marginal** scatter as **typed requests to pinned shard
+//!   cells** ([`imm_exec::PinnedPool`]): each cell permanently owns one
+//!   [`ShardSegment`] plus a shard-sized marking scratch (restored after each
+//!   request, never reallocated), counts covered sets among *its own* range
+//!   using its local postings, and the gathered per-shard counts sum to
+//!   exactly the single-index tally. A request round-trip replaces the
+//!   per-query thread spawn that made PR 5's scatter/gather slower than the
+//!   single index (`BENCH_5.json`), and every request is idempotent, so a
+//!   scatter that loses a worker is simply retried.
+//! * **Top-K** (plain and audience) is not scattered at all: the engine
+//!   runs `imm_service::masked`'s lazy greedy — the very sessions the
+//!   single-index engine runs — engine-side, reading the shards' postings
+//!   as one "sets containing v" source over the shared collection. The
+//!   plain selection extends one persistent [`LazyGreedy`] seeded from the
+//!   merged per-shard degrees; an audience selection checks a transient
+//!   session out of a pool and takes no engine lock, so audience queries of
+//!   one batch run concurrently. Neither touches cell state, so no worker
+//!   death can fail or dirty a Top-K, and the seeds are byte-identical for
+//!   any shard count and any worker-thread count.
 
 use crate::index::ShardedIndex;
 use crate::segment::{LocalSetId, ShardSegment};
@@ -42,46 +32,34 @@ use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
 use imm_rrr::{BitSet, NodeId};
 use imm_service::{
-    pop_argmax, serve_batch, CacheStats, DynamicError, Frontier, MaskedPool, Query, QueryCache,
-    QueryKey, QueryResponse, RefreshStats, SetsContaining,
+    serve_batch, serve_cached, CacheStats, DynamicError, LazyGreedy, MaskedPool, Query, QueryCache,
+    QueryResponse, RefreshStats, SetsContaining,
 };
 use parking_lot::Mutex;
-use std::cmp::Reverse;
 use std::sync::Arc;
 
-/// Attempts for idempotent scatters before giving up: every retry first
-/// respawns dead workers, so only a plan injecting worker deaths at a
-/// sustained 100% rate can exhaust this.
+/// Attempts for a scatter before giving up: every retry first respawns dead
+/// workers, so only a plan injecting worker deaths at a sustained 100% rate
+/// can exhaust this.
 const SCATTER_RETRIES: usize = 8;
 
 /// Global id of an RRR set (its index in the shared collection).
 type GlobalSetId = u32;
 
 /// One pinned worker's state: a permanent shard assignment plus the
-/// mutable serving state for that shard.
+/// marking scratch for that shard.
 struct ShardCell {
     /// The served index; `None` only mid-`apply_delta` (Release/Install).
     index: Option<Arc<ShardedIndex>>,
     shard: usize,
-    /// Alive flags of the persistent greedy session, one per local set.
-    alive: Vec<bool>,
     /// Marking scratch of the Spread/Marginal walks, one bit per local
     /// set; all zero between requests.
     marks: Vec<u64>,
 }
 
-/// The typed request vocabulary a pinned shard cell serves.
+/// The typed request vocabulary a pinned shard cell serves. Every request
+/// is idempotent: serving one twice leaves the cell as serving it once.
 enum ShardRequest {
-    /// Per-vertex occurrence counts of this shard (the engine merges them
-    /// into the initial CELF bounds).
-    Degrees,
-    /// Live-set count of one vertex — the distributed revalidation probe.
-    /// The hot path revalidates against engine-side merged counts; this
-    /// request is the consistency cross-check (debug assertions, tests).
-    LiveCount { vertex: NodeId },
-    /// Retire this shard's live sets containing `vertex`, streaming their
-    /// global ids into `buf` (recycled round to round by the engine).
-    Retire { vertex: NodeId, buf: Vec<GlobalSetId> },
     /// Postings walk: count sets covered by `seeds` in this shard.
     Spread { seeds: Arc<Vec<NodeId>> },
     /// Postings walk: count sets `candidate` adds over `seeds`.
@@ -89,41 +67,18 @@ enum ShardRequest {
     /// Drop the cell's index handle (first half of `apply_delta`, so the
     /// engine holds the only reference while rebuilding).
     Release,
-    /// Serve this index from now on, with a fully-alive greedy session.
+    /// Serve this index from now on.
     Install { index: Arc<ShardedIndex> },
 }
 
 enum ShardResponse {
     Unit,
     Count(usize),
-    Counts(Vec<u64>),
-    Retired { buf: Vec<GlobalSetId> },
 }
 
 impl ShardCell {
     fn index(&self) -> &Arc<ShardedIndex> {
         self.index.as_ref().expect("shard cell has an installed index")
-    }
-
-    /// Disjoint borrows of the serving state: the shard's segment and the
-    /// alive flags (mutable), without cloning the index handle per request.
-    fn segment_and_alive(&mut self) -> (&ShardSegment, &mut Vec<bool>) {
-        let index = self.index.as_ref().expect("shard cell has an installed index");
-        (&index.segments()[self.shard], &mut self.alive)
-    }
-
-    fn retire(&mut self, vertex: NodeId, mut buf: Vec<GlobalSetId>) -> ShardResponse {
-        buf.clear();
-        let (segment, alive) = self.segment_and_alive();
-        let start = segment.start() as GlobalSetId;
-        for &lsid in segment.postings(vertex) {
-            let slot = &mut alive[lsid as usize];
-            if *slot {
-                *slot = false;
-                buf.push(start + lsid);
-            }
-        }
-        ShardResponse::Retired { buf }
     }
 
     /// Mark this shard's sets covered by `seeds` in the cell's scratch, hand
@@ -178,18 +133,6 @@ impl Pinned for ShardCell {
 
     fn serve(&mut self, request: ShardRequest) -> ShardResponse {
         match request {
-            ShardRequest::Degrees => {
-                let index = self.index();
-                let segment = &index.segments()[self.shard];
-                let n = index.num_nodes();
-                ShardResponse::Counts((0..n).map(|v| segment.degree(v as NodeId)).collect())
-            }
-            ShardRequest::LiveCount { vertex } => {
-                let (segment, alive) = self.segment_and_alive();
-                let live = segment.postings(vertex).iter().filter(|&&l| alive[l as usize]).count();
-                ShardResponse::Count(live)
-            }
-            ShardRequest::Retire { vertex, buf } => self.retire(vertex, buf),
             ShardRequest::Spread { seeds } => self.with_marked(&seeds, |_, _, covered| covered),
             ShardRequest::Marginal { seeds, candidate } => {
                 let n = self.index().num_nodes();
@@ -215,7 +158,6 @@ impl Pinned for ShardCell {
             ShardRequest::Install { index } => {
                 let len = index.segments()[self.shard].len();
                 self.index = Some(index);
-                self.alive = vec![true; len];
                 self.marks.resize(len.div_ceil(64), 0);
                 ShardResponse::Unit
             }
@@ -227,67 +169,17 @@ impl ShardResponse {
     fn count(self) -> usize {
         match self {
             ShardResponse::Count(c) => c,
-            _ => unreachable!("shard answered with the wrong response kind"),
-        }
-    }
-
-    fn counts(self) -> Vec<u64> {
-        match self {
-            ShardResponse::Counts(c) => c,
-            _ => unreachable!("shard answered with the wrong response kind"),
-        }
-    }
-
-    fn retired(self) -> Vec<GlobalSetId> {
-        match self {
-            ShardResponse::Retired { buf } => buf,
-            _ => unreachable!("shard answered with the wrong response kind"),
-        }
-    }
-}
-
-/// The engine-side distributed greedy state: merged live counts plus the
-/// CELF frontier, fed by the gathered per-shard retire streams.
-#[derive(Debug)]
-struct DistributedGreedy {
-    /// Exact merged live count per vertex (sum of the shards' live sets
-    /// containing it), maintained from the retire streams.
-    merged: Vec<u64>,
-    /// CELF frontier: one entry per vertex, ordered by bound then toward
-    /// the smaller vertex id — the single-index comparator.
-    frontier: Frontier,
-    covered_after: Vec<usize>,
-    seeds: Vec<NodeId>,
-    /// Recycled per-shard retire buffers (one per shard, reused each
-    /// round so steady-state rounds allocate nothing).
-    bufs: Vec<Vec<GlobalSetId>>,
-    /// Set when a scattered round failed mid-flight (a worker died with
-    /// retire responses in hand): the alive flags and the merged counts
-    /// may disagree, so the next greedy use must rebuild the session
-    /// from scratch before trusting either.
-    needs_reset: bool,
-}
-
-impl DistributedGreedy {
-    fn from_merged(merged: Vec<u64>, shards: usize) -> Self {
-        let frontier = merged.iter().enumerate().map(|(v, &c)| (c, Reverse(v as NodeId))).collect();
-        DistributedGreedy {
-            merged,
-            frontier,
-            covered_after: Vec::new(),
-            seeds: Vec::new(),
-            bufs: vec![Vec::new(); shards],
-            needs_reset: false,
+            ShardResponse::Unit => unreachable!("shard answered with the wrong response kind"),
         }
     }
 }
 
 /// Engine-side merged postings over all shards: CSR by vertex, with each
-/// vertex's set ids global and grouped in ascending shard order. Built
-/// only for zero-worker pools, where the fused greedy walks exactly one
-/// postings list per round — the round cost is then independent of the
-/// shard count instead of paying one postings lookup (and its cache
-/// miss) per shard.
+/// vertex's set ids global and ascending. Built only for zero-worker
+/// pools, where the serving thread is the only one walking postings: a
+/// greedy round then walks exactly one postings list — its cost is
+/// independent of the shard count instead of paying one postings lookup
+/// (and its cache miss) per shard.
 #[derive(Debug)]
 struct MergedPostings {
     offsets: Vec<usize>,
@@ -308,8 +200,7 @@ impl MergedPostings {
         }
         let mut cursor = offsets.clone();
         let mut gsids = vec![0 as GlobalSetId; *offsets.last().unwrap_or(&0)];
-        // Shards ascend, so each vertex's list ends grouped by shard in
-        // ascending global-range order — what the fused walk relies on.
+        // Shards ascend, so each vertex's list ends in ascending id order.
         for segment in index.segments() {
             let start = segment.start() as GlobalSetId;
             for v in 0..n {
@@ -360,11 +251,10 @@ impl SetsContaining for SegmentPostings<'_> {
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
     pool: PinnedPool<ShardCell>,
-    /// Merged per-vertex degrees — the reset state of the greedy bounds.
-    base_counts: Vec<u64>,
-    /// Present exactly when the pool has no workers (fused serving).
+    /// Present exactly when the pool has no workers.
     merged_postings: Option<MergedPostings>,
-    greedy: Mutex<DistributedGreedy>,
+    /// The persistent fresh Top-K session (`imm_service::masked`).
+    greedy: Mutex<LazyGreedy>,
     /// Pool of audience Top-K sessions (`imm_service::masked`).
     masked: MaskedPool,
     cache: QueryCache,
@@ -425,19 +315,15 @@ impl ShardedEngine {
             .map(|shard| ShardCell {
                 index: Some(Arc::clone(&index)),
                 shard,
-                alive: vec![true; index.segments()[shard].len()],
                 marks: vec![0; index.segments()[shard].len().div_ceil(64)],
             })
             .collect();
         let pool = PinnedPool::with_placement(cells, threads, wake, placement);
-        let base_counts = merged_degrees(&pool, index.num_nodes())
-            .expect("degree scatter retries exhausted while constructing the engine");
         let merged_postings = (pool.num_workers() == 0).then(|| MergedPostings::build(&index));
-        let greedy = Mutex::new(DistributedGreedy::from_merged(base_counts.clone(), pool.len()));
+        let greedy = Mutex::new(fresh_session(&index));
         ShardedEngine {
             index,
             pool,
-            base_counts,
             merged_postings,
             greedy,
             masked: MaskedPool::default(),
@@ -472,8 +358,8 @@ impl ShardedEngine {
     }
 
     /// Refresh the served index against a graph mutation (shard-routed;
-    /// see [`ShardedIndex::apply_delta`]), then reset the distributed
-    /// greedy state and drop the response cache.
+    /// see [`ShardedIndex::apply_delta`]), then reset the fresh Top-K
+    /// session and drop the response cache.
     ///
     /// Protocol: the cells first *release* their index handles so the
     /// engine holds the only reference while rebuilding (no hidden
@@ -486,11 +372,10 @@ impl ShardedEngine {
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let shards = self.pool.len();
-        // Release/Install are idempotent, so worker deaths mid-rollout are
-        // retried (each retry respawns the dead worker first); only a plan
-        // injecting deaths at a sustained 100% rate can get past this, and
-        // then a loud panic beats silently serving half-installed cells.
+        // Worker deaths mid-rollout are retried inside the scatter (each
+        // retry respawns the dead worker first); only a plan injecting
+        // deaths at a sustained 100% rate can get past this, and then a
+        // loud panic beats silently serving half-installed cells.
         let released = scatter_idempotent(&self.pool, |_| ShardRequest::Release)
             .unwrap_or_else(|e| panic!("release scatter retries exhausted mid-refresh: {e}"));
         for response in released {
@@ -504,12 +389,10 @@ impl ShardedEngine {
         for response in installed {
             debug_assert!(matches!(response, ShardResponse::Unit));
         }
-        self.base_counts = merged_degrees(&self.pool, self.index.num_nodes())
-            .expect("degree scatter retries exhausted mid-refresh");
         if self.merged_postings.is_some() {
             self.merged_postings = Some(MergedPostings::build(&self.index));
         }
-        *self.greedy.lock() = DistributedGreedy::from_merged(self.base_counts.clone(), shards);
+        *self.greedy.lock() = fresh_session(&self.index);
         self.cache.clear();
         result
     }
@@ -526,26 +409,10 @@ impl ShardedEngine {
 
     /// Answer one query, consulting the response cache first; a worker
     /// death mid-scatter degrades to a structured [`ScatterError`]
-    /// instead of a panic, and the engine heals itself on the next call
-    /// (dead workers respawn, dirty greedy sessions rebuild).
+    /// instead of a panic (and caches nothing), and the pool heals itself
+    /// on the next call (dead workers respawn).
     pub fn try_execute(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
-        // Mirrors `imm_service::serve_cached`, except a failed compute
-        // must not be cached (and caches nothing in its place).
-        imm_service::metrics::QUERY_RATE.mark();
-        let key = QueryKey::from_query(query);
-        if let Some(hit) = self.cache.get(&key) {
-            imm_service::metrics::CACHE_HITS.increment();
-            return Ok(hit);
-        }
-        imm_service::metrics::CACHE_MISSES.increment();
-        let latency = match query {
-            Query::TopK { .. } => &imm_service::metrics::TOPK_LATENCY,
-            Query::Spread { .. } => &imm_service::metrics::SPREAD_LATENCY,
-            Query::Marginal { .. } => &imm_service::metrics::MARGINAL_LATENCY,
-        };
-        let response = latency.time(|| self.try_execute_uncached(query))?;
-        self.cache.insert(key, response.clone());
-        Ok(response)
+        serve_cached(&self.cache, query, || self.try_execute_uncached(query))
     }
 
     /// Answer one query without touching the cache.
@@ -558,11 +425,11 @@ impl ShardedEngine {
     }
 
     /// Answer one query without touching the cache, degrading worker
-    /// deaths to structured errors.
+    /// deaths to structured errors. A Top-K never scatters, so it cannot
+    /// fail.
     pub fn try_execute_uncached(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
         match query {
-            Query::TopK { k, audience: None } => self.top_k(*k),
-            Query::TopK { k, audience: Some(audience) } => Ok(self.masked_top_k(*k, audience)),
+            Query::TopK { k, audience } => Ok(self.top_k(*k, audience.as_ref())),
             Query::Spread { seeds } => self.spread(seeds),
             Query::Marginal { seeds, candidate } => self.marginal(seeds, *candidate),
         }
@@ -605,219 +472,36 @@ impl ShardedEngine {
         }
     }
 
-    /// Rebuild the persistent greedy session when a failed retire
-    /// round left it dirty ([`DistributedGreedy::needs_reset`]): reinstall
-    /// the index on every cell (resetting the alive flags), rebuild the
-    /// merged counts and frontier from the base degrees, and drop the
-    /// cache. A no-op on a clean session. On failure the dirty flag
-    /// stays set, so the next call tries again.
-    fn ensure_fresh_session(&self, state: &mut DistributedGreedy) -> Result<(), ScatterError> {
-        if !state.needs_reset {
-            return Ok(());
-        }
-        let installed = scatter_idempotent(&self.pool, |_| ShardRequest::Install {
-            index: Arc::clone(&self.index),
-        })?;
-        for response in installed {
-            debug_assert!(matches!(response, ShardResponse::Unit));
-        }
-        *state = DistributedGreedy::from_merged(self.base_counts.clone(), self.pool.len());
-        self.cache.clear();
-        Ok(())
-    }
-
-    /// Run greedy rounds until `min(k, n)` seeds are selected; each round
-    /// scatters exactly one retire request per shard and walks the
-    /// gathered retire stream to keep the merged counts exact. On a pool
-    /// with no workers the whole extension instead runs fused: all cell
-    /// locks are taken once and every round walks one merged postings
-    /// list — identical arithmetic, no per-round envelopes, id buffers,
-    /// or lock traffic, and a round cost independent of the shard count.
-    fn extend_to(&self, state: &mut DistributedGreedy, k: usize) -> Result<(), ScatterError> {
-        match &self.merged_postings {
-            // Zero workers: the serving thread does everything inline, so
-            // there is no worker to die — the fused path is infallible.
-            Some(postings) => {
-                self.pool.with_all_cells(|cells| self.extend_fused(state, k, cells, postings));
-                Ok(())
-            }
-            None => self.extend_scattered(state, k),
-        }
-    }
-
-    /// Zero-worker greedy extension: the caller already holds every cell
-    /// lock, so each round retires straight off the merged postings list,
-    /// flipping alive flags in whichever shard owns each set.
-    fn extend_fused(
-        &self,
-        state: &mut DistributedGreedy,
-        k: usize,
-        cells: &mut [&mut ShardCell],
-        postings: &MergedPostings,
-    ) {
-        let n = self.index.num_nodes();
-        let collection = self.index.collection();
-        let segments = self.index.segments();
-        let starts: Vec<usize> = segments.iter().map(|s| s.start()).collect();
-        let ends: Vec<usize> = segments.iter().map(|s| s.start() + s.len()).collect();
-        let mut alives: Vec<&mut Vec<bool>> =
-            cells.iter_mut().map(|cell| &mut cell.alive).collect();
-        // Per-shard retired tallies, reused across rounds so the fused
-        // path records the same per-shard walk lengths the scattered
-        // path gathers from its responses.
-        let mut retired_per_shard = vec![0u64; alives.len()];
-        while state.seeds.len() < k.min(n) {
-            let (best, best_count) = pop_argmax(&mut state.frontier, &state.merged);
-            state.seeds.push(best);
-            let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
-            if best_count == 0 {
-                // Zero-gain rounds emit deterministically (smallest id) and
-                // the vertex stays a candidate — single-index behaviour.
-                state.covered_after.push(covered_so_far);
-                state.frontier.push((0, Reverse(best)));
-                continue;
-            }
-            // One walk over the seed's merged postings. Entries ascend
-            // through the shard ranges, so the owning shard only ever
-            // steps forward within a round.
-            crate::metrics::GATHER_ROUNDS.increment();
-            retired_per_shard.iter_mut().for_each(|c| *c = 0);
-            let mut covered = covered_so_far;
-            let mut shard = 0usize;
-            for &gsid in postings.get(best) {
-                let g = gsid as usize;
-                while g >= ends[shard] {
-                    shard += 1;
-                }
-                let slot = &mut alives[shard][g - starts[shard]];
-                if *slot {
-                    *slot = false;
-                    covered += 1;
-                    retired_per_shard[shard] += 1;
-                    collection.get(g).for_each(|v| state.merged[v as usize] -= 1);
-                }
-            }
-            for &retired in &retired_per_shard {
-                crate::metrics::RETIRE_WALK_SETS.record(retired);
-            }
-            debug_assert_eq!(
-                state.merged[best as usize], 0,
-                "retiring every live set containing the seed zeroes its count"
-            );
-            state.covered_after.push(covered);
-            // Re-admit with the post-retirement merged count (zero).
-            state.frontier.push((state.merged[best as usize], Reverse(best)));
-        }
-    }
-
-    /// Worker-pool greedy extension: each round scatters one retire
-    /// request per shard over the pinned queues and walks the gathered
-    /// retire stream. A retire round is NOT idempotent — a worker death
-    /// mid-round loses responses whose alive flags already flipped — so a
-    /// failure marks the session dirty ([`DistributedGreedy::needs_reset`])
-    /// instead of retrying, and the next use rebuilds it from scratch.
-    fn extend_scattered(
-        &self,
-        state: &mut DistributedGreedy,
-        k: usize,
-    ) -> Result<(), ScatterError> {
-        let n = self.index.num_nodes();
-        let collection = self.index.collection();
-        while state.seeds.len() < k.min(n) {
-            let (best, best_count) = pop_argmax(&mut state.frontier, &state.merged);
-            state.seeds.push(best);
-            let covered_so_far = state.covered_after.last().copied().unwrap_or(0);
-            if best_count == 0 {
-                // Zero-gain rounds emit deterministically (smallest id) and
-                // the vertex stays a candidate — single-index behaviour.
-                state.covered_after.push(covered_so_far);
-                state.frontier.push((0, Reverse(best)));
-                continue;
-            }
-            // Scatter: each shard retires its own covered sets and streams
-            // back their global ids; gather decrements the merged counts.
-            crate::metrics::GATHER_ROUNDS.increment();
-            let bufs = std::mem::take(&mut state.bufs);
-            let responses = match self.pool.try_scatter(
-                bufs.into_iter()
-                    .enumerate()
-                    .map(|(s, buf)| (s, ShardRequest::Retire { vertex: best, buf })),
-            ) {
-                Ok(responses) => responses,
-                Err(e) => {
-                    // The round's retire stream is gone: shards that served
-                    // before the death already flipped alive flags the
-                    // merged counts never saw. Only a full session rebuild
-                    // reconciles them. The recycled buffers died with their
-                    // envelopes; restock so the rebuilt session can scatter.
-                    state.bufs = vec![Vec::new(); self.pool.len()];
-                    state.needs_reset = true;
-                    return Err(e);
-                }
-            };
-            let mut covered = covered_so_far;
-            for response in responses {
-                let buf = response.retired();
-                crate::metrics::RETIRE_WALK_SETS.record(buf.len() as u64);
-                covered += buf.len();
-                for &gsid in &buf {
-                    collection.get(gsid as usize).for_each(|v| state.merged[v as usize] -= 1);
-                }
-                state.bufs.push(buf);
-            }
-            debug_assert_eq!(
-                state.merged[best as usize], 0,
-                "retiring every live set containing the seed zeroes its count"
-            );
-            debug_assert_eq!(
-                self.scattered_live_count(best).unwrap_or(0),
-                0,
-                "shard alive flags agree with the merged counts"
-            );
-            state.covered_after.push(covered);
-            // Re-admit with the post-retirement merged count (zero).
-            state.frontier.push((state.merged[best as usize], Reverse(best)));
-        }
-        Ok(())
-    }
-
-    /// Sum of the shards' live counts for one vertex — the distributed
-    /// revalidation probe, used to cross-check the merged counts.
-    fn scattered_live_count(&self, vertex: NodeId) -> Result<usize, ScatterError> {
-        let responses = scatter_idempotent(&self.pool, |_| ShardRequest::LiveCount { vertex })?;
-        Ok(responses.into_iter().map(ShardResponse::count).sum())
-    }
-
-    fn top_k(&self, k: usize) -> Result<QueryResponse, ScatterError> {
-        let take = k.min(self.index.num_nodes());
-        let mut state = self.greedy.lock();
-        self.ensure_fresh_session(&mut state)?;
-        self.extend_to(&mut state, k)?;
-        let seeds = state.seeds[..take].to_vec();
-        let covered = if take == 0 { 0 } else { state.covered_after[take - 1] };
-        drop(state);
-        Ok(self.topk_response(seeds, covered))
-    }
-
-    /// Audience Top-K on a transient engine-side session: the shared
-    /// sparse greedy over the shards' postings. No scatter, no cell state,
-    /// no greedy lock — so no worker death can fail it.
-    fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
-        let sets = self.index.collection();
+    /// Top-K on the engine-side lazy greedy, over whichever postings source
+    /// this pool serves from. No scatter, no cell state — so no worker death
+    /// can fail it.
+    fn top_k(&self, k: usize, audience: Option<&BitSet>) -> QueryResponse {
         let (seeds, covered) = match &self.merged_postings {
-            Some(postings) => self.masked.top_k(sets, postings, k, audience),
-            None => self.masked.top_k(sets, &SegmentPostings(self.index.segments()), k, audience),
+            Some(postings) => self.greedy_top_k(postings, k, audience),
+            None => self.greedy_top_k(&SegmentPostings(self.index.segments()), k, audience),
         };
-        self.topk_response(seeds, covered)
-    }
-
-    fn topk_response(&self, seeds: Vec<NodeId>, covered: usize) -> QueryResponse {
         QueryResponse::top_k_from_tallies(
             seeds,
             covered,
             self.index.num_sets(),
             self.index.num_nodes(),
         )
+    }
+
+    /// The plain selection extends the persistent fresh session under its
+    /// lock; an audience selection runs on a transient pooled session and
+    /// takes no engine lock.
+    fn greedy_top_k(
+        &self,
+        source: &impl SetsContaining,
+        k: usize,
+        audience: Option<&BitSet>,
+    ) -> (Vec<NodeId>, usize) {
+        let sets = self.index.collection();
+        match audience {
+            None => self.greedy.lock().top_k(sets, source, k),
+            Some(audience) => self.masked.top_k(sets, source, k, audience),
+        }
     }
 
     fn spread(&self, seeds: &[NodeId]) -> Result<QueryResponse, ScatterError> {
@@ -852,10 +536,9 @@ impl ShardedEngine {
 }
 
 /// Scatter one request per shard, retrying on worker deaths. Only valid
-/// for *idempotent* requests (degrees, postings walks, install/release):
-/// a retry re-serves shards that already answered,
-/// which must not change their state beyond what a first serve does.
-/// Retire streams are NOT idempotent and never come through here.
+/// for *idempotent* requests — which every [`ShardRequest`] is: a retry
+/// re-serves shards that already answered, which must not change their
+/// state beyond what a first serve does.
 fn scatter_idempotent(
     pool: &PinnedPool<ShardCell>,
     make: impl Fn(usize) -> ShardRequest,
@@ -870,26 +553,18 @@ fn scatter_idempotent(
     Err(last)
 }
 
-/// Merged per-vertex degrees across all shards: the fresh-session live
-/// counts before any retirement. Also the natural probe for the
-/// load-imbalance gauge — each shard's degree total *is* its postings
-/// work — so the gauge refreshes wherever the merged counts do (engine
+/// The all-alive, empty-prefix Top-K session of `index`, seeded from the
+/// per-vertex degrees merged across its shards. Also the natural probe for
+/// the load-imbalance gauge — each shard's degree total *is* its postings
+/// work — so the gauge refreshes wherever the session does (engine
 /// construction and delta refresh).
-fn merged_degrees(
-    pool: &PinnedPool<ShardCell>,
-    num_nodes: usize,
-) -> Result<Vec<u64>, ScatterError> {
-    let mut merged = vec![0u64; num_nodes];
-    let mut per_shard = Vec::with_capacity(pool.len());
-    for response in scatter_idempotent(pool, |_| ShardRequest::Degrees)? {
-        let counts = response.counts();
-        per_shard.push(counts.iter().sum::<u64>());
-        for (v, c) in counts.into_iter().enumerate() {
-            merged[v] += c;
-        }
-    }
+fn fresh_session(index: &ShardedIndex) -> LazyGreedy {
+    let segments = index.segments();
+    let per_shard: Vec<u64> = segments.iter().map(|s| s.postings_entries()).collect();
     crate::metrics::record_shard_work(&per_shard);
-    Ok(merged)
+    let merged = (0..index.num_nodes() as NodeId)
+        .map(|v| segments.iter().map(|segment| segment.degree(v)).sum::<u64>());
+    LazyGreedy::fresh(merged, index.num_sets())
 }
 
 #[cfg(test)]
@@ -1094,19 +769,5 @@ mod tests {
         let (rounds_after, pops_after) = read();
         assert!(rounds_after >= rounds + 3, "three rounds: {rounds} -> {rounds_after}");
         assert!(pops_after >= pops + 3, "one pop per round at least: {pops} -> {pops_after}");
-    }
-
-    #[test]
-    fn merged_counts_match_the_distributed_live_probe() {
-        let engine = figure3(3);
-        let _ = engine.execute(&Query::top_k(2));
-        let state = engine.greedy.lock();
-        for v in 0..6u32 {
-            assert_eq!(
-                engine.scattered_live_count(v).unwrap() as u64,
-                state.merged[v as usize],
-                "vertex {v}"
-            );
-        }
     }
 }

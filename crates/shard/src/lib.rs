@@ -1,7 +1,6 @@
 //! # imm-shard
 //!
-//! Range-sharded sketch index with scatter/gather distributed greedy
-//! serving.
+//! Range-sharded sketch index served from a pinned worker pool.
 //!
 //! `imm-service` freezes one sampled RRR collection into one index served by
 //! one process. This crate is the step past one machine's memory: the flat
@@ -9,8 +8,8 @@
 //! RRR **shard** representable as a contiguous arena range, so the index
 //! splits by set range into independent serving units — the serving-side
 //! analogue of the paper's divide-the-sketches parallel structure, where
-//! each worker counts over its own slice of the sketches and only merged
-//! bounds cross worker boundaries.
+//! each worker counts over its own slice of the sketches and only tallies
+//! cross worker boundaries.
 //!
 //! * [`ShardSegment`] — one shard: a zero-copy arena slice (through
 //!   [`imm_rrr::CollectionSlice`]) plus its *own* vertex → set postings and
@@ -20,20 +19,19 @@
 //!   refresh through the shard map so only shards owning a resampled set
 //!   rebuild.
 //! * [`ShardedEngine`] — answers the full query vocabulary (Top-K with
-//!   optional audience masks, spread, marginal, batches, response cache) by
-//!   scatter/gather over a **persistent pinned worker pool**
+//!   optional audience masks, spread, marginal, batches, response cache).
+//!   Spread and Marginal scatter over a **persistent pinned worker pool**
 //!   ([`imm_exec::PinnedPool`]): each worker permanently owns one shard's
-//!   serving state and answers typed requests over per-shard channels, so a
-//!   CELF round costs one message round-trip per shard (and zero channel
-//!   traffic when the pool runs inline on a single hardware thread). The
-//!   greedy runs over merged bounds held engine-side, kept exact by the
-//!   shards' retire streams; an audience Top-K is the one query that does
-//!   not scatter — it runs `imm_service::masked`'s sparse session
-//!   engine-side over the shards' postings. Results are **byte-identical**
-//!   to the single-index `QueryEngine` for every shard count, thread count, and
-//!   [`WakeMode`] — the crate's parity suite pins this, including after
-//!   `apply_delta`.
-//! * [`snapshot`] — split a v3 index snapshot into per-shard files (each a
+//!   marking scratch and answers typed, idempotent requests over per-shard
+//!   channels, so a point query costs one message round-trip per shard (and
+//!   zero channel traffic when the pool runs inline on a single hardware
+//!   thread). Top-K, plain and audience, does not scatter — it runs
+//!   `imm_service::masked`'s lazy greedy engine-side over the shards'
+//!   postings, the very sessions the single-index engine runs. Results are
+//!   **byte-identical** to the single-index `QueryEngine` for every shard
+//!   count, thread count, and [`WakeMode`] — the crate's parity suite pins
+//!   this, including after `apply_delta`.
+//! * [`snapshot`] — split an index snapshot into per-shard files (each a
 //!   self-verifying standard snapshot behind a small shard header) and
 //!   reassemble them, preserving the shard layout.
 //!

@@ -1,34 +1,18 @@
 //! Distributed-serving metrics (`shard_` prefix) on the workspace
 //! `imm-obs` registry.
 //!
-//! The sharded engine's failure modes are *distributional*: one hot
-//! shard doing most of the retire work, or gather rounds ballooning
-//! with the seed budget. So the layer exports a per-shard retire-walk
-//! histogram (every shard records its retired-set count every round —
-//! zeros included, so a skewed distribution is visible against the
-//! round count), a gather-round counter, and a load-imbalance gauge
-//! (max/mean per-shard postings work, recomputed at build and refresh).
-//! Query latency and cache metrics are *not* duplicated here: the
-//! sharded engine serves through the same `serve_cached` wrapper as the
-//! single-index engine and shares its `service_` metrics.
+//! The sharded engine's own failure mode is *distributional*: one hot
+//! shard carrying most of the postings, so every scattered Spread/Marginal
+//! waits on it. The layer exports that as a load-imbalance gauge (max/mean
+//! per-shard postings work, recomputed at build and refresh). Everything
+//! else is *not* duplicated here: the sharded engine serves through the
+//! same `serve_cached` wrapper and runs the same Top-K sessions as the
+//! single-index engine, so it shares the `service_` latency, cache and
+//! CELF metrics, and the scatter traffic is the pool's `exec_pinned_*`.
 
 use std::sync::Once;
 
-use imm_obs::{Counter, Gauge, Histogram, Metric, Unit};
-
-/// Sets retired by one shard in one CELF retire walk.
-pub static RETIRE_WALK_SETS: Histogram = Histogram::new(
-    "shard_retire_walk_sets",
-    "RRR sets retired by a single shard in one CELF retire round (zeros included)",
-    Unit::Count,
-);
-
-/// Scatter/gather rounds issued by the sharded engine (CELF retire
-/// rounds in both the worker-pool and fused paths).
-pub static GATHER_ROUNDS: Counter = Counter::new(
-    "shard_gather_rounds",
-    "CELF scatter/gather retire rounds issued by the sharded engine",
-);
+use imm_obs::{Gauge, Metric, Unit};
 
 /// Max/mean per-shard postings work, recomputed at build and refresh.
 pub static LOAD_IMBALANCE: Gauge = Gauge::new(
@@ -37,16 +21,12 @@ pub static LOAD_IMBALANCE: Gauge = Gauge::new(
     Unit::Ratio,
 );
 
-/// Register the shard metrics with the process-global registry.
+/// Register the shard metric with the process-global registry.
 /// Idempotent; called from the engine constructor.
 pub fn register() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        imm_obs::register(&[
-            &RETIRE_WALK_SETS as &'static dyn Metric,
-            &GATHER_ROUNDS as &'static dyn Metric,
-            &LOAD_IMBALANCE as &'static dyn Metric,
-        ]);
+        imm_obs::register(&[&LOAD_IMBALANCE as &'static dyn Metric]);
     });
 }
 
@@ -71,9 +51,7 @@ mod tests {
     fn shard_metrics_join_the_global_registry() {
         register();
         let names: Vec<&str> = imm_obs::snapshot().iter().map(|s| s.name).collect();
-        for expected in ["shard_retire_walk_sets", "shard_gather_rounds", "shard_load_imbalance"] {
-            assert!(names.contains(&expected), "{expected} missing from registry");
-        }
+        assert!(names.contains(&"shard_load_imbalance"), "missing from registry");
     }
 
     #[test]

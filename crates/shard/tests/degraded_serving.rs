@@ -4,8 +4,8 @@
 //! `try_execute` either returns exactly what a healthy engine returns or
 //! a `ScatterError` — never a panic, a hang, or a silently wrong answer.
 //! After the fault plan goes quiet the engine must heal itself (dead
-//! workers respawn, dirty greedy sessions rebuild) and serve the healthy
-//! answers again.
+//! workers respawn) and serve the healthy answers again. Top-K, plain and
+//! audience, never scatters: no rate of worker deaths can fail it.
 
 use imm_fault::FaultConfig;
 use imm_rrr::{BitSet, RrrCollection, RrrSet};
@@ -96,12 +96,15 @@ fn every_query_is_byte_identical_or_structured_and_the_engine_heals() {
             },
         );
 
-        // Plan gone: the engine must heal and answer the oracle exactly,
-        // including the persistent fresh greedy session it may have had
-        // to rebuild mid-plan.
-        for (q, want) in qs.iter().zip(&oracle) {
-            assert_eq!(&faulty.try_execute_uncached(q).unwrap(), want, "healed, seed {seed}");
-        }
+        // Faults gone: the engine must heal and answer the oracle exactly,
+        // including the persistent fresh greedy session that served
+        // through the deaths. An all-zero plan, not no plan: the sibling
+        // tests arm the process-global plan on parallel threads.
+        imm_fault::with_plan(FaultConfig::default(), |_| {
+            for (q, want) in qs.iter().zip(&oracle) {
+                assert_eq!(&faulty.try_execute_uncached(q).unwrap(), want, "healed, seed {seed}");
+            }
+        });
     }
 }
 
@@ -133,4 +136,32 @@ fn batches_degrade_to_one_structured_error_and_retry_cleanly() {
             assert_eq!(retried, oracle, "retry after the degraded batch");
         },
     );
+}
+
+#[test]
+fn top_k_serves_through_a_pool_whose_every_worker_pop_dies() {
+    quiet_injected_panics();
+    let num_nodes = 24;
+    let healthy = engine(num_nodes, 5, 1); // zero workers: the oracle
+    let faulty = engine(num_nodes, 5, 3);
+    assert!(faulty.num_workers() >= 1, "this test needs real workers to kill");
+    let top_ks: Vec<Query> =
+        queries(num_nodes).into_iter().filter(|q| matches!(q, Query::TopK { .. })).collect();
+    assert!(top_ks.iter().any(|q| matches!(q, Query::TopK { audience: Some(_), .. })));
+    assert!(top_ks.iter().any(|q| matches!(q, Query::TopK { audience: None, .. })));
+
+    // No budget: every envelope a worker pops kills it, for as long as the
+    // plan is armed — and Top-K hands the workers no envelope to pop.
+    imm_fault::with_plan(FaultConfig { worker_panic: 1.0, ..FaultConfig::seeded(3) }, |plan| {
+        for pass in 0..3 {
+            for q in &top_ks {
+                assert_eq!(
+                    faulty.try_execute_uncached(q),
+                    Ok(healthy.execute_uncached(q)),
+                    "pass {pass} {q:?}"
+                );
+            }
+        }
+        assert_eq!(plan.injected(), 0, "a Top-K reached a worker");
+    });
 }
