@@ -70,6 +70,15 @@ if grep -rn '#\[ignore' crates/service/tests crates/shard/tests crates/exec/test
   exit 1
 fi
 
+# The vendored `rayon::prelude` maps par_iter/into_par_iter/par_chunks onto
+# sequential std iterators, so in a kernel they are a silent serialisation;
+# core's parallel sections go through run_jobs / pool.scope instead.
+echo "==> kernel guard: no sequential-shim parallel iterators in crates/core/src"
+if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates/core/src; then
+  echo "error: the vendored rayon prelude is sequential; use run_jobs or pool.scope in crates/core/src" >&2
+  exit 1
+fi
+
 # Criterion benches are not part of `cargo test`; make sure they always at
 # least compile so a refactor cannot silently rot them.
 echo "==> cargo bench --no-run"

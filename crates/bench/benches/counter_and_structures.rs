@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the low-level building blocks: the shared
-//! atomic counter (increment throughput and the two-level parallel argmax),
+//! atomic counter (increment throughput and the argmax pass),
 //! the adaptive RRR-set representation's membership test, and the graph
 //! generators used by the dataset registry.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use efficient_imm::GlobalCounter;
 use imm_graph::generators;
 use imm_rrr::{AdaptivePolicy, RrrSet};
@@ -49,11 +49,7 @@ fn bench_counter(c: &mut Criterion) {
         (0..n).map(|_| rng.gen_range(0..10_000)).collect()
     };
     let counter = GlobalCounter::from_values(&values);
-    for parts in [1usize, 8] {
-        group.bench_with_input(BenchmarkId::new("parallel_argmax", parts), &parts, |b, &p| {
-            b.iter(|| black_box(counter.parallel_argmax(p)))
-        });
-    }
+    group.bench_function("argmax", |b| b.iter(|| black_box(counter.argmax())));
     group.finish();
 }
 

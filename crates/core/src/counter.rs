@@ -1,11 +1,16 @@
-//! The shared global occurrence counter and its parallel max reduction.
+//! The shared global occurrence counter and its max reduction.
 //!
 //! This is the heart of EfficientIMM's new parallelization strategy
 //! (Algorithm 2 of the paper): instead of per-thread counters over vertex
 //! partitions, all threads scatter atomic increments into a single
-//! `counter[v]` array, and the most influential vertex is found by a
-//! two-level parallel reduction (per-range regional maxima, then a global
-//! maximum over the regional results).
+//! `counter[v]` array, and the most influential vertex is the array's argmax.
+//!
+//! Only the scattered updates are concurrent. The whole-array passes —
+//! [`GlobalCounter::argmax`], [`GlobalCounter::reset`] and
+//! [`GlobalCounter::copy_from`] — are plain loops on the calling thread: a
+//! pass visits a counter in ~0.3 ns and a fork-join on the persistent pool
+//! costs 30–70 µs, so splitting them across workers measured slower up to
+//! ~512k counters (ROADMAP, "Parallel counter passes").
 //!
 //! The atomic used is a 64-bit fetch-add with relaxed ordering, which on
 //! x86-64 compiles to the same `lock`-prefixed read-modify-write on a single
@@ -14,8 +19,6 @@
 //! contend.
 
 use crate::NodeId;
-use imm_graph::block_ranges;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared per-vertex occurrence counter with concurrent updates.
@@ -88,9 +91,11 @@ impl GlobalCounter {
         self.counts[v as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Reset every counter to zero (parallel).
+    /// Reset every counter to zero.
     pub fn reset(&self) {
-        self.counts.par_iter().for_each(|c| c.store(0, Ordering::Relaxed));
+        for cell in &self.counts {
+            cell.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot the counters into a plain vector.
@@ -104,60 +109,29 @@ impl GlobalCounter {
     /// Panics if the lengths differ.
     pub fn copy_from(&self, other: &GlobalCounter) {
         assert_eq!(self.len(), other.len(), "counter length mismatch");
-        self.counts
-            .par_iter()
-            .zip(other.counts.par_iter())
-            .for_each(|(dst, src)| dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed));
+        for (dst, src) in self.counts.iter().zip(&other.counts) {
+            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
     }
 
-    /// Two-level parallel argmax (the paper's `PARALLEL_REDUCTION`):
-    /// the vertex range is split into `parts` contiguous regions, each region
-    /// produces its regional maximum in parallel, and the global maximum is
-    /// reduced over the regional results. Ties break toward the smaller
-    /// vertex id so results are deterministic.
+    /// The vertex with the largest count, and that count. Ties break toward
+    /// the smaller vertex id so results are deterministic.
     ///
     /// Returns `None` only for an empty counter.
-    pub fn parallel_argmax(&self, parts: usize) -> Option<(NodeId, u64)> {
+    pub fn argmax(&self) -> Option<(NodeId, u64)> {
         if self.counts.is_empty() {
             return None;
         }
-        let ranges = block_ranges(self.counts.len(), parts.max(1));
-        ranges
-            .into_par_iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| {
-                let mut best_v = r.start;
-                let mut best_c = self.counts[r.start].load(Ordering::Relaxed);
-                for idx in r.iter().skip(1) {
-                    let c = self.counts[idx].load(Ordering::Relaxed);
-                    if c > best_c {
-                        best_c = c;
-                        best_v = idx;
-                    }
-                }
-                (best_v as NodeId, best_c)
-            })
-            .reduce_with(|a, b| {
-                // Higher count wins; ties go to the smaller vertex id.
-                if b.1 > a.1 || (b.1 == a.1 && b.0 < a.0) {
-                    b
-                } else {
-                    a
-                }
-            })
-    }
-
-    /// Sequential argmax (reference implementation used in tests and by the
-    /// single-threaded paths).
-    pub fn sequential_argmax(&self) -> Option<(NodeId, u64)> {
-        let mut best: Option<(NodeId, u64)> = None;
+        // Strict `>` keeps the first of equal maxima; an all-zero counter
+        // yields vertex 0.
+        let mut best = (0, 0);
         for (idx, cell) in self.counts.iter().enumerate() {
             let c = cell.load(Ordering::Relaxed);
-            if best.map(|(_, bc)| c > bc).unwrap_or(true) {
-                best = Some((idx as NodeId, c));
+            if c > best.1 {
+                best = (idx, c);
             }
         }
-        best
+        Some((best.0 as NodeId, best.1))
     }
 }
 
@@ -210,24 +184,19 @@ mod tests {
     #[test]
     fn argmax_finds_unique_maximum() {
         let c = GlobalCounter::from_values(&[3, 7, 2, 7, 9, 1]);
-        assert_eq!(c.parallel_argmax(4), Some((4, 9)));
-        assert_eq!(c.sequential_argmax(), Some((4, 9)));
+        assert_eq!(c.argmax(), Some((4, 9)));
     }
 
     #[test]
     fn argmax_breaks_ties_toward_smaller_id() {
-        let c = GlobalCounter::from_values(&[1, 5, 5, 5]);
-        assert_eq!(c.parallel_argmax(3), Some((1, 5)));
-        assert_eq!(c.sequential_argmax(), Some((1, 5)));
-        // Also when parts > len.
-        assert_eq!(c.parallel_argmax(16), Some((1, 5)));
+        assert_eq!(GlobalCounter::from_values(&[1, 5, 5, 5]).argmax(), Some((1, 5)));
+        // All-zero: the smallest vertex id.
+        assert_eq!(GlobalCounter::new(3).argmax(), Some((0, 0)));
     }
 
     #[test]
     fn argmax_of_empty_counter_is_none() {
-        let c = GlobalCounter::new(0);
-        assert_eq!(c.parallel_argmax(4), None);
-        assert_eq!(c.sequential_argmax(), None);
+        assert_eq!(GlobalCounter::new(0).argmax(), None);
     }
 
     #[test]
@@ -249,17 +218,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn parallel_argmax_matches_sequential(values in proptest::collection::vec(0u64..1000, 1..200), parts in 1usize..16) {
+        fn argmax_is_the_first_occurrence_of_the_maximum(values in proptest::collection::vec(0u64..1000, 1..200)) {
             let c = GlobalCounter::from_values(&values);
-            prop_assert_eq!(c.parallel_argmax(parts), c.sequential_argmax());
-        }
-
-        #[test]
-        fn argmax_value_is_the_true_maximum(values in proptest::collection::vec(0u64..1000, 1..100)) {
-            let c = GlobalCounter::from_values(&values);
-            let (v, count) = c.parallel_argmax(4).unwrap();
-            prop_assert_eq!(count, *values.iter().max().unwrap());
-            prop_assert_eq!(values[v as usize], count);
+            let max = *values.iter().max().unwrap();
+            let first = values.iter().position(|&v| v == max).unwrap();
+            prop_assert_eq!(c.argmax(), Some((first as NodeId, max)));
         }
     }
 }

@@ -285,6 +285,25 @@ mod tests {
     }
 
     #[test]
+    fn both_engines_agree_on_lt_across_several_martingale_iterations() {
+        // Sparse LT sets on a graph this size need several doublings of θ,
+        // so the efficient kernel selects (and rebuilds its index) at each
+        // one and must match the baseline after every step.
+        let mut rng = SmallRng::seed_from_u64(8);
+        let g = CsrGraph::from_edge_list(&generators::social_network(3000, 6, 0.3, &mut rng));
+        let w = EdgeWeights::lt_normalized(&g, &mut rng);
+        let params = ImmParams::new(10, 0.5, DiffusionModel::LinearThreshold).with_seed(17);
+        let ripples =
+            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Ripples, 2)).unwrap();
+        let efficient =
+            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Efficient, 2)).unwrap();
+        assert!(efficient.breakdown.sampling_iterations >= 3);
+        assert_eq!(ripples.seeds, efficient.seeds);
+        assert_eq!(ripples.theta, efficient.theta);
+        assert_eq!(ripples.coverage_fraction, efficient.coverage_fraction);
+    }
+
+    #[test]
     fn star_graph_selects_the_hub_first() {
         // Directed star (hub -> leaves) with certain activation: the hub's
         // RRR presence dominates, so it must be the first seed.

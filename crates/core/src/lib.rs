@@ -8,7 +8,8 @@
 //!   sets with binary-search membership, and separate sampling/selection
 //!   kernels; and
 //! * **EfficientIMM** (this paper): RRR-set partitioning with a shared atomic
-//!   occurrence counter, two-level parallel max reduction, kernel fusion of
+//!   occurrence counter, a max reduction over it (the paper's is two-level
+//!   and parallel; here a sequential pass, see [`counter`]), kernel fusion of
 //!   sampling and counting, adaptive RRR-set representation, adaptive counter
 //!   updates, and dynamic job balancing.
 //!

@@ -3,19 +3,83 @@
 //!
 //! The RRR sets — not the vertices — are partitioned across threads. Each
 //! thread scatters atomic increments for its sets into one shared
-//! [`GlobalCounter`]; the most influential vertex is extracted with a
-//! two-level parallel max reduction; and when a seed is removed the counter
-//! is either decremented (touching only the covered sets) or rebuilt from the
-//! surviving sets, whichever touches less memory — the paper's adaptive
-//! counter update.
+//! [`GlobalCounter`]; the most influential vertex is the counter's argmax;
+//! and when a seed is removed the counter is either decremented (touching
+//! only the covered sets) or rebuilt from the surviving sets, whichever
+//! touches less memory — the paper's adaptive counter update.
+//!
+//! Which sets a seed covers is answered without scanning the collection: each
+//! selection first builds an inverted index `vertex → ids of the list sets
+//! holding it` (one counting sort over the list sets' members), so a round
+//! walks only the new seed's postings. Bitmap sets — the dense ones, whose
+//! members would dominate the index — are not indexed; they sit on a short
+//! side list and keep their O(1) bit probe. A selection's membership work is
+//! therefore Σ|R| (list sets, once) + the walked postings + one probe per
+//! round per surviving bitmap set, instead of one probe per round per set.
+//!
+//! What runs in parallel, through the persistent pool's fork-join
+//! ([`run_jobs`]): the initial counting pass and each round's decrement or
+//! rebuild. The per-round argmax, the fused-counter copy, the reset before a
+//! rebuild, the index build and the postings walk run on the calling thread.
 
 use crate::balance::{run_jobs, Schedule};
 use crate::counter::GlobalCounter;
+use crate::metrics;
 use crate::params::ExecutionConfig;
 use crate::selection::SeedSelection;
 use crate::stats::WorkProfile;
+use crate::NodeId;
 use imm_rrr::RrrCollection;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// One selection's membership index: CSR postings over the list-represented
+/// sets, plus the ids of the bitmap sets that are still alive.
+struct CoverIndex {
+    /// `postings[offsets[v]..offsets[v + 1]]` are the ids, ascending, of the
+    /// list sets containing `v`.
+    offsets: Vec<u32>,
+    postings: Vec<u32>,
+    /// Ids, ascending, of the bitmap sets no seed has covered yet.
+    live_bitmaps: Vec<u32>,
+}
+
+impl CoverIndex {
+    fn build(sets: &RrrCollection) -> Self {
+        assert!(u32::try_from(sets.len()).is_ok(), "more than u32::MAX RRR sets");
+        let n = sets.num_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        let mut live_bitmaps = Vec::new();
+        for (idx, set) in sets.iter().enumerate() {
+            match set.members() {
+                Some(members) => {
+                    for &v in members {
+                        offsets[v as usize + 1] += 1;
+                    }
+                }
+                None => live_bitmaps.push(idx as u32),
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] = offsets[v]
+                .checked_add(offsets[v + 1])
+                .expect("list-set members exceed the u32 postings space");
+        }
+        let mut cursor = offsets.clone();
+        let mut postings = vec![0u32; offsets[n] as usize];
+        for (idx, set) in sets.iter().enumerate() {
+            for &v in set.members().unwrap_or_default() {
+                let slot = &mut cursor[v as usize];
+                postings[*slot as usize] = idx as u32;
+                *slot += 1;
+            }
+        }
+        CoverIndex { offsets, postings, live_bitmaps }
+    }
+
+    fn postings(&self, v: NodeId) -> &[u32] {
+        &self.postings[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+    }
+}
 
 /// Select `k` seeds with the EfficientIMM RRR-set-partitioned kernel.
 ///
@@ -71,31 +135,49 @@ pub fn select_seeds_efficient(
         });
     }
 
+    let mut index = CoverIndex::build(sets);
+    let mut postings_walked = 0u64;
+    let mut bitmap_probes = 0u64;
+
     let alive: Vec<AtomicBool> = (0..sets.len()).map(|_| AtomicBool::new(true)).collect();
     let mut alive_count = sets.len();
     let mut covered_total = 0usize;
     let mut seeds = Vec::with_capacity(k);
+    let mut covered: Vec<usize> = Vec::new();
     let mut rebuilds = 0usize;
     let mut decrements = 0usize;
 
     for _ in 0..k.min(n) {
-        let (seed, seed_count) = pool
-            .install(|| counter.parallel_argmax(threads))
-            .expect("counter covers at least one vertex");
+        let (seed, seed_count) = counter.argmax().expect("counter covers at least one vertex");
         seeds.push(seed);
         if seed_count == 0 {
             continue;
         }
 
-        // Find the still-alive sets covered by the new seed. Membership is
-        // O(1) for bitmap sets and O(log |R|) for sorted sets.
-        let covered: Vec<usize> = pool.install(|| {
-            use rayon::prelude::*;
-            (0..sets.len())
-                .into_par_iter()
-                .filter(|&idx| alive[idx].load(Ordering::Relaxed) && sets.get(idx).contains(seed))
-                .collect()
+        // The still-alive sets covered by the new seed, in ascending id
+        // order: its postings among the list sets, and a bit probe of each
+        // surviving bitmap set (which leaves the side list once covered).
+        covered.clear();
+        let postings = index.postings(seed);
+        postings_walked += postings.len() as u64;
+        covered.extend(
+            postings
+                .iter()
+                .map(|&id| id as usize)
+                .filter(|&idx| alive[idx].load(Ordering::Relaxed)),
+        );
+        bitmap_probes += index.live_bitmaps.len() as u64;
+        let from_lists = covered.len();
+        index.live_bitmaps.retain(|&id| {
+            let hit = sets.get(id as usize).contains(seed);
+            if hit {
+                covered.push(id as usize);
+            }
+            !hit
         });
+        if from_lists > 0 && covered.len() > from_lists {
+            covered.sort_unstable();
+        }
         let covered_count = covered.len();
         covered_total += covered_count;
 
@@ -147,6 +229,10 @@ pub fn select_seeds_efficient(
         alive_count -= covered_count;
     }
 
+    metrics::register();
+    metrics::SELECTION_ROUNDS.add(seeds.len() as u64);
+    metrics::SELECTION_POSTINGS_WALKED.add(postings_walked);
+
     let coverage_fraction =
         if sets.is_empty() { 0.0 } else { covered_total as f64 / sets.len() as f64 };
     SeedSelection {
@@ -155,7 +241,7 @@ pub fn select_seeds_efficient(
         work: WorkProfile {
             per_thread_ops: per_thread_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
             atomic_ops: atomic_ops.load(Ordering::Relaxed),
-            search_probes: 0,
+            search_probes: index.postings.len() as u64 + postings_walked + bitmap_probes,
         },
         counter_rebuilds: rebuilds,
         counter_decrements: decrements,
@@ -166,7 +252,10 @@ pub fn select_seeds_efficient(
 mod tests {
     use super::*;
     use crate::params::Algorithm;
-    use crate::selection::test_support::{collection, greedy_reference};
+    use crate::selection::test_support::{
+        collection, collection_with_policy, greedy_reference, policies,
+    };
+    use imm_rrr::{AdaptivePolicy, Representation};
     use proptest::prelude::*;
 
     fn pool(threads: usize) -> rayon::ThreadPool {
@@ -188,30 +277,113 @@ mod tests {
         assert!(result.work.atomic_ops > 0);
     }
 
+    /// The occurrence counts sampling would have fused into a counter.
+    fn fused_counts(sets: &RrrCollection) -> GlobalCounter {
+        let base = GlobalCounter::new(sets.num_nodes());
+        for set in sets.iter() {
+            set.for_each(|v| base.increment(v));
+        }
+        base
+    }
+
     #[test]
     fn matches_reference_greedy() {
-        let sets = collection(
-            8,
-            &[&[0, 1, 2], &[2, 3], &[3, 4, 5], &[5], &[5, 6], &[6, 7], &[0, 7], &[1, 3, 5, 7]],
-        );
-        let (ref_seeds, ref_cov) = greedy_reference(&sets, 3);
+        // 100 vertices: under the default policy the three sets of 64+
+        // members become bitmaps and the rest stay lists.
+        let mut owned: Vec<Vec<u32>> = vec![
+            vec![0, 1, 2],
+            vec![2, 3],
+            vec![3, 4, 5],
+            vec![5],
+            vec![5, 6],
+            vec![6, 7],
+            vec![0, 7],
+            vec![1, 3, 5, 7],
+        ];
+        owned.push((0..70).collect());
+        owned.push((20..95).collect());
+        owned.push((30..100).collect());
+        for policy in policies() {
+            let sets = collection_with_policy(100, &owned, &policy);
+            if policy == AdaptivePolicy::default() {
+                let bitmaps = sets
+                    .iter()
+                    .filter(|set| set.representation() == Representation::Bitmap)
+                    .count();
+                assert_eq!(bitmaps, 3, "the default policy must mix representations here");
+            }
+            let (ref_seeds, ref_cov) = greedy_reference(&sets, 4);
+            let p = pool(2);
+            let result = select_seeds_efficient(&sets, 4, &exec(2), &p, None);
+            assert_eq!(result.seeds, ref_seeds, "{policy:?}");
+            assert!((result.coverage_fraction - ref_cov).abs() < 1e-12, "{policy:?}");
+        }
+    }
+
+    /// (seed, set) memberships of distinct seeds: the postings a selection
+    /// walks for them.
+    fn seed_memberships(sets: &RrrCollection, seeds: &[u32]) -> u64 {
+        sets.iter().map(|set| seeds.iter().filter(|&&v| set.contains(v)).count() as u64).sum()
+    }
+
+    #[test]
+    fn membership_work_follows_the_postings_not_k_times_theta() {
+        // 4 000 list sets of up to 3 members over 2 000 vertices: 50 seeds
+        // leave sets uncovered, so no round is an all-zero padding round.
+        let n = 2000u32;
+        let owned: Vec<Vec<u32>> = (0..4000u32)
+            .map(|i| {
+                let hub = (i.wrapping_mul(2654435761) >> 7) % 300;
+                let mut set = vec![hub, (i * 13) % n, (i * 29 + 5) % n];
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
+        let sets = collection_with_policy(n as usize, &owned, &AdaptivePolicy::always_sorted());
+        let members: u64 = sets.iter().map(|set| set.len() as u64).sum();
         let p = pool(2);
-        let result = select_seeds_efficient(&sets, 3, &exec(2), &p, None);
-        assert_eq!(result.seeds, ref_seeds);
-        assert!((result.coverage_fraction - ref_cov).abs() < 1e-12);
+
+        let at_25 = select_seeds_efficient(&sets, 25, &exec(2), &p, None);
+        let at_50 = select_seeds_efficient(&sets, 50, &exec(2), &p, None);
+        assert_eq!(at_50.seeds[..25], at_25.seeds[..]);
+        assert!(at_50.coverage_fraction < 1.0);
+
+        // Exactly: one index entry per member, plus the postings of each seed.
+        let walked_25 = seed_memberships(&sets, &at_25.seeds);
+        let walked_50 = seed_memberships(&sets, &at_50.seeds);
+        assert_eq!(at_25.work.search_probes, members + walked_25);
+        assert_eq!(at_50.work.search_probes, members + walked_50);
+        // Doubling k adds only the extra seeds' postings — a θ-wide scan per
+        // round would add 25·θ = 100 000 probes and break both bounds.
+        assert_eq!(
+            at_50.work.search_probes - at_25.work.search_probes,
+            seed_memberships(&sets, &at_50.seeds[25..])
+        );
+        assert!(at_50.work.search_probes <= 2 * members + walked_50);
+        assert!(at_50.work.search_probes < 25 * sets.len() as u64);
+    }
+
+    #[test]
+    fn bitmap_sets_are_probed_only_while_alive() {
+        // All-bitmap collection: no postings; each round probes the bitmap
+        // sets no earlier seed has covered.
+        let owned: Vec<Vec<u32>> = vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![4, 5], vec![5, 6]];
+        let sets = collection_with_policy(8, &owned, &AdaptivePolicy::always_bitmap());
+        let mut cfg = exec(1);
+        cfg.features.adaptive_counter_update = false;
+        let result = select_seeds_efficient(&sets, 3, &cfg, &pool(1), None);
+        assert_eq!(result.seeds, vec![0, 5, 0]);
+        // Round 1 probes 5 sets and covers 3; round 2 probes the 2 left and
+        // covers both; round 3 finds an all-zero counter and probes nothing.
+        assert_eq!(result.work.search_probes, 5 + 2);
     }
 
     #[test]
     fn fused_counter_gives_the_same_answer_and_preserves_the_base_counter() {
         let sets =
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        // Build the "fused" counter the way sampling would have.
-        let base = GlobalCounter::new(6);
-        for set in sets.iter() {
-            for v in set.iter() {
-                base.increment(v);
-            }
-        }
+        let base = fused_counts(&sets);
         let before = base.snapshot();
         let p = pool(2);
         let with_fusion = select_seeds_efficient(&sets, 2, &exec(2), &p, Some(&base));
@@ -303,21 +475,31 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
         fn matches_reference_on_random_instances(
+            // Sets of up to 90 of 100 vertices: the default policy turns the
+            // ones with 64+ members into bitmaps and keeps the rest as lists.
             raw_sets in proptest::collection::vec(
-                proptest::collection::hash_set(0u32..30, 1..10),
+                proptest::collection::hash_set(0u32..100, 1..90),
                 1..25,
             ),
-            k in 1usize..5,
-            threads in 1usize..4,
+            policy in 0usize..3,
+            // 1, 4, n, and past n: the last two run all-zero padding rounds
+            // once every set is covered.
+            k in 0usize..4,
+            threads in 1usize..5,
+            fused in any::<bool>(),
+            adaptive in any::<bool>(),
         ) {
             let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
-            let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-            let sets = collection(30, &slices);
+            let sets = collection_with_policy(100, &owned, &policies()[policy]);
+            let k = [1usize, 4, 100, 107][k];
             let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
+            let base = fused.then(|| fused_counts(&sets));
+            let mut cfg = exec(threads);
+            cfg.features.adaptive_counter_update = adaptive;
             let p = pool(threads);
-            let result = select_seeds_efficient(&sets, k, &exec(threads), &p, None);
+            let result = select_seeds_efficient(&sets, k, &cfg, &p, base.as_ref());
             prop_assert_eq!(result.seeds, ref_seeds);
-            prop_assert!((result.coverage_fraction - ref_cov).abs() < 1e-9);
+            prop_assert_eq!(result.coverage_fraction, ref_cov);
         }
     }
 }

@@ -5,8 +5,16 @@
 //!   thread scans every RRR set, sorted sets probed with binary search,
 //!   covered sets handled by decrementing per-thread counters.
 //! * [`efficient`] — EfficientIMM: RRR sets partitioned across threads,
-//!   concurrent atomic updates to one shared counter, two-level parallel max
-//!   reduction, and the adaptive decrement-vs-rebuild counter update.
+//!   concurrent atomic updates to one shared counter, a sequential argmax
+//!   over it, and the adaptive decrement-vs-rebuild counter update. The
+//!   sets a seed covers come from a per-selection inverted index over the
+//!   list sets plus a bit probe of the (few, dense) bitmap sets — never from
+//!   a scan of all θ sets.
+//!
+//! Both kernels fork-join on the persistent `imm-exec` pool through
+//! `pool.scope` / [`crate::balance::run_jobs`]. The vendored
+//! `rayon::prelude` parallel iterators are sequential and are not used in
+//! this crate (`ci.sh` enforces it).
 //!
 //! Both return the same seeds for the same input (greedy max coverage is
 //! deterministic up to tie-breaking, and both kernels break ties toward the
@@ -62,15 +70,34 @@ pub fn select_seeds(
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use imm_rrr::RrrSet;
+    use imm_rrr::AdaptivePolicy;
 
-    /// Build a collection from explicit vertex lists.
+    /// Build an all-list collection from explicit vertex lists.
     pub fn collection(num_nodes: usize, sets: &[&[NodeId]]) -> RrrCollection {
+        collection_with_policy(num_nodes, sets, &AdaptivePolicy::always_sorted())
+    }
+
+    /// Build a collection whose sets take the representation `policy` picks
+    /// (the way sampling pushes them), so list and bitmap sets can mix.
+    pub fn collection_with_policy<S: AsRef<[NodeId]>>(
+        num_nodes: usize,
+        sets: &[S],
+        policy: &AdaptivePolicy,
+    ) -> RrrCollection {
         let mut c = RrrCollection::new(num_nodes);
         for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
+            c.push_vertices(s.as_ref().to_vec(), policy);
         }
         c
+    }
+
+    /// The three representation regimes: mixed, all lists, all bitmaps.
+    pub fn policies() -> [AdaptivePolicy; 3] {
+        [
+            AdaptivePolicy::default(),
+            AdaptivePolicy::always_sorted(),
+            AdaptivePolicy::always_bitmap(),
+        ]
     }
 
     /// Reference greedy max-coverage implementation: straightforward,

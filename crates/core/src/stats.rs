@@ -60,8 +60,10 @@ pub struct WorkProfile {
     /// Number of atomic read-modify-write operations issued (EfficientIMM's
     /// concurrent counter updates; zero for the Ripples engine).
     pub atomic_ops: u64,
-    /// Number of binary-search probes issued (Ripples' membership checks;
-    /// zero when bitmaps answer membership in O(1)).
+    /// Membership work of the selection kernel. Ripples: binary-search
+    /// probes issued (zero when bitmaps answer membership in O(1)).
+    /// EfficientIMM: inverted-index entries built (one per list-set member,
+    /// per selection) + postings entries inspected + bitmap sets probed.
     pub search_probes: u64,
 }
 
