@@ -48,7 +48,9 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # the daemon's unit, socket-parity, frame-corruption and fault-tolerance
 # suites; the histogram and metric-catalog gates; the fault harness and its
 # chaos sweep; snapshot crash safety and golden fixtures; the mmap store's
-# unit, parity and fallback suites.
+# unit, parity and fallback suites; the refresh-equals-rebuild differential
+# and shard-parity suites and the sampler's independent oracle (order
+# independence + forward-simulation validity).
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -57,7 +59,8 @@ for expected in runtime_stress \
   histogram metrics_catalog \
   imm_fault chaos \
   crash_safety snapshot_fixtures \
-  imm_store store_parity mmap_fallback; do
+  imm_store store_parity mmap_fallback \
+  differential shard_parity sampler_oracle; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1

@@ -180,8 +180,8 @@ pub struct BuildIndexArgs {
 /// Parsed `update-index` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateIndexArgs {
-    /// Sketch-index snapshot to refresh (must carry provenance, i.e. be a v2
-    /// dynamic snapshot).
+    /// Sketch-index snapshot to refresh (must carry keyed-sampler provenance,
+    /// i.e. be written by this build's `build-index`).
     pub index: String,
     /// The *original* graph source the snapshot was built from.
     pub source: GraphSource,

@@ -209,7 +209,7 @@ fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
         .ok_or("internal error: the run did not retain its RRR sets despite the request")?;
     let records = result
         .provenance
-        .ok_or("internal error: the run did not trace provenance despite the request")?;
+        .ok_or("internal error: the run did not return provenance despite the request")?;
     let spec =
         SampleSpec::new(run.model, run.seed).with_policy(exec.features.representation_policy());
     let index = SketchIndex::build_with_provenance(&graph, collection, records, spec, &name)
@@ -252,7 +252,8 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
         ),
         None => {
             return Err(format!(
-                "{} is a static snapshot (no sampling provenance); rebuild it with build-index",
+                "{} is a static snapshot (no refreshable sampling provenance: none stored, or \
+                 sampled before the keyed-coin sampler); rebuild it with build-index",
                 args.index
             ))
         }
@@ -600,7 +601,8 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
                 ),
                 None => {
                     return Err(format!(
-                        "{} is a static snapshot (no sampling provenance); serve it without \
+                        "{} is a static snapshot (no refreshable sampling provenance: none \
+                         stored, or sampled before the keyed-coin sampler); serve it without \
                          --graph/--dataset, or rebuild it with build-index",
                         args.index
                     ))

@@ -5,7 +5,7 @@ use crate::balance::Schedule;
 use crate::counter::GlobalCounter;
 use crate::math;
 use crate::params::{Algorithm, ExecutionConfig, ImmParams};
-use crate::sampling::{generate_rrr_sets, generate_rrr_sets_traced, SamplingConfig};
+use crate::sampling::{generate_rrr_sets, set_provenance, SamplingConfig};
 use crate::selection::select_seeds;
 use crate::stats::RuntimeBreakdown;
 use crate::NodeId;
@@ -53,7 +53,7 @@ pub struct ImmResult {
     /// [`ExecutionConfig::retain_rrr_sets`] is set — the input for building a
     /// reusable `imm-service` sketch index without resampling.
     pub rrr_sets: Option<RrrCollection>,
-    /// Per-set sampling provenance aligned with `rrr_sets`, recorded only
+    /// Per-set sampling provenance aligned with `rrr_sets`, returned only
     /// when [`ExecutionConfig::trace_provenance`] is set — the input for
     /// building an *incrementally refreshable* `imm-service` index.
     pub provenance: Option<Vec<SetProvenance>>,
@@ -94,7 +94,6 @@ pub fn run_imm(
     let fused_counter = if use_fusion { Some(GlobalCounter::new(n)) } else { None };
 
     let mut sets = RrrCollection::new(n);
-    let mut provenance: Option<Vec<SetProvenance>> = exec.trace_provenance.then(Vec::new);
     let mut lower_bound = 1.0f64;
     let mut converged = false;
 
@@ -106,9 +105,7 @@ pub fn run_imm(
         if target > sets.len() {
             let missing = target - sets.len();
             let t0 = Instant::now();
-            let sampler =
-                if exec.trace_provenance { generate_rrr_sets_traced } else { generate_rrr_sets };
-            let out = sampler(
+            let out = generate_rrr_sets(
                 graph,
                 weights,
                 missing,
@@ -125,9 +122,6 @@ pub fn run_imm(
             );
             breakdown.timings.generate_rrrsets += t0.elapsed();
             breakdown.sampling_work.merge(&out.work);
-            if let (Some(log), Some(mut records)) = (provenance.as_mut(), out.provenance) {
-                log.append(&mut records);
-            }
             sets.extend_from(out.sets);
         }
         breakdown.sampling_iterations = i;
@@ -159,9 +153,7 @@ pub fn run_imm(
     if theta > sets.len() {
         let missing = theta - sets.len();
         let t0 = Instant::now();
-        let sampler =
-            if exec.trace_provenance { generate_rrr_sets_traced } else { generate_rrr_sets };
-        let out = sampler(
+        let out = generate_rrr_sets(
             graph,
             weights,
             missing,
@@ -178,9 +170,6 @@ pub fn run_imm(
         );
         breakdown.timings.generate_rrrsets += t0.elapsed();
         breakdown.sampling_work.merge(&out.work);
-        if let (Some(log), Some(mut records)) = (provenance.as_mut(), out.provenance) {
-            log.append(&mut records);
-        }
         sets.extend_from(out.sets);
     }
 
@@ -194,6 +183,8 @@ pub fn run_imm(
     breakdown.rrr_sets_generated = sets.len();
     breakdown.rrr_memory_bytes = sets.memory_bytes();
     let rrr_stats = sets.coverage_stats();
+    let provenance: Option<Vec<SetProvenance>> =
+        exec.trace_provenance.then(|| set_provenance(params.rng_seed, 0..sets.len(), n));
 
     Ok(ImmResult {
         estimated_influence: n as f64 * selection.coverage_fraction,
@@ -349,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_traced_on_opt_in_and_aligned_with_the_sets() {
+    fn provenance_is_returned_on_opt_in_and_aligned_with_the_sets() {
         let (g, w) = small_social_graph(200, 10);
         let params = ImmParams::new(3, 0.5, DiffusionModel::IndependentCascade).with_seed(23);
         let exec = ExecutionConfig::new(Algorithm::Efficient, 2)
@@ -357,12 +348,12 @@ mod tests {
             .with_provenance(true);
         let result = run_imm(&g, &w, &params, &exec).unwrap();
         let sets = result.rrr_sets.as_ref().expect("retained");
-        let provenance = result.provenance.as_ref().expect("traced");
+        let provenance = result.provenance.as_ref().expect("requested");
         assert_eq!(provenance.len(), sets.len());
         for (set, record) in sets.iter().zip(provenance) {
             assert!(set.contains(record.root), "each set contains its recorded root");
         }
-        // Tracing must not perturb the RNG streams or the selection.
+        // Asking for provenance must not perturb the sample or the selection.
         let plain =
             run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Efficient, 2)).unwrap();
         assert_eq!(plain.seeds, result.seeds);

@@ -24,7 +24,6 @@ use imm_graph::{block_ranges, CsrGraph, EdgeWeights};
 use imm_memsim::{synthetic_address, HierarchyConfig, MemoryHierarchy};
 use imm_numa::{AccessKind, AccessTracker, CostModel, NumaRegion, PlacementPolicy, Topology};
 use imm_rrr::RrrCollection;
-use rand::Rng;
 
 /// Memory regions used when synthesizing addresses.
 mod region {
@@ -342,10 +341,9 @@ pub fn bitmap_check_cost(
         let bitmap_region = NumaRegion::place(n.div_ceil(8).max(1), 1, data_placement, &topology);
         let rrr_region = NumaRegion::place(n.max(1), 4, data_placement, &topology);
 
-        let mut rng = crate::sampling::rng_for_set(rng_seed, set_idx);
-        let root = rng.gen_range(0..n as u32);
+        let key = crate::sampling::SetKey::new(rng_seed, set_idx);
         let vertices =
-            crate::sampling::generate_rrr_set(graph, weights, model, root, &mut rng, &mut marker);
+            crate::sampling::generate_rrr_set(graph, weights, model, key.root(n), key, &mut marker);
 
         // Replay the traversal's accesses: for every reached vertex we walk
         // its in-edges (graph reads), check the bitmap once per examined

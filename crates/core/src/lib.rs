@@ -52,8 +52,7 @@ pub use counter::GlobalCounter;
 pub use imm::{run_imm, ImmError, ImmResult};
 pub use params::{Algorithm, EfficientFeatures, ExecutionConfig, ImmParams};
 pub use sampling::{
-    generate_indexed_rrr_set, generate_rrr_set, generate_rrr_set_traced, generate_rrr_sets,
-    generate_rrr_sets_traced, SamplingOutput,
+    generate_indexed_rrr_set, generate_rrr_set, generate_rrr_sets, SamplingOutput, SetKey,
 };
 pub use selection::{select_seeds, SeedSelection};
 pub use stats::{KernelTimings, RuntimeBreakdown, WorkProfile};

@@ -167,7 +167,7 @@ pub struct ExecutionConfig {
     /// reuse the sketches without resampling. Off by default: the collection
     /// can be large and most batch callers only want the seeds.
     pub retain_rrr_sets: bool,
-    /// Record per-set sampling provenance (root + probed-edge footprint) in
+    /// Return per-set sampling provenance (the roots) in
     /// [`ImmResult::provenance`](crate::ImmResult::provenance) — the input
     /// for building an incrementally refreshable `imm-service` index. Off by
     /// default: batch runs discard the sample and have no use for it.

@@ -2,24 +2,36 @@
 //!
 //! Every RRR set is rooted at a uniformly chosen vertex and collects the
 //! vertices that would have *influenced* the root under one random
-//! realization of the diffusion model:
+//! realization of the diffusion model. The realization is **counter-based**:
+//! set `i` of a sample owns a [`SetKey`] derived from `(rng_seed, i)`, and
+//! every random decision is a pure function of that key and the vertex or
+//! edge it concerns —
 //!
-//! * **IC** — a reverse probabilistic BFS: each in-edge `(u, v)` of a reached
-//!   vertex `v` is crossed with probability `p_uv`.
-//! * **LT** — a reverse random walk: at each reached vertex, at most one
-//!   in-neighbor is picked with probability proportional to its edge weight
-//!   (stopping with the leftover probability), matching the live-edge
-//!   characterization of the LT model.
+//! * **IC** — edge `u → v` is *live* in set `i` iff
+//!   `key.edge_coin(u, v) < w(u, v)` ([`SetKey::ic_edge_is_live`]); the set
+//!   is the reverse-reachable set of its root in the live-edge graph. This
+//!   is IMM's own live-edge definition.
+//! * **LT** — every vertex `c` keeps at most one in-edge ([`lt_pick`]): the
+//!   one draw `key.vertex_coin(c)` lands in its in-edges' weights laid end
+//!   to end in ascending source order, or in the leftover mass `1 − Σ w`
+//!   (keep none). The set is the walk from the root along the kept edges
+//!   until it stops or closes a cycle.
 //!
-//! The parallel driver generates `count` sets with per-set RNG streams
-//! derived from the base seed and the set's global index, and returns them
-//! in global set-index order, so results are identical — order included —
-//! for any thread count or schedule. When the EfficientIMM kernel fusion is
-//! enabled the freshly generated set immediately increments the shared
+//! No decision depends on the order vertices are reached in, on the order a
+//! vertex's in-neighbours are stored in, or on any edge into another vertex
+//! — there is no RNG stream to keep aligned. That is what makes a stored set
+//! *refreshable*: `imm-service` re-evaluates the very same coins at the
+//! destinations a graph delta touches and resamples only the sets whose
+//! expansion changed. Parallel copies of one `(u, v)` pair share their IC
+//! coin, so they act as one edge of weight `max(w)`; under LT each copy is
+//! its own stretch of the draw's range.
+//!
+//! The parallel driver generates `count` sets and returns them in global
+//! set-index order, so results are identical — order included — for any
+//! thread count or schedule. When the EfficientIMM kernel fusion is enabled
+//! the freshly generated set immediately increments the shared
 //! [`GlobalCounter`] (Algorithm 3 of the paper) while it is still hot in
-//! cache. [`generate_rrr_sets_traced`] additionally records each set's
-//! provenance (root + probed-edge footprint), the substrate of the
-//! incremental sketch refresh in `imm-service`.
+//! cache.
 
 use crate::balance::{run_jobs, Schedule};
 use crate::counter::GlobalCounter;
@@ -27,10 +39,8 @@ use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, EdgeWeights};
-use imm_rrr::{AdaptivePolicy, EdgeFootprint, NoTrace, ProbeTrace, RrrCollection, SetProvenance};
+use imm_rrr::{AdaptivePolicy, RrrCollection, SetProvenance};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Epoch-stamped visited marker reused across RRR-set generations by one
@@ -76,67 +86,144 @@ impl VisitMarker {
     }
 }
 
-/// Generate one RRR set rooted at `root`. Returns the reached vertices in
-/// visitation order (the root first). `marker` must cover the graph and is
-/// reset internally.
-pub fn generate_rrr_set<R: Rng + ?Sized>(
-    graph: &CsrGraph,
-    weights: &EdgeWeights,
-    model: DiffusionModel,
-    root: NodeId,
-    rng: &mut R,
-    marker: &mut VisitMarker,
-) -> Vec<NodeId> {
-    generate_rrr_set_traced(graph, weights, model, root, rng, marker, &mut NoTrace)
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijection on `u64` with full avalanche.
+/// Every coin is one application of it to `key ^ subject`, so the coins of
+/// one set are as independent as distinct SplitMix64 outputs.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// [`generate_rrr_set`] with an edge-probe trace.
+/// The top 24 bits of `h` as a float in `[0, 1)`.
+#[inline]
+fn unit_f32(h: u64) -> f32 {
+    (h >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// The coin family of one RRR set: **the** definition of "set `i` of the
+/// sample seeded `rng_seed`". The bulk generator, the single-set resample
+/// and the refresh predicate in `imm-service` all read their randomness
+/// from here, so a set resampled in isolation is byte-identical to the one
+/// a full rebuild produces at the same index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SetKey {
+    edges: u64,
+    vertices: u64,
+    root: u64,
+}
+
+impl SetKey {
+    /// Key of set `set_index` under `base_seed`: three consecutive outputs
+    /// of the SplitMix64 stream rooted at the mixed `(seed, index)` pair.
+    pub fn new(base_seed: u64, set_index: usize) -> Self {
+        let z = mix(base_seed.wrapping_add(GOLDEN.wrapping_mul(set_index as u64 + 1)));
+        SetKey {
+            edges: mix(z.wrapping_add(GOLDEN)),
+            vertices: mix(z.wrapping_add(GOLDEN.wrapping_mul(2))),
+            root: mix(z.wrapping_add(GOLDEN.wrapping_mul(3))),
+        }
+    }
+
+    /// The set's root, uniform over `[0, num_nodes)` (multiply-shift; the
+    /// bias is below `num_nodes / 2^64`).
+    #[inline]
+    pub fn root(self, num_nodes: usize) -> NodeId {
+        ((self.root as u128 * num_nodes as u128) >> 64) as NodeId
+    }
+
+    /// The coin of edge `u → v`, in `[0, 1)`.
+    #[inline]
+    fn edge_coin(self, u: NodeId, v: NodeId) -> f32 {
+        unit_f32(mix(self.edges ^ ((u as u64) << 32 | v as u64)))
+    }
+
+    /// The coin of vertex `c`, in `[0, 1)`.
+    #[inline]
+    fn vertex_coin(self, c: NodeId) -> f32 {
+        unit_f32(mix(self.vertices ^ c as u64))
+    }
+
+    /// IC: whether an edge `u → v` of weight `weight` is live in this set.
+    #[inline]
+    pub fn ic_edge_is_live(self, u: NodeId, v: NodeId, weight: f32) -> bool {
+        self.edge_coin(u, v) < weight
+    }
+}
+
+/// LT: the in-neighbour vertex `c` keeps in the set of `key`, if any.
 ///
-/// `trace` receives every edge whose presence or weight influenced the
-/// RNG-visible course of the traversal: for IC, each in-edge probed with a
-/// fresh draw; for LT, each in-edge scanned while the per-step draw was being
-/// consumed. The [`NoTrace`] instantiation compiles to the untraced kernel,
-/// so the hot batch path pays nothing.
-pub fn generate_rrr_set_traced<R: Rng + ?Sized, T: ProbeTrace>(
+/// One draw `key.vertex_coin(c)` lands in the in-edges' weights laid end to
+/// end **in ascending source order** — `u` is kept with probability
+/// `w(u, c)`, none with the leftover mass `1 − Σ w`. The order is fixed by
+/// the rule, not by storage: an in-list stored ascending (what every
+/// generator and reader produces) is walked as it lies, any other — a
+/// destination a delta appended to — is sorted first.
+pub fn lt_pick(graph: &CsrGraph, weights: &EdgeWeights, key: SetKey, c: NodeId) -> Option<NodeId> {
+    let draw = key.vertex_coin(c) as f64;
+    let in_edges = graph.in_neighbors_with_edge_ids(c).map(|(u, eid)| (u, weights.weight(eid)));
+    if graph.in_neighbors(c).windows(2).all(|pair| pair[0] <= pair[1]) {
+        stretch_holding(draw, in_edges)
+    } else {
+        let mut sorted: Vec<(NodeId, f32)> = in_edges.collect();
+        sorted.sort_unstable_by_key(|&(u, _)| u);
+        stretch_holding(draw, sorted.into_iter())
+    }
+}
+
+/// The source whose stretch of the laid-out weights holds `draw`. Weights
+/// are summed in f64, where a short run of f32 addends is exact, so the
+/// stretch bounds do not depend on how parallel copies are ordered.
+#[inline]
+fn stretch_holding(draw: f64, edges: impl Iterator<Item = (NodeId, f32)>) -> Option<NodeId> {
+    let mut upper = 0.0f64;
+    for (u, w) in edges {
+        upper += w as f64;
+        if draw < upper {
+            return Some(u);
+        }
+    }
+    None
+}
+
+/// Generate the RRR set of `key` rooted at `root`. Returns the reached
+/// vertices in visitation order (the root first). `marker` must cover the
+/// graph and is reset internally.
+pub fn generate_rrr_set(
     graph: &CsrGraph,
     weights: &EdgeWeights,
     model: DiffusionModel,
     root: NodeId,
-    rng: &mut R,
+    key: SetKey,
     marker: &mut VisitMarker,
-    trace: &mut T,
 ) -> Vec<NodeId> {
     let mut set = Vec::with_capacity(16);
-    generate_rrr_set_into(graph, weights, model, root, rng, marker, trace, &mut set);
+    generate_rrr_set_into(graph, weights, model, root, key, marker, &mut set);
     set
 }
 
-/// Allocation-free form of [`generate_rrr_set_traced`]: the reached vertices
-/// are **appended** to `out` (visitation order, root first) and the number
-/// of appended members is returned. Bulk samplers point `out` at a growing
+/// Allocation-free form of [`generate_rrr_set`]: the reached vertices are
+/// **appended** to `out` (visitation order, root first) and the number of
+/// appended members is returned. Bulk samplers point `out` at a growing
 /// per-worker arena so generating a set costs no allocator round-trip.
-///
-/// The RNG draw sequence is identical to the owned-vector form — the BFS
-/// frontier is the appended segment itself, walked by cursor.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_rrr_set_into<R: Rng + ?Sized, T: ProbeTrace>(
+pub fn generate_rrr_set_into(
     graph: &CsrGraph,
     weights: &EdgeWeights,
     model: DiffusionModel,
     root: NodeId,
-    rng: &mut R,
+    key: SetKey,
     marker: &mut VisitMarker,
-    trace: &mut T,
     out: &mut Vec<NodeId>,
 ) -> usize {
     marker.next_epoch();
     let appended = match model {
         DiffusionModel::IndependentCascade => {
-            ic_reverse_bfs(graph, weights, root, rng, marker, trace, out)
+            ic_reverse_bfs(graph, weights, root, key, marker, out)
         }
-        DiffusionModel::LinearThreshold => {
-            lt_reverse_walk(graph, weights, root, rng, marker, trace, out)
-        }
+        DiffusionModel::LinearThreshold => lt_reverse_walk(graph, weights, root, key, marker, out),
     };
     // This is the one choke point every sampling path funnels through
     // (bulk, refresh resample, one-shot), so the instrumentation budget —
@@ -146,19 +233,16 @@ pub fn generate_rrr_set_into<R: Rng + ?Sized, T: ProbeTrace>(
     appended
 }
 
-#[allow(clippy::too_many_arguments)]
-fn ic_reverse_bfs<R: Rng + ?Sized, T: ProbeTrace>(
+fn ic_reverse_bfs(
     graph: &CsrGraph,
     weights: &EdgeWeights,
     root: NodeId,
-    rng: &mut R,
+    key: SetKey,
     marker: &mut VisitMarker,
-    trace: &mut T,
     out: &mut Vec<NodeId>,
 ) -> usize {
     // The appended segment doubles as the BFS frontier: `cursor` walks it in
-    // append order, which is exactly the push-back/pop-front order a queue
-    // would produce — same traversal, same RNG draws, no queue allocation.
+    // append order, so no queue is allocated.
     let start = out.len();
     marker.visit(root);
     out.push(root);
@@ -168,74 +252,42 @@ fn ic_reverse_bfs<R: Rng + ?Sized, T: ProbeTrace>(
         let v = out[cursor];
         cursor += 1;
         for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
-            // An edge is probed (one RNG draw) only when its source is still
-            // unvisited — exactly the edges the trace must capture.
-            if !marker.visited(u) {
-                trace.record_edge(u, v);
-                if rng.gen::<f32>() < weights.weight(eid) {
-                    marker.visit(u);
-                    out.push(u);
-                }
+            // A member's coin cannot change membership: skip it unevaluated.
+            if !marker.visited(u) && key.ic_edge_is_live(u, v, weights.weight(eid)) {
+                marker.visit(u);
+                out.push(u);
             }
         }
     }
     out.len() - start
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lt_reverse_walk<R: Rng + ?Sized, T: ProbeTrace>(
+fn lt_reverse_walk(
     graph: &CsrGraph,
     weights: &EdgeWeights,
     root: NodeId,
-    rng: &mut R,
+    key: SetKey,
     marker: &mut VisitMarker,
-    trace: &mut T,
     out: &mut Vec<NodeId>,
 ) -> usize {
     let start = out.len();
     marker.visit(root);
     out.push(root);
     let mut current = root;
-
-    loop {
-        // Pick at most one in-neighbor with probability equal to its edge
-        // weight; the remaining mass (1 - Σ w) stops the walk. Every scanned
-        // edge (up to and including the pick) shapes the outcome, so each is
-        // traced.
-        let mut draw = rng.gen::<f32>();
-        let mut picked: Option<NodeId> = None;
-        for (u, eid) in graph.in_neighbors_with_edge_ids(current) {
-            trace.record_edge(u, current);
-            let w = weights.weight(eid);
-            if draw < w {
-                picked = Some(u);
-                break;
-            }
-            draw -= w;
+    while let Some(u) = lt_pick(graph, weights, key, current) {
+        if !marker.visit(u) {
+            // Already in the set: the live-edge path closed a cycle.
+            break;
         }
-        match picked {
-            Some(u) => {
-                if !marker.visit(u) {
-                    // Already in the set: the live-edge path closed a cycle.
-                    break;
-                }
-                out.push(u);
-                current = u;
-            }
-            None => break,
-        }
+        out.push(u);
+        current = u;
     }
     out.len() - start
 }
 
-/// Generate the RRR set with global index `set_index` of the deterministic
-/// sampling stream `(base_seed, set_index)`, returning the member vertices
-/// and the set's provenance (root + probed-edge footprint).
-///
-/// This is **the** definition of "set `i` of a sample": the bulk generator
-/// and the incremental refresh in `imm-service` both route through it, so a
-/// set resampled in isolation is byte-identical to the one a full rebuild at
-/// the same index would produce.
+/// Generate the RRR set with global index `set_index` of the sample seeded
+/// `base_seed` (members in visitation order, the root first). The
+/// incremental refresh in `imm-service` resamples through this.
 pub fn generate_indexed_rrr_set(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -243,52 +295,32 @@ pub fn generate_indexed_rrr_set(
     base_seed: u64,
     set_index: usize,
     marker: &mut VisitMarker,
-) -> (Vec<NodeId>, SetProvenance) {
-    let mut vertices = Vec::with_capacity(16);
-    let record = generate_indexed_rrr_set_into(
-        graph,
-        weights,
-        model,
-        base_seed,
-        set_index,
-        marker,
-        &mut vertices,
-    );
-    (vertices, record)
+) -> Vec<NodeId> {
+    let key = SetKey::new(base_seed, set_index);
+    generate_rrr_set(graph, weights, model, key.root(graph.num_nodes()), key, marker)
 }
 
-/// Allocation-free form of [`generate_indexed_rrr_set`]: appends the members
-/// to `out` and returns the set's provenance (the appended length is
-/// `out.len()`'s growth).
-pub fn generate_indexed_rrr_set_into(
-    graph: &CsrGraph,
-    weights: &EdgeWeights,
-    model: DiffusionModel,
+/// The provenance records of sets `indices` of the sample seeded
+/// `base_seed` over `num_nodes` vertices — a root is a function of the key
+/// alone, so the records are derived, not carried out of the sampling loop.
+pub fn set_provenance(
     base_seed: u64,
-    set_index: usize,
-    marker: &mut VisitMarker,
-    out: &mut Vec<NodeId>,
-) -> SetProvenance {
-    let mut rng = rng_for_set(base_seed, set_index);
-    let root = rng.gen_range(0..graph.num_nodes() as u32);
-    let mut footprint = EdgeFootprint::new();
-    generate_rrr_set_into(graph, weights, model, root, &mut rng, marker, &mut footprint, out);
-    SetProvenance { root, footprint }
+    indices: std::ops::Range<usize>,
+    num_nodes: usize,
+) -> Vec<SetProvenance> {
+    indices.map(|i| SetProvenance { root: SetKey::new(base_seed, i).root(num_nodes) }).collect()
 }
 
 /// Result of a bulk sampling call.
 #[derive(Debug)]
 pub struct SamplingOutput {
     /// The generated sets, in global set-index order: position `i` holds the
-    /// set of RNG stream `start_index + i` regardless of thread count or
-    /// schedule.
+    /// set of key `(rng_seed, start_index + i)` regardless of thread count
+    /// or schedule.
     pub sets: RrrCollection,
     /// Per-thread operation counts of the generation (edge probes + counter
     /// updates when fused).
     pub work: WorkProfile,
-    /// Per-set provenance aligned with `sets`, recorded only by
-    /// [`generate_rrr_sets_traced`].
-    pub provenance: Option<Vec<SetProvenance>>,
 }
 
 /// Options controlling a bulk sampling call.
@@ -296,7 +328,7 @@ pub struct SamplingOutput {
 pub struct SamplingConfig<'a> {
     /// Diffusion model to sample under.
     pub model: DiffusionModel,
-    /// Base RNG seed (per-set streams are derived from it).
+    /// Base RNG seed (per-set keys are derived from it).
     pub rng_seed: u64,
     /// RRR-set representation policy.
     pub policy: AdaptivePolicy,
@@ -309,11 +341,25 @@ pub struct SamplingConfig<'a> {
     pub fused_counter: Option<&'a GlobalCounter>,
 }
 
+/// One worker slot's accumulated output: a flat vertex arena holding every
+/// **list-bound** set the slot generated (each segment already sorted), the
+/// directory locating each segment by its global job index, and the bitmaps
+/// of the slot's heavy sets (built in the worker while the set was hot —
+/// their members never enter an arena).
+#[derive(Debug, Default)]
+struct SlotOutput {
+    arena: Vec<NodeId>,
+    /// `(job, start, len)` into `arena` — list sets only.
+    lists: Vec<(usize, u32, u32)>,
+    /// `(job, bitmap)` — bitmap-bound (heavy) sets.
+    bitmaps: Vec<(usize, imm_rrr::BitSet)>,
+}
+
 /// Generate `count` RRR sets (with global indices starting at `start_index`
-/// for RNG-stream purposes) on `pool`.
+/// for key-derivation purposes) on `pool`.
 ///
 /// The returned collection is in global set-index order for every thread
-/// count and schedule: set `i` always came from RNG stream
+/// count and schedule: set `i` always came from key
 /// `(rng_seed, start_index + i)`. That canonical order is what lets the
 /// `imm-service` sketch index resample individual sets later.
 pub fn generate_rrr_sets(
@@ -323,48 +369,6 @@ pub fn generate_rrr_sets(
     start_index: usize,
     config: &SamplingConfig<'_>,
     pool: &rayon::ThreadPool,
-) -> SamplingOutput {
-    generate_rrr_sets_impl(graph, weights, count, start_index, config, pool, false)
-}
-
-/// [`generate_rrr_sets`] with per-set provenance recording: the output's
-/// `provenance` holds each set's root and probed-edge footprint, aligned
-/// with the collection.
-pub fn generate_rrr_sets_traced(
-    graph: &CsrGraph,
-    weights: &EdgeWeights,
-    count: usize,
-    start_index: usize,
-    config: &SamplingConfig<'_>,
-    pool: &rayon::ThreadPool,
-) -> SamplingOutput {
-    generate_rrr_sets_impl(graph, weights, count, start_index, config, pool, true)
-}
-
-/// One worker slot's accumulated output: a flat vertex arena holding every
-/// **list-bound** set the slot generated (each segment already sorted), the
-/// directory locating each segment by its global job index, the bitmaps of
-/// the slot's heavy sets (built in the worker while the set was hot — their
-/// members never enter an arena), and per-set provenance when tracing.
-#[derive(Debug, Default)]
-struct SlotOutput {
-    arena: Vec<NodeId>,
-    /// `(job, start, len)` into `arena` — list sets only.
-    lists: Vec<(usize, u32, u32)>,
-    /// `(job, bitmap)` — bitmap-bound (heavy) sets.
-    bitmaps: Vec<(usize, imm_rrr::BitSet)>,
-    /// `(job, record)` in generation order, recorded only when tracing.
-    provenance: Vec<(usize, SetProvenance)>,
-}
-
-fn generate_rrr_sets_impl(
-    graph: &CsrGraph,
-    weights: &EdgeWeights,
-    count: usize,
-    start_index: usize,
-    config: &SamplingConfig<'_>,
-    pool: &rayon::ThreadPool,
-    trace: bool,
 ) -> SamplingOutput {
     crate::metrics::register();
     let threads = config.threads.max(1);
@@ -388,38 +392,19 @@ fn generate_rrr_sets_impl(
         let mut buf: Vec<NodeId> = Vec::with_capacity(16 * range.len());
         let mut entries: Vec<(usize, u32, u32)> = Vec::with_capacity(range.len());
         let mut heavy: Vec<(usize, imm_rrr::BitSet)> = Vec::new();
-        let mut records: Vec<(usize, SetProvenance)> = Vec::new();
         let mut local_ops = 0u64;
         for job in range.iter() {
-            let set_index = start_index + job;
+            let key = SetKey::new(config.rng_seed, start_index + job);
             let start = buf.len();
-            if trace {
-                let record = generate_indexed_rrr_set_into(
-                    graph,
-                    weights,
-                    config.model,
-                    config.rng_seed,
-                    set_index,
-                    &mut marker,
-                    &mut buf,
-                );
-                records.push((job, record));
-            } else {
-                // Same draws as the traced path, no footprint bookkeeping.
-                let mut rng = rng_for_set(config.rng_seed, set_index);
-                let root = rng.gen_range(0..num_nodes as u32);
-                generate_rrr_set_into(
-                    graph,
-                    weights,
-                    config.model,
-                    root,
-                    &mut rng,
-                    &mut marker,
-                    &mut NoTrace,
-                    &mut buf,
-                );
-            }
-            let len = buf.len() - start;
+            let len = generate_rrr_set_into(
+                graph,
+                weights,
+                config.model,
+                key.root(num_nodes),
+                key,
+                &mut marker,
+                &mut buf,
+            );
             local_ops += len as u64;
             if let Some(counter) = config.fused_counter {
                 // Kernel fusion: the fresh segment increments the shared
@@ -454,7 +439,6 @@ fn generate_rrr_sets_impl(
         slot.arena.extend_from_slice(&buf);
         slot.lists.extend(entries.iter().map(|&(job, s, l)| (job, base as u32 + s, l)));
         slot.bitmaps.append(&mut heavy);
-        slot.provenance.append(&mut records);
         drop(slot);
         markers.lock().push(marker);
     });
@@ -466,21 +450,12 @@ fn generate_rrr_sets_impl(
     let mut directory: Vec<(u32, u32, u32)> = vec![(UNFILLED, 0, 0); count];
     let mut bitmap_of: Vec<Option<imm_rrr::BitSet>> = Vec::new();
     bitmap_of.resize_with(count, || None);
-    let mut record_of: Vec<SetProvenance> = Vec::new();
-    if trace {
-        record_of = vec![SetProvenance::default(); count];
-    }
     for (slot_idx, output) in outputs.iter_mut().enumerate() {
         for &(job, start, len) in &output.lists {
             directory[job] = (slot_idx as u32, start, len);
         }
         for (job, bs) in output.bitmaps.drain(..) {
             bitmap_of[job] = Some(bs);
-        }
-        if trace {
-            for &(job, record) in &output.provenance {
-                record_of[job] = record;
-            }
         }
     }
     // The slot arenas hold exactly the list-bound members, so their total is
@@ -496,23 +471,12 @@ fn generate_rrr_sets_impl(
             sets.push_sorted_slice(members, &config.policy);
         }
     }
-    let provenance = trace.then_some(record_of);
     let work = WorkProfile {
         per_thread_ops: per_worker_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
         atomic_ops: atomic_ops.load(Ordering::Relaxed),
         search_probes: 0,
     };
-    SamplingOutput { sets, work, provenance }
-}
-
-/// Derive the RNG stream of one RRR set from the base seed and the set's
-/// global index (SplitMix64-style mixing).
-pub fn rng_for_set(base_seed: u64, set_index: usize) -> SmallRng {
-    let mut z = base_seed.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(set_index as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    SmallRng::seed_from_u64(z)
+    SamplingOutput { sets, work }
 }
 
 #[cfg(test)]
@@ -520,6 +484,8 @@ mod tests {
     use super::*;
     use imm_graph::generators;
     use imm_graph::WeightModel;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn pool(threads: usize) -> rayon::ThreadPool {
         rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
@@ -549,20 +515,68 @@ mod tests {
     }
 
     #[test]
+    fn coins_are_pure_functions_of_key_and_subject() {
+        let key = SetKey::new(9, 4);
+        assert_eq!(key, SetKey::new(9, 4));
+        assert_eq!(key.edge_coin(3, 7), key.edge_coin(3, 7));
+        assert_ne!(key.edge_coin(3, 7), key.edge_coin(7, 3), "direction matters");
+        assert_ne!(key.edge_coin(3, 7), SetKey::new(9, 5).edge_coin(3, 7));
+        assert_ne!(key.edge_coin(3, 7), SetKey::new(10, 4).edge_coin(3, 7));
+        for i in 0..1000 {
+            let key = SetKey::new(1, i);
+            assert!((0.0..1.0).contains(&key.edge_coin(i as u32, 5)));
+            assert!((0.0..1.0).contains(&key.vertex_coin(i as u32)));
+            assert!(key.root(17) < 17);
+        }
+    }
+
+    /// What a weak `mix` breaks first: the coins of two edges that differ in
+    /// one bit must be independent across sets — both below ½ in a quarter
+    /// of the sets, whichever bit differs.
+    #[test]
+    fn coins_of_neighbouring_edges_are_pairwise_independent() {
+        let sets = 40_000usize;
+        let sigma = (0.25f64 * 0.75 / sets as f64).sqrt();
+        for bit in 0..32 {
+            let both_low = |pair: fn(SetKey, u32) -> (f32, f32)| {
+                (0..sets)
+                    .filter(|&i| {
+                        let (a, b) = pair(SetKey::new(11, i), 1 << bit);
+                        a < 0.5 && b < 0.5
+                    })
+                    .count() as f64
+                    / sets as f64
+            };
+            let by_source =
+                both_low(|key, flip| (key.edge_coin(40, 7), key.edge_coin(40 ^ flip, 7)));
+            let by_target =
+                both_low(|key, flip| (key.edge_coin(40, 7), key.edge_coin(40, 7 ^ flip)));
+            let by_vertex = both_low(|key, flip| (key.vertex_coin(40), key.vertex_coin(40 ^ flip)));
+            for (what, share) in
+                [("source", by_source), ("target", by_target), ("vertex", by_vertex)]
+            {
+                assert!(
+                    (share - 0.25).abs() < 4.5 * sigma,
+                    "{what} bit {bit}: both coins low in {share:.4} of the sets"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ic_rrr_set_contains_root_and_only_reverse_reachable_vertices() {
         // Path 0 -> 1 -> 2 -> 3 with probability 1: the RRR set of root v is
         // exactly {0, ..., v}.
         let g = CsrGraph::from_edge_list(&generators::path(4));
         let w = EdgeWeights::constant(&g, 1.0);
         let mut marker = VisitMarker::new(4);
-        let mut rng = SmallRng::seed_from_u64(1);
         for root in 0..4u32 {
             let mut set = generate_rrr_set(
                 &g,
                 &w,
                 DiffusionModel::IndependentCascade,
                 root,
-                &mut rng,
+                SetKey::new(1, root as usize),
                 &mut marker,
             );
             set.sort_unstable();
@@ -576,9 +590,14 @@ mod tests {
         let g = CsrGraph::from_edge_list(&generators::complete(10));
         let w = EdgeWeights::constant(&g, 0.0);
         let mut marker = VisitMarker::new(10);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let set =
-            generate_rrr_set(&g, &w, DiffusionModel::IndependentCascade, 4, &mut rng, &mut marker);
+        let set = generate_rrr_set(
+            &g,
+            &w,
+            DiffusionModel::IndependentCascade,
+            4,
+            SetKey::new(2, 0),
+            &mut marker,
+        );
         assert_eq!(set, vec![4]);
     }
 
@@ -590,11 +609,40 @@ mod tests {
         let w = EdgeWeights::from_vec(&g, vec![1.0, 0.0], WeightModel::LtNormalized).unwrap();
         let mut marker = VisitMarker::new(3);
         for seed in 0..20 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let set =
-                generate_rrr_set(&g, &w, DiffusionModel::LinearThreshold, 2, &mut rng, &mut marker);
+            let set = generate_rrr_set(
+                &g,
+                &w,
+                DiffusionModel::LinearThreshold,
+                2,
+                SetKey::new(seed, 0),
+                &mut marker,
+            );
             assert!(set.contains(&0));
             assert!(!set.contains(&1));
+        }
+    }
+
+    #[test]
+    fn lt_pick_frequencies_follow_the_weights() {
+        // Three in-edges of weight 0.5 / 0.3 / 0.1 and 0.1 of leftover mass.
+        let g = CsrGraph::from_edges(4, vec![(0, 3), (1, 3), (2, 3)]).unwrap();
+        let mut w = vec![0.0f32; 3];
+        for (u, eid) in g.in_neighbors_with_edge_ids(3) {
+            w[eid] = [0.5, 0.3, 0.1][u as usize];
+        }
+        let w = EdgeWeights::from_vec(&g, w, WeightModel::LtNormalized).unwrap();
+        let trials = 40_000usize;
+        let mut hits = [0usize; 4];
+        for i in 0..trials {
+            match lt_pick(&g, &w, SetKey::new(77, i), 3) {
+                Some(u) => hits[u as usize] += 1,
+                None => hits[3] += 1,
+            }
+        }
+        for (slot, expected) in [0.5f64, 0.3, 0.1, 0.1].into_iter().enumerate() {
+            let sigma = (expected * (1.0 - expected) / trials as f64).sqrt();
+            let got = hits[slot] as f64 / trials as f64;
+            assert!((got - expected).abs() < 4.0 * sigma, "slot {slot}: {got} vs {expected}");
         }
     }
 
@@ -605,9 +653,14 @@ mod tests {
         let g = CsrGraph::from_edge_list(&generators::cycle(5));
         let w = EdgeWeights::constant(&g, 1.0);
         let mut marker = VisitMarker::new(5);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let set =
-            generate_rrr_set(&g, &w, DiffusionModel::LinearThreshold, 0, &mut rng, &mut marker);
+        let set = generate_rrr_set(
+            &g,
+            &w,
+            DiffusionModel::LinearThreshold,
+            0,
+            SetKey::new(3, 0),
+            &mut marker,
+        );
         assert_eq!(set.len(), 5, "walk must visit each cycle vertex exactly once");
     }
 
@@ -648,16 +701,17 @@ mod tests {
     }
 
     #[test]
-    fn output_order_matches_the_indexed_streams() {
+    fn output_order_matches_the_indexed_keys() {
         let mut rng = SmallRng::seed_from_u64(12);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 5, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
         let p = pool(3);
         let cfg = config(DiffusionModel::IndependentCascade, 3);
         let out = generate_rrr_sets(&g, &w, 40, 7, &cfg, &p);
+        let records = set_provenance(cfg.rng_seed, 7..47, g.num_nodes());
         let mut marker = VisitMarker::new(g.num_nodes());
         for (i, set) in out.sets.iter().enumerate() {
-            let (vertices, _) = generate_indexed_rrr_set(
+            let mut sorted = generate_indexed_rrr_set(
                 &g,
                 &w,
                 DiffusionModel::IndependentCascade,
@@ -665,69 +719,9 @@ mod tests {
                 7 + i,
                 &mut marker,
             );
-            let mut sorted = vertices;
+            assert_eq!(sorted[0], records[i].root, "visitation starts at the recorded root");
             sorted.sort_unstable();
-            assert_eq!(set.to_vec(), sorted, "set {i} must come from stream {}", 7 + i);
-        }
-    }
-
-    #[test]
-    fn traced_generation_matches_untraced_and_records_probed_edges() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let g = CsrGraph::from_edge_list(&generators::social_network(180, 6, 0.25, &mut rng));
-        let w = EdgeWeights::ic_weighted_cascade(&g);
-        for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
-            let p = pool(2);
-            let cfg = config(model, 2);
-            let plain = generate_rrr_sets(&g, &w, 60, 0, &cfg, &p);
-            let traced = generate_rrr_sets_traced(&g, &w, 60, 0, &cfg, &p);
-            assert_eq!(plain.sets, traced.sets, "{model:?}: tracing must not change draws");
-            assert!(plain.provenance.is_none());
-            let provenance = traced.provenance.expect("traced run records provenance");
-            assert_eq!(provenance.len(), 60);
-            for (set, record) in traced.sets.iter().zip(&provenance) {
-                assert!(set.contains(record.root), "the root is always a member");
-                // Every member beyond the root was reached over a probed
-                // in-edge, so a non-singleton set has a non-empty footprint.
-                if set.len() > 1 {
-                    assert!(!record.footprint.is_empty());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn footprint_covers_every_in_edge_of_an_ic_set() {
-        // IC probes every in-edge of each visited vertex whose source was
-        // unvisited at scan time; in particular, each member's first-scan
-        // in-edges from non-members are always probed. Check the one-sided
-        // guarantee on a concrete instance: any edge into a member from a
-        // vertex outside the set must be in the footprint (it was probed and
-        // rejected) or its source is a member (it may have been skipped).
-        let mut rng = SmallRng::seed_from_u64(14);
-        let g = CsrGraph::from_edge_list(&generators::social_network(120, 6, 0.25, &mut rng));
-        let w = EdgeWeights::constant(&g, 0.4);
-        let mut marker = VisitMarker::new(g.num_nodes());
-        for idx in 0..30 {
-            let (vertices, record) = generate_indexed_rrr_set(
-                &g,
-                &w,
-                DiffusionModel::IndependentCascade,
-                99,
-                idx,
-                &mut marker,
-            );
-            let members: std::collections::HashSet<NodeId> = vertices.iter().copied().collect();
-            for &v in &vertices {
-                for u in g.in_neighbors(v) {
-                    if !members.contains(u) {
-                        assert!(
-                            record.footprint.may_contain(*u, v),
-                            "probed edge {u} -> {v} missing from footprint of set {idx}"
-                        );
-                    }
-                }
-            }
+            assert_eq!(set.to_vec(), sorted, "set {i} must come from key {}", 7 + i);
         }
     }
 
@@ -764,7 +758,7 @@ mod tests {
         let b = generate_rrr_sets(&g, &w, 50, 50, &cfg, &p);
         let a_sets: Vec<Vec<NodeId>> = a.sets.iter().map(|s| s.to_vec()).collect();
         let b_sets: Vec<Vec<NodeId>> = b.sets.iter().map(|s| s.to_vec()).collect();
-        assert_ne!(a_sets, b_sets, "different global indices must give different streams");
+        assert_ne!(a_sets, b_sets, "different global indices must give different keys");
     }
 
     #[test]

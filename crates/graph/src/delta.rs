@@ -2,21 +2,21 @@
 //! applied to a frozen [`CsrGraph`] + [`EdgeWeights`] pair.
 //!
 //! [`GraphDelta::apply`] produces a *new* CSR/weights pair (the inputs stay
-//! immutable and shareable) with one carefully engineered invariant:
+//! immutable and shareable). The one property downstream layers build on is
+//! **locality**:
 //!
-//! > For every vertex `v` whose in-edges the delta does not touch, the order
-//! > in which `in_neighbors_with_edge_ids(v)` yields its in-edges — and each
-//! > edge's weight — is identical before and after the delta.
+//! > A delta changes the in-edges and in-weights of exactly the destinations
+//! > it names ([`GraphDelta::touched_destinations`]); every other vertex has
+//! > the same in-edges with the same weights before and after.
 //!
-//! The reverse-influence-sampling kernels consume RNG draws exactly in
-//! in-neighbor scan order of the vertices they visit, so this invariant is
-//! what lets an incremental sketch refresh keep every RRR set whose member
-//! vertices were untouched: regenerating such a set on the mutated graph
-//! would replay byte-identical draws and reproduce the same set. The
-//! implementation emits the new edge list grouped by *destination* (each
-//! destination's surviving in-edges in their old scan order, then its
-//! insertions in delta order), which is precisely the order
-//! [`CsrGraph::from_edge_list`] fills `in_sources` in.
+//! Reverse influence sampling decides each RRR set from per-set keyed coins
+//! — a function of the set, the edge and its weight, not of where an edge is
+//! stored — so an incremental sketch refresh only has to look at the
+//! destinations a delta names: it re-evaluates their coins under the old and
+//! the new in-edges and resamples the sets whose expansion changed. Storage
+//! order carries no meaning for it. For the record, `apply` emits each
+//! destination's surviving in-edges in their old scan order followed by its
+//! insertions in delta order; nothing depends on that any more.
 //!
 //! Weight semantics after `apply`:
 //!
@@ -29,9 +29,17 @@
 //! 4. [`WeightModel::LtNormalized`] destinations touched by the delta are
 //!    rescaled to keep their in-weight sum ≤ 1.
 //!
-//! Every adjustment is local to the destinations the delta names, which keeps
-//! "sets containing a touched destination" a correct superset of the sets a
-//! mutation can affect.
+//! Every adjustment is local to the destinations the delta names, which is
+//! the locality property above.
+//!
+//! **Parallel edges.** Generators and the SNAP reader dedup, so a multigraph
+//! arises only when a delta inserts an edge that already exists. The copies
+//! of one `(src, dst)` pair share their IC coin, so under IC they behave as
+//! one edge of weight `max(w)`; under LT each copy keeps its own stretch of
+//! the destination's weight range, so they behave as one edge of weight
+//! `Σ w`. The refresh compares a destination's *expansion* before and after,
+//! not its edge list, so a refreshed sketch equals a from-scratch one for
+//! multigraphs too.
 
 use crate::csr::CsrGraph;
 use crate::edge_list::EdgeList;
@@ -172,7 +180,7 @@ impl GraphDelta {
     ///
     /// This is the invalidation frontier of an incremental sketch refresh:
     /// only RRR sets containing one of these vertices can be affected by the
-    /// delta (see the module docs for why).
+    /// delta (the module docs' locality property).
     pub fn touched_destinations(&self) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .insertions
@@ -217,7 +225,7 @@ impl GraphDelta {
 
     /// Apply the delta to `graph` + `weights`, returning the mutated pair.
     ///
-    /// See the module docs for the order- and weight-preservation guarantees.
+    /// See the module docs for the locality and weight-repair guarantees.
     pub fn apply(
         &self,
         graph: &CsrGraph,
@@ -246,8 +254,8 @@ impl GraphDelta {
 
         // Emit the new edge list grouped by destination: each vertex's
         // surviving in-edges in old scan order, then its insertions. This is
-        // the order `from_edge_list` fills `in_sources` in, so untouched
-        // vertices keep their exact in-neighbor scan order.
+        // the order `from_edge_list` fills `in_sources` in, which the weight
+        // mapping below walks.
         let capacity =
             graph.num_edges() + self.insertions.len() - self.deletions.len().min(graph.num_edges());
         let mut el = EdgeList::with_capacity(n, capacity);

@@ -21,9 +21,8 @@
 //!   statistics reported in the paper's Table I.
 //! * [`codec`] — compact binary (de)serialization of sets and collections,
 //!   the substrate of `imm-service`'s persistable sketch snapshots.
-//! * [`provenance`] — per-set sampling provenance (root + compressed edge
-//!   footprint), the substrate of incremental sketch refresh under graph
-//!   mutation.
+//! * [`provenance`] — per-set sampling provenance (the root each set was
+//!   grown from).
 
 pub mod bitset;
 pub mod codec;
@@ -36,7 +35,7 @@ pub use codec::{ByteReader, CodecError};
 pub use collection::{
     ArenaSource, CollectionSlice, CoverageStats, RrrCollection, SetView, SetViews, SliceViews,
 };
-pub use provenance::{EdgeFootprint, NoTrace, ProbeTrace, SetProvenance, FOOTPRINT_WORDS};
+pub use provenance::SetProvenance;
 pub use set::{AdaptivePolicy, Representation, RrrSet};
 
 /// Vertex identifier (re-exported from `imm-graph` for convenience).

@@ -1,209 +1,19 @@
-//! Per-set sampling provenance: what a stored RRR set's generation *touched*.
+//! Per-set sampling provenance: the root a stored RRR set was grown from.
 //!
-//! A sketch index over θ sampled sets is only updatable under graph mutation
-//! if every set can answer "would your reverse traversal have run differently
-//! on the mutated graph?". Re-running all θ traversals to find out defeats
-//! the purpose, so each set carries a tiny record of its generation instead:
-//!
-//! * its **root** (the uniformly drawn start vertex of the reverse BFS), and
-//! * a compressed **edge footprint** — a fixed-size Bloom signature of every
-//!   edge the traversal *probed* (consumed an RNG draw for, or scanned while
-//!   subtracting LT weights).
-//!
-//! The footprint is one-sided by construction: [`EdgeFootprint::may_contain`]
-//! can return `true` for an edge that was never probed (a false positive,
-//! which merely causes an unnecessary resample) but never `false` for one
-//! that was (which would leave a stale set in the index). Saturation on very
-//! large sets degrades gracefully to "maybe everything" — still correct.
-//!
-//! [`ProbeTrace`] is the zero-cost hook the sampling kernels use to record
-//! probes: the hot path is generic over it and the [`NoTrace`] instantiation
-//! compiles to the exact untraced code.
+//! Sampling is counter-based (`efficient_imm::sampling`): every random
+//! decision of set `i` is a pure function of `(rng_seed, i)` and the vertex
+//! or edge it concerns, so a stored set needs no record of *what its
+//! traversal touched* to be refreshable under graph mutation — the refresh
+//! re-evaluates the coins themselves. What stays worth recording is the
+//! root: it is the cheapest integrity check on a loaded sketch (each set
+//! must contain its root) and the one per-set fact a consumer cannot read
+//! off the membership.
 
 use crate::NodeId;
 
-/// Number of 64-bit words in an [`EdgeFootprint`] (256 bits total).
-pub const FOOTPRINT_WORDS: usize = 4;
-
-/// Sink for edge probes during RRR-set generation.
-///
-/// The sampling kernels call [`record_edge`](ProbeTrace::record_edge) for
-/// every edge whose presence or weight influenced the RNG-visible course of
-/// the traversal. Implementations must be cheap; the kernels are hot.
-pub trait ProbeTrace {
-    /// Record that the traversal probed the directed edge `src -> dst`.
-    fn record_edge(&mut self, src: NodeId, dst: NodeId);
-}
-
-/// The no-op trace: generation without provenance pays nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoTrace;
-
-impl ProbeTrace for NoTrace {
-    #[inline(always)]
-    fn record_edge(&mut self, _src: NodeId, _dst: NodeId) {}
-}
-
-/// Fixed-size Bloom signature over the probed edges of one RRR traversal.
-///
-/// Two bit positions per edge, derived from a SplitMix64 mix of the packed
-/// `(src, dst)` pair. 256 bits keep the false-positive rate low for the
-/// small-to-medium sets that dominate sampled sketches while costing only
-/// 32 bytes per set in memory and in snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeFootprint {
-    words: [u64; FOOTPRINT_WORDS],
-}
-
-impl Default for EdgeFootprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EdgeFootprint {
-    /// Empty footprint (no edges recorded).
-    pub const fn new() -> Self {
-        EdgeFootprint { words: [0; FOOTPRINT_WORDS] }
-    }
-
-    /// Rebuild from raw words (snapshot decoding).
-    pub const fn from_words(words: [u64; FOOTPRINT_WORDS]) -> Self {
-        EdgeFootprint { words }
-    }
-
-    /// The raw words (snapshot encoding).
-    pub const fn words(&self) -> &[u64; FOOTPRINT_WORDS] {
-        &self.words
-    }
-
-    /// Whether no edge has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    #[inline]
-    fn mix(src: NodeId, dst: NodeId) -> u64 {
-        // SplitMix64 over the packed edge; the two probe positions come from
-        // independent halves of the mixed value.
-        let mut z = ((src as u64) << 32 | dst as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[inline]
-    fn bits(src: NodeId, dst: NodeId) -> (usize, usize) {
-        let h = Self::mix(src, dst);
-        let total = FOOTPRINT_WORDS * 64;
-        ((h as usize) % total, ((h >> 32) as usize) % total)
-    }
-
-    /// Record the directed edge `src -> dst`.
-    #[inline]
-    pub fn insert(&mut self, src: NodeId, dst: NodeId) {
-        let (a, b) = Self::bits(src, dst);
-        self.words[a / 64] |= 1u64 << (a % 64);
-        self.words[b / 64] |= 1u64 << (b % 64);
-    }
-
-    /// Whether `src -> dst` *may* have been recorded. `false` is definitive;
-    /// `true` may be a false positive.
-    #[inline]
-    pub fn may_contain(&self, src: NodeId, dst: NodeId) -> bool {
-        let (a, b) = Self::bits(src, dst);
-        self.words[a / 64] & (1u64 << (a % 64)) != 0 && self.words[b / 64] & (1u64 << (b % 64)) != 0
-    }
-}
-
-impl ProbeTrace for EdgeFootprint {
-    #[inline]
-    fn record_edge(&mut self, src: NodeId, dst: NodeId) {
-        self.insert(src, dst);
-    }
-}
-
-/// Provenance of one sampled RRR set: the root it was grown from and the
-/// footprint of the edges its traversal probed.
+/// Provenance of one sampled RRR set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SetProvenance {
     /// The uniformly drawn root vertex of the reverse traversal.
     pub root: NodeId,
-    /// Bloom signature of the probed edges.
-    pub footprint: EdgeFootprint,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recorded_edges_are_always_maybe_contained() {
-        let mut fp = EdgeFootprint::new();
-        let edges: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i * 7 + 3) % 500)).collect();
-        for &(s, d) in &edges {
-            fp.insert(s, d);
-        }
-        for &(s, d) in &edges {
-            assert!(fp.may_contain(s, d), "edge ({s}, {d}) must never be a false negative");
-        }
-    }
-
-    #[test]
-    fn empty_footprint_contains_nothing() {
-        let fp = EdgeFootprint::new();
-        assert!(fp.is_empty());
-        for i in 0..100u32 {
-            assert!(!fp.may_contain(i, i + 1));
-        }
-    }
-
-    #[test]
-    fn sparse_footprints_reject_most_unrelated_edges() {
-        let mut fp = EdgeFootprint::new();
-        for i in 0..10u32 {
-            fp.insert(i, i + 1000);
-        }
-        // With 10 edges in 256 bits the false-positive rate is tiny; over a
-        // thousand unrelated probes at most a handful may collide.
-        let false_positives = (0..1000u32).filter(|&i| fp.may_contain(i + 5000, i + 9000)).count();
-        assert!(false_positives < 20, "{false_positives} false positives is implausible");
-    }
-
-    #[test]
-    fn direction_matters() {
-        let mut fp = EdgeFootprint::new();
-        fp.insert(3, 9);
-        assert!(fp.may_contain(3, 9));
-        // The reverse direction hashes differently (overwhelmingly likely to
-        // be absent from a near-empty filter).
-        assert!(!fp.may_contain(9, 3));
-    }
-
-    #[test]
-    fn words_round_trip() {
-        let mut fp = EdgeFootprint::new();
-        fp.insert(1, 2);
-        fp.insert(40, 80);
-        let rebuilt = EdgeFootprint::from_words(*fp.words());
-        assert_eq!(rebuilt, fp);
-        assert!(rebuilt.may_contain(1, 2));
-    }
-
-    #[test]
-    fn no_trace_is_a_no_op() {
-        let mut t = NoTrace;
-        t.record_edge(1, 2); // must compile and do nothing
-    }
-
-    #[test]
-    fn saturated_footprint_stays_correct() {
-        let mut fp = EdgeFootprint::new();
-        for i in 0..100_000u32 {
-            fp.insert(i, i.wrapping_mul(31));
-        }
-        // Saturation means "maybe everything" — still one-sided.
-        assert!(fp.may_contain(0, 0));
-        assert!(!fp.is_empty());
-    }
 }

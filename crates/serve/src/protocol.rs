@@ -562,7 +562,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::NotDynamic => write!(
                 f,
-                "the served index carries no sampling provenance; deltas need a dynamic snapshot"
+                "the served index carries no refreshable sampling provenance; rebuild the snapshot with build-index"
             ),
             ServeError::Delta { detail } => write!(f, "delta failed: {detail}"),
             ServeError::BadRequest { detail } => write!(f, "bad request: {detail}"),

@@ -3,29 +3,37 @@
 //! A [`SketchIndex`] built by the dynamic constructors ([`SketchIndex::sample`]
 //! or [`SketchIndex::build_with_provenance`]) carries a [`SketchProvenance`]:
 //! the sampling spec (diffusion model, base RNG seed, representation policy),
-//! one [`SetProvenance`] per set (root + probed-edge footprint), and the log
-//! of every delta applied so far. [`SketchIndex::apply_delta`] then refreshes
-//! the index against a [`GraphDelta`] without a full rebuild:
+//! one [`SetProvenance`] per set (its root), and the log of every delta
+//! applied so far. [`SketchIndex::apply_delta`] then refreshes the index
+//! against a [`GraphDelta`] without a full rebuild:
 //!
-//! 1. **Invalidate.** RNG draws during reverse sampling happen only while
-//!    scanning the in-edges of *visited* vertices, so a delta touching edge
-//!    `(u, v)` can only affect sets whose membership contains `v` — the
-//!    inverted postings give those directly. For per-edge-frozen weight
-//!    models (constant / uniform-IC) deletions and reweights are pruned
-//!    further: a set is kept if its footprint proves the edge was never
-//!    probed. Degree-normalized models skip the pruning because the delta
-//!    also reweights the destination's *other* in-edges.
+//! 1. **Invalidate by evaluating the coins.** Sampling is counter-based
+//!    (`efficient_imm::sampling`): set `i` is a deterministic function of
+//!    its [`SetKey`] and of the *expansion* of each member vertex — for IC
+//!    the live in-edges of the vertex, for LT the one in-neighbour it
+//!    keeps — and the expansion of `v` reads nothing but `v`'s own in-edges
+//!    and weights. A delta changes in-edges only at the destinations it
+//!    names, so for each touched destination `v` and each set in
+//!    `postings(v)` the predicate re-evaluates `v`'s expansion under the old
+//!    and the new graph with the very functions the sampler calls
+//!    ([`SetKey::ic_edge_is_live`], [`lt_pick`]) and keeps the set unless
+//!    the difference can change membership:
+//!    * IC — kept iff no live in-edge of `v` was lost and every gained live
+//!      source is already a member;
+//!    * LT — kept iff the in-neighbour `v` keeps is unchanged.
+//!
+//!    One rule for every weight model: degree-normalized repairs are just
+//!    more changed weights at the same destination.
 //! 2. **Resample.** Only the invalidated set indices are regenerated, each
-//!    from its original RNG stream `(rng_seed, set_index)` on the mutated
-//!    graph — exactly what a from-scratch rebuild would produce at the same
-//!    index. `GraphDelta::apply` preserves in-neighbor scan order for
-//!    untouched destinations, so every *kept* set is also byte-identical to
-//!    its from-scratch counterpart. This pair of facts is the correctness
-//!    anchor the differential test suite pins down.
+//!    from its own key `(rng_seed, set_index)` on the mutated graph —
+//!    exactly what a from-scratch rebuild produces at the same index. A kept
+//!    set has the same expansions at all of its members on both graphs, so
+//!    it too equals its from-scratch counterpart. This pair of facts is the
+//!    correctness anchor the differential test suite pins down; it depends
+//!    on no storage order of the graph.
 //! 3. **Patch.** The inverted postings and occurrence counts are patched in
 //!    place (one merge pass over the postings arrays — no set iteration, no
-//!    bitmap scans), the per-set provenance records are swapped, and the
-//!    delta is appended to the log.
+//!    bitmap scans) and the delta is appended to the log.
 //!
 //! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
 //! also resets the shared greedy prefix and drops the response cache so no
@@ -34,10 +42,11 @@
 use crate::index::{IndexError, SetId, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
-    generate_indexed_rrr_set, generate_rrr_sets_traced, SamplingConfig, VisitMarker,
+    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, set_provenance, SamplingConfig, SetKey,
+    VisitMarker,
 };
 use imm_diffusion::DiffusionModel;
-use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta, WeightModel};
+use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, NodeId, RrrCollection, RrrSet, SetProvenance};
 use parking_lot::Mutex;
 
@@ -47,7 +56,7 @@ use parking_lot::Mutex;
 pub struct SampleSpec {
     /// Diffusion model the sets were sampled under.
     pub model: DiffusionModel,
-    /// Base RNG seed; set `i` derives its stream from `(rng_seed, i)`.
+    /// Base RNG seed; set `i` derives its coins from `(rng_seed, i)`.
     pub rng_seed: u64,
     /// Representation policy applied to each regenerated set.
     pub policy: AdaptivePolicy,
@@ -119,8 +128,9 @@ impl RefreshStats {
 /// Errors produced by [`SketchIndex::apply_delta`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynamicError {
-    /// The index carries no provenance (built by a static constructor or
-    /// loaded from a v1 snapshot) and cannot be refreshed incrementally.
+    /// The index carries no provenance (built by a static constructor, or
+    /// loaded from a snapshot whose sets predate the keyed-coin sampler) and
+    /// cannot be refreshed incrementally.
     NotDynamic,
     /// The provided graph is not the revision the index was built on.
     GraphMismatch {
@@ -137,7 +147,11 @@ impl std::fmt::Display for DynamicError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DynamicError::NotDynamic => {
-                write!(f, "index has no sampling provenance; rebuild it with a dynamic constructor")
+                write!(
+                    f,
+                    "index carries no refreshable sampling provenance (a static snapshot, or \
+                     one sampled before the keyed-coin sampler); rebuild it with build-index"
+                )
             }
             DynamicError::GraphMismatch { expected, found } => write!(
                 f,
@@ -164,37 +178,89 @@ impl From<DeltaError> for DynamicError {
     }
 }
 
+/// The in-edges of `v` as `(source, weight)`, sorted by source, parallel
+/// copies folded to their largest weight (copies share a coin, so only the
+/// largest can decide liveness).
+fn folded_in_edges(graph: &CsrGraph, weights: &EdgeWeights, v: NodeId) -> Vec<(NodeId, f32)> {
+    let mut edges: Vec<(NodeId, f32)> =
+        graph.in_neighbors_with_edge_ids(v).map(|(u, eid)| (u, weights.weight(eid))).collect();
+    edges.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
+    edges.dedup_by_key(|edge| edge.0);
+    edges
+}
+
+/// The sources whose edge into `v` changed weight between the two
+/// revisions, as `(source, old weight, new weight)`; an absent edge has
+/// weight 0 (its coin is never below it).
+fn changed_in_edges(
+    old: (&CsrGraph, &EdgeWeights),
+    new: (&CsrGraph, &EdgeWeights),
+    v: NodeId,
+) -> Vec<(NodeId, f32, f32)> {
+    let before = folded_in_edges(old.0, old.1, v);
+    let after = folded_in_edges(new.0, new.1, v);
+    let weight_in = |edges: &[(NodeId, f32)], u: NodeId| {
+        edges.binary_search_by_key(&u, |edge| edge.0).map_or(0.0, |at| edges[at].1)
+    };
+    let mut sources: Vec<NodeId> = before.iter().chain(&after).map(|edge| edge.0).collect();
+    sources.sort_unstable();
+    sources.dedup();
+    sources
+        .into_iter()
+        .map(|u| (u, weight_in(&before, u), weight_in(&after, u)))
+        .filter(|&(_, was, is)| was != is)
+        .collect()
+}
+
 /// Which sets does `delta` invalidate? — THE shared predicate of every
 /// refresh path (single-index and shard-routed alike), so the two can never
-/// drift: sets containing a touched edge's destination (exact superset of
-/// the affected sets), footprint-pruned for per-edge-frozen weight models
-/// (see the module docs for why degree-normalized models must not prune).
+/// drift. `old` is the revision the sets were sampled on, `new` the result
+/// of `delta.apply`; see the module docs for the rule and why it is exact
+/// enough for rebuild equivalence.
 ///
 /// `postings_of(v, sink)` must call `sink(set_id)` for every set containing
 /// `v` — the single index walks its global postings, a sharded index walks
 /// each shard's local postings rebased by its range start.
 pub fn invalidated_sets(
     delta: &GraphDelta,
-    weights: &EdgeWeights,
-    provenance: &SketchProvenance,
-    num_sets: usize,
+    old: (&CsrGraph, &EdgeWeights),
+    new: (&CsrGraph, &EdgeWeights),
+    spec: SampleSpec,
+    sets: &RrrCollection,
     mut postings_of: impl FnMut(NodeId, &mut dyn FnMut(usize)),
 ) -> Vec<usize> {
     crate::metrics::register();
-    let per_edge_frozen = matches!(weights.model(), WeightModel::Constant | WeightModel::IcUniform);
-    let mut invalid = vec![false; num_sets];
-    for &(_, dst, _) in delta.insertions() {
-        postings_of(dst, &mut |sid| invalid[sid] = true);
-    }
-    let mut footprint_skips = 0u64;
-    let prunable =
-        delta.deletions().iter().copied().chain(delta.reweights().iter().map(|&(s, d, _)| (s, d)));
-    for (src, dst) in prunable {
-        postings_of(dst, &mut |sid| {
-            if !per_edge_frozen || provenance.sets[sid].footprint.may_contain(src, dst) {
-                invalid[sid] = true;
+    let mut invalid = vec![false; sets.len()];
+    let mut coin_skips = 0u64;
+    for v in delta.touched_destinations() {
+        let changed = match spec.model {
+            DiffusionModel::IndependentCascade => changed_in_edges(old, new, v),
+            DiffusionModel::LinearThreshold => Vec::new(),
+        };
+        postings_of(v, &mut |sid| {
+            if invalid[sid] {
+                return;
+            }
+            let key = SetKey::new(spec.rng_seed, sid);
+            let keep = match spec.model {
+                DiffusionModel::IndependentCascade => {
+                    let members = sets.get(sid);
+                    changed.iter().all(|&(u, was, is)| {
+                        match (key.ic_edge_is_live(u, v, was), key.ic_edge_is_live(u, v, is)) {
+                            (true, false) => false,
+                            (false, true) => members.contains(u),
+                            _ => true,
+                        }
+                    })
+                }
+                DiffusionModel::LinearThreshold => {
+                    lt_pick(old.0, old.1, key, v) == lt_pick(new.0, new.1, key, v)
+                }
+            };
+            if keep {
+                coin_skips += 1;
             } else {
-                footprint_skips += 1;
+                invalid[sid] = true;
             }
         });
     }
@@ -202,57 +268,58 @@ pub fn invalidated_sets(
         invalid.iter().enumerate().filter(|&(_, &flag)| flag).map(|(i, _)| i).collect();
     // Refresh metrics are recorded in the shared predicate so the
     // single-index and shard-routed paths can never diverge in coverage.
-    let edges = delta.insertions().len() + delta.deletions().len() + delta.reweights().len();
-    crate::metrics::DELTA_EDGES_APPLIED.add(edges as u64);
+    crate::metrics::DELTA_EDGES_APPLIED.add(delta.len() as u64);
     crate::metrics::DELTA_SETS_INVALIDATED.add(ids.len() as u64);
-    crate::metrics::DELTA_FOOTPRINT_SKIPS.add(footprint_skips);
+    crate::metrics::DELTA_COIN_SKIPS.add(coin_skips);
     ids
 }
 
-/// Resample the sets at `ids` from their original RNG streams
-/// `(spec.rng_seed, id)` on the mutated graph — exactly what a from-scratch
-/// rebuild would produce at those indices. Chunked across worker threads;
-/// the output is deterministic (sorted by id, every id owns its stream).
-/// Shared by `SketchIndex::apply_delta` and the shard-routed refresh.
+/// Ids per spawned task of a parallel resample; fewer ids than this run
+/// inline, which is the common case now that the predicate is tight.
+const RESAMPLE_CHUNK: usize = 64;
+
+/// Resample the sets at `ids` from their own keys `(spec.rng_seed, id)` on
+/// the mutated graph — exactly what a from-scratch rebuild would produce at
+/// those indices. The output is deterministic and sorted by id (`ids` must
+/// be). Shared by `SketchIndex::apply_delta` and the shard-routed refresh.
 pub fn resample_sets(
     spec: SampleSpec,
     ids: &[usize],
     new_graph: &CsrGraph,
     new_weights: &EdgeWeights,
-    num_nodes: usize,
-) -> Vec<(usize, RrrSet, SetProvenance)> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
+) -> Vec<(usize, RrrSet)> {
     crate::metrics::DELTA_SETS_RESAMPLED.add(ids.len() as u64);
-    let collected: Mutex<Vec<(usize, RrrSet, SetProvenance)>> =
-        Mutex::new(Vec::with_capacity(ids.len()));
-    let workers = rayon::current_num_threads().min(ids.len());
-    let chunk_size = ids.len().div_ceil(workers);
+    let num_nodes = new_graph.num_nodes();
+    let resample_chunk = |chunk: &[usize]| -> Vec<(usize, RrrSet)> {
+        let mut marker = VisitMarker::new(num_nodes);
+        chunk
+            .iter()
+            .map(|&sid| {
+                let vertices = generate_indexed_rrr_set(
+                    new_graph,
+                    new_weights,
+                    spec.model,
+                    spec.rng_seed,
+                    sid,
+                    &mut marker,
+                );
+                (sid, RrrSet::from_vertices(vertices, num_nodes, &spec.policy))
+            })
+            .collect()
+    };
+    let tasks = rayon::current_num_threads().min(ids.len() / RESAMPLE_CHUNK);
+    if tasks <= 1 {
+        return if ids.is_empty() { Vec::new() } else { resample_chunk(ids) };
+    }
+    let collected: Mutex<Vec<(usize, RrrSet)>> = Mutex::new(Vec::with_capacity(ids.len()));
     rayon::scope(|scope| {
-        for chunk in ids.chunks(chunk_size) {
-            let collected = &collected;
-            scope.spawn(move |_| {
-                let mut marker = VisitMarker::new(num_nodes);
-                let mut local = Vec::with_capacity(chunk.len());
-                for &sid in chunk {
-                    let (vertices, record) = generate_indexed_rrr_set(
-                        new_graph,
-                        new_weights,
-                        spec.model,
-                        spec.rng_seed,
-                        sid,
-                        &mut marker,
-                    );
-                    let set = RrrSet::from_vertices(vertices, num_nodes, &spec.policy);
-                    local.push((sid, set, record));
-                }
-                collected.lock().append(&mut local);
-            });
+        for chunk in ids.chunks(ids.len().div_ceil(tasks)) {
+            let (collected, resample_chunk) = (&collected, &resample_chunk);
+            scope.spawn(move |_| collected.lock().append(&mut resample_chunk(chunk)));
         }
     });
     let mut changed = collected.into_inner();
-    changed.sort_unstable_by_key(|(sid, _, _)| *sid);
+    changed.sort_unstable_by_key(|(sid, _)| *sid);
     changed
 }
 
@@ -260,10 +327,10 @@ impl SketchIndex {
     /// Sample `theta` RRR sets over `graph` + `weights` and freeze them into
     /// a dynamic (provenance-carrying) index.
     ///
-    /// Set `i` always comes from RNG stream `(spec.rng_seed, i)`, so two
-    /// calls with the same inputs build byte-identical indexes regardless of
-    /// `threads` — and [`apply_delta`](SketchIndex::apply_delta) can later
-    /// regenerate any individual set.
+    /// Set `i` always comes from key `(spec.rng_seed, i)`, so two calls with
+    /// the same inputs build byte-identical indexes regardless of `threads`
+    /// — and [`apply_delta`](SketchIndex::apply_delta) can later regenerate
+    /// any individual set.
     pub fn sample(
         graph: &CsrGraph,
         weights: &EdgeWeights,
@@ -277,7 +344,7 @@ impl SketchIndex {
             .num_threads(threads)
             .build()
             .expect("failed to build sampling thread pool");
-        let out = generate_rrr_sets_traced(
+        let out = generate_rrr_sets(
             graph,
             weights,
             theta,
@@ -292,13 +359,14 @@ impl SketchIndex {
             },
             &pool,
         );
-        let records = out.provenance.expect("traced sampling records provenance");
+        let records = set_provenance(spec.rng_seed, 0..theta, graph.num_nodes());
         Self::build_with_provenance(graph, out.sets, records, spec, label)
     }
 
     /// Freeze an externally sampled collection + provenance (e.g. from
     /// `run_imm` with `retain_rrr_sets` and `trace_provenance`) into a
-    /// dynamic index.
+    /// dynamic index. The collection must be the sample of `spec` over
+    /// `graph`: the refresh re-evaluates that sample's coins.
     pub fn build_with_provenance(
         graph: &CsrGraph,
         collection: RrrCollection,
@@ -355,19 +423,19 @@ impl SketchIndex {
         }
         let (new_graph, new_weights) = delta.apply(graph, weights)?;
 
-        let invalid_ids =
-            invalidated_sets(delta, weights, provenance, self.num_sets(), |v, sink| {
+        let invalid_ids = invalidated_sets(
+            delta,
+            (graph, weights),
+            (&new_graph, &new_weights),
+            provenance.spec,
+            &self.sets,
+            |v, sink| {
                 for &sid in self.postings(v) {
                     sink(sid as usize);
                 }
-            });
-        let changed = resample_sets(
-            provenance.spec,
-            &invalid_ids,
-            &new_graph,
-            &new_weights,
-            self.num_nodes(),
+            },
         );
+        let changed = resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights);
 
         let stats = RefreshStats {
             total_sets: self.num_sets(),
@@ -389,62 +457,66 @@ impl SketchIndex {
         Ok((new_graph, new_weights, stats))
     }
 
-    /// Swap the changed sets in and patch the inverted postings in place.
+    /// Swap the changed sets in and patch the inverted postings.
     ///
-    /// `changed` must be sorted by set id. The merge keeps every posting
-    /// list sorted, so the patched structure is indistinguishable from a
-    /// fresh [`SketchIndex::from_collection`] pass over the updated sets.
-    fn patch(&mut self, changed: Vec<(usize, RrrSet, SetProvenance)>) {
+    /// `changed` must be sorted by set id. Only the memberships that differ
+    /// between a changed set and the one it replaces are edited — a
+    /// resampled set of the dense regime gains or loses a handful of its
+    /// thousands of members — and everything between two edits is copied in
+    /// bulk. Every posting list stays sorted, so the patched structure is
+    /// indistinguishable from a fresh [`SketchIndex::from_collection`] pass
+    /// over the updated sets.
+    fn patch(&mut self, changed: Vec<(usize, RrrSet)>) {
         if changed.is_empty() {
             return;
         }
-        let n = self.num_nodes();
-        let mut removed = vec![0usize; n];
-        let mut added = vec![0usize; n];
-        let mut is_changed = vec![false; self.num_sets()];
-        let mut fresh: Vec<Vec<SetId>> = vec![Vec::new(); n];
-        for (sid, new_set, _) in &changed {
-            is_changed[*sid] = true;
-            self.sets.get(*sid).for_each(|v| removed[v as usize] += 1);
-            for v in new_set.iter() {
-                added[v as usize] += 1;
-                fresh[v as usize].push(*sid as SetId);
-            }
+        // (vertex, set, joins): sorted, so each vertex's edits are one run
+        // in ascending set order.
+        let mut edits: Vec<(NodeId, SetId, bool)> = Vec::new();
+        for (sid, new_set) in &changed {
+            let old_set = self.sets.get(*sid);
+            old_set.for_each(|v| {
+                if !new_set.contains(v) {
+                    edits.push((v, *sid as SetId, false));
+                }
+            });
+            edits.extend(
+                new_set.iter().filter(|&v| !old_set.contains(v)).map(|v| (v, *sid as SetId, true)),
+            );
         }
+        edits.sort_unstable();
 
+        let n = self.num_nodes();
         let mut new_offsets = Vec::with_capacity(n + 1);
+        let mut new_postings: Vec<SetId> =
+            Vec::with_capacity(self.postings.num_postings() + edits.len());
+        let mut pending = edits.as_slice();
         new_offsets.push(0usize);
-        for v in 0..n {
-            let old_deg = self.degree(v as NodeId) as usize;
-            new_offsets.push(new_offsets[v] + old_deg - removed[v] + added[v]);
-        }
-        let mut new_postings: Vec<SetId> = Vec::with_capacity(new_offsets[n]);
-        for (v, additions) in fresh.iter().enumerate() {
-            let old = self.postings(v as NodeId);
-            let mut next = 0usize;
-            for &sid in old {
-                if is_changed[sid as usize] {
-                    continue;
+        for v in 0..n as NodeId {
+            let mut rest = self.postings(v);
+            while let Some((&(_, sid, joins), later)) =
+                pending.split_first().filter(|(edit, _)| edit.0 == v)
+            {
+                let (before, from) = rest.split_at(rest.partition_point(|&s| s < sid));
+                new_postings.extend_from_slice(before);
+                if joins {
+                    new_postings.push(sid);
                 }
-                while next < additions.len() && additions[next] < sid {
-                    new_postings.push(additions[next]);
-                    next += 1;
-                }
-                new_postings.push(sid);
+                rest = &from[usize::from(!joins)..];
+                pending = later;
             }
-            new_postings.extend_from_slice(&additions[next..]);
+            new_postings.extend_from_slice(rest);
+            new_offsets.push(new_postings.len());
         }
-        debug_assert_eq!(new_postings.len(), new_offsets[n]);
         // Wholesale replacement: a mapped (shared) postings backing is
         // dropped here and the patched index owns its postings from now on.
         self.postings =
             crate::index::PostingsStore::Owned { offsets: new_offsets, postings: new_postings };
 
-        let provenance =
-            self.provenance.as_mut().expect("patch is only reached on dynamic indexes");
-        for (sid, new_set, record) in changed {
+        // A set's root is a function of its key alone, so the provenance
+        // records stand as they are.
+        for (sid, new_set) in changed {
             self.sets.replace(sid, new_set);
-            provenance.sets[sid] = record;
         }
     }
 }

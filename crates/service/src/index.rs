@@ -78,7 +78,7 @@ impl PostingsStore {
         }
     }
 
-    fn num_postings(&self) -> usize {
+    pub(crate) fn num_postings(&self) -> usize {
         match self {
             PostingsStore::Owned { postings, .. } => postings.len(),
             PostingsStore::Shared(s) => s.set_ids().len(),

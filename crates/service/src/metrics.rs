@@ -16,8 +16,8 @@
 //!   end-to-end latency alone. Plus the eligible-set count of each
 //!   audience Top-K session, the quantity its work is proportional to.
 //! * **Dynamic refresh** — delta edges applied, sets invalidated vs
-//!   actually resampled, and postings candidates skipped by the edge
-//!   footprint filter (the pruning that keeps refresh sublinear).
+//!   actually resampled, and postings candidates kept by the coin
+//!   predicate (the pruning that keeps refresh sublinear).
 //!
 //! All hot-path updates are relaxed atomic adds; CELF totals are
 //! accumulated per round, not per pop.
@@ -105,10 +105,10 @@ pub static DELTA_SETS_RESAMPLED: Counter = Counter::new(
     "Sketch sets regenerated from their original seeds after invalidation",
 );
 
-/// Posting-list candidates dismissed by the per-set edge footprint.
-pub static DELTA_FOOTPRINT_SKIPS: Counter = Counter::new(
-    "service_delta_footprint_skips",
-    "Invalidation candidates dismissed by the per-set edge footprint filter",
+/// Posting-list candidates the coin predicate kept.
+pub static DELTA_COIN_SKIPS: Counter = Counter::new(
+    "service_delta_coin_skips",
+    "Sets containing a touched destination that the coin predicate kept without resampling",
 );
 
 /// Query arrival rate across both engines (hits and misses).
@@ -142,7 +142,7 @@ pub fn register() {
             &DELTA_EDGES_APPLIED as &'static dyn Metric,
             &DELTA_SETS_INVALIDATED as &'static dyn Metric,
             &DELTA_SETS_RESAMPLED as &'static dyn Metric,
-            &DELTA_FOOTPRINT_SKIPS as &'static dyn Metric,
+            &DELTA_COIN_SKIPS as &'static dyn Metric,
             &QUERY_RATE as &'static dyn Metric,
             &SNAPSHOT_RECOVERIES as &'static dyn Metric,
         ]);
@@ -162,7 +162,7 @@ mod tests {
             "service_cache_hits",
             "service_celf_revalidations",
             "service_masked_session_sets",
-            "service_delta_footprint_skips",
+            "service_delta_coin_skips",
             "service_queries",
             "snapshot_recoveries",
         ] {

@@ -18,12 +18,21 @@
 //! ```
 //!
 //! Version 2 appends the **provenance section** after the collection — a
-//! presence flag, the sampling spec (diffusion model, base RNG seed,
-//! representation policy), one `(root, edge footprint)` record per set, and
-//! the **delta log** of every [`imm_graph::GraphDelta`] applied since the
-//! initial sample. A v2 snapshot of a dynamic index therefore stays
-//! refreshable after a round trip, and the delta log lets `update-index`
-//! reconstruct the current graph revision from the original source.
+//! presence flag, the sampling spec (model tag, base RNG seed,
+//! representation policy), one record per set, and the **delta log** of
+//! every [`imm_graph::GraphDelta`] applied since the initial sample. A
+//! snapshot of a dynamic index therefore stays refreshable after a round
+//! trip, and the delta log lets `update-index` reconstruct the current graph
+//! revision from the original source.
+//!
+//! The model tag also names the sampler, and with it the record size. The
+//! keyed tags (2 = IC, 3 = LT; what this build writes) mark sets drawn from
+//! per-set keyed coins and carry a 4-byte record, the set's root. The legacy
+//! tags (0 = IC, 1 = LT) mark sets drawn from the earlier sequential-stream
+//! sampler, whose 36-byte records held the root and a 32-byte probed-edge
+//! signature: they still decode and verify, but the section is then dropped
+//! and the index loads **static** — the refresh re-evaluates keyed coins,
+//! which would be wrong for those sets.
 //!
 //! Version 3 changes only the collection encoding: instead of the v1/v2
 //! per-set stream (one tag byte + framed payload per set), the collection is
@@ -72,7 +81,7 @@ use crate::index::{IndexError, IndexMeta, SketchIndex};
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
 use imm_rrr::codec::{ByteReader, CodecError};
-use imm_rrr::{AdaptivePolicy, EdgeFootprint, RrrCollection, SetProvenance, FOOTPRINT_WORDS};
+use imm_rrr::{AdaptivePolicy, RrrCollection, SetProvenance};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -189,8 +198,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-const MODEL_IC: u8 = 0;
-const MODEL_LT: u8 = 1;
+const MODEL_IC_LEGACY: u8 = 0;
+const MODEL_LT_LEGACY: u8 = 1;
+const MODEL_IC_KEYED: u8 = 2;
+const MODEL_LT_KEYED: u8 = 3;
+/// Bytes a legacy per-set record carries after its root.
+const LEGACY_RECORD_TAIL_BYTES: usize = 32;
 
 fn encode_delta(delta: &GraphDelta, out: &mut Vec<u8>) {
     out.extend_from_slice(&(delta.insertions().len() as u64).to_le_bytes());
@@ -240,8 +253,8 @@ fn decode_delta(reader: &mut ByteReader<'_>) -> Result<GraphDelta, SnapshotError
 fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
     let spec = &provenance.spec;
     out.push(match spec.model {
-        DiffusionModel::IndependentCascade => MODEL_IC,
-        DiffusionModel::LinearThreshold => MODEL_LT,
+        DiffusionModel::IndependentCascade => MODEL_IC_KEYED,
+        DiffusionModel::LinearThreshold => MODEL_LT_KEYED,
     });
     out.extend_from_slice(&spec.rng_seed.to_le_bytes());
     out.extend_from_slice(&spec.policy.density_threshold.to_bits().to_le_bytes());
@@ -249,9 +262,6 @@ fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
     out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
     for record in &provenance.sets {
         out.extend_from_slice(&record.root.to_le_bytes());
-        for word in record.footprint.words() {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
     }
     out.extend_from_slice(&(provenance.delta_log.len() as u64).to_le_bytes());
     for entry in &provenance.delta_log {
@@ -260,14 +270,19 @@ fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
     }
 }
 
+/// Decode (and fully validate) a provenance section. `None` means the
+/// section described sets of the legacy stream sampler: it is well-formed
+/// but not refreshable, so the index loads static.
 fn decode_provenance(
     reader: &mut ByteReader<'_>,
     num_sets: usize,
     num_nodes: usize,
-) -> Result<SketchProvenance, SnapshotError> {
-    let model = match reader.read_u8()? {
-        MODEL_IC => DiffusionModel::IndependentCascade,
-        MODEL_LT => DiffusionModel::LinearThreshold,
+) -> Result<Option<SketchProvenance>, SnapshotError> {
+    let (model, keyed) = match reader.read_u8()? {
+        MODEL_IC_KEYED => (DiffusionModel::IndependentCascade, true),
+        MODEL_LT_KEYED => (DiffusionModel::LinearThreshold, true),
+        MODEL_IC_LEGACY => (DiffusionModel::IndependentCascade, false),
+        MODEL_LT_LEGACY => (DiffusionModel::LinearThreshold, false),
         _ => return Err(SnapshotError::Corrupt(CodecError::InvalidValue("unknown model tag"))),
     };
     let rng_seed = reader.read_u64()?;
@@ -282,8 +297,8 @@ fn decode_provenance(
     let spec = SampleSpec::new(model, rng_seed)
         .with_policy(AdaptivePolicy { density_threshold, min_bitmap_size });
 
-    let record_bytes = 4 + FOOTPRINT_WORDS * 8;
-    let count = reader.read_len(record_bytes)?;
+    let record_tail = if keyed { 0 } else { LEGACY_RECORD_TAIL_BYTES };
+    let count = reader.read_len(4 + record_tail)?;
     if count != num_sets {
         return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
             "provenance record count disagrees with the collection",
@@ -297,11 +312,8 @@ fn decode_provenance(
                 "provenance root outside the vertex space",
             )));
         }
-        let mut words = [0u64; FOOTPRINT_WORDS];
-        for word in &mut words {
-            *word = reader.read_u64()?;
-        }
-        sets.push(SetProvenance { root, footprint: EdgeFootprint::from_words(words) });
+        reader.read_bytes(record_tail)?;
+        sets.push(SetProvenance { root });
     }
 
     // Each log entry needs at least its resampled count + three lengths.
@@ -312,7 +324,7 @@ fn decode_provenance(
         let delta = decode_delta(reader)?;
         delta_log.push(DeltaLogEntry { delta, resampled_sets });
     }
-    Ok(SketchProvenance { spec, sets, delta_log })
+    Ok(keyed.then_some(SketchProvenance { spec, sets, delta_log }))
 }
 
 /// Representation-flag value for a sorted-list set in a v4 head (matching
@@ -486,7 +498,7 @@ fn decode_v4_head(payload: &[u8]) -> Result<V4Head, SnapshotError> {
     let flags = reader.read_bytes(sections.num_sets)?.to_vec();
     let provenance = match reader.read_u8()? {
         0 => None,
-        1 => Some(decode_provenance(&mut reader, sections.num_sets, sections.num_nodes)?),
+        1 => decode_provenance(&mut reader, sections.num_sets, sections.num_nodes)?,
         _ => {
             return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                 "provenance flag is not 0 or 1",
@@ -732,7 +744,7 @@ fn decode_payload(
     let provenance = if version >= SNAPSHOT_VERSION_V2 {
         match reader.read_u8()? {
             0 => None,
-            1 => Some(decode_provenance(&mut reader, collection.len(), collection.num_nodes())?),
+            1 => decode_provenance(&mut reader, collection.len(), collection.num_nodes())?,
             _ => {
                 return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                     "provenance flag is not 0 or 1",

@@ -4,10 +4,11 @@
 //! postings, same Top-K seeds, same spread estimates — to a from-scratch
 //! `SketchIndex::sample` over the mutated graph with the same RNG seed and θ.
 //!
-//! The properties drive random delta sequences against random graphs under
-//! all three weight regimes (per-edge-frozen constant weights, the
-//! degree-normalized weighted cascade, and LT-normalized weights) and both
-//! diffusion models. `PROPTEST_CASES` bounds the budget in CI.
+//! The properties drive random delta sequences (multigraph inserts included)
+//! against random graphs under all three weight regimes (per-edge-frozen
+//! constant weights, the degree-normalized weighted cascade, and
+//! LT-normalized weights) and both diffusion models. `PROPTEST_CASES` bounds
+//! the budget in CI.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta, NodeId};
@@ -160,8 +161,8 @@ proptest! {
         batch_seeds in proptest::collection::vec(0u64..1_000_000, 1..3),
     ) {
         // Degree-normalized weights: a deletion/insertion also reweights the
-        // destination's other in-edges, so the footprint pruning must stand
-        // down and the destination-membership predicate carry the proof.
+        // destination's other in-edges, so the coin predicate has to compare
+        // every in-edge of the destination, not only the one the delta names.
         let graph = base_graph(graph_seed, 50);
         let weights = EdgeWeights::ic_weighted_cascade(&graph);
         assert_differential(
@@ -234,6 +235,41 @@ fn cached_top_k_is_invalidated_by_apply_delta() {
     // And the post-delta answer equals a fresh engine over a fresh rebuild.
     let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, 128, 2, "staleness").unwrap();
     assert_eq!(after, QueryEngine::new(Arc::new(rebuilt)).execute(&query));
+}
+
+/// The dense regime, where every set holds almost every vertex and "the set
+/// contains the touched destination" would invalidate all of them: twenty
+/// inserted edges of weight 0.05 change a set only when the coin of an edge
+/// from a non-member falls below 0.05, so the refresh must resample a few
+/// sets, not θ — and still equal the rebuild.
+#[test]
+fn dense_regime_inserts_resample_a_few_sets_and_equal_the_rebuild() {
+    let n = 400usize;
+    let theta = 300usize;
+    let mut rng = SmallRng::seed_from_u64(41);
+    let graph = CsrGraph::from_edge_list(&generators::social_network(n, 10, 0.3, &mut rng));
+    let weights = EdgeWeights::ic_uniform(&graph, &mut rng);
+    let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 13);
+    let mut index = SketchIndex::sample(&graph, &weights, spec, theta, 2, "dense").unwrap();
+    let mean_len = index.sets().iter().map(|set| set.len()).sum::<usize>() / theta;
+    assert!(mean_len > n / 2, "the fixture must be dense (mean set length {mean_len} of {n})");
+
+    let mut delta = GraphDelta::new();
+    for _ in 0..20 {
+        delta = delta.insert(rng.gen_range(0..n as u32), rng.gen_range(0..n as u32), 0.05);
+    }
+    let (graph2, weights2, stats) = index.apply_delta(&graph, &weights, &delta).unwrap();
+    assert!(
+        stats.resampled_sets * 20 <= theta,
+        "20 light inserts resampled {} of {theta} sets (must stay within 5%)",
+        stats.resampled_sets
+    );
+
+    let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, theta, 2, "dense").unwrap();
+    assert_eq!(index.sets(), rebuilt.sets(), "refresh must equal the full rebuild");
+    for v in 0..n as NodeId {
+        assert_eq!(index.postings(v), rebuilt.postings(v), "postings of vertex {v}");
+    }
 }
 
 /// The ISSUE acceptance bound: on a 10k-vertex graph with 1% edge churn, the

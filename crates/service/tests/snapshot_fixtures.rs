@@ -7,32 +7,43 @@
 //!
 //! * **Decode**: each fixture file must load into exactly the hand-stated
 //!   index (sets, representations, metadata, provenance, delta log).
-//! * **Encode stability**: the fixture bytes are rebuilt in-process (the v4
-//!   file through the current writer, v1/v2/v3 through the documented legacy
-//!   layouts) and must equal the checked-in files byte for byte, so an
-//!   accidental format change cannot land silently.
+//! * **Encode stability**: the fixture bytes are rebuilt in-process (the
+//!   keyed v4 file through the current writer, v1/v2/v3 through the
+//!   documented legacy layouts) and must equal the checked-in files byte for
+//!   byte, so an accidental format change cannot land silently.
 //!
-//! The v4 fixture additionally gates the mmap contract: every section offset
+//! `golden_v2`, `golden_v3` and `golden_v4` carry the **legacy** provenance
+//! records (root + 32-byte probed-edge signature, model tags 0/1) of the
+//! sequential-stream sampler: they must keep decoding, and must load
+//! *static*. `golden_v4.sketch` is decode-only — no writer in this build
+//! emits legacy records into a v4 container, so it cannot be regenerated.
+//! `golden_v4_keyed.sketch` is what the current writer emits (model tags
+//! 2/3, 4-byte root records) and loads dynamic.
+//!
+//! The v4 fixtures additionally gate the mmap contract: every section offset
 //! reported by the directory must be page-aligned, and
 //! [`imm_service::parse_v4_head`] must describe the file without touching a
 //! data page.
 //!
 //! Regenerating after an *intentional* format change:
 //! `REGEN_SNAPSHOT_FIXTURES=1 cargo test -p imm-service --test
-//! snapshot_fixtures` rewrites the files; commit the diff alongside the
-//! format bump.
+//! snapshot_fixtures` rewrites the regenerable files; commit the diff
+//! alongside the format bump.
 
 use imm_diffusion::DiffusionModel;
-use imm_graph::GraphDelta;
-use imm_rrr::{BitSet, EdgeFootprint, Representation, RrrCollection, RrrSet, SetProvenance};
+use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
+use imm_rrr::{BitSet, Representation, RrrCollection, RrrSet, SetProvenance};
 use imm_service::{
-    parse_v4_head, save_parts, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance,
-    SNAPSHOT_PAGE_BYTES,
+    parse_v4_head, save_parts, DeltaLogEntry, DynamicError, IndexMeta, SampleSpec, SketchIndex,
+    SketchProvenance, SNAPSHOT_PAGE_BYTES,
 };
 use std::path::PathBuf;
 
 const NUM_NODES: usize = 16;
 const NUM_EDGES: usize = 42;
+
+/// The fixtures that can be rebuilt in-process, by file stem.
+const REGENERABLE: [&str; 4] = ["v1", "v2", "v3", "v4_keyed"];
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -49,19 +60,16 @@ fn fixture_collection() -> RrrCollection {
     c
 }
 
-/// The fixture provenance (v2/v3): IC spec, one record per set, one logged
-/// delta touching all three mutation kinds.
+/// The probed-edge signature words the legacy fixtures carry after each
+/// root — decoded, checked for length, and dropped.
+const LEGACY_SIGNATURES: [[u64; 4]; 4] =
+    [[1, 2, 3, 4], [0, 0, 0, 0], [5, 6, 7, 8], [u64::MAX, 0, 0, u64::MAX]];
+
+/// The fixture provenance: IC spec, one root per set, one logged delta
+/// touching all three mutation kinds.
 fn fixture_provenance() -> SketchProvenance {
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
-    let sets = vec![
-        SetProvenance { root: 1, footprint: EdgeFootprint::from_words([1, 2, 3, 4]) },
-        SetProvenance { root: 2, footprint: EdgeFootprint::from_words([0, 0, 0, 0]) },
-        SetProvenance { root: 0, footprint: EdgeFootprint::from_words([5, 6, 7, 8]) },
-        SetProvenance {
-            root: 15,
-            footprint: EdgeFootprint::from_words([u64::MAX, 0, 0, u64::MAX]),
-        },
-    ];
+    let sets = [1, 2, 0, 15].map(|root| SetProvenance { root }).to_vec();
     let delta = GraphDelta::new().insert(0, 1, 0.5).delete(2, 3).reweight(4, 5, 0.25);
     SketchProvenance { spec, sets, delta_log: vec![DeltaLogEntry { delta, resampled_sets: 2 }] }
 }
@@ -99,19 +107,23 @@ fn payload_header(version: u32) -> Vec<u8> {
     payload
 }
 
-/// The v2 provenance section, hand-assembled from the documented layout:
-/// model tag, RNG seed, policy, per-set records, delta log.
-fn encode_provenance_v2(provenance: &SketchProvenance) -> Vec<u8> {
+/// The provenance section, hand-assembled from the documented layout:
+/// model tag, RNG seed, policy, per-set records, delta log. `keyed` selects
+/// the current layout (IC tag 2, 4-byte root records); otherwise the legacy
+/// one (IC tag 0, each root followed by its 32-byte signature).
+fn encode_provenance_section(provenance: &SketchProvenance, keyed: bool) -> Vec<u8> {
     let mut out = Vec::new();
-    out.push(0u8); // MODEL_IC
+    out.push(if keyed { 2u8 } else { 0u8 });
     out.extend_from_slice(&provenance.spec.rng_seed.to_le_bytes());
     out.extend_from_slice(&provenance.spec.policy.density_threshold.to_bits().to_le_bytes());
     out.extend_from_slice(&(provenance.spec.policy.min_bitmap_size as u64).to_le_bytes());
     out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
-    for record in &provenance.sets {
+    for (record, signature) in provenance.sets.iter().zip(LEGACY_SIGNATURES) {
         out.extend_from_slice(&record.root.to_le_bytes());
-        for word in record.footprint.words() {
-            out.extend_from_slice(&word.to_le_bytes());
+        if !keyed {
+            for word in signature {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
         }
     }
     out.extend_from_slice(&(provenance.delta_log.len() as u64).to_le_bytes());
@@ -139,39 +151,39 @@ fn encode_provenance_v2(provenance: &SketchProvenance) -> Vec<u8> {
     out
 }
 
-/// Rebuild each fixture's exact bytes: v1–v3 through the documented legacy
-/// layouts (v1/v2 use the per-set collection stream, v3 the whole-arena
-/// stream; v2+ append the provenance section), v4 through the current
-/// writer.
-fn build_fixture_bytes(version: u32) -> Vec<u8> {
+/// Rebuild each regenerable fixture's exact bytes: v1–v3 through the
+/// documented legacy layouts (v1/v2 use the per-set collection stream, v3
+/// the whole-arena stream; v2/v3 append the legacy provenance section), the
+/// keyed v4 file through the current writer.
+fn build_fixture_bytes(stem: &str) -> Vec<u8> {
     let collection = fixture_collection();
-    match version {
-        1 => {
+    match stem {
+        "v1" => {
             let mut payload = payload_header(1);
             collection.encode(&mut payload);
             container(1, payload)
         }
-        2 => {
+        "v2" => {
             let mut payload = payload_header(2);
             collection.encode(&mut payload);
             payload.push(1); // provenance present
-            payload.extend_from_slice(&encode_provenance_v2(&fixture_provenance()));
+            payload.extend_from_slice(&encode_provenance_section(&fixture_provenance(), false));
             container(2, payload)
         }
-        3 => {
+        "v3" => {
             let mut payload = payload_header(3);
             collection.encode_arena(&mut payload);
             payload.push(1); // provenance present
-            payload.extend_from_slice(&encode_provenance_v2(&fixture_provenance()));
+            payload.extend_from_slice(&encode_provenance_section(&fixture_provenance(), false));
             container(3, payload)
         }
-        4 => {
+        "v4_keyed" => {
             let mut bytes = Vec::new();
             save_parts(&meta(4), &collection, Some(&fixture_provenance()), &mut bytes)
                 .expect("current writer");
             bytes
         }
-        other => panic!("no fixture for version {other}"),
+        other => panic!("no regenerable fixture {other}"),
     }
 }
 
@@ -180,25 +192,25 @@ fn build_fixture_bytes(version: u32) -> Vec<u8> {
 #[test]
 fn regenerate_fixtures_on_request() {
     if std::env::var_os("REGEN_SNAPSHOT_FIXTURES").is_none() {
-        for version in [1u32, 2, 3, 4] {
-            assert!(!build_fixture_bytes(version).is_empty());
+        for stem in REGENERABLE {
+            assert!(!build_fixture_bytes(stem).is_empty());
         }
         return;
     }
     std::fs::create_dir_all(fixture_path("")).unwrap();
-    for version in [1u32, 2, 3, 4] {
-        let path = fixture_path(&format!("golden_v{version}.sketch"));
-        std::fs::write(&path, build_fixture_bytes(version)).unwrap();
+    for stem in REGENERABLE {
+        let path = fixture_path(&format!("golden_{stem}.sketch"));
+        std::fs::write(&path, build_fixture_bytes(stem)).unwrap();
         eprintln!("wrote {}", path.display());
     }
 }
 
-fn load_fixture(version: u32) -> (Vec<u8>, SketchIndex) {
-    let path = fixture_path(&format!("golden_v{version}.sketch"));
+fn load_fixture(stem: &str) -> (Vec<u8>, SketchIndex) {
+    let path = fixture_path(&format!("golden_{stem}.sketch"));
     let bytes = std::fs::read(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
     let index = SketchIndex::load(&mut bytes.as_slice())
-        .unwrap_or_else(|e| panic!("fixture v{version} does not load: {e}"));
+        .unwrap_or_else(|e| panic!("fixture {stem} does not load: {e}"));
     (bytes, index)
 }
 
@@ -221,58 +233,10 @@ fn assert_common_contents(index: &SketchIndex, version: u32) {
     assert_eq!(index.degree(3), 1);
 }
 
-#[test]
-fn v1_fixture_loads_as_a_static_index() {
-    let (_, index) = load_fixture(1);
-    assert_common_contents(&index, 1);
-    assert!(!index.is_dynamic(), "v1 has no provenance section");
-}
-
-#[test]
-fn v2_fixture_loads_with_provenance_and_delta_log() {
-    let (_, index) = load_fixture(2);
-    assert_common_contents(&index, 2);
-    let provenance = index.provenance().expect("v2 fixture is dynamic");
-    assert_eq!(provenance, &fixture_provenance());
-    assert_eq!(provenance.spec.rng_seed, 7);
-    assert_eq!(provenance.delta_log.len(), 1);
-    assert_eq!(provenance.delta_log[0].resampled_sets, 2);
-    assert_eq!(provenance.delta_log[0].delta.insertions(), &[(0, 1, 0.5)]);
-    assert_eq!(provenance.delta_log[0].delta.deletions(), &[(2, 3)]);
-    assert_eq!(provenance.delta_log[0].delta.reweights(), &[(4, 5, 0.25)]);
-}
-
-#[test]
-fn v3_fixture_loads_and_upgrades_through_the_current_writer() {
-    let (_, index) = load_fixture(3);
-    assert_common_contents(&index, 3);
-    assert_eq!(index.provenance().expect("v3 fixture is dynamic"), &fixture_provenance());
-    // Re-saving a v3 index goes through the current (v4) writer and must
-    // round-trip to an equal index.
-    let mut resaved = Vec::new();
-    index.save(&mut resaved).unwrap();
-    let reloaded = SketchIndex::load(&mut resaved.as_slice()).unwrap();
-    assert_eq!(reloaded, index, "the v3→v4 upgrade path is lossy");
-}
-
-#[test]
-fn v4_fixture_loads_and_the_current_writer_reproduces_it() {
-    let (bytes, index) = load_fixture(4);
-    assert_common_contents(&index, 4);
-    assert_eq!(index.provenance().expect("v4 fixture is dynamic"), &fixture_provenance());
-    // Writer stability: re-saving the loaded index must reproduce the
-    // checked-in file byte for byte.
-    let mut resaved = Vec::new();
-    index.save(&mut resaved).unwrap();
-    assert_eq!(resaved, bytes, "the v4 writer drifted from the checked-in fixture");
-}
-
 /// The mmap alignment gate: the v4 directory parses without touching data
 /// pages and every section it reports starts on a page boundary.
-#[test]
-fn v4_fixture_sections_are_page_aligned() {
-    let (bytes, index) = load_fixture(4);
-    let head = parse_v4_head(&bytes).expect("v4 head parses");
+fn assert_v4_head(bytes: &[u8], index: &SketchIndex) {
+    let head = parse_v4_head(bytes).expect("v4 head parses");
     let sections = head.sections;
     for (name, off) in [
         ("arena", sections.arena_off),
@@ -290,15 +254,85 @@ fn v4_fixture_sections_are_page_aligned() {
 }
 
 #[test]
+fn v1_fixture_loads_as_a_static_index() {
+    let (_, index) = load_fixture("v1");
+    assert_common_contents(&index, 1);
+    assert!(!index.is_dynamic(), "v1 has no provenance section");
+}
+
+/// The legacy provenance records decode (a truncated or misaligned section
+/// would fail the load) but their sets came from the stream sampler, so the
+/// index must come back static and say how to become refreshable again.
+#[test]
+fn legacy_record_fixtures_load_static_and_refuse_deltas() {
+    for (stem, version) in [("v2", 2), ("v3", 3), ("v4", 4)] {
+        let (_, mut index) = load_fixture(stem);
+        assert_common_contents(&index, version);
+        assert!(!index.is_dynamic(), "{stem}: legacy records must not be refreshable");
+        let graph = CsrGraph::from_edges(NUM_NODES, Vec::new()).unwrap();
+        let weights = EdgeWeights::constant(&graph, 0.5);
+        let refused = index.apply_delta(&graph, &weights, &GraphDelta::new()).unwrap_err();
+        assert_eq!(refused, DynamicError::NotDynamic);
+        assert!(refused.to_string().contains("build-index"), "{refused}");
+    }
+}
+
+#[test]
+fn v3_fixture_upgrades_through_the_current_writer() {
+    let (_, index) = load_fixture("v3");
+    // Re-saving a v3 index goes through the current (v4) writer and must
+    // round-trip to an equal index.
+    let mut resaved = Vec::new();
+    index.save(&mut resaved).unwrap();
+    let reloaded = SketchIndex::load(&mut resaved.as_slice()).unwrap();
+    assert_eq!(reloaded, index, "the v3→v4 upgrade path is lossy");
+}
+
+#[test]
+fn legacy_v4_fixture_sections_are_page_aligned() {
+    let (bytes, index) = load_fixture("v4");
+    assert_v4_head(&bytes, &index);
+}
+
+#[test]
+fn keyed_v4_fixture_loads_dynamic_and_the_current_writer_reproduces_it() {
+    let (bytes, index) = load_fixture("v4_keyed");
+    assert_common_contents(&index, 4);
+    let provenance = index.provenance().expect("the keyed fixture is dynamic");
+    assert_eq!(provenance, &fixture_provenance());
+    assert_eq!(provenance.spec.rng_seed, 7);
+    assert_eq!(provenance.delta_log.len(), 1);
+    assert_eq!(provenance.delta_log[0].resampled_sets, 2);
+    assert_eq!(provenance.delta_log[0].delta.insertions(), &[(0, 1, 0.5)]);
+    assert_eq!(provenance.delta_log[0].delta.deletions(), &[(2, 3)]);
+    assert_eq!(provenance.delta_log[0].delta.reweights(), &[(4, 5, 0.25)]);
+    assert_v4_head(&bytes, &index);
+    // Writer stability: re-saving the loaded index must reproduce the
+    // checked-in file byte for byte.
+    let mut resaved = Vec::new();
+    index.save(&mut resaved).unwrap();
+    assert_eq!(resaved, bytes, "the v4 writer drifted from the checked-in fixture");
+    // The section the writer emitted is the documented keyed layout: the
+    // hand-assembled twin sits in the head, right behind its presence flag.
+    let mut section = vec![1u8];
+    section.extend_from_slice(&encode_provenance_section(&fixture_provenance(), true));
+    let head = &bytes[..parse_v4_head(&bytes).unwrap().sections.arena_off];
+    assert!(
+        head.windows(section.len()).any(|window| window == section),
+        "the keyed provenance section is not laid out as documented"
+    );
+}
+
+#[test]
 fn fixture_bytes_match_the_documented_layouts() {
-    for version in [1u32, 2, 3, 4] {
-        let path = fixture_path(&format!("golden_v{version}.sketch"));
+    for stem in REGENERABLE {
+        let path = fixture_path(&format!("golden_{stem}.sketch"));
         let on_disk = std::fs::read(&path)
             .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
         assert_eq!(
-            build_fixture_bytes(version),
+            build_fixture_bytes(stem),
             on_disk,
-            "v{version} encoder or container layout drifted from the checked-in fixture"
+            "{stem} encoder or container layout drifted from the checked-in fixture"
         );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Incremental refresh (PR 3's `apply_delta`) routes through the shard map:
 //! invalidation walks the per-shard postings, the touched sets are resampled
-//! from their original RNG streams exactly as the single-index path does,
+//! from their own keys exactly as the single-index path does,
 //! and only the segments owning a resampled set rebuild their postings —
 //! untouched shards keep their structures byte-for-byte.
 
@@ -198,11 +198,10 @@ impl ShardedIndex {
     /// Refresh the sharded index against `delta` — the shard-routed mirror
     /// of [`SketchIndex::apply_delta`].
     ///
-    /// Invalidation walks the per-shard postings (same exact-superset
-    /// predicate, with the same footprint pruning for per-edge-frozen weight
-    /// models), the invalidated sets are resampled from their original RNG
-    /// streams `(rng_seed, set_index)` on the mutated graph, and then only
-    /// the shards owning a resampled set rebuild their postings. The
+    /// Invalidation walks the per-shard postings through the same coin
+    /// predicate, the invalidated sets are resampled from their own keys
+    /// `(rng_seed, set_index)` on the mutated graph, and then only the
+    /// shards owning a resampled set rebuild their postings. The
     /// refreshed index is byte-identical to a from-scratch
     /// `SketchIndex::sample` + `ShardedIndex::from_index` over the mutated
     /// pair — the shard parity suite pins this against the single-index
@@ -225,12 +224,13 @@ impl ShardedIndex {
         // Invalidate through the shard map — same shared predicate as the
         // single-index path, with each shard's postings answering "which of
         // *your* sets contain the touched destination" — then resample the
-        // invalidated sets from their original RNG streams.
+        // invalidated sets from their own keys.
         let invalid_ids = imm_service::invalidated_sets(
             delta,
-            weights,
-            provenance,
-            self.num_sets(),
+            (graph, weights),
+            (&new_graph, &new_weights),
+            provenance.spec,
+            &self.collection,
             |v, sink| {
                 for seg in &self.segments {
                     for &lsid in seg.postings(v) {
@@ -239,13 +239,8 @@ impl ShardedIndex {
                 }
             },
         );
-        let changed = imm_service::resample_sets(
-            provenance.spec,
-            &invalid_ids,
-            &new_graph,
-            &new_weights,
-            self.num_nodes(),
-        );
+        let changed =
+            imm_service::resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights);
 
         let stats = RefreshStats {
             total_sets: self.num_sets(),
@@ -259,18 +254,14 @@ impl ShardedIndex {
         // Patch: swap the resampled sets into the shared collection, then
         // rebuild postings only for the shards that own one.
         let mut dirty = vec![false; self.segments.len()];
-        {
-            let provenance = self.provenance.as_mut().expect("checked above");
-            for (sid, set, record) in changed {
-                dirty[self.segments.partition_point(|seg| seg.start() <= sid) - 1] = true;
-                self.collection.replace(sid, set);
-                provenance.sets[sid] = record;
-            }
-            provenance.delta_log.push(DeltaLogEntry {
-                delta: delta.clone(),
-                resampled_sets: stats.resampled_sets as u64,
-            });
+        for (sid, set) in changed {
+            dirty[self.shard_of(sid)] = true;
+            self.collection.replace(sid, set);
         }
+        self.provenance.as_mut().expect("checked above").delta_log.push(DeltaLogEntry {
+            delta: delta.clone(),
+            resampled_sets: stats.resampled_sets as u64,
+        });
         for (s, is_dirty) in dirty.iter().enumerate() {
             if *is_dirty {
                 let (start, len) = (self.segments[s].start(), self.segments[s].len());

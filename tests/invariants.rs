@@ -1,7 +1,9 @@
 //! Cross-crate property-based tests on the invariants the kernels rely on.
 
 use efficient_imm::balance::Schedule;
-use efficient_imm::sampling::{generate_rrr_set, generate_rrr_sets, SamplingConfig, VisitMarker};
+use efficient_imm::sampling::{
+    generate_rrr_set, generate_rrr_sets, SamplingConfig, SetKey, VisitMarker,
+};
 use imm_diffusion::{monte_carlo_spread, DiffusionModel};
 use imm_graph::{generators, CsrGraph, EdgeList, EdgeWeights, NodeId};
 use imm_memsim::{CoreCaches, HierarchyConfig};
@@ -63,8 +65,8 @@ proptest! {
         let w = EdgeWeights::constant(&g, 1.0);
         let root = root_pick.index(g.num_nodes()) as NodeId;
         let mut marker = VisitMarker::new(g.num_nodes());
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let set = generate_rrr_set(&g, &w, DiffusionModel::IndependentCascade, root, &mut rng, &mut marker);
+        let key = SetKey::new(seed, 0);
+        let set = generate_rrr_set(&g, &w, DiffusionModel::IndependentCascade, root, key, &mut marker);
 
         // With probability-1 edges, the RRR set must be exactly the set of
         // vertices that reach the root in the transpose (i.e. reverse BFS).
@@ -101,7 +103,8 @@ proptest! {
         let w = EdgeWeights::lt_normalized(&g, &mut rng);
         let root = root_pick.index(g.num_nodes()) as NodeId;
         let mut marker = VisitMarker::new(g.num_nodes());
-        let set = generate_rrr_set(&g, &w, DiffusionModel::LinearThreshold, root, &mut rng, &mut marker);
+        let key = SetKey::new(seed, 0);
+        let set = generate_rrr_set(&g, &w, DiffusionModel::LinearThreshold, root, key, &mut marker);
         // No duplicates, root present, consecutive elements connected by an
         // edge (later -> earlier in the original direction).
         prop_assert!(set.contains(&root));
