@@ -50,7 +50,8 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # chaos sweep; snapshot crash safety and golden fixtures; the mmap store's
 # unit, parity and fallback suites; the refresh-equals-rebuild differential
 # and shard-parity suites and the sampler's independent oracle (order
-# independence + forward-simulation validity).
+# independence + forward-simulation validity); the vertex-adaptive
+# postings against their naive inverse.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -60,7 +61,8 @@ for expected in runtime_stress \
   imm_fault chaos \
   crash_safety snapshot_fixtures \
   imm_store store_parity mmap_fallback \
-  differential shard_parity sampler_oracle; do
+  differential shard_parity sampler_oracle \
+  postings_inverse; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
@@ -79,6 +81,17 @@ fi
 echo "==> kernel guard: no sequential-shim parallel iterators in crates/core/src"
 if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates/core/src; then
   echo "error: the vendored rayon prelude is sequential; use run_jobs or pool.scope in crates/core/src" >&2
+  exit 1
+fi
+
+# `imm_rrr::Postings` owns the workspace's one vertex -> set counting sort
+# (the index, the shard segments, the snapshot encoder and the batch
+# kernel's cover index all call it); a second hand-rolled one is how the
+# four copies it replaced came to differ.
+echo "==> builder guard: no second vertex->set counting sort in crates/{service,shard,core}/src"
+if grep -rnE 'cursor\[[^]]*\] *\+= *1|let mut cursor = [a-z_]*offsets\.clone\(\)' \
+  crates/service/src crates/shard/src crates/core/src; then
+  echo "error: build vertex->set postings through imm_rrr::Postings, not a local counting sort" >&2
   exit 1
 fi
 

@@ -804,6 +804,10 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
                         "shards": info.shards,
                         "workers": info.workers,
                         "rollouts": info.rollouts,
+                        "postings_row_vertices": info.postings_row_vertices,
+                        "postings_row_bytes": info.postings_row_bytes,
+                        "postings_list_entries": info.postings_list_entries,
+                        "postings_list_bytes": info.postings_list_bytes,
                     }),
                 ));
             }
@@ -887,22 +891,27 @@ fn print_stats(json: serde_json::Value, metrics: bool) {
 }
 
 /// Coverage statistics from a saved index — the sketches are reused, not
-/// resampled. Only the stored collection is decoded; the inverted postings
-/// are not rebuilt for a read-only stats pass.
+/// resampled — and the shape of its postings: how many vertices store a
+/// row, how many list entries the rest hold, the bytes of each form.
 fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
-    let (meta, collection) = imm_service::load_collection_from_path(path)
-        .map_err(|e| format!("cannot load {path}: {e}"))?;
-    let coverage = collection.coverage_stats();
+    let index =
+        SketchIndex::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let coverage = index.coverage_stats();
+    let postings = index.postings().stats();
     let json = serde_json::json!({
-        "input": meta.label,
+        "input": index.meta().label,
         "snapshot": path,
-        "nodes": collection.num_nodes(),
-        "edges": meta.num_edges,
+        "nodes": index.num_nodes(),
+        "edges": index.meta().num_edges,
         "rrr_sets_sampled": coverage.count,
         "avg_rrr_coverage": coverage.avg_coverage,
         "max_rrr_coverage": coverage.max_coverage,
         "rrr_memory_bytes": coverage.memory_bytes,
         "bitmap_sets": coverage.bitmap_sets,
+        "postings_row_vertices": postings.row_vertices,
+        "postings_row_bytes": postings.row_bytes,
+        "postings_list_entries": postings.list_entries,
+        "postings_list_bytes": postings.list_bytes,
     });
     print_stats(json, metrics);
     Ok(())

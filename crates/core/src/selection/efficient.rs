@@ -10,8 +10,9 @@
 //!
 //! Which sets a seed covers is answered without scanning the collection: each
 //! selection first builds an inverted index `vertex → ids of the list sets
-//! holding it` (one counting sort over the list sets' members), so a round
-//! walks only the new seed's postings. Bitmap sets — the dense ones, whose
+//! holding it` (`imm_rrr::Postings` in its lists-only mode: the workspace's
+//! one counting sort, over the list sets' members), so a round walks only
+//! the new seed's postings. Bitmap sets — the dense ones, whose
 //! members would dominate the index — are not indexed; they sit on a short
 //! side list and keep their O(1) bit probe. A selection's membership work is
 //! therefore Σ|R| (list sets, once) + the walked postings + one probe per
@@ -28,56 +29,23 @@ use crate::metrics;
 use crate::params::ExecutionConfig;
 use crate::selection::SeedSelection;
 use crate::stats::WorkProfile;
-use crate::NodeId;
-use imm_rrr::RrrCollection;
+use imm_rrr::{Postings, RrrCollection};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// One selection's membership index: CSR postings over the list-represented
+/// One selection's membership index: postings over the list-represented
 /// sets, plus the ids of the bitmap sets that are still alive.
 struct CoverIndex {
-    /// `postings[offsets[v]..offsets[v + 1]]` are the ids, ascending, of the
-    /// list sets containing `v`.
-    offsets: Vec<u32>,
-    postings: Vec<u32>,
+    /// The ids, ascending, of the list sets containing each vertex.
+    postings: Postings,
     /// Ids, ascending, of the bitmap sets no seed has covered yet.
     live_bitmaps: Vec<u32>,
 }
 
 impl CoverIndex {
     fn build(sets: &RrrCollection) -> Self {
-        assert!(u32::try_from(sets.len()).is_ok(), "more than u32::MAX RRR sets");
-        let n = sets.num_nodes();
-        let mut offsets = vec![0u32; n + 1];
-        let mut live_bitmaps = Vec::new();
-        for (idx, set) in sets.iter().enumerate() {
-            match set.members() {
-                Some(members) => {
-                    for &v in members {
-                        offsets[v as usize + 1] += 1;
-                    }
-                }
-                None => live_bitmaps.push(idx as u32),
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] = offsets[v]
-                .checked_add(offsets[v + 1])
-                .expect("list-set members exceed the u32 postings space");
-        }
-        let mut cursor = offsets.clone();
-        let mut postings = vec![0u32; offsets[n] as usize];
-        for (idx, set) in sets.iter().enumerate() {
-            for &v in set.members().unwrap_or_default() {
-                let slot = &mut cursor[v as usize];
-                postings[*slot as usize] = idx as u32;
-                *slot += 1;
-            }
-        }
-        CoverIndex { offsets, postings, live_bitmaps }
-    }
-
-    fn postings(&self, v: NodeId) -> &[u32] {
-        &self.postings[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+        let (postings, live_bitmaps) = Postings::build_over_list_sets(sets)
+            .expect("RRR set members lie inside the vertex space");
+        CoverIndex { postings, live_bitmaps }
     }
 }
 
@@ -158,14 +126,12 @@ pub fn select_seeds_efficient(
         // order: its postings among the list sets, and a bit probe of each
         // surviving bitmap set (which leaves the side list once covered).
         covered.clear();
-        let postings = index.postings(seed);
-        postings_walked += postings.len() as u64;
-        covered.extend(
-            postings
-                .iter()
-                .map(|&id| id as usize)
-                .filter(|&idx| alive[idx].load(Ordering::Relaxed)),
-        );
+        postings_walked += index.postings.degree(seed);
+        index.postings.for_each(seed, |id| {
+            if alive[id as usize].load(Ordering::Relaxed) {
+                covered.push(id as usize);
+            }
+        });
         bitmap_probes += index.live_bitmaps.len() as u64;
         let from_lists = covered.len();
         index.live_bitmaps.retain(|&id| {
@@ -241,7 +207,7 @@ pub fn select_seeds_efficient(
         work: WorkProfile {
             per_thread_ops: per_thread_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
             atomic_ops: atomic_ops.load(Ordering::Relaxed),
-            search_probes: index.postings.len() as u64 + postings_walked + bitmap_probes,
+            search_probes: index.postings.entries() + postings_walked + bitmap_probes,
         },
         counter_rebuilds: rebuilds,
         counter_decrements: decrements,

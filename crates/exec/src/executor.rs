@@ -292,6 +292,10 @@ impl Executor {
         // Tasks borrow `'env` data: the scope MUST drain before returning
         // or unwinding past the borrowed frame.
         state.wait_with_help();
+        // Every job has run; each holds the state that lists it, and only
+        // emptying the list breaks that cycle (a daemon opens a scope per
+        // request: a scope that stayed allocated was its whole RSS growth).
+        state.jobs.lock().unwrap().clear();
         let task_panic = state.panic.lock().unwrap().take();
         match result {
             Err(payload) => panic::resume_unwind(payload),
@@ -477,6 +481,18 @@ pub fn global() -> &'static Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn a_finished_scope_frees_its_state() {
+        let exec = Executor::new(1);
+        let mut state = None;
+        exec.scope(|s| {
+            state = Some(Arc::downgrade(&s.state));
+            s.spawn(|_| {});
+            s.spawn(|_| {});
+        });
+        assert!(state.expect("the scope ran").upgrade().is_none(), "jobs kept their scope alive");
+    }
 
     #[test]
     fn inline_pool_runs_every_task_on_the_owner() {

@@ -343,6 +343,11 @@ impl RrrCollection {
         (lo < hi).then_some((lo, hi))
     }
 
+    /// Whether any set of `[start, start + len)` is a bitmap (a directory scan).
+    pub fn has_bitmap_in(&self, start: usize, len: usize) -> bool {
+        self.spans[start..start + len].iter().any(|span| span.bitmap != NO_BITMAP)
+    }
+
     /// Number of vertices of the underlying graph.
     #[inline]
     pub fn num_nodes(&self) -> usize {

@@ -23,10 +23,13 @@
 //!   the substrate of `imm-service`'s persistable sketch snapshots.
 //! * [`provenance`] — per-set sampling provenance (the root each set was
 //!   grown from).
+//! * [`Postings`] — the inverse, vertex → sets containing it, with the dual
+//!   adaptive rule: a dense vertex stores a bit row, a sparse one a list.
 
 pub mod bitset;
 pub mod codec;
 pub mod collection;
+pub mod postings;
 pub mod provenance;
 pub mod set;
 
@@ -34,6 +37,9 @@ pub use bitset::{BitSet, WordsSource};
 pub use codec::{ByteReader, CodecError};
 pub use collection::{
     ArenaSource, CollectionSlice, CoverageStats, RrrCollection, SetView, SetViews, SliceViews,
+};
+pub use postings::{
+    membership_edits, MembershipEdit, Postings, PostingsSource, PostingsStats, PostingsView,
 };
 pub use provenance::SetProvenance;
 pub use set::{AdaptivePolicy, Representation, RrrSet};

@@ -1,0 +1,127 @@
+//! [`Postings`] against a naive `Vec<Vec<u32>>` inverse: whatever the sets'
+//! representation (default policy, all lists, all bitmaps), whatever form
+//! each vertex takes (row threshold forced to all-list, all-row, or the
+//! real `range_len / 32`, or a mixed one), and for the whole collection as
+//! well as sub-ranges, `for_each`/`ids`, `degree`, `or_into` and
+//! `count_outside` must read exactly the naive inverse.
+
+use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
+use proptest::prelude::*;
+
+const NUM_NODES: usize = 150;
+
+/// `inverse[v]` = local ids of the sets of `raw[start..start + len]`
+/// containing `v`, ascending.
+fn naive_inverse(raw: &[Vec<u32>], start: usize, len: usize) -> Vec<Vec<u32>> {
+    let mut inverse = vec![Vec::new(); NUM_NODES];
+    for (local, set) in raw[start..start + len].iter().enumerate() {
+        for &v in set {
+            inverse[v as usize].push(local as u32);
+        }
+    }
+    inverse
+}
+
+fn bits_of(acc: &[u64]) -> Vec<u32> {
+    (0..acc.len() as u32 * 64).filter(|&i| acc[(i / 64) as usize] >> (i % 64) & 1 == 1).collect()
+}
+
+fn assert_reads_the_inverse(postings: &Postings, inverse: &[Vec<u32>], probes: &[u32]) {
+    let mut entries = 0u64;
+    for (v, expected) in inverse.iter().enumerate() {
+        let v = v as u32;
+        assert_eq!(&postings.ids(v), expected, "ids of vertex {v}");
+        let mut walked = Vec::new();
+        postings.for_each(v, |id| walked.push(id));
+        assert_eq!(&walked, expected, "for_each of vertex {v}");
+        assert_eq!(postings.degree(v), expected.len() as u64, "degree of vertex {v}");
+        entries += expected.len() as u64;
+    }
+    assert_eq!(postings.entries(), entries);
+    let stats = postings.stats();
+    let in_rows: usize = (0..NUM_NODES as u32)
+        .filter(|&v| postings.is_row(v))
+        .map(|v| inverse[v as usize].len())
+        .sum();
+    assert_eq!(stats.list_entries + in_rows, entries as usize);
+
+    // A running union over the probes: every OR reports exactly the sets it
+    // added, and `count_outside` predicts it without changing anything.
+    let view = postings.view();
+    let mut acc = vec![0u64; postings.words_per_row()];
+    let mut union = std::collections::BTreeSet::new();
+    for &v in probes {
+        let outside = inverse[v as usize].iter().filter(|id| !union.contains(*id)).count();
+        assert_eq!(view.count_outside(v, &acc), outside, "count_outside({v})");
+        assert_eq!(view.or_into(v, &mut acc), outside, "or_into({v})");
+        union.extend(inverse[v as usize].iter().copied());
+        assert_eq!(bits_of(&acc), union.iter().copied().collect::<Vec<_>>());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn every_form_and_range_reads_the_naive_inverse(
+        // Up to 140 sets: ranges longer than 64 cross a row-word boundary.
+        // Up to 120 of 150 vertices per set: the default policy stores the
+        // ones of 64+ members as bitmaps and the rest as lists.
+        raw_sets in proptest::collection::vec(
+            proptest::collection::hash_set(0u32..NUM_NODES as u32, 0..120),
+            0..140,
+        ),
+        policy in 0usize..3,
+        cut_a in any::<prop::sample::Index>(),
+        cut_b in any::<prop::sample::Index>(),
+        probes in proptest::collection::vec(0u32..NUM_NODES as u32, 0..12),
+    ) {
+        let raw: Vec<Vec<u32>> = raw_sets
+            .iter()
+            .map(|set| {
+                let mut members: Vec<u32> = set.iter().copied().collect();
+                members.sort_unstable();
+                members
+            })
+            .collect();
+        let policy = [
+            AdaptivePolicy::default(),
+            AdaptivePolicy::always_sorted(),
+            AdaptivePolicy::always_bitmap(),
+        ][policy];
+        let mut sets = RrrCollection::new(NUM_NODES);
+        for members in &raw {
+            sets.push_sorted_slice(members, &policy);
+        }
+
+        let (a, b) = (cut_a.index(raw.len() + 1), cut_b.index(raw.len() + 1));
+        let ranges = [(0, raw.len()), (a.min(b), a.max(b) - a.min(b))];
+        for (start, len) in ranges {
+            let inverse = naive_inverse(&raw, start, len);
+            let adaptive = Postings::build(&sets, start, len).unwrap();
+            assert_reads_the_inverse(&adaptive, &inverse, &probes);
+            for v in 0..NUM_NODES as u32 {
+                prop_assert_eq!(adaptive.is_row(v), inverse[v as usize].len() > len / 32);
+            }
+            // All lists, all rows, and a mix cut at the median-ish degree 3.
+            for threshold in [usize::MAX, 0, 3] {
+                let forced = Postings::build_with_threshold(&sets, start, len, threshold).unwrap();
+                assert_reads_the_inverse(&forced, &inverse, &probes);
+                prop_assert_eq!(&forced, &adaptive);
+            }
+        }
+
+        // The lists-only mode indexes exactly the list-represented sets.
+        let (lists_only, bitmap_ids) = Postings::build_over_list_sets(&sets).unwrap();
+        let is_bitmap: Vec<bool> = sets.iter().map(|set| set.bitmap().is_some()).collect();
+        let expected_ids: Vec<u32> =
+            (0..raw.len() as u32).filter(|&id| is_bitmap[id as usize]).collect();
+        prop_assert_eq!(bitmap_ids, expected_ids);
+        for (v, ids) in naive_inverse(&raw, 0, raw.len()).iter().enumerate() {
+            let listed: Vec<u32> =
+                ids.iter().copied().filter(|&id| !is_bitmap[id as usize]).collect();
+            prop_assert_eq!(lists_only.ids(v as u32), listed);
+            prop_assert!(!lists_only.is_row(v as u32));
+        }
+    }
+}

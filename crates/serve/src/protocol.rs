@@ -591,6 +591,15 @@ pub struct ServerInfo {
     pub workers: u32,
     /// Completed `apply_delta` rollouts since startup.
     pub rollouts: u64,
+    /// Shard postings stored as bit rows (vertex–shard pairs), and their
+    /// bytes.
+    pub postings_row_vertices: u64,
+    /// Bytes of the shards' rows and row tables.
+    pub postings_row_bytes: u64,
+    /// `u32` list entries across the shards' postings.
+    pub postings_list_entries: u64,
+    /// Bytes of the shards' lists and offsets.
+    pub postings_list_bytes: u64,
 }
 
 /// Outcome of a rolling `apply_delta` (mirrors
@@ -834,6 +843,10 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             put_u32(&mut out, info.shards);
             put_u32(&mut out, info.workers);
             put_u64(&mut out, info.rollouts);
+            put_u64(&mut out, info.postings_row_vertices);
+            put_u64(&mut out, info.postings_row_bytes);
+            put_u64(&mut out, info.postings_list_entries);
+            put_u64(&mut out, info.postings_list_bytes);
         }
         Response::DeltaApplied(outcome) => {
             put_u8(&mut out, OP_DELTA_APPLIED);
@@ -885,6 +898,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtocolError> {
             shards: r.u32(CTX)?,
             workers: r.u32(CTX)?,
             rollouts: r.u64(CTX)?,
+            postings_row_vertices: r.u64(CTX)?,
+            postings_row_bytes: r.u64(CTX)?,
+            postings_list_entries: r.u64(CTX)?,
+            postings_list_bytes: r.u64(CTX)?,
         }),
         OP_DELTA_APPLIED => Response::DeltaApplied(DeltaOutcome {
             total_sets: r.u64(CTX)?,
@@ -953,6 +970,10 @@ mod tests {
                 shards: 4,
                 workers: 3,
                 rollouts: 2,
+                postings_row_vertices: 110,
+                postings_row_bytes: 4_400,
+                postings_list_entries: 37,
+                postings_list_bytes: 1_120,
             }),
             Response::DeltaApplied(DeltaOutcome {
                 total_sets: 150,

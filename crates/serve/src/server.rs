@@ -369,6 +369,7 @@ impl Server {
             Request::Info => {
                 let state = self.current();
                 let index = state.engine.index();
+                let postings = index.postings_stats();
                 (
                     Response::Info(ServerInfo {
                         label: index.meta().label.clone(),
@@ -377,6 +378,10 @@ impl Server {
                         shards: index.num_shards() as u32,
                         workers: state.engine.num_workers() as u32,
                         rollouts: self.rollouts.load(Ordering::Acquire),
+                        postings_row_vertices: postings.row_vertices as u64,
+                        postings_row_bytes: postings.row_bytes as u64,
+                        postings_list_entries: postings.list_entries as u64,
+                        postings_list_bytes: postings.list_bytes as u64,
                     }),
                     Flow::Continue,
                 )

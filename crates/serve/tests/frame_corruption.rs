@@ -285,6 +285,10 @@ fn seeded_response(seed: u64) -> Response {
             shards: rng.gen_range(1u32..8),
             workers: rng.gen_range(0u32..8),
             rollouts: rng.gen(),
+            postings_row_vertices: rng.gen(),
+            postings_row_bytes: rng.gen(),
+            postings_list_entries: rng.gen(),
+            postings_list_bytes: rng.gen(),
         }),
         4 => Response::DeltaApplied(DeltaOutcome {
             total_sets: rng.gen(),

@@ -31,15 +31,16 @@
 //!    it too equals its from-scratch counterpart. This pair of facts is the
 //!    correctness anchor the differential test suite pins down; it depends
 //!    on no storage order of the graph.
-//! 3. **Patch.** The inverted postings and occurrence counts are patched in
-//!    place (one merge pass over the postings arrays — no set iteration, no
-//!    bitmap scans) and the delta is appended to the log.
+//! 3. **Patch.** The inverted postings and occurrence counts are patched
+//!    (`imm_rrr::Postings::patched`: bit flips in rows, splices in lists, a
+//!    new form for a vertex whose degree crosses the threshold — no set
+//!    iteration, no bitmap scans) and the delta is appended to the log.
 //!
 //! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
 //! also resets the shared greedy prefix and drops the response cache so no
 //! stale answer survives the mutation.
 
-use crate::index::{IndexError, SetId, SketchIndex};
+use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
     generate_indexed_rrr_set, generate_rrr_sets, lt_pick, set_provenance, SamplingConfig, SetKey,
@@ -429,11 +430,7 @@ impl SketchIndex {
             (&new_graph, &new_weights),
             provenance.spec,
             &self.sets,
-            |v, sink| {
-                for &sid in self.postings(v) {
-                    sink(sid as usize);
-                }
-            },
+            |v, sink| self.postings.for_each(v, |sid| sink(sid as usize)),
         );
         let changed = resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights);
 
@@ -460,59 +457,17 @@ impl SketchIndex {
     /// Swap the changed sets in and patch the inverted postings.
     ///
     /// `changed` must be sorted by set id. Only the memberships that differ
-    /// between a changed set and the one it replaces are edited — a
-    /// resampled set of the dense regime gains or loses a handful of its
-    /// thousands of members — and everything between two edits is copied in
-    /// bulk. Every posting list stays sorted, so the patched structure is
-    /// indistinguishable from a fresh [`SketchIndex::from_collection`] pass
-    /// over the updated sets.
+    /// between a changed set and the one it replaces are edited, so the
+    /// patched structure is indistinguishable from a fresh
+    /// [`SketchIndex::from_collection`] pass over the updated sets. A mapped
+    /// (shared) postings backing is dropped here: the patched index owns its
+    /// postings from now on.
     fn patch(&mut self, changed: Vec<(usize, RrrSet)>) {
         if changed.is_empty() {
             return;
         }
-        // (vertex, set, joins): sorted, so each vertex's edits are one run
-        // in ascending set order.
-        let mut edits: Vec<(NodeId, SetId, bool)> = Vec::new();
-        for (sid, new_set) in &changed {
-            let old_set = self.sets.get(*sid);
-            old_set.for_each(|v| {
-                if !new_set.contains(v) {
-                    edits.push((v, *sid as SetId, false));
-                }
-            });
-            edits.extend(
-                new_set.iter().filter(|&v| !old_set.contains(v)).map(|v| (v, *sid as SetId, true)),
-            );
-        }
-        edits.sort_unstable();
-
-        let n = self.num_nodes();
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        let mut new_postings: Vec<SetId> =
-            Vec::with_capacity(self.postings.num_postings() + edits.len());
-        let mut pending = edits.as_slice();
-        new_offsets.push(0usize);
-        for v in 0..n as NodeId {
-            let mut rest = self.postings(v);
-            while let Some((&(_, sid, joins), later)) =
-                pending.split_first().filter(|(edit, _)| edit.0 == v)
-            {
-                let (before, from) = rest.split_at(rest.partition_point(|&s| s < sid));
-                new_postings.extend_from_slice(before);
-                if joins {
-                    new_postings.push(sid);
-                }
-                rest = &from[usize::from(!joins)..];
-                pending = later;
-            }
-            new_postings.extend_from_slice(rest);
-            new_offsets.push(new_postings.len());
-        }
-        // Wholesale replacement: a mapped (shared) postings backing is
-        // dropped here and the patched index owns its postings from now on.
-        self.postings =
-            crate::index::PostingsStore::Owned { offsets: new_offsets, postings: new_postings };
-
+        let edits = imm_rrr::membership_edits(&self.sets, &changed);
+        self.postings = std::sync::Arc::new(self.postings.patched(&edits));
         // A set's root is a function of its key alone, so the provenance
         // records stand as they are.
         for (sid, new_set) in changed {
@@ -564,7 +519,7 @@ mod tests {
         assert_eq!(index.sets(), rebuilt.sets(), "kept + resampled sets must match a rebuild");
         assert_eq!(index.provenance().unwrap().sets, rebuilt.provenance().unwrap().sets);
         for v in 0..150u32 {
-            assert_eq!(index.postings(v), rebuilt.postings(v), "postings of vertex {v}");
+            assert_eq!(index.ids(v), rebuilt.ids(v), "postings of vertex {v}");
         }
         assert_eq!(index.meta().num_edges, g2.num_edges());
         assert_eq!(index.provenance().unwrap().delta_log.len(), 1);
@@ -619,8 +574,8 @@ mod tests {
         let mut index = SketchIndex::sample(&g, &w, spec, 120, 2, "untouched").unwrap();
         // An isolated self-contained mutation: insert an edge into a vertex
         // covered by few sets; only those sets may resample.
-        let dst = (0..100u32).min_by_key(|&v| index.postings(v).len()).unwrap();
-        let upper_bound = index.postings(dst).len();
+        let dst = (0..100u32).min_by_key(|&v| index.degree(v)).unwrap();
+        let upper_bound = index.degree(dst) as usize;
         let (_, _, stats) =
             index.apply_delta(&g, &w, &GraphDelta::new().insert(0, dst, 0.5)).unwrap();
         assert!(

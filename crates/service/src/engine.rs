@@ -89,10 +89,10 @@ pub struct QueryEngine {
     /// The persistent fresh Top-K session (the shared greedy prefix).
     greedy: Mutex<LazyGreedy>,
     cache: QueryCache,
-    /// Pool of cleared coverage-marking bitsets (capacity θ). Spread and
+    /// Pool of all-zero coverage bitmaps (one bit per set). Spread and
     /// marginal queries check one out instead of allocating a fresh
     /// θ-sized buffer per call; concurrent batch workers each pop their own.
-    scratch: Mutex<Vec<BitSet>>,
+    scratch: Mutex<Vec<Vec<u64>>>,
     /// Pool of audience Top-K sessions (see [`crate::masked`]).
     masked: MaskedPool,
 }
@@ -106,6 +106,7 @@ impl QueryEngine {
     /// Engine with an explicit cache capacity (0 disables caching).
     pub fn with_cache_capacity(index: Arc<SketchIndex>, capacity: usize) -> Self {
         crate::metrics::register();
+        crate::metrics::record_postings(index.postings().stats());
         let greedy = Mutex::new(fresh_session(&index));
         QueryEngine {
             index,
@@ -116,24 +117,24 @@ impl QueryEngine {
         }
     }
 
-    /// Check a cleared θ-capacity marking bitset out of the scratch pool
-    /// (allocating only when the pool is empty or the index size moved).
-    fn acquire_scratch(&self) -> BitSet {
-        let theta = self.index.num_sets();
+    /// Check an all-zero coverage bitmap out of the scratch pool (allocating
+    /// only when the pool is empty or the index size moved).
+    fn acquire_scratch(&self) -> Vec<u64> {
+        let words = self.index.postings().words_per_row();
         let mut pool = self.scratch.lock();
-        while let Some(bs) = pool.pop() {
-            if bs.capacity() == theta {
-                return bs;
+        while let Some(marks) = pool.pop() {
+            if marks.len() == words {
+                return marks;
             }
-            // Stale capacity (index was swapped): let it drop.
+            // Stale size (index was swapped): let it drop.
         }
         drop(pool);
-        BitSet::new(theta)
+        vec![0; words]
     }
 
-    /// Return a scratch bitset to the pool, cleared for the next query.
-    fn release_scratch(&self, mut marks: BitSet) {
-        marks.clear();
+    /// Return a scratch bitmap to the pool, zeroed for the next query.
+    fn release_scratch(&self, mut marks: Vec<u64>) {
+        marks.fill(0);
         self.scratch.lock().push(marks);
     }
 
@@ -164,6 +165,7 @@ impl QueryEngine {
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
         let index = Arc::make_mut(&mut self.index);
         let out = index.apply_delta(graph, weights, delta)?;
+        crate::metrics::record_postings(self.index.postings().stats());
         *self.greedy.lock() = fresh_session(&self.index);
         self.cache.clear();
         Ok(out)
@@ -193,7 +195,8 @@ impl QueryEngine {
     }
 
     fn top_k(&self, k: usize) -> QueryResponse {
-        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), &*self.index, k);
+        let postings = self.index.postings().view();
+        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), &postings, k);
         self.topk_response(seeds, covered)
     }
 
@@ -203,7 +206,8 @@ impl QueryEngine {
     /// the pool (the shared prefix belongs to the unrestricted selection),
     /// holding no engine lock; repeats are served by the response cache.
     fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
-        let (seeds, covered) = self.masked.top_k(self.index.sets(), &*self.index, k, audience);
+        let postings = self.index.postings().view();
+        let (seeds, covered) = self.masked.top_k(self.index.sets(), &postings, k, audience);
         self.topk_response(seeds, covered)
     }
 
@@ -217,18 +221,15 @@ impl QueryEngine {
     }
 
     /// Count the sets covered by `seeds`, marking them in `marks`.
-    fn mark_covered(&self, seeds: &[NodeId], marks: &mut BitSet) -> usize {
+    fn mark_covered(&self, seeds: &[NodeId], marks: &mut [u64]) -> usize {
         let n = self.index.num_nodes();
-        let mut covered = 0usize;
-        for &seed in seeds {
-            if (seed as usize) >= n {
-                continue; // out-of-range seeds cover nothing
-            }
-            for &sid in self.index.postings(seed) {
-                covered += usize::from(marks.insert(sid as usize));
-            }
-        }
-        covered
+        let postings = self.index.postings().view();
+        // Out-of-range seeds cover nothing.
+        seeds
+            .iter()
+            .filter(|&&seed| (seed as usize) < n)
+            .map(|&seed| postings.or_into(seed, marks))
+            .sum()
     }
 
     fn spread(&self, seeds: &[NodeId]) -> QueryResponse {
@@ -242,11 +243,7 @@ impl QueryEngine {
         let mut marks = self.acquire_scratch();
         self.mark_covered(seeds, &mut marks);
         let gained = if (candidate as usize) < self.index.num_nodes() {
-            self.index
-                .postings(candidate)
-                .iter()
-                .filter(|&&sid| !marks.contains(sid as usize))
-                .count()
+            self.index.postings().view().count_outside(candidate, &marks)
         } else {
             0
         };

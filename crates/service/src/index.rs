@@ -1,116 +1,25 @@
 //! The frozen sketch index: an [`RrrCollection`] plus the inverted postings
 //! and precomputed occurrence counts that make query serving cheap.
 //!
-//! Building the index is a single pass over the sets (via the collection's
-//! borrowed iterator — nothing is cloned); afterwards the structure is
-//! immutable and can be shared across worker threads behind an `Arc`. The
-//! postings are laid out CSR-style (one offsets array, one flat set-id
-//! array), mirroring how `imm-graph` stores adjacency: answering "which sets
-//! contain vertex v" is a slice lookup instead of a scan over all θ sets.
+//! Building the index is the one counting sort of [`imm_rrr::Postings`] over
+//! the sets (nothing is cloned); afterwards the structure is immutable and
+//! shared across worker threads behind an `Arc`. The postings are
+//! vertex-adaptive — a vertex contained in more than θ/32 of the sets stores
+//! a θ-bit row, every other vertex an ascending list in a CSR — so
+//! answering "which sets contain vertex v" is a slice or row lookup instead
+//! of a scan over all θ sets, and in the dense regime a Spread is an OR of
+//! rows. A memory-mapped snapshot serves the same structure in place.
 
 use std::sync::Arc;
 
 use crate::dynamic::SketchProvenance;
 use imm_graph::CsrGraph;
-use imm_rrr::{CoverageStats, NodeId, RrrCollection};
+use imm_rrr::{CoverageStats, NodeId, Postings, RrrCollection};
+
+pub use imm_rrr::PostingsSource;
 
 /// Identifier of one RRR set inside the indexed collection.
 pub type SetId = u32;
-
-/// Read-only provider of the CSR postings sections of a v4 snapshot:
-/// `offsets()` has one `u64` per vertex plus a trailing total, `set_ids()`
-/// is the flat posting array. `imm-store` implements this over the mapped
-/// file so a loaded index serves postings without rebuilding them.
-pub trait PostingsSource: Send + Sync + std::panic::RefUnwindSafe + std::fmt::Debug {
-    /// The CSR offset array (`num_nodes + 1` entries).
-    fn offsets(&self) -> &[u64];
-    /// The flat set-id array (`offsets().last()` entries).
-    fn set_ids(&self) -> &[SetId];
-}
-
-/// Backing storage of an index's inverted postings: built on the heap by
-/// [`SketchIndex::from_collection`], or borrowed from a shared buffer (the
-/// memory-mapped snapshot path). Mutation happens only through wholesale
-/// replacement (`dynamic::patch` rebuilds both arrays), which lands in the
-/// `Owned` form.
-#[derive(Debug, Clone)]
-pub(crate) enum PostingsStore {
-    /// Heap-owned CSR arrays.
-    Owned {
-        /// One offset per vertex, plus the trailing total.
-        offsets: Vec<usize>,
-        /// Flat posting array.
-        postings: Vec<SetId>,
-    },
-    /// Both arrays borrowed from a shared read-only buffer.
-    Shared(Arc<dyn PostingsSource>),
-}
-
-impl PostingsStore {
-    /// Postings of vertex `v`.
-    #[inline]
-    fn slice(&self, v: usize) -> &[SetId] {
-        match self {
-            PostingsStore::Owned { offsets, postings } => &postings[offsets[v]..offsets[v + 1]],
-            PostingsStore::Shared(s) => {
-                let offsets = s.offsets();
-                &s.set_ids()[offsets[v] as usize..offsets[v + 1] as usize]
-            }
-        }
-    }
-
-    /// Posting-list length of vertex `v`.
-    #[inline]
-    fn degree(&self, v: usize) -> u64 {
-        match self {
-            PostingsStore::Owned { offsets, .. } => (offsets[v + 1] - offsets[v]) as u64,
-            PostingsStore::Shared(s) => {
-                let offsets = s.offsets();
-                offsets[v + 1] - offsets[v]
-            }
-        }
-    }
-
-    fn num_offsets(&self) -> usize {
-        match self {
-            PostingsStore::Owned { offsets, .. } => offsets.len(),
-            PostingsStore::Shared(s) => s.offsets().len(),
-        }
-    }
-
-    pub(crate) fn num_postings(&self) -> usize {
-        match self {
-            PostingsStore::Owned { postings, .. } => postings.len(),
-            PostingsStore::Shared(s) => s.set_ids().len(),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            PostingsStore::Owned { offsets, postings } => {
-                offsets.len() * std::mem::size_of::<usize>()
-                    + postings.len() * std::mem::size_of::<SetId>()
-            }
-            // The mapped sections are u64 offsets regardless of the host's
-            // usize; count their resident-once-touched footprint.
-            PostingsStore::Shared(s) => {
-                std::mem::size_of_val(s.offsets()) + std::mem::size_of_val(s.set_ids())
-            }
-        }
-    }
-}
-
-/// Logical equality regardless of backing.
-impl PartialEq for PostingsStore {
-    fn eq(&self, other: &Self) -> bool {
-        if self.num_offsets() != other.num_offsets() || self.num_postings() != other.num_postings()
-        {
-            return false;
-        }
-        let n = self.num_offsets().saturating_sub(1);
-        (0..n).all(|v| self.slice(v) == other.slice(v))
-    }
-}
 
 /// Provenance carried alongside the index (and through snapshots), so a
 /// loaded index can report what it was built from.
@@ -148,8 +57,9 @@ pub enum IndexError {
         /// Records in the provenance log.
         records: usize,
     },
-    /// A mapped postings section does not line up with the collection
-    /// (wrong offset count, non-monotonic offsets, or total mismatch).
+    /// Stored postings sections do not line up with the collection or with
+    /// each other (wrong offset count, non-monotonic offsets, a row table
+    /// that is unsorted, out of range or overlaps a list, …).
     PostingsCorrupt(&'static str),
 }
 
@@ -171,7 +81,7 @@ impl std::fmt::Display for IndexError {
                 write!(f, "provenance log has {records} records for a collection of {sets} sets")
             }
             IndexError::PostingsCorrupt(reason) => {
-                write!(f, "mapped postings section is corrupt: {reason}")
+                write!(f, "stored postings sections are corrupt: {reason}")
             }
         }
     }
@@ -189,7 +99,9 @@ impl std::error::Error for IndexError {}
 pub struct SketchIndex {
     pub(crate) sets: RrrCollection,
     pub(crate) meta: IndexMeta,
-    pub(crate) postings: PostingsStore,
+    /// Shared, so a clone of the index or a shard partition of it takes the
+    /// structure by pointer; a refresh swaps in a patched one.
+    pub(crate) postings: Arc<Postings>,
     /// Sampling provenance; present only on indexes built through the
     /// dynamic constructors (see [`crate::dynamic`]). A provenance-free index
     /// serves queries normally but cannot `apply_delta`.
@@ -218,61 +130,58 @@ impl SketchIndex {
     /// Build an index over a bare collection (no source graph at hand, e.g.
     /// when reloading a snapshot).
     pub fn from_collection(collection: RrrCollection, meta: IndexMeta) -> Result<Self, IndexError> {
-        let (offsets, postings) = build_postings(&collection)?;
-        Ok(SketchIndex {
-            sets: collection,
-            meta,
-            postings: PostingsStore::Owned { offsets, postings },
-            provenance: None,
-        })
+        Self::from_collection_with_provenance(collection, meta, None)
     }
 
-    /// Assemble an index whose postings are **borrowed** from a shared
-    /// buffer — the zero-copy path `imm-store` takes when a v4 snapshot is
-    /// memory-mapped: the stored offsets/postings sections serve directly
-    /// instead of being rebuilt from the sets.
+    /// Assemble an index over `collection` from postings that already exist
+    /// — borrowed from a shared buffer (the zero-copy path `imm-store` takes
+    /// when a snapshot is memory-mapped) or decoded from one — instead of
+    /// rebuilding them from the sets.
     ///
-    /// The offset array is validated (length, monotonicity, total); the
-    /// posting ids themselves are trusted, like the arena members on the
-    /// same path — the file was validated when written and is guarded by
-    /// the snapshot checksum/rename discipline.
-    pub fn from_mapped_parts(
+    /// [`Postings::from_source`] has validated what the offsets and the row
+    /// table can show; the lists and rows themselves are trusted on the
+    /// mapped path, like the arena members — the file was validated when
+    /// written and is guarded by the snapshot checksum/rename discipline.
+    pub(crate) fn from_parts(
         collection: RrrCollection,
         meta: IndexMeta,
         provenance: Option<SketchProvenance>,
-        postings: Arc<dyn PostingsSource>,
+        postings: Postings,
     ) -> Result<Self, IndexError> {
-        let n = collection.num_nodes();
-        if u32::try_from(collection.len()).is_err() {
-            return Err(IndexError::TooManySets(collection.len()));
+        if postings.num_nodes() != collection.num_nodes()
+            || postings.range_len() != collection.len()
+        {
+            return Err(IndexError::PostingsCorrupt("postings do not span the collection"));
         }
-        let offsets = postings.offsets();
-        if offsets.len() != n + 1 {
-            return Err(IndexError::PostingsCorrupt("offset count is not num_nodes + 1"));
-        }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
-            return Err(IndexError::PostingsCorrupt("offsets are not monotonic"));
-        }
-        if offsets.last().copied().unwrap_or(0) != postings.set_ids().len() as u64 {
-            return Err(IndexError::PostingsCorrupt("offset total disagrees with the postings"));
-        }
-        let mut index = SketchIndex {
-            sets: collection,
-            meta,
-            postings: PostingsStore::Shared(postings),
-            provenance: None,
-        };
+        let mut index =
+            SketchIndex { sets: collection, meta, postings: Arc::new(postings), provenance: None };
         if let Some(provenance) = provenance {
             index.attach_provenance(provenance)?;
         }
         Ok(index)
     }
 
+    /// Assemble an index whose postings are the sections of a mapped
+    /// snapshot, served in place.
+    pub fn from_mapped_parts(
+        collection: RrrCollection,
+        meta: IndexMeta,
+        provenance: Option<SketchProvenance>,
+        postings: Arc<dyn PostingsSource>,
+    ) -> Result<Self, IndexError> {
+        if u32::try_from(collection.len()).is_err() {
+            return Err(IndexError::TooManySets(collection.len()));
+        }
+        let postings = Postings::from_source(collection.num_nodes(), collection.len(), postings)
+            .map_err(IndexError::PostingsCorrupt)?;
+        Self::from_parts(collection, meta, provenance, postings)
+    }
+
     /// Whether the inverted postings are borrowed from a shared (e.g.
     /// memory-mapped) buffer rather than heap-built.
     #[inline]
     pub fn is_postings_shared(&self) -> bool {
-        matches!(self.postings, PostingsStore::Shared(_))
+        self.postings.is_shared()
     }
 
     /// Build an index over a bare collection and attach sampling provenance
@@ -283,18 +192,16 @@ impl SketchIndex {
         meta: IndexMeta,
         provenance: Option<SketchProvenance>,
     ) -> Result<Self, IndexError> {
-        let mut index = Self::from_collection(collection, meta)?;
-        if let Some(provenance) = provenance {
-            index.attach_provenance(provenance)?;
-        }
-        Ok(index)
+        let postings = build_postings(&collection)?;
+        Self::from_parts(collection, meta, provenance, postings)
     }
 
-    /// Take the index apart into its owned components (collection, metadata,
-    /// provenance), dropping the inverted postings. This is how a sharded
-    /// index adopts a single-index build without cloning the arena.
-    pub fn into_parts(self) -> (RrrCollection, IndexMeta, Option<SketchProvenance>) {
-        (self.sets, self.meta, self.provenance)
+    /// Take the index apart into its components (collection, metadata,
+    /// provenance, postings). This is how a sharded index adopts a
+    /// single-index build without cloning the arena — and keeps the global
+    /// postings (heap-built or mapped) for the engine that wants them.
+    pub fn into_parts(self) -> (RrrCollection, IndexMeta, Option<SketchProvenance>, Arc<Postings>) {
+        (self.sets, self.meta, self.provenance, self.postings)
     }
 
     /// Number of vertices of the indexed vertex space.
@@ -309,23 +216,29 @@ impl SketchIndex {
         self.sets.len()
     }
 
-    /// The ids of every set containing `v`, in increasing order.
+    /// The inverted structure itself.
     #[inline]
-    pub fn postings(&self, v: NodeId) -> &[SetId] {
-        self.postings.slice(v as usize)
+    pub fn postings(&self) -> &Arc<Postings> {
+        &self.postings
+    }
+
+    /// The ids of every set containing `v`, in increasing order.
+    pub fn ids(&self, v: NodeId) -> Vec<SetId> {
+        self.postings.ids(v)
     }
 
     /// Occurrence count of `v` — how many sets contain it. This is the
     /// initial greedy counter value, precomputed at build time.
     #[inline]
     pub fn degree(&self, v: NodeId) -> u64 {
-        self.postings.degree(v as usize)
+        self.postings.degree(v)
     }
 
     /// All occurrence counts as a fresh mutable vector (the greedy engine's
     /// working counter).
     pub fn degree_vector(&self) -> Vec<u64> {
-        (0..self.num_nodes()).map(|v| self.degree(v as NodeId)).collect()
+        let postings = self.postings.view();
+        (0..self.num_nodes()).map(|v| postings.degree(v as NodeId)).collect()
     }
 
     /// The indexed collection.
@@ -361,48 +274,20 @@ impl SketchIndex {
     /// Heap bytes of the collection plus the index structures (for shared
     /// backings: the mapped bytes resident once touched).
     pub fn memory_bytes(&self) -> usize {
-        self.sets.memory_bytes() + self.postings.memory_bytes()
+        self.sets.memory_bytes() + self.postings.stats().bytes()
     }
 }
 
-/// The two streaming passes that invert a collection into CSR postings
-/// (one branch per set, tight loops per slice): occurrence counts, then the
-/// postings fill. Shared by the index constructor and the v4 snapshot
-/// encoder, so the stored postings sections are byte-for-byte what a heap
-/// build would compute.
-pub(crate) fn build_postings(
-    collection: &RrrCollection,
-) -> Result<(Vec<usize>, Vec<SetId>), IndexError> {
-    let n = collection.num_nodes();
+/// Invert the whole collection ([`Postings::build`] with the range = all
+/// sets). Shared by the index constructors and the snapshot encoder, so the
+/// stored postings sections are byte-for-byte what a heap build computes.
+pub(crate) fn build_postings(collection: &RrrCollection) -> Result<Postings, IndexError> {
     if u32::try_from(collection.len()).is_err() {
         return Err(IndexError::TooManySets(collection.len()));
     }
-    let mut offsets = vec![0usize; n + 1];
-    let mut bad: Option<NodeId> = None;
-    for set in collection {
-        set.for_each(|v| {
-            if (v as usize) < n {
-                offsets[v as usize + 1] += 1;
-            } else if bad.is_none() {
-                bad = Some(v);
-            }
-        });
-    }
-    if let Some(vertex) = bad {
-        return Err(IndexError::VertexOutOfRange { vertex, num_nodes: n });
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor = offsets.clone();
-    let mut postings = vec![0 as SetId; offsets[n]];
-    for (sid, set) in collection.iter().enumerate() {
-        set.for_each(|v| {
-            postings[cursor[v as usize]] = sid as SetId;
-            cursor[v as usize] += 1;
-        });
-    }
-    Ok((offsets, postings))
+    Postings::build(collection, 0, collection.len()).map_err(|vertex| {
+        IndexError::VertexOutOfRange { vertex, num_nodes: collection.num_nodes() }
+    })
 }
 
 #[cfg(test)]
@@ -425,9 +310,9 @@ mod tests {
         let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         assert_eq!(index.num_sets(), 8);
         assert_eq!(index.degree_vector(), vec![2, 4, 2, 2, 3, 1]);
-        assert_eq!(index.postings(1), &[0, 1, 3, 4]);
-        assert_eq!(index.postings(4), &[2, 3, 4]);
-        assert_eq!(index.postings(5), &[4]);
+        assert_eq!(index.ids(1), [0, 1, 3, 4]);
+        assert_eq!(index.ids(4), [2, 3, 4]);
+        assert_eq!(index.ids(5), [4]);
     }
 
     #[test]
@@ -441,7 +326,7 @@ mod tests {
         let a = SketchIndex::from_collection(sorted, IndexMeta::default()).unwrap();
         let b = SketchIndex::from_collection(bitmap, IndexMeta::default()).unwrap();
         for v in 0..64u32 {
-            assert_eq!(a.postings(v), b.postings(v), "vertex {v}");
+            assert_eq!(a.ids(v), b.ids(v), "vertex {v}");
             assert_eq!(a.degree(v), b.degree(v));
         }
     }
@@ -461,7 +346,7 @@ mod tests {
             SketchIndex::from_collection(RrrCollection::new(10), IndexMeta::default()).unwrap();
         assert_eq!(index.num_sets(), 0);
         assert_eq!(index.degree(3), 0);
-        assert!(index.postings(3).is_empty());
+        assert!(index.ids(3).is_empty());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! persistent, shareable index and answers many queries against it:
 //!
 //! * [`SketchIndex`] — immutable index over an [`imm_rrr::RrrCollection`]:
-//!   inverted vertex → set postings and precomputed occurrence counts,
-//!   shareable across threads via `Arc`.
+//!   inverted vertex → set postings ([`imm_rrr::Postings`]: a bit row for a
+//!   vertex in more than θ/32 of the sets, an ascending list for the rest)
+//!   and precomputed occurrence counts, shareable across threads via `Arc`.
 //! * [`QueryEngine`] — answers [`Query::TopK`] (incremental greedy with a
 //!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
 //!   never resample; an optional **audience** bitmap restricts coverage to
@@ -22,8 +23,10 @@
 //!   normalized queries.
 //! * [`snapshot`] — a versioned binary format (magic bytes, version field,
 //!   checksum) so an index built once can be memory-loaded by later
-//!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. Format v2
-//!   persists sampling provenance and the delta log; v1 files still load.
+//!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. The format
+//!   persists sampling provenance, the delta log and (v5) the postings as
+//!   the index holds them, laid out so `imm-store` can serve a file in
+//!   place; v1–v4 files still load.
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records per-set provenance, and
 //!   [`SketchIndex::apply_delta`] / [`QueryEngine::apply_delta`] resample
@@ -75,11 +78,10 @@ pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::{LazyGreedy, MaskedPool, SetsContaining};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
-    load_collection, load_collection_from_path, load_parts, parse_v4_head,
-    recover_interrupted_save, save_parts, save_parts_to_path, snapshot_tmp_path, DeltaJournal,
-    JournalEntry, SnapshotError, SnapshotSections, V4Head, JOURNAL_MAGIC, SNAPSHOT_HEADER_BYTES,
-    SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V1,
-    SNAPSHOT_VERSION_V2, SNAPSHOT_VERSION_V3, V4_FLAG_BITMAP, V4_FLAG_SORTED,
+    load_parts, parse_v4_head, recover_interrupted_save, save_parts, save_parts_to_path,
+    snapshot_tmp_path, DeltaJournal, JournalEntry, SnapshotError, SnapshotSections, V4Head,
+    JOURNAL_MAGIC, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
+    SNAPSHOT_VERSION_V1, SNAPSHOT_VERSION_V2, SNAPSHOT_VERSION_V3, V4_FLAG_BITMAP, V4_FLAG_SORTED,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

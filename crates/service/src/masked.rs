@@ -15,9 +15,11 @@
 //! `select_seeds` pass over the same collection.
 //!
 //! Retiring a chosen seed's sets walks a [`SetsContaining`] source over the
-//! shared [`RrrCollection`] — the single-index engine's `SketchIndex`
-//! postings, or the sharded engine's per-segment or merged postings — so
-//! both engines run the same code.
+//! shared [`RrrCollection`] — the global [`imm_rrr::Postings`] (the single-index
+//! engine's, and the sharded engine's on a pool without workers) or the
+//! shards' own postings rebased by their range starts — so both engines run
+//! the same code, and a vertex stored as a row walks like one stored as a
+//! list.
 //!
 //! * The **fresh** session ([`LazyGreedy`]) is persistent: all sets alive,
 //!   counts seeded from the index's degree vector. Greedy max coverage is
@@ -36,7 +38,7 @@
 //!   each check out their own session (no lock is held while one runs).
 
 use crate::index::{SetId, SketchIndex};
-use imm_rrr::{BitSet, NodeId, RrrCollection};
+use imm_rrr::{BitSet, NodeId, PostingsView, RrrCollection};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,10 +50,19 @@ pub trait SetsContaining {
     fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId));
 }
 
+/// Postings over the whole collection (local ids are global ids), resolved
+/// once per query.
+impl SetsContaining for PostingsView<'_> {
+    #[inline]
+    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId)) {
+        self.for_each(v, f);
+    }
+}
+
 impl SetsContaining for SketchIndex {
     #[inline]
     fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId)) {
-        self.postings(v).iter().copied().for_each(f);
+        self.postings.for_each(v, f);
     }
 }
 

@@ -19,6 +19,10 @@
 //!   actually resampled, and postings candidates kept by the coin
 //!   predicate (the pruning that keeps refresh sublinear).
 //!
+//! * **Postings shape** — row vertices, list entries and bytes of the
+//!   served global postings (dense regime: "all rows, kilobytes"; sparse:
+//!   "no rows"), set when an engine starts serving and after each refresh.
+//!
 //! All hot-path updates are relaxed atomic adds; CELF totals are
 //! accumulated per round, not per pop.
 //!
@@ -26,7 +30,8 @@
 
 use std::sync::Once;
 
-use imm_obs::{Counter, Histogram, Metric, RateMeter, Unit};
+use imm_obs::{Counter, Gauge, Histogram, Metric, RateMeter, Unit};
+use imm_rrr::PostingsStats;
 
 /// Latency of cache-miss TopK (plain and masked) computations.
 pub static TOPK_LATENCY: Histogram = Histogram::new(
@@ -123,6 +128,34 @@ pub static SNAPSHOT_RECOVERIES: Counter = Counter::new(
     "Leftover snapshot temp files from interrupted saves swept on load",
 );
 
+/// Vertices of the served global postings stored as bit rows.
+pub static POSTINGS_ROW_VERTICES: Gauge = Gauge::new(
+    "service_postings_row_vertices",
+    "Vertices of the served global postings stored as bit rows (degree above theta/32)",
+    Unit::Count,
+);
+
+/// `u32` list entries of the served global postings.
+pub static POSTINGS_LIST_ENTRIES: Gauge = Gauge::new(
+    "service_postings_list_entries",
+    "List entries of the served global postings (vertices not stored as rows)",
+    Unit::Count,
+);
+
+/// Bytes of the served global postings, rows and lists together.
+pub static POSTINGS_MEMORY: Gauge = Gauge::new(
+    "service_postings_memory",
+    "Bytes of the served global postings: rows, row table, lists and offsets",
+    Unit::Bytes,
+);
+
+/// Publish the shape of the global postings an engine serves from.
+pub fn record_postings(stats: PostingsStats) {
+    POSTINGS_ROW_VERTICES.set(stats.row_vertices as f64);
+    POSTINGS_LIST_ENTRIES.set(stats.list_entries as f64);
+    POSTINGS_MEMORY.set(stats.bytes() as f64);
+}
+
 /// Register the serving metrics with the process-global registry.
 /// Idempotent; called from engine constructors and the refresh path.
 pub fn register() {
@@ -145,6 +178,9 @@ pub fn register() {
             &DELTA_COIN_SKIPS as &'static dyn Metric,
             &QUERY_RATE as &'static dyn Metric,
             &SNAPSHOT_RECOVERIES as &'static dyn Metric,
+            &POSTINGS_ROW_VERTICES as &'static dyn Metric,
+            &POSTINGS_LIST_ENTRIES as &'static dyn Metric,
+            &POSTINGS_MEMORY as &'static dyn Metric,
         ]);
     });
 }
@@ -165,6 +201,8 @@ mod tests {
             "service_delta_coin_skips",
             "service_queries",
             "snapshot_recoveries",
+            "service_postings_row_vertices",
+            "service_postings_memory",
         ] {
             assert!(names.contains(&expected), "{expected} missing from registry");
         }

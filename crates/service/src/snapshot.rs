@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! [0..8)   magic  "IMMSKTCH"
-//! [8..12)  format version (1, 2, 3 or 4; writers emit 4)
+//! [8..12)  format version (1 to 5; writers emit 5)
 //! [12..20) FNV-1a 64 checksum of the payload
 //! [20..)   payload: num_edges u64, label (u32 length + UTF-8 bytes),
 //!          then the RRR collection (per-version encoding, below)
@@ -41,26 +41,41 @@
 //! representation flags, then each heavy set's bitmap as raw words (no
 //! per-set capacity framing). The provenance section is unchanged.
 //!
-//! Version 4 is the **mappable** layout (`imm-store`): after the prelude
-//! (num_edges + label) comes an 88-byte section directory — ten `u64`
-//! fields (`num_nodes, num_sets, arena_len, bitmap_sets, postings_len,
-//! arena_off, bitmaps_off, offsets_off, postings_off, file_len`) plus an
-//! FNV-1a checksum of those 80 bytes — then the per-set lengths (`u32`
-//! each), representation flags (`u8` each) and the v2 provenance section.
-//! The four data sections follow at their directory offsets, each padded to
-//! a 4096-byte **snapshot-relative page boundary**: the vertex arena
+//! Version 4 introduced the **mappable** layout (`imm-store`): after the
+//! prelude (num_edges + label) comes a section directory of `u64` fields
+//! closed by an FNV-1a checksum of those fields, then the per-set lengths
+//! (`u32` each), representation flags (`u8` each) and the v2 provenance
+//! section. The data sections follow at their directory offsets, each padded
+//! to a 4096-byte **snapshot-relative page boundary**: the vertex arena
 //! (`u32`), the heavy-set bitmap words (`u64`, `⌈num_nodes/64⌉` words per
-//! bitmap set in set order), the CSR postings offsets (`num_nodes + 1` ×
-//! `u64`) and the flat postings (`u32`). Because every section is
-//! page-aligned and plain little-endian integers, `imm-store` can `mmap`
-//! the file and serve the arena, bitmaps and postings *in place*; the
-//! read-decode path ignores the stored postings and rebuilds them, byte-
-//! identically, from the sets. Versions 1–3 still load through the legacy
-//! decoders (v1 comes back static).
+//! bitmap set in set order), and the inverted postings. In v4 those were a
+//! flat list for every vertex — the CSR offsets (`num_nodes + 1` × `u64`)
+//! and the flat `u32` lists — named by a 10-field directory (`num_nodes,
+//! num_sets, arena_len, bitmap_sets, postings_len, arena_off, bitmaps_off,
+//! offsets_off, postings_off, file_len`; 88 bytes with its checksum).
+//!
+//! Version 5 (what this build writes) is the v4 head with three more
+//! directory fields — `row_vertices, row_table_off, rows_off`, placed before
+//! `file_len`; 112 bytes with the checksum — because the postings are now
+//! the vertex-adaptive [`imm_rrr::Postings`], stored section for section:
+//! the offsets and flat lists hold the list vertices only (a row vertex has
+//! an empty range), the **row table** (`u32`: the `row_vertices` ids of the
+//! vertices stored as rows, ascending, then their degrees) follows the lists
+//! directly, and the **rows** (`u64`, `⌈num_sets/64⌉` words per row vertex,
+//! in table order) start on the next page boundary and end the file. A
+//! snapshot without a row vertex has both sections empty at `file_len`: it
+//! is the v4 file plus 24 directory bytes. Because every section is plain
+//! little-endian integers, suitably aligned, `imm-store` can `mmap` a v5
+//! file and serve the arena, bitmaps and postings *in place*; the
+//! read-decode path decodes the postings sections and validates them in full
+//! (every list ascending and in range, no row bit beyond `num_sets`, stored
+//! degree = popcount, no vertex in both forms) rather than rebuilding them.
+//! Versions 1–4 still load through read-decode only: their decoders never
+//! read stored postings and rebuild them from the sets (v1 comes back
+//! static), and `imm-store` counts a v4 file as a mapped-path fallback.
 //!
 //! Only the collection, metadata, provenance and (from v4) the inverted
-//! postings are stored; on the read-decode path the postings are rebuilt on
-//! load (a deterministic single pass, far cheaper than sampling).
+//! postings are stored.
 //!
 //! # Crash safety
 //!
@@ -81,21 +96,23 @@ use crate::index::{IndexError, IndexMeta, SketchIndex};
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
 use imm_rrr::codec::{ByteReader, CodecError};
-use imm_rrr::{AdaptivePolicy, RrrCollection, SetProvenance};
+use imm_rrr::{AdaptivePolicy, Postings, RrrCollection, SetProvenance};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMMSKTCH";
 /// The snapshot format version this build writes.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 /// The legacy (pre-provenance) format version this build still reads.
 pub const SNAPSHOT_VERSION_V1: u32 = 1;
 /// The legacy per-set-encoded dynamic format this build still reads.
 pub const SNAPSHOT_VERSION_V2: u32 = 2;
 /// The legacy arena-encoded (non-mappable) format this build still reads.
 pub const SNAPSHOT_VERSION_V3: u32 = 3;
-/// Alignment of every v4 data section, as a **snapshot-relative** byte
+/// The first mappable layout (flat-list postings): read-decode only.
+pub const SNAPSHOT_VERSION_V4: u32 = 4;
+/// Alignment of the page-aligned data sections, as a **snapshot-relative** byte
 /// offset (offset 0 = first magic byte). Matches the small-page size, so a
 /// page-aligned mapping of the file keeps each section alignment-safe for
 /// in-place `u32`/`u64` views.
@@ -142,8 +159,7 @@ impl std::fmt::Display for SnapshotError {
                 write!(
                     f,
                     "unsupported snapshot version {v} (this build reads \
-                     {SNAPSHOT_VERSION_V1}, {SNAPSHOT_VERSION_V2}, {SNAPSHOT_VERSION_V3} \
-                     and {SNAPSHOT_VERSION})"
+                     {SNAPSHOT_VERSION_V1} to {SNAPSHOT_VERSION} and maps {SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
@@ -334,9 +350,9 @@ pub const V4_FLAG_SORTED: u8 = 0;
 /// Representation-flag value for a bitmap set in a v4 head.
 pub const V4_FLAG_BITMAP: u8 = 1;
 
-/// The section directory of a v4 snapshot: sizes and **snapshot-relative**
-/// byte offsets of the four page-aligned data sections. `imm-store` maps the
-/// file and turns these straight into in-place slices.
+/// The section directory of a mappable snapshot: sizes and
+/// **snapshot-relative** byte offsets of the data sections. `imm-store` maps
+/// the file and turns these straight into in-place slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotSections {
     /// Vertices of the indexed vertex space.
@@ -348,7 +364,7 @@ pub struct SnapshotSections {
     /// Sets stored as bitmaps; the bitmap section holds this many
     /// `⌈num_nodes/64⌉`-word runs, in set order.
     pub bitmap_sets: usize,
-    /// Entries (`u32`) in the flat postings section.
+    /// Entries (`u32`) in the flat postings-list section.
     pub postings_len: usize,
     /// Snapshot-relative byte offset of the vertex arena.
     pub arena_off: usize,
@@ -357,11 +373,23 @@ pub struct SnapshotSections {
     /// Snapshot-relative byte offset of the postings offsets
     /// (`num_nodes + 1` × `u64`).
     pub offsets_off: usize,
-    /// Snapshot-relative byte offset of the flat postings.
+    /// Snapshot-relative byte offset of the flat postings lists.
     pub postings_off: usize,
+    /// Vertices whose postings are a row (0 in a v4 file).
+    pub row_vertices: usize,
+    /// Snapshot-relative byte offset of the row table (`2 × row_vertices`
+    /// × `u32`: ids, then degrees).
+    pub row_table_off: usize,
+    /// Snapshot-relative byte offset of the rows (`row_vertices ×
+    /// ⌈num_sets/64⌉` × `u64`); page-aligned when there are any.
+    pub rows_off: usize,
     /// Total snapshot length in bytes (header included).
     pub file_len: usize,
 }
+
+/// Directory fields before the checksum: v4 files, then v5 files.
+const DIRECTORY_FIELDS_V4: usize = 10;
+const DIRECTORY_FIELDS: usize = 13;
 
 impl SnapshotSections {
     /// `u64` words per stored bitmap set.
@@ -370,9 +398,15 @@ impl SnapshotSections {
         self.num_nodes.div_ceil(64)
     }
 
-    fn to_directory_bytes(self) -> [u8; 88] {
-        let mut dir = [0u8; 88];
-        for (slot, value) in [
+    /// `u64` words per stored postings row.
+    #[inline]
+    pub fn words_per_row(&self) -> usize {
+        self.num_sets.div_ceil(64)
+    }
+
+    fn to_directory_bytes(self) -> Vec<u8> {
+        let mut dir = Vec::with_capacity((DIRECTORY_FIELDS + 1) * 8);
+        for value in [
             self.num_nodes,
             self.num_sets,
             self.arena_len,
@@ -382,33 +416,44 @@ impl SnapshotSections {
             self.bitmaps_off,
             self.offsets_off,
             self.postings_off,
+            self.row_vertices,
+            self.row_table_off,
+            self.rows_off,
             self.file_len,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            dir[slot * 8..slot * 8 + 8].copy_from_slice(&(value as u64).to_le_bytes());
+        ] {
+            dir.extend_from_slice(&(value as u64).to_le_bytes());
         }
-        let check = fnv1a64(&dir[..80]);
-        dir[80..88].copy_from_slice(&check.to_le_bytes());
+        let check = fnv1a64(&dir);
+        dir.extend_from_slice(&check.to_le_bytes());
         dir
     }
 
-    fn read(reader: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
-        let raw = reader.read_bytes(88)?;
-        let stored = u64::from_le_bytes(raw[80..88].try_into().expect("8 bytes"));
-        if fnv1a64(&raw[..80]) != stored {
+    /// Read the directory of a `version` (4 or 5) file; a v4 directory reads
+    /// as one with no row vertex.
+    fn read(reader: &mut ByteReader<'_>, version: u32) -> Result<Self, SnapshotError> {
+        let count =
+            if version >= SNAPSHOT_VERSION { DIRECTORY_FIELDS } else { DIRECTORY_FIELDS_V4 };
+        let raw = reader.read_bytes((count + 1) * 8)?;
+        let word = |slot: usize| {
+            u64::from_le_bytes(raw[slot * 8..slot * 8 + 8].try_into().expect("8 bytes"))
+        };
+        if fnv1a64(&raw[..count * 8]) != word(count) {
             return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                 "section directory checksum mismatch",
             )));
         }
-        let mut fields = [0usize; 10];
-        for (slot, field) in fields.iter_mut().enumerate() {
-            let value = u64::from_le_bytes(raw[slot * 8..slot * 8 + 8].try_into().expect("8"));
-            *field = usize::try_from(value).map_err(|_| {
+        let mut fields = [0usize; DIRECTORY_FIELDS];
+        for (slot, field) in fields[..count].iter_mut().enumerate() {
+            *field = usize::try_from(word(slot)).map_err(|_| {
                 SnapshotError::Corrupt(CodecError::InvalidValue("directory field overflow"))
             })?;
         }
+        let file_len = fields[count - 1];
+        let rows = if count == DIRECTORY_FIELDS {
+            [fields[9], fields[10], fields[11]]
+        } else {
+            [0, file_len, file_len]
+        };
         let sections = SnapshotSections {
             num_nodes: fields[0],
             num_sets: fields[1],
@@ -419,45 +464,50 @@ impl SnapshotSections {
             bitmaps_off: fields[6],
             offsets_off: fields[7],
             postings_off: fields[8],
-            file_len: fields[9],
+            row_vertices: rows[0],
+            row_table_off: rows[1],
+            rows_off: rows[2],
+            file_len,
         };
         sections.validate()?;
         Ok(sections)
     }
 
-    /// Structural validation: each section page-aligned, in order, and
-    /// inside `file_len`. Independent of the data bytes, so the mmap path
-    /// can run it without touching a single data page.
+    /// Structural validation: each section aligned for its element type
+    /// (page-aligned where the format says so), in order, and inside
+    /// `file_len`. Independent of the data bytes, so the mmap path can run
+    /// it without touching a single data page.
     fn validate(&self) -> Result<(), SnapshotError> {
         let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
-        for off in [self.arena_off, self.bitmaps_off, self.offsets_off, self.postings_off] {
-            if off % SNAPSHOT_PAGE_BYTES != 0 {
-                return Err(corrupt("section offset is not page-aligned"));
-            }
+        let mut paged = vec![self.arena_off, self.bitmaps_off, self.offsets_off, self.postings_off];
+        if self.row_vertices > 0 {
+            paged.push(self.rows_off);
         }
-        let arena_end = self
-            .arena_off
-            .checked_add(self.arena_len.checked_mul(4).ok_or(corrupt("arena overflow"))?)
-            .ok_or(corrupt("arena overflow"))?;
-        let bitmap_bytes = self
-            .bitmap_sets
-            .checked_mul(self.words_per_bitmap())
-            .and_then(|w| w.checked_mul(8))
-            .ok_or(corrupt("bitmap overflow"))?;
+        if paged.iter().any(|off| off % SNAPSHOT_PAGE_BYTES != 0)
+            || !self.row_table_off.is_multiple_of(4)
+        {
+            return Err(corrupt("section offset is not aligned"));
+        }
+        // End of a section of `count` elements of `width` bytes at `off`.
+        let end = |off: usize, count: Option<usize>, width: usize| {
+            count
+                .and_then(|c| c.checked_mul(width))
+                .and_then(|bytes| off.checked_add(bytes))
+                .ok_or(corrupt("section size overflow"))
+        };
+        let arena_end = end(self.arena_off, Some(self.arena_len), 4)?;
         let bitmaps_end =
-            self.bitmaps_off.checked_add(bitmap_bytes).ok_or(corrupt("bitmap overflow"))?;
-        let offsets_end = self
-            .offsets_off
-            .checked_add((self.num_nodes + 1).checked_mul(8).ok_or(corrupt("offset overflow"))?)
-            .ok_or(corrupt("offset overflow"))?;
-        let postings_end = self
-            .postings_off
-            .checked_add(self.postings_len.checked_mul(4).ok_or(corrupt("postings overflow"))?)
-            .ok_or(corrupt("postings overflow"))?;
+            end(self.bitmaps_off, self.bitmap_sets.checked_mul(self.words_per_bitmap()), 8)?;
+        let offsets_end = end(self.offsets_off, self.num_nodes.checked_add(1), 8)?;
+        let postings_end = end(self.postings_off, Some(self.postings_len), 4)?;
+        let table_end = end(self.row_table_off, self.row_vertices.checked_mul(2), 4)?;
+        let rows_end = end(self.rows_off, self.row_vertices.checked_mul(self.words_per_row()), 8)?;
         if arena_end > self.bitmaps_off
             || bitmaps_end > self.offsets_off
             || offsets_end > self.postings_off
-            || postings_end != self.file_len
+            || postings_end > self.row_table_off
+            || table_end > self.rows_off
+            || rows_end != self.file_len
         {
             return Err(corrupt("sections overlap or overrun the file"));
         }
@@ -465,7 +515,8 @@ impl SnapshotSections {
     }
 }
 
-/// Everything a v4 reader learns **before touching any data page**: the
+/// Everything a reader of a mappable (v4/v5) file learns **before touching
+/// any data page**: the
 /// metadata prelude, the section directory, the per-set lengths and
 /// representation flags, and the provenance section. The store's mmap path
 /// builds its zero-copy index from this head plus in-place section views.
@@ -483,14 +534,14 @@ pub struct V4Head {
     pub provenance: Option<SketchProvenance>,
 }
 
-fn decode_v4_head(payload: &[u8]) -> Result<V4Head, SnapshotError> {
+fn decode_v4_head(payload: &[u8], version: u32) -> Result<V4Head, SnapshotError> {
     let mut reader = ByteReader::new(payload);
     let num_edges = usize::try_from(reader.read_u64()?)
         .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("num_edges overflow")))?;
     let label_len = reader.read_u32()? as usize;
     let label = String::from_utf8(reader.read_bytes(label_len)?.to_vec())
         .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("label is not UTF-8")))?;
-    let sections = SnapshotSections::read(&mut reader)?;
+    let sections = SnapshotSections::read(&mut reader, version)?;
     let lens: Vec<u32> = {
         let raw = reader.read_bytes(sections.num_sets * 4)?;
         raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
@@ -516,8 +567,9 @@ fn decode_v4_head(payload: &[u8]) -> Result<V4Head, SnapshotError> {
     Ok(V4Head { meta: IndexMeta { num_edges, label }, sections, lens, flags, provenance })
 }
 
-/// Parse the head of a v4 snapshot from its raw bytes (magic + version +
-/// directory + lens/flags/provenance) **without** verifying the payload
+/// Parse the head of a mappable snapshot — the current version only; a v4
+/// file is served through read-decode — from its raw bytes (magic, version,
+/// directory, lens/flags/provenance) **without** verifying the payload
 /// checksum or touching the data sections — the entry point of the
 /// zero-copy mmap path, whose whole purpose is to leave the data pages
 /// untouched until queries fault them in. Integrity of the head's own
@@ -525,19 +577,11 @@ fn decode_v4_head(payload: &[u8]) -> Result<V4Head, SnapshotError> {
 /// covered by the container checksum, which the read-decode path (and any
 /// `verify` tooling) still checks in full.
 pub fn parse_v4_head(snapshot: &[u8]) -> Result<V4Head, SnapshotError> {
-    let mut header = ByteReader::new(snapshot);
-    let magic = header.read_bytes(SNAPSHOT_MAGIC.len())?;
-    if magic != SNAPSHOT_MAGIC {
-        let mut found = [0u8; 8];
-        found.copy_from_slice(magic);
-        return Err(SnapshotError::BadMagic(found));
-    }
-    let version = header.read_u32()?;
+    let (version, _checksum, payload) = split_container(snapshot)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let _checksum = header.read_u64()?;
-    let head = decode_v4_head(&snapshot[SNAPSHOT_HEADER_BYTES..])?;
+    let head = decode_v4_head(payload, version)?;
     if head.sections.file_len != snapshot.len() {
         return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
             "directory file length disagrees with the snapshot",
@@ -546,14 +590,15 @@ pub fn parse_v4_head(snapshot: &[u8]) -> Result<V4Head, SnapshotError> {
     Ok(head)
 }
 
-fn encode_payload_v4(
+fn encode_payload(
     meta: &IndexMeta,
     collection: &RrrCollection,
     provenance: Option<&SketchProvenance>,
-) -> Result<Vec<u8>, SnapshotError> {
+    postings: &Postings,
+) -> Vec<u8> {
     use imm_rrr::SetView;
 
-    let (postings_offsets, postings) = crate::index::build_postings(collection)?;
+    let (postings_offsets, lists, row_table, rows) = postings.sections();
     let num_nodes = collection.num_nodes();
     let num_sets = collection.len();
 
@@ -588,24 +633,36 @@ fn encode_payload_v4(
     }
 
     let prelude_len = 8 + 4 + meta.label.len();
-    let head_end =
-        SNAPSHOT_HEADER_BYTES + prelude_len + 88 + num_sets * 4 + num_sets + prov_section.len();
+    let head_end = SNAPSHOT_HEADER_BYTES
+        + prelude_len
+        + (DIRECTORY_FIELDS + 1) * 8
+        + num_sets * 4
+        + num_sets
+        + prov_section.len();
     let words_per_bitmap = num_nodes.div_ceil(64);
     let arena_off = align_up(head_end);
     let bitmaps_off = align_up(arena_off + arena_len * 4);
     let offsets_off = align_up(bitmaps_off + bitmap_sets * words_per_bitmap * 8);
-    let postings_off = align_up(offsets_off + (num_nodes + 1) * 8);
-    let file_len = postings_off + postings.len() * 4;
+    let postings_off = align_up(offsets_off + postings_offsets.len() * 8);
+    // The row table follows the lists directly; the rows start on a page
+    // of their own — unless there are none, and the file ends here.
+    let row_table_off = postings_off + lists.len() * 4;
+    let table_end = row_table_off + row_table.len() * 4;
+    let rows_off = if rows.is_empty() { table_end } else { align_up(table_end) };
+    let file_len = rows_off + rows.len() * 8;
     let sections = SnapshotSections {
         num_nodes,
         num_sets,
         arena_len,
         bitmap_sets,
-        postings_len: postings.len(),
+        postings_len: lists.len(),
         arena_off,
         bitmaps_off,
         offsets_off,
         postings_off,
+        row_vertices: row_table.len() / 2,
+        row_table_off,
+        rows_off,
         file_len,
     };
 
@@ -620,42 +677,40 @@ fn encode_payload_v4(
     payload.extend_from_slice(&flags);
     payload.extend_from_slice(&prov_section);
 
-    // Data sections, each zero-padded to its page-aligned offset. The pad
-    // bytes are deterministic, so the encoder is byte-stable and the
-    // container checksum covers them.
+    // Data sections, each zero-padded to its offset. The pad bytes are
+    // deterministic, so the encoder is byte-stable and the container
+    // checksum covers them.
     payload.resize(arena_off - SNAPSHOT_HEADER_BYTES, 0);
     for set in collection {
         if let SetView::Sorted(members) = set {
-            for &v in members {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+            payload.extend(members.iter().flat_map(|v| v.to_le_bytes()));
         }
     }
     payload.resize(bitmaps_off - SNAPSHOT_HEADER_BYTES, 0);
     for set in collection {
         if let SetView::Bitmap(bits) = set {
-            for word in bits.words() {
-                payload.extend_from_slice(&word.to_le_bytes());
-            }
+            payload.extend(bits.words().iter().flat_map(|word| word.to_le_bytes()));
         }
     }
     payload.resize(offsets_off - SNAPSHOT_HEADER_BYTES, 0);
-    for offset in &postings_offsets {
-        payload.extend_from_slice(&(*offset as u64).to_le_bytes());
-    }
+    payload.extend(postings_offsets.iter().flat_map(|offset| offset.to_le_bytes()));
     payload.resize(postings_off - SNAPSHOT_HEADER_BYTES, 0);
-    for sid in &postings {
-        payload.extend_from_slice(&sid.to_le_bytes());
-    }
+    payload.extend(lists.iter().flat_map(|sid| sid.to_le_bytes()));
+    payload.extend(row_table.iter().flat_map(|entry| entry.to_le_bytes()));
+    payload.resize(rows_off - SNAPSHOT_HEADER_BYTES, 0);
+    payload.extend(rows.iter().flat_map(|word| word.to_le_bytes()));
     debug_assert_eq!(payload.len() + SNAPSHOT_HEADER_BYTES, file_len);
-    Ok(payload)
+    payload
 }
 
-fn decode_payload_v4(
-    payload: &[u8],
-) -> Result<(IndexMeta, RrrCollection, Option<SketchProvenance>), SnapshotError> {
+/// What a verified snapshot decodes to. `postings` is present when the file
+/// stored vertex-adaptive postings (v5): decoded and validated in full.
+/// Older files leave it to the caller to rebuild them from the sets.
+type Decoded = (IndexMeta, RrrCollection, Option<SketchProvenance>, Option<Postings>);
+
+fn decode_payload_v4(payload: &[u8], version: u32) -> Result<Decoded, SnapshotError> {
     let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
-    let head = decode_v4_head(payload)?;
+    let head = decode_v4_head(payload, version)?;
     let sections = &head.sections;
     if sections.file_len != payload.len() + SNAPSHOT_HEADER_BYTES {
         return Err(corrupt("directory file length disagrees with the payload"));
@@ -716,19 +771,41 @@ fn decode_payload_v4(
     if next_bitmap != sections.bitmap_sets {
         return Err(corrupt("fewer bitmap flags than bitmap sections"));
     }
-    // The stored postings are *not* adopted on this path: the read-decode
-    // loader rebuilds them from the sets (SketchIndex::from_collection),
-    // exactly as pre-v4 loads did. Only the mmap path (imm-store) serves
-    // the stored sections in place.
-    Ok((head.meta, collection, head.provenance))
+    // A v4 file's flat-list postings are *not* adopted: the loader rebuilds
+    // them from the sets, exactly as pre-v4 loads did.
+    let postings = if version >= SNAPSHOT_VERSION {
+        let u32s = |off: usize, len: usize| -> Vec<u32> {
+            section(off, len * 4)
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect()
+        };
+        let u64s = |off: usize, len: usize| -> Vec<u64> {
+            section(off, len * 8)
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect()
+        };
+        let postings = Postings::from_sections(
+            sections.num_nodes,
+            sections.num_sets,
+            u64s(sections.offsets_off, sections.num_nodes + 1),
+            u32s(sections.postings_off, sections.postings_len),
+            u32s(sections.row_table_off, sections.row_vertices * 2),
+            u64s(sections.rows_off, sections.row_vertices * sections.words_per_row()),
+        )
+        .map_err(corrupt)?;
+        postings.validate_contents().map_err(corrupt)?;
+        Some(postings)
+    } else {
+        None
+    };
+    Ok((head.meta, collection, head.provenance, postings))
 }
 
-fn decode_payload(
-    version: u32,
-    payload: &[u8],
-) -> Result<(IndexMeta, RrrCollection, Option<SketchProvenance>), SnapshotError> {
-    if version >= SNAPSHOT_VERSION {
-        return decode_payload_v4(payload);
+fn decode_payload(version: u32, payload: &[u8]) -> Result<Decoded, SnapshotError> {
+    if version >= SNAPSHOT_VERSION_V4 {
+        return decode_payload_v4(payload, version);
     }
     let mut reader = ByteReader::new(payload);
     let num_edges = usize::try_from(reader.read_u64()?)
@@ -759,7 +836,7 @@ fn decode_payload(
             "trailing bytes after collection",
         )));
     }
-    Ok((IndexMeta { num_edges, label }, collection, provenance))
+    Ok((IndexMeta { num_edges, label }, collection, provenance, None))
 }
 
 /// Serialize index components into `writer` exactly as
@@ -774,11 +851,15 @@ pub fn save_parts(
     provenance: Option<&SketchProvenance>,
     writer: &mut impl Write,
 ) -> Result<(), SnapshotError> {
-    let payload = encode_payload_v4(meta, collection, provenance)?;
+    let postings = crate::index::build_postings(collection)?;
+    write_container(&encode_payload(meta, collection, provenance, &postings), writer)
+}
+
+fn write_container(payload: &[u8], writer: &mut impl Write) -> Result<(), SnapshotError> {
     writer.write_all(&SNAPSHOT_MAGIC)?;
     writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    writer.write_all(&fnv1a64(&payload).to_le_bytes())?;
-    writer.write_all(&payload)?;
+    writer.write_all(&fnv1a64(payload).to_le_bytes())?;
+    writer.write_all(payload)?;
     Ok(())
 }
 
@@ -834,11 +915,15 @@ pub fn save_parts_to_path(
     provenance: Option<&SketchProvenance>,
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
-    let path = path.as_ref();
+    let postings = crate::index::build_postings(collection)?;
+    write_to_path(&encode_payload(meta, collection, provenance, &postings), path.as_ref())
+}
+
+fn write_to_path(payload: &[u8], path: &Path) -> Result<(), SnapshotError> {
     let tmp = snapshot_tmp_path(path);
     let file = std::fs::File::create(&tmp)?;
     let mut writer = io::BufWriter::new(imm_fault::FaultyIo::counted(file, "snapshot.write"));
-    save_parts(meta, collection, provenance, &mut writer)?;
+    write_container(payload, &mut writer)?;
     writer.flush()?;
     let file = writer.into_inner().map_err(io::IntoInnerError::into_error)?.into_inner();
     imm_fault::fsync_fault("snapshot.fsync")?;
@@ -852,34 +937,45 @@ pub fn save_parts_to_path(
 }
 
 /// Verify a snapshot container (magic, version, checksum) and decode its
-/// components without rebuilding the inverted postings — the counterpart of
+/// components, without the inverted postings — the counterpart of
 /// [`save_parts`]. Consumers that want a serving index should use
 /// [`SketchIndex::load`]; shard assembly uses the raw parts.
 pub fn load_parts(
     reader: &mut impl Read,
 ) -> Result<(IndexMeta, RrrCollection, Option<SketchProvenance>), SnapshotError> {
-    load_verified(reader)
+    let (meta, collection, provenance, _) = load_verified(reader)?;
+    Ok((meta, collection, provenance))
 }
 
 impl SketchIndex {
-    /// Serialize this index into `writer` (header + checksummed payload).
-    pub fn save(&self, writer: &mut impl Write) -> Result<(), SnapshotError> {
-        save_parts(self.meta(), self.sets(), self.provenance(), writer)
+    /// The payload [`save_parts`] would encode, from the postings this
+    /// index already holds instead of a rebuild.
+    fn encode(&self) -> Vec<u8> {
+        encode_payload(self.meta(), self.sets(), self.provenance(), &self.postings)
     }
 
-    /// Serialize this index to a file at `path` — crash-safely, via
+    /// Serialize this index into `writer` (header + checksummed payload).
+    pub fn save(&self, writer: &mut impl Write) -> Result<(), SnapshotError> {
+        write_container(&self.encode(), writer)
+    }
+
+    /// Serialize this index to a file at `path` — crash-safely, like
     /// [`save_parts_to_path`] (temp file, fsync, atomic rename).
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        save_parts_to_path(self.meta(), self.sets(), self.provenance(), path)
+        write_to_path(&self.encode(), path.as_ref())
     }
 
     /// Read an index back from `reader`, verifying magic, version and
-    /// checksum, then rebuilding the postings. A v2 snapshot with a
-    /// provenance section comes back dynamic (refreshable); v1 snapshots and
-    /// provenance-free v2 snapshots come back static.
+    /// checksum. A v5 snapshot's postings are decoded and validated; older
+    /// versions rebuild them from the sets. A snapshot with a provenance
+    /// section comes back dynamic (refreshable); v1 snapshots and
+    /// provenance-free ones come back static.
     pub fn load(reader: &mut impl Read) -> Result<Self, SnapshotError> {
-        let (meta, collection, provenance) = load_verified(reader)?;
-        Ok(SketchIndex::from_collection_with_provenance(collection, meta, provenance)?)
+        let (meta, collection, provenance, postings) = load_verified(reader)?;
+        Ok(match postings {
+            Some(postings) => SketchIndex::from_parts(collection, meta, provenance, postings)?,
+            None => SketchIndex::from_collection_with_provenance(collection, meta, provenance)?,
+        })
     }
 
     /// Read an index back from the file at `path`, first sweeping any
@@ -892,53 +988,33 @@ impl SketchIndex {
     }
 }
 
-/// Verify the container (magic, version, checksum) and decode the payload.
-fn load_verified(
-    reader: &mut impl Read,
-) -> Result<(IndexMeta, RrrCollection, Option<SketchProvenance>), SnapshotError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    let mut header = ByteReader::new(&bytes);
+/// Check the magic and split a snapshot into its format version, stored
+/// payload checksum and payload.
+fn split_container(snapshot: &[u8]) -> Result<(u32, u64, &[u8]), SnapshotError> {
+    let mut header = ByteReader::new(snapshot);
     let magic = header.read_bytes(SNAPSHOT_MAGIC.len())?;
     if magic != SNAPSHOT_MAGIC {
         let mut found = [0u8; 8];
         found.copy_from_slice(magic);
         return Err(SnapshotError::BadMagic(found));
     }
-    let version = header.read_u32()?;
-    if ![SNAPSHOT_VERSION, SNAPSHOT_VERSION_V3, SNAPSHOT_VERSION_V2, SNAPSHOT_VERSION_V1]
-        .contains(&version)
-    {
+    let (version, checksum) = (header.read_u32()?, header.read_u64()?);
+    Ok((version, checksum, &snapshot[SNAPSHOT_HEADER_BYTES..]))
+}
+
+/// Verify the container (magic, version, checksum) and decode the payload.
+fn load_verified(reader: &mut impl Read) -> Result<Decoded, SnapshotError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let (version, expected, payload) = split_container(&bytes)?;
+    if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let expected = header.read_u64()?;
-    let payload = &bytes[bytes.len() - header.remaining()..];
     let actual = fnv1a64(payload);
     if actual != expected {
         return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
     decode_payload(version, payload)
-}
-
-/// Read just the metadata and collection out of a snapshot (same magic /
-/// version / checksum verification as [`SketchIndex::load`]) without
-/// rebuilding the inverted postings — for consumers like `stats --index`
-/// that only inspect the stored sets.
-pub fn load_collection(
-    reader: &mut impl Read,
-) -> Result<(IndexMeta, RrrCollection), SnapshotError> {
-    let (meta, collection, _) = load_verified(reader)?;
-    Ok((meta, collection))
-}
-
-/// [`load_collection`] over the file at `path`, with the same
-/// interrupted-save sweep as [`SketchIndex::load_from_path`].
-pub fn load_collection_from_path(
-    path: impl AsRef<Path>,
-) -> Result<(IndexMeta, RrrCollection), SnapshotError> {
-    recover_interrupted_save(&path);
-    let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-    load_collection(&mut file)
 }
 
 /// The magic bytes opening every delta journal.
@@ -1197,14 +1273,19 @@ mod tests {
     }
 
     #[test]
-    fn v4_sections_are_page_aligned_and_head_parses_without_data() {
+    fn sections_are_aligned_and_the_head_parses_without_data() {
         let index = dynamic_index();
         let bytes = snapshot_bytes(&index);
         let head = parse_v4_head(&bytes).unwrap();
         let sections = head.sections;
-        for off in
-            [sections.arena_off, sections.bitmaps_off, sections.offsets_off, sections.postings_off]
-        {
+        assert!(sections.row_vertices > 0, "60 sets over 80 vertices: some vertex is a row");
+        for off in [
+            sections.arena_off,
+            sections.bitmaps_off,
+            sections.offsets_off,
+            sections.postings_off,
+            sections.rows_off,
+        ] {
             assert_eq!(off % SNAPSHOT_PAGE_BYTES, 0, "section offset {off} not page-aligned");
         }
         assert_eq!(sections.file_len, bytes.len());
@@ -1213,10 +1294,6 @@ mod tests {
         assert_eq!(head.meta, *index.meta());
         assert_eq!(head.provenance.as_ref(), index.provenance());
         assert_eq!(head.lens.len(), index.num_sets());
-        // The stored postings sections hold exactly what a heap build
-        // computes.
-        let total: usize = (0..index.num_nodes()).map(|v| index.postings(v as u32).len()).sum();
-        assert_eq!(sections.postings_len, total);
         // Corrupting a directory byte fails the directory checksum even
         // before the payload checksum would be consulted.
         let mut tampered = bytes.clone();
@@ -1225,24 +1302,32 @@ mod tests {
         assert!(parse_v4_head(&tampered).is_err());
     }
 
+    /// The stored postings sections hold exactly what a heap build computes,
+    /// array for array — and the patched index held the same arrays all along.
     #[test]
-    fn v4_stored_postings_match_the_rebuilt_postings() {
+    fn stored_postings_sections_are_the_built_postings() {
         let index = dynamic_index();
-        let bytes = snapshot_bytes(&index);
-        let head = parse_v4_head(&bytes).unwrap();
-        let s = head.sections;
-        let offsets: Vec<u64> = bytes[s.offsets_off..s.offsets_off + (s.num_nodes + 1) * 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let postings: Vec<u32> = bytes[s.postings_off..s.postings_off + s.postings_len * 4]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        for v in 0..s.num_nodes {
-            let stored = &postings[offsets[v] as usize..offsets[v + 1] as usize];
-            assert_eq!(stored, index.postings(v as u32), "postings of vertex {v}");
+        let built = crate::index::build_postings(index.sets()).unwrap();
+        let loaded = SketchIndex::load(&mut snapshot_bytes(&index).as_slice()).unwrap();
+        assert_eq!(loaded.postings().sections(), built.sections());
+        assert_eq!(index.postings().sections(), built.sections());
+    }
+
+    /// A snapshot without a row vertex ends at its flat lists: the v4 file
+    /// plus the three directory fields.
+    #[test]
+    fn a_snapshot_without_row_vertices_has_no_row_sections() {
+        let mut c = RrrCollection::new(50);
+        for i in 0..64u32 {
+            c.push_vertices(vec![i % 50], &AdaptivePolicy::always_sorted());
         }
+        let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
+        let bytes = snapshot_bytes(&index);
+        let s = parse_v4_head(&bytes).unwrap().sections;
+        assert_eq!((s.row_vertices, s.postings_len), (0, 64));
+        assert_eq!(s.row_table_off, s.postings_off + 64 * 4);
+        assert_eq!((s.rows_off, s.file_len), (s.row_table_off, s.row_table_off));
+        assert_eq!(SketchIndex::load(&mut bytes.as_slice()).unwrap(), index);
     }
 
     #[test]
@@ -1264,17 +1349,16 @@ mod tests {
         let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
         assert_eq!(loaded, index);
         assert!(!loaded.is_dynamic());
-        // And the collection-only reader agrees.
-        let (meta, collection) = load_collection(&mut bytes.as_slice()).unwrap();
-        assert_eq!(&meta, index.meta());
-        assert_eq!(&collection, index.sets());
+        // And the parts-only reader agrees.
+        let (meta, collection, provenance) = load_parts(&mut bytes.as_slice()).unwrap();
+        assert_eq!((&meta, &collection, provenance), (index.meta(), index.sets(), None));
     }
 
     #[test]
-    fn load_collection_skips_the_index_build_but_verifies_everything() {
+    fn load_parts_skips_the_postings_but_verifies_everything() {
         let index = sample_index();
         let bytes = snapshot_bytes(&index);
-        let (meta, collection) = load_collection(&mut bytes.as_slice()).unwrap();
+        let (meta, collection, _) = load_parts(&mut bytes.as_slice()).unwrap();
         assert_eq!(&meta, index.meta());
         assert_eq!(&collection, index.sets());
 
@@ -1282,7 +1366,7 @@ mod tests {
         let last = tampered.len() - 1;
         tampered[last] ^= 0x01;
         assert!(matches!(
-            load_collection(&mut tampered.as_slice()),
+            load_parts(&mut tampered.as_slice()),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
     }
@@ -1346,8 +1430,6 @@ mod tests {
         std::fs::write(snapshot_tmp_path(&path), b"torn prefix").unwrap();
         assert_eq!(SketchIndex::load_from_path(&path).unwrap(), index);
         assert!(!snapshot_tmp_path(&path).exists(), "the loader sweeps the leftover");
-        let (meta, _) = load_collection_from_path(&path).unwrap();
-        assert_eq!(&meta, index.meta());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,7 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta, NodeId};
-use imm_service::{Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{parse_v4_head, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +117,7 @@ fn assert_differential(
             "round {round}: provenance diverged"
         );
         for v in 0..graph.num_nodes() as NodeId {
-            assert_eq!(refreshed.postings(v), rebuilt.postings(v), "round {round}, vertex {v}");
+            assert_eq!(refreshed.ids(v), rebuilt.ids(v), "round {round}, vertex {v}");
         }
         // Served-answer identity: Top-K seeds and spread estimates.
         let rebuilt_engine = QueryEngine::new(Arc::new(rebuilt));
@@ -268,7 +268,62 @@ fn dense_regime_inserts_resample_a_few_sets_and_equal_the_rebuild() {
     let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, theta, 2, "dense").unwrap();
     assert_eq!(index.sets(), rebuilt.sets(), "refresh must equal the full rebuild");
     for v in 0..n as NodeId {
-        assert_eq!(index.postings(v), rebuilt.postings(v), "postings of vertex {v}");
+        assert_eq!(index.ids(v), rebuilt.ids(v), "postings of vertex {v}");
+    }
+}
+
+/// Postings forms follow the degrees through a refresh: on a dense graph a
+/// vertex that cannot reach anything is in almost no set (a list); giving
+/// it a certain edge into the core puts it in almost every set (a row), and
+/// taking the edge away again sends it back. After each step the patched
+/// index equals the rebuilt one array for array, and so do the bytes they
+/// save.
+#[test]
+fn a_vertex_crossing_the_row_threshold_both_ways_is_patched_like_a_rebuild() {
+    let n = 300usize;
+    let theta = 320usize; // a row needs degree > 10
+    let mut rng = SmallRng::seed_from_u64(43);
+    let dense = CsrGraph::from_edge_list(&generators::social_network(n, 10, 0.3, &mut rng));
+    let weights = EdgeWeights::ic_uniform(&dense, &mut rng);
+    // Cut the last vertex off: without out-edges it reaches no root but itself.
+    let loner = (n - 1) as NodeId;
+    let mut cut = GraphDelta::new();
+    for &v in dense.out_neighbors(loner) {
+        cut = cut.delete(loner, v);
+    }
+    let (graph, weights) = cut.apply(&dense, &weights).unwrap();
+    let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 29);
+    let mut index = SketchIndex::sample(&graph, &weights, spec, theta, 2, "crossing").unwrap();
+    let hub = (0..n as NodeId).max_by_key(|&v| index.degree(v)).unwrap();
+    assert!(index.postings().is_row(hub) && !index.postings().is_row(loner));
+
+    let steps = [
+        (GraphDelta::new().insert(loner, hub, 1.0), true),
+        (GraphDelta::new().delete(loner, hub).insert(3, 7, 0.05), false),
+    ];
+    let (mut graph, mut weights) = (graph, weights);
+    for (delta, loner_is_row) in steps {
+        let (g, w, stats) = index.apply_delta(&graph, &weights, &delta).unwrap();
+        (graph, weights) = (g, w);
+        assert!(stats.resampled_sets > theta / 2, "the loner joins or leaves most sets");
+        assert_eq!(index.postings().is_row(loner), loner_is_row, "degree {}", index.degree(loner));
+
+        let rebuilt = SketchIndex::sample(&graph, &weights, spec, theta, 2, "crossing").unwrap();
+        assert_eq!(index.sets(), rebuilt.sets());
+        assert_eq!(index.postings(), rebuilt.postings());
+        assert_eq!(index.postings().sections(), rebuilt.postings().sections());
+        // Saved bytes: identical from the first data section on (the heads
+        // differ by the delta log only the refreshed index carries).
+        let saved = |index: &SketchIndex| {
+            let mut bytes = Vec::new();
+            index.save(&mut bytes).unwrap();
+            let data_from = parse_v4_head(&bytes).unwrap().sections.arena_off;
+            (data_from, bytes)
+        };
+        let ((from_a, patched), (from_b, fresh)) = (saved(&index), saved(&rebuilt));
+        assert_eq!(from_a, from_b);
+        assert_eq!(patched[from_a..], fresh[from_b..], "saved data sections diverged");
+        assert_eq!(SketchIndex::load(&mut patched.as_slice()).unwrap(), index);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Golden snapshot fixtures: tiny checked-in files in formats v1 through v4
+//! Golden snapshot fixtures: tiny checked-in files in formats v1 through v5
 //! pin cross-version load compatibility by **real bytes**, not by freshly
 //! encoded round-trips — if a decoder drifts, these tests fail against the
 //! bytes an old writer actually produced.
@@ -7,23 +7,26 @@
 //!
 //! * **Decode**: each fixture file must load into exactly the hand-stated
 //!   index (sets, representations, metadata, provenance, delta log).
-//! * **Encode stability**: the fixture bytes are rebuilt in-process (the
-//!   keyed v4 file through the current writer, v1/v2/v3 through the
-//!   documented legacy layouts) and must equal the checked-in files byte for
-//!   byte, so an accidental format change cannot land silently.
+//! * **Encode stability**: the fixture bytes are rebuilt in-process (the v5
+//!   file through the current writer, v1/v2/v3 through the documented legacy
+//!   layouts) and must equal the checked-in files byte for byte, so an
+//!   accidental format change cannot land silently.
 //!
 //! `golden_v2`, `golden_v3` and `golden_v4` carry the **legacy** provenance
 //! records (root + 32-byte probed-edge signature, model tags 0/1) of the
 //! sequential-stream sampler: they must keep decoding, and must load
-//! *static*. `golden_v4.sketch` is decode-only — no writer in this build
-//! emits legacy records into a v4 container, so it cannot be regenerated.
-//! `golden_v4_keyed.sketch` is what the current writer emits (model tags
-//! 2/3, 4-byte root records) and loads dynamic.
+//! *static*. `golden_v4_keyed.sketch` is what the v4 writer emitted for a
+//! keyed (model tags 2/3, 4-byte root records) index: it loads dynamic. Both
+//! v4 files are decode-only — no writer in this build emits a v4 container —
+//! and the mapped path must refuse them (read-decode serves them, their
+//! flat-list postings unread).
 //!
-//! The v4 fixtures additionally gate the mmap contract: every section offset
-//! reported by the directory must be page-aligned, and
-//! [`imm_service::parse_v4_head`] must describe the file without touching a
-//! data page.
+//! `golden_v5.sketch` is what the current writer emits: forty sets in which
+//! one vertex is dense enough to store its postings as a **row** and one
+//! keeps a **list**. It is pinned three ways — against the writer, against a
+//! twin assembled here byte by byte from the documented layout, and against
+//! the mmap contract: the directory parses without touching a data page and
+//! every section it reports is aligned as documented.
 //!
 //! Regenerating after an *intentional* format change:
 //! `REGEN_SNAPSHOT_FIXTURES=1 cargo test -p imm-service --test
@@ -35,7 +38,7 @@ use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, Representation, RrrCollection, RrrSet, SetProvenance};
 use imm_service::{
     parse_v4_head, save_parts, DeltaLogEntry, DynamicError, IndexMeta, SampleSpec, SketchIndex,
-    SketchProvenance, SNAPSHOT_PAGE_BYTES,
+    SketchProvenance, SnapshotError, SNAPSHOT_PAGE_BYTES,
 };
 use std::path::PathBuf;
 
@@ -43,7 +46,7 @@ const NUM_NODES: usize = 16;
 const NUM_EDGES: usize = 42;
 
 /// The fixtures that can be rebuilt in-process, by file stem.
-const REGENERABLE: [&str; 4] = ["v1", "v2", "v3", "v4_keyed"];
+const REGENERABLE: [&str; 4] = ["v1", "v2", "v3", "v5"];
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -68,10 +71,38 @@ const LEGACY_SIGNATURES: [[u64; 4]; 4] =
 /// The fixture provenance: IC spec, one root per set, one logged delta
 /// touching all three mutation kinds.
 fn fixture_provenance() -> SketchProvenance {
+    provenance_with_roots(&[1, 2, 0, 15])
+}
+
+fn provenance_with_roots(roots: &[u32]) -> SketchProvenance {
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
-    let sets = [1, 2, 0, 15].map(|root| SetProvenance { root }).to_vec();
+    let sets = roots.iter().map(|&root| SetProvenance { root }).collect();
     let delta = GraphDelta::new().insert(0, 1, 0.5).delete(2, 3).reweight(4, 5, 0.25);
     SketchProvenance { spec, sets, delta_log: vec![DeltaLogEntry { delta, resampled_sets: 2 }] }
+}
+
+/// Sets of the v5 fixture: enough of them (40, so a row needs degree > 1)
+/// for both postings forms. Vertex 3 is in sets 0–3 — a list set, a bitmap
+/// set and two more list sets — and stores a row; vertex 9 is in set 0 only
+/// and keeps a list; sets 4–39 are empty.
+const V5_SETS: usize = 40;
+
+fn v5_collection() -> RrrCollection {
+    let mut c = RrrCollection::new(NUM_NODES);
+    c.push(RrrSet::Sorted(vec![3, 9]));
+    c.push(RrrSet::Bitmap(BitSet::from_iter_with_capacity(NUM_NODES, [3])));
+    c.push(RrrSet::Sorted(vec![3]));
+    c.push(RrrSet::Sorted(vec![3]));
+    for _ in 4..V5_SETS {
+        c.push(RrrSet::Sorted(Vec::new()));
+    }
+    c
+}
+
+fn v5_provenance() -> SketchProvenance {
+    let mut roots = vec![3, 3, 3, 3];
+    roots.extend((4..V5_SETS as u32).map(|i| i % NUM_NODES as u32));
+    provenance_with_roots(&roots)
 }
 
 fn meta(version: u32) -> IndexMeta {
@@ -118,10 +149,10 @@ fn encode_provenance_section(provenance: &SketchProvenance, keyed: bool) -> Vec<
     out.extend_from_slice(&provenance.spec.policy.density_threshold.to_bits().to_le_bytes());
     out.extend_from_slice(&(provenance.spec.policy.min_bitmap_size as u64).to_le_bytes());
     out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
-    for (record, signature) in provenance.sets.iter().zip(LEGACY_SIGNATURES) {
+    for (i, record) in provenance.sets.iter().enumerate() {
         out.extend_from_slice(&record.root.to_le_bytes());
         if !keyed {
-            for word in signature {
+            for word in LEGACY_SIGNATURES[i] {
                 out.extend_from_slice(&word.to_le_bytes());
             }
         }
@@ -154,7 +185,7 @@ fn encode_provenance_section(provenance: &SketchProvenance, keyed: bool) -> Vec<
 /// Rebuild each regenerable fixture's exact bytes: v1–v3 through the
 /// documented legacy layouts (v1/v2 use the per-set collection stream, v3
 /// the whole-arena stream; v2/v3 append the legacy provenance section), the
-/// keyed v4 file through the current writer.
+/// v5 file through the current writer.
 fn build_fixture_bytes(stem: &str) -> Vec<u8> {
     let collection = fixture_collection();
     match stem {
@@ -177,9 +208,9 @@ fn build_fixture_bytes(stem: &str) -> Vec<u8> {
             payload.extend_from_slice(&encode_provenance_section(&fixture_provenance(), false));
             container(3, payload)
         }
-        "v4_keyed" => {
+        "v5" => {
             let mut bytes = Vec::new();
-            save_parts(&meta(4), &collection, Some(&fixture_provenance()), &mut bytes)
+            save_parts(&meta(5), &v5_collection(), Some(&v5_provenance()), &mut bytes)
                 .expect("current writer");
             bytes
         }
@@ -228,29 +259,15 @@ fn assert_common_contents(index: &SketchIndex, version: u32) {
     assert!(sets.get(2).is_empty());
     assert_eq!(sets.get(3).to_vec(), vec![15]);
     // Postings are rebuilt on load: spot-check the inverted structure.
-    assert_eq!(index.postings(0), &[1]);
-    assert_eq!(index.postings(15), &[3]);
+    assert_eq!(index.ids(0), [1]);
+    assert_eq!(index.ids(15), [3]);
     assert_eq!(index.degree(3), 1);
 }
 
-/// The mmap alignment gate: the v4 directory parses without touching data
-/// pages and every section it reports starts on a page boundary.
-fn assert_v4_head(bytes: &[u8], index: &SketchIndex) {
-    let head = parse_v4_head(bytes).expect("v4 head parses");
-    let sections = head.sections;
-    for (name, off) in [
-        ("arena", sections.arena_off),
-        ("bitmaps", sections.bitmaps_off),
-        ("offsets", sections.offsets_off),
-        ("postings", sections.postings_off),
-    ] {
-        assert_eq!(off % SNAPSHOT_PAGE_BYTES, 0, "{name} section offset {off} not page-aligned");
-    }
-    assert_eq!(sections.file_len, bytes.len());
-    assert_eq!(sections.num_nodes, NUM_NODES);
-    assert_eq!(sections.num_sets, 4);
-    assert_eq!(head.meta, *index.meta());
-    assert_eq!(head.provenance.as_ref(), index.provenance());
+/// The mapped path takes the current version only: a v4 file is refused
+/// (and `imm-store` falls back to read-decode, counted).
+fn assert_not_mappable(bytes: &[u8]) {
+    assert!(matches!(parse_v4_head(bytes), Err(SnapshotError::UnsupportedVersion(4))));
 }
 
 #[test]
@@ -289,14 +306,11 @@ fn v3_fixture_upgrades_through_the_current_writer() {
 }
 
 #[test]
-fn legacy_v4_fixture_sections_are_page_aligned() {
-    let (bytes, index) = load_fixture("v4");
-    assert_v4_head(&bytes, &index);
-}
-
-#[test]
-fn keyed_v4_fixture_loads_dynamic_and_the_current_writer_reproduces_it() {
+fn v4_fixtures_are_decode_only() {
+    let (legacy, _) = load_fixture("v4");
+    assert_not_mappable(&legacy);
     let (bytes, index) = load_fixture("v4_keyed");
+    assert_not_mappable(&bytes);
     assert_common_contents(&index, 4);
     let provenance = index.provenance().expect("the keyed fixture is dynamic");
     assert_eq!(provenance, &fixture_provenance());
@@ -306,21 +320,117 @@ fn keyed_v4_fixture_loads_dynamic_and_the_current_writer_reproduces_it() {
     assert_eq!(provenance.delta_log[0].delta.insertions(), &[(0, 1, 0.5)]);
     assert_eq!(provenance.delta_log[0].delta.deletions(), &[(2, 3)]);
     assert_eq!(provenance.delta_log[0].delta.reweights(), &[(4, 5, 0.25)]);
-    assert_v4_head(&bytes, &index);
-    // Writer stability: re-saving the loaded index must reproduce the
-    // checked-in file byte for byte.
-    let mut resaved = Vec::new();
-    index.save(&mut resaved).unwrap();
-    assert_eq!(resaved, bytes, "the v4 writer drifted from the checked-in fixture");
-    // The section the writer emitted is the documented keyed layout: the
-    // hand-assembled twin sits in the head, right behind its presence flag.
+    // The v4 file stored the keyed section in the documented layout, right
+    // behind its presence flag (the head ends at the first section, 4096).
     let mut section = vec![1u8];
     section.extend_from_slice(&encode_provenance_section(&fixture_provenance(), true));
-    let head = &bytes[..parse_v4_head(&bytes).unwrap().sections.arena_off];
-    assert!(
-        head.windows(section.len()).any(|window| window == section),
-        "the keyed provenance section is not laid out as documented"
-    );
+    assert!(bytes[..SNAPSHOT_PAGE_BYTES].windows(section.len()).any(|w| w == section));
+    // Re-saving upgrades to the current version losslessly.
+    let mut resaved = Vec::new();
+    index.save(&mut resaved).unwrap();
+    assert_eq!(u32::from_le_bytes(resaved[8..12].try_into().unwrap()), 5);
+    assert_eq!(SketchIndex::load(&mut resaved.as_slice()).unwrap(), index);
+}
+
+/// The v5 file, byte by byte from the layout documented in
+/// `imm_service::snapshot`: header, prelude, 13-field directory + checksum,
+/// lens, flags, provenance, then the six data sections at their offsets.
+fn v5_twin() -> Vec<u8> {
+    const PAGE: usize = SNAPSHOT_PAGE_BYTES;
+    let (arena_off, bitmaps_off, offsets_off, postings_off) = (PAGE, 2 * PAGE, 3 * PAGE, 4 * PAGE);
+    let row_table_off = postings_off + 4; // right behind the one list entry
+    let rows_off = 5 * PAGE; // ids + degrees end at 4·PAGE + 12: next page
+    let file_len = rows_off + 8;
+
+    let mut payload = payload_header(5);
+    let mut directory = Vec::new();
+    for field in [
+        NUM_NODES,
+        V5_SETS,
+        4, // arena entries: [3, 9], [3], [3]
+        1, // bitmap sets
+        1, // list entries: vertex 9 -> [0]
+        arena_off,
+        bitmaps_off,
+        offsets_off,
+        postings_off,
+        1, // row vertices: vertex 3
+        row_table_off,
+        rows_off,
+        file_len,
+    ] {
+        directory.extend_from_slice(&(field as u64).to_le_bytes());
+    }
+    payload.extend_from_slice(&directory);
+    payload.extend_from_slice(&fnv1a64(&directory).to_le_bytes());
+    for len in [2u32, 1, 1, 1].into_iter().chain(std::iter::repeat_n(0, V5_SETS - 4)) {
+        payload.extend_from_slice(&len.to_le_bytes());
+    }
+    payload.extend((0..V5_SETS).map(|set| u8::from(set == 1))); // flags: set 1 is the bitmap
+    payload.push(1); // provenance present
+    payload.extend_from_slice(&encode_provenance_section(&v5_provenance(), true));
+
+    // Offsets are snapshot-relative; the payload starts after the 20-byte
+    // container header.
+    let pad_to = |payload: &mut Vec<u8>, off: usize| payload.resize(off - 20, 0);
+    pad_to(&mut payload, arena_off);
+    for v in [3u32, 9, 3, 3] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    pad_to(&mut payload, bitmaps_off);
+    payload.extend_from_slice(&(1u64 << 3).to_le_bytes()); // set 1 = {3}
+    pad_to(&mut payload, offsets_off);
+    for v in 0..=NUM_NODES {
+        payload.extend_from_slice(&u64::from(v > 9).to_le_bytes()); // only vertex 9 has a list
+    }
+    pad_to(&mut payload, postings_off);
+    payload.extend_from_slice(&0u32.to_le_bytes()); // vertex 9: set 0
+    payload.extend_from_slice(&3u32.to_le_bytes()); // row table: id 3 …
+    payload.extend_from_slice(&4u32.to_le_bytes()); // … of degree 4
+    pad_to(&mut payload, rows_off);
+    payload.extend_from_slice(&0b1111u64.to_le_bytes()); // vertex 3: sets 0–3
+    container(5, payload)
+}
+
+#[test]
+fn v5_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
+    let (bytes, index) = load_fixture("v5");
+    assert_eq!(bytes, v5_twin(), "the v5 layout drifted from its documentation");
+    assert_eq!(index.meta(), &meta(5));
+    assert_eq!(index.sets(), &v5_collection());
+    assert_eq!(index.provenance(), Some(&v5_provenance()));
+    // One row vertex, one list vertex, read alike.
+    let postings = index.postings();
+    assert!(postings.is_row(3) && !postings.is_row(9));
+    assert_eq!((index.ids(3), index.ids(9)), (vec![0, 1, 2, 3], vec![0]));
+    assert_eq!((index.degree(3), index.degree(9), index.degree(0)), (4, 1, 0));
+    let stats = postings.stats();
+    assert_eq!((stats.row_vertices, stats.list_entries), (1, 1));
+
+    // The mmap contract: the head parses without a data page, and every
+    // section starts where its element type (or the format) needs it to.
+    let head = parse_v4_head(&bytes).expect("v5 head parses");
+    let sections = head.sections;
+    for (name, off) in [
+        ("arena", sections.arena_off),
+        ("bitmaps", sections.bitmaps_off),
+        ("offsets", sections.offsets_off),
+        ("postings", sections.postings_off),
+        ("rows", sections.rows_off),
+    ] {
+        assert_eq!(off % SNAPSHOT_PAGE_BYTES, 0, "{name} section offset {off} not page-aligned");
+    }
+    assert_eq!(sections.row_table_off % 4, 0);
+    assert_eq!(sections.file_len, bytes.len());
+    assert_eq!((sections.num_nodes, sections.num_sets), (NUM_NODES, V5_SETS));
+    assert_eq!((sections.row_vertices, sections.postings_len), (1, 1));
+    assert_eq!(head.meta, *index.meta());
+    assert_eq!(head.provenance.as_ref(), index.provenance());
+
+    // Writer stability: re-saving the loaded index reproduces the file.
+    let mut resaved = Vec::new();
+    index.save(&mut resaved).unwrap();
+    assert_eq!(resaved, bytes, "the writer drifted from the checked-in fixture");
 }
 
 #[test]

@@ -4,15 +4,18 @@
 //! of loading garbage. Format v2 added the provenance section (sampling
 //! spec, per-set records, delta log); format v3 switched the collection to
 //! the bulk arena encoding; format v4 moved to page-aligned sections with a
-//! directory so the file can be memory-mapped. The corruption suite covers
-//! the current format byte by byte, and v1/v2 files must keep loading.
+//! directory so the file can be memory-mapped; format v5 stores the
+//! vertex-adaptive postings (lists + rows) the index serves. The corruption
+//! suite covers the current format byte by byte — including postings
+//! sections that lie behind a recomputed checksum — and v1/v2 files must
+//! keep loading.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use imm_service::{
-    IndexMeta, SampleSpec, SketchIndex, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V1, SNAPSHOT_VERSION_V2,
+    parse_v4_head, IndexMeta, SampleSpec, SketchIndex, SnapshotError, SnapshotSections,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V1, SNAPSHOT_VERSION_V2,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -67,13 +70,21 @@ fn dynamic_index(seed: u64) -> (SketchIndex, CsrGraph, EdgeWeights) {
     (index, graph, weights)
 }
 
-/// Byte offset where the provenance section starts in a v4 file (header +
-/// metadata prelude + section directory + per-set lens and flags + the
-/// presence flag).
+/// Byte offset where the provenance section starts in a v5 file (header +
+/// metadata prelude + 13-field section directory and its checksum + per-set
+/// lens and flags + the presence flag).
 fn provenance_offset(index: &SketchIndex) -> usize {
     let header = SNAPSHOT_MAGIC.len() + 4 + 8;
     let meta = index.meta();
-    header + 8 + 4 + meta.label.len() + 88 + index.num_sets() * 4 + index.num_sets() + 1
+    header + 8 + 4 + meta.label.len() + 112 + index.num_sets() * 4 + index.num_sets() + 1
+}
+
+/// Recompute the container checksum after tampering, so only the decoder
+/// itself can object.
+fn refix_checksum(bytes: &mut [u8]) {
+    let header = SNAPSHOT_MAGIC.len() + 4 + 8;
+    let checksum = fnv1a64(&bytes[header..]);
+    bytes[12..20].copy_from_slice(&checksum.to_le_bytes());
 }
 
 proptest! {
@@ -189,7 +200,6 @@ proptest! {
 fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
     let (index, _, _) = dynamic_index(11);
     let good = snapshot_bytes(&index);
-    let header = SNAPSHOT_MAGIC.len() + 4 + 8;
     let flag_offset = provenance_offset(&index) - 1;
 
     // Corrupt the presence flag, the model tag, and the record count; each
@@ -201,8 +211,7 @@ fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
     ] {
         let mut bytes = good.clone();
         bytes[offset] = value;
-        let checksum = fnv1a64(&bytes[header..]);
-        bytes[12..20].copy_from_slice(&checksum.to_le_bytes());
+        refix_checksum(&mut bytes);
         let err = SketchIndex::load(&mut bytes.as_slice())
             .expect_err(&format!("corrupt {what} must not load"));
         assert!(
@@ -212,13 +221,120 @@ fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
     }
 }
 
+/// 64 sets over 300 vertices (a row needs degree > 2): vertices 0–9 are in
+/// every set and store rows, vertex 20 is in set 0 only and vertex 21 in
+/// sets 0 and 1 — lists. Sets 0–31 are bitmaps, the rest lists.
+fn mixed_forms_index() -> SketchIndex {
+    let raw: Vec<Vec<u32>> = (0..64u32)
+        .map(|set| {
+            let mut members: Vec<u32> = (0..10).collect();
+            members.extend([21, 20].iter().take(2usize.saturating_sub(set as usize)));
+            members
+        })
+        .collect();
+    let bitmaps: Vec<bool> = (0..64).map(|set| set < 32).collect();
+    index_from(&raw, &bitmaps, "mixed-forms")
+}
+
+/// Postings sections that lie *behind a recomputed checksum*: the decoder
+/// itself must reject each with a decode error — never panic, never hand an
+/// out-of-range set id to a query.
+#[test]
+fn lying_postings_sections_are_rejected_even_with_a_fixed_checksum() {
+    let index = mixed_forms_index();
+    let postings = index.postings();
+    assert!(postings.is_row(0) && postings.is_row(9), "the fixture must hold rows");
+    assert!(!postings.is_row(20) && !postings.is_row(21), "… and lists");
+    assert_eq!((index.degree(21), index.ids(20)), (2, vec![0]));
+    let good = snapshot_bytes(&index);
+    assert_eq!(SketchIndex::load(&mut good.as_slice()).unwrap(), index);
+    let s = parse_v4_head(&good).unwrap().sections;
+    assert_eq!((s.row_vertices, s.postings_len, s.words_per_row()), (10, 3, 1));
+
+    let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    };
+    type Lie = (&'static str, Box<dyn Fn(&mut [u8], &SnapshotSections)>);
+    let lies: Vec<Lie> = vec![
+        (
+            "row ids unsorted",
+            Box::new(move |b, s| {
+                put_u32(b, s.row_table_off, 1);
+                put_u32(b, s.row_table_off + 4, 0);
+            }),
+        ),
+        (
+            "row id outside the vertex space",
+            Box::new(move |b, s| {
+                put_u32(b, s.row_table_off + 9 * 4, NUM_NODES as u32);
+            }),
+        ),
+        (
+            "row id of a vertex that also has a list",
+            Box::new(move |b, s| {
+                put_u32(b, s.row_table_off + 9 * 4, 21);
+            }),
+        ),
+        (
+            "stored degree above the popcount",
+            Box::new(move |b, s| {
+                // Vertex 1's row holds all 64 sets and says so; clear one bit.
+                b[s.rows_off + 8] &= !1;
+            }),
+        ),
+        (
+            "stored degree on the list side of the threshold",
+            Box::new(move |b, s| {
+                put_u32(b, s.row_table_off + 10 * 4, 2);
+            }),
+        ),
+        (
+            "list id outside the range",
+            Box::new(move |b, s| {
+                put_u32(b, s.postings_off, 64);
+            }),
+        ),
+        (
+            "list not ascending",
+            Box::new(move |b, s| {
+                put_u32(b, s.postings_off + 4, 1);
+                put_u32(b, s.postings_off + 8, 0);
+            }),
+        ),
+    ];
+    for (what, lie) in &lies {
+        let mut bytes = good.clone();
+        lie(&mut bytes, &s);
+        assert_ne!(bytes, good, "{what}: the lie must change the file");
+        refix_checksum(&mut bytes);
+        let err =
+            SketchIndex::load(&mut bytes.as_slice()).expect_err(&format!("{what}: must not load"));
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{what} surfaced as {err:?}");
+    }
+}
+
+/// A row of a range that is not a multiple of 64 has tail bits: one set
+/// beyond the range is a lie the decoder rejects.
+#[test]
+fn a_row_bit_beyond_the_range_is_rejected() {
+    let raw: Vec<Vec<u32>> = (0..40).map(|_| vec![7, 8]).collect();
+    let index = index_from(&raw, &[], "tail");
+    let mut bytes = snapshot_bytes(&index);
+    let s = parse_v4_head(&bytes).unwrap().sections;
+    assert_eq!((s.row_vertices, s.words_per_row()), (2, 1));
+    bytes[s.rows_off + 5] |= 1; // bit 40 of vertex 7's row
+    refix_checksum(&mut bytes);
+    let err = SketchIndex::load(&mut bytes.as_slice()).expect_err("a tail bit must not load");
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
+}
+
 #[test]
 fn wrong_version_fields_are_rejected_and_both_real_versions_load() {
     let (index, _, _) = dynamic_index(21);
     let good = snapshot_bytes(&index);
 
     // Versions this build does not know: rejected before any payload work.
-    for bogus in [0u32, 5, 7, u32::MAX] {
+    for bogus in [0u32, 6, 7, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&bogus.to_le_bytes());
         assert!(
@@ -230,7 +346,7 @@ fn wrong_version_fields_are_rejected_and_both_real_versions_load() {
         );
     }
 
-    // The writer emits v4, and v4 loads.
+    // The writer emits the current version, and it loads.
     assert_eq!(u32::from_le_bytes(good[8..12].try_into().unwrap()), SNAPSHOT_VERSION);
     assert!(SketchIndex::load(&mut good.as_slice()).is_ok());
 }

@@ -22,7 +22,7 @@ pub fn dense_masked_top_k(index: &SketchIndex, k: usize, audience: &BitSet) -> Q
     let n = index.num_nodes();
     let mut alive = vec![false; index.num_sets()];
     for v in audience.iter().filter(|&v| v < n) {
-        for &sid in index.postings(v as NodeId) {
+        for sid in index.ids(v as NodeId) {
             alive[sid as usize] = true;
         }
     }
@@ -44,7 +44,7 @@ pub fn dense_masked_top_k(index: &SketchIndex, k: usize, audience: &BitSet) -> Q
             frontier.push((live, Reverse(v)));
         };
         seeds.push(best);
-        for &sid in index.postings(best) {
+        for sid in index.ids(best) {
             if std::mem::take(&mut alive[sid as usize]) {
                 covered += 1;
                 index.sets().get(sid as usize).for_each(|v| counts[v as usize] -= 1);

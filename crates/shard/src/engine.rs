@@ -8,16 +8,18 @@
 //! * **Spread / Marginal** scatter as **typed requests to pinned shard
 //!   cells** ([`imm_exec::PinnedPool`]): each cell permanently owns one
 //!   [`ShardSegment`] plus a shard-sized marking scratch (restored after each
-//!   request, never reallocated), counts covered sets among *its own* range
-//!   using its local postings, and the gathered per-shard counts sum to
-//!   exactly the single-index tally. A request round-trip replaces the
+//!   request, never reallocated), ORs its seeds' postings — rows word by
+//!   word, lists bit by bit — into it and counts covered sets among *its
+//!   own* range, and the gathered per-shard counts sum to exactly the
+//!   single-index tally. A request round-trip replaces the
 //!   per-query thread spawn that made PR 5's scatter/gather slower than the
 //!   single index (`BENCH_5.json`), and every request is idempotent, so a
 //!   scatter that loses a worker is simply retried.
 //! * **Top-K** (plain and audience) is not scattered at all: the engine
 //!   runs `imm_service::masked`'s lazy greedy — the very sessions the
-//!   single-index engine runs — engine-side, reading the shards' postings
-//!   as one "sets containing v" source over the shared collection. The
+//!   single-index engine runs — engine-side, reading the index's global
+//!   postings (a pool without workers) or the shards' own (a pool with
+//!   them) as one "sets containing v" source over the shared collection. The
 //!   plain selection extends one persistent [`LazyGreedy`] seeded from the
 //!   merged per-shard degrees; an audience selection checks a transient
 //!   session out of a pool and takes no engine lock, so audience queries of
@@ -26,14 +28,14 @@
 //!   any shard count and any worker-thread count.
 
 use crate::index::ShardedIndex;
-use crate::segment::{LocalSetId, ShardSegment};
+use crate::segment::ShardSegment;
 use imm_exec::{Pinned, PinnedPool, ScatterError, WakeMode};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
-use imm_rrr::{BitSet, NodeId};
+use imm_rrr::{BitSet, NodeId, Postings, PostingsView};
 use imm_service::{
     serve_batch, serve_cached, CacheStats, DynamicError, LazyGreedy, MaskedPool, Query, QueryCache,
-    QueryResponse, RefreshStats, SetsContaining,
+    QueryResponse, RefreshStats, SetId, SetsContaining,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -42,9 +44,6 @@ use std::sync::Arc;
 /// workers, so only a plan injecting worker deaths at a sustained 100% rate
 /// can exhaust this.
 const SCATTER_RETRIES: usize = 8;
-
-/// Global id of an RRR set (its index in the shared collection).
-type GlobalSetId = u32;
 
 /// One pinned worker's state: a permanent shard assignment plus the
 /// marking scratch for that shard.
@@ -82,49 +81,36 @@ impl ShardCell {
     }
 
     /// Mark this shard's sets covered by `seeds` in the cell's scratch, hand
-    /// the marks and the newly covered count to `tally`, then restore the
-    /// scratch by whichever touches less: zeroing the words the same
-    /// postings walk reaches (sparse sets: a few entries against a
-    /// shard-sized word array) or one fill (dense sets: the walk is the
-    /// longer one).
+    /// the postings, the marks and the newly covered count to `tally`, then
+    /// restore the scratch by whichever touches less: zeroing the words the
+    /// seeds' lists reach (sparse sets: a few entries against a shard-sized
+    /// word array) or one fill. A row seed alone has more sets than the
+    /// scratch has words, so any row means the fill.
     fn with_marked(
         &mut self,
         seeds: &[NodeId],
-        tally: impl FnOnce(&ShardSegment, &[u64], usize) -> usize,
+        tally: impl FnOnce(PostingsView<'_>, &[u64], usize) -> usize,
     ) -> ShardResponse {
         let index = self.index.as_ref().expect("shard cell has an installed index");
-        let segment = &index.segments()[self.shard];
+        let postings = index.segments()[self.shard].postings().view();
         let marks = &mut self.marks[..];
         let n = index.num_nodes();
         let in_range = || seeds.iter().filter(|&&seed| (seed as usize) < n);
-        let (mut covered, mut walked) = (0usize, 0usize);
+        let (mut covered, mut walked) = (0usize, 0u64);
         for &seed in in_range() {
-            let postings = segment.postings(seed);
-            walked += postings.len();
-            for &lsid in postings {
-                let (word, mask) = mark_of(lsid);
-                covered += usize::from(marks[word] & mask == 0);
-                marks[word] |= mask;
-            }
+            walked += postings.degree(seed);
+            covered += postings.or_into(seed, marks);
         }
-        let count = tally(segment, marks, covered);
-        if walked < marks.len() {
+        let count = tally(postings, marks, covered);
+        if walked < marks.len() as u64 {
             for &seed in in_range() {
-                for &lsid in segment.postings(seed) {
-                    marks[mark_of(lsid).0] = 0;
-                }
+                postings.for_each(seed, |lsid| marks[(lsid / 64) as usize] = 0);
             }
         } else {
             marks.fill(0);
         }
         ShardResponse::Count(count)
     }
-}
-
-/// Word index and bit mask of a local set id in a cell's marking scratch.
-#[inline]
-fn mark_of(lsid: LocalSetId) -> (usize, u64) {
-    ((lsid / 64) as usize, 1u64 << (lsid % 64))
 }
 
 impl Pinned for ShardCell {
@@ -136,16 +122,9 @@ impl Pinned for ShardCell {
             ShardRequest::Spread { seeds } => self.with_marked(&seeds, |_, _, covered| covered),
             ShardRequest::Marginal { seeds, candidate } => {
                 let n = self.index().num_nodes();
-                self.with_marked(&seeds, |segment, marks, _| {
+                self.with_marked(&seeds, |postings, marks, _| {
                     if (candidate as usize) < n {
-                        segment
-                            .postings(candidate)
-                            .iter()
-                            .filter(|&&lsid| {
-                                let (word, mask) = mark_of(lsid);
-                                marks[word] & mask == 0
-                            })
-                            .count()
+                        postings.count_outside(candidate, marks)
                     } else {
                         0
                     }
@@ -174,69 +153,17 @@ impl ShardResponse {
     }
 }
 
-/// Engine-side merged postings over all shards: CSR by vertex, with each
-/// vertex's set ids global and ascending. Built only for zero-worker
-/// pools, where the serving thread is the only one walking postings: a
-/// greedy round then walks exactly one postings list — its cost is
-/// independent of the shard count instead of paying one postings lookup
-/// (and its cache miss) per shard.
-#[derive(Debug)]
-struct MergedPostings {
-    offsets: Vec<usize>,
-    gsids: Vec<GlobalSetId>,
-}
-
-impl MergedPostings {
-    fn build(index: &ShardedIndex) -> Self {
-        let n = index.num_nodes();
-        let mut offsets = vec![0usize; n + 1];
-        for segment in index.segments() {
-            for v in 0..n {
-                offsets[v + 1] += segment.degree(v as NodeId) as usize;
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut gsids = vec![0 as GlobalSetId; *offsets.last().unwrap_or(&0)];
-        // Shards ascend, so each vertex's list ends in ascending id order.
-        for segment in index.segments() {
-            let start = segment.start() as GlobalSetId;
-            for v in 0..n {
-                for &lsid in segment.postings(v as NodeId) {
-                    gsids[cursor[v]] = start + lsid;
-                    cursor[v] += 1;
-                }
-            }
-        }
-        MergedPostings { offsets, gsids }
-    }
-
-    #[inline]
-    fn get(&self, v: NodeId) -> &[GlobalSetId] {
-        &self.gsids[self.offsets[v as usize]..self.offsets[v as usize + 1]]
-    }
-}
-
-impl SetsContaining for MergedPostings {
-    #[inline]
-    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(GlobalSetId)) {
-        self.get(v).iter().copied().for_each(f);
-    }
-}
-
 /// The shards' own postings as one source of global set ids (each
 /// segment's local ids rebased by its `start`), for pools with workers,
-/// where no merged copy is built.
+/// where the global postings are never materialized.
 struct SegmentPostings<'a>(&'a [Arc<ShardSegment>]);
 
 impl SetsContaining for SegmentPostings<'_> {
     #[inline]
-    fn for_each_set_containing(&self, v: NodeId, mut f: impl FnMut(GlobalSetId)) {
+    fn for_each_set_containing(&self, v: NodeId, mut f: impl FnMut(SetId)) {
         for segment in self.0 {
-            let start = segment.start() as GlobalSetId;
-            segment.postings(v).iter().for_each(|&lsid| f(start + lsid));
+            let start = segment.start() as SetId;
+            segment.postings().for_each(v, |lsid| f(start + lsid));
         }
     }
 }
@@ -251,8 +178,12 @@ impl SetsContaining for SegmentPostings<'_> {
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
     pool: PinnedPool<ShardCell>,
-    /// Present exactly when the pool has no workers.
-    merged_postings: Option<MergedPostings>,
+    /// The index's global postings, held exactly when the pool has no
+    /// workers: the serving thread is then the only one walking postings,
+    /// and a greedy round walks one structure — its cost independent of the
+    /// shard count — instead of paying one lookup (and its cache miss) per
+    /// shard.
+    global_postings: Option<Arc<Postings>>,
     /// The persistent fresh Top-K session (`imm_service::masked`).
     greedy: Mutex<LazyGreedy>,
     /// Pool of audience Top-K sessions (`imm_service::masked`).
@@ -319,12 +250,12 @@ impl ShardedEngine {
             })
             .collect();
         let pool = PinnedPool::with_placement(cells, threads, wake, placement);
-        let merged_postings = (pool.num_workers() == 0).then(|| MergedPostings::build(&index));
+        let global_postings = (pool.num_workers() == 0).then(|| adopt_global(&index));
         let greedy = Mutex::new(fresh_session(&index));
         ShardedEngine {
             index,
             pool,
-            merged_postings,
+            global_postings,
             greedy,
             masked: MaskedPool::default(),
             cache: QueryCache::new(cache_capacity),
@@ -389,8 +320,8 @@ impl ShardedEngine {
         for response in installed {
             debug_assert!(matches!(response, ShardResponse::Unit));
         }
-        if self.merged_postings.is_some() {
-            self.merged_postings = Some(MergedPostings::build(&self.index));
+        if self.global_postings.is_some() {
+            self.global_postings = Some(adopt_global(&self.index));
         }
         *self.greedy.lock() = fresh_session(&self.index);
         self.cache.clear();
@@ -476,8 +407,8 @@ impl ShardedEngine {
     /// this pool serves from. No scatter, no cell state — so no worker death
     /// can fail it.
     fn top_k(&self, k: usize, audience: Option<&BitSet>) -> QueryResponse {
-        let (seeds, covered) = match &self.merged_postings {
-            Some(postings) => self.greedy_top_k(postings, k, audience),
+        let (seeds, covered) = match &self.global_postings {
+            Some(postings) => self.greedy_top_k(&postings.view(), k, audience),
             None => self.greedy_top_k(&SegmentPostings(self.index.segments()), k, audience),
         };
         QueryResponse::top_k_from_tallies(
@@ -535,6 +466,13 @@ impl ShardedEngine {
     }
 }
 
+/// The index's global postings, their shape published on the way.
+fn adopt_global(index: &ShardedIndex) -> Arc<Postings> {
+    let global = index.global_postings();
+    imm_service::metrics::record_postings(global.stats());
+    Arc::clone(global)
+}
+
 /// Scatter one request per shard, retrying on worker deaths. Only valid
 /// for *idempotent* requests — which every [`ShardRequest`] is: a retry
 /// re-serves shards that already answered, which must not change their
@@ -555,13 +493,13 @@ fn scatter_idempotent(
 
 /// The all-alive, empty-prefix Top-K session of `index`, seeded from the
 /// per-vertex degrees merged across its shards. Also the natural probe for
-/// the load-imbalance gauge — each shard's degree total *is* its postings
-/// work — so the gauge refreshes wherever the session does (engine
-/// construction and delta refresh).
+/// the shard gauges — each shard's degree total *is* its postings work — so
+/// they refresh wherever the session does (engine construction and delta
+/// refresh).
 fn fresh_session(index: &ShardedIndex) -> LazyGreedy {
     let segments = index.segments();
     let per_shard: Vec<u64> = segments.iter().map(|s| s.postings_entries()).collect();
-    crate::metrics::record_shard_work(&per_shard);
+    crate::metrics::record_shard_work(&per_shard, index.postings_stats());
     let merged = (0..index.num_nodes() as NodeId)
         .map(|v| segments.iter().map(|segment| segment.degree(v)).sum::<u64>());
     LazyGreedy::fresh(merged, index.num_sets())

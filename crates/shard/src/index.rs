@@ -4,41 +4,59 @@
 //! into [`ShardSegment`]s. The collection itself stays whole (one shared
 //! arena — a shard's sets are a span-directory slice over it, never a copy);
 //! what is per shard is the serving structure: each segment carries its own
-//! inverted postings and occurrence counts, so counting work scatters across
-//! shard workers and only per-shard *bounds* are merged during greedy rounds
-//! (see [`crate::ShardedEngine`]).
+//! vertex-adaptive postings and occurrence counts, so counting work scatters
+//! across shard workers (see [`crate::ShardedEngine`]). Next to the shards
+//! the index keeps the **global** postings (local ids = global ids) an
+//! engine without workers walks instead: adopted from the `SketchIndex` it
+//! was partitioned from — under `--mmap` that is the mapped section itself —
+//! or built on first use, never re-merged from the segments.
 //!
 //! Incremental refresh (PR 3's `apply_delta`) routes through the shard map:
 //! invalidation walks the per-shard postings, the touched sets are resampled
 //! from their own keys exactly as the single-index path does,
 //! and only the segments owning a resampled set rebuild their postings —
-//! untouched shards keep their structures byte-for-byte.
+//! untouched shards keep their structures byte-for-byte — while the global
+//! postings, where materialized, are patched by the changed memberships.
 
 use crate::segment::ShardSegment;
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
-use imm_rrr::RrrCollection;
+use imm_rrr::{Postings, PostingsStats, RrrCollection};
 use imm_service::{
     DeltaLogEntry, DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A sketch index partitioned into contiguous set-range shards.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ShardedIndex {
     collection: RrrCollection,
     meta: IndexMeta,
     provenance: Option<SketchProvenance>,
     segments: Vec<Arc<ShardSegment>>,
+    /// Postings over all sets; see [`ShardedIndex::global_postings`].
+    global: OnceLock<Arc<Postings>>,
+}
+
+/// The global postings are derived from the collection: whether they have
+/// been materialized is not part of an index's identity.
+impl PartialEq for ShardedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.collection == other.collection
+            && self.meta == other.meta
+            && self.provenance == other.provenance
+            && self.segments == other.segments
+    }
 }
 
 impl ShardedIndex {
     /// Partition a built [`SketchIndex`] into `shards` near-equal contiguous
-    /// ranges. The collection and provenance move over without cloning; the
-    /// single index's global postings are dropped in favour of the per-shard
-    /// ones.
+    /// ranges. The collection and provenance move over without cloning, and
+    /// the single index's postings stay on as the global postings.
     pub fn from_index(index: SketchIndex, shards: usize) -> Result<Self, IndexError> {
-        let (collection, meta, provenance) = index.into_parts();
-        Self::from_parts(collection, meta, provenance, shards)
+        let (collection, meta, provenance, postings) = index.into_parts();
+        let sharded = Self::from_parts(collection, meta, provenance, shards)?;
+        sharded.global.set(postings).expect("a fresh index has no global postings yet");
+        Ok(sharded)
     }
 
     /// Partition raw index components into `shards` near-equal contiguous
@@ -103,10 +121,10 @@ impl ShardedIndex {
             .into_iter()
             .map(|slot| slot.expect("every segment is built by its worker").map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedIndex { collection, meta, provenance, segments })
+        Ok(ShardedIndex { collection, meta, provenance, segments, global: OnceLock::new() })
     }
 
-    /// Reassemble into a single [`SketchIndex`] (rebuilding global postings).
+    /// Reassemble into a single [`SketchIndex`] (rebuilding its postings).
     pub fn into_index(self) -> Result<SketchIndex, IndexError> {
         SketchIndex::from_collection_with_provenance(self.collection, self.meta, self.provenance)
     }
@@ -141,6 +159,17 @@ impl ShardedIndex {
         self.collection.len()
     }
 
+    /// The postings over **all** sets (ids global): what an engine whose
+    /// pool has no workers walks, one structure per vertex instead of one per
+    /// shard. Adopted from the partitioned `SketchIndex` where there was one,
+    /// else built by the first caller; an engine with workers never asks.
+    pub fn global_postings(&self) -> &Arc<Postings> {
+        self.global.get_or_init(|| {
+            let built = Postings::build(&self.collection, 0, self.collection.len());
+            Arc::new(built.expect("the segments were built from the same sets"))
+        })
+    }
+
     /// Provenance metadata.
     #[inline]
     pub fn meta(&self) -> &IndexMeta {
@@ -168,10 +197,22 @@ impl ShardedIndex {
         self.segments.partition_point(|seg| seg.start() <= sid) - 1
     }
 
-    /// Heap bytes: shared collection plus every shard's own structures.
+    /// Row vertices, list entries and bytes of the shards' postings, summed
+    /// over the shards.
+    pub fn postings_stats(&self) -> PostingsStats {
+        let mut total = PostingsStats::default();
+        for segment in &self.segments {
+            total += segment.postings().stats();
+        }
+        total
+    }
+
+    /// Heap bytes: shared collection, every shard's own structures, and the
+    /// global postings where materialized.
     pub fn memory_bytes(&self) -> usize {
         self.collection.memory_bytes()
             + self.segments.iter().map(|s| s.memory_bytes()).sum::<usize>()
+            + self.global.get().map_or(0, |global| global.stats().bytes())
     }
 
     /// Build the *replacement* index for a rolling refresh, leaving `self`
@@ -233,9 +274,7 @@ impl ShardedIndex {
             &self.collection,
             |v, sink| {
                 for seg in &self.segments {
-                    for &lsid in seg.postings(v) {
-                        sink(seg.start() + lsid as usize);
-                    }
+                    seg.postings().for_each(v, |lsid| sink(seg.start() + lsid as usize));
                 }
             },
         );
@@ -251,8 +290,13 @@ impl ShardedIndex {
             num_edges_after: new_graph.num_edges(),
         };
 
-        // Patch: swap the resampled sets into the shared collection, then
-        // rebuild postings only for the shards that own one.
+        // Patch: the global postings by the memberships that changed, then
+        // swap the resampled sets into the shared collection and rebuild
+        // postings only for the shards that own one.
+        if let Some(global) = self.global.get_mut() {
+            let edits = imm_rrr::membership_edits(&self.collection, &changed);
+            *global = Arc::new(global.patched(&edits));
+        }
         let mut dirty = vec![false; self.segments.len()];
         for (sid, set) in changed {
             dirty[self.shard_of(sid)] = true;

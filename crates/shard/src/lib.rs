@@ -12,12 +12,14 @@
 //! cross worker boundaries.
 //!
 //! * [`ShardSegment`] — one shard: a zero-copy arena slice (through
-//!   [`imm_rrr::CollectionSlice`]) plus its *own* vertex → set postings and
-//!   occurrence counts, with shard-local set ids.
+//!   [`imm_rrr::CollectionSlice`]) plus its *own* vertex → set postings
+//!   ([`imm_rrr::Postings`] over the shard's range: rows for dense vertices,
+//!   lists for the rest) and occurrence counts, with shard-local set ids.
 //! * [`ShardedIndex`] — N segments over one shared collection, partitioned
-//!   by near-equal contiguous set ranges; `apply_delta` routes incremental
-//!   refresh through the shard map so only shards owning a resampled set
-//!   rebuild.
+//!   by near-equal contiguous set ranges, next to the global postings an
+//!   engine without workers walks (adopted from the partitioned index, or
+//!   built on first use); `apply_delta` routes incremental refresh through
+//!   the shard map so only shards owning a resampled set rebuild.
 //! * [`ShardedEngine`] — answers the full query vocabulary (Top-K with
 //!   optional audience masks, spread, marginal, batches, response cache).
 //!   Spread and Marginal scatter over a **persistent pinned worker pool**
@@ -26,8 +28,8 @@
 //!   channels, so a point query costs one message round-trip per shard (and
 //!   zero channel traffic when the pool runs inline on a single hardware
 //!   thread). Top-K, plain and audience, does not scatter — it runs
-//!   `imm_service::masked`'s lazy greedy engine-side over the shards'
-//!   postings, the very sessions the single-index engine runs. Results are
+//!   `imm_service::masked`'s lazy greedy engine-side over the global (or
+//!   the shards') postings, the very sessions the single-index engine runs. Results are
 //!   **byte-identical** to the single-index `QueryEngine` for every shard
 //!   count, thread count, and [`WakeMode`] — the crate's parity suite pins
 //!   this, including after `apply_delta`.
@@ -69,7 +71,7 @@ pub mod snapshot;
 pub use engine::ShardedEngine;
 pub use imm_exec::{ScatterError, WakeMode};
 pub use index::ShardedIndex;
-pub use segment::{LocalSetId, ShardSegment};
+pub use segment::ShardSegment;
 pub use snapshot::{
     assemble, load_shard_files, read_shard, read_shard_file, split_to_bytes, write_shard_files,
     write_sharded_files, ShardFileError, ShardPart, SHARD_MAGIC, SHARD_VERSION, SHARD_VERSION_V1,

@@ -4,8 +4,11 @@
 //! The sharded engine's own failure mode is *distributional*: one hot
 //! shard carrying most of the postings, so every scattered Spread/Marginal
 //! waits on it. The layer exports that as a load-imbalance gauge (max/mean
-//! per-shard postings work, recomputed at build and refresh). Everything
-//! else is *not* duplicated here: the sharded engine serves through the
+//! per-shard postings work, recomputed at build and refresh), next to the
+//! shape of the shards' postings summed over the shards — row vertices, list
+//! entries, bytes — so an operator can tell a dense-regime index (rows,
+//! kilobytes per shard) from a sparse one. Everything else is *not*
+//! duplicated here: the sharded engine serves through the
 //! same `serve_cached` wrapper and runs the same Top-K sessions as the
 //! single-index engine, so it shares the `service_` latency, cache and
 //! CELF metrics, and the scatter traffic is the pool's `exec_pinned_*`.
@@ -13,6 +16,7 @@
 use std::sync::Once;
 
 use imm_obs::{Gauge, Metric, Unit};
+use imm_rrr::PostingsStats;
 
 /// Max/mean per-shard postings work, recomputed at build and refresh.
 pub static LOAD_IMBALANCE: Gauge = Gauge::new(
@@ -21,17 +25,47 @@ pub static LOAD_IMBALANCE: Gauge = Gauge::new(
     Unit::Ratio,
 );
 
-/// Register the shard metric with the process-global registry.
+/// (Vertex, shard) pairs stored as bit rows.
+pub static POSTINGS_ROW_VERTICES: Gauge = Gauge::new(
+    "shard_postings_row_vertices",
+    "Per-shard postings stored as bit rows, summed over the shards",
+    Unit::Count,
+);
+
+/// `u32` list entries across the shards' postings.
+pub static POSTINGS_LIST_ENTRIES: Gauge = Gauge::new(
+    "shard_postings_list_entries",
+    "List entries of the shards' postings, summed over the shards",
+    Unit::Count,
+);
+
+/// Bytes of the shards' postings, rows and lists together.
+pub static POSTINGS_MEMORY: Gauge = Gauge::new(
+    "shard_postings_memory",
+    "Bytes of the shards' postings (rows, row tables, lists, offsets), summed over the shards",
+    Unit::Bytes,
+);
+
+/// Register the shard metrics with the process-global registry.
 /// Idempotent; called from the engine constructor.
 pub fn register() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        imm_obs::register(&[&LOAD_IMBALANCE as &'static dyn Metric]);
+        imm_obs::register(&[
+            &LOAD_IMBALANCE as &'static dyn Metric,
+            &POSTINGS_ROW_VERTICES as &'static dyn Metric,
+            &POSTINGS_LIST_ENTRIES as &'static dyn Metric,
+            &POSTINGS_MEMORY as &'static dyn Metric,
+        ]);
     });
 }
 
-/// Fold per-shard postings totals into the [`LOAD_IMBALANCE`] gauge.
-pub(crate) fn record_shard_work(per_shard_postings: &[u64]) {
+/// Fold per-shard postings totals into the [`LOAD_IMBALANCE`] gauge and
+/// publish the summed shape of the shards' postings.
+pub(crate) fn record_shard_work(per_shard_postings: &[u64], shape: PostingsStats) {
+    POSTINGS_ROW_VERTICES.set(shape.row_vertices as f64);
+    POSTINGS_LIST_ENTRIES.set(shape.list_entries as f64);
+    POSTINGS_MEMORY.set(shape.bytes() as f64);
     let shards = per_shard_postings.len();
     let total: u64 = per_shard_postings.iter().sum();
     if shards == 0 || total == 0 {
@@ -51,7 +85,9 @@ mod tests {
     fn shard_metrics_join_the_global_registry() {
         register();
         let names: Vec<&str> = imm_obs::snapshot().iter().map(|s| s.name).collect();
-        assert!(names.contains(&"shard_load_imbalance"), "missing from registry");
+        for expected in ["shard_load_imbalance", "shard_postings_row_vertices"] {
+            assert!(names.contains(&expected), "{expected} missing from registry");
+        }
     }
 
     #[test]
@@ -59,11 +95,12 @@ mod tests {
         if !imm_obs::recording_enabled() {
             return;
         }
-        record_shard_work(&[10, 10, 10, 10]);
+        let shape = PostingsStats::default();
+        record_shard_work(&[10, 10, 10, 10], shape);
         assert_eq!(LOAD_IMBALANCE.value(), 1.0);
-        record_shard_work(&[30, 10, 10, 10]);
+        record_shard_work(&[30, 10, 10, 10], shape);
         assert_eq!(LOAD_IMBALANCE.value(), 2.0);
-        record_shard_work(&[]);
+        record_shard_work(&[], shape);
         assert_eq!(LOAD_IMBALANCE.value(), 0.0);
     }
 }

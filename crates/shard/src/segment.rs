@@ -4,64 +4,35 @@
 //! structure: it owns **no set data** — a shard's sets are exactly the
 //! contiguous arena range `[start, start + len)` of the shared
 //! [`imm_rrr::RrrCollection`], borrowed on demand as a zero-copy
-//! [`imm_rrr::CollectionSlice`] — plus its *own* inverted vertex → set
-//! postings and occurrence counts over that range. Postings store **local**
-//! set ids (`0..len`), so a segment's working state (alive flags, marking
-//! bitsets) is sized to the shard, not to θ, and a worker thread counting
-//! over one shard never touches another shard's structures.
+//! [`imm_rrr::CollectionSlice`] — plus its *own* vertex-adaptive
+//! [`Postings`] over that range: a vertex in more than `len / 32` of the
+//! shard's sets stores a `len`-bit row, the rest ascending lists. Ids are
+//! **local** (`0..len`), so a segment's working state (marking bitmaps) is
+//! sized to the shard, not to θ, a row ORs straight into it, and a worker
+//! thread counting over one shard never touches another shard's structures.
 
-use imm_rrr::{CollectionSlice, NodeId, RrrCollection};
+use imm_rrr::{CollectionSlice, NodeId, Postings, RrrCollection};
 use imm_service::IndexError;
-
-/// Identifier of one RRR set *inside its shard* (`0..segment.len()`).
-pub type LocalSetId = u32;
 
 /// One shard: a contiguous set range plus its own postings and counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSegment {
     /// Global id of the first set of the range.
     start: usize,
-    /// Number of sets in the range.
-    len: usize,
-    /// CSR-style offsets into `postings`, one slot per vertex (+1).
-    postings_offsets: Vec<usize>,
-    /// Local ids of the sets containing each vertex, grouped by vertex.
-    postings: Vec<LocalSetId>,
+    /// The range's inverted structure (local ids); its length is the
+    /// shard's.
+    postings: Postings,
 }
 
 impl ShardSegment {
-    /// Build the segment over `collection.slice(start, len)`: one streaming
-    /// pass for the occurrence counts, one for the CSR postings fill —
-    /// the per-shard mirror of `SketchIndex::from_collection`.
+    /// Build the segment over `collection.slice(start, len)` — the per-shard
+    /// call of the counting sort `SketchIndex::from_collection` runs over
+    /// all sets.
     pub fn build(collection: &RrrCollection, start: usize, len: usize) -> Result<Self, IndexError> {
-        let n = collection.num_nodes();
-        let slice = collection.slice(start, len);
-        let mut offsets = vec![0usize; n + 1];
-        let mut bad: Option<NodeId> = None;
-        for set in slice.iter() {
-            set.for_each(|v| {
-                if (v as usize) < n {
-                    offsets[v as usize + 1] += 1;
-                } else if bad.is_none() {
-                    bad = Some(v);
-                }
-            });
-        }
-        if let Some(vertex) = bad {
-            return Err(IndexError::VertexOutOfRange { vertex, num_nodes: n });
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut postings = vec![0 as LocalSetId; offsets[n]];
-        for (local, set) in slice.iter().enumerate() {
-            set.for_each(|v| {
-                postings[cursor[v as usize]] = local as LocalSetId;
-                cursor[v as usize] += 1;
-            });
-        }
-        Ok(ShardSegment { start, len, postings_offsets: offsets, postings })
+        let postings = Postings::build(collection, start, len).map_err(|vertex| {
+            IndexError::VertexOutOfRange { vertex, num_nodes: collection.num_nodes() }
+        })?;
+        Ok(ShardSegment { start, postings })
     }
 
     /// Global id of the shard's first set.
@@ -73,53 +44,52 @@ impl ShardSegment {
     /// Number of sets in the shard.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.postings.range_len()
     }
 
     /// Whether the shard holds no sets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The shard's global set-id range.
     #[inline]
     pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
+        self.start..self.start + self.len()
     }
 
-    /// Local ids of the shard's sets containing `v`, in increasing order.
+    /// The shard's inverted structure; ids are local to the shard.
     #[inline]
-    pub fn postings(&self, v: NodeId) -> &[LocalSetId] {
-        &self.postings[self.postings_offsets[v as usize]..self.postings_offsets[v as usize + 1]]
+    pub fn postings(&self) -> &Postings {
+        &self.postings
     }
 
     /// How many of the shard's sets contain `v` — the shard's contribution
     /// to the vertex's global occurrence count.
     #[inline]
     pub fn degree(&self, v: NodeId) -> u64 {
-        (self.postings_offsets[v as usize + 1] - self.postings_offsets[v as usize]) as u64
+        self.postings.degree(v)
     }
 
     /// Total postings entries of the shard (Σ over vertices of
-    /// [`ShardSegment::degree`]) — the shard's contribution to a serving
-    /// cost model.
+    /// [`ShardSegment::degree`], whichever form stores them) — the shard's
+    /// contribution to a serving cost model.
     #[inline]
     pub fn postings_entries(&self) -> u64 {
-        self.postings.len() as u64
+        self.postings.entries()
     }
 
     /// Borrow the shard's sets out of the shared collection (zero-copy).
     #[inline]
     pub fn slice<'a>(&self, collection: &'a RrrCollection) -> CollectionSlice<'a> {
-        collection.slice(self.start, self.len)
+        collection.slice(self.start, self.len())
     }
 
     /// Heap bytes of the segment's own structures (the shared arena is
     /// accounted by the collection, not per shard).
     pub fn memory_bytes(&self) -> usize {
-        self.postings_offsets.len() * std::mem::size_of::<usize>()
-            + self.postings.len() * std::mem::size_of::<LocalSetId>()
+        self.postings.stats().bytes()
     }
 }
 
@@ -144,10 +114,10 @@ mod tests {
         // Shard over sets 2..6 ({2,4}, {1,4}, {1,4,5}, {3}).
         let seg = ShardSegment::build(&c, 2, 4).unwrap();
         assert_eq!(seg.range(), 2..6);
-        assert_eq!(seg.postings(4), &[0, 1, 2], "local ids of sets 2, 3, 4");
-        assert_eq!(seg.postings(1), &[1, 2]);
-        assert_eq!(seg.postings(3), &[3]);
-        assert!(seg.postings(0).is_empty(), "vertex 0 only occurs outside the range");
+        assert_eq!(seg.postings().ids(4), [0, 1, 2], "local ids of sets 2, 3, 4");
+        assert_eq!(seg.postings().ids(1), [1, 2]);
+        assert_eq!(seg.postings().ids(3), [3]);
+        assert!(seg.postings().ids(0).is_empty(), "vertex 0 only occurs outside the range");
         assert_eq!(seg.degree(4), 3);
         assert_eq!(seg.degree(0), 0);
         assert_eq!(seg.slice(&c).get(3).to_vec(), vec![3]);

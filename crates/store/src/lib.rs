@@ -1,14 +1,15 @@
 //! # imm-store
 //!
 //! Zero-copy snapshot store: serve a [`imm_service::SketchIndex`] straight
-//! from a memory-mapped v4 snapshot file, with NUMA-aware placement hooks.
+//! from a memory-mapped v5 snapshot file, with NUMA-aware placement hooks.
 //!
 //! The read-decode loader pays for the whole file before the first query:
 //! read, checksum, decode, rebuild postings. For a multi-gigabyte sketch
 //! that is seconds of startup even though the first query may touch a few
-//! kilobytes. The v4 snapshot format lays its four data sections (vertex
-//! arena, bitmap words, postings offsets, flat postings) on page-aligned
-//! boundaries behind a checksummed directory, so this crate can instead:
+//! kilobytes. The v5 snapshot format lays its data sections (vertex arena,
+//! bitmap words, and the vertex-adaptive postings: offsets, flat lists, row
+//! table, rows) at aligned offsets behind a checksummed directory, so this
+//! crate can instead:
 //!
 //! 1. [`Mapping`] — `mmap` the file read-only (direct libc FFI, no new
 //!    dependencies; little-endian Linux only, graceful error elsewhere);
@@ -21,7 +22,7 @@
 //!    untouched until queries fault them in.
 //!
 //! [`Store::open`] is the resilient entry point: any mapped-path failure
-//! (old format version, unsupported platform, syscall error, injected
+//! (an older format version — v4 included —, unsupported platform, syscall error, injected
 //! fault) increments `store_mmap_fallbacks` and re-opens through the
 //! checksummed read-decode path. [`OpenedIndex::advise_shard_ranges`]
 //! bridges to NUMA placement: shard-pinned workers advise their own set

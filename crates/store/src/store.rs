@@ -1,15 +1,15 @@
 //! Opening a snapshot as a served index: the zero-copy mmap path with a
 //! counted fallback to the classic read-decode path.
 //!
-//! [`Store::open`] maps the file, parses the v4 head (prelude + section
-//! directory + per-set lens/flags + provenance — no data pages), and
+//! [`Store::open`] maps the file, parses the head of a v5 snapshot (prelude,
+//! section directory, per-set lens/flags, provenance — no data pages), and
 //! assembles a [`SketchIndex`] whose arena, bitmap words and inverted
-//! postings are **borrowed views into the mapping**. Nothing proportional
-//! to the index size is read or copied at open time; queries fault pages in
-//! on demand, so time-to-first-query drops from "decode the whole file" to
-//! "parse a few head pages".
+//! postings (offsets, lists, row table, rows) are **borrowed views into the
+//! mapping**. Nothing proportional to the index size is read or copied at
+//! open time; queries fault pages in on demand, so time-to-first-query drops
+//! from "decode the whole file" to "parse a few head pages".
 //!
-//! Any failure on the mapped path — a pre-v4 file, a non-Linux platform, an
+//! Any failure on the mapped path — a pre-v5 file, a non-Linux platform, an
 //! mmap error, an injected fault — increments `store_mmap_fallbacks` and
 //! falls back to [`SketchIndex::load_from_path`], which checksums and
 //! decodes the whole file onto the heap. Both paths produce logically equal
@@ -141,7 +141,9 @@ impl From<IndexError> for StoreError {
 ///
 /// SAFETY requirements, all established before construction of any source:
 /// `off` is one of the directory's section offsets (validated page-aligned,
-/// so aligned for any `T` here), `off + len * size_of::<T>()` lies inside
+/// so aligned for any `T` here — except the row table, validated 4-aligned
+/// and viewed as `u32`, and the offset of an *empty* rows section, which
+/// [`MappedPostings`] never passes here), `off + len * size_of::<T>()` lies inside
 /// the mapping (directory `validate()` + the `file_len == mapping.len()`
 /// check in `parse_v4_head`), the mapping is read-only and lives as long as
 /// the `Arc` the source holds, and the build is little-endian (the mmap
@@ -180,22 +182,35 @@ impl WordsSource for MappedWords {
     }
 }
 
-/// The postings offset + flat set-id sections, served in place.
+/// The four postings sections — offsets, flat lists, row table, rows —
+/// served in place.
 #[derive(Debug)]
 struct MappedPostings {
     mapping: Arc<Mapping>,
-    offsets_off: usize,
-    num_offsets: usize,
-    postings_off: usize,
-    postings_len: usize,
+    sections: SnapshotSections,
 }
 
 impl PostingsSource for MappedPostings {
     fn offsets(&self) -> &[u64] {
-        section_slice(&self.mapping, self.offsets_off, self.num_offsets)
+        section_slice(&self.mapping, self.sections.offsets_off, self.sections.num_nodes + 1)
     }
     fn set_ids(&self) -> &[SetId] {
-        section_slice(&self.mapping, self.postings_off, self.postings_len)
+        section_slice(&self.mapping, self.sections.postings_off, self.sections.postings_len)
+    }
+    fn row_table(&self) -> &[u32] {
+        section_slice(&self.mapping, self.sections.row_table_off, self.sections.row_vertices * 2)
+    }
+    fn rows(&self) -> &[u64] {
+        // Without a row vertex the section is empty wherever the lists end,
+        // which need not be a `u64` boundary.
+        match self.sections.row_vertices {
+            0 => &[],
+            rows => section_slice(
+                &self.mapping,
+                self.sections.rows_off,
+                rows * self.sections.words_per_row(),
+            ),
+        }
     }
 }
 
@@ -367,13 +382,8 @@ impl Store {
         if next_bitmap != sections.bitmap_sets {
             return Err(StoreError::Corrupt("fewer bitmap flags than bitmap sections"));
         }
-        let postings: Arc<dyn PostingsSource> = Arc::new(MappedPostings {
-            mapping: Arc::clone(&mapping),
-            offsets_off: sections.offsets_off,
-            num_offsets: sections.num_nodes + 1,
-            postings_off: sections.postings_off,
-            postings_len: sections.postings_len,
-        });
+        let postings: Arc<dyn PostingsSource> =
+            Arc::new(MappedPostings { mapping: Arc::clone(&mapping), sections });
         let index =
             SketchIndex::from_mapped_parts(collection, head.meta, head.provenance, postings)?;
         let decode_ns = t_decode.elapsed().as_nanos() as u64;

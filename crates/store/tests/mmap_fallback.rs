@@ -1,13 +1,20 @@
 //! Chaos case for the store: an injected fault mid-map must degrade to the
 //! read-decode path — counted, logically lossless, and still serving the
 //! exact same query responses. A second fault site covers `madvise`
-//! placement advice failing without affecting correctness.
+//! placement advice failing without affecting correctness. The same
+//! degradation covers what the mapped path cannot or must not serve: a v4
+//! file (a counted fallback, not an error) and postings sections that lie
+//! (a structured error where the head shows the lie, masked bits where only
+//! the data could — never a panic, never a set id outside the range).
 #![cfg(all(target_os = "linux", target_endian = "little"))]
 
 use imm_diffusion::DiffusionModel;
 use imm_fault::FaultConfig;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_rrr::{AdaptivePolicy, RrrCollection};
+use imm_service::{
+    parse_v4_head, IndexError, IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex,
+};
 use imm_store::{LoadMode, Store, StoreError};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -98,5 +105,103 @@ fn advise_faults_are_absorbed_and_serving_continues() {
     // Serving is unaffected either way.
     let engine = QueryEngine::new(Arc::new(opened.index));
     assert!(matches!(engine.execute(&Query::top_k(4)), imm_service::QueryResponse::TopK { .. }));
+    std::fs::remove_file(&path).ok();
+}
+
+/// A v4 file (flat-list postings, 10-field directory) is not mappable by
+/// this build: `Store::open` serves it through read-decode and counts the
+/// fallback; the strict open says why.
+#[test]
+fn a_v4_file_is_a_counted_fallback_not_an_error() {
+    let fixture =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../service/tests/fixtures/golden_v4_keyed.sketch");
+    // A quiet plan: nothing is injected, but the fallback counter is read
+    // and bumped serialized against the fault-driven tests of this binary.
+    imm_fault::with_plan(FaultConfig::seeded(8), |_| {
+        let fallbacks_before = imm_store::metrics::MMAP_FALLBACKS.value();
+        let opened = Store::open(fixture).expect("a v4 file still opens");
+        assert_eq!(opened.mode, LoadMode::ReadDecode);
+        assert_eq!(opened.index.meta().label, "golden-v4");
+        assert_eq!(opened.index.num_sets(), 4);
+        assert!(opened.index.is_dynamic());
+        if imm_obs::recording_enabled() {
+            assert_eq!(imm_store::metrics::MMAP_FALLBACKS.value(), fallbacks_before + 1);
+        }
+        assert!(matches!(Store::open_mapped(fixture), Err(StoreError::Snapshot(_))));
+    });
+}
+
+/// 40 sets over 64 vertices (a row needs degree > 1, and has 24 tail bits):
+/// vertices 0–4 are in every set (rows), vertex 9 in set 0 only (a list).
+fn rows_and_a_list() -> SketchIndex {
+    let mut c = RrrCollection::new(64);
+    for set in 0..40u32 {
+        let mut members: Vec<u32> = (0..5).collect();
+        members.extend((set == 0).then_some(9));
+        c.push_vertices(members, &AdaptivePolicy::always_sorted());
+    }
+    SketchIndex::from_collection(c, IndexMeta { num_edges: 1, label: "lies".into() }).unwrap()
+}
+
+#[test]
+fn lying_row_sections_are_errors_or_masked_never_panics() {
+    // Under a quiet plan, like the test above: these opens fall back.
+    imm_fault::with_plan(FaultConfig::seeded(9), |_| lying_row_sections());
+}
+
+fn lying_row_sections() {
+    let index = rows_and_a_list();
+    assert!(index.postings().is_row(4) && !index.postings().is_row(9));
+    let path = temp_path("lies");
+    index.save_to_path(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let s = parse_v4_head(&good).unwrap().sections;
+    assert_eq!((s.row_vertices, s.postings_len), (5, 1));
+    let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    };
+
+    // What the offsets and the row table show, the mapped open rejects.
+    type Lie<'a> = (&'static str, Box<dyn Fn(&mut [u8]) + 'a>);
+    let lies: Vec<Lie> = vec![
+        ("unsorted row ids", Box::new(|b| put_u32(b, s.row_table_off, 3))),
+        ("a row id outside the vertex space", Box::new(|b| put_u32(b, s.row_table_off + 16, 64))),
+        ("a row id of a list vertex", Box::new(|b| put_u32(b, s.row_table_off + 16, 9))),
+        ("a row degree beyond the range", Box::new(|b| put_u32(b, s.row_table_off + 20, 41))),
+    ];
+    for (what, lie) in &lies {
+        let mut bytes = good.clone();
+        lie(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        match Store::open_mapped(&path) {
+            Err(StoreError::Index(IndexError::PostingsCorrupt(_))) => {}
+            other => panic!("{what}: the mapped open must say corrupt postings, got {other:?}"),
+        }
+        // The resilient open degrades to read-decode, whose checksum objects.
+        assert!(Store::open(&path).is_err(), "{what}: no path may serve the file");
+    }
+
+    // Bits beyond the range in every row's tail: only the data pages show
+    // them, so the mapped open succeeds — and masks them wherever a row is
+    // read. Every answer equals the honest file's.
+    let mut bytes = good.clone();
+    for row in 0..s.row_vertices {
+        bytes[s.rows_off + row * 8 + 5..s.rows_off + row * 8 + 8].fill(0xFF);
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    let lying = Store::open_mapped(&path).expect("tail bits are not visible from the head");
+    for v in 0..64u32 {
+        assert_eq!(lying.index.ids(v), index.ids(v), "vertex {v}");
+    }
+    let honest = QueryEngine::new(Arc::new(index));
+    let served = QueryEngine::new(Arc::new(lying.index));
+    for query in [
+        Query::top_k(3),
+        Query::Spread { seeds: vec![0, 9] },
+        Query::Marginal { seeds: vec![9], candidate: 2 },
+        Query::audience_top_k(2, imm_rrr::BitSet::from_iter_with_capacity(64, [4, 9])),
+    ] {
+        assert_eq!(served.execute(&query), honest.execute(&query), "{query:?}");
+    }
     std::fs::remove_file(&path).ok();
 }

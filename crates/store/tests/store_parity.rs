@@ -1,7 +1,8 @@
 //! Mmap/heap parity: an index served zero-copy from a mapping must be
 //! **logically identical** to the same file decoded onto the heap — equal
 //! index, equal postings, and byte-identical query responses — across
-//! static and dynamic snapshots and mixed list/bitmap representations.
+//! static and dynamic snapshots, mixed list/bitmap set representations, and
+//! all-row, all-list and mixed postings.
 //!
 //! Gated to little-endian Linux like the mapping itself; on other targets
 //! the store only has the fallback path and there is nothing to compare.
@@ -52,13 +53,27 @@ fn static_index() -> SketchIndex {
         .unwrap()
 }
 
+/// `sets` copies of one dense set over 200 vertices plus `sparse` singleton
+/// sets: with no singleton every indexed vertex is a row; with many, the
+/// dense set's members stay rows and the singletons' vertices are lists.
+fn dense_index(sets: u32, sparse: u32, label: &str) -> SketchIndex {
+    let mut c = RrrCollection::new(200);
+    for i in 0..sets {
+        c.push_vertices((0..150).collect(), &AdaptivePolicy::default());
+        if i < sparse {
+            c.push_vertices(vec![150 + i % 50], &AdaptivePolicy::default());
+        }
+    }
+    SketchIndex::from_collection(c, IndexMeta { num_edges: 9, label: label.into() }).unwrap()
+}
+
 fn assert_full_parity(mapped: &SketchIndex, heap: &SketchIndex) {
     assert_eq!(mapped, heap);
     assert_eq!(mapped.meta(), heap.meta());
     assert_eq!(mapped.provenance(), heap.provenance());
     assert_eq!(mapped.coverage_stats(), heap.coverage_stats());
     for v in 0..mapped.num_nodes() as u32 {
-        assert_eq!(mapped.postings(v), heap.postings(v), "postings diverge at vertex {v}");
+        assert_eq!(mapped.ids(v), heap.ids(v), "postings diverge at vertex {v}");
         assert_eq!(mapped.degree(v), heap.degree(v));
     }
     // Query responses must be byte-identical, not just "equivalent".
@@ -114,6 +129,34 @@ fn mapped_and_heap_loads_of_a_static_mixed_snapshot_are_identical() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The dense regime: every vertex with a membership stores a row (no list
+/// entry at all), and a mix of the two forms.
+#[test]
+fn mapped_and_heap_loads_of_all_row_and_mixed_postings_are_identical() {
+    for (index, rows, list_entries) in
+        [(dense_index(70, 0, "all-row"), 150, 0), (dense_index(70, 60, "mixed"), 150, 60)]
+    {
+        let stats = index.postings().stats();
+        assert_eq!((stats.row_vertices, stats.list_entries), (rows, list_entries));
+        let path = temp_path(&index.meta().label);
+        index.save_to_path(&path).unwrap();
+        let mapped = Store::open_mapped(&path).expect("mapped open");
+        let heap = Store::open_read(&path).expect("read open");
+        assert!(mapped.index.is_postings_shared() && !heap.index.is_postings_shared());
+        assert_eq!(mapped.index.postings().stats().row_vertices, rows);
+        assert_full_parity(&mapped.index, &heap.index);
+        assert_full_parity(&mapped.index, &index);
+        // Both loads re-save to the very bytes they were loaded from.
+        let on_disk = std::fs::read(&path).unwrap();
+        for loaded in [&mapped.index, &heap.index] {
+            let mut resaved = Vec::new();
+            loaded.save(&mut resaved).unwrap();
+            assert_eq!(resaved, on_disk);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn open_prefers_the_mapping_and_counts_it() {
     let index = dynamic_index(7);
@@ -154,7 +197,8 @@ fn advising_shard_ranges_touches_the_arena_section() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A pre-v4 file has no section directory: `Store::open` must fall back to
+/// A pre-v4 file has no section directory (a v4 file has one, but flat-list
+/// postings: `mmap_fallback` covers it): `Store::open` must fall back to
 /// the read-decode path (counted) and still produce the right index.
 #[test]
 fn pre_v4_files_fall_back_to_read_decode() {
