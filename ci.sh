@@ -95,6 +95,20 @@ if grep -rnE 'cursor\[[^]]*\] *\+= *1|let mut cursor = [a-z_]*offsets\.clone\(\)
   exit 1
 fi
 
+# `SketchIndex::refresh` (imm-service's dynamic.rs) is the workspace's one
+# refresh driver — a sharded index refreshes its base through it and rebuilds
+# stale segments — and the global postings are the one Top-K source, so the
+# trait that abstracted over two of them stays gone.
+echo "==> refresh guard: no second refresh driver in crates/shard/src, no SetsContaining"
+if grep -rnE 'invalidated_sets|resample_sets|delta\.apply\(' crates/shard/src; then
+  echo "error: refresh a sharded index through SketchIndex::refresh, not a local driver" >&2
+  exit 1
+fi
+if grep -rn 'SetsContaining' crates; then
+  echo "error: Top-K reads imm_rrr::PostingsView directly; do not reintroduce SetsContaining" >&2
+  exit 1
+fi
+
 # Criterion benches are not part of `cargo test`; make sure they always at
 # least compile so a refactor cannot silently rot them.
 echo "==> cargo bench --no-run"
@@ -118,16 +132,6 @@ SMOKE_OUT="$(mktemp /tmp/bench7_smoke.XXXXXX.json)"
 cargo run --release -p imm-bench --bin perf_suite -- \
   --smoke --out "$SMOKE_OUT" --obs-baseline "$SMOKE_BASELINE" > /dev/null
 rm -f "$SMOKE_OUT" "$SMOKE_BASELINE"
-
-# The startup benchmark (mmap vs read-decode time-to-first-query) must stay
-# runnable and keep emitting parseable JSON; the smoke run checks the schema
-# internally without asserting on timings (the checked-in BENCH_9.json comes
-# from a full run, where the >= 5x mapped-TTFQ guard does assert).
-echo "==> startup_bench --smoke (JSON output must parse)"
-STARTUP_OUT="$(mktemp /tmp/bench9_smoke.XXXXXX.json)"
-cargo run --release -p imm-bench --bin startup_bench -- \
-  --smoke --out "$STARTUP_OUT" > /dev/null
-rm -f "$STARTUP_OUT"
 
 # End-to-end daemon smoke over a real unix socket: build a snapshot, serve
 # it in the background, drive a mixed client batch, and require the remote

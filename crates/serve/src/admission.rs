@@ -20,15 +20,17 @@
 //! and a long-lived daemon must never let wire input reach that path.
 
 use crate::protocol::Rejection;
+use imm_rrr::Postings;
 use imm_service::Query;
-use imm_shard::{ShardSegment, ShardedIndex};
+use imm_shard::ShardedIndex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Per-query cost estimates from the shards' postings sizes.
+/// Per-query cost estimates from the index's postings sizes.
 ///
 /// The unit is *postings entries walked*: a spread query over seeds
-/// `S` scans `Σ_v degree(v)` postings across all shards; a top-k query
+/// `S` scans `Σ_v degree(v)` postings (the shards' walks sum to the
+/// global degree, so one global lookup prices a vertex); a top-k query
 /// walks one postings list per round, so it is priced at
 /// `k × mean-degree`, plus — with an audience — the audience's postings
 /// `Σ_{v ∈ audience} degree(v)`. That sum is what the sparse masked
@@ -37,50 +39,46 @@ use std::sync::Arc;
 /// holds), and every later step of the session — counting, the frontier,
 /// the retire walks, the scratch restore — is proportional to the
 /// eligible sets, no longer to `n + θ`: the price bounds the work. The
-/// estimates are deliberately cheap (O(query size) lookups against CSR
-/// offsets) — they gate the engine, so they cannot themselves be
-/// expensive.
+/// estimates are deliberately cheap (one O(1) degree lookup against the
+/// global postings per vertex named) — they gate the engine, so they
+/// cannot themselves be expensive.
 #[derive(Clone)]
 pub struct CostModel {
-    segments: Vec<Arc<ShardSegment>>,
-    num_nodes: u64,
-    total_postings: u64,
+    postings: Arc<Postings>,
 }
 
 impl CostModel {
-    /// Price queries against `index`'s current segments. Rebuild the
-    /// model after a rollout — costs must describe the index actually
+    /// Price queries against `index`'s current global postings. Rebuild
+    /// the model after a rollout — costs must describe the index actually
     /// serving.
     pub fn from_index(index: &ShardedIndex) -> Self {
-        let segments: Vec<Arc<ShardSegment>> = index.segments().to_vec();
-        let total_postings = segments.iter().map(|s| s.postings_entries()).sum();
-        CostModel { segments, num_nodes: index.num_nodes() as u64, total_postings }
+        CostModel { postings: Arc::clone(index.global_postings()) }
     }
 
     /// Vertex-space size of the priced index.
     pub fn num_nodes(&self) -> u64 {
-        self.num_nodes
+        self.postings.num_nodes() as u64
     }
 
-    /// Total postings entries across all shards.
+    /// Total postings entries of the index.
     pub fn total_postings(&self) -> u64 {
-        self.total_postings
+        self.postings.entries()
     }
 
     /// Mean postings entries per vertex, rounded up (≥ 1 so a top-k
     /// query never prices at zero).
     fn mean_degree(&self) -> u64 {
-        if self.num_nodes == 0 {
-            return 1;
+        match self.num_nodes() {
+            0 => 1,
+            n => self.total_postings().div_ceil(n).max(1),
         }
-        (self.total_postings.div_ceil(self.num_nodes)).max(1)
     }
 
     fn degree(&self, v: u32) -> Result<u64, Rejection> {
-        if (v as u64) >= self.num_nodes {
-            return Err(Rejection::InvalidVertex { vertex: v, num_nodes: self.num_nodes });
+        if (v as u64) >= self.num_nodes() {
+            return Err(Rejection::InvalidVertex { vertex: v, num_nodes: self.num_nodes() });
         }
-        Ok(self.segments.iter().map(|s| s.degree(v)).sum())
+        Ok(self.postings.degree(v))
     }
 
     /// Estimate the postings entries `query` will walk, validating every
@@ -91,10 +89,10 @@ impl CostModel {
                 let mut cost = (*k as u64).saturating_mul(self.mean_degree());
                 if let Some(audience) = audience {
                     for v in audience.iter() {
-                        if (v as u64) >= self.num_nodes {
+                        if (v as u64) >= self.num_nodes() {
                             return Err(Rejection::InvalidVertex {
                                 vertex: v as u32,
-                                num_nodes: self.num_nodes,
+                                num_nodes: self.num_nodes(),
                             });
                         }
                         cost = cost.saturating_add(self.degree(v as u32)?);

@@ -3,7 +3,7 @@
 //!
 //! One [`Client`] owns one connection and runs a strict
 //! request/response exchange per call. The CLI `client` subcommand, the
-//! `query_storm` bench, and the socket parity suite all speak through
+//! spine's load generator, and the socket parity suite all speak through
 //! this type, so its decode path is the same defensive
 //! [`protocol`] decoder the server uses — a hostile or
 //! broken server cannot make a client panic, hang, or over-allocate.

@@ -37,7 +37,7 @@
 //!   and swapped in atomically, so queries keep serving on the old
 //!   segments until the swap.
 //! * [`client`] — the blocking client used by the CLI `client`
-//!   subcommand, the `query_storm` bench, and the parity suite.
+//!   subcommand, the spine's load generator, and the parity suite.
 
 pub mod admission;
 pub mod client;

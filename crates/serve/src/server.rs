@@ -19,10 +19,13 @@
 //!   [`crate::admission`]).
 //! * **Rolling refresh**: `apply_delta` builds the replacement index
 //!   off to the side — [`ShardedIndex::rebuilt_with_delta`] shares every
-//!   clean shard's segment with the live index — then swaps one `Arc`.
-//!   Queries that already hold the old state keep serving on the old
-//!   segments; the next request sees the new index. Rollouts serialize
-//!   behind a mutex; queries never wait on it.
+//!   clean shard's segment with the live index — stands a new
+//!   [`ShardedEngine`] up over it, then swaps one `Arc`. This is the only
+//!   way an engine's index ever changes (an engine serves one generation
+//!   for life), so the suites that roll deltas in process roll them
+//!   exactly like this. Queries that already hold the old state keep
+//!   serving on the old segments; the next request sees the new index.
+//!   Rollouts serialize behind a mutex; queries never wait on it.
 //!
 //! Remote answers are **byte-identical** to the in-process engine's:
 //! the daemon calls the very same [`ShardedEngine`] entry points and the

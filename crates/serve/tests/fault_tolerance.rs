@@ -175,7 +175,7 @@ fn failed_rollouts_keep_the_old_generation_until_a_retry_lands() {
     )
     .expect("server");
 
-    let mut local = ShardedEngine::with_options(
+    let local = ShardedEngine::with_options(
         Arc::new(ShardedIndex::from_index(index.clone(), 2).expect("shardable")),
         2,
         64,
@@ -220,7 +220,9 @@ fn failed_rollouts_keep_the_old_generation_until_a_retry_lands() {
         // The retry lands: both fail points have spent their budget.
         client.apply_delta(&delta.to_text()).expect("third attempt commits");
         assert_eq!(client.info().expect("info").rollouts, 1);
-        local.apply_delta(&graph, &weights, &delta).expect("local refresh");
+        let (next, _, _, _) =
+            local.index().rebuilt_with_delta(&graph, &weights, &delta).expect("local refresh");
+        let local = ShardedEngine::with_options(Arc::new(next), 2, 64);
         let answers = client.batch(&battery).expect("new generation serves");
         for (i, (got, want)) in
             answers.iter().zip(local.execute_batch(&battery, 2).iter()).enumerate()

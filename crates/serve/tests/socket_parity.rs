@@ -128,7 +128,7 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         assert_eq!(info.rollouts, 0);
 
         // Local mirror of the same generation.
-        let mut local = ShardedEngine::with_options(
+        let local = ShardedEngine::with_options(
             Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable")),
             2,
             64,
@@ -136,10 +136,13 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
         assert_remote_matches_local(&mut client, &local, &queries, &context);
 
-        // Rolling rollout over RPC; mirror it in process and re-compare.
+        // Rolling rollout over RPC; mirror it in process — the daemon's own
+        // path: the next generation off to the side, a new engine over it —
+        // and re-compare.
         let outcome = client.apply_delta(&delta.to_text()).expect("rollout");
-        let (_, _, local_stats) =
-            local.apply_delta(&graph, &weights, &delta).expect("local refresh");
+        let (next, _, _, local_stats) =
+            local.index().rebuilt_with_delta(&graph, &weights, &delta).expect("local refresh");
+        let local = ShardedEngine::with_options(Arc::new(next), 2, 64);
         assert_eq!(outcome.total_sets as usize, local_stats.total_sets, "{context}");
         assert_eq!(outcome.resampled_sets as usize, local_stats.resampled_sets, "{context}");
         assert_eq!(outcome.edges_after as usize, local_stats.num_edges_after, "{context}");

@@ -36,6 +36,11 @@
 //!    new form for a vertex whose degree crosses the threshold — no set
 //!    iteration, no bitmap scans) and the delta is appended to the log.
 //!
+//! The three steps exist once, in [`SketchIndex::refresh`]: `apply_delta` is
+//! that driver minus its report of the resampled ids, and a sharded index
+//! (`imm-shard`) refreshes its base through it and rebuilds the segments
+//! owning a reported id.
+//!
 //! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
 //! also resets the shared greedy prefix and drops the response cache so no
 //! stale answer survives the mutation.
@@ -48,7 +53,7 @@ use efficient_imm::sampling::{
 };
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
-use imm_rrr::{AdaptivePolicy, NodeId, RrrCollection, RrrSet, SetProvenance};
+use imm_rrr::{AdaptivePolicy, NodeId, PostingsView, RrrCollection, RrrSet, SetProvenance};
 use parking_lot::Mutex;
 
 /// How a dynamic index was sampled — everything needed to regenerate any of
@@ -213,22 +218,18 @@ fn changed_in_edges(
         .collect()
 }
 
-/// Which sets does `delta` invalidate? — THE shared predicate of every
-/// refresh path (single-index and shard-routed alike), so the two can never
-/// drift. `old` is the revision the sets were sampled on, `new` the result
-/// of `delta.apply`; see the module docs for the rule and why it is exact
-/// enough for rebuild equivalence.
-///
-/// `postings_of(v, sink)` must call `sink(set_id)` for every set containing
-/// `v` — the single index walks its global postings, a sharded index walks
-/// each shard's local postings rebased by its range start.
-pub fn invalidated_sets(
+/// Which sets does `delta` invalidate? `old` is the revision the sets were
+/// sampled on, `new` the result of `delta.apply`, `postings` the global
+/// postings over `sets` (walked once per touched destination); see the
+/// module docs for the rule and why it is exact enough for rebuild
+/// equivalence. The ids come back ascending.
+fn invalidated_sets(
     delta: &GraphDelta,
     old: (&CsrGraph, &EdgeWeights),
     new: (&CsrGraph, &EdgeWeights),
     spec: SampleSpec,
     sets: &RrrCollection,
-    mut postings_of: impl FnMut(NodeId, &mut dyn FnMut(usize)),
+    postings: PostingsView<'_>,
 ) -> Vec<usize> {
     crate::metrics::register();
     let mut invalid = vec![false; sets.len()];
@@ -238,7 +239,8 @@ pub fn invalidated_sets(
             DiffusionModel::IndependentCascade => changed_in_edges(old, new, v),
             DiffusionModel::LinearThreshold => Vec::new(),
         };
-        postings_of(v, &mut |sid| {
+        postings.for_each(v, |sid| {
+            let sid = sid as usize;
             if invalid[sid] {
                 return;
             }
@@ -267,8 +269,6 @@ pub fn invalidated_sets(
     }
     let ids: Vec<usize> =
         invalid.iter().enumerate().filter(|&(_, &flag)| flag).map(|(i, _)| i).collect();
-    // Refresh metrics are recorded in the shared predicate so the
-    // single-index and shard-routed paths can never diverge in coverage.
     crate::metrics::DELTA_EDGES_APPLIED.add(delta.len() as u64);
     crate::metrics::DELTA_SETS_INVALIDATED.add(ids.len() as u64);
     crate::metrics::DELTA_COIN_SKIPS.add(coin_skips);
@@ -282,8 +282,8 @@ const RESAMPLE_CHUNK: usize = 64;
 /// Resample the sets at `ids` from their own keys `(spec.rng_seed, id)` on
 /// the mutated graph — exactly what a from-scratch rebuild would produce at
 /// those indices. The output is deterministic and sorted by id (`ids` must
-/// be). Shared by `SketchIndex::apply_delta` and the shard-routed refresh.
-pub fn resample_sets(
+/// be).
+fn resample_sets(
     spec: SampleSpec,
     ids: &[usize],
     new_graph: &CsrGraph,
@@ -415,6 +415,21 @@ impl SketchIndex {
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
+        let (new_graph, new_weights, stats, _) = self.refresh(graph, weights, delta)?;
+        Ok((new_graph, new_weights, stats))
+    }
+
+    /// [`apply_delta`](SketchIndex::apply_delta), additionally reporting the
+    /// ascending ids of the sets it resampled — what an owner of structures
+    /// derived from set ranges (a sharded index's segments) needs to know
+    /// which of them went stale. The workspace's one refresh driver: on an
+    /// error the index is untouched.
+    pub fn refresh(
+        &mut self,
+        graph: &CsrGraph,
+        weights: &EdgeWeights,
+        delta: &GraphDelta,
+    ) -> Result<(CsrGraph, EdgeWeights, RefreshStats, Vec<usize>), DynamicError> {
         let provenance = self.provenance.as_ref().ok_or(DynamicError::NotDynamic)?;
         if graph.num_nodes() != self.num_nodes() || graph.num_edges() != self.meta.num_edges {
             return Err(DynamicError::GraphMismatch {
@@ -424,15 +439,15 @@ impl SketchIndex {
         }
         let (new_graph, new_weights) = delta.apply(graph, weights)?;
 
-        let invalid_ids = invalidated_sets(
+        let resampled = invalidated_sets(
             delta,
             (graph, weights),
             (&new_graph, &new_weights),
             provenance.spec,
             &self.sets,
-            |v, sink| self.postings.for_each(v, |sid| sink(sid as usize)),
+            self.postings.view(),
         );
-        let changed = resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights);
+        let changed = resample_sets(provenance.spec, &resampled, &new_graph, &new_weights);
 
         let stats = RefreshStats {
             total_sets: self.num_sets(),
@@ -451,7 +466,7 @@ impl SketchIndex {
             resampled_sets: stats.resampled_sets as u64,
         });
 
-        Ok((new_graph, new_weights, stats))
+        Ok((new_graph, new_weights, stats, resampled))
     }
 
     /// Swap the changed sets in and patch the inverted postings.

@@ -7,6 +7,11 @@
 //! and later `k+5` computes five new rounds, not `k+5`; nothing is
 //! resampled, ever. The served seeds stay byte-identical to a fresh
 //! `run_imm`/`select_seeds` pass over the same collection.
+//!
+//! Spread and Marginal are one marking walk, [`mark_and_count`], shared with
+//! the sharded engine's cells: what differs between the engines is only the
+//! postings it runs over (all sets here, one shard's range there) and who
+//! owns the scratch.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::dynamic::{DynamicError, RefreshStats};
@@ -14,7 +19,7 @@ use crate::index::SketchIndex;
 use crate::masked::{LazyGreedy, MaskedPool};
 use crate::query::{Query, QueryKey, QueryResponse};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
-use imm_rrr::{BitSet, NodeId};
+use imm_rrr::{BitSet, NodeId, Postings};
 use parking_lot::Mutex;
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -78,6 +83,46 @@ pub fn serve_batch(
     responses.into_iter().map(|r| r.expect("every slot is filled by its worker")).collect()
 }
 
+/// The marking walk behind every Spread and Marginal, of either engine: OR
+/// the postings of `seeds` into `marks` — one bit per set of `postings`'
+/// range, **all zero on entry and again on return** — and count. With no
+/// `candidate` the count is the sets the seeds cover (Spread); with one, the
+/// sets containing it that the seeds leave uncovered (Marginal). Vertices
+/// outside the vertex space cover nothing.
+///
+/// The scratch is restored by whichever touches less: zeroing the words the
+/// seeds' lists reach (sparse sets: a few entries against a range-sized word
+/// array) or one fill. A row seed alone has more sets than the scratch has
+/// words, so any row means the fill.
+pub fn mark_and_count(
+    postings: &Postings,
+    seeds: &[NodeId],
+    candidate: Option<NodeId>,
+    marks: &mut [u64],
+) -> usize {
+    let n = postings.num_nodes();
+    let postings = postings.view();
+    let in_range = || seeds.iter().filter(|&&seed| (seed as usize) < n);
+    let (mut covered, mut walked) = (0usize, 0u64);
+    for &seed in in_range() {
+        walked += postings.degree(seed);
+        covered += postings.or_into(seed, marks);
+    }
+    let count = match candidate {
+        None => covered,
+        Some(candidate) if (candidate as usize) < n => postings.count_outside(candidate, marks),
+        Some(_) => 0,
+    };
+    if walked < marks.len() as u64 {
+        for &seed in in_range() {
+            postings.for_each(seed, |sid| marks[(sid / 64) as usize] = 0);
+        }
+    } else {
+        marks.fill(0);
+    }
+    count
+}
+
 /// A query-serving engine over one frozen [`SketchIndex`].
 ///
 /// The engine is `Sync`: spread/marginal queries run lock-free against the
@@ -132,10 +177,13 @@ impl QueryEngine {
         vec![0; words]
     }
 
-    /// Return a scratch bitmap to the pool, zeroed for the next query.
-    fn release_scratch(&self, mut marks: Vec<u64>) {
-        marks.fill(0);
+    /// One marking walk ([`mark_and_count`]) on a pooled scratch, which the
+    /// walk hands back all-zero.
+    fn count_marked(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
+        let mut marks = self.acquire_scratch();
+        let count = mark_and_count(self.index.postings(), seeds, candidate, &mut marks);
         self.scratch.lock().push(marks);
+        count
     }
 
     /// The index this engine serves.
@@ -180,11 +228,17 @@ impl QueryEngine {
 
     /// Answer one query without touching the cache.
     pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
+        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
         match query {
             Query::TopK { k, audience: None } => self.top_k(*k),
             Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
-            Query::Spread { seeds } => self.spread(seeds),
-            Query::Marginal { seeds, candidate } => self.marginal(seeds, *candidate),
+            Query::Spread { seeds } => {
+                QueryResponse::spread_from_tallies(self.count_marked(seeds, None), theta, n)
+            }
+            Query::Marginal { seeds, candidate } => {
+                let gained = self.count_marked(seeds, Some(*candidate));
+                QueryResponse::marginal_from_tallies(gained, theta, n)
+            }
         }
     }
 
@@ -196,7 +250,7 @@ impl QueryEngine {
 
     fn top_k(&self, k: usize) -> QueryResponse {
         let postings = self.index.postings().view();
-        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), &postings, k);
+        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), postings, k);
         self.topk_response(seeds, covered)
     }
 
@@ -207,7 +261,7 @@ impl QueryEngine {
     /// holding no engine lock; repeats are served by the response cache.
     fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
         let postings = self.index.postings().view();
-        let (seeds, covered) = self.masked.top_k(self.index.sets(), &postings, k, audience);
+        let (seeds, covered) = self.masked.top_k(self.index.sets(), postings, k, audience);
         self.topk_response(seeds, covered)
     }
 
@@ -218,37 +272,6 @@ impl QueryEngine {
             self.index.num_sets(),
             self.index.num_nodes(),
         )
-    }
-
-    /// Count the sets covered by `seeds`, marking them in `marks`.
-    fn mark_covered(&self, seeds: &[NodeId], marks: &mut [u64]) -> usize {
-        let n = self.index.num_nodes();
-        let postings = self.index.postings().view();
-        // Out-of-range seeds cover nothing.
-        seeds
-            .iter()
-            .filter(|&&seed| (seed as usize) < n)
-            .map(|&seed| postings.or_into(seed, marks))
-            .sum()
-    }
-
-    fn spread(&self, seeds: &[NodeId]) -> QueryResponse {
-        let mut marks = self.acquire_scratch();
-        let covered = self.mark_covered(seeds, &mut marks);
-        self.release_scratch(marks);
-        QueryResponse::spread_from_tallies(covered, self.index.num_sets(), self.index.num_nodes())
-    }
-
-    fn marginal(&self, seeds: &[NodeId], candidate: NodeId) -> QueryResponse {
-        let mut marks = self.acquire_scratch();
-        self.mark_covered(seeds, &mut marks);
-        let gained = if (candidate as usize) < self.index.num_nodes() {
-            self.index.postings().view().count_outside(candidate, &marks)
-        } else {
-            0
-        };
-        self.release_scratch(marks);
-        QueryResponse::marginal_from_tallies(gained, self.index.num_sets(), self.index.num_nodes())
     }
 }
 
@@ -520,5 +543,55 @@ mod tests {
             assert_eq!(batch, sequential, "threads={threads}");
         }
         assert!(engine.execute_batch(&[], 4).is_empty());
+    }
+
+    proptest::proptest! {
+        /// The marking walk counts what a naive union counts and hands its
+        /// scratch back all-zero, whichever restore it took: vertices 0..4
+        /// sit in about half the sets (rows, so the fill), 4..400 in a
+        /// handful (lists, so the re-walk), 400.. are outside the vertex
+        /// space; seeds mix all three and may repeat.
+        #[test]
+        fn the_marking_walk_hands_its_scratch_back_all_zero(
+            raw_sets in proptest::collection::vec(
+                (
+                    proptest::collection::hash_set(0u32..4, 0..4),
+                    proptest::collection::hash_set(4u32..400, 0..4),
+                ),
+                40..120,
+            ),
+            picks in proptest::collection::vec((0u32..3, 0u32..400), 0..6),
+            candidate in (0u32..3, 0u32..400),
+            repeat_a_seed in proptest::prelude::any::<bool>(),
+        ) {
+            use proptest::prelude::*;
+            let vertex = |(kind, value): (u32, u32)| match kind {
+                0 => value % 4,
+                1 => 4 + value % 396,
+                _ => 400 + value % 20,
+            };
+            let mut c = RrrCollection::new(400);
+            for (common, rare) in &raw_sets {
+                c.push(RrrSet::sorted(common.iter().chain(rare).copied().collect()));
+            }
+            let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
+            let mut seeds: Vec<NodeId> = picks.into_iter().map(vertex).collect();
+            if let (true, Some(&first)) = (repeat_a_seed, seeds.first()) {
+                seeds.push(first);
+            }
+            let candidate = vertex(candidate);
+            let ids = |v: NodeId| if v < 400 { index.ids(v) } else { Vec::new() };
+            let covered: std::collections::HashSet<u32> =
+                seeds.iter().flat_map(|&seed| ids(seed)).collect();
+            let gained = ids(candidate).iter().filter(|sid| !covered.contains(sid)).count();
+
+            let mut marks = vec![0u64; index.postings().words_per_row()];
+            let spread = mark_and_count(index.postings(), &seeds, None, &mut marks);
+            prop_assert_eq!(spread, covered.len(), "seeds {:?}", &seeds);
+            prop_assert!(marks.iter().all(|&word| word == 0), "spread left marks: {:?}", &seeds);
+            let marginal = mark_and_count(index.postings(), &seeds, Some(candidate), &mut marks);
+            prop_assert_eq!(marginal, gained, "seeds {:?}, candidate {}", &seeds, candidate);
+            prop_assert!(marks.iter().all(|&word| word == 0), "marginal left marks: {:?}", &seeds);
+        }
     }
 }

@@ -99,8 +99,8 @@ impl std::error::Error for IndexError {}
 pub struct SketchIndex {
     pub(crate) sets: RrrCollection,
     pub(crate) meta: IndexMeta,
-    /// Shared, so a clone of the index or a shard partition of it takes the
-    /// structure by pointer; a refresh swaps in a patched one.
+    /// Shared, so a clone of the index takes the structure by pointer; a
+    /// refresh swaps in a patched one.
     pub(crate) postings: Arc<Postings>,
     /// Sampling provenance; present only on indexes built through the
     /// dynamic constructors (see [`crate::dynamic`]). A provenance-free index
@@ -194,14 +194,6 @@ impl SketchIndex {
     ) -> Result<Self, IndexError> {
         let postings = build_postings(&collection)?;
         Self::from_parts(collection, meta, provenance, postings)
-    }
-
-    /// Take the index apart into its components (collection, metadata,
-    /// provenance, postings). This is how a sharded index adopts a
-    /// single-index build without cloning the arena — and keeps the global
-    /// postings (heap-built or mapped) for the engine that wants them.
-    pub fn into_parts(self) -> (RrrCollection, IndexMeta, Option<SketchProvenance>, Arc<Postings>) {
-        (self.sets, self.meta, self.provenance, self.postings)
     }
 
     /// Number of vertices of the indexed vertex space.

@@ -69,13 +69,10 @@ pub mod query;
 pub mod snapshot;
 
 pub use cache::{CacheStats, QueryCache};
-pub use dynamic::{
-    invalidated_sets, resample_sets, DeltaLogEntry, DynamicError, RefreshStats, SampleSpec,
-    SketchProvenance,
-};
-pub use engine::{serve_batch, serve_cached, QueryEngine, DEFAULT_CACHE_CAPACITY};
+pub use dynamic::{DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance};
+pub use engine::{mark_and_count, serve_batch, serve_cached, QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
-pub use masked::{LazyGreedy, MaskedPool, SetsContaining};
+pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
     load_parts, parse_v4_head, recover_interrupted_save, save_parts, save_parts_to_path,

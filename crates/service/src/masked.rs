@@ -14,12 +14,11 @@
 //! toward the smaller vertex id, so the seeds are byte-identical to a fresh
 //! `select_seeds` pass over the same collection.
 //!
-//! Retiring a chosen seed's sets walks a [`SetsContaining`] source over the
-//! shared [`RrrCollection`] — the global [`imm_rrr::Postings`] (the single-index
-//! engine's, and the sharded engine's on a pool without workers) or the
-//! shards' own postings rebased by their range starts — so both engines run
-//! the same code, and a vertex stored as a row walks like one stored as a
-//! list.
+//! Retiring a chosen seed's sets walks the global [`imm_rrr::Postings`]
+//! over the shared [`RrrCollection`] — the single-index engine's, which a
+//! sharded index keeps as its base's — so both engines run the same code
+//! over the same structure, and a vertex stored as a row walks like one
+//! stored as a list.
 //!
 //! * The **fresh** session ([`LazyGreedy`]) is persistent: all sets alive,
 //!   counts seeded from the index's degree vector. Greedy max coverage is
@@ -37,34 +36,11 @@
 //!   query allocates nothing in the steady state and concurrent queries
 //!   each check out their own session (no lock is held while one runs).
 
-use crate::index::{SetId, SketchIndex};
+use crate::index::SetId;
 use imm_rrr::{BitSet, NodeId, PostingsView, RrrCollection};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// "Which sets contain vertex `v`", as global ids into the shared
-/// collection — the only index structure the greedy needs.
-pub trait SetsContaining {
-    /// Call `f` with the id of every set containing `v` (`v` is in range).
-    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId));
-}
-
-/// Postings over the whole collection (local ids are global ids), resolved
-/// once per query.
-impl SetsContaining for PostingsView<'_> {
-    #[inline]
-    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId)) {
-        self.for_each(v, f);
-    }
-}
-
-impl SetsContaining for SketchIndex {
-    #[inline]
-    fn for_each_set_containing(&self, v: NodeId, f: impl FnMut(SetId)) {
-        self.postings.for_each(v, f);
-    }
-}
 
 /// One lazy-greedy session over an index generation (n, θ); see the
 /// [module docs](self).
@@ -118,16 +94,16 @@ impl LazyGreedy {
 
     /// The first `min(k, num_nodes)` greedy seeds over `sets` and how many
     /// sets they cover, playing only the rounds the prefix does not hold
-    /// yet. `source` must index exactly `sets`, the collection this session
-    /// was made for.
+    /// yet. `postings` must be the global postings over `sets`, the
+    /// collection this session was made for.
     pub fn top_k(
         &mut self,
         sets: &RrrCollection,
-        source: &impl SetsContaining,
+        postings: PostingsView<'_>,
         k: usize,
     ) -> (Vec<NodeId>, usize) {
         let take = k.min(self.counts.len());
-        self.extend_to(sets, source, take);
+        self.extend_to(sets, postings, take);
         let covered = take.checked_sub(1).map_or(0, |last| self.covered_after[last]);
         (self.seeds[..take].to_vec(), covered)
     }
@@ -135,17 +111,17 @@ impl LazyGreedy {
     /// Play greedy rounds until `rounds` seeds are selected: the only loop
     /// in the workspace's serving path that retires sets and decrements
     /// live counts.
-    fn extend_to(&mut self, sets: &RrrCollection, source: &impl SetsContaining, rounds: usize) {
+    fn extend_to(&mut self, sets: &RrrCollection, postings: PostingsView<'_>, rounds: usize) {
         let LazyGreedy { alive, counts, frontier, seeds, covered_after } = self;
         while seeds.len() < rounds {
             let (best, gain) = pop_argmax(frontier, counts);
             seeds.push(best);
             let mut covered = covered_after.last().copied().unwrap_or(0);
             if gain > 0 {
-                // The source gives the covered sets directly (the kernels
+                // The postings give the covered sets directly (the kernels
                 // rescan all sets; same result, less work), and the flat
                 // arena slices stream the counter decrements.
-                source.for_each_set_containing(best, |sid| {
+                postings.for_each(best, |sid| {
                     if alive.remove(sid as usize) {
                         covered += 1;
                         sets.get(sid as usize).for_each(|v| counts[v as usize] -= 1);
@@ -210,7 +186,7 @@ impl MaskedSession {
     fn top_k(
         &mut self,
         sets: &RrrCollection,
-        source: &impl SetsContaining,
+        postings: PostingsView<'_>,
         k: usize,
         audience: &BitSet,
     ) -> (Vec<NodeId>, usize) {
@@ -225,7 +201,7 @@ impl MaskedSession {
             if greedy.alive.len() == sets.len() {
                 break;
             }
-            source.for_each_set_containing(v as NodeId, |sid| {
+            postings.for_each(v as NodeId, |sid| {
                 greedy.alive.insert(sid as usize);
             });
         }
@@ -246,7 +222,7 @@ impl MaskedSession {
         entries.extend(touched.iter().map(|&v| (greedy.counts[v as usize], Reverse(v))));
         greedy.frontier = BinaryHeap::from(entries);
 
-        let answer = greedy.top_k(sets, source, k);
+        let answer = greedy.top_k(sets, postings, k);
 
         for v in touched.drain(..) {
             greedy.counts[v as usize] = 0;
@@ -271,12 +247,12 @@ pub struct MaskedPool {
 
 impl MaskedPool {
     /// Audience-restricted greedy Top-K over `sets`: the first
-    /// `min(k, num_nodes)` seeds and how many sets they cover. `source`
-    /// must index exactly `sets`.
+    /// `min(k, num_nodes)` seeds and how many sets they cover. `postings`
+    /// must be the global postings over `sets`.
     pub fn top_k(
         &self,
         sets: &RrrCollection,
-        source: &impl SetsContaining,
+        postings: PostingsView<'_>,
         k: usize,
         audience: &BitSet,
     ) -> (Vec<NodeId>, usize) {
@@ -288,7 +264,7 @@ impl MaskedPool {
             pool.pop()
         };
         let mut session = pooled.unwrap_or_else(|| MaskedSession::new(num_nodes, theta));
-        let answer = session.top_k(sets, source, k, audience);
+        let answer = session.top_k(sets, postings, k, audience);
         self.pool.lock().push(session);
         answer
     }
@@ -297,7 +273,7 @@ impl MaskedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexMeta;
+    use crate::index::{IndexMeta, SketchIndex};
     use imm_rrr::RrrSet;
 
     fn index_over(num_nodes: usize, sets: &[&[NodeId]]) -> SketchIndex {
@@ -349,15 +325,18 @@ mod tests {
         assert!(session.is_fresh_over(&index));
         // Degrees [2,4,1,2,3,1]: vertex 1 (4 sets), then 3 (its 2 sets are
         // untouched), then 2 (ties 4 at one set; the smaller id wins).
-        assert_eq!(session.top_k(index.sets(), &index, 1), (vec![1], 4));
-        assert_eq!(session.top_k(index.sets(), &index, 3), (vec![1, 3, 2], 7));
+        assert_eq!(session.top_k(index.sets(), index.postings().view(), 1), (vec![1], 4));
+        assert_eq!(session.top_k(index.sets(), index.postings().view(), 3), (vec![1, 3, 2], 7));
         assert_eq!(session.seeds.len(), 3);
         // A smaller budget reads the prefix; nothing is retired twice.
-        assert_eq!(session.top_k(index.sets(), &index, 2), (vec![1, 3], 6));
+        assert_eq!(session.top_k(index.sets(), index.postings().view(), 2), (vec![1, 3], 6));
         assert_eq!(session.seeds.len(), 3);
         assert!(session.alive.is_empty() && session.counts.iter().all(|&c| c == 0));
         // Everything is covered: the dry frontier emits vertex 0, up to n.
-        assert_eq!(session.top_k(index.sets(), &index, 9), (vec![1, 3, 2, 0, 0, 0], 7));
+        assert_eq!(
+            session.top_k(index.sets(), index.postings().view(), 9),
+            (vec![1, 3, 2, 0, 0, 0], 7)
+        );
     }
 
     #[test]
@@ -376,7 +355,7 @@ mod tests {
         let audience = BitSet::from_iter_with_capacity(6, [1, 3]);
         // k = 1 leaves eligible sets alive and counts positive at the end
         // of the rounds: the restore walk has real work to do.
-        let (seeds, covered) = sessions.top_k(index.sets(), &index, 1, &audience);
+        let (seeds, covered) = sessions.top_k(index.sets(), index.postings().view(), 1, &audience);
         assert_eq!((seeds, covered), (vec![1], 4));
         let pool = sessions.pool.lock();
         assert_eq!(pool.len(), 1);
@@ -395,12 +374,16 @@ mod tests {
         let sessions_before = crate::metrics::MASKED_SESSION_SETS.snapshot().count;
         let rounds_before = crate::metrics::CELF_ROUNDS.value();
         let audience = BitSet::from_iter_with_capacity(6, [5]);
-        MaskedPool::default().top_k(index.sets(), &index, 3, &audience);
+        MaskedPool::default().top_k(index.sets(), index.postings().view(), 3, &audience);
         assert!(crate::metrics::MASKED_SESSION_SETS.snapshot().count > sessions_before);
         assert!(crate::metrics::CELF_ROUNDS.value() >= rounds_before + 3);
         // The fresh session plays on the same core: same counters.
         let rounds_before = crate::metrics::CELF_ROUNDS.value();
-        LazyGreedy::fresh(index.degree_vector(), index.num_sets()).top_k(index.sets(), &index, 2);
+        LazyGreedy::fresh(index.degree_vector(), index.num_sets()).top_k(
+            index.sets(),
+            index.postings().view(),
+            2,
+        );
         assert!(crate::metrics::CELF_ROUNDS.value() >= rounds_before + 2);
     }
 
@@ -409,11 +392,16 @@ mod tests {
         let small = index_over(4, &[&[0, 1], &[2]]);
         let large = index_over(9, &[&[0, 8], &[8], &[3, 8], &[7]]);
         let sessions = MaskedPool::default();
-        sessions.top_k(small.sets(), &small, 2, &BitSet::from_iter_with_capacity(4, [0]));
+        sessions.top_k(
+            small.sets(),
+            small.postings().view(),
+            2,
+            &BitSet::from_iter_with_capacity(4, [0]),
+        );
         assert!(sessions.pool.lock()[0].fits(4, 2));
         // Vertex 8 and set 3 are out of the small session's bounds.
         let audience = BitSet::from_iter_with_capacity(9, [7, 8]);
-        let (seeds, covered) = sessions.top_k(large.sets(), &large, 2, &audience);
+        let (seeds, covered) = sessions.top_k(large.sets(), large.postings().view(), 2, &audience);
         assert_eq!((seeds, covered), (vec![8, 7], 4));
         let pool = sessions.pool.lock();
         assert_eq!(pool.len(), 1, "the stale session was dropped, not kept alongside");

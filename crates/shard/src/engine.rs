@@ -7,35 +7,38 @@
 //!
 //! * **Spread / Marginal** scatter as **typed requests to pinned shard
 //!   cells** ([`imm_exec::PinnedPool`]): each cell permanently owns one
-//!   [`ShardSegment`] plus a shard-sized marking scratch (restored after each
-//!   request, never reallocated), ORs its seeds' postings — rows word by
-//!   word, lists bit by bit — into it and counts covered sets among *its
-//!   own* range, and the gathered per-shard counts sum to exactly the
+//!   [`ShardSegment`] plus a shard-sized marking scratch (restored
+//!   after each request, never reallocated) and runs the marking walk the
+//!   single-index engine runs ([`imm_service::mark_and_count`]) over *its
+//!   own* range; the gathered per-shard counts sum to exactly the
 //!   single-index tally. A request round-trip replaces the
 //!   per-query thread spawn that made PR 5's scatter/gather slower than the
 //!   single index (`BENCH_5.json`), and every request is idempotent, so a
 //!   scatter that loses a worker is simply retried.
 //! * **Top-K** (plain and audience) is not scattered at all: the engine
 //!   runs `imm_service::masked`'s lazy greedy — the very sessions the
-//!   single-index engine runs — engine-side, reading the index's global
-//!   postings (a pool without workers) or the shards' own (a pool with
-//!   them) as one "sets containing v" source over the shared collection. The
-//!   plain selection extends one persistent [`LazyGreedy`] seeded from the
-//!   merged per-shard degrees; an audience selection checks a transient
+//!   single-index engine runs — engine-side, over the index's global
+//!   postings and the shared collection, on every pool. The plain selection
+//!   extends one persistent [`LazyGreedy`] seeded from the base's degree
+//!   vector; an audience selection checks a transient
 //!   session out of a pool and takes no engine lock, so audience queries of
 //!   one batch run concurrently. Neither touches cell state, so no worker
 //!   death can fail or dirty a Top-K, and the seeds are byte-identical for
 //!   any shard count and any worker-thread count.
+//!
+//! An engine serves one index generation for its whole life. A delta is
+//! rolled the way the daemon rolls it: [`ShardedIndex::rebuilt_with_delta`]
+//! builds the next generation off to the side and a new engine stands up
+//! over it.
 
 use crate::index::ShardedIndex;
 use crate::segment::ShardSegment;
 use imm_exec::{Pinned, PinnedPool, ScatterError, WakeMode};
-use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_numa::Topology;
-use imm_rrr::{BitSet, NodeId, Postings, PostingsView};
+use imm_rrr::{BitSet, NodeId};
 use imm_service::{
-    serve_batch, serve_cached, CacheStats, DynamicError, LazyGreedy, MaskedPool, Query, QueryCache,
-    QueryResponse, RefreshStats, SetId, SetsContaining,
+    mark_and_count, serve_batch, serve_cached, CacheStats, LazyGreedy, MaskedPool, Query,
+    QueryCache, QueryResponse,
 };
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -48,123 +51,28 @@ const SCATTER_RETRIES: usize = 8;
 /// One pinned worker's state: a permanent shard assignment plus the
 /// marking scratch for that shard.
 struct ShardCell {
-    /// The served index; `None` only mid-`apply_delta` (Release/Install).
-    index: Option<Arc<ShardedIndex>>,
-    shard: usize,
+    segment: Arc<ShardSegment>,
     /// Marking scratch of the Spread/Marginal walks, one bit per local
     /// set; all zero between requests.
     marks: Vec<u64>,
 }
 
-/// The typed request vocabulary a pinned shard cell serves. Every request
-/// is idempotent: serving one twice leaves the cell as serving it once.
-enum ShardRequest {
-    /// Postings walk: count sets covered by `seeds` in this shard.
-    Spread { seeds: Arc<Vec<NodeId>> },
-    /// Postings walk: count sets `candidate` adds over `seeds`.
-    Marginal { seeds: Arc<Vec<NodeId>>, candidate: NodeId },
-    /// Drop the cell's index handle (first half of `apply_delta`, so the
-    /// engine holds the only reference while rebuilding).
-    Release,
-    /// Serve this index from now on.
-    Install { index: Arc<ShardedIndex> },
-}
-
-enum ShardResponse {
-    Unit,
-    Count(usize),
-}
-
-impl ShardCell {
-    fn index(&self) -> &Arc<ShardedIndex> {
-        self.index.as_ref().expect("shard cell has an installed index")
-    }
-
-    /// Mark this shard's sets covered by `seeds` in the cell's scratch, hand
-    /// the postings, the marks and the newly covered count to `tally`, then
-    /// restore the scratch by whichever touches less: zeroing the words the
-    /// seeds' lists reach (sparse sets: a few entries against a shard-sized
-    /// word array) or one fill. A row seed alone has more sets than the
-    /// scratch has words, so any row means the fill.
-    fn with_marked(
-        &mut self,
-        seeds: &[NodeId],
-        tally: impl FnOnce(PostingsView<'_>, &[u64], usize) -> usize,
-    ) -> ShardResponse {
-        let index = self.index.as_ref().expect("shard cell has an installed index");
-        let postings = index.segments()[self.shard].postings().view();
-        let marks = &mut self.marks[..];
-        let n = index.num_nodes();
-        let in_range = || seeds.iter().filter(|&&seed| (seed as usize) < n);
-        let (mut covered, mut walked) = (0usize, 0u64);
-        for &seed in in_range() {
-            walked += postings.degree(seed);
-            covered += postings.or_into(seed, marks);
-        }
-        let count = tally(postings, marks, covered);
-        if walked < marks.len() as u64 {
-            for &seed in in_range() {
-                postings.for_each(seed, |lsid| marks[(lsid / 64) as usize] = 0);
-            }
-        } else {
-            marks.fill(0);
-        }
-        ShardResponse::Count(count)
-    }
+/// The typed request a pinned shard cell serves — one marking walk over its
+/// shard: how many of the shard's sets `seeds` cover (a Spread), or with a
+/// `candidate` how many it adds over them (a Marginal). Idempotent: serving
+/// one twice leaves the cell as serving it once.
+struct ShardRequest {
+    seeds: Arc<Vec<NodeId>>,
+    candidate: Option<NodeId>,
 }
 
 impl Pinned for ShardCell {
     type Request = ShardRequest;
-    type Response = ShardResponse;
+    type Response = usize;
 
-    fn serve(&mut self, request: ShardRequest) -> ShardResponse {
-        match request {
-            ShardRequest::Spread { seeds } => self.with_marked(&seeds, |_, _, covered| covered),
-            ShardRequest::Marginal { seeds, candidate } => {
-                let n = self.index().num_nodes();
-                self.with_marked(&seeds, |postings, marks, _| {
-                    if (candidate as usize) < n {
-                        postings.count_outside(candidate, marks)
-                    } else {
-                        0
-                    }
-                })
-            }
-            ShardRequest::Release => {
-                self.index = None;
-                ShardResponse::Unit
-            }
-            ShardRequest::Install { index } => {
-                let len = index.segments()[self.shard].len();
-                self.index = Some(index);
-                self.marks.resize(len.div_ceil(64), 0);
-                ShardResponse::Unit
-            }
-        }
-    }
-}
-
-impl ShardResponse {
-    fn count(self) -> usize {
-        match self {
-            ShardResponse::Count(c) => c,
-            ShardResponse::Unit => unreachable!("shard answered with the wrong response kind"),
-        }
-    }
-}
-
-/// The shards' own postings as one source of global set ids (each
-/// segment's local ids rebased by its `start`), for pools with workers,
-/// where the global postings are never materialized.
-struct SegmentPostings<'a>(&'a [Arc<ShardSegment>]);
-
-impl SetsContaining for SegmentPostings<'_> {
-    #[inline]
-    fn for_each_set_containing(&self, v: NodeId, mut f: impl FnMut(SetId)) {
-        for segment in self.0 {
-            let start = segment.start() as SetId;
-            segment.postings().for_each(v, |lsid| f(start + lsid));
-        }
+    fn serve(&mut self, request: ShardRequest) -> usize {
+        let postings = self.segment.postings();
+        mark_and_count(postings, &request.seeds, request.candidate, &mut self.marks)
     }
 }
 
@@ -178,12 +86,6 @@ impl SetsContaining for SegmentPostings<'_> {
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
     pool: PinnedPool<ShardCell>,
-    /// The index's global postings, held exactly when the pool has no
-    /// workers: the serving thread is then the only one walking postings,
-    /// and a greedy round walks one structure — its cost independent of the
-    /// shard count — instead of paying one lookup (and its cache miss) per
-    /// shard.
-    global_postings: Option<Arc<Postings>>,
     /// The persistent fresh Top-K session (`imm_service::masked`).
     greedy: Mutex<LazyGreedy>,
     /// Pool of audience Top-K sessions (`imm_service::masked`).
@@ -234,28 +136,33 @@ impl ShardedEngine {
         topology: Topology,
     ) -> Self {
         // The sharded engine serves through `serve_cached` and records
-        // shard_* metrics of its own, so both families must be registered.
+        // shard_* metrics of its own, so both families must be registered
+        // — and both describe the generation this engine serves, whatever
+        // its pool looks like.
         imm_service::metrics::register();
         crate::metrics::register();
+        imm_service::metrics::record_postings(index.global_postings().stats());
+        let per_shard: Vec<u64> = index.segments().iter().map(|s| s.postings_entries()).collect();
+        crate::metrics::record_shard_work(&per_shard, index.postings_stats());
+
         let threads = threads.max(1);
         let placement =
             crate::placement::plan_pool_placement(topology, index.num_shards(), threads);
         let shard_lens: Vec<usize> = index.segments().iter().map(|s| s.len()).collect();
         crate::placement::account_scratch_regions(topology, placement.as_ref(), &shard_lens);
-        let cells = (0..index.num_shards())
-            .map(|shard| ShardCell {
-                index: Some(Arc::clone(&index)),
-                shard,
-                marks: vec![0; index.segments()[shard].len().div_ceil(64)],
+        let cells = index
+            .segments()
+            .iter()
+            .map(|segment| ShardCell {
+                segment: Arc::clone(segment),
+                marks: vec![0; segment.len().div_ceil(64)],
             })
             .collect();
         let pool = PinnedPool::with_placement(cells, threads, wake, placement);
-        let global_postings = (pool.num_workers() == 0).then(|| adopt_global(&index));
-        let greedy = Mutex::new(fresh_session(&index));
+        let greedy = Mutex::new(LazyGreedy::fresh(index.base().degree_vector(), index.num_sets()));
         ShardedEngine {
             index,
             pool,
-            global_postings,
             greedy,
             masked: MaskedPool::default(),
             cache: QueryCache::new(cache_capacity),
@@ -286,46 +193,6 @@ impl ShardedEngine {
     /// `imm_exec::QueueDepthSampler`) rather than report one read.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.pool.queue_depths()
-    }
-
-    /// Refresh the served index against a graph mutation (shard-routed;
-    /// see [`ShardedIndex::apply_delta`]), then reset the fresh Top-K
-    /// session and drop the response cache.
-    ///
-    /// Protocol: the cells first *release* their index handles so the
-    /// engine holds the only reference while rebuilding (no hidden
-    /// deep-copy in `Arc::make_mut`), then the rebuilt index is
-    /// *installed* back — even when the refresh fails, so the engine
-    /// always serves a consistent index afterwards.
-    pub fn apply_delta(
-        &mut self,
-        graph: &CsrGraph,
-        weights: &EdgeWeights,
-        delta: &GraphDelta,
-    ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        // Worker deaths mid-rollout are retried inside the scatter (each
-        // retry respawns the dead worker first); only a plan injecting
-        // deaths at a sustained 100% rate can get past this, and then a
-        // loud panic beats silently serving half-installed cells.
-        let released = scatter_idempotent(&self.pool, |_| ShardRequest::Release)
-            .unwrap_or_else(|e| panic!("release scatter retries exhausted mid-refresh: {e}"));
-        for response in released {
-            debug_assert!(matches!(response, ShardResponse::Unit));
-        }
-        let result = Arc::make_mut(&mut self.index).apply_delta(graph, weights, delta);
-        let installed = scatter_idempotent(&self.pool, |_| ShardRequest::Install {
-            index: Arc::clone(&self.index),
-        })
-        .unwrap_or_else(|e| panic!("install scatter retries exhausted mid-refresh: {e}"));
-        for response in installed {
-            debug_assert!(matches!(response, ShardResponse::Unit));
-        }
-        if self.global_postings.is_some() {
-            self.global_postings = Some(adopt_global(&self.index));
-        }
-        *self.greedy.lock() = fresh_session(&self.index);
-        self.cache.clear();
-        result
     }
 
     /// Answer one query, consulting the response cache first.
@@ -359,11 +226,17 @@ impl ShardedEngine {
     /// deaths to structured errors. A Top-K never scatters, so it cannot
     /// fail.
     pub fn try_execute_uncached(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
-        match query {
-            Query::TopK { k, audience } => Ok(self.top_k(*k, audience.as_ref())),
-            Query::Spread { seeds } => self.spread(seeds),
-            Query::Marginal { seeds, candidate } => self.marginal(seeds, *candidate),
-        }
+        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
+        Ok(match query {
+            Query::TopK { k, audience } => self.top_k(*k, audience.as_ref()),
+            Query::Spread { seeds } => {
+                QueryResponse::spread_from_tallies(self.scatter_count(seeds, None)?, theta, n)
+            }
+            Query::Marginal { seeds, candidate } => {
+                let gained = self.scatter_count(seeds, Some(*candidate))?;
+                QueryResponse::marginal_from_tallies(gained, theta, n)
+            }
+        })
     }
 
     /// Fan a batch of queries across the shared worker pool, preserving
@@ -403,13 +276,17 @@ impl ShardedEngine {
         }
     }
 
-    /// Top-K on the engine-side lazy greedy, over whichever postings source
-    /// this pool serves from. No scatter, no cell state — so no worker death
-    /// can fail it.
+    /// Top-K on the engine-side lazy greedy over the global postings: the
+    /// plain selection extends the persistent fresh session under its lock,
+    /// an audience selection runs on a transient pooled session and takes no
+    /// engine lock. No scatter, no cell state — so no worker death can fail
+    /// it.
     fn top_k(&self, k: usize, audience: Option<&BitSet>) -> QueryResponse {
-        let (seeds, covered) = match &self.global_postings {
-            Some(postings) => self.greedy_top_k(&postings.view(), k, audience),
-            None => self.greedy_top_k(&SegmentPostings(self.index.segments()), k, audience),
+        let sets = self.index.collection();
+        let postings = self.index.global_postings().view();
+        let (seeds, covered) = match audience {
+            None => self.greedy.lock().top_k(sets, postings, k),
+            Some(audience) => self.masked.top_k(sets, postings, k, audience),
         };
         QueryResponse::top_k_from_tallies(
             seeds,
@@ -419,90 +296,27 @@ impl ShardedEngine {
         )
     }
 
-    /// The plain selection extends the persistent fresh session under its
-    /// lock; an audience selection runs on a transient pooled session and
-    /// takes no engine lock.
-    fn greedy_top_k(
+    /// Scatter one marking walk per shard and sum the per-shard counts,
+    /// retrying on worker deaths — valid because the request is idempotent:
+    /// a retry re-serves shards that already answered, which leaves their
+    /// scratch as a first serve does.
+    fn scatter_count(
         &self,
-        source: &impl SetsContaining,
-        k: usize,
-        audience: Option<&BitSet>,
-    ) -> (Vec<NodeId>, usize) {
-        let sets = self.index.collection();
-        match audience {
-            None => self.greedy.lock().top_k(sets, source, k),
-            Some(audience) => self.masked.top_k(sets, source, k, audience),
-        }
-    }
-
-    fn spread(&self, seeds: &[NodeId]) -> Result<QueryResponse, ScatterError> {
+        seeds: &[NodeId],
+        candidate: Option<NodeId>,
+    ) -> Result<usize, ScatterError> {
         let seeds = Arc::new(seeds.to_vec());
-        let covered: usize =
-            scatter_idempotent(&self.pool, |_| ShardRequest::Spread { seeds: Arc::clone(&seeds) })?
-                .into_iter()
-                .map(ShardResponse::count)
-                .sum();
-        Ok(QueryResponse::spread_from_tallies(
-            covered,
-            self.index.num_sets(),
-            self.index.num_nodes(),
-        ))
-    }
-
-    fn marginal(&self, seeds: &[NodeId], candidate: NodeId) -> Result<QueryResponse, ScatterError> {
-        let seeds = Arc::new(seeds.to_vec());
-        let gained: usize = scatter_idempotent(&self.pool, |_| ShardRequest::Marginal {
-            seeds: Arc::clone(&seeds),
-            candidate,
-        })?
-        .into_iter()
-        .map(ShardResponse::count)
-        .sum();
-        Ok(QueryResponse::marginal_from_tallies(
-            gained,
-            self.index.num_sets(),
-            self.index.num_nodes(),
-        ))
-    }
-}
-
-/// The index's global postings, their shape published on the way.
-fn adopt_global(index: &ShardedIndex) -> Arc<Postings> {
-    let global = index.global_postings();
-    imm_service::metrics::record_postings(global.stats());
-    Arc::clone(global)
-}
-
-/// Scatter one request per shard, retrying on worker deaths. Only valid
-/// for *idempotent* requests — which every [`ShardRequest`] is: a retry
-/// re-serves shards that already answered, which must not change their
-/// state beyond what a first serve does.
-fn scatter_idempotent(
-    pool: &PinnedPool<ShardCell>,
-    make: impl Fn(usize) -> ShardRequest,
-) -> Result<Vec<ShardResponse>, ScatterError> {
-    let mut last = ScatterError { lost: 0 };
-    for _ in 0..SCATTER_RETRIES {
-        match pool.try_scatter((0..pool.len()).map(|s| (s, make(s)))) {
-            Ok(responses) => return Ok(responses),
-            Err(e) => last = e,
+        let mut last = ScatterError { lost: 0 };
+        for _ in 0..SCATTER_RETRIES {
+            let requests = (0..self.pool.len())
+                .map(|s| (s, ShardRequest { seeds: Arc::clone(&seeds), candidate }));
+            match self.pool.try_scatter(requests) {
+                Ok(counts) => return Ok(counts.into_iter().sum()),
+                Err(e) => last = e,
+            }
         }
+        Err(last)
     }
-    Err(last)
-}
-
-/// The all-alive, empty-prefix Top-K session of `index`, seeded from the
-/// per-vertex degrees merged across its shards. Also the natural probe for
-/// the shard gauges — each shard's degree total *is* its postings work — so
-/// they refresh wherever the session does (engine construction and delta
-/// refresh).
-fn fresh_session(index: &ShardedIndex) -> LazyGreedy {
-    let segments = index.segments();
-    let per_shard: Vec<u64> = segments.iter().map(|s| s.postings_entries()).collect();
-    crate::metrics::record_shard_work(&per_shard, index.postings_stats());
-    let merged = (0..index.num_nodes() as NodeId)
-        .map(|v| segments.iter().map(|segment| segment.degree(v)).sum::<u64>());
-    LazyGreedy::fresh(merged, index.num_sets())
 }
 
 #[cfg(test)]
@@ -570,6 +384,50 @@ mod tests {
                     "threads={threads} {query:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_pool_publishes_the_postings_gauges_of_its_generation() {
+        if !imm_obs::recording_enabled() {
+            return;
+        }
+        use crate::metrics as shard;
+        use imm_service::metrics as service;
+        let read = || {
+            [
+                service::POSTINGS_ROW_VERTICES.value(),
+                service::POSTINGS_LIST_ENTRIES.value(),
+                service::POSTINGS_MEMORY.value(),
+                shard::POSTINGS_ROW_VERTICES.value(),
+                shard::POSTINGS_LIST_ENTRIES.value(),
+                shard::POSTINGS_MEMORY.value(),
+            ]
+        };
+        // One shape per pool kind, shared with no other test of this
+        // process — so neither a stale value nor another test's engine can
+        // stand in for the one built here.
+        for (sets, threads, wake) in [(301u32, 1, WakeMode::Auto), (302, 3, WakeMode::Always)] {
+            let sets: Vec<Vec<NodeId>> = (0..sets).map(|i| vec![i % 7, 7 + i % 13]).collect();
+            let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+            let index = sharded_index(20, &sets, 3);
+            let (global, shards) = (index.global_postings().stats(), index.postings_stats());
+            let expected = [
+                global.row_vertices as f64,
+                global.list_entries as f64,
+                global.bytes() as f64,
+                shards.row_vertices as f64,
+                shards.list_entries as f64,
+                shards.bytes() as f64,
+            ];
+            // Other tests' engines publish the same gauges concurrently:
+            // retry until a construction goes undisturbed.
+            let published = (0..200).any(|_| {
+                let engine = ShardedEngine::with_runtime(Arc::clone(&index), threads, 0, wake);
+                assert_eq!(engine.num_workers() > 0, wake == WakeMode::Always);
+                read() == expected
+            });
+            assert!(published, "{wake:?}: gauges read {:?}, expected {expected:?}", read());
         }
     }
 

@@ -1,73 +1,44 @@
 //! The range-sharded sketch index.
 //!
-//! A [`ShardedIndex`] partitions one sampled collection by **RRR-set range**
-//! into [`ShardSegment`]s. The collection itself stays whole (one shared
-//! arena — a shard's sets are a span-directory slice over it, never a copy);
-//! what is per shard is the serving structure: each segment carries its own
-//! vertex-adaptive postings and occurrence counts, so counting work scatters
-//! across shard workers (see [`crate::ShardedEngine`]). Next to the shards
-//! the index keeps the **global** postings (local ids = global ids) an
-//! engine without workers walks instead: adopted from the `SketchIndex` it
-//! was partitioned from — under `--mmap` that is the mapped section itself —
-//! or built on first use, never re-merged from the segments.
+//! A [`ShardedIndex`] is a [`SketchIndex`] plus a shard map: the **base**
+//! owns the collection (one shared arena — a shard's sets are a
+//! span-directory slice over it, never a copy), the metadata, the sampling
+//! provenance and the global postings (local ids = global ids; under
+//! `--mmap` the mapped section itself), and next to it sit the
+//! [`ShardSegment`]s, one per contiguous **RRR-set range**. What is per
+//! shard is the counting structure: each segment carries its own
+//! vertex-adaptive postings over its range, so Spread/Marginal marking
+//! scatters across shard workers (see [`crate::ShardedEngine`]), while Top-K
+//! and invalidation read the base's global postings.
 //!
-//! Incremental refresh (PR 3's `apply_delta`) routes through the shard map:
-//! invalidation walks the per-shard postings, the touched sets are resampled
-//! from their own keys exactly as the single-index path does,
-//! and only the segments owning a resampled set rebuild their postings —
-//! untouched shards keep their structures byte-for-byte — while the global
-//! postings, where materialized, are patched by the changed memberships.
+//! Incremental refresh is the base's ([`SketchIndex::refresh`], the
+//! workspace's one refresh driver: invalidate by the coins, resample from
+//! the sets' own keys, patch the global postings); the sharded index then
+//! rebuilds only the segments owning a resampled set — untouched shards keep
+//! their structures by pointer.
 
 use crate::segment::ShardSegment;
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{Postings, PostingsStats, RrrCollection};
 use imm_service::{
-    DeltaLogEntry, DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
+    DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A sketch index partitioned into contiguous set-range shards.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIndex {
-    collection: RrrCollection,
-    meta: IndexMeta,
-    provenance: Option<SketchProvenance>,
+    /// The one owner of the sets, metadata, provenance and global postings.
+    base: SketchIndex,
     segments: Vec<Arc<ShardSegment>>,
-    /// Postings over all sets; see [`ShardedIndex::global_postings`].
-    global: OnceLock<Arc<Postings>>,
-}
-
-/// The global postings are derived from the collection: whether they have
-/// been materialized is not part of an index's identity.
-impl PartialEq for ShardedIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.collection == other.collection
-            && self.meta == other.meta
-            && self.provenance == other.provenance
-            && self.segments == other.segments
-    }
 }
 
 impl ShardedIndex {
     /// Partition a built [`SketchIndex`] into `shards` near-equal contiguous
-    /// ranges. The collection and provenance move over without cloning, and
-    /// the single index's postings stay on as the global postings.
+    /// ranges (clamped to at least one shard). The index is kept whole as
+    /// the base — nothing is cloned or rebuilt; only the segments are built.
     pub fn from_index(index: SketchIndex, shards: usize) -> Result<Self, IndexError> {
-        let (collection, meta, provenance, postings) = index.into_parts();
-        let sharded = Self::from_parts(collection, meta, provenance, shards)?;
-        sharded.global.set(postings).expect("a fresh index has no global postings yet");
-        Ok(sharded)
-    }
-
-    /// Partition raw index components into `shards` near-equal contiguous
-    /// ranges (clamped to at least one shard).
-    pub fn from_parts(
-        collection: RrrCollection,
-        meta: IndexMeta,
-        provenance: Option<SketchProvenance>,
-        shards: usize,
-    ) -> Result<Self, IndexError> {
-        let theta = collection.len();
+        let theta = index.num_sets();
         let shards = shards.max(1);
         let ranges: Vec<(usize, usize)> = (0..shards)
             .map(|i| {
@@ -76,34 +47,33 @@ impl ShardedIndex {
                 (start, end - start)
             })
             .collect();
-        Self::from_ranges(collection, meta, provenance, &ranges)
+        Self::from_ranges(index, &ranges)
+    }
+
+    /// Index raw components ([`SketchIndex::from_collection_with_provenance`])
+    /// and partition the result into `shards` near-equal contiguous ranges.
+    pub fn from_parts(
+        collection: RrrCollection,
+        meta: IndexMeta,
+        provenance: Option<SketchProvenance>,
+        shards: usize,
+    ) -> Result<Self, IndexError> {
+        let base = SketchIndex::from_collection_with_provenance(collection, meta, provenance)?;
+        Self::from_index(base, shards)
     }
 
     /// Build over explicit contiguous ranges (shard-file reassembly keeps
     /// each file's range as one shard). Ranges must tile `[0, θ)` in order.
     pub(crate) fn from_ranges(
-        collection: RrrCollection,
-        meta: IndexMeta,
-        provenance: Option<SketchProvenance>,
+        base: SketchIndex,
         ranges: &[(usize, usize)],
     ) -> Result<Self, IndexError> {
-        if u32::try_from(collection.len()).is_err() {
-            return Err(IndexError::TooManySets(collection.len()));
-        }
-        if let Some(p) = &provenance {
-            if p.sets.len() != collection.len() {
-                return Err(IndexError::ProvenanceMismatch {
-                    sets: collection.len(),
-                    records: p.sets.len(),
-                });
-            }
-        }
         let mut cursor = 0usize;
         for &(start, len) in ranges {
             assert_eq!(start, cursor, "shard ranges must tile the set space in order");
             cursor += len;
         }
-        assert_eq!(cursor, collection.len(), "shard ranges must cover every set");
+        assert_eq!(cursor, base.num_sets(), "shard ranges must cover every set");
 
         // Scatter the segment builds across worker threads — each shard's
         // postings pass is independent of every other's.
@@ -111,7 +81,7 @@ impl ShardedIndex {
         built.resize_with(ranges.len(), || None);
         rayon::scope(|scope| {
             for (&(start, len), slot) in ranges.iter().zip(built.iter_mut()) {
-                let collection = &collection;
+                let collection = base.sets();
                 scope.spawn(move |_| {
                     *slot = Some(ShardSegment::build(collection, start, len));
                 });
@@ -121,12 +91,19 @@ impl ShardedIndex {
             .into_iter()
             .map(|slot| slot.expect("every segment is built by its worker").map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedIndex { collection, meta, provenance, segments, global: OnceLock::new() })
+        Ok(ShardedIndex { base, segments })
     }
 
-    /// Reassemble into a single [`SketchIndex`] (rebuilding its postings).
-    pub fn into_index(self) -> Result<SketchIndex, IndexError> {
-        SketchIndex::from_collection_with_provenance(self.collection, self.meta, self.provenance)
+    /// The single index this one was partitioned from, handed back as it is
+    /// held (nothing is rebuilt).
+    pub fn into_index(self) -> SketchIndex {
+        self.base
+    }
+
+    /// The base index: the sets, metadata, provenance and global postings.
+    #[inline]
+    pub fn base(&self) -> &SketchIndex {
+        &self.base
     }
 
     /// Number of shards.
@@ -144,48 +121,45 @@ impl ShardedIndex {
     /// The shared collection the shards view.
     #[inline]
     pub fn collection(&self) -> &RrrCollection {
-        &self.collection
+        self.base.sets()
     }
 
     /// Number of vertices of the indexed vertex space.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.collection.num_nodes()
+        self.base.num_nodes()
     }
 
     /// Number of indexed RRR sets (θ, across all shards).
     #[inline]
     pub fn num_sets(&self) -> usize {
-        self.collection.len()
+        self.base.num_sets()
     }
 
-    /// The postings over **all** sets (ids global): what an engine whose
-    /// pool has no workers walks, one structure per vertex instead of one per
-    /// shard. Adopted from the partitioned `SketchIndex` where there was one,
-    /// else built by the first caller; an engine with workers never asks.
+    /// The postings over **all** sets (ids global) — the base's: what every
+    /// Top-K and every invalidation walks, one structure per vertex instead
+    /// of one per shard.
+    #[inline]
     pub fn global_postings(&self) -> &Arc<Postings> {
-        self.global.get_or_init(|| {
-            let built = Postings::build(&self.collection, 0, self.collection.len());
-            Arc::new(built.expect("the segments were built from the same sets"))
-        })
+        self.base.postings()
     }
 
     /// Provenance metadata.
     #[inline]
     pub fn meta(&self) -> &IndexMeta {
-        &self.meta
+        self.base.meta()
     }
 
     /// Sampling provenance (present when the source index was dynamic).
     #[inline]
     pub fn provenance(&self) -> Option<&SketchProvenance> {
-        self.provenance.as_ref()
+        self.base.provenance()
     }
 
     /// Whether `apply_delta` is available.
     #[inline]
     pub fn is_dynamic(&self) -> bool {
-        self.provenance.is_some()
+        self.base.is_dynamic()
     }
 
     /// Which shard owns global set `sid` (the shard map).
@@ -207,12 +181,10 @@ impl ShardedIndex {
         total
     }
 
-    /// Heap bytes: shared collection, every shard's own structures, and the
-    /// global postings where materialized.
+    /// Heap bytes: the base (collection and global postings) and every
+    /// shard's own structures.
     pub fn memory_bytes(&self) -> usize {
-        self.collection.memory_bytes()
-            + self.segments.iter().map(|s| s.memory_bytes()).sum::<usize>()
-            + self.global.get().map_or(0, |global| global.stats().bytes())
+        self.base.memory_bytes() + self.segments.iter().map(|s| s.memory_bytes()).sum::<usize>()
     }
 
     /// Build the *replacement* index for a rolling refresh, leaving `self`
@@ -221,10 +193,11 @@ impl ShardedIndex {
     ///
     /// Because dirty-shard rebuild swaps in new `Arc<ShardSegment>`s and
     /// leaves clean shards alone, the clone **shares every clean shard's
-    /// segment** with the original — this is the graceful-rollout lever
-    /// for a serving daemon: queries keep scattering over the old index
-    /// while the replacement is assembled off to the side, and the swap
-    /// is one pointer store.
+    /// segment** with the original (and, when nothing was resampled, the
+    /// global postings too) — this is the graceful-rollout lever for a
+    /// serving daemon: queries keep scattering over the old index while the
+    /// replacement is assembled off to the side, and the swap is one pointer
+    /// store.
     pub fn rebuilt_with_delta(
         &self,
         graph: &CsrGraph,
@@ -236,87 +209,30 @@ impl ShardedIndex {
         Ok((next, new_graph, new_weights, stats))
     }
 
-    /// Refresh the sharded index against `delta` — the shard-routed mirror
-    /// of [`SketchIndex::apply_delta`].
-    ///
-    /// Invalidation walks the per-shard postings through the same coin
-    /// predicate, the invalidated sets are resampled from their own keys
-    /// `(rng_seed, set_index)` on the mutated graph, and then only the
-    /// shards owning a resampled set rebuild their postings. The
-    /// refreshed index is byte-identical to a from-scratch
-    /// `SketchIndex::sample` + `ShardedIndex::from_index` over the mutated
-    /// pair — the shard parity suite pins this against the single-index
-    /// refresh path.
+    /// Refresh the sharded index against `delta`: refresh the base
+    /// ([`SketchIndex::refresh`]), then rebuild the segments owning a set it
+    /// resampled. The result equals `ShardedIndex::from_index` over the
+    /// single-index refresh of the same delta, and with it a from-scratch
+    /// `SketchIndex::sample` over the mutated pair. On an error the index is
+    /// untouched.
     pub fn apply_delta(
         &mut self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let provenance = self.provenance.as_ref().ok_or(DynamicError::NotDynamic)?;
-        if graph.num_nodes() != self.num_nodes() || graph.num_edges() != self.meta.num_edges {
-            return Err(DynamicError::GraphMismatch {
-                expected: (self.num_nodes(), self.meta.num_edges),
-                found: (graph.num_nodes(), graph.num_edges()),
-            });
+        let (new_graph, new_weights, stats, resampled) =
+            self.base.refresh(graph, weights, delta)?;
+        // Ascending ids map to ascending shards: the owners, each once.
+        let mut stale: Vec<usize> = resampled.iter().map(|&sid| self.shard_of(sid)).collect();
+        stale.dedup();
+        for shard in stale {
+            let (start, len) = (self.segments[shard].start(), self.segments[shard].len());
+            self.segments[shard] = Arc::new(
+                ShardSegment::build(self.base.sets(), start, len)
+                    .expect("resampled sets stay inside the vertex space"),
+            );
         }
-        let (new_graph, new_weights) = delta.apply(graph, weights)?;
-
-        // Invalidate through the shard map — same shared predicate as the
-        // single-index path, with each shard's postings answering "which of
-        // *your* sets contain the touched destination" — then resample the
-        // invalidated sets from their own keys.
-        let invalid_ids = imm_service::invalidated_sets(
-            delta,
-            (graph, weights),
-            (&new_graph, &new_weights),
-            provenance.spec,
-            &self.collection,
-            |v, sink| {
-                for seg in &self.segments {
-                    seg.postings().for_each(v, |lsid| sink(seg.start() + lsid as usize));
-                }
-            },
-        );
-        let changed =
-            imm_service::resample_sets(provenance.spec, &invalid_ids, &new_graph, &new_weights);
-
-        let stats = RefreshStats {
-            total_sets: self.num_sets(),
-            resampled_sets: changed.len(),
-            inserted_edges: delta.insertions().len(),
-            deleted_edges: delta.deletions().len(),
-            reweighted_edges: delta.reweights().len(),
-            num_edges_after: new_graph.num_edges(),
-        };
-
-        // Patch: the global postings by the memberships that changed, then
-        // swap the resampled sets into the shared collection and rebuild
-        // postings only for the shards that own one.
-        if let Some(global) = self.global.get_mut() {
-            let edits = imm_rrr::membership_edits(&self.collection, &changed);
-            *global = Arc::new(global.patched(&edits));
-        }
-        let mut dirty = vec![false; self.segments.len()];
-        for (sid, set) in changed {
-            dirty[self.shard_of(sid)] = true;
-            self.collection.replace(sid, set);
-        }
-        self.provenance.as_mut().expect("checked above").delta_log.push(DeltaLogEntry {
-            delta: delta.clone(),
-            resampled_sets: stats.resampled_sets as u64,
-        });
-        for (s, is_dirty) in dirty.iter().enumerate() {
-            if *is_dirty {
-                let (start, len) = (self.segments[s].start(), self.segments[s].len());
-                self.segments[s] = Arc::new(
-                    ShardSegment::build(&self.collection, start, len)
-                        .expect("resampled sets stay inside the vertex space"),
-                );
-            }
-        }
-        self.meta.num_edges = new_graph.num_edges();
-
         Ok((new_graph, new_weights, stats))
     }
 }
@@ -384,7 +300,7 @@ mod tests {
         let single = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         let sharded = ShardedIndex::from_index(single.clone(), 3).unwrap();
         assert_eq!(sharded.num_sets(), 4);
-        assert_eq!(sharded.into_index().unwrap(), single);
+        assert_eq!(sharded.into_index(), single);
     }
 
     #[test]

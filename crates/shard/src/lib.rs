@@ -15,11 +15,12 @@
 //!   [`imm_rrr::CollectionSlice`]) plus its *own* vertex → set postings
 //!   ([`imm_rrr::Postings`] over the shard's range: rows for dense vertices,
 //!   lists for the rest) and occurrence counts, with shard-local set ids.
-//! * [`ShardedIndex`] — N segments over one shared collection, partitioned
-//!   by near-equal contiguous set ranges, next to the global postings an
-//!   engine without workers walks (adopted from the partitioned index, or
-//!   built on first use); `apply_delta` routes incremental refresh through
-//!   the shard map so only shards owning a resampled set rebuild.
+//! * [`ShardedIndex`] — a `SketchIndex` (the base: the one owner of the
+//!   collection, metadata, provenance and global postings) plus a shard
+//!   map: N segments over the base's collection, partitioned by near-equal
+//!   contiguous set ranges. `apply_delta` refreshes the base through
+//!   `imm-service`'s one refresh driver and rebuilds only the segments
+//!   owning a resampled set.
 //! * [`ShardedEngine`] — answers the full query vocabulary (Top-K with
 //!   optional audience masks, spread, marginal, batches, response cache).
 //!   Spread and Marginal scatter over a **persistent pinned worker pool**
@@ -28,11 +29,12 @@
 //!   channels, so a point query costs one message round-trip per shard (and
 //!   zero channel traffic when the pool runs inline on a single hardware
 //!   thread). Top-K, plain and audience, does not scatter — it runs
-//!   `imm_service::masked`'s lazy greedy engine-side over the global (or
-//!   the shards') postings, the very sessions the single-index engine runs. Results are
+//!   `imm_service::masked`'s lazy greedy engine-side over the global
+//!   postings, the very sessions the single-index engine runs. Results are
 //!   **byte-identical** to the single-index `QueryEngine` for every shard
 //!   count, thread count, and [`WakeMode`] — the crate's parity suite pins
-//!   this, including after `apply_delta`.
+//!   this, including after a rolled delta (`rebuilt_with_delta`, then a new
+//!   engine over the next generation: the daemon's path, and the only one).
 //! * [`snapshot`] — split an index snapshot into per-shard files (each a
 //!   self-verifying standard snapshot behind a small shard header) and
 //!   reassemble them, preserving the shard layout.

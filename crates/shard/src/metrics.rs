@@ -4,7 +4,8 @@
 //! The sharded engine's own failure mode is *distributional*: one hot
 //! shard carrying most of the postings, so every scattered Spread/Marginal
 //! waits on it. The layer exports that as a load-imbalance gauge (max/mean
-//! per-shard postings work, recomputed at build and refresh), next to the
+//! per-shard postings work, published whenever an engine stands up over an
+//! index generation — every pool, every rollout), next to the
 //! shape of the shards' postings summed over the shards — row vertices, list
 //! entries, bytes — so an operator can tell a dense-regime index (rows,
 //! kilobytes per shard) from a sparse one. Everything else is *not*
@@ -18,7 +19,7 @@ use std::sync::Once;
 use imm_obs::{Gauge, Metric, Unit};
 use imm_rrr::PostingsStats;
 
-/// Max/mean per-shard postings work, recomputed at build and refresh.
+/// Max/mean per-shard postings work of the generation being served.
 pub static LOAD_IMBALANCE: Gauge = Gauge::new(
     "shard_load_imbalance",
     "Ratio of the busiest shard's postings entries to the per-shard mean",

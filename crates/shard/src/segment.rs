@@ -11,7 +11,7 @@
 //! sized to the shard, not to θ, a row ORs straight into it, and a worker
 //! thread counting over one shard never touches another shard's structures.
 
-use imm_rrr::{CollectionSlice, NodeId, Postings, RrrCollection};
+use imm_rrr::{CollectionSlice, Postings, RrrCollection};
 use imm_service::IndexError;
 
 /// One shard: a contiguous set range plus its own postings and counts.
@@ -65,15 +65,8 @@ impl ShardSegment {
         &self.postings
     }
 
-    /// How many of the shard's sets contain `v` — the shard's contribution
-    /// to the vertex's global occurrence count.
-    #[inline]
-    pub fn degree(&self, v: NodeId) -> u64 {
-        self.postings.degree(v)
-    }
-
-    /// Total postings entries of the shard (Σ over vertices of
-    /// [`ShardSegment::degree`], whichever form stores them) — the shard's
+    /// Total postings entries of the shard (Σ over vertices of the sets
+    /// of the range containing them, whichever form stores them) — the shard's
     /// contribution to a serving cost model.
     #[inline]
     pub fn postings_entries(&self) -> u64 {
@@ -96,7 +89,7 @@ impl ShardSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::RrrSet;
+    use imm_rrr::{NodeId, RrrSet};
 
     fn figure3_collection() -> RrrCollection {
         let sets: &[&[NodeId]] =
@@ -118,8 +111,8 @@ mod tests {
         assert_eq!(seg.postings().ids(1), [1, 2]);
         assert_eq!(seg.postings().ids(3), [3]);
         assert!(seg.postings().ids(0).is_empty(), "vertex 0 only occurs outside the range");
-        assert_eq!(seg.degree(4), 3);
-        assert_eq!(seg.degree(0), 0);
+        assert_eq!(seg.postings().degree(4), 3);
+        assert_eq!(seg.postings().degree(0), 0);
         assert_eq!(seg.slice(&c).get(3).to_vec(), vec![3]);
     }
 
@@ -133,8 +126,8 @@ mod tests {
             ShardSegment::build(&c, 6, 2).unwrap(),
         ];
         for v in 0..6u32 {
-            let summed: u64 = parts.iter().map(|p| p.degree(v)).sum();
-            assert_eq!(summed, full.degree(v), "vertex {v}");
+            let summed: u64 = parts.iter().map(|p| p.postings().degree(v)).sum();
+            assert_eq!(summed, full.postings().degree(v), "vertex {v}");
         }
     }
 
@@ -153,6 +146,6 @@ mod tests {
         let c = figure3_collection();
         let seg = ShardSegment::build(&c, 8, 0).unwrap();
         assert!(seg.is_empty());
-        assert_eq!(seg.degree(1), 0);
+        assert_eq!(seg.postings().degree(1), 0);
     }
 }

@@ -35,7 +35,11 @@
 //! copies agree). Reassembly validates that the files tile `[0, θ)`
 //! contiguously, agree on the vertex space, metadata and spec, and then
 //! rebuilds a [`ShardedIndex`] whose shard layout is exactly the file
-//! layout.
+//! layout. Shard files store no global postings (each embeds its own
+//! range's), so reassembly pays one counting sort over all θ sets for the
+//! base's — once, at load, next to the per-range passes that build the
+//! segments; an index partitioned in memory (`ShardedIndex::from_index`)
+//! adopts the single index's postings and pays nothing.
 
 use crate::index::ShardedIndex;
 use imm_rrr::{RrrCollection, SetView};
@@ -361,7 +365,8 @@ pub fn assemble(mut parts: Vec<ShardPart>) -> Result<ShardedIndex, ShardFileErro
         sets: records,
         delta_log: delta_log.unwrap_or_default(),
     });
-    Ok(ShardedIndex::from_ranges(collection, meta, provenance, &ranges)?)
+    let base = SketchIndex::from_collection_with_provenance(collection, meta, provenance)?;
+    Ok(ShardedIndex::from_ranges(base, &ranges)?)
 }
 
 /// Load shard files (in any order) and reassemble them.

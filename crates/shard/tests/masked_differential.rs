@@ -1,7 +1,7 @@
 //! The masked session's acceptance property on the sharded engine: the
 //! audience Top-K a `ShardedEngine` serves — the engine-side sparse greedy
-//! over the shards' postings, at every shard count, inline and across real
-//! worker threads — is **byte-identical** to the dense whole-index oracle
+//! over the index's global postings, at every shard count, inline and across
+//! real worker threads — is **byte-identical** to the dense whole-index oracle
 //! (`imm-service`'s `tests/support/masked_oracle.rs`, shared by path), and
 //! its pooled scratch leaks neither into the next query, nor into the
 //! persistent greedy session, nor between concurrent batch workers.
@@ -22,9 +22,8 @@ use std::sync::Arc;
 const NUM_NODES: usize = 48;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// A cache-less engine over `index`: inline (one thread, zero workers, the
-/// merged-postings source) or with forced pinned workers (the per-segment
-/// source).
+/// A cache-less engine over `index`: inline (one thread, zero workers) or
+/// with forced pinned workers.
 fn engine(index: &SketchIndex, shards: usize, workers: bool) -> ShardedEngine {
     let sharded = Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable"));
     if workers {
@@ -123,17 +122,21 @@ fn concurrent_audience_batches_equal_sequential_execution() {
 }
 
 #[test]
-fn sessions_pooled_before_a_refresh_serve_the_refreshed_index() {
+fn a_rolled_generation_serves_the_refreshed_index() {
     let (graph, weights, index) = sampled_index();
     let (queries, _) = audience_queries(&index);
-    let mut engine = engine(&index, 4, false);
+    let old = engine(&index, 4, false);
     for query in &queries {
-        engine.execute_uncached(query); // stock the pool on the old generation
+        old.execute_uncached(query); // the old generation has served its sessions
     }
     let (src, dst) = graph.edges().next().expect("graph has edges");
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
-    engine.apply_delta(&graph, &weights, &delta).expect("refresh");
-    let refreshed = ShardedIndex::clone(engine.index()).into_index().expect("reassembles");
+    // The daemon's rollout: the next generation off to the side, a new
+    // engine over it.
+    let (next, _, _, _) =
+        old.index().rebuilt_with_delta(&graph, &weights, &delta).expect("refresh");
+    let refreshed = next.base().clone();
+    let engine = ShardedEngine::with_options(Arc::new(next), 1, 0);
     let (_, expected) = audience_queries(&refreshed);
     for (query, expected) in queries.iter().zip(&expected) {
         assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");

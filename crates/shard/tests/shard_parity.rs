@@ -3,7 +3,8 @@
 //! query vocabulary — Top-K (plain and audience-masked), Spread, Marginal —
 //! **byte-identically** to the single-index `QueryEngine` over the same
 //! sampled collection, under both diffusion models, and keeps doing so after
-//! incremental refresh (`apply_delta`) runs through the shard map.
+//! a delta is rolled the way the daemon rolls it (`rebuilt_with_delta`, then
+//! a new engine over the next generation).
 //!
 //! "Byte-identical" is literal: responses are compared with `==` on
 //! `QueryResponse`, including the floating-point estimates — both engines
@@ -12,7 +13,9 @@
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};
-use imm_service::{IndexMeta, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{
+    IndexMeta, Query, QueryEngine, QueryResponse, RefreshStats, SampleSpec, SketchIndex,
+};
 use imm_shard::{ShardedEngine, ShardedIndex, WakeMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -79,8 +82,21 @@ fn assert_engines_agree(
     }
 }
 
+/// Roll `delta` the daemon's way: the next generation off to the side
+/// (`engine` keeps serving), then a fresh engine over it.
+fn rolled(
+    engine: &ShardedEngine,
+    pair: (&CsrGraph, &EdgeWeights),
+    delta: &GraphDelta,
+    threads: usize,
+) -> (ShardedEngine, CsrGraph, EdgeWeights, RefreshStats) {
+    let (next, graph, weights, stats) =
+        engine.index().rebuilt_with_delta(pair.0, pair.1, delta).expect("sharded refresh");
+    (ShardedEngine::with_options(Arc::new(next), threads, 64), graph, weights, stats)
+}
+
 /// The acceptance grid: shard counts 1/2/4/7 × scatter widths 1/2/4 × both
-/// models, before and after a shard-routed incremental refresh.
+/// models, before and after a rolled delta.
 #[test]
 fn sharded_serving_is_byte_identical_across_the_grid() {
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
@@ -105,18 +121,19 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
                 let sharded_index =
                     ShardedIndex::from_index(index.clone(), shards).expect("shardable");
                 assert_eq!(sharded_index.num_shards(), shards);
-                let mut sharded = ShardedEngine::with_options(Arc::new(sharded_index), threads, 64);
+                let sharded = ShardedEngine::with_options(Arc::new(sharded_index), threads, 64);
 
                 let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
                 assert_engines_agree(&single, &sharded, &queries, &context);
 
-                // Incremental refresh through the shard map: both engines
-                // apply the same batch; the refreshed answers must again be
-                // byte-identical (and the refresh stats must agree).
+                // Both sides take the same batch — the single engine in
+                // place, the sharded one by rollout; the refreshed answers
+                // must again be byte-identical (and the refresh stats must
+                // agree).
                 let (g1, w1, single_stats) =
                     single.apply_delta(&graph, &weights, &delta).expect("single refresh");
-                let (g2, w2, sharded_stats) =
-                    sharded.apply_delta(&graph, &weights, &delta).expect("sharded refresh");
+                let (sharded, g2, w2, sharded_stats) =
+                    rolled(&sharded, (&graph, &weights), &delta, threads);
                 assert_eq!(single_stats, sharded_stats, "{context}: refresh stats diverged");
                 assert_eq!(g1.num_edges(), g2.num_edges());
                 assert_eq!(
@@ -134,7 +151,7 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
                 // And a second chained delta keeps the engines in lockstep.
                 let delta2 = GraphDelta::new().delete(3, 77).insert(50, 51, 0.7);
                 let (_, _, s1) = single.apply_delta(&g1, &w1, &delta2).expect("single delta 2");
-                let (_, _, s2) = sharded.apply_delta(&g2, &w2, &delta2).expect("sharded delta 2");
+                let (sharded, _, _, s2) = rolled(&sharded, (&g2, &w2), &delta2, threads);
                 assert_eq!(s1, s2);
                 assert_engines_agree(
                     &single,
@@ -144,6 +161,88 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
                 );
             }
         }
+    }
+}
+
+/// What `rebuilt_with_delta` promises a rolling daemon, over a two-delta
+/// chain and then a delta that resamples nothing: the live generation is
+/// untouched, the next one equals partitioning the single-index refresh of
+/// the same delta, and everything the delta left alone — every shard owning
+/// no resampled set, and the global postings when no set was resampled — is
+/// shared with the live generation by pointer.
+#[test]
+fn a_rollout_shares_what_the_delta_left_alone_and_equals_the_single_index_refresh() {
+    for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
+        let (graph, weights) = fixture(model, 0xA5);
+        let spec = SampleSpec::new(model, 0x5EED);
+        let index =
+            SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
+        // Two vertices contained in few sets (but some): most shards own
+        // none of them.
+        let mut by_degree: Vec<NodeId> =
+            (0..graph.num_nodes() as NodeId).filter(|&v| index.degree(v) >= 2).collect();
+        by_degree.sort_by_key(|&v| index.degree(v));
+        let chain = [
+            GraphDelta::new().insert(3, by_degree[0], 0.9),
+            GraphDelta::new().delete(3, by_degree[0]).insert(50, by_degree[1], 0.7),
+            GraphDelta::new(),
+        ];
+
+        for shards in SHARD_COUNTS {
+            let context = format!("{model:?}, {shards} shards");
+            let mut single = index.clone();
+            let mut live = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
+            let (mut g, mut w) = (graph.clone(), weights.clone());
+            for (step, delta) in chain.iter().enumerate() {
+                let context = format!("{context}, delta {step}");
+                let before = live.clone();
+                let (next, g_next, w_next, stats) =
+                    live.rebuilt_with_delta(&g, &w, delta).expect("rollout");
+                assert_eq!(live, before, "{context}: the live generation changed");
+
+                let (_, _, single_stats, resampled) =
+                    single.refresh(&g, &w, delta).expect("single refresh");
+                assert_eq!(stats, single_stats, "{context}");
+                assert_eq!(resampled.is_empty(), step == 2, "{context}: only the empty delta");
+                assert_eq!(
+                    next,
+                    ShardedIndex::from_index(single.clone(), shards).expect("shardable"),
+                    "{context}: not the partition of the single-index refresh"
+                );
+                for (s, (old, new)) in live.segments().iter().zip(next.segments()).enumerate() {
+                    let owns_a_resampled_set =
+                        resampled.iter().any(|sid| old.range().contains(sid));
+                    assert_eq!(
+                        Arc::ptr_eq(old, new),
+                        !owns_a_resampled_set,
+                        "{context}: shard {s} (resampled: {resampled:?})"
+                    );
+                }
+                assert_eq!(
+                    Arc::ptr_eq(live.global_postings(), next.global_postings()),
+                    resampled.is_empty(),
+                    "{context}: the global postings are copied exactly when patched"
+                );
+                (live, g, w) = (next, g_next, w_next);
+            }
+        }
+    }
+}
+
+/// Partitioning adopts the single index whole: taking it back out returns
+/// the very postings it came with, not a rebuild.
+#[test]
+fn into_index_hands_back_the_postings_it_was_given() {
+    let (graph, weights) = fixture(DiffusionModel::IndependentCascade, 0xA5);
+    let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 0x5EED);
+    let index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
+    let postings = Arc::clone(index.postings());
+    for shards in SHARD_COUNTS {
+        let sharded = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
+        assert!(Arc::ptr_eq(sharded.global_postings(), &postings), "{shards} shards");
+        let back = sharded.into_index();
+        assert!(Arc::ptr_eq(back.postings(), &postings), "{shards} shards");
+        assert_eq!(back, index);
     }
 }
 

@@ -50,7 +50,7 @@ fn split_files_reassemble_to_the_identical_index() {
         assert_eq!(sharded.meta(), index.meta());
 
         // Fully reassembled single index equals the original.
-        let reassembled = sharded.clone().into_index().unwrap();
+        let reassembled = sharded.clone().into_index();
         assert_eq!(reassembled, index);
 
         // And the shard files serve byte-identically to the original index.
