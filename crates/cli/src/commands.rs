@@ -558,19 +558,11 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     // `--mmap` serves borrowed views into the mapping (falling back to
     // read-decode with a counted `store_mmap_fallbacks` if the file or
     // platform cannot map). Before the index moves into its shards, advise
-    // the kernel about each shard's arena range — the set ranges are the
-    // same near-equal contiguous partition `ShardedIndex::from_parts`
-    // computes.
+    // the kernel about each shard's arena range.
     let (mut index, load_mode) = if args.mmap {
         let opened = imm_store::Store::open(&args.index)
             .map_err(|e| format!("cannot load {}: {e}", args.index))?;
-        let theta = opened.index.sets().len();
-        let ranges: Vec<(usize, usize)> = (0..args.shards)
-            .map(|i| {
-                let start = i * theta / args.shards;
-                (start, (i + 1) * theta / args.shards - start)
-            })
-            .collect();
+        let ranges = imm_shard::shard_ranges(opened.index.num_sets(), args.shards);
         opened.advise_shard_ranges(&ranges);
         (opened.index, opened.mode)
     } else {
@@ -794,6 +786,8 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
                 report.push(("ping".into(), serde_json::json!("pong")));
             }
             ClientAction::Info => {
+                // `postings_*` describe the global postings the daemon's
+                // generation serves from — `stats --index`'s four numbers.
                 let info = client.info().map_err(|e| client_failure("info", e))?;
                 report.push((
                     "info".into(),
@@ -892,7 +886,8 @@ fn print_stats(json: serde_json::Value, metrics: bool) {
 
 /// Coverage statistics from a saved index — the sketches are reused, not
 /// resampled — and the shape of its postings: how many vertices store a
-/// row, how many list entries the rest hold, the bytes of each form.
+/// row, how many list entries the rest hold, the bytes of each form (what
+/// a daemon serving the file reports under `client --info`).
 fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
     let index =
         SketchIndex::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;

@@ -4,8 +4,8 @@
 //! # Model
 //!
 //! A [`PinnedPool`] wraps `n` cells, each holding one value of a
-//! [`Pinned`] implementation (for the sharded engine: one `ShardSegment`
-//! plus its mutable serving state). Requests are typed
+//! [`Pinned`] implementation (for the sharded engine: one set range's
+//! postings plus its marking scratch). Requests are typed
 //! (`P::Request -> P::Response`) and travel through per-cell queues, so a
 //! scattered query costs one message round-trip per shard instead of one
 //! OS thread spawn per shard — the regression `BENCH_5.json` measured.
@@ -75,6 +75,26 @@ pub enum WakeMode {
     Always,
     /// Never spawn workers; the calling thread serves everything inline.
     Never,
+}
+
+impl WakeMode {
+    /// Worker threads a pool of `cells` cells spawns for `threads` (which
+    /// counts the caller): `threads - 1`, never more than there are cells,
+    /// and none when the mode — or under [`WakeMode::Auto`] the host — rules
+    /// them out. The one sizing rule: the pool, its NUMA placement plan and
+    /// the sharded engine's "do I scatter at all" decision all read it.
+    pub fn worker_count(self, cells: usize, threads: usize) -> usize {
+        let use_workers = match self {
+            WakeMode::Never => false,
+            WakeMode::Always => true,
+            WakeMode::Auto => thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1,
+        };
+        if use_workers {
+            threads.saturating_sub(1).min(cells)
+        } else {
+            0
+        }
+    }
 }
 
 /// NUMA placement directives for a pinned pool, assembled by the caller.
@@ -417,12 +437,7 @@ impl<P: Pinned> PinnedPool<P> {
             .into_iter()
             .map(|pinned| Cell { inner: Mutex::new(CellInner { pinned, queue: VecDeque::new() }) })
             .collect();
-        let use_workers = match mode {
-            WakeMode::Never => false,
-            WakeMode::Always => true,
-            WakeMode::Auto => thread::available_parallelism().map(|p| p.get()).unwrap_or(1) > 1,
-        };
-        let worker_count = if use_workers { threads.saturating_sub(1).min(cells.len()) } else { 0 };
+        let worker_count = mode.worker_count(cells.len(), threads);
         let shutdown = Arc::new(AtomicBool::new(false));
         let deaths = Arc::new(Deaths::new());
         let workers = (0..worker_count)

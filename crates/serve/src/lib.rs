@@ -5,13 +5,14 @@
 //!
 //! `imm-shard` serves scatter/gather queries inside one process;
 //! this crate is the step across the process boundary. One server
-//! process hosts every [`imm_shard::ShardSegment`] of a
-//! [`imm_shard::ShardedIndex`] behind the PR 6 pinned worker pool and a
-//! coordinator loop that accepts connections, decodes framed requests,
-//! and scatters them over the engine — the control-plane/data-plane
-//! split of a dataplane daemon (`ctl.rs` vs `io.rs`), with the RPC
-//! surface as the control plane and the pinned shard workers as the
-//! data plane.
+//! process serves an [`imm_shard::ShardedIndex`] through an
+//! [`imm_shard::ShardedEngine`] — the query engine over the base index,
+//! with the PR 6 pinned worker pool next to it where the thread budget
+//! gives it workers — behind a coordinator loop that accepts connections,
+//! decodes framed requests, and hands them to the engine — the
+//! control-plane/data-plane split of a dataplane daemon (`ctl.rs` vs
+//! `io.rs`), with the RPC surface as the control plane and the engine
+//! (and its pinned shard workers, if any) as the data plane.
 //!
 //! * [`protocol`] — the wire format: magic + version + `u32`
 //!   length-prefixed frames, a defensive decoder (a hostile length
@@ -22,7 +23,7 @@
 //!   travel as raw bits), so a remote answer is **byte-identical** to
 //!   the in-process engine's — the `shard_parity.rs` discipline, now
 //!   across a socket.
-//! * [`admission`] — per-query cost estimates from the shards' postings
+//! * [`admission`] — per-query cost estimates from the global postings'
 //!   sizes feeding admission control: over-budget queries get a
 //!   structured [`Rejection`] while in-budget
 //!   traffic keeps serving, and a bounded in-flight counter sheds whole
@@ -31,11 +32,10 @@
 //! * [`server`] — the daemon: listener + per-connection threads, a
 //!   housekeeping tick that samples queue depths into max-over-window
 //!   gauges (the PR 7 follow-on), a `metrics` RPC verb exposing the
-//!   live process's `imm-obs` registry, and graceful shard-by-shard
-//!   `apply_delta` rollout — the replacement index is rebuilt off to
-//!   the side (clean shards share their segments with the old index)
-//!   and swapped in atomically, so queries keep serving on the old
-//!   segments until the swap.
+//!   live process's `imm-obs` registry, and graceful `apply_delta`
+//!   rollout — the replacement index is refreshed off to the side and
+//!   swapped in atomically with a new engine over it, so queries keep
+//!   serving on the old generation until the swap.
 //! * [`client`] — the blocking client used by the CLI `client`
 //!   subcommand, the spine's load generator, and the parity suite.
 

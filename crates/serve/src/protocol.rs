@@ -591,14 +591,14 @@ pub struct ServerInfo {
     pub workers: u32,
     /// Completed `apply_delta` rollouts since startup.
     pub rollouts: u64,
-    /// Shard postings stored as bit rows (vertex–shard pairs), and their
-    /// bytes.
+    /// Vertices the global postings — the one structure the generation
+    /// serves from, whatever the shard count — store as bit rows.
     pub postings_row_vertices: u64,
-    /// Bytes of the shards' rows and row tables.
+    /// Bytes of the global postings' rows and row tables.
     pub postings_row_bytes: u64,
-    /// `u32` list entries across the shards' postings.
+    /// `u32` list entries of the global postings.
     pub postings_list_entries: u64,
-    /// Bytes of the shards' lists and offsets.
+    /// Bytes of the global postings' lists and offsets.
     pub postings_list_bytes: u64,
 }
 

@@ -1,7 +1,8 @@
 //! The shard-server daemon.
 //!
-//! One process hosts every shard of a [`ShardedIndex`] behind the
-//! pinned worker pool and a coordinator loop:
+//! One process serves a [`ShardedIndex`] through a [`ShardedEngine`] (a
+//! query engine over the base index, plus a pinned worker pool where the
+//! thread budget gives it workers) behind a coordinator loop:
 //!
 //! * The **accept loop** (one thread) listens on a unix or TCP socket,
 //!   spawns one thread per connection, and doubles as the daemon's
@@ -18,13 +19,13 @@
 //!   request, a postings-size cost estimate per query (see
 //!   [`crate::admission`]).
 //! * **Rolling refresh**: `apply_delta` builds the replacement index
-//!   off to the side — [`ShardedIndex::rebuilt_with_delta`] shares every
-//!   clean shard's segment with the live index — stands a new
+//!   off to the side — [`ShardedIndex::rebuilt_with_delta`], the base
+//!   index's refresh under the same shard map — stands a new
 //!   [`ShardedEngine`] up over it, then swaps one `Arc`. This is the only
 //!   way an engine's index ever changes (an engine serves one generation
 //!   for life), so the suites that roll deltas in process roll them
 //!   exactly like this. Queries that already hold the old state keep
-//!   serving on the old segments; the next request sees the new index.
+//!   serving on the old generation; the next request sees the new index.
 //!   Rollouts serialize behind a mutex; queries never wait on it.
 //!
 //! Remote answers are **byte-identical** to the in-process engine's:
@@ -372,7 +373,7 @@ impl Server {
             Request::Info => {
                 let state = self.current();
                 let index = state.engine.index();
-                let postings = index.postings_stats();
+                let postings = index.global_postings().stats();
                 (
                     Response::Info(ServerInfo {
                         label: index.meta().label.clone(),
@@ -516,9 +517,8 @@ impl Server {
     }
 
     /// Parse and apply a delta through a graceful rollout: rebuild the
-    /// replacement index off to the side (clean shards share segments
-    /// with the live index), stand up a fresh engine over it, swap one
-    /// `Arc`. In-flight batches finish on the generation they started
+    /// replacement index off to the side (the live one is untouched),
+    /// stand up a fresh engine over it, swap one `Arc`. In-flight batches finish on the generation they started
     /// on; the old engine (and its pinned pool) tears down when the
     /// last of them drops it.
     fn roll_delta(&self, text: &str) -> Response {

@@ -36,10 +36,9 @@
 //!    new form for a vertex whose degree crosses the threshold — no set
 //!    iteration, no bitmap scans) and the delta is appended to the log.
 //!
-//! The three steps exist once, in [`SketchIndex::refresh`]: `apply_delta` is
-//! that driver minus its report of the resampled ids, and a sharded index
-//! (`imm-shard`) refreshes its base through it and rebuilds the segments
-//! owning a reported id.
+//! The three steps exist once, in [`SketchIndex::apply_delta`]; a sharded
+//! index (`imm-shard`) is this index plus a shard map and refreshes by
+//! refreshing it.
 //!
 //! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
 //! also resets the shared greedy prefix and drops the response cache so no
@@ -401,35 +400,22 @@ impl SketchIndex {
         Ok(())
     }
 
-    /// Refresh the index against `delta`.
+    /// Refresh the index against `delta` — the workspace's one refresh
+    /// driver.
     ///
     /// `graph` + `weights` must be the revision the index currently
     /// describes. Returns the mutated graph/weights (the inputs are left
     /// untouched — keep the returned pair for the next delta) and the
     /// refresh statistics. On success the index is byte-identical to a
     /// from-scratch [`SketchIndex::sample`] over the mutated pair with the
-    /// same spec and θ, at a fraction of the sampling cost.
+    /// same spec and θ, at a fraction of the sampling cost; on an error the
+    /// index is untouched.
     pub fn apply_delta(
         &mut self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let (new_graph, new_weights, stats, _) = self.refresh(graph, weights, delta)?;
-        Ok((new_graph, new_weights, stats))
-    }
-
-    /// [`apply_delta`](SketchIndex::apply_delta), additionally reporting the
-    /// ascending ids of the sets it resampled — what an owner of structures
-    /// derived from set ranges (a sharded index's segments) needs to know
-    /// which of them went stale. The workspace's one refresh driver: on an
-    /// error the index is untouched.
-    pub fn refresh(
-        &mut self,
-        graph: &CsrGraph,
-        weights: &EdgeWeights,
-        delta: &GraphDelta,
-    ) -> Result<(CsrGraph, EdgeWeights, RefreshStats, Vec<usize>), DynamicError> {
         let provenance = self.provenance.as_ref().ok_or(DynamicError::NotDynamic)?;
         if graph.num_nodes() != self.num_nodes() || graph.num_edges() != self.meta.num_edges {
             return Err(DynamicError::GraphMismatch {
@@ -466,7 +452,7 @@ impl SketchIndex {
             resampled_sets: stats.resampled_sets as u64,
         });
 
-        Ok((new_graph, new_weights, stats, resampled))
+        Ok((new_graph, new_weights, stats))
     }
 
     /// Swap the changed sets in and patch the inverted postings.

@@ -8,10 +8,14 @@
 //! resampled, ever. The served seeds stay byte-identical to a fresh
 //! `run_imm`/`select_seeds` pass over the same collection.
 //!
-//! Spread and Marginal are one marking walk, [`mark_and_count`], shared with
-//! the sharded engine's cells: what differs between the engines is only the
-//! postings it runs over (all sets here, one shard's range there) and who
-//! owns the scratch.
+//! Spread and Marginal are one marking walk, [`mark_and_count`], over the
+//! index's postings on a pooled scratch.
+//!
+//! The engine is also the whole of `imm-shard`'s `ShardedEngine` but for one
+//! number: an engine with pinned shard workers tallies a Spread or Marginal
+//! by scattering the same walk over per-range postings. The `try_*_with`
+//! entry points take that tally as a fallible closure and run everything
+//! else — sessions, response cache, metrics, batch fan-out — here, once.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::dynamic::{DynamicError, RefreshStats};
@@ -29,13 +33,12 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Memoize one query through a response cache: consult it under the query's
 /// normalized key, compute on a miss, insert, return. A failed compute is
-/// returned as is and caches nothing. The shared serving wrapper of every
-/// engine (single-index and sharded) — which also makes it the one place
-/// query metrics are recorded: hit/miss counters, the queries/sec meter,
-/// and the per-query-type latency histogram around the miss-path compute
-/// (hits return in nanoseconds and would drown the percentiles, so they are
+/// returned as is and caches nothing. The one place query metrics are
+/// recorded: hit/miss counters, the queries/sec meter, and the
+/// per-query-type latency histogram around the miss-path compute (hits
+/// return in nanoseconds and would drown the percentiles, so they are
 /// counted, not timed).
-pub fn serve_cached<E>(
+fn serve_cached<E>(
     cache: &QueryCache,
     query: &Query,
     compute: impl FnOnce() -> Result<QueryResponse, E>,
@@ -58,18 +61,19 @@ pub fn serve_cached<E>(
 }
 
 /// Fan a batch of queries across `threads` workers, preserving input order
-/// in the returned responses. The shared batch executor of every engine.
-pub fn serve_batch(
+/// in the returned answers.
+fn serve_batch<T: Send>(
     queries: &[Query],
     threads: usize,
-    serve: impl Fn(&Query) -> QueryResponse + Sync,
-) -> Vec<QueryResponse> {
+    serve: impl Fn(&Query) -> T + Sync,
+) -> Vec<T> {
     if queries.is_empty() {
         return Vec::new();
     }
     let threads = threads.max(1).min(queries.len());
     let chunk = queries.len().div_ceil(threads);
-    let mut responses: Vec<Option<QueryResponse>> = vec![None; queries.len()];
+    let mut responses: Vec<Option<T>> = Vec::new();
+    responses.resize_with(queries.len(), || None);
     rayon::scope(|s| {
         for (q_chunk, r_chunk) in queries.chunks(chunk).zip(responses.chunks_mut(chunk)) {
             let serve = &serve;
@@ -83,8 +87,9 @@ pub fn serve_batch(
     responses.into_iter().map(|r| r.expect("every slot is filled by its worker")).collect()
 }
 
-/// The marking walk behind every Spread and Marginal, of either engine: OR
-/// the postings of `seeds` into `marks` — one bit per set of `postings`'
+/// The marking walk behind every Spread and Marginal — over the index's
+/// postings here, over one set range's in a pinned shard cell: OR the
+/// postings of `seeds` into `marks` — one bit per set of `postings`'
 /// range, **all zero on entry and again on return** — and count. With no
 /// `candidate` the count is the sets the seeds cover (Spread); with one, the
 /// sets containing it that the seeds leave uncovered (Marginal). Vertices
@@ -177,9 +182,10 @@ impl QueryEngine {
         vec![0; words]
     }
 
-    /// One marking walk ([`mark_and_count`]) on a pooled scratch, which the
-    /// walk hands back all-zero.
-    fn count_marked(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
+    /// The engine's own Spread/Marginal tally: one marking walk
+    /// ([`mark_and_count`]) over the index's postings on a pooled scratch,
+    /// which the walk hands back all-zero.
+    pub fn count_marked(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
         let mut marks = self.acquire_scratch();
         let count = mark_and_count(self.index.postings(), seeds, candidate, &mut marks);
         self.scratch.lock().push(marks);
@@ -221,31 +227,73 @@ impl QueryEngine {
 
     /// Answer one query, consulting the response cache first.
     pub fn execute(&self, query: &Query) -> QueryResponse {
-        let Ok(response) =
-            serve_cached::<Infallible>(&self.cache, query, || Ok(self.execute_uncached(query)));
+        let Ok(response) = self.try_execute_with(query, self.own_tally());
         response
     }
 
     /// Answer one query without touching the cache.
     pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
-        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
-        match query {
-            Query::TopK { k, audience: None } => self.top_k(*k),
-            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
-            Query::Spread { seeds } => {
-                QueryResponse::spread_from_tallies(self.count_marked(seeds, None), theta, n)
-            }
-            Query::Marginal { seeds, candidate } => {
-                let gained = self.count_marked(seeds, Some(*candidate));
-                QueryResponse::marginal_from_tallies(gained, theta, n)
-            }
-        }
+        let Ok(response) = self.try_execute_uncached_with(query, self.own_tally());
+        response
     }
 
     /// Fan a batch of queries across `threads` workers, preserving input
     /// order in the returned responses.
     pub fn execute_batch(&self, queries: &[Query], threads: usize) -> Vec<QueryResponse> {
-        serve_batch(queries, threads, |query| self.execute(query))
+        let Ok(responses) = self.try_execute_batch_with(queries, threads, self.own_tally());
+        responses
+    }
+
+    /// [`count_marked`](Self::count_marked) as the tally of the `try_*_with`
+    /// entry points.
+    fn own_tally(&self) -> impl Fn(&[NodeId], Option<NodeId>) -> Result<usize, Infallible> + '_ {
+        |seeds, candidate| Ok(self.count_marked(seeds, candidate))
+    }
+
+    /// [`execute`](Self::execute) with the tally of a missed Spread
+    /// (`candidate` = `None`) or Marginal supplied by the caller. A failed
+    /// tally is returned as is and caches nothing.
+    pub fn try_execute_with<E>(
+        &self,
+        query: &Query,
+        tally: impl FnOnce(&[NodeId], Option<NodeId>) -> Result<usize, E>,
+    ) -> Result<QueryResponse, E> {
+        serve_cached(&self.cache, query, || self.try_execute_uncached_with(query, tally))
+    }
+
+    /// [`execute_uncached`](Self::execute_uncached) with the Spread/Marginal
+    /// tally supplied by the caller. A Top-K never calls it, so it cannot
+    /// fail.
+    pub fn try_execute_uncached_with<E>(
+        &self,
+        query: &Query,
+        tally: impl FnOnce(&[NodeId], Option<NodeId>) -> Result<usize, E>,
+    ) -> Result<QueryResponse, E> {
+        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
+        Ok(match query {
+            Query::TopK { k, audience: None } => self.top_k(*k),
+            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
+            Query::Spread { seeds } => {
+                QueryResponse::spread_from_tallies(tally(seeds, None)?, theta, n)
+            }
+            Query::Marginal { seeds, candidate } => {
+                QueryResponse::marginal_from_tallies(tally(seeds, Some(*candidate))?, theta, n)
+            }
+        })
+    }
+
+    /// [`execute_batch`](Self::execute_batch) with the Spread/Marginal tally
+    /// supplied by the caller. If any tally fails, the batch reports the
+    /// failure of the earliest such query.
+    pub fn try_execute_batch_with<E: Send>(
+        &self,
+        queries: &[Query],
+        threads: usize,
+        tally: impl Fn(&[NodeId], Option<NodeId>) -> Result<usize, E> + Sync,
+    ) -> Result<Vec<QueryResponse>, E> {
+        serve_batch(queries, threads, |query| self.try_execute_with(query, &tally))
+            .into_iter()
+            .collect()
     }
 
     fn top_k(&self, k: usize) -> QueryResponse {

@@ -4,11 +4,11 @@
 //! Three families, matching where serving regressions actually hide:
 //!
 //! * **Query latency + cache** — per-query-type latency histograms
-//!   recorded around the *compute* path of [`serve_cached`] (cache hits
-//!   return in nanoseconds and would drown the percentiles, so they are
-//!   counted, not timed), plus hit/miss/eviction counters and a
-//!   queries/sec rate meter. Both the single-index and the sharded
-//!   engine route through the same wrapper, so these cover both.
+//!   recorded around the cache-miss *compute* path of
+//!   [`QueryEngine`](crate::QueryEngine) (cache hits return in nanoseconds
+//!   and would drown the percentiles, so they are counted, not timed), plus
+//!   hit/miss/eviction counters and a queries/sec rate meter. The sharded
+//!   engine serves through an inner `QueryEngine`, so these cover both.
 //! * **CELF** — rounds, heap pops, and stale revalidations, recorded by
 //!   the one frontier pop every Top-K session of every engine goes
 //!   through ([`crate::masked`]). A revalidation blow-up (pops ≫ rounds)
@@ -25,8 +25,6 @@
 //!
 //! All hot-path updates are relaxed atomic adds; CELF totals are
 //! accumulated per round, not per pop.
-//!
-//! [`serve_cached`]: crate::engine::serve_cached
 
 use std::sync::Once;
 

@@ -1,30 +1,32 @@
-//! Query serving over a [`ShardedIndex`], on a persistent shard-pinned
-//! worker pool.
+//! Query serving over a [`ShardedIndex`]: a `QueryEngine` over the base,
+//! plus — only when it has workers to scatter to — a persistent shard-pinned
+//! pool.
 //!
 //! The engine answers the full `imm-service` query vocabulary with the same
 //! byte-identical results as the single-index `QueryEngine` — that parity is
-//! the crate's acceptance property.
+//! the crate's acceptance property — and it gets most of the way there by
+//! *being* one: Top-K (plain and audience), the response cache, the query
+//! metrics and the batch fan-out are the inner [`QueryEngine`]'s over the
+//! base index, on every pool. A Top-K touches no cell state, so no worker
+//! death can fail or dirty it, and the seeds are byte-identical for any shard
+//! count and any worker-thread count. What this file adds is one number: how
+//! a **Spread / Marginal** is tallied.
 //!
-//! * **Spread / Marginal** scatter as **typed requests to pinned shard
-//!   cells** ([`imm_exec::PinnedPool`]): each cell permanently owns one
-//!   [`ShardSegment`] plus a shard-sized marking scratch (restored
-//!   after each request, never reallocated) and runs the marking walk the
-//!   single-index engine runs ([`imm_service::mark_and_count`]) over *its
-//!   own* range; the gathered per-shard counts sum to exactly the
-//!   single-index tally. A request round-trip replaces the
-//!   per-query thread spawn that made PR 5's scatter/gather slower than the
-//!   single index (`BENCH_5.json`), and every request is idempotent, so a
-//!   scatter that loses a worker is simply retried.
-//! * **Top-K** (plain and audience) is not scattered at all: the engine
-//!   runs `imm_service::masked`'s lazy greedy — the very sessions the
-//!   single-index engine runs — engine-side, over the index's global
-//!   postings and the shared collection, on every pool. The plain selection
-//!   extends one persistent [`LazyGreedy`] seeded from the base's degree
-//!   vector; an audience selection checks a transient
-//!   session out of a pool and takes no engine lock, so audience queries of
-//!   one batch run concurrently. Neither touches cell state, so no worker
-//!   death can fail or dirty a Top-K, and the seeds are byte-identical for
-//!   any shard count and any worker-thread count.
+//! * **Without workers** (one serving thread, or a host where
+//!   [`WakeMode::Auto`] sees no parallelism — the sizing rule is the pool's,
+//!   [`WakeMode::worker_count`]) there is nobody to scatter to, so nothing is
+//!   built: no cells, no second copy of the postings, no placement plan, no
+//!   scratch regions. The tally is the inner engine's own — one
+//!   [`imm_service::mark_and_count`] walk of the global postings on a pooled
+//!   scratch.
+//! * **With workers** the walk scatters as **typed requests to pinned shard
+//!   cells** ([`imm_exec::PinnedPool`]): each cell permanently owns the
+//!   postings of one set range — inverted from the generation's sets when
+//!   the engine stands up — plus a range-sized marking scratch (restored
+//!   after each request, never reallocated), and runs the same walk over
+//!   *its own* range; the gathered per-shard counts sum to exactly the
+//!   single-index tally. Every request is idempotent, so a scatter that
+//!   loses a worker is simply retried.
 //!
 //! An engine serves one index generation for its whole life. A delta is
 //! rolled the way the daemon rolls it: [`ShardedIndex::rebuilt_with_delta`]
@@ -32,15 +34,10 @@
 //! over it.
 
 use crate::index::ShardedIndex;
-use crate::segment::ShardSegment;
 use imm_exec::{Pinned, PinnedPool, ScatterError, WakeMode};
 use imm_numa::Topology;
-use imm_rrr::{BitSet, NodeId};
-use imm_service::{
-    mark_and_count, serve_batch, serve_cached, CacheStats, LazyGreedy, MaskedPool, Query,
-    QueryCache, QueryResponse,
-};
-use parking_lot::Mutex;
+use imm_rrr::{NodeId, Postings, PostingsStats, RrrCollection};
+use imm_service::{mark_and_count, CacheStats, Query, QueryEngine, QueryResponse};
 use std::sync::Arc;
 
 /// Attempts for a scatter before giving up: every retry first respawns dead
@@ -48,13 +45,23 @@ use std::sync::Arc;
 /// can exhaust this.
 const SCATTER_RETRIES: usize = 8;
 
-/// One pinned worker's state: a permanent shard assignment plus the
-/// marking scratch for that shard.
+/// One pinned worker's state: the postings of a permanently assigned set
+/// range (local ids) plus the marking scratch for that range.
 struct ShardCell {
-    segment: Arc<ShardSegment>,
+    postings: Postings,
     /// Marking scratch of the Spread/Marginal walks, one bit per local
     /// set; all zero between requests.
     marks: Vec<u64>,
+}
+
+impl ShardCell {
+    /// Invert `sets[start .. start + len)` into a cell — the per-range call
+    /// of the counting sort the base index ran over all sets.
+    fn build(sets: &RrrCollection, start: usize, len: usize) -> Self {
+        let postings = Postings::build(sets, start, len)
+            .expect("the base index validated every member against the vertex space");
+        ShardCell { marks: vec![0; postings.words_per_row()], postings }
+    }
 }
 
 /// The typed request a pinned shard cell serves — one marking walk over its
@@ -71,26 +78,25 @@ impl Pinned for ShardCell {
     type Response = usize;
 
     fn serve(&mut self, request: ShardRequest) -> usize {
-        let postings = self.segment.postings();
-        mark_and_count(postings, &request.seeds, request.candidate, &mut self.marks)
+        mark_and_count(&self.postings, &request.seeds, request.candidate, &mut self.marks)
     }
 }
 
 /// A query-serving engine over a [`ShardedIndex`], answering the same
 /// vocabulary as `imm_service::QueryEngine` with byte-identical results.
 ///
-/// Execution runs on an embedded [`PinnedPool`]: one cell per shard, with
-/// worker threads only where the host (and [`WakeMode`]) can profit from
-/// them. Dropping the engine shuts the pool down cleanly.
+/// It is that engine over the base index, plus a [`PinnedPool`] of one cell
+/// per shard that exists only where the host (and [`WakeMode`]) gives it
+/// worker threads. Dropping the engine shuts the pool down cleanly.
 #[derive(Debug)]
 pub struct ShardedEngine {
     index: Arc<ShardedIndex>,
-    pool: PinnedPool<ShardCell>,
-    /// The persistent fresh Top-K session (`imm_service::masked`).
-    greedy: Mutex<LazyGreedy>,
-    /// Pool of audience Top-K sessions (`imm_service::masked`).
-    masked: MaskedPool,
-    cache: QueryCache,
+    /// Top-K sessions, response cache, batch fan-out and the worker-less
+    /// Spread/Marginal tally.
+    engine: QueryEngine,
+    /// The scatter path of Spread/Marginal; `None` when it would have no
+    /// workers.
+    scatter: Option<PinnedPool<ShardCell>>,
 }
 
 impl ShardedEngine {
@@ -126,7 +132,8 @@ impl ShardedEngine {
     /// topology. On a multi-node topology the pinned workers are placed
     /// across nodes (pinned on start, serving counted local/remote, shard
     /// scratch accounted node-locally); a single-node topology skips
-    /// placement and counts `numa_single_node_fallbacks`. Production goes
+    /// placement and counts `numa_single_node_fallbacks`; an engine without
+    /// workers has nothing to place and consults neither. Production goes
     /// through [`Topology::detect`]; tests inject synthetic machines.
     pub fn with_runtime_on(
         index: Arc<ShardedIndex>,
@@ -135,38 +142,40 @@ impl ShardedEngine {
         wake: WakeMode,
         topology: Topology,
     ) -> Self {
-        // The sharded engine serves through `serve_cached` and records
-        // shard_* metrics of its own, so both families must be registered
-        // — and both describe the generation this engine serves, whatever
-        // its pool looks like.
-        imm_service::metrics::register();
+        // The inner engine registers the `service_*` metrics and publishes
+        // the global postings' gauges; the `shard_*` ones are published
+        // below, and both describe the generation this engine serves,
+        // whatever its pool looks like.
         crate::metrics::register();
-        imm_service::metrics::record_postings(index.global_postings().stats());
-        let per_shard: Vec<u64> = index.segments().iter().map(|s| s.postings_entries()).collect();
-        crate::metrics::record_shard_work(&per_shard, index.postings_stats());
-
-        let threads = threads.max(1);
-        let placement =
-            crate::placement::plan_pool_placement(topology, index.num_shards(), threads);
-        let shard_lens: Vec<usize> = index.segments().iter().map(|s| s.len()).collect();
-        crate::placement::account_scratch_regions(topology, placement.as_ref(), &shard_lens);
-        let cells = index
-            .segments()
-            .iter()
-            .map(|segment| ShardCell {
-                segment: Arc::clone(segment),
-                marks: vec![0; segment.len().div_ceil(64)],
-            })
-            .collect();
-        let pool = PinnedPool::with_placement(cells, threads, wake, placement);
-        let greedy = Mutex::new(LazyGreedy::fresh(index.base().degree_vector(), index.num_sets()));
-        ShardedEngine {
-            index,
-            pool,
-            greedy,
-            masked: MaskedPool::default(),
-            cache: QueryCache::new(cache_capacity),
-        }
+        let engine = QueryEngine::with_cache_capacity(Arc::clone(index.base()), cache_capacity);
+        let segments = index.segments();
+        let workers = wake.worker_count(segments.len(), threads);
+        let mut cell_postings = PostingsStats::default();
+        let scatter = (workers > 0).then(|| {
+            let placement =
+                crate::placement::plan_pool_placement(topology, segments.len(), workers);
+            let shard_lens: Vec<usize> = segments.iter().map(|s| s.len()).collect();
+            crate::placement::account_scratch_regions(topology, placement.as_ref(), &shard_lens);
+            // Scatter the cell builds across worker threads — each range's
+            // postings pass is independent of every other's.
+            let mut cells: Vec<Option<ShardCell>> = Vec::new();
+            cells.resize_with(segments.len(), || None);
+            rayon::scope(|scope| {
+                for (segment, slot) in segments.iter().zip(cells.iter_mut()) {
+                    let sets = index.collection();
+                    scope.spawn(move |_| {
+                        *slot = Some(ShardCell::build(sets, segment.start(), segment.len()));
+                    });
+                }
+            });
+            let cells: Vec<ShardCell> =
+                cells.into_iter().map(|c| c.expect("built by its task")).collect();
+            cells.iter().for_each(|c| cell_postings += c.postings.stats());
+            PinnedPool::with_placement(cells, threads, wake, placement)
+        });
+        let per_shard: Vec<u64> = segments.iter().map(|s| s.postings_entries()).collect();
+        crate::metrics::record_shard_work(&per_shard, cell_postings);
+        ShardedEngine { index, engine, scatter }
     }
 
     /// The sharded index this engine serves.
@@ -176,23 +185,25 @@ impl ShardedEngine {
 
     /// Hit/miss counters of the response cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.engine.cache_stats()
     }
 
     /// Number of pinned worker threads serving this engine's shards
-    /// (0 means the serving thread answers every request inline).
+    /// (0 means the serving thread answers every request itself, from the
+    /// global postings).
     pub fn num_workers(&self) -> usize {
-        self.pool.num_workers()
+        self.scatter.as_ref().map_or(0, PinnedPool::num_workers)
     }
 
-    /// Point-in-time queue depth of each pinned shard cell.
+    /// Point-in-time queue depth of each pinned shard cell (none on an
+    /// engine without workers).
     ///
     /// This is a racy snapshot (a depth can change before the vector
     /// returns) — callers wanting a *metric* should sample it
     /// periodically into a max-over-window gauge (see
     /// `imm_exec::QueueDepthSampler`) rather than report one read.
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.pool.queue_depths()
+        self.scatter.as_ref().map_or_else(Vec::new, PinnedPool::queue_depths)
     }
 
     /// Answer one query, consulting the response cache first.
@@ -210,7 +221,7 @@ impl ShardedEngine {
     /// instead of a panic (and caches nothing), and the pool heals itself
     /// on the next call (dead workers respawn).
     pub fn try_execute(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
-        serve_cached(&self.cache, query, || self.try_execute_uncached(query))
+        self.engine.try_execute_with(query, |seeds, candidate| self.tally(seeds, candidate))
     }
 
     /// Answer one query without touching the cache.
@@ -226,17 +237,8 @@ impl ShardedEngine {
     /// deaths to structured errors. A Top-K never scatters, so it cannot
     /// fail.
     pub fn try_execute_uncached(&self, query: &Query) -> Result<QueryResponse, ScatterError> {
-        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
-        Ok(match query {
-            Query::TopK { k, audience } => self.top_k(*k, audience.as_ref()),
-            Query::Spread { seeds } => {
-                QueryResponse::spread_from_tallies(self.scatter_count(seeds, None)?, theta, n)
-            }
-            Query::Marginal { seeds, candidate } => {
-                let gained = self.scatter_count(seeds, Some(*candidate))?;
-                QueryResponse::marginal_from_tallies(gained, theta, n)
-            }
-        })
+        self.engine
+            .try_execute_uncached_with(query, |seeds, candidate| self.tally(seeds, candidate))
     }
 
     /// Fan a batch of queries across the shared worker pool, preserving
@@ -251,66 +253,35 @@ impl ShardedEngine {
 
     /// Fan a batch of queries across the shared worker pool, preserving
     /// input order. If any query hits a worker death the whole batch
-    /// reports the first [`ScatterError`] — per-query salvage is the
-    /// caller's policy (the serving daemon answers a structured degraded
-    /// error and lets clients retry against the healed pool).
+    /// reports the earliest such query's [`ScatterError`] — per-query
+    /// salvage is the caller's policy (the serving daemon answers a
+    /// structured degraded error and lets clients retry against the healed
+    /// pool).
     pub fn try_execute_batch(
         &self,
         queries: &[Query],
         threads: usize,
     ) -> Result<Vec<QueryResponse>, ScatterError> {
-        let fault: Mutex<Option<ScatterError>> = Mutex::new(None);
-        let placeholder =
-            || QueryResponse::spread_from_tallies(0, self.index.num_sets(), self.index.num_nodes());
-        let responses = serve_batch(queries, threads, |query| match self.try_execute(query) {
-            Ok(response) => response,
-            Err(e) => {
-                fault.lock().get_or_insert(e);
-                placeholder()
-            }
-        });
-        let first_fault = fault.lock().take();
-        match first_fault {
-            None => Ok(responses),
-            Some(e) => Err(e),
-        }
+        self.engine.try_execute_batch_with(queries, threads, |seeds, candidate| {
+            self.tally(seeds, candidate)
+        })
     }
 
-    /// Top-K on the engine-side lazy greedy over the global postings: the
-    /// plain selection extends the persistent fresh session under its lock,
-    /// an audience selection runs on a transient pooled session and takes no
-    /// engine lock. No scatter, no cell state — so no worker death can fail
-    /// it.
-    fn top_k(&self, k: usize, audience: Option<&BitSet>) -> QueryResponse {
-        let sets = self.index.collection();
-        let postings = self.index.global_postings().view();
-        let (seeds, covered) = match audience {
-            None => self.greedy.lock().top_k(sets, postings, k),
-            Some(audience) => self.masked.top_k(sets, postings, k, audience),
+    /// The Spread/Marginal tally: the inner engine's walk of the global
+    /// postings when there is no pool; else one marking walk per shard,
+    /// summed, retrying on worker deaths — valid because the request is
+    /// idempotent: a retry re-serves shards that already answered, which
+    /// leaves their scratch as a first serve does.
+    fn tally(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> Result<usize, ScatterError> {
+        let Some(pool) = &self.scatter else {
+            return Ok(self.engine.count_marked(seeds, candidate));
         };
-        QueryResponse::top_k_from_tallies(
-            seeds,
-            covered,
-            self.index.num_sets(),
-            self.index.num_nodes(),
-        )
-    }
-
-    /// Scatter one marking walk per shard and sum the per-shard counts,
-    /// retrying on worker deaths — valid because the request is idempotent:
-    /// a retry re-serves shards that already answered, which leaves their
-    /// scratch as a first serve does.
-    fn scatter_count(
-        &self,
-        seeds: &[NodeId],
-        candidate: Option<NodeId>,
-    ) -> Result<usize, ScatterError> {
         let seeds = Arc::new(seeds.to_vec());
         let mut last = ScatterError { lost: 0 };
         for _ in 0..SCATTER_RETRIES {
-            let requests = (0..self.pool.len())
-                .map(|s| (s, ShardRequest { seeds: Arc::clone(&seeds), candidate }));
-            match self.pool.try_scatter(requests) {
+            let requests =
+                (0..pool.len()).map(|s| (s, ShardRequest { seeds: Arc::clone(&seeds), candidate }));
+            match pool.try_scatter(requests) {
                 Ok(counts) => return Ok(counts.into_iter().sum()),
                 Err(e) => last = e,
             }
@@ -322,7 +293,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::{RrrCollection, RrrSet};
+    use imm_rrr::{BitSet, RrrSet};
     use imm_service::IndexMeta;
 
     fn sharded_index(num_nodes: usize, sets: &[&[NodeId]], shards: usize) -> Arc<ShardedIndex> {
@@ -402,29 +373,49 @@ mod tests {
                 shard::POSTINGS_ROW_VERTICES.value(),
                 shard::POSTINGS_LIST_ENTRIES.value(),
                 shard::POSTINGS_MEMORY.value(),
+                shard::LOAD_IMBALANCE.value(),
             ]
         };
         // One shape per pool kind, shared with no other test of this
         // process — so neither a stale value nor another test's engine can
-        // stand in for the one built here.
+        // stand in for the one built here. Vertex 0 sits in every set of the
+        // first shard only: the imbalance.
         for (sets, threads, wake) in [(301u32, 1, WakeMode::Auto), (302, 3, WakeMode::Always)] {
-            let sets: Vec<Vec<NodeId>> = (0..sets).map(|i| vec![i % 7, 7 + i % 13]).collect();
+            let sets: Vec<Vec<NodeId>> = (0..sets)
+                .map(|i| if i < 100 { vec![0, 1 + i % 7, 8 + i % 13] } else { vec![1 + i % 7] })
+                .collect();
             let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
-            let index = sharded_index(20, &sets, 3);
-            let (global, shards) = (index.global_postings().stats(), index.postings_stats());
+            let index = sharded_index(21, &sets, 3);
+            // The global postings on every pool; the cells' own — one per
+            // shard-map entry — only where there are workers to hold them.
+            let global = index.global_postings().stats();
+            let mut cells = PostingsStats::default();
+            if wake == WakeMode::Always {
+                for segment in index.segments() {
+                    let cell = ShardCell::build(index.collection(), segment.start(), segment.len());
+                    assert_eq!(cell.postings.entries(), segment.postings_entries());
+                    cells += cell.postings.stats();
+                }
+                assert!(cells.bytes() > 0);
+            }
+            let weights: Vec<u64> = index.segments().iter().map(|s| s.postings_entries()).collect();
+            let imbalance = *weights.iter().max().unwrap() as f64
+                / (weights.iter().sum::<u64>() as f64 / weights.len() as f64);
+            assert!(imbalance > 1.5, "the first shard is the heavy one: {weights:?}");
             let expected = [
                 global.row_vertices as f64,
                 global.list_entries as f64,
                 global.bytes() as f64,
-                shards.row_vertices as f64,
-                shards.list_entries as f64,
-                shards.bytes() as f64,
+                cells.row_vertices as f64,
+                cells.list_entries as f64,
+                cells.bytes() as f64,
+                imbalance,
             ];
             // Other tests' engines publish the same gauges concurrently:
             // retry until a construction goes undisturbed.
             let published = (0..200).any(|_| {
                 let engine = ShardedEngine::with_runtime(Arc::clone(&index), threads, 0, wake);
-                assert_eq!(engine.num_workers() > 0, wake == WakeMode::Always);
+                assert_eq!(engine.scatter.is_some(), wake == WakeMode::Always);
                 read() == expected
             });
             assert!(published, "{wake:?}: gauges read {:?}, expected {expected:?}", read());

@@ -1,53 +1,59 @@
 //! The range-sharded sketch index.
 //!
-//! A [`ShardedIndex`] is a [`SketchIndex`] plus a shard map: the **base**
-//! owns the collection (one shared arena — a shard's sets are a
-//! span-directory slice over it, never a copy), the metadata, the sampling
-//! provenance and the global postings (local ids = global ids; under
-//! `--mmap` the mapped section itself), and next to it sit the
-//! [`ShardSegment`]s, one per contiguous **RRR-set range**. What is per
-//! shard is the counting structure: each segment carries its own
-//! vertex-adaptive postings over its range, so Spread/Marginal marking
-//! scatters across shard workers (see [`crate::ShardedEngine`]), while Top-K
-//! and invalidation read the base's global postings.
+//! A [`ShardedIndex`] is a [`SketchIndex`] plus a shard map. The **base**
+//! owns everything there is to own — the collection (one shared arena), the
+//! metadata, the sampling provenance and the global postings (under `--mmap`
+//! the mapped section itself) — and the map is one [`ShardSegment`] per
+//! contiguous **RRR-set range**: where the range starts, how many sets it
+//! holds and how many postings entries they add up to. Nothing is built per
+//! shard here, so partitioning an index, cloning a sharded index and
+//! comparing two of them cost the map, not the sets. What *is* per shard —
+//! the range postings a pinned worker counts over — belongs to the engine
+//! that has such workers (see [`crate::ShardedEngine`]).
 //!
-//! Incremental refresh is the base's ([`SketchIndex::refresh`], the
-//! workspace's one refresh driver: invalidate by the coins, resample from
-//! the sets' own keys, patch the global postings); the sharded index then
-//! rebuilds only the segments owning a resampled set — untouched shards keep
-//! their structures by pointer.
+//! Incremental refresh is the base's ([`SketchIndex::apply_delta`], over the
+//! workspace's one refresh driver: invalidate by the coins, resample from the
+//! sets' own keys, patch the global postings); the next generation is the
+//! refreshed base under the same ranges, re-weighed.
 
 use crate::segment::ShardSegment;
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
-use imm_rrr::{Postings, PostingsStats, RrrCollection};
+use imm_rrr::{Postings, RrrCollection};
 use imm_service::{
     DynamicError, IndexError, IndexMeta, RefreshStats, SketchIndex, SketchProvenance,
 };
 use std::sync::Arc;
 
+/// The near-equal contiguous partition of `theta` sets into `shards` ranges
+/// (clamped to at least one), as `(start, len)` pairs tiling `[0, theta)` in
+/// order. The one partition rule: [`ShardedIndex::from_index`] and the
+/// `--mmap` daemon's per-shard `madvise` both read it.
+pub fn shard_ranges(theta: usize, shards: usize) -> Vec<(usize, usize)> {
+    let shards = shards.max(1);
+    (0..shards)
+        .map(|i| {
+            let start = i * theta / shards;
+            (start, (i + 1) * theta / shards - start)
+        })
+        .collect()
+}
+
 /// A sketch index partitioned into contiguous set-range shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIndex {
     /// The one owner of the sets, metadata, provenance and global postings.
-    base: SketchIndex,
-    segments: Vec<Arc<ShardSegment>>,
+    base: Arc<SketchIndex>,
+    segments: Vec<ShardSegment>,
 }
 
 impl ShardedIndex {
     /// Partition a built [`SketchIndex`] into `shards` near-equal contiguous
-    /// ranges (clamped to at least one shard). The index is kept whole as
-    /// the base — nothing is cloned or rebuilt; only the segments are built.
+    /// ranges ([`shard_ranges`]). The index is kept whole as the base —
+    /// nothing is cloned or rebuilt, so this cannot fail; the `Result` is the
+    /// shape the crate's other constructors share.
     pub fn from_index(index: SketchIndex, shards: usize) -> Result<Self, IndexError> {
-        let theta = index.num_sets();
-        let shards = shards.max(1);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|i| {
-                let start = i * theta / shards;
-                let end = (i + 1) * theta / shards;
-                (start, end - start)
-            })
-            .collect();
-        Self::from_ranges(index, &ranges)
+        let ranges = shard_ranges(index.num_sets(), shards);
+        Ok(Self::from_ranges(Arc::new(index), &ranges))
     }
 
     /// Index raw components ([`SketchIndex::from_collection_with_provenance`])
@@ -62,47 +68,32 @@ impl ShardedIndex {
         Self::from_index(base, shards)
     }
 
-    /// Build over explicit contiguous ranges (shard-file reassembly keeps
-    /// each file's range as one shard). Ranges must tile `[0, θ)` in order.
-    pub(crate) fn from_ranges(
-        base: SketchIndex,
-        ranges: &[(usize, usize)],
-    ) -> Result<Self, IndexError> {
+    /// Lay explicit contiguous ranges over `base` (shard-file reassembly
+    /// keeps each file's range as one shard). Ranges must tile `[0, θ)` in
+    /// order.
+    pub(crate) fn from_ranges(base: Arc<SketchIndex>, ranges: &[(usize, usize)]) -> Self {
         let mut cursor = 0usize;
-        for &(start, len) in ranges {
-            assert_eq!(start, cursor, "shard ranges must tile the set space in order");
-            cursor += len;
-        }
+        let segments = ranges
+            .iter()
+            .map(|&(start, len)| {
+                assert_eq!(start, cursor, "shard ranges must tile the set space in order");
+                cursor += len;
+                ShardSegment::over(base.sets(), start, len)
+            })
+            .collect();
         assert_eq!(cursor, base.num_sets(), "shard ranges must cover every set");
-
-        // Scatter the segment builds across worker threads — each shard's
-        // postings pass is independent of every other's.
-        let mut built: Vec<Option<Result<ShardSegment, IndexError>>> = Vec::new();
-        built.resize_with(ranges.len(), || None);
-        rayon::scope(|scope| {
-            for (&(start, len), slot) in ranges.iter().zip(built.iter_mut()) {
-                let collection = base.sets();
-                scope.spawn(move |_| {
-                    *slot = Some(ShardSegment::build(collection, start, len));
-                });
-            }
-        });
-        let segments = built
-            .into_iter()
-            .map(|slot| slot.expect("every segment is built by its worker").map(Arc::new))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedIndex { base, segments })
+        ShardedIndex { base, segments }
     }
 
     /// The single index this one was partitioned from, handed back as it is
-    /// held (nothing is rebuilt).
+    /// held (nothing is rebuilt; copied only if another holder shares it).
     pub fn into_index(self) -> SketchIndex {
-        self.base
+        Arc::unwrap_or_clone(self.base)
     }
 
     /// The base index: the sets, metadata, provenance and global postings.
     #[inline]
-    pub fn base(&self) -> &SketchIndex {
+    pub fn base(&self) -> &Arc<SketchIndex> {
         &self.base
     }
 
@@ -112,9 +103,9 @@ impl ShardedIndex {
         self.segments.len()
     }
 
-    /// The shard segments, in set-range order.
+    /// The shard map, in set-range order.
     #[inline]
-    pub fn segments(&self) -> &[Arc<ShardSegment>] {
+    pub fn segments(&self) -> &[ShardSegment] {
         &self.segments
     }
 
@@ -136,9 +127,10 @@ impl ShardedIndex {
         self.base.num_sets()
     }
 
-    /// The postings over **all** sets (ids global) — the base's: what every
-    /// Top-K and every invalidation walks, one structure per vertex instead
-    /// of one per shard.
+    /// The postings over **all** sets (ids global) — the base's, and the
+    /// only postings the index holds: what every Top-K, every invalidation,
+    /// every admission price and a worker-less engine's Spread/Marginal
+    /// walk.
     #[inline]
     pub fn global_postings(&self) -> &Arc<Postings> {
         self.base.postings()
@@ -150,90 +142,42 @@ impl ShardedIndex {
         self.base.meta()
     }
 
-    /// Sampling provenance (present when the source index was dynamic).
+    /// Sampling provenance (present when the source index was dynamic, which
+    /// is when `rebuilt_with_delta` is available).
     #[inline]
     pub fn provenance(&self) -> Option<&SketchProvenance> {
         self.base.provenance()
     }
 
-    /// Whether `apply_delta` is available.
-    #[inline]
-    pub fn is_dynamic(&self) -> bool {
-        self.base.is_dynamic()
-    }
-
-    /// Which shard owns global set `sid` (the shard map).
-    #[inline]
-    pub fn shard_of(&self, sid: usize) -> usize {
-        debug_assert!(sid < self.num_sets());
-        // Ranges are contiguous and ordered: the owner is the last segment
-        // starting at or before `sid`.
-        self.segments.partition_point(|seg| seg.start() <= sid) - 1
-    }
-
-    /// Row vertices, list entries and bytes of the shards' postings, summed
-    /// over the shards.
-    pub fn postings_stats(&self) -> PostingsStats {
-        let mut total = PostingsStats::default();
-        for segment in &self.segments {
-            total += segment.postings().stats();
-        }
-        total
-    }
-
-    /// Heap bytes: the base (collection and global postings) and every
-    /// shard's own structures.
+    /// Heap bytes: the base's (collection and global postings); the shard
+    /// map adds nothing worth counting.
     pub fn memory_bytes(&self) -> usize {
-        self.base.memory_bytes() + self.segments.iter().map(|s| s.memory_bytes()).sum::<usize>()
+        self.base.memory_bytes()
     }
 
     /// Build the *replacement* index for a rolling refresh, leaving `self`
-    /// untouched: clone, apply the delta to the clone, and hand back the
-    /// refreshed index alongside the mutated graph pair and stats.
+    /// untouched: refresh a copy of the base ([`SketchIndex::apply_delta`])
+    /// and lay the same ranges over it, handing it back alongside the
+    /// mutated graph pair and stats. The result equals
+    /// `ShardedIndex::from_index` over the single-index refresh of the same
+    /// delta, and with it a from-scratch `SketchIndex::sample` over the
+    /// mutated pair; when nothing was resampled it shares the global
+    /// postings with `self` by pointer.
     ///
-    /// Because dirty-shard rebuild swaps in new `Arc<ShardSegment>`s and
-    /// leaves clean shards alone, the clone **shares every clean shard's
-    /// segment** with the original (and, when nothing was resampled, the
-    /// global postings too) — this is the graceful-rollout lever for a
-    /// serving daemon: queries keep scattering over the old index while the
-    /// replacement is assembled off to the side, and the swap is one pointer
-    /// store.
+    /// This is the graceful-rollout lever for a serving daemon: queries keep
+    /// running over the old index while the replacement is assembled off to
+    /// the side, and the swap is one pointer store.
     pub fn rebuilt_with_delta(
         &self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
         delta: &GraphDelta,
     ) -> Result<(Self, CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let mut next = self.clone();
-        let (new_graph, new_weights, stats) = next.apply_delta(graph, weights, delta)?;
-        Ok((next, new_graph, new_weights, stats))
-    }
-
-    /// Refresh the sharded index against `delta`: refresh the base
-    /// ([`SketchIndex::refresh`]), then rebuild the segments owning a set it
-    /// resampled. The result equals `ShardedIndex::from_index` over the
-    /// single-index refresh of the same delta, and with it a from-scratch
-    /// `SketchIndex::sample` over the mutated pair. On an error the index is
-    /// untouched.
-    pub fn apply_delta(
-        &mut self,
-        graph: &CsrGraph,
-        weights: &EdgeWeights,
-        delta: &GraphDelta,
-    ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let (new_graph, new_weights, stats, resampled) =
-            self.base.refresh(graph, weights, delta)?;
-        // Ascending ids map to ascending shards: the owners, each once.
-        let mut stale: Vec<usize> = resampled.iter().map(|&sid| self.shard_of(sid)).collect();
-        stale.dedup();
-        for shard in stale {
-            let (start, len) = (self.segments[shard].start(), self.segments[shard].len());
-            self.segments[shard] = Arc::new(
-                ShardSegment::build(self.base.sets(), start, len)
-                    .expect("resampled sets stay inside the vertex space"),
-            );
-        }
-        Ok((new_graph, new_weights, stats))
+        let mut base = SketchIndex::clone(&self.base);
+        let (new_graph, new_weights, stats) = base.apply_delta(graph, weights, delta)?;
+        let ranges: Vec<(usize, usize)> =
+            self.segments.iter().map(|s| (s.start(), s.len())).collect();
+        Ok((Self::from_ranges(Arc::new(base), &ranges), new_graph, new_weights, stats))
     }
 }
 
@@ -263,10 +207,7 @@ mod tests {
                 assert_eq!(seg.start(), cursor, "shard {s}");
                 cursor += seg.len();
             }
-            for sid in 0..7 {
-                let owner = index.shard_of(sid);
-                assert!(index.segments()[owner].range().contains(&sid));
-            }
+            assert_eq!(cursor, 7);
         }
     }
 
@@ -304,16 +245,16 @@ mod tests {
     }
 
     #[test]
-    fn static_indexes_refuse_apply_delta() {
+    fn static_indexes_refuse_a_rollout() {
         let c = collection(4, &[&[0], &[1]]);
-        let mut index = ShardedIndex::from_parts(c, IndexMeta::default(), None, 2).unwrap();
+        let index = ShardedIndex::from_parts(c, IndexMeta::default(), None, 2).unwrap();
         let graph = imm_graph::CsrGraph::from_edge_list(&imm_graph::EdgeList::from_pairs(
             4,
             [(0, 1), (1, 2)],
         ));
         let weights = EdgeWeights::constant(&graph, 0.1);
         assert!(matches!(
-            index.apply_delta(&graph, &weights, &GraphDelta::new()),
+            index.rebuilt_with_delta(&graph, &weights, &GraphDelta::new()),
             Err(DynamicError::NotDynamic)
         ));
     }

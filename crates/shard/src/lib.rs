@@ -11,30 +11,28 @@
 //! each worker counts over its own slice of the sketches and only tallies
 //! cross worker boundaries.
 //!
-//! * [`ShardSegment`] — one shard: a zero-copy arena slice (through
-//!   [`imm_rrr::CollectionSlice`]) plus its *own* vertex → set postings
-//!   ([`imm_rrr::Postings`] over the shard's range: rows for dense vertices,
-//!   lists for the rest) and occurrence counts, with shard-local set ids.
 //! * [`ShardedIndex`] — a `SketchIndex` (the base: the one owner of the
 //!   collection, metadata, provenance and global postings) plus a shard
-//!   map: N segments over the base's collection, partitioned by near-equal
-//!   contiguous set ranges. `apply_delta` refreshes the base through
-//!   `imm-service`'s one refresh driver and rebuilds only the segments
-//!   owning a resampled set.
+//!   map: one [`ShardSegment`] — start, length, postings weight, nothing
+//!   built — per near-equal contiguous set range ([`shard_ranges`]). A
+//!   rollout (`rebuilt_with_delta`) refreshes a copy of the base through
+//!   `imm-service`'s one refresh driver and re-weighs the map.
 //! * [`ShardedEngine`] — answers the full query vocabulary (Top-K with
-//!   optional audience masks, spread, marginal, batches, response cache).
-//!   Spread and Marginal scatter over a **persistent pinned worker pool**
-//!   ([`imm_exec::PinnedPool`]): each worker permanently owns one shard's
-//!   marking scratch and answers typed, idempotent requests over per-shard
-//!   channels, so a point query costs one message round-trip per shard (and
-//!   zero channel traffic when the pool runs inline on a single hardware
-//!   thread). Top-K, plain and audience, does not scatter — it runs
-//!   `imm_service::masked`'s lazy greedy engine-side over the global
-//!   postings, the very sessions the single-index engine runs. Results are
-//!   **byte-identical** to the single-index `QueryEngine` for every shard
-//!   count, thread count, and [`WakeMode`] — the crate's parity suite pins
-//!   this, including after a rolled delta (`rebuilt_with_delta`, then a new
-//!   engine over the next generation: the daemon's path, and the only one).
+//!   optional audience masks, spread, marginal, batches, response cache) as
+//!   an `imm_service::QueryEngine` over the base, which owns the Top-K
+//!   sessions, the cache and the batch fan-out. With worker threads to give
+//!   it, the engine also stands up a **persistent pinned worker pool**
+//!   ([`imm_exec::PinnedPool`]) whose cells each invert one set range into
+//!   their own postings ([`imm_rrr::Postings`]: rows for dense vertices,
+//!   lists for the rest, range-local set ids), and Spread and Marginal
+//!   scatter over it as typed, idempotent requests — one message round-trip
+//!   per shard. Without workers no pool, no cell and no second copy of the
+//!   postings exist: Spread and Marginal walk the global postings. Results
+//!   are **byte-identical** to the single-index `QueryEngine` for every
+//!   shard count, thread count, and [`WakeMode`] — the crate's parity suite
+//!   pins this, including after a rolled delta (`rebuilt_with_delta`, then a
+//!   new engine over the next generation: the daemon's path, and the only
+//!   one).
 //! * [`snapshot`] — split an index snapshot into per-shard files (each a
 //!   self-verifying standard snapshot behind a small shard header) and
 //!   reassemble them, preserving the shard layout.
@@ -53,7 +51,7 @@
 //! let weights = EdgeWeights::constant(&graph, 0.2);
 //! let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
 //! let index = SketchIndex::sample(&graph, &weights, spec, 150, 2, "docs").unwrap();
-//! // The same index, partitioned into 4 shards and served scatter/gather.
+//! // The same index under a 4-entry shard map.
 //! let single = imm_service::QueryEngine::new(Arc::new(index.clone()));
 //! let sharded =
 //!     ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 4).unwrap()));
@@ -72,11 +70,11 @@ pub mod snapshot;
 
 pub use engine::ShardedEngine;
 pub use imm_exec::{ScatterError, WakeMode};
-pub use index::ShardedIndex;
+pub use index::{shard_ranges, ShardedIndex};
 pub use segment::ShardSegment;
 pub use snapshot::{
     assemble, load_shard_files, read_shard, read_shard_file, split_to_bytes, write_shard_files,
-    write_sharded_files, ShardFileError, ShardPart, SHARD_MAGIC, SHARD_VERSION, SHARD_VERSION_V1,
+    write_sharded_files, ShardFileError, ShardPart, SHARD_MAGIC, SHARD_VERSION,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

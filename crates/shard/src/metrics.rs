@@ -4,15 +4,15 @@
 //! The sharded engine's own failure mode is *distributional*: one hot
 //! shard carrying most of the postings, so every scattered Spread/Marginal
 //! waits on it. The layer exports that as a load-imbalance gauge (max/mean
-//! per-shard postings work, published whenever an engine stands up over an
-//! index generation — every pool, every rollout), next to the
-//! shape of the shards' postings summed over the shards — row vertices, list
-//! entries, bytes — so an operator can tell a dense-regime index (rows,
-//! kilobytes per shard) from a sparse one. Everything else is *not*
-//! duplicated here: the sharded engine serves through the
-//! same `serve_cached` wrapper and runs the same Top-K sessions as the
-//! single-index engine, so it shares the `service_` latency, cache and
-//! CELF metrics, and the scatter traffic is the pool's `exec_pinned_*`.
+//! per-shard postings work, read off the shard map whenever an engine stands
+//! up over an index generation — every pool, every rollout), next to the
+//! shape of the pinned cells' range postings summed over the cells — row
+//! vertices, list entries, bytes: what scattering costs in memory on top of
+//! the global postings (`service_postings_*`), and all zero on an engine
+//! without workers, which builds no cells. Everything else is *not*
+//! duplicated here: the sharded engine serves through its inner
+//! `QueryEngine`, so it shares the `service_` latency, cache and CELF
+//! metrics, and the scatter traffic is the pool's `exec_pinned_*`.
 
 use std::sync::Once;
 
@@ -26,21 +26,21 @@ pub static LOAD_IMBALANCE: Gauge = Gauge::new(
     Unit::Ratio,
 );
 
-/// (Vertex, shard) pairs stored as bit rows.
+/// (Vertex, cell) pairs stored as bit rows.
 pub static POSTINGS_ROW_VERTICES: Gauge = Gauge::new(
     "shard_postings_row_vertices",
     "Per-shard postings stored as bit rows, summed over the shards",
     Unit::Count,
 );
 
-/// `u32` list entries across the shards' postings.
+/// `u32` list entries across the cells' postings.
 pub static POSTINGS_LIST_ENTRIES: Gauge = Gauge::new(
     "shard_postings_list_entries",
     "List entries of the shards' postings, summed over the shards",
     Unit::Count,
 );
 
-/// Bytes of the shards' postings, rows and lists together.
+/// Bytes of the cells' postings, rows and lists together.
 pub static POSTINGS_MEMORY: Gauge = Gauge::new(
     "shard_postings_memory",
     "Bytes of the shards' postings (rows, row tables, lists, offsets), summed over the shards",
@@ -61,8 +61,9 @@ pub fn register() {
     });
 }
 
-/// Fold per-shard postings totals into the [`LOAD_IMBALANCE`] gauge and
-/// publish the summed shape of the shards' postings.
+/// Fold the shard map's per-shard postings totals into the
+/// [`LOAD_IMBALANCE`] gauge and publish the summed shape of the pinned
+/// cells' postings (all zero for an engine without cells).
 pub(crate) fn record_shard_work(per_shard_postings: &[u64], shape: PostingsStats) {
     POSTINGS_ROW_VERTICES.set(shape.row_vertices as f64);
     POSTINGS_LIST_ENTRIES.set(shape.list_entries as f64);

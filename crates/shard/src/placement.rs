@@ -1,9 +1,10 @@
 //! NUMA-aware placement of pinned shard workers and their scratch state.
 //!
-//! The sharded engine is where the workspace's two NUMA halves meet: the
-//! *model* in `imm-numa` (topology, placement policies, page→node maps)
-//! and the *runtime* in `imm-exec` (shard-pinned worker threads). This
-//! module detects the machine's topology and turns it into the plain-data
+//! The sharded engine's scatter pool is where the workspace's two NUMA
+//! halves meet: the *model* in `imm-numa` (topology, placement policies,
+//! page→node maps) and the *runtime* in `imm-exec` (shard-pinned worker
+//! threads). An engine that has pinned workers — only such an engine has
+//! cells to place — turns the machine's topology into the plain-data
 //! [`PoolPlacement`] record the pool consumes:
 //!
 //! * worker `w` is assigned the core [`Topology::core_for_thread`] picks
@@ -25,24 +26,22 @@ use imm_numa::metrics as numa_metrics;
 use imm_numa::{NumaRegion, PlacementPolicy, Topology};
 use std::sync::Arc;
 
-/// Plan the pinned-pool placement for `num_shards` shards served by
-/// `threads` (counting the caller) on `topology`. Registers and feeds the
-/// `numa_*` metrics; returns `None` — counting the explicit fallback —
-/// when the topology offers a single node.
+/// Plan the pinned-pool placement for `num_shards` shard cells served by
+/// `worker_count` workers (the pool's own sizing,
+/// [`imm_exec::WakeMode::worker_count`]; at least one) on `topology`.
+/// Registers and feeds the `numa_*` metrics; returns `None` — counting the
+/// explicit fallback — when the topology offers a single node.
 pub(crate) fn plan_pool_placement(
     topology: Topology,
     num_shards: usize,
-    threads: usize,
+    worker_count: usize,
 ) -> Option<PoolPlacement> {
     numa_metrics::register();
     numa_metrics::TOPOLOGY_NODES.set(topology.num_nodes() as f64);
-    if topology.num_nodes() <= 1 || num_shards == 0 {
+    if topology.num_nodes() <= 1 {
         numa_metrics::SINGLE_NODE_FALLBACKS.increment();
         return None;
     }
-    // Mirror the pool's worker sizing (`threads - 1`, capped by cells);
-    // keep one slot even for inline pools so cells still get node labels.
-    let worker_count = threads.saturating_sub(1).min(num_shards).max(1);
     let worker_node: Vec<usize> = (0..worker_count)
         .map(|w| topology.node_of_core(topology.core_for_thread(w, worker_count)))
         .collect();
@@ -90,7 +89,7 @@ mod tests {
 
     #[test]
     fn multi_node_topologies_yield_a_placement() {
-        let placement = plan_pool_placement(Topology::new(2, 4), 4, 3)
+        let placement = plan_pool_placement(Topology::new(2, 4), 4, 2)
             .expect("two nodes must produce a placement");
         assert_eq!(placement.worker_node.len(), 2);
         assert_eq!(placement.cell_node.len(), 4);
@@ -104,7 +103,7 @@ mod tests {
     #[test]
     fn single_node_topologies_fall_back_and_count_it() {
         let before = numa_metrics::SINGLE_NODE_FALLBACKS.value();
-        assert!(plan_pool_placement(Topology::uma(8), 4, 3).is_none());
+        assert!(plan_pool_placement(Topology::uma(8), 4, 2).is_none());
         if imm_obs::recording_enabled() {
             assert_eq!(numa_metrics::SINGLE_NODE_FALLBACKS.value(), before + 1);
         }
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn scratch_regions_are_counted_per_shard() {
         let topology = Topology::new(2, 4);
-        let placement = plan_pool_placement(topology, 3, 4);
+        let placement = plan_pool_placement(topology, 3, 3);
         let before = numa_metrics::SCRATCH_REGIONS.value();
         account_scratch_regions(topology, placement.as_ref(), &[100, 200, 300]);
         if imm_obs::recording_enabled() {
@@ -124,15 +123,5 @@ mod tests {
         if imm_obs::recording_enabled() {
             assert_eq!(numa_metrics::SCRATCH_REGIONS.value(), before + 4);
         }
-    }
-
-    #[test]
-    fn inline_sizing_still_labels_every_cell() {
-        // threads = 1 → the pool spawns no workers, but the plan keeps
-        // one virtual slot so cells carry node labels (all serves then
-        // count as remote, which is accurate for inline serving).
-        let placement = plan_pool_placement(Topology::new(2, 2), 5, 1).unwrap();
-        assert_eq!(placement.worker_node.len(), 1);
-        assert_eq!(placement.cell_node.len(), 5);
     }
 }

@@ -16,17 +16,18 @@
 //! [20..28)  set_offset   u64   global id of the shard's first set
 //! [28..36)  total_sets   u64   θ of the whole index (every file agrees)
 //! [36..44)  FNV-1a 64 checksum of bytes [12..36)
-//! [44..4096) zero padding (v2 only)
+//! [44..4096) zero padding
 //! [4096..)  embedded imm-service snapshot of the shard's sets
 //! ```
 //!
-//! Container v2 (this PR) pads the wrapper header to one snapshot page
+//! The wrapper header is padded to one snapshot page
 //! (`SNAPSHOT_PAGE_BYTES`) so the embedded snapshot starts on a page
-//! boundary: the v4 snapshot format lays its data sections on page-aligned
+//! boundary: the snapshot format lays its data sections on page-aligned
 //! *snapshot-relative* offsets, and the padding keeps those offsets
 //! page-aligned as **file-absolute** positions too — a memory-mapping of a
 //! whole shard file sees the same aligned sections `imm-store` maps from a
-//! standalone snapshot. v1 files (unpadded) still load.
+//! standalone snapshot. The unpadded container v1 that preceded it is no
+//! longer read: a v1 file is [`ShardFileError::UnsupportedVersion`].
 //!
 //! Provenance splits with the sets: each shard file carries the sampling
 //! spec, its own range's per-set records, and the **full delta log** (the
@@ -37,9 +38,10 @@
 //! rebuilds a [`ShardedIndex`] whose shard layout is exactly the file
 //! layout. Shard files store no global postings (each embeds its own
 //! range's), so reassembly pays one counting sort over all θ sets for the
-//! base's — once, at load, next to the per-range passes that build the
-//! segments; an index partitioned in memory (`ShardedIndex::from_index`)
-//! adopts the single index's postings and pays nothing.
+//! base's — once, at load, and no per-range pass (the shard map is the
+//! files' ranges, weighed by their set lengths); an index partitioned in
+//! memory (`ShardedIndex::from_index`) adopts the single index's postings
+//! and pays nothing.
 
 use crate::index::ShardedIndex;
 use imm_rrr::{RrrCollection, SetView};
@@ -49,6 +51,7 @@ use imm_service::{
 };
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The magic bytes opening every shard file.
 pub const SHARD_MAGIC: [u8; 8] = *b"IMMSHARD";
@@ -56,14 +59,13 @@ pub const SHARD_MAGIC: [u8; 8] = *b"IMMSHARD";
 /// snapshot page so the embedded snapshot's page-aligned sections stay
 /// page-aligned file-absolute.
 pub const SHARD_VERSION: u32 = 2;
-/// The legacy unpadded container version; still readable.
-pub const SHARD_VERSION_V1: u32 = 1;
 
-/// Bytes of wrapper header the embedded snapshot starts after in a v2
-/// file (one snapshot page; the header proper occupies the first 44).
-const SHARD_HEADER_BYTES_V2: usize = imm_service::SNAPSHOT_PAGE_BYTES;
-/// Bytes of wrapper header in a v1 file (magic + version + fields + hash).
-const SHARD_HEADER_BYTES_V1: usize = 44;
+/// Bytes of wrapper header the embedded snapshot starts after (one snapshot
+/// page).
+const SHARD_HEADER_BYTES: usize = imm_service::SNAPSHOT_PAGE_BYTES;
+/// Bytes of the header proper (magic + version + fields + hash); the rest of
+/// the page is zero padding.
+const SHARD_HEADER_FIELD_BYTES: usize = 44;
 
 /// Errors produced while splitting or reassembling shard files.
 #[derive(Debug)]
@@ -201,8 +203,8 @@ fn write_shard(
     writer.write_all(&header_fields)?;
     writer.write_all(&fnv1a64(&header_fields).to_le_bytes())?;
     // Pad the wrapper to a full page so the embedded snapshot — and with
-    // it every page-aligned v4 section — starts on a file page boundary.
-    writer.write_all(&vec![0u8; SHARD_HEADER_BYTES_V2 - SHARD_HEADER_BYTES_V1])?;
+    // it every page-aligned section — starts on a file page boundary.
+    writer.write_all(&[0u8; SHARD_HEADER_BYTES - SHARD_HEADER_FIELD_BYTES])?;
     save_parts(sharded.meta(), &sub, sub_provenance.as_ref(), writer)?;
     Ok(())
 }
@@ -255,7 +257,7 @@ pub fn read_shard(reader: &mut impl Read) -> Result<ShardPart, ShardFileError> {
     let mut word = [0u8; 4];
     reader.read_exact(&mut word)?;
     let version = u32::from_le_bytes(word);
-    if version != SHARD_VERSION && version != SHARD_VERSION_V1 {
+    if version != SHARD_VERSION {
         return Err(ShardFileError::UnsupportedVersion(version));
     }
     let mut header_fields = [0u8; 24];
@@ -265,17 +267,9 @@ pub fn read_shard(reader: &mut impl Read) -> Result<ShardPart, ShardFileError> {
     if u64::from_le_bytes(checksum) != fnv1a64(&header_fields) {
         return Err(ShardFileError::HeaderChecksumMismatch);
     }
-    if version == SHARD_VERSION {
-        // Skip the alignment padding (not checksummed, like the v4
-        // snapshot's own intra-file padding).
-        let mut pad = [0u8; 256];
-        let mut remaining = SHARD_HEADER_BYTES_V2 - SHARD_HEADER_BYTES_V1;
-        while remaining > 0 {
-            let take = remaining.min(pad.len());
-            reader.read_exact(&mut pad[..take])?;
-            remaining -= take;
-        }
-    }
+    // Skip the alignment padding (not checksummed, like the snapshot's own
+    // intra-file padding).
+    reader.read_exact(&mut [0u8; SHARD_HEADER_BYTES - SHARD_HEADER_FIELD_BYTES])?;
     let shard_index = u32::from_le_bytes(header_fields[0..4].try_into().expect("4 bytes"));
     let num_shards = u32::from_le_bytes(header_fields[4..8].try_into().expect("4 bytes"));
     let set_offset = u64::from_le_bytes(header_fields[8..16].try_into().expect("8 bytes"));
@@ -366,7 +360,7 @@ pub fn assemble(mut parts: Vec<ShardPart>) -> Result<ShardedIndex, ShardFileErro
         delta_log: delta_log.unwrap_or_default(),
     });
     let base = SketchIndex::from_collection_with_provenance(collection, meta, provenance)?;
-    Ok(ShardedIndex::from_ranges(base, &ranges)?)
+    Ok(ShardedIndex::from_ranges(Arc::new(base), &ranges))
 }
 
 /// Load shard files (in any order) and reassemble them.

@@ -167,18 +167,17 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
 /// What `rebuilt_with_delta` promises a rolling daemon, over a two-delta
 /// chain and then a delta that resamples nothing: the live generation is
 /// untouched, the next one equals partitioning the single-index refresh of
-/// the same delta, and everything the delta left alone — every shard owning
-/// no resampled set, and the global postings when no set was resampled — is
-/// shared with the live generation by pointer.
+/// the same delta, and the global postings — the only postings a generation
+/// holds — are shared with the live generation by pointer exactly when no
+/// set was resampled.
 #[test]
-fn a_rollout_shares_what_the_delta_left_alone_and_equals_the_single_index_refresh() {
+fn a_rollout_leaves_the_live_generation_alone_and_equals_the_single_index_refresh() {
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
         let (graph, weights) = fixture(model, 0xA5);
         let spec = SampleSpec::new(model, 0x5EED);
         let index =
             SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
-        // Two vertices contained in few sets (but some): most shards own
-        // none of them.
+        // Two vertices contained in few sets (but some).
         let mut by_degree: Vec<NodeId> =
             (0..graph.num_nodes() as NodeId).filter(|&v| index.degree(v) >= 2).collect();
         by_degree.sort_by_key(|&v| index.degree(v));
@@ -200,33 +199,137 @@ fn a_rollout_shares_what_the_delta_left_alone_and_equals_the_single_index_refres
                     live.rebuilt_with_delta(&g, &w, delta).expect("rollout");
                 assert_eq!(live, before, "{context}: the live generation changed");
 
-                let (_, _, single_stats, resampled) =
-                    single.refresh(&g, &w, delta).expect("single refresh");
+                let (_, _, single_stats) =
+                    single.apply_delta(&g, &w, delta).expect("single refresh");
                 assert_eq!(stats, single_stats, "{context}");
-                assert_eq!(resampled.is_empty(), step == 2, "{context}: only the empty delta");
+                let resampled = stats.resampled_sets;
+                assert_eq!(resampled == 0, step == 2, "{context}: only the empty delta");
                 assert_eq!(
                     next,
                     ShardedIndex::from_index(single.clone(), shards).expect("shardable"),
                     "{context}: not the partition of the single-index refresh"
                 );
-                for (s, (old, new)) in live.segments().iter().zip(next.segments()).enumerate() {
-                    let owns_a_resampled_set =
-                        resampled.iter().any(|sid| old.range().contains(sid));
-                    assert_eq!(
-                        Arc::ptr_eq(old, new),
-                        !owns_a_resampled_set,
-                        "{context}: shard {s} (resampled: {resampled:?})"
-                    );
-                }
                 assert_eq!(
                     Arc::ptr_eq(live.global_postings(), next.global_postings()),
-                    resampled.is_empty(),
+                    resampled == 0,
                     "{context}: the global postings are copied exactly when patched"
                 );
                 (live, g, w) = (next, g_next, w_next);
             }
         }
     }
+}
+
+/// A `WakeMode::Always` engine stood up over a *rolled* index: its cells are
+/// inverted from the refreshed sets when the engine starts (the index holds
+/// no per-range postings to go stale), so after a two-delta chain the
+/// scattered answers equal `QueryEngine` over the single-index refresh.
+#[test]
+fn forced_workers_over_a_rolled_index_serve_the_refreshed_sets() {
+    for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
+        let (graph, weights) = fixture(model, 0xA5);
+        let spec = SampleSpec::new(model, 0x5EED);
+        let index =
+            SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
+        let (del_src, del_dst) = graph.edges().next().expect("graph has edges");
+        let chain = [
+            GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(del_src, del_dst),
+            GraphDelta::new().delete(3, 77).insert(50, 51, 0.7),
+        ];
+        for shards in SHARD_COUNTS {
+            let context = format!("{model:?}, {shards} shards, rolled twice");
+            let mut single = index.clone();
+            let mut live = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
+            let (mut g, mut w) = (graph.clone(), weights.clone());
+            let mut resampled = 0;
+            for delta in &chain {
+                let (next, g_next, w_next, stats) =
+                    live.rebuilt_with_delta(&g, &w, delta).expect("rollout");
+                single.apply_delta(&g, &w, delta).expect("single refresh");
+                resampled += stats.resampled_sets;
+                (live, g, w) = (next, g_next, w_next);
+            }
+            assert!(resampled > 0, "{context}: the chain must change some sets");
+            let single = QueryEngine::new(Arc::new(single));
+            let sharded = ShardedEngine::with_runtime(Arc::new(live), 3, 64, WakeMode::Always);
+            assert!(sharded.num_workers() >= 1, "{context}: expected pinned workers");
+            let queries = query_battery(graph.num_nodes(), 0x0DD ^ shards as u64);
+            assert_engines_agree(&single, &sharded, &queries, &context);
+        }
+    }
+}
+
+/// An engine without workers is a `QueryEngine` over the index it was
+/// partitioned from: it answers the battery byte-identically for every shard
+/// count, and partitioning copied nothing — the global postings are the
+/// single index's by pointer and the sharded index weighs what its base
+/// weighs.
+#[test]
+fn a_worker_less_engine_is_the_single_engine_over_the_same_postings() {
+    for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
+        let (graph, weights) = fixture(model, 0xA5);
+        let spec = SampleSpec::new(model, 0x5EED);
+        let index =
+            SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
+        for shards in SHARD_COUNTS {
+            let context = format!("{model:?}, {shards} shards, no workers");
+            let sharded_index = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
+            assert!(Arc::ptr_eq(sharded_index.global_postings(), index.postings()), "{context}");
+            assert_eq!(sharded_index.memory_bytes(), index.memory_bytes(), "{context}");
+            let single = QueryEngine::new(Arc::new(index.clone()));
+            let sharded = ShardedEngine::with_options(Arc::new(sharded_index), 1, 64);
+            assert_eq!(sharded.num_workers(), 0, "{context}");
+            assert!(sharded.queue_depths().is_empty(), "{context}: no cells were built");
+            let queries = query_battery(graph.num_nodes(), 0x1D1E ^ shards as u64);
+            assert_engines_agree(&single, &sharded, &queries, &context);
+        }
+    }
+}
+
+/// Four threads hammer one worker-less engine with a Spread/Marginal mix,
+/// all released by one barrier: every walk checks its scratch out of the
+/// inner engine's pool and must hand it back all-zero, or a later walk on
+/// any thread would tally short.
+#[test]
+fn concurrent_point_queries_on_a_worker_less_engine_equal_the_sequential_answers() {
+    let model = DiffusionModel::IndependentCascade;
+    let (graph, weights) = fixture(model, 0xA5);
+    let spec = SampleSpec::new(model, 0x5EED);
+    let index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
+    let queries: Vec<Query> = query_battery(graph.num_nodes(), 0xC0C0)
+        .into_iter()
+        .filter(|q| !matches!(q, Query::TopK { .. }))
+        .collect();
+    let expected: Vec<QueryResponse> = {
+        let single = QueryEngine::new(Arc::new(index.clone()));
+        queries.iter().map(|q| single.execute_uncached(q)).collect()
+    };
+    let engine = ShardedEngine::with_options(
+        Arc::new(ShardedIndex::from_index(index, 4).expect("shardable")),
+        1,
+        0,
+    );
+    assert_eq!(engine.num_workers(), 0);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4usize {
+            let (engine, queries, expected, start) = (&engine, &queries, &expected, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..200 {
+                    // Each thread walks the mix from its own offset, so
+                    // different queries overlap in time.
+                    let i = (t * 3 + round) % queries.len();
+                    assert_eq!(
+                        engine.execute_uncached(&queries[i]),
+                        expected[i],
+                        "thread {t}, round {round}: {:?}",
+                        queries[i]
+                    );
+                }
+            });
+        }
+    });
 }
 
 /// Partitioning adopts the single index whole: taking it back out returns

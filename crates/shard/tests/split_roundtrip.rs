@@ -103,25 +103,22 @@ fn v2_shard_files_embed_the_snapshot_page_aligned() {
     }
 }
 
-/// Legacy v1 (unpadded) shard files still load.
+/// The unpadded container v1 is no longer read: such a file — the same
+/// 44-byte header with version 1, the embedded snapshot right behind it — is
+/// rejected by its version, before anything behind the header is trusted.
 #[test]
-fn v1_shard_files_are_still_readable() {
+fn v1_shard_files_are_rejected_as_an_unsupported_version() {
     let (_, _, index) = dynamic_index();
     let sharded = ShardedIndex::from_index(index, 2).unwrap();
-    let blobs = split_to_bytes(&sharded).unwrap();
-    let v1_blobs: Vec<Vec<u8>> = blobs
-        .iter()
-        .map(|blob| {
-            // Rewrite as v1: same 44-byte header with the version field
-            // swapped, padding dropped.
-            let mut v1 = blob[..44].to_vec();
-            v1[8..12].copy_from_slice(&imm_shard::SHARD_VERSION_V1.to_le_bytes());
-            v1.extend_from_slice(&blob[imm_service::SNAPSHOT_PAGE_BYTES..]);
-            v1
-        })
-        .collect();
-    let parts = v1_blobs.iter().map(|b| read_shard(&mut b.as_slice()).unwrap()).collect();
-    assert_eq!(assemble(parts).unwrap(), sharded);
+    for blob in split_to_bytes(&sharded).unwrap() {
+        let mut v1 = blob[..44].to_vec();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&blob[imm_service::SNAPSHOT_PAGE_BYTES..]);
+        assert!(matches!(
+            read_shard(&mut v1.as_slice()),
+            Err(ShardFileError::UnsupportedVersion(1))
+        ));
+    }
 }
 
 #[test]
