@@ -85,9 +85,9 @@ if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates/core/src; then
 fi
 
 # `imm_rrr::Postings` owns the workspace's one vertex -> set counting sort
-# (the index, a sharded engine's pinned cells, the snapshot encoder and the
-# batch kernel's cover index all call it); a second hand-rolled one is how the
-# four copies it replaced came to differ.
+# (the index, the snapshot encoder and the batch kernel's cover index all
+# call it); a second hand-rolled one is how the four copies it replaced came
+# to differ.
 echo "==> builder guard: no second vertex->set counting sort in crates/{service,shard,core}/src"
 if grep -rnE 'cursor\[[^]]*\] *\+= *1|let mut cursor = [a-z_]*offsets\.clone\(\)' \
   crates/service/src crates/shard/src crates/core/src; then
@@ -98,11 +98,12 @@ fi
 # `SketchIndex::apply_delta` (imm-service's dynamic.rs) is the workspace's
 # one refresh driver — a sharded index refreshes by refreshing its base — and
 # the global postings are the one Top-K source, so the trait that abstracted
-# over two of them stays gone. A sharded engine is a `QueryEngine` plus an
-# optional scatter pool: sessions and the response cache live in imm-service
-# only, the pool's cell constructor is the crate's one postings build, and
-# the unpadded shard container v1 stays unread.
-echo "==> refresh guard: one refresh driver, one owner of sessions and cache, one cell build"
+# over two of them stays gone. A sharded engine is a `QueryEngine` under a
+# shard map: sessions and the response cache live in imm-service only, the
+# crate builds no postings of its own, the scatter pool with its supervisor,
+# wake policy, placement plan and fault hook stays gone, and the unpadded
+# shard container v1 stays unread.
+echo "==> refresh guard: one refresh driver, one owner of sessions and cache, no per-shard postings, no scatter pool"
 if grep -rnE 'invalidated_sets|resample_sets|delta\.apply\(' crates/shard/src; then
   echo "error: refresh a sharded index through SketchIndex::apply_delta, not a local driver" >&2
   exit 1
@@ -115,9 +116,12 @@ if grep -nE 'LazyGreedy|MaskedPool|QueryCache' crates/shard/src/engine.rs; then
   echo "error: Top-K sessions and the response cache belong to imm_service::QueryEngine" >&2
   exit 1
 fi
-if [ "$(grep -rn 'Postings::build' crates/shard/src | wc -l)" -ne 1 ]; then
-  grep -rn 'Postings::build' crates/shard/src >&2 || true
-  echo "error: crates/shard/src builds postings in exactly one place, the pinned cell constructor" >&2
+if grep -rn 'Postings::build' crates/shard/src; then
+  echo "error: crates/shard/src builds no postings; every query reads the base's global postings" >&2
+  exit 1
+fi
+if grep -rnE 'PinnedPool|WakeMode|ScatterError|PoolPlacement|worker_panic' crates; then
+  echo "error: a Spread is one walk on every host; do not reintroduce the scatter pool or its fault hook" >&2
   exit 1
 fi
 if grep -rn 'SHARD_VERSION_V1' crates; then

@@ -44,7 +44,6 @@ pub fn register_workspace_metrics() {
     imm_shard::metrics::register();
     imm_serve::metrics::register();
     imm_store::metrics::register();
-    imm_numa::metrics::register();
 }
 
 /// One sample in the documented shape.

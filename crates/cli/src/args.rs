@@ -50,9 +50,10 @@ USAGE:
 `build-index` samples RRR sets once (the expensive phase) and freezes them
 into a reusable sketch-index snapshot; `query` serves top-k / spread /
 marginal-gain requests from that snapshot without resampling, and `stats
---index` reads coverage statistics from it. `query --shards N` partitions
-the loaded index into N set-range shards served scatter/gather (identical
-answers, distributed counting); `--audience` restricts top-k coverage to
+--index` reads coverage statistics from it. `query --shards N` lays an
+N-range shard map over the loaded index (identical answers: a shard map
+decides only split-file layout, `madvise` ranges and shard_load_imbalance,
+never how a query is answered); `--audience` restricts top-k coverage to
 the RRR sets touching the given vertex slice. `split-index` writes one
 `<PREFIX>.shard-<i>` snapshot file per shard, and `query --shard-files`
 reassembles such files (in any order) and serves from the reassembled
@@ -65,7 +66,7 @@ built-in SNAP analogues (com-Amazon, com-DBLP, com-YouTube, as-Skitter,
 web-Google, soc-Pokec, com-LJ, twitter7).
 
 `serve` starts the long-running shard-server daemon: it loads a snapshot,
-partitions it into --shards scatter/gather shards, and answers framed RPC
+lays a --shards-range shard map over it, and answers framed RPC
 requests on a unix socket (--socket) or TCP address (--tcp) until a client
 sends the shutdown verb. Pass the snapshot's original --graph/--dataset to
 enable rolling `apply-delta` rollouts (queries keep serving on the old
@@ -217,7 +218,7 @@ pub struct QueryArgs {
     pub spread: Option<Vec<u32>>,
     /// Seed set and candidate for a marginal-gain estimate.
     pub marginal: Option<(Vec<u32>, u32)>,
-    /// Shard count for scatter/gather serving (1 = single index).
+    /// Shard count of the shard map (1 = single index).
     pub shards: usize,
     /// Worker threads for the query batch.
     pub threads: usize,
@@ -246,9 +247,9 @@ pub struct ServeArgs {
     pub source: Option<GraphSource>,
     /// Where the daemon listens.
     pub listen: Listen,
-    /// Scatter/gather shard count.
+    /// Shard count of the shard map.
     pub shards: usize,
-    /// Serving parallelism (pinned shard workers + batch fan-out).
+    /// Serving parallelism (batch fan-out).
     pub threads: usize,
     /// Per-query cost budget in postings entries (absent → admit all).
     pub max_cost: Option<u64>,

@@ -428,8 +428,8 @@ fn split_index(args: &SplitIndexArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The engine behind `query`: single-index or sharded scatter/gather —
-/// both answer the same vocabulary with byte-identical responses.
+/// The engine behind `query`: single-index or under a shard map — both
+/// answer the same vocabulary with byte-identical responses.
 enum ServingEngine {
     Single(QueryEngine),
     Sharded(ShardedEngine),
@@ -459,9 +459,9 @@ impl ServingEngine {
 }
 
 /// Serve queries from a saved sketch index — no graph, no sampling. With
-/// `--shards N` the loaded index is partitioned into N set-range shards and
-/// served scatter/gather; with `--shard-files` the split files themselves
-/// are reassembled (their layout becomes the shard layout).
+/// `--shards N` the loaded index is served under an N-range shard map; with
+/// `--shard-files` the split files themselves are reassembled (their layout
+/// becomes the shard layout).
 fn query(args: &QueryArgs) -> Result<(), CliError> {
     let (engine, source_label) = match &args.source {
         IndexSource::Snapshot(path) => {
@@ -859,9 +859,8 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
 /// Queue depths are deliberately *not* reported here: a point-in-time
 /// read of another thread's queue is racy — it describes the instant of
 /// the read and misses every burst between reads. The serving daemon
-/// samples the depths on its housekeeping tick into max-over-window
-/// gauges instead (`exec_shared_queue_depth_max` /
-/// `exec_pinned_queue_depth_max` in the registry below).
+/// samples the depths on its housekeeping tick into a max-over-window
+/// gauge instead (`exec_shared_queue_depth_max` in the registry below).
 fn metrics_json() -> serde_json::Value {
     serde_json::json!({
         "pool": {

@@ -12,7 +12,7 @@
 use std::sync::Once;
 
 pub use imm_obs::Counter;
-use imm_obs::{Gauge, MaxWindow, Metric, Unit};
+use imm_obs::{Gauge, Metric, Unit};
 
 /// Scopes entered on the shared pool (fork-join rounds).
 pub static SCOPES: Counter =
@@ -47,38 +47,9 @@ pub static WORKER_PARKS: Counter =
 pub static WORKER_UNPARKS: Counter =
     Counter::new("exec_worker_unparks", "Wakeups sent to parked shared-pool workers");
 
-/// Scatter/gather rounds issued to pinned pools.
-pub static PINNED_SCATTERS: Counter =
-    Counter::new("exec_pinned_scatters", "Scatter/gather rounds issued to pinned worker pools");
-
-/// Requests enqueued on pinned-pool cell queues (worker path only; the
-/// zero-worker inline path never queues). Queue depth at any instant is
-/// this minus the served counters' worker-path share.
-pub static PINNED_ENQUEUED: Counter =
-    Counter::new("exec_pinned_enqueued", "Requests enqueued on pinned-pool cell queues");
-
-/// Pinned requests served by their owning worker thread.
-pub static PINNED_SERVED_WORKER: Counter = Counter::new(
-    "exec_pinned_served_worker",
-    "Pinned requests served by the shard's owning worker thread",
-);
-
-/// Pinned requests the gathering thread served inline.
-pub static PINNED_SERVED_INLINE: Counter = Counter::new(
-    "exec_pinned_served_inline",
-    "Pinned requests the gathering thread claimed and served inline",
-);
-
-/// Pinned worker park events.
-pub static PINNED_PARKS: Counter =
-    Counter::new("exec_pinned_parks", "Pinned workers parked on empty shard queues");
-
-/// Pinned worker unpark signals sent by request submitters.
-pub static PINNED_UNPARKS: Counter =
-    Counter::new("exec_pinned_unparks", "Wakeups sent to parked pinned workers");
-
 /// Max-over-window depth of the shared pool's deepest worker inbox,
-/// maintained by a [`QueueDepthSampler`] on a housekeeping cadence.
+/// maintained on a housekeeping cadence (the serving daemon's tick rolls
+/// the peeks through an [`imm_obs::MaxWindow`]).
 ///
 /// [`crate::Executor::queue_depths`] is a racy point-in-time peek — fine
 /// for a live debug panel, wrong as a *metric* (it describes one instant
@@ -89,54 +60,6 @@ pub static SHARED_QUEUE_DEPTH_MAX: Gauge = Gauge::new(
     "Deepest shared-pool worker inbox over the sampler's recent window",
     Unit::Count,
 );
-
-/// Max-over-window depth of the deepest pinned shard cell queue, fed by
-/// the same sampler (see [`SHARED_QUEUE_DEPTH_MAX`]).
-pub static PINNED_QUEUE_DEPTH_MAX: Gauge = Gauge::new(
-    "exec_pinned_queue_depth_max",
-    "Deepest pinned shard-cell queue over the sampler's recent window",
-    Unit::Count,
-);
-
-/// Dead pinned workers respawned by pool supervision. Nonzero only
-/// under injected faults or a worker-loop bug; alert-worthy either way.
-pub static PINNED_WORKER_RESTARTS: Counter = Counter::new(
-    "exec_worker_restarts",
-    "Dead pinned shard workers respawned and re-pinned by pool supervision",
-);
-
-/// Turns racy queue-depth peeks into max-over-window gauges.
-///
-/// Owned by whatever drives the process's housekeeping cadence (the
-/// serving daemon's tick): each [`sample`](QueueDepthSampler::sample)
-/// call peeks the current depths, rolls them into per-source
-/// [`MaxWindow`]s, and publishes the rolling maxima to
-/// [`SHARED_QUEUE_DEPTH_MAX`] / [`PINNED_QUEUE_DEPTH_MAX`].
-#[derive(Debug)]
-pub struct QueueDepthSampler {
-    shared: MaxWindow,
-    pinned: MaxWindow,
-}
-
-impl QueueDepthSampler {
-    /// A sampler whose gauges report the max over the last `window`
-    /// samples (clamped ≥ 1). Registers the exec metrics so the gauges
-    /// are visible even if no pool was constructed yet.
-    pub fn new(window: usize) -> Self {
-        register();
-        QueueDepthSampler { shared: MaxWindow::new(window), pinned: MaxWindow::new(window) }
-    }
-
-    /// Record one observation: the deepest shared-pool inbox and the
-    /// deepest pinned cell queue (pass the current `queue_depths()`
-    /// snapshots). Publishes the updated window maxima to the gauges.
-    pub fn sample(&mut self, shared_depths: &[usize], pinned_depths: &[usize]) {
-        let shared = shared_depths.iter().copied().max().unwrap_or(0) as u64;
-        let pinned = pinned_depths.iter().copied().max().unwrap_or(0) as u64;
-        SHARED_QUEUE_DEPTH_MAX.set(self.shared.record(shared) as f64);
-        PINNED_QUEUE_DEPTH_MAX.set(self.pinned.record(pinned) as f64);
-    }
-}
 
 /// Every counter the runtime exports, in registration order.
 ///
@@ -152,12 +75,6 @@ pub fn registry() -> Vec<&'static Counter> {
         &TASKS_OVERFLOW,
         &WORKER_PARKS,
         &WORKER_UNPARKS,
-        &PINNED_SCATTERS,
-        &PINNED_ENQUEUED,
-        &PINNED_SERVED_WORKER,
-        &PINNED_SERVED_INLINE,
-        &PINNED_PARKS,
-        &PINNED_UNPARKS,
         &crate::executor::GLOBAL_CONFIGS,
     ]
 }
@@ -170,13 +87,10 @@ pub fn register() {
     ONCE.call_once(|| {
         let mut metrics: Vec<&'static dyn Metric> =
             registry().into_iter().map(|c| c as &'static dyn Metric).collect();
-        // The sampled queue-depth gauges and the supervision counter
-        // join the obs registry but NOT `registry()` — that list's
-        // names/order are pinned byte-stable to PR 6 for counter-delta
-        // consumers.
+        // The sampled queue-depth gauge joins the obs registry but NOT
+        // `registry()` — that list's names/order are pinned byte-stable to
+        // PR 6 for counter-delta consumers.
         metrics.push(&SHARED_QUEUE_DEPTH_MAX as &'static dyn Metric);
-        metrics.push(&PINNED_QUEUE_DEPTH_MAX as &'static dyn Metric);
-        metrics.push(&PINNED_WORKER_RESTARTS as &'static dyn Metric);
         imm_obs::register(&metrics);
     });
 }
@@ -229,9 +143,10 @@ mod tests {
 
     #[test]
     fn exec_metric_names_are_byte_stable_since_pr6() {
-        // The exact 14 names PR 6 shipped. External consumers (BENCH_*.json
-        // diffs, dashboards) key on these strings; renaming any of them is
-        // a breaking change that must be made deliberately, not by accident.
+        // The names PR 6 shipped, less the six `exec_pinned_*` that went
+        // with the pinned pool. External consumers (BENCH_*.json diffs,
+        // dashboards) key on these strings; renaming any of them is a
+        // breaking change that must be made deliberately, not by accident.
         let expected = [
             "exec_scopes",
             "exec_tasks_spawned",
@@ -240,12 +155,6 @@ mod tests {
             "exec_tasks_overflow",
             "exec_worker_parks",
             "exec_worker_unparks",
-            "exec_pinned_scatters",
-            "exec_pinned_enqueued",
-            "exec_pinned_served_worker",
-            "exec_pinned_served_inline",
-            "exec_pinned_parks",
-            "exec_pinned_unparks",
             "exec_global_configs",
         ];
         let names: Vec<&str> = registry().iter().map(|c| c.name()).collect();

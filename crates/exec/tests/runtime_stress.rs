@@ -5,40 +5,10 @@
 //! tests hammer the same guarantees across repeated cycles and through
 //! the public API only, the way the engines use it.
 
-use imm_exec::{Executor, Pinned, PinnedPool, WakeMode};
+use imm_exec::Executor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// A trivial pinned cell: counts requests, panics on demand.
-struct Tally {
-    served: usize,
-}
-
-enum Req {
-    Add(usize),
-    Boom,
-}
-
-impl Pinned for Tally {
-    type Request = Req;
-    type Response = usize;
-
-    fn serve(&mut self, request: Req) -> usize {
-        match request {
-            Req::Add(n) => {
-                self.served += n;
-                self.served
-            }
-            Req::Boom => panic!("tally boom"),
-        }
-    }
-}
-
-fn tally_pool(cells: usize, threads: usize, mode: WakeMode) -> PinnedPool<Tally> {
-    PinnedPool::with_wake_mode((0..cells).map(|_| Tally { served: 0 }).collect(), threads, mode)
-}
 
 // ---------------------------------------------------------------------
 // Panic propagation without poisoning
@@ -72,25 +42,6 @@ fn executor_survives_repeated_task_panics() {
     }
 }
 
-#[test]
-fn pinned_pool_survives_repeated_serve_panics() {
-    for &mode in &[WakeMode::Never, WakeMode::Always] {
-        let pool = tally_pool(3, 4, mode);
-        for round in 0..25 {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                pool.scatter(vec![(0, Req::Add(1)), (1, Req::Boom), (2, Req::Add(1))])
-            }));
-            assert!(result.is_err(), "round {round}: the serve panic reaches the caller");
-            // Neither the panicking cell nor its siblings are poisoned.
-            let responses =
-                pool.scatter(vec![(0, Req::Add(0)), (1, Req::Add(1)), (2, Req::Add(0))]);
-            assert_eq!(responses[0], round + 1, "cell 0 kept its pre-panic state");
-            assert_eq!(responses[1], round + 1, "the panicking cell still serves");
-            assert_eq!(responses[2], round + 1);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Shutdown under churn (drop right after heavy traffic)
 // ---------------------------------------------------------------------
@@ -113,29 +64,6 @@ fn executor_drops_cleanly_right_after_a_burst() {
         drop(pool);
     }
     assert_eq!(completed.load(Ordering::Relaxed), 20 * 64);
-}
-
-#[test]
-fn pinned_pool_drops_cleanly_right_after_slow_serves() {
-    for _ in 0..10 {
-        let pool = PinnedPool::with_wake_mode(
-            (0..4).map(|_| Slow).collect::<Vec<_>>(),
-            4,
-            WakeMode::Always,
-        );
-        let responses = pool.scatter((0..4).map(|c| (c, ())));
-        assert_eq!(responses.len(), 4);
-        drop(pool); // workers may still be between serving and parking
-    }
-
-    struct Slow;
-    impl Pinned for Slow {
-        type Request = ();
-        type Response = ();
-        fn serve(&mut self, (): ()) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -198,28 +126,4 @@ fn one_thread_pool_is_a_pure_inline_executor() {
         ran_on.push(std::thread::current().id());
     });
     assert_eq!(ran_on, vec![main_id]);
-}
-
-#[test]
-fn many_more_cells_than_workers_still_gather_everything() {
-    // 16 cells, 2 threads => 1 worker owning every cell; the scattering
-    // thread help-drains, so the round completes regardless of the split.
-    let pool = tally_pool(16, 2, WakeMode::Always);
-    assert!(pool.num_workers() >= 1);
-    for round in 1..=10usize {
-        let responses = pool.scatter((0..16).map(|c| (c, Req::Add(c))));
-        assert_eq!(responses.len(), 16);
-        for (c, &r) in responses.iter().enumerate() {
-            assert_eq!(r, c * round, "cell {c} accumulated its own requests only");
-        }
-    }
-}
-
-#[test]
-fn single_cell_pool_serializes_all_requests() {
-    let pool = tally_pool(1, 8, WakeMode::Always);
-    let responses = pool.scatter((0..100).map(|_| (0, Req::Add(1))));
-    // In-order serving over one cell: responses are the running tally.
-    assert_eq!(responses, (1..=100).collect::<Vec<_>>());
-    assert_eq!(pool.with_cell(0, |t| t.served), 100);
 }

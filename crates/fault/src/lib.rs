@@ -3,11 +3,11 @@
 //! Deterministic, seeded fault injection for the serving stack.
 //!
 //! A [`FaultPlan`] is installed process-globally and consulted from
-//! *sites* — named points in the daemon's socket IO, the snapshot
-//! writer, and the pinned worker loop. Every decision is a pure
-//! function of `(seed, site, per-site call index)`, so the same seed
-//! replayed against the same call sequence injects the same schedule:
-//! chaos failures reproduce instead of flaking.
+//! *sites* — named points in the daemon's socket IO and the snapshot
+//! writer. Every decision is a pure function of `(seed, site, per-site
+//! call index)`, so the same seed replayed against the same call
+//! sequence injects the same schedule: chaos failures reproduce instead
+//! of flaking.
 //!
 //! The hook families:
 //!
@@ -21,9 +21,6 @@
 //!   until the plan is cleared — simulating a process kill so recovery
 //!   can be proven at every interruption offset.
 //! * [`fsync_fault`] — injected `sync_all` failures.
-//! * [`worker_panic_point`] — panics a pinned shard worker outside its
-//!   request-level `catch_unwind`, killing the thread so pool
-//!   supervision can be exercised.
 //! * [`fail_point`] — generic structured failure (e.g. aborting a
 //!   delta rollout mid-rebuild); `fail_first = n` fails the first `n`
 //!   calls at each such site, so "retry succeeds" is deterministic.
@@ -62,8 +59,6 @@ pub struct FaultConfig {
     pub stall: Duration,
     /// Probability `sync_all` at an [`fsync_fault`] site fails.
     pub fsync_error: f64,
-    /// Probability a [`worker_panic_point`] visit panics the worker.
-    pub worker_panic: f64,
     /// Fail the first `n` calls at each [`fail_point`] site.
     pub fail_first: u64,
     /// Abort the plan-global k-th [`write_point`] and stay dead after.
@@ -85,7 +80,6 @@ impl Default for FaultConfig {
             io_stall: 0.0,
             stall: Duration::from_millis(2),
             fsync_error: 0.0,
-            worker_panic: 0.0,
             fail_first: 0,
             kill_at_write_point: None,
             snapshot_stall: Duration::ZERO,
@@ -104,9 +98,9 @@ impl FaultConfig {
     /// environment format).
     ///
     /// Keys: `seed`, `io_error`, `io_partial`, `io_stall`, `stall_ms`,
-    /// `fsync_error`, `worker_panic`, `fail_first`, `kill_at`,
-    /// `snapshot_stall_ms`, `max_faults`. Unknown keys are errors so
-    /// typos cannot silently disable a chaos run.
+    /// `fsync_error`, `fail_first`, `kill_at`, `snapshot_stall_ms`,
+    /// `max_faults`. Unknown keys are errors so typos cannot silently
+    /// disable a chaos run.
     pub fn from_spec(spec: &str) -> Result<Self, String> {
         let mut config = FaultConfig::default();
         for part in spec.split(',') {
@@ -127,7 +121,6 @@ impl FaultConfig {
                     config.stall = Duration::from_millis(value.parse().map_err(|e| bad(&e))?)
                 }
                 "fsync_error" => config.fsync_error = parse_rate(key, value)?,
-                "worker_panic" => config.worker_panic = parse_rate(key, value)?,
                 "fail_first" => config.fail_first = value.parse().map_err(|e| bad(&e))?,
                 "kill_at" => config.kill_at_write_point = Some(value.parse().map_err(|e| bad(&e))?),
                 "snapshot_stall_ms" => {
@@ -164,8 +157,6 @@ pub enum FaultKind {
     FsyncError,
     /// A write point triggered the plan's kill.
     Kill,
-    /// A pinned worker was panicked.
-    WorkerPanic,
     /// A [`fail_point`] returned an error.
     Fail,
 }
@@ -495,22 +486,6 @@ pub fn fsync_fault(site: &'static str) -> io::Result<()> {
     Ok(())
 }
 
-/// Panic the calling thread if the plan schedules it. Placed in the
-/// pinned worker loop *outside* the request-level `catch_unwind`, so
-/// an injected panic kills the worker thread the way a real
-/// worker-loop bug would.
-pub fn worker_panic_point(site: &'static str) {
-    let Some(plan) = active() else { return };
-    let seq = plan.next_seq(site);
-    if plan.killed() {
-        return;
-    }
-    if plan.roll(site, seq, 0x40) < plan.config.worker_panic && plan.spend() {
-        plan.record(site, seq, FaultKind::WorkerPanic);
-        panic!("injected fault: worker panic at {site}[{seq}]");
-    }
-}
-
 /// Generic structured failure: the first
 /// [`fail_first`](FaultConfig::fail_first) calls at each such site
 /// fail, later ones succeed — "retry succeeds" is deterministic.
@@ -618,13 +593,15 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_no_ops() {
+        // Under the lock `with_plan` holds: an unlocked `clear()` would pull
+        // the plan out from under a sibling test mid-run.
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         assert!(!enabled());
         assert_eq!(io_fault("t.io", IoOp::Read, 64), IoFault::None);
         assert!(write_point("t.wp").is_ok());
         assert!(fsync_fault("t.fsync").is_ok());
         assert!(fail_point("t.fail").is_ok());
-        worker_panic_point("t.panic");
         assert!(active().is_none());
     }
 
@@ -723,7 +700,7 @@ mod tests {
     fn spec_round_trips_and_rejects_garbage() {
         let config = FaultConfig::from_spec(
             "seed=42, io_error=0.25, io_partial=0.5, stall_ms=7, fsync_error=1, \
-             worker_panic=0.125, fail_first=3, kill_at=9, snapshot_stall_ms=40, max_faults=64",
+             fail_first=3, kill_at=9, snapshot_stall_ms=40, max_faults=64",
         )
         .expect("valid spec");
         assert_eq!(config.seed, 42);
@@ -741,6 +718,7 @@ mod tests {
 
     #[test]
     fn faulty_io_round_trips_when_quiet() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         clear();
         let mut buf = Vec::new();
         {

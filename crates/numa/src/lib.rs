@@ -25,18 +25,15 @@
 //! the instrumented sampling kernel once with [`PlacementPolicy::SingleNode`]
 //! and once with [`PlacementPolicy::ThreadLocal`] placements and comparing
 //! the modelled bitmap-access cost share.
+//!
+//! The model's one *hardware-facing* edge is [`Topology::detect`], which
+//! probes the real machine's node count through sysfs. Nothing in the
+//! workspace binds threads or pages to a node.
 
-//! Since the mmap store PR the model also has a *hardware-facing* edge:
-//! [`Topology::detect`] probes the real machine's node count through
-//! sysfs, [`pin_current_thread`] binds shard workers to their placed
-//! cores via `sched_setaffinity`, and the [`metrics`] module exports the
-//! `numa_*` placement counters the sharded runtime feeds.
-
-pub mod metrics;
 pub mod placement;
 pub mod topology;
 pub mod tracker;
 
 pub use placement::{NumaRegion, PlacementPolicy, PAGE_BYTES};
-pub use topology::{pin_current_thread, Topology};
+pub use topology::Topology;
 pub use tracker::{AccessKind, AccessStats, AccessTracker, CostModel};

@@ -74,9 +74,7 @@ impl Topology {
     /// among them (the kernel's contiguous core→node numbering for the
     /// machines this reproduction targets). Anywhere the sysfs probe is
     /// unavailable — non-Linux targets, containers that mask sysfs — the
-    /// result degrades to a single-node [`Topology::uma`] machine, which
-    /// downstream placement treats as "skip placement, count the
-    /// fallback".
+    /// result degrades to a single-node [`Topology::uma`] machine.
     pub fn detect() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let nodes = detect_node_count().max(1).min(cores);
@@ -115,37 +113,6 @@ fn detect_node_count() -> usize {
 #[cfg(not(target_os = "linux"))]
 fn detect_node_count() -> usize {
     1
-}
-
-/// Pin the calling thread to `core`, returning whether the kernel
-/// accepted the affinity mask.
-///
-/// Uses `sched_setaffinity(0, …)` directly (pid 0 = the calling thread)
-/// so the placement layer needs no external dependency. On non-Linux
-/// targets, or for cores beyond the mask width, this is a no-op returning
-/// `false` — placement is advisory and the caller only counts outcomes.
-pub fn pin_current_thread(core: usize) -> bool {
-    pin_impl(core)
-}
-
-#[cfg(target_os = "linux")]
-fn pin_impl(core: usize) -> bool {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16]; // room for 1024 CPUs
-    if core >= mask.len() * 64 {
-        return false;
-    }
-    mask[core / 64] = 1u64 << (core % 64);
-    // SAFETY: pid 0 addresses the calling thread; the mask pointer and
-    // its byte length describe a live, properly sized local buffer.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_impl(_core: usize) -> bool {
-    false
 }
 
 #[cfg(test)]
@@ -224,15 +191,5 @@ mod tests {
         assert!(t.cores_per_node() >= 1);
         // Nodes never outnumber cores: detect() clamps.
         assert!(t.num_nodes() <= t.num_cores());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn pinning_to_core_zero_succeeds_and_out_of_mask_fails() {
-        // Core 0 always exists; the pin is advisory for the test
-        // process, so restore a wide mask afterwards by pinning to every
-        // core is unnecessary — the thread dies with the test.
-        assert!(pin_current_thread(0));
-        assert!(!pin_current_thread(16 * 64), "beyond the mask width must refuse");
     }
 }

@@ -19,8 +19,8 @@
 //! * [`ClientError::TimedOut`] — the configured request timeout expired
 //!   with no reply. Same retry caveat.
 //! * [`ClientError::Server`] — the daemon answered with a structured
-//!   error; [`ServeError::Degraded`] and [`ServeError::QueueFull`] are
-//!   explicitly retryable, the rest are not.
+//!   error; [`ServeError::QueueFull`] is explicitly retryable and an
+//!   [`ServeError::IdleTimeout`] heals on reconnect, the rest are not.
 //!
 //! [`RetryClient`] encodes that policy: capped exponential backoff with
 //! deterministic jitter, a lifetime retry budget, reconnection on lost
@@ -314,11 +314,10 @@ impl Default for RetryPolicy {
 /// Is this failure worth a retry *for an idempotent request*?
 ///
 /// Lost connections and timeouts leave the request's fate unknown;
-/// [`ServeError::Degraded`] and [`ServeError::QueueFull`] are the
-/// daemon explicitly saying "retry me"; [`ServeError::IdleTimeout`] is
-/// a structured close that a reconnect heals. Everything else (protocol
-/// garbage, admission rejections, bad requests) retries the same way it
-/// failed, so it is not retried.
+/// [`ServeError::QueueFull`] is the daemon explicitly saying "retry me";
+/// [`ServeError::IdleTimeout`] is a structured close that a reconnect
+/// heals. Everything else (protocol garbage, admission rejections, bad
+/// requests) retries the same way it failed, so it is not retried.
 fn retryable(error: &ClientError) -> bool {
     matches!(
         error,
@@ -326,7 +325,6 @@ fn retryable(error: &ClientError) -> bool {
             | ClientError::ConnectionLost { .. }
             | ClientError::TimedOut { .. }
             | ClientError::Closed
-            | ClientError::Server(ServeError::Degraded { .. })
             | ClientError::Server(ServeError::QueueFull { .. })
             | ClientError::Server(ServeError::IdleTimeout { .. })
     )

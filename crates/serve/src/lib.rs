@@ -3,16 +3,14 @@
 //! Out-of-process serving: a long-running shard-server daemon speaking a
 //! small length-prefixed binary protocol over unix or TCP sockets.
 //!
-//! `imm-shard` serves scatter/gather queries inside one process;
-//! this crate is the step across the process boundary. One server
-//! process serves an [`imm_shard::ShardedIndex`] through an
-//! [`imm_shard::ShardedEngine`] — the query engine over the base index,
-//! with the PR 6 pinned worker pool next to it where the thread budget
-//! gives it workers — behind a coordinator loop that accepts connections,
-//! decodes framed requests, and hands them to the engine — the
-//! control-plane/data-plane split of a dataplane daemon (`ctl.rs` vs
-//! `io.rs`), with the RPC surface as the control plane and the engine
-//! (and its pinned shard workers, if any) as the data plane.
+//! `imm-shard` serves queries inside one process; this crate is the
+//! step across the process boundary. One server process serves an
+//! [`imm_shard::ShardedIndex`] through an [`imm_shard::ShardedEngine`]
+//! — the query engine over the base index — behind a coordinator loop
+//! that accepts connections, decodes framed requests, and hands them to
+//! the engine — the control-plane/data-plane split of a dataplane daemon
+//! (`ctl.rs` vs `io.rs`), with the RPC surface as the control plane and
+//! the engine as the data plane.
 //!
 //! * [`protocol`] — the wire format: magic + version + `u32`
 //!   length-prefixed frames, a defensive decoder (a hostile length

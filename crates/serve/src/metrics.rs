@@ -3,9 +3,9 @@
 //!
 //! Counters follow the exec/shard idiom (static, relaxed adds, zero
 //! cost under `obs-off`). [`INFLIGHT_PEAK`] is a sampled gauge in the
-//! `QueueDepthSampler` style: the housekeeping tick peeks the racy
-//! in-flight count and publishes the max over its recent window —
-//! never the raw instantaneous read.
+//! `exec_shared_queue_depth_max` style: the housekeeping tick peeks the
+//! racy in-flight count and publishes the max over its recent window
+//! (`imm_obs::MaxWindow`) — never the raw instantaneous read.
 
 use std::sync::Once;
 
@@ -69,7 +69,7 @@ pub static CONN_TIMEOUTS: Counter = Counter::new(
 );
 
 /// Retries issued by the retrying client (reconnects and re-sends of
-/// idempotent requests after timeouts, lost connections, or degraded
+/// idempotent requests after timeouts, lost connections, or queue-full
 /// answers). Client-side, but registered here so one process's registry
 /// tells the whole fault-handling story.
 pub static RETRIES: Counter = Counter::new(

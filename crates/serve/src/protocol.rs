@@ -544,14 +544,6 @@ pub enum ServeError {
         /// How long the connection had been idle.
         idle_ms: u64,
     },
-    /// The request hit degraded serving machinery (a shard worker died
-    /// mid-scatter). The pool respawns dead workers and the engine
-    /// rebuilds dirty sessions on the next request, so an immediate
-    /// retry of an idempotent request is safe and expected.
-    Degraded {
-        /// Human-readable cause.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -569,9 +561,6 @@ impl fmt::Display for ServeError {
             ServeError::IdleTimeout { idle_ms } => {
                 write!(f, "connection idle for {idle_ms} ms; the server is closing it")
             }
-            ServeError::Degraded { detail } => {
-                write!(f, "degraded serving (safe to retry): {detail}")
-            }
         }
     }
 }
@@ -587,7 +576,8 @@ pub struct ServerInfo {
     pub nodes: u64,
     /// Shard count.
     pub shards: u32,
-    /// Pinned worker threads serving the shards.
+    /// Always 0 — the pinned shard workers it counted are gone; the field
+    /// stays for the wire layout (and the frozen spine reads it).
     pub workers: u32,
     /// Completed `apply_delta` rollouts since startup.
     pub rollouts: u64,
@@ -680,7 +670,7 @@ const ERR_NOT_DYNAMIC: u8 = 0x01;
 const ERR_DELTA: u8 = 0x02;
 const ERR_BAD_REQUEST: u8 = 0x03;
 const ERR_IDLE_TIMEOUT: u8 = 0x04;
-const ERR_DEGRADED: u8 = 0x05;
+// 0x05 was ERR_DEGRADED (retired with the scatter pool); do not reuse it.
 
 const REJ_OVER_BUDGET: u8 = 0x00;
 const REJ_INVALID_VERTEX: u8 = 0x01;
@@ -790,10 +780,6 @@ fn put_serve_error(out: &mut Vec<u8>, error: &ServeError) {
             put_u8(out, ERR_IDLE_TIMEOUT);
             put_u64(out, *idle_ms);
         }
-        ServeError::Degraded { detail } => {
-            put_u8(out, ERR_DEGRADED);
-            put_str(out, detail);
-        }
     }
 }
 
@@ -805,7 +791,6 @@ fn get_serve_error(r: &mut Reader<'_>) -> Result<ServeError, ProtocolError> {
         ERR_DELTA => Ok(ServeError::Delta { detail: r.str(CTX)? }),
         ERR_BAD_REQUEST => Ok(ServeError::BadRequest { detail: r.str(CTX)? }),
         ERR_IDLE_TIMEOUT => Ok(ServeError::IdleTimeout { idle_ms: r.u64(CTX)? }),
-        ERR_DEGRADED => Ok(ServeError::Degraded { detail: r.str(CTX)? }),
         tag => Err(ProtocolError::UnknownTag { context: CTX, tag }),
     }
 }
@@ -989,9 +974,6 @@ mod tests {
             Response::Error(ServeError::Delta { detail: "row 3: bad weight".into() }),
             Response::Error(ServeError::BadRequest { detail: "empty".into() }),
             Response::Error(ServeError::IdleTimeout { idle_ms: 30_000 }),
-            Response::Error(ServeError::Degraded {
-                detail: "2 scattered request(s) lost to a dead pinned worker".into(),
-            }),
         ];
         for response in responses {
             let decoded = decode_response(&encode_response(&response)).expect("round trip");

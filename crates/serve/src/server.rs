@@ -1,15 +1,14 @@
 //! The shard-server daemon.
 //!
 //! One process serves a [`ShardedIndex`] through a [`ShardedEngine`] (a
-//! query engine over the base index, plus a pinned worker pool where the
-//! thread budget gives it workers) behind a coordinator loop:
+//! query engine over the base index) behind a coordinator loop:
 //!
 //! * The **accept loop** (one thread) listens on a unix or TCP socket,
 //!   spawns one thread per connection, and doubles as the daemon's
 //!   **housekeeping tick**: on a fixed cadence it peeks the racy queue
-//!   depths (shared pool, pinned shard cells, in-flight requests) and
-//!   publishes their max-over-window into gauges — the sampled
-//!   replacement for reporting a point-in-time read as a metric.
+//!   depths (shared pool, in-flight requests) and publishes their
+//!   max-over-window into gauges — the sampled replacement for reporting
+//!   a point-in-time read as a metric.
 //! * Each **connection thread** runs a strict request/response loop
 //!   over length-prefixed frames. A protocol error (bad magic,
 //!   oversized or truncated frame, garbage payload) earns a structured
@@ -39,7 +38,6 @@ use crate::protocol::{
     self, DeltaOutcome, FrameRead, Rejection, Request, Response, ServeError, ServerInfo,
     DEFAULT_MAX_FRAME_LEN,
 };
-use imm_exec::QueueDepthSampler;
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_obs::MaxWindow;
 use imm_service::snapshot::DeltaJournal;
@@ -199,9 +197,7 @@ impl Listener {
 pub struct ServerConfig {
     /// Where to listen.
     pub listen: Listen,
-    /// Serving parallelism: pinned shard workers come out of this count
-    /// (see [`ShardedEngine::with_options`]), and batch requests fan
-    /// across it.
+    /// Serving parallelism: batch requests fan across it.
     pub threads: usize,
     /// Response-cache capacity per engine generation (0 disables).
     pub cache_capacity: usize,
@@ -380,7 +376,7 @@ impl Server {
                         theta: index.num_sets() as u64,
                         nodes: index.num_nodes() as u64,
                         shards: index.num_shards() as u32,
-                        workers: state.engine.num_workers() as u32,
+                        workers: 0,
                         rollouts: self.rollouts.load(Ordering::Acquire),
                         postings_row_vertices: postings.row_vertices as u64,
                         postings_row_bytes: postings.row_bytes as u64,
@@ -441,14 +437,7 @@ impl Server {
             }
         }
         smetrics::QUERIES.add(admitted.len() as u64);
-        let executed = match self.execute_with_deadline(&state, &admitted) {
-            Ok(executed) => executed,
-            // A shard worker died mid-scatter: the pool respawns it and
-            // the engine rebuilds its session on the next request, so the
-            // whole batch degrades to one structured retryable error.
-            Err(e) => return Response::Error(ServeError::Degraded { detail: e.to_string() }),
-        };
-        let mut responses = executed.into_iter();
+        let mut responses = self.execute_with_deadline(&state, &admitted).into_iter();
         let mut filled = Vec::with_capacity(outcomes.len());
         for slot in outcomes {
             match slot {
@@ -481,13 +470,12 @@ impl Server {
         &self,
         state: &EngineState,
         admitted: &[imm_service::Query],
-    ) -> Result<Vec<Result<QueryResponse, Rejection>>, imm_shard::ScatterError> {
+    ) -> Vec<Result<QueryResponse, Rejection>> {
         let mut answers = Vec::with_capacity(admitted.len());
         match self.batch_deadline {
             None => {
-                answers.extend(
-                    state.engine.try_execute_batch(admitted, self.threads)?.into_iter().map(Ok),
-                );
+                answers
+                    .extend(state.engine.execute_batch(admitted, self.threads).into_iter().map(Ok));
             }
             Some(limit) => {
                 let started = Instant::now();
@@ -506,21 +494,20 @@ impl Server {
                         break;
                     }
                     let end = (next + chunk).min(admitted.len());
-                    let executed =
-                        state.engine.try_execute_batch(&admitted[next..end], self.threads)?;
+                    let executed = state.engine.execute_batch(&admitted[next..end], self.threads);
                     answers.extend(executed.into_iter().map(Ok));
                     next = end;
                 }
             }
         }
-        Ok(answers)
+        answers
     }
 
     /// Parse and apply a delta through a graceful rollout: rebuild the
     /// replacement index off to the side (the live one is untouched),
-    /// stand up a fresh engine over it, swap one `Arc`. In-flight batches finish on the generation they started
-    /// on; the old engine (and its pinned pool) tears down when the
-    /// last of them drops it.
+    /// stand up a fresh engine over it, swap one `Arc`. In-flight batches
+    /// finish on the generation they started on; the old engine tears down
+    /// when the last of them drops it.
     fn roll_delta(&self, text: &str) -> Response {
         let delta = match GraphDelta::parse_text(text) {
             Ok(delta) => delta,
@@ -578,17 +565,16 @@ impl Server {
 
     /// One housekeeping observation: roll the racy depth peeks into the
     /// max-over-window gauges.
-    fn sample(&self, depths: &mut QueueDepthSampler, inflight: &mut MaxWindow) {
-        let shared = imm_exec::global().queue_depths();
-        let pinned = self.current().engine.queue_depths();
-        depths.sample(&shared, &pinned);
+    fn sample(&self, shared_depth: &mut MaxWindow, inflight: &mut MaxWindow) {
+        let deepest = imm_exec::global().queue_depths().into_iter().max().unwrap_or(0);
+        imm_exec::metrics::SHARED_QUEUE_DEPTH_MAX.set(shared_depth.record(deepest as u64) as f64);
         smetrics::INFLIGHT_PEAK.set(inflight.record(self.admission.inflight() as u64) as f64);
     }
 }
 
 fn accept_loop(server: Arc<Server>, listener: Listener, address: Listen) {
     let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
-    let mut depth_sampler = QueueDepthSampler::new(server.sample_window);
+    let mut depth_window = MaxWindow::new(server.sample_window);
     let mut inflight_window = MaxWindow::new(server.sample_window);
     let mut last_tick = Instant::now();
     let poll = server.tick.min(Duration::from_millis(10)).max(Duration::from_millis(1));
@@ -614,7 +600,7 @@ fn accept_loop(server: Arc<Server>, listener: Listener, address: Listen) {
             }
         }
         if last_tick.elapsed() >= server.tick {
-            server.sample(&mut depth_sampler, &mut inflight_window);
+            server.sample(&mut depth_window, &mut inflight_window);
             last_tick = Instant::now();
             connections.retain(|c| !c.is_finished());
         }

@@ -164,6 +164,25 @@ fn unknown_opcodes_are_structured_errors() {
     assert!(matches!(decode_response(&[]), Err(ProtocolError::Truncated { .. })));
 }
 
+/// 0x05 was `ERR_DEGRADED` until the scatter pool went. A frame still
+/// carrying it (an older daemon's) decodes like any error code the client
+/// never knew — a structured error, no panic.
+#[test]
+fn the_retired_degraded_error_code_decodes_as_an_unknown_tag() {
+    // OP_ERROR, the retired code, and the detail string it used to carry.
+    let mut retired = vec![0xEEu8, 0x05];
+    retired.extend_from_slice(&4u32.to_le_bytes());
+    retired.extend_from_slice(b"lost");
+    let never_assigned = [0xEEu8, 0x7F];
+    match (decode_response(&retired), decode_response(&never_assigned)) {
+        (
+            Err(ProtocolError::UnknownTag { context: retired, tag: 0x05 }),
+            Err(ProtocolError::UnknownTag { context: unknown, tag: 0x7F }),
+        ) => assert_eq!(retired, unknown),
+        other => panic!("expected two UnknownTag errors, got {other:?}"),
+    }
+}
+
 /// A garbage element count can never drive an allocation past the frame
 /// it arrived in: a batch claiming 4 billion queries inside a 20-byte
 /// payload is malformed, instantly.

@@ -8,14 +8,11 @@
 //! resampled, ever. The served seeds stay byte-identical to a fresh
 //! `run_imm`/`select_seeds` pass over the same collection.
 //!
-//! Spread and Marginal are one marking walk, [`mark_and_count`], over the
+//! Spread and Marginal are one marking walk, `mark_and_count`, over the
 //! index's postings on a pooled scratch.
 //!
-//! The engine is also the whole of `imm-shard`'s `ShardedEngine` but for one
-//! number: an engine with pinned shard workers tallies a Spread or Marginal
-//! by scattering the same walk over per-range postings. The `try_*_with`
-//! entry points take that tally as a fallible closure and run everything
-//! else — sessions, response cache, metrics, batch fan-out — here, once.
+//! The engine is also the whole of `imm-shard`'s `ShardedEngine`, which is
+//! this engine over the base index of a shard map.
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::dynamic::{DynamicError, RefreshStats};
@@ -25,29 +22,27 @@ use crate::query::{Query, QueryKey, QueryResponse};
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId, Postings};
 use parking_lot::Mutex;
-use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Default response-cache capacity of a new engine.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Memoize one query through a response cache: consult it under the query's
-/// normalized key, compute on a miss, insert, return. A failed compute is
-/// returned as is and caches nothing. The one place query metrics are
-/// recorded: hit/miss counters, the queries/sec meter, and the
+/// normalized key, compute on a miss, insert, return. The one place query
+/// metrics are recorded: hit/miss counters, the queries/sec meter, and the
 /// per-query-type latency histogram around the miss-path compute (hits
 /// return in nanoseconds and would drown the percentiles, so they are
 /// counted, not timed).
-fn serve_cached<E>(
+fn serve_cached(
     cache: &QueryCache,
     query: &Query,
-    compute: impl FnOnce() -> Result<QueryResponse, E>,
-) -> Result<QueryResponse, E> {
+    compute: impl FnOnce() -> QueryResponse,
+) -> QueryResponse {
     crate::metrics::QUERY_RATE.mark();
     let key = QueryKey::from_query(query);
     if let Some(hit) = cache.get(&key) {
         crate::metrics::CACHE_HITS.increment();
-        return Ok(hit);
+        return hit;
     }
     crate::metrics::CACHE_MISSES.increment();
     let latency = match query {
@@ -55,25 +50,24 @@ fn serve_cached<E>(
         Query::Spread { .. } => &crate::metrics::SPREAD_LATENCY,
         Query::Marginal { .. } => &crate::metrics::MARGINAL_LATENCY,
     };
-    let response = latency.time(compute)?;
+    let response = latency.time(compute);
     cache.insert(key, response.clone());
-    Ok(response)
+    response
 }
 
 /// Fan a batch of queries across `threads` workers, preserving input order
-/// in the returned answers.
-fn serve_batch<T: Send>(
+/// in the returned responses.
+fn serve_batch(
     queries: &[Query],
     threads: usize,
-    serve: impl Fn(&Query) -> T + Sync,
-) -> Vec<T> {
+    serve: impl Fn(&Query) -> QueryResponse + Sync,
+) -> Vec<QueryResponse> {
     if queries.is_empty() {
         return Vec::new();
     }
     let threads = threads.max(1).min(queries.len());
     let chunk = queries.len().div_ceil(threads);
-    let mut responses: Vec<Option<T>> = Vec::new();
-    responses.resize_with(queries.len(), || None);
+    let mut responses: Vec<Option<QueryResponse>> = vec![None; queries.len()];
     rayon::scope(|s| {
         for (q_chunk, r_chunk) in queries.chunks(chunk).zip(responses.chunks_mut(chunk)) {
             let serve = &serve;
@@ -87,19 +81,18 @@ fn serve_batch<T: Send>(
     responses.into_iter().map(|r| r.expect("every slot is filled by its worker")).collect()
 }
 
-/// The marking walk behind every Spread and Marginal — over the index's
-/// postings here, over one set range's in a pinned shard cell: OR the
-/// postings of `seeds` into `marks` — one bit per set of `postings`'
-/// range, **all zero on entry and again on return** — and count. With no
-/// `candidate` the count is the sets the seeds cover (Spread); with one, the
-/// sets containing it that the seeds leave uncovered (Marginal). Vertices
-/// outside the vertex space cover nothing.
+/// The marking walk behind every Spread and Marginal: OR the postings of
+/// `seeds` into `marks` — one bit per set of `postings`' range, **all zero
+/// on entry and again on return** — and count. With no `candidate` the count
+/// is the sets the seeds cover (Spread); with one, the sets containing it
+/// that the seeds leave uncovered (Marginal). Vertices outside the vertex
+/// space cover nothing.
 ///
 /// The scratch is restored by whichever touches less: zeroing the words the
 /// seeds' lists reach (sparse sets: a few entries against a range-sized word
 /// array) or one fill. A row seed alone has more sets than the scratch has
 /// words, so any row means the fill.
-pub fn mark_and_count(
+fn mark_and_count(
     postings: &Postings,
     seeds: &[NodeId],
     candidate: Option<NodeId>,
@@ -182,10 +175,10 @@ impl QueryEngine {
         vec![0; words]
     }
 
-    /// The engine's own Spread/Marginal tally: one marking walk
-    /// ([`mark_and_count`]) over the index's postings on a pooled scratch,
-    /// which the walk hands back all-zero.
-    pub fn count_marked(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
+    /// The Spread/Marginal tally: one marking walk ([`mark_and_count`]) over
+    /// the index's postings on a pooled scratch, which the walk hands back
+    /// all-zero.
+    fn count_marked(&self, seeds: &[NodeId], candidate: Option<NodeId>) -> usize {
         let mut marks = self.acquire_scratch();
         let count = mark_and_count(self.index.postings(), seeds, candidate, &mut marks);
         self.scratch.lock().push(marks);
@@ -227,73 +220,29 @@ impl QueryEngine {
 
     /// Answer one query, consulting the response cache first.
     pub fn execute(&self, query: &Query) -> QueryResponse {
-        let Ok(response) = self.try_execute_with(query, self.own_tally());
-        response
+        serve_cached(&self.cache, query, || self.execute_uncached(query))
     }
 
     /// Answer one query without touching the cache.
     pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
-        let Ok(response) = self.try_execute_uncached_with(query, self.own_tally());
-        response
+        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
+        match query {
+            Query::TopK { k, audience: None } => self.top_k(*k),
+            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
+            Query::Spread { seeds } => {
+                QueryResponse::spread_from_tallies(self.count_marked(seeds, None), theta, n)
+            }
+            Query::Marginal { seeds, candidate } => {
+                let gained = self.count_marked(seeds, Some(*candidate));
+                QueryResponse::marginal_from_tallies(gained, theta, n)
+            }
+        }
     }
 
     /// Fan a batch of queries across `threads` workers, preserving input
     /// order in the returned responses.
     pub fn execute_batch(&self, queries: &[Query], threads: usize) -> Vec<QueryResponse> {
-        let Ok(responses) = self.try_execute_batch_with(queries, threads, self.own_tally());
-        responses
-    }
-
-    /// [`count_marked`](Self::count_marked) as the tally of the `try_*_with`
-    /// entry points.
-    fn own_tally(&self) -> impl Fn(&[NodeId], Option<NodeId>) -> Result<usize, Infallible> + '_ {
-        |seeds, candidate| Ok(self.count_marked(seeds, candidate))
-    }
-
-    /// [`execute`](Self::execute) with the tally of a missed Spread
-    /// (`candidate` = `None`) or Marginal supplied by the caller. A failed
-    /// tally is returned as is and caches nothing.
-    pub fn try_execute_with<E>(
-        &self,
-        query: &Query,
-        tally: impl FnOnce(&[NodeId], Option<NodeId>) -> Result<usize, E>,
-    ) -> Result<QueryResponse, E> {
-        serve_cached(&self.cache, query, || self.try_execute_uncached_with(query, tally))
-    }
-
-    /// [`execute_uncached`](Self::execute_uncached) with the Spread/Marginal
-    /// tally supplied by the caller. A Top-K never calls it, so it cannot
-    /// fail.
-    pub fn try_execute_uncached_with<E>(
-        &self,
-        query: &Query,
-        tally: impl FnOnce(&[NodeId], Option<NodeId>) -> Result<usize, E>,
-    ) -> Result<QueryResponse, E> {
-        let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
-        Ok(match query {
-            Query::TopK { k, audience: None } => self.top_k(*k),
-            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
-            Query::Spread { seeds } => {
-                QueryResponse::spread_from_tallies(tally(seeds, None)?, theta, n)
-            }
-            Query::Marginal { seeds, candidate } => {
-                QueryResponse::marginal_from_tallies(tally(seeds, Some(*candidate))?, theta, n)
-            }
-        })
-    }
-
-    /// [`execute_batch`](Self::execute_batch) with the Spread/Marginal tally
-    /// supplied by the caller. If any tally fails, the batch reports the
-    /// failure of the earliest such query.
-    pub fn try_execute_batch_with<E: Send>(
-        &self,
-        queries: &[Query],
-        threads: usize,
-        tally: impl Fn(&[NodeId], Option<NodeId>) -> Result<usize, E> + Sync,
-    ) -> Result<Vec<QueryResponse>, E> {
-        serve_batch(queries, threads, |query| self.try_execute_with(query, &tally))
-            .into_iter()
-            .collect()
+        serve_batch(queries, threads, |query| self.execute(query))
     }
 
     fn top_k(&self, k: usize) -> QueryResponse {
@@ -591,6 +540,23 @@ mod tests {
             assert_eq!(batch, sequential, "threads={threads}");
         }
         assert!(engine.execute_batch(&[], 4).is_empty());
+
+        // Sixteen distinct-budget Top-Ks over 8 threads on cache-less
+        // engines: no two chunks share a cache entry, so every chunk takes
+        // the one greedy mutex while the batch owner helps run the rest.
+        let sets: Vec<Vec<NodeId>> =
+            (0..4000u32).map(|i| vec![i % 61, 61 + i % 127, 188 + (i * 7) % 211]).collect();
+        let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+        let index = Arc::clone(engine_over(400, &sets).index());
+        let budgets: Vec<Query> = (1..=16).map(Query::top_k).collect();
+        let sequential: Vec<QueryResponse> = {
+            let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+            budgets.iter().map(|q| engine.execute_uncached(q)).collect()
+        };
+        for round in 0..8 {
+            let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+            assert_eq!(engine.execute_batch(&budgets, 8), sequential, "round {round}");
+        }
     }
 
     proptest::proptest! {

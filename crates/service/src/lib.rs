@@ -70,7 +70,7 @@ pub mod snapshot;
 
 pub use cache::{CacheStats, QueryCache};
 pub use dynamic::{DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance};
-pub use engine::{mark_and_count, QueryEngine, DEFAULT_CACHE_CAPACITY};
+pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};

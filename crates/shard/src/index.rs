@@ -7,9 +7,7 @@
 //! contiguous **RRR-set range**: where the range starts, how many sets it
 //! holds and how many postings entries they add up to. Nothing is built per
 //! shard here, so partitioning an index, cloning a sharded index and
-//! comparing two of them cost the map, not the sets. What *is* per shard —
-//! the range postings a pinned worker counts over — belongs to the engine
-//! that has such workers (see [`crate::ShardedEngine`]).
+//! comparing two of them cost the map, not the sets.
 //!
 //! Incremental refresh is the base's ([`SketchIndex::apply_delta`], over the
 //! workspace's one refresh driver: invalidate by the coins, resample from the
@@ -129,8 +127,7 @@ impl ShardedIndex {
 
     /// The postings over **all** sets (ids global) — the base's, and the
     /// only postings the index holds: what every Top-K, every invalidation,
-    /// every admission price and a worker-less engine's Spread/Marginal
-    /// walk.
+    /// every admission price and every Spread/Marginal walk.
     #[inline]
     pub fn global_postings(&self) -> &Arc<Postings> {
         self.base.postings()

@@ -1,15 +1,16 @@
 //! # imm-shard
 //!
-//! Range-sharded sketch index served from a pinned worker pool.
+//! Range-sharded sketch index: a `SketchIndex` under a shard map.
 //!
 //! `imm-service` freezes one sampled RRR collection into one index served by
-//! one process. This crate is the step past one machine's memory: the flat
-//! arena layout (one contiguous vertex array plus a span directory) makes an
-//! RRR **shard** representable as a contiguous arena range, so the index
-//! splits by set range into independent serving units — the serving-side
-//! analogue of the paper's divide-the-sketches parallel structure, where
-//! each worker counts over its own slice of the sketches and only tallies
-//! cross worker boundaries.
+//! one process. The flat arena layout (one contiguous vertex array plus a
+//! span directory) makes an RRR **shard** representable as a contiguous arena
+//! range, so the index splits by set range into independently storable units
+//! — the storage-side analogue of the paper's divide-the-sketches structure.
+//! Serving does not split: a point query's whole kernel is one sub-microsecond
+//! walk of the global postings, which no cross-thread hand-off can pay for,
+//! so the map decides split-file layout, `madvise` ranges and
+//! `shard_load_imbalance`, and nothing about how a query is answered.
 //!
 //! * [`ShardedIndex`] — a `SketchIndex` (the base: the one owner of the
 //!   collection, metadata, provenance and global postings) plus a shard
@@ -17,22 +18,13 @@
 //!   built — per near-equal contiguous set range ([`shard_ranges`]). A
 //!   rollout (`rebuilt_with_delta`) refreshes a copy of the base through
 //!   `imm-service`'s one refresh driver and re-weighs the map.
-//! * [`ShardedEngine`] — answers the full query vocabulary (Top-K with
-//!   optional audience masks, spread, marginal, batches, response cache) as
-//!   an `imm_service::QueryEngine` over the base, which owns the Top-K
-//!   sessions, the cache and the batch fan-out. With worker threads to give
-//!   it, the engine also stands up a **persistent pinned worker pool**
-//!   ([`imm_exec::PinnedPool`]) whose cells each invert one set range into
-//!   their own postings ([`imm_rrr::Postings`]: rows for dense vertices,
-//!   lists for the rest, range-local set ids), and Spread and Marginal
-//!   scatter over it as typed, idempotent requests — one message round-trip
-//!   per shard. Without workers no pool, no cell and no second copy of the
-//!   postings exist: Spread and Marginal walk the global postings. Results
-//!   are **byte-identical** to the single-index `QueryEngine` for every
-//!   shard count, thread count, and [`WakeMode`] — the crate's parity suite
-//!   pins this, including after a rolled delta (`rebuilt_with_delta`, then a
-//!   new engine over the next generation: the daemon's path, and the only
-//!   one).
+//! * [`ShardedEngine`] — an `imm_service::QueryEngine` over the base, which
+//!   answers the full query vocabulary (Top-K with optional audience masks,
+//!   spread, marginal, batches, response cache). Results are
+//!   **byte-identical** to the single-index `QueryEngine` for every shard
+//!   count and thread count — the crate's parity suite pins this, including
+//!   after a rolled delta (`rebuilt_with_delta`, then a new engine over the
+//!   next generation: the daemon's path, and the only one).
 //! * [`snapshot`] — split an index snapshot into per-shard files (each a
 //!   self-verifying standard snapshot behind a small shard header) and
 //!   reassemble them, preserving the shard layout.
@@ -64,12 +56,10 @@
 pub mod engine;
 pub mod index;
 pub mod metrics;
-mod placement;
 pub mod segment;
 pub mod snapshot;
 
 pub use engine::ShardedEngine;
-pub use imm_exec::{ScatterError, WakeMode};
 pub use index::{shard_ranges, ShardedIndex};
 pub use segment::ShardSegment;
 pub use snapshot::{

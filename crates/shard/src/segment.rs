@@ -3,10 +3,8 @@
 //! A [`ShardSegment`] names a contiguous **RRR-set range**
 //! `[start, start + len)` of the base index's collection and what the range
 //! weighs. It owns nothing — no sets (they are the base's, borrowed on
-//! demand as an [`imm_rrr::CollectionSlice`]) and no postings: an engine
-//! with pinned workers inverts each range into its cell when it stands up
-//! (see [`crate::ShardedEngine`]), and an engine without workers serves from
-//! the base's global postings and never needs a per-range structure.
+//! demand as an [`imm_rrr::CollectionSlice`]) and no postings: every query
+//! is served from the base's global postings (see [`crate::ShardedEngine`]).
 
 use imm_rrr::RrrCollection;
 
@@ -46,8 +44,7 @@ impl ShardSegment {
 
     /// Total postings entries of the shard (Σ over vertices of the sets of
     /// the range containing them, which is Σ of the range's set lengths) —
-    /// the shard's share of a scattered walk, and what
-    /// `shard_load_imbalance` compares.
+    /// what `shard_load_imbalance` compares.
     #[inline]
     pub fn postings_entries(&self) -> u64 {
         self.postings_entries

@@ -1,7 +1,7 @@
 //! The masked session's acceptance property on the sharded engine: the
 //! audience Top-K a `ShardedEngine` serves — the engine-side sparse greedy
-//! over the index's global postings, at every shard count, inline and across
-//! real worker threads — is **byte-identical** to the dense whole-index oracle
+//! over the index's global postings, at every shard count — is
+//! **byte-identical** to the dense whole-index oracle
 //! (`imm-service`'s `tests/support/masked_oracle.rs`, shared by path), and
 //! its pooled scratch leaks neither into the next query, nor into the
 //! persistent greedy session, nor between concurrent batch workers.
@@ -12,7 +12,7 @@ mod masked_oracle;
 use imm_graph::GraphDelta;
 use imm_rrr::BitSet;
 use imm_service::{Query, QueryResponse, SketchIndex};
-use imm_shard::{ShardedEngine, ShardedIndex, WakeMode};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use masked_oracle::{
     audience_queries, audiences, budgets, dense_masked_top_k, index_from, sampled_index,
 };
@@ -22,17 +22,10 @@ use std::sync::Arc;
 const NUM_NODES: usize = 48;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// A cache-less engine over `index`: inline (one thread, zero workers) or
-/// with forced pinned workers.
-fn engine(index: &SketchIndex, shards: usize, workers: bool) -> ShardedEngine {
+/// A cache-less engine over `index`.
+fn engine(index: &SketchIndex, shards: usize) -> ShardedEngine {
     let sharded = Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable"));
-    if workers {
-        let engine = ShardedEngine::with_runtime(sharded, 3, 0, WakeMode::Always);
-        assert!(engine.num_workers() >= 1, "Always mode must spawn workers");
-        engine
-    } else {
-        ShardedEngine::with_options(sharded, 1, 0)
-    }
+    ShardedEngine::with_options(sharded, 1, 0)
 }
 
 proptest! {
@@ -58,15 +51,13 @@ proptest! {
             })
             .collect();
         for shards in SHARD_COUNTS {
-            for workers in [false, true] {
-                let engine = engine(&index, shards, workers);
-                for (shape, audience, k, expected) in &cases {
-                    prop_assert_eq!(
-                        &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
-                        expected,
-                        "{} shards, workers: {}, audience: {}, k = {}", shards, workers, shape, k
-                    );
-                }
+            let engine = engine(&index, shards);
+            for (shape, audience, k, expected) in &cases {
+                prop_assert_eq!(
+                    &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
+                    expected,
+                    "{} shards, audience: {}, k = {}", shards, shape, k
+                );
             }
         }
     }
@@ -76,13 +67,11 @@ proptest! {
 fn back_to_back_audiences_equal_fresh_engine_answers() {
     let (_, _, index) = sampled_index();
     let (queries, _) = audience_queries(&index);
-    for workers in [false, true] {
-        let reused = engine(&index, 4, workers);
-        // A leaked count or alive bit of query i would change query i + 1.
-        for query in &queries {
-            let fresh = engine(&index, 4, workers);
-            assert_eq!(reused.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
-        }
+    let reused = engine(&index, 4);
+    // A leaked count or alive bit of query i would change query i + 1.
+    for query in &queries {
+        let fresh = engine(&index, 4);
+        assert_eq!(reused.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
     }
 }
 
@@ -90,34 +79,23 @@ fn back_to_back_audiences_equal_fresh_engine_answers() {
 fn a_masked_query_leaves_the_persistent_prefix_intact() {
     let (_, _, index) = sampled_index();
     let (queries, _) = audience_queries(&index);
-    for workers in [false, true] {
-        let served = engine(&index, 4, workers);
-        let fresh = engine(&index, 4, workers);
-        let three = served.execute_uncached(&Query::top_k(3));
-        for query in queries.iter().take(3) {
-            served.execute_uncached(query);
-        }
-        assert_eq!(served.execute_uncached(&Query::top_k(3)), three);
-        assert_eq!(
-            served.execute_uncached(&Query::top_k(9)),
-            fresh.execute_uncached(&Query::top_k(9))
-        );
+    let served = engine(&index, 4);
+    let fresh = engine(&index, 4);
+    let three = served.execute_uncached(&Query::top_k(3));
+    for query in queries.iter().take(3) {
+        served.execute_uncached(query);
     }
+    assert_eq!(served.execute_uncached(&Query::top_k(3)), three);
+    assert_eq!(served.execute_uncached(&Query::top_k(9)), fresh.execute_uncached(&Query::top_k(9)));
 }
 
 #[test]
 fn concurrent_audience_batches_equal_sequential_execution() {
     let (_, _, index) = sampled_index();
     let (queries, sequential) = audience_queries(&index);
-    for workers in [false, true] {
-        let engine = engine(&index, 4, workers);
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                engine.execute_batch(&queries, threads),
-                sequential,
-                "workers: {workers}, threads = {threads}"
-            );
-        }
+    let engine = engine(&index, 4);
+    for threads in [1usize, 2, 4] {
+        assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads = {threads}");
     }
 }
 
@@ -125,7 +103,7 @@ fn concurrent_audience_batches_equal_sequential_execution() {
 fn a_rolled_generation_serves_the_refreshed_index() {
     let (graph, weights, index) = sampled_index();
     let (queries, _) = audience_queries(&index);
-    let old = engine(&index, 4, false);
+    let old = engine(&index, 4);
     for query in &queries {
         old.execute_uncached(query); // the old generation has served its sessions
     }

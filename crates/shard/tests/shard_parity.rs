@@ -1,5 +1,5 @@
 //! The acceptance property of the sharded serving subsystem: for **every**
-//! shard count and worker-thread count, the `ShardedEngine` answers the full
+//! shard count and thread count, the `ShardedEngine` answers the full
 //! query vocabulary — Top-K (plain and audience-masked), Spread, Marginal —
 //! **byte-identically** to the single-index `QueryEngine` over the same
 //! sampled collection, under both diffusion models, and keeps doing so after
@@ -16,7 +16,7 @@ use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};
 use imm_service::{
     IndexMeta, Query, QueryEngine, QueryResponse, RefreshStats, SampleSpec, SketchIndex,
 };
-use imm_shard::{ShardedEngine, ShardedIndex, WakeMode};
+use imm_shard::{ShardedEngine, ShardedIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +95,7 @@ fn rolled(
     (ShardedEngine::with_options(Arc::new(next), threads, 64), graph, weights, stats)
 }
 
-/// The acceptance grid: shard counts 1/2/4/7 × scatter widths 1/2/4 × both
+/// The acceptance grid: shard counts 1/2/4/7 × threads 1/2/4 × both
 /// models, before and after a rolled delta.
 #[test]
 fn sharded_serving_is_byte_identical_across_the_grid() {
@@ -220,78 +220,36 @@ fn a_rollout_leaves_the_live_generation_alone_and_equals_the_single_index_refres
     }
 }
 
-/// A `WakeMode::Always` engine stood up over a *rolled* index: its cells are
-/// inverted from the refreshed sets when the engine starts (the index holds
-/// no per-range postings to go stale), so after a two-delta chain the
-/// scattered answers equal `QueryEngine` over the single-index refresh.
+/// A sharded engine is a `QueryEngine` over the index it was partitioned
+/// from: it answers the battery byte-identically for every shard count, and
+/// partitioning copied nothing — the global postings are the single index's
+/// by pointer and the sharded index weighs what its base weighs.
 #[test]
-fn forced_workers_over_a_rolled_index_serve_the_refreshed_sets() {
-    for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
-        let (graph, weights) = fixture(model, 0xA5);
-        let spec = SampleSpec::new(model, 0x5EED);
-        let index =
-            SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
-        let (del_src, del_dst) = graph.edges().next().expect("graph has edges");
-        let chain = [
-            GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(del_src, del_dst),
-            GraphDelta::new().delete(3, 77).insert(50, 51, 0.7),
-        ];
-        for shards in SHARD_COUNTS {
-            let context = format!("{model:?}, {shards} shards, rolled twice");
-            let mut single = index.clone();
-            let mut live = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
-            let (mut g, mut w) = (graph.clone(), weights.clone());
-            let mut resampled = 0;
-            for delta in &chain {
-                let (next, g_next, w_next, stats) =
-                    live.rebuilt_with_delta(&g, &w, delta).expect("rollout");
-                single.apply_delta(&g, &w, delta).expect("single refresh");
-                resampled += stats.resampled_sets;
-                (live, g, w) = (next, g_next, w_next);
-            }
-            assert!(resampled > 0, "{context}: the chain must change some sets");
-            let single = QueryEngine::new(Arc::new(single));
-            let sharded = ShardedEngine::with_runtime(Arc::new(live), 3, 64, WakeMode::Always);
-            assert!(sharded.num_workers() >= 1, "{context}: expected pinned workers");
-            let queries = query_battery(graph.num_nodes(), 0x0DD ^ shards as u64);
-            assert_engines_agree(&single, &sharded, &queries, &context);
-        }
-    }
-}
-
-/// An engine without workers is a `QueryEngine` over the index it was
-/// partitioned from: it answers the battery byte-identically for every shard
-/// count, and partitioning copied nothing — the global postings are the
-/// single index's by pointer and the sharded index weighs what its base
-/// weighs.
-#[test]
-fn a_worker_less_engine_is_the_single_engine_over_the_same_postings() {
+fn a_sharded_engine_is_the_single_engine_over_the_same_postings() {
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
         let (graph, weights) = fixture(model, 0xA5);
         let spec = SampleSpec::new(model, 0x5EED);
         let index =
             SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
         for shards in SHARD_COUNTS {
-            let context = format!("{model:?}, {shards} shards, no workers");
+            let context = format!("{model:?}, {shards} shards");
             let sharded_index = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
             assert!(Arc::ptr_eq(sharded_index.global_postings(), index.postings()), "{context}");
             assert_eq!(sharded_index.memory_bytes(), index.memory_bytes(), "{context}");
             let single = QueryEngine::new(Arc::new(index.clone()));
             let sharded = ShardedEngine::with_options(Arc::new(sharded_index), 1, 64);
-            assert_eq!(sharded.num_workers(), 0, "{context}");
-            assert!(sharded.queue_depths().is_empty(), "{context}: no cells were built");
             let queries = query_battery(graph.num_nodes(), 0x1D1E ^ shards as u64);
             assert_engines_agree(&single, &sharded, &queries, &context);
         }
     }
 }
 
-/// Four threads hammer one worker-less engine with a Spread/Marginal mix,
-/// all released by one barrier: every walk checks its scratch out of the
+/// Four threads hammer one engine with a Spread/Marginal mix, all released
+/// by one barrier: every walk checks its scratch out of the
 /// inner engine's pool and must hand it back all-zero, or a later walk on
 /// any thread would tally short.
 #[test]
-fn concurrent_point_queries_on_a_worker_less_engine_equal_the_sequential_answers() {
+fn concurrent_point_queries_equal_the_sequential_answers() {
     let model = DiffusionModel::IndependentCascade;
     let (graph, weights) = fixture(model, 0xA5);
     let spec = SampleSpec::new(model, 0x5EED);
@@ -309,7 +267,6 @@ fn concurrent_point_queries_on_a_worker_less_engine_equal_the_sequential_answers
         1,
         0,
     );
-    assert_eq!(engine.num_workers(), 0);
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for t in 0..4usize {
@@ -346,33 +303,6 @@ fn into_index_hands_back_the_postings_it_was_given() {
         let back = sharded.into_index();
         assert!(Arc::ptr_eq(back.postings(), &postings), "{shards} shards");
         assert_eq!(back, index);
-    }
-}
-
-/// Forced cross-thread serving: [`WakeMode::Always`] spawns pinned workers
-/// even on a single hardware thread, so every scatter really crosses the
-/// request/response channels. The answers must stay byte-identical to the
-/// single-index engine — parity may not depend on the inline fast path.
-#[test]
-fn forced_worker_mode_stays_byte_identical() {
-    let model = DiffusionModel::IndependentCascade;
-    let (graph, weights) = fixture(model, 0xA5);
-    let spec = SampleSpec::new(model, 0x5EED);
-    let index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "parity").expect("sample");
-    for shards in SHARD_COUNTS {
-        for threads in [2usize, 4] {
-            let context = format!("forced workers, {shards} shards, {threads} threads");
-            let single = QueryEngine::new(Arc::new(index.clone()));
-            let sharded = ShardedEngine::with_runtime(
-                Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable")),
-                threads,
-                64,
-                WakeMode::Always,
-            );
-            assert!(sharded.num_workers() >= 1, "{context}: expected pinned workers");
-            let queries = query_battery(graph.num_nodes(), 0xF0CC ^ shards as u64);
-            assert_engines_agree(&single, &sharded, &queries, &context);
-        }
     }
 }
 
