@@ -75,12 +75,27 @@ if grep -rn '#\[ignore' crates/service/tests crates/shard/tests crates/exec/test
   exit 1
 fi
 
-# The vendored `rayon::prelude` maps par_iter/into_par_iter/par_chunks onto
-# sequential std iterators, so in a kernel they are a silent serialisation;
-# core's parallel sections go through run_jobs / pool.scope instead.
-echo "==> kernel guard: no sequential-shim parallel iterators in crates/core/src"
-if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates/core/src; then
-  echo "error: the vendored rayon prelude is sequential; use run_jobs or pool.scope in crates/core/src" >&2
+# The vendored rayon shim has no parallel iterators (its sequential `prelude`
+# is gone), so nothing in the tree may look parallel and not be: parallel
+# sections go through run_jobs / pool.scope / rayon::scope.
+echo "==> kernel guard: no parallel-iterator spellings anywhere in crates"
+if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates; then
+  echo "error: the vendored rayon shim has no parallel iterators; use run_jobs, pool.scope or a plain loop" >&2
+  exit 1
+fi
+
+# Snapshot v5 is the one format this tree writes, maps or decodes: the v1-v4
+# decoders, the legacy model tags, the imm_rrr set codecs and their golden
+# fixtures stay gone, and `golden_v5.sketch` (pinned three ways by the
+# `snapshot_fixtures` binary, which the list above keeps in the sweep) is the
+# only fixture.
+echo "==> format guard: one snapshot format, one golden fixture"
+if grep -rnE 'SNAPSHOT_VERSION_V[0-9]|DIRECTORY_FIELDS_V4|_LEGACY|decode_arena|encode_arena|parse_v4_head|V4Head|rayon::prelude' crates; then
+  echo "error: snapshot v5 is the only format; do not reintroduce an older decoder, a legacy tag, a set codec or the sequential rayon prelude" >&2
+  exit 1
+fi
+if [ "$(ls crates/service/tests/fixtures)" != "golden_v5.sketch" ]; then
+  echo "error: crates/service/tests/fixtures must hold exactly golden_v5.sketch" >&2
   exit 1
 fi
 
@@ -195,8 +210,9 @@ fi
 # answer the same batch byte-identically to the heap daemon above, survive
 # a restart (shutdown + fresh start against the same file), and prove over
 # `client --metrics` that the zero-copy path actually engaged
-# (store_mmap_opens >= 1, store_mmap_fallbacks == 0 — this is a v4
-# snapshot on Linux, so a fallback would mean the fast path silently rotted).
+# (store_mmap_opens >= 1, store_mmap_fallbacks == 0 — this is a snapshot
+# this build wrote, on Linux, so a fallback would mean the fast path silently
+# rotted).
 echo "==> mmap serving smoke (byte-identity vs heap daemon, restart, mapped-load proof)"
 for round in 1 2; do
   "$CLI" serve --index "$SERVE_DIR/g.sketch" --socket "$SERVE_DIR/mmap.sock" \
@@ -219,7 +235,7 @@ by_name = {s["name"]: s["value"] for s in samples}
 if by_name.get("store_mmap_opens", 0) < 1:
     sys.exit(f"the daemon did not serve from the mapping: {by_name.get('store_mmap_opens')}")
 if by_name.get("store_mmap_fallbacks", 0) != 0:
-    sys.exit("a v4 snapshot on Linux must not fall back to read-decode")
+    sys.exit("a snapshot on Linux must not fall back to read-decode")
 EOF
   grep -q "load: mapped" "$SERVE_DIR/mmap_serve_$round.log" || {
     echo "error: the --mmap daemon did not report load: mapped" >&2

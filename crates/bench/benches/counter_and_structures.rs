@@ -9,7 +9,6 @@ use imm_graph::generators;
 use imm_rrr::{AdaptivePolicy, RrrSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::hint::black_box;
 
 fn bench_counter(c: &mut Criterion) {
@@ -28,18 +27,22 @@ fn bench_counter(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("increment_1M_parallel_4t", |b| {
+    // One task per 4096-target chunk on the process-global `imm-exec` pool
+    // (`IMM_THREADS`, else the machine's parallelism).
+    group.bench_function("increment_1M_pool_scope", |b| {
         let counter = GlobalCounter::new(n);
         let mut rng = SmallRng::seed_from_u64(2);
         let targets: Vec<u32> = (0..1_000_000).map(|_| rng.gen_range(0..n as u32)).collect();
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         b.iter(|| {
-            pool.install(|| {
-                targets.par_chunks(4096).for_each(|chunk| {
-                    for &t in chunk {
-                        counter.increment(t);
-                    }
-                })
+            rayon::scope(|s| {
+                let counter = &counter;
+                for chunk in targets.chunks(4096) {
+                    s.spawn(move |_| {
+                        for &t in chunk {
+                            counter.increment(t);
+                        }
+                    });
+                }
             })
         })
     });

@@ -79,10 +79,11 @@ queries the deadline cut with structured deadline-exceeded rejections;
 --journal appends every accepted apply-delta rollout to a crash-safe
 delta journal before the new index swaps in, and replays unsnapshotted
 entries from it at startup; --mmap serves the snapshot zero-copy from a
-memory mapping (v4 snapshots on little-endian Linux; anything else falls
-back to the checksummed read-decode load, counted by
+memory mapping (on little-endian Linux; elsewhere, or when the mapping
+fails, it falls back to the checksummed read-decode load, counted by
 store_mmap_fallbacks), cutting time-to-first-query from whole-file decode
-to head-page parsing. `stats --index <FILE> --startup-timing` prints the
+to head-page parsing; a snapshot of any format version but this build's
+(5) is refused on both paths: rebuild it with build-index. `stats --index <FILE> --startup-timing` prints the
 open/map/decode/first-query phase breakdown of both load paths. `client` dials a running daemon: query flags
 mirror `query` and print the same response JSON (remote answers are
 byte-identical to in-process serving); --ping/--info/--metrics/--shutdown

@@ -252,8 +252,8 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
         ),
         None => {
             return Err(format!(
-                "{} is a static snapshot (no refreshable sampling provenance: none stored, or \
-                 sampled before the keyed-coin sampler); rebuild it with build-index",
+                "{} is a static snapshot (it stores no sampling provenance); rebuild it with \
+                 build-index",
                 args.index
             ))
         }
@@ -593,9 +593,8 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
                 ),
                 None => {
                     return Err(format!(
-                        "{} is a static snapshot (no refreshable sampling provenance: none \
-                         stored, or sampled before the keyed-coin sampler); serve it without \
-                         --graph/--dataset, or rebuild it with build-index",
+                        "{} is a static snapshot (it stores no sampling provenance); serve \
+                         it without --graph/--dataset, or rebuild it with build-index",
                         args.index
                     ))
                 }

@@ -12,9 +12,7 @@
 //!   a scan of all θ sets.
 //!
 //! Both kernels fork-join on the persistent `imm-exec` pool through
-//! `pool.scope` / [`crate::balance::run_jobs`]. The vendored
-//! `rayon::prelude` parallel iterators are sequential and are not used in
-//! this crate (`ci.sh` enforces it).
+//! `pool.scope` / [`crate::balance::run_jobs`].
 //!
 //! Both return the same seeds for the same input (greedy max coverage is
 //! deterministic up to tie-breaking, and both kernels break ties toward the

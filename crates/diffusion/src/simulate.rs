@@ -4,7 +4,6 @@ use crate::model::DiffusionModel;
 use imm_graph::{CsrGraph, EdgeWeights, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 
 /// Result of a Monte-Carlo spread estimation.
@@ -132,9 +131,9 @@ pub fn simulate_spread<R: Rng + ?Sized>(
 }
 
 /// Monte-Carlo estimate of `σ(seeds)`: the mean activation count over
-/// `trials` independent cascades, simulated in parallel. Deterministic for a
-/// fixed `seed` regardless of thread count (each trial derives its own RNG
-/// from `seed` and the trial index).
+/// `trials` independent cascades, simulated one after another on the calling
+/// thread. Deterministic for a fixed `seed`: each trial derives its own RNG
+/// from `seed` and the trial index.
 pub fn monte_carlo_spread(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -147,7 +146,6 @@ pub fn monte_carlo_spread(
         return SpreadEstimate { mean: 0.0, std_dev: 0.0, trials: 0 };
     }
     let counts: Vec<usize> = (0..trials)
-        .into_par_iter()
         .map(|t| {
             let mut rng = SmallRng::seed_from_u64(
                 seed.wrapping_add(t as u64).wrapping_mul(0x9E3779B97F4A7C15),

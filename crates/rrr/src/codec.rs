@@ -1,27 +1,10 @@
-//! Compact binary (de)serialization for RRR sets and collections.
+//! The length-checked byte cursor under `imm-service`'s snapshot decoder.
 //!
-//! The encoding is the substrate of `imm-service`'s snapshot format: a
-//! sketch index sampled once can be persisted and memory-loaded by later
-//! processes instead of resampling. The layout is deliberately simple —
-//! little-endian fixed-width integers, one tag byte per set — so the decoder
+//! The snapshot format is little-endian fixed-width integers, so the decoder
 //! can validate every length against the remaining input and fail cleanly on
 //! truncated or corrupted bytes rather than over-allocating.
-//!
-//! Both physical representations round-trip exactly: a sorted-list set is
-//! stored as its vertex list, a bitmap set as its raw words, so
-//! `decode(encode(c)) == c` including each set's representation choice.
 
-use crate::bitset::BitSet;
-use crate::collection::{RrrCollection, SetView};
-use crate::set::RrrSet;
-use crate::NodeId;
-
-/// Tag byte marking a sorted-list set in the encoded stream.
-const TAG_SORTED: u8 = 0;
-/// Tag byte marking a bitmap set in the encoded stream.
-const TAG_BITMAP: u8 = 1;
-
-/// Errors produced while decoding an encoded set or collection.
+/// Errors produced while decoding snapshot bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended before the announced payload was complete.
@@ -31,10 +14,8 @@ pub enum CodecError {
         /// Bytes that were actually left.
         remaining: usize,
     },
-    /// An unknown representation tag byte.
-    InvalidTag(u8),
-    /// A length or capacity field that cannot describe a valid value
-    /// (e.g. a bitmap word count that disagrees with its capacity).
+    /// A field that cannot describe a valid value (e.g. a section offset
+    /// that is not aligned, or a bitmap bit beyond the vertex space).
     InvalidValue(&'static str),
 }
 
@@ -44,7 +25,6 @@ impl std::fmt::Display for CodecError {
             CodecError::UnexpectedEof { needed, remaining } => {
                 write!(f, "unexpected end of input: needed {needed} bytes, {remaining} left")
             }
-            CodecError::InvalidTag(tag) => write!(f, "invalid RRR set tag byte {tag:#04x}"),
             CodecError::InvalidValue(what) => write!(f, "invalid encoded value: {what}"),
         }
     }
@@ -69,12 +49,6 @@ impl<'a> ByteReader<'a> {
     #[inline]
     pub fn remaining(&self) -> usize {
         self.input.len() - self.pos
-    }
-
-    /// Whether every byte has been consumed.
-    #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
     }
 
     /// Consume `len` raw bytes.
@@ -119,585 +93,25 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-impl BitSet {
-    /// Append the encoded form (`capacity`, word count, raw words) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.capacity() as u64).to_le_bytes());
-        let words = self.words();
-        out.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// Decode one bit set from `reader`.
-    pub fn decode(reader: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let capacity = usize::try_from(reader.read_u64()?)
-            .map_err(|_| CodecError::InvalidValue("bitmap capacity overflow"))?;
-        let num_words = reader.read_len(8)?;
-        if num_words != capacity.div_ceil(64) {
-            return Err(CodecError::InvalidValue("bitmap word count disagrees with capacity"));
-        }
-        let mut words = Vec::with_capacity(num_words);
-        for _ in 0..num_words {
-            words.push(reader.read_u64()?);
-        }
-        if let Some(last) = words.last() {
-            let tail_bits = capacity % 64;
-            if tail_bits != 0 && *last >> tail_bits != 0 {
-                return Err(CodecError::InvalidValue("bitmap has bits beyond its capacity"));
-            }
-        }
-        Ok(BitSet::from_words(capacity, words))
-    }
-}
-
-impl SetView<'_> {
-    /// Append the per-set encoded form (tag byte + payload) to `out` — THE
-    /// definition of the v1/v2 per-set stream; [`RrrSet::encode`] and
-    /// [`RrrCollection::encode`] both delegate here so the compatibility
-    /// format exists in exactly one place.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SetView::Sorted(members) => {
-                out.push(TAG_SORTED);
-                out.extend_from_slice(&(members.len() as u64).to_le_bytes());
-                for v in *members {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            SetView::Bitmap(bs) => {
-                out.push(TAG_BITMAP);
-                bs.encode(out);
-            }
-        }
-    }
-}
-
-impl RrrSet {
-    /// Append the encoded form (tag byte + payload) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RrrSet::Sorted(list) => SetView::Sorted(list).encode(out),
-            RrrSet::Bitmap(bs) => SetView::Bitmap(bs).encode(out),
-        }
-    }
-
-    /// Decode one set from `reader`, preserving its representation. Members
-    /// must fall inside the `num_nodes` vertex space (and a bitmap's capacity
-    /// must equal it), so a decoded set can never violate the invariants
-    /// downstream consumers rely on.
-    pub fn decode(reader: &mut ByteReader<'_>, num_nodes: usize) -> Result<Self, CodecError> {
-        match reader.read_u8()? {
-            TAG_SORTED => {
-                let len = reader.read_len(std::mem::size_of::<NodeId>())?;
-                let mut list: Vec<NodeId> = Vec::with_capacity(len);
-                for _ in 0..len {
-                    list.push(reader.read_u32()?);
-                }
-                if !list.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(CodecError::InvalidValue("sorted set is not strictly increasing"));
-                }
-                // Strictly increasing, so checking the last member suffices.
-                if list.last().is_some_and(|&v| v as usize >= num_nodes) {
-                    return Err(CodecError::InvalidValue("set member outside the vertex space"));
-                }
-                Ok(RrrSet::Sorted(list))
-            }
-            TAG_BITMAP => {
-                let bs = BitSet::decode(reader)?;
-                if bs.capacity() != num_nodes {
-                    return Err(CodecError::InvalidValue(
-                        "bitmap capacity disagrees with the vertex space",
-                    ));
-                }
-                Ok(RrrSet::Bitmap(bs))
-            }
-            tag => Err(CodecError::InvalidTag(tag)),
-        }
-    }
-}
-
-/// Tag byte marking a sorted-list set in the bulk **arena** encoding.
-const ARENA_TAG_SORTED: u8 = 0;
-/// Tag byte marking a bitmap-side-table set in the bulk **arena** encoding.
-const ARENA_TAG_BITMAP: u8 = 1;
-
-impl RrrCollection {
-    /// Append the encoded form (`num_nodes`, set count, sets) to `out`.
-    ///
-    /// This is the **legacy per-set layout** (one tag byte + payload per
-    /// set), kept byte-identical across the arena refactor so v1/v2
-    /// snapshots and any external consumer of the old stream still decode.
-    /// New bulk writers use [`RrrCollection::encode_arena`].
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.num_nodes() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for set in self {
-            set.encode(out);
-        }
-    }
-
-    /// Append the **bulk arena encoding** to `out` — the snapshot-v3 layout.
-    ///
-    /// Instead of tagging and framing every set, the live arena (the list
-    /// sets' members) is written as one contiguous vertex section, followed
-    /// by the per-set lengths and representation flags, then the bitmap
-    /// side table as raw words:
-    ///
-    /// ```text
-    /// num_nodes  u64
-    /// count      u64            set count
-    /// arena_len  u64            total members of LIST sets
-    /// arena      arena_len ×u32 every list set's sorted members, back to back
-    /// lens       count × u32    per-set member counts (prefix-summed on load)
-    /// flags      count × u8     0 = sorted slice, 1 = bitmap side-table set
-    /// bitmaps    per flagged set, ⌈num_nodes/64⌉ × u64 raw words, in set order
-    /// ```
-    ///
-    /// A bitmap set costs exactly its `num_nodes/8` word bytes — the same
-    /// as the per-set v1/v2 stream, minus the per-set capacity framing —
-    /// and list sets lose their tag/length framing entirely.
-    pub fn encode_arena(&self, out: &mut Vec<u8>) {
-        let arena_len: usize = self.iter().filter(|s| s.bitmap().is_none()).map(|s| s.len()).sum();
-        out.reserve(24 + arena_len * 4 + self.len() * 5);
-        out.extend_from_slice(&(self.num_nodes() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(arena_len as u64).to_le_bytes());
-        for set in self {
-            if let SetView::Sorted(members) = set {
-                for v in members {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-        for set in self {
-            out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        }
-        for set in self {
-            out.push(match set.bitmap() {
-                None => ARENA_TAG_SORTED,
-                Some(_) => ARENA_TAG_BITMAP,
-            });
-        }
-        for set in self {
-            if let Some(bs) = set.bitmap() {
-                for w in bs.words() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    /// Decode one collection from the bulk arena encoding (the inverse of
-    /// [`RrrCollection::encode_arena`]), validating every slice against the
-    /// vertex space, strict ordering, and each bitmap's word payload before
-    /// anything becomes a set.
-    pub fn decode_arena(reader: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let num_nodes = usize::try_from(reader.read_u64()?)
-            .map_err(|_| CodecError::InvalidValue("num_nodes overflow"))?;
-        if u32::try_from(num_nodes).is_err() {
-            return Err(CodecError::InvalidValue("num_nodes exceeds the u32 vertex-id space"));
-        }
-        // Every set still costs ≥ its length field + flag byte.
-        let count = reader.read_len(5)?;
-        let arena_len = reader.read_len(4)?;
-        // The contiguous sections are consumed in bulk — one length-checked
-        // borrow each, then a fixed-width conversion pass.
-        let arena: Vec<NodeId> = reader
-            .read_bytes(arena_len * 4)?
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        let lens: Vec<u32> = reader
-            .read_bytes(count * 4)?
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        let mut flags: Vec<u8> = Vec::with_capacity(count);
-        let mut list_total = 0u64;
-        for &len in &lens {
-            let flag = reader.read_u8()?;
-            if flag != ARENA_TAG_SORTED && flag != ARENA_TAG_BITMAP {
-                return Err(CodecError::InvalidTag(flag));
-            }
-            if flag == ARENA_TAG_SORTED {
-                list_total += len as u64;
-            }
-            flags.push(flag);
-        }
-        if list_total != arena_len as u64 {
-            return Err(CodecError::InvalidValue("arena length disagrees with the set lengths"));
-        }
-        let words_per_bitmap = num_nodes.div_ceil(64);
-        // The decoded buffer *is* the collection's arena (zero-copy adopt):
-        // validation walks its slices by prefix sum, then each list set's
-        // span is registered over the adopted storage.
-        let mut collection = RrrCollection::adopt_arena(num_nodes, arena, count);
-        let mut cursor = 0usize;
-        for (i, &flag) in flags.iter().enumerate() {
-            if flag == ARENA_TAG_SORTED {
-                let len = lens[i] as usize;
-                collection.push_adopted_span(cursor, len).map_err(CodecError::InvalidValue)?;
-                cursor += len;
-            } else {
-                let words: Vec<u64> = reader
-                    .read_bytes(words_per_bitmap * 8)?
-                    .chunks_exact(8)
-                    .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-                    .collect();
-                if let Some(last) = words.last() {
-                    let tail_bits = num_nodes % 64;
-                    if tail_bits != 0 && *last >> tail_bits != 0 {
-                        return Err(CodecError::InvalidValue(
-                            "bitmap has bits beyond its capacity",
-                        ));
-                    }
-                }
-                let bs = BitSet::from_words(num_nodes, words);
-                if bs.len() as u64 != lens[i] as u64 {
-                    return Err(CodecError::InvalidValue(
-                        "bitmap population disagrees with its set length",
-                    ));
-                }
-                collection.push(RrrSet::Bitmap(bs));
-            }
-        }
-        Ok(collection)
-    }
-
-    /// Encode into a fresh byte vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.memory_bytes());
-        self.encode(&mut out);
-        out
-    }
-
-    /// Decode one collection from `reader`.
-    pub fn decode(reader: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let num_nodes = usize::try_from(reader.read_u64()?)
-            .map_err(|_| CodecError::InvalidValue("num_nodes overflow"))?;
-        // NodeId is a u32, so no valid collection spans a larger vertex
-        // space; rejecting here also stops crafted headers from driving
-        // O(num_nodes) allocations downstream.
-        if u32::try_from(num_nodes).is_err() {
-            return Err(CodecError::InvalidValue("num_nodes exceeds the u32 vertex-id space"));
-        }
-        // Every encoded set needs at least its tag byte.
-        let count = reader.read_len(1)?;
-        let mut collection = RrrCollection::with_capacity(num_nodes, count);
-        for _ in 0..count {
-            collection.push(RrrSet::decode(reader, num_nodes)?);
-        }
-        Ok(collection)
-    }
-
-    /// Decode from a byte slice, requiring the slice to be fully consumed.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut reader = ByteReader::new(bytes);
-        let collection = Self::decode(&mut reader)?;
-        if !reader.is_exhausted() {
-            return Err(CodecError::InvalidValue("trailing bytes after collection"));
-        }
-        Ok(collection)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set::AdaptivePolicy;
-    use proptest::prelude::*;
 
-    fn sample_collection() -> RrrCollection {
-        let mut c = RrrCollection::new(128);
-        c.push_vertices(vec![3, 1, 127, 64], &AdaptivePolicy::always_sorted());
-        c.push_vertices((0..90).collect(), &AdaptivePolicy::always_bitmap());
-        c.push_vertices(vec![], &AdaptivePolicy::default());
-        c.push_vertices((10..80).collect(), &AdaptivePolicy::default());
-        c
-    }
-
-    #[test]
-    fn collection_round_trips_exactly() {
-        let original = sample_collection();
-        let bytes = original.to_bytes();
-        let decoded = RrrCollection::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, original);
-        assert_eq!(decoded.num_nodes(), original.num_nodes());
-    }
-
-    #[test]
-    fn truncation_is_detected_at_every_length() {
-        let bytes = sample_collection().to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                RrrCollection::from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_collection().to_bytes();
-        bytes.push(0xAB);
-        assert_eq!(
-            RrrCollection::from_bytes(&bytes),
-            Err(CodecError::InvalidValue("trailing bytes after collection"))
-        );
-    }
-
-    #[test]
-    fn invalid_tag_is_rejected() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes()); // num_nodes
-        out.extend_from_slice(&1u64.to_le_bytes()); // one set
-        out.push(7); // bogus tag
-        assert_eq!(RrrCollection::from_bytes(&out), Err(CodecError::InvalidTag(7)));
-    }
-
+    /// A length field is checked against the remaining input before anyone
+    /// allocates for it — including lengths whose byte size overflows.
     #[test]
     fn absurd_length_fields_do_not_allocate() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes());
-        out.extend_from_slice(&u64::MAX.to_le_bytes()); // "that many" sets
-        assert!(matches!(RrrCollection::from_bytes(&out), Err(CodecError::UnexpectedEof { .. })));
-    }
-
-    #[test]
-    fn absurd_vertex_space_is_rejected() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(1u64 << 60).to_le_bytes()); // num_nodes
-        out.extend_from_slice(&0u64.to_le_bytes()); // no sets
-        assert_eq!(
-            RrrCollection::from_bytes(&out),
-            Err(CodecError::InvalidValue("num_nodes exceeds the u32 vertex-id space"))
-        );
-    }
-
-    #[test]
-    fn unsorted_list_is_rejected() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.push(TAG_SORTED);
-        out.extend_from_slice(&2u64.to_le_bytes());
-        out.extend_from_slice(&5u32.to_le_bytes());
-        out.extend_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(RrrCollection::from_bytes(&out), Err(CodecError::InvalidValue(_))));
-    }
-
-    #[test]
-    fn out_of_range_member_is_rejected() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes()); // num_nodes = 8
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.push(TAG_SORTED);
-        out.extend_from_slice(&2u64.to_le_bytes());
-        out.extend_from_slice(&3u32.to_le_bytes());
-        out.extend_from_slice(&9u32.to_le_bytes()); // 9 >= 8
-        assert_eq!(
-            RrrCollection::from_bytes(&out),
-            Err(CodecError::InvalidValue("set member outside the vertex space"))
-        );
-    }
-
-    #[test]
-    fn bitmap_capacity_must_match_the_vertex_space() {
-        // A valid 64-capacity bitmap inside a 128-node collection.
-        let mut inner = Vec::new();
-        BitSet::from_iter_with_capacity(64, [1usize, 5]).encode(&mut inner);
-        let mut out = Vec::new();
-        out.extend_from_slice(&128u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.push(TAG_BITMAP);
-        out.extend_from_slice(&inner);
-        assert_eq!(
-            RrrCollection::from_bytes(&out),
-            Err(CodecError::InvalidValue("bitmap capacity disagrees with the vertex space"))
-        );
-    }
-
-    #[test]
-    fn bitmap_word_count_must_match_capacity() {
-        let mut out = Vec::new();
-        out.extend_from_slice(&200u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.push(TAG_BITMAP);
-        out.extend_from_slice(&200u64.to_le_bytes()); // capacity -> 4 words
-        out.extend_from_slice(&1u64.to_le_bytes()); // but only 1 announced
-        out.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(RrrCollection::from_bytes(&out), Err(CodecError::InvalidValue(_))));
-    }
-
-    /// Encode with the arena codec into fresh bytes.
-    fn arena_bytes(c: &RrrCollection) -> Vec<u8> {
-        let mut out = Vec::new();
-        c.encode_arena(&mut out);
-        out
-    }
-
-    /// Decode arena bytes, requiring full consumption.
-    fn arena_from_bytes(bytes: &[u8]) -> Result<RrrCollection, CodecError> {
-        let mut reader = ByteReader::new(bytes);
-        let c = RrrCollection::decode_arena(&mut reader)?;
-        if !reader.is_exhausted() {
-            return Err(CodecError::InvalidValue("trailing bytes after collection"));
-        }
-        Ok(c)
-    }
-
-    #[test]
-    fn arena_codec_round_trips_exactly() {
-        let original = sample_collection();
-        let decoded = arena_from_bytes(&arena_bytes(&original)).unwrap();
-        assert_eq!(decoded, original);
-        assert_eq!(decoded.num_nodes(), original.num_nodes());
-    }
-
-    #[test]
-    fn arena_codec_detects_truncation_at_every_length() {
-        let bytes = arena_bytes(&sample_collection());
-        for cut in 0..bytes.len() {
+        for (len, item_bytes) in [(u64::MAX, 1usize), (u64::MAX, 12), (1 << 40, 4), (3, 4)] {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 8]); // room for two u32 items, not three
+            let mut reader = ByteReader::new(&bytes);
             assert!(
-                arena_from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must not decode"
+                matches!(reader.read_len(item_bytes), Err(CodecError::UnexpectedEof { .. })),
+                "{len} items of {item_bytes} bytes cannot fit in 8"
             );
         }
-    }
-
-    #[test]
-    fn arena_codec_rejects_inconsistent_lengths_and_unsorted_slices() {
-        // Sum of lengths disagrees with the arena section.
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes()); // num_nodes
-        out.extend_from_slice(&1u64.to_le_bytes()); // one set
-        out.extend_from_slice(&2u64.to_le_bytes()); // two arena entries
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&2u32.to_le_bytes());
-        out.extend_from_slice(&3u32.to_le_bytes()); // len = 3 != 2
-        out.push(0);
-        assert!(matches!(arena_from_bytes(&out), Err(CodecError::InvalidValue(_))));
-
-        // Unsorted slice.
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&2u64.to_le_bytes());
-        out.extend_from_slice(&5u32.to_le_bytes());
-        out.extend_from_slice(&2u32.to_le_bytes());
-        out.extend_from_slice(&2u32.to_le_bytes());
-        out.push(0);
-        assert_eq!(
-            arena_from_bytes(&out),
-            Err(CodecError::InvalidValue("arena set is not strictly increasing"))
-        );
-
-        // Member outside the vertex space.
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&9u32.to_le_bytes()); // 9 >= 8
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.push(0);
-        assert_eq!(
-            arena_from_bytes(&out),
-            Err(CodecError::InvalidValue("set member outside the vertex space"))
-        );
-
-        // Unknown representation flag.
-        let mut out = Vec::new();
-        out.extend_from_slice(&8u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&1u64.to_le_bytes());
-        out.extend_from_slice(&3u32.to_le_bytes());
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.push(9);
-        assert_eq!(arena_from_bytes(&out), Err(CodecError::InvalidTag(9)));
-    }
-
-    proptest! {
-        #[test]
-        fn arbitrary_collections_round_trip(
-            raw_sets in proptest::collection::vec(
-                proptest::collection::hash_set(0u32..500, 0..120),
-                0..20,
-            ),
-            bitmap_choices in proptest::collection::vec(any::<bool>(), 0..20),
-        ) {
-            let mut c = RrrCollection::new(500);
-            for (i, s) in raw_sets.iter().enumerate() {
-                let vertices: Vec<u32> = s.iter().copied().collect();
-                let policy = if bitmap_choices.get(i).copied().unwrap_or(false) {
-                    AdaptivePolicy::always_bitmap()
-                } else {
-                    AdaptivePolicy::always_sorted()
-                };
-                c.push_vertices(vertices, &policy);
-            }
-            let decoded = RrrCollection::from_bytes(&c.to_bytes()).unwrap();
-            prop_assert_eq!(decoded, c);
-        }
-
-        /// The satellite property: a collection driven through arbitrary
-        /// `replace` sequences (and the compactions they trigger) must
-        /// (a) equal, set-for-set, a model collection with the same legacy
-        /// per-set semantics, and (b) round-trip through **both** codecs —
-        /// the legacy per-set stream and the bulk arena stream.
-        #[test]
-        fn replaced_collections_match_legacy_semantics_and_round_trip(
-            initial in proptest::collection::vec(
-                (proptest::collection::hash_set(0u32..400, 0..80), any::<bool>()),
-                1..16,
-            ),
-            replacements in proptest::collection::vec(
-                (any::<prop::sample::Index>(),
-                 proptest::collection::hash_set(0u32..400, 0..80),
-                 any::<bool>()),
-                0..24,
-            ),
-        ) {
-            let n = 400usize;
-            let policy_of = |bitmap: bool| if bitmap {
-                AdaptivePolicy::always_bitmap()
-            } else {
-                AdaptivePolicy::always_sorted()
-            };
-            // The arena collection under test, and a shadow model holding
-            // each set as its own RrrSet value (the legacy semantics).
-            let mut arena = RrrCollection::new(n);
-            let mut model: Vec<RrrSet> = Vec::new();
-            for (vertices, bitmap) in &initial {
-                let raw: Vec<u32> = vertices.iter().copied().collect();
-                arena.push_vertices(raw.clone(), &policy_of(*bitmap));
-                model.push(RrrSet::from_vertices(raw, n, &policy_of(*bitmap)));
-            }
-            for (idx, vertices, bitmap) in &replacements {
-                let slot = idx.index(model.len());
-                let raw: Vec<u32> = vertices.iter().copied().collect();
-                let set = RrrSet::from_vertices(raw, n, &policy_of(*bitmap));
-                arena.replace(slot, set.clone());
-                model[slot] = set;
-            }
-            // Set-for-set equality with the legacy semantics.
-            prop_assert_eq!(arena.len(), model.len());
-            for (i, expected) in model.iter().enumerate() {
-                let view = arena.get(i);
-                prop_assert_eq!(view.representation(), expected.representation(), "set {}", i);
-                prop_assert_eq!(view.to_vec(), expected.to_vec(), "set {}", i);
-            }
-            // Both codecs round-trip the tombstoned layout.
-            let legacy = RrrCollection::from_bytes(&arena.to_bytes()).unwrap();
-            prop_assert_eq!(&legacy, &arena);
-            let bulk = arena_from_bytes(&arena_bytes(&arena)).unwrap();
-            prop_assert_eq!(&bulk, &arena);
-            // And an explicit compaction changes nothing observable.
-            let mut compacted = arena.clone();
-            compacted.compact();
-            prop_assert_eq!(compacted.dead_entries(), 0);
-            prop_assert_eq!(&compacted, &arena);
-        }
+        let mut bytes = 2u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(ByteReader::new(&bytes).read_len(4), Ok(2));
     }
 }

@@ -899,6 +899,7 @@ impl IntoIterator for RrrCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn collection_with(sets: Vec<Vec<NodeId>>, n: usize) -> RrrCollection {
         let mut c = RrrCollection::new(n);
@@ -1093,6 +1094,48 @@ mod tests {
         c.push_vertices(vec![5], &AdaptivePolicy::always_bitmap());
         c.push_vertices(vec![3, 4], &AdaptivePolicy::always_sorted());
         assert_ne!(a, c);
+    }
+
+    proptest! {
+        /// A collection driven through arbitrary `replace` sequences (and the
+        /// compactions they trigger) equals the collection built fresh from a
+        /// shadow model holding each set as its own `RrrSet` value.
+        #[test]
+        fn replaced_collections_equal_a_fresh_build_of_the_same_sets(
+            initial in proptest::collection::vec(
+                (proptest::collection::hash_set(0u32..400, 0..80), any::<bool>()),
+                1..16,
+            ),
+            replacements in proptest::collection::vec(
+                (any::<prop::sample::Index>(),
+                 proptest::collection::hash_set(0u32..400, 0..80),
+                 any::<bool>()),
+                0..24,
+            ),
+        ) {
+            let set_of = |vertices: &std::collections::HashSet<u32>, bitmap: bool| {
+                let policy =
+                    if bitmap { AdaptivePolicy::always_bitmap() } else { AdaptivePolicy::always_sorted() };
+                RrrSet::from_vertices(vertices.iter().copied().collect(), 400, &policy)
+            };
+            let collect = |sets: &[RrrSet]| {
+                let mut c = RrrCollection::new(400);
+                sets.iter().for_each(|set| c.push(set.clone()));
+                c
+            };
+            let mut model: Vec<RrrSet> = initial.iter().map(|(v, bitmap)| set_of(v, *bitmap)).collect();
+            let mut arena = collect(&model);
+            for (idx, vertices, bitmap) in &replacements {
+                let slot = idx.index(model.len());
+                model[slot] = set_of(vertices, *bitmap);
+                arena.replace(slot, model[slot].clone());
+            }
+            prop_assert_eq!(&arena, &collect(&model));
+            // And an explicit compaction changes nothing observable.
+            arena.compact();
+            prop_assert_eq!(arena.dead_entries(), 0);
+            prop_assert_eq!(&arena, &collect(&model));
+        }
     }
 
     #[test]

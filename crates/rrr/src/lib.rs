@@ -19,8 +19,8 @@
 //!   selected per set by [`AdaptivePolicy`].
 //! * [`RrrCollection`] — the θ sampled sets plus the coverage/size/memory
 //!   statistics reported in the paper's Table I.
-//! * [`codec`] — compact binary (de)serialization of sets and collections,
-//!   the substrate of `imm-service`'s persistable sketch snapshots.
+//! * [`codec`] — the length-checked byte cursor and decode error under
+//!   `imm-service`'s snapshot decoder.
 //! * [`provenance`] — per-set sampling provenance (the root each set was
 //!   grown from).
 //! * [`Postings`] — the inverse, vertex → sets containing it, with the dual

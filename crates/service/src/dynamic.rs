@@ -134,8 +134,8 @@ impl RefreshStats {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DynamicError {
     /// The index carries no provenance (built by a static constructor, or
-    /// loaded from a snapshot whose sets predate the keyed-coin sampler) and
-    /// cannot be refreshed incrementally.
+    /// loaded from a snapshot that stores none) and cannot be refreshed
+    /// incrementally.
     NotDynamic,
     /// The provided graph is not the revision the index was built on.
     GraphMismatch {
@@ -154,8 +154,8 @@ impl std::fmt::Display for DynamicError {
             DynamicError::NotDynamic => {
                 write!(
                     f,
-                    "index carries no refreshable sampling provenance (a static snapshot, or \
-                     one sampled before the keyed-coin sampler); rebuild it with build-index"
+                    "index carries no sampling provenance (a static snapshot); rebuild it \
+                     with build-index"
                 )
             }
             DynamicError::GraphMismatch { expected, found } => write!(
@@ -565,7 +565,9 @@ mod tests {
         c.push(RrrSet::sorted(vec![0, 1]));
         let mut index = SketchIndex::build(&g, c, "static").unwrap();
         assert!(!index.is_dynamic());
-        assert_eq!(index.apply_delta(&g, &w, &GraphDelta::new()), Err(DynamicError::NotDynamic));
+        let refused = index.apply_delta(&g, &w, &GraphDelta::new()).unwrap_err();
+        assert_eq!(refused, DynamicError::NotDynamic);
+        assert!(refused.to_string().contains("build-index"), "{refused}");
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //!   [`Query::Marginal`]; batches fan out across worker threads and
 //!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
 //!   normalized queries.
-//! * [`snapshot`] — a versioned binary format (magic bytes, version field,
+//! * [`snapshot`] — the binary format (magic bytes, version field,
 //!   checksum) so an index built once can be memory-loaded by later
 //!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. The format
-//!   persists sampling provenance, the delta log and (v5) the postings as
-//!   the index holds them, laid out so `imm-store` can serve a file in
-//!   place; v1–v4 files still load.
+//!   persists sampling provenance, the delta log and the postings as the
+//!   index holds them, laid out so `imm-store` can serve a file in place.
+//!   It is the one format this build writes, reads and maps (version 5).
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records per-set provenance, and
 //!   [`SketchIndex::apply_delta`] / [`QueryEngine::apply_delta`] resample
@@ -75,10 +75,10 @@ pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
-    load_parts, parse_v4_head, recover_interrupted_save, save_parts, save_parts_to_path,
-    snapshot_tmp_path, DeltaJournal, JournalEntry, SnapshotError, SnapshotSections, V4Head,
-    JOURNAL_MAGIC, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_V1, SNAPSHOT_VERSION_V2, SNAPSHOT_VERSION_V3, V4_FLAG_BITMAP, V4_FLAG_SORTED,
+    load_parts, parse_head, recover_interrupted_save, save_parts, save_parts_to_path,
+    snapshot_tmp_path, DeltaJournal, JournalEntry, SnapshotError, SnapshotHead, SnapshotSections,
+    JOURNAL_MAGIC, SET_FLAG_BITMAP, SET_FLAG_SORTED, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,
+    SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

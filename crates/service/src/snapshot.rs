@@ -1,81 +1,62 @@
-//! The versioned binary snapshot format.
+//! The binary snapshot format.
 //!
 //! Sampling dominates IMM runtime, so a sketch sampled once is worth
 //! persisting: `save` freezes a [`SketchIndex`] to disk and `load` brings it
 //! back in a later process without resampling. The container is defensive —
 //! magic bytes, a format version, and an FNV-1a checksum over the payload —
-//! so a wrong file, a future format, or flipped bits fail loudly instead of
+//! so a wrong file, another format, or flipped bits fail loudly instead of
 //! deserializing garbage into a serving index.
 //!
-//! Layout (all integers little-endian):
+//! There is one format, version 5: what this build writes is the only thing
+//! it reads or maps, and any other version field is
+//! [`SnapshotError::UnsupportedVersion`]. Layout (all integers
+//! little-endian, all offsets **snapshot-relative**: offset 0 is the first
+//! magic byte):
 //!
 //! ```text
 //! [0..8)   magic  "IMMSKTCH"
-//! [8..12)  format version (1 to 5; writers emit 5)
+//! [8..12)  format version (5)
 //! [12..20) FNV-1a 64 checksum of the payload
-//! [20..)   payload: num_edges u64, label (u32 length + UTF-8 bytes),
-//!          then the RRR collection (per-version encoding, below)
+//! [20..)   payload — the head:
+//!            num_edges u64, label (u32 length + UTF-8 bytes)
+//!            section directory: 13 × u64 (num_nodes, num_sets, arena_len,
+//!              bitmap_sets, postings_len, arena_off, bitmaps_off,
+//!              offsets_off, postings_off, row_vertices, row_table_off,
+//!              rows_off, file_len) + the FNV-1a 64 of those 104 bytes
+//!            per-set lengths (num_sets × u32)
+//!            per-set representation flags (num_sets × u8; 0 list, 1 bitmap)
+//!            provenance section
+//!          then the data sections at their directory offsets
 //! ```
 //!
-//! Version 2 appends the **provenance section** after the collection — a
-//! presence flag, the sampling spec (model tag, base RNG seed,
-//! representation policy), one record per set, and the **delta log** of
-//! every [`imm_graph::GraphDelta`] applied since the initial sample. A
-//! snapshot of a dynamic index therefore stays refreshable after a round
-//! trip, and the delta log lets `update-index` reconstruct the current graph
-//! revision from the original source.
+//! The **provenance section** is a presence flag and, when set, the sampling
+//! spec (model tag: 2 = IC, 3 = LT — sets drawn from per-set keyed coins;
+//! base RNG seed; representation policy), one 4-byte record per set (its
+//! root), and the **delta log** of every [`imm_graph::GraphDelta`] applied
+//! since the initial sample. A snapshot of a dynamic index therefore stays
+//! refreshable after a round trip, and the delta log lets `update-index`
+//! reconstruct the current graph revision from the original source.
 //!
-//! The model tag also names the sampler, and with it the record size. The
-//! keyed tags (2 = IC, 3 = LT; what this build writes) mark sets drawn from
-//! per-set keyed coins and carry a 4-byte record, the set's root. The legacy
-//! tags (0 = IC, 1 = LT) mark sets drawn from the earlier sequential-stream
-//! sampler, whose 36-byte records held the root and a 32-byte probed-edge
-//! signature: they still decode and verify, but the section is then dropped
-//! and the index loads **static** — the refresh re-evaluates keyed coins,
-//! which would be wrong for those sets.
+//! The data sections are zero-padded to 4096-byte page boundaries: the
+//! vertex arena (`u32`: every list set's sorted members, back to back), the
+//! bitmap words (`u64`, `⌈num_nodes/64⌉` words per bitmap set in set order),
+//! and the vertex-adaptive [`imm_rrr::Postings`], stored section for section
+//! — the CSR offsets (`num_nodes + 1` × `u64`) and the flat `u32` lists hold
+//! the list vertices only (a row vertex has an empty range), the **row
+//! table** (`u32`: the `row_vertices` ids of the vertices stored as rows,
+//! ascending, then their degrees) follows the lists directly, and the
+//! **rows** (`u64`, `⌈num_sets/64⌉` words per row vertex, in table order)
+//! start on the next page boundary and end the file. A snapshot without a
+//! row vertex has both sections empty at `file_len`. Because every section
+//! is plain little-endian integers, suitably aligned, `imm-store` can `mmap`
+//! a file and serve the arena, bitmaps and postings *in place* from
+//! [`parse_head`] alone; the read-decode path decodes the postings sections
+//! and validates them in full (every list ascending and in range, no row bit
+//! beyond `num_sets`, stored degree = popcount, no vertex in both forms)
+//! rather than rebuilding them.
 //!
-//! Version 3 changes only the collection encoding: instead of the v1/v2
-//! per-set stream (one tag byte + framed payload per set), the collection is
-//! written with [`imm_rrr::RrrCollection::encode_arena`] — the whole vertex
-//! arena as one contiguous section, then the per-set lengths and
-//! representation flags, then each heavy set's bitmap as raw words (no
-//! per-set capacity framing). The provenance section is unchanged.
-//!
-//! Version 4 introduced the **mappable** layout (`imm-store`): after the
-//! prelude (num_edges + label) comes a section directory of `u64` fields
-//! closed by an FNV-1a checksum of those fields, then the per-set lengths
-//! (`u32` each), representation flags (`u8` each) and the v2 provenance
-//! section. The data sections follow at their directory offsets, each padded
-//! to a 4096-byte **snapshot-relative page boundary**: the vertex arena
-//! (`u32`), the heavy-set bitmap words (`u64`, `⌈num_nodes/64⌉` words per
-//! bitmap set in set order), and the inverted postings. In v4 those were a
-//! flat list for every vertex — the CSR offsets (`num_nodes + 1` × `u64`)
-//! and the flat `u32` lists — named by a 10-field directory (`num_nodes,
-//! num_sets, arena_len, bitmap_sets, postings_len, arena_off, bitmaps_off,
-//! offsets_off, postings_off, file_len`; 88 bytes with its checksum).
-//!
-//! Version 5 (what this build writes) is the v4 head with three more
-//! directory fields — `row_vertices, row_table_off, rows_off`, placed before
-//! `file_len`; 112 bytes with the checksum — because the postings are now
-//! the vertex-adaptive [`imm_rrr::Postings`], stored section for section:
-//! the offsets and flat lists hold the list vertices only (a row vertex has
-//! an empty range), the **row table** (`u32`: the `row_vertices` ids of the
-//! vertices stored as rows, ascending, then their degrees) follows the lists
-//! directly, and the **rows** (`u64`, `⌈num_sets/64⌉` words per row vertex,
-//! in table order) start on the next page boundary and end the file. A
-//! snapshot without a row vertex has both sections empty at `file_len`: it
-//! is the v4 file plus 24 directory bytes. Because every section is plain
-//! little-endian integers, suitably aligned, `imm-store` can `mmap` a v5
-//! file and serve the arena, bitmaps and postings *in place*; the
-//! read-decode path decodes the postings sections and validates them in full
-//! (every list ascending and in range, no row bit beyond `num_sets`, stored
-//! degree = popcount, no vertex in both forms) rather than rebuilding them.
-//! Versions 1–4 still load through read-decode only: their decoders never
-//! read stored postings and rebuild them from the sets (v1 comes back
-//! static), and `imm-store` counts a v4 file as a mapped-path fallback.
-//!
-//! Only the collection, metadata, provenance and (from v4) the inverted
-//! postings are stored.
+//! Only the collection, metadata, provenance and the inverted postings are
+//! stored.
 //!
 //! # Crash safety
 //!
@@ -102,16 +83,8 @@ use std::path::{Path, PathBuf};
 
 /// The magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMMSKTCH";
-/// The snapshot format version this build writes.
+/// The one snapshot format version: what this build writes, reads and maps.
 pub const SNAPSHOT_VERSION: u32 = 5;
-/// The legacy (pre-provenance) format version this build still reads.
-pub const SNAPSHOT_VERSION_V1: u32 = 1;
-/// The legacy per-set-encoded dynamic format this build still reads.
-pub const SNAPSHOT_VERSION_V2: u32 = 2;
-/// The legacy arena-encoded (non-mappable) format this build still reads.
-pub const SNAPSHOT_VERSION_V3: u32 = 3;
-/// The first mappable layout (flat-list postings): read-decode only.
-pub const SNAPSHOT_VERSION_V4: u32 = 4;
 /// Alignment of the page-aligned data sections, as a **snapshot-relative** byte
 /// offset (offset 0 = first magic byte). Matches the small-page size, so a
 /// page-aligned mapping of the file keeps each section alignment-safe for
@@ -133,7 +106,7 @@ pub enum SnapshotError {
     Io(std::io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic([u8; 8]),
-    /// The file announces a format version this build cannot read.
+    /// The file announces a format version other than [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
     /// The payload checksum does not match the header.
     ChecksumMismatch {
@@ -158,8 +131,8 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (this build reads \
-                     {SNAPSHOT_VERSION_V1} to {SNAPSHOT_VERSION} and maps {SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {v}: this build reads and maps version \
+                     {SNAPSHOT_VERSION}; rebuild the index with `build-index`"
                 )
             }
             SnapshotError::ChecksumMismatch { expected, actual } => write!(
@@ -214,12 +187,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-const MODEL_IC_LEGACY: u8 = 0;
-const MODEL_LT_LEGACY: u8 = 1;
+// Tags 0 and 1 named the sequential-stream sampler that preceded the keyed
+// coins; no v5 file carries them, and they are never reused.
 const MODEL_IC_KEYED: u8 = 2;
 const MODEL_LT_KEYED: u8 = 3;
-/// Bytes a legacy per-set record carries after its root.
-const LEGACY_RECORD_TAIL_BYTES: usize = 32;
 
 fn encode_delta(delta: &GraphDelta, out: &mut Vec<u8>) {
     out.extend_from_slice(&(delta.insertions().len() as u64).to_le_bytes());
@@ -286,19 +257,15 @@ fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode (and fully validate) a provenance section. `None` means the
-/// section described sets of the legacy stream sampler: it is well-formed
-/// but not refreshable, so the index loads static.
+/// Decode (and fully validate) a provenance section.
 fn decode_provenance(
     reader: &mut ByteReader<'_>,
     num_sets: usize,
     num_nodes: usize,
-) -> Result<Option<SketchProvenance>, SnapshotError> {
-    let (model, keyed) = match reader.read_u8()? {
-        MODEL_IC_KEYED => (DiffusionModel::IndependentCascade, true),
-        MODEL_LT_KEYED => (DiffusionModel::LinearThreshold, true),
-        MODEL_IC_LEGACY => (DiffusionModel::IndependentCascade, false),
-        MODEL_LT_LEGACY => (DiffusionModel::LinearThreshold, false),
+) -> Result<SketchProvenance, SnapshotError> {
+    let model = match reader.read_u8()? {
+        MODEL_IC_KEYED => DiffusionModel::IndependentCascade,
+        MODEL_LT_KEYED => DiffusionModel::LinearThreshold,
         _ => return Err(SnapshotError::Corrupt(CodecError::InvalidValue("unknown model tag"))),
     };
     let rng_seed = reader.read_u64()?;
@@ -313,8 +280,7 @@ fn decode_provenance(
     let spec = SampleSpec::new(model, rng_seed)
         .with_policy(AdaptivePolicy { density_threshold, min_bitmap_size });
 
-    let record_tail = if keyed { 0 } else { LEGACY_RECORD_TAIL_BYTES };
-    let count = reader.read_len(4 + record_tail)?;
+    let count = reader.read_len(4)?;
     if count != num_sets {
         return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
             "provenance record count disagrees with the collection",
@@ -328,7 +294,6 @@ fn decode_provenance(
                 "provenance root outside the vertex space",
             )));
         }
-        reader.read_bytes(record_tail)?;
         sets.push(SetProvenance { root });
     }
 
@@ -340,17 +305,16 @@ fn decode_provenance(
         let delta = decode_delta(reader)?;
         delta_log.push(DeltaLogEntry { delta, resampled_sets });
     }
-    Ok(keyed.then_some(SketchProvenance { spec, sets, delta_log }))
+    Ok(SketchProvenance { spec, sets, delta_log })
 }
 
-/// Representation-flag value for a sorted-list set in a v4 head (matching
-/// the v3 arena codec's tags). `imm-store` walks the same flags to attach
-/// zero-copy spans.
-pub const V4_FLAG_SORTED: u8 = 0;
-/// Representation-flag value for a bitmap set in a v4 head.
-pub const V4_FLAG_BITMAP: u8 = 1;
+/// Representation-flag value for a sorted-list set in a snapshot head.
+/// `imm-store` walks the same flags to attach zero-copy spans.
+pub const SET_FLAG_SORTED: u8 = 0;
+/// Representation-flag value for a bitmap set in a snapshot head.
+pub const SET_FLAG_BITMAP: u8 = 1;
 
-/// The section directory of a mappable snapshot: sizes and
+/// The section directory of a snapshot: sizes and
 /// **snapshot-relative** byte offsets of the data sections. `imm-store` maps
 /// the file and turns these straight into in-place slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -375,7 +339,7 @@ pub struct SnapshotSections {
     pub offsets_off: usize,
     /// Snapshot-relative byte offset of the flat postings lists.
     pub postings_off: usize,
-    /// Vertices whose postings are a row (0 in a v4 file).
+    /// Vertices whose postings are a row.
     pub row_vertices: usize,
     /// Snapshot-relative byte offset of the row table (`2 × row_vertices`
     /// × `u32`: ids, then degrees).
@@ -387,9 +351,11 @@ pub struct SnapshotSections {
     pub file_len: usize,
 }
 
-/// Directory fields before the checksum: v4 files, then v5 files.
-const DIRECTORY_FIELDS_V4: usize = 10;
+/// Directory fields before the checksum.
 const DIRECTORY_FIELDS: usize = 13;
+/// The earliest snapshot-relative offset a directory can end at: container
+/// header, `num_edges`, the length of an empty label, fields and checksum.
+const DIRECTORY_END_MIN: usize = SNAPSHOT_HEADER_BYTES + 8 + 4 + (DIRECTORY_FIELDS + 1) * 8;
 
 impl SnapshotSections {
     /// `u64` words per stored bitmap set.
@@ -428,32 +394,21 @@ impl SnapshotSections {
         dir
     }
 
-    /// Read the directory of a `version` (4 or 5) file; a v4 directory reads
-    /// as one with no row vertex.
-    fn read(reader: &mut ByteReader<'_>, version: u32) -> Result<Self, SnapshotError> {
-        let count =
-            if version >= SNAPSHOT_VERSION { DIRECTORY_FIELDS } else { DIRECTORY_FIELDS_V4 };
-        let raw = reader.read_bytes((count + 1) * 8)?;
-        let word = |slot: usize| {
-            u64::from_le_bytes(raw[slot * 8..slot * 8 + 8].try_into().expect("8 bytes"))
-        };
-        if fnv1a64(&raw[..count * 8]) != word(count) {
+    /// Read and validate the directory.
+    fn read(reader: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let raw = reader.read_bytes((DIRECTORY_FIELDS + 1) * 8)?;
+        let words = le_u64s(raw);
+        if fnv1a64(&raw[..DIRECTORY_FIELDS * 8]) != words[DIRECTORY_FIELDS] {
             return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                 "section directory checksum mismatch",
             )));
         }
         let mut fields = [0usize; DIRECTORY_FIELDS];
-        for (slot, field) in fields[..count].iter_mut().enumerate() {
-            *field = usize::try_from(word(slot)).map_err(|_| {
+        for (field, &word) in fields.iter_mut().zip(&words) {
+            *field = usize::try_from(word).map_err(|_| {
                 SnapshotError::Corrupt(CodecError::InvalidValue("directory field overflow"))
             })?;
         }
-        let file_len = fields[count - 1];
-        let rows = if count == DIRECTORY_FIELDS {
-            [fields[9], fields[10], fields[11]]
-        } else {
-            [0, file_len, file_len]
-        };
         let sections = SnapshotSections {
             num_nodes: fields[0],
             num_sets: fields[1],
@@ -464,10 +419,10 @@ impl SnapshotSections {
             bitmaps_off: fields[6],
             offsets_off: fields[7],
             postings_off: fields[8],
-            row_vertices: rows[0],
-            row_table_off: rows[1],
-            rows_off: rows[2],
-            file_len,
+            row_vertices: fields[9],
+            row_table_off: fields[10],
+            rows_off: fields[11],
+            file_len: fields[12],
         };
         sections.validate()?;
         Ok(sections)
@@ -495,6 +450,13 @@ impl SnapshotSections {
                 .and_then(|bytes| off.checked_add(bytes))
                 .ok_or(corrupt("section size overflow"))
         };
+        // The per-set lens (`u32`) and flags (`u8`) sit between the directory
+        // and the arena, so they bound `num_sets` — which nothing below does
+        // when there is no row vertex.
+        let lens_and_flags_end = end(DIRECTORY_END_MIN, Some(self.num_sets), 5)?;
+        if lens_and_flags_end > self.arena_off {
+            return Err(corrupt("set lengths and flags overrun the arena section"));
+        }
         let arena_end = end(self.arena_off, Some(self.arena_len), 4)?;
         let bitmaps_end =
             end(self.bitmaps_off, self.bitmap_sets.checked_mul(self.words_per_bitmap()), 8)?;
@@ -515,13 +477,12 @@ impl SnapshotSections {
     }
 }
 
-/// Everything a reader of a mappable (v4/v5) file learns **before touching
-/// any data page**: the
-/// metadata prelude, the section directory, the per-set lengths and
-/// representation flags, and the provenance section. The store's mmap path
-/// builds its zero-copy index from this head plus in-place section views.
+/// Everything a reader of a snapshot learns **before touching any data
+/// page**: the metadata prelude, the section directory, the per-set lengths
+/// and representation flags, and the provenance section. The store's mmap
+/// path builds its zero-copy index from this head plus in-place section views.
 #[derive(Debug)]
-pub struct V4Head {
+pub struct SnapshotHead {
     /// Index metadata (edge count + label).
     pub meta: IndexMeta,
     /// Section directory.
@@ -534,22 +495,28 @@ pub struct V4Head {
     pub provenance: Option<SketchProvenance>,
 }
 
-fn decode_v4_head(payload: &[u8], version: u32) -> Result<V4Head, SnapshotError> {
+fn le_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
+}
+
+fn le_u64s(bytes: &[u8]) -> Vec<u64> {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+}
+
+fn decode_head(payload: &[u8]) -> Result<SnapshotHead, SnapshotError> {
     let mut reader = ByteReader::new(payload);
     let num_edges = usize::try_from(reader.read_u64()?)
         .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("num_edges overflow")))?;
     let label_len = reader.read_u32()? as usize;
     let label = String::from_utf8(reader.read_bytes(label_len)?.to_vec())
         .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("label is not UTF-8")))?;
-    let sections = SnapshotSections::read(&mut reader, version)?;
-    let lens: Vec<u32> = {
-        let raw = reader.read_bytes(sections.num_sets * 4)?;
-        raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
-    };
+    let sections = SnapshotSections::read(&mut reader)?;
+    // `validate()` bounded `num_sets * 5` by the arena offset.
+    let lens = le_u32s(reader.read_bytes(sections.num_sets * 4)?);
     let flags = reader.read_bytes(sections.num_sets)?.to_vec();
     let provenance = match reader.read_u8()? {
         0 => None,
-        1 => decode_provenance(&mut reader, sections.num_sets, sections.num_nodes)?,
+        1 => Some(decode_provenance(&mut reader, sections.num_sets, sections.num_nodes)?),
         _ => {
             return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                 "provenance flag is not 0 or 1",
@@ -564,11 +531,10 @@ fn decode_v4_head(payload: &[u8], version: u32) -> Result<V4Head, SnapshotError>
             "head overruns the arena section",
         )));
     }
-    Ok(V4Head { meta: IndexMeta { num_edges, label }, sections, lens, flags, provenance })
+    Ok(SnapshotHead { meta: IndexMeta { num_edges, label }, sections, lens, flags, provenance })
 }
 
-/// Parse the head of a mappable snapshot — the current version only; a v4
-/// file is served through read-decode — from its raw bytes (magic, version,
+/// Parse the head of a snapshot from its raw bytes (magic, version,
 /// directory, lens/flags/provenance) **without** verifying the payload
 /// checksum or touching the data sections — the entry point of the
 /// zero-copy mmap path, whose whole purpose is to leave the data pages
@@ -576,12 +542,9 @@ fn decode_v4_head(payload: &[u8], version: u32) -> Result<V4Head, SnapshotError>
 /// directory is covered by the directory checksum; the data sections are
 /// covered by the container checksum, which the read-decode path (and any
 /// `verify` tooling) still checks in full.
-pub fn parse_v4_head(snapshot: &[u8]) -> Result<V4Head, SnapshotError> {
-    let (version, _checksum, payload) = split_container(snapshot)?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let head = decode_v4_head(payload, version)?;
+pub fn parse_head(snapshot: &[u8]) -> Result<SnapshotHead, SnapshotError> {
+    let (_checksum, payload) = split_container(snapshot)?;
+    let head = decode_head(payload)?;
     if head.sections.file_len != snapshot.len() {
         return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
             "directory file length disagrees with the snapshot",
@@ -602,9 +565,9 @@ fn encode_payload(
     let num_nodes = collection.num_nodes();
     let num_sets = collection.len();
 
-    // Pass 1: lens, flags and section sizes. Like the v3 arena codec, the
-    // stored arena is the *live* data in set order — tombstones never reach
-    // the file — so spans decode as a simple running cursor.
+    // Pass 1: lens, flags and section sizes. The stored arena is the *live*
+    // data in set order — tombstones never reach the file — so spans decode
+    // as a simple running cursor.
     let mut lens = Vec::with_capacity(num_sets);
     let mut flags = Vec::with_capacity(num_sets);
     let mut arena_len = 0usize;
@@ -613,11 +576,11 @@ fn encode_payload(
         lens.push(set.len() as u32);
         match set {
             SetView::Sorted(_) => {
-                flags.push(V4_FLAG_SORTED);
+                flags.push(SET_FLAG_SORTED);
                 arena_len += set.len();
             }
             SetView::Bitmap(_) => {
-                flags.push(V4_FLAG_BITMAP);
+                flags.push(SET_FLAG_BITMAP);
                 bitmap_sets += 1;
             }
         }
@@ -703,49 +666,44 @@ fn encode_payload(
     payload
 }
 
-/// What a verified snapshot decodes to. `postings` is present when the file
-/// stored vertex-adaptive postings (v5): decoded and validated in full.
-/// Older files leave it to the caller to rebuild them from the sets.
-type Decoded = (IndexMeta, RrrCollection, Option<SketchProvenance>, Option<Postings>);
+/// What a verified snapshot decodes to; the postings are the stored
+/// sections, validated in full.
+type Decoded = (IndexMeta, RrrCollection, Option<SketchProvenance>, Postings);
 
-fn decode_payload_v4(payload: &[u8], version: u32) -> Result<Decoded, SnapshotError> {
+fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
     let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
-    let head = decode_v4_head(payload, version)?;
+    let head = decode_head(payload)?;
     let sections = &head.sections;
     if sections.file_len != payload.len() + SNAPSHOT_HEADER_BYTES {
         return Err(corrupt("directory file length disagrees with the payload"));
     }
+    // `validate()` placed every section inside `file_len`.
     let section = |off: usize, len: usize| -> &[u8] {
         &payload[off - SNAPSHOT_HEADER_BYTES..off - SNAPSHOT_HEADER_BYTES + len]
     };
+    let u32s = |off: usize, len: usize| le_u32s(section(off, len * 4));
+    let u64s = |off: usize, len: usize| le_u64s(section(off, len * 8));
 
-    let arena: Vec<imm_rrr::NodeId> = section(sections.arena_off, sections.arena_len * 4)
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
+    let arena = u32s(sections.arena_off, sections.arena_len);
     let mut collection = RrrCollection::adopt_arena(sections.num_nodes, arena, sections.num_sets);
 
     let words_per_bitmap = sections.words_per_bitmap();
-    let bitmap_bytes = section(sections.bitmaps_off, sections.bitmap_sets * words_per_bitmap * 8);
     let mut cursor = 0usize;
     let mut next_bitmap = 0usize;
     for (&len, &flag) in head.lens.iter().zip(head.flags.iter()) {
         match flag {
-            V4_FLAG_SORTED => {
+            SET_FLAG_SORTED => {
                 collection
                     .push_adopted_span(cursor, len as usize)
                     .map_err(|msg| SnapshotError::Corrupt(CodecError::InvalidValue(msg)))?;
                 cursor += len as usize;
             }
-            V4_FLAG_BITMAP => {
+            SET_FLAG_BITMAP => {
                 if next_bitmap >= sections.bitmap_sets {
                     return Err(corrupt("more bitmap flags than bitmap sections"));
                 }
-                let start = next_bitmap * words_per_bitmap * 8;
-                let words: Vec<u64> = bitmap_bytes[start..start + words_per_bitmap * 8]
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect();
+                let start = sections.bitmaps_off + next_bitmap * words_per_bitmap * 8;
+                let words = u64s(start, words_per_bitmap);
                 if let Some(last) = words.last() {
                     let tail_bits = sections.num_nodes % 64;
                     if tail_bits != 0 && *last >> tail_bits != 0 {
@@ -771,72 +729,17 @@ fn decode_payload_v4(payload: &[u8], version: u32) -> Result<Decoded, SnapshotEr
     if next_bitmap != sections.bitmap_sets {
         return Err(corrupt("fewer bitmap flags than bitmap sections"));
     }
-    // A v4 file's flat-list postings are *not* adopted: the loader rebuilds
-    // them from the sets, exactly as pre-v4 loads did.
-    let postings = if version >= SNAPSHOT_VERSION {
-        let u32s = |off: usize, len: usize| -> Vec<u32> {
-            section(off, len * 4)
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect()
-        };
-        let u64s = |off: usize, len: usize| -> Vec<u64> {
-            section(off, len * 8)
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect()
-        };
-        let postings = Postings::from_sections(
-            sections.num_nodes,
-            sections.num_sets,
-            u64s(sections.offsets_off, sections.num_nodes + 1),
-            u32s(sections.postings_off, sections.postings_len),
-            u32s(sections.row_table_off, sections.row_vertices * 2),
-            u64s(sections.rows_off, sections.row_vertices * sections.words_per_row()),
-        )
-        .map_err(corrupt)?;
-        postings.validate_contents().map_err(corrupt)?;
-        Some(postings)
-    } else {
-        None
-    };
+    let postings = Postings::from_sections(
+        sections.num_nodes,
+        sections.num_sets,
+        u64s(sections.offsets_off, sections.num_nodes + 1),
+        u32s(sections.postings_off, sections.postings_len),
+        u32s(sections.row_table_off, sections.row_vertices * 2),
+        u64s(sections.rows_off, sections.row_vertices * sections.words_per_row()),
+    )
+    .map_err(corrupt)?;
+    postings.validate_contents().map_err(corrupt)?;
     Ok((head.meta, collection, head.provenance, postings))
-}
-
-fn decode_payload(version: u32, payload: &[u8]) -> Result<Decoded, SnapshotError> {
-    if version >= SNAPSHOT_VERSION_V4 {
-        return decode_payload_v4(payload, version);
-    }
-    let mut reader = ByteReader::new(payload);
-    let num_edges = usize::try_from(reader.read_u64()?)
-        .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("num_edges overflow")))?;
-    let label_len = reader.read_u32()? as usize;
-    let label = String::from_utf8(reader.read_bytes(label_len)?.to_vec())
-        .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("label is not UTF-8")))?;
-    let collection = if version >= SNAPSHOT_VERSION_V3 {
-        RrrCollection::decode_arena(&mut reader)?
-    } else {
-        RrrCollection::decode(&mut reader)?
-    };
-    let provenance = if version >= SNAPSHOT_VERSION_V2 {
-        match reader.read_u8()? {
-            0 => None,
-            1 => decode_provenance(&mut reader, collection.len(), collection.num_nodes())?,
-            _ => {
-                return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
-                    "provenance flag is not 0 or 1",
-                )))
-            }
-        }
-    } else {
-        None
-    };
-    if !reader.is_exhausted() {
-        return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
-            "trailing bytes after collection",
-        )));
-    }
-    Ok((IndexMeta { num_edges, label }, collection, provenance, None))
 }
 
 /// Serialize index components into `writer` exactly as
@@ -966,16 +869,12 @@ impl SketchIndex {
     }
 
     /// Read an index back from `reader`, verifying magic, version and
-    /// checksum. A v5 snapshot's postings are decoded and validated; older
-    /// versions rebuild them from the sets. A snapshot with a provenance
-    /// section comes back dynamic (refreshable); v1 snapshots and
-    /// provenance-free ones come back static.
+    /// checksum; the stored postings are decoded and validated, not rebuilt.
+    /// A snapshot with a provenance section comes back dynamic
+    /// (refreshable), a provenance-free one static.
     pub fn load(reader: &mut impl Read) -> Result<Self, SnapshotError> {
         let (meta, collection, provenance, postings) = load_verified(reader)?;
-        Ok(match postings {
-            Some(postings) => SketchIndex::from_parts(collection, meta, provenance, postings)?,
-            None => SketchIndex::from_collection_with_provenance(collection, meta, provenance)?,
-        })
+        Ok(SketchIndex::from_parts(collection, meta, provenance, postings)?)
     }
 
     /// Read an index back from the file at `path`, first sweeping any
@@ -988,9 +887,9 @@ impl SketchIndex {
     }
 }
 
-/// Check the magic and split a snapshot into its format version, stored
+/// Check the magic and the version and split a snapshot into its stored
 /// payload checksum and payload.
-fn split_container(snapshot: &[u8]) -> Result<(u32, u64, &[u8]), SnapshotError> {
+fn split_container(snapshot: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
     let mut header = ByteReader::new(snapshot);
     let magic = header.read_bytes(SNAPSHOT_MAGIC.len())?;
     if magic != SNAPSHOT_MAGIC {
@@ -999,22 +898,22 @@ fn split_container(snapshot: &[u8]) -> Result<(u32, u64, &[u8]), SnapshotError> 
         return Err(SnapshotError::BadMagic(found));
     }
     let (version, checksum) = (header.read_u32()?, header.read_u64()?);
-    Ok((version, checksum, &snapshot[SNAPSHOT_HEADER_BYTES..]))
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    Ok((checksum, &snapshot[SNAPSHOT_HEADER_BYTES..]))
 }
 
 /// Verify the container (magic, version, checksum) and decode the payload.
 fn load_verified(reader: &mut impl Read) -> Result<Decoded, SnapshotError> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    let (version, expected, payload) = split_container(&bytes)?;
-    if !(SNAPSHOT_VERSION_V1..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
+    let (expected, payload) = split_container(&bytes)?;
     let actual = fnv1a64(payload);
     if actual != expected {
         return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
-    decode_payload(version, payload)
+    decode_payload(payload)
 }
 
 /// The magic bytes opening every delta journal.
@@ -1186,7 +1085,7 @@ mod tests {
         out
     }
 
-    /// A v2 snapshot of a *dynamic* index, with a non-empty delta log.
+    /// A *dynamic* index, with a non-empty delta log.
     fn dynamic_index() -> SketchIndex {
         use imm_graph::generators;
         use rand::rngs::SmallRng;
@@ -1224,59 +1123,11 @@ mod tests {
         assert_eq!(provenance.sets.len(), loaded.num_sets());
     }
 
-    /// A dynamic **v2** file — legacy per-set collection encoding plus a
-    /// provenance section — keeps loading with its provenance intact.
-    #[test]
-    fn v2_dynamic_snapshots_still_load() {
-        let index = dynamic_index();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(index.meta().num_edges as u64).to_le_bytes());
-        payload.extend_from_slice(&(index.meta().label.len() as u32).to_le_bytes());
-        payload.extend_from_slice(index.meta().label.as_bytes());
-        index.sets().encode(&mut payload); // v2 wrote the per-set stream
-        payload.push(1);
-        encode_provenance(index.provenance().unwrap(), &mut payload);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION_V2.to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded, index);
-        assert!(loaded.is_dynamic());
-        assert_eq!(loaded.provenance(), index.provenance());
-    }
-
-    /// A **v3** file — whole-arena collection encoding, no section
-    /// directory — keeps loading through the legacy arena decoder.
-    #[test]
-    fn v3_snapshots_still_load() {
-        let index = dynamic_index();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(index.meta().num_edges as u64).to_le_bytes());
-        payload.extend_from_slice(&(index.meta().label.len() as u32).to_le_bytes());
-        payload.extend_from_slice(index.meta().label.as_bytes());
-        index.sets().encode_arena(&mut payload); // v3 wrote the arena stream
-        payload.push(1);
-        encode_provenance(index.provenance().unwrap(), &mut payload);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION_V3.to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded, index);
-        assert!(loaded.is_dynamic());
-        assert_eq!(loaded.provenance(), index.provenance());
-    }
-
     #[test]
     fn sections_are_aligned_and_the_head_parses_without_data() {
         let index = dynamic_index();
         let bytes = snapshot_bytes(&index);
-        let head = parse_v4_head(&bytes).unwrap();
+        let head = parse_head(&bytes).unwrap();
         let sections = head.sections;
         assert!(sections.row_vertices > 0, "60 sets over 80 vertices: some vertex is a row");
         for off in [
@@ -1299,7 +1150,7 @@ mod tests {
         let mut tampered = bytes.clone();
         let dir_at = SNAPSHOT_HEADER_BYTES + 8 + 4 + index.meta().label.len();
         tampered[dir_at] ^= 0x01;
-        assert!(parse_v4_head(&tampered).is_err());
+        assert!(parse_head(&tampered).is_err());
     }
 
     /// The stored postings sections hold exactly what a heap build computes,
@@ -1313,8 +1164,7 @@ mod tests {
         assert_eq!(index.postings().sections(), built.sections());
     }
 
-    /// A snapshot without a row vertex ends at its flat lists: the v4 file
-    /// plus the three directory fields.
+    /// A snapshot without a row vertex ends at its flat lists.
     #[test]
     fn a_snapshot_without_row_vertices_has_no_row_sections() {
         let mut c = RrrCollection::new(50);
@@ -1323,35 +1173,11 @@ mod tests {
         }
         let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         let bytes = snapshot_bytes(&index);
-        let s = parse_v4_head(&bytes).unwrap().sections;
+        let s = parse_head(&bytes).unwrap().sections;
         assert_eq!((s.row_vertices, s.postings_len), (0, 64));
         assert_eq!(s.row_table_off, s.postings_off + 64 * 4);
         assert_eq!((s.rows_off, s.file_len), (s.row_table_off, s.row_table_off));
         assert_eq!(SketchIndex::load(&mut bytes.as_slice()).unwrap(), index);
-    }
-
-    #[test]
-    fn v1_snapshots_still_load_as_static_indexes() {
-        // Hand-assemble a version-1 file: v1 payload has no provenance
-        // section at all.
-        let index = sample_index();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(index.meta().num_edges as u64).to_le_bytes());
-        payload.extend_from_slice(&(index.meta().label.len() as u32).to_le_bytes());
-        payload.extend_from_slice(index.meta().label.as_bytes());
-        index.sets().encode(&mut payload);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(loaded, index);
-        assert!(!loaded.is_dynamic());
-        // And the parts-only reader agrees.
-        let (meta, collection, provenance) = load_parts(&mut bytes.as_slice()).unwrap();
-        assert_eq!((&meta, &collection, provenance), (index.meta(), index.sets(), None));
     }
 
     #[test]
@@ -1378,16 +1204,6 @@ mod tests {
         assert!(matches!(
             SketchIndex::load(&mut bytes.as_slice()),
             Err(SnapshotError::BadMagic(_))
-        ));
-    }
-
-    #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = snapshot_bytes(&sample_index());
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            SketchIndex::load(&mut bytes.as_slice()),
-            Err(SnapshotError::UnsupportedVersion(99))
         ));
     }
 

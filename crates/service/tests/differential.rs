@@ -12,7 +12,7 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta, NodeId};
-use imm_service::{parse_v4_head, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{parse_head, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -317,7 +317,7 @@ fn a_vertex_crossing_the_row_threshold_both_ways_is_patched_like_a_rebuild() {
         let saved = |index: &SketchIndex| {
             let mut bytes = Vec::new();
             index.save(&mut bytes).unwrap();
-            let data_from = parse_v4_head(&bytes).unwrap().sections.arena_off;
+            let data_from = parse_head(&bytes).unwrap().sections.arena_off;
             (data_from, bytes)
         };
         let ((from_a, patched), (from_b, fresh)) = (saved(&index), saved(&rebuilt));

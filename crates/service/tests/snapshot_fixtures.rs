@@ -1,44 +1,26 @@
-//! Golden snapshot fixtures: tiny checked-in files in formats v1 through v5
-//! pin cross-version load compatibility by **real bytes**, not by freshly
-//! encoded round-trips — if a decoder drifts, these tests fail against the
-//! bytes an old writer actually produced.
+//! The golden snapshot fixture: one tiny checked-in file pins the snapshot
+//! format by **real bytes**, not by a freshly encoded round-trip — if the
+//! decoder or the writer drifts, these tests fail against the bytes the
+//! writer actually produced.
 //!
-//! Two directions are pinned:
-//!
-//! * **Decode**: each fixture file must load into exactly the hand-stated
-//!   index (sets, representations, metadata, provenance, delta log).
-//! * **Encode stability**: the fixture bytes are rebuilt in-process (the v5
-//!   file through the current writer, v1/v2/v3 through the documented legacy
-//!   layouts) and must equal the checked-in files byte for byte, so an
-//!   accidental format change cannot land silently.
-//!
-//! `golden_v2`, `golden_v3` and `golden_v4` carry the **legacy** provenance
-//! records (root + 32-byte probed-edge signature, model tags 0/1) of the
-//! sequential-stream sampler: they must keep decoding, and must load
-//! *static*. `golden_v4_keyed.sketch` is what the v4 writer emitted for a
-//! keyed (model tags 2/3, 4-byte root records) index: it loads dynamic. Both
-//! v4 files are decode-only — no writer in this build emits a v4 container —
-//! and the mapped path must refuse them (read-decode serves them, their
-//! flat-list postings unread).
-//!
-//! `golden_v5.sketch` is what the current writer emits: forty sets in which
-//! one vertex is dense enough to store its postings as a **row** and one
-//! keeps a **list**. It is pinned three ways — against the writer, against a
-//! twin assembled here byte by byte from the documented layout, and against
-//! the mmap contract: the directory parses without touching a data page and
+//! `golden_v5.sketch` is what the writer emits: forty sets in which one
+//! vertex is dense enough to store its postings as a **row** and one keeps a
+//! **list**. It is pinned three ways — against the writer, against a twin
+//! assembled here byte by byte from the documented layout, and against the
+//! mmap contract: the directory parses without touching a data page and
 //! every section it reports is aligned as documented.
 //!
 //! Regenerating after an *intentional* format change:
 //! `REGEN_SNAPSHOT_FIXTURES=1 cargo test -p imm-service --test
-//! snapshot_fixtures` rewrites the regenerable files; commit the diff
-//! alongside the format bump.
+//! snapshot_fixtures` rewrites the file; commit the diff alongside the
+//! format bump.
 
 use imm_diffusion::DiffusionModel;
-use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
-use imm_rrr::{BitSet, Representation, RrrCollection, RrrSet, SetProvenance};
+use imm_graph::GraphDelta;
+use imm_rrr::{BitSet, RrrCollection, RrrSet, SetProvenance};
 use imm_service::{
-    parse_v4_head, save_parts, DeltaLogEntry, DynamicError, IndexMeta, SampleSpec, SketchIndex,
-    SketchProvenance, SnapshotError, SNAPSHOT_PAGE_BYTES,
+    parse_head, save_parts, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance,
+    SNAPSHOT_PAGE_BYTES,
 };
 use std::path::PathBuf;
 
@@ -46,34 +28,14 @@ const NUM_NODES: usize = 16;
 const NUM_EDGES: usize = 42;
 
 /// The fixtures that can be rebuilt in-process, by file stem.
-const REGENERABLE: [&str; 4] = ["v1", "v2", "v3", "v5"];
+const REGENERABLE: [&str; 1] = ["v5"];
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
-/// The fixture collection: a sorted set, a bitmap set, an empty set, and a
-/// single-vertex set at the edge of the vertex space.
-fn fixture_collection() -> RrrCollection {
-    let mut c = RrrCollection::new(NUM_NODES);
-    c.push(RrrSet::Sorted(vec![1, 3, 5]));
-    c.push(RrrSet::Bitmap(BitSet::from_iter_with_capacity(NUM_NODES, [0, 2, 4, 6, 8, 10])));
-    c.push(RrrSet::Sorted(Vec::new()));
-    c.push(RrrSet::Sorted(vec![15]));
-    c
-}
-
-/// The probed-edge signature words the legacy fixtures carry after each
-/// root — decoded, checked for length, and dropped.
-const LEGACY_SIGNATURES: [[u64; 4]; 4] =
-    [[1, 2, 3, 4], [0, 0, 0, 0], [5, 6, 7, 8], [u64::MAX, 0, 0, u64::MAX]];
-
-/// The fixture provenance: IC spec, one root per set, one logged delta
-/// touching all three mutation kinds.
-fn fixture_provenance() -> SketchProvenance {
-    provenance_with_roots(&[1, 2, 0, 15])
-}
-
+/// IC spec, one root per set, one logged delta touching all three mutation
+/// kinds.
 fn provenance_with_roots(roots: &[u32]) -> SketchProvenance {
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
     let sets = roots.iter().map(|&root| SetProvenance { root }).collect();
@@ -109,8 +71,8 @@ fn meta(version: u32) -> IndexMeta {
     IndexMeta { num_edges: NUM_EDGES, label: format!("golden-v{version}") }
 }
 
-/// FNV-1a 64 — reimplemented here so the legacy layouts are assembled from
-/// the *documented* container format, not from the crate's internals.
+/// FNV-1a 64 — reimplemented here so the twin is assembled from the
+/// *documented* container format, not from the crate's internals.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -139,23 +101,15 @@ fn payload_header(version: u32) -> Vec<u8> {
 }
 
 /// The provenance section, hand-assembled from the documented layout:
-/// model tag, RNG seed, policy, per-set records, delta log. `keyed` selects
-/// the current layout (IC tag 2, 4-byte root records); otherwise the legacy
-/// one (IC tag 0, each root followed by its 32-byte signature).
-fn encode_provenance_section(provenance: &SketchProvenance, keyed: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(if keyed { 2u8 } else { 0u8 });
+/// model tag (2 = IC), RNG seed, policy, 4-byte root records, delta log.
+fn encode_provenance_section(provenance: &SketchProvenance) -> Vec<u8> {
+    let mut out = vec![2u8];
     out.extend_from_slice(&provenance.spec.rng_seed.to_le_bytes());
     out.extend_from_slice(&provenance.spec.policy.density_threshold.to_bits().to_le_bytes());
     out.extend_from_slice(&(provenance.spec.policy.min_bitmap_size as u64).to_le_bytes());
     out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
-    for (i, record) in provenance.sets.iter().enumerate() {
+    for record in &provenance.sets {
         out.extend_from_slice(&record.root.to_le_bytes());
-        if !keyed {
-            for word in LEGACY_SIGNATURES[i] {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        }
     }
     out.extend_from_slice(&(provenance.delta_log.len() as u64).to_le_bytes());
     for entry in &provenance.delta_log {
@@ -182,40 +136,12 @@ fn encode_provenance_section(provenance: &SketchProvenance, keyed: bool) -> Vec<
     out
 }
 
-/// Rebuild each regenerable fixture's exact bytes: v1–v3 through the
-/// documented legacy layouts (v1/v2 use the per-set collection stream, v3
-/// the whole-arena stream; v2/v3 append the legacy provenance section), the
-/// v5 file through the current writer.
+/// Rebuild the regenerable fixture's exact bytes through the writer.
 fn build_fixture_bytes(stem: &str) -> Vec<u8> {
-    let collection = fixture_collection();
-    match stem {
-        "v1" => {
-            let mut payload = payload_header(1);
-            collection.encode(&mut payload);
-            container(1, payload)
-        }
-        "v2" => {
-            let mut payload = payload_header(2);
-            collection.encode(&mut payload);
-            payload.push(1); // provenance present
-            payload.extend_from_slice(&encode_provenance_section(&fixture_provenance(), false));
-            container(2, payload)
-        }
-        "v3" => {
-            let mut payload = payload_header(3);
-            collection.encode_arena(&mut payload);
-            payload.push(1); // provenance present
-            payload.extend_from_slice(&encode_provenance_section(&fixture_provenance(), false));
-            container(3, payload)
-        }
-        "v5" => {
-            let mut bytes = Vec::new();
-            save_parts(&meta(5), &v5_collection(), Some(&v5_provenance()), &mut bytes)
-                .expect("current writer");
-            bytes
-        }
-        other => panic!("no regenerable fixture {other}"),
-    }
+    assert_eq!(stem, "v5", "no regenerable fixture {stem}");
+    let mut bytes = Vec::new();
+    save_parts(&meta(5), &v5_collection(), Some(&v5_provenance()), &mut bytes).expect("writer");
+    bytes
 }
 
 /// Write the fixture files when explicitly asked to (intentional format
@@ -243,93 +169,6 @@ fn load_fixture(stem: &str) -> (Vec<u8>, SketchIndex) {
     let index = SketchIndex::load(&mut bytes.as_slice())
         .unwrap_or_else(|e| panic!("fixture {stem} does not load: {e}"));
     (bytes, index)
-}
-
-/// Every fixture decodes to the same hand-stated sets and metadata.
-fn assert_common_contents(index: &SketchIndex, version: u32) {
-    assert_eq!(index.meta().label, format!("golden-v{version}"));
-    assert_eq!(index.meta().num_edges, NUM_EDGES);
-    assert_eq!(index.num_nodes(), NUM_NODES);
-    assert_eq!(index.num_sets(), 4);
-    let sets = index.sets();
-    assert_eq!(sets.get(0).to_vec(), vec![1, 3, 5]);
-    assert_eq!(sets.get(0).representation(), Representation::SortedList);
-    assert_eq!(sets.get(1).to_vec(), vec![0, 2, 4, 6, 8, 10]);
-    assert_eq!(sets.get(1).representation(), Representation::Bitmap);
-    assert!(sets.get(2).is_empty());
-    assert_eq!(sets.get(3).to_vec(), vec![15]);
-    // Postings are rebuilt on load: spot-check the inverted structure.
-    assert_eq!(index.ids(0), [1]);
-    assert_eq!(index.ids(15), [3]);
-    assert_eq!(index.degree(3), 1);
-}
-
-/// The mapped path takes the current version only: a v4 file is refused
-/// (and `imm-store` falls back to read-decode, counted).
-fn assert_not_mappable(bytes: &[u8]) {
-    assert!(matches!(parse_v4_head(bytes), Err(SnapshotError::UnsupportedVersion(4))));
-}
-
-#[test]
-fn v1_fixture_loads_as_a_static_index() {
-    let (_, index) = load_fixture("v1");
-    assert_common_contents(&index, 1);
-    assert!(!index.is_dynamic(), "v1 has no provenance section");
-}
-
-/// The legacy provenance records decode (a truncated or misaligned section
-/// would fail the load) but their sets came from the stream sampler, so the
-/// index must come back static and say how to become refreshable again.
-#[test]
-fn legacy_record_fixtures_load_static_and_refuse_deltas() {
-    for (stem, version) in [("v2", 2), ("v3", 3), ("v4", 4)] {
-        let (_, mut index) = load_fixture(stem);
-        assert_common_contents(&index, version);
-        assert!(!index.is_dynamic(), "{stem}: legacy records must not be refreshable");
-        let graph = CsrGraph::from_edges(NUM_NODES, Vec::new()).unwrap();
-        let weights = EdgeWeights::constant(&graph, 0.5);
-        let refused = index.apply_delta(&graph, &weights, &GraphDelta::new()).unwrap_err();
-        assert_eq!(refused, DynamicError::NotDynamic);
-        assert!(refused.to_string().contains("build-index"), "{refused}");
-    }
-}
-
-#[test]
-fn v3_fixture_upgrades_through_the_current_writer() {
-    let (_, index) = load_fixture("v3");
-    // Re-saving a v3 index goes through the current (v4) writer and must
-    // round-trip to an equal index.
-    let mut resaved = Vec::new();
-    index.save(&mut resaved).unwrap();
-    let reloaded = SketchIndex::load(&mut resaved.as_slice()).unwrap();
-    assert_eq!(reloaded, index, "the v3→v4 upgrade path is lossy");
-}
-
-#[test]
-fn v4_fixtures_are_decode_only() {
-    let (legacy, _) = load_fixture("v4");
-    assert_not_mappable(&legacy);
-    let (bytes, index) = load_fixture("v4_keyed");
-    assert_not_mappable(&bytes);
-    assert_common_contents(&index, 4);
-    let provenance = index.provenance().expect("the keyed fixture is dynamic");
-    assert_eq!(provenance, &fixture_provenance());
-    assert_eq!(provenance.spec.rng_seed, 7);
-    assert_eq!(provenance.delta_log.len(), 1);
-    assert_eq!(provenance.delta_log[0].resampled_sets, 2);
-    assert_eq!(provenance.delta_log[0].delta.insertions(), &[(0, 1, 0.5)]);
-    assert_eq!(provenance.delta_log[0].delta.deletions(), &[(2, 3)]);
-    assert_eq!(provenance.delta_log[0].delta.reweights(), &[(4, 5, 0.25)]);
-    // The v4 file stored the keyed section in the documented layout, right
-    // behind its presence flag (the head ends at the first section, 4096).
-    let mut section = vec![1u8];
-    section.extend_from_slice(&encode_provenance_section(&fixture_provenance(), true));
-    assert!(bytes[..SNAPSHOT_PAGE_BYTES].windows(section.len()).any(|w| w == section));
-    // Re-saving upgrades to the current version losslessly.
-    let mut resaved = Vec::new();
-    index.save(&mut resaved).unwrap();
-    assert_eq!(u32::from_le_bytes(resaved[8..12].try_into().unwrap()), 5);
-    assert_eq!(SketchIndex::load(&mut resaved.as_slice()).unwrap(), index);
 }
 
 /// The v5 file, byte by byte from the layout documented in
@@ -368,7 +207,7 @@ fn v5_twin() -> Vec<u8> {
     }
     payload.extend((0..V5_SETS).map(|set| u8::from(set == 1))); // flags: set 1 is the bitmap
     payload.push(1); // provenance present
-    payload.extend_from_slice(&encode_provenance_section(&v5_provenance(), true));
+    payload.extend_from_slice(&encode_provenance_section(&v5_provenance()));
 
     // Offsets are snapshot-relative; the payload starts after the 20-byte
     // container header.
@@ -409,7 +248,7 @@ fn v5_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
 
     // The mmap contract: the head parses without a data page, and every
     // section starts where its element type (or the format) needs it to.
-    let head = parse_v4_head(&bytes).expect("v5 head parses");
+    let head = parse_head(&bytes).expect("v5 head parses");
     let sections = head.sections;
     for (name, off) in [
         ("arena", sections.arena_off),

@@ -1,21 +1,17 @@
 //! Property tests of the snapshot format: arbitrary collections of mixed
 //! list/bitmap representation must survive save → load bit-exactly, and
 //! corrupted or truncated files must fail with a descriptive error instead
-//! of loading garbage. Format v2 added the provenance section (sampling
-//! spec, per-set records, delta log); format v3 switched the collection to
-//! the bulk arena encoding; format v4 moved to page-aligned sections with a
-//! directory so the file can be memory-mapped; format v5 stores the
-//! vertex-adaptive postings (lists + rows) the index serves. The corruption
-//! suite covers the current format byte by byte — including postings
-//! sections that lie behind a recomputed checksum — and v1/v2 files must
-//! keep loading.
+//! of loading garbage. The corruption suite covers the format byte by byte —
+//! including provenance and postings sections that lie behind a recomputed
+//! checksum, and a directory that lies behind a recomputed directory
+//! checksum — and every version field but the current one is refused.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use imm_service::{
-    parse_v4_head, IndexMeta, SampleSpec, SketchIndex, SnapshotError, SnapshotSections,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V1, SNAPSHOT_VERSION_V2,
+    parse_head, IndexMeta, SampleSpec, SketchIndex, SnapshotError, SnapshotSections,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -40,8 +36,8 @@ fn index_from(raw_sets: &[Vec<u32>], bitmap_choices: &[bool], label: &str) -> Sk
     .expect("members are within range")
 }
 
-/// FNV-1a 64 (mirrors the snapshot writer's checksum) for hand-assembled
-/// compatibility files.
+/// FNV-1a 64 (mirrors the snapshot writer's checksum) for refitting the
+/// checksums of tampered files.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -203,10 +199,13 @@ fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
     let flag_offset = provenance_offset(&index) - 1;
 
     // Corrupt the presence flag, the model tag, and the record count; each
-    // time recompute the checksum so only the decoder can object.
+    // time recompute the checksum so only the decoder can object. Tags 0 and
+    // 1 (the retired stream sampler's) are as unknown as any other.
     for (offset, value, what) in [
         (flag_offset, 7u8, "presence flag"),
         (flag_offset + 1, 9u8, "model tag"),
+        (flag_offset + 1, 0u8, "retired IC model tag"),
+        (flag_offset + 1, 1u8, "retired LT model tag"),
         (flag_offset + 1 + 1 + 8 + 8 + 8, 0xFFu8, "record count"),
     ] {
         let mut bytes = good.clone();
@@ -218,6 +217,9 @@ fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
             matches!(err, SnapshotError::Corrupt(_)),
             "corrupt {what} surfaced as {err:?} instead of a decode error"
         );
+        if what.ends_with("model tag") {
+            assert!(err.to_string().contains("unknown model tag"), "{what}: {err}");
+        }
     }
 }
 
@@ -248,7 +250,7 @@ fn lying_postings_sections_are_rejected_even_with_a_fixed_checksum() {
     assert_eq!((index.degree(21), index.ids(20)), (2, vec![0]));
     let good = snapshot_bytes(&index);
     assert_eq!(SketchIndex::load(&mut good.as_slice()).unwrap(), index);
-    let s = parse_v4_head(&good).unwrap().sections;
+    let s = parse_head(&good).unwrap().sections;
     assert_eq!((s.row_vertices, s.postings_len, s.words_per_row()), (10, 3, 1));
 
     let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
@@ -311,6 +313,23 @@ fn lying_postings_sections_are_rejected_even_with_a_fixed_checksum() {
             SketchIndex::load(&mut bytes.as_slice()).expect_err(&format!("{what}: must not load"));
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{what} surfaced as {err:?}");
     }
+
+    // A set count whose lens no file could hold, behind a refit *directory*
+    // checksum — the only gate of the mapped path, which skips the container
+    // checksum. 64 one-member sets keep every vertex a list, so no row
+    // section bounds the count either.
+    let raw: Vec<Vec<u32>> = (0..64u32).map(|set| vec![set]).collect();
+    let mut bytes = snapshot_bytes(&index_from(&raw, &[], "count"));
+    assert_eq!(parse_head(&bytes).unwrap().sections.row_vertices, 0);
+    let dir_at = 20 + 8 + 4 + "count".len();
+    bytes[dir_at + 8..dir_at + 16].copy_from_slice(&((1u64 << 62) + 1).to_le_bytes());
+    let dir_check = fnv1a64(&bytes[dir_at..dir_at + 104]);
+    bytes[dir_at + 104..dir_at + 112].copy_from_slice(&dir_check.to_le_bytes());
+    let err = parse_head(&bytes).expect_err("the head parser must bound the set count");
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
+    refix_checksum(&mut bytes);
+    let err = SketchIndex::load(&mut bytes.as_slice()).expect_err("… and so must the loader");
+    assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
 }
 
 /// A row of a range that is not a multiple of 64 has tail bits: one set
@@ -320,7 +339,7 @@ fn a_row_bit_beyond_the_range_is_rejected() {
     let raw: Vec<Vec<u32>> = (0..40).map(|_| vec![7, 8]).collect();
     let index = index_from(&raw, &[], "tail");
     let mut bytes = snapshot_bytes(&index);
-    let s = parse_v4_head(&bytes).unwrap().sections;
+    let s = parse_head(&bytes).unwrap().sections;
     assert_eq!((s.row_vertices, s.words_per_row()), (2, 1));
     bytes[s.rows_off + 5] |= 1; // bit 40 of vertex 7's row
     refix_checksum(&mut bytes);
@@ -328,82 +347,40 @@ fn a_row_bit_beyond_the_range_is_rejected() {
     assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
 }
 
+/// One format: every version field but the current one — the retired 1–4
+/// as much as 0 or a future 6 — is refused before any payload work, by the
+/// loaders and by the head parser the mapped path opens with, and the error
+/// says what to do about it. (`imm-store`'s `mmap_fallback` suite runs the
+/// same fields through `Store::{open, open_read, open_mapped}`.)
 #[test]
-fn wrong_version_fields_are_rejected_and_both_real_versions_load() {
+fn wrong_version_fields_are_rejected_and_the_written_version_loads() {
     let (index, _, _) = dynamic_index(21);
     let good = snapshot_bytes(&index);
 
-    // Versions this build does not know: rejected before any payload work.
-    for bogus in [0u32, 6, 7, u32::MAX] {
+    for bogus in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&bogus.to_le_bytes());
-        assert!(
-            matches!(
-                SketchIndex::load(&mut bytes.as_slice()),
-                Err(SnapshotError::UnsupportedVersion(v)) if v == bogus
-            ),
-            "version {bogus} must be rejected"
-        );
+        for (via, err) in [
+            ("load", SketchIndex::load(&mut bytes.as_slice()).unwrap_err()),
+            ("parse_head", parse_head(&bytes).unwrap_err()),
+        ] {
+            assert!(
+                matches!(err, SnapshotError::UnsupportedVersion(v) if v == bogus),
+                "version {bogus} via {via} surfaced as {err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "unsupported snapshot version {bogus}: this build reads and maps version 5; \
+                     rebuild the index with `build-index`"
+                )
+            );
+        }
     }
 
     // The writer emits the current version, and it loads.
     assert_eq!(u32::from_le_bytes(good[8..12].try_into().unwrap()), SNAPSHOT_VERSION);
     assert!(SketchIndex::load(&mut good.as_slice()).is_ok());
-}
-
-/// v2 → load compatibility: a provenance-free v2 file (legacy per-set
-/// collection encoding, presence flag 0) keeps loading. Dynamic v2 files are
-/// covered by the unit suite next to the codec, which can reach the private
-/// provenance encoder.
-#[test]
-fn v2_snapshot_files_keep_loading() {
-    let index =
-        index_from(&[vec![1, 5, 9], vec![2, 3], (0..150).collect()], &[false, false, true], "v2");
-    let meta = index.meta();
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(meta.num_edges as u64).to_le_bytes());
-    payload.extend_from_slice(&(meta.label.len() as u32).to_le_bytes());
-    payload.extend_from_slice(meta.label.as_bytes());
-    index.sets().encode(&mut payload); // v2 used the per-set encoding
-    payload.push(0); // no provenance
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION_V2.to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-
-    let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
-    assert_eq!(loaded, index);
-    assert!(!loaded.is_dynamic());
-}
-
-/// v1 → load compatibility: a file written by the previous format (no
-/// provenance section) keeps loading, as a static index.
-#[test]
-fn v1_snapshot_files_keep_loading() {
-    let index =
-        index_from(&[vec![1, 5, 9], vec![2, 3], (0..150).collect()], &[false, false, true], "v1");
-    // Assemble the file exactly as the v1 writer did: header with version 1,
-    // payload without the provenance section.
-    let meta = index.meta();
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(meta.num_edges as u64).to_le_bytes());
-    payload.extend_from_slice(&(meta.label.len() as u32).to_le_bytes());
-    payload.extend_from_slice(meta.label.as_bytes());
-    index.sets().encode(&mut payload);
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION_V1.to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-
-    let loaded = SketchIndex::load(&mut bytes.as_slice()).unwrap();
-    assert_eq!(loaded, index);
-    assert!(!loaded.is_dynamic(), "v1 files carry no provenance");
-    // Re-saving upgrades the container to the current version losslessly.
-    let resaved = snapshot_bytes(&loaded);
-    assert_eq!(u32::from_le_bytes(resaved[8..12].try_into().unwrap()), SNAPSHOT_VERSION);
-    assert_eq!(SketchIndex::load(&mut resaved.as_slice()).unwrap(), loaded);
 }
 
 #[test]

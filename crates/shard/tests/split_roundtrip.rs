@@ -1,4 +1,4 @@
-//! Split / reassemble round trip for per-shard snapshot files: a v3 index
+//! Split / reassemble round trip for per-shard snapshot files: an index
 //! snapshot split into N shard files must come back as the *same* index —
 //! same sets, same provenance (spec, records, delta log), same served
 //! answers — and every corruption or inconsistent-mixture failure mode must
@@ -77,12 +77,12 @@ fn in_memory_split_matches_the_file_path() {
 }
 
 /// Container v2 pads the wrapper header to one snapshot page, so the
-/// embedded v4 snapshot — and every page-aligned section inside it — sits
+/// embedded snapshot — and every page-aligned section inside it — sits
 /// page-aligned *file-absolute*: a mapping of the whole shard file sees
 /// the same alignment `imm-store` gets from a standalone snapshot.
 #[test]
 fn v2_shard_files_embed_the_snapshot_page_aligned() {
-    use imm_service::{parse_v4_head, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES};
+    use imm_service::{parse_head, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES};
     let (_, _, index) = dynamic_index();
     let sharded = ShardedIndex::from_index(index, 3).unwrap();
     for blob in split_to_bytes(&sharded).unwrap() {
@@ -90,7 +90,7 @@ fn v2_shard_files_embed_the_snapshot_page_aligned() {
         assert!(blob[44..SNAPSHOT_PAGE_BYTES].iter().all(|&b| b == 0), "padding is zeroed");
         let snapshot = &blob[SNAPSHOT_PAGE_BYTES..];
         assert_eq!(&snapshot[..8], &SNAPSHOT_MAGIC);
-        let head = parse_v4_head(snapshot).expect("embedded snapshot parses as v4");
+        let head = parse_head(snapshot).expect("embedded snapshot parses");
         for off in [
             head.sections.arena_off,
             head.sections.bitmaps_off,

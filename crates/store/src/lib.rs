@@ -13,7 +13,7 @@
 //!
 //! 1. [`Mapping`] — `mmap` the file read-only (direct libc FFI, no new
 //!    dependencies; little-endian Linux only, graceful error elsewhere);
-//! 2. [`imm_service::parse_v4_head`] — parse metadata, directory, per-set
+//! 2. [`imm_service::parse_head`] — parse metadata, directory, per-set
 //!    lens/flags and provenance from the head pages only;
 //! 3. attach the sections as borrowed views — the arena through
 //!    [`imm_rrr::ArenaSource`], bitmaps through [`imm_rrr::WordsSource`],
@@ -22,9 +22,10 @@
 //!    untouched until queries fault them in.
 //!
 //! [`Store::open`] is the resilient entry point: any mapped-path failure
-//! (an older format version — v4 included —, unsupported platform, syscall error, injected
-//! fault) increments `store_mmap_fallbacks` and re-opens through the
-//! checksummed read-decode path. [`OpenedIndex::advise_shard_ranges`]
+//! (unsupported platform, syscall error, injected fault) increments
+//! `store_mmap_fallbacks` and re-opens through the checksummed read-decode
+//! path; a file of any format version but the current one is
+//! `UnsupportedVersion` on both. [`OpenedIndex::advise_shard_ranges`]
 //! bridges to NUMA placement: shard-pinned workers advise their own set
 //! ranges so pages fault into the owning worker's node.
 

@@ -11,8 +11,9 @@ use imm_obs::{Metric, Unit};
 pub static MMAP_OPENS: Counter =
     Counter::new("store_mmap_opens", "Snapshots served zero-copy from a memory mapping");
 
-/// Snapshot opens that fell back to the read-decode path (non-v4 file,
-/// unsupported platform, mmap failure, or an injected fault).
+/// Snapshot opens that fell back to the read-decode path (unsupported
+/// platform, mmap failure, an injected fault, or a file the mapped open
+/// rejected).
 pub static MMAP_FALLBACKS: Counter = Counter::new(
     "store_mmap_fallbacks",
     "Snapshot opens that fell back to the heap read-decode path",

@@ -1,8 +1,8 @@
 //! Read-only memory mapping over a snapshot file, via direct `libc` FFI
 //! (`mmap` / `munmap` / `madvise`) — no external crate, no build script.
 //!
-//! The real implementation is gated on **little-endian Linux**: the v4
-//! snapshot sections are little-endian on disk, so a zero-copy reinterpret
+//! The real implementation is gated on **little-endian Linux**: the
+//! snapshot's sections are little-endian on disk, so a zero-copy reinterpret
 //! is only sound there, and the syscalls are POSIX-on-Linux. Everywhere
 //! else [`Mapping::map_file`] returns `Unsupported` and the store falls
 //! back to the read-decode path — same index, slower first query.
@@ -10,10 +10,10 @@
 use std::fs::File;
 use std::io;
 
-/// Hardware page size assumed by the snapshot layout. The v4 writer aligns
-/// sections to [`imm_service::SNAPSHOT_PAGE_BYTES`] (4096); systems with
-/// larger base pages still map correctly because `mmap` only needs the
-/// *file offset* page-aligned, and we always map from offset zero.
+/// Hardware page size assumed by the snapshot layout. The snapshot writer
+/// aligns sections to [`imm_service::SNAPSHOT_PAGE_BYTES`] (4096); systems
+/// with larger base pages still map correctly because `mmap` only needs
+/// the *file offset* page-aligned, and we always map from offset zero.
 pub const PAGE_BYTES: usize = imm_service::SNAPSHOT_PAGE_BYTES;
 
 #[cfg(all(target_os = "linux", target_endian = "little"))]

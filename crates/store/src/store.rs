@@ -9,11 +9,13 @@
 //! open time; queries fault pages in on demand, so time-to-first-query drops
 //! from "decode the whole file" to "parse a few head pages".
 //!
-//! Any failure on the mapped path — a pre-v5 file, a non-Linux platform, an
-//! mmap error, an injected fault — increments `store_mmap_fallbacks` and
-//! falls back to [`SketchIndex::load_from_path`], which checksums and
-//! decodes the whole file onto the heap. Both paths produce logically equal
-//! indices; a parity suite pins byte-identical query responses.
+//! Any failure on the mapped path — a non-Linux platform, an mmap error, an
+//! injected fault — increments `store_mmap_fallbacks` and falls back to the
+//! read-decode path, which checksums and decodes the whole file onto the
+//! heap. Both paths produce logically equal indices; a parity suite pins
+//! byte-identical query responses. A file of another format version is no
+//! path's to serve: the fallback reports the same
+//! [`SnapshotError::UnsupportedVersion`] the mapped open did.
 //!
 //! ## Why skipping the payload checksum is safe (kill-safety)
 //!
@@ -22,7 +24,7 @@
 //! sound because snapshots are only ever published by
 //! `save_parts_to_path`'s write-to-temp → fsync → atomic-rename discipline
 //! (PR 9): a reader can never observe a half-written file under the final
-//! path, so the data sections of any openable v4 file are exactly the bytes
+//! path, so the data sections of any openable snapshot are exactly the bytes
 //! the (already-validated) writer produced. Torn files live under the
 //! `.tmp` name and are swept by `recover_interrupted_save`. Bit-rot on disk
 //! is outside the mmap fast path's contract — `verify` tooling and the
@@ -35,8 +37,8 @@ use std::time::Instant;
 
 use imm_rrr::{ArenaSource, BitSet, NodeId, RrrCollection, RrrSet, WordsSource};
 use imm_service::{
-    parse_v4_head, IndexError, PostingsSource, SetId, SketchIndex, SnapshotError, SnapshotSections,
-    V4_FLAG_BITMAP, V4_FLAG_SORTED,
+    parse_head, IndexError, PostingsSource, SetId, SketchIndex, SnapshotError, SnapshotSections,
+    SET_FLAG_BITMAP, SET_FLAG_SORTED,
 };
 
 use crate::metrics;
@@ -96,7 +98,7 @@ impl StartupTimings {
 pub enum StoreError {
     /// Filesystem or mmap syscall failure.
     Io(std::io::Error),
-    /// The file is not a parseable v4 snapshot.
+    /// The file is not a parseable snapshot of the current format version.
     Snapshot(SnapshotError),
     /// The head parsed but the index rejected the mapped parts.
     Index(IndexError),
@@ -145,7 +147,7 @@ impl From<IndexError> for StoreError {
 /// and viewed as `u32`, and the offset of an *empty* rows section, which
 /// [`MappedPostings`] never passes here), `off + len * size_of::<T>()` lies inside
 /// the mapping (directory `validate()` + the `file_len == mapping.len()`
-/// check in `parse_v4_head`), the mapping is read-only and lives as long as
+/// check in `parse_head`), the mapping is read-only and lives as long as
 /// the `Arc` the source holds, and the build is little-endian (the mmap
 /// module only maps on little-endian targets).
 fn section_slice<T>(mapping: &Mapping, off: usize, len: usize) -> &[T] {
@@ -331,7 +333,7 @@ impl Store {
 
         let t_map = Instant::now();
         let mapping = Arc::new(Mapping::map_file(&file)?);
-        let head = parse_v4_head(mapping.as_slice())?;
+        let head = parse_head(mapping.as_slice())?;
         let map_ns = t_map.elapsed().as_nanos() as u64;
 
         let t_decode = Instant::now();
@@ -353,13 +355,13 @@ impl Store {
         let mut next_bitmap = 0usize;
         for (&len, &flag) in head.lens.iter().zip(head.flags.iter()) {
             match flag {
-                V4_FLAG_SORTED => {
+                SET_FLAG_SORTED => {
                     collection
                         .push_span_trusted(cursor, len as usize)
                         .map_err(StoreError::Corrupt)?;
                     cursor += len as usize;
                 }
-                V4_FLAG_BITMAP => {
+                SET_FLAG_BITMAP => {
                     if next_bitmap >= sections.bitmap_sets {
                         return Err(StoreError::Corrupt("more bitmap flags than bitmap sections"));
                     }

@@ -1,11 +1,18 @@
 //! Chaos case for the store: an injected fault mid-map must degrade to the
 //! read-decode path — counted, logically lossless, and still serving the
 //! exact same query responses. A second fault site covers `madvise`
-//! placement advice failing without affecting correctness. The same
-//! degradation covers what the mapped path cannot or must not serve: a v4
-//! file (a counted fallback, not an error) and postings sections that lie
-//! (a structured error where the head shows the lie, masked bits where only
-//! the data could — never a panic, never a set id outside the range).
+//! placement advice failing without affecting correctness. What no path may
+//! serve stays an error on every path: a file of another format version
+//! (`UnsupportedVersion`, from the mapped open and the fallback alike) and
+//! postings sections that lie (a structured error where the head shows the
+//! lie, masked bits where only the data could — never a panic, never a set
+//! id outside the range).
+//!
+//! Fault plans are process-global and `fail_first: 1` trips the *first* hit
+//! of every site — `snapshot.write` and `store.mmap.open` included — so each
+//! test does all of its set-up IO under a quiet plan of its own
+//! ([`quietly`]); `with_plan` serializes the stages of all tests and is not
+//! re-entrant, so set-up and fault stage are two calls.
 #![cfg(all(target_os = "linux", target_endian = "little"))]
 
 use imm_diffusion::DiffusionModel;
@@ -13,7 +20,7 @@ use imm_fault::FaultConfig;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use imm_service::{
-    parse_v4_head, IndexError, IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex,
+    parse_head, IndexError, IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex, SnapshotError,
 };
 use imm_store::{LoadMode, Store, StoreError};
 use rand::rngs::SmallRng;
@@ -35,20 +42,26 @@ fn sample_index(seed: u64) -> SketchIndex {
     SketchIndex::sample(&graph, &weights, spec, 64, 2, "chaos").unwrap()
 }
 
+/// Run `f` under a plan that injects nothing, serialized against every
+/// armed plan of this binary.
+fn quietly<R>(f: impl FnOnce() -> R) -> R {
+    imm_fault::with_plan(FaultConfig::seeded(0), |_| f())
+}
+
 #[test]
 fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
     let index = sample_index(31);
     let path = temp_path("open_fault");
-    index.save_to_path(&path).unwrap();
-
     let queries = [Query::top_k(3), Query::top_k(6), Query::Spread { seeds: vec![2, 4, 8] }];
-    let baseline: Vec<_> = {
+    let baseline: Vec<_> = quietly(|| {
+        index.save_to_path(&path).unwrap();
         let engine = QueryEngine::new(Arc::new(Store::open_mapped(&path).unwrap().index));
         queries.iter().map(|q| engine.execute(q)).collect()
-    };
+    });
 
-    let fallbacks_before = imm_store::metrics::MMAP_FALLBACKS.value();
     imm_fault::with_plan(FaultConfig { fail_first: 1, ..FaultConfig::seeded(5) }, |_| {
+        // Read inside the plan: sibling tests bump the counter under theirs.
+        let fallbacks_before = imm_store::metrics::MMAP_FALLBACKS.value();
         // First open trips `store.mmap.open` and must degrade, not die.
         let degraded = Store::open(&path).expect("fallback must absorb the fault");
         assert_eq!(degraded.mode, LoadMode::ReadDecode);
@@ -61,14 +74,14 @@ fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
         let recovered = Store::open(&path).expect("retry");
         assert_eq!(recovered.mode, LoadMode::Mapped);
         assert_eq!(recovered.index, index);
+        if imm_obs::recording_enabled() {
+            assert_eq!(
+                imm_store::metrics::MMAP_FALLBACKS.value(),
+                fallbacks_before + 1,
+                "exactly the faulted open is counted as a fallback"
+            );
+        }
     });
-    if imm_obs::recording_enabled() {
-        assert_eq!(
-            imm_store::metrics::MMAP_FALLBACKS.value(),
-            fallbacks_before + 1,
-            "exactly the faulted open is counted as a fallback"
-        );
-    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -76,7 +89,7 @@ fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
 fn open_mapped_surfaces_the_injected_fault_without_fallback() {
     let index = sample_index(32);
     let path = temp_path("strict_fault");
-    index.save_to_path(&path).unwrap();
+    quietly(|| index.save_to_path(&path).unwrap());
 
     imm_fault::with_plan(FaultConfig { fail_first: 1, ..FaultConfig::seeded(6) }, |_| {
         match Store::open_mapped(&path) {
@@ -91,11 +104,12 @@ fn open_mapped_surfaces_the_injected_fault_without_fallback() {
 fn advise_faults_are_absorbed_and_serving_continues() {
     let index = sample_index(33);
     let path = temp_path("advise_fault");
-    index.save_to_path(&path).unwrap();
-
-    // `fail_first: 1` also arms `store.mmap.open` — open once *outside*
-    // the plan so only the advise site is exercised under faults.
-    let opened = Store::open_mapped(&path).unwrap();
+    // `fail_first: 1` also arms `store.mmap.open` — open under the quiet
+    // plan so only the advise site is exercised under faults.
+    let opened = quietly(|| {
+        index.save_to_path(&path).unwrap();
+        Store::open_mapped(&path).unwrap()
+    });
     let n = opened.index.num_sets();
     imm_fault::with_plan(FaultConfig { fail_first: 1, ..FaultConfig::seeded(7) }, |_| {
         // First advised range is swallowed by the fault; the second works.
@@ -108,27 +122,37 @@ fn advise_faults_are_absorbed_and_serving_continues() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A v4 file (flat-list postings, 10-field directory) is not mappable by
-/// this build: `Store::open` serves it through read-decode and counts the
-/// fallback; the strict open says why.
+/// One format: a file whose version field is anything but the current one
+/// — the retired 4 as much as 0 or a future 6 — is `UnsupportedVersion` from
+/// the strict mapped open, from read-decode, and therefore from the resilient
+/// open too: the fallback has nothing older to fall back to.
 #[test]
-fn a_v4_file_is_a_counted_fallback_not_an_error() {
-    let fixture =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../service/tests/fixtures/golden_v4_keyed.sketch");
-    // A quiet plan: nothing is injected, but the fallback counter is read
-    // and bumped serialized against the fault-driven tests of this binary.
-    imm_fault::with_plan(FaultConfig::seeded(8), |_| {
-        let fallbacks_before = imm_store::metrics::MMAP_FALLBACKS.value();
-        let opened = Store::open(fixture).expect("a v4 file still opens");
-        assert_eq!(opened.mode, LoadMode::ReadDecode);
-        assert_eq!(opened.index.meta().label, "golden-v4");
-        assert_eq!(opened.index.num_sets(), 4);
-        assert!(opened.index.is_dynamic());
-        if imm_obs::recording_enabled() {
-            assert_eq!(imm_store::metrics::MMAP_FALLBACKS.value(), fallbacks_before + 1);
+fn other_format_versions_are_refused_on_every_path() {
+    let index = sample_index(34);
+    let path = temp_path("wrong_version");
+    quietly(|| {
+        index.save_to_path(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            for (via, opened) in
+                [("open", Store::open(&path)), ("open_read", Store::open_read(&path))]
+            {
+                match opened {
+                    Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
+                    other => panic!("version {version} via {via}: {other:?}"),
+                }
+            }
+            match Store::open_mapped(&path) {
+                Err(StoreError::Snapshot(SnapshotError::UnsupportedVersion(v))) if v == version => {
+                }
+                other => panic!("version {version} via open_mapped: {other:?}"),
+            }
         }
-        assert!(matches!(Store::open_mapped(fixture), Err(StoreError::Snapshot(_))));
     });
+    std::fs::remove_file(&path).ok();
 }
 
 /// 40 sets over 64 vertices (a row needs degree > 1, and has 24 tail bits):
@@ -145,8 +169,7 @@ fn rows_and_a_list() -> SketchIndex {
 
 #[test]
 fn lying_row_sections_are_errors_or_masked_never_panics() {
-    // Under a quiet plan, like the test above: these opens fall back.
-    imm_fault::with_plan(FaultConfig::seeded(9), |_| lying_row_sections());
+    quietly(lying_row_sections);
 }
 
 fn lying_row_sections() {
@@ -155,7 +178,7 @@ fn lying_row_sections() {
     let path = temp_path("lies");
     index.save_to_path(&path).unwrap();
     let good = std::fs::read(&path).unwrap();
-    let s = parse_v4_head(&good).unwrap().sections;
+    let s = parse_head(&good).unwrap().sections;
     assert_eq!((s.row_vertices, s.postings_len), (5, 1));
     let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
         bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());

@@ -11,9 +11,7 @@
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
-use imm_service::{
-    IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex, SNAPSHOT_MAGIC, SNAPSHOT_VERSION_V3,
-};
+use imm_service::{IndexMeta, Query, QueryEngine, SampleSpec, SketchIndex};
 use imm_store::{LoadMode, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -194,45 +192,5 @@ fn advising_shard_ranges_touches_the_arena_section() {
     // The read-decode path has no mapping to advise.
     let heap = Store::open_read(&path).unwrap();
     assert_eq!(heap.advise_shard_ranges(&[(0, n)]), 0);
-    std::fs::remove_file(&path).ok();
-}
-
-/// A pre-v4 file has no section directory (a v4 file has one, but flat-list
-/// postings: `mmap_fallback` covers it): `Store::open` must fall back to
-/// the read-decode path (counted) and still produce the right index.
-#[test]
-fn pre_v4_files_fall_back_to_read_decode() {
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-    let index = static_index();
-    // Assemble a v3 file: prelude + whole-arena encoding + "no provenance".
-    let meta = index.meta();
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(meta.num_edges as u64).to_le_bytes());
-    payload.extend_from_slice(&(meta.label.len() as u32).to_le_bytes());
-    payload.extend_from_slice(meta.label.as_bytes());
-    index.sets().encode_arena(&mut payload);
-    payload.push(0);
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION_V3.to_le_bytes());
-    bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    let path = temp_path("v3_fallback");
-    std::fs::write(&path, &bytes).unwrap();
-
-    let fallbacks_before = imm_store::metrics::MMAP_FALLBACKS.value();
-    let opened = Store::open(&path).expect("fallback open");
-    assert_eq!(opened.mode, LoadMode::ReadDecode);
-    assert_eq!(opened.index, index);
-    if imm_obs::recording_enabled() {
-        assert_eq!(imm_store::metrics::MMAP_FALLBACKS.value(), fallbacks_before + 1);
-    }
     std::fs::remove_file(&path).ok();
 }
