@@ -51,7 +51,9 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # unit, parity and fallback suites; the refresh-equals-rebuild differential
 # and shard-parity suites and the sampler's independent oracle (order
 # independence + forward-simulation validity); the vertex-adaptive
-# postings against their naive inverse.
+# postings against their naive inverse; the CELF sessions against the naive
+# greedy (fresh Top-K) and the dense oracle (audience Top-K, one copy in
+# imm-service and one in imm-shard, so that name must appear twice).
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -62,12 +64,16 @@ for expected in runtime_stress \
   crash_safety snapshot_fixtures \
   imm_store store_parity mmap_fallback \
   differential shard_parity sampler_oracle \
-  postings_inverse; do
+  postings_inverse celf_parity masked_differential; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
   fi
 done
+if [ "$(grep -cx masked_differential <<< "$TEST_BINARIES")" -ne 2 ]; then
+  echo "error: both masked_differential suites (imm-service, imm-shard) must stay in the sweep" >&2
+  exit 1
+fi
 
 echo "==> test guard: no #[ignore] in crates/{service,shard,exec,obs,serve,fault,store}/tests"
 if grep -rn '#\[ignore' crates/service/tests crates/shard/tests crates/exec/tests crates/obs/tests crates/serve/tests crates/fault/tests crates/store/tests; then
@@ -141,6 +147,20 @@ if grep -rnE 'PinnedPool|WakeMode|ScatterError|PoolPlacement|worker_panic' crate
 fi
 if grep -rn 'SHARD_VERSION_V1' crates; then
   echo "error: shard container v1 was dropped; do not reintroduce its reader" >&2
+  exit 1
+fi
+
+# The daemon blocks in `accept` (shutdown wakes it by shutting the listening
+# socket down), so a connection is never held back by a sleep; and a Top-K
+# session covers sets with one `or_into` per seed instead of decrementing a
+# count per member of every covered set.
+echo "==> cold-path guard: no polling accept loop, no per-member retire walk"
+if grep -nE 'set_nonblocking|thread::sleep\(poll\)' crates/serve/src/server.rs; then
+  echo "error: the accept loop blocks in accept; do not reintroduce a non-blocking listener or a poll sleep" >&2
+  exit 1
+fi
+if grep -rnF 'counts[v as usize] -= 1' crates/service/src; then
+  echo "error: CELF retires a seed with PostingsView::or_into on the covered bitmap, not a per-member walk" >&2
   exit 1
 fi
 

@@ -676,7 +676,7 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         dynamic_enabled,
         load_mode.as_str()
     );
-    handle.join().map_err(|_| "the daemon's accept loop panicked".to_string())
+    handle.join().map_err(|_| "the daemon's accept loop or housekeeping tick panicked".to_string())
 }
 
 /// Materialize a `client` batch against the *served* index: audience

@@ -667,6 +667,16 @@ impl<'a> PostingsView<'a> {
         }
     }
 
+    /// Whether set `sid` of the range contains `v`: one bit of a row, a
+    /// binary search of a list.
+    #[inline]
+    pub fn contains(&self, v: NodeId, sid: u32) -> bool {
+        match self.row(v) {
+            Some(row) => row[(sid / 64) as usize] & (1u64 << (sid % 64)) != 0,
+            None => self.list(v).binary_search(&sid).is_ok(),
+        }
+    }
+
     /// Call `f` with the local id of every set containing `v`, ascending.
     #[inline]
     pub fn for_each(&self, v: NodeId, mut f: impl FnMut(u32)) {

@@ -2,8 +2,8 @@
 //! representation (default policy, all lists, all bitmaps), whatever form
 //! each vertex takes (row threshold forced to all-list, all-row, or the
 //! real `range_len / 32`, or a mixed one), and for the whole collection as
-//! well as sub-ranges, `for_each`/`ids`, `degree`, `or_into` and
-//! `count_outside` must read exactly the naive inverse.
+//! well as sub-ranges, `for_each`/`ids`, `contains`, `degree`, `or_into`
+//! and `count_outside` must read exactly the naive inverse.
 
 use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
 use proptest::prelude::*;
@@ -27,6 +27,7 @@ fn bits_of(acc: &[u64]) -> Vec<u32> {
 }
 
 fn assert_reads_the_inverse(postings: &Postings, inverse: &[Vec<u32>], probes: &[u32]) {
+    let view = postings.view();
     let mut entries = 0u64;
     for (v, expected) in inverse.iter().enumerate() {
         let v = v as u32;
@@ -34,6 +35,9 @@ fn assert_reads_the_inverse(postings: &Postings, inverse: &[Vec<u32>], probes: &
         let mut walked = Vec::new();
         postings.for_each(v, |id| walked.push(id));
         assert_eq!(&walked, expected, "for_each of vertex {v}");
+        let held: Vec<u32> =
+            (0..postings.range_len() as u32).filter(|&sid| view.contains(v, sid)).collect();
+        assert_eq!(&held, expected, "contains of vertex {v}");
         assert_eq!(postings.degree(v), expected.len() as u64, "degree of vertex {v}");
         entries += expected.len() as u64;
     }
@@ -47,7 +51,6 @@ fn assert_reads_the_inverse(postings: &Postings, inverse: &[Vec<u32>], probes: &
 
     // A running union over the probes: every OR reports exactly the sets it
     // added, and `count_outside` predicts it without changing anything.
-    let view = postings.view();
     let mut acc = vec![0u64; postings.words_per_row()];
     let mut union = std::collections::BTreeSet::new();
     for &v in probes {

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// session walks to collect its eligible sets and an upper bound on how
 /// many it collects (a set is counted once per audience member it
 /// holds), and every later step of the session — counting, the frontier,
-/// the retire walks, the scratch restore — is proportional to the
+/// the recounts and retirements, the scratch restore — is proportional to the
 /// eligible sets, no longer to `n + θ`: the price bounds the work. The
 /// estimates are deliberately cheap (one O(1) degree lookup against the
 /// global postings per vertex named) — they gate the engine, so they

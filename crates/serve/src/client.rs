@@ -39,6 +39,9 @@ use std::fmt;
 use std::io;
 use std::time::{Duration, Instant};
 
+/// The pause between two dials of [`Client::connect_with_retry`].
+const DIAL_GAP: Duration = Duration::from_millis(1);
+
 /// Everything a call can fail with, client-side.
 #[derive(Debug)]
 pub enum ClientError {
@@ -152,16 +155,17 @@ impl Client {
         })
     }
 
-    /// Connect, retrying for up to `wait` (10 ms backoff) — the CI
-    /// smoke's readiness gate for a daemon that is still binding its
-    /// socket.
+    /// Connect, retrying every millisecond for up to `wait` — the
+    /// readiness gate for a daemon that is still binding its socket. The
+    /// daemon accepts a connection the moment it arrives, so the gap
+    /// between dials is all a readiness gate adds.
     pub fn connect_with_retry(address: &Listen, wait: Duration) -> Result<Self, ClientError> {
         let deadline = Instant::now() + wait;
         loop {
             match Self::connect(address) {
                 Ok(client) => return Ok(client),
                 Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => std::thread::sleep(DIAL_GAP),
             }
         }
     }

@@ -27,8 +27,8 @@
 //!   traffic keeps serving, and a bounded in-flight counter sheds whole
 //!   requests with a structured queue-full error instead of queueing
 //!   without limit.
-//! * [`server`] — the daemon: listener + per-connection threads, a
-//!   housekeeping tick that samples queue depths into max-over-window
+//! * [`server`] — the daemon: a blocking accept loop + per-connection
+//!   threads, a housekeeping tick thread that samples queue depths into max-over-window
 //!   gauges (the PR 7 follow-on), a `metrics` RPC verb exposing the
 //!   live process's `imm-obs` registry, and graceful `apply_delta`
 //!   rollout — the replacement index is refreshed off to the side and

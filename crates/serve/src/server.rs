@@ -3,12 +3,19 @@
 //! One process serves a [`ShardedIndex`] through a [`ShardedEngine`] (a
 //! query engine over the base index) behind a coordinator loop:
 //!
-//! * The **accept loop** (one thread) listens on a unix or TCP socket,
-//!   spawns one thread per connection, and doubles as the daemon's
-//!   **housekeeping tick**: on a fixed cadence it peeks the racy queue
-//!   depths (shared pool, in-flight requests) and publishes their
-//!   max-over-window into gauges — the sampled replacement for reporting
-//!   a point-in-time read as a metric.
+//! * The **accept loop** (one thread) blocks in `accept` on a unix or TCP
+//!   socket — a connection is accepted the moment it arrives — and spawns
+//!   one thread per connection. Shutdown wakes it by shutting the
+//!   listening socket down, which on Linux — the daemon's target, as it is
+//!   the mapped store's — fails the blocked `accept` at once (other
+//!   platforms may leave it blocked); it then shuts the read half of every
+//!   live connection, so idle reads see EOF at once while in-flight
+//!   responses are still written, and joins them.
+//! * The **housekeeping tick** (one thread) sleeps on a condvar for one
+//!   tick at a time — shutdown wakes it at once — and on each tick peeks
+//!   the racy queue depths (shared pool, in-flight requests) and publishes
+//!   their max-over-window into gauges — the sampled replacement for
+//!   reporting a point-in-time read as a metric.
 //! * Each **connection thread** runs a strict request/response loop
 //!   over length-prefixed frames. A protocol error (bad magic,
 //!   oversized or truncated frame, garbage payload) earns a structured
@@ -44,13 +51,14 @@ use imm_service::snapshot::DeltaJournal;
 use imm_service::QueryResponse;
 use imm_shard::{ShardedEngine, ShardedIndex};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::sync::RwLock;
+use std::sync::{Arc, Condvar, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -128,6 +136,20 @@ impl Stream {
             Stream::Tcp(s) => s.set_write_timeout(timeout),
         }
     }
+
+    fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+        }
+    }
+
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -175,11 +197,14 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Listener::Unix(l) => l.set_nonblocking(nonblocking),
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-        }
+    /// A second handle on the listening socket, typed as a stream because
+    /// std offers `shutdown(2)` on streams only: on Linux, shutting a
+    /// listening socket down fails every `accept` blocked on it.
+    fn shutdown_handle(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Unix(l) => Stream::Unix(UnixStream::from(OwnedFd::from(l.try_clone()?))),
+            Listener::Tcp(l) => Stream::Tcp(TcpStream::from(OwnedFd::from(l.try_clone()?))),
+        })
     }
 
     fn accept(&self) -> io::Result<Stream> {
@@ -205,7 +230,10 @@ pub struct ServerConfig {
     pub budget: Option<u64>,
     /// Bound on concurrently served requests across all connections.
     pub max_inflight: usize,
-    /// Housekeeping cadence: queue-depth sampling and shutdown checks.
+    /// Housekeeping cadence: how often the queue-depth gauges sample, the
+    /// back-off after a failed `accept`, and the read timeout that clocks a
+    /// connection's idleness (at least 10 ms). Shutdown does not wait for
+    /// it.
     pub tick: Duration,
     /// Samples per max-over-window gauge.
     pub sample_window: usize,
@@ -282,6 +310,19 @@ pub struct Server {
     dynamic: Mutex<Option<(CsrGraph, EdgeWeights)>>,
     rollouts: AtomicU64,
     shutdown: AtomicBool,
+    /// What the housekeeping tick (and an accept back-off) sleeps on; a
+    /// shutdown request notifies it. The mutex guards no data: holding it
+    /// while the flag is set is what keeps a notify from being lost.
+    tick_lock: std::sync::Mutex<()>,
+    tick_wake: Condvar,
+    /// The resolved listen address.
+    address: Listen,
+    /// The listening socket's [shutdown handle](Listener::shutdown_handle):
+    /// what wakes the accept loop.
+    listening: Stream,
+    /// A second handle on each live connection, keyed by connection id, so
+    /// shutdown can end the blocked reads of idle ones.
+    live: Mutex<HashMap<u64, Stream>>,
     metrics_provider: Box<dyn Fn() -> String + Send + Sync>,
     /// Crash-safety journal for accepted deltas; appends serialize under
     /// the `dynamic` rollout lock (`None` when journaling is off).
@@ -298,8 +339,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start the daemon: bind, spawn the accept loop, return a handle
-    /// with the resolved address.
+    /// Start the daemon: bind, spawn the accept loop and the housekeeping
+    /// tick, return a handle with the resolved address.
     ///
     /// `dynamic` is the graph/weights pair rolling `apply_delta` replays
     /// against (pass `None` to serve statically); `metrics_provider`
@@ -320,12 +361,18 @@ impl Server {
             Some(path) => Some(DeltaJournal::open(path)?),
             None => None,
         };
+        let (listener, address) = Listener::bind(&config.listen)?;
         let server = Arc::new(Server {
             state: RwLock::new(Arc::new(EngineState { engine, cost })),
             admission: Admission::new(config.budget, config.max_inflight),
             dynamic: Mutex::new(dynamic),
             rollouts: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            tick_lock: std::sync::Mutex::new(()),
+            tick_wake: Condvar::new(),
+            address,
+            listening: listener.shutdown_handle()?,
+            live: Mutex::new(HashMap::new()),
             metrics_provider: Box::new(metrics_provider),
             journal: Mutex::new(journal),
             journal_base: config.journal_base,
@@ -339,18 +386,44 @@ impl Server {
             batch_deadline: config.batch_deadline,
         });
 
-        let (listener, address) = Listener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
+        let tick_server = Arc::clone(&server);
+        let ticker = thread::Builder::new()
+            .name("imm-serve-tick".into())
+            .spawn(move || tick_loop(&tick_server))?;
         let accept_server = Arc::clone(&server);
-        let accept_address = address.clone();
-        let thread = thread::Builder::new()
+        let accept = thread::Builder::new()
             .name("imm-serve-accept".into())
-            .spawn(move || accept_loop(accept_server, listener, accept_address))?;
-        Ok(ServerHandle { address, thread, server })
+            .spawn(move || accept_loop(accept_server, listener))
+            .inspect_err(|_| server.request_shutdown())?;
+        Ok(ServerHandle { accept, ticker, server })
     }
 
     fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Set the shutdown flag and wake every thread that waits for it: the
+    /// housekeeping tick through its condvar, the accept loop by shutting
+    /// the listening socket down (no dial, so an unlinked socket file does
+    /// not matter).
+    fn request_shutdown(&self) {
+        {
+            let _held = self.tick_lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shutdown.store(true, Ordering::Release);
+        }
+        self.tick_wake.notify_all();
+        let _ = self.listening.shutdown(Shutdown::Read);
+    }
+
+    /// Sleep one tick, cut short by a shutdown request. Returns whether
+    /// shutdown was requested.
+    fn sleep_tick(&self) -> bool {
+        let held = self.tick_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _held = self
+            .tick_wake
+            .wait_timeout_while(held, self.tick, |_| !self.shutdown_requested())
+            .unwrap_or_else(PoisonError::into_inner);
+        self.shutdown_requested()
     }
 
     /// The engine generation serving right now. Poisoning is impossible
@@ -389,7 +462,7 @@ impl Server {
             Request::Batch(queries) => (self.serve_batch(queries), Flow::Continue),
             Request::ApplyDelta { text } => (self.roll_delta(&text), Flow::Continue),
             Request::Shutdown => {
-                self.shutdown.store(true, Ordering::Release);
+                self.request_shutdown();
                 (Response::ShuttingDown, Flow::Close)
             }
         }
@@ -572,46 +645,64 @@ impl Server {
     }
 }
 
-fn accept_loop(server: Arc<Server>, listener: Listener, address: Listen) {
-    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
+/// Sample the queue-depth gauges once per tick until shutdown.
+fn tick_loop(server: &Server) {
     let mut depth_window = MaxWindow::new(server.sample_window);
     let mut inflight_window = MaxWindow::new(server.sample_window);
-    let mut last_tick = Instant::now();
-    let poll = server.tick.min(Duration::from_millis(10)).max(Duration::from_millis(1));
+    while !server.sleep_tick() {
+        server.sample(&mut depth_window, &mut inflight_window);
+    }
+}
 
+fn accept_loop(server: Arc<Server>, listener: Listener) {
+    let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
     while !server.shutdown_requested() {
         match listener.accept() {
             Ok(stream) => {
+                connections.retain(|c| !c.is_finished());
                 smetrics::CONNECTIONS.increment();
+                let id = next_id;
+                next_id += 1;
+                // Without a second handle the connection still serves; its
+                // read only notices a shutdown after one read timeout.
+                if let Ok(handle) = stream.try_clone() {
+                    server.live.lock().insert(id, handle);
+                }
                 let conn_server = Arc::clone(&server);
-                let handle = thread::Builder::new()
-                    .name("imm-serve-conn".into())
-                    .spawn(move || serve_connection(conn_server, stream));
-                match handle {
+                let spawned =
+                    thread::Builder::new().name("imm-serve-conn".into()).spawn(move || {
+                        serve_connection(&conn_server, stream);
+                        conn_server.live.lock().remove(&id);
+                    });
+                match spawned {
                     Ok(handle) => connections.push(handle),
-                    Err(e) => eprintln!("[imm-serve] failed to spawn connection thread: {e}"),
+                    Err(e) => {
+                        server.live.lock().remove(&id);
+                        eprintln!("[imm-serve] failed to spawn connection thread: {e}");
+                    }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(poll),
+            Err(_) if server.shutdown_requested() => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Out of descriptors, say: back off one tick instead of
+            // spinning, which also bounds this log to one line per tick.
             Err(e) => {
                 eprintln!("[imm-serve] accept failed: {e}");
-                thread::sleep(poll);
+                server.sleep_tick();
             }
-        }
-        if last_tick.elapsed() >= server.tick {
-            server.sample(&mut depth_window, &mut inflight_window);
-            last_tick = Instant::now();
-            connections.retain(|c| !c.is_finished());
         }
     }
 
-    // Drain: connection loops observe the shutdown flag within one read
-    // timeout and return; join them all before releasing the socket.
+    // Drain: an idle connection's blocked read sees EOF at once, a busy one
+    // still writes its response; join them all before releasing the socket.
+    for handle in server.live.lock().values() {
+        let _ = handle.shutdown(Shutdown::Read);
+    }
     for connection in connections {
         let _ = connection.join();
     }
-    if let Listen::Unix(path) = &address {
+    if let Listen::Unix(path) = &server.address {
         let _ = std::fs::remove_file(path);
     }
 }
@@ -622,11 +713,11 @@ fn accept_loop(server: Arc<Server>, listener: Listener, address: Listen) {
 /// that sends nothing for the configured idle timeout gets a structured
 /// [`ServeError::IdleTimeout`] goodbye and a close — a slow-loris peer
 /// sheds itself instead of pinning a thread.
-fn serve_connection(server: Arc<Server>, stream: Stream) {
-    // The read timeout doubles as the shutdown-check cadence, the
-    // half-written-frame guard (a stalled mid-frame read times out into
-    // a structured Truncated error instead of hanging the thread), and
-    // the idle clock's granularity.
+fn serve_connection(server: &Server, stream: Stream) {
+    // The read timeout doubles as the half-written-frame guard (a stalled
+    // mid-frame read times out into a structured Truncated error instead
+    // of hanging the thread) and the idle clock's granularity. Shutdown
+    // does not wait for it: it ends a blocked read with EOF.
     let timeout = server.tick.max(Duration::from_millis(10));
     if stream.set_read_timeout(Some(timeout)).is_err() {
         return;
@@ -705,15 +796,15 @@ fn serve_connection(server: Arc<Server>, stream: Stream) {
 /// Handle on a running daemon: the resolved listen address plus
 /// stop/join controls.
 pub struct ServerHandle {
-    address: Listen,
-    thread: thread::JoinHandle<()>,
+    accept: thread::JoinHandle<()>,
+    ticker: thread::JoinHandle<()>,
     server: Arc<Server>,
 }
 
 impl ServerHandle {
     /// The address clients should dial (TCP port 0 already resolved).
     pub fn address(&self) -> &Listen {
-        &self.address
+        &self.server.address
     }
 
     /// Completed rollouts so far.
@@ -721,16 +812,18 @@ impl ServerHandle {
         self.server.rollouts.load(Ordering::Acquire)
     }
 
-    /// Request shutdown without a client connection (the accept loop
-    /// notices within one tick). The `shutdown` RPC verb does the same
-    /// from the wire.
+    /// Request shutdown without a client connection. The accept loop and
+    /// the housekeeping tick wake at once — no tick or read timeout is
+    /// waited out — idle connections see EOF, and in-flight responses are
+    /// still written. The `shutdown` RPC verb does the same from the wire.
     pub fn stop(&self) {
-        self.server.shutdown.store(true, Ordering::Release);
+        self.server.request_shutdown();
     }
 
     /// Wait for the daemon to exit (all connections drained, unix socket
-    /// file removed).
+    /// file removed, housekeeping stopped).
     pub fn join(self) -> thread::Result<()> {
-        self.thread.join()
+        let accepted = self.accept.join();
+        self.ticker.join().and(accepted)
     }
 }

@@ -6,12 +6,16 @@
 //! admission-control contract: over-budget queries are rejected with
 //! structured costs while their cheap neighbours keep serving
 //! byte-identically, and a full in-flight queue sheds whole requests.
+//! And the daemon's lifecycle on both transports: a connection is accepted
+//! the moment it arrives, and shutdown waits out neither a tick nor an idle
+//! connection's read timeout.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId};
 use imm_serve::{
     Client, ClientError, CostModel, Listen, Rejection, ServeError, Server, ServerConfig,
+    ServerHandle,
 };
 use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
@@ -19,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THETA: usize = 150;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -68,7 +72,7 @@ fn unix_path(name: &str) -> PathBuf {
     path
 }
 
-fn start(index: &SketchIndex, shards: usize, config: ServerConfig) -> imm_serve::ServerHandle {
+fn start(index: &SketchIndex, shards: usize, config: ServerConfig) -> ServerHandle {
     let sharded = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
     Server::start(Arc::new(sharded), None, config, || "{}".into()).expect("server starts")
 }
@@ -338,4 +342,88 @@ fn metrics_verb_round_trips_the_provider_payload() {
     assert_eq!(client.metrics_json().expect("metrics"), r#"{"registry":{"metrics":[]}}"#);
     client.shutdown().expect("shutdown");
     handle.join().expect("accept loop exits");
+}
+
+/// A unix socket called `name` and TCP port 0.
+fn both_transports(name: &str) -> [Listen; 2] {
+    [Listen::Unix(unix_path(name)), Listen::Tcp("127.0.0.1:0".into())]
+}
+
+/// `stop` + `join`, timed. A daemon that has not exited after five seconds
+/// fails the test instead of hanging the suite.
+fn stop_and_join(handle: ServerHandle) -> Duration {
+    let started = Instant::now();
+    let (done, exited) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.stop();
+        done.send(handle.join().is_ok()).ok();
+    });
+    let clean = exited.recv_timeout(Duration::from_secs(5)).expect("the daemon exits after stop");
+    assert!(clean, "the accept loop exits cleanly");
+    started.elapsed()
+}
+
+/// Connects are not quantised by a clock: with the default 50 ms tick and
+/// a daemon left idle for 100 ms, the median of twenty (connect + ping)
+/// rounds is a few round trips, not a housekeeping period.
+#[test]
+fn a_connection_is_accepted_the_moment_it_arrives() {
+    let (_, _, index) = fixture();
+    for listen in both_transports("accept.sock") {
+        let label = listen.to_string();
+        let handle = start(&index, 1, ServerConfig::new(listen));
+        std::thread::sleep(Duration::from_millis(100));
+        let mut rounds: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                let mut client = Client::connect(handle.address()).expect("connect");
+                client.ping().expect("ping");
+                started.elapsed()
+            })
+            .collect();
+        rounds.sort_unstable();
+        let median = rounds[rounds.len() / 2];
+        assert!(median < Duration::from_millis(3), "{label}: median connect + ping {median:?}");
+        stop_and_join(handle);
+    }
+}
+
+/// Shutdown does not wait out a read timeout per idle connection: with a
+/// ten-second tick (an idle connection's read timeout) and two idle clients
+/// connected, `stop` + `join` returns at once.
+#[test]
+fn shutdown_does_not_wait_for_idle_connections() {
+    let (_, _, index) = fixture();
+    for listen in both_transports("idle-stop.sock") {
+        let label = listen.to_string();
+        let mut config = ServerConfig::new(listen);
+        config.tick = Duration::from_secs(10);
+        let handle = start(&index, 1, config);
+        let mut idle: Vec<Client> = (0..2)
+            .map(|_| Client::connect_with_retry(handle.address(), Duration::from_secs(5)))
+            .collect::<Result<_, _>>()
+            .expect("connect");
+        for client in &mut idle {
+            client.ping().expect("ping");
+        }
+        let took = stop_and_join(handle);
+        assert!(took < Duration::from_millis(500), "{label}: stop + join took {took:?}");
+    }
+}
+
+/// Shutdown does not go through the socket's path: it finishes even when
+/// the socket file was unlinked under the daemon.
+#[test]
+fn shutdown_finishes_when_the_socket_file_is_gone() {
+    let (_, _, index) = fixture();
+    let path = unix_path("unlinked.sock");
+    let mut config = ServerConfig::new(Listen::Unix(path.clone()));
+    config.tick = Duration::from_secs(10);
+    let handle = start(&index, 1, config);
+    Client::connect_with_retry(handle.address(), Duration::from_secs(5))
+        .and_then(|mut client| client.ping())
+        .expect("the daemon serves");
+    std::fs::remove_file(&path).expect("unlink the socket file");
+    let took = stop_and_join(handle);
+    assert!(took < Duration::from_millis(500), "stop + join took {took:?}");
 }

@@ -52,8 +52,9 @@ use efficient_imm::sampling::{
 };
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
-use imm_rrr::{AdaptivePolicy, NodeId, PostingsView, RrrCollection, RrrSet, SetProvenance};
+use imm_rrr::{AdaptivePolicy, NodeId, Postings, RrrCollection, RrrSet, SetProvenance};
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 
 /// How a dynamic index was sampled — everything needed to regenerate any of
 /// its sets deterministically.
@@ -219,19 +220,20 @@ fn changed_in_edges(
 
 /// Which sets does `delta` invalidate? `old` is the revision the sets were
 /// sampled on, `new` the result of `delta.apply`, `postings` the global
-/// postings over `sets` (walked once per touched destination); see the
-/// module docs for the rule and why it is exact enough for rebuild
-/// equivalence. The ids come back ascending.
+/// postings over the sets (walked once per touched destination, and asked
+/// which sets hold a changed edge's source); see the module docs for the
+/// rule and why it is exact enough for rebuild equivalence. The ids come
+/// back ascending.
 fn invalidated_sets(
     delta: &GraphDelta,
     old: (&CsrGraph, &EdgeWeights),
     new: (&CsrGraph, &EdgeWeights),
     spec: SampleSpec,
-    sets: &RrrCollection,
-    postings: PostingsView<'_>,
+    postings: &Postings,
 ) -> Vec<usize> {
     crate::metrics::register();
-    let mut invalid = vec![false; sets.len()];
+    let mut invalid = vec![false; postings.range_len()];
+    let postings = postings.view();
     let mut coin_skips = 0u64;
     for v in delta.touched_destinations() {
         let changed = match spec.model {
@@ -239,30 +241,33 @@ fn invalidated_sets(
             DiffusionModel::LinearThreshold => Vec::new(),
         };
         postings.for_each(v, |sid| {
-            let sid = sid as usize;
-            if invalid[sid] {
+            if invalid[sid as usize] {
                 return;
             }
-            let key = SetKey::new(spec.rng_seed, sid);
+            // Most sets are decided without a coin: derive the key on demand.
+            let key = OnceCell::new();
+            let key = || *key.get_or_init(|| SetKey::new(spec.rng_seed, sid as usize));
             let keep = match spec.model {
                 DiffusionModel::IndependentCascade => {
-                    let members = sets.get(sid);
+                    // An absent edge (weight 0) is never live: no coin to flip.
+                    let live = |u, weight: f32| weight > 0.0 && key().ic_edge_is_live(u, v, weight);
                     changed.iter().all(|&(u, was, is)| {
-                        match (key.ic_edge_is_live(u, v, was), key.ic_edge_is_live(u, v, is)) {
-                            (true, false) => false,
-                            (false, true) => members.contains(u),
-                            _ => true,
+                        if postings.contains(u, sid) {
+                            // A member already: only a lost live edge matters.
+                            !live(u, was) || live(u, is)
+                        } else {
+                            live(u, was) == live(u, is)
                         }
                     })
                 }
                 DiffusionModel::LinearThreshold => {
-                    lt_pick(old.0, old.1, key, v) == lt_pick(new.0, new.1, key, v)
+                    lt_pick(old.0, old.1, key(), v) == lt_pick(new.0, new.1, key(), v)
                 }
             };
             if keep {
                 coin_skips += 1;
             } else {
-                invalid[sid] = true;
+                invalid[sid as usize] = true;
             }
         });
     }
@@ -430,8 +435,7 @@ impl SketchIndex {
             (graph, weights),
             (&new_graph, &new_weights),
             provenance.spec,
-            &self.sets,
-            self.postings.view(),
+            &self.postings,
         );
         let changed = resample_sets(provenance.spec, &resampled, &new_graph, &new_weights);
 

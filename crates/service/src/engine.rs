@@ -2,11 +2,12 @@
 //! marginal-gain estimates, a batch executor, and the response cache.
 //!
 //! The Top-K path is the point of the subsystem: the engine keeps one
-//! persistent lazy-greedy session ([`crate::masked::LazyGreedy`]) — counts,
-//! alive flags, selected seeds — and only ever *extends* it. Asking for `k`
-//! and later `k+5` computes five new rounds, not `k+5`; nothing is
-//! resampled, ever. The served seeds stay byte-identical to a fresh
-//! `run_imm`/`select_seeds` pass over the same collection.
+//! persistent lazy-greedy session ([`crate::masked::LazyGreedy`]) — the
+//! covered sets, the gain bounds, the selected seeds — and only ever
+//! *extends* it. Asking for `k` and later `k+5` computes five new rounds,
+//! not `k+5`; nothing is resampled, ever. The served seeds stay
+//! byte-identical to a fresh `run_imm`/`select_seeds` pass over the same
+//! collection.
 //!
 //! Spread and Marginal are one marking walk, `mark_and_count`, over the
 //! index's postings on a pooled scratch.
@@ -247,7 +248,7 @@ impl QueryEngine {
 
     fn top_k(&self, k: usize) -> QueryResponse {
         let postings = self.index.postings().view();
-        let (seeds, covered) = self.greedy.lock().top_k(self.index.sets(), postings, k);
+        let (seeds, covered) = self.greedy.lock().top_k(postings, k);
         self.topk_response(seeds, covered)
     }
 
@@ -272,9 +273,9 @@ impl QueryEngine {
     }
 }
 
-/// The all-alive, empty-prefix Top-K session of `index`.
+/// The nothing-covered, empty-prefix Top-K session of `index`.
 fn fresh_session(index: &SketchIndex) -> LazyGreedy {
-    LazyGreedy::fresh(index.degree_vector(), index.num_sets())
+    LazyGreedy::fresh(&index.degree_vector(), index.num_sets())
 }
 
 #[cfg(test)]
@@ -444,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_leaves_the_fresh_session_all_alive_with_an_empty_prefix() {
+    fn apply_delta_leaves_the_fresh_session_uncovered_with_an_empty_prefix() {
         use crate::dynamic::SampleSpec;
         use imm_diffusion::DiffusionModel;
         use rand::{rngs::SmallRng, SeedableRng};

@@ -76,10 +76,10 @@ pub static CELF_ROUNDS: Counter =
 pub static CELF_HEAP_POPS: Counter =
     Counter::new("service_celf_heap_pops", "Entries popped off the CELF frontier heap");
 
-/// Stale CELF entries reinserted with their live count.
+/// Stale CELF entries reinserted with their recounted gain.
 pub static CELF_REVALIDATIONS: Counter = Counter::new(
     "service_celf_revalidations",
-    "Stale CELF frontier entries revalidated (reinserted with the live count)",
+    "Stale CELF frontier entries revalidated (reinserted with the recounted gain)",
 );
 
 /// Eligible sets (those containing an audience vertex) per audience Top-K:

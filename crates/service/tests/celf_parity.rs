@@ -5,6 +5,10 @@
 //! models. Lazy evaluation must be invisible: same seeds, same order, same
 //! coverage, including tie rounds and zero-gain tail rounds.
 
+#[path = "support/masked_oracle.rs"]
+#[allow(dead_code)] // this suite draws only its mixed-form collection
+mod masked_oracle;
+
 use efficient_imm::{select_seeds, Algorithm, ExecutionConfig};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
@@ -96,7 +100,8 @@ proptest! {
 }
 
 /// Hand-built corner cases where lazy evaluation is most likely to diverge
-/// from the naive argmax: all-zero rounds, exhausted coverage, and ties.
+/// from the naive argmax: all-zero rounds, exhausted coverage, ties, and a
+/// collection whose vertices mix bit rows and lists.
 #[test]
 fn celf_matches_naive_on_degenerate_collections() {
     use imm_rrr::{RrrCollection, RrrSet};
@@ -110,6 +115,8 @@ fn celf_matches_naive_on_degenerate_collections() {
         (3, vec![]),
         // Duplicate sets force repeated ties.
         (6, vec![vec![1, 3], vec![1, 3], vec![5], vec![5]]),
+        // Rows and lists in one session: popcount and probe revalidations.
+        masked_oracle::mixed_form_sets(),
     ];
     for (n, sets) in cases {
         let mut collection = RrrCollection::new(n);

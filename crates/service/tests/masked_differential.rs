@@ -3,7 +3,8 @@
 //! to the dense whole-index construction it replaced (kept as the oracle
 //! in `support/masked_oracle.rs`) — over random collections of list and
 //! bitmap sets × every audience shape × budgets on both sides of coverage
-//! exhaustion — and its pooled scratch never leaks from one query into the
+//! exhaustion, and on one index whose vertices mix bit rows and lists —
+//! and its pooled scratch never leaks from one query into the
 //! next, into the persistent prefix, or across concurrent batch workers.
 
 #[path = "support/masked_oracle.rs"]
@@ -12,12 +13,32 @@ mod masked_oracle;
 use imm_graph::GraphDelta;
 use imm_service::{Query, QueryEngine, SketchIndex};
 use masked_oracle::{
-    audience_queries, audiences, budgets, dense_masked_top_k, index_from, sampled_index,
+    audience_queries, audiences, budgets, dense_masked_top_k, hash_sets, index_from,
+    mixed_form_sets, sampled_index,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const NUM_NODES: usize = 48;
+
+/// Every audience shape × every budget on `index` equals the dense oracle.
+/// One engine serves the whole sweep: every query after the first runs on
+/// a recycled session.
+fn sweep_equals_the_dense_oracle(index: &SketchIndex, seed: u64) {
+    let n = index.num_nodes();
+    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+    for (shape, audience) in audiences(n, seed) {
+        for k in budgets(n) {
+            prop_assert_eq!(
+                engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
+                dense_masked_top_k(index, k, &audience),
+                "audience: {}, k = {}",
+                shape,
+                k
+            );
+        }
+    }
+}
 
 proptest! {
     #[test]
@@ -29,20 +50,15 @@ proptest! {
         bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
         seed in 0u64..1_000_000,
     ) {
-        let index = index_from(NUM_NODES, &raw_sets, &bitmap_choices);
-        // One engine for the whole sweep: every query after the first runs
-        // on a recycled session.
-        let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
-        for (shape, audience) in audiences(NUM_NODES, seed) {
-            for k in budgets(NUM_NODES) {
-                prop_assert_eq!(
-                    engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
-                    dense_masked_top_k(&index, k, &audience),
-                    "audience: {}, k = {}", shape, k
-                );
-            }
-        }
+        sweep_equals_the_dense_oracle(&index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
     }
+}
+
+/// The same sweep on an index whose vertices mix bit rows and lists.
+#[test]
+fn sparse_session_equals_the_dense_oracle_when_rows_and_lists_mix() {
+    let (n, sets) = mixed_form_sets();
+    sweep_equals_the_dense_oracle(&index_from(n, &hash_sets(&sets), &[]), 0x31C3);
 }
 
 #[test]

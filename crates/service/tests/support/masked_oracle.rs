@@ -2,7 +2,8 @@
 //! `imm-shard` (the latter includes this file by path): the **dense
 //! oracle** — the whole-index masked greedy the engines used to run (full
 //! counts, full alive vector, one frontier entry per vertex) — and the
-//! fixtures and case generators both suites sweep.
+//! fixtures and case generators both suites sweep. `celf_parity` includes
+//! it too, for the mixed-form collection.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
@@ -72,6 +73,33 @@ pub fn index_from(
         collection.push_vertices(set.iter().copied().collect(), &policy);
     }
     SketchIndex::from_collection(collection, IndexMeta::default()).expect("members are in range")
+}
+
+/// One collection whose vertices take both postings forms: hubs 0..4 each
+/// sit in about half of the 320 sets (bit rows, past θ/32 = 10) and every
+/// set adds three of the other 196 vertices (mostly lists), so one session
+/// revalidates rows by popcount and lists by probes in the same rounds.
+/// Returns the vertex count and the sets, members ascending.
+pub fn mixed_form_sets() -> (usize, Vec<Vec<u32>>) {
+    let n = 200;
+    let mut rng = SmallRng::seed_from_u64(0x31C3);
+    let sets: Vec<Vec<u32>> = (0..320)
+        .map(|_| {
+            let mut members: Vec<u32> = (0..4).filter(|_| rng.gen_bool(0.5)).collect();
+            members.extend((0..3).map(|_| rng.gen_range(4..n as u32)));
+            members.sort_unstable();
+            members.dedup();
+            members
+        })
+        .collect();
+    let rows = index_from(n, &hash_sets(&sets), &[]).postings().stats().row_vertices;
+    assert!(0 < rows && rows < n, "{rows} row vertices of {n}");
+    (n, sets)
+}
+
+/// `sets` in the form [`index_from`] takes.
+pub fn hash_sets(sets: &[Vec<u32>]) -> Vec<HashSet<u32>> {
+    sets.iter().map(|set| set.iter().copied().collect()).collect()
 }
 
 /// The audience shapes a masked session must survive: empty, one vertex,

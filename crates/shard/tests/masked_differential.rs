@@ -2,7 +2,8 @@
 //! audience Top-K a `ShardedEngine` serves — the engine-side sparse greedy
 //! over the index's global postings, at every shard count — is
 //! **byte-identical** to the dense whole-index oracle
-//! (`imm-service`'s `tests/support/masked_oracle.rs`, shared by path), and
+//! (`imm-service`'s `tests/support/masked_oracle.rs`, shared by path) on
+//! random collections and on one whose vertices mix bit rows and lists, and
 //! its pooled scratch leaks neither into the next query, nor into the
 //! persistent greedy session, nor between concurrent batch workers.
 
@@ -14,7 +15,8 @@ use imm_rrr::BitSet;
 use imm_service::{Query, QueryResponse, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use masked_oracle::{
-    audience_queries, audiences, budgets, dense_masked_top_k, index_from, sampled_index,
+    audience_queries, audiences, budgets, dense_masked_top_k, hash_sets, index_from,
+    mixed_form_sets, sampled_index,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -26,6 +28,34 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 fn engine(index: &SketchIndex, shards: usize) -> ShardedEngine {
     let sharded = Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable"));
     ShardedEngine::with_options(sharded, 1, 0)
+}
+
+/// Every audience shape × every budget on `index`, at every shard count,
+/// equals the dense oracle.
+fn sweep_equals_the_dense_oracle(index: &SketchIndex, seed: u64) {
+    let n = index.num_nodes();
+    let cases: Vec<(&str, BitSet, usize, QueryResponse)> = audiences(n, seed)
+        .into_iter()
+        .flat_map(|(shape, audience)| {
+            budgets(n).map(|k| {
+                let expected = dense_masked_top_k(index, k, &audience);
+                (shape, audience.clone(), k, expected)
+            })
+        })
+        .collect();
+    for shards in SHARD_COUNTS {
+        let engine = engine(index, shards);
+        for (shape, audience, k, expected) in &cases {
+            prop_assert_eq!(
+                &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
+                expected,
+                "{} shards, audience: {}, k = {}",
+                shards,
+                shape,
+                k
+            );
+        }
+    }
 }
 
 proptest! {
@@ -40,27 +70,15 @@ proptest! {
         bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
         seed in 0u64..1_000_000,
     ) {
-        let index = index_from(NUM_NODES, &raw_sets, &bitmap_choices);
-        let cases: Vec<(&str, BitSet, usize, QueryResponse)> = audiences(NUM_NODES, seed)
-            .into_iter()
-            .flat_map(|(shape, audience)| {
-                budgets(NUM_NODES).map(|k| {
-                    let expected = dense_masked_top_k(&index, k, &audience);
-                    (shape, audience.clone(), k, expected)
-                })
-            })
-            .collect();
-        for shards in SHARD_COUNTS {
-            let engine = engine(&index, shards);
-            for (shape, audience, k, expected) in &cases {
-                prop_assert_eq!(
-                    &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
-                    expected,
-                    "{} shards, audience: {}, k = {}", shards, shape, k
-                );
-            }
-        }
+        sweep_equals_the_dense_oracle(&index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
     }
+}
+
+/// The same sweep on an index whose vertices mix bit rows and lists.
+#[test]
+fn sharded_sparse_session_equals_the_dense_oracle_when_rows_and_lists_mix() {
+    let (n, sets) = mixed_form_sets();
+    sweep_equals_the_dense_oracle(&index_from(n, &hash_sets(&sets), &[]), 0x31C3);
 }
 
 #[test]

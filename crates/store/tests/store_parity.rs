@@ -16,7 +16,16 @@ use imm_store::{LoadMode, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Held for the whole of every test that maps a file: the `store_*`
+/// counters are process-wide, so a test that counts its own opens or
+/// advice must not overlap a sibling's.
+static MAPPING: Mutex<()> = Mutex::new(());
+
+fn mapping_turn() -> MutexGuard<'static, ()> {
+    MAPPING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("imm_store_parity_tests");
@@ -94,6 +103,7 @@ fn assert_full_parity(mapped: &SketchIndex, heap: &SketchIndex) {
 
 #[test]
 fn mapped_and_heap_loads_of_a_dynamic_snapshot_are_identical() {
+    let _turn = mapping_turn();
     let index = dynamic_index(42);
     let path = temp_path("dynamic");
     index.save_to_path(&path).unwrap();
@@ -115,6 +125,7 @@ fn mapped_and_heap_loads_of_a_dynamic_snapshot_are_identical() {
 
 #[test]
 fn mapped_and_heap_loads_of_a_static_mixed_snapshot_are_identical() {
+    let _turn = mapping_turn();
     let index = static_index();
     let path = temp_path("static");
     index.save_to_path(&path).unwrap();
@@ -131,6 +142,7 @@ fn mapped_and_heap_loads_of_a_static_mixed_snapshot_are_identical() {
 /// entry at all), and a mix of the two forms.
 #[test]
 fn mapped_and_heap_loads_of_all_row_and_mixed_postings_are_identical() {
+    let _turn = mapping_turn();
     for (index, rows, list_entries) in
         [(dense_index(70, 0, "all-row"), 150, 0), (dense_index(70, 60, "mixed"), 150, 60)]
     {
@@ -157,6 +169,7 @@ fn mapped_and_heap_loads_of_all_row_and_mixed_postings_are_identical() {
 
 #[test]
 fn open_prefers_the_mapping_and_counts_it() {
+    let _turn = mapping_turn();
     let index = dynamic_index(7);
     let path = temp_path("prefer_mmap");
     index.save_to_path(&path).unwrap();
@@ -173,6 +186,7 @@ fn open_prefers_the_mapping_and_counts_it() {
 
 #[test]
 fn advising_shard_ranges_touches_the_arena_section() {
+    let _turn = mapping_turn();
     let index = dynamic_index(9);
     let path = temp_path("advise");
     index.save_to_path(&path).unwrap();
