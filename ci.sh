@@ -83,10 +83,33 @@ fi
 
 # The vendored rayon shim has no parallel iterators (its sequential `prelude`
 # is gone), so nothing in the tree may look parallel and not be: parallel
-# sections go through run_jobs / pool.scope / rayon::scope.
+# sections go through run_jobs / rayon::scope.
 echo "==> kernel guard: no parallel-iterator spellings anywhere in crates"
 if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates; then
-  echo "error: the vendored rayon shim has no parallel iterators; use run_jobs, pool.scope or a plain loop" >&2
+  echo "error: the vendored rayon shim has no parallel iterators; use run_jobs, rayon::scope or a plain loop" >&2
+  exit 1
+fi
+
+# imm-exec is one pool: per-scope task queues under a mutex and one injector
+# of scope handles. The SPSC inboxes, the claim-flag jobs, the queue-depth
+# peek and its gauge, the inbox-overflow counter and the rayon ThreadPool
+# token every kernel used to take stay gone. Its one unsafe is the
+# scope-lifetime erasure in Scope::spawn, and it carries its invariant.
+echo "==> pool guard: one injector, no SPSC inboxes or pool tokens, one commented unsafe in exec"
+if grep -rnE 'spsc|UnsafeCell|queue_depths|ThreadPoolBuilder|build_pool|exec_tasks_overflow|exec_shared_queue_depth_max' crates vendor; then
+  echo "error: the SPSC executor, its queue-depth gauge and the rayon pool token were removed; do not reintroduce them" >&2
+  exit 1
+fi
+EXEC_UNSAFE="$(grep -rnw 'unsafe' crates/exec/src || true)"
+if [ "$(grep -c . <<< "$EXEC_UNSAFE")" -ne 1 ]; then
+  echo "error: crates/exec/src must hold exactly one unsafe (the scope-lifetime erasure):" >&2
+  echo "$EXEC_UNSAFE" >&2
+  exit 1
+fi
+IFS=: read -r UNSAFE_FILE UNSAFE_LINE _ <<< "$EXEC_UNSAFE"
+if ! head -n "$((UNSAFE_LINE - 1))" "$UNSAFE_FILE" | tac \
+  | awk '/^[[:space:]]*\/\//{ if (/SAFETY:/) found = 1; next } { exit } END { exit !found }'; then
+  echo "error: the unsafe at $UNSAFE_FILE:$UNSAFE_LINE needs a SAFETY: comment directly above it" >&2
   exit 1
 fi
 

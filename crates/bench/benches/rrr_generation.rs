@@ -16,7 +16,6 @@ fn dataset() -> Dataset {
 
 fn bench_models(c: &mut Criterion) {
     let d = dataset();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
     let mut group = c.benchmark_group("generate_rrrsets_model");
     group.sample_size(10);
     for (model, weights) in [
@@ -32,7 +31,7 @@ fn bench_models(c: &mut Criterion) {
             fused_counter: None,
         };
         group.bench_with_input(BenchmarkId::from_parameter(model.short_name()), &model, |b, _| {
-            b.iter(|| black_box(generate_rrr_sets(&d.graph, weights, 128, 0, &cfg, &pool)))
+            b.iter(|| black_box(generate_rrr_sets(&d.graph, weights, 128, 0, &cfg)))
         });
     }
     group.finish();
@@ -40,7 +39,6 @@ fn bench_models(c: &mut Criterion) {
 
 fn bench_fusion_and_balancing(c: &mut Criterion) {
     let d = dataset();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
     let mut group = c.benchmark_group("generate_rrrsets_features");
     group.sample_size(10);
 
@@ -54,16 +52,16 @@ fn bench_fusion_and_balancing(c: &mut Criterion) {
     };
 
     group.bench_function("unfused", |b| {
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &base, &pool)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &base)))
     });
     group.bench_function("fused_counter", |b| {
         let counter = GlobalCounter::new(d.graph.num_nodes());
         let cfg = SamplingConfig { fused_counter: Some(&counter), ..base };
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg, &pool)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg)))
     });
     group.bench_function("static_schedule", |b| {
         let cfg = SamplingConfig { schedule: Schedule::Static, ..base };
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg, &pool)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg)))
     });
     group.finish();
 }

@@ -16,7 +16,6 @@ use std::hint::black_box;
 fn sample_sets(dataset_name: &str, num_sets: usize) -> RrrCollection {
     let spec = find(Scale::Small, dataset_name).expect("dataset");
     let dataset = spec.build();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: 0xBE7C ^ spec.seed,
@@ -25,7 +24,7 @@ fn sample_sets(dataset_name: &str, num_sets: usize) -> RrrCollection {
         threads: 2,
         fused_counter: None,
     };
-    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg, &pool).sets
+    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets
 }
 
 fn bench_selection_kernels(c: &mut Criterion) {
@@ -35,13 +34,12 @@ fn bench_selection_kernels(c: &mut Criterion) {
     group.sample_size(10);
 
     for threads in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         group.bench_with_input(BenchmarkId::new("ripples", threads), &threads, |b, &t| {
-            b.iter(|| black_box(select_seeds_ripples(&sets, k, t, &pool)))
+            b.iter(|| black_box(select_seeds_ripples(&sets, k, t)))
         });
         let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
         group.bench_with_input(BenchmarkId::new("efficientimm", threads), &threads, |b, _| {
-            b.iter(|| black_box(select_seeds_efficient(&sets, k, &exec, &pool, None)))
+            b.iter(|| black_box(select_seeds_efficient(&sets, k, &exec, None)))
         });
     }
     group.finish();
@@ -52,7 +50,6 @@ fn bench_adaptive_counter_update(c: &mut Criterion) {
     let sets = sample_sets("com-LJ", 192);
     let k = 10;
     let threads = 4;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
     let mut group = c.benchmark_group("adaptive_counter_update");
     group.sample_size(10);
 
@@ -62,10 +59,10 @@ fn bench_adaptive_counter_update(c: &mut Criterion) {
     without_cfg.features.adaptive_counter_update = false;
 
     group.bench_function("with_adaptive_update", |b| {
-        b.iter(|| black_box(select_seeds_efficient(&sets, k, &with_cfg, &pool, None)))
+        b.iter(|| black_box(select_seeds_efficient(&sets, k, &with_cfg, None)))
     });
     group.bench_function("without_adaptive_update", |b| {
-        b.iter(|| black_box(select_seeds_efficient(&sets, k, &without_cfg, &pool, None)))
+        b.iter(|| black_box(select_seeds_efficient(&sets, k, &without_cfg, None)))
     });
     group.finish();
 }

@@ -20,7 +20,6 @@ fn main() {
     let k = config::bench_k();
     let threads = *config::bench_threads().iter().max().unwrap_or(&8);
     let num_sets = 384;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
 
     // The four skewed datasets of Figure 5.
     let subset = ["com-YouTube", "soc-Pokec", "com-LJ", "twitter7"];
@@ -44,8 +43,7 @@ fn main() {
             threads,
             fused_counter: None,
         };
-        let sets =
-            generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg, &pool).sets;
+        let sets = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets;
 
         let mut with_cfg = ExecutionConfig::new(Algorithm::Efficient, threads);
         with_cfg.features.adaptive_counter_update = true;
@@ -57,13 +55,13 @@ fn main() {
         let t0 = Instant::now();
         let mut rebuilds = 0usize;
         for _ in 0..reps {
-            rebuilds = select_seeds_efficient(&sets, k, &with_cfg, &pool, None).counter_rebuilds;
+            rebuilds = select_seeds_efficient(&sets, k, &with_cfg, None).counter_rebuilds;
         }
         let with_time = t0.elapsed().as_secs_f64() / reps as f64;
 
         let t0 = Instant::now();
         for _ in 0..reps {
-            select_seeds_efficient(&sets, k, &without_cfg, &pool, None);
+            select_seeds_efficient(&sets, k, &without_cfg, None);
         }
         let without_time = t0.elapsed().as_secs_f64() / reps as f64;
 

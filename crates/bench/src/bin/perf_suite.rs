@@ -214,7 +214,6 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(RNG_SEED);
     let graph = CsrGraph::from_edge_list(&generators::social_network(w.nodes, 8, 0.3, &mut rng));
     let weights = EdgeWeights::constant(&graph, w.edge_probability);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(w.threads).build().expect("pool builds");
     let sampling = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: RNG_SEED,
@@ -277,7 +276,7 @@ fn main() {
     let sets_sampled_before = efficient_imm::metrics::SETS_SAMPLED.value();
     let mut sampling_trial_secs: Vec<f64> = Vec::with_capacity(w.sampling_trials);
     let t0 = Instant::now();
-    let mut out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling, &pool);
+    let mut out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling);
     sampling_trial_secs.push(t0.elapsed().as_secs_f64());
     let obs_events_during_sampling =
         // Two relaxed atomic adds per generated set (SETS_SAMPLED +
@@ -286,7 +285,7 @@ fn main() {
         2 * (efficient_imm::metrics::SETS_SAMPLED.value() - sets_sampled_before);
     for _ in 1..w.sampling_trials {
         let t = Instant::now();
-        out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling, &pool);
+        out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling);
         sampling_trial_secs.push(t.elapsed().as_secs_f64());
     }
     let sampling_secs = median(&mut sampling_trial_secs);
@@ -303,7 +302,7 @@ fn main() {
     let mut selection_ms: Vec<f64> = (0..w.selection_trials)
         .map(|_| {
             let t = Instant::now();
-            let selection = select_seeds(&collection, w.k, &exec, &pool, None);
+            let selection = select_seeds(&collection, w.k, &exec, None);
             let ms = t.elapsed().as_secs_f64() * 1e3;
             assert_eq!(selection.seeds.len(), w.k);
             ms

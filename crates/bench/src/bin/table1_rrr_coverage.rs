@@ -14,7 +14,6 @@ use imm_rrr::AdaptivePolicy;
 fn main() {
     let scale = config::bench_scale();
     let num_sets = 512;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
 
     let mut table = TextTable::new(&[
         "Graph",
@@ -36,7 +35,7 @@ fn main() {
             threads: 4,
             fused_counter: None,
         };
-        let out = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg, &pool);
+        let out = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg);
         let stats = out.sets.coverage_stats();
         table.add_row(vec![
             spec.name.to_string(),

@@ -20,7 +20,6 @@ fn main() {
     let k = config::bench_k();
     let threads = 8;
     let num_sets = 256;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
 
     let mut table = TextTable::new(&[
         "Graph",
@@ -40,8 +39,7 @@ fn main() {
             threads: 4,
             fused_counter: None,
         };
-        let sets =
-            generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg, &pool).sets;
+        let sets = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets;
 
         let hierarchy = HierarchyConfig::default();
         let ripples = cache_misses_ripples(&sets, k, threads, hierarchy);

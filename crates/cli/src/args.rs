@@ -83,8 +83,9 @@ memory mapping (on little-endian Linux; elsewhere, or when the mapping
 fails, it falls back to the checksummed read-decode load, counted by
 store_mmap_fallbacks), cutting time-to-first-query from whole-file decode
 to head-page parsing; a snapshot of any format version but this build's
-(5) is refused on both paths: rebuild it with build-index. `stats --index <FILE> --startup-timing` prints the
-open/map/decode/first-query phase breakdown of both load paths. `client` dials a running daemon: query flags
+(5) is refused on both paths: rebuild it with build-index. `stats --index
+<FILE> --startup-timing` prints the open/map/decode/first-query phase
+breakdown of both load paths. `client` dials a running daemon: query flags
 mirror `query` and print the same response JSON (remote answers are
 byte-identical to in-process serving); --ping/--info/--metrics/--shutdown
 drive the control verbs; --apply-delta sends a delta file through a
@@ -99,9 +100,7 @@ once at startup: --threads (where accepted) wins, then the IMM_THREADS
 environment variable, then the machine parallelism. `stats --metrics`
 appends the full workspace metric registry (exec runtime counters, sampling
 totals, per-query-type latency percentiles, cache/CELF/refresh/shard
-metrics, serving-daemon counters) to the stats output; queue depths are
-exported as periodically sampled max-over-window gauges by the serve
-daemon's housekeeping tick, not as a point-in-time read. `stats --metrics
+metrics, serving-daemon counters) to the stats output. `stats --metrics
 --describe` prints the metric catalog as a markdown table (the README's
 Observability section) and exits. `query --metrics` appends the
 before/after metrics delta of the served batch to the query output.";
@@ -256,7 +255,7 @@ pub struct ServeArgs {
     pub max_cost: Option<u64>,
     /// Bound on concurrently served requests.
     pub max_inflight: usize,
-    /// Housekeeping cadence in milliseconds (queue-depth sampling).
+    /// Housekeeping cadence in milliseconds (in-flight gauge sampling).
     pub tick_ms: u64,
     /// Shed connections idle past this many milliseconds (absent → never).
     pub idle_timeout_ms: Option<u64>,

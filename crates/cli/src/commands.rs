@@ -854,12 +854,6 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
 /// The workspace metric registry in the documented, versioned shape
 /// ([`imm_bench::obs`] — the same serializer the perf suite embeds in
 /// `BENCH_*.json`), plus the process-global pool's thread count.
-///
-/// Queue depths are deliberately *not* reported here: a point-in-time
-/// read of another thread's queue is racy — it describes the instant of
-/// the read and misses every burst between reads. The serving daemon
-/// samples the depths on its housekeeping tick into a max-over-window
-/// gauge instead (`exec_shared_queue_depth_max` in the registry below).
 fn metrics_json() -> serde_json::Value {
     serde_json::json!({
         "pool": {
@@ -966,13 +960,9 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
     let scc = properties::strongly_connected_components(&graph);
     let out_stats = properties::out_degree_stats(&graph);
 
-    // The sampling pass rides the shared process-wide pool (the builder
-    // returns a token over it), at whatever width the pool was given.
+    // The sampling pass rides the shared process-wide pool at whatever
+    // width the pool was given.
     let threads = rayon::current_num_threads();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| format!("cannot build the sampling thread pool: {e}"))?;
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: 0xC0FFEE,
@@ -981,7 +971,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         threads,
         fused_counter: None,
     };
-    let out = generate_rrr_sets(&graph, &weights, args.rrr_sets, 0, &cfg, &pool);
+    let out = generate_rrr_sets(&graph, &weights, args.rrr_sets, 0, &cfg);
     let coverage = out.sets.coverage_stats();
 
     let json = serde_json::json!({

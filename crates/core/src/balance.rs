@@ -5,8 +5,11 @@
 //! giant sets. The paper's remedy is a producer-consumer scheme in which
 //! threads pull fixed-size job batches from a shared queue as they finish.
 //!
-//! [`run_jobs`] executes `total` jobs on a rayon pool under either schedule;
-//! the worker closure receives `(worker index, job range)` so callers can
+//! That shared queue is [`JobQueue`]: one atomic cursor. [`run_jobs`]
+//! executes `total` jobs under either schedule as one fork-join of
+//! `threads` tasks on the process-global `imm-exec` pool, which only forks
+//! and joins — the balancing is the cursor's, not the pool's. The worker
+//! closure receives `(worker index, job range)` so callers can
 //! keep per-worker scratch state (RNGs, local collections, work counters)
 //! and preserve the locality benefits the paper notes ("while still
 //! preserving the advantages of locality … within each job batch").
@@ -57,7 +60,7 @@ impl JobQueue {
     }
 }
 
-/// Execute `total` jobs on `pool` with `threads` workers under `schedule`.
+/// Execute `total` jobs as `threads` tasks under `schedule`.
 ///
 /// The worker closure is called as `worker(slot, range)` where `slot` is
 /// always in `[0, threads)`; ranges never overlap and together cover
@@ -72,13 +75,8 @@ impl JobQueue {
 /// to drain most of the queue. Shared per-slot state must still be
 /// synchronized (two workers can execute chunks with the same slot
 /// concurrently).
-pub fn run_jobs<F>(
-    pool: &rayon::ThreadPool,
-    threads: usize,
-    total: usize,
-    schedule: Schedule,
-    worker: F,
-) where
+pub fn run_jobs<F>(threads: usize, total: usize, schedule: Schedule, worker: F)
+where
     F: Fn(usize, Range) + Sync,
 {
     let threads = threads.max(1);
@@ -88,7 +86,7 @@ pub fn run_jobs<F>(
     match schedule {
         Schedule::Static => {
             let ranges = block_ranges(total, threads);
-            pool.scope(|s| {
+            rayon::scope(|s| {
                 for (worker_idx, range) in ranges.into_iter().enumerate() {
                     if range.is_empty() {
                         continue;
@@ -104,7 +102,7 @@ pub fn run_jobs<F>(
             // most of the pool idle while one worker drains the queue.
             let chunk = chunk.min((total / (4 * threads)).max(1));
             let queue = JobQueue::new(total, chunk);
-            pool.scope(|s| {
+            rayon::scope(|s| {
                 for _ in 0..threads {
                     let queue = &queue;
                     let worker = &worker;
@@ -125,10 +123,6 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::collections::HashSet;
-
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
-    }
 
     #[test]
     fn job_queue_hands_out_disjoint_full_coverage() {
@@ -155,9 +149,8 @@ mod tests {
     }
 
     fn check_coverage(schedule: Schedule, total: usize, threads: usize) {
-        let p = pool(threads);
         let seen = Mutex::new(vec![0u32; total]);
-        run_jobs(&p, threads, total, schedule, |_, range| {
+        run_jobs(threads, total, schedule, |_, range| {
             let mut guard = seen.lock();
             for i in range.iter() {
                 guard[i] += 1;
@@ -187,9 +180,8 @@ mod tests {
         // work. With dynamic chunks the per-worker totals must be close.
         let threads = 4;
         let total = 400usize;
-        let p = pool(threads);
         let per_worker = Mutex::new(vec![0u64; threads]);
-        run_jobs(&p, threads, total, Schedule::Dynamic { chunk: 4 }, |w, range| {
+        run_jobs(threads, total, Schedule::Dynamic { chunk: 4 }, |w, range| {
             // Simulate work proportional to the job index.
             let mut acc = 0u64;
             for i in range.iter() {
@@ -210,9 +202,8 @@ mod tests {
     #[test]
     fn worker_indices_stay_in_range() {
         let threads = 3;
-        let p = pool(threads);
         let max_seen = Mutex::new(0usize);
-        run_jobs(&p, threads, 50, Schedule::Dynamic { chunk: 5 }, |w, _| {
+        run_jobs(threads, 50, Schedule::Dynamic { chunk: 5 }, |w, _| {
             let mut guard = max_seen.lock();
             *guard = (*guard).max(w);
         });

@@ -8,9 +8,11 @@
 //! Only the scattered updates are concurrent. The whole-array passes —
 //! [`GlobalCounter::argmax`], [`GlobalCounter::reset`] and
 //! [`GlobalCounter::copy_from`] — are plain loops on the calling thread: a
-//! pass visits a counter in ~0.3 ns and a fork-join on the persistent pool
-//! costs 30–70 µs, so splitting them across workers measured slower up to
-//! ~512k counters (ROADMAP, "Parallel counter passes").
+//! pass visits a counter in ~0.3 ns, a fork-join of two trivial tasks on
+//! the persistent pool costs ~0.5–1 µs (the spine's `exec.scope_dispatch_us`,
+//! two threads on a 2-vCPU box), and splitting the passes across workers
+//! measured slower up to ~512k counters (ROADMAP, "Parallel counter
+//! passes").
 //!
 //! The atomic used is a 64-bit fetch-add with relaxed ordering, which on
 //! x86-64 compiles to the same `lock`-prefixed read-modify-write on a single

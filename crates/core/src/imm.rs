@@ -74,7 +74,6 @@ pub fn run_imm(
 ) -> Result<ImmResult, ImmError> {
     params.validate(graph.num_nodes()).map_err(ImmError::InvalidParameters)?;
 
-    let pool = exec.build_pool();
     let n = graph.num_nodes();
     let k = params.k;
     let ell = math::adjusted_ell(params.ell, n);
@@ -118,7 +117,6 @@ pub fn run_imm(
                     threads: exec.threads,
                     fused_counter: fused_counter.as_ref(),
                 },
-                &pool,
             );
             breakdown.timings.generate_rrrsets += t0.elapsed();
             breakdown.sampling_work.merge(&out.work);
@@ -127,7 +125,7 @@ pub fn run_imm(
         breakdown.sampling_iterations = i;
 
         let t0 = Instant::now();
-        let selection = select_seeds(&sets, k, exec, &pool, fused_counter.as_ref());
+        let selection = select_seeds(&sets, k, exec, fused_counter.as_ref());
         breakdown.timings.find_most_influential += t0.elapsed();
         breakdown.selection_work.merge(&selection.work);
         breakdown.counter_rebuilds += selection.counter_rebuilds;
@@ -166,7 +164,6 @@ pub fn run_imm(
                 threads: exec.threads,
                 fused_counter: fused_counter.as_ref(),
             },
-            &pool,
         );
         breakdown.timings.generate_rrrsets += t0.elapsed();
         breakdown.sampling_work.merge(&out.work);
@@ -174,7 +171,7 @@ pub fn run_imm(
     }
 
     let t0 = Instant::now();
-    let selection = select_seeds(&sets, k, exec, &pool, fused_counter.as_ref());
+    let selection = select_seeds(&sets, k, exec, fused_counter.as_ref());
     breakdown.timings.find_most_influential += t0.elapsed();
     breakdown.selection_work.merge(&selection.work);
     breakdown.counter_rebuilds += selection.counter_rebuilds;

@@ -149,8 +149,9 @@ impl EfficientFeatures {
 pub struct ExecutionConfig {
     /// Which engine runs the two kernels.
     pub algorithm: Algorithm,
-    /// Number of worker threads (a dedicated rayon pool of this size is used,
-    /// so different configs can coexist in one process).
+    /// Width of every fork-join the run opens: the number of tasks (and of
+    /// per-worker scratch slots) each parallel phase splits into. The
+    /// tasks run on the process-global `imm-exec` pool, whatever its size.
     pub threads: usize,
     /// EfficientIMM feature toggles (ignored by the Ripples engine).
     pub features: EfficientFeatures,
@@ -217,15 +218,6 @@ impl ExecutionConfig {
         self.placement = placement;
         self
     }
-
-    /// Build the rayon thread pool this configuration asks for.
-    pub fn build_pool(&self) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .thread_name(|i| format!("imm-worker-{i}"))
-            .build()
-            .expect("failed to build rayon thread pool")
-    }
 }
 
 #[cfg(test)]
@@ -277,13 +269,6 @@ mod tests {
         assert!(adaptive.density_threshold < 1.0);
         let sorted = EfficientFeatures::none().representation_policy();
         assert!(sorted.density_threshold > 1.0);
-    }
-
-    #[test]
-    fn build_pool_has_requested_parallelism() {
-        let cfg = ExecutionConfig::new(Algorithm::Efficient, 3);
-        let pool = cfg.build_pool();
-        assert_eq!(pool.current_num_threads(), 3);
     }
 
     #[test]

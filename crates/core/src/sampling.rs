@@ -356,7 +356,8 @@ struct SlotOutput {
 }
 
 /// Generate `count` RRR sets (with global indices starting at `start_index`
-/// for key-derivation purposes) on `pool`.
+/// for key-derivation purposes), `config.threads` tasks wide on the
+/// process-global pool.
 ///
 /// The returned collection is in global set-index order for every thread
 /// count and schedule: set `i` always came from key
@@ -368,7 +369,6 @@ pub fn generate_rrr_sets(
     count: usize,
     start_index: usize,
     config: &SamplingConfig<'_>,
-    pool: &rayon::ThreadPool,
 ) -> SamplingOutput {
     crate::metrics::register();
     let threads = config.threads.max(1);
@@ -381,7 +381,7 @@ pub fn generate_rrr_sets(
     let per_worker_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let atomic_ops = AtomicU64::new(0);
 
-    run_jobs(pool, threads, count, config.schedule, |worker, range| {
+    run_jobs(threads, count, config.schedule, |worker, range| {
         let mut marker = markers.lock().pop().unwrap_or_else(|| VisitMarker::new(num_nodes));
         // Chunk-local arena: every list-bound set of the chunk is appended
         // here, sorted in place, and spliced into the slot arena in one bulk
@@ -486,10 +486,6 @@ mod tests {
     use imm_graph::WeightModel;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
-    }
 
     fn config(model: DiffusionModel, threads: usize) -> SamplingConfig<'static> {
         SamplingConfig {
@@ -669,9 +665,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = CsrGraph::from_edge_list(&generators::social_network(300, 6, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
-        let p = pool(2);
-        let out =
-            generate_rrr_sets(&g, &w, 200, 0, &config(DiffusionModel::IndependentCascade, 2), &p);
+        let out = generate_rrr_sets(&g, &w, 200, 0, &config(DiffusionModel::IndependentCascade, 2));
         assert_eq!(out.sets.len(), 200);
         assert!(out.work.total_ops() >= 200, "at least the roots are touched");
         assert_eq!(out.work.per_thread_ops.len(), 2);
@@ -684,10 +678,9 @@ mod tests {
         let w = EdgeWeights::ic_weighted_cascade(&g);
 
         let collect = |threads: usize, schedule: Schedule| -> Vec<Vec<NodeId>> {
-            let p = pool(threads);
             let mut cfg = config(DiffusionModel::IndependentCascade, threads);
             cfg.schedule = schedule;
-            let out = generate_rrr_sets(&g, &w, 100, 0, &cfg, &p);
+            let out = generate_rrr_sets(&g, &w, 100, 0, &cfg);
             out.sets.iter().map(|s| s.to_vec()).collect()
         };
 
@@ -705,9 +698,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(12);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 5, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
-        let p = pool(3);
         let cfg = config(DiffusionModel::IndependentCascade, 3);
-        let out = generate_rrr_sets(&g, &w, 40, 7, &cfg, &p);
+        let out = generate_rrr_sets(&g, &w, 40, 7, &cfg);
         let records = set_provenance(cfg.rng_seed, 7..47, g.num_nodes());
         let mut marker = VisitMarker::new(g.num_nodes());
         for (i, set) in out.sets.iter().enumerate() {
@@ -731,10 +723,9 @@ mod tests {
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 6, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
         let counter = GlobalCounter::new(g.num_nodes());
-        let p = pool(2);
         let mut cfg = config(DiffusionModel::IndependentCascade, 2);
         cfg.fused_counter = Some(&counter);
-        let out = generate_rrr_sets(&g, &w, 80, 0, &cfg, &p);
+        let out = generate_rrr_sets(&g, &w, 80, 0, &cfg);
 
         // Recompute occurrence counts from the materialized sets.
         let mut expected = vec![0u64; g.num_nodes()];
@@ -752,10 +743,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 6, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
-        let p = pool(1);
         let cfg = config(DiffusionModel::IndependentCascade, 1);
-        let a = generate_rrr_sets(&g, &w, 50, 0, &cfg, &p);
-        let b = generate_rrr_sets(&g, &w, 50, 50, &cfg, &p);
+        let a = generate_rrr_sets(&g, &w, 50, 0, &cfg);
+        let b = generate_rrr_sets(&g, &w, 50, 50, &cfg);
         let a_sets: Vec<Vec<NodeId>> = a.sets.iter().map(|s| s.to_vec()).collect();
         let b_sets: Vec<Vec<NodeId>> = b.sets.iter().map(|s| s.to_vec()).collect();
         assert_ne!(a_sets, b_sets, "different global indices must give different keys");
@@ -765,9 +755,7 @@ mod tests {
     fn zero_count_is_a_no_op() {
         let g = CsrGraph::from_edge_list(&generators::star(10));
         let w = EdgeWeights::constant(&g, 0.5);
-        let p = pool(2);
-        let out =
-            generate_rrr_sets(&g, &w, 0, 0, &config(DiffusionModel::IndependentCascade, 2), &p);
+        let out = generate_rrr_sets(&g, &w, 0, 0, &config(DiffusionModel::IndependentCascade, 2));
         assert_eq!(out.sets.len(), 0);
         assert_eq!(out.work.total_ops(), 0);
     }
@@ -779,9 +767,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = CsrGraph::from_edge_list(&generators::social_network(400, 10, 0.3, &mut rng));
         let w = EdgeWeights::constant(&g, 0.3);
-        let p = pool(2);
-        let out =
-            generate_rrr_sets(&g, &w, 50, 0, &config(DiffusionModel::IndependentCascade, 2), &p);
+        let out = generate_rrr_sets(&g, &w, 50, 0, &config(DiffusionModel::IndependentCascade, 2));
         let stats = out.sets.coverage_stats();
         assert!(stats.max_coverage > 0.5, "max coverage {}", stats.max_coverage);
     }

@@ -58,7 +58,6 @@ pub fn select_seeds_efficient(
     sets: &RrrCollection,
     k: usize,
     exec: &ExecutionConfig,
-    pool: &rayon::ThreadPool,
     fused_counter: Option<&GlobalCounter>,
 ) -> SeedSelection {
     let threads = exec.threads.max(1);
@@ -90,7 +89,7 @@ pub fn select_seeds_efficient(
     if let Some(base) = fused_counter {
         counter.copy_from(base);
     } else {
-        run_jobs(pool, threads, sets.len(), schedule, |worker, range| {
+        run_jobs(threads, sets.len(), schedule, |worker, range| {
             let mut ops = 0u64;
             for idx in range.iter() {
                 sets.get(idx).for_each(|v| {
@@ -160,7 +159,7 @@ pub fn select_seeds_efficient(
                 alive[idx].store(false, Ordering::Relaxed);
             }
             counter.reset();
-            run_jobs(pool, threads, sets.len(), schedule, |worker, range| {
+            run_jobs(threads, sets.len(), schedule, |worker, range| {
                 let mut ops = 0u64;
                 for idx in range.iter() {
                     if !alive[idx].load(Ordering::Relaxed) {
@@ -178,7 +177,7 @@ pub fn select_seeds_efficient(
             // Decrement: touch only the covered sets (lines 11–18 of
             // Algorithm 2).
             decrements += 1;
-            run_jobs(pool, threads, covered.len(), schedule, |worker, range| {
+            run_jobs(threads, covered.len(), schedule, |worker, range| {
                 let mut ops = 0u64;
                 for pos in range.iter() {
                     let idx = covered[pos];
@@ -224,10 +223,6 @@ mod tests {
     use imm_rrr::{AdaptivePolicy, Representation};
     use proptest::prelude::*;
 
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
-    }
-
     fn exec(threads: usize) -> ExecutionConfig {
         ExecutionConfig::new(Algorithm::Efficient, threads)
     }
@@ -236,8 +231,7 @@ mod tests {
     fn picks_the_most_frequent_vertex_first_figure3_example() {
         let sets =
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        let p = pool(3);
-        let result = select_seeds_efficient(&sets, 1, &exec(3), &p, None);
+        let result = select_seeds_efficient(&sets, 1, &exec(3), None);
         assert_eq!(result.seeds, vec![1]);
         assert!((result.coverage_fraction - 0.5).abs() < 1e-12);
         assert!(result.work.atomic_ops > 0);
@@ -279,8 +273,7 @@ mod tests {
                 assert_eq!(bitmaps, 3, "the default policy must mix representations here");
             }
             let (ref_seeds, ref_cov) = greedy_reference(&sets, 4);
-            let p = pool(2);
-            let result = select_seeds_efficient(&sets, 4, &exec(2), &p, None);
+            let result = select_seeds_efficient(&sets, 4, &exec(2), None);
             assert_eq!(result.seeds, ref_seeds, "{policy:?}");
             assert!((result.coverage_fraction - ref_cov).abs() < 1e-12, "{policy:?}");
         }
@@ -308,10 +301,9 @@ mod tests {
             .collect();
         let sets = collection_with_policy(n as usize, &owned, &AdaptivePolicy::always_sorted());
         let members: u64 = sets.iter().map(|set| set.len() as u64).sum();
-        let p = pool(2);
 
-        let at_25 = select_seeds_efficient(&sets, 25, &exec(2), &p, None);
-        let at_50 = select_seeds_efficient(&sets, 50, &exec(2), &p, None);
+        let at_25 = select_seeds_efficient(&sets, 25, &exec(2), None);
+        let at_50 = select_seeds_efficient(&sets, 50, &exec(2), None);
         assert_eq!(at_50.seeds[..25], at_25.seeds[..]);
         assert!(at_50.coverage_fraction < 1.0);
 
@@ -338,7 +330,7 @@ mod tests {
         let sets = collection_with_policy(8, &owned, &AdaptivePolicy::always_bitmap());
         let mut cfg = exec(1);
         cfg.features.adaptive_counter_update = false;
-        let result = select_seeds_efficient(&sets, 3, &cfg, &pool(1), None);
+        let result = select_seeds_efficient(&sets, 3, &cfg, None);
         assert_eq!(result.seeds, vec![0, 5, 0]);
         // Round 1 probes 5 sets and covers 3; round 2 probes the 2 left and
         // covers both; round 3 finds an all-zero counter and probes nothing.
@@ -351,9 +343,8 @@ mod tests {
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
         let base = fused_counts(&sets);
         let before = base.snapshot();
-        let p = pool(2);
-        let with_fusion = select_seeds_efficient(&sets, 2, &exec(2), &p, Some(&base));
-        let without = select_seeds_efficient(&sets, 2, &exec(2), &p, None);
+        let with_fusion = select_seeds_efficient(&sets, 2, &exec(2), Some(&base));
+        let without = select_seeds_efficient(&sets, 2, &exec(2), None);
         assert_eq!(with_fusion.seeds, without.seeds);
         assert_eq!(base.snapshot(), before, "selection must not clobber the sampled counts");
     }
@@ -371,12 +362,11 @@ mod tests {
         let mut cfg = exec(2);
         cfg.features.adaptive_counter_update = true;
         cfg.features.rebuild_threshold = 0.5;
-        let p = pool(2);
-        let adaptive = select_seeds_efficient(&sets, 2, &cfg, &p, None);
+        let adaptive = select_seeds_efficient(&sets, 2, &cfg, None);
         assert!(adaptive.counter_rebuilds >= 1, "expected at least one rebuild");
 
         cfg.features.adaptive_counter_update = false;
-        let plain = select_seeds_efficient(&sets, 2, &cfg, &p, None);
+        let plain = select_seeds_efficient(&sets, 2, &cfg, None);
         assert_eq!(plain.counter_rebuilds, 0);
         assert_eq!(adaptive.seeds, plain.seeds, "adaptive update must not change the result");
         assert!((adaptive.coverage_fraction - plain.coverage_fraction).abs() < 1e-12);
@@ -388,23 +378,21 @@ mod tests {
             10,
             &[&[0, 1, 2], &[3, 4], &[5, 6, 7, 8], &[9], &[0, 9], &[4, 5], &[2, 3, 4]],
         );
-        let p = pool(3);
         let mut dynamic_cfg = exec(3);
         dynamic_cfg.features.dynamic_balancing = true;
         let mut static_cfg = exec(3);
         static_cfg.features.dynamic_balancing = false;
-        let a = select_seeds_efficient(&sets, 3, &dynamic_cfg, &p, None);
-        let b = select_seeds_efficient(&sets, 3, &static_cfg, &p, None);
+        let a = select_seeds_efficient(&sets, 3, &dynamic_cfg, None);
+        let b = select_seeds_efficient(&sets, 3, &static_cfg, None);
         assert_eq!(a.seeds, b.seeds);
     }
 
     #[test]
     fn zero_k_and_empty_collection() {
         let sets = collection(4, &[&[0, 1]]);
-        let p = pool(1);
-        assert!(select_seeds_efficient(&sets, 0, &exec(1), &p, None).seeds.is_empty());
+        assert!(select_seeds_efficient(&sets, 0, &exec(1), None).seeds.is_empty());
         let empty = collection(4, &[]);
-        let r = select_seeds_efficient(&empty, 2, &exec(1), &p, None);
+        let r = select_seeds_efficient(&empty, 2, &exec(1), None);
         assert_eq!(r.seeds.len(), 2);
         assert_eq!(r.coverage_fraction, 0.0);
     }
@@ -416,9 +404,9 @@ mod tests {
             .collect();
         let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
         let sets = collection(25, &slices);
-        let baseline = select_seeds_efficient(&sets, 5, &exec(1), &pool(1), None);
+        let baseline = select_seeds_efficient(&sets, 5, &exec(1), None);
         for threads in [2usize, 4, 8] {
-            let r = select_seeds_efficient(&sets, 5, &exec(threads), &pool(threads), None);
+            let r = select_seeds_efficient(&sets, 5, &exec(threads), None);
             assert_eq!(r.seeds, baseline.seeds, "threads={threads}");
         }
     }
@@ -432,8 +420,8 @@ mod tests {
             .collect();
         let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
         let sets = collection(40, &slices);
-        let w1 = select_seeds_efficient(&sets, 1, &exec(1), &pool(1), None).work.total_ops();
-        let w4 = select_seeds_efficient(&sets, 1, &exec(4), &pool(4), None).work.total_ops();
+        let w1 = select_seeds_efficient(&sets, 1, &exec(1), None).work.total_ops();
+        let w4 = select_seeds_efficient(&sets, 1, &exec(4), None).work.total_ops();
         assert_eq!(w1, w4, "total work must be thread-count independent");
     }
 
@@ -462,8 +450,7 @@ mod tests {
             let base = fused.then(|| fused_counts(&sets));
             let mut cfg = exec(threads);
             cfg.features.adaptive_counter_update = adaptive;
-            let p = pool(threads);
-            let result = select_seeds_efficient(&sets, k, &cfg, &p, base.as_ref());
+            let result = select_seeds_efficient(&sets, k, &cfg, base.as_ref());
             prop_assert_eq!(result.seeds, ref_seeds);
             prop_assert_eq!(result.coverage_fraction, ref_cov);
         }

@@ -11,8 +11,9 @@
 //!   list sets plus a bit probe of the (few, dense) bitmap sets — never from
 //!   a scan of all θ sets.
 //!
-//! Both kernels fork-join on the persistent `imm-exec` pool through
-//! `pool.scope` / [`crate::balance::run_jobs`].
+//! Both kernels fork-join on the process-global `imm-exec` pool through
+//! `rayon::scope` / [`crate::balance::run_jobs`], `exec.threads` tasks
+//! wide; no kernel takes a pool handle.
 //!
 //! Both return the same seeds for the same input (greedy max coverage is
 //! deterministic up to tie-breaking, and both kernels break ties toward the
@@ -54,14 +55,11 @@ pub fn select_seeds(
     sets: &RrrCollection,
     k: usize,
     exec: &ExecutionConfig,
-    pool: &rayon::ThreadPool,
     fused_counter: Option<&GlobalCounter>,
 ) -> SeedSelection {
     match exec.algorithm {
-        Algorithm::Ripples => ripples::select_seeds_ripples(sets, k, exec.threads, pool),
-        Algorithm::Efficient => {
-            efficient::select_seeds_efficient(sets, k, exec, pool, fused_counter)
-        }
+        Algorithm::Ripples => ripples::select_seeds_ripples(sets, k, exec.threads),
+        Algorithm::Efficient => efficient::select_seeds_efficient(sets, k, exec, fused_counter),
     }
 }
 
@@ -154,18 +152,13 @@ mod tests {
     use super::*;
     use crate::params::{Algorithm, ExecutionConfig};
 
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
-    }
-
     #[test]
     fn dispatch_runs_both_engines() {
         let sets =
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
         for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
             let exec = ExecutionConfig::new(algorithm, 2);
-            let p = pool(2);
-            let result = select_seeds(&sets, 2, &exec, &p, None);
+            let result = select_seeds(&sets, 2, &exec, None);
             assert_eq!(result.seeds.len(), 2);
             assert_eq!(result.seeds[0], 1, "{algorithm:?} must pick vertex 1 first");
             assert!(result.coverage_fraction > 0.0);

@@ -25,12 +25,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Select `k` seeds with the Ripples-style vertex-partitioned kernel.
-pub fn select_seeds_ripples(
-    sets: &RrrCollection,
-    k: usize,
-    threads: usize,
-    pool: &rayon::ThreadPool,
-) -> SeedSelection {
+pub fn select_seeds_ripples(sets: &RrrCollection, k: usize, threads: usize) -> SeedSelection {
     let threads = threads.max(1);
     let n = sets.num_nodes();
     if n == 0 || k == 0 {
@@ -53,7 +48,7 @@ pub fn select_seeds_ripples(
 
     // Initial counting: every thread traverses every RRR set and tallies the
     // members that fall inside its vertex range.
-    pool.scope(|s| {
+    rayon::scope(|s| {
         for (t, range) in ranges.iter().enumerate() {
             let local_counts = &local_counts;
             let per_thread_ops = &per_thread_ops;
@@ -107,7 +102,7 @@ pub fn select_seeds_ripples(
         // even though the flags are flipped concurrently.
         let alive_snapshot: Vec<bool> = alive.iter().map(|a| a.load(Ordering::Relaxed)).collect();
         let covered_this_round = AtomicU64::new(0);
-        pool.scope(|s| {
+        rayon::scope(|s| {
             for (t, range) in ranges.iter().enumerate() {
                 let local_counts = &local_counts;
                 let per_thread_ops = &per_thread_ops;
@@ -180,16 +175,11 @@ mod tests {
     use crate::selection::test_support::{collection, greedy_reference};
     use proptest::prelude::*;
 
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap()
-    }
-
     #[test]
     fn picks_the_most_frequent_vertex_first() {
         let sets =
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        let p = pool(2);
-        let result = select_seeds_ripples(&sets, 1, 2, &p);
+        let result = select_seeds_ripples(&sets, 1, 2);
         assert_eq!(result.seeds, vec![1]);
         assert!((result.coverage_fraction - 0.5).abs() < 1e-12);
         assert!(result.work.search_probes > 0);
@@ -202,8 +192,7 @@ mod tests {
             &[&[0, 1, 2], &[2, 3], &[3, 4, 5], &[5], &[5, 6], &[6, 7], &[0, 7], &[1, 3, 5, 7]],
         );
         let (ref_seeds, ref_cov) = greedy_reference(&sets, 3);
-        let p = pool(3);
-        let result = select_seeds_ripples(&sets, 3, 3, &p);
+        let result = select_seeds_ripples(&sets, 3, 3);
         assert_eq!(result.seeds, ref_seeds);
         assert!((result.coverage_fraction - ref_cov).abs() < 1e-12);
     }
@@ -211,8 +200,7 @@ mod tests {
     #[test]
     fn k_larger_than_distinct_vertices_still_returns_k_seeds() {
         let sets = collection(3, &[&[0], &[0], &[1]]);
-        let p = pool(2);
-        let result = select_seeds_ripples(&sets, 3, 2, &p);
+        let result = select_seeds_ripples(&sets, 3, 2);
         assert_eq!(result.seeds.len(), 3);
         assert_eq!(result.seeds[0], 0);
         assert!((result.coverage_fraction - 1.0).abs() < 1e-12);
@@ -221,13 +209,12 @@ mod tests {
     #[test]
     fn empty_collection_or_zero_k() {
         let sets = collection(5, &[]);
-        let p = pool(1);
-        let result = select_seeds_ripples(&sets, 2, 1, &p);
+        let result = select_seeds_ripples(&sets, 2, 1);
         assert_eq!(result.seeds.len(), 2);
         assert_eq!(result.coverage_fraction, 0.0);
 
         let sets = collection(5, &[&[1, 2]]);
-        let result = select_seeds_ripples(&sets, 0, 1, &p);
+        let result = select_seeds_ripples(&sets, 0, 1);
         assert!(result.seeds.is_empty());
     }
 
@@ -244,10 +231,8 @@ mod tests {
                 .map(|v| v.as_slice())
                 .collect::<Vec<_>>(),
         );
-        let p1 = pool(1);
-        let p4 = pool(4);
-        let w1 = select_seeds_ripples(&sets, 1, 1, &p1).work.total_ops();
-        let w4 = select_seeds_ripples(&sets, 1, 4, &p4).work.total_ops();
+        let w1 = select_seeds_ripples(&sets, 1, 1).work.total_ops();
+        let w4 = select_seeds_ripples(&sets, 1, 4).work.total_ops();
         assert!(
             w4 as f64 > 2.5 * w1 as f64,
             "4-thread work ({w4}) should be ~4x the 1-thread work ({w1})"
@@ -271,9 +256,9 @@ mod tests {
                 &[2, 9, 16],
             ],
         );
-        let baseline = select_seeds_ripples(&sets, 4, 1, &pool(1));
+        let baseline = select_seeds_ripples(&sets, 4, 1);
         for threads in [2usize, 3, 8] {
-            let r = select_seeds_ripples(&sets, 4, threads, &pool(threads));
+            let r = select_seeds_ripples(&sets, 4, threads);
             assert_eq!(r.seeds, baseline.seeds, "threads={threads}");
             assert!((r.coverage_fraction - baseline.coverage_fraction).abs() < 1e-12);
         }
@@ -294,8 +279,7 @@ mod tests {
             let slices: Vec<&[NodeId]> = owned.iter().map(|v| v.as_slice()).collect();
             let sets = collection(30, &slices);
             let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
-            let p = pool(threads);
-            let result = select_seeds_ripples(&sets, k, threads, &p);
+            let result = select_seeds_ripples(&sets, k, threads);
             prop_assert_eq!(result.seeds, ref_seeds);
             prop_assert!((result.coverage_fraction - ref_cov).abs() < 1e-9);
         }

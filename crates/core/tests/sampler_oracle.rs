@@ -28,7 +28,6 @@ fn sample(
     model: DiffusionModel,
     count: usize,
 ) -> RrrCollection {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let config = SamplingConfig {
         model,
         rng_seed: 2024,
@@ -37,7 +36,7 @@ fn sample(
         threads: 2,
         fused_counter: None,
     };
-    generate_rrr_sets(graph, weights, count, 0, &config, &pool).sets
+    generate_rrr_sets(graph, weights, count, 0, &config).sets
 }
 
 fn fixture(model: DiffusionModel, nodes: usize, seed: u64) -> (CsrGraph, EdgeWeights) {

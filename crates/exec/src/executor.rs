@@ -3,220 +3,149 @@
 //! # Model
 //!
 //! An [`Executor`] built for `t` threads owns `t - 1` long-lived worker
-//! threads; the thread calling [`Executor::scope`] is the `t`-th. Every
-//! spawned task becomes a reference-counted `Job` that lives in two
-//! places at once:
+//! threads; the thread calling [`Executor::scope`] is the `t`-th. Each
+//! scope owns a queue of its spawned tasks and a pending count, both under
+//! one mutex. The pool itself has one injector: a queue of *scope handles*
+//! that idle workers sleep on.
 //!
-//! * the scope's own job list, where the **owner** (the thread inside
-//!   `scope`) claims and runs still-unclaimed jobs while it waits, and
-//! * at most one worker's SPSC inbox, where the worker claims jobs the
-//!   owner has not reached yet.
+//! * A spawn pushes the task onto its scope's queue. It also pushes the
+//!   scope's handle onto the injector while the injector holds fewer
+//!   handles than the pool has workers, and notifies only when an idle
+//!   worker is waiting for that handle. The idle count lives under the
+//!   injector lock, so a busy pool pays no futex wake.
+//! * A worker pops a handle and runs that scope's queued tasks until none
+//!   are left (the owner may have run them all already).
+//! * A finished scope takes back any handle no worker popped, so the
+//!   injector only ever offers live scopes.
+//! * The **owner** (the thread inside `scope`) runs its own scope's queued
+//!   tasks until none are left, then waits for the pending count to reach
+//!   zero, waking early if a running task spawns another.
 //!
-//! A one-byte claim CAS arbitrates; whoever wins runs the task, the loser
-//! skips. This "owner helps" discipline is what makes the pool safe on any
-//! machine shape: with zero workers (`t == 1`, the default on a 1-CPU
-//! host) every task runs inline on the owner with no parking, no wakeups
-//! and no cross-thread traffic, and a scope can never deadlock waiting for
-//! a worker that does not exist. Nested scopes entered from a worker
-//! thread are safe for the same reason — the nested owner drives its own
-//! jobs to completion without needing a free worker.
+//! Because the owner drains its own scope, a scope never waits for a free
+//! worker: nested scopes entered from a worker cannot deadlock, and a pool
+//! with no workers (`t == 1`, the serving daemon's shape) runs every task
+//! on the spawning thread, which is the owner, when the scope drains; its
+//! spawns never touch the injector.
 //!
 //! # Shutdown and panics
 //!
 //! Dropping the executor (never done for the process-global one) flags
-//! shutdown, unparks every worker and joins them; workers drain their
-//! inbox first. A panicking task is caught on the worker, stored in its
-//! scope, and re-thrown on the owner when the scope ends — workers survive
-//! and the pool is never poisoned.
+//! shutdown, wakes every worker and joins them. A panicking task is
+//! caught where it runs, stored in its scope, and re-thrown on the owner
+//! when the scope ends — workers survive and the pool is never poisoned.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use crate::metrics::{self, Counter};
-use crate::spsc;
 
-/// Times the process-global executor was explicitly configured.
-pub static GLOBAL_CONFIGS: Counter = Counter::new(
-    "exec_global_configs",
-    "Explicit configure_global calls that installed the process-global pool",
-);
+type ScopedTask<'a> = Box<dyn FnOnce() + Send + 'a>;
+type Task = ScopedTask<'static>;
 
-/// Capacity of each worker's SPSC inbox; overflow runs on the submitter.
-const INBOX_CAPACITY: usize = 256;
-
-const READY: u8 = 0;
-const CLAIMED: u8 = 1;
-
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// One spawned task, claimable exactly once (by a worker or by the helping
-/// scope owner).
-struct Job {
-    claim: AtomicU8,
-    func: UnsafeCell<Option<Task>>,
-    scope: Arc<ScopeState>,
+/// Lock `mutex`, ignoring poison: no user code runs while these locks are
+/// held, so a poisoned lock still guards consistent state.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-// `func` is only touched by the claim winner; the CAS on `claim` (AcqRel)
-// is the hand-off point.
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
-
-impl Job {
-    /// Claim the job; `Some(task)` exactly once across all threads.
-    fn claim(&self) -> Option<Task> {
-        if self.claim.compare_exchange(READY, CLAIMED, Ordering::AcqRel, Ordering::Relaxed).is_ok()
-        {
-            unsafe { (*self.func.get()).take() }
-        } else {
-            None
-        }
-    }
-
-    fn is_ready(&self) -> bool {
-        self.claim.load(Ordering::Acquire) == READY
-    }
-}
-
-/// Claim and run a job, routing its completion back to the scope. The
-/// counter identifies who ran it (worker / helping owner / overflow).
-fn run_job(job: &Job, ran_by: &Counter) {
-    let Some(task) = job.claim() else { return };
-    ran_by.increment();
-    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(task)) {
-        job.scope.store_panic(payload);
-    }
-    job.scope.complete_one();
+/// What one `scope` call's mutex guards.
+#[derive(Default)]
+struct ScopeQueue {
+    /// Spawned tasks nobody has started yet.
+    tasks: VecDeque<Task>,
+    /// Spawned tasks not yet finished (queued or running).
+    pending: usize,
+    /// True while the owner sleeps on [`ScopeState::wake`].
+    owner_waiting: bool,
+    /// First panic payload from any task, re-thrown at scope exit.
+    panic: Option<Box<dyn Any + Send + 'static>>,
 }
 
 /// Shared bookkeeping for one `scope` call.
+#[derive(Default)]
 struct ScopeState {
-    /// Spawned-but-not-finished job count; the scope ends when this is 0.
-    pending: AtomicUsize,
-    /// The thread inside `Executor::scope`, unparked when work completes.
-    owner: Thread,
-    /// True while the owner is in (or committing to) `thread::park`.
-    owner_parked: AtomicBool,
-    /// First panic payload from any task, re-thrown at scope exit.
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Every job spawned on this scope, in submission order (helping list).
-    jobs: Mutex<Vec<Arc<Job>>>,
-    /// Owner's helping cursor into `jobs` (owner-advanced only).
-    cursor: AtomicUsize,
+    queue: Mutex<ScopeQueue>,
+    /// Wakes the owner when a task is queued or the last one finishes.
+    wake: Condvar,
 }
 
 impl ScopeState {
-    fn new(owner: Thread) -> Self {
-        ScopeState {
-            pending: AtomicUsize::new(0),
-            owner,
-            owner_parked: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            jobs: Mutex::new(Vec::new()),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    fn store_panic(&self, payload: Box<dyn Any + Send + 'static>) {
-        let mut slot = self.panic.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-
-    /// Mark one job finished; wake the owner when the scope drains.
-    fn complete_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.owner_parked.load(Ordering::SeqCst)
-        {
-            self.owner.unpark();
-        }
-    }
-
-    /// Next job the owner has not walked past that still looks claimable.
-    fn next_unclaimed(&self) -> Option<Arc<Job>> {
-        let jobs = self.jobs.lock().unwrap();
-        let mut cursor = self.cursor.load(Ordering::Relaxed);
-        while cursor < jobs.len() {
-            let job = &jobs[cursor];
-            cursor += 1;
-            if job.is_ready() {
-                self.cursor.store(cursor, Ordering::Relaxed);
-                return Some(Arc::clone(job));
-            }
-        }
-        self.cursor.store(cursor, Ordering::Relaxed);
-        None
-    }
-
-    /// Any claimable job at or past the owner's cursor?
-    fn has_unclaimed(&self) -> bool {
-        let jobs = self.jobs.lock().unwrap();
-        let cursor = self.cursor.load(Ordering::Relaxed).min(jobs.len());
-        jobs[cursor..].iter().any(|job| job.is_ready())
-    }
-
-    /// Owner-side wait: help run unclaimed jobs, park only when every
-    /// remaining job is already claimed by a worker.
-    fn wait_with_help(&self) {
+    /// Run queued tasks until none are left.
+    fn run_queued(&self, ran_by: &Counter) {
         loop {
-            if self.pending.load(Ordering::SeqCst) == 0 {
+            let Some(task) = lock(&self.queue).tasks.pop_front() else { return };
+            self.run(task, ran_by);
+        }
+    }
+
+    /// Run one task and account for it; never unwinds.
+    fn run(&self, task: Task, ran_by: &Counter) {
+        ran_by.increment();
+        let outcome = panic::catch_unwind(AssertUnwindSafe(task));
+        let mut queue = lock(&self.queue);
+        if let Err(payload) = outcome {
+            queue.panic.get_or_insert(payload);
+        }
+        queue.pending -= 1;
+        if queue.pending == 0 && queue.owner_waiting {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Owner side: run queued tasks until none are left, then sleep until
+    /// every task that workers took has finished.
+    fn drain(&self) {
+        loop {
+            self.run_queued(&metrics::TASKS_HELPED);
+            let mut queue = lock(&self.queue);
+            if queue.pending == 0 {
                 return;
             }
-            if let Some(job) = self.next_unclaimed() {
-                run_job(&job, &metrics::TASKS_HELPED);
-                continue;
+            if queue.tasks.is_empty() {
+                queue.owner_waiting = true;
+                queue = self.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                queue.owner_waiting = false;
             }
-            self.owner_parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.pending.load(Ordering::SeqCst) == 0 || self.has_unclaimed() {
-                self.owner_parked.store(false, Ordering::SeqCst);
-                continue;
-            }
-            thread::park();
-            self.owner_parked.store(false, Ordering::SeqCst);
         }
     }
 }
 
-struct Worker {
-    /// Producer half of the worker's inbox (mutex: many scopes submit).
-    inbox: Mutex<spsc::Producer<Arc<Job>>>,
-    /// True while the worker is in (or committing to) `thread::park`.
-    parked: Arc<AtomicBool>,
-    /// Unpark handle.
-    thread: Thread,
-    join: Option<JoinHandle<()>>,
+/// What the pool's mutex guards.
+#[derive(Default)]
+struct Injector {
+    /// Live scopes offered to workers, no more entries than workers.
+    scopes: VecDeque<Arc<ScopeState>>,
+    /// Workers asleep on [`Shared::wake`].
+    idle: usize,
+    shutdown: bool,
 }
 
-fn worker_loop(
-    mut inbox: spsc::Consumer<Arc<Job>>,
-    parked: Arc<AtomicBool>,
-    shutdown: Arc<AtomicBool>,
-) {
+#[derive(Default)]
+struct Shared {
+    injector: Mutex<Injector>,
+    wake: Condvar,
+}
+
+fn worker_loop(shared: &Shared) {
+    let mut injector = lock(&shared.injector);
     loop {
-        if let Some(job) = inbox.pop() {
-            run_job(&job, &metrics::TASKS_WORKER);
-            continue;
-        }
-        if shutdown.load(Ordering::SeqCst) {
+        if let Some(scope) = injector.scopes.pop_front() {
+            drop(injector);
+            scope.run_queued(&metrics::TASKS_WORKER);
+            injector = lock(&shared.injector);
+        } else if injector.shutdown {
             return;
+        } else {
+            injector.idle += 1;
+            metrics::WORKER_PARKS.increment();
+            injector = shared.wake.wait(injector).unwrap_or_else(PoisonError::into_inner);
+            injector.idle -= 1;
         }
-        parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if !inbox.is_empty() || shutdown.load(Ordering::SeqCst) {
-            parked.store(false, Ordering::SeqCst);
-            continue;
-        }
-        metrics::WORKER_PARKS.increment();
-        thread::park();
-        parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -227,10 +156,8 @@ fn worker_loop(
 /// startup with [`configure_global`]); standalone pools are for tests and
 /// embedding.
 pub struct Executor {
-    workers: Box<[Worker]>,
-    /// Round-robin submission cursor over `workers`.
-    next: AtomicUsize,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
@@ -238,32 +165,21 @@ impl Executor {
     /// A pool presenting `threads` units of parallelism: `threads - 1`
     /// spawned workers plus the calling thread inside every scope.
     /// `threads` is clamped to at least 1; with exactly 1, no worker
-    /// threads exist and every task runs inline on the scope owner.
+    /// threads exist and every task runs inline on the spawning thread.
     pub fn new(threads: usize) -> Self {
         metrics::register();
         let threads = threads.max(1);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shared = Arc::new(Shared::default());
         let workers = (0..threads - 1)
             .map(|i| {
-                let (tx, rx) = spsc::channel(INBOX_CAPACITY);
-                let parked = Arc::new(AtomicBool::new(false));
-                let handle = thread::Builder::new()
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
                     .name(format!("imm-exec-{i}"))
-                    .spawn({
-                        let parked = Arc::clone(&parked);
-                        let shutdown = Arc::clone(&shutdown);
-                        move || worker_loop(rx, parked, shutdown)
-                    })
-                    .expect("spawn imm-exec worker");
-                Worker {
-                    inbox: Mutex::new(tx),
-                    parked,
-                    thread: handle.thread().clone(),
-                    join: Some(handle),
-                }
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn imm-exec worker")
             })
             .collect();
-        Executor { workers, next: AtomicUsize::new(0), shutdown, threads }
+        Executor { shared, workers, threads }
     }
 
     /// The parallelism this pool was built with (workers + scope owner).
@@ -271,32 +187,28 @@ impl Executor {
         self.threads
     }
 
-    /// Current inbox depth per worker (racy snapshot, for observability).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.workers.iter().map(|w| w.inbox.lock().unwrap().len()).collect()
-    }
-
     /// Scoped fork-join: `op` may [`Scope::spawn`] tasks borrowing from
     /// `'env`; every task completes before `scope` returns. The calling
-    /// thread runs `op`, then helps run unclaimed tasks. Mirrors
-    /// `rayon::scope` (and `std::thread::scope`) semantics, including
-    /// re-throwing the first task panic on the caller.
+    /// thread runs `op`, then runs whatever tasks no worker has taken.
+    /// Mirrors `rayon::scope` (and `std::thread::scope`) semantics,
+    /// including re-throwing the first task panic on the caller.
     pub fn scope<'env, OP, R>(&self, op: OP) -> R
     where
         OP: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
     {
         metrics::SCOPES.increment();
-        let state = Arc::new(ScopeState::new(thread::current()));
+        let state = Arc::new(ScopeState::default());
         let scope = Scope { state: Arc::clone(&state), exec: self, _marker: PhantomData };
         let result = panic::catch_unwind(AssertUnwindSafe(|| op(&scope)));
         // Tasks borrow `'env` data: the scope MUST drain before returning
         // or unwinding past the borrowed frame.
-        state.wait_with_help();
-        // Every job has run; each holds the state that lists it, and only
-        // emptying the list breaks that cycle (a daemon opens a scope per
-        // request: a scope that stayed allocated was its whole RSS growth).
-        state.jobs.lock().unwrap().clear();
-        let task_panic = state.panic.lock().unwrap().take();
+        state.drain();
+        if !self.workers.is_empty() {
+            // A handle no worker popped in time would hold an injector slot
+            // that a later scope's handle needs.
+            lock(&self.shared.injector).scopes.retain(|s| !Arc::ptr_eq(s, &state));
+        }
+        let task_panic = lock(&state.queue).panic.take();
         match result {
             Err(payload) => panic::resume_unwind(payload),
             Ok(value) => {
@@ -308,75 +220,41 @@ impl Executor {
         }
     }
 
-    /// Run two closures, potentially in parallel, returning both results.
-    /// Mirrors `rayon::join`: `oper_a` runs on the caller.
-    pub fn join<A, B, RA, RB>(&self, oper_a: A, oper_b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
-    {
-        let mut rb = None;
-        let ra = self.scope(|s| {
-            let slot = &mut rb;
-            s.spawn(move |_| *slot = Some(oper_b()));
-            oper_a()
-        });
-        (ra, rb.expect("join task completed"))
-    }
-
-    /// Enqueue a type-erased task for the given scope.
+    /// Queue a type-erased task on its scope and offer the scope to a
+    /// worker.
     fn submit(&self, state: &Arc<ScopeState>, task: Task) {
-        metrics::TASKS_SPAWNED.increment();
-        state.pending.fetch_add(1, Ordering::SeqCst);
-        let job = Arc::new(Job {
-            claim: AtomicU8::new(READY),
-            func: UnsafeCell::new(Some(task)),
-            scope: Arc::clone(state),
-        });
-        state.jobs.lock().unwrap().push(Arc::clone(&job));
-        let mut overflow = false;
-        if !self.workers.is_empty() {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
-            let worker = &self.workers[idx];
-            let pushed = worker.inbox.lock().unwrap().push(Arc::clone(&job)).is_ok();
-            // Publish-then-check-parked needs a StoreLoad barrier on both
-            // sides (Dekker); the park loops carry the matching fence.
-            fence(Ordering::SeqCst);
-            if pushed {
-                if worker.parked.load(Ordering::SeqCst) {
-                    metrics::WORKER_UNPARKS.increment();
-                    worker.thread.unpark();
-                }
-            } else {
-                overflow = true;
+        {
+            let mut queue = lock(&state.queue);
+            queue.tasks.push_back(task);
+            queue.pending += 1;
+            // A task spawning into its own scope may find the owner asleep.
+            if queue.owner_waiting {
+                state.wake.notify_one();
             }
-        } else {
-            fence(Ordering::SeqCst);
         }
-        // A parked owner (helping list exhausted) must learn about the new
-        // job — nested spawns can arrive while the owner sleeps.
-        if state.owner_parked.load(Ordering::SeqCst) {
-            state.owner.unpark();
+        if self.workers.is_empty() {
+            // No worker could take the handle: the owner's drain runs it.
+            return;
         }
-        if overflow {
-            run_job(&job, &metrics::TASKS_OVERFLOW);
+        let mut injector = lock(&self.shared.injector);
+        if injector.scopes.len() < self.workers.len() {
+            injector.scopes.push_back(Arc::clone(state));
+            if injector.scopes.len() <= injector.idle {
+                metrics::WORKER_UNPARKS.increment();
+                self.shared.wake.notify_one();
+            }
         }
     }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for worker in self.workers.iter() {
-            worker.thread.unpark();
-        }
-        for worker in self.workers.iter_mut() {
-            if let Some(handle) = worker.join.take() {
-                // Workers catch task panics, so join only fails if a
-                // worker itself died; nothing useful to do while dropping.
-                let _ = handle.join();
-            }
+        lock(&self.shared.injector).shutdown = true;
+        self.shared.wake.notify_all();
+        for worker in self.workers.drain(..) {
+            // Workers catch task panics, so join only fails if a worker
+            // itself died; nothing useful to do while dropping.
+            let _ = worker.join();
         }
     }
 }
@@ -407,20 +285,18 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
     {
-        let state = Arc::clone(&self.state);
-        let exec = self.exec;
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let scope = Scope { state, exec, _marker: PhantomData };
-            f(&scope);
-        });
+        metrics::TASKS_SPAWNED.increment();
+        let scope = Scope { state: Arc::clone(&self.state), exec: self.exec, _marker: PhantomData };
+        let task: ScopedTask<'scope> = Box::new(move || f(&scope));
         // SAFETY: erasing `'scope` to `'static` is sound because
-        // `Executor::scope` blocks (wait_with_help) until `pending == 0`,
-        // i.e. every spawned task has run or been dropped, before the
-        // `'scope`/`'env` borrows can expire — the same argument as
-        // `std::thread::scope`. The executor itself outlives the task
-        // because `scope` borrows it for the full wait.
-        let task: Task =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
+        // `Executor::scope` does not return or unwind until its pending
+        // count is zero (`ScopeState::drain`), and a task leaves that count
+        // only after it has run and been dropped (`ScopeState::run`); every
+        // queued task is run, by a worker or by the draining owner. So no
+        // task outlives the `'scope`/`'env` borrows, as in
+        // `std::thread::scope`. The executor outlives the task because
+        // `scope` borrows it for the full drain.
+        let task: Task = unsafe { std::mem::transmute::<ScopedTask<'scope>, Task>(task) };
         self.exec.submit(&self.state, task);
     }
 }
@@ -463,7 +339,7 @@ pub fn configure_global(threads: usize) -> Result<(), GlobalPoolError> {
     }
     match GLOBAL.set(Executor::new(threads)) {
         Ok(()) => {
-            GLOBAL_CONFIGS.increment();
+            metrics::GLOBAL_CONFIGS.increment();
             Ok(())
         }
         // Lost an init race: the just-built pool drops (joins cleanly).
@@ -480,7 +356,7 @@ pub fn global() -> &'static Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn a_finished_scope_frees_its_state() {
@@ -491,7 +367,7 @@ mod tests {
             s.spawn(|_| {});
             s.spawn(|_| {});
         });
-        assert!(state.expect("the scope ran").upgrade().is_none(), "jobs kept their scope alive");
+        assert!(state.expect("the scope ran").upgrade().is_none(), "tasks kept their scope alive");
     }
 
     #[test]
@@ -560,13 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let exec = Executor::new(2);
-        let (a, b) = exec.join(|| 2 + 2, || "ok".len());
-        assert_eq!((a, b), (4, 2));
-    }
-
-    #[test]
     fn task_panic_propagates_and_pool_survives() {
         let exec = Executor::new(2);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -586,20 +455,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn overflow_beyond_inbox_capacity_still_completes() {
-        let exec = Executor::new(2);
-        let counter = AtomicUsize::new(0);
-        exec.scope(|s| {
-            for _ in 0..(INBOX_CAPACITY * 4) {
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), INBOX_CAPACITY * 4);
     }
 
     #[test]

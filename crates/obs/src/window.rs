@@ -1,12 +1,11 @@
 //! Max-over-window sampling: turn racy point-in-time reads into a
 //! defensible metric.
 //!
-//! Some quantities can only be observed by *peeking* — a worker queue's
-//! depth, the in-flight request count. One such read is racy: it
-//! describes the instant of the read, can miss every burst between
-//! reads, and two observers see different values. Reporting that raw
-//! read as a metric is a bug (PR 7's `stats --metrics` did exactly
-//! that with `queue_depths`). The fix is the standard one: a sampler
+//! Some quantities can only be observed by *peeking* — the daemon's
+//! in-flight request count, say. One such read is racy: it describes the
+//! instant of the read, can miss every burst between reads, and two
+//! observers see different values, so reporting that raw read as a
+//! metric is a bug. The fix is the standard one: a sampler
 //! peeks on a fixed cadence, pushes each observation into a
 //! [`MaxWindow`], and the *maximum over the last W samples* is what a
 //! gauge exports — a stable high-water mark that catches bursts at

@@ -28,8 +28,8 @@
 //!   requests with a structured queue-full error instead of queueing
 //!   without limit.
 //! * [`server`] — the daemon: a blocking accept loop + per-connection
-//!   threads, a housekeeping tick thread that samples queue depths into max-over-window
-//!   gauges (the PR 7 follow-on), a `metrics` RPC verb exposing the
+//!   threads, a housekeeping tick thread that samples the in-flight count
+//!   into a max-over-window gauge, a `metrics` RPC verb exposing the
 //!   live process's `imm-obs` registry, and graceful `apply_delta`
 //!   rollout — the replacement index is refreshed off to the side and
 //!   swapped in atomically with a new engine over it, so queries keep

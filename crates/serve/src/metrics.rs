@@ -2,10 +2,10 @@
 //! `imm-obs` registry.
 //!
 //! Counters follow the exec/shard idiom (static, relaxed adds, zero
-//! cost under `obs-off`). [`INFLIGHT_PEAK`] is a sampled gauge in the
-//! `exec_shared_queue_depth_max` style: the housekeeping tick peeks the
-//! racy in-flight count and publishes the max over its recent window
-//! (`imm_obs::MaxWindow`) — never the raw instantaneous read.
+//! cost under `obs-off`). [`INFLIGHT_PEAK`] is a sampled gauge: the
+//! housekeeping tick peeks the racy in-flight count and publishes the max
+//! over its recent window (`imm_obs::MaxWindow`) — never the raw
+//! instantaneous read.
 
 use std::sync::Once;
 

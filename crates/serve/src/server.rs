@@ -13,9 +13,9 @@
 //!   responses are still written, and joins them.
 //! * The **housekeeping tick** (one thread) sleeps on a condvar for one
 //!   tick at a time — shutdown wakes it at once — and on each tick peeks
-//!   the racy queue depths (shared pool, in-flight requests) and publishes
-//!   their max-over-window into gauges — the sampled replacement for
-//!   reporting a point-in-time read as a metric.
+//!   the racy in-flight request count and publishes its max-over-window
+//!   into a gauge — the sampled replacement for reporting a point-in-time
+//!   read as a metric.
 //! * Each **connection thread** runs a strict request/response loop
 //!   over length-prefixed frames. A protocol error (bad magic,
 //!   oversized or truncated frame, garbage payload) earns a structured
@@ -230,12 +230,12 @@ pub struct ServerConfig {
     pub budget: Option<u64>,
     /// Bound on concurrently served requests across all connections.
     pub max_inflight: usize,
-    /// Housekeeping cadence: how often the queue-depth gauges sample, the
+    /// Housekeeping cadence: how often the in-flight gauge samples, the
     /// back-off after a failed `accept`, and the read timeout that clocks a
     /// connection's idleness (at least 10 ms). Shutdown does not wait for
     /// it.
     pub tick: Duration,
-    /// Samples per max-over-window gauge.
+    /// Samples in the in-flight gauge's max-over-window.
     pub sample_window: usize,
     /// Decoder cap on one frame's payload.
     pub max_frame_len: usize,
@@ -636,21 +636,18 @@ impl Server {
         })
     }
 
-    /// One housekeeping observation: roll the racy depth peeks into the
-    /// max-over-window gauges.
-    fn sample(&self, shared_depth: &mut MaxWindow, inflight: &mut MaxWindow) {
-        let deepest = imm_exec::global().queue_depths().into_iter().max().unwrap_or(0);
-        imm_exec::metrics::SHARED_QUEUE_DEPTH_MAX.set(shared_depth.record(deepest as u64) as f64);
+    /// One housekeeping observation: roll the racy in-flight peek into its
+    /// max-over-window gauge.
+    fn sample(&self, inflight: &mut MaxWindow) {
         smetrics::INFLIGHT_PEAK.set(inflight.record(self.admission.inflight() as u64) as f64);
     }
 }
 
-/// Sample the queue-depth gauges once per tick until shutdown.
+/// Sample the in-flight gauge once per tick until shutdown.
 fn tick_loop(server: &Server) {
-    let mut depth_window = MaxWindow::new(server.sample_window);
     let mut inflight_window = MaxWindow::new(server.sample_window);
     while !server.sleep_tick() {
-        server.sample(&mut depth_window, &mut inflight_window);
+        server.sample(&mut inflight_window);
     }
 }
 

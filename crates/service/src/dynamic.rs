@@ -345,10 +345,6 @@ impl SketchIndex {
         label: impl Into<String>,
     ) -> Result<Self, IndexError> {
         let threads = threads.max(1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build sampling thread pool");
         let out = generate_rrr_sets(
             graph,
             weights,
@@ -362,7 +358,6 @@ impl SketchIndex {
                 threads,
                 fused_counter: None,
             },
-            &pool,
         );
         let records = set_provenance(spec.rng_seed, 0..theta, graph.num_nodes());
         Self::build_with_provenance(graph, out.sets, records, spec, label)

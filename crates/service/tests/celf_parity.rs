@@ -31,8 +31,6 @@ fn sampled_collection(
         DiffusionModel::IndependentCascade => EdgeWeights::ic_weighted_cascade(&graph),
         DiffusionModel::LinearThreshold => EdgeWeights::lt_normalized(&graph, &mut rng),
     };
-    let exec = ExecutionConfig::new(Algorithm::Efficient, 2);
-    let pool = exec.build_pool();
     let cfg = efficient_imm::sampling::SamplingConfig {
         model,
         rng_seed,
@@ -41,7 +39,7 @@ fn sampled_collection(
         threads: 2,
         fused_counter: None,
     };
-    let out = efficient_imm::sampling::generate_rrr_sets(&graph, &weights, theta, 0, &cfg, &pool);
+    let out = efficient_imm::sampling::generate_rrr_sets(&graph, &weights, theta, 0, &cfg);
     (graph, out.sets)
 }
 
@@ -62,8 +60,7 @@ fn assert_celf_matches_naive(model: DiffusionModel, graph_seed: u64, rng_seed: u
         for algorithm in [Algorithm::Efficient, Algorithm::Ripples] {
             for threads in [1usize, 2, 4] {
                 let exec = ExecutionConfig::new(algorithm, threads);
-                let pool = exec.build_pool();
-                let naive = select_seeds(&collection, budget, &exec, &pool, None);
+                let naive = select_seeds(&collection, budget, &exec, None);
                 assert_eq!(
                     seeds, naive.seeds,
                     "{model:?} {algorithm:?} threads={threads} budget={budget}"
@@ -130,8 +127,7 @@ fn celf_matches_naive_on_degenerate_collections() {
         let k = n; // push past coverage exhaustion
         let (seeds, coverage) = engine_top_k(&engine, k);
         let exec = ExecutionConfig::new(Algorithm::Efficient, 1);
-        let pool = exec.build_pool();
-        let naive = select_seeds(&collection, k, &exec, &pool, None);
+        let naive = select_seeds(&collection, k, &exec, None);
         assert_eq!(seeds, naive.seeds, "n={n} sets={sets:?}");
         assert!((coverage - naive.coverage_fraction).abs() < 1e-12);
     }

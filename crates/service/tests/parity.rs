@@ -55,11 +55,10 @@ fn multiple_budgets_match_fresh_selections_and_share_the_prefix() {
     // fresh selection-kernel pass over the same collection at that budget,
     // and smaller budgets must be prefixes of larger ones.
     let exec = ExecutionConfig::new(Algorithm::Efficient, 2);
-    let pool = exec.build_pool();
     let mut largest: Vec<u32> = Vec::new();
     for k in [3usize, 8, 5, 10] {
         let (seeds, coverage) = top_k(&engine, k);
-        let fresh = select_seeds(&collection, k, &exec, &pool, None);
+        let fresh = select_seeds(&collection, k, &exec, None);
         assert_eq!(seeds, fresh.seeds, "budget {k}");
         assert!((coverage - fresh.coverage_fraction).abs() < 1e-12, "budget {k}");
         if seeds.len() > largest.len() {
@@ -79,8 +78,7 @@ fn both_selection_engines_agree_with_the_served_answer() {
     let (seeds, _) = top_k(&engine, 6);
     for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
         let exec = ExecutionConfig::new(algorithm, 3);
-        let pool = exec.build_pool();
-        let fresh = select_seeds(&collection, 6, &exec, &pool, None);
+        let fresh = select_seeds(&collection, 6, &exec, None);
         assert_eq!(seeds, fresh.seeds, "{algorithm:?}");
     }
 }

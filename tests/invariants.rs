@@ -157,7 +157,6 @@ fn sampling_work_profile_accounts_for_every_generated_vertex() {
     let mut rng = SmallRng::seed_from_u64(2);
     let g = CsrGraph::from_edge_list(&generators::social_network(300, 6, 0.2, &mut rng));
     let w = EdgeWeights::ic_weighted_cascade(&g);
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: 3,
@@ -166,7 +165,7 @@ fn sampling_work_profile_accounts_for_every_generated_vertex() {
         threads: 3,
         fused_counter: None,
     };
-    let out = generate_rrr_sets(&g, &w, 120, 0, &cfg, &pool);
+    let out = generate_rrr_sets(&g, &w, 120, 0, &cfg);
     let total_vertices: usize = out.sets.iter().map(|s| s.len()).sum();
     assert_eq!(out.work.total_ops(), total_vertices as u64);
 }

@@ -18,7 +18,6 @@ use imm_rrr::{AdaptivePolicy, RrrCollection};
 fn sample(name: &str, sets: usize, threads: usize) -> RrrCollection {
     let spec = find(Scale::Small, name).expect("registry dataset");
     let dataset = spec.build();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: 0xAB ^ spec.seed,
@@ -27,7 +26,7 @@ fn sample(name: &str, sets: usize, threads: usize) -> RrrCollection {
         threads,
         fused_counter: None,
     };
-    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, sets, 0, &cfg, &pool).sets
+    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, sets, 0, &cfg).sets
 }
 
 #[test]
@@ -50,11 +49,9 @@ fn claim_fig1_ripples_selection_work_replicates_with_threads_while_efficientimm_
     // The root cause of Figure 1/2's scalability ceiling.
     let sets = sample("web-Google", 64, 2);
     let k = 5;
-    let pool1 = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let pool8 = rayon::ThreadPoolBuilder::new().num_threads(8).build().unwrap();
 
-    let ripples_1 = select_seeds_ripples(&sets, k, 1, &pool1).work;
-    let ripples_8 = select_seeds_ripples(&sets, k, 8, &pool8).work;
+    let ripples_1 = select_seeds_ripples(&sets, k, 1).work;
+    let ripples_8 = select_seeds_ripples(&sets, k, 8).work;
     assert!(
         ripples_8.total_ops() as f64 > 4.0 * ripples_1.total_ops() as f64,
         "Ripples total work must grow with threads: {} -> {}",
@@ -66,8 +63,8 @@ fn claim_fig1_ripples_selection_work_replicates_with_threads_while_efficientimm_
 
     let exec1 = ExecutionConfig::new(Algorithm::Efficient, 1);
     let exec8 = ExecutionConfig::new(Algorithm::Efficient, 8);
-    let eff_1 = select_seeds_efficient(&sets, k, &exec1, &pool1, None).work;
-    let eff_8 = select_seeds_efficient(&sets, k, &exec8, &pool8, None).work;
+    let eff_1 = select_seeds_efficient(&sets, k, &exec1, None).work;
+    let eff_8 = select_seeds_efficient(&sets, k, &exec8, None).work;
     let growth = eff_8.total_ops() as f64 / eff_1.total_ops() as f64;
     assert!(
         (0.8..1.2).contains(&growth),
@@ -134,15 +131,14 @@ fn claim_table2_numa_aware_placement_lowers_the_bitmap_cost_share() {
 fn claim_fig5_adaptive_counter_update_touches_less_memory_on_skewed_inputs() {
     let sets = sample("com-LJ", 128, 2);
     let k = 5;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
 
     let mut adaptive_cfg = ExecutionConfig::new(Algorithm::Efficient, 4);
     adaptive_cfg.features.adaptive_counter_update = true;
     let mut plain_cfg = adaptive_cfg;
     plain_cfg.features.adaptive_counter_update = false;
 
-    let adaptive = select_seeds_efficient(&sets, k, &adaptive_cfg, &pool, None);
-    let plain = select_seeds_efficient(&sets, k, &plain_cfg, &pool, None);
+    let adaptive = select_seeds_efficient(&sets, k, &adaptive_cfg, None);
+    let plain = select_seeds_efficient(&sets, k, &plain_cfg, None);
 
     assert_eq!(adaptive.seeds, plain.seeds, "optimization must not change the result");
     assert!(adaptive.counter_rebuilds > 0, "dense covered sets must trigger rebuilds");
@@ -161,7 +157,6 @@ fn claim_adaptive_representation_reduces_memory_for_dense_collections() {
     // the cheaper of the two per set.
     let spec = find(Scale::Small, "twitter7").unwrap();
     let dataset = spec.build();
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
     let build = |policy: AdaptivePolicy| {
         let cfg = SamplingConfig {
             model: DiffusionModel::IndependentCascade,
@@ -171,9 +166,7 @@ fn claim_adaptive_representation_reduces_memory_for_dense_collections() {
             threads: 2,
             fused_counter: None,
         };
-        generate_rrr_sets(&dataset.graph, &dataset.ic_weights, 64, 0, &cfg, &pool)
-            .sets
-            .memory_bytes()
+        generate_rrr_sets(&dataset.graph, &dataset.ic_weights, 64, 0, &cfg).sets.memory_bytes()
     };
     let sorted_only = build(AdaptivePolicy::always_sorted());
     let adaptive = build(AdaptivePolicy::default());
