@@ -187,6 +187,15 @@ if grep -rnF 'counts[v as usize] -= 1' crates/service/src; then
   exit 1
 fi
 
+# Every metric is declared in an `imm_obs::metrics!` block, whose generated
+# `register()` is the one registration path: no subsystem hand-writes a
+# register list or the `Once` around it.
+echo "==> metrics guard: every metric is declared through imm_obs::metrics!"
+if grep -rnE 'imm_obs::register\(|static ONCE' crates/*/src | grep -v '^crates/obs/'; then
+  echo "error: declare metrics in an imm_obs::metrics! block; do not hand-write a register list or its Once" >&2
+  exit 1
+fi
+
 # Criterion benches are not part of `cargo test`; make sure they always at
 # least compile so a refactor cannot silently rot them.
 echo "==> cargo bench --no-run"
@@ -315,6 +324,22 @@ EOF
   || kill -9 "$CHAOS_PID" 2> /dev/null || true
 wait "$CHAOS_PID" 2> /dev/null || true
 rm -rf "$SERVE_DIR"
+
+# Every subcommand parses against one grammar: a flag it does not read is an
+# error that names the flag, never a silently ignored typo.
+echo "==> CLI grammar smoke (an unknown flag exits non-zero and is named on stderr)"
+GRAMMAR_DIR="$(mktemp -d /tmp/imm_grammar_smoke.XXXXXX)"
+"$CLI" generate --output "$GRAMMAR_DIR/g.txt" --nodes 60 --avg-degree 4 --seed 5 > /dev/null
+if "$CLI" run --graph "$GRAMMAR_DIR/g.txt" --k 2 --thread 2 > /dev/null 2> "$GRAMMAR_DIR/err"; then
+  echo "error: 'run --thread 2' exited 0; a flag outside the grammar must be rejected" >&2
+  exit 1
+fi
+if ! grep -qF "'--thread'" "$GRAMMAR_DIR/err"; then
+  echo "error: 'run --thread 2' failed without naming --thread on stderr:" >&2
+  cat "$GRAMMAR_DIR/err" >&2
+  exit 1
+fi
+rm -rf "$GRAMMAR_DIR"
 
 # Crash-recovery e2e: SIGKILL a real `update-index` process mid-snapshot-
 # write (the armed plan stalls every snapshot write point, holding the save

@@ -1,5 +1,7 @@
-//! Hand-rolled argument parsing (the workspace deliberately avoids pulling in
-//! a CLI framework; the flag surface is small).
+//! Argument parsing without a CLI framework. Each subcommand has one grammar:
+//! the flags that take a value and the valueless switches it reads. A flag
+//! outside it, a repeated flag and a value flag with no value are errors that
+//! name the flag and the subcommand, so a typo never falls back to a default.
 
 use efficient_imm::Algorithm;
 use imm_diffusion::DiffusionModel;
@@ -18,13 +20,13 @@ USAGE:
                             [--epsilon <E>] [--threads <T>] [--seed <S>]
                             [--output <JSON>]
   efficient-imm compare     (--graph <FILE> | --dataset <NAME>) [--model ic|lt]
-                            [--k <K>] [--epsilon <E>] [--threads <T>]
+                            [--k <K>] [--epsilon <E>] [--threads <T>] [--seed <S>]
   efficient-imm stats       (--graph <FILE> | --dataset <NAME> | --index <FILE>)
                             [--rrr-sets <N>] [--metrics] [--startup-timing]
   efficient-imm stats       --metrics --describe
   efficient-imm build-index (--graph <FILE> | --dataset <NAME>) --output <FILE>
-                            [--model ic|lt] [--k <K>] [--epsilon <E>]
-                            [--threads <T>] [--seed <S>]
+                            [--model ic|lt] [--algorithm efficientimm|ripples]
+                            [--k <K>] [--epsilon <E>] [--threads <T>] [--seed <S>]
   efficient-imm query       (--index <FILE> | --shard-files <F0,F1,..>)
                             [--top-k <K1,K2,..>] [--audience <V1,V2,..>]
                             [--spread <V1,V2,..>] [--marginal <V1,V2,..:C>]
@@ -378,50 +380,136 @@ pub fn pool_threads(command: &Command) -> Option<usize> {
     }
 }
 
-/// A flat `--flag value` map over the raw arguments.
+/// One subcommand's grammar: its name, the flags that take a value and the
+/// valueless switches (space-separated lists), and the builder that reads
+/// them. Its `USAGE` synopsis names the same flags (a test checks).
+struct Grammar(&'static str, &'static str, &'static str, fn(&Flags) -> Result<Command, String>);
+
+/// `run` and `build-index` read the same flags.
+const RUN_FLAGS: &str =
+    "--graph --dataset --model --algorithm --k --epsilon --threads --seed --output";
+
+const GRAMMARS: [Grammar; 10] = [
+    Grammar("generate", "--output --kind --nodes --avg-degree --seed", "", parse_generate),
+    Grammar("run", RUN_FLAGS, "", |f| Ok(Command::Run(parse_run(f)?))),
+    Grammar("compare", "--graph --dataset --model --k --epsilon --threads --seed", "", |f| {
+        Ok(Command::Compare(parse_run(f)?))
+    }),
+    Grammar(
+        "stats",
+        "--graph --dataset --index --rrr-sets",
+        "--metrics --describe --startup-timing",
+        parse_stats,
+    ),
+    Grammar("build-index", RUN_FLAGS, "", parse_build_index),
+    Grammar(
+        "update-index",
+        "--index --graph --dataset --delta --output --journal",
+        "",
+        parse_update_index,
+    ),
+    Grammar("split-index", "--index --shards --output", "", parse_split_index),
+    Grammar(
+        "query",
+        "--index --shard-files --top-k --audience --spread --marginal --shards --threads",
+        "--metrics",
+        parse_query,
+    ),
+    Grammar(
+        "serve",
+        "--index --socket --tcp --graph --dataset --shards --threads --max-cost \
+         --max-inflight --tick-ms --idle-timeout-ms --deadline-ms --journal",
+        "--mmap",
+        parse_serve,
+    ),
+    Grammar(
+        "client",
+        "--socket --tcp --wait-ms --top-k --audience --spread --marginal --apply-delta \
+         --retries --retry-backoff-ms --request-timeout-ms",
+        "--ping --info --metrics --shutdown",
+        parse_client,
+    ),
+];
+
+/// One invocation's flags, checked against its subcommand's grammar.
 struct Flags<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
 impl<'a> Flags<'a> {
-    fn parse(args: &'a [String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !flag.starts_with("--") {
-                return Err(format!("unexpected argument '{flag}'"));
+    /// Split `args` into value flags and switches. An unknown flag, a
+    /// repeated flag and a value flag with no value are errors that name
+    /// the flag and the subcommand.
+    fn parse(args: &'a [String], grammar: &Grammar) -> Result<Self, String> {
+        let Grammar(command, values, switches, _) = *grammar;
+        let mut flags = Flags { values: Vec::new(), switches: Vec::new() };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(flag) = args.next() {
+            if flags.has(flag) || flags.get(flag).is_some() {
+                return Err(format!("flag '{flag}' is repeated in {command}"));
             }
-            let value = args.get(i + 1).ok_or_else(|| format!("flag '{flag}' needs a value"))?;
-            pairs.push((flag, value.as_str()));
-            i += 2;
+            if switches.split_whitespace().any(|s| s == flag) {
+                flags.switches.push(flag);
+            } else if values.split_whitespace().any(|v| v == flag) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => flags.values.push((flag, value)),
+                    _ => return Err(format!("flag '{flag}' of {command} needs a value")),
+                }
+            } else {
+                return Err(format!("unknown flag '{flag}' for {command}"));
+            }
         }
-        Ok(Flags { pairs })
+        Ok(flags)
     }
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs.iter().find(|(f, _)| *f == name).map(|(_, v)| *v)
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.values.iter().find(|(f, _)| *f == name).map(|(_, v)| *v)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn get_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse =
+            |raw: &str| raw.parse().map_err(|_| format!("invalid value '{raw}' for {name}"));
+        self.get(name).map(parse).transpose()
     }
 
     fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("invalid value '{raw}' for {name}")),
+        Ok(self.get_opt(name)?.unwrap_or(default))
+    }
+
+    fn get_list<T: std::str::FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String> {
+        self.get(name).map(|raw| parse_list(raw, name)).transpose()
+    }
+
+    fn optional_source(&self) -> Result<Option<GraphSource>, String> {
+        match (self.get("--graph"), self.get("--dataset")) {
+            (Some(path), None) => Ok(Some(GraphSource::File(path.to_string()))),
+            (None, Some(name)) => Ok(Some(GraphSource::Dataset(name.to_string()))),
+            (Some(_), Some(_)) => Err("pass either --graph or --dataset, not both".into()),
+            (None, None) => Ok(None),
         }
     }
 
     fn source(&self) -> Result<GraphSource, String> {
-        match (self.get("--graph"), self.get("--dataset")) {
-            (Some(path), None) => Ok(GraphSource::File(path.to_string())),
-            (None, Some(name)) => Ok(GraphSource::Dataset(name.to_string())),
-            (Some(_), Some(_)) => Err("pass either --graph or --dataset, not both".into()),
-            (None, None) => Err("one of --graph or --dataset is required".into()),
-        }
+        self.optional_source()?.ok_or_else(|| "one of --graph or --dataset is required".into())
     }
 }
 
-fn parse_run(args: &[String]) -> Result<RunArgs, String> {
-    let flags = Flags::parse(args)?;
+fn parse_generate(flags: &Flags) -> Result<Command, String> {
+    Ok(Command::Generate(GenerateArgs {
+        output: flags.get("--output").ok_or("generate requires --output")?.to_string(),
+        kind: flags.get("--kind").unwrap_or("social").to_string(),
+        nodes: flags.get_parsed("--nodes", 1_000usize)?,
+        avg_degree: flags.get_parsed("--avg-degree", 8usize)?,
+        seed: flags.get_parsed("--seed", 1u64)?,
+    }))
+}
+
+fn parse_run(flags: &Flags) -> Result<RunArgs, String> {
     let model = match flags.get("--model") {
         None => DiffusionModel::IndependentCascade,
         Some(raw) => DiffusionModel::parse(raw).ok_or(format!("unknown model '{raw}'"))?,
@@ -439,34 +527,96 @@ fn parse_run(args: &[String]) -> Result<RunArgs, String> {
         epsilon: flags.get_parsed("--epsilon", 0.5f64)?,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
         seed: flags.get_parsed("--seed", 0x5EEDu64)?,
-        output: flags.get("--output").map(|s| s.to_string()),
+        output: flags.get("--output").map(str::to_string),
     })
 }
 
-/// Parse a comma-separated vertex list (`"1,2,3"`).
-fn parse_vertex_list(raw: &str) -> Result<Vec<u32>, String> {
-    raw.split(',')
-        .map(|p| p.trim().parse().map_err(|_| format!("invalid vertex '{}' in '{raw}'", p.trim())))
-        .collect()
+fn parse_build_index(flags: &Flags) -> Result<Command, String> {
+    let run = parse_run(flags)?;
+    let output = run.output.clone().ok_or("build-index requires --output")?;
+    Ok(Command::BuildIndex(BuildIndexArgs { run, output }))
+}
+
+fn parse_update_index(flags: &Flags) -> Result<Command, String> {
+    Ok(Command::UpdateIndex(UpdateIndexArgs {
+        index: flags.get("--index").ok_or("update-index requires --index")?.to_string(),
+        source: flags.source()?,
+        delta: flags.get("--delta").ok_or("update-index requires --delta")?.to_string(),
+        output: flags.get("--output").map(str::to_string),
+        journal: flags.get("--journal").map(str::to_string),
+    }))
+}
+
+fn parse_split_index(flags: &Flags) -> Result<Command, String> {
+    let shards = flags.get_parsed("--shards", 0usize)?;
+    if shards == 0 {
+        return Err("split-index requires --shards >= 1".into());
+    }
+    Ok(Command::SplitIndex(SplitIndexArgs {
+        index: flags.get("--index").ok_or("split-index requires --index")?.to_string(),
+        shards,
+        output: flags.get("--output").ok_or("split-index requires --output")?.to_string(),
+    }))
+}
+
+fn parse_stats(flags: &Flags) -> Result<Command, String> {
+    let stats = StatsArgs {
+        source: None,
+        rrr_sets: 0,
+        index: flags.get("--index").map(str::to_string),
+        metrics: flags.has("--metrics"),
+        describe: flags.has("--describe"),
+        startup_timing: flags.has("--startup-timing"),
+    };
+    if stats.describe {
+        // The catalog is pure registry metadata: no graph, no sample. Anything
+        // else on the line would be silently ignored, so reject it outright.
+        let timing = stats.startup_timing.then_some("--startup-timing");
+        return match (stats.metrics, flags.values.first().map(|(flag, _)| *flag).or(timing)) {
+            (false, _) => {
+                Err("--describe documents the metric registry; pass --metrics --describe".into())
+            }
+            (true, Some(flag)) => Err(format!("--describe takes no other flags, got '{flag}'")),
+            (true, None) => Ok(Command::Stats(stats)),
+        };
+    }
+    if stats.startup_timing && stats.index.is_none() {
+        // The breakdown times opening a snapshot file; sampling a fresh
+        // index has no open/map/decode phases to measure.
+        return Err("--startup-timing times a snapshot load; pass --index <FILE>".into());
+    }
+    if stats.index.is_some() {
+        // A snapshot already fixes the graph and the sample: a second source or
+        // a sample size would be silently ignored, so reject the combination.
+        for conflicting in ["--graph", "--dataset", "--rrr-sets"] {
+            if flags.get(conflicting).is_some() {
+                return Err(format!("pass either --index or {conflicting}, not both"));
+            }
+        }
+        return Ok(Command::Stats(stats));
+    }
+    Ok(Command::Stats(StatsArgs {
+        source: Some(flags.source()?),
+        rrr_sets: flags.get_parsed("--rrr-sets", 256usize)?,
+        ..stats
+    }))
+}
+
+/// Parse the comma-separated list (`"1,2,3"`) given to flag `name`.
+fn parse_list<T: std::str::FromStr>(raw: &str, name: &str) -> Result<Vec<T>, String> {
+    let entry = |p: &str| p.trim().parse().map_err(|_| format!("invalid entry '{p}' in {name}"));
+    raw.split(',').map(entry).collect()
 }
 
 /// Parse the `--top-k` / `--audience` / `--spread` / `--marginal` family
 /// shared by `query` and `client`.
 fn parse_batch_spec(flags: &Flags) -> Result<BatchSpec, String> {
-    let top_k = match flags.get("--top-k") {
-        None => Vec::new(),
-        Some(raw) => raw
-            .split(',')
-            .map(|p| {
-                p.trim().parse().map_err(|_| format!("invalid budget '{}' in --top-k", p.trim()))
-            })
-            .collect::<Result<Vec<usize>, String>>()?,
-    };
-    let audience = flags.get("--audience").map(parse_vertex_list).transpose()?;
+    let top_k = flags.get_list("--top-k")?.unwrap_or_default();
+    let audience = flags.get_list("--audience")?;
     if audience.is_some() && top_k.is_empty() {
         return Err("--audience restricts top-k queries; pass --top-k too".into());
     }
-    let spread = flags.get("--spread").map(parse_vertex_list).transpose()?;
+    let spread = flags.get_list("--spread")?;
     let marginal = match flags.get("--marginal") {
         None => None,
         Some(raw) => {
@@ -474,7 +624,7 @@ fn parse_batch_spec(flags: &Flags) -> Result<BatchSpec, String> {
                 .split_once(':')
                 .ok_or(format!("--marginal wants 'seeds:candidate', got '{raw}'"))?;
             let seeds =
-                if seeds.trim().is_empty() { Vec::new() } else { parse_vertex_list(seeds)? };
+                if seeds.trim().is_empty() { Vec::new() } else { parse_list(seeds, "--marginal")? };
             let candidate = candidate
                 .trim()
                 .parse()
@@ -485,11 +635,7 @@ fn parse_batch_spec(flags: &Flags) -> Result<BatchSpec, String> {
     Ok(BatchSpec { top_k, audience, spread, marginal })
 }
 
-fn parse_query(args: &[String]) -> Result<QueryArgs, String> {
-    // `--metrics` is valueless; strip it before the `--flag value` pairing.
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--metrics").cloned().collect();
-    let flags = Flags::parse(&args)?;
+fn parse_query(flags: &Flags) -> Result<Command, String> {
     let source = match (flags.get("--index"), flags.get("--shard-files")) {
         (Some(path), None) => IndexSource::Snapshot(path.to_string()),
         (None, Some(list)) => IndexSource::ShardFiles(
@@ -507,11 +653,11 @@ fn parse_query(args: &[String]) -> Result<QueryArgs, String> {
         // silently ignored, so reject the combination outright.
         return Err("--shard-files fixes the shard count; drop --shards".into());
     }
-    let spec = parse_batch_spec(&flags)?;
+    let spec = parse_batch_spec(flags)?;
     if spec.is_empty() {
         return Err("query needs at least one of --top-k, --spread, --marginal".into());
     }
-    Ok(QueryArgs {
+    Ok(Command::Query(QueryArgs {
         source,
         top_k: spec.top_k,
         audience: spec.audience,
@@ -519,8 +665,8 @@ fn parse_query(args: &[String]) -> Result<QueryArgs, String> {
         marginal: spec.marginal,
         shards,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
-        metrics,
-    })
+        metrics: flags.has("--metrics"),
+    }))
 }
 
 /// The `--socket <PATH>` / `--tcp <ADDR>` pair shared by `serve` and
@@ -534,104 +680,63 @@ fn parse_listen(flags: &Flags, command: &str) -> Result<Listen, String> {
     }
 }
 
-fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
-    // `--mmap` is a valueless flag; strip it before the `--flag value`
-    // pairing pass.
-    let mmap = args.iter().any(|a| a == "--mmap");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--mmap").cloned().collect();
-    let flags = Flags::parse(&args)?;
-    let listen = parse_listen(&flags, "serve")?;
-    let source = match (flags.get("--graph"), flags.get("--dataset")) {
-        (Some(path), None) => Some(GraphSource::File(path.to_string())),
-        (None, Some(name)) => Some(GraphSource::Dataset(name.to_string())),
-        (Some(_), Some(_)) => return Err("pass either --graph or --dataset, not both".into()),
-        (None, None) => None,
-    };
+fn parse_serve(flags: &Flags) -> Result<Command, String> {
+    let listen = parse_listen(flags, "serve")?;
     let shards = flags.get_parsed("--shards", 1usize)?;
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let optional_u64 = |name: &str| {
-        flags
-            .get(name)
-            .map(|raw| raw.parse::<u64>().map_err(|_| format!("invalid value '{raw}' for {name}")))
-            .transpose()
-    };
-    let max_cost = optional_u64("--max-cost")?;
-    let idle_timeout_ms = optional_u64("--idle-timeout-ms")?;
-    let deadline_ms = optional_u64("--deadline-ms")?;
-    Ok(ServeArgs {
+    let max_inflight = flags.get_parsed("--max-inflight", 64usize)?;
+    if max_inflight == 0 {
+        // A zero bound would start a daemon that refuses every batch.
+        return Err("--max-inflight must be at least 1".into());
+    }
+    Ok(Command::Serve(ServeArgs {
         index: flags.get("--index").ok_or("serve requires --index")?.to_string(),
-        source,
+        source: flags.optional_source()?,
         listen,
         shards,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
-        max_cost,
-        max_inflight: flags.get_parsed("--max-inflight", 64usize)?,
+        max_cost: flags.get_opt("--max-cost")?,
+        max_inflight,
         tick_ms: flags.get_parsed("--tick-ms", 50u64)?,
-        idle_timeout_ms,
-        deadline_ms,
-        journal: flags.get("--journal").map(|s| s.to_string()),
-        mmap,
-    })
+        idle_timeout_ms: flags.get_opt("--idle-timeout-ms")?,
+        deadline_ms: flags.get_opt("--deadline-ms")?,
+        journal: flags.get("--journal").map(str::to_string),
+        mmap: flags.has("--mmap"),
+    }))
 }
 
-fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
-    // The control verbs are valueless flags; strip them before the
-    // `--flag value` pairing pass.
-    let ping = args.iter().any(|a| a == "--ping");
-    let info = args.iter().any(|a| a == "--info");
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let shutdown = args.iter().any(|a| a == "--shutdown");
-    let valueless = ["--ping", "--info", "--metrics", "--shutdown"];
-    let rest: Vec<String> =
-        args.iter().filter(|a| !valueless.contains(&a.as_str())).cloned().collect();
-    let flags = Flags::parse(&rest)?;
-    let address = parse_listen(&flags, "client")?;
-    let spec = parse_batch_spec(&flags)?;
-
+fn parse_client(flags: &Flags) -> Result<Command, String> {
+    let address = parse_listen(flags, "client")?;
+    let spec = parse_batch_spec(flags)?;
     // Fixed action order: readiness first, then identity, then the data
     // verbs, with shutdown always last so one invocation can query a
     // daemon and take it down.
-    let mut actions = Vec::new();
-    if ping {
-        actions.push(ClientAction::Ping);
-    }
-    if info {
-        actions.push(ClientAction::Info);
-    }
-    if !spec.is_empty() {
-        actions.push(ClientAction::Batch(spec));
-    }
-    if let Some(path) = flags.get("--apply-delta") {
-        actions.push(ClientAction::ApplyDelta { path: path.to_string() });
-    }
-    if metrics {
-        actions.push(ClientAction::Metrics);
-    }
-    if shutdown {
-        actions.push(ClientAction::Shutdown);
-    }
+    let actions: Vec<ClientAction> = [
+        flags.has("--ping").then_some(ClientAction::Ping),
+        flags.has("--info").then_some(ClientAction::Info),
+        (!spec.is_empty()).then_some(ClientAction::Batch(spec)),
+        flags.get("--apply-delta").map(|path| ClientAction::ApplyDelta { path: path.to_string() }),
+        flags.has("--metrics").then_some(ClientAction::Metrics),
+        flags.has("--shutdown").then_some(ClientAction::Shutdown),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     if actions.is_empty() {
         return Err("client needs at least one of --top-k/--spread/--marginal, \
                     --apply-delta, --ping, --info, --metrics, --shutdown"
             .into());
     }
-    let request_timeout_ms = flags
-        .get("--request-timeout-ms")
-        .map(|raw| {
-            raw.parse::<u64>()
-                .map_err(|_| format!("invalid value '{raw}' for --request-timeout-ms"))
-        })
-        .transpose()?;
-    Ok(ClientArgs {
+    Ok(Command::Client(ClientArgs {
         address,
         actions,
         wait_ms: flags.get_parsed("--wait-ms", 0u64)?,
         retries: flags.get_parsed("--retries", 3u32)?,
         retry_backoff_ms: flags.get_parsed("--retry-backoff-ms", 10u64)?,
-        request_timeout_ms,
-    })
+        request_timeout_ms: flags.get_opt("--request-timeout-ms")?,
+    }))
 }
 
 /// Parse the raw CLI arguments into a [`Command`].
@@ -639,121 +744,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(sub) = args.first() else {
         return Err("missing subcommand".into());
     };
-    let rest = &args[1..];
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "generate" => {
-            let flags = Flags::parse(rest)?;
-            Ok(Command::Generate(GenerateArgs {
-                output: flags.get("--output").ok_or("generate requires --output")?.to_string(),
-                kind: flags.get("--kind").unwrap_or("social").to_string(),
-                nodes: flags.get_parsed("--nodes", 1_000usize)?,
-                avg_degree: flags.get_parsed("--avg-degree", 8usize)?,
-                seed: flags.get_parsed("--seed", 1u64)?,
-            }))
-        }
-        "run" => Ok(Command::Run(parse_run(rest)?)),
-        "compare" => Ok(Command::Compare(parse_run(rest)?)),
-        "stats" => {
-            // `--metrics` / `--describe` / `--startup-timing` are valueless
-            // flags; strip them before the `--flag value` pairing pass.
-            let metrics = rest.iter().any(|a| a == "--metrics");
-            let describe = rest.iter().any(|a| a == "--describe");
-            let startup_timing = rest.iter().any(|a| a == "--startup-timing");
-            let valueless = ["--metrics", "--describe", "--startup-timing"];
-            let rest: Vec<String> =
-                rest.iter().filter(|a| !valueless.contains(&a.as_str())).cloned().collect();
-            if describe {
-                // The catalog is pure registry metadata: no graph, no
-                // sample. Anything else on the line would be silently
-                // ignored, so reject it outright.
-                if !metrics {
-                    return Err(
-                        "--describe documents the metric registry; pass --metrics --describe"
-                            .into(),
-                    );
-                }
-                if startup_timing {
-                    return Err("--describe takes no other flags, got '--startup-timing'".into());
-                }
-                if !rest.is_empty() {
-                    return Err(format!("--describe takes no other flags, got '{}'", rest[0]));
-                }
-                return Ok(Command::Stats(StatsArgs {
-                    source: None,
-                    rrr_sets: 0,
-                    index: None,
-                    metrics,
-                    describe,
-                    startup_timing: false,
-                }));
-            }
-            let flags = Flags::parse(&rest)?;
-            let index = flags.get("--index").map(|s| s.to_string());
-            if startup_timing && index.is_none() {
-                // The breakdown times opening a snapshot file; sampling a
-                // fresh index has no open/map/decode phases to measure.
-                return Err("--startup-timing times a snapshot load; pass --index <FILE>".into());
-            }
-            if index.is_some() {
-                // A snapshot already fixes the graph and the sample; a second
-                // source (or a sample size) would be silently ignored, so
-                // reject the combination outright.
-                for conflicting in ["--graph", "--dataset", "--rrr-sets"] {
-                    if flags.get(conflicting).is_some() {
-                        return Err(format!("pass either --index or {conflicting}, not both"));
-                    }
-                }
-                return Ok(Command::Stats(StatsArgs {
-                    source: None,
-                    rrr_sets: 0,
-                    index,
-                    metrics,
-                    describe: false,
-                    startup_timing,
-                }));
-            }
-            Ok(Command::Stats(StatsArgs {
-                source: Some(flags.source()?),
-                rrr_sets: flags.get_parsed("--rrr-sets", 256usize)?,
-                index: None,
-                metrics,
-                describe: false,
-                startup_timing: false,
-            }))
-        }
-        "build-index" => {
-            let run = parse_run(rest)?;
-            let output = run.output.clone().ok_or("build-index requires --output")?;
-            Ok(Command::BuildIndex(BuildIndexArgs { run, output }))
-        }
-        "update-index" => {
-            let flags = Flags::parse(rest)?;
-            Ok(Command::UpdateIndex(UpdateIndexArgs {
-                index: flags.get("--index").ok_or("update-index requires --index")?.to_string(),
-                source: flags.source()?,
-                delta: flags.get("--delta").ok_or("update-index requires --delta")?.to_string(),
-                output: flags.get("--output").map(|s| s.to_string()),
-                journal: flags.get("--journal").map(|s| s.to_string()),
-            }))
-        }
-        "split-index" => {
-            let flags = Flags::parse(rest)?;
-            let shards = flags.get_parsed("--shards", 0usize)?;
-            if shards == 0 {
-                return Err("split-index requires --shards >= 1".into());
-            }
-            Ok(Command::SplitIndex(SplitIndexArgs {
-                index: flags.get("--index").ok_or("split-index requires --index")?.to_string(),
-                shards,
-                output: flags.get("--output").ok_or("split-index requires --output")?.to_string(),
-            }))
-        }
-        "query" => Ok(Command::Query(parse_query(rest)?)),
-        "serve" => Ok(Command::Serve(parse_serve(rest)?)),
-        "client" => Ok(Command::Client(parse_client(rest)?)),
-        other => Err(format!("unknown subcommand '{other}'")),
+    if matches!(sub.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
     }
+    let Some(grammar) = GRAMMARS.iter().find(|g| g.0 == sub) else {
+        return Err(format!("unknown subcommand '{sub}'"));
+    };
+    (grammar.3)(&Flags::parse(&args[1..], grammar)?)
 }
 
 #[cfg(test)]
@@ -1211,6 +1208,11 @@ mod tests {
         assert!(
             parse(&sv(&["serve", "--index", "g", "--socket", "a", "--deadline-ms", "x"])).is_err()
         );
+        assert_eq!(
+            parse(&sv(&["serve", "--index", "g", "--socket", "a", "--max-inflight", "0"])),
+            Err("--max-inflight must be at least 1".to_string()),
+            "a zero in-flight bound would refuse every batch"
+        );
     }
 
     #[test]
@@ -1287,5 +1289,72 @@ mod tests {
         assert!(parse(&sv(&["client", "--socket", "/tmp/s"])).is_err());
         assert!(parse(&sv(&["client", "--ping"])).is_err());
         assert!(parse(&sv(&["client", "--socket", "a", "--tcp", "b", "--ping"])).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_repeated_and_valueless_flags() {
+        // One valid line per subcommand, each opening with a value flag.
+        let valid: [&[&str]; 10] = [
+            &["generate", "--output", "g.txt"],
+            &["run", "--graph", "g.txt"],
+            &["compare", "--graph", "g.txt"],
+            &["stats", "--graph", "g.txt"],
+            &["build-index", "--output", "g.sketch", "--graph", "g.txt"],
+            &["update-index", "--index", "g.sketch", "--graph", "g.txt", "--delta", "d"],
+            &["split-index", "--index", "g.sketch", "--shards", "2", "--output", "p"],
+            &["query", "--index", "g.sketch", "--top-k", "2"],
+            &["serve", "--index", "g.sketch", "--socket", "s"],
+            &["client", "--socket", "s", "--ping"],
+        ];
+        assert_eq!(valid.map(|argv| argv[0]), GRAMMARS.map(|g| g.0), "one line per grammar");
+        for argv in valid {
+            let (command, flag) = (argv[0], argv[1]);
+            assert!(parse(&sv(argv)).is_ok(), "{argv:?} is valid");
+            for (bad, named) in [
+                ([argv, &["--thread", "2"]].concat(), "--thread"),
+                ([argv, &argv[1..3]].concat(), flag),
+                ([argv, &[flag]].concat(), flag),
+                ([&argv[..2], &["--seed", "1"]].concat(), flag),
+            ] {
+                let err = parse(&sv(&bad)).expect_err(&format!("{bad:?} must be rejected"));
+                assert!(
+                    err.contains(&format!("'{named}'")) && err.contains(command),
+                    "error for {bad:?} must name {named} and {command}: {err}"
+                );
+            }
+        }
+        // The lines that used to run with a silently ignored flag.
+        let typo = ["run", "--graph", "g.txt", "--k", "3", "--thread", "4", "--epsilom", "0.9"];
+        assert_eq!(parse(&sv(&typo)), Err("unknown flag '--thread' for run".into()));
+        assert!(parse(&sv(&["run", "--graph", "g.txt", "--k", "3", "--k", "9"])).is_err());
+        assert!(parse(&sv(&["compare", "--graph", "g.txt", "--output", "out.json"])).is_err());
+    }
+
+    #[test]
+    fn usage_synopsis_names_exactly_each_grammar() {
+        let synopsis = USAGE.split("USAGE:\n").nth(1).and_then(|s| s.split("\n\n").next());
+        let mut named: Vec<(&str, &str)> = Vec::new();
+        for line in synopsis.expect("USAGE has a synopsis block").lines() {
+            match line.trim_start().strip_prefix("efficient-imm ") {
+                Some(rest) => named.push(rest.split_once(' ').unwrap_or((rest, ""))),
+                None => named.push((named.last().expect("a command line first").0, line)),
+            }
+        }
+        for Grammar(command, values, switches, _) in GRAMMARS {
+            let mut usage: Vec<&str> = named
+                .iter()
+                .filter(|(c, _)| *c == command)
+                .flat_map(|(_, text)| {
+                    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                })
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            usage.sort_unstable();
+            usage.dedup();
+            let mut grammar: Vec<&str> =
+                values.split_whitespace().chain(switches.split_whitespace()).collect();
+            grammar.sort_unstable();
+            assert_eq!(usage, grammar, "USAGE's synopsis of {command} and its grammar differ");
+        }
     }
 }

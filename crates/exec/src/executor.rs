@@ -42,7 +42,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 
-use crate::metrics::{self, Counter};
+use crate::metrics;
+use imm_obs::Counter;
 
 type ScopedTask<'a> = Box<dyn FnOnce() + Send + 'a>;
 type Task = ScopedTask<'static>;

@@ -109,21 +109,6 @@ impl Histogram {
         }
     }
 
-    /// Stable metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Human description.
-    pub fn description(&self) -> &'static str {
-        self.description
-    }
-
-    /// Unit tag.
-    pub fn unit(&self) -> Unit {
-        self.unit
-    }
-
     /// Sample every bucket and derive count/percentiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();

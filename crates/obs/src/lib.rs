@@ -19,20 +19,23 @@
 //!
 //! Metric names are stable, snake_case (`[a-z][a-z0-9_]*`), and prefixed
 //! with the subsystem that owns them: `exec_` (runtime), `core_`
-//! (sampling), `service_` (query serving + dynamic refresh), `shard_`
-//! (distributed serving). Units are carried as a structured [`Unit`] tag,
-//! never baked into the name, so `service_topk_latency` can switch
-//! resolution without a rename. Descriptions are full sentences; the
+//! (sampling and selection), `service_` (query serving + dynamic refresh),
+//! `shard_` (shard map), `serve_` (daemon), `snapshot_` (snapshot
+//! recovery), `store_` (snapshot storage). Units are carried as a
+//! structured [`Unit`] tag, never baked into the name, so
+//! `service_topk_latency` can switch resolution without a rename. Descriptions are full sentences; the
 //! README's "Observability" catalog is generated from them (via
 //! `stats --metrics --describe`) so prose cannot drift from code.
 //!
 //! # Registry
 //!
-//! Metrics are `static`s registered (idempotently) through [`register`];
-//! [`snapshot`] samples every registered metric as structured
-//! [`Sample`]s, and [`delta`] subtracts two snapshots for before/after
-//! reporting. Registration happens at constructor sites behind a
-//! `std::sync::Once` per subsystem — never on a hot path.
+//! Each subsystem declares its metrics in one [`metrics!`] block. The
+//! macro generates the `static`s and one `register()` that adds all of
+//! them to the registry (through [`register`]) behind a private
+//! `std::sync::Once`, so registration is generated, not written per
+//! subsystem; constructor sites call it — never a hot path. [`snapshot`]
+//! samples every registered metric as structured [`Sample`]s, and
+//! [`delta`] subtracts two snapshots for before/after reporting.
 //!
 //! # Compile-out guard
 //!
@@ -51,6 +54,58 @@ pub use histogram::{Histogram, HistogramSnapshot, LatencyHistogram};
 pub use rate::{RateMeter, RateSnapshot};
 pub use registry::{delta, register, snapshot, Metric, MetricKind, MetricValue, Sample};
 pub use window::MaxWindow;
+
+/// Declare a subsystem's metrics: one documented `static` per entry and one
+/// `pub fn register()` that adds every entry to the process-global registry
+/// exactly once.
+///
+/// An entry is `pub NAME: Kind = "name", "description";`, where `Kind` is
+/// [`Counter`], [`Gauge`], [`Histogram`] or [`RateMeter`], with a trailing
+/// `, Unit` (a [`Unit`] variant) for the kinds that carry one: required by
+/// gauges and histograms, optional for counters (default `Count`), absent
+/// for rate meters. The description is the static's doc comment; `///`
+/// lines written above an entry follow it.
+///
+/// ```
+/// imm_obs::metrics! {
+///     pub HITS: Counter = "example_hits", "Lookups answered from the table";
+///     pub FILL: Gauge = "example_fill", "Share of the table in use", Ratio;
+/// }
+///
+/// register();
+/// register(); // idempotent
+/// HITS.increment();
+/// FILL.set(0.5);
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    (@new Counter, $name:literal, $description:literal, $unit:ident) => {
+        $crate::Counter::with_unit($name, $description, $crate::Unit::$unit)
+    };
+    (@new $kind:ident, $name:literal, $description:literal $(, $unit:ident)?) => {
+        $crate::$kind::new($name, $description $(, $crate::Unit::$unit)?)
+    };
+    ($(
+        $(#[$attr:meta])*
+        pub $static:ident: $kind:ident = $name:literal, $description:literal $(, $unit:ident)?;
+    )*) => {
+        $(
+            #[doc = $description]
+            #[doc = ""]
+            $(#[$attr])*
+            pub static $static: $crate::$kind =
+                $crate::metrics!(@new $kind, $name, $description $(, $unit)?);
+        )*
+
+        /// Register this module's metrics with the process-global `imm-obs`
+        /// registry. Idempotent; called from constructor sites, never per
+        /// event.
+        pub fn register() {
+            static ONCE: ::std::sync::Once = ::std::sync::Once::new();
+            ONCE.call_once(|| $crate::register(&[$(&$static as &'static dyn $crate::Metric),*]));
+        }
+    };
+}
 
 /// Whether this build actually records events (`false` under `obs-off`).
 pub const fn recording_enabled() -> bool {
@@ -128,21 +183,6 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Stable metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Human description.
-    pub fn description(&self) -> &'static str {
-        self.description
-    }
-
-    /// Unit tag.
-    pub fn unit(&self) -> Unit {
-        self.unit
-    }
 }
 
 impl Metric for Counter {
@@ -195,21 +235,6 @@ impl Gauge {
     pub fn value(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Stable metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Human description.
-    pub fn description(&self) -> &'static str {
-        self.description
-    }
-
-    /// Unit tag.
-    pub fn unit(&self) -> Unit {
-        self.unit
-    }
 }
 
 impl Metric for Gauge {
@@ -246,7 +271,33 @@ mod tests {
             assert_eq!(C.value(), 0);
         }
         assert_eq!(C.name(), "test_lib_counter");
+        assert_eq!(C.description(), "a test counter");
         assert_eq!(C.unit(), Unit::Count);
+    }
+
+    mod declared {
+        crate::metrics! {
+            pub HITS: Counter = "test_macro_hits", "a declared counter";
+            pub FILL: Gauge = "test_macro_fill", "a declared gauge", Ratio;
+        }
+    }
+
+    #[test]
+    fn metrics_macro_registers_every_entry_once() {
+        declared::register();
+        declared::register();
+        let registered: Vec<_> = snapshot()
+            .into_iter()
+            .filter(|s| s.name.starts_with("test_macro_"))
+            .map(|s| (s.name, s.kind, s.unit, s.description))
+            .collect();
+        assert_eq!(
+            registered,
+            [
+                ("test_macro_fill", MetricKind::Gauge, Unit::Ratio, "a declared gauge"),
+                ("test_macro_hits", MetricKind::Counter, Unit::Count, "a declared counter"),
+            ]
+        );
     }
 
     #[test]

@@ -85,16 +85,6 @@ impl RateMeter {
         }
         w.rate
     }
-
-    /// Stable metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Human description.
-    pub fn description(&self) -> &'static str {
-        self.description
-    }
 }
 
 impl Metric for RateMeter {

@@ -1,8 +1,9 @@
 //! The process-global metric registry.
 //!
-//! Subsystems register their `static` metrics once (behind a
-//! `std::sync::Once` at a constructor site — never on a hot path) and
-//! exporters call [`snapshot`] to sample everything as structured
+//! Each subsystem's [`metrics!`](crate::metrics) block generates the
+//! `register()` that adds its `static`s here once (behind a private
+//! `std::sync::Once`, called at constructor sites — never on a hot path),
+//! and exporters call [`snapshot`] to sample everything as structured
 //! [`Sample`]s. Registration is idempotent (duplicate pointers are
 //! dropped) and growable — adding a metric never touches a call site.
 //! Name hygiene (uniqueness, snake_case) is enforced by a workspace-wide

@@ -9,24 +9,9 @@
 //! `QueryEngine`, so it shares the `service_` latency, cache, CELF and
 //! postings-shape metrics.
 
-use std::sync::Once;
-
-use imm_obs::{Gauge, Metric, Unit};
-
-/// Max/mean per-shard postings work of the generation being served.
-pub static LOAD_IMBALANCE: Gauge = Gauge::new(
-    "shard_load_imbalance",
-    "Ratio of the busiest shard's postings entries to the per-shard mean",
-    Unit::Ratio,
-);
-
-/// Register the shard metrics with the process-global registry.
-/// Idempotent; called from the engine constructor.
-pub fn register() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        imm_obs::register(&[&LOAD_IMBALANCE as &'static dyn Metric]);
-    });
+imm_obs::metrics! {
+    pub LOAD_IMBALANCE: Gauge = "shard_load_imbalance",
+        "Ratio of the busiest shard's postings entries to the per-shard mean", Ratio;
 }
 
 /// Fold the shard map's per-shard postings totals into the
@@ -46,13 +31,6 @@ pub(crate) fn record_shard_work(per_shard_postings: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_metrics_join_the_global_registry() {
-        register();
-        let names: Vec<&str> = imm_obs::snapshot().iter().map(|s| s.name).collect();
-        assert!(names.contains(&"shard_load_imbalance"));
-    }
 
     #[test]
     fn load_imbalance_is_max_over_mean() {
