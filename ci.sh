@@ -187,6 +187,15 @@ if grep -rnF 'counts[v as usize] -= 1' crates/service/src; then
   exit 1
 fi
 
+# An audience Top-K session is the fresh session started with its ineligible
+# sets covered: it reads the postings and the generation's degree order, and
+# no longer walks the set-major arena for exact initial bounds.
+echo "==> audience guard: the Top-K sessions read no set-major storage"
+if grep -nE 'RrrCollection|\.sets\(\)|degree_vector' crates/service/src/masked.rs; then
+  echo "error: crates/service/src/masked.rs reads postings and the degree order only; do not reintroduce the set walk or degree_vector" >&2
+  exit 1
+fi
+
 # Every metric is declared in an `imm_obs::metrics!` block, whose generated
 # `register()` is the one registration path: no subsystem hand-writes a
 # register list or the `Once` around it.
@@ -251,6 +260,21 @@ local = json.load(open(sys.argv[2]))["responses"]
 if json.dumps(remote, sort_keys=True) != json.dumps(local, sort_keys=True):
     sys.exit("daemon responses diverged from the in-process query command")
 EOF
+# A Spread or Marginal vertex the index does not hold is refused by the
+# in-process `query` as the daemon's admission refuses it: non-zero exit, and
+# the vertex and the vertex count named on stderr.
+for bad in "--spread 999999" "--marginal 0:999999"; do
+  # shellcheck disable=SC2086
+  if "$CLI" query --index "$SERVE_DIR/g.sketch" $bad > /dev/null 2> "$SERVE_DIR/err"; then
+    echo "error: 'query $bad' exited 0 for a vertex outside the index" >&2
+    exit 1
+  fi
+  if ! grep -qE "vertex 999999 outside the vertex space [0-9]+" "$SERVE_DIR/err"; then
+    echo "error: 'query $bad' failed without naming the vertex and n:" >&2
+    cat "$SERVE_DIR/err" >&2
+    exit 1
+  fi
+done
 "$CLI" client --socket "$SERVE_DIR/imm.sock" --shutdown > /dev/null
 wait "$SERVE_PID"
 if [ -e "$SERVE_DIR/imm.sock" ]; then

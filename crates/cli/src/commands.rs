@@ -484,6 +484,14 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
     };
 
     let (_, _, num_nodes, _) = engine.describe();
+    // A Spread or Marginal vertex the index does not hold is refused, in the
+    // words of the daemon's admission check.
+    let marginal =
+        args.marginal.iter().flat_map(|(seeds, candidate)| seeds.iter().chain([candidate]));
+    let mut named = args.spread.iter().flatten().chain(marginal);
+    if let Some(&vertex) = named.find(|&&v| v as usize >= num_nodes) {
+        return Err(Rejection::InvalidVertex { vertex, num_nodes: num_nodes as u64 }.to_string());
+    }
     let audience = args.audience.as_ref().map(|vertices| {
         // Out-of-range audience vertices select no sets; dropping them here
         // keeps the bitmap sized to the vertex space.
@@ -1212,6 +1220,30 @@ mod tests {
             metrics: false,
         }))
         .unwrap();
+
+        // A Spread or Marginal vertex outside the index is refused by name;
+        // an out-of-range audience vertex is dropped.
+        let nodes = SketchIndex::load_from_path(&snapshot_path).unwrap().num_nodes();
+        let absent = nodes as u32 + 7;
+        let query = |spread, marginal| {
+            execute(Command::Query(QueryArgs {
+                source: IndexSource::Snapshot(snapshot_path.to_string_lossy().into_owned()),
+                top_k: vec![2],
+                audience: Some(vec![0, absent]),
+                spread,
+                marginal,
+                shards: 1,
+                threads: 1,
+                metrics: false,
+            }))
+        };
+        query(None, None).unwrap();
+        for (spread, marginal) in [(Some(vec![0, absent]), None), (None, Some((vec![0], absent)))] {
+            assert_eq!(
+                query(spread, marginal).unwrap_err(),
+                format!("query rejected: vertex {absent} outside the vertex space {nodes}")
+            );
+        }
 
         // A missing shard file is reported cleanly.
         let err = execute(Command::Query(QueryArgs {

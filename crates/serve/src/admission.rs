@@ -33,14 +33,14 @@ use std::sync::Arc;
 /// global degree, so one global lookup prices a vertex); a top-k query
 /// walks one postings list per round, so it is priced at
 /// `k × mean-degree`, plus — with an audience — the audience's postings
-/// `Σ_{v ∈ audience} degree(v)`. That sum is what the sparse masked
-/// session walks to collect its eligible sets and an upper bound on how
-/// many it collects (a set is counted once per audience member it
-/// holds), and every later step of the session — counting, the frontier,
-/// the recounts and retirements, the scratch restore — is proportional to the
-/// eligible sets, no longer to `n + θ`: the price bounds the work. The
-/// estimates are deliberately cheap (one O(1) degree lookup against the
-/// global postings per vertex named) — they gate the engine, so they
+/// `Σ_{v ∈ audience} degree(v)`. That sum is what an audience session
+/// walks to find its eligible sets. The rest of its work is the prefix of
+/// the generation's degree order it evaluates, one recount against the
+/// covered bitmap per vertex: at least the seeds it selects, at most every
+/// vertex of degree > 0. No per-vertex lookup can know that prefix before
+/// the query runs, so the price covers the walk, not the whole session.
+/// The estimates are deliberately cheap (one O(1) degree lookup against
+/// the global postings per vertex named) — they gate the engine, so they
 /// cannot themselves be expensive.
 #[derive(Clone)]
 pub struct CostModel {

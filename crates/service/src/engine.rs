@@ -137,7 +137,8 @@ pub struct QueryEngine {
     /// marginal queries check one out instead of allocating a fresh
     /// θ-sized buffer per call; concurrent batch workers each pop their own.
     scratch: Mutex<Vec<Vec<u64>>>,
-    /// Pool of audience Top-K sessions (see [`crate::masked`]).
+    /// Pool of audience Top-K sessions over the served generation (see
+    /// [`crate::masked`]).
     masked: MaskedPool,
 }
 
@@ -151,13 +152,13 @@ impl QueryEngine {
     pub fn with_cache_capacity(index: Arc<SketchIndex>, capacity: usize) -> Self {
         crate::metrics::register();
         crate::metrics::record_postings(index.postings().stats());
-        let greedy = Mutex::new(fresh_session(&index));
+        let (greedy, masked) = sessions(&index);
         QueryEngine {
             index,
             greedy,
             cache: QueryCache::new(capacity),
             scratch: Mutex::new(Vec::new()),
-            masked: MaskedPool::default(),
+            masked,
         }
     }
 
@@ -199,7 +200,8 @@ impl QueryEngine {
     /// Refresh the served index against a graph mutation.
     ///
     /// Delegates to [`SketchIndex::apply_delta`] (the index must be dynamic),
-    /// then resets the shared greedy prefix and drops the response cache —
+    /// then resets the shared greedy prefix, starts a new audience pool on
+    /// the refreshed degree order and drops the response cache —
     /// every answer after this call is computed over the refreshed index,
     /// never replayed from the pre-delta one. Requires exclusive access
     /// (`&mut self`): queries in flight on other threads finish against the
@@ -214,7 +216,7 @@ impl QueryEngine {
         let index = Arc::make_mut(&mut self.index);
         let out = index.apply_delta(graph, weights, delta)?;
         crate::metrics::record_postings(self.index.postings().stats());
-        *self.greedy.lock() = fresh_session(&self.index);
+        (self.greedy, self.masked) = sessions(&self.index);
         self.cache.clear();
         Ok(out)
     }
@@ -254,12 +256,11 @@ impl QueryEngine {
 
     /// Targeted-audience Top-K: greedy max coverage over the sets containing
     /// at least one audience vertex (see [`Query::TopK`] for the estimator's
-    /// semantics). Each query runs its own transient sparse session out of
-    /// the pool (the shared prefix belongs to the unrestricted selection),
-    /// holding no engine lock; repeats are served by the response cache.
+    /// semantics). Each query runs its own session out of the pool (the
+    /// shared prefix belongs to the unrestricted selection), holding no
+    /// engine lock; repeats are served by the response cache.
     fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
-        let postings = self.index.postings().view();
-        let (seeds, covered) = self.masked.top_k(self.index.sets(), postings, k, audience);
+        let (seeds, covered) = self.masked.top_k(self.index.postings(), k, audience);
         self.topk_response(seeds, covered)
     }
 
@@ -273,9 +274,11 @@ impl QueryEngine {
     }
 }
 
-/// The nothing-covered, empty-prefix Top-K session of `index`.
-fn fresh_session(index: &SketchIndex) -> LazyGreedy {
-    LazyGreedy::fresh(&index.degree_vector(), index.num_sets())
+/// The nothing-covered, empty-prefix Top-K session of `index` and the pool
+/// of audience sessions that start from it, sharing one degree order.
+fn sessions(index: &SketchIndex) -> (Mutex<LazyGreedy>, MaskedPool) {
+    let fresh = LazyGreedy::fresh(index.postings());
+    (Mutex::new(fresh.clone()), MaskedPool::new(fresh))
 }
 
 #[cfg(test)]
@@ -285,12 +288,7 @@ mod tests {
     use imm_rrr::{RrrCollection, RrrSet};
 
     fn engine_over(num_nodes: usize, sets: &[&[NodeId]]) -> QueryEngine {
-        let mut c = RrrCollection::new(num_nodes);
-        for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
-        }
-        let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
-        QueryEngine::new(Arc::new(index))
+        QueryEngine::new(Arc::new(SketchIndex::over_sets(num_nodes, sets)))
     }
 
     /// The paper's Figure 3 sets; hand-checkable greedy trajectory.
@@ -445,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_leaves_the_fresh_session_uncovered_with_an_empty_prefix() {
+    fn apply_delta_leaves_both_sessions_fresh_over_the_refreshed_index() {
         use crate::dynamic::SampleSpec;
         use imm_diffusion::DiffusionModel;
         use rand::{rngs::SmallRng, SeedableRng};
@@ -457,12 +455,16 @@ mod tests {
         let index = SketchIndex::sample(&graph, &weights, spec, 200, 2, "fresh").unwrap();
         let mut engine = QueryEngine::new(Arc::new(index));
         assert!(engine.greedy.lock().is_fresh_over(engine.index()));
+        assert!(engine.masked.starts_from(&engine.greedy.lock()));
         engine.execute(&Query::top_k(4));
+        engine.execute(&Query::audience_top_k(3, BitSet::from_iter_with_capacity(120, 0..30)));
         assert!(!engine.greedy.lock().is_fresh_over(engine.index()), "a prefix was played");
         let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6);
         engine.apply_delta(&graph, &weights, &delta).unwrap();
-        // Fresh over the *refreshed* index: its degrees, all of its sets.
+        // Fresh over the *refreshed* index: its degrees, all of its sets;
+        // the audience pool starts over from the same fresh session.
         assert!(engine.greedy.lock().is_fresh_over(engine.index()));
+        assert!(engine.masked.starts_from(&engine.greedy.lock()));
     }
 
     #[test]

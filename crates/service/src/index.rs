@@ -91,10 +91,10 @@ impl std::error::Error for IndexError {}
 
 /// A frozen, immutable index over a sampled RRR collection.
 ///
-/// Holds the collection itself (queries still need per-set membership),
-/// the inverted vertex → set-id postings, and each vertex's occurrence
-/// count (its posting-list length) — the initial counter state of the
-/// greedy selection, precomputed once at build time.
+/// Holds the collection itself (the shard map, the refresh and the snapshot
+/// writer read per-set membership), the inverted vertex → set-id postings,
+/// and each vertex's occurrence count (its posting-list length) — the gain
+/// bound the greedy selection starts from, precomputed once at build time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchIndex {
     pub(crate) sets: RrrCollection,
@@ -226,13 +226,6 @@ impl SketchIndex {
         self.postings.degree(v)
     }
 
-    /// All occurrence counts as a fresh mutable vector (the greedy engine's
-    /// working counter).
-    pub fn degree_vector(&self) -> Vec<u64> {
-        let postings = self.postings.view();
-        (0..self.num_nodes()).map(|v| postings.degree(v as NodeId)).collect()
-    }
-
     /// The indexed collection.
     #[inline]
     pub fn sets(&self) -> &RrrCollection {
@@ -295,13 +288,21 @@ mod tests {
         c
     }
 
+    impl SketchIndex {
+        /// An index over `sets` of `num_nodes` vertices.
+        pub(crate) fn over_sets(num_nodes: usize, sets: &[&[NodeId]]) -> Self {
+            SketchIndex::from_collection(collection(num_nodes, sets), IndexMeta::default()).unwrap()
+        }
+    }
+
     #[test]
     fn postings_and_degrees_match_hand_computation() {
         // Figure 3 of the paper: occurrence counts [2, 4, 2, 2, 3, 1].
         let c = collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
         let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         assert_eq!(index.num_sets(), 8);
-        assert_eq!(index.degree_vector(), vec![2, 4, 2, 2, 3, 1]);
+        let degrees: Vec<u64> = (0..6).map(|v| index.degree(v)).collect();
+        assert_eq!(degrees, vec![2, 4, 2, 2, 3, 1]);
         assert_eq!(index.ids(1), [0, 1, 3, 4]);
         assert_eq!(index.ids(4), [2, 3, 4]);
         assert_eq!(index.ids(5), [4]);

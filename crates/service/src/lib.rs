@@ -16,8 +16,9 @@
 //! * [`QueryEngine`] — answers [`Query::TopK`] (incremental greedy with a
 //!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
 //!   never resample; an optional **audience** bitmap restricts coverage to
-//!   the sets touching a vertex slice — a sparse session whose work follows
-//!   those sets; both run the one lazy greedy of [`masked`]), [`Query::Spread`] and
+//!   the sets touching a vertex slice — the same session started with
+//!   every other set covered; both run the one lazy greedy of [`masked`]),
+//!   [`Query::Spread`] and
 //!   [`Query::Marginal`]; batches fan out across worker threads and
 //!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
 //!   normalized queries.

@@ -2,7 +2,7 @@
 //! one coverage kernel, shared by the fresh and the audience selection of
 //! every engine.
 //!
-//! A session is a θ-bit `covered` bitmap and a max-heap of lazy
+//! A session is a θ-bit `covered` bitmap and a lazy frontier of
 //! `(gain bound, vertex)` entries. A vertex's gain is the number of sets
 //! containing it that are not covered yet; gains only fall as sets are
 //! covered, so a popped entry whose stored bound equals its exact gain *is*
@@ -11,53 +11,142 @@
 //! ([`PostingsView::count_outside`]: one popcount per word for a vertex
 //! stored as a bit row, one probe per set for a list), and the chosen seed
 //! is retired by one [`PostingsView::or_into`], whose return value is the
-//! round's coverage increment. No per-vertex count is kept live: in the
-//! dense regime the first seed covers nearly every set, and decrementing
-//! the count of every member of every covered set was Θ(θ·n) work that CELF
-//! mostly never read.
+//! round's coverage increment. No per-vertex count is kept live.
+//!
+//! The frontier is a max-heap of the vertices evaluated so far plus the
+//! rest of the generation's **degree order** (`degree_order`): every
+//! vertex of degree > 0, by degree descending and then id ascending. A
+//! vertex's degree bounds its gain under any covered bitmap, so a vertex
+//! nobody has evaluated needs no heap entry: each pop compares the heap top
+//! with the next vertex of the order, as `(degree, smaller id)`, and takes
+//! the larger. A vertex is thus evaluated only once its degree could beat
+//! every live bound (CELF's lazy-forward rule, Leskovec et al., KDD 2007),
+//! and the pops follow the same total order as a heap seeded with every
+//! degree would.
 //!
 //! The heap holds **positive bounds only**: a vertex whose gain reached
 //! zero has gain zero forever, and the all-zero argmax is the smallest
-//! vertex id — so the heap running dry *is* the all-zero round and every
-//! remaining round emits vertex 0, exactly what the batch kernels'
-//! reduction selects. Ties break toward the smaller vertex id, so the seeds
-//! are byte-identical to a fresh `select_seeds` pass over the same
-//! collection.
+//! vertex id — so the frontier running dry (heap empty, order exhausted)
+//! *is* the all-zero round and every remaining round emits vertex 0,
+//! exactly what the batch kernels' reduction selects. Ties break toward
+//! the smaller vertex id, so the seeds are byte-identical to a fresh
+//! `select_seeds` pass over the same collection.
 //!
-//! * The **fresh** session ([`LazyGreedy`]) is persistent: nothing covered,
-//!   bounds seeded from the index's degree vector. Greedy max coverage is
-//!   prefix-stable (the first `k` seeds of a budget-`k+Δ` selection are the
-//!   budget-`k` selection), so it keeps its prefix and only ever *extends*
-//!   it: asking for `k` and later `k+5` plays five new rounds.
-//! * An **audience** session ([`MaskedPool`]) is transient: greedy max
-//!   coverage over the *eligible* sets — those containing an audience
-//!   vertex — which is the same kernel started with every ineligible set
-//!   marked covered. The eligible ids come from walking the audience's
-//!   postings; exact initial bounds come from walking the eligible sets
-//!   only (recording the vertices they touch, whose counts are set-up
-//!   scratch, zeroed again as they move into the heap), so the frontier holds
-//!   the touched vertices only. Between queries the scratch **covers every
-//!   set and counts nothing**: a finished session restores it by walking
-//!   its own eligible list and returns to a per-engine pool, so a query
-//!   allocates nothing in the steady state and concurrent queries each
-//!   check out their own session (no lock is held while one runs).
+//! * The **fresh** session ([`LazyGreedy`]) is persistent: nothing covered.
+//!   Greedy max coverage is prefix-stable (the first `k` seeds of a
+//!   budget-`k+Δ` selection are the budget-`k` selection), so it keeps its
+//!   prefix and only ever *extends* it: asking for `k` and later `k+5`
+//!   plays five new rounds.
+//! * An **audience** session ([`MaskedPool`]) is the fresh session started
+//!   with every *ineligible* set covered: greedy max coverage over the sets
+//!   containing an audience vertex. It zeroes its bitmap, ORs in the
+//!   audience's postings (stopping once every set is eligible) and inverts
+//!   the bitmap. A vertex that sits only in ineligible sets is evaluated to
+//!   gain zero when the order reaches it, and dropped. The session's work
+//!   is that postings walk plus the prefix of the degree order it
+//!   evaluates; it reads no set-major storage. Sessions are pooled per
+//!   engine and generation: a query checks one out and starts it over, so
+//!   it allocates nothing in the steady state, and concurrent queries each
+//!   check out their own (no lock is held while one runs).
 
-use crate::index::SetId;
-use imm_rrr::{BitSet, NodeId, PostingsView, RrrCollection};
+use imm_rrr::{BitSet, NodeId, Postings, PostingsView};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
+
+/// Every vertex of degree > 0 in `postings`, by degree descending and then
+/// id ascending: one counting sort over [`PostingsView::degree`].
+fn degree_order(postings: &Postings) -> Arc<[NodeId]> {
+    let view = postings.view();
+    let degrees: Vec<u32> =
+        (0..postings.num_nodes() as NodeId).map(|v| view.degree(v) as u32).collect();
+    let max = degrees.iter().copied().max().unwrap_or(0) as usize;
+    let positive = || (0..).zip(&degrees).filter(|(_, &d)| d > 0);
+    // Bucket `max - d` holds degree `d`; after the prefix sum, each bucket
+    // holds its next free slot of the order.
+    let mut next = vec![0usize; max + 1];
+    for (_, &d) in positive() {
+        next[max - d as usize] += 1;
+    }
+    let mut total = 0;
+    for slot in &mut next {
+        let count = std::mem::replace(slot, total);
+        total += count;
+    }
+    let mut order = vec![0; total];
+    for (v, &d) in positive() {
+        let slot = &mut next[max - d as usize];
+        order[*slot] = v;
+        *slot += 1;
+    }
+    order.into()
+}
+
+/// The CELF frontier: the positive gain bounds of the vertices evaluated so
+/// far, and the rest of the degree order, whose degrees bound the others.
+#[derive(Debug, Clone)]
+struct Frontier {
+    /// Ordered by bound, then toward the smaller vertex id.
+    heap: BinaryHeap<(u32, Reverse<NodeId>)>,
+    /// The generation's [`degree_order`], shared by all its sessions.
+    order: Arc<[NodeId]>,
+    /// `order[..entered]` have been evaluated.
+    entered: usize,
+}
+
+impl Frontier {
+    /// The frontier of the whole degree order, nothing evaluated.
+    fn over(order: Arc<[NodeId]>) -> Self {
+        Frontier { heap: BinaryHeap::new(), order, entered: 0 }
+    }
+
+    /// Pop the round's argmax: `(vertex, gain)`, `degree(v)` being the
+    /// degree of `v` and `gain(v)` its exact gain now. The larger of the heap
+    /// top and the next unevaluated vertex is evaluated; a stale one is
+    /// reinserted with its exact gain unless that is zero. A dry frontier is
+    /// the all-zero round, whose argmax is the smallest vertex id. The one
+    /// place CELF activity is recorded, once per round rather than per pop.
+    fn pop_argmax(
+        &mut self,
+        degree: impl Fn(NodeId) -> u32,
+        mut gain: impl FnMut(NodeId) -> u32,
+    ) -> (NodeId, u32) {
+        let mut stale = 0u64;
+        let (argmax, accepted) = loop {
+            let unevaluated = self.order.get(self.entered).map(|&v| (degree(v), Reverse(v)));
+            let entry = if unevaluated > self.heap.peek().copied() {
+                self.entered += 1;
+                unevaluated
+            } else {
+                self.heap.pop()
+            };
+            let Some((bound, Reverse(v))) = entry else { break ((0, 0), 0) };
+            let live = gain(v);
+            if bound == live {
+                break ((v, live), 1);
+            }
+            debug_assert!(live < bound, "a degree or a stored gain bounds the gain");
+            stale += 1;
+            if live > 0 {
+                self.heap.push((live, Reverse(v)));
+            }
+        };
+        crate::metrics::CELF_ROUNDS.increment();
+        crate::metrics::CELF_HEAP_POPS.add(stale + accepted);
+        crate::metrics::CELF_REVALIDATIONS.add(stale);
+        argmax
+    }
+}
 
 /// One lazy-greedy session over an index generation (n, θ); see the
 /// [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LazyGreedy {
     /// One bit per set: covered by a selected seed (or, in an audience
     /// session, not eligible).
     covered: Vec<u64>,
-    /// The CELF frontier: positive gain bounds, ordered by bound then
-    /// toward the smaller vertex id.
-    frontier: BinaryHeap<(u32, Reverse<NodeId>)>,
+    frontier: Frontier,
     /// The greedy prefix selected so far.
     seeds: Vec<NodeId>,
     /// Cumulative covered-set count after each selected seed, so a smaller
@@ -68,20 +157,16 @@ pub struct LazyGreedy {
 }
 
 impl LazyGreedy {
-    /// The fresh session of an index of `theta` sets: nothing covered, no
-    /// seed selected, `degrees[v]` sets containing vertex `v`.
-    pub fn fresh(degrees: &[u64], theta: usize) -> Self {
-        let frontier = (0..)
-            .zip(degrees)
-            .filter(|(_, &d)| d > 0)
-            .map(|(v, &d)| (d as u32, Reverse(v)))
-            .collect();
+    /// The fresh session of the index whose global postings are `postings`:
+    /// nothing covered, no seed selected, and the generation's
+    /// `degree_order`, built here, as the frontier. Clones share the order.
+    pub fn fresh(postings: &Postings) -> Self {
         LazyGreedy {
-            covered: vec![0; theta.div_ceil(64)],
-            frontier,
+            covered: vec![0; postings.words_per_row()],
+            frontier: Frontier::over(degree_order(postings)),
             seeds: Vec::new(),
             covered_after: Vec::new(),
-            num_nodes: degrees.len(),
+            num_nodes: postings.num_nodes(),
         }
     }
 
@@ -101,7 +186,10 @@ impl LazyGreedy {
     fn extend_to(&mut self, postings: PostingsView<'_>, rounds: usize) {
         let LazyGreedy { covered, frontier, seeds, covered_after, .. } = self;
         while seeds.len() < rounds {
-            let (best, gain) = pop_argmax(frontier, |v| postings.count_outside(v, covered) as u32);
+            let (best, gain) = frontier.pop_argmax(
+                |v| postings.degree(v) as u32,
+                |v| postings.count_outside(v, covered) as u32,
+            );
             seeds.push(best);
             let mut total = covered_after.last().copied().unwrap_or(0);
             if gain > 0 {
@@ -112,168 +200,62 @@ impl LazyGreedy {
             covered_after.push(total);
         }
     }
-}
 
-/// Pop the round's argmax off the frontier: `(vertex, gain)`, `gain(v)`
-/// being the exact gain of `v` now. A stale entry is reinserted with its
-/// exact gain unless that is zero; an empty frontier is the all-zero round,
-/// whose argmax is the smallest vertex id. The one place CELF activity is
-/// recorded, once per round rather than per pop.
-fn pop_argmax(
-    frontier: &mut BinaryHeap<(u32, Reverse<NodeId>)>,
-    gain: impl Fn(NodeId) -> u32,
-) -> (NodeId, u32) {
-    let mut stale = 0u64;
-    let (argmax, accepted) = loop {
-        let Some((stored, Reverse(v))) = frontier.pop() else { break ((0, 0), 0) };
-        let live = gain(v);
-        if stored == live {
-            break ((v, live), 1);
-        }
-        debug_assert!(live < stored, "gains only fall as sets are covered");
-        stale += 1;
-        if live > 0 {
-            frontier.push((live, Reverse(v)));
-        }
-    };
-    crate::metrics::CELF_ROUNDS.increment();
-    crate::metrics::CELF_HEAP_POPS.add(stale + accepted);
-    crate::metrics::CELF_REVALIDATIONS.add(stale);
-    argmax
-}
-
-/// One audience session's pooled scratch: a session that covers every set,
-/// all-zero counts, and the lists that restore them.
-#[derive(Debug)]
-struct MaskedSession {
-    greedy: LazyGreedy,
-    /// Exact initial gains of the touched vertices while a session is set
-    /// up; all zero otherwise.
-    counts: Vec<u32>,
-    /// The eligible set ids, ascending (the restore list of `covered`).
-    eligible: Vec<SetId>,
-    /// Vertices some eligible set contains (the restore list of `counts`).
-    touched: Vec<NodeId>,
-}
-
-impl MaskedSession {
-    fn new(num_nodes: usize, theta: usize) -> Self {
-        MaskedSession {
-            greedy: LazyGreedy {
-                // Padding bits too: they are never eligible.
-                covered: vec![u64::MAX; theta.div_ceil(64)],
-                frontier: BinaryHeap::new(),
-                seeds: Vec::new(),
-                covered_after: Vec::new(),
-                num_nodes,
-            },
-            counts: vec![0; num_nodes],
-            eligible: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Whether this scratch serves a generation of (n, θ): θ matters only
-    /// through the bitmap's word count, since every bit rests covered.
-    fn fits(&self, num_nodes: usize, theta: usize) -> bool {
-        self.counts.len() == num_nodes && self.greedy.covered.len() == theta.div_ceil(64)
-    }
-
-    /// Run the masked greedy and leave the scratch covering every set
-    /// again.
-    fn top_k(
-        &mut self,
-        sets: &RrrCollection,
-        postings: PostingsView<'_>,
-        k: usize,
-        audience: &BitSet,
-    ) -> (Vec<NodeId>, usize) {
-        let MaskedSession { greedy, counts, eligible, touched } = self;
-        let n = counts.len();
-
-        // Eligible sets: the union of the audience's postings, uncovered
-        // (bits iterate ascending, so the first out-of-range vertex ends
-        // the audience). Once every set is eligible the rest of the
-        // audience adds nothing — with dense sets that is after a handful
-        // of vertices.
-        let covered = &mut greedy.covered;
-        let mut uncovered = 0;
-        for v in audience.iter().take_while(|&v| v < n) {
-            if uncovered == sets.len() {
+    /// Start this session over as the audience session of `audience` over
+    /// `num_sets` sets: no seed selected, nothing evaluated, and every set
+    /// that holds no audience vertex covered.
+    fn restrict_to(&mut self, postings: PostingsView<'_>, num_sets: usize, audience: &BitSet) {
+        let LazyGreedy { covered, frontier, seeds, covered_after, num_nodes } = self;
+        frontier.heap.clear();
+        frontier.entered = 0;
+        seeds.clear();
+        covered_after.clear();
+        // The eligible sets: the union of the audience's postings (bits
+        // iterate ascending, so the first out-of-range vertex ends the
+        // audience). Once every set is eligible the rest of the audience
+        // adds nothing — with dense sets that is after a handful of vertices.
+        covered.fill(0);
+        let mut eligible = 0;
+        for v in audience.iter().take_while(|&v| v < *num_nodes) {
+            if eligible == num_sets {
                 break;
             }
-            postings.for_each(v as NodeId, |sid| {
-                let (word, bit) = (&mut covered[(sid / 64) as usize], 1u64 << (sid % 64));
-                uncovered += usize::from(*word & bit != 0);
-                *word &= !bit;
-            });
+            eligible += postings.or_into(v as NodeId, covered);
         }
-        // Ascending id order walks the arena front to back.
-        for (w, &word) in (0..).zip(covered.iter()) {
-            let mut free = !word;
-            while free != 0 {
-                eligible.push(w * 64 + free.trailing_zeros());
-                free &= free - 1;
-            }
+        // Inverted, the union covers every ineligible set, and the padding
+        // bits past θ, which no postings name, come out covered.
+        for word in covered.iter_mut() {
+            *word = !*word;
         }
-        crate::metrics::MASKED_SESSION_SETS.record(eligible.len() as u64);
-        for &sid in eligible.iter() {
-            sets.get(sid as usize).for_each(|v| {
-                let count = &mut counts[v as usize];
-                if *count == 0 {
-                    touched.push(v);
-                }
-                *count += 1;
-            });
-        }
-        // Heapify in place, on the storage the last query left behind; the
-        // counts have done their job once the bounds are in the heap.
-        let mut entries = std::mem::take(&mut greedy.frontier).into_vec();
-        entries.extend(
-            touched.drain(..).map(|v| (std::mem::take(&mut counts[v as usize]), Reverse(v))),
-        );
-        greedy.frontier = BinaryHeap::from(entries);
-
-        let answer = greedy.top_k(postings, k);
-
-        for sid in eligible.drain(..) {
-            greedy.covered[(sid / 64) as usize] |= 1u64 << (sid % 64);
-        }
-        greedy.frontier.clear();
-        greedy.seeds.clear();
-        greedy.covered_after.clear();
-        answer
+        crate::metrics::MASKED_SESSION_SETS.record(eligible as u64);
     }
 }
 
-/// An engine's pool of audience sessions. A query checks one out (allocating
-/// only when the pool is empty or the index generation changed size), runs
-/// the sparse greedy on it, and returns it covering every set.
-#[derive(Debug, Default)]
+/// An engine's pool of audience sessions over one index generation. A query
+/// checks one out (cloning the generation's fresh session only when the
+/// pool is empty), starts it over on its audience, and returns it.
+#[derive(Debug)]
 pub struct MaskedPool {
-    pool: Mutex<Vec<MaskedSession>>,
+    /// What a new audience session starts as.
+    fresh: LazyGreedy,
+    pool: Mutex<Vec<LazyGreedy>>,
 }
 
 impl MaskedPool {
-    /// Audience-restricted greedy Top-K over `sets`: the first
-    /// `min(k, num_nodes)` seeds and how many sets they cover. `postings`
-    /// must be the global postings over `sets`.
-    pub fn top_k(
-        &self,
-        sets: &RrrCollection,
-        postings: PostingsView<'_>,
-        k: usize,
-        audience: &BitSet,
-    ) -> (Vec<NodeId>, usize) {
-        let (num_nodes, theta) = (sets.num_nodes(), sets.len());
-        let pooled = {
-            let mut pool = self.pool.lock();
-            // A session sized for a previous generation is dropped here.
-            pool.retain(|session| session.fits(num_nodes, theta));
-            pool.pop()
-        };
-        let mut session = pooled.unwrap_or_else(|| MaskedSession::new(num_nodes, theta));
-        let answer = session.top_k(sets, postings, k, audience);
+    /// The pool of the generation whose fresh session is `fresh`.
+    pub fn new(fresh: LazyGreedy) -> Self {
+        MaskedPool { fresh, pool: Mutex::new(Vec::new()) }
+    }
+
+    /// Audience-restricted greedy Top-K: the first `min(k, num_nodes)` seeds
+    /// and how many sets they cover. `postings` must be the global postings
+    /// of the generation this pool was made for.
+    pub fn top_k(&self, postings: &Postings, k: usize, audience: &BitSet) -> (Vec<NodeId>, usize) {
+        let pooled = self.pool.lock().pop();
+        let mut session = pooled.unwrap_or_else(|| self.fresh.clone());
+        let view = postings.view();
+        session.restrict_to(view, postings.range_len(), audience);
+        let answer = session.top_k(view, k);
         self.pool.lock().push(session);
         answer
     }
@@ -282,56 +264,63 @@ impl MaskedPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{IndexMeta, SketchIndex};
-    use imm_rrr::RrrSet;
-
-    fn index_over(num_nodes: usize, sets: &[&[NodeId]]) -> SketchIndex {
-        let mut c = RrrCollection::new(num_nodes);
-        for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
-        }
-        SketchIndex::from_collection(c, IndexMeta::default()).unwrap()
-    }
+    use crate::index::SketchIndex;
 
     /// Seven of the paper's Figure 3 sets over six vertices.
     fn figure3() -> SketchIndex {
-        index_over(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3]])
+        SketchIndex::over_sets(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3]])
+    }
+
+    /// The degree order by a comparison sort.
+    fn sorted_by_degree(index: &SketchIndex) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> =
+            (0..index.num_nodes() as NodeId).filter(|&v| index.degree(v) > 0).collect();
+        order.sort_by_key(|&v| (Reverse(index.degree(v)), v));
+        order
     }
 
     impl LazyGreedy {
         /// The state [`LazyGreedy::fresh`] builds over `index`.
         pub(crate) fn is_fresh_over(&self, index: &SketchIndex) -> bool {
-            let mut bounds: Vec<_> = (0..)
-                .zip(index.degree_vector())
-                .filter(|&(_, d)| d > 0)
-                .map(|(v, d)| (d as u32, Reverse(v)))
-                .collect();
-            bounds.sort_unstable();
             self.covered == vec![0; index.num_sets().div_ceil(64)]
                 && self.num_nodes == index.num_nodes()
-                && self.frontier.clone().into_sorted_vec() == bounds
+                && self.frontier.heap.is_empty()
+                && self.frontier.entered == 0
+                && *self.frontier.order == *sorted_by_degree(index)
+                && self.seeds.is_empty()
+                && self.covered_after.is_empty()
+        }
+
+        /// The state [`LazyGreedy::restrict_to`] leaves for `audience`: only
+        /// the sets holding an audience vertex uncovered, nothing evaluated.
+        fn is_restricted_to(&self, index: &SketchIndex, audience: &BitSet) -> bool {
+            let mut ineligible = vec![u64::MAX; index.num_sets().div_ceil(64)];
+            for v in audience.iter().filter(|&v| v < index.num_nodes()) {
+                for sid in index.ids(v as NodeId) {
+                    ineligible[(sid / 64) as usize] &= !(1u64 << (sid % 64));
+                }
+            }
+            self.covered == ineligible
+                && self.frontier.heap.is_empty()
+                && self.frontier.entered == 0
                 && self.seeds.is_empty()
                 && self.covered_after.is_empty()
         }
     }
 
-    impl MaskedSession {
-        /// The state a session holds between audience queries.
-        fn is_at_rest(&self) -> bool {
-            self.greedy.covered.iter().all(|&w| w == u64::MAX)
-                && self.counts.iter().all(|&c| c == 0)
-                && self.greedy.frontier.is_empty()
-                && self.greedy.seeds.is_empty()
-                && self.greedy.covered_after.is_empty()
-                && self.eligible.is_empty()
-                && self.touched.is_empty()
+    impl MaskedPool {
+        /// Whether this is a new pool (no session checked in yet) sharing
+        /// its degree order with `fresh`.
+        pub(crate) fn starts_from(&self, fresh: &LazyGreedy) -> bool {
+            self.pool.lock().is_empty()
+                && Arc::ptr_eq(&self.fresh.frontier.order, &fresh.frontier.order)
         }
     }
 
     #[test]
     fn a_fresh_session_extends_its_prefix_and_never_replays_it() {
         let index = figure3();
-        let mut session = LazyGreedy::fresh(&index.degree_vector(), index.num_sets());
+        let mut session = LazyGreedy::fresh(index.postings());
         assert!(session.is_fresh_over(&index));
         // Degrees [2,4,1,2,3,1]: vertex 1 (4 sets), then 3 (its 2 sets are
         // untouched), then 2 (ties 4 at one set; the smaller id wins).
@@ -347,17 +336,23 @@ mod tests {
     }
 
     #[test]
-    fn a_finished_session_returns_to_the_pool_all_covered_with_zero_counts() {
+    fn a_pooled_session_starts_the_next_audience_over() {
         let index = figure3();
-        let sessions = MaskedPool::default();
+        let sessions = MaskedPool::new(LazyGreedy::fresh(index.postings()));
         let audience = BitSet::from_iter_with_capacity(6, [1, 3]);
-        // k = 1 leaves eligible sets uncovered at the end of the rounds:
-        // the restore walk has real work to do.
-        let (seeds, covered) = sessions.top_k(index.sets(), index.postings().view(), 1, &audience);
+        // k = 1 leaves evaluated entries and eligible sets uncovered behind.
+        let (seeds, covered) = sessions.top_k(index.postings(), 1, &audience);
         assert_eq!((seeds, covered), (vec![1], 4));
-        let pool = sessions.pool.lock();
-        assert_eq!(pool.len(), 1);
-        assert!(pool[0].is_at_rest());
+        let mut session = {
+            let mut pool = sessions.pool.lock();
+            assert_eq!(pool.len(), 1);
+            pool.pop().unwrap()
+        };
+        assert!(!session.frontier.heap.is_empty() || session.frontier.entered > 0);
+        let next = BitSet::from_iter_with_capacity(6, [5]);
+        session.restrict_to(index.postings().view(), index.num_sets(), &next);
+        assert!(session.is_restricted_to(&index, &next));
+        assert!(Arc::ptr_eq(&session.frontier.order, &sessions.fresh.frontier.order));
     }
 
     #[test]
@@ -370,34 +365,93 @@ mod tests {
         let sessions_before = crate::metrics::MASKED_SESSION_SETS.snapshot().count;
         let rounds_before = crate::metrics::CELF_ROUNDS.value();
         let audience = BitSet::from_iter_with_capacity(6, [5]);
-        MaskedPool::default().top_k(index.sets(), index.postings().view(), 3, &audience);
+        MaskedPool::new(LazyGreedy::fresh(index.postings())).top_k(index.postings(), 3, &audience);
         assert!(crate::metrics::MASKED_SESSION_SETS.snapshot().count > sessions_before);
         assert!(crate::metrics::CELF_ROUNDS.value() >= rounds_before + 3);
         // The fresh session plays on the same core: same counters.
         let rounds_before = crate::metrics::CELF_ROUNDS.value();
-        LazyGreedy::fresh(&index.degree_vector(), index.num_sets())
-            .top_k(index.postings().view(), 2);
+        LazyGreedy::fresh(index.postings()).top_k(index.postings().view(), 2);
         assert!(crate::metrics::CELF_ROUNDS.value() >= rounds_before + 2);
     }
 
     #[test]
-    fn a_session_of_another_generation_is_resized_not_reused() {
-        let small = index_over(4, &[&[0, 1], &[2]]);
-        let large = index_over(9, &[&[0, 8], &[8], &[3, 8], &[7]]);
-        let sessions = MaskedPool::default();
-        sessions.top_k(
-            small.sets(),
-            small.postings().view(),
-            2,
-            &BitSet::from_iter_with_capacity(4, [0]),
+    fn a_tie_between_the_heap_and_the_order_goes_to_the_smaller_id() {
+        let gain = |v: NodeId| [0, 0, 3, 0, 0, 3][v as usize];
+        // The unevaluated vertex has the smaller id: it is taken first.
+        let mut frontier = Frontier::over(Arc::from([2]));
+        frontier.heap.push((3, Reverse(5)));
+        assert_eq!(frontier.pop_argmax(gain, gain), (2, 3));
+        assert_eq!(frontier.entered, 1);
+        assert_eq!(frontier.pop_argmax(gain, gain), (5, 3));
+        // The heap entry has the smaller id: the order waits.
+        let mut frontier = Frontier::over(Arc::from([5]));
+        frontier.heap.push((3, Reverse(2)));
+        assert_eq!(frontier.pop_argmax(gain, gain), (2, 3));
+        assert_eq!(frontier.entered, 0);
+        assert_eq!(frontier.pop_argmax(gain, gain), (5, 3));
+        assert_eq!(frontier.pop_argmax(gain, gain), (0, 0), "a dry frontier emits vertex 0");
+    }
+
+    #[test]
+    fn a_hub_in_ineligible_sets_only_is_evaluated_once_and_never_selected() {
+        // Vertex 3 is in five sets, none of them holding audience vertex 0
+        // or 1; the eligible sets are {0, 1}, {1, 2} and {0, 4}.
+        let index = SketchIndex::over_sets(
+            5,
+            &[&[0, 1], &[1, 2], &[0, 4], &[3], &[2, 3], &[3, 4], &[2, 3], &[3]],
         );
-        assert!(sessions.pool.lock()[0].fits(4, 2));
-        // Vertex 8 is out of the small session's bounds.
-        let audience = BitSet::from_iter_with_capacity(9, [7, 8]);
-        let (seeds, covered) = sessions.top_k(large.sets(), large.postings().view(), 2, &audience);
-        assert_eq!((seeds, covered), (vec![8, 7], 4));
-        let pool = sessions.pool.lock();
-        assert_eq!(pool.len(), 1, "the stale session was dropped, not kept alongside");
-        assert!(pool[0].fits(9, 4));
+        assert_eq!(sorted_by_degree(&index)[0], 3);
+        let postings = index.postings().view();
+        let mut session = LazyGreedy::fresh(index.postings());
+        session.restrict_to(
+            postings,
+            index.num_sets(),
+            &BitSet::from_iter_with_capacity(5, [0, 1]),
+        );
+        let LazyGreedy { covered, frontier, .. } = &mut session;
+        let (mut evaluations, mut seeds) = (vec![0; 5], Vec::new());
+        for _ in 0..5 {
+            let (best, gain) = frontier.pop_argmax(
+                |v| postings.degree(v) as u32,
+                |v| {
+                    evaluations[v as usize] += 1;
+                    postings.count_outside(v, covered) as u32
+                },
+            );
+            if gain > 0 {
+                postings.or_into(best, covered);
+            }
+            seeds.push(best);
+        }
+        assert_eq!(evaluations[3], 1, "evaluated once, at the head of the order");
+        assert_eq!(seeds, vec![0, 1, 0, 0, 0]);
+        assert!(frontier.heap.iter().all(|&(_, Reverse(v))| v != 3), "dropped");
+    }
+
+    proptest::proptest! {
+        /// The counting sort equals a comparison sort over postings that mix
+        /// rows (vertices 0..4, in about half the sets) and lists (4..200, in
+        /// a handful); vertices 200..240 are in no set and stay out.
+        #[test]
+        fn the_degree_order_is_the_degree_sorted_vertex_list(
+            raw_sets in proptest::collection::vec(
+                (
+                    proptest::collection::hash_set(0u32..4, 0..4),
+                    proptest::collection::hash_set(4u32..200, 0..6),
+                ),
+                0..120,
+            ),
+        ) {
+            let sets: Vec<Vec<NodeId>> = raw_sets
+                .iter()
+                .map(|(common, rare)| common.iter().chain(rare).copied().collect())
+                .collect();
+            let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
+            let index = SketchIndex::over_sets(240, &sets);
+            proptest::prop_assert_eq!(
+                degree_order(index.postings()).to_vec(),
+                sorted_by_degree(&index)
+            );
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!   through ([`crate::masked`]). A revalidation blow-up (pops ≫ rounds)
 //!   is the classic lazy-greedy failure mode and is invisible from
 //!   end-to-end latency alone. Plus the eligible-set count of each
-//!   audience Top-K session, the quantity its work is proportional to.
+//!   audience Top-K session, which its postings walk finds.
 //! * **Dynamic refresh** — delta edges applied, sets invalidated vs
 //!   actually resampled, and postings candidates kept by the coin
 //!   predicate (the pruning that keeps refresh sublinear).
@@ -44,11 +44,15 @@ imm_obs::metrics! {
         "Cached responses evicted in LRU order to admit a new entry";
     pub CELF_ROUNDS: Counter =
         "service_celf_rounds", "CELF greedy rounds played (one seed per round)";
+    /// Every recount: a heap entry or a vertex entering from the degree
+    /// order. Per audience query, the prefix of the order it evaluated.
     pub CELF_HEAP_POPS: Counter =
         "service_celf_heap_pops", "Entries popped off the CELF frontier heap";
     pub CELF_REVALIDATIONS: Counter = "service_celf_revalidations",
         "Stale CELF frontier entries revalidated (reinserted with the recounted gain)";
-    /// The size of the sparse masked session, which bounds its work.
+    /// What the audience's postings walk leaves uncovered. The session's
+    /// work is that walk plus the degree-order prefix it evaluates
+    /// (`service_celf_heap_pops`), which this count does not bound.
     pub MASKED_SESSION_SETS: Histogram = "service_masked_session_sets",
         "Eligible RRR sets (containing an audience vertex) per audience TopK session", Count;
     pub DELTA_EDGES_APPLIED: Counter = "service_delta_edges_applied",

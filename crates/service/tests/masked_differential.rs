@@ -3,20 +3,25 @@
 //! to the dense whole-index construction it replaced (kept as the oracle
 //! in `support/masked_oracle.rs`) — over random collections of list and
 //! bitmap sets × every audience shape × budgets on both sides of coverage
-//! exhaustion, and on one index whose vertices mix bit rows and lists —
-//! and its pooled scratch never leaks from one query into the
+//! exhaustion, on one index whose vertices mix bit rows and lists, and on a
+//! sampled LT index with hubs, where the degree order is long — and its
+//! pooled scratch never leaks from one query into the
 //! next, into the persistent prefix, or across concurrent batch workers.
 
 #[path = "support/masked_oracle.rs"]
 mod masked_oracle;
 
-use imm_graph::GraphDelta;
-use imm_service::{Query, QueryEngine, SketchIndex};
+use imm_diffusion::DiffusionModel;
+use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
+use imm_rrr::BitSet;
+use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
 use masked_oracle::{
     audience_queries, audiences, budgets, dense_masked_top_k, hash_sets, index_from,
     mixed_form_sets, sampled_index,
 };
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const NUM_NODES: usize = 48;
@@ -59,6 +64,32 @@ proptest! {
 fn sparse_session_equals_the_dense_oracle_when_rows_and_lists_mix() {
     let (n, sets) = mixed_form_sets();
     sweep_equals_the_dense_oracle(&index_from(n, &hash_sets(&sets), &[]), 0x31C3);
+}
+
+/// The shape the benchmark's sparse workload serves, scaled down: an LT
+/// index over a 3 000-vertex social graph, whose hubs head a long degree
+/// order, audiences of 1–30 % of the vertices, and budgets 1, 5 and 20.
+#[test]
+fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
+    let mut rng = SmallRng::seed_from_u64(0x17);
+    let graph = CsrGraph::from_edge_list(&generators::social_network(3_000, 10, 0.3, &mut rng));
+    let weights = EdgeWeights::lt_normalized(&graph, &mut rng);
+    let spec = SampleSpec::new(DiffusionModel::LinearThreshold, 0x5EED);
+    let index = SketchIndex::sample(&graph, &weights, spec, 6_000, 2, "lt").expect("sample");
+    let n = index.num_nodes();
+    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+    for i in 0..24 {
+        let percent = 1 + i * 29 / 23;
+        let draws = (0..n * percent / 100).map(|_| rng.gen_range(0..n)).collect::<Vec<_>>();
+        let audience = BitSet::from_iter_with_capacity(n, draws);
+        for k in [1, 5, 20] {
+            assert_eq!(
+                engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
+                dense_masked_top_k(&index, k, &audience),
+                "audience {i} ({percent} % of n drawn), k = {k}"
+            );
+        }
+    }
 }
 
 #[test]
