@@ -113,6 +113,35 @@ if ! head -n "$((UNSAFE_LINE - 1))" "$UNSAFE_FILE" | tac \
   exit 1
 fi
 
+# imm-store's unsafe is the mapping itself: mmap, munmap, the byte view, the
+# Send/Sync impls and the typed section view. Each states its invariant.
+echo "==> store guard: six unsafe sites in store, each under a SAFETY: comment"
+STORE_UNSAFE="$(grep -rnw 'unsafe' crates/store/src || true)"
+if [ "$(grep -c . <<< "$STORE_UNSAFE")" -ne 6 ]; then
+  echo "error: crates/store/src must hold exactly six unsafe sites:" >&2
+  echo "$STORE_UNSAFE" >&2
+  exit 1
+fi
+while IFS=: read -r UNSAFE_FILE UNSAFE_LINE _; do
+  if ! head -n "$((UNSAFE_LINE - 1))" "$UNSAFE_FILE" | tac \
+    | awk '/^[[:space:]]*\/\//{ if (/SAFETY:/) found = 1; next } { exit } END { exit !found }'; then
+    echo "error: the unsafe at $UNSAFE_FILE:$UNSAFE_LINE needs a SAFETY: comment directly above it" >&2
+    exit 1
+  fi
+done <<< "$STORE_UNSAFE"
+
+# A snapshot is one file: the IMMSHARD split-file container, `split-index`,
+# `query --shard-files` and the daemon's madvise of shard ranges stay gone.
+# The CLI's own tests name the retired spellings to pin that they are
+# rejected, so args.rs is searched up to its test module.
+echo "==> one-file guard: no split-file format and no shard-range madvise"
+GONE='IMMSHARD|SHARD_MAGIC|split-index|shard-files|madvise|advise_shard_ranges|arena_range'
+if grep -rnE "$GONE" crates --exclude=args.rs \
+  || sed '/^#\[cfg(test)\]/,$d' crates/cli/src/args.rs | grep -nE "$GONE"; then
+  echo "error: a snapshot is one file; do not reintroduce the split-file format or the shard-range madvise" >&2
+  exit 1
+fi
+
 # Snapshot v5 is the one format this tree writes, maps or decodes: the v1-v4
 # decoders, the legacy model tags, the imm_rrr set codecs and their golden
 # fixtures stay gone, and `golden_v5.sketch` (pinned three ways by the
@@ -251,7 +280,7 @@ BATCH="--top-k 2,5 --audience 0,1,2,3 --spread 0,1 --marginal 0:1"
 # shellcheck disable=SC2086
 "$CLI" client --socket "$SERVE_DIR/imm.sock" $BATCH > "$SERVE_DIR/remote.json"
 # shellcheck disable=SC2086
-"$CLI" query --index "$SERVE_DIR/g.sketch" --shards 2 --threads 2 $BATCH \
+"$CLI" query --index "$SERVE_DIR/g.sketch" --threads 2 $BATCH \
   > "$SERVE_DIR/local.json"
 python3 - "$SERVE_DIR/remote.json" "$SERVE_DIR/local.json" <<'EOF'
 import json, sys
@@ -406,7 +435,7 @@ KILL_SERVE_PID=$!
 # shellcheck disable=SC2086
 "$CLI" client --socket "$KILL_DIR/imm.sock" $BATCH > "$KILL_DIR/remote.json"
 # shellcheck disable=SC2086
-"$CLI" query --index "$KILL_DIR/pristine.sketch" --shards 2 --threads 2 $BATCH \
+"$CLI" query --index "$KILL_DIR/pristine.sketch" --threads 2 $BATCH \
   > "$KILL_DIR/local.json"
 "$CLI" client --socket "$KILL_DIR/imm.sock" --metrics > "$KILL_DIR/metrics.json"
 python3 - "$KILL_DIR" <<'EOF'

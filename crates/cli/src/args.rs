@@ -27,13 +27,12 @@ USAGE:
   efficient-imm build-index (--graph <FILE> | --dataset <NAME>) --output <FILE>
                             [--model ic|lt] [--algorithm efficientimm|ripples]
                             [--k <K>] [--epsilon <E>] [--threads <T>] [--seed <S>]
-  efficient-imm query       (--index <FILE> | --shard-files <F0,F1,..>)
+  efficient-imm query       --index <FILE>
                             [--top-k <K1,K2,..>] [--audience <V1,V2,..>]
                             [--spread <V1,V2,..>] [--marginal <V1,V2,..:C>]
-                            [--shards <N>] [--threads <T>] [--metrics]
+                            [--threads <T>] [--metrics]
   efficient-imm update-index --index <FILE> (--graph <FILE> | --dataset <NAME>)
                             --delta <FILE> [--output <FILE>] [--journal <FILE>]
-  efficient-imm split-index --index <FILE> --shards <N> --output <PREFIX>
   efficient-imm serve       --index <FILE> (--socket <PATH> | --tcp <ADDR>)
                             [--graph <FILE> | --dataset <NAME>] [--shards <N>]
                             [--threads <T>] [--max-cost <C>]
@@ -52,27 +51,24 @@ USAGE:
 `build-index` samples RRR sets once (the expensive phase) and freezes them
 into a reusable sketch-index snapshot; `query` serves top-k / spread /
 marginal-gain requests from that snapshot without resampling, and `stats
---index` reads coverage statistics from it. `query --shards N` lays an
-N-range shard map over the loaded index (identical answers: a shard map
-decides only split-file layout, `madvise` ranges and shard_load_imbalance,
-never how a query is answered); `--audience` restricts top-k coverage to
-the RRR sets touching the given vertex slice. `split-index` writes one
-`<PREFIX>.shard-<i>` snapshot file per shard, and `query --shard-files`
-reassembles such files (in any order) and serves from the reassembled
-shards. `update-index` refreshes a snapshot against a batch of edge
-mutations (delta file lines: `+ src dst w`, `- src dst`, `~ src dst w`, `#`
-comments), resampling only the RRR sets the mutations touch; pass the
-*original* graph source — the snapshot's delta log replays every earlier
-batch to reconstruct the current revision. The --dataset name refers to the
-built-in SNAP analogues (com-Amazon, com-DBLP, com-YouTube, as-Skitter,
-web-Google, soc-Pokec, com-LJ, twitter7).
+--index` reads coverage statistics from it. `--audience` restricts top-k
+coverage to the RRR sets touching the given vertex slice. `update-index`
+refreshes a snapshot against a batch of edge mutations (delta file lines:
+`+ src dst w`, `- src dst`, `~ src dst w`, `#` comments), resampling only
+the RRR sets the mutations touch; pass the *original* graph source — the
+snapshot's delta log replays every earlier batch to reconstruct the current
+revision. The --dataset name refers to the built-in SNAP analogues
+(com-Amazon, com-DBLP, com-YouTube, as-Skitter, web-Google, soc-Pokec,
+com-LJ, twitter7).
 
-`serve` starts the long-running shard-server daemon: it loads a snapshot,
-lays a --shards-range shard map over it, and answers framed RPC
-requests on a unix socket (--socket) or TCP address (--tcp) until a client
-sends the shutdown verb. Pass the snapshot's original --graph/--dataset to
-enable rolling `apply-delta` rollouts (queries keep serving on the old
-shards until the refreshed index swaps in); --max-cost rejects queries
+`serve` starts the long-running daemon: it loads a snapshot, lays a
+--shards-range shard map over it (the map feeds only the
+shard_load_imbalance gauge; every query reads the whole index, so answers
+do not depend on it), and answers framed RPC requests on a unix socket
+(--socket) or TCP address (--tcp) until a client sends the shutdown verb.
+Pass the snapshot's original --graph/--dataset to enable rolling
+`apply-delta` rollouts (queries keep serving on the old index until the
+refreshed one swaps in); --max-cost rejects queries
 whose postings-size cost estimate exceeds the budget, and --max-inflight
 bounds concurrently served requests. --idle-timeout-ms sheds connections
 that stay silent past the limit (a structured idle-timeout goodbye, then
@@ -198,20 +194,11 @@ pub struct UpdateIndexArgs {
     pub journal: Option<String>,
 }
 
-/// Which stored form a `query` serves from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum IndexSource {
-    /// One whole-index snapshot file.
-    Snapshot(String),
-    /// Per-shard snapshot files written by `split-index` (any order).
-    ShardFiles(Vec<String>),
-}
-
 /// Parsed `query` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryArgs {
-    /// Where the served index comes from.
-    pub source: IndexSource,
+    /// Sketch-index snapshot to serve.
+    pub index: String,
     /// Top-k budgets to answer (one query per entry).
     pub top_k: Vec<usize>,
     /// Optional audience slice restricting the top-k queries.
@@ -220,23 +207,10 @@ pub struct QueryArgs {
     pub spread: Option<Vec<u32>>,
     /// Seed set and candidate for a marginal-gain estimate.
     pub marginal: Option<(Vec<u32>, u32)>,
-    /// Shard count of the shard map (1 = single index).
-    pub shards: usize,
     /// Worker threads for the query batch.
     pub threads: usize,
     /// Append the batch's before/after metrics delta to the output.
     pub metrics: bool,
-}
-
-/// Parsed `split-index` options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SplitIndexArgs {
-    /// Sketch-index snapshot to split.
-    pub index: String,
-    /// How many shard files to produce.
-    pub shards: usize,
-    /// Output prefix; files are written as `<PREFIX>.shard-<i>`.
-    pub output: String,
 }
 
 /// Parsed `serve` options.
@@ -349,8 +323,6 @@ pub enum Command {
     BuildIndex(BuildIndexArgs),
     /// `update-index`
     UpdateIndex(UpdateIndexArgs),
-    /// `split-index`
-    SplitIndex(SplitIndexArgs),
     /// `query`
     Query(QueryArgs),
     /// `serve`
@@ -374,7 +346,6 @@ pub fn pool_threads(command: &Command) -> Option<usize> {
         Command::Generate(_)
         | Command::Stats(_)
         | Command::UpdateIndex(_)
-        | Command::SplitIndex(_)
         | Command::Client(_)
         | Command::Help => None,
     }
@@ -389,7 +360,7 @@ struct Grammar(&'static str, &'static str, &'static str, fn(&Flags) -> Result<Co
 const RUN_FLAGS: &str =
     "--graph --dataset --model --algorithm --k --epsilon --threads --seed --output";
 
-const GRAMMARS: [Grammar; 10] = [
+const GRAMMARS: [Grammar; 9] = [
     Grammar("generate", "--output --kind --nodes --avg-degree --seed", "", parse_generate),
     Grammar("run", RUN_FLAGS, "", |f| Ok(Command::Run(parse_run(f)?))),
     Grammar("compare", "--graph --dataset --model --k --epsilon --threads --seed", "", |f| {
@@ -408,10 +379,9 @@ const GRAMMARS: [Grammar; 10] = [
         "",
         parse_update_index,
     ),
-    Grammar("split-index", "--index --shards --output", "", parse_split_index),
     Grammar(
         "query",
-        "--index --shard-files --top-k --audience --spread --marginal --shards --threads",
+        "--index --top-k --audience --spread --marginal --threads",
         "--metrics",
         parse_query,
     ),
@@ -547,18 +517,6 @@ fn parse_update_index(flags: &Flags) -> Result<Command, String> {
     }))
 }
 
-fn parse_split_index(flags: &Flags) -> Result<Command, String> {
-    let shards = flags.get_parsed("--shards", 0usize)?;
-    if shards == 0 {
-        return Err("split-index requires --shards >= 1".into());
-    }
-    Ok(Command::SplitIndex(SplitIndexArgs {
-        index: flags.get("--index").ok_or("split-index requires --index")?.to_string(),
-        shards,
-        output: flags.get("--output").ok_or("split-index requires --output")?.to_string(),
-    }))
-}
-
 fn parse_stats(flags: &Flags) -> Result<Command, String> {
     let stats = StatsArgs {
         source: None,
@@ -636,34 +594,17 @@ fn parse_batch_spec(flags: &Flags) -> Result<BatchSpec, String> {
 }
 
 fn parse_query(flags: &Flags) -> Result<Command, String> {
-    let source = match (flags.get("--index"), flags.get("--shard-files")) {
-        (Some(path), None) => IndexSource::Snapshot(path.to_string()),
-        (None, Some(list)) => IndexSource::ShardFiles(
-            list.split(',').map(|p| p.trim().to_string()).filter(|p| !p.is_empty()).collect(),
-        ),
-        (Some(_), Some(_)) => return Err("pass either --index or --shard-files, not both".into()),
-        (None, None) => return Err("query requires --index or --shard-files".into()),
-    };
-    let shards = flags.get_parsed("--shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if matches!(source, IndexSource::ShardFiles(_)) && flags.get("--shards").is_some() {
-        // The files already carry the split layout; a second count would be
-        // silently ignored, so reject the combination outright.
-        return Err("--shard-files fixes the shard count; drop --shards".into());
-    }
+    let index = flags.get("--index").ok_or("query requires --index")?.to_string();
     let spec = parse_batch_spec(flags)?;
     if spec.is_empty() {
         return Err("query needs at least one of --top-k, --spread, --marginal".into());
     }
     Ok(Command::Query(QueryArgs {
-        source,
+        index,
         top_k: spec.top_k,
         audience: spec.audience,
         spread: spec.spread,
         marginal: spec.marginal,
-        shards,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
         metrics: flags.has("--metrics"),
     }))
@@ -1008,8 +949,6 @@ mod tests {
             "1,2,3",
             "--marginal",
             "1,2:9",
-            "--shards",
-            "4",
             "--threads",
             "2",
         ]))
@@ -1017,41 +956,14 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Query(QueryArgs {
-                source: IndexSource::Snapshot("g.sketch".into()),
+                index: "g.sketch".into(),
                 top_k: vec![3, 5],
                 audience: Some(vec![7, 8]),
                 spread: Some(vec![1, 2, 3]),
                 marginal: Some((vec![1, 2], 9)),
-                shards: 4,
                 threads: 2,
                 metrics: false,
             })
-        );
-    }
-
-    #[test]
-    fn parses_query_over_shard_files() {
-        let cmd = parse(&sv(&["query", "--shard-files", "p.shard-1, p.shard-0", "--top-k", "3"]))
-            .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Query(QueryArgs {
-                source: IndexSource::ShardFiles(vec!["p.shard-1".into(), "p.shard-0".into()]),
-                top_k: vec![3],
-                audience: None,
-                spread: None,
-                marginal: None,
-                shards: 1,
-                threads: imm_exec::default_threads(),
-                metrics: false,
-            })
-        );
-        // The files fix the shard layout: an explicit count is rejected.
-        assert!(parse(&sv(&["query", "--shard-files", "a,b", "--shards", "2", "--top-k", "1"]))
-            .is_err());
-        // Both sources at once are rejected too.
-        assert!(
-            parse(&sv(&["query", "--index", "i", "--shard-files", "a,b", "--top-k", "1"])).is_err()
         );
     }
 
@@ -1066,40 +978,11 @@ mod tests {
         assert!(parse(&sv(&["query", "--index", "i", "--spread", "1,x"])).is_err());
         assert!(parse(&sv(&["query", "--index", "i", "--marginal", "1,2"])).is_err());
         assert!(parse(&sv(&["query", "--index", "i", "--marginal", "1,2:x"])).is_err());
-        assert!(parse(&sv(&["query", "--index", "i", "--top-k", "3", "--shards", "0"])).is_err());
         assert!(
             parse(&sv(&["query", "--index", "i", "--audience", "1", "--spread", "2"])).is_err(),
             "--audience without --top-k is rejected"
         );
         assert!(parse(&sv(&["query", "--index", "i", "--top-k", "3", "--audience", "x"])).is_err());
-    }
-
-    #[test]
-    fn parses_split_index() {
-        let cmd = parse(&sv(&[
-            "split-index",
-            "--index",
-            "g.sketch",
-            "--shards",
-            "4",
-            "--output",
-            "g-split",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::SplitIndex(SplitIndexArgs {
-                index: "g.sketch".into(),
-                shards: 4,
-                output: "g-split".into(),
-            })
-        );
-        assert!(parse(&sv(&["split-index", "--index", "g", "--output", "p"])).is_err());
-        assert!(parse(&sv(&["split-index", "--shards", "2", "--output", "p"])).is_err());
-        assert!(parse(&sv(&["split-index", "--index", "g", "--shards", "2"])).is_err());
-        assert!(
-            parse(&sv(&["split-index", "--index", "g", "--shards", "0", "--output", "p"])).is_err()
-        );
     }
 
     #[test]
@@ -1294,14 +1177,13 @@ mod tests {
     #[test]
     fn every_subcommand_rejects_unknown_repeated_and_valueless_flags() {
         // One valid line per subcommand, each opening with a value flag.
-        let valid: [&[&str]; 10] = [
+        let valid: [&[&str]; 9] = [
             &["generate", "--output", "g.txt"],
             &["run", "--graph", "g.txt"],
             &["compare", "--graph", "g.txt"],
             &["stats", "--graph", "g.txt"],
             &["build-index", "--output", "g.sketch", "--graph", "g.txt"],
             &["update-index", "--index", "g.sketch", "--graph", "g.txt", "--delta", "d"],
-            &["split-index", "--index", "g.sketch", "--shards", "2", "--output", "p"],
             &["query", "--index", "g.sketch", "--top-k", "2"],
             &["serve", "--index", "g.sketch", "--socket", "s"],
             &["client", "--socket", "s", "--ping"],
@@ -1328,6 +1210,20 @@ mod tests {
         assert_eq!(parse(&sv(&typo)), Err("unknown flag '--thread' for run".into()));
         assert!(parse(&sv(&["run", "--graph", "g.txt", "--k", "3", "--k", "9"])).is_err());
         assert!(parse(&sv(&["compare", "--graph", "g.txt", "--output", "out.json"])).is_err());
+        // A snapshot is one file: the shard-file flags and subcommand are gone.
+        let query = ["query", "--index", "g.sketch", "--top-k", "2"];
+        assert_eq!(
+            parse(&sv(&[&query[..], &["--shards", "2"]].concat())),
+            Err("unknown flag '--shards' for query".into())
+        );
+        assert_eq!(
+            parse(&sv(&["query", "--shard-files", "a"])),
+            Err("unknown flag '--shard-files' for query".into())
+        );
+        assert_eq!(
+            parse(&sv(&["split-index", "--index", "g.sketch", "--shards", "2", "--output", "p"])),
+            Err("unknown subcommand 'split-index'".into())
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::args::{
     BatchSpec, BuildIndexArgs, ClientAction, ClientArgs, Command, GenerateArgs, GraphSource,
-    IndexSource, QueryArgs, RunArgs, ServeArgs, SplitIndexArgs, StatsArgs, UpdateIndexArgs, USAGE,
+    QueryArgs, RunArgs, ServeArgs, StatsArgs, UpdateIndexArgs, USAGE,
 };
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
@@ -13,7 +13,7 @@ use imm_graph::{generators, io, properties, CsrGraph, EdgeWeights, GraphDelta, W
 use imm_rrr::{AdaptivePolicy, BitSet};
 use imm_serve::{Client, ClientError, Rejection, RetryClient, RetryPolicy, Server, ServerConfig};
 use imm_service::{DeltaJournal, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
-use imm_shard::{ShardedEngine, ShardedIndex};
+use imm_shard::ShardedIndex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -35,7 +35,6 @@ pub fn execute(command: Command) -> Result<(), CliError> {
         Command::Stats(args) => stats(&args),
         Command::BuildIndex(args) => build_index(&args),
         Command::UpdateIndex(args) => update_index(&args),
-        Command::SplitIndex(args) => split_index(&args),
         Command::Query(args) => query(&args),
         Command::Serve(args) => serve(&args),
         Command::Client(args) => client(&args),
@@ -405,85 +404,12 @@ fn response_kind(response: &QueryResponse) -> &'static str {
     }
 }
 
-/// Split a snapshot into per-shard snapshot files (`<PREFIX>.shard-<i>`),
-/// each independently verifiable and reassemblable by `query --shard-files`.
-fn split_index(args: &SplitIndexArgs) -> Result<(), CliError> {
+/// Serve queries from a saved sketch index — no graph, no sampling.
+fn query(args: &QueryArgs) -> Result<(), CliError> {
     let index = SketchIndex::load_from_path(&args.index)
         .map_err(|e| format!("cannot load {}: {e}", args.index))?;
-    let (theta, nodes) = (index.num_sets(), index.num_nodes());
-    let sharded = ShardedIndex::from_index(index, args.shards)
-        .map_err(|e| format!("cannot shard {}: {e}", args.index))?;
-    let sets_per_shard: Vec<usize> = sharded.segments().iter().map(|s| s.len()).collect();
-    let paths =
-        imm_shard::write_sharded_files(&sharded, &args.output).map_err(|e| e.to_string())?;
-    let json = serde_json::json!({
-        "snapshot": args.index,
-        "theta": theta,
-        "nodes": nodes,
-        "shards": paths.len(),
-        "files": paths.iter().map(|p| p.to_string_lossy().into_owned()).collect::<Vec<_>>(),
-        "sets_per_shard": sets_per_shard,
-    });
-    println!("{}", pretty(&json));
-    Ok(())
-}
-
-/// The engine behind `query`: single-index or under a shard map — both
-/// answer the same vocabulary with byte-identical responses.
-enum ServingEngine {
-    Single(QueryEngine),
-    Sharded(ShardedEngine),
-}
-
-impl ServingEngine {
-    fn execute_batch(&self, queries: &[Query], threads: usize) -> Vec<QueryResponse> {
-        match self {
-            ServingEngine::Single(e) => e.execute_batch(queries, threads),
-            ServingEngine::Sharded(e) => e.execute_batch(queries, threads),
-        }
-    }
-
-    fn describe(&self) -> (String, usize, usize, usize) {
-        match self {
-            ServingEngine::Single(e) => {
-                (e.index().meta().label.clone(), e.index().num_sets(), e.index().num_nodes(), 1)
-            }
-            ServingEngine::Sharded(e) => (
-                e.index().meta().label.clone(),
-                e.index().num_sets(),
-                e.index().num_nodes(),
-                e.index().num_shards(),
-            ),
-        }
-    }
-}
-
-/// Serve queries from a saved sketch index — no graph, no sampling. With
-/// `--shards N` the loaded index is served under an N-range shard map; with
-/// `--shard-files` the split files themselves are reassembled (their layout
-/// becomes the shard layout).
-fn query(args: &QueryArgs) -> Result<(), CliError> {
-    let (engine, source_label) = match &args.source {
-        IndexSource::Snapshot(path) => {
-            let index = SketchIndex::load_from_path(path)
-                .map_err(|e| format!("cannot load {path}: {e}"))?;
-            let engine = if args.shards > 1 {
-                let sharded = ShardedIndex::from_index(index, args.shards)
-                    .map_err(|e| format!("cannot shard {path}: {e}"))?;
-                ServingEngine::Sharded(ShardedEngine::new(Arc::new(sharded)))
-            } else {
-                ServingEngine::Single(QueryEngine::new(Arc::new(index)))
-            };
-            (engine, path.clone())
-        }
-        IndexSource::ShardFiles(paths) => {
-            let sharded = imm_shard::load_shard_files(paths)
-                .map_err(|e| format!("cannot assemble shard files: {e}"))?;
-            (ServingEngine::Sharded(ShardedEngine::new(Arc::new(sharded))), paths.join(","))
-        }
-    };
-
-    let (_, _, num_nodes, _) = engine.describe();
+    let engine = QueryEngine::new(Arc::new(index));
+    let num_nodes = engine.index().num_nodes();
     // A Spread or Marginal vertex the index does not hold is refused, in the
     // words of the daemon's admission check.
     let marginal =
@@ -526,13 +452,11 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
     let responses = engine.execute_batch(&queries, args.threads);
     let wall = start.elapsed().as_secs_f64();
 
-    let (label, theta, nodes, shards) = engine.describe();
     let mut json = serde_json::json!({
-        "index": source_label,
-        "source": label,
-        "theta": theta,
-        "nodes": nodes,
-        "shards": shards,
+        "index": args.index,
+        "source": engine.index().meta().label,
+        "theta": engine.index().num_sets(),
+        "nodes": num_nodes,
         "threads": args.threads,
         "wall_seconds": wall,
         "responses": queries
@@ -565,13 +489,10 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
 fn serve(args: &ServeArgs) -> Result<(), CliError> {
     // `--mmap` serves borrowed views into the mapping (falling back to
     // read-decode with a counted `store_mmap_fallbacks` if the file or
-    // platform cannot map). Before the index moves into its shards, advise
-    // the kernel about each shard's arena range.
+    // platform cannot map).
     let (mut index, load_mode) = if args.mmap {
         let opened = imm_store::Store::open(&args.index)
             .map_err(|e| format!("cannot load {}: {e}", args.index))?;
-        let ranges = imm_shard::shard_ranges(opened.index.num_sets(), args.shards);
-        opened.advise_shard_ranges(&ranges);
         (opened.index, opened.mode)
     } else {
         let index = SketchIndex::load_from_path(&args.index)
@@ -1130,16 +1051,39 @@ mod tests {
         assert!(snapshot_path.exists());
 
         execute(Command::Query(QueryArgs {
-            source: IndexSource::Snapshot(snapshot_path.to_string_lossy().into_owned()),
+            index: snapshot_path.to_string_lossy().into_owned(),
             top_k: vec![2, 4],
             audience: Some(vec![0, 1, 2, 3, 4, 5, 6, 7]),
             spread: Some(vec![0, 1]),
             marginal: Some((vec![0], 1)),
-            shards: 1,
             threads: 2,
-            metrics: false,
+            // Exercises the before/after registry delta path end to end.
+            metrics: true,
         }))
         .unwrap();
+
+        // A Spread or Marginal vertex outside the index is refused by name;
+        // an out-of-range audience vertex is dropped.
+        let nodes = SketchIndex::load_from_path(&snapshot_path).unwrap().num_nodes();
+        let absent = nodes as u32 + 7;
+        let query = |spread, marginal| {
+            execute(Command::Query(QueryArgs {
+                index: snapshot_path.to_string_lossy().into_owned(),
+                top_k: vec![2],
+                audience: Some(vec![0, absent]),
+                spread,
+                marginal,
+                threads: 1,
+                metrics: false,
+            }))
+        };
+        query(None, None).unwrap();
+        for (spread, marginal) in [(Some(vec![0, absent]), None), (None, Some((vec![0], absent)))] {
+            assert_eq!(
+                query(spread, marginal).unwrap_err(),
+                format!("query rejected: vertex {absent} outside the vertex space {nodes}")
+            );
+        }
 
         execute(Command::Stats(StatsArgs {
             source: None,
@@ -1163,106 +1107,6 @@ mod tests {
         }))
         .unwrap();
         std::fs::remove_file(&snapshot_path).ok();
-    }
-
-    #[test]
-    fn split_index_then_query_serves_from_shard_files() {
-        let snapshot_path = temp_path("cli_split.sketch");
-        let prefix = temp_path("cli_split_out").to_string_lossy().into_owned();
-        execute(Command::BuildIndex(BuildIndexArgs {
-            run: RunArgs {
-                source: GraphSource::Dataset("com-DBLP".into()),
-                model: DiffusionModel::IndependentCascade,
-                algorithm: Algorithm::Efficient,
-                k: 3,
-                epsilon: 0.5,
-                threads: 2,
-                seed: 23,
-                output: None,
-            },
-            output: snapshot_path.to_string_lossy().into_owned(),
-        }))
-        .unwrap();
-
-        execute(Command::SplitIndex(SplitIndexArgs {
-            index: snapshot_path.to_string_lossy().into_owned(),
-            shards: 3,
-            output: prefix.clone(),
-        }))
-        .unwrap();
-        let shard_files: Vec<String> = (0..3).map(|i| format!("{prefix}.shard-{i}")).collect();
-        for f in &shard_files {
-            assert!(std::path::Path::new(f).exists(), "{f} was not written");
-        }
-
-        // Serve from the reassembled shard files (reversed order on purpose)
-        // and from the whole snapshot partitioned in memory.
-        execute(Command::Query(QueryArgs {
-            source: IndexSource::ShardFiles(shard_files.iter().rev().cloned().collect()),
-            top_k: vec![2, 3],
-            audience: None,
-            spread: Some(vec![0, 1]),
-            marginal: None,
-            shards: 1,
-            threads: 2,
-            // Exercises the before/after registry delta path end to end.
-            metrics: true,
-        }))
-        .unwrap();
-        execute(Command::Query(QueryArgs {
-            source: IndexSource::Snapshot(snapshot_path.to_string_lossy().into_owned()),
-            top_k: vec![2, 3],
-            audience: None,
-            spread: None,
-            marginal: None,
-            shards: 4,
-            threads: 2,
-            metrics: false,
-        }))
-        .unwrap();
-
-        // A Spread or Marginal vertex outside the index is refused by name;
-        // an out-of-range audience vertex is dropped.
-        let nodes = SketchIndex::load_from_path(&snapshot_path).unwrap().num_nodes();
-        let absent = nodes as u32 + 7;
-        let query = |spread, marginal| {
-            execute(Command::Query(QueryArgs {
-                source: IndexSource::Snapshot(snapshot_path.to_string_lossy().into_owned()),
-                top_k: vec![2],
-                audience: Some(vec![0, absent]),
-                spread,
-                marginal,
-                shards: 1,
-                threads: 1,
-                metrics: false,
-            }))
-        };
-        query(None, None).unwrap();
-        for (spread, marginal) in [(Some(vec![0, absent]), None), (None, Some((vec![0], absent)))] {
-            assert_eq!(
-                query(spread, marginal).unwrap_err(),
-                format!("query rejected: vertex {absent} outside the vertex space {nodes}")
-            );
-        }
-
-        // A missing shard file is reported cleanly.
-        let err = execute(Command::Query(QueryArgs {
-            source: IndexSource::ShardFiles(shard_files[..2].to_vec()),
-            top_k: vec![1],
-            audience: None,
-            spread: None,
-            marginal: None,
-            shards: 1,
-            threads: 1,
-            metrics: false,
-        }))
-        .unwrap_err();
-        assert!(err.contains("shard"), "unexpected error: {err}");
-
-        std::fs::remove_file(&snapshot_path).ok();
-        for f in shard_files {
-            std::fs::remove_file(f).ok();
-        }
     }
 
     #[test]
@@ -1322,12 +1166,11 @@ mod tests {
 
         // The refreshed snapshot still serves queries.
         execute(Command::Query(QueryArgs {
-            source: IndexSource::Snapshot(snapshot_path.to_string_lossy().into_owned()),
+            index: snapshot_path.to_string_lossy().into_owned(),
             top_k: vec![2],
             audience: None,
             spread: Some(vec![0, 5]),
             marginal: None,
-            shards: 1,
             threads: 1,
             metrics: false,
         }))
@@ -1459,12 +1302,11 @@ mod tests {
     #[test]
     fn query_on_a_missing_snapshot_is_reported() {
         let err = execute(Command::Query(QueryArgs {
-            source: IndexSource::Snapshot("/nonexistent/q.sketch".into()),
+            index: "/nonexistent/q.sketch".into(),
             top_k: vec![1],
             audience: None,
             spread: None,
             marginal: None,
-            shards: 1,
             threads: 1,
             metrics: false,
         }))

@@ -327,22 +327,6 @@ impl RrrCollection {
         matches!(self.arena, ArenaStore::Shared(_))
     }
 
-    /// The arena-entry range `[min_start, max_end)` covered by the list sets
-    /// in `[start_set, start_set + len)`, or `None` when the range holds no
-    /// list set. Shard placement uses this to translate a shard's set range
-    /// into the mapped byte range to advise toward the owning worker's node.
-    pub fn arena_range(&self, start_set: usize, len: usize) -> Option<(usize, usize)> {
-        let mut lo = usize::MAX;
-        let mut hi = 0usize;
-        for span in self.spans.get(start_set..start_set + len)? {
-            if span.bitmap == NO_BITMAP && span.len > 0 {
-                lo = lo.min(span.start as usize);
-                hi = hi.max(span.start as usize + span.len as usize);
-            }
-        }
-        (lo < hi).then_some((lo, hi))
-    }
-
     /// Whether any set of `[start, start + len)` is a bitmap (a directory scan).
     pub fn has_bitmap_in(&self, start: usize, len: usize) -> bool {
         self.spans[start..start + len].iter().any(|span| span.bitmap != NO_BITMAP)
@@ -1213,10 +1197,6 @@ mod tests {
         // Equality against an owned build of the same sets.
         let owned = collection_with(vec![vec![0, 1], vec![2, 3, 4], vec![2, 7]], 10);
         assert_eq!(c, owned);
-        // arena_range translates set ranges to arena-entry ranges.
-        assert_eq!(c.arena_range(0, 3), Some((0, 7)));
-        assert_eq!(c.arena_range(1, 1), Some((2, 5)));
-        assert_eq!(c.arena_range(3, 1), None);
     }
 
     #[test]

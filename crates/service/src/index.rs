@@ -185,8 +185,7 @@ impl SketchIndex {
     }
 
     /// Build an index over a bare collection and attach sampling provenance
-    /// in one step — the constructor shard reassembly uses. With `None` the
-    /// result is a static index.
+    /// in one step. With `None` the result is a static index.
     pub fn from_collection_with_provenance(
         collection: RrrCollection,
         meta: IndexMeta,

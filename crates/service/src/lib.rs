@@ -76,10 +76,9 @@ pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
-    load_parts, parse_head, recover_interrupted_save, save_parts, save_parts_to_path,
-    snapshot_tmp_path, DeltaJournal, JournalEntry, SnapshotError, SnapshotHead, SnapshotSections,
-    JOURNAL_MAGIC, SET_FLAG_BITMAP, SET_FLAG_SORTED, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,
-    SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
+    parse_head, recover_interrupted_save, save_parts, snapshot_tmp_path, DeltaJournal,
+    JournalEntry, SnapshotError, SnapshotHead, SnapshotSections, JOURNAL_MAGIC, SET_FLAG_BITMAP,
+    SET_FLAG_SORTED, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

@@ -60,7 +60,7 @@
 //!
 //! # Crash safety
 //!
-//! File saves are atomic: [`save_parts_to_path`] writes `<path>.tmp`,
+//! File saves are atomic: [`SketchIndex::save_to_path`] writes `<path>.tmp`,
 //! fsyncs it, and renames it over `path`, so a reader of `path` always
 //! sees either the previous complete snapshot or the new complete
 //! snapshot — never a torn prefix. A save interrupted at any write
@@ -175,10 +175,9 @@ impl From<IndexError> for SnapshotError {
 }
 
 /// FNV-1a 64-bit hash of `bytes` — the snapshot layer's dependency-free
-/// integrity primitive. Public so wrapping containers (the per-shard files
-/// of `imm-shard`) checksum their headers with the same primitive instead
-/// of carrying a copy that could drift.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// integrity primitive (container payload, section directory, journal
+/// entries).
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;
@@ -743,11 +742,10 @@ fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
 }
 
 /// Serialize index components into `writer` exactly as
-/// [`SketchIndex::save`] would — without requiring a built index. Shard
-/// splitters use this to write per-shard snapshots straight from a
-/// sub-collection and its provenance slice. `provenance`, when present, must
-/// be aligned with `collection` (one record per set) or the file will be
-/// rejected on load.
+/// [`SketchIndex::save`] would — without requiring a built index (the golden
+/// fixture is written this way). `provenance`, when present, must be aligned
+/// with `collection` (one record per set) or the file will be rejected on
+/// load.
 pub fn save_parts(
     meta: &IndexMeta,
     collection: &RrrCollection,
@@ -777,8 +775,7 @@ pub fn snapshot_tmp_path(path: impl AsRef<Path>) -> PathBuf {
 
 /// Sweep the leftover `.tmp` of an interrupted save of `path`, if one
 /// exists. Returns whether anything was recovered (and counts it in the
-/// `snapshot_recoveries` metric). Called by every path-based loader;
-/// public so shard-file loaders can apply the same discipline.
+/// `snapshot_recoveries` metric). Called by every path-based loader.
 pub fn recover_interrupted_save(path: impl AsRef<Path>) -> bool {
     match std::fs::remove_file(snapshot_tmp_path(path)) {
         Ok(()) => {
@@ -801,8 +798,8 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
-/// Crash-safe [`save_parts`] to a file: stage into `<path>.tmp`, fsync,
-/// then atomically rename over `path`.
+/// Crash-safe write of a snapshot payload to a file: stage into
+/// `<path>.tmp`, fsync, then atomically rename over `path`.
 ///
 /// At *every* interruption offset — any write, the fsync, either side
 /// of the rename — the file at `path` is either the previous complete
@@ -812,16 +809,6 @@ fn sync_parent_dir(path: &Path) {
 /// that claim exhaustively. A failed save deliberately leaves its
 /// `.tmp` behind (a crashed process cannot clean up either); the
 /// path-based loaders sweep it via [`recover_interrupted_save`].
-pub fn save_parts_to_path(
-    meta: &IndexMeta,
-    collection: &RrrCollection,
-    provenance: Option<&SketchProvenance>,
-    path: impl AsRef<Path>,
-) -> Result<(), SnapshotError> {
-    let postings = crate::index::build_postings(collection)?;
-    write_to_path(&encode_payload(meta, collection, provenance, &postings), path.as_ref())
-}
-
 fn write_to_path(payload: &[u8], path: &Path) -> Result<(), SnapshotError> {
     let tmp = snapshot_tmp_path(path);
     let file = std::fs::File::create(&tmp)?;
@@ -839,17 +826,6 @@ fn write_to_path(payload: &[u8], path: &Path) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Verify a snapshot container (magic, version, checksum) and decode its
-/// components, without the inverted postings — the counterpart of
-/// [`save_parts`]. Consumers that want a serving index should use
-/// [`SketchIndex::load`]; shard assembly uses the raw parts.
-pub fn load_parts(
-    reader: &mut impl Read,
-) -> Result<(IndexMeta, RrrCollection, Option<SketchProvenance>), SnapshotError> {
-    let (meta, collection, provenance, _) = load_verified(reader)?;
-    Ok((meta, collection, provenance))
-}
-
 impl SketchIndex {
     /// The payload [`save_parts`] would encode, from the postings this
     /// index already holds instead of a rebuild.
@@ -862,8 +838,8 @@ impl SketchIndex {
         write_container(&self.encode(), writer)
     }
 
-    /// Serialize this index to a file at `path` — crash-safely, like
-    /// [`save_parts_to_path`] (temp file, fsync, atomic rename).
+    /// Serialize this index to a file at `path` — crash-safely (temp file,
+    /// fsync, atomic rename; see `write_to_path`).
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         write_to_path(&self.encode(), path.as_ref())
     }
@@ -1178,23 +1154,6 @@ mod tests {
         assert_eq!(s.row_table_off, s.postings_off + 64 * 4);
         assert_eq!((s.rows_off, s.file_len), (s.row_table_off, s.row_table_off));
         assert_eq!(SketchIndex::load(&mut bytes.as_slice()).unwrap(), index);
-    }
-
-    #[test]
-    fn load_parts_skips_the_postings_but_verifies_everything() {
-        let index = sample_index();
-        let bytes = snapshot_bytes(&index);
-        let (meta, collection, _) = load_parts(&mut bytes.as_slice()).unwrap();
-        assert_eq!(&meta, index.meta());
-        assert_eq!(&collection, index.sets());
-
-        let mut tampered = bytes.clone();
-        let last = tampered.len() - 1;
-        tampered[last] ^= 0x01;
-        assert!(matches!(
-            load_parts(&mut tampered.as_slice()),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]

@@ -24,9 +24,8 @@ use std::sync::Arc;
 
 /// The near-equal contiguous partition of `theta` sets into `shards` ranges
 /// (clamped to at least one), as `(start, len)` pairs tiling `[0, theta)` in
-/// order. The one partition rule: [`ShardedIndex::from_index`] and the
-/// `--mmap` daemon's per-shard `madvise` both read it.
-pub fn shard_ranges(theta: usize, shards: usize) -> Vec<(usize, usize)> {
+/// order.
+fn shard_ranges(theta: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.max(1);
     (0..shards)
         .map(|i| {
@@ -46,7 +45,7 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Partition a built [`SketchIndex`] into `shards` near-equal contiguous
-    /// ranges ([`shard_ranges`]). The index is kept whole as the base —
+    /// set ranges. The index is kept whole as the base —
     /// nothing is cloned or rebuilt, so this cannot fail; the `Result` is the
     /// shape the crate's other constructors share.
     pub fn from_index(index: SketchIndex, shards: usize) -> Result<Self, IndexError> {
@@ -66,10 +65,9 @@ impl ShardedIndex {
         Self::from_index(base, shards)
     }
 
-    /// Lay explicit contiguous ranges over `base` (shard-file reassembly
-    /// keeps each file's range as one shard). Ranges must tile `[0, θ)` in
-    /// order.
-    pub(crate) fn from_ranges(base: Arc<SketchIndex>, ranges: &[(usize, usize)]) -> Self {
+    /// Lay explicit contiguous ranges over `base` (a rollout keeps the
+    /// previous generation's). Ranges must tile `[0, θ)` in order.
+    fn from_ranges(base: Arc<SketchIndex>, ranges: &[(usize, usize)]) -> Self {
         let mut cursor = 0usize;
         let segments = ranges
             .iter()

@@ -3,20 +3,19 @@
 //! Range-sharded sketch index: a `SketchIndex` under a shard map.
 //!
 //! `imm-service` freezes one sampled RRR collection into one index served by
-//! one process. The flat arena layout (one contiguous vertex array plus a
-//! span directory) makes an RRR **shard** representable as a contiguous arena
-//! range, so the index splits by set range into independently storable units
-//! — the storage-side analogue of the paper's divide-the-sketches structure.
-//! Serving does not split: a point query's whole kernel is one sub-microsecond
-//! walk of the global postings, which no cross-thread hand-off can pay for,
-//! so the map decides split-file layout, `madvise` ranges and
-//! `shard_load_imbalance`, and nothing about how a query is answered.
+//! one process and stored as one snapshot file. A shard here is a contiguous
+//! RRR-set range of that index — the paper's divide-the-sketches structure —
+//! and the map of such ranges decides one thing: the `shard_load_imbalance`
+//! gauge. Serving does not split: a point query's whole kernel is one
+//! sub-microsecond walk of the global postings, which no cross-thread
+//! hand-off can pay for, so the map says nothing about how a query is
+//! answered.
 //!
 //! * [`ShardedIndex`] — a `SketchIndex` (the base: the one owner of the
 //!   collection, metadata, provenance and global postings) plus a shard
 //!   map: one [`ShardSegment`] — start, length, postings weight, nothing
-//!   built — per near-equal contiguous set range ([`shard_ranges`]). A
-//!   rollout (`rebuilt_with_delta`) refreshes a copy of the base through
+//!   built — per near-equal contiguous set range. A rollout
+//!   (`rebuilt_with_delta`) refreshes a copy of the base through
 //!   `imm-service`'s one refresh driver and re-weighs the map.
 //! * [`ShardedEngine`] — an `imm_service::QueryEngine` over the base, which
 //!   answers the full query vocabulary (Top-K with optional audience masks,
@@ -25,9 +24,6 @@
 //!   count and thread count — the crate's parity suite pins this, including
 //!   after a rolled delta (`rebuilt_with_delta`, then a new engine over the
 //!   next generation: the daemon's path, and the only one).
-//! * [`snapshot`] — split an index snapshot into per-shard files (each a
-//!   self-verifying standard snapshot behind a small shard header) and
-//!   reassemble them, preserving the shard layout.
 //!
 //! ```
 //! use imm_diffusion::DiffusionModel;
@@ -57,15 +53,10 @@ pub mod engine;
 pub mod index;
 pub mod metrics;
 pub mod segment;
-pub mod snapshot;
 
 pub use engine::ShardedEngine;
-pub use index::{shard_ranges, ShardedIndex};
+pub use index::ShardedIndex;
 pub use segment::ShardSegment;
-pub use snapshot::{
-    assemble, load_shard_files, read_shard, read_shard_file, split_to_bytes, write_shard_files,
-    write_sharded_files, ShardFileError, ShardPart, SHARD_MAGIC, SHARD_VERSION,
-};
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).
 pub type NodeId = imm_rrr::NodeId;

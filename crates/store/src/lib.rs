@@ -1,7 +1,7 @@
 //! # imm-store
 //!
 //! Zero-copy snapshot store: serve a [`imm_service::SketchIndex`] straight
-//! from a memory-mapped v5 snapshot file, with NUMA-aware placement hooks.
+//! from a memory-mapped v5 snapshot file.
 //!
 //! The read-decode loader pays for the whole file before the first query:
 //! read, checksum, decode, rebuild postings. For a multi-gigabyte sketch
@@ -25,15 +25,11 @@
 //! (unsupported platform, syscall error, injected fault) increments
 //! `store_mmap_fallbacks` and re-opens through the checksummed read-decode
 //! path; a file of any format version but the current one is
-//! `UnsupportedVersion` on both. [`OpenedIndex::advise_shard_ranges`]
-//! bridges to NUMA placement: shard-pinned workers advise their own set
-//! ranges so pages fault into the owning worker's node.
+//! `UnsupportedVersion` on both.
 
 pub mod metrics;
 pub mod mmap;
 mod store;
 
 pub use mmap::{Mapping, PAGE_BYTES};
-pub use store::{
-    LoadMode, OpenedIndex, StartupTimings, Store, StoreError, FAULT_SITE_ADVISE, FAULT_SITE_OPEN,
-};
+pub use store::{LoadMode, OpenedIndex, StartupTimings, Store, StoreError, FAULT_SITE_OPEN};

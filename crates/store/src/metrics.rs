@@ -1,6 +1,6 @@
 //! Store observability: `store_*` counters in the workspace `imm-obs`
-//! registry, covering how snapshots were opened (mapped vs fallback) and
-//! what placement advice was issued. [`crate::Store`]'s open paths call
+//! registry, covering how snapshots were opened (mapped vs fallback).
+//! [`crate::Store`]'s open paths call
 //! [`register`], never a hot path.
 
 imm_obs::metrics! {
@@ -12,8 +12,4 @@ imm_obs::metrics! {
         "Snapshot opens that fell back to the heap read-decode path";
     pub MAPPED_MEMORY: Counter = "store_mapped_memory",
         "Cumulative snapshot bytes memory-mapped since process start", Bytes;
-    pub ADVISE_CALLS: Counter =
-        "store_advise_calls", "madvise(WILLNEED) calls issued for shard-owned ranges";
-    pub SHARD_RANGES_ADVISED: Counter = "store_shard_ranges_advised",
-        "Shard set ranges successfully advised into the page cache";
 }

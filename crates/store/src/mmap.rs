@@ -1,5 +1,5 @@
 //! Read-only memory mapping over a snapshot file, via direct `libc` FFI
-//! (`mmap` / `munmap` / `madvise`) — no external crate, no build script.
+//! (`mmap` / `munmap`) — no external crate, no build script.
 //!
 //! The real implementation is gated on **little-endian Linux**: the
 //! snapshot's sections are little-endian on disk, so a zero-copy reinterpret
@@ -22,7 +22,6 @@ mod sys {
 
     pub const PROT_READ: i32 = 0x1;
     pub const MAP_PRIVATE: i32 = 0x02;
-    pub const MADV_WILLNEED: i32 = 3;
 
     extern "C" {
         pub fn mmap(
@@ -34,7 +33,6 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 }
 
@@ -49,9 +47,11 @@ pub struct Mapping {
     len: usize,
 }
 
+// SAFETY: the mapping is owned (unmapped once, on drop) and never written,
+// so moving it to another thread is fine.
+unsafe impl Send for Mapping {}
 // SAFETY: the mapping is read-only for its entire lifetime (PROT_READ,
 // private), so shared references from any thread are fine.
-unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -106,26 +106,6 @@ impl Mapping {
         // SAFETY: ptr/len describe a live PROT_READ mapping owned by self.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
-
-    /// Advise the kernel to prefetch `[offset, offset + len)`. The range is
-    /// widened down to its containing page boundary (`madvise` requires a
-    /// page-aligned start) and clamped to the mapping.
-    pub fn advise_willneed(&self, offset: usize, len: usize) -> io::Result<()> {
-        if len == 0 || offset >= self.len {
-            return Ok(());
-        }
-        let start = offset - offset % PAGE_BYTES;
-        let end = (offset + len).min(self.len);
-        // SAFETY: [start, end) lies within our own mapping and start is
-        // page-aligned; WILLNEED is purely advisory.
-        let rc = unsafe {
-            sys::madvise(self.ptr.as_ptr().add(start).cast(), end - start, sys::MADV_WILLNEED)
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(all(target_os = "linux", target_endian = "little"))]
@@ -153,11 +133,6 @@ impl Mapping {
     /// Unreachable on this platform ([`Mapping::map_file`] never succeeds).
     pub fn as_slice(&self) -> &[u8] {
         &[]
-    }
-
-    /// No-op on this platform.
-    pub fn advise_willneed(&self, _offset: usize, _len: usize) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -189,18 +164,6 @@ mod tests {
     fn empty_files_are_refused() {
         let path = temp_file("empty", &[]);
         assert!(Mapping::map_file(&File::open(&path).unwrap()).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn advise_accepts_unaligned_and_overlong_ranges() {
-        let bytes = vec![7u8; 2 * PAGE_BYTES];
-        let path = temp_file("advise", &bytes);
-        let mapping = Mapping::map_file(&File::open(&path).unwrap()).unwrap();
-        mapping.advise_willneed(13, 100).unwrap();
-        mapping.advise_willneed(PAGE_BYTES - 1, usize::MAX / 2).unwrap();
-        mapping.advise_willneed(mapping.len() + 5, 1).unwrap(); // clamped no-op
-        mapping.advise_willneed(0, 0).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,7 +22,7 @@
 //! The read-decode path verifies the container FNV over the entire payload;
 //! the mapped path verifies only the head's own directory checksum. This is
 //! sound because snapshots are only ever published by
-//! `save_parts_to_path`'s write-to-temp → fsync → atomic-rename discipline
+//! `SketchIndex::save_to_path`'s write-to-temp → fsync → atomic-rename discipline
 //! (PR 9): a reader can never observe a half-written file under the final
 //! path, so the data sections of any openable snapshot are exactly the bytes
 //! the (already-validated) writer produced. Torn files live under the
@@ -46,8 +46,6 @@ use crate::mmap::Mapping;
 
 /// Fault-injection site hit once per attempted mapped open.
 pub const FAULT_SITE_OPEN: &str = "store.mmap.open";
-/// Fault-injection site hit once per advised shard range.
-pub const FAULT_SITE_ADVISE: &str = "store.mmap.advise";
 
 /// How the snapshot behind an [`OpenedIndex`] is being served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,21 +136,25 @@ impl From<IndexError> for StoreError {
     }
 }
 
-/// Reinterpret a page-aligned little-endian section of the mapping as a
-/// typed slice.
+/// Reinterpret a little-endian section of the mapping as a typed slice.
 ///
-/// SAFETY requirements, all established before construction of any source:
-/// `off` is one of the directory's section offsets (validated page-aligned,
-/// so aligned for any `T` here — except the row table, validated 4-aligned
-/// and viewed as `u32`, and the offset of an *empty* rows section, which
-/// [`MappedPostings`] never passes here), `off + len * size_of::<T>()` lies inside
-/// the mapping (directory `validate()` + the `file_len == mapping.len()`
-/// check in `parse_head`), the mapping is read-only and lives as long as
-/// the `Arc` the source holds, and the build is little-endian (the mmap
-/// module only maps on little-endian targets).
+/// The callers pass the directory's section offsets: page-aligned, so
+/// aligned for any `T` here — except the row table, validated 4-aligned and
+/// viewed as `u32`, and the offset of an *empty* rows section, which
+/// [`MappedPostings`] never passes here. Directory `validate()` and the
+/// `file_len == mapping.len()` check in `parse_head` keep every section
+/// inside the mapping. Both facts are asserted here as well, so a bad call
+/// panics in every build instead of reading out of bounds; the build is
+/// little-endian (the mmap module only maps on little-endian targets).
+/// `T` is only ever `u32` or `u64`, for which every bit pattern is valid.
 fn section_slice<T>(mapping: &Mapping, off: usize, len: usize) -> &[T] {
-    debug_assert_eq!(off % std::mem::align_of::<T>(), 0);
-    debug_assert!(off + len * std::mem::size_of::<T>() <= mapping.len());
+    assert_eq!(off % std::mem::align_of::<T>(), 0, "section offset {off} is misaligned");
+    let end = len.checked_mul(std::mem::size_of::<T>()).and_then(|bytes| bytes.checked_add(off));
+    assert!(end.is_some_and(|end| end <= mapping.len()), "section past the mapping's end");
+    // SAFETY: the asserts above keep `[off, off + len * size_of::<T>())`
+    // aligned for `T` and inside the mapping, and the returned slice borrows
+    // `mapping`, which each source holds through an `Arc<Mapping>` for as
+    // long as the slice can be used, so the pages stay mapped and read-only.
     unsafe { std::slice::from_raw_parts(mapping.as_slice().as_ptr().add(off).cast::<T>(), len) }
 }
 
@@ -217,7 +219,7 @@ impl PostingsSource for MappedPostings {
 }
 
 /// An index opened through the store, with how it was opened, the phase
-/// timings, and (on the mapped path) the live mapping for placement advice.
+/// timings, and (on the mapped path) the live mapping.
 #[derive(Debug)]
 pub struct OpenedIndex {
     /// The served index; on the mapped path its arena, bitmaps and postings
@@ -228,7 +230,6 @@ pub struct OpenedIndex {
     /// Per-phase startup timings.
     pub timings: StartupTimings,
     mapping: Option<Arc<Mapping>>,
-    sections: Option<SnapshotSections>,
 }
 
 impl OpenedIndex {
@@ -240,43 +241,6 @@ impl OpenedIndex {
     /// Mapped file length in bytes (0 on the read-decode path).
     pub fn mapped_len(&self) -> usize {
         self.mapping.as_ref().map_or(0, |m| m.len())
-    }
-
-    /// The parsed section directory (mapped path only).
-    pub fn sections(&self) -> Option<&SnapshotSections> {
-        self.sections.as_ref()
-    }
-
-    /// Advise the kernel that the arena ranges owned by each shard are
-    /// about to be read: for every `(start_set, num_sets)` range, translate
-    /// the shard's list-set spans into the mapped arena byte range and
-    /// issue `madvise(WILLNEED)` on it. Shard-pinned serving calls this
-    /// once per shard from the worker's own thread, so the faulted pages
-    /// land in that worker's NUMA node under a first-touch policy.
-    ///
-    /// Returns the number of ranges actually advised — 0 on the
-    /// read-decode path, for empty/bitmap-only ranges, or under an injected
-    /// `store.mmap.advise` fault.
-    pub fn advise_shard_ranges(&self, set_ranges: &[(usize, usize)]) -> usize {
-        let (Some(mapping), Some(sections)) = (self.mapping.as_ref(), self.sections.as_ref())
-        else {
-            return 0;
-        };
-        let mut advised = 0;
-        for &(start_set, num_sets) in set_ranges {
-            if imm_fault::fail_point(FAULT_SITE_ADVISE).is_err() {
-                continue;
-            }
-            let Some((lo, hi)) = self.index.sets().arena_range(start_set, num_sets) else {
-                continue;
-            };
-            metrics::ADVISE_CALLS.increment();
-            if mapping.advise_willneed(sections.arena_off + lo * 4, (hi - lo) * 4).is_ok() {
-                metrics::SHARD_RANGES_ADVISED.increment();
-                advised += 1;
-            }
-        }
-        advised
     }
 }
 
@@ -317,7 +281,6 @@ impl Store {
             mode: LoadMode::ReadDecode,
             timings: StartupTimings { open_ns, map_ns: 0, decode_ns },
             mapping: None,
-            sections: None,
         })
     }
 
@@ -397,7 +360,24 @@ impl Store {
             mode: LoadMode::Mapped,
             timings: StartupTimings { open_ns, map_ns, decode_ns },
             mapping: Some(mapping),
-            sections: Some(sections),
         })
+    }
+}
+
+#[cfg(all(test, target_os = "linux", target_endian = "little"))]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "section past the mapping's end")]
+    fn a_section_past_the_mappings_end_panics() {
+        let path =
+            std::env::temp_dir().join(format!("imm_store_section_slice_{}", std::process::id()));
+        std::fs::write(&path, vec![0u8; crate::PAGE_BYTES]).unwrap();
+        let mapping = Mapping::map_file(&File::open(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let words = crate::PAGE_BYTES / 8;
+        assert_eq!(section_slice::<u64>(&mapping, 0, words).len(), words);
+        section_slice::<u64>(&mapping, 8, words);
     }
 }

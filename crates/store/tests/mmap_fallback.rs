@@ -1,8 +1,6 @@
 //! Chaos case for the store: an injected fault mid-map must degrade to the
 //! read-decode path — counted, logically lossless, and still serving the
-//! exact same query responses. A second fault site covers `madvise`
-//! placement advice failing without affecting correctness. What no path may
-//! serve stays an error on every path: a file of another format version
+//! exact same query responses. What no path may serve stays an error on every path: a file of another format version
 //! (`UnsupportedVersion`, from the mapped open and the fallback alike) and
 //! postings sections that lie (a structured error where the head shows the
 //! lie, masked bits where only the data could — never a panic, never a set
@@ -97,28 +95,6 @@ fn open_mapped_surfaces_the_injected_fault_without_fallback() {
             other => panic!("strict open must surface the fault, got {other:?}"),
         }
     });
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn advise_faults_are_absorbed_and_serving_continues() {
-    let index = sample_index(33);
-    let path = temp_path("advise_fault");
-    // `fail_first: 1` also arms `store.mmap.open` — open under the quiet
-    // plan so only the advise site is exercised under faults.
-    let opened = quietly(|| {
-        index.save_to_path(&path).unwrap();
-        Store::open_mapped(&path).unwrap()
-    });
-    let n = opened.index.num_sets();
-    imm_fault::with_plan(FaultConfig { fail_first: 1, ..FaultConfig::seeded(7) }, |_| {
-        // First advised range is swallowed by the fault; the second works.
-        let advised = opened.advise_shard_ranges(&[(0, n / 2), (n / 2, n - n / 2)]);
-        assert_eq!(advised, 1, "the faulted range is skipped, the rest proceed");
-    });
-    // Serving is unaffected either way.
-    let engine = QueryEngine::new(Arc::new(opened.index));
-    assert!(matches!(engine.execute(&Query::top_k(4)), imm_service::QueryResponse::TopK { .. }));
     std::fs::remove_file(&path).ok();
 }
 

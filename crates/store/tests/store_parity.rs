@@ -183,28 +183,3 @@ fn open_prefers_the_mapping_and_counts_it() {
     }
     std::fs::remove_file(&path).ok();
 }
-
-#[test]
-fn advising_shard_ranges_touches_the_arena_section() {
-    let _turn = mapping_turn();
-    let index = dynamic_index(9);
-    let path = temp_path("advise");
-    index.save_to_path(&path).unwrap();
-
-    let opened = Store::open_mapped(&path).expect("mapped open");
-    let n = opened.index.num_sets();
-    let advised_before = imm_store::metrics::SHARD_RANGES_ADVISED.value();
-    // Two half-ranges, as a 2-shard split would issue.
-    let advised = opened.advise_shard_ranges(&[(0, n / 2), (n / 2, n - n / 2)]);
-    assert!(advised > 0, "a populated index must yield advisable arena ranges");
-    if imm_obs::recording_enabled() {
-        assert_eq!(
-            imm_store::metrics::SHARD_RANGES_ADVISED.value(),
-            advised_before + advised as u64
-        );
-    }
-    // The read-decode path has no mapping to advise.
-    let heap = Store::open_read(&path).unwrap();
-    assert_eq!(heap.advise_shard_ranges(&[(0, n)]), 0);
-    std::fs::remove_file(&path).ok();
-}

@@ -14,7 +14,7 @@ fn every_reexported_crate_path_resolves() {
     let _ = memsim::HierarchyConfig::default();
     let _ = imm::Algorithm::Efficient;
     let _ = service::Query::top_k(1);
-    let _ = shard::SHARD_MAGIC;
+    let _: fn(&shard::ShardedIndex) -> usize = shard::ShardedIndex::num_shards;
 }
 
 #[test]
