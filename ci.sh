@@ -142,18 +142,34 @@ if grep -rnE "$GONE" crates --exclude=args.rs \
   exit 1
 fi
 
-# Snapshot v5 is the one format this tree writes, maps or decodes: the v1-v4
+# Snapshot v6 is the one format this tree writes, maps or decodes: the v1-v5
 # decoders, the legacy model tags, the imm_rrr set codecs and their golden
-# fixtures stay gone, and `golden_v5.sketch` (pinned three ways by the
+# fixtures stay gone, and `golden_v6.sketch` (pinned three ways by the
 # `snapshot_fixtures` binary, which the list above keeps in the sweep) is the
 # only fixture.
 echo "==> format guard: one snapshot format, one golden fixture"
 if grep -rnE 'SNAPSHOT_VERSION_V[0-9]|DIRECTORY_FIELDS_V4|_LEGACY|decode_arena|encode_arena|parse_v4_head|V4Head|rayon::prelude' crates; then
-  echo "error: snapshot v5 is the only format; do not reintroduce an older decoder, a legacy tag, a set codec or the sequential rayon prelude" >&2
+  echo "error: snapshot v6 is the only format; do not reintroduce an older decoder, a legacy tag, a set codec or the sequential rayon prelude" >&2
   exit 1
 fi
-if [ "$(ls crates/service/tests/fixtures)" != "golden_v5.sketch" ]; then
-  echo "error: crates/service/tests/fixtures must hold exactly golden_v5.sketch" >&2
+if [ "$(ls crates/service/tests/fixtures)" != "golden_v6.sketch" ]; then
+  echo "error: crates/service/tests/fixtures must hold exactly golden_v6.sketch" >&2
+  exit 1
+fi
+
+# A generation is its postings: a SketchIndex holds no RrrCollection, a
+# snapshot has no arena, bitmap, per-set length or flag section, and the
+# mapped open adopts nothing set-major. The adoption paths, the collection's
+# in-place `replace` with its tombstones and compaction, and the set-range
+# slice stay gone, and no serving crate reads a set-major copy.
+echo "==> postings guard: no set-major copy in a generation, a snapshot or a mapped open"
+GONE_SET_MAJOR='ArenaSource|WordsSource|adopt_arena|adopt_shared_arena|push_adopted_span|push_span_trusted|from_shared_words|is_arena_shared|MappedArena|MappedWords|SET_FLAG_|COMPACTION_MIN_DEAD|CollectionSlice'
+if grep -rnE "$GONE_SET_MAJOR" crates; then
+  echo "error: a generation is its postings; do not reintroduce the set-major copy or its adoption paths" >&2
+  exit 1
+fi
+if grep -rnF '.sets()' crates/service/src crates/store/src crates/shard/src crates/serve/src; then
+  echo "error: crates/{service,store,shard,serve}/src read the postings; SketchIndex keeps no sets() to call" >&2
   exit 1
 fi
 

@@ -805,25 +805,28 @@ fn print_stats(json: serde_json::Value, metrics: bool) {
     println!("{}", pretty(&json));
 }
 
-/// Coverage statistics from a saved index — the sketches are reused, not
-/// resampled — and the shape of its postings: how many vertices store a
-/// row, how many list entries the rest hold, the bytes of each form (what
-/// a daemon serving the file reports under `client --info`).
+/// What a saved index holds, read off its postings — the sketches are
+/// reused, not resampled: θ, the mean coverage (entries / θ / n), and the
+/// shape of the postings: how many vertices store a row, how many list
+/// entries the rest hold, the bytes of each form (what a daemon serving the
+/// file reports under `client --info`).
 fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
     let index =
         SketchIndex::load_from_path(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-    let coverage = index.coverage_stats();
+    let (theta, n) = (index.num_sets(), index.num_nodes());
+    let avg_coverage = if theta == 0 || n == 0 {
+        0.0
+    } else {
+        index.postings().entries() as f64 / theta as f64 / n as f64
+    };
     let postings = index.postings().stats();
     let json = serde_json::json!({
         "input": index.meta().label,
         "snapshot": path,
-        "nodes": index.num_nodes(),
+        "nodes": n,
         "edges": index.meta().num_edges,
-        "rrr_sets_sampled": coverage.count,
-        "avg_rrr_coverage": coverage.avg_coverage,
-        "max_rrr_coverage": coverage.max_coverage,
-        "rrr_memory_bytes": coverage.memory_bytes,
-        "bitmap_sets": coverage.bitmap_sets,
+        "rrr_sets_sampled": theta,
+        "avg_rrr_coverage": avg_coverage,
         "postings_row_vertices": postings.row_vertices,
         "postings_row_bytes": postings.row_bytes,
         "postings_list_entries": postings.list_entries,

@@ -3,59 +3,11 @@
 //! Used both as the dense RRR-set representation and as the per-walk
 //! "visited" structure inside the reverse BFS (line 8 of the paper's
 //! Algorithm 3, the access the NUMA-aware placement optimizes).
-//!
-//! The word array behind a [`BitSet`] can be **owned** (a plain `Vec<u64>`,
-//! the build-time form) or **shared** (a window into an externally managed
-//! buffer such as a memory-mapped snapshot — see `imm-store`). Shared
-//! backings are read-only until the first mutation, which copies the window
-//! onto the heap (copy-on-write), so every existing mutator keeps its
-//! semantics regardless of where the words live.
-
-use std::sync::Arc;
-
-/// Read-only provider of a `u64` word buffer that outlives the sets borrowing
-/// from it. `imm-store` implements this over a memory-mapped snapshot file;
-/// the blanket requirement is only that the slice stays valid and immutable
-/// for the provider's lifetime.
-pub trait WordsSource: Send + Sync + std::panic::RefUnwindSafe + std::fmt::Debug {
-    /// The backing words.
-    fn words(&self) -> &[u64];
-}
-
-/// Backing storage of a [`BitSet`]'s word array.
-#[derive(Debug, Clone)]
-enum WordStore {
-    /// Heap-owned words (the default, build-time form).
-    Owned(Vec<u64>),
-    /// A `[start, start + len)` word window into a shared read-only buffer.
-    Shared { source: Arc<dyn WordsSource>, start: usize, len: usize },
-}
-
-impl WordStore {
-    #[inline]
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            WordStore::Owned(v) => v,
-            WordStore::Shared { source, start, len } => &source.words()[*start..*start + *len],
-        }
-    }
-
-    /// Copy-on-write: materialize an owned `Vec` (no-op when already owned).
-    fn make_owned(&mut self) -> &mut Vec<u64> {
-        if let WordStore::Shared { .. } = self {
-            *self = WordStore::Owned(self.as_slice().to_vec());
-        }
-        match self {
-            WordStore::Owned(v) => v,
-            WordStore::Shared { .. } => unreachable!("just converted to owned"),
-        }
-    }
-}
 
 /// Fixed-size bit set over `[0, capacity)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
-    words: WordStore,
+    words: Vec<u64>,
     capacity: usize,
     ones: usize,
 }
@@ -65,11 +17,7 @@ const WORD_BITS: usize = 64;
 impl BitSet {
     /// Empty bit set able to hold values in `[0, capacity)`.
     pub fn new(capacity: usize) -> Self {
-        BitSet {
-            words: WordStore::Owned(vec![0u64; capacity.div_ceil(WORD_BITS)]),
-            capacity,
-            ones: 0,
-        }
+        BitSet { words: vec![0u64; capacity.div_ceil(WORD_BITS)], capacity, ones: 0 }
     }
 
     /// Build from an iterator of indices.
@@ -108,9 +56,8 @@ impl BitSet {
         assert!(index < self.capacity, "bit {index} out of capacity {}", self.capacity);
         let word = index / WORD_BITS;
         let mask = 1u64 << (index % WORD_BITS);
-        let words = self.words.make_owned();
-        let was_clear = words[word] & mask == 0;
-        words[word] |= mask;
+        let was_clear = self.words[word] & mask == 0;
+        self.words[word] |= mask;
         self.ones += usize::from(was_clear);
         was_clear
     }
@@ -121,9 +68,8 @@ impl BitSet {
         assert!(index < self.capacity, "bit {index} out of capacity {}", self.capacity);
         let word = index / WORD_BITS;
         let mask = 1u64 << (index % WORD_BITS);
-        let words = self.words.make_owned();
-        let was_set = words[word] & mask != 0;
-        words[word] &= !mask;
+        let was_set = self.words[word] & mask != 0;
+        self.words[word] &= !mask;
         self.ones -= usize::from(was_set);
         was_set
     }
@@ -137,54 +83,32 @@ impl BitSet {
             return false;
         }
         let word = index / WORD_BITS;
-        self.words.as_slice()[word] & (1u64 << (index % WORD_BITS)) != 0
+        self.words[word] & (1u64 << (index % WORD_BITS)) != 0
     }
 
     /// Clear all bits, keeping the allocation (the "workhorse" reuse pattern
-    /// used by the sampling loop). A shared backing is dropped in favour of a
-    /// fresh zeroed heap array.
+    /// used by the sampling loop).
     pub fn clear(&mut self) {
-        match &mut self.words {
-            WordStore::Owned(v) => v.fill(0),
-            shared => *shared = WordStore::Owned(vec![0u64; self.capacity.div_ceil(WORD_BITS)]),
-        }
+        self.words.fill(0);
         self.ones = 0;
     }
 
     /// Iterate over set bits in increasing order.
     pub fn iter(&self) -> BitSetIter<'_> {
-        let words = self.words.as_slice();
+        let words = &self.words;
         BitSetIter { words, word_idx: 0, current: words.first().copied().unwrap_or(0) }
     }
 
-    /// Bytes of the logical word array. For an owned backing these are heap
-    /// bytes; for a shared backing they measure the mapped window (the
-    /// resident cost once the pages are touched), keeping memory accounting
-    /// a function of the logical contents either way.
+    /// Heap bytes of the word array.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
-        self.num_words() * std::mem::size_of::<u64>()
-    }
-
-    #[inline]
-    fn num_words(&self) -> usize {
-        match &self.words {
-            WordStore::Owned(v) => v.len(),
-            WordStore::Shared { len, .. } => *len,
-        }
+        std::mem::size_of_val(&self.words[..])
     }
 
     /// The raw backing words, least-significant bit first (for serialization).
     #[inline]
     pub fn words(&self) -> &[u64] {
-        self.words.as_slice()
-    }
-
-    /// Whether the words live in a shared (e.g. memory-mapped) buffer rather
-    /// than on this set's own heap.
-    #[inline]
-    pub fn is_shared(&self) -> bool {
-        matches!(self.words, WordStore::Shared { .. })
+        &self.words
     }
 
     /// Rebuild from raw backing words (the inverse of [`BitSet::words`]).
@@ -199,42 +123,12 @@ impl BitSet {
             assert!(tail_bits == 0 || *last >> tail_bits == 0, "bit beyond capacity");
         }
         let ones = words.iter().map(|w| w.count_ones() as usize).sum();
-        BitSet { words: WordStore::Owned(words), capacity, ones }
-    }
-
-    /// Borrow `capacity.div_ceil(64)` words starting at word `start` of a
-    /// shared buffer, with a **trusted** pre-computed population count
-    /// (`ones`). No word is read here — the zero-copy snapshot path stays
-    /// lazy and the popcount comes from the snapshot's own set-length table,
-    /// whose integrity rests on the store's checksum/rename discipline.
-    ///
-    /// # Errors
-    /// Returns a static message if the window falls outside the buffer or
-    /// `ones` exceeds the capacity.
-    pub fn from_shared_words(
-        capacity: usize,
-        source: Arc<dyn WordsSource>,
-        start: usize,
-        ones: usize,
-    ) -> Result<Self, &'static str> {
-        let len = capacity.div_ceil(WORD_BITS);
-        if start.checked_add(len).is_none_or(|end| end > source.words().len()) {
-            return Err("shared bitmap window outside the word buffer");
-        }
-        if ones > capacity {
-            return Err("bitmap population count exceeds its capacity");
-        }
-        Ok(BitSet { words: WordStore::Shared { source, start, len }, capacity, ones })
+        BitSet { words, capacity, ones }
     }
 
     /// Number of set bits shared with `other`.
     pub fn intersection_count(&self, other: &BitSet) -> usize {
-        self.words
-            .as_slice()
-            .iter()
-            .zip(other.words.as_slice().iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones() as usize).sum()
     }
 
     /// In-place union with `other` (capacities must match).
@@ -244,26 +138,13 @@ impl BitSet {
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
         let mut ones = 0usize;
-        let words = self.words.make_owned();
-        for (a, b) in words.iter_mut().zip(other.words.as_slice().iter()) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
             ones += a.count_ones() as usize;
         }
         self.ones = ones;
     }
 }
-
-/// Content equality: same capacity, same bits — regardless of whether the
-/// words are heap-owned or borrowed from a shared buffer.
-impl PartialEq for BitSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity
-            && self.ones == other.ones
-            && self.words.as_slice() == other.words.as_slice()
-    }
-}
-
-impl Eq for BitSet {}
 
 /// Iterator over the set bits of a [`BitSet`].
 #[derive(Debug, Clone)]
@@ -373,65 +254,6 @@ mod tests {
         assert_eq!(BitSet::new(1).memory_bytes(), 8);
         assert_eq!(BitSet::new(64).memory_bytes(), 8);
         assert_eq!(BitSet::new(65).memory_bytes(), 16);
-    }
-
-    /// A heap-backed stand-in for a mapped snapshot section.
-    #[derive(Debug)]
-    struct VecWords(Vec<u64>);
-
-    impl WordsSource for VecWords {
-        fn words(&self) -> &[u64] {
-            &self.0
-        }
-    }
-
-    fn shared_fixture() -> (Arc<dyn WordsSource>, BitSet) {
-        // Words 1..3 of the buffer back a 130-bit set with bits {0, 64, 129}.
-        let buf: Arc<dyn WordsSource> =
-            Arc::new(VecWords(vec![u64::MAX, 0b1, 0b1, 0b10, 0, 0, 0, 0]));
-        let bs = BitSet::from_shared_words(130, Arc::clone(&buf), 1, 3).unwrap();
-        (buf, bs)
-    }
-
-    #[test]
-    fn shared_words_read_like_owned() {
-        let (_buf, bs) = shared_fixture();
-        assert!(bs.is_shared());
-        assert_eq!(bs.len(), 3);
-        assert_eq!(bs.capacity(), 130);
-        assert_eq!(bs.iter().collect::<Vec<_>>(), vec![0, 64, 129]);
-        assert!(bs.contains(64));
-        assert!(!bs.contains(1));
-        assert_eq!(bs.memory_bytes(), 3 * 8);
-        // Content equality across backings.
-        let owned = BitSet::from_iter_with_capacity(130, [0, 64, 129]);
-        assert_eq!(bs, owned);
-        assert_eq!(owned, bs);
-    }
-
-    #[test]
-    fn shared_words_copy_on_write() {
-        let (buf, mut bs) = shared_fixture();
-        assert!(bs.insert(5));
-        assert!(!bs.is_shared(), "first mutation detaches from the shared buffer");
-        assert_eq!(bs.iter().collect::<Vec<_>>(), vec![0, 5, 64, 129]);
-        // The shared buffer itself is untouched.
-        assert_eq!(buf.words()[1], 0b1);
-        // clear() on a still-shared set detaches too.
-        let (_buf2, mut bs2) = shared_fixture();
-        bs2.clear();
-        assert!(!bs2.is_shared());
-        assert!(bs2.is_empty());
-        assert_eq!(bs2.capacity(), 130);
-    }
-
-    #[test]
-    fn shared_words_window_is_validated() {
-        let buf: Arc<dyn WordsSource> = Arc::new(VecWords(vec![0u64; 4]));
-        assert!(BitSet::from_shared_words(130, Arc::clone(&buf), 2, 0).is_err());
-        assert!(BitSet::from_shared_words(64, Arc::clone(&buf), usize::MAX, 0).is_err());
-        assert!(BitSet::from_shared_words(64, Arc::clone(&buf), 0, 65).is_err());
-        assert!(BitSet::from_shared_words(128, buf, 2, 0).is_ok());
     }
 
     proptest! {

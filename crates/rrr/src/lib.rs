@@ -22,9 +22,10 @@
 //! * [`codec`] — the length-checked byte cursor and decode error under
 //!   `imm-service`'s snapshot decoder.
 //! * [`provenance`] — per-set sampling provenance (the root each set was
-//!   grown from).
+//!   grown from), as a batch run reports it.
 //! * [`Postings`] — the inverse, vertex → sets containing it, with the dual
 //!   adaptive rule: a dense vertex stores a bit row, a sparse one a list.
+//!   A serving index keeps only this.
 
 pub mod bitset;
 pub mod codec;
@@ -33,11 +34,9 @@ pub mod postings;
 pub mod provenance;
 pub mod set;
 
-pub use bitset::{BitSet, WordsSource};
+pub use bitset::BitSet;
 pub use codec::{ByteReader, CodecError};
-pub use collection::{
-    ArenaSource, CollectionSlice, CoverageStats, RrrCollection, SetView, SetViews, SliceViews,
-};
+pub use collection::{CoverageStats, RrrCollection, SetView, SetViews};
 pub use postings::{
     membership_edits, MembershipEdit, Postings, PostingsSource, PostingsStats, PostingsView,
 };

@@ -1,15 +1,19 @@
-//! The vertex-adaptive inverted structure: "which sets of a range contain
-//! vertex `v`", with the representation chosen per vertex.
+//! The vertex-adaptive inverted structure: "which sets contain vertex `v`",
+//! with the representation chosen per vertex.
 //!
 //! [`AdaptivePolicy`](crate::AdaptivePolicy) stores a *set* denser than 1/32
 //! of the graph as a bitmap, because a `u32` list then costs more memory
 //! than one bit per vertex. [`Postings`] applies the dual rule to the
-//! inverse: a vertex contained in more than `range_len / 32` of the sets
-//! stores a `⌈range_len / 64⌉`-word bit **row** (bit `i` = "set `i` of the
-//! range contains me"), every other vertex keeps its ascending `u32` **list**
-//! in a CSR. The form is a pure function of (degree, range length): there is
-//! no knob, and a structure patched by [`Postings::patched`] is
+//! inverse: a vertex contained in more than `range_len / 32` of the
+//! `range_len` sets stores a `⌈range_len / 64⌉`-word bit **row** (bit `i` =
+//! "set `i` contains me"), every other vertex keeps its ascending `u32`
+//! **list** in a CSR. The form is a pure function of (degree, set count):
+//! there is no knob, and a structure patched by [`Postings::patched`] is
 //! indistinguishable from one rebuilt by [`Postings::build`].
+//!
+//! A serving generation holds nothing else: the postings are the whole
+//! sample, so every set-major question a refresh or a shard map asks is
+//! answered from them ([`membership_edits`], [`PostingsView::count_below`]).
 //!
 //! In the dense regime (IC, uniform weights) nearly every vertex is a row:
 //! at θ = 2 758 a row is 44 words ≈ 6 cache lines where the list it replaces
@@ -19,9 +23,9 @@
 //! vertices) no vertex qualifies and the structure is exactly the CSR it
 //! replaces.
 //!
-//! One counting sort builds it ([`Postings::build`]), for the single index
-//! (range = all sets), a shard (range = the shard) and — in its lists-only
-//! mode, [`Postings::build_over_list_sets`] — the batch kernel's cover index.
+//! One counting sort builds it ([`Postings::build`]), for a serving index
+//! and — in its lists-only mode, [`Postings::build_over_list_sets`] — the
+//! batch kernel's cover index.
 //! Bitmap sets enter through 64×64 bit-block transposes of their words
 //! rather than one store per member. The four arrays are also, verbatim, the
 //! postings sections of the mappable snapshot: [`Postings::from_source`]
@@ -87,12 +91,10 @@ impl std::ops::AddAssign for PostingsStats {
     }
 }
 
-/// One membership edit of [`Postings::patched`]: `(vertex, set id local to
-/// the range, joins)`.
+/// One membership edit of [`Postings::patched`]: `(vertex, set id, joins)`.
 pub type MembershipEdit = (NodeId, u32, bool);
 
-/// Vertex → ids of the sets of one contiguous range containing it; see the
-/// [module docs](self). Ids are local to the range.
+/// Vertex → ids of the sets containing it; see the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Postings {
     num_nodes: usize,
@@ -202,8 +204,8 @@ fn members_in_space(set: SetView<'_>, n: usize, mut f: impl FnMut(NodeId)) -> Re
     outside.map_or(Ok(()), Err)
 }
 
-/// Deliver every membership of the range's sets to `sink`, blocks of 64 set
-/// ids ascending. A block holding a bitmap set delivers each vertex's bits
+/// Deliver every membership of the collection's sets to `sink`, blocks of 64
+/// set ids ascending. A block holding a bitmap set delivers each vertex's bits
 /// whole, out of 64×64 transposes of the sets' words (one per 64 vertices,
 /// instead of one store per member); a block of list sets delivers its
 /// members one by one, sets ascending. Bitmap sets are skipped (their local
@@ -211,13 +213,11 @@ fn members_in_space(set: SetView<'_>, n: usize, mut f: impl FnMut(NodeId)) -> Re
 /// vertex space aborts the walk.
 fn walk_memberships(
     sets: &RrrCollection,
-    (start, len): (usize, usize),
     include_bitmaps: bool,
     skipped: &mut Vec<u32>,
     sink: &mut impl MembershipSink,
 ) -> Result<(), NodeId> {
-    let n = sets.num_nodes();
-    let slice = sets.slice(start, len);
+    let (n, len) = (sets.num_nodes(), sets.len());
     // A bitmap over another vertex space is walked bit by bit, like a list,
     // so a member beyond `n` is reported rather than dropped.
     fn transposable<'a>(set: &SetView<'a>, n: usize) -> Option<&'a BitSet> {
@@ -226,16 +226,16 @@ fn walk_memberships(
     let mut scratch: Vec<u64> = Vec::new();
     for block in 0..len.div_ceil(64) {
         let ids = block * 64..(block * 64 + 64).min(len);
-        if !(include_bitmaps && sets.has_bitmap_in(start + ids.start, ids.len())) {
+        if !(include_bitmaps && sets.has_bitmap_in(ids.start, ids.len())) {
             for local in ids {
-                match slice.get(local) {
+                match sets.get(local) {
                     SetView::Bitmap(_) => skipped.push(local as u32),
                     set => members_in_space(set, n, |v| sink.one(v, local as u32))?,
                 }
             }
             continue;
         }
-        let views: Vec<SetView<'_>> = ids.map(|local| slice.get(local)).collect();
+        let views: Vec<SetView<'_>> = ids.map(|local| sets.get(local)).collect();
         scratch.resize(n.div_ceil(64) * 64, 0);
         for (j, out) in scratch.chunks_exact_mut(64).enumerate() {
             let mut m = [0u64; 64];
@@ -267,15 +267,13 @@ fn for_each_bit(mut word: u64, base: u32, mut f: impl FnMut(u32)) {
 }
 
 impl Postings {
-    /// Invert the sets `[start, start + len)` of `sets`: the workspace's one
-    /// vertex → set counting sort. Fails with the first member outside the
-    /// vertex space.
+    /// Invert every set of `sets`: the workspace's one vertex → set counting
+    /// sort. Fails with the first member outside the vertex space.
     ///
     /// # Panics
-    /// Panics if the range reaches past the collection or holds more than
-    /// `u32::MAX` sets.
-    pub fn build(sets: &RrrCollection, start: usize, len: usize) -> Result<Self, NodeId> {
-        Self::build_with_threshold(sets, start, len, len / 32)
+    /// Panics if the collection holds more than `u32::MAX` sets.
+    pub fn build(sets: &RrrCollection) -> Result<Self, NodeId> {
+        Self::build_with_threshold(sets, sets.len() / 32)
     }
 
     /// [`Postings::build`] with the row threshold forced: a vertex stores a
@@ -284,35 +282,31 @@ impl Postings {
     /// tests that drive all three mixes over one collection.
     pub fn build_with_threshold(
         sets: &RrrCollection,
-        start: usize,
-        len: usize,
         row_threshold: usize,
     ) -> Result<Self, NodeId> {
-        Self::counting_sort(sets, start, len, row_threshold, true).map(|(postings, _)| postings)
+        Self::counting_sort(sets, row_threshold, true).map(|(postings, _)| postings)
     }
 
     /// The lists-only mode: invert the list-represented sets of the whole
     /// collection into lists (no vertex stores a row), and return the ids of
     /// the bitmap sets, ascending, next to them.
     pub fn build_over_list_sets(sets: &RrrCollection) -> Result<(Self, Vec<u32>), NodeId> {
-        Self::counting_sort(sets, 0, sets.len(), usize::MAX, false)
+        Self::counting_sort(sets, usize::MAX, false)
     }
 
     fn counting_sort(
         sets: &RrrCollection,
-        start: usize,
-        len: usize,
         row_threshold: usize,
         include_bitmaps: bool,
     ) -> Result<(Self, Vec<u32>), NodeId> {
-        assert!(u32::try_from(len).is_ok(), "more than u32::MAX sets in one postings range");
-        let n = sets.num_nodes();
+        let (n, len) = (sets.num_nodes(), sets.len());
+        assert!(u32::try_from(len).is_ok(), "more than u32::MAX sets in one postings structure");
         let words = len.div_ceil(64);
         let mut skipped = Vec::new();
 
         let mut degrees = vec![0u32; n];
         let mut count = CountDegrees(&mut degrees);
-        walk_memberships(sets, (start, len), include_bitmaps, &mut skipped, &mut count)?;
+        walk_memberships(sets, include_bitmaps, &mut skipped, &mut count)?;
 
         let mut offsets = Vec::with_capacity(n + 1);
         let (mut row_ids, mut row_degrees) = (Vec::new(), Vec::new());
@@ -342,7 +336,7 @@ impl Postings {
             cursor: &mut cursor,
             lists: &mut lists,
         };
-        walk_memberships(sets, (start, len), include_bitmaps, &mut skipped, &mut fill)?;
+        walk_memberships(sets, include_bitmaps, &mut skipped, &mut fill)?;
 
         row_ids.append(&mut row_degrees);
         let store = Store::Owned { offsets, lists, row_table: row_ids, rows };
@@ -458,7 +452,7 @@ impl Postings {
         self.num_nodes
     }
 
-    /// Sets of the indexed range.
+    /// Number of indexed sets: ids run over `0..range_len`.
     #[inline]
     pub fn range_len(&self) -> usize {
         self.range_len
@@ -688,6 +682,23 @@ impl<'a> PostingsView<'a> {
         }
     }
 
+    /// How many sets with an id below `end` (at most the set count) contain
+    /// `v`: a popcount of the row's words up to `end`, or a binary search of
+    /// the list.
+    #[inline]
+    pub fn count_below(&self, v: NodeId, end: u32) -> u64 {
+        match self.row(v) {
+            Some(row) => {
+                let (full, bits) = ((end / 64) as usize, end % 64);
+                let whole: u32 = row[..full].iter().map(|w| w.count_ones()).sum();
+                let part =
+                    if bits == 0 { 0 } else { (row[full] & ((1u64 << bits) - 1)).count_ones() };
+                (whole + part) as u64
+            }
+            None => self.list(v).partition_point(|&id| id < end) as u64,
+        }
+    }
+
     /// OR the sets containing `v` into the bitmap `acc` (one bit per set of
     /// the range) and return how many were not in it before.
     #[inline]
@@ -802,21 +813,39 @@ fn validate_shape(
 }
 
 /// The memberships that differ between each `(set id, replacement)` of
-/// `changed` and the set it replaces in `sets`, sorted — the input of
-/// [`Postings::patched`] for the range starting at set 0. A resampled set of
-/// the dense regime gains or loses a handful of its thousands of members.
-pub fn membership_edits(sets: &RrrCollection, changed: &[(usize, RrrSet)]) -> Vec<MembershipEdit> {
+/// `changed` (sorted by id) and the set it replaces, sorted — the input of
+/// [`Postings::patched`]. The old sets are read from `postings` alone: a
+/// join is a member of a replacement the postings do not list under its id,
+/// and the leaves come out of one pass over the arrays that keeps only the
+/// changed ids — the flat lists filtered by a changed-id mask (a hit's
+/// vertex found by a binary search of the offsets), each row `AND` it.
+pub fn membership_edits(postings: &Postings, changed: &[(usize, RrrSet)]) -> Vec<MembershipEdit> {
+    let view = postings.view();
     let mut edits = Vec::new();
+    let mut mask = vec![0u64; view.words];
     for (sid, new_set) in changed {
-        let old_set = sets.get(*sid);
-        old_set.for_each(|v| {
-            if !new_set.contains(v) {
-                edits.push((v, *sid as u32, false));
-            }
-        });
-        edits.extend(
-            new_set.iter().filter(|&v| !old_set.contains(v)).map(|v| (v, *sid as u32, true)),
-        );
+        let sid = *sid as u32;
+        mask[(sid / 64) as usize] |= 1u64 << (sid % 64);
+        edits.extend(new_set.iter().filter(|&v| !view.contains(v, sid)).map(|v| (v, sid, true)));
+    }
+    let mut leave = |v: NodeId, sid: u32| {
+        let at = changed.binary_search_by_key(&(sid as usize), |(id, _)| *id);
+        if !changed[at.expect("a masked id is a changed one")].1.contains(v) {
+            edits.push((v, sid, false));
+        }
+    };
+    for (at, &sid) in view.lists.iter().enumerate() {
+        if mask[(sid / 64) as usize] & (1u64 << (sid % 64)) != 0 {
+            let v = view.offsets.partition_point(|&offset| offset <= at as u64) - 1;
+            leave(v as NodeId, sid);
+        }
+    }
+    let (_, _, row_table, _) = postings.sections();
+    for &v in &row_table[..row_table.len() / 2] {
+        let row = view.row(v).expect("a row-table vertex stores a row");
+        for (w, (&word, &changed_ids)) in row.iter().zip(&mask).enumerate() {
+            for_each_bit(word & changed_ids, (w * 64) as u32, |sid| leave(v, sid));
+        }
     }
     edits.sort_unstable();
     edits
@@ -858,25 +887,28 @@ mod tests {
         }
     }
 
-    /// Figure 3 of the paper over a range long enough for a threshold of 1:
-    /// 40 sets, vertex 1 in five of them.
-    fn mixed() -> (RrrCollection, Postings) {
-        let mut sets = RrrCollection::new(6);
+    /// Figure 3 of the paper, the sets `edited` names replaced, padded to
+    /// 40 sets (a threshold of 1): vertex 1 is in five of them.
+    fn figure3_with(edited: &[(usize, RrrSet)]) -> Postings {
         let figure3: [&[NodeId]; 8] =
             [&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[1, 2]];
-        for members in figure3 {
-            sets.push(RrrSet::sorted(members.to_vec()));
+        let mut sets = RrrCollection::new(6);
+        for sid in 0..40 {
+            match edited.iter().find(|(id, _)| *id == sid) {
+                Some((_, set)) => sets.push(set.clone()),
+                None => sets.push(RrrSet::sorted(figure3.get(sid).map_or(vec![], |m| m.to_vec()))),
+            }
         }
-        for _ in 8..40 {
-            sets.push(RrrSet::sorted(Vec::new()));
-        }
-        let postings = Postings::build(&sets, 0, 40).unwrap();
-        (sets, postings)
+        Postings::build(&sets).unwrap()
+    }
+
+    fn mixed() -> Postings {
+        figure3_with(&[])
     }
 
     #[test]
     fn the_form_follows_the_degree_and_reads_the_same_either_way() {
-        let (_, postings) = mixed();
+        let postings = mixed();
         // Threshold 40 / 32 = 1: degrees [2, 5, 2, 2, 3, 1] leave vertex 5 a list.
         assert_eq!(
             (0..6).map(|v| postings.is_row(v)).collect::<Vec<_>>(),
@@ -898,14 +930,10 @@ mod tests {
     }
 
     #[test]
-    fn ranges_are_local_and_out_of_range_members_are_reported() {
-        let (sets, _) = mixed();
-        let shard = Postings::build(&sets, 2, 4).unwrap();
-        assert_eq!(shard.ids(4), [0, 1, 2], "local ids of sets 2, 3, 4");
-        assert!(shard.ids(0).is_empty());
+    fn out_of_range_members_are_reported() {
         let mut bad = RrrCollection::new(4);
         bad.push(RrrSet::sorted(vec![0, 9]));
-        assert_eq!(Postings::build(&bad, 0, 1), Err(9));
+        assert_eq!(Postings::build(&bad), Err(9));
     }
 
     #[test]
@@ -923,20 +951,35 @@ mod tests {
 
     #[test]
     fn patching_equals_rebuilding_across_a_threshold_crossing() {
-        let (mut sets, postings) = mixed();
+        let postings = mixed();
         // Vertex 5 joins set 0 (degree 2: becomes a row); vertex 0 leaves
-        // set 0 (degree 1: becomes a list); vertex 1 stays a row.
+        // set 0 (degree 1: becomes a list); vertex 1 stays a row. The old
+        // memberships come from the postings alone.
         let changed = vec![(0usize, RrrSet::sorted(vec![1, 5])), (7, RrrSet::sorted(vec![2]))];
-        let edits = membership_edits(&sets, &changed);
+        let edits = membership_edits(&postings, &changed);
         assert_eq!(edits, [(0, 0, false), (1, 7, false), (5, 0, true)]);
         let patched = postings.patched(&edits);
-        for (sid, set) in changed {
-            sets.replace(sid, set);
-        }
-        let rebuilt = Postings::build(&sets, 0, 40).unwrap();
+        let rebuilt = figure3_with(&changed);
         assert_eq!(patched, rebuilt);
         assert_eq!(patched.sections(), rebuilt.sections());
         assert!(patched.is_row(5) && !patched.is_row(0));
         assert_ne!(patched, postings);
+        // A bitmap replacement reads the same, and an unchanged one edits
+        // nothing.
+        let bitmap = RrrSet::from_vertices(vec![1, 5], 6, &AdaptivePolicy::always_bitmap());
+        assert_eq!(membership_edits(&postings, &[(0, bitmap)]), [(0, 0, false), (5, 0, true)]);
+        assert!(membership_edits(&postings, &[(2, RrrSet::sorted(vec![2, 4]))]).is_empty());
+    }
+
+    #[test]
+    fn counts_below_an_id_read_rows_and_lists_alike() {
+        let postings = mixed();
+        let view = postings.view();
+        for v in 0..6 {
+            for end in 0..=40u32 {
+                let expected = postings.ids(v).iter().filter(|&&id| id < end).count() as u64;
+                assert_eq!(view.count_below(v, end), expected, "vertex {v}, end {end}");
+            }
+        }
     }
 }

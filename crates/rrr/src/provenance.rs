@@ -4,10 +4,10 @@
 //! decision of set `i` is a pure function of `(rng_seed, i)` and the vertex
 //! or edge it concerns, so a stored set needs no record of *what its
 //! traversal touched* to be refreshable under graph mutation — the refresh
-//! re-evaluates the coins themselves. What stays worth recording is the
-//! root: it is the cheapest integrity check on a loaded sketch (each set
-//! must contain its root) and the one per-set fact a consumer cannot read
-//! off the membership.
+//! re-evaluates the coins themselves. The root is such a coin too, which is
+//! why no index or snapshot stores it: a record here is what a batch run
+//! reports about its own sample, and a dynamic index only checks that there
+//! is one per set.
 
 use crate::NodeId;
 

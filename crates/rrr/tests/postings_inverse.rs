@@ -1,22 +1,21 @@
 //! [`Postings`] against a naive `Vec<Vec<u32>>` inverse: whatever the sets'
-//! representation (default policy, all lists, all bitmaps), whatever form
+//! representation (default policy, all lists, all bitmaps) and whatever form
 //! each vertex takes (row threshold forced to all-list, all-row, or the
-//! real `range_len / 32`, or a mixed one), and for the whole collection as
-//! well as sub-ranges, `for_each`/`ids`, `contains`, `degree`, `or_into`
-//! and `count_outside` must read exactly the naive inverse.
+//! real `range_len / 32`, or a mixed one), `for_each`/`ids`, `contains`,
+//! `degree`, `count_below`, `or_into` and `count_outside` must read exactly
+//! the naive inverse.
 
 use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
 use proptest::prelude::*;
 
 const NUM_NODES: usize = 150;
 
-/// `inverse[v]` = local ids of the sets of `raw[start..start + len]`
-/// containing `v`, ascending.
-fn naive_inverse(raw: &[Vec<u32>], start: usize, len: usize) -> Vec<Vec<u32>> {
+/// `inverse[v]` = ids of the sets of `raw` containing `v`, ascending.
+fn naive_inverse(raw: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let mut inverse = vec![Vec::new(); NUM_NODES];
-    for (local, set) in raw[start..start + len].iter().enumerate() {
+    for (sid, set) in raw.iter().enumerate() {
         for &v in set {
-            inverse[v as usize].push(local as u32);
+            inverse[v as usize].push(sid as u32);
         }
     }
     inverse
@@ -39,6 +38,10 @@ fn assert_reads_the_inverse(postings: &Postings, inverse: &[Vec<u32>], probes: &
             (0..postings.range_len() as u32).filter(|&sid| view.contains(v, sid)).collect();
         assert_eq!(&held, expected, "contains of vertex {v}");
         assert_eq!(postings.degree(v), expected.len() as u64, "degree of vertex {v}");
+        for end in 0..=postings.range_len() as u32 {
+            let below = expected.iter().filter(|&&id| id < end).count() as u64;
+            assert_eq!(view.count_below(v, end), below, "count_below({v}, {end})");
+        }
         entries += expected.len() as u64;
     }
     assert_eq!(postings.entries(), entries);
@@ -66,8 +69,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn every_form_and_range_reads_the_naive_inverse(
-        // Up to 140 sets: ranges longer than 64 cross a row-word boundary.
+    fn every_form_reads_the_naive_inverse(
+        // Up to 140 sets: more than 64 cross a row-word boundary.
         // Up to 120 of 150 vertices per set: the default policy stores the
         // ones of 64+ members as bitmaps and the rest as lists.
         raw_sets in proptest::collection::vec(
@@ -75,8 +78,6 @@ proptest! {
             0..140,
         ),
         policy in 0usize..3,
-        cut_a in any::<prop::sample::Index>(),
-        cut_b in any::<prop::sample::Index>(),
         probes in proptest::collection::vec(0u32..NUM_NODES as u32, 0..12),
     ) {
         let raw: Vec<Vec<u32>> = raw_sets
@@ -97,21 +98,17 @@ proptest! {
             sets.push_sorted_slice(members, &policy);
         }
 
-        let (a, b) = (cut_a.index(raw.len() + 1), cut_b.index(raw.len() + 1));
-        let ranges = [(0, raw.len()), (a.min(b), a.max(b) - a.min(b))];
-        for (start, len) in ranges {
-            let inverse = naive_inverse(&raw, start, len);
-            let adaptive = Postings::build(&sets, start, len).unwrap();
-            assert_reads_the_inverse(&adaptive, &inverse, &probes);
-            for v in 0..NUM_NODES as u32 {
-                prop_assert_eq!(adaptive.is_row(v), inverse[v as usize].len() > len / 32);
-            }
-            // All lists, all rows, and a mix cut at the median-ish degree 3.
-            for threshold in [usize::MAX, 0, 3] {
-                let forced = Postings::build_with_threshold(&sets, start, len, threshold).unwrap();
-                assert_reads_the_inverse(&forced, &inverse, &probes);
-                prop_assert_eq!(&forced, &adaptive);
-            }
+        let inverse = naive_inverse(&raw);
+        let adaptive = Postings::build(&sets).unwrap();
+        assert_reads_the_inverse(&adaptive, &inverse, &probes);
+        for v in 0..NUM_NODES as u32 {
+            prop_assert_eq!(adaptive.is_row(v), inverse[v as usize].len() > raw.len() / 32);
+        }
+        // All lists, all rows, and a mix cut at the median-ish degree 3.
+        for threshold in [usize::MAX, 0, 3] {
+            let forced = Postings::build_with_threshold(&sets, threshold).unwrap();
+            assert_reads_the_inverse(&forced, &inverse, &probes);
+            prop_assert_eq!(&forced, &adaptive);
         }
 
         // The lists-only mode indexes exactly the list-represented sets.
@@ -120,7 +117,7 @@ proptest! {
         let expected_ids: Vec<u32> =
             (0..raw.len() as u32).filter(|&id| is_bitmap[id as usize]).collect();
         prop_assert_eq!(bitmap_ids, expected_ids);
-        for (v, ids) in naive_inverse(&raw, 0, raw.len()).iter().enumerate() {
+        for (v, ids) in inverse.iter().enumerate() {
             let listed: Vec<u32> =
                 ids.iter().copied().filter(|&id| !is_bitmap[id as usize]).collect();
             prop_assert_eq!(lists_only.ids(v as u32), listed);

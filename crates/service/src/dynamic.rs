@@ -2,10 +2,11 @@
 //!
 //! A [`SketchIndex`] built by the dynamic constructors ([`SketchIndex::sample`]
 //! or [`SketchIndex::build_with_provenance`]) carries a [`SketchProvenance`]:
-//! the sampling spec (diffusion model, base RNG seed, representation policy),
-//! one [`SetProvenance`] per set (its root), and the log of every delta
-//! applied so far. [`SketchIndex::apply_delta`] then refreshes the index
-//! against a [`GraphDelta`] without a full rebuild:
+//! the sampling spec (diffusion model, base RNG seed, representation policy)
+//! and the log of every delta applied so far — no per-set record: set `i`'s
+//! root, like every other coin of it, is a function of its [`SetKey`].
+//! [`SketchIndex::apply_delta`] then refreshes the index against a
+//! [`GraphDelta`] without a full rebuild:
 //!
 //! 1. **Invalidate by evaluating the coins.** Sampling is counter-based
 //!    (`efficient_imm::sampling`): set `i` is a deterministic function of
@@ -31,10 +32,14 @@
 //!    it too equals its from-scratch counterpart. This pair of facts is the
 //!    correctness anchor the differential test suite pins down; it depends
 //!    on no storage order of the graph.
-//! 3. **Patch.** The inverted postings and occurrence counts are patched
+//! 3. **Patch.** The postings are the only copy of the old sets, so the
+//!    membership edits come from them (`imm_rrr::membership_edits`: a join
+//!    is a new member the postings do not list, the leaves come out of one
+//!    pass over the postings arrays that keeps only the changed ids), and
+//!    the postings are patched
 //!    (`imm_rrr::Postings::patched`: bit flips in rows, splices in lists, a
-//!    new form for a vertex whose degree crosses the threshold — no set
-//!    iteration, no bitmap scans) and the delta is appended to the log.
+//!    new form for a vertex whose degree crosses the threshold). The delta
+//!    is appended to the log.
 //!
 //! The three steps exist once, in [`SketchIndex::apply_delta`]; a sharded
 //! index (`imm-shard`) is this index plus a shard map and refreshes by
@@ -47,8 +52,7 @@
 use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
-    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, set_provenance, SamplingConfig, SetKey,
-    VisitMarker,
+    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, SamplingConfig, SetKey, VisitMarker,
 };
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
@@ -97,8 +101,6 @@ pub struct DeltaLogEntry {
 pub struct SketchProvenance {
     /// The sampling spec.
     pub spec: SampleSpec,
-    /// Per-set records, aligned with the indexed collection.
-    pub sets: Vec<SetProvenance>,
     /// Every delta applied since the initial sample, in order.
     pub delta_log: Vec<DeltaLogEntry>,
 }
@@ -359,14 +361,15 @@ impl SketchIndex {
                 fused_counter: None,
             },
         );
-        let records = set_provenance(spec.rng_seed, 0..theta, graph.num_nodes());
-        Self::build_with_provenance(graph, out.sets, records, spec, label)
+        Self::build_dynamic(graph, out.sets, spec, label)
     }
 
     /// Freeze an externally sampled collection + provenance (e.g. from
     /// `run_imm` with `retain_rrr_sets` and `trace_provenance`) into a
     /// dynamic index. The collection must be the sample of `spec` over
-    /// `graph`: the refresh re-evaluates that sample's coins.
+    /// `graph`: the refresh re-evaluates that sample's coins. `records` is
+    /// checked for one record per set and then dropped — a root is a
+    /// function of its set's key, so the index stores none.
     pub fn build_with_provenance(
         graph: &CsrGraph,
         collection: RrrCollection,
@@ -380,24 +383,19 @@ impl SketchIndex {
                 records: records.len(),
             });
         }
-        let mut index = Self::build(graph, collection, label)?;
-        index.provenance = Some(SketchProvenance { spec, sets: records, delta_log: Vec::new() });
-        Ok(index)
+        Self::build_dynamic(graph, collection, spec, label)
     }
 
-    /// Attach provenance to an already built index (snapshot loading).
-    pub(crate) fn attach_provenance(
-        &mut self,
-        provenance: SketchProvenance,
-    ) -> Result<(), IndexError> {
-        if provenance.sets.len() != self.num_sets() {
-            return Err(IndexError::ProvenanceMismatch {
-                sets: self.num_sets(),
-                records: provenance.sets.len(),
-            });
-        }
-        self.provenance = Some(provenance);
-        Ok(())
+    /// The dynamic index over `collection`, the sample of `spec`.
+    fn build_dynamic(
+        graph: &CsrGraph,
+        collection: RrrCollection,
+        spec: SampleSpec,
+        label: impl Into<String>,
+    ) -> Result<Self, IndexError> {
+        let mut index = Self::build(graph, collection, label)?;
+        index.provenance = Some(SketchProvenance { spec, delta_log: Vec::new() });
+        Ok(index)
     }
 
     /// Refresh the index against `delta` — the workspace's one refresh
@@ -454,25 +452,20 @@ impl SketchIndex {
         Ok((new_graph, new_weights, stats))
     }
 
-    /// Swap the changed sets in and patch the inverted postings.
+    /// Patch the inverted postings with the changed sets.
     ///
     /// `changed` must be sorted by set id. Only the memberships that differ
-    /// between a changed set and the one it replaces are edited, so the
-    /// patched structure is indistinguishable from a fresh
-    /// [`SketchIndex::from_collection`] pass over the updated sets. A mapped
-    /// (shared) postings backing is dropped here: the patched index owns its
-    /// postings from now on.
+    /// between a changed set and the one it replaces — read from the
+    /// postings themselves — are edited, so the patched structure is
+    /// indistinguishable from a fresh [`SketchIndex::from_collection`] pass
+    /// over the updated sets. A mapped (shared) postings backing is dropped
+    /// here: the patched index owns its postings from now on.
     fn patch(&mut self, changed: Vec<(usize, RrrSet)>) {
         if changed.is_empty() {
             return;
         }
-        let edits = imm_rrr::membership_edits(&self.sets, &changed);
+        let edits = imm_rrr::membership_edits(&self.postings, &changed);
         self.postings = std::sync::Arc::new(self.postings.patched(&edits));
-        // A set's root is a function of its key alone, so the provenance
-        // records stand as they are.
-        for (sid, new_set) in changed {
-            self.sets.replace(sid, new_set);
-        }
     }
 }
 
@@ -498,7 +491,7 @@ mod tests {
         let b = SketchIndex::sample(&g, &w, spec, 200, 4, "a").unwrap();
         assert_eq!(a, b);
         assert!(a.is_dynamic());
-        assert_eq!(a.provenance().unwrap().sets.len(), 200);
+        assert_eq!(a.num_sets(), 200);
     }
 
     #[test]
@@ -516,8 +509,8 @@ mod tests {
         assert_eq!(stats.num_edges_after, g2.num_edges());
 
         let rebuilt = SketchIndex::sample(&g2, &w2, spec, 300, 2, "delta").unwrap();
-        assert_eq!(index.sets(), rebuilt.sets(), "kept + resampled sets must match a rebuild");
-        assert_eq!(index.provenance().unwrap().sets, rebuilt.provenance().unwrap().sets);
+        assert_eq!(index.postings().sections(), rebuilt.postings().sections());
+        assert_eq!(index.postings(), rebuilt.postings(), "kept + resampled sets match a rebuild");
         for v in 0..150u32 {
             assert_eq!(index.ids(v), rebuilt.ids(v), "postings of vertex {v}");
         }
@@ -537,7 +530,8 @@ mod tests {
         let (g2, w2, _) = index.apply_delta(&g1, &w1, &d2).unwrap();
 
         let rebuilt = SketchIndex::sample(&g2, &w2, spec, 150, 2, "chain").unwrap();
-        assert_eq!(index.sets(), rebuilt.sets());
+        assert_eq!(index.postings().sections(), rebuilt.postings().sections());
+        assert_eq!(index.postings(), rebuilt.postings());
         assert_eq!(index.provenance().unwrap().delta_log.len(), 2);
     }
 

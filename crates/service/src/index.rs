@@ -1,11 +1,11 @@
-//! The frozen sketch index: an [`RrrCollection`] plus the inverted postings
-//! and precomputed occurrence counts that make query serving cheap.
+//! The frozen sketch index: the inverted postings of a sampled
+//! [`RrrCollection`], which are the whole sample a generation keeps.
 //!
 //! Building the index is the one counting sort of [`imm_rrr::Postings`] over
-//! the sets (nothing is cloned); afterwards the structure is immutable and
-//! shared across worker threads behind an `Arc`. The postings are
-//! vertex-adaptive — a vertex contained in more than θ/32 of the sets stores
-//! a θ-bit row, every other vertex an ascending list in a CSR — so
+//! the sets, after which the collection is dropped; the structure is
+//! immutable and shared across worker threads behind an `Arc`. The postings
+//! are vertex-adaptive — a vertex contained in more than θ/32 of the sets
+//! stores a θ-bit row, every other vertex an ascending list in a CSR — so
 //! answering "which sets contain vertex v" is a slice or row lookup instead
 //! of a scan over all θ sets, and in the dense regime a Spread is an OR of
 //! rows. A memory-mapped snapshot serves the same structure in place.
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::dynamic::SketchProvenance;
 use imm_graph::CsrGraph;
-use imm_rrr::{CoverageStats, NodeId, Postings, RrrCollection};
+use imm_rrr::{NodeId, Postings, RrrCollection};
 
 pub use imm_rrr::PostingsSource;
 
@@ -50,16 +50,17 @@ pub enum IndexError {
         /// Vertices the collection was sampled over.
         collection_nodes: usize,
     },
-    /// A provenance log does not line up with the collection it describes.
+    /// A per-set provenance log does not line up with the collection it
+    /// describes.
     ProvenanceMismatch {
         /// Sets in the collection.
         sets: usize,
         /// Records in the provenance log.
         records: usize,
     },
-    /// Stored postings sections do not line up with the collection or with
-    /// each other (wrong offset count, non-monotonic offsets, a row table
-    /// that is unsorted, out of range or overlaps a list, …).
+    /// Stored postings sections do not line up with each other (wrong offset
+    /// count, non-monotonic offsets, a row table that is unsorted, out of
+    /// range or overlaps a list, …).
     PostingsCorrupt(&'static str),
 }
 
@@ -91,13 +92,12 @@ impl std::error::Error for IndexError {}
 
 /// A frozen, immutable index over a sampled RRR collection.
 ///
-/// Holds the collection itself (the shard map, the refresh and the snapshot
-/// writer read per-set membership), the inverted vertex → set-id postings,
-/// and each vertex's occurrence count (its posting-list length) — the gain
-/// bound the greedy selection starts from, precomputed once at build time.
+/// Holds the inverted vertex → set-id postings and nothing set-major: each
+/// vertex's occurrence count (the gain bound the greedy selection starts
+/// from) is its postings degree, and the refresh, the shard map and the
+/// snapshot writer read the postings too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchIndex {
-    pub(crate) sets: RrrCollection,
     pub(crate) meta: IndexMeta,
     /// Shared, so a clone of the index takes the structure by pointer; a
     /// refresh swaps in a patched one.
@@ -127,54 +127,41 @@ impl SketchIndex {
         )
     }
 
-    /// Build an index over a bare collection (no source graph at hand, e.g.
-    /// when reloading a snapshot).
+    /// Build an index over a bare collection (no source graph at hand).
     pub fn from_collection(collection: RrrCollection, meta: IndexMeta) -> Result<Self, IndexError> {
         Self::from_collection_with_provenance(collection, meta, None)
     }
 
-    /// Assemble an index over `collection` from postings that already exist
-    /// — borrowed from a shared buffer (the zero-copy path `imm-store` takes
-    /// when a snapshot is memory-mapped) or decoded from one — instead of
-    /// rebuilding them from the sets.
-    ///
-    /// [`Postings::from_source`] has validated what the offsets and the row
-    /// table can show; the lists and rows themselves are trusted on the
-    /// mapped path, like the arena members — the file was validated when
-    /// written and is guarded by the snapshot checksum/rename discipline.
+    /// Assemble an index from postings that already exist (decoded from a
+    /// snapshot, or mapped).
     pub(crate) fn from_parts(
-        collection: RrrCollection,
         meta: IndexMeta,
         provenance: Option<SketchProvenance>,
         postings: Postings,
-    ) -> Result<Self, IndexError> {
-        if postings.num_nodes() != collection.num_nodes()
-            || postings.range_len() != collection.len()
-        {
-            return Err(IndexError::PostingsCorrupt("postings do not span the collection"));
-        }
-        let mut index =
-            SketchIndex { sets: collection, meta, postings: Arc::new(postings), provenance: None };
-        if let Some(provenance) = provenance {
-            index.attach_provenance(provenance)?;
-        }
-        Ok(index)
+    ) -> Self {
+        SketchIndex { meta, postings: Arc::new(postings), provenance }
     }
 
     /// Assemble an index whose postings are the sections of a mapped
     /// snapshot, served in place.
+    ///
+    /// [`Postings::from_source`] validates what the offsets and the row
+    /// table can show; the lists and rows themselves are trusted on the
+    /// mapped path — the file was validated when written and is guarded by
+    /// the snapshot checksum/rename discipline.
     pub fn from_mapped_parts(
-        collection: RrrCollection,
+        num_nodes: usize,
+        num_sets: usize,
         meta: IndexMeta,
         provenance: Option<SketchProvenance>,
         postings: Arc<dyn PostingsSource>,
     ) -> Result<Self, IndexError> {
-        if u32::try_from(collection.len()).is_err() {
-            return Err(IndexError::TooManySets(collection.len()));
+        if u32::try_from(num_sets).is_err() {
+            return Err(IndexError::TooManySets(num_sets));
         }
-        let postings = Postings::from_source(collection.num_nodes(), collection.len(), postings)
+        let postings = Postings::from_source(num_nodes, num_sets, postings)
             .map_err(IndexError::PostingsCorrupt)?;
-        Self::from_parts(collection, meta, provenance, postings)
+        Ok(Self::from_parts(meta, provenance, postings))
     }
 
     /// Whether the inverted postings are borrowed from a shared (e.g.
@@ -185,26 +172,27 @@ impl SketchIndex {
     }
 
     /// Build an index over a bare collection and attach sampling provenance
-    /// in one step. With `None` the result is a static index.
+    /// in one step. With `None` the result is a static index. The collection
+    /// is dropped once its postings are built.
     pub fn from_collection_with_provenance(
         collection: RrrCollection,
         meta: IndexMeta,
         provenance: Option<SketchProvenance>,
     ) -> Result<Self, IndexError> {
         let postings = build_postings(&collection)?;
-        Self::from_parts(collection, meta, provenance, postings)
+        Ok(Self::from_parts(meta, provenance, postings))
     }
 
     /// Number of vertices of the indexed vertex space.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.sets.num_nodes()
+        self.postings.num_nodes()
     }
 
     /// Number of indexed RRR sets (θ).
     #[inline]
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.postings.range_len()
     }
 
     /// The inverted structure itself.
@@ -223,12 +211,6 @@ impl SketchIndex {
     #[inline]
     pub fn degree(&self, v: NodeId) -> u64 {
         self.postings.degree(v)
-    }
-
-    /// The indexed collection.
-    #[inline]
-    pub fn sets(&self) -> &RrrCollection {
-        &self.sets
     }
 
     /// Provenance metadata.
@@ -250,27 +232,23 @@ impl SketchIndex {
         self.provenance.is_some()
     }
 
-    /// Coverage/size statistics of the indexed sets (paper Table I).
-    pub fn coverage_stats(&self) -> CoverageStats {
-        self.sets.coverage_stats()
-    }
-
-    /// Heap bytes of the collection plus the index structures (for shared
-    /// backings: the mapped bytes resident once touched).
+    /// Bytes of the postings (for a shared backing: the mapped bytes
+    /// resident once touched).
     pub fn memory_bytes(&self) -> usize {
-        self.sets.memory_bytes() + self.postings.stats().bytes()
+        self.postings.stats().bytes()
     }
 }
 
-/// Invert the whole collection ([`Postings::build`] with the range = all
-/// sets). Shared by the index constructors and the snapshot encoder, so the
-/// stored postings sections are byte-for-byte what a heap build computes.
+/// Invert the whole collection ([`Postings::build`]). Shared by the index
+/// constructors and the snapshot encoder, so the stored postings sections
+/// are byte-for-byte what a heap build computes.
 pub(crate) fn build_postings(collection: &RrrCollection) -> Result<Postings, IndexError> {
     if u32::try_from(collection.len()).is_err() {
         return Err(IndexError::TooManySets(collection.len()));
     }
-    Postings::build(collection, 0, collection.len()).map_err(|vertex| {
-        IndexError::VertexOutOfRange { vertex, num_nodes: collection.num_nodes() }
+    Postings::build(collection).map_err(|vertex| IndexError::VertexOutOfRange {
+        vertex,
+        num_nodes: collection.num_nodes(),
     })
 }
 
@@ -342,9 +320,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_includes_the_postings() {
+    fn memory_accounting_is_the_postings() {
         let c = collection(6, &[&[0, 1], &[1, 2, 3]]);
-        let index = SketchIndex::from_collection(c.clone(), IndexMeta::default()).unwrap();
-        assert!(index.memory_bytes() > c.memory_bytes());
+        let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
+        assert_eq!(index.memory_bytes(), index.postings().stats().bytes());
+        assert!(index.memory_bytes() > 0);
     }
 }

@@ -9,10 +9,11 @@
 //! sketch is comparatively cheap. This crate freezes the sample into a
 //! persistent, shareable index and answers many queries against it:
 //!
-//! * [`SketchIndex`] — immutable index over an [`imm_rrr::RrrCollection`]:
-//!   inverted vertex → set postings ([`imm_rrr::Postings`]: a bit row for a
-//!   vertex in more than θ/32 of the sets, an ascending list for the rest)
-//!   and precomputed occurrence counts, shareable across threads via `Arc`.
+//! * [`SketchIndex`] — the immutable index an [`imm_rrr::RrrCollection`]
+//!   freezes into: its inverted vertex → set postings
+//!   ([`imm_rrr::Postings`]: a bit row for a vertex in more than θ/32 of the
+//!   sets, an ascending list for the rest), which are the whole sample a
+//!   generation keeps, shareable across threads via `Arc`.
 //! * [`QueryEngine`] — answers [`Query::TopK`] (incremental greedy with a
 //!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
 //!   never resample; an optional **audience** bitmap restricts coverage to
@@ -25,11 +26,11 @@
 //! * [`snapshot`] — the binary format (magic bytes, version field,
 //!   checksum) so an index built once can be memory-loaded by later
 //!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. The format
-//!   persists sampling provenance, the delta log and the postings as the
+//!   persists the sampling spec, the delta log and the postings as the
 //!   index holds them, laid out so `imm-store` can serve a file in place.
-//!   It is the one format this build writes, reads and maps (version 5).
+//!   It is the one format this build writes, reads and maps (version 6).
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
-//!   ([`SketchIndex::sample`]) records per-set provenance, and
+//!   ([`SketchIndex::sample`]) records its sampling spec, and
 //!   [`SketchIndex::apply_delta`] / [`QueryEngine::apply_delta`] resample
 //!   only the RRR sets an [`imm_graph::GraphDelta`] actually touches,
 //!   patching the postings in place and invalidating the response cache —
@@ -77,8 +78,8 @@ pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};
 pub use snapshot::{
     parse_head, recover_interrupted_save, save_parts, snapshot_tmp_path, DeltaJournal,
-    JournalEntry, SnapshotError, SnapshotHead, SnapshotSections, JOURNAL_MAGIC, SET_FLAG_BITMAP,
-    SET_FLAG_SORTED, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
+    JournalEntry, SnapshotError, SnapshotHead, SnapshotSections, JOURNAL_MAGIC,
+    SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

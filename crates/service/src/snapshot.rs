@@ -7,56 +7,48 @@
 //! so a wrong file, another format, or flipped bits fail loudly instead of
 //! deserializing garbage into a serving index.
 //!
-//! There is one format, version 5: what this build writes is the only thing
+//! There is one format, version 6: what this build writes is the only thing
 //! it reads or maps, and any other version field is
-//! [`SnapshotError::UnsupportedVersion`]. Layout (all integers
+//! [`SnapshotError::UnsupportedVersion`]. A snapshot is its index's
+//! postings: there is no per-set section. Layout (all integers
 //! little-endian, all offsets **snapshot-relative**: offset 0 is the first
 //! magic byte):
 //!
 //! ```text
 //! [0..8)   magic  "IMMSKTCH"
-//! [8..12)  format version (5)
+//! [8..12)  format version (6)
 //! [12..20) FNV-1a 64 checksum of the payload
 //! [20..)   payload — the head:
 //!            num_edges u64, label (u32 length + UTF-8 bytes)
-//!            section directory: 13 × u64 (num_nodes, num_sets, arena_len,
-//!              bitmap_sets, postings_len, arena_off, bitmaps_off,
+//!            section directory: 9 × u64 (num_nodes, num_sets, postings_len,
 //!              offsets_off, postings_off, row_vertices, row_table_off,
-//!              rows_off, file_len) + the FNV-1a 64 of those 104 bytes
-//!            per-set lengths (num_sets × u32)
-//!            per-set representation flags (num_sets × u8; 0 list, 1 bitmap)
+//!              rows_off, file_len) + the FNV-1a 64 of those 72 bytes
 //!            provenance section
-//!          then the data sections at their directory offsets
+//!          then the postings sections at their directory offsets
 //! ```
 //!
 //! The **provenance section** is a presence flag and, when set, the sampling
 //! spec (model tag: 2 = IC, 3 = LT — sets drawn from per-set keyed coins;
-//! base RNG seed; representation policy), one 4-byte record per set (its
-//! root), and the **delta log** of every [`imm_graph::GraphDelta`] applied
-//! since the initial sample. A snapshot of a dynamic index therefore stays
-//! refreshable after a round trip, and the delta log lets `update-index`
-//! reconstruct the current graph revision from the original source.
+//! base RNG seed; representation policy) and the **delta log** of every
+//! [`imm_graph::GraphDelta`] applied since the initial sample. A snapshot of
+//! a dynamic index therefore stays refreshable after a round trip, and the
+//! delta log lets `update-index` reconstruct the current graph revision from
+//! the original source.
 //!
-//! The data sections are zero-padded to 4096-byte page boundaries: the
-//! vertex arena (`u32`: every list set's sorted members, back to back), the
-//! bitmap words (`u64`, `⌈num_nodes/64⌉` words per bitmap set in set order),
-//! and the vertex-adaptive [`imm_rrr::Postings`], stored section for section
-//! — the CSR offsets (`num_nodes + 1` × `u64`) and the flat `u32` lists hold
-//! the list vertices only (a row vertex has an empty range), the **row
-//! table** (`u32`: the `row_vertices` ids of the vertices stored as rows,
-//! ascending, then their degrees) follows the lists directly, and the
-//! **rows** (`u64`, `⌈num_sets/64⌉` words per row vertex, in table order)
-//! start on the next page boundary and end the file. A snapshot without a
-//! row vertex has both sections empty at `file_len`. Because every section
-//! is plain little-endian integers, suitably aligned, `imm-store` can `mmap`
-//! a file and serve the arena, bitmaps and postings *in place* from
-//! [`parse_head`] alone; the read-decode path decodes the postings sections
-//! and validates them in full (every list ascending and in range, no row bit
-//! beyond `num_sets`, stored degree = popcount, no vertex in both forms)
-//! rather than rebuilding them.
-//!
-//! Only the collection, metadata, provenance and the inverted postings are
-//! stored.
+//! The data sections are the vertex-adaptive [`imm_rrr::Postings`], stored
+//! section for section: the CSR offsets (`num_nodes + 1` × `u64`) and the
+//! flat `u32` lists, each on a 4096-byte page boundary, hold the list
+//! vertices only (a row vertex has an empty range); the **row table**
+//! (`u32`: the `row_vertices` ids of the vertices stored as rows, ascending,
+//! then their degrees) follows the lists directly, and the **rows** (`u64`,
+//! `⌈num_sets/64⌉` words per row vertex, in table order) start on the next
+//! page boundary and end the file. A snapshot without a row vertex has both
+//! sections empty at `file_len`. Padding is zero. Because every section is
+//! plain little-endian integers, suitably aligned, `imm-store` can `mmap` a
+//! file and serve the postings *in place* from [`parse_head`] alone; the
+//! read-decode path decodes the sections and validates them in full (every
+//! list ascending and in range, no row bit beyond `num_sets`, stored degree
+//! = popcount, no vertex in both forms).
 //!
 //! # Crash safety
 //!
@@ -77,14 +69,14 @@ use crate::index::{IndexError, IndexMeta, SketchIndex};
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
 use imm_rrr::codec::{ByteReader, CodecError};
-use imm_rrr::{AdaptivePolicy, Postings, RrrCollection, SetProvenance};
+use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMMSKTCH";
 /// The one snapshot format version: what this build writes, reads and maps.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 /// Alignment of the page-aligned data sections, as a **snapshot-relative** byte
 /// offset (offset 0 = first magic byte). Matches the small-page size, so a
 /// page-aligned mapping of the file keeps each section alignment-safe for
@@ -117,7 +109,7 @@ pub enum SnapshotError {
     },
     /// The payload bytes do not decode (truncation, bad tags, bad lengths).
     Corrupt(CodecError),
-    /// The decoded collection cannot be indexed.
+    /// The collection handed to the writer cannot be indexed.
     Index(IndexError),
 }
 
@@ -187,7 +179,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // Tags 0 and 1 named the sequential-stream sampler that preceded the keyed
-// coins; no v5 file carries them, and they are never reused.
+// coins; no v6 file carries them, and they are never reused.
 const MODEL_IC_KEYED: u8 = 2;
 const MODEL_LT_KEYED: u8 = 3;
 
@@ -245,10 +237,6 @@ fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
     out.extend_from_slice(&spec.rng_seed.to_le_bytes());
     out.extend_from_slice(&spec.policy.density_threshold.to_bits().to_le_bytes());
     out.extend_from_slice(&(spec.policy.min_bitmap_size as u64).to_le_bytes());
-    out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
-    for record in &provenance.sets {
-        out.extend_from_slice(&record.root.to_le_bytes());
-    }
     out.extend_from_slice(&(provenance.delta_log.len() as u64).to_le_bytes());
     for entry in &provenance.delta_log {
         out.extend_from_slice(&entry.resampled_sets.to_le_bytes());
@@ -257,11 +245,7 @@ fn encode_provenance(provenance: &SketchProvenance, out: &mut Vec<u8>) {
 }
 
 /// Decode (and fully validate) a provenance section.
-fn decode_provenance(
-    reader: &mut ByteReader<'_>,
-    num_sets: usize,
-    num_nodes: usize,
-) -> Result<SketchProvenance, SnapshotError> {
+fn decode_provenance(reader: &mut ByteReader<'_>) -> Result<SketchProvenance, SnapshotError> {
     let model = match reader.read_u8()? {
         MODEL_IC_KEYED => DiffusionModel::IndependentCascade,
         MODEL_LT_KEYED => DiffusionModel::LinearThreshold,
@@ -279,23 +263,6 @@ fn decode_provenance(
     let spec = SampleSpec::new(model, rng_seed)
         .with_policy(AdaptivePolicy { density_threshold, min_bitmap_size });
 
-    let count = reader.read_len(4)?;
-    if count != num_sets {
-        return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
-            "provenance record count disagrees with the collection",
-        )));
-    }
-    let mut sets = Vec::with_capacity(count);
-    for _ in 0..count {
-        let root = reader.read_u32()?;
-        if root as usize >= num_nodes {
-            return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
-                "provenance root outside the vertex space",
-            )));
-        }
-        sets.push(SetProvenance { root });
-    }
-
     // Each log entry needs at least its resampled count + three lengths.
     let log_len = reader.read_len(32)?;
     let mut delta_log = Vec::with_capacity(log_len);
@@ -304,35 +271,20 @@ fn decode_provenance(
         let delta = decode_delta(reader)?;
         delta_log.push(DeltaLogEntry { delta, resampled_sets });
     }
-    Ok(SketchProvenance { spec, sets, delta_log })
+    Ok(SketchProvenance { spec, delta_log })
 }
 
-/// Representation-flag value for a sorted-list set in a snapshot head.
-/// `imm-store` walks the same flags to attach zero-copy spans.
-pub const SET_FLAG_SORTED: u8 = 0;
-/// Representation-flag value for a bitmap set in a snapshot head.
-pub const SET_FLAG_BITMAP: u8 = 1;
-
 /// The section directory of a snapshot: sizes and
-/// **snapshot-relative** byte offsets of the data sections. `imm-store` maps
-/// the file and turns these straight into in-place slices.
+/// **snapshot-relative** byte offsets of the postings sections. `imm-store`
+/// maps the file and turns these straight into in-place slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotSections {
     /// Vertices of the indexed vertex space.
     pub num_nodes: usize,
-    /// Stored RRR sets.
+    /// Indexed RRR sets (θ); at most `u32::MAX`, the set-id space.
     pub num_sets: usize,
-    /// Entries (`u32`) in the vertex arena section.
-    pub arena_len: usize,
-    /// Sets stored as bitmaps; the bitmap section holds this many
-    /// `⌈num_nodes/64⌉`-word runs, in set order.
-    pub bitmap_sets: usize,
     /// Entries (`u32`) in the flat postings-list section.
     pub postings_len: usize,
-    /// Snapshot-relative byte offset of the vertex arena.
-    pub arena_off: usize,
-    /// Snapshot-relative byte offset of the bitmap words.
-    pub bitmaps_off: usize,
     /// Snapshot-relative byte offset of the postings offsets
     /// (`num_nodes + 1` × `u64`).
     pub offsets_off: usize,
@@ -351,18 +303,9 @@ pub struct SnapshotSections {
 }
 
 /// Directory fields before the checksum.
-const DIRECTORY_FIELDS: usize = 13;
-/// The earliest snapshot-relative offset a directory can end at: container
-/// header, `num_edges`, the length of an empty label, fields and checksum.
-const DIRECTORY_END_MIN: usize = SNAPSHOT_HEADER_BYTES + 8 + 4 + (DIRECTORY_FIELDS + 1) * 8;
+const DIRECTORY_FIELDS: usize = 9;
 
 impl SnapshotSections {
-    /// `u64` words per stored bitmap set.
-    #[inline]
-    pub fn words_per_bitmap(&self) -> usize {
-        self.num_nodes.div_ceil(64)
-    }
-
     /// `u64` words per stored postings row.
     #[inline]
     pub fn words_per_row(&self) -> usize {
@@ -374,11 +317,7 @@ impl SnapshotSections {
         for value in [
             self.num_nodes,
             self.num_sets,
-            self.arena_len,
-            self.bitmap_sets,
             self.postings_len,
-            self.arena_off,
-            self.bitmaps_off,
             self.offsets_off,
             self.postings_off,
             self.row_vertices,
@@ -411,29 +350,30 @@ impl SnapshotSections {
         let sections = SnapshotSections {
             num_nodes: fields[0],
             num_sets: fields[1],
-            arena_len: fields[2],
-            bitmap_sets: fields[3],
-            postings_len: fields[4],
-            arena_off: fields[5],
-            bitmaps_off: fields[6],
-            offsets_off: fields[7],
-            postings_off: fields[8],
-            row_vertices: fields[9],
-            row_table_off: fields[10],
-            rows_off: fields[11],
-            file_len: fields[12],
+            postings_len: fields[2],
+            offsets_off: fields[3],
+            postings_off: fields[4],
+            row_vertices: fields[5],
+            row_table_off: fields[6],
+            rows_off: fields[7],
+            file_len: fields[8],
         };
         sections.validate()?;
         Ok(sections)
     }
 
-    /// Structural validation: each section aligned for its element type
-    /// (page-aligned where the format says so), in order, and inside
-    /// `file_len`. Independent of the data bytes, so the mmap path can run
-    /// it without touching a single data page.
+    /// Structural validation: a set count inside the set-id space, and each
+    /// section aligned for its element type (page-aligned where the format
+    /// says so), in order, and inside `file_len`. Independent of the data
+    /// bytes, so the mmap path can run it without touching a single data
+    /// page — and before anything is sized by the directory.
     fn validate(&self) -> Result<(), SnapshotError> {
         let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
-        let mut paged = vec![self.arena_off, self.bitmaps_off, self.offsets_off, self.postings_off];
+        // Nothing else bounds the set count when no vertex stores a row.
+        if u32::try_from(self.num_sets).is_err() {
+            return Err(corrupt("set count exceeds the u32 set-id space"));
+        }
+        let mut paged = vec![self.offsets_off, self.postings_off];
         if self.row_vertices > 0 {
             paged.push(self.rows_off);
         }
@@ -449,23 +389,11 @@ impl SnapshotSections {
                 .and_then(|bytes| off.checked_add(bytes))
                 .ok_or(corrupt("section size overflow"))
         };
-        // The per-set lens (`u32`) and flags (`u8`) sit between the directory
-        // and the arena, so they bound `num_sets` — which nothing below does
-        // when there is no row vertex.
-        let lens_and_flags_end = end(DIRECTORY_END_MIN, Some(self.num_sets), 5)?;
-        if lens_and_flags_end > self.arena_off {
-            return Err(corrupt("set lengths and flags overrun the arena section"));
-        }
-        let arena_end = end(self.arena_off, Some(self.arena_len), 4)?;
-        let bitmaps_end =
-            end(self.bitmaps_off, self.bitmap_sets.checked_mul(self.words_per_bitmap()), 8)?;
         let offsets_end = end(self.offsets_off, self.num_nodes.checked_add(1), 8)?;
         let postings_end = end(self.postings_off, Some(self.postings_len), 4)?;
         let table_end = end(self.row_table_off, self.row_vertices.checked_mul(2), 4)?;
         let rows_end = end(self.rows_off, self.row_vertices.checked_mul(self.words_per_row()), 8)?;
-        if arena_end > self.bitmaps_off
-            || bitmaps_end > self.offsets_off
-            || offsets_end > self.postings_off
+        if offsets_end > self.postings_off
             || postings_end > self.row_table_off
             || table_end > self.rows_off
             || rows_end != self.file_len
@@ -477,19 +405,15 @@ impl SnapshotSections {
 }
 
 /// Everything a reader of a snapshot learns **before touching any data
-/// page**: the metadata prelude, the section directory, the per-set lengths
-/// and representation flags, and the provenance section. The store's mmap
-/// path builds its zero-copy index from this head plus in-place section views.
+/// page**: the metadata prelude, the section directory and the provenance
+/// section. The store's mmap path builds its zero-copy index from this head
+/// plus in-place section views.
 #[derive(Debug)]
 pub struct SnapshotHead {
     /// Index metadata (edge count + label).
     pub meta: IndexMeta,
     /// Section directory.
     pub sections: SnapshotSections,
-    /// Per-set member counts.
-    pub lens: Vec<u32>,
-    /// Per-set representation flags (0 = sorted list, 1 = bitmap).
-    pub flags: Vec<u8>,
     /// Sampling provenance, when the snapshot was dynamic.
     pub provenance: Option<SketchProvenance>,
 }
@@ -510,31 +434,27 @@ fn decode_head(payload: &[u8]) -> Result<SnapshotHead, SnapshotError> {
     let label = String::from_utf8(reader.read_bytes(label_len)?.to_vec())
         .map_err(|_| SnapshotError::Corrupt(CodecError::InvalidValue("label is not UTF-8")))?;
     let sections = SnapshotSections::read(&mut reader)?;
-    // `validate()` bounded `num_sets * 5` by the arena offset.
-    let lens = le_u32s(reader.read_bytes(sections.num_sets * 4)?);
-    let flags = reader.read_bytes(sections.num_sets)?.to_vec();
     let provenance = match reader.read_u8()? {
         0 => None,
-        1 => Some(decode_provenance(&mut reader, sections.num_sets, sections.num_nodes)?),
+        1 => Some(decode_provenance(&mut reader)?),
         _ => {
             return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
                 "provenance flag is not 0 or 1",
             )))
         }
     };
-    // The head must fit before the first data section, and the padding up
-    // to it must be zero (deterministic bytes keep the encoder stable).
+    // The head must fit before the first data section.
     let head_end = payload.len() - reader.remaining() + SNAPSHOT_HEADER_BYTES;
-    if head_end > sections.arena_off {
+    if head_end > sections.offsets_off {
         return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
-            "head overruns the arena section",
+            "head overruns the offsets section",
         )));
     }
-    Ok(SnapshotHead { meta: IndexMeta { num_edges, label }, sections, lens, flags, provenance })
+    Ok(SnapshotHead { meta: IndexMeta { num_edges, label }, sections, provenance })
 }
 
 /// Parse the head of a snapshot from its raw bytes (magic, version,
-/// directory, lens/flags/provenance) **without** verifying the payload
+/// directory, provenance) **without** verifying the payload
 /// checksum or touching the data sections — the entry point of the
 /// zero-copy mmap path, whose whole purpose is to leave the data pages
 /// untouched until queries fault them in. Integrity of the head's own
@@ -554,36 +474,10 @@ pub fn parse_head(snapshot: &[u8]) -> Result<SnapshotHead, SnapshotError> {
 
 fn encode_payload(
     meta: &IndexMeta,
-    collection: &RrrCollection,
     provenance: Option<&SketchProvenance>,
     postings: &Postings,
 ) -> Vec<u8> {
-    use imm_rrr::SetView;
-
     let (postings_offsets, lists, row_table, rows) = postings.sections();
-    let num_nodes = collection.num_nodes();
-    let num_sets = collection.len();
-
-    // Pass 1: lens, flags and section sizes. The stored arena is the *live*
-    // data in set order — tombstones never reach the file — so spans decode
-    // as a simple running cursor.
-    let mut lens = Vec::with_capacity(num_sets);
-    let mut flags = Vec::with_capacity(num_sets);
-    let mut arena_len = 0usize;
-    let mut bitmap_sets = 0usize;
-    for set in collection {
-        lens.push(set.len() as u32);
-        match set {
-            SetView::Sorted(_) => {
-                flags.push(SET_FLAG_SORTED);
-                arena_len += set.len();
-            }
-            SetView::Bitmap(_) => {
-                flags.push(SET_FLAG_BITMAP);
-                bitmap_sets += 1;
-            }
-        }
-    }
 
     let mut prov_section = Vec::new();
     match provenance {
@@ -595,16 +489,9 @@ fn encode_payload(
     }
 
     let prelude_len = 8 + 4 + meta.label.len();
-    let head_end = SNAPSHOT_HEADER_BYTES
-        + prelude_len
-        + (DIRECTORY_FIELDS + 1) * 8
-        + num_sets * 4
-        + num_sets
-        + prov_section.len();
-    let words_per_bitmap = num_nodes.div_ceil(64);
-    let arena_off = align_up(head_end);
-    let bitmaps_off = align_up(arena_off + arena_len * 4);
-    let offsets_off = align_up(bitmaps_off + bitmap_sets * words_per_bitmap * 8);
+    let head_end =
+        SNAPSHOT_HEADER_BYTES + prelude_len + (DIRECTORY_FIELDS + 1) * 8 + prov_section.len();
+    let offsets_off = align_up(head_end);
     let postings_off = align_up(offsets_off + postings_offsets.len() * 8);
     // The row table follows the lists directly; the rows start on a page
     // of their own — unless there are none, and the file ends here.
@@ -613,13 +500,9 @@ fn encode_payload(
     let rows_off = if rows.is_empty() { table_end } else { align_up(table_end) };
     let file_len = rows_off + rows.len() * 8;
     let sections = SnapshotSections {
-        num_nodes,
-        num_sets,
-        arena_len,
-        bitmap_sets,
+        num_nodes: postings.num_nodes(),
+        num_sets: postings.range_len(),
         postings_len: lists.len(),
-        arena_off,
-        bitmaps_off,
         offsets_off,
         postings_off,
         row_vertices: row_table.len() / 2,
@@ -633,27 +516,11 @@ fn encode_payload(
     payload.extend_from_slice(&(meta.label.len() as u32).to_le_bytes());
     payload.extend_from_slice(meta.label.as_bytes());
     payload.extend_from_slice(&sections.to_directory_bytes());
-    for len in &lens {
-        payload.extend_from_slice(&len.to_le_bytes());
-    }
-    payload.extend_from_slice(&flags);
     payload.extend_from_slice(&prov_section);
 
     // Data sections, each zero-padded to its offset. The pad bytes are
     // deterministic, so the encoder is byte-stable and the container
     // checksum covers them.
-    payload.resize(arena_off - SNAPSHOT_HEADER_BYTES, 0);
-    for set in collection {
-        if let SetView::Sorted(members) = set {
-            payload.extend(members.iter().flat_map(|v| v.to_le_bytes()));
-        }
-    }
-    payload.resize(bitmaps_off - SNAPSHOT_HEADER_BYTES, 0);
-    for set in collection {
-        if let SetView::Bitmap(bits) = set {
-            payload.extend(bits.words().iter().flat_map(|word| word.to_le_bytes()));
-        }
-    }
     payload.resize(offsets_off - SNAPSHOT_HEADER_BYTES, 0);
     payload.extend(postings_offsets.iter().flat_map(|offset| offset.to_le_bytes()));
     payload.resize(postings_off - SNAPSHOT_HEADER_BYTES, 0);
@@ -667,7 +534,7 @@ fn encode_payload(
 
 /// What a verified snapshot decodes to; the postings are the stored
 /// sections, validated in full.
-type Decoded = (IndexMeta, RrrCollection, Option<SketchProvenance>, Postings);
+type Decoded = (IndexMeta, Option<SketchProvenance>, Postings);
 
 fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
     let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
@@ -682,52 +549,6 @@ fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
     };
     let u32s = |off: usize, len: usize| le_u32s(section(off, len * 4));
     let u64s = |off: usize, len: usize| le_u64s(section(off, len * 8));
-
-    let arena = u32s(sections.arena_off, sections.arena_len);
-    let mut collection = RrrCollection::adopt_arena(sections.num_nodes, arena, sections.num_sets);
-
-    let words_per_bitmap = sections.words_per_bitmap();
-    let mut cursor = 0usize;
-    let mut next_bitmap = 0usize;
-    for (&len, &flag) in head.lens.iter().zip(head.flags.iter()) {
-        match flag {
-            SET_FLAG_SORTED => {
-                collection
-                    .push_adopted_span(cursor, len as usize)
-                    .map_err(|msg| SnapshotError::Corrupt(CodecError::InvalidValue(msg)))?;
-                cursor += len as usize;
-            }
-            SET_FLAG_BITMAP => {
-                if next_bitmap >= sections.bitmap_sets {
-                    return Err(corrupt("more bitmap flags than bitmap sections"));
-                }
-                let start = sections.bitmaps_off + next_bitmap * words_per_bitmap * 8;
-                let words = u64s(start, words_per_bitmap);
-                if let Some(last) = words.last() {
-                    let tail_bits = sections.num_nodes % 64;
-                    if tail_bits != 0 && *last >> tail_bits != 0 {
-                        return Err(corrupt("bitmap bit beyond the vertex space"));
-                    }
-                }
-                let ones: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-                if ones != len as usize {
-                    return Err(corrupt("bitmap population disagrees with the set length"));
-                }
-                collection.push(imm_rrr::RrrSet::Bitmap(imm_rrr::BitSet::from_words(
-                    sections.num_nodes,
-                    words,
-                )));
-                next_bitmap += 1;
-            }
-            _ => return Err(corrupt("unknown representation flag")),
-        }
-    }
-    if cursor != sections.arena_len {
-        return Err(corrupt("arena length disagrees with the set lengths"));
-    }
-    if next_bitmap != sections.bitmap_sets {
-        return Err(corrupt("fewer bitmap flags than bitmap sections"));
-    }
     let postings = Postings::from_sections(
         sections.num_nodes,
         sections.num_sets,
@@ -738,14 +559,12 @@ fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
     )
     .map_err(corrupt)?;
     postings.validate_contents().map_err(corrupt)?;
-    Ok((head.meta, collection, head.provenance, postings))
+    Ok((head.meta, head.provenance, postings))
 }
 
 /// Serialize index components into `writer` exactly as
-/// [`SketchIndex::save`] would — without requiring a built index (the golden
-/// fixture is written this way). `provenance`, when present, must be aligned
-/// with `collection` (one record per set) or the file will be rejected on
-/// load.
+/// [`SketchIndex::save`] would an index built over `collection` — without
+/// requiring a built index (the golden fixture is written this way).
 pub fn save_parts(
     meta: &IndexMeta,
     collection: &RrrCollection,
@@ -753,7 +572,7 @@ pub fn save_parts(
     writer: &mut impl Write,
 ) -> Result<(), SnapshotError> {
     let postings = crate::index::build_postings(collection)?;
-    write_container(&encode_payload(meta, collection, provenance, &postings), writer)
+    write_container(&encode_payload(meta, provenance, &postings), writer)
 }
 
 fn write_container(payload: &[u8], writer: &mut impl Write) -> Result<(), SnapshotError> {
@@ -830,7 +649,7 @@ impl SketchIndex {
     /// The payload [`save_parts`] would encode, from the postings this
     /// index already holds instead of a rebuild.
     fn encode(&self) -> Vec<u8> {
-        encode_payload(self.meta(), self.sets(), self.provenance(), &self.postings)
+        encode_payload(self.meta(), self.provenance(), &self.postings)
     }
 
     /// Serialize this index into `writer` (header + checksummed payload).
@@ -849,8 +668,8 @@ impl SketchIndex {
     /// A snapshot with a provenance section comes back dynamic
     /// (refreshable), a provenance-free one static.
     pub fn load(reader: &mut impl Read) -> Result<Self, SnapshotError> {
-        let (meta, collection, provenance, postings) = load_verified(reader)?;
-        Ok(SketchIndex::from_parts(collection, meta, provenance, postings)?)
+        let (meta, provenance, postings) = load_verified(reader)?;
+        Ok(SketchIndex::from_parts(meta, provenance, postings))
     }
 
     /// Read an index back from the file at `path`, first sweeping any
@@ -1096,7 +915,6 @@ mod tests {
         let provenance = loaded.provenance().expect("provenance survives the round trip");
         assert_eq!(provenance, index.provenance().unwrap());
         assert_eq!(provenance.delta_log.len(), 1);
-        assert_eq!(provenance.sets.len(), loaded.num_sets());
     }
 
     #[test]
@@ -1106,13 +924,7 @@ mod tests {
         let head = parse_head(&bytes).unwrap();
         let sections = head.sections;
         assert!(sections.row_vertices > 0, "60 sets over 80 vertices: some vertex is a row");
-        for off in [
-            sections.arena_off,
-            sections.bitmaps_off,
-            sections.offsets_off,
-            sections.postings_off,
-            sections.rows_off,
-        ] {
+        for off in [sections.offsets_off, sections.postings_off, sections.rows_off] {
             assert_eq!(off % SNAPSHOT_PAGE_BYTES, 0, "section offset {off} not page-aligned");
         }
         assert_eq!(sections.file_len, bytes.len());
@@ -1120,7 +932,6 @@ mod tests {
         assert_eq!(sections.num_sets, index.num_sets());
         assert_eq!(head.meta, *index.meta());
         assert_eq!(head.provenance.as_ref(), index.provenance());
-        assert_eq!(head.lens.len(), index.num_sets());
         // Corrupting a directory byte fails the directory checksum even
         // before the payload checksum would be consulted.
         let mut tampered = bytes.clone();
@@ -1130,14 +941,12 @@ mod tests {
     }
 
     /// The stored postings sections hold exactly what a heap build computes,
-    /// array for array — and the patched index held the same arrays all along.
+    /// array for array.
     #[test]
     fn stored_postings_sections_are_the_built_postings() {
-        let index = dynamic_index();
-        let built = crate::index::build_postings(index.sets()).unwrap();
+        let index = sample_index();
         let loaded = SketchIndex::load(&mut snapshot_bytes(&index).as_slice()).unwrap();
-        assert_eq!(loaded.postings().sections(), built.sections());
-        assert_eq!(index.postings().sections(), built.sections());
+        assert_eq!(loaded.postings().sections(), index.postings().sections());
     }
 
     /// A snapshot without a row vertex ends at its flat lists.

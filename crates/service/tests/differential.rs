@@ -108,14 +108,11 @@ fn assert_differential(
         let rebuilt = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
             .expect("rebuild sample");
         let refreshed = engine.index();
-        // Structural identity: the kept + resampled sets and their
-        // provenance must match what the rebuild sampled from scratch.
-        assert_eq!(refreshed.sets(), rebuilt.sets(), "round {round}: sets diverged");
-        assert_eq!(
-            refreshed.provenance().unwrap().sets,
-            rebuilt.provenance().unwrap().sets,
-            "round {round}: provenance diverged"
-        );
+        // Structural identity: the postings of the kept + resampled sets
+        // must match what the rebuild sampled from scratch, array for array.
+        let (patched, fresh) = (refreshed.postings(), rebuilt.postings());
+        assert_eq!(patched.sections(), fresh.sections(), "round {round}: postings diverged");
+        assert_eq!(patched, fresh, "round {round}: sets diverged");
         for v in 0..graph.num_nodes() as NodeId {
             assert_eq!(refreshed.ids(v), rebuilt.ids(v), "round {round}, vertex {v}");
         }
@@ -251,7 +248,7 @@ fn dense_regime_inserts_resample_a_few_sets_and_equal_the_rebuild() {
     let weights = EdgeWeights::ic_uniform(&graph, &mut rng);
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 13);
     let mut index = SketchIndex::sample(&graph, &weights, spec, theta, 2, "dense").unwrap();
-    let mean_len = index.sets().iter().map(|set| set.len()).sum::<usize>() / theta;
+    let mean_len = index.postings().entries() as usize / theta;
     assert!(mean_len > n / 2, "the fixture must be dense (mean set length {mean_len} of {n})");
 
     let mut delta = GraphDelta::new();
@@ -266,7 +263,8 @@ fn dense_regime_inserts_resample_a_few_sets_and_equal_the_rebuild() {
     );
 
     let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, theta, 2, "dense").unwrap();
-    assert_eq!(index.sets(), rebuilt.sets(), "refresh must equal the full rebuild");
+    assert_eq!(index.postings().sections(), rebuilt.postings().sections());
+    assert_eq!(index.postings(), rebuilt.postings(), "refresh must equal the full rebuild");
     for v in 0..n as NodeId {
         assert_eq!(index.ids(v), rebuilt.ids(v), "postings of vertex {v}");
     }
@@ -309,7 +307,6 @@ fn a_vertex_crossing_the_row_threshold_both_ways_is_patched_like_a_rebuild() {
         assert_eq!(index.postings().is_row(loner), loner_is_row, "degree {}", index.degree(loner));
 
         let rebuilt = SketchIndex::sample(&graph, &weights, spec, theta, 2, "crossing").unwrap();
-        assert_eq!(index.sets(), rebuilt.sets());
         assert_eq!(index.postings(), rebuilt.postings());
         assert_eq!(index.postings().sections(), rebuilt.postings().sections());
         // Saved bytes: identical from the first data section on (the heads
@@ -317,7 +314,7 @@ fn a_vertex_crossing_the_row_threshold_both_ways_is_patched_like_a_rebuild() {
         let saved = |index: &SketchIndex| {
             let mut bytes = Vec::new();
             index.save(&mut bytes).unwrap();
-            let data_from = parse_head(&bytes).unwrap().sections.arena_off;
+            let data_from = parse_head(&bytes).unwrap().sections.offsets_off;
             (data_from, bytes)
         };
         let ((from_a, patched), (from_b, fresh)) = (saved(&index), saved(&rebuilt));
@@ -367,7 +364,8 @@ fn one_percent_churn_resamples_under_a_quarter_of_the_index() {
     assert!(stats.resampled_sets > 0, "a 1% churn cannot leave the sketch untouched");
 
     let rebuilt = SketchIndex::sample(&graph2, &weights2, spec, theta, 4, "churn").unwrap();
-    assert_eq!(index.sets(), rebuilt.sets(), "refresh must equal the full rebuild");
+    assert_eq!(index.postings().sections(), rebuilt.postings().sections());
+    assert_eq!(index.postings(), rebuilt.postings(), "refresh must equal the full rebuild");
     let incremental = QueryEngine::new(Arc::new(index));
     let fresh = QueryEngine::new(Arc::new(rebuilt));
     for k in [1usize, 10, 50] {

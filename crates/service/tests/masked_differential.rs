@@ -14,10 +14,10 @@ mod masked_oracle;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::BitSet;
-use imm_service::{Query, QueryEngine, SampleSpec, SketchIndex};
+use imm_service::{Query, QueryEngine, SampleSpec};
 use masked_oracle::{
     audience_queries, audiences, budgets, dense_masked_top_k, hash_sets, index_from,
-    mixed_form_sets, sampled_index,
+    mixed_form_sets, sampled, sampled_index, Indexed,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -26,17 +26,17 @@ use std::sync::Arc;
 
 const NUM_NODES: usize = 48;
 
-/// Every audience shape × every budget on `index` equals the dense oracle.
-/// One engine serves the whole sweep: every query after the first runs on
-/// a recycled session.
-fn sweep_equals_the_dense_oracle(index: &SketchIndex, seed: u64) {
+/// Every audience shape × every budget on `index` equals the dense oracle
+/// over `sets`, the collection it indexed. One engine serves the whole
+/// sweep: every query after the first runs on a recycled session.
+fn sweep_equals_the_dense_oracle((index, sets): Indexed, seed: u64) {
     let n = index.num_nodes();
-    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+    let engine = QueryEngine::with_cache_capacity(Arc::new(index), 0);
     for (shape, audience) in audiences(n, seed) {
         for k in budgets(n) {
             prop_assert_eq!(
                 engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
-                dense_masked_top_k(index, k, &audience),
+                dense_masked_top_k(&sets, k, &audience),
                 "audience: {}, k = {}",
                 shape,
                 k
@@ -55,7 +55,7 @@ proptest! {
         bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
         seed in 0u64..1_000_000,
     ) {
-        sweep_equals_the_dense_oracle(&index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
+        sweep_equals_the_dense_oracle(index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
     }
 }
 
@@ -63,7 +63,7 @@ proptest! {
 #[test]
 fn sparse_session_equals_the_dense_oracle_when_rows_and_lists_mix() {
     let (n, sets) = mixed_form_sets();
-    sweep_equals_the_dense_oracle(&index_from(n, &hash_sets(&sets), &[]), 0x31C3);
+    sweep_equals_the_dense_oracle(index_from(n, &hash_sets(&sets), &[]), 0x31C3);
 }
 
 /// The shape the benchmark's sparse workload serves, scaled down: an LT
@@ -75,7 +75,7 @@ fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
     let graph = CsrGraph::from_edge_list(&generators::social_network(3_000, 10, 0.3, &mut rng));
     let weights = EdgeWeights::lt_normalized(&graph, &mut rng);
     let spec = SampleSpec::new(DiffusionModel::LinearThreshold, 0x5EED);
-    let index = SketchIndex::sample(&graph, &weights, spec, 6_000, 2, "lt").expect("sample");
+    let (index, sets) = sampled(&graph, &weights, spec, 6_000);
     let n = index.num_nodes();
     let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
     for i in 0..24 {
@@ -85,7 +85,7 @@ fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
         for k in [1, 5, 20] {
             assert_eq!(
                 engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
-                dense_masked_top_k(&index, k, &audience),
+                dense_masked_top_k(&sets, k, &audience),
                 "audience {i} ({percent} % of n drawn), k = {k}"
             );
         }
@@ -94,11 +94,11 @@ fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
 
 #[test]
 fn back_to_back_audiences_equal_fresh_engine_answers() {
-    let (_, _, index) = sampled_index();
+    let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
     let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
     // A leaked count or alive bit of query i would change query i + 1.
-    for query in &audience_queries(&index).0 {
+    for query in &audience_queries(&sets).0 {
         let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
         assert_eq!(engine.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
     }
@@ -106,12 +106,12 @@ fn back_to_back_audiences_equal_fresh_engine_answers() {
 
 #[test]
 fn a_masked_query_leaves_the_persistent_prefix_intact() {
-    let (_, _, index) = sampled_index();
+    let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
     let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
     let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
     let three = engine.execute_uncached(&Query::top_k(3));
-    for query in audience_queries(&index).0.iter().take(3) {
+    for query in audience_queries(&sets).0.iter().take(3) {
         engine.execute_uncached(query);
     }
     assert_eq!(engine.execute_uncached(&Query::top_k(3)), three);
@@ -120,9 +120,9 @@ fn a_masked_query_leaves_the_persistent_prefix_intact() {
 
 #[test]
 fn concurrent_audience_batches_equal_sequential_execution() {
-    let (_, _, index) = sampled_index();
+    let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
-    let (queries, sequential) = audience_queries(&index);
+    let (queries, sequential) = audience_queries(&sets);
     let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
     for threads in [1usize, 2, 4] {
         assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads = {threads}");
@@ -131,17 +131,18 @@ fn concurrent_audience_batches_equal_sequential_execution() {
 
 #[test]
 fn sessions_pooled_before_a_refresh_serve_the_refreshed_index() {
-    let (graph, weights, index) = sampled_index();
-    let (queries, _) = audience_queries(&index);
+    let (graph, weights, index, sets) = sampled_index();
+    let spec = index.provenance().expect("dynamic").spec;
+    let (queries, _) = audience_queries(&sets);
     let mut engine = QueryEngine::with_cache_capacity(Arc::new(index), 0);
     for query in &queries {
         engine.execute_uncached(query); // stock the pool on the old generation
     }
     let (src, dst) = graph.edges().next().expect("graph has edges");
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
-    engine.apply_delta(&graph, &weights, &delta).expect("refresh");
-    let refreshed = SketchIndex::clone(engine.index());
-    let (_, expected) = audience_queries(&refreshed);
+    let (graph, weights, _) = engine.apply_delta(&graph, &weights, &delta).expect("refresh");
+    // A refresh equals the rebuild, so the oracle reads the rebuild's sets.
+    let (_, expected) = audience_queries(&sampled(&graph, &weights, spec, sets.len()).1);
     for (query, expected) in queries.iter().zip(&expected) {
         assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
     }

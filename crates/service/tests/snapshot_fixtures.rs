@@ -3,9 +3,10 @@
 //! decoder or the writer drifts, these tests fail against the bytes the
 //! writer actually produced.
 //!
-//! `golden_v5.sketch` is what the writer emits: forty sets in which one
+//! `golden_v6.sketch` is what the writer emits for forty sets in which one
 //! vertex is dense enough to store its postings as a **row** and one keeps a
-//! **list**. It is pinned three ways — against the writer, against a twin
+//! **list** — a snapshot is its postings, so those two are the whole file
+//! behind the head. It is pinned three ways — against the writer, against a twin
 //! assembled here byte by byte from the documented layout, and against the
 //! mmap contract: the directory parses without touching a data page and
 //! every section it reports is aligned as documented.
@@ -17,7 +18,7 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
-use imm_rrr::{BitSet, RrrCollection, RrrSet, SetProvenance};
+use imm_rrr::{BitSet, Postings, RrrCollection, RrrSet};
 use imm_service::{
     parse_head, save_parts, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance,
     SNAPSHOT_PAGE_BYTES,
@@ -28,43 +29,35 @@ const NUM_NODES: usize = 16;
 const NUM_EDGES: usize = 42;
 
 /// The fixtures that can be rebuilt in-process, by file stem.
-const REGENERABLE: [&str; 1] = ["v5"];
+const REGENERABLE: [&str; 1] = ["v6"];
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
-/// IC spec, one root per set, one logged delta touching all three mutation
-/// kinds.
-fn provenance_with_roots(roots: &[u32]) -> SketchProvenance {
+/// IC spec and one logged delta touching all three mutation kinds.
+fn v6_provenance() -> SketchProvenance {
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
-    let sets = roots.iter().map(|&root| SetProvenance { root }).collect();
     let delta = GraphDelta::new().insert(0, 1, 0.5).delete(2, 3).reweight(4, 5, 0.25);
-    SketchProvenance { spec, sets, delta_log: vec![DeltaLogEntry { delta, resampled_sets: 2 }] }
+    SketchProvenance { spec, delta_log: vec![DeltaLogEntry { delta, resampled_sets: 2 }] }
 }
 
-/// Sets of the v5 fixture: enough of them (40, so a row needs degree > 1)
+/// Sets of the v6 fixture: enough of them (40, so a row needs degree > 1)
 /// for both postings forms. Vertex 3 is in sets 0–3 — a list set, a bitmap
 /// set and two more list sets — and stores a row; vertex 9 is in set 0 only
 /// and keeps a list; sets 4–39 are empty.
-const V5_SETS: usize = 40;
+const V6_SETS: usize = 40;
 
-fn v5_collection() -> RrrCollection {
+fn v6_collection() -> RrrCollection {
     let mut c = RrrCollection::new(NUM_NODES);
     c.push(RrrSet::Sorted(vec![3, 9]));
     c.push(RrrSet::Bitmap(BitSet::from_iter_with_capacity(NUM_NODES, [3])));
     c.push(RrrSet::Sorted(vec![3]));
     c.push(RrrSet::Sorted(vec![3]));
-    for _ in 4..V5_SETS {
+    for _ in 4..V6_SETS {
         c.push(RrrSet::Sorted(Vec::new()));
     }
     c
-}
-
-fn v5_provenance() -> SketchProvenance {
-    let mut roots = vec![3, 3, 3, 3];
-    roots.extend((4..V5_SETS as u32).map(|i| i % NUM_NODES as u32));
-    provenance_with_roots(&roots)
 }
 
 fn meta(version: u32) -> IndexMeta {
@@ -101,16 +94,12 @@ fn payload_header(version: u32) -> Vec<u8> {
 }
 
 /// The provenance section, hand-assembled from the documented layout:
-/// model tag (2 = IC), RNG seed, policy, 4-byte root records, delta log.
+/// model tag (2 = IC), RNG seed, policy, delta log.
 fn encode_provenance_section(provenance: &SketchProvenance) -> Vec<u8> {
     let mut out = vec![2u8];
     out.extend_from_slice(&provenance.spec.rng_seed.to_le_bytes());
     out.extend_from_slice(&provenance.spec.policy.density_threshold.to_bits().to_le_bytes());
     out.extend_from_slice(&(provenance.spec.policy.min_bitmap_size as u64).to_le_bytes());
-    out.extend_from_slice(&(provenance.sets.len() as u64).to_le_bytes());
-    for record in &provenance.sets {
-        out.extend_from_slice(&record.root.to_le_bytes());
-    }
     out.extend_from_slice(&(provenance.delta_log.len() as u64).to_le_bytes());
     for entry in &provenance.delta_log {
         out.extend_from_slice(&entry.resampled_sets.to_le_bytes());
@@ -138,9 +127,9 @@ fn encode_provenance_section(provenance: &SketchProvenance) -> Vec<u8> {
 
 /// Rebuild the regenerable fixture's exact bytes through the writer.
 fn build_fixture_bytes(stem: &str) -> Vec<u8> {
-    assert_eq!(stem, "v5", "no regenerable fixture {stem}");
+    assert_eq!(stem, "v6", "no regenerable fixture {stem}");
     let mut bytes = Vec::new();
-    save_parts(&meta(5), &v5_collection(), Some(&v5_provenance()), &mut bytes).expect("writer");
+    save_parts(&meta(6), &v6_collection(), Some(&v6_provenance()), &mut bytes).expect("writer");
     bytes
 }
 
@@ -171,26 +160,22 @@ fn load_fixture(stem: &str) -> (Vec<u8>, SketchIndex) {
     (bytes, index)
 }
 
-/// The v5 file, byte by byte from the layout documented in
-/// `imm_service::snapshot`: header, prelude, 13-field directory + checksum,
-/// lens, flags, provenance, then the six data sections at their offsets.
-fn v5_twin() -> Vec<u8> {
+/// The v6 file, byte by byte from the layout documented in
+/// `imm_service::snapshot`: header, prelude, 9-field directory + checksum,
+/// provenance, then the four postings sections at their offsets.
+fn v6_twin() -> Vec<u8> {
     const PAGE: usize = SNAPSHOT_PAGE_BYTES;
-    let (arena_off, bitmaps_off, offsets_off, postings_off) = (PAGE, 2 * PAGE, 3 * PAGE, 4 * PAGE);
+    let (offsets_off, postings_off) = (PAGE, 2 * PAGE);
     let row_table_off = postings_off + 4; // right behind the one list entry
-    let rows_off = 5 * PAGE; // ids + degrees end at 4·PAGE + 12: next page
+    let rows_off = 3 * PAGE; // ids + degrees end at 2·PAGE + 12: next page
     let file_len = rows_off + 8;
 
-    let mut payload = payload_header(5);
+    let mut payload = payload_header(6);
     let mut directory = Vec::new();
     for field in [
         NUM_NODES,
-        V5_SETS,
-        4, // arena entries: [3, 9], [3], [3]
-        1, // bitmap sets
+        V6_SETS,
         1, // list entries: vertex 9 -> [0]
-        arena_off,
-        bitmaps_off,
         offsets_off,
         postings_off,
         1, // row vertices: vertex 3
@@ -202,22 +187,12 @@ fn v5_twin() -> Vec<u8> {
     }
     payload.extend_from_slice(&directory);
     payload.extend_from_slice(&fnv1a64(&directory).to_le_bytes());
-    for len in [2u32, 1, 1, 1].into_iter().chain(std::iter::repeat_n(0, V5_SETS - 4)) {
-        payload.extend_from_slice(&len.to_le_bytes());
-    }
-    payload.extend((0..V5_SETS).map(|set| u8::from(set == 1))); // flags: set 1 is the bitmap
     payload.push(1); // provenance present
-    payload.extend_from_slice(&encode_provenance_section(&v5_provenance()));
+    payload.extend_from_slice(&encode_provenance_section(&v6_provenance()));
 
     // Offsets are snapshot-relative; the payload starts after the 20-byte
     // container header.
     let pad_to = |payload: &mut Vec<u8>, off: usize| payload.resize(off - 20, 0);
-    pad_to(&mut payload, arena_off);
-    for v in [3u32, 9, 3, 3] {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    pad_to(&mut payload, bitmaps_off);
-    payload.extend_from_slice(&(1u64 << 3).to_le_bytes()); // set 1 = {3}
     pad_to(&mut payload, offsets_off);
     for v in 0..=NUM_NODES {
         payload.extend_from_slice(&u64::from(v > 9).to_le_bytes()); // only vertex 9 has a list
@@ -228,16 +203,18 @@ fn v5_twin() -> Vec<u8> {
     payload.extend_from_slice(&4u32.to_le_bytes()); // … of degree 4
     pad_to(&mut payload, rows_off);
     payload.extend_from_slice(&0b1111u64.to_le_bytes()); // vertex 3: sets 0–3
-    container(5, payload)
+    container(6, payload)
 }
 
 #[test]
-fn v5_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
-    let (bytes, index) = load_fixture("v5");
-    assert_eq!(bytes, v5_twin(), "the v5 layout drifted from its documentation");
-    assert_eq!(index.meta(), &meta(5));
-    assert_eq!(index.sets(), &v5_collection());
-    assert_eq!(index.provenance(), Some(&v5_provenance()));
+fn v6_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
+    let (bytes, index) = load_fixture("v6");
+    assert_eq!(bytes, v6_twin(), "the v6 layout drifted from its documentation");
+    assert_eq!(index.meta(), &meta(6));
+    let built = Postings::build(&v6_collection()).unwrap();
+    assert_eq!(index.postings().sections(), built.sections());
+    assert_eq!(**index.postings(), built);
+    assert_eq!(index.provenance(), Some(&v6_provenance()));
     // One row vertex, one list vertex, read alike.
     let postings = index.postings();
     assert!(postings.is_row(3) && !postings.is_row(9));
@@ -248,11 +225,9 @@ fn v5_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
 
     // The mmap contract: the head parses without a data page, and every
     // section starts where its element type (or the format) needs it to.
-    let head = parse_head(&bytes).expect("v5 head parses");
+    let head = parse_head(&bytes).expect("v6 head parses");
     let sections = head.sections;
     for (name, off) in [
-        ("arena", sections.arena_off),
-        ("bitmaps", sections.bitmaps_off),
         ("offsets", sections.offsets_off),
         ("postings", sections.postings_off),
         ("rows", sections.rows_off),
@@ -261,7 +236,7 @@ fn v5_fixture_is_the_documented_layout_and_the_writer_reproduces_it() {
     }
     assert_eq!(sections.row_table_off % 4, 0);
     assert_eq!(sections.file_len, bytes.len());
-    assert_eq!((sections.num_nodes, sections.num_sets), (NUM_NODES, V5_SETS));
+    assert_eq!((sections.num_nodes, sections.num_sets), (NUM_NODES, V6_SETS));
     assert_eq!((sections.row_vertices, sections.postings_len), (1, 1));
     assert_eq!(head.meta, *index.meta());
     assert_eq!(head.provenance.as_ref(), index.provenance());

@@ -66,13 +66,12 @@ fn dynamic_index(seed: u64) -> (SketchIndex, CsrGraph, EdgeWeights) {
     (index, graph, weights)
 }
 
-/// Byte offset where the provenance section starts in a v5 file (header +
-/// metadata prelude + 13-field section directory and its checksum + per-set
-/// lens and flags + the presence flag).
+/// Byte offset where the provenance section starts in a v6 file (header +
+/// metadata prelude + 9-field section directory and its checksum + the
+/// presence flag).
 fn provenance_offset(index: &SketchIndex) -> usize {
     let header = SNAPSHOT_MAGIC.len() + 4 + 8;
-    let meta = index.meta();
-    header + 8 + 4 + meta.label.len() + 112 + index.num_sets() * 4 + index.num_sets() + 1
+    header + 8 + 4 + index.meta().label.len() + 80 + 1
 }
 
 /// Recompute the container checksum after tampering, so only the decoder
@@ -101,7 +100,7 @@ proptest! {
         let loaded = SketchIndex::load(&mut snapshot_bytes(&index).as_slice()).unwrap();
         prop_assert_eq!(&loaded, &index);
         prop_assert_eq!(loaded.meta(), index.meta());
-        prop_assert_eq!(loaded.coverage_stats(), index.coverage_stats());
+        prop_assert_eq!(loaded.postings().stats(), index.postings().stats());
     }
 
     #[test]
@@ -198,15 +197,15 @@ fn provenance_decode_validates_structure_even_with_a_fixed_checksum() {
     let good = snapshot_bytes(&index);
     let flag_offset = provenance_offset(&index) - 1;
 
-    // Corrupt the presence flag, the model tag, and the record count; each
-    // time recompute the checksum so only the decoder can object. Tags 0 and
-    // 1 (the retired stream sampler's) are as unknown as any other.
+    // Corrupt the presence flag, the model tag, and the delta-log length;
+    // each time recompute the checksum so only the decoder can object. Tags 0
+    // and 1 (the retired stream sampler's) are as unknown as any other.
     for (offset, value, what) in [
         (flag_offset, 7u8, "presence flag"),
         (flag_offset + 1, 9u8, "model tag"),
         (flag_offset + 1, 0u8, "retired IC model tag"),
         (flag_offset + 1, 1u8, "retired LT model tag"),
-        (flag_offset + 1 + 1 + 8 + 8 + 8, 0xFFu8, "record count"),
+        (flag_offset + 1 + 1 + 8 + 8 + 8 + 7, 0xFFu8, "delta-log length"),
     ] {
         let mut bytes = good.clone();
         bytes[offset] = value;
@@ -314,17 +313,17 @@ fn lying_postings_sections_are_rejected_even_with_a_fixed_checksum() {
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{what} surfaced as {err:?}");
     }
 
-    // A set count whose lens no file could hold, behind a refit *directory*
+    // A set count outside the u32 set-id space, behind a refit *directory*
     // checksum — the only gate of the mapped path, which skips the container
     // checksum. 64 one-member sets keep every vertex a list, so no row
-    // section bounds the count either.
+    // section bounds the count: the directory itself must.
     let raw: Vec<Vec<u32>> = (0..64u32).map(|set| vec![set]).collect();
     let mut bytes = snapshot_bytes(&index_from(&raw, &[], "count"));
     assert_eq!(parse_head(&bytes).unwrap().sections.row_vertices, 0);
     let dir_at = 20 + 8 + 4 + "count".len();
-    bytes[dir_at + 8..dir_at + 16].copy_from_slice(&((1u64 << 62) + 1).to_le_bytes());
-    let dir_check = fnv1a64(&bytes[dir_at..dir_at + 104]);
-    bytes[dir_at + 104..dir_at + 112].copy_from_slice(&dir_check.to_le_bytes());
+    bytes[dir_at + 8..dir_at + 16].copy_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
+    let dir_check = fnv1a64(&bytes[dir_at..dir_at + 72]);
+    bytes[dir_at + 72..dir_at + 80].copy_from_slice(&dir_check.to_le_bytes());
     let err = parse_head(&bytes).expect_err("the head parser must bound the set count");
     assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
     refix_checksum(&mut bytes);
@@ -347,8 +346,8 @@ fn a_row_bit_beyond_the_range_is_rejected() {
     assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
 }
 
-/// One format: every version field but the current one — the retired 1–4
-/// as much as 0 or a future 6 — is refused before any payload work, by the
+/// One format: every version field but the current one — the retired 1–5
+/// as much as 0 or a future 7 — is refused before any payload work, by the
 /// loaders and by the head parser the mapped path opens with, and the error
 /// says what to do about it. (`imm-store`'s `mmap_fallback` suite runs the
 /// same fields through `Store::{open, open_read, open_mapped}`.)
@@ -357,7 +356,7 @@ fn wrong_version_fields_are_rejected_and_the_written_version_loads() {
     let (index, _, _) = dynamic_index(21);
     let good = snapshot_bytes(&index);
 
-    for bogus in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
+    for bogus in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&bogus.to_le_bytes());
         for (via, err) in [
@@ -371,7 +370,7 @@ fn wrong_version_fields_are_rejected_and_the_written_version_loads() {
             assert_eq!(
                 err.to_string(),
                 format!(
-                    "unsupported snapshot version {bogus}: this build reads and maps version 5; \
+                    "unsupported snapshot version {bogus}: this build reads and maps version 6; \
                      rebuild the index with `build-index`"
                 )
             );

@@ -1,10 +1,12 @@
 //! Test support shared by the masked-session suites of `imm-service` and
 //! `imm-shard` (the latter includes this file by path): the **dense
 //! oracle** — the whole-index masked greedy the engines used to run (full
-//! counts, full alive vector, one frontier entry per vertex) — and the
-//! fixtures and case generators both suites sweep. `celf_parity` includes
-//! it too, for the mixed-form collection.
+//! counts, full alive vector, one frontier entry per vertex) over the
+//! collection an index indexed — and the fixtures and case generators both
+//! suites sweep. `celf_parity` includes it too, for the mixed-form sets.
 
+use efficient_imm::balance::Schedule;
+use efficient_imm::sampling::{generate_rrr_sets, set_provenance, SamplingConfig};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};
@@ -15,21 +17,21 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
-/// Audience Top-K by the dense construction: counts over all `n` vertices
-/// built from the eligible sets, an alive flag per set, an `n`-entry CELF
-/// frontier ordered by count then toward the smaller vertex id, and
-/// zero-gain rounds that re-admit the selected vertex.
-pub fn dense_masked_top_k(index: &SketchIndex, k: usize, audience: &BitSet) -> QueryResponse {
-    let n = index.num_nodes();
-    let mut alive = vec![false; index.num_sets()];
-    for v in audience.iter().filter(|&v| v < n) {
-        for sid in index.ids(v as NodeId) {
-            alive[sid as usize] = true;
-        }
-    }
+/// Audience Top-K by the dense construction over `sets`: counts over all
+/// `n` vertices built from the eligible sets, an alive flag per set, an
+/// `n`-entry CELF frontier ordered by count then toward the smaller vertex
+/// id, and zero-gain rounds that re-admit the selected vertex.
+pub fn dense_masked_top_k(sets: &RrrCollection, k: usize, audience: &BitSet) -> QueryResponse {
+    let n = sets.num_nodes();
+    let mut alive: Vec<bool> =
+        sets.iter().map(|set| set.iter().any(|v| audience.contains(v as usize))).collect();
+    let mut holders = vec![Vec::new(); n];
     let mut counts = vec![0u64; n];
-    for (sid, _) in alive.iter().enumerate().filter(|(_, &live)| live) {
-        index.sets().get(sid).for_each(|v| counts[v as usize] += 1);
+    for (sid, set) in sets.iter().enumerate() {
+        set.for_each(|v| {
+            holders[v as usize].push(sid);
+            counts[v as usize] += u64::from(alive[sid]);
+        });
     }
     let mut frontier: BinaryHeap<(u64, Reverse<NodeId>)> =
         counts.iter().enumerate().map(|(v, &c)| (c, Reverse(v as NodeId))).collect();
@@ -45,24 +47,21 @@ pub fn dense_masked_top_k(index: &SketchIndex, k: usize, audience: &BitSet) -> Q
             frontier.push((live, Reverse(v)));
         };
         seeds.push(best);
-        for sid in index.ids(best) {
-            if std::mem::take(&mut alive[sid as usize]) {
+        for &sid in &holders[best as usize] {
+            if std::mem::take(&mut alive[sid]) {
                 covered += 1;
-                index.sets().get(sid as usize).for_each(|v| counts[v as usize] -= 1);
+                sets.get(sid).for_each(|v| counts[v as usize] -= 1);
             }
         }
         frontier.push((counts[best as usize], Reverse(best)));
     }
-    QueryResponse::top_k_from_tallies(seeds, covered, index.num_sets(), n)
+    QueryResponse::top_k_from_tallies(seeds, covered, sets.len(), n)
 }
 
 /// An index over `raw_sets`, set `i` stored as a bitmap when
-/// `bitmap_choices[i]` says so and as a sorted list otherwise.
-pub fn index_from(
-    num_nodes: usize,
-    raw_sets: &[HashSet<u32>],
-    bitmap_choices: &[bool],
-) -> SketchIndex {
+/// `bitmap_choices[i]` says so and as a sorted list otherwise, and the
+/// collection it indexed.
+pub fn index_from(num_nodes: usize, raw_sets: &[HashSet<u32>], bitmap_choices: &[bool]) -> Indexed {
     let mut collection = RrrCollection::new(num_nodes);
     for (i, set) in raw_sets.iter().enumerate() {
         let policy = if bitmap_choices.get(i).copied().unwrap_or(false) {
@@ -72,7 +71,8 @@ pub fn index_from(
         };
         collection.push_vertices(set.iter().copied().collect(), &policy);
     }
-    SketchIndex::from_collection(collection, IndexMeta::default()).expect("members are in range")
+    let index = SketchIndex::from_collection(collection.clone(), IndexMeta::default());
+    (index.expect("members are in range"), collection)
 }
 
 /// One collection whose vertices take both postings forms: hubs 0..4 each
@@ -92,7 +92,7 @@ pub fn mixed_form_sets() -> (usize, Vec<Vec<u32>>) {
             members
         })
         .collect();
-    let rows = index_from(n, &hash_sets(&sets), &[]).postings().stats().row_vertices;
+    let rows = index_from(n, &hash_sets(&sets), &[]).0.postings().stats().row_vertices;
     assert!(0 < rows && rows < n, "{rows} row vertices of {n}");
     (n, sets)
 }
@@ -133,25 +133,39 @@ pub fn budgets(num_nodes: usize) -> [usize; 5] {
     [0, 1, 4, num_nodes, num_nodes + 7]
 }
 
-/// A sampled dynamic index (120 vertices, 150 IC sets) with its graph.
-pub fn sampled_index() -> (CsrGraph, EdgeWeights, SketchIndex) {
+/// A dynamic index over the `theta` sets `spec` draws from `graph`, and
+/// those sets.
+pub fn sampled(g: &CsrGraph, w: &EdgeWeights, spec: SampleSpec, theta: usize) -> Indexed {
+    let (model, rng_seed, policy) = (spec.model, spec.rng_seed, spec.policy);
+    let schedule = Schedule::Dynamic { chunk: 32 };
+    let cfg = SamplingConfig { model, rng_seed, policy, schedule, threads: 2, fused_counter: None };
+    let sets = generate_rrr_sets(g, w, theta, 0, &cfg).sets;
+    let records = set_provenance(rng_seed, 0..theta, g.num_nodes());
+    let index = SketchIndex::build_with_provenance(g, sets.clone(), records, spec, "masked");
+    (index.expect("sample"), sets)
+}
+
+/// An index and the collection it indexed.
+pub type Indexed = (SketchIndex, RrrCollection);
+
+/// A sampled dynamic index (120 vertices, 150 IC sets), its graph and its sets.
+pub fn sampled_index() -> (CsrGraph, EdgeWeights, SketchIndex, RrrCollection) {
     let mut rng = SmallRng::seed_from_u64(0xA5);
     let graph = CsrGraph::from_edge_list(&generators::social_network(120, 5, 0.3, &mut rng));
     let weights = EdgeWeights::constant(&graph, 0.2);
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 0x5EED);
-    let index = SketchIndex::sample(&graph, &weights, spec, 150, 2, "masked").expect("sample");
-    (graph, weights, index)
+    let (index, sets) = sampled(&graph, &weights, spec, 150);
+    (graph, weights, index, sets)
 }
 
-/// Sixteen distinct random-audience queries with their oracle answers on
-/// `index`.
-pub fn audience_queries(index: &SketchIndex) -> (Vec<Query>, Vec<QueryResponse>) {
+/// Sixteen distinct random-audience queries and their oracle answers on `sets`.
+pub fn audience_queries(sets: &RrrCollection) -> (Vec<Query>, Vec<QueryResponse>) {
     (0..16u64)
         .map(|i| {
             let (_, audience) =
-                audiences(index.num_nodes(), 0xA0D1 ^ i).swap_remove(2 + (i % 2) as usize);
+                audiences(sets.num_nodes(), 0xA0D1 ^ i).swap_remove(2 + (i % 2) as usize);
             let k = 2 + i as usize % 7;
-            let expected = dense_masked_top_k(index, k, &audience);
+            let expected = dense_masked_top_k(sets, k, &audience);
             (Query::audience_top_k(k, audience), expected)
         })
         .unzip()

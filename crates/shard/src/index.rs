@@ -1,13 +1,13 @@
 //! The range-sharded sketch index.
 //!
 //! A [`ShardedIndex`] is a [`SketchIndex`] plus a shard map. The **base**
-//! owns everything there is to own — the collection (one shared arena), the
-//! metadata, the sampling provenance and the global postings (under `--mmap`
-//! the mapped section itself) — and the map is one [`ShardSegment`] per
-//! contiguous **RRR-set range**: where the range starts, how many sets it
-//! holds and how many postings entries they add up to. Nothing is built per
-//! shard here, so partitioning an index, cloning a sharded index and
-//! comparing two of them cost the map, not the sets.
+//! owns everything there is to own — the metadata, the sampling provenance
+//! and the global postings (under `--mmap` the mapped sections themselves) —
+//! and the map is one [`ShardSegment`] per contiguous **RRR-set range**:
+//! where the range starts, how many sets it holds and how many postings
+//! entries they add up to, counted off the global postings. Nothing is
+//! built per shard here, so partitioning an index, cloning a sharded index
+//! and comparing two of them cost the map, not the sets.
 //!
 //! Incremental refresh is the base's ([`SketchIndex::apply_delta`], over the
 //! workspace's one refresh driver: invalidate by the coins, resample from the
@@ -38,7 +38,7 @@ fn shard_ranges(theta: usize, shards: usize) -> Vec<(usize, usize)> {
 /// A sketch index partitioned into contiguous set-range shards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedIndex {
-    /// The one owner of the sets, metadata, provenance and global postings.
+    /// The one owner of the metadata, provenance and global postings.
     base: Arc<SketchIndex>,
     segments: Vec<ShardSegment>,
 }
@@ -66,18 +66,16 @@ impl ShardedIndex {
     }
 
     /// Lay explicit contiguous ranges over `base` (a rollout keeps the
-    /// previous generation's). Ranges must tile `[0, θ)` in order.
+    /// previous generation's) and weigh them off its postings. Ranges must
+    /// tile `[0, θ)` in order.
     fn from_ranges(base: Arc<SketchIndex>, ranges: &[(usize, usize)]) -> Self {
         let mut cursor = 0usize;
-        let segments = ranges
-            .iter()
-            .map(|&(start, len)| {
-                assert_eq!(start, cursor, "shard ranges must tile the set space in order");
-                cursor += len;
-                ShardSegment::over(base.sets(), start, len)
-            })
-            .collect();
+        for &(start, len) in ranges {
+            assert_eq!(start, cursor, "shard ranges must tile the set space in order");
+            cursor += len;
+        }
         assert_eq!(cursor, base.num_sets(), "shard ranges must cover every set");
+        let segments = ShardSegment::weigh(base.postings(), ranges);
         ShardedIndex { base, segments }
     }
 
@@ -87,7 +85,7 @@ impl ShardedIndex {
         Arc::unwrap_or_clone(self.base)
     }
 
-    /// The base index: the sets, metadata, provenance and global postings.
+    /// The base index: the metadata, provenance and global postings.
     #[inline]
     pub fn base(&self) -> &Arc<SketchIndex> {
         &self.base
@@ -103,12 +101,6 @@ impl ShardedIndex {
     #[inline]
     pub fn segments(&self) -> &[ShardSegment] {
         &self.segments
-    }
-
-    /// The shared collection the shards view.
-    #[inline]
-    pub fn collection(&self) -> &RrrCollection {
-        self.base.sets()
     }
 
     /// Number of vertices of the indexed vertex space.
@@ -144,8 +136,8 @@ impl ShardedIndex {
         self.base.provenance()
     }
 
-    /// Heap bytes: the base's (collection and global postings); the shard
-    /// map adds nothing worth counting.
+    /// Bytes of the base's global postings; the shard map adds nothing worth
+    /// counting.
     pub fn memory_bytes(&self) -> usize {
         self.base.memory_bytes()
     }
@@ -211,23 +203,6 @@ mod tests {
         let c = collection(4, &[&[0], &[1]]);
         let index = ShardedIndex::from_parts(c, IndexMeta::default(), None, 0).unwrap();
         assert_eq!(index.num_shards(), 1);
-    }
-
-    #[test]
-    fn misaligned_provenance_is_rejected() {
-        let c = collection(4, &[&[0], &[1]]);
-        let p = SketchProvenance {
-            spec: imm_service::SampleSpec::new(
-                imm_diffusion::DiffusionModel::IndependentCascade,
-                1,
-            ),
-            sets: Vec::new(),
-            delta_log: Vec::new(),
-        };
-        assert_eq!(
-            ShardedIndex::from_parts(c, IndexMeta::default(), Some(p), 2),
-            Err(IndexError::ProvenanceMismatch { sets: 2, records: 0 })
-        );
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! answered.
 //!
 //! * [`ShardedIndex`] — a `SketchIndex` (the base: the one owner of the
-//!   collection, metadata, provenance and global postings) plus a shard
-//!   map: one [`ShardSegment`] — start, length, postings weight, nothing
-//!   built — per near-equal contiguous set range. A rollout
+//!   metadata, provenance and global postings) plus a shard map: one
+//!   [`ShardSegment`] — start, length, postings weight counted off the
+//!   global postings, nothing built — per near-equal contiguous set range. A rollout
 //!   (`rebuilt_with_delta`) refreshes a copy of the base through
 //!   `imm-service`'s one refresh driver and re-weighs the map.
 //! * [`ShardedEngine`] — an `imm_service::QueryEngine` over the base, which

@@ -1,12 +1,12 @@
 //! One entry of a sharded index's shard map.
 //!
 //! A [`ShardSegment`] names a contiguous **RRR-set range**
-//! `[start, start + len)` of the base index's collection and what the range
-//! weighs. It owns nothing — no sets (they are the base's, borrowed on
-//! demand as an [`imm_rrr::CollectionSlice`]) and no postings: every query
-//! is served from the base's global postings (see [`crate::ShardedEngine`]).
+//! `[start, start + len)` of the base index and what the range weighs. It
+//! owns nothing — the base holds no sets, only their postings, and every
+//! query is served from those global postings (see
+//! [`crate::ShardedEngine`]) — so the weight is read off the postings too.
 
-use imm_rrr::RrrCollection;
+use imm_rrr::{NodeId, Postings};
 
 /// One shard: a contiguous set range and its weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,11 +17,31 @@ pub struct ShardSegment {
 }
 
 impl ShardSegment {
-    /// The entry for `collection`'s sets `[start, start + len)`; one pass
-    /// over the range's set lengths.
-    pub(crate) fn over(collection: &RrrCollection, start: usize, len: usize) -> Self {
-        let postings_entries = collection.slice(start, len).iter().map(|s| s.len() as u64).sum();
-        ShardSegment { start, len, postings_entries }
+    /// The entries for `ranges` — contiguous, tiling the sets of `postings`
+    /// in order — in one pass over the vertices: a vertex adds to each range
+    /// the difference of [`imm_rrr::PostingsView::count_below`] at the
+    /// range's two ends (a popcount of a row's words, a `partition_point` in
+    /// a list).
+    pub(crate) fn weigh(postings: &Postings, ranges: &[(usize, usize)]) -> Vec<Self> {
+        let view = postings.view();
+        let ends: Vec<u32> = ranges.iter().map(|&(start, len)| (start + len) as u32).collect();
+        let mut entries = vec![0u64; ranges.len()];
+        for v in 0..postings.num_nodes() as NodeId {
+            if view.degree(v) == 0 {
+                continue;
+            }
+            let mut below = 0u64;
+            for (weight, &end) in entries.iter_mut().zip(&ends) {
+                let upto = view.count_below(v, end);
+                *weight += upto - below;
+                below = upto;
+            }
+        }
+        ranges
+            .iter()
+            .zip(entries)
+            .map(|(&(start, len), postings_entries)| ShardSegment { start, len, postings_entries })
+            .collect()
     }
 
     /// Global id of the shard's first set.
@@ -54,26 +74,34 @@ impl ShardSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::{AdaptivePolicy, NodeId};
+    use imm_rrr::{AdaptivePolicy, RrrCollection};
+    use imm_service::{IndexMeta, SketchIndex};
 
     #[test]
-    fn an_entry_weighs_the_set_lengths_of_its_range_in_either_representation() {
+    fn an_entry_weighs_the_set_lengths_of_its_range_in_either_postings_form() {
+        // Figure 3 padded to 40 sets: vertices 0–4 store rows, vertex 5 a list.
         let sets: &[&[NodeId]] =
             &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]];
         let mut c = RrrCollection::new(6);
-        for (i, s) in sets.iter().enumerate() {
+        for i in 0..40 {
             let policy = if i % 3 == 0 {
                 AdaptivePolicy::always_bitmap()
             } else {
                 AdaptivePolicy::always_sorted()
             };
-            c.push_vertices(s.to_vec(), &policy);
+            c.push_vertices(sets.get(i).map_or(vec![], |s| s.to_vec()), &policy);
         }
-        for (start, len, entries) in [(0, 8, 14), (2, 4, 8), (6, 2, 3), (8, 0, 0)] {
-            let seg = ShardSegment::over(&c, start, len);
+        let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
+        let postings = index.postings();
+        assert!(postings.is_row(4) && !postings.is_row(5));
+        let ranges = [(0, 2), (2, 4), (6, 2), (8, 32)];
+        let segments = ShardSegment::weigh(postings, &ranges);
+        for (seg, (&(start, len), entries)) in segments.iter().zip(ranges.iter().zip([3, 8, 3, 0]))
+        {
             assert_eq!((seg.start(), seg.len()), (start, len));
-            assert_eq!(seg.is_empty(), len == 0);
+            assert!(!seg.is_empty());
             assert_eq!(seg.postings_entries(), entries, "sets {start}..{}", start + len);
         }
+        assert!(ShardSegment::weigh(postings, &[(0, 40), (40, 0)])[1].is_empty());
     }
 }

@@ -16,7 +16,7 @@ use imm_service::{Query, QueryResponse, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use masked_oracle::{
     audience_queries, audiences, budgets, dense_masked_top_k, hash_sets, index_from,
-    mixed_form_sets, sampled_index,
+    mixed_form_sets, sampled, sampled_index, Indexed,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,20 +31,20 @@ fn engine(index: &SketchIndex, shards: usize) -> ShardedEngine {
 }
 
 /// Every audience shape × every budget on `index`, at every shard count,
-/// equals the dense oracle.
-fn sweep_equals_the_dense_oracle(index: &SketchIndex, seed: u64) {
+/// equals the dense oracle over `sets`, the collection it indexed.
+fn sweep_equals_the_dense_oracle((index, sets): Indexed, seed: u64) {
     let n = index.num_nodes();
     let cases: Vec<(&str, BitSet, usize, QueryResponse)> = audiences(n, seed)
         .into_iter()
         .flat_map(|(shape, audience)| {
             budgets(n).map(|k| {
-                let expected = dense_masked_top_k(index, k, &audience);
+                let expected = dense_masked_top_k(&sets, k, &audience);
                 (shape, audience.clone(), k, expected)
             })
         })
         .collect();
     for shards in SHARD_COUNTS {
-        let engine = engine(index, shards);
+        let engine = engine(&index, shards);
         for (shape, audience, k, expected) in &cases {
             prop_assert_eq!(
                 &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
@@ -70,7 +70,7 @@ proptest! {
         bitmap_choices in proptest::collection::vec(any::<bool>(), 0..30),
         seed in 0u64..1_000_000,
     ) {
-        sweep_equals_the_dense_oracle(&index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
+        sweep_equals_the_dense_oracle(index_from(NUM_NODES, &raw_sets, &bitmap_choices), seed);
     }
 }
 
@@ -78,13 +78,13 @@ proptest! {
 #[test]
 fn sharded_sparse_session_equals_the_dense_oracle_when_rows_and_lists_mix() {
     let (n, sets) = mixed_form_sets();
-    sweep_equals_the_dense_oracle(&index_from(n, &hash_sets(&sets), &[]), 0x31C3);
+    sweep_equals_the_dense_oracle(index_from(n, &hash_sets(&sets), &[]), 0x31C3);
 }
 
 #[test]
 fn back_to_back_audiences_equal_fresh_engine_answers() {
-    let (_, _, index) = sampled_index();
-    let (queries, _) = audience_queries(&index);
+    let (_, _, index, sets) = sampled_index();
+    let (queries, _) = audience_queries(&sets);
     let reused = engine(&index, 4);
     // A leaked count or alive bit of query i would change query i + 1.
     for query in &queries {
@@ -95,8 +95,8 @@ fn back_to_back_audiences_equal_fresh_engine_answers() {
 
 #[test]
 fn a_masked_query_leaves_the_persistent_prefix_intact() {
-    let (_, _, index) = sampled_index();
-    let (queries, _) = audience_queries(&index);
+    let (_, _, index, sets) = sampled_index();
+    let (queries, _) = audience_queries(&sets);
     let served = engine(&index, 4);
     let fresh = engine(&index, 4);
     let three = served.execute_uncached(&Query::top_k(3));
@@ -109,8 +109,8 @@ fn a_masked_query_leaves_the_persistent_prefix_intact() {
 
 #[test]
 fn concurrent_audience_batches_equal_sequential_execution() {
-    let (_, _, index) = sampled_index();
-    let (queries, sequential) = audience_queries(&index);
+    let (_, _, index, sets) = sampled_index();
+    let (queries, sequential) = audience_queries(&sets);
     let engine = engine(&index, 4);
     for threads in [1usize, 2, 4] {
         assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads = {threads}");
@@ -119,8 +119,9 @@ fn concurrent_audience_batches_equal_sequential_execution() {
 
 #[test]
 fn a_rolled_generation_serves_the_refreshed_index() {
-    let (graph, weights, index) = sampled_index();
-    let (queries, _) = audience_queries(&index);
+    let (graph, weights, index, sets) = sampled_index();
+    let spec = index.provenance().expect("dynamic").spec;
+    let (queries, _) = audience_queries(&sets);
     let old = engine(&index, 4);
     for query in &queries {
         old.execute_uncached(query); // the old generation has served its sessions
@@ -129,11 +130,11 @@ fn a_rolled_generation_serves_the_refreshed_index() {
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
     // The daemon's rollout: the next generation off to the side, a new
     // engine over it.
-    let (next, _, _, _) =
+    let (next, graph, weights, _) =
         old.index().rebuilt_with_delta(&graph, &weights, &delta).expect("refresh");
-    let refreshed = next.base().clone();
     let engine = ShardedEngine::with_options(Arc::new(next), 1, 0);
-    let (_, expected) = audience_queries(&refreshed);
+    // A rollout equals the rebuild, so the oracle reads the rebuild's sets.
+    let (_, expected) = audience_queries(&sampled(&graph, &weights, spec, sets.len()).1);
     for (query, expected) in queries.iter().zip(&expected) {
         assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
     }

@@ -136,11 +136,10 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
                     rolled(&sharded, (&graph, &weights), &delta, threads);
                 assert_eq!(single_stats, sharded_stats, "{context}: refresh stats diverged");
                 assert_eq!(g1.num_edges(), g2.num_edges());
-                assert_eq!(
-                    single.index().sets(),
-                    sharded.index().collection(),
-                    "{context}: refreshed collections diverged"
-                );
+                let (single_postings, sharded_postings) =
+                    (single.index().postings(), sharded.index().global_postings());
+                assert_eq!(single_postings.sections(), sharded_postings.sections(), "{context}");
+                assert_eq!(single_postings, sharded_postings, "{context}: refreshed sets diverged");
                 assert_engines_agree(
                     &single,
                     &sharded,

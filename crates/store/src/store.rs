@@ -1,13 +1,14 @@
 //! Opening a snapshot as a served index: the zero-copy mmap path with a
 //! counted fallback to the classic read-decode path.
 //!
-//! [`Store::open`] maps the file, parses the head of a v5 snapshot (prelude,
-//! section directory, per-set lens/flags, provenance — no data pages), and
-//! assembles a [`SketchIndex`] whose arena, bitmap words and inverted
-//! postings (offsets, lists, row table, rows) are **borrowed views into the
-//! mapping**. Nothing proportional to the index size is read or copied at
-//! open time; queries fault pages in on demand, so time-to-first-query drops
-//! from "decode the whole file" to "parse a few head pages".
+//! [`Store::open`] maps the file, parses the head of a v6 snapshot (prelude,
+//! section directory, provenance — no data pages), and assembles a
+//! [`SketchIndex`] whose postings (offsets, lists, row table, rows) are
+//! **borrowed views into the mapping** — the postings are all a snapshot
+//! holds. Nothing is copied at open time and nothing is read but the list
+//! offsets and the row table, which are validated; queries fault the lists
+//! and rows in on demand, so time-to-first-query drops from "decode the
+//! whole file" to "parse the head and check the offsets".
 //!
 //! Any failure on the mapped path — a non-Linux platform, an mmap error, an
 //! injected fault — increments `store_mmap_fallbacks` and falls back to the
@@ -35,10 +36,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use imm_rrr::{ArenaSource, BitSet, NodeId, RrrCollection, RrrSet, WordsSource};
 use imm_service::{
     parse_head, IndexError, PostingsSource, SetId, SketchIndex, SnapshotError, SnapshotSections,
-    SET_FLAG_BITMAP, SET_FLAG_SORTED,
 };
 
 use crate::metrics;
@@ -70,8 +69,8 @@ impl LoadMode {
 ///
 /// `open` covers file open + metadata (+ full read on the fallback path),
 /// `map` covers mmap + head parsing (zero on the fallback path), `decode`
-/// covers index assembly — span attachment on the mapped path, the whole
-/// checksum-and-decode on the fallback path.
+/// covers index assembly — the postings shape checks on the mapped path, the
+/// whole checksum-and-decode on the fallback path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StartupTimings {
     /// File open/read phase.
@@ -96,12 +95,14 @@ impl StartupTimings {
 pub enum StoreError {
     /// Filesystem or mmap syscall failure.
     Io(std::io::Error),
-    /// The file is not a parseable snapshot of the current format version.
+    /// The file is not a parseable snapshot of the current format version;
+    /// a directory that lies (a set count outside the set-id space, sections
+    /// that overlap or overrun the file) is a
+    /// [`SnapshotError::Corrupt`] here.
     Snapshot(SnapshotError),
-    /// The head parsed but the index rejected the mapped parts.
+    /// The head parsed but the index rejected the mapped postings (their
+    /// offsets or row table lie).
     Index(IndexError),
-    /// Section bookkeeping disagreed with the per-set lens/flags.
-    Corrupt(&'static str),
     /// An injected fault tripped the open fail point.
     Fault(&'static str),
 }
@@ -112,7 +113,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "store io error: {e}"),
             StoreError::Snapshot(e) => write!(f, "store snapshot error: {e}"),
             StoreError::Index(e) => write!(f, "store index error: {e}"),
-            StoreError::Corrupt(msg) => write!(f, "store corrupt snapshot: {msg}"),
             StoreError::Fault(site) => write!(f, "store injected fault at {site}"),
         }
     }
@@ -158,34 +158,6 @@ fn section_slice<T>(mapping: &Mapping, off: usize, len: usize) -> &[T] {
     unsafe { std::slice::from_raw_parts(mapping.as_slice().as_ptr().add(off).cast::<T>(), len) }
 }
 
-/// The vertex arena section, served in place.
-#[derive(Debug)]
-struct MappedArena {
-    mapping: Arc<Mapping>,
-    off: usize,
-    len: usize,
-}
-
-impl ArenaSource for MappedArena {
-    fn nodes(&self) -> &[NodeId] {
-        section_slice(&self.mapping, self.off, self.len)
-    }
-}
-
-/// The bitmap-words section, served in place.
-#[derive(Debug)]
-struct MappedWords {
-    mapping: Arc<Mapping>,
-    off: usize,
-    len: usize,
-}
-
-impl WordsSource for MappedWords {
-    fn words(&self) -> &[u64] {
-        section_slice(&self.mapping, self.off, self.len)
-    }
-}
-
 /// The four postings sections — offsets, flat lists, row table, rows —
 /// served in place.
 #[derive(Debug)]
@@ -222,8 +194,8 @@ impl PostingsSource for MappedPostings {
 /// timings, and (on the mapped path) the live mapping.
 #[derive(Debug)]
 pub struct OpenedIndex {
-    /// The served index; on the mapped path its arena, bitmaps and postings
-    /// are borrowed views into the mapping.
+    /// The served index; on the mapped path its postings are borrowed views
+    /// into the mapping.
     pub index: SketchIndex,
     /// Which path produced the index.
     pub mode: LoadMode,
@@ -301,56 +273,15 @@ impl Store {
 
         let t_decode = Instant::now();
         let sections = head.sections;
-        let arena: Arc<dyn ArenaSource> = Arc::new(MappedArena {
-            mapping: Arc::clone(&mapping),
-            off: sections.arena_off,
-            len: sections.arena_len,
-        });
-        let mut collection =
-            RrrCollection::adopt_shared_arena(sections.num_nodes, arena, sections.num_sets);
-        let words_per_bitmap = sections.words_per_bitmap();
-        let words: Arc<dyn WordsSource> = Arc::new(MappedWords {
-            mapping: Arc::clone(&mapping),
-            off: sections.bitmaps_off,
-            len: sections.bitmap_sets * words_per_bitmap,
-        });
-        let mut cursor = 0usize;
-        let mut next_bitmap = 0usize;
-        for (&len, &flag) in head.lens.iter().zip(head.flags.iter()) {
-            match flag {
-                SET_FLAG_SORTED => {
-                    collection
-                        .push_span_trusted(cursor, len as usize)
-                        .map_err(StoreError::Corrupt)?;
-                    cursor += len as usize;
-                }
-                SET_FLAG_BITMAP => {
-                    if next_bitmap >= sections.bitmap_sets {
-                        return Err(StoreError::Corrupt("more bitmap flags than bitmap sections"));
-                    }
-                    let bs = BitSet::from_shared_words(
-                        sections.num_nodes,
-                        Arc::clone(&words),
-                        next_bitmap * words_per_bitmap,
-                        len as usize,
-                    )
-                    .map_err(StoreError::Corrupt)?;
-                    collection.push(RrrSet::Bitmap(bs));
-                    next_bitmap += 1;
-                }
-                _ => return Err(StoreError::Corrupt("unknown representation flag")),
-            }
-        }
-        if cursor != sections.arena_len {
-            return Err(StoreError::Corrupt("arena length disagrees with the set lengths"));
-        }
-        if next_bitmap != sections.bitmap_sets {
-            return Err(StoreError::Corrupt("fewer bitmap flags than bitmap sections"));
-        }
         let postings: Arc<dyn PostingsSource> =
             Arc::new(MappedPostings { mapping: Arc::clone(&mapping), sections });
-        let index =
-            SketchIndex::from_mapped_parts(collection, head.meta, head.provenance, postings)?;
+        let index = SketchIndex::from_mapped_parts(
+            sections.num_nodes,
+            sections.num_sets,
+            head.meta,
+            head.provenance,
+            postings,
+        )?;
         let decode_ns = t_decode.elapsed().as_nanos() as u64;
 
         metrics::MMAP_OPENS.increment();

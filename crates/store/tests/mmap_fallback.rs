@@ -1,10 +1,11 @@
 //! Chaos case for the store: an injected fault mid-map must degrade to the
 //! read-decode path — counted, logically lossless, and still serving the
-//! exact same query responses. What no path may serve stays an error on every path: a file of another format version
-//! (`UnsupportedVersion`, from the mapped open and the fallback alike) and
-//! postings sections that lie (a structured error where the head shows the
-//! lie, masked bits where only the data could — never a panic, never a set
-//! id outside the range).
+//! exact same query responses. What no path may serve stays an error on
+//! every path: a file of another format version (`UnsupportedVersion`, from
+//! the mapped open and the fallback alike), a directory whose set count
+//! leaves the set-id space, and postings sections that lie (a structured
+//! error where the head shows the lie, masked bits where only the data
+//! could — never a panic, never a set id outside the range).
 //!
 //! Fault plans are process-global and `fail_first: 1` trips the *first* hit
 //! of every site — `snapshot.write` and `store.mmap.open` included — so each
@@ -25,6 +26,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// FNV-1a 64 (the directory checksum), for refitting a tampered head.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let step = |hash: u64, &b: &u8| (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("imm_store_fallback_tests");
@@ -99,7 +106,7 @@ fn open_mapped_surfaces_the_injected_fault_without_fallback() {
 }
 
 /// One format: a file whose version field is anything but the current one
-/// — the retired 4 as much as 0 or a future 6 — is `UnsupportedVersion` from
+/// — the retired 5 as much as 0 or a future 7 — is `UnsupportedVersion` from
 /// the strict mapped open, from read-decode, and therefore from the resilient
 /// open too: the fallback has nothing older to fall back to.
 #[test]
@@ -109,7 +116,7 @@ fn other_format_versions_are_refused_on_every_path() {
     quietly(|| {
         index.save_to_path(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
-        for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
             let mut bytes = good.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
@@ -159,6 +166,16 @@ fn lying_row_sections() {
     let put_u32 = |bytes: &mut [u8], at: usize, value: u32| {
         bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
     };
+
+    // A set count past u32::MAX behind a refit directory checksum: a corrupt head.
+    let (mut bytes, dir_at) = (good.clone(), 20 + 8 + 4 + "lies".len());
+    bytes[dir_at + 8..dir_at + 16].copy_from_slice(&(u32::MAX as u64 + 1).to_le_bytes());
+    let check = fnv1a64(&bytes[dir_at..dir_at + 72]);
+    bytes[dir_at + 72..dir_at + 80].copy_from_slice(&check.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Store::open_mapped(&path).expect_err("a set count past u32::MAX must not map");
+    assert!(matches!(err, StoreError::Snapshot(SnapshotError::Corrupt(_))), "{err:?}");
+    assert!(Store::open(&path).is_err(), "no path may serve the file");
 
     // What the offsets and the row table show, the mapped open rejects.
     type Lie<'a> = (&'static str, Box<dyn Fn(&mut [u8]) + 'a>);

@@ -78,7 +78,7 @@ fn assert_full_parity(mapped: &SketchIndex, heap: &SketchIndex) {
     assert_eq!(mapped, heap);
     assert_eq!(mapped.meta(), heap.meta());
     assert_eq!(mapped.provenance(), heap.provenance());
-    assert_eq!(mapped.coverage_stats(), heap.coverage_stats());
+    assert_eq!(mapped.postings().stats(), heap.postings().stats());
     for v in 0..mapped.num_nodes() as u32 {
         assert_eq!(mapped.ids(v), heap.ids(v), "postings diverge at vertex {v}");
         assert_eq!(mapped.degree(v), heap.degree(v));
@@ -113,9 +113,7 @@ fn mapped_and_heap_loads_of_a_dynamic_snapshot_are_identical() {
     assert_eq!(mapped.mode, LoadMode::Mapped);
     assert_eq!(heap.mode, LoadMode::ReadDecode);
     assert!(mapped.is_mapped());
-    assert!(mapped.index.sets().is_arena_shared(), "arena must be a borrowed view");
     assert!(mapped.index.is_postings_shared(), "postings must be a borrowed view");
-    assert!(!heap.index.sets().is_arena_shared());
     assert!(!heap.index.is_postings_shared());
     assert_eq!(mapped.mapped_len(), std::fs::metadata(&path).unwrap().len() as usize);
     assert_full_parity(&mapped.index, &heap.index);
