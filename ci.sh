@@ -53,7 +53,8 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # independence + forward-simulation validity); the vertex-adaptive
 # postings against their naive inverse; the CELF sessions against the naive
 # greedy (fresh Top-K) and the dense oracle (audience Top-K, one copy in
-# imm-service and one in imm-shard, so that name must appear twice).
+# imm-service and one in imm-shard, so that name must appear twice); the
+# spliced graph delta against the CSR rebuild it replaced.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -64,7 +65,8 @@ for expected in runtime_stress \
   crash_safety snapshot_fixtures \
   imm_store store_parity mmap_fallback \
   differential shard_parity sampler_oracle \
-  postings_inverse celf_parity masked_differential; do
+  postings_inverse celf_parity masked_differential \
+  delta_splice; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
@@ -170,6 +172,21 @@ if grep -rnE "$GONE_SET_MAJOR" crates; then
 fi
 if grep -rnF '.sets()' crates/service/src crates/store/src crates/shard/src crates/serve/src; then
   echo "error: crates/{service,store,shard,serve}/src read the postings; SketchIndex keeps no sets() to call" >&2
+  exit 1
+fi
+
+# `GraphDelta::apply` splices the old CSR (`CsrGraph::spliced` copies the
+# runs between touched vertices), so the edge-list rebuild it replaced
+# survives only as the oracle of the `delta_splice` suite and may not come
+# back as a second path; delta.rs is searched up to its test module. The
+# graph crate holds no unsafe.
+echo "==> splice guard: GraphDelta::apply rebuilds no CSR, and crates/graph/src holds no unsafe"
+if sed '/^#\[cfg(test)\]/,$d' crates/graph/src/delta.rs | grep -nE 'EdgeList|from_edge_list'; then
+  echo "error: GraphDelta::apply splices the CSR; do not rebuild it through an EdgeList" >&2
+  exit 1
+fi
+if grep -rnw 'unsafe' crates/graph/src; then
+  echo "error: crates/graph/src holds no unsafe" >&2
   exit 1
 fi
 

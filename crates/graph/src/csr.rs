@@ -183,6 +183,156 @@ impl CsrGraph {
         CsrGraph::from_edge_list(&el)
     }
 
+    /// This graph with the forward edges `deleted` removed and `inserted`
+    /// added, together with `per_edge` (a payload in forward-edge-id order,
+    /// such as the weights) carried along the same way.
+    ///
+    /// Both adjacency directions are spliced, not rebuilt: the runs between
+    /// touched vertices are copied whole, so the cost is O(n + m) sequential
+    /// copying plus work proportional to the touched vertices' lists.
+    ///
+    /// * A touched source keeps its surviving out-edges in their old order,
+    ///   followed by its insertions in `inserted` order.
+    /// * A touched destination keeps its surviving in-edges in their old
+    ///   scan order, followed by its insertions in `inserted` order.
+    /// * The forward ids of a source without deletions shift by one
+    ///   per-source constant; only a source that lost an edge (at most
+    ///   `deleted.len()` of them) renumbers edge by edge.
+    ///
+    /// `deleted` must be strictly ascending forward edge ids, and `inserted`
+    /// must name vertices below `num_nodes`.
+    pub(crate) fn spliced<T: Copy>(
+        &self,
+        deleted: &[usize],
+        inserted: &[(NodeId, NodeId, T)],
+        per_edge: &[T],
+    ) -> (CsrGraph, Vec<T>) {
+        let n = self.num_nodes;
+        assert!(deleted.windows(2).all(|w| w[0] < w[1]), "deleted ids must be strictly ascending");
+        assert_eq!(per_edge.len(), self.num_edges());
+        let m = self.num_edges() - deleted.len() + inserted.len();
+
+        // Source of each deleted edge (ascending, as the ids are), and the
+        // insertions ordered by source and by destination, each stable so
+        // that one vertex's insertions stay in `inserted` order.
+        let deleted_sources: Vec<usize> =
+            deleted.iter().map(|&id| self.out_offsets.partition_point(|&o| o <= id) - 1).collect();
+        let mut by_source: Vec<usize> = (0..inserted.len()).collect();
+        by_source.sort_by_key(|&i| inserted[i].0);
+        let mut by_dest: Vec<usize> = (0..inserted.len()).collect();
+        by_dest.sort_by_key(|&i| inserted[i].1);
+
+        // Forward side. `d` and `i` count the deletions and insertions at
+        // the sources already passed, so an untouched source's new offset
+        // is its old one plus `i - d`.
+        let mut touched: Vec<usize> = deleted_sources.clone();
+        touched.extend(inserted.iter().map(|&(s, _, _)| s as usize));
+        touched.sort_unstable();
+        touched.dedup();
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_targets = Vec::with_capacity(m);
+        let mut payload = Vec::with_capacity(m);
+        let mut inserted_ids = vec![0usize; inserted.len()];
+        let (mut d, mut i, mut next_vertex, mut next_edge) = (0, 0, 0, 0);
+        for s in touched.into_iter().chain([n]) {
+            out_offsets.extend(self.out_offsets[next_vertex..s].iter().map(|&o| o + i - d));
+            let run = next_edge..self.out_offsets[s];
+            out_targets.extend_from_slice(&self.out_targets[run.clone()]);
+            payload.extend_from_slice(&per_edge[run]);
+            out_offsets.push(out_targets.len());
+            if s == n {
+                break;
+            }
+            let old = self.out_edge_range(s as NodeId);
+            for id in old.clone() {
+                if deleted.get(d) == Some(&id) {
+                    d += 1;
+                } else {
+                    out_targets.push(self.out_targets[id]);
+                    payload.push(per_edge[id]);
+                }
+            }
+            while let Some(&k) = by_source.get(i).filter(|&&k| inserted[k].0 as usize == s) {
+                inserted_ids[k] = out_targets.len();
+                out_targets.push(inserted[k].1);
+                payload.push(inserted[k].2);
+                i += 1;
+            }
+            (next_vertex, next_edge) = (s + 1, old.end);
+        }
+
+        // The new forward id of a surviving edge `id` leaving `src`: its old
+        // id plus the source's shift, one read of one array per edge. A
+        // source that lost an edge is marked `LOST` instead and also closes
+        // the gaps its deletions left below `id`.
+        const LOST: isize = isize::MIN;
+        let mut shift: Vec<isize> = out_offsets[..n]
+            .iter()
+            .zip(&self.out_offsets)
+            .map(|(&new, &old)| new as isize - old as isize)
+            .collect();
+        for &s in &deleted_sources {
+            shift[s] = LOST;
+        }
+        let renumber = |src: NodeId, id: usize| match shift[src as usize] {
+            LOST => {
+                let (old, new) = (self.out_offsets[src as usize], out_offsets[src as usize]);
+                let below = |x: usize| deleted.partition_point(|&e| e < x);
+                new + (id - old) - (below(id) - below(old))
+            }
+            shift => id.wrapping_add_signed(shift),
+        };
+
+        // Reverse side, by the same walk over destinations; a survivor's
+        // edge id is renumbered, an insertion's is the one assigned above.
+        let mut touched: Vec<usize> =
+            deleted.iter().map(|&id| self.out_targets[id] as usize).collect();
+        touched.extend(inserted.iter().map(|&(_, t, _)| t as usize));
+        touched.sort_unstable();
+        touched.dedup();
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut in_sources = Vec::with_capacity(m);
+        let mut in_edge_ids = Vec::with_capacity(m);
+        let (mut d, mut i, mut next_vertex, mut next_slot) = (0, 0, 0, 0);
+        for v in touched.into_iter().chain([n]) {
+            in_offsets.extend(self.in_offsets[next_vertex..v].iter().map(|&o| o + i - d));
+            let run = next_slot..self.in_offsets[v];
+            let (sources, ids) = (&self.in_sources[run.clone()], &self.in_edge_ids[run]);
+            in_sources.extend_from_slice(sources);
+            in_edge_ids.extend(sources.iter().zip(ids).map(|(&u, &id)| renumber(u, id)));
+            in_offsets.push(in_sources.len());
+            if v == n {
+                break;
+            }
+            let old = self.in_offsets[v]..self.in_offsets[v + 1];
+            let (sources, ids) = (&self.in_sources[old.clone()], &self.in_edge_ids[old.clone()]);
+            for (&u, &id) in sources.iter().zip(ids) {
+                if deleted.binary_search(&id).is_ok() {
+                    d += 1;
+                } else {
+                    in_sources.push(u);
+                    in_edge_ids.push(renumber(u, id));
+                }
+            }
+            while let Some(&k) = by_dest.get(i).filter(|&&k| inserted[k].1 as usize == v) {
+                in_sources.push(inserted[k].0);
+                in_edge_ids.push(inserted_ids[k]);
+                i += 1;
+            }
+            (next_vertex, next_slot) = (v + 1, old.end);
+        }
+
+        let graph = CsrGraph {
+            num_nodes: n,
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+            in_edge_ids,
+        };
+        (graph, payload)
+    }
+
     /// Rough heap footprint in bytes (offsets + adjacency arrays).
     pub fn memory_bytes(&self) -> usize {
         self.out_offsets.len() * std::mem::size_of::<usize>()

@@ -2,8 +2,11 @@
 //! applied to a frozen [`CsrGraph`] + [`EdgeWeights`] pair.
 //!
 //! [`GraphDelta::apply`] produces a *new* CSR/weights pair (the inputs stay
-//! immutable and shareable). The one property downstream layers build on is
-//! **locality**:
+//! immutable and shareable) by splicing the old one: the adjacency runs
+//! between the vertices the delta touches are copied whole, so a delta costs
+//! O(n + m) sequential copying plus work proportional to the touched
+//! vertices' lists, not a rebuild. The one property downstream layers build
+//! on is **locality**:
 //!
 //! > A delta changes the in-edges and in-weights of exactly the destinations
 //! > it names ([`GraphDelta::touched_destinations`]); every other vertex has
@@ -14,9 +17,13 @@
 //! stored — so an incremental sketch refresh only has to look at the
 //! destinations a delta names: it re-evaluates their coins under the old and
 //! the new in-edges and resamples the sets whose expansion changed. Storage
-//! order carries no meaning for it. For the record, `apply` emits each
-//! destination's surviving in-edges in their old scan order followed by its
-//! insertions in delta order; nothing depends on that any more.
+//! order carries no meaning for it. For the record: every in-scan is
+//! unchanged except a touched destination's, which is its surviving
+//! in-edges in their old scan order followed by its insertions in delta
+//! order. A source's out-list likewise keeps its surviving edges in their
+//! old order, followed by its insertions, and the forward edge ids of a
+//! source that lost no edge shift by one per-source constant. Nothing
+//! depends on either order.
 //!
 //! Weight semantics after `apply`:
 //!
@@ -42,7 +49,6 @@
 //! multigraphs too.
 
 use crate::csr::CsrGraph;
-use crate::edge_list::EdgeList;
 use crate::weights::{EdgeWeights, WeightModel};
 use crate::NodeId;
 use std::collections::HashMap;
@@ -223,83 +229,63 @@ impl GraphDelta {
         Ok(())
     }
 
+    /// Forward ids of the edges the deletions remove, ascending. Each
+    /// deletion takes the first surviving occurrence of its edge in the
+    /// destination's in-scan; a deletion left without one is
+    /// [`DeltaError::MissingEdge`], naming the first such deletion in delta
+    /// order.
+    fn matched_deletions(&self, graph: &CsrGraph) -> Result<Vec<usize>, DeltaError> {
+        let mut pending: HashMap<(NodeId, NodeId), usize> = HashMap::new();
+        for &edge in &self.deletions {
+            *pending.entry(edge).or_insert(0) += 1;
+        }
+        let mut destinations: Vec<NodeId> = self.deletions.iter().map(|&(_, d)| d).collect();
+        destinations.sort_unstable();
+        destinations.dedup();
+        let mut deleted = Vec::with_capacity(self.deletions.len());
+        for v in destinations {
+            for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
+                if let Some(count) = pending.get_mut(&(u, v)).filter(|count| **count > 0) {
+                    *count -= 1;
+                    deleted.push(eid);
+                }
+            }
+        }
+        // An edge's unmatched deletions are its last ones in delta order, so
+        // a backwards walk that hands each its unmatched count ends on the
+        // first unmatched deletion of the whole delta.
+        let mut first_missing = None;
+        for &edge in self.deletions.iter().rev() {
+            if let Some(count) = pending.get_mut(&edge).filter(|count| **count > 0) {
+                *count -= 1;
+                first_missing = Some(edge);
+            }
+        }
+        if let Some((src, dst)) = first_missing {
+            return Err(DeltaError::MissingEdge { src, dst });
+        }
+        deleted.sort_unstable();
+        Ok(deleted)
+    }
+
     /// Apply the delta to `graph` + `weights`, returning the mutated pair.
     ///
-    /// See the module docs for the locality and weight-repair guarantees.
+    /// The result is a splice of the input, costing O(n + m) sequential
+    /// copying plus work proportional to the touched vertices' lists. In-scan
+    /// order is unchanged (a touched destination's insertions follow its
+    /// survivors), a source's out-list keeps its survivors in order and then
+    /// takes its insertions, and the forward ids of a source that lost no
+    /// edge shift by one per-source constant. See the module docs for the
+    /// locality and weight-repair guarantees.
     pub fn apply(
         &self,
         graph: &CsrGraph,
         weights: &EdgeWeights,
     ) -> Result<(CsrGraph, EdgeWeights), DeltaError> {
-        let n = graph.num_nodes();
-        self.validate(n)?;
-
-        // Deletion multiset: each queued deletion consumes one occurrence.
-        // The `has_delete` bitmap lets the emission loop below copy the in-
-        // edges of untouched destinations without a per-edge map lookup —
-        // deltas are tiny compared to the graph, so almost every destination
-        // takes the fast path.
-        let mut pending_deletes: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        let mut has_delete = vec![false; n];
-        for &(s, d) in &self.deletions {
-            *pending_deletes.entry((s, d)).or_insert(0) += 1;
-            has_delete[d as usize] = true;
-        }
-
-        // Insertions grouped by destination, preserving delta order.
-        let mut inserts_by_dst: HashMap<NodeId, Vec<(NodeId, f32)>> = HashMap::new();
-        for &(s, d, w) in &self.insertions {
-            inserts_by_dst.entry(d).or_default().push((s, w));
-        }
-
-        // Emit the new edge list grouped by destination: each vertex's
-        // surviving in-edges in old scan order, then its insertions. This is
-        // the order `from_edge_list` fills `in_sources` in, which the weight
-        // mapping below walks.
-        let capacity =
-            graph.num_edges() + self.insertions.len() - self.deletions.len().min(graph.num_edges());
-        let mut el = EdgeList::with_capacity(n, capacity);
-        let mut emitted_weights: Vec<f32> = Vec::with_capacity(capacity);
-        for v in 0..n as NodeId {
-            for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
-                if has_delete[v as usize] {
-                    if let Some(count) = pending_deletes.get_mut(&(u, v)) {
-                        if *count > 0 {
-                            *count -= 1;
-                            continue;
-                        }
-                    }
-                }
-                el.push(u, v);
-                emitted_weights.push(weights.weight(eid));
-            }
-            if let Some(ins) = inserts_by_dst.get(&v) {
-                for &(u, w) in ins {
-                    el.push(u, v);
-                    emitted_weights.push(w);
-                }
-            }
-        }
-        el.ensure_nodes(n);
-
-        if let Some((&(s, d), _)) = pending_deletes.iter().find(|(_, &count)| count > 0) {
-            return Err(DeltaError::MissingEdge { src: s, dst: d });
-        }
-
-        let new_graph = CsrGraph::from_edge_list(&el);
-
-        // Map the emitted (destination-grouped) weights onto forward edge
-        // ids: the new graph's in-scan of v yields its in-edges in exactly
-        // the order they were emitted, and each carries its forward edge id.
-        let mut new_weights = vec![0.0f32; new_graph.num_edges()];
-        let mut cursor = 0usize;
-        for v in 0..n as NodeId {
-            for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-                new_weights[eid] = emitted_weights[cursor];
-                cursor += 1;
-            }
-        }
-        debug_assert_eq!(cursor, emitted_weights.len());
+        self.validate(graph.num_nodes())?;
+        let deleted = self.matched_deletions(graph)?;
+        let (new_graph, mut new_weights) =
+            graph.spliced(&deleted, &self.insertions, weights.as_slice());
 
         // Destination-local repairs, in documented precedence order.
         let model = weights.model();
@@ -620,6 +606,48 @@ mod tests {
         assert_eq!(g2.num_edges(), g.num_edges());
         for v in 0..4u32 {
             assert_eq!(in_scan(&g2, &w2, v), in_scan(&g, &w, v), "vertex {v}");
+        }
+        assert_eq!((g2, w2), (g, w), "an empty delta copies every array verbatim");
+        // Out-lists not sorted by destination stay as they are.
+        let g = CsrGraph::from_edges(4, vec![(0, 3), (0, 1), (1, 0), (0, 2), (3, 0)]).unwrap();
+        let w = EdgeWeights::from_vec(&g, vec![0.1, 0.2, 0.3, 0.4, 0.5], WeightModel::Constant)
+            .unwrap();
+        assert_eq!(GraphDelta::new().apply(&g, &w), Ok((g, w)));
+    }
+
+    #[test]
+    fn the_first_unmatched_deletion_in_delta_order_is_named() {
+        let (g, w) = sample();
+        // 1 -> 2 exists once: its second deletion is the first unmatched
+        // one, ahead of the later deletions of absent edges.
+        let delta = GraphDelta::new()
+            .delete(0, 2)
+            .delete(1, 2)
+            .delete(3, 1)
+            .delete(1, 2)
+            .delete(2, 1)
+            .delete(3, 0);
+        for _ in 0..8 {
+            assert_eq!(delta.apply(&g, &w), Err(DeltaError::MissingEdge { src: 3, dst: 1 }));
+        }
+        let delta = GraphDelta::new().delete(1, 2).delete(2, 0).delete(1, 2).delete(3, 2);
+        assert_eq!(delta.apply(&g, &w), Err(DeltaError::MissingEdge { src: 2, dst: 0 }));
+        let delta = GraphDelta::new().delete(1, 2).delete(1, 2).delete(2, 0).delete(3, 2);
+        assert_eq!(delta.apply(&g, &w), Err(DeltaError::MissingEdge { src: 1, dst: 2 }));
+    }
+
+    #[test]
+    fn out_lists_keep_survivors_in_order_then_insertions() {
+        let g = CsrGraph::from_edges(4, vec![(0, 3), (0, 1), (0, 2), (1, 0)]).unwrap();
+        let w = EdgeWeights::constant(&g, 0.5);
+        let (g2, _) = GraphDelta::new().delete(0, 1).insert(0, 0, 0.5).apply(&g, &w).unwrap();
+        assert_eq!(g2.out_neighbors(0), &[3, 2, 0]);
+        assert_eq!(g2.out_neighbors(1), &[0]);
+        for v in 0..4u32 {
+            for (u, eid) in g2.in_neighbors_with_edge_ids(v) {
+                assert_eq!(g2.edge_target(eid), v);
+                assert!(g2.out_edge_range(u).contains(&eid));
+            }
         }
     }
 }

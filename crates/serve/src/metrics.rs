@@ -26,6 +26,10 @@ imm_obs::metrics! {
         "Connections dropped by the daemon on a framing or decoding error";
     pub ROLLOUTS: Counter = "serve_rollouts",
         "Graceful apply_delta rollouts completed by the daemon since startup";
+    /// Failed or refused rollouts are not recorded.
+    pub ROLLOUT_LATENCY: Histogram = "serve_rollout_latency",
+        "Wall-clock time of a graceful rollout, from the index rebuild to the generation swap",
+        Nanoseconds;
     /// Each cut query is answered with a `DeadlineExceeded` rejection, not
     /// dropped.
     pub DEADLINE_EXCEEDED: Counter = "serve_deadline_exceeded",

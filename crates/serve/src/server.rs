@@ -596,6 +596,7 @@ impl Server {
             return Response::Error(ServeError::Delta { detail: fault.to_string() });
         }
         let current = self.current();
+        let started = Instant::now();
         let rebuilt = current.engine.index().rebuilt_with_delta(graph, weights, &delta);
         let (next_index, new_graph, new_weights, stats) = match rebuilt {
             Ok(parts) => parts,
@@ -623,6 +624,7 @@ impl Server {
         let cost = CostModel::from_index(engine.index());
         *self.state.write().unwrap_or_else(|e| e.into_inner()) =
             Arc::new(EngineState { engine, cost });
+        smetrics::ROLLOUT_LATENCY.record_duration(started.elapsed());
         *dynamic = Some((new_graph, new_weights));
         self.rollouts.fetch_add(1, Ordering::AcqRel);
         smetrics::ROLLOUTS.increment();

@@ -143,7 +143,12 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         // Rolling rollout over RPC; mirror it in process — the daemon's own
         // path: the next generation off to the side, a new engine over it —
         // and re-compare.
+        let timed_before = imm_serve::metrics::ROLLOUT_LATENCY.snapshot().count;
         let outcome = client.apply_delta(&delta.to_text()).expect("rollout");
+        if imm_obs::recording_enabled() {
+            let timed = imm_serve::metrics::ROLLOUT_LATENCY.snapshot().count;
+            assert!(timed > timed_before, "{context}: the rollout's latency is recorded");
+        }
         let (next, _, _, local_stats) =
             local.index().rebuilt_with_delta(&graph, &weights, &delta).expect("local refresh");
         let local = ShardedEngine::with_options(Arc::new(next), 2, 64);
