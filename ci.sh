@@ -190,6 +190,17 @@ if grep -rnw 'unsafe' crates/graph/src; then
   exit 1
 fi
 
+# A CsrGraph is its in-lists and EdgeWeights holds one weight per in-slot,
+# parallel to them: the forward CSR, the in-slot -> forward-id permutation
+# and the accessors that read them stay gone. A forward consumer builds one
+# CsrGraph::transpose_with_slots instead.
+echo "==> in-list guard: no forward CSR and no edge-id indirection"
+if grep -rnE 'in_edge_ids|in_neighbors_with_edge_ids|NeighborIter|out_edge_range|edge_target|out_targets|out_offsets' \
+  crates/*/src examples src; then
+  echo "error: a CsrGraph is its in-lists; do not reintroduce the forward CSR or edge ids" >&2
+  exit 1
+fi
+
 # `imm_rrr::Postings` owns the workspace's one vertex -> set counting sort
 # (the index, the snapshot encoder and the batch kernel's cover index all
 # call it); a second hand-rolled one is how the four copies it replaced came

@@ -99,19 +99,24 @@ fn load(
     match source {
         GraphSource::File(path) => {
             let (el, file_weights) = io::read_snap_file(path).map_err(|e| e.to_string())?;
-            let graph = CsrGraph::from_edge_list(&el);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let weights = match file_weights {
-                Some(w) => EdgeWeights::from_vec(&graph, w, WeightModel::Constant)
-                    .map_err(|e| e.to_string())?,
-                None => match model {
-                    DiffusionModel::IndependentCascade => {
-                        EdgeWeights::generate(&graph, WeightModel::IcUniform, 0.0, &mut rng)
-                    }
-                    DiffusionModel::LinearThreshold => {
-                        EdgeWeights::generate(&graph, WeightModel::LtNormalized, 0.0, &mut rng)
-                    }
-                },
+            let (graph, weights) = match file_weights {
+                // The weight column is in line order; it moves with its edge.
+                Some(w) => {
+                    let (graph, w) = CsrGraph::from_edge_list_with(&el, &w);
+                    let weights = EdgeWeights::from_vec(&graph, w, WeightModel::Constant)
+                        .map_err(|e| e.to_string())?;
+                    (graph, weights)
+                }
+                None => {
+                    let graph = CsrGraph::from_edge_list(&el);
+                    let model = match model {
+                        DiffusionModel::IndependentCascade => WeightModel::IcUniform,
+                        DiffusionModel::LinearThreshold => WeightModel::LtNormalized,
+                    };
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let weights = EdgeWeights::generate(&graph, model, 0.0, &mut rng);
+                    (graph, weights)
+                }
             };
             Ok((graph, weights, path.clone()))
         }
@@ -910,6 +915,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         "input": name,
         "nodes": graph.num_nodes(),
         "edges": graph.num_edges(),
+        "graph_bytes": graph.memory_bytes() + std::mem::size_of_val(weights.as_slice()),
         "out_degree": {
             "max": out_stats.max,
             "mean": out_stats.mean,
@@ -968,6 +974,42 @@ mod tests {
         assert!(log["theta"].as_u64().unwrap() > 0);
         std::fs::remove_file(&graph_path).ok();
         std::fs::remove_file(&out_path).ok();
+    }
+
+    #[test]
+    fn file_weights_stay_on_their_edges_in_any_line_order() {
+        // Only 1 -> 0 is live, so the one seed that reaches both is 1.
+        let mut maps = Vec::new();
+        for (name, text) in [("cli_w_a", "1 0 1.0\n0 1 0.0\n"), ("cli_w_b", "0 1 0.0\n1 0 1.0\n")] {
+            let graph_path = temp_path(&format!("{name}.txt"));
+            let out_path = temp_path(&format!("{name}.json"));
+            std::fs::write(&graph_path, text).unwrap();
+            let source = GraphSource::File(graph_path.to_string_lossy().into_owned());
+            let (graph, weights, _) = load(&source, DiffusionModel::IndependentCascade, 7).unwrap();
+            let by_edge: std::collections::BTreeMap<(imm_graph::NodeId, imm_graph::NodeId), u32> =
+                graph.edges().zip(weights.as_slice()).map(|(e, w)| (e, w.to_bits())).collect();
+            maps.push(by_edge);
+
+            execute(Command::Run(RunArgs {
+                source,
+                model: DiffusionModel::IndependentCascade,
+                algorithm: Algorithm::Efficient,
+                k: 1,
+                epsilon: 0.5,
+                threads: 1,
+                seed: 7,
+                output: Some(out_path.to_string_lossy().into_owned()),
+            }))
+            .unwrap();
+            let log: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+            assert_eq!(log["seeds"], serde_json::json!([1]), "{text:?}");
+            std::fs::remove_file(&graph_path).ok();
+            std::fs::remove_file(&out_path).ok();
+        }
+        assert_eq!(maps[0], maps[1]);
+        let want = [((0, 1), 0.0f32.to_bits()), ((1, 0), 1.0f32.to_bits())];
+        assert_eq!(maps[0], want.into_iter().collect());
     }
 
     #[test]

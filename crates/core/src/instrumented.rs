@@ -349,7 +349,7 @@ pub fn bitmap_check_cost(
         // its in-edges (graph reads), check the bitmap once per examined
         // neighbor (bitmap reads), and write the vertex into the RRR buffer.
         for (i, &v) in vertices.iter().enumerate() {
-            for (u, _eid) in graph.in_neighbors_with_edge_ids(v) {
+            for &u in graph.in_neighbors(v) {
                 tracker.record(
                     core,
                     &graph_region,

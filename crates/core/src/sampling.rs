@@ -164,8 +164,9 @@ impl SetKey {
 /// destination a delta appended to — is sorted first.
 pub fn lt_pick(graph: &CsrGraph, weights: &EdgeWeights, key: SetKey, c: NodeId) -> Option<NodeId> {
     let draw = key.vertex_coin(c) as f64;
-    let in_edges = graph.in_neighbors_with_edge_ids(c).map(|(u, eid)| (u, weights.weight(eid)));
-    if graph.in_neighbors(c).windows(2).all(|pair| pair[0] <= pair[1]) {
+    let sources = graph.in_neighbors(c);
+    let in_edges = sources.iter().copied().zip(weights.in_weights(graph, c).iter().copied());
+    if sources.windows(2).all(|pair| pair[0] <= pair[1]) {
         stretch_holding(draw, in_edges)
     } else {
         let mut sorted: Vec<(NodeId, f32)> = in_edges.collect();
@@ -251,9 +252,9 @@ fn ic_reverse_bfs(
     while cursor < out.len() {
         let v = out[cursor];
         cursor += 1;
-        for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
+        for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
             // A member's coin cannot change membership: skip it unevaluated.
-            if !marker.visited(u) && key.ic_edge_is_live(u, v, weights.weight(eid)) {
+            if !marker.visited(u) && key.ic_edge_is_live(u, v, w) {
                 marker.visit(u);
                 out.push(u);
             }
@@ -483,7 +484,7 @@ pub fn generate_rrr_sets(
 mod tests {
     use super::*;
     use imm_graph::generators;
-    use imm_graph::WeightModel;
+    use imm_graph::{EdgeList, WeightModel};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -601,8 +602,9 @@ mod tests {
     fn lt_walk_follows_weights() {
         // 0 -> 2 with weight 1.0 and 1 -> 2 with weight 0.0: from root 2 the
         // walk must always step to 0 and never to 1.
-        let g = CsrGraph::from_edges(3, vec![(0, 2), (1, 2)]).unwrap();
-        let w = EdgeWeights::from_vec(&g, vec![1.0, 0.0], WeightModel::LtNormalized).unwrap();
+        let el = EdgeList::from_pairs(3, vec![(0, 2), (1, 2)]);
+        let (g, w) = CsrGraph::from_edge_list_with(&el, &[1.0, 0.0]);
+        let w = EdgeWeights::from_vec(&g, w, WeightModel::LtNormalized).unwrap();
         let mut marker = VisitMarker::new(3);
         for seed in 0..20 {
             let set = generate_rrr_set(
@@ -622,10 +624,7 @@ mod tests {
     fn lt_pick_frequencies_follow_the_weights() {
         // Three in-edges of weight 0.5 / 0.3 / 0.1 and 0.1 of leftover mass.
         let g = CsrGraph::from_edges(4, vec![(0, 3), (1, 3), (2, 3)]).unwrap();
-        let mut w = vec![0.0f32; 3];
-        for (u, eid) in g.in_neighbors_with_edge_ids(3) {
-            w[eid] = [0.5, 0.3, 0.1][u as usize];
-        }
+        let w = g.in_neighbors(3).iter().map(|&u| [0.5, 0.3, 0.1][u as usize]).collect();
         let w = EdgeWeights::from_vec(&g, w, WeightModel::LtNormalized).unwrap();
         let trials = 40_000usize;
         let mut hits = [0usize; 4];

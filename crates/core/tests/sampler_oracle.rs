@@ -62,26 +62,21 @@ fn with_permuted_in_lists(
     let mut edges: Vec<(NodeId, NodeId, f32)> = Vec::with_capacity(graph.num_edges());
     for v in 0..graph.num_nodes() as NodeId {
         let mut group: Vec<(NodeId, NodeId, f32)> = graph
-            .in_neighbors_with_edge_ids(v)
-            .map(|(u, eid)| (u, v, weights.weight(eid)))
+            .in_neighbors(v)
+            .iter()
+            .zip(weights.in_weights(graph, v))
+            .map(|(&u, &w)| (u, v, w))
             .collect();
         group.shuffle(&mut rng);
         edges.extend(group);
     }
-    let permuted = CsrGraph::from_edge_list(&EdgeList::from_pairs(
-        graph.num_nodes(),
-        edges.iter().map(|&(u, v, _)| (u, v)),
-    ));
-    let mut by_edge_id = vec![0.0f32; permuted.num_edges()];
-    let mut emitted = edges.iter();
-    for v in 0..permuted.num_nodes() as NodeId {
-        for (u, eid) in permuted.in_neighbors_with_edge_ids(v) {
-            let &(eu, ev, w) = emitted.next().expect("one emitted edge per in-slot");
-            assert_eq!((eu, ev), (u, v), "in-lists are filled in edge-list order");
-            by_edge_id[eid] = w;
-        }
-    }
-    let weights = EdgeWeights::from_vec(&permuted, by_edge_id, weights.model()).unwrap();
+    let edge_list = EdgeList::from_pairs(graph.num_nodes(), edges.iter().map(|&(u, v, _)| (u, v)));
+    let emitted: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
+    let (permuted, in_slot_weights) = CsrGraph::from_edge_list_with(&edge_list, &emitted);
+    let in_slot_edges: Vec<(NodeId, NodeId)> = permuted.edges().collect();
+    let emitted_edges: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+    assert_eq!(in_slot_edges, emitted_edges, "in-lists are filled in edge-list order");
+    let weights = EdgeWeights::from_vec(&permuted, in_slot_weights, weights.model()).unwrap();
     (permuted, weights)
 }
 
@@ -106,14 +101,9 @@ fn permuting_in_neighbour_lists_leaves_every_set_unchanged() {
 fn parallel_copies_sample_like_their_heaviest_copy_under_ic() {
     let doubled = CsrGraph::from_edges(3, vec![(0, 2), (0, 2), (1, 2)]).unwrap();
     let single = CsrGraph::from_edges(3, vec![(0, 2), (1, 2)]).unwrap();
-    let mut doubled_w = vec![0.0f32; 3];
-    for ((_, eid), w) in doubled.in_neighbors_with_edge_ids(2).zip([0.2, 0.6, 0.3]) {
-        doubled_w[eid] = w;
-    }
-    let mut single_w = vec![0.0f32; 2];
-    for ((_, eid), w) in single.in_neighbors_with_edge_ids(2).zip([0.6, 0.3]) {
-        single_w[eid] = w;
-    }
+    // Every edge enters vertex 2, so in-slot order is edge-list order.
+    let doubled_w = vec![0.2, 0.6, 0.3];
+    let single_w = vec![0.6, 0.3];
     let doubled_w = EdgeWeights::from_vec(&doubled, doubled_w, WeightModel::Constant).unwrap();
     let single_w = EdgeWeights::from_vec(&single, single_w, WeightModel::Constant).unwrap();
     let model = DiffusionModel::IndependentCascade;

@@ -27,6 +27,29 @@ impl SpreadEstimate {
     }
 }
 
+/// The out-edges a forward cascade walks: the transpose of the graph, whose
+/// in-list of `u` is `u`'s out-list, and the weights in its slot order.
+struct Forward {
+    graph: CsrGraph,
+    weights: Vec<f32>,
+}
+
+impl Forward {
+    fn new(graph: &CsrGraph, weights: &EdgeWeights) -> Self {
+        let (transposed, slots) = graph.transpose_with_slots();
+        let weights = slots.iter().map(|&slot| weights.as_slice()[slot]).collect();
+        Forward { graph: transposed, weights }
+    }
+
+    /// `u`'s out-edges as `(target, weight)`: targets ascending, parallel
+    /// copies in scan order.
+    #[inline]
+    fn out_edges(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f32)> + '_ {
+        let targets = self.graph.in_neighbors(u).iter().copied();
+        targets.zip(self.weights[self.graph.in_slots(u)].iter().copied())
+    }
+}
+
 /// Simulate one Independent Cascade from `seeds`; returns the number of
 /// activated vertices.
 ///
@@ -38,7 +61,11 @@ pub fn simulate_ic<R: Rng + ?Sized>(
     seeds: &[NodeId],
     rng: &mut R,
 ) -> usize {
-    let n = graph.num_nodes();
+    ic_cascade(&Forward::new(graph, weights), seeds, rng)
+}
+
+fn ic_cascade<R: Rng + ?Sized>(forward: &Forward, seeds: &[NodeId], rng: &mut R) -> usize {
+    let n = forward.graph.num_nodes();
     let mut active = vec![false; n];
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     let mut count = 0usize;
@@ -53,10 +80,9 @@ pub fn simulate_ic<R: Rng + ?Sized>(
     }
 
     while let Some(u) = queue.pop_front() {
-        for eid in graph.out_edge_range(u) {
-            let v = graph.edge_target(eid);
+        for (v, w) in forward.out_edges(u) {
             let vi = v as usize;
-            if !active[vi] && rng.gen::<f32>() < weights.weight(eid) {
+            if !active[vi] && rng.gen::<f32>() < w {
                 active[vi] = true;
                 count += 1;
                 queue.push_back(v);
@@ -79,7 +105,11 @@ pub fn simulate_lt<R: Rng + ?Sized>(
     seeds: &[NodeId],
     rng: &mut R,
 ) -> usize {
-    let n = graph.num_nodes();
+    lt_cascade(&Forward::new(graph, weights), seeds, rng)
+}
+
+fn lt_cascade<R: Rng + ?Sized>(forward: &Forward, seeds: &[NodeId], rng: &mut R) -> usize {
+    let n = forward.graph.num_nodes();
     let mut active = vec![false; n];
     let mut accumulated = vec![0.0f32; n];
     let mut threshold = vec![0.0f32; n];
@@ -99,13 +129,12 @@ pub fn simulate_lt<R: Rng + ?Sized>(
     }
 
     while let Some(u) = queue.pop_front() {
-        for eid in graph.out_edge_range(u) {
-            let v = graph.edge_target(eid);
+        for (v, w) in forward.out_edges(u) {
             let vi = v as usize;
             if active[vi] {
                 continue;
             }
-            accumulated[vi] += weights.weight(eid);
+            accumulated[vi] += w;
             if accumulated[vi] >= threshold[vi] {
                 active[vi] = true;
                 count += 1;
@@ -124,16 +153,25 @@ pub fn simulate_spread<R: Rng + ?Sized>(
     seeds: &[NodeId],
     rng: &mut R,
 ) -> usize {
+    cascade(&Forward::new(graph, weights), model, seeds, rng)
+}
+
+fn cascade<R: Rng + ?Sized>(
+    forward: &Forward,
+    model: DiffusionModel,
+    seeds: &[NodeId],
+    rng: &mut R,
+) -> usize {
     match model {
-        DiffusionModel::IndependentCascade => simulate_ic(graph, weights, seeds, rng),
-        DiffusionModel::LinearThreshold => simulate_lt(graph, weights, seeds, rng),
+        DiffusionModel::IndependentCascade => ic_cascade(forward, seeds, rng),
+        DiffusionModel::LinearThreshold => lt_cascade(forward, seeds, rng),
     }
 }
 
 /// Monte-Carlo estimate of `σ(seeds)`: the mean activation count over
 /// `trials` independent cascades, simulated one after another on the calling
-/// thread. Deterministic for a fixed `seed`: each trial derives its own RNG
-/// from `seed` and the trial index.
+/// thread over one transpose of the graph. Deterministic for a fixed `seed`:
+/// each trial derives its own RNG from `seed` and the trial index.
 pub fn monte_carlo_spread(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -145,12 +183,13 @@ pub fn monte_carlo_spread(
     if trials == 0 {
         return SpreadEstimate { mean: 0.0, std_dev: 0.0, trials: 0 };
     }
+    let forward = Forward::new(graph, weights);
     let counts: Vec<usize> = (0..trials)
         .map(|t| {
             let mut rng = SmallRng::seed_from_u64(
                 seed.wrapping_add(t as u64).wrapping_mul(0x9E3779B97F4A7C15),
             );
-            simulate_spread(graph, weights, model, seeds, &mut rng)
+            cascade(&forward, model, seeds, &mut rng)
         })
         .collect();
 

@@ -2,11 +2,11 @@
 //! applied to a frozen [`CsrGraph`] + [`EdgeWeights`] pair.
 //!
 //! [`GraphDelta::apply`] produces a *new* CSR/weights pair (the inputs stay
-//! immutable and shareable) by splicing the old one: the adjacency runs
-//! between the vertices the delta touches are copied whole, so a delta costs
-//! O(n + m) sequential copying plus work proportional to the touched
-//! vertices' lists, not a rebuild. The one property downstream layers build
-//! on is **locality**:
+//! immutable and shareable) by splicing the old one: the in-list runs
+//! between the destinations the delta touches are copied whole, with the
+//! in-slot weights alongside, so a delta costs O(n + m) sequential copying
+//! plus work proportional to the touched destinations' lists, not a
+//! rebuild. The one property downstream layers build on is **locality**:
 //!
 //! > A delta changes the in-edges and in-weights of exactly the destinations
 //! > it names ([`GraphDelta::touched_destinations`]); every other vertex has
@@ -20,10 +20,7 @@
 //! order carries no meaning for it. For the record: every in-scan is
 //! unchanged except a touched destination's, which is its surviving
 //! in-edges in their old scan order followed by its insertions in delta
-//! order. A source's out-list likewise keeps its surviving edges in their
-//! old order, followed by its insertions, and the forward edge ids of a
-//! source that lost no edge shift by one per-source constant. Nothing
-//! depends on either order.
+//! order. Nothing depends on that order.
 //!
 //! Weight semantics after `apply`:
 //!
@@ -229,7 +226,7 @@ impl GraphDelta {
         Ok(())
     }
 
-    /// Forward ids of the edges the deletions remove, ascending. Each
+    /// In-slots of the edges the deletions remove, ascending. Each
     /// deletion takes the first surviving occurrence of its edge in the
     /// destination's in-scan; a deletion left without one is
     /// [`DeltaError::MissingEdge`], naming the first such deletion in delta
@@ -243,11 +240,12 @@ impl GraphDelta {
         destinations.sort_unstable();
         destinations.dedup();
         let mut deleted = Vec::with_capacity(self.deletions.len());
+        // Destinations ascend and so do their slots: `deleted` comes out sorted.
         for v in destinations {
-            for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
+            for (slot, &u) in graph.in_slots(v).zip(graph.in_neighbors(v)) {
                 if let Some(count) = pending.get_mut(&(u, v)).filter(|count| **count > 0) {
                     *count -= 1;
-                    deleted.push(eid);
+                    deleted.push(slot);
                 }
             }
         }
@@ -264,19 +262,17 @@ impl GraphDelta {
         if let Some((src, dst)) = first_missing {
             return Err(DeltaError::MissingEdge { src, dst });
         }
-        deleted.sort_unstable();
         Ok(deleted)
     }
 
     /// Apply the delta to `graph` + `weights`, returning the mutated pair.
     ///
-    /// The result is a splice of the input, costing O(n + m) sequential
-    /// copying plus work proportional to the touched vertices' lists. In-scan
-    /// order is unchanged (a touched destination's insertions follow its
-    /// survivors), a source's out-list keeps its survivors in order and then
-    /// takes its insertions, and the forward ids of a source that lost no
-    /// edge shift by one per-source constant. See the module docs for the
-    /// locality and weight-repair guarantees.
+    /// The result is a splice of the input's in-lists and in-slot weights,
+    /// costing O(n + m) sequential copying plus work proportional to the
+    /// touched destinations' lists. In-scan order is unchanged (a touched
+    /// destination's insertions follow its survivors), and the repairs index
+    /// the touched destinations' in-slots directly. See the module docs for
+    /// the locality and weight-repair guarantees.
     pub fn apply(
         &self,
         graph: &CsrGraph,
@@ -304,18 +300,16 @@ impl GraphDelta {
                 if indeg == 0 {
                     continue;
                 }
-                let w = 1.0 / indeg as f32;
-                for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-                    new_weights[eid] = w;
-                }
+                new_weights[new_graph.in_slots(v)].fill(1.0 / indeg as f32);
             }
         }
 
         for &(s, d, w) in &self.reweights {
             let mut matched = false;
-            for (u, eid) in new_graph.in_neighbors_with_edge_ids(d) {
+            let in_weights = &mut new_weights[new_graph.in_slots(d)];
+            for (&u, weight) in new_graph.in_neighbors(d).iter().zip(in_weights) {
                 if u == s {
-                    new_weights[eid] = w;
+                    *weight = w;
                     matched = true;
                 }
             }
@@ -326,11 +320,11 @@ impl GraphDelta {
 
         if model == WeightModel::LtNormalized {
             for v in self.touched_destinations() {
-                let sum: f32 =
-                    new_graph.in_neighbors_with_edge_ids(v).map(|(_, eid)| new_weights[eid]).sum();
+                let in_weights = &mut new_weights[new_graph.in_slots(v)];
+                let sum: f32 = in_weights.iter().sum();
                 if sum > 1.0 {
-                    for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-                        new_weights[eid] /= sum;
+                    for w in in_weights {
+                        *w /= sum;
                     }
                 }
             }
@@ -438,18 +432,14 @@ mod tests {
     /// 4 vertices: 0 -> 2, 1 -> 2, 0 -> 3, 2 -> 3 with distinct weights.
     fn sample() -> (CsrGraph, EdgeWeights) {
         let g = CsrGraph::from_edges(4, vec![(0, 2), (1, 2), (0, 3), (2, 3)]).unwrap();
-        let mut w = vec![0.0f32; g.num_edges()];
-        for (i, (_, eid)) in
-            g.in_neighbors_with_edge_ids(2).chain(g.in_neighbors_with_edge_ids(3)).enumerate()
-        {
-            w[eid] = 0.1 + 0.2 * i as f32; // in-scan order: 0.1, 0.3, 0.5, 0.7
-        }
+        // In-slot order: the in-scans of 2 and then 3.
+        let w = (0..4).map(|i| 0.1 + 0.2 * i as f32).collect(); // 0.1, 0.3, 0.5, 0.7
         let w = EdgeWeights::from_vec(&g, w, WeightModel::Constant).unwrap();
         (g, w)
     }
 
     fn in_scan(g: &CsrGraph, w: &EdgeWeights, v: NodeId) -> Vec<(NodeId, f32)> {
-        g.in_neighbors_with_edge_ids(v).map(|(u, eid)| (u, w.weight(eid))).collect()
+        g.in_neighbors(v).iter().copied().zip(w.in_weights(g, v).iter().copied()).collect()
     }
 
     #[test]
@@ -608,8 +598,8 @@ mod tests {
             assert_eq!(in_scan(&g2, &w2, v), in_scan(&g, &w, v), "vertex {v}");
         }
         assert_eq!((g2, w2), (g, w), "an empty delta copies every array verbatim");
-        // Out-lists not sorted by destination stay as they are.
-        let g = CsrGraph::from_edges(4, vec![(0, 3), (0, 1), (1, 0), (0, 2), (3, 0)]).unwrap();
+        // In-lists not sorted by source stay as they are.
+        let g = CsrGraph::from_edges(4, vec![(0, 3), (0, 1), (3, 0), (0, 2), (1, 0)]).unwrap();
         let w = EdgeWeights::from_vec(&g, vec![0.1, 0.2, 0.3, 0.4, 0.5], WeightModel::Constant)
             .unwrap();
         assert_eq!(GraphDelta::new().apply(&g, &w), Ok((g, w)));
@@ -634,20 +624,5 @@ mod tests {
         assert_eq!(delta.apply(&g, &w), Err(DeltaError::MissingEdge { src: 2, dst: 0 }));
         let delta = GraphDelta::new().delete(1, 2).delete(1, 2).delete(2, 0).delete(3, 2);
         assert_eq!(delta.apply(&g, &w), Err(DeltaError::MissingEdge { src: 1, dst: 2 }));
-    }
-
-    #[test]
-    fn out_lists_keep_survivors_in_order_then_insertions() {
-        let g = CsrGraph::from_edges(4, vec![(0, 3), (0, 1), (0, 2), (1, 0)]).unwrap();
-        let w = EdgeWeights::constant(&g, 0.5);
-        let (g2, _) = GraphDelta::new().delete(0, 1).insert(0, 0, 0.5).apply(&g, &w).unwrap();
-        assert_eq!(g2.out_neighbors(0), &[3, 2, 0]);
-        assert_eq!(g2.out_neighbors(1), &[0]);
-        for v in 0..4u32 {
-            for (u, eid) in g2.in_neighbors_with_edge_ids(v) {
-                assert_eq!(g2.edge_target(eid), v);
-                assert!(g2.out_edge_range(u).contains(&eid));
-            }
-        }
     }
 }

@@ -57,7 +57,7 @@ mod tests {
             let g = CsrGraph::from_edge_list(&el);
             // Every edge endpoint must be a valid vertex (CSR construction
             // would have panicked otherwise); double-check degrees sum.
-            let total_out: usize = (0..g.num_nodes() as u32).map(|v| g.out_degree(v)).sum();
+            let total_out: usize = g.out_degrees().iter().sum();
             assert_eq!(total_out, g.num_edges(), "{name}: degree sum mismatch");
         }
     }

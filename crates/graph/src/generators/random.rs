@@ -222,8 +222,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let el = watts_strogatz(40, 4, 0.0, &mut rng);
         let g = CsrGraph::from_edge_list(&el);
-        for v in 0..40u32 {
-            assert_eq!(g.out_degree(v), 4, "vertex {v}");
+        for (v, &degree) in g.out_degrees().iter().enumerate() {
+            assert_eq!(degree, 4, "vertex {v}");
         }
     }
 

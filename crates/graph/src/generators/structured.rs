@@ -157,8 +157,8 @@ mod tests {
         assert_eq!(el.num_nodes(), 5);
         assert_eq!(el.num_edges(), 4);
         let g = CsrGraph::from_edge_list(&el);
-        assert_eq!(g.out_degree(0), 1);
-        assert_eq!(g.out_degree(4), 0);
+        assert_eq!(g.out_degrees()[0], 1);
+        assert_eq!(g.out_degrees()[4], 0);
         assert_eq!(g.in_degree(0), 0);
     }
 
@@ -182,10 +182,11 @@ mod tests {
     fn star_degrees() {
         let el = star(6);
         let g = CsrGraph::from_edge_list(&el);
-        assert_eq!(g.out_degree(0), 5);
+        let out = g.out_degrees();
+        assert_eq!(out[0], 5);
         assert_eq!(g.in_degree(0), 5);
         for v in 1..6u32 {
-            assert_eq!(g.out_degree(v), 1);
+            assert_eq!(out[v as usize], 1);
             assert_eq!(g.in_degree(v), 1);
         }
     }
@@ -195,8 +196,9 @@ mod tests {
         let el = complete(7);
         assert_eq!(el.num_edges(), 7 * 6);
         let g = CsrGraph::from_edge_list(&el);
+        let out = g.out_degrees();
         for v in 0..7u32 {
-            assert_eq!(g.out_degree(v), 6);
+            assert_eq!(out[v as usize], 6);
             assert_eq!(g.in_degree(v), 6);
         }
     }
@@ -210,9 +212,9 @@ mod tests {
         let undirected = rows * (cols - 1) + (rows - 1) * cols;
         assert_eq!(el.num_edges(), 2 * undirected);
         let g = CsrGraph::from_edge_list(&el);
-        for v in 0..(rows * cols) as u32 {
-            assert!(g.out_degree(v) <= 4);
-            assert!(g.out_degree(v) >= 2);
+        for degree in g.out_degrees() {
+            assert!(degree <= 4);
+            assert!(degree >= 2);
         }
     }
 
@@ -232,7 +234,7 @@ mod tests {
         // Top-left corner has in-degree 0, bottom-right has out-degree 0.
         let g = CsrGraph::from_edge_list(&el);
         assert_eq!(g.in_degree(0), 0);
-        assert_eq!(g.out_degree(15), 0);
+        assert_eq!(g.out_degrees()[15], 0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Graph I/O: SNAP-style edge-list text files and a compact binary format.
+//! Graph I/O: SNAP-style edge-list text files.
 //!
 //! The SNAP text format is what the paper's datasets ship as: one `src dst`
 //! (optionally `src dst weight`) pair per line, `#`-prefixed comment lines,
-//! arbitrary whitespace. The binary format is a simple little-endian dump
-//! used by the benchmark harness to cache generated analogues between runs.
+//! arbitrary whitespace.
 
 use crate::edge_list::EdgeList;
 use crate::{GraphError, NodeId};
@@ -14,7 +13,8 @@ use std::path::Path;
 ///
 /// Returns the edge list and, if any line carried a third column, the parsed
 /// per-edge weights (in the same order as the edges; lines without a weight
-/// get 1.0).
+/// get 1.0). [`crate::CsrGraph::from_edge_list_with`] carries them to the
+/// in-slot order [`crate::EdgeWeights`] stores.
 ///
 /// Lines are parsed as bytes out of one reused buffer: fields are separated
 /// by ASCII whitespace, vertex ids are ASCII digits (an optional leading `+`
@@ -152,63 +152,6 @@ pub fn write_snap_edge_list<W: Write>(
     }
     out.flush()?;
     Ok(())
-}
-
-const BINARY_MAGIC: &[u8; 8] = b"IMMGRAPH";
-
-/// Write the compact binary format: magic, node count, edge count, then
-/// `(u32 src, u32 dst, f32 weight)` triples.
-pub fn write_binary<W: Write>(
-    writer: W,
-    edge_list: &EdgeList,
-    weights: &[f32],
-) -> Result<(), GraphError> {
-    if weights.len() != edge_list.num_edges() {
-        return Err(GraphError::WeightLengthMismatch {
-            expected: edge_list.num_edges(),
-            actual: weights.len(),
-        });
-    }
-    let mut out = BufWriter::new(writer);
-    out.write_all(BINARY_MAGIC)?;
-    out.write_all(&(edge_list.num_nodes() as u64).to_le_bytes())?;
-    out.write_all(&(edge_list.num_edges() as u64).to_le_bytes())?;
-    for (i, (s, d)) in edge_list.iter().enumerate() {
-        out.write_all(&s.to_le_bytes())?;
-        out.write_all(&d.to_le_bytes())?;
-        out.write_all(&weights[i].to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Read the compact binary format written by [`write_binary`].
-pub fn read_binary<R: Read>(reader: R) -> Result<(EdgeList, Vec<f32>), GraphError> {
-    let mut reader = BufReader::new(reader);
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != BINARY_MAGIC {
-        return Err(GraphError::Parse { line: 0, message: "bad magic in binary graph".into() });
-    }
-    let mut buf8 = [0u8; 8];
-    reader.read_exact(&mut buf8)?;
-    let num_nodes = u64::from_le_bytes(buf8) as usize;
-    reader.read_exact(&mut buf8)?;
-    let num_edges = u64::from_le_bytes(buf8) as usize;
-
-    let mut el = EdgeList::with_capacity(num_nodes, num_edges);
-    let mut weights = Vec::with_capacity(num_edges);
-    let mut rec = [0u8; 12];
-    for _ in 0..num_edges {
-        reader.read_exact(&mut rec)?;
-        let src = u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"));
-        let dst = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
-        let w = f32::from_le_bytes(rec[8..12].try_into().expect("4 bytes"));
-        el.push(src, dst);
-        weights.push(w);
-    }
-    el.ensure_nodes(num_nodes);
-    Ok((el, weights))
 }
 
 #[cfg(test)]
@@ -361,24 +304,6 @@ mod tests {
         let el = EdgeList::from_pairs(3, vec![(0, 1), (1, 2)]);
         let res = write_snap_edge_list(Vec::new(), &el, Some(&[0.5]));
         assert!(matches!(res, Err(GraphError::WeightLengthMismatch { .. })));
-    }
-
-    #[test]
-    fn binary_round_trip() {
-        let el = EdgeList::from_pairs(10, vec![(0, 9), (3, 4), (7, 2)]);
-        let weights = vec![0.1f32, 0.2, 0.3];
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &el, &weights).unwrap();
-        let (parsed, w) = read_binary(buf.as_slice()).unwrap();
-        assert_eq!(parsed.edges(), el.edges());
-        assert_eq!(parsed.num_nodes(), 10);
-        assert_eq!(w, weights);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let res = read_binary(&b"NOTMAGIC\x00\x00"[..]);
-        assert!(res.is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * [`EdgeList`] — a mutable edge container used while building graphs
 //!   (deduplication, self-loop removal, renumbering).
-//! * [`CsrGraph`] — an immutable compressed-sparse-row representation with
-//!   both forward (out-edge) and reverse (in-edge) adjacency, the layout the
-//!   reverse-influence-sampling kernels traverse.
+//! * [`CsrGraph`] — an immutable compressed-sparse-row representation of the
+//!   reverse (in-edge) adjacency, the layout the reverse-influence-sampling
+//!   kernels traverse; per-edge data is stored per in-slot, parallel to it.
 //! * [`generators`] — synthetic graph generators (Erdős–Rényi,
 //!   Barabási–Albert, R-MAT, Watts–Strogatz, stochastic block model and a few
 //!   deterministic toys) used as stand-ins for the SNAP datasets evaluated in
@@ -21,10 +21,9 @@
 //!   relies on: degree distributions, strongly/weakly connected components and
 //!   the giant-SCC fraction that drives dense RRR sets.
 //! * [`delta`] — batched edge insertion/deletion/reweighting against a frozen
-//!   CSR + weights pair, with the in-neighbor-order preservation guarantees
-//!   the incremental sketch refresh in `imm-service` is built on.
-//! * [`io`] — SNAP-style whitespace edge-list text I/O plus a compact binary
-//!   format.
+//!   CSR + weights pair, with the destination-locality guarantee the
+//!   incremental sketch refresh in `imm-service` is built on.
+//! * [`io`] — SNAP-style whitespace edge-list text I/O.
 //! * [`partition`] — vertex/range partitioning helpers (block, NUMA
 //!   interleave) shared by the parallel kernels.
 //!
@@ -42,7 +41,7 @@ pub mod partition;
 pub mod properties;
 pub mod weights;
 
-pub use csr::{CsrGraph, NeighborIter};
+pub use csr::CsrGraph;
 pub use delta::{DeltaError, GraphDelta};
 pub use edge_list::{Edge, EdgeList};
 pub use partition::{block_ranges, interleaved_owner, Range};

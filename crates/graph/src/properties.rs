@@ -50,9 +50,7 @@ impl DegreeStats {
 
 /// Out-degree statistics of `graph`.
 pub fn out_degree_stats(graph: &CsrGraph) -> DegreeStats {
-    DegreeStats::from_degrees(
-        (0..graph.num_nodes() as NodeId).map(|v| graph.out_degree(v)).collect(),
-    )
+    DegreeStats::from_degrees(graph.out_degrees())
 }
 
 /// In-degree statistics of `graph`.
@@ -67,8 +65,7 @@ pub fn in_degree_stats(graph: &CsrGraph) -> DegreeStats {
 /// (bucket 0 counts degree 0 and 1).
 pub fn out_degree_histogram(graph: &CsrGraph) -> Vec<usize> {
     let mut hist = vec![0usize; 1];
-    for v in 0..graph.num_nodes() as NodeId {
-        let d = graph.out_degree(v);
+    for d in graph.out_degrees() {
         let bucket = if d <= 1 { 0 } else { (usize::BITS - (d - 1).leading_zeros()) as usize };
         if bucket >= hist.len() {
             hist.resize(bucket + 1, 0);
@@ -82,7 +79,8 @@ pub fn out_degree_histogram(graph: &CsrGraph) -> Vec<usize> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SccResult {
     /// `component[v]` is the SCC id of vertex `v` (ids are dense, 0-based,
-    /// assigned in reverse topological order of the condensation).
+    /// assigned in topological order of the condensation: an SCC's id is
+    /// below the id of every SCC it has an edge into).
     pub component: Vec<u32>,
     /// Size of every SCC, indexed by SCC id.
     pub sizes: Vec<usize>,
@@ -111,9 +109,11 @@ impl SccResult {
 
 /// Strongly connected components via an iterative Tarjan's algorithm.
 ///
-/// The standard recursive formulation overflows the stack on graphs with long
-/// paths (and the SNAP analogues easily have 10⁵-vertex chains inside the
-/// giant component), so the DFS is driven by an explicit frame stack.
+/// The DFS follows in-edges: the reverse graph has the same SCCs, and the
+/// in-lists are the adjacency a [`CsrGraph`] stores. The standard recursive
+/// formulation overflows the stack on graphs with long paths (and the SNAP
+/// analogues easily have 10⁵-vertex chains inside the giant component), so
+/// the DFS is driven by an explicit frame stack.
 pub fn strongly_connected_components(graph: &CsrGraph) -> SccResult {
     const UNVISITED: u32 = u32::MAX;
     let n = graph.num_nodes();
@@ -125,7 +125,7 @@ pub fn strongly_connected_components(graph: &CsrGraph) -> SccResult {
     let mut sizes: Vec<usize> = Vec::new();
     let mut next_index: u32 = 0;
 
-    // Explicit DFS frame: (vertex, next out-neighbor position to visit).
+    // Explicit DFS frame: (vertex, next in-neighbor position to visit).
     let mut frames: Vec<(NodeId, usize)> = Vec::new();
 
     for root in 0..n as NodeId {
@@ -140,7 +140,7 @@ pub fn strongly_connected_components(graph: &CsrGraph) -> SccResult {
         on_stack[root as usize] = true;
 
         while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            let neighbors = graph.out_neighbors(v);
+            let neighbors = graph.in_neighbors(v);
             if *pos < neighbors.len() {
                 let w = neighbors[*pos];
                 *pos += 1;

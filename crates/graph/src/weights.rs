@@ -12,6 +12,10 @@
 //! commonly used in the IM literature (Kempe et al. 2003), since it is the
 //! default in several IMM implementations and is useful for tests whose
 //! expected behaviour must not depend on RNG draws.
+//!
+//! Weights are stored one per **in-slot** of the graph, parallel to its
+//! in-sources, so the sampling kernels read an in-list and its weights as
+//! two slices ([`CsrGraph::in_neighbors`], [`EdgeWeights::in_weights`]).
 
 use crate::csr::CsrGraph;
 use crate::{GraphError, NodeId};
@@ -34,8 +38,9 @@ pub enum WeightModel {
     Constant,
 }
 
-/// Per-edge weights stored in forward-edge-id order (the order
-/// [`CsrGraph::edges`] yields and `in_neighbors_with_edge_ids` indexes into).
+/// Per-edge weights stored in in-slot order (the order [`CsrGraph::edges`]
+/// yields): the weights of `v`'s in-edges are [`EdgeWeights::in_weights`],
+/// parallel to [`CsrGraph::in_neighbors`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeWeights {
     weights: Vec<f32>,
@@ -62,9 +67,17 @@ impl EdgeWeights {
     }
 
     /// Uniform `[0,1]` probability per edge (paper's IC preparation).
+    ///
+    /// The edges draw by source, then by destination (the slot order of
+    /// [`CsrGraph::transpose_with_slots`]): for a graph built from an edge
+    /// list sorted by `(src, dst)`, as every generator and `generate`'s files
+    /// are, that is edge-list order.
     pub fn ic_uniform<R: Rng + ?Sized>(graph: &CsrGraph, rng: &mut R) -> Self {
         let dist = Uniform::new_inclusive(0.0f32, 1.0f32);
-        let weights = (0..graph.num_edges()).map(|_| dist.sample(rng)).collect();
+        let mut weights = vec![0.0f32; graph.num_edges()];
+        for slot in graph.transpose_with_slots().1 {
+            weights[slot] = dist.sample(rng);
+        }
         EdgeWeights { weights, model: WeightModel::IcUniform }
     }
 
@@ -76,10 +89,7 @@ impl EdgeWeights {
             if indeg == 0 {
                 continue;
             }
-            let w = 1.0 / indeg as f32;
-            for (_, eid) in graph.in_neighbors_with_edge_ids(v) {
-                weights[eid] = w;
-            }
+            weights[graph.in_slots(v)].fill(1.0 / indeg as f32);
         }
         EdgeWeights { weights, model: WeightModel::IcWeightedCascade }
     }
@@ -101,8 +111,8 @@ impl EdgeWeights {
             let total: f32 = raws.iter().sum();
             // Total activation mass given to neighbors; the rest is "none".
             let mass: f32 = rng.gen_range(0.5f32..1.0f32);
-            for ((_, eid), raw) in graph.in_neighbors_with_edge_ids(v).zip(raws) {
-                weights[eid] = raw / total * mass;
+            for (w, raw) in weights[graph.in_slots(v)].iter_mut().zip(raws) {
+                *w = raw / total * mass;
             }
         }
         EdgeWeights { weights, model: WeightModel::LtNormalized }
@@ -113,7 +123,8 @@ impl EdgeWeights {
         EdgeWeights { weights: vec![p; graph.num_edges()], model: WeightModel::Constant }
     }
 
-    /// Wrap an existing weight vector (must be in forward-edge-id order).
+    /// Wrap an existing weight vector (must be in in-slot order; a vector in
+    /// edge-list order goes through [`CsrGraph::from_edge_list_with`]).
     pub fn from_vec(
         graph: &CsrGraph,
         weights: Vec<f32>,
@@ -133,13 +144,13 @@ impl EdgeWeights {
         Ok(EdgeWeights { weights, model })
     }
 
-    /// Weight of the forward edge `edge_id`.
+    /// Weights of `v`'s in-edges, parallel to `graph.in_neighbors(v)`.
     #[inline]
-    pub fn weight(&self, edge_id: usize) -> f32 {
-        self.weights[edge_id]
+    pub fn in_weights(&self, graph: &CsrGraph, v: NodeId) -> &[f32] {
+        &self.weights[graph.in_slots(v)]
     }
 
-    /// All weights in forward-edge-id order.
+    /// All weights in in-slot order.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.weights
@@ -165,7 +176,7 @@ impl EdgeWeights {
 
     /// Sum of in-edge weights of `v` (must be ≤ 1 for a valid LT instance).
     pub fn in_weight_sum(&self, graph: &CsrGraph, v: NodeId) -> f32 {
-        graph.in_neighbors_with_edge_ids(v).map(|(_, eid)| self.weights[eid]).sum()
+        self.in_weights(graph, v).iter().sum()
     }
 }
 
@@ -244,7 +255,7 @@ mod tests {
         assert!(EdgeWeights::from_vec(&g, vec![0.5], WeightModel::Constant).is_err());
         assert!(EdgeWeights::from_vec(&g, vec![0.5, 1.5], WeightModel::Constant).is_err());
         let ok = EdgeWeights::from_vec(&g, vec![0.5, 0.9], WeightModel::Constant).unwrap();
-        assert_eq!(ok.weight(1), 0.9);
+        assert_eq!(ok.in_weights(&g, 2), &[0.9]);
     }
 
     #[test]
@@ -260,5 +271,35 @@ mod tests {
         let a = EdgeWeights::ic_uniform(&g, &mut SmallRng::seed_from_u64(42));
         let b = EdgeWeights::ic_uniform(&g, &mut SmallRng::seed_from_u64(42));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ic_uniform_draws_a_sorted_edge_list_in_list_order() {
+        // A sorted edge list with parallel copies, self-loops and untouched
+        // vertices; the reference draws straight off the list.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            (0..300).map(|_| (rng.gen_range(0..40), rng.gen_range(0..40))).collect();
+        pairs.extend(pairs[..60].to_vec());
+        pairs.sort_unstable();
+        let el = crate::EdgeList::from_pairs(40, pairs);
+        let dist = Uniform::new_inclusive(0.0f32, 1.0f32);
+        let mut draws = SmallRng::seed_from_u64(9);
+        let mut want: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); el.num_nodes()];
+        for (s, d) in el.iter() {
+            want[d as usize].push((s, dist.sample(&mut draws).to_bits()));
+        }
+
+        let g = CsrGraph::from_edge_list(&el);
+        let w = EdgeWeights::ic_uniform(&g, &mut SmallRng::seed_from_u64(9));
+        for v in 0..g.num_nodes() as NodeId {
+            let got: Vec<(NodeId, u32)> = g
+                .in_neighbors(v)
+                .iter()
+                .zip(w.in_weights(&g, v))
+                .map(|(&u, &p)| (u, p.to_bits()))
+                .collect();
+            assert_eq!(got, want[v as usize], "in-edges of {v}");
+        }
     }
 }

@@ -3,15 +3,14 @@
 //!
 //! The reference below is the rebuild algorithm: emit every
 //! destination's surviving in-edges and its insertions into an
-//! [`EdgeList`], build a fresh CSR with `from_edge_list`, then map the
-//! emitted weights back onto forward ids. Random multigraphs under all four
-//! weight models take chains of deltas that mix insertions (copies of
-//! existing edges among them), deletions (one copy of a parallel pair among
-//! them), reweights and deltas that must fail. Each side continues from its
-//! own output, and through the public API only the two must agree on every
-//! in-scan (sources and weight bits, in order), every out-list as a multiset,
-//! and every error variant; the splice's edge ids must also stay a
-//! consistent numbering.
+//! [`EdgeList`] and build a fresh CSR with `from_edge_list_with`, which
+//! carries the emitted weights to their in-slots. Random multigraphs under
+//! all four weight models take chains of deltas that mix insertions (copies
+//! of existing edges among them), deletions (one copy of a parallel pair
+//! among them), reweights and deltas that must fail. Each side continues
+//! from its own output, and through the public API only the two must agree
+//! on every in-scan (sources and weight bits, in order), every out-list (read
+//! off the transpose) as a multiset, and every error variant.
 
 use imm_graph::{CsrGraph, DeltaError, EdgeList, EdgeWeights, GraphDelta, NodeId, WeightModel};
 use proptest::prelude::*;
@@ -48,7 +47,7 @@ fn rebuilt(
     let mut el = EdgeList::with_nodes(n);
     let mut emitted_weights: Vec<f32> = Vec::new();
     for v in 0..n as NodeId {
-        for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
+        for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
             if let Some(count) = pending_deletes.get_mut(&(u, v)) {
                 if *count > 0 {
                     *count -= 1;
@@ -56,7 +55,7 @@ fn rebuilt(
                 }
             }
             el.push(u, v);
-            emitted_weights.push(weights.weight(eid));
+            emitted_weights.push(w);
         }
         for &(u, w) in inserts_by_dst.get(&v).into_iter().flatten() {
             el.push(u, v);
@@ -68,15 +67,7 @@ fn rebuilt(
         return Err(DeltaError::MissingEdge { src, dst });
     }
 
-    let new_graph = CsrGraph::from_edge_list(&el);
-    let mut new_weights = vec![0.0f32; new_graph.num_edges()];
-    let mut cursor = 0usize;
-    for v in 0..n as NodeId {
-        for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-            new_weights[eid] = emitted_weights[cursor];
-            cursor += 1;
-        }
-    }
+    let (new_graph, mut new_weights) = CsrGraph::from_edge_list_with(&el, &emitted_weights);
 
     let model = weights.model();
     let mut degree_changed: Vec<NodeId> = delta
@@ -93,16 +84,16 @@ fn rebuilt(
             if indeg == 0 {
                 continue;
             }
-            for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-                new_weights[eid] = 1.0 / indeg as f32;
+            for slot in new_graph.in_slots(v) {
+                new_weights[slot] = 1.0 / indeg as f32;
             }
         }
     }
     for &(s, d, w) in delta.reweights() {
         let mut matched = false;
-        for (u, eid) in new_graph.in_neighbors_with_edge_ids(d) {
+        for (slot, &u) in new_graph.in_slots(d).zip(new_graph.in_neighbors(d)) {
             if u == s {
-                new_weights[eid] = w;
+                new_weights[slot] = w;
                 matched = true;
             }
         }
@@ -112,11 +103,10 @@ fn rebuilt(
     }
     if model == WeightModel::LtNormalized {
         for v in delta.touched_destinations() {
-            let sum: f32 =
-                new_graph.in_neighbors_with_edge_ids(v).map(|(_, eid)| new_weights[eid]).sum();
+            let sum: f32 = new_graph.in_slots(v).map(|slot| new_weights[slot]).sum();
             if sum > 1.0 {
-                for (_, eid) in new_graph.in_neighbors_with_edge_ids(v) {
-                    new_weights[eid] /= sum;
+                for slot in new_graph.in_slots(v) {
+                    new_weights[slot] /= sum;
                 }
             }
         }
@@ -159,7 +149,7 @@ fn validate(delta: &GraphDelta, num_nodes: usize) -> Result<(), DeltaError> {
 }
 
 /// A multigraph with self-loops and parallel edges, its edges in random
-/// order so that no out-list starts out sorted by destination.
+/// order so that no in-list starts out sorted by source.
 fn random_graph(rng: &mut SmallRng) -> CsrGraph {
     let n = rng.gen_range(1..24u32);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -216,16 +206,26 @@ fn random_delta(graph: &CsrGraph, rng: &mut SmallRng) -> GraphDelta {
 }
 
 fn in_scan(graph: &CsrGraph, weights: &EdgeWeights, v: NodeId) -> Vec<(NodeId, u32)> {
-    graph.in_neighbors_with_edge_ids(v).map(|(u, eid)| (u, weights.weight(eid).to_bits())).collect()
+    let in_weights = weights.in_weights(graph, v);
+    graph.in_neighbors(v).iter().zip(in_weights).map(|(&u, w)| (u, w.to_bits())).collect()
 }
 
-fn out_multiset(graph: &CsrGraph, weights: &EdgeWeights, v: NodeId) -> Vec<(NodeId, u32)> {
-    let mut out: Vec<(NodeId, u32)> = graph
-        .out_edge_range(v)
-        .map(|eid| (graph.edge_target(eid), weights.weight(eid).to_bits()))
-        .collect();
-    out.sort_unstable();
-    out
+/// Every vertex's out-list as a sorted multiset of `(target, weight bits)`,
+/// read off the transpose.
+fn out_multisets(graph: &CsrGraph, weights: &EdgeWeights) -> Vec<Vec<(NodeId, u32)>> {
+    let (transposed, slots) = graph.transpose_with_slots();
+    (0..graph.num_nodes() as NodeId)
+        .map(|v| {
+            let mut out: Vec<(NodeId, u32)> = transposed
+                .in_neighbors(v)
+                .iter()
+                .zip(&slots[transposed.in_slots(v)])
+                .map(|(&target, &slot)| (target, weights.as_slice()[slot].to_bits()))
+                .collect();
+            out.sort_unstable();
+            out
+        })
+        .collect()
 }
 
 fn assert_agree(
@@ -235,36 +235,11 @@ fn assert_agree(
     let (n, m) = (graph.num_nodes(), graph.num_edges());
     assert_eq!((n, m), (want_graph.num_nodes(), want_graph.num_edges()));
     assert_eq!(weights.model(), want_weights.model());
+    let (out, want_out) = (out_multisets(graph, weights), out_multisets(want_graph, want_weights));
     for v in 0..n as NodeId {
         assert_eq!(in_scan(graph, weights, v), in_scan(want_graph, want_weights, v), "in {v}");
-        assert_eq!(
-            out_multiset(graph, weights, v),
-            out_multiset(want_graph, want_weights, v),
-            "out {v}"
-        );
+        assert_eq!(out[v as usize], want_out[v as usize], "out {v}");
     }
-
-    // Every in-slot names its own forward edge, and the slots between them
-    // name each forward id exactly once.
-    let mut seen = vec![false; m];
-    for v in 0..n as NodeId {
-        for (u, eid) in graph.in_neighbors_with_edge_ids(v) {
-            assert_eq!(graph.edge_target(eid), v);
-            assert!(graph.out_edge_range(u).contains(&eid), "edge {eid} is not {u}'s");
-            assert!(!std::mem::replace(&mut seen[eid], true), "edge {eid} named twice");
-        }
-    }
-    assert!(seen.iter().all(|&s| s));
-
-    // The out-ranges tile 0..m in vertex order.
-    let mut next = 0;
-    for v in 0..n as NodeId {
-        let range = graph.out_edge_range(v);
-        assert_eq!(range.start, next);
-        assert_eq!(range.len(), graph.out_degree(v));
-        next = range.end;
-    }
-    assert_eq!(next, m);
 }
 
 proptest! {

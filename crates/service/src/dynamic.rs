@@ -190,8 +190,9 @@ impl From<DeltaError> for DynamicError {
 /// copies folded to their largest weight (copies share a coin, so only the
 /// largest can decide liveness).
 fn folded_in_edges(graph: &CsrGraph, weights: &EdgeWeights, v: NodeId) -> Vec<(NodeId, f32)> {
+    let in_weights = weights.in_weights(graph, v).iter().copied();
     let mut edges: Vec<(NodeId, f32)> =
-        graph.in_neighbors_with_edge_ids(v).map(|(u, eid)| (u, weights.weight(eid))).collect();
+        graph.in_neighbors(v).iter().copied().zip(in_weights).collect();
     edges.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
     edges.dedup_by_key(|edge| edge.0);
     edges

@@ -286,7 +286,7 @@ fn a_vertex_crossing_the_row_threshold_both_ways_is_patched_like_a_rebuild() {
     // Cut the last vertex off: without out-edges it reaches no root but itself.
     let loner = (n - 1) as NodeId;
     let mut cut = GraphDelta::new();
-    for &v in dense.out_neighbors(loner) {
+    for &v in dense.transpose().in_neighbors(loner) {
         cut = cut.delete(loner, v);
     }
     let (graph, weights) = cut.apply(&dense, &weights).unwrap();

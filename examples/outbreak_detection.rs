@@ -38,6 +38,11 @@ fn main() {
     // i.e. the outbreak is detected. The per-contact transmission probability
     // is low, so most outbreaks stay small and placement genuinely matters.
     let detection_weights = EdgeWeights::constant(&graph, 0.08);
+    // The cascade walks out-lists: the transpose's in-lists, with the
+    // weights carried to its slots.
+    let (forward, slots) = graph.transpose_with_slots();
+    let forward_weights: Vec<f32> =
+        slots.iter().map(|&slot| detection_weights.as_slice()[slot]).collect();
     let trials = 1_000;
     let mut detected_by_imm = 0usize;
     let mut detected_by_random = 0usize;
@@ -51,7 +56,14 @@ fn main() {
         let patient_zero = cascade_rng.gen_range(0..graph.num_nodes() as u32);
         // Re-simulate the same outbreak against each sensor set by reusing
         // the same RNG stream.
-        let infected = infected_set(&graph, &detection_weights, patient_zero, 1_000 + trial as u64);
+        let infected = infected_set(
+            &graph,
+            &detection_weights,
+            &forward,
+            &forward_weights,
+            patient_zero,
+            1_000 + trial as u64,
+        );
         if placement.seeds.iter().any(|s| infected.contains(&(*s as usize))) {
             detected_by_imm += 1;
         }
@@ -69,10 +81,13 @@ fn main() {
 }
 
 /// The set of vertices infected by one simulated outbreak (as a boolean set
-/// over vertex indices).
+/// over vertex indices). `forward` is the transpose of `graph` with the
+/// weights in its slot order.
 fn infected_set(
     graph: &CsrGraph,
     weights: &EdgeWeights,
+    forward: &CsrGraph,
+    forward_weights: &[f32],
     patient_zero: u32,
     seed: u64,
 ) -> std::collections::HashSet<usize> {
@@ -85,9 +100,9 @@ fn infected_set(
     active.insert(patient_zero as usize);
     queue.push_back(patient_zero);
     while let Some(u) = queue.pop_front() {
-        for eid in graph.out_edge_range(u) {
-            let v = graph.edge_target(eid);
-            if !active.contains(&(v as usize)) && rng.gen::<f32>() < weights.weight(eid) {
+        let out_weights = &forward_weights[forward.in_slots(u)];
+        for (&v, &w) in forward.in_neighbors(u).iter().zip(out_weights) {
+            if !active.contains(&(v as usize)) && rng.gen::<f32>() < w {
                 active.insert(v as usize);
                 queue.push_back(v);
             }

@@ -42,8 +42,9 @@ fn main() {
     let imm = run_imm(&graph, &weights, &params, &exec).expect("valid parameters");
 
     // Strategy 2: highest out-degree customers.
+    let out_degrees = graph.out_degrees();
     let mut by_degree: Vec<u32> = (0..graph.num_nodes() as u32).collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(out_degrees[v as usize]));
     let degree_seeds: Vec<u32> = by_degree.into_iter().take(BUDGET).collect();
 
     // Strategy 3: random customers.

@@ -28,12 +28,14 @@ proptest! {
         let el = EdgeList::from_pairs(n, edges.clone());
         let g = CsrGraph::from_edge_list(&el);
         prop_assert_eq!(g.num_edges(), edges.len());
-        let out_sum: usize = (0..g.num_nodes() as NodeId).map(|v| g.out_degree(v)).sum();
+        let out_sum: usize = g.out_degrees().iter().sum();
         let in_sum: usize = (0..g.num_nodes() as NodeId).map(|v| g.in_degree(v)).sum();
         prop_assert_eq!(out_sum, edges.len());
         prop_assert_eq!(in_sum, edges.len());
-        // Forward and reverse adjacency describe the same edge multiset.
-        let mut forward: Vec<(NodeId, NodeId)> = g.edges().collect();
+        // Forward (read off the transpose) and reverse adjacency describe the
+        // same edge multiset.
+        let mut forward: Vec<(NodeId, NodeId)> =
+            g.transpose().edges().map(|(d, s)| (s, d)).collect();
         let mut reverse: Vec<(NodeId, NodeId)> = (0..g.num_nodes() as NodeId)
             .flat_map(|v| g.in_neighbors(v).iter().map(move |&u| (u, v)).collect::<Vec<_>>())
             .collect();
@@ -113,7 +115,7 @@ proptest! {
         for pair in set.windows(2) {
             let (later, earlier) = (pair[1], pair[0]);
             prop_assert!(
-                g.out_neighbors(later).contains(&earlier),
+                g.in_neighbors(earlier).contains(&later),
                 "walk step {later} -> {earlier} is not an edge"
             );
         }
