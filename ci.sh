@@ -269,6 +269,20 @@ if grep -nE 'RrrCollection|\.sets\(\)|degree_vector' crates/service/src/masked.r
   exit 1
 fi
 
+# A live revision is rebuilt in one place, `SketchIndex::recover`, which
+# `serve` and `update-index` both call, and a daemon indexes a journal entry
+# by the delta log of the generation it replaces: the CLI and the daemon read
+# no journal themselves, and the separately passed journal base stays gone.
+echo "==> recovery guard: one recovery, no journal base"
+if grep -rn 'journal_base' crates src examples tests; then
+  echo "error: a journal entry is indexed by the delta log it moves from; do not reintroduce journal_base" >&2
+  exit 1
+fi
+if grep -rn 'DeltaJournal::read_entries' crates/cli/src crates/serve/src; then
+  echo "error: rebuild the live revision through SketchIndex::recover, not a local journal replay" >&2
+  exit 1
+fi
+
 # Every metric is declared in an `imm_obs::metrics!` block, whose generated
 # `register()` is the one registration path: no subsystem hand-writes a
 # register list or the `Once` around it.
@@ -501,5 +515,64 @@ fi
 "$CLI" client --socket "$KILL_DIR/imm.sock" --shutdown > /dev/null
 wait "$KILL_SERVE_PID"
 rm -rf "$KILL_DIR"
+
+# Journal-recovery e2e: a dynamic daemon journals two rollouts and is
+# SIGKILLed; a restart with --journal must replay both and answer exactly
+# what the in-process `query` answers on the snapshot `update-index
+# --journal` folds the same journal into (an empty delta, written to another
+# file so the journal is kept). The second delta reweights an edge the first
+# inserts, so a lost or reordered entry cannot replay.
+echo "==> journal-recovery e2e (SIGKILL a journaling daemon, restart, parity with update-index --journal)"
+JOURNAL_DIR="$(mktemp -d /tmp/imm_journal_smoke.XXXXXX)"
+"$CLI" generate --output "$JOURNAL_DIR/g.txt" --kind social --nodes 400 \
+  --avg-degree 6 --seed 13 > /dev/null
+"$CLI" build-index --graph "$JOURNAL_DIR/g.txt" --output "$JOURNAL_DIR/g.sketch" \
+  --threads 2 --seed 13 > /dev/null
+printf '+ 0 399 0.4\n+ 7 11 0.3\n' > "$JOURNAL_DIR/a.delta"
+printf '~ 0 399 0.9\n+ 12 5 0.6\n' > "$JOURNAL_DIR/b.delta"
+: > "$JOURNAL_DIR/empty.delta"
+DYNAMIC="--index $JOURNAL_DIR/g.sketch --graph $JOURNAL_DIR/g.txt --journal $JOURNAL_DIR/deltas.journal"
+# shellcheck disable=SC2086
+"$CLI" serve $DYNAMIC --socket "$JOURNAL_DIR/first.sock" --shards 2 --threads 2 \
+  > "$JOURNAL_DIR/first.log" &
+FIRST_PID=$!
+"$CLI" client --socket "$JOURNAL_DIR/first.sock" --wait-ms 10000 --ping > /dev/null
+for delta in a b; do
+  "$CLI" client --socket "$JOURNAL_DIR/first.sock" --apply-delta "$JOURNAL_DIR/$delta.delta" \
+    > /dev/null
+done
+kill -9 "$FIRST_PID"
+wait "$FIRST_PID" 2> /dev/null || true
+# shellcheck disable=SC2086
+"$CLI" serve $DYNAMIC --socket "$JOURNAL_DIR/second.sock" --shards 2 --threads 2 \
+  > "$JOURNAL_DIR/second.log" &
+SECOND_PID=$!
+"$CLI" client --socket "$JOURNAL_DIR/second.sock" --wait-ms 10000 --ping > /dev/null
+grep -q "replayed 2 pending journal entries" "$JOURNAL_DIR/second.log" || {
+  echo "error: the restarted daemon did not replay both journaled rollouts:" >&2
+  cat "$JOURNAL_DIR/second.log" >&2
+  exit 1
+}
+# shellcheck disable=SC2086
+"$CLI" client --socket "$JOURNAL_DIR/second.sock" $BATCH > "$JOURNAL_DIR/remote.json"
+"$CLI" update-index --index "$JOURNAL_DIR/g.sketch" --graph "$JOURNAL_DIR/g.txt" \
+  --delta "$JOURNAL_DIR/empty.delta" --journal "$JOURNAL_DIR/deltas.journal" \
+  --output "$JOURNAL_DIR/folded.sketch" > "$JOURNAL_DIR/update.json"
+# shellcheck disable=SC2086
+"$CLI" query --index "$JOURNAL_DIR/folded.sketch" --threads 2 $BATCH > "$JOURNAL_DIR/local.json"
+python3 - "$JOURNAL_DIR" <<'EOF'
+import json, sys
+d = sys.argv[1]
+replayed = json.load(open(f"{d}/update.json"))["journal_entries_replayed"]
+if replayed != 2:
+    sys.exit(f"update-index --journal replayed {replayed} entries, not 2")
+remote = json.load(open(f"{d}/remote.json"))["responses"]
+local = json.load(open(f"{d}/local.json"))["responses"]
+if json.dumps(remote, sort_keys=True) != json.dumps(local, sort_keys=True):
+    sys.exit("the recovered daemon diverged from update-index --journal's snapshot")
+EOF
+"$CLI" client --socket "$JOURNAL_DIR/second.sock" --shutdown > /dev/null
+wait "$SECOND_PID"
+rm -rf "$JOURNAL_DIR"
 
 echo "CI OK"

@@ -76,13 +76,14 @@ close); --deadline-ms bounds each query batch's execution, answering the
 queries the deadline cut with structured deadline-exceeded rejections;
 --journal appends every accepted apply-delta rollout to a crash-safe
 delta journal before the new index swaps in, and replays unsnapshotted
-entries from it at startup; --mmap serves the snapshot zero-copy from a
-memory mapping (on little-endian Linux; elsewhere, or when the mapping
-fails, it falls back to the checksummed read-decode load, counted by
-store_mmap_fallbacks), cutting time-to-first-query from whole-file decode
-to head-page parsing; a snapshot of any format version but this build's
-(5) is refused on both paths: rebuild it with build-index. `stats --index
-<FILE> --startup-timing` prints the open/map/decode/first-query phase
+entries from it at startup (a journal of another history is refused);
+--mmap serves the snapshot zero-copy from a memory mapping (on
+little-endian Linux; elsewhere, or when the mapping fails, it falls back
+to the checksummed read-decode load, counted by store_mmap_fallbacks),
+cutting time-to-first-query from whole-file decode to head-page parsing;
+a snapshot of any format version but this build's (6) is refused on both
+paths: rebuild it with build-index. `stats --index <FILE>
+--startup-timing` prints the open/map/decode/first-query phase
 breakdown of both load paths. `client` dials a running daemon: query flags
 mirror `query` and print the same response JSON (remote answers are
 byte-identical to in-process serving); --ping/--info/--metrics/--shutdown
@@ -1252,5 +1253,10 @@ mod tests {
             grammar.sort_unstable();
             assert_eq!(usage, grammar, "USAGE's synopsis of {command} and its grammar differ");
         }
+    }
+
+    #[test]
+    fn usage_names_the_snapshot_format_this_build_reads() {
+        assert!(USAGE.contains(&format!("({})", imm_service::SNAPSHOT_VERSION)));
     }
 }

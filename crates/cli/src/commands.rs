@@ -12,10 +12,14 @@ use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, io, properties, CsrGraph, EdgeWeights, GraphDelta, WeightModel};
 use imm_rrr::{AdaptivePolicy, BitSet};
 use imm_serve::{Client, ClientError, Rejection, RetryClient, RetryPolicy, Server, ServerConfig};
-use imm_service::{DeltaJournal, Query, QueryEngine, QueryResponse, SampleSpec, SketchIndex};
+use imm_service::{
+    DeltaJournal, Query, QueryEngine, QueryResponse, RecoverError, Recovered, SampleSpec,
+    SketchIndex,
+};
 use imm_shard::ShardedIndex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -235,10 +239,36 @@ fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Refresh a dynamic snapshot against a delta file: reconstruct the current
-/// graph revision (original source + replay of the snapshot's delta log),
-/// apply the new batch through `SketchIndex::apply_delta`, and persist the
-/// refreshed snapshot — resampling only the RRR sets the batch touched.
+/// Rebuild the live revision of the dynamic snapshot `index`, loaded from
+/// `path`: load its original `source` under the snapshot's sampling spec
+/// and hand it, with the daemon's journal, to `SketchIndex::recover`.
+/// `static_hint` finishes the refusal of a static snapshot.
+fn recover(
+    index: &mut SketchIndex,
+    path: &str,
+    source: &GraphSource,
+    journal: Option<&str>,
+    static_hint: &str,
+) -> Result<(Recovered, String), CliError> {
+    let Some(spec) = index.provenance().map(|provenance| provenance.spec) else {
+        return Err(format!(
+            "{path} is a static snapshot (it stores no sampling provenance); {static_hint}"
+        ));
+    };
+    let (graph, weights, name) = load(source, spec.model, spec.rng_seed)?;
+    let recovered = index.recover(graph, weights, journal.map(Path::new)).map_err(|e| match e {
+        RecoverError::Log { .. } => {
+            format!("{e} — is '{name}' the original source the snapshot was built from?")
+        }
+        e => e.to_string(),
+    })?;
+    Ok((recovered, name))
+}
+
+/// Refresh a dynamic snapshot against a delta file: recover the current
+/// graph revision, apply the new batch through `SketchIndex::apply_delta`,
+/// and persist the refreshed snapshot — resampling only the RRR sets the
+/// batch touched.
 ///
 /// With `--journal` the serving daemon's delta journal is honored:
 /// entries the snapshot has not folded in yet (accepted rollouts that
@@ -249,71 +279,19 @@ fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
 fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
     let mut index = SketchIndex::load_from_path(&args.index)
         .map_err(|e| format!("cannot load {}: {e}", args.index))?;
-    let (spec, replay) = match index.provenance() {
-        Some(provenance) => (
-            provenance.spec,
-            provenance.delta_log.iter().map(|entry| entry.delta.clone()).collect::<Vec<_>>(),
-        ),
-        None => {
-            return Err(format!(
-                "{} is a static snapshot (it stores no sampling provenance); rebuild it with \
-                 build-index",
-                args.index
-            ))
-        }
-    };
-
-    let (mut graph, mut weights, name) = load(&args.source, spec.model, spec.rng_seed)?;
-    for (i, delta) in replay.iter().enumerate() {
-        let (next_graph, next_weights) = delta.apply(&graph, &weights).map_err(|e| {
-            format!(
-                "replaying logged delta {i} of {} failed: {e} — is '{name}' the original \
-                 source the snapshot was built from?",
-                replay.len()
-            )
-        })?;
-        graph = next_graph;
-        weights = next_weights;
-    }
-
-    // Daemon-accepted rollouts the snapshot has not folded in yet: the
-    // journal entries at or past the snapshot's revision. They replay in
-    // journal order, exactly as the daemon served them.
-    let journal_path = args.journal.as_ref().map(std::path::PathBuf::from);
-    let mut journal_replayed = 0u64;
-    if let Some(journal) = &journal_path {
-        let snapshot_revision = replay.len() as u64;
-        let entries = DeltaJournal::read_entries(journal)
-            .map_err(|e| format!("cannot read journal {}: {e}", journal.display()))?;
-        for entry in entries {
-            if entry.applied_index < snapshot_revision {
-                continue; // already durable in the snapshot
-            }
-            let delta = GraphDelta::parse_text(&entry.text).map_err(|e| {
-                format!("journal entry {} is not a valid delta: {e}", entry.applied_index)
-            })?;
-            let (next_graph, next_weights, _) =
-                index.apply_delta(&graph, &weights, &delta).map_err(|e| {
-                    format!("replaying journal entry {} failed: {e}", entry.applied_index)
-                })?;
-            graph = next_graph;
-            weights = next_weights;
-            journal_replayed += 1;
-        }
-    }
+    let journal = args.journal.as_deref();
+    let (live, name) =
+        recover(&mut index, &args.index, &args.source, journal, "rebuild it with build-index")?;
 
     let text = std::fs::read_to_string(&args.delta)
         .map_err(|e| format!("cannot read {}: {e}", args.delta))?;
     let delta = GraphDelta::parse_text(&text).map_err(|e| e.to_string())?;
 
     let start = Instant::now();
-    let (_, _, stats) = index.apply_delta(&graph, &weights, &delta).map_err(|e| e.to_string())?;
+    let (_, _, stats) =
+        index.apply_delta(&live.graph, &live.weights, &delta).map_err(|e| e.to_string())?;
     let refresh_seconds = start.elapsed().as_secs_f64();
-    let applied_deltas_total = index
-        .provenance()
-        .ok_or("internal error: the snapshot lost its provenance during the refresh")?
-        .delta_log
-        .len();
+    let applied_deltas_total = index.provenance().map_or(0, |p| p.delta_log.len());
 
     // The save is crash-safe end to end (temp file, fsync, atomic
     // rename), so the default in-place refresh can never destroy the
@@ -321,14 +299,10 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
     // generation plus a `.tmp` the next load sweeps.
     let output = args.output.as_deref().unwrap_or(&args.index);
     index.save_to_path(output).map_err(|e| format!("cannot write {output}: {e}"))?;
-    if let Some(journal) = &journal_path {
-        // Only an in-place refresh supersedes the journal; writing the
-        // refreshed snapshot elsewhere leaves the original still behind
-        // the journal's entries.
-        if output == args.index {
-            DeltaJournal::clear(journal)
-                .map_err(|e| format!("cannot clear journal {}: {e}", journal.display()))?;
-        }
+    // Only an in-place refresh supersedes the journal; writing the refreshed
+    // snapshot elsewhere leaves the original still behind its entries.
+    if let Some(journal) = journal.filter(|_| output == args.index) {
+        DeltaJournal::clear(journal).map_err(|e| format!("cannot clear journal {journal}: {e}"))?;
     }
     let json = serde_json::json!({
         "input": name,
@@ -341,7 +315,7 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
         "reweighted_edges": stats.reweighted_edges,
         "edges_after": stats.num_edges_after,
         "applied_deltas_total": applied_deltas_total,
-        "journal_entries_replayed": journal_replayed,
+        "journal_entries_replayed": live.journal_replayed,
         "refresh_seconds": refresh_seconds,
     });
     println!("{}", pretty(&json));
@@ -486,8 +460,8 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
 /// bind the socket, and block until a client's `shutdown` verb (or a
 /// signal) stops the accept loop.
 ///
-/// With `--graph`/`--dataset` the snapshot's original source is loaded
-/// and the delta log replayed — exactly `update-index`'s reconstruction —
+/// With `--graph`/`--dataset` the live revision is recovered from the
+/// snapshot's original source (and `--journal`), as `update-index` does,
 /// so the daemon holds the live graph revision and can serve rolling
 /// `apply-delta` rollouts. Without a source the daemon serves statically
 /// and answers rollout requests with a structured `not-dynamic` error.
@@ -505,78 +479,18 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         (index, imm_store::LoadMode::ReadDecode)
     };
 
-    let journal_path = args.journal.as_ref().map(std::path::PathBuf::from);
-    if journal_path.is_some() && args.source.is_none() {
+    if args.journal.is_some() && args.source.is_none() {
         return Err("--journal records apply-delta rollouts, which need the snapshot's \
                     original --graph/--dataset; a static daemon cannot accept or replay them"
             .into());
     }
-
-    let mut journal_replayed = 0u64;
-    let dynamic = match &args.source {
-        None => None,
-        Some(source) => {
-            let (spec, replay) = match index.provenance() {
-                Some(provenance) => (
-                    provenance.spec,
-                    provenance
-                        .delta_log
-                        .iter()
-                        .map(|entry| entry.delta.clone())
-                        .collect::<Vec<_>>(),
-                ),
-                None => {
-                    return Err(format!(
-                        "{} is a static snapshot (it stores no sampling provenance); serve \
-                         it without --graph/--dataset, or rebuild it with build-index",
-                        args.index
-                    ))
-                }
-            };
-            let (mut graph, mut weights, name) = load(source, spec.model, spec.rng_seed)?;
-            for (i, delta) in replay.iter().enumerate() {
-                let (next_graph, next_weights) = delta.apply(&graph, &weights).map_err(|e| {
-                    format!(
-                        "replaying logged delta {i} of {} failed: {e} — is '{name}' the \
-                         original source the snapshot was built from?",
-                        replay.len()
-                    )
-                })?;
-                graph = next_graph;
-                weights = next_weights;
-            }
-
-            // Rollouts a previous daemon accepted and journaled but never
-            // snapshotted (it crashed or was killed first) replay here, so
-            // the served revision picks up exactly where the journal ends.
-            if let Some(journal) = &journal_path {
-                let snapshot_revision = replay.len() as u64;
-                let entries = DeltaJournal::read_entries(journal)
-                    .map_err(|e| format!("cannot read journal {}: {e}", journal.display()))?;
-                for entry in entries {
-                    if entry.applied_index < snapshot_revision {
-                        continue; // already durable in the snapshot
-                    }
-                    let delta = GraphDelta::parse_text(&entry.text).map_err(|e| {
-                        format!("journal entry {} is not a valid delta: {e}", entry.applied_index)
-                    })?;
-                    let (next_graph, next_weights, _) =
-                        index.apply_delta(&graph, &weights, &delta).map_err(|e| {
-                            format!("replaying journal entry {} failed: {e}", entry.applied_index)
-                        })?;
-                    graph = next_graph;
-                    weights = next_weights;
-                    journal_replayed += 1;
-                }
-            }
-            Some((graph, weights))
-        }
-    };
+    let hint = "serve it without --graph/--dataset, or rebuild it with build-index";
+    let live = (args.source.as_ref())
+        .map(|source| recover(&mut index, &args.index, source, args.journal.as_deref(), hint))
+        .transpose()?;
+    let journal_replayed = live.as_ref().map_or(0, |(live, _)| live.journal_replayed);
+    let dynamic = live.map(|(live, _)| (live.graph, live.weights));
     let dynamic_enabled = dynamic.is_some();
-
-    // New rollouts journal after the revision the daemon starts at
-    // (snapshot log plus everything just replayed).
-    let journal_base = index.provenance().map(|p| p.delta_log.len() as u64).unwrap_or(0);
 
     let sharded = ShardedIndex::from_index(index, args.shards)
         .map_err(|e| format!("cannot shard {}: {e}", args.index))?;
@@ -588,8 +502,7 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     config.tick = Duration::from_millis(args.tick_ms.max(1));
     config.idle_timeout = args.idle_timeout_ms.map(Duration::from_millis);
     config.batch_deadline = args.deadline_ms.map(Duration::from_millis);
-    config.journal = journal_path;
-    config.journal_base = journal_base;
+    config.journal = args.journal.as_ref().map(PathBuf::from);
     let handle = Server::start(Arc::new(sharded), dynamic, config, || {
         pretty(&imm_bench::obs::registry_json())
     })

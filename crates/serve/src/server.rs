@@ -251,14 +251,11 @@ pub struct ServerConfig {
     /// [`Rejection::DeadlineExceeded`] instead of running.
     pub batch_deadline: Option<Duration>,
     /// Journal file for `apply_delta` texts (crash safety): every delta
-    /// is appended and fsynced *before* the rollout commits, so a crash
-    /// between accepting a delta and persisting a refreshed snapshot can
-    /// replay it on restart. `None` disables journaling.
+    /// is appended and fsynced *before* the rollout commits, indexed by the
+    /// delta-log length of the generation it replaces, so a crash between
+    /// accepting a delta and persisting a refreshed snapshot can replay it
+    /// on restart (`SketchIndex::recover`). `None` disables journaling.
     pub journal: Option<PathBuf>,
-    /// Delta-log length of the snapshot this daemon loaded: journal
-    /// entries are indexed from here so replay tooling can tell already-
-    /// persisted deltas from lost ones.
-    pub journal_base: u64,
 }
 
 impl ServerConfig {
@@ -280,7 +277,6 @@ impl ServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             batch_deadline: None,
             journal: None,
-            journal_base: 0,
         }
     }
 }
@@ -327,7 +323,6 @@ pub struct Server {
     /// Crash-safety journal for accepted deltas; appends serialize under
     /// the `dynamic` rollout lock (`None` when journaling is off).
     journal: Mutex<Option<DeltaJournal>>,
-    journal_base: u64,
     threads: usize,
     cache_capacity: usize,
     tick: Duration,
@@ -375,7 +370,6 @@ impl Server {
             live: Mutex::new(HashMap::new()),
             metrics_provider: Box::new(metrics_provider),
             journal: Mutex::new(journal),
-            journal_base: config.journal_base,
             threads: config.threads,
             cache_capacity: config.cache_capacity,
             tick: config.tick,
@@ -612,8 +606,9 @@ impl Server {
         // visible: a crash after this point can replay the delta from the
         // journal; a crash before it never claimed the delta was applied.
         if let Some(journal) = self.journal.lock().as_mut() {
-            let applied_index = self.journal_base + self.rollouts.load(Ordering::Acquire);
-            if let Err(e) = journal.append(applied_index, text) {
+            // Indexed by the revision it moves the served generation from.
+            let revision = current.engine.index().provenance().map_or(0, |p| p.delta_log.len());
+            if let Err(e) = journal.append(revision as u64, text) {
                 return Response::Error(ServeError::Delta {
                     detail: format!("delta journal append failed (rollout refused): {e}"),
                 });

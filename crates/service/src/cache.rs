@@ -116,13 +116,6 @@ impl QueryCache {
         inner.map.insert(key, Entry { response, last_used: tick });
     }
 
-    /// Drop every stored response (hit/miss counters are preserved). Called
-    /// when the underlying index changes: a cached answer over the old
-    /// revision must never be served against the new one.
-    pub fn clear(&self) {
-        self.inner.lock().map.clear();
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -177,18 +170,6 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         assert!(cache.get(&QueryKey::TopK(1, None)).is_some());
         assert_eq!(cache.get(&QueryKey::TopK(2, None)), Some(response(2.5)));
-    }
-
-    #[test]
-    fn clear_drops_entries_but_keeps_counters() {
-        let cache = QueryCache::new(4);
-        cache.insert(QueryKey::TopK(1, None), response(1.0));
-        assert!(cache.get(&QueryKey::TopK(1, None)).is_some());
-        cache.clear();
-        assert_eq!(cache.get(&QueryKey::TopK(1, None)), None, "cleared entry must not be served");
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

@@ -45,9 +45,10 @@
 //! index (`imm-shard`) is this index plus a shard map and refreshes by
 //! refreshing it.
 //!
-//! The query layer integrates via [`crate::QueryEngine::apply_delta`], which
-//! also resets the shared greedy prefix and drops the response cache so no
-//! stale answer survives the mutation.
+//! The query layer never refreshes in place: a [`crate::QueryEngine`]
+//! serves one generation for its whole life, so a rollout refreshes a copy
+//! of the index and stands a new engine up over it, and no session or
+//! cached answer of the old revision can reach the new one.
 
 use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;
@@ -86,8 +87,8 @@ impl SampleSpec {
 }
 
 /// One applied delta, kept in the provenance log for audit and replay
-/// (`update-index` reconstructs the current graph by replaying the log
-/// against the original source).
+/// ([`SketchIndex::recover`] rebuilds the current graph by replaying the
+/// log against the original source).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaLogEntry {
     /// The applied mutation batch.

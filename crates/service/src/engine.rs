@@ -16,11 +16,9 @@
 //! this engine over the base index of a shard map.
 
 use crate::cache::{CacheStats, QueryCache};
-use crate::dynamic::{DynamicError, RefreshStats};
 use crate::index::SketchIndex;
 use crate::masked::{LazyGreedy, MaskedPool};
 use crate::query::{Query, QueryKey, QueryResponse};
-use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId, Postings};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -127,6 +125,8 @@ fn mark_and_count(
 /// The engine is `Sync`: spread/marginal queries run lock-free against the
 /// immutable index, Top-K extensions serialize on the shared greedy prefix,
 /// and responses are memoized in an LRU cache keyed on normalized queries.
+/// It serves one generation for its whole life: a new revision of the index
+/// gets a new engine, so no session or cached answer outlives its index.
 #[derive(Debug)]
 pub struct QueryEngine {
     index: Arc<SketchIndex>,
@@ -152,29 +152,22 @@ impl QueryEngine {
     pub fn with_cache_capacity(index: Arc<SketchIndex>, capacity: usize) -> Self {
         crate::metrics::register();
         crate::metrics::record_postings(index.postings().stats());
-        let (greedy, masked) = sessions(&index);
+        // The audience sessions start from the fresh one: one degree order.
+        let fresh = LazyGreedy::fresh(index.postings());
         QueryEngine {
             index,
-            greedy,
+            greedy: Mutex::new(fresh.clone()),
             cache: QueryCache::new(capacity),
             scratch: Mutex::new(Vec::new()),
-            masked,
+            masked: MaskedPool::new(fresh),
         }
     }
 
     /// Check an all-zero coverage bitmap out of the scratch pool (allocating
-    /// only when the pool is empty or the index size moved).
+    /// only when the pool is empty).
     fn acquire_scratch(&self) -> Vec<u64> {
-        let words = self.index.postings().words_per_row();
-        let mut pool = self.scratch.lock();
-        while let Some(marks) = pool.pop() {
-            if marks.len() == words {
-                return marks;
-            }
-            // Stale size (index was swapped): let it drop.
-        }
-        drop(pool);
-        vec![0; words]
+        let pooled = self.scratch.lock().pop();
+        pooled.unwrap_or_else(|| vec![0; self.index.postings().words_per_row()])
     }
 
     /// The Spread/Marginal tally: one marking walk ([`mark_and_count`]) over
@@ -195,30 +188,6 @@ impl QueryEngine {
     /// Hit/miss counters of the response cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Refresh the served index against a graph mutation.
-    ///
-    /// Delegates to [`SketchIndex::apply_delta`] (the index must be dynamic),
-    /// then resets the shared greedy prefix, starts a new audience pool on
-    /// the refreshed degree order and drops the response cache —
-    /// every answer after this call is computed over the refreshed index,
-    /// never replayed from the pre-delta one. Requires exclusive access
-    /// (`&mut self`): queries in flight on other threads finish against the
-    /// old revision before the swap can begin. If the index `Arc` is shared,
-    /// the refresh works on a private copy (clone-on-write).
-    pub fn apply_delta(
-        &mut self,
-        graph: &CsrGraph,
-        weights: &EdgeWeights,
-        delta: &GraphDelta,
-    ) -> Result<(CsrGraph, EdgeWeights, RefreshStats), DynamicError> {
-        let index = Arc::make_mut(&mut self.index);
-        let out = index.apply_delta(graph, weights, delta)?;
-        crate::metrics::record_postings(self.index.postings().stats());
-        (self.greedy, self.masked) = sessions(&self.index);
-        self.cache.clear();
-        Ok(out)
     }
 
     /// Answer one query, consulting the response cache first.
@@ -272,13 +241,6 @@ impl QueryEngine {
             self.index.num_nodes(),
         )
     }
-}
-
-/// The nothing-covered, empty-prefix Top-K session of `index` and the pool
-/// of audience sessions that start from it, sharing one degree order.
-fn sessions(index: &SketchIndex) -> (Mutex<LazyGreedy>, MaskedPool) {
-    let fresh = LazyGreedy::fresh(index.postings());
-    (Mutex::new(fresh.clone()), MaskedPool::new(fresh))
 }
 
 #[cfg(test)]
@@ -440,31 +402,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn apply_delta_leaves_both_sessions_fresh_over_the_refreshed_index() {
-        use crate::dynamic::SampleSpec;
-        use imm_diffusion::DiffusionModel;
-        use rand::{rngs::SmallRng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(5);
-        let edges = imm_graph::generators::social_network(120, 5, 0.3, &mut rng);
-        let graph = CsrGraph::from_edge_list(&edges);
-        let weights = EdgeWeights::constant(&graph, 0.2);
-        let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 7);
-        let index = SketchIndex::sample(&graph, &weights, spec, 200, 2, "fresh").unwrap();
-        let mut engine = QueryEngine::new(Arc::new(index));
-        assert!(engine.greedy.lock().is_fresh_over(engine.index()));
-        assert!(engine.masked.starts_from(&engine.greedy.lock()));
-        engine.execute(&Query::top_k(4));
-        engine.execute(&Query::audience_top_k(3, BitSet::from_iter_with_capacity(120, 0..30)));
-        assert!(!engine.greedy.lock().is_fresh_over(engine.index()), "a prefix was played");
-        let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6);
-        engine.apply_delta(&graph, &weights, &delta).unwrap();
-        // Fresh over the *refreshed* index: its degrees, all of its sets;
-        // the audience pool starts over from the same fresh session.
-        assert!(engine.greedy.lock().is_fresh_over(engine.index()));
-        assert!(engine.masked.starts_from(&engine.greedy.lock()));
     }
 
     #[test]

@@ -31,10 +31,14 @@
 //!   It is the one format this build writes, reads and maps (version 6).
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records its sampling spec, and
-//!   [`SketchIndex::apply_delta`] / [`QueryEngine::apply_delta`] resample
-//!   only the RRR sets an [`imm_graph::GraphDelta`] actually touches,
-//!   patching the postings in place and invalidating the response cache —
-//!   byte-identical to a from-scratch rebuild on the mutated graph.
+//!   [`SketchIndex::apply_delta`] resamples only the RRR sets an
+//!   [`imm_graph::GraphDelta`] actually touches and patches the postings —
+//!   byte-identical to a from-scratch rebuild on the mutated graph. An
+//!   engine serves one generation for life: a new revision gets a new
+//!   [`QueryEngine`].
+//! * [`recover`] — [`SketchIndex::recover`] rebuilds a dynamic snapshot's
+//!   live revision from its original source, its delta log and the
+//!   daemon's [`DeltaJournal`].
 //!
 //! ```
 //! use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
@@ -68,6 +72,7 @@ pub mod index;
 pub mod masked;
 pub mod metrics;
 pub mod query;
+pub mod recover;
 pub mod snapshot;
 
 pub use cache::{CacheStats, QueryCache};
@@ -76,6 +81,7 @@ pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::{LazyGreedy, MaskedPool};
 pub use query::{Query, QueryKey, QueryResponse};
+pub use recover::{RecoverError, Recovered};
 pub use snapshot::{
     parse_head, recover_interrupted_save, save_parts, snapshot_tmp_path, DeltaJournal,
     JournalEntry, SnapshotError, SnapshotHead, SnapshotSections, JOURNAL_MAGIC,

@@ -308,15 +308,6 @@ mod tests {
         }
     }
 
-    impl MaskedPool {
-        /// Whether this is a new pool (no session checked in yet) sharing
-        /// its degree order with `fresh`.
-        pub(crate) fn starts_from(&self, fresh: &LazyGreedy) -> bool {
-            self.pool.lock().is_empty()
-                && Arc::ptr_eq(&self.fresh.frontier.order, &fresh.frontier.order)
-        }
-    }
-
     #[test]
     fn a_fresh_session_extends_its_prefix_and_never_replays_it() {
         let index = figure3();

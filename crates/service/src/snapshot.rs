@@ -61,8 +61,8 @@
 //! it and count the recovery in the `snapshot_recoveries` metric.
 //! [`DeltaJournal`] complements the snapshot: the daemon journals each
 //! accepted delta (fsynced) *before* making it visible, so deltas
-//! applied after the last snapshot survive a crash and can be replayed
-//! at startup.
+//! applied after the last snapshot survive a crash, and
+//! [`SketchIndex::recover`] replays them at startup.
 
 use crate::dynamic::{DeltaLogEntry, SampleSpec, SketchProvenance};
 use crate::index::{IndexError, IndexMeta, SketchIndex};
@@ -717,12 +717,11 @@ pub const JOURNAL_MAGIC: [u8; 8] = *b"IMMJRNL1";
 /// One replayable entry read back from a [`DeltaJournal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
-    /// How many deltas the index had already durably applied when this
-    /// one was accepted — i.e. this entry is the `applied_index`-th
-    /// delta (0-based) in the index's lifetime. Replay compares it to
-    /// the loaded snapshot's delta-log length: `applied_index >= len`
-    /// means the snapshot predates this delta, so replay it;
-    /// `applied_index < len` means the snapshot already contains it.
+    /// The revision the delta moved the served generation from (that
+    /// generation's delta-log length): its 0-based place in the index's
+    /// history. [`SketchIndex::recover`] checks an entry below a snapshot's
+    /// revision against the delta logged there and replays the entries
+    /// from the revision on, which must be contiguous.
     pub applied_index: u64,
     /// The delta in the `update-index` text format, verbatim.
     pub text: String,
@@ -736,7 +735,8 @@ pub struct JournalEntry {
 /// never rewrites snapshots. On restart, [`DeltaJournal::read_entries`]
 /// returns everything intact — parsing stops at the first torn or
 /// corrupt entry, so a crash mid-append costs at most the entry being
-/// written — and entries newer than the loaded snapshot are replayed.
+/// written — and [`SketchIndex::recover`] replays the entries newer than
+/// the loaded snapshot.
 ///
 /// Layout: [`JOURNAL_MAGIC`], then per entry (little-endian)
 /// `[u64 applied_index][u32 text_len][text][u64 fnv1a64 of the rest]`.
@@ -745,28 +745,59 @@ pub struct DeltaJournal {
     file: std::fs::File,
 }
 
+/// The intact entries of a journal file and the length of the prefix they
+/// end at (0 for a file shorter than the magic): the one parser behind
+/// [`DeltaJournal::read_entries`] and [`DeltaJournal::open`]. Parsing stops
+/// at the first torn or checksum-failing entry.
+fn parse_journal(bytes: &[u8]) -> io::Result<(Vec<JournalEntry>, usize)> {
+    if bytes.len() < JOURNAL_MAGIC.len() {
+        return Ok((Vec::new(), 0));
+    }
+    if bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a delta journal (bad magic)"));
+    }
+    let mut entries = Vec::new();
+    let mut offset = JOURNAL_MAGIC.len();
+    while bytes.len() - offset >= 20 {
+        let applied_index =
+            u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"));
+        let len = u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().expect("4 bytes"))
+            as usize;
+        if bytes.len() - offset - 12 < len + 8 {
+            break; // torn tail
+        }
+        let body_end = offset + 12 + len;
+        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
+        if fnv1a64(&bytes[offset..body_end]) != stored {
+            break; // torn or corrupt tail
+        }
+        let Ok(text) = String::from_utf8(bytes[offset + 12..body_end].to_vec()) else {
+            break;
+        };
+        entries.push(JournalEntry { applied_index, text });
+        offset = body_end + 8;
+    }
+    Ok((entries, offset))
+}
+
 impl DeltaJournal {
-    /// Open (or create) the journal at `path` for appending.
+    /// Open (or create) the journal at `path` for appending. A torn tail
+    /// (a crash mid-append) is truncated away first: appended after it, a
+    /// new entry would be invisible to every later read.
     pub fn open(path: impl AsRef<Path>) -> io::Result<DeltaJournal> {
         let mut file =
             std::fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
-        if file.metadata()?.len() < JOURNAL_MAGIC.len() as u64 {
-            // Fresh, or a create that died before the magic landed:
-            // start over with just the magic.
-            file.set_len(0)?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            file.sync_all()?;
-        } else {
-            use std::io::Seek;
-            file.seek(io::SeekFrom::Start(0))?;
-            let mut magic = [0u8; 8];
-            file.read_exact(&mut magic)?;
-            if magic != JOURNAL_MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not a delta journal (bad magic)",
-                ));
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let (_, intact) = parse_journal(&bytes)?;
+        if intact == 0 || intact < bytes.len() {
+            // Cut back to the last intact entry. A fresh file, or a create
+            // that died before the magic landed, starts over with the magic.
+            file.set_len(intact as u64)?;
+            if intact == 0 {
+                file.write_all(&JOURNAL_MAGIC)?;
             }
+            file.sync_all()?;
         }
         Ok(DeltaJournal { file })
     }
@@ -802,44 +833,11 @@ impl DeltaJournal {
     /// (silently) at the first torn or checksum-failing entry, because
     /// that is exactly the shape a crash mid-append leaves behind.
     pub fn read_entries(path: impl AsRef<Path>) -> io::Result<Vec<JournalEntry>> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        if bytes.len() < JOURNAL_MAGIC.len() {
-            return Ok(Vec::new());
+        match std::fs::read(path) {
+            Ok(bytes) => Ok(parse_journal(&bytes)?.0),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(e),
         }
-        if bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a delta journal (bad magic)",
-            ));
-        }
-        let mut entries = Vec::new();
-        let mut offset = JOURNAL_MAGIC.len();
-        while bytes.len() - offset >= 20 {
-            let applied_index =
-                u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"));
-            let len =
-                u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().expect("4 bytes"))
-                    as usize;
-            if bytes.len() - offset - 12 < len + 8 {
-                break; // torn tail
-            }
-            let body_end = offset + 12 + len;
-            let stored =
-                u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
-            if fnv1a64(&bytes[offset..body_end]) != stored {
-                break; // torn or corrupt tail
-            }
-            let Ok(text) = String::from_utf8(bytes[offset + 12..body_end].to_vec()) else {
-                break;
-            };
-            entries.push(JournalEntry { applied_index, text });
-            offset = body_end + 8;
-        }
-        Ok(entries)
     }
 
     /// Truncate the journal back to empty (just the magic) — called
@@ -1078,6 +1076,23 @@ mod tests {
         // A different magic is a loud error, not an empty journal.
         std::fs::write(&path, b"NOTMAGIC").unwrap();
         assert!(DeltaJournal::read_entries(&path).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopening_truncates_a_torn_tail_before_appending() {
+        let dir = scratch_dir("reopen");
+        let path = dir.join("deltas.journal");
+        let mut journal = DeltaJournal::open(&path).unwrap();
+        journal.append(0, "+ 1 2 0.5\n").unwrap();
+        journal.append(1, "- 3 4\n").unwrap();
+        drop(journal);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+        DeltaJournal::open(&path).unwrap().append(1, "~ 5 6 0.25\n").unwrap();
+        let entries = DeltaJournal::read_entries(&path).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[1], JournalEntry { applied_index: 1, text: "~ 5 6 0.25\n".into() });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

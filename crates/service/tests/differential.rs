@@ -79,9 +79,10 @@ fn spread(engine: &QueryEngine, seeds: Vec<NodeId>) -> f64 {
     }
 }
 
-/// Apply `batches` random deltas through the engine, checking after every
-/// batch that the refreshed index is indistinguishable from a from-scratch
-/// sample of the mutated graph.
+/// Roll `batches` random deltas the daemon's way (refresh the index, serve
+/// it from a new engine), checking after every batch that the refreshed
+/// index is indistinguishable from a from-scratch sample of the mutated
+/// graph.
 fn assert_differential(
     graph: CsrGraph,
     weights: EdgeWeights,
@@ -90,20 +91,20 @@ fn assert_differential(
     batch_seeds: &[u64],
 ) {
     let spec = SampleSpec::new(model, rng_seed);
-    let index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
+    let mut index = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
         .expect("initial sample");
-    let mut engine = QueryEngine::new(Arc::new(index));
     let (mut graph, mut weights) = (graph, weights);
 
     for (round, &op_seed) in batch_seeds.iter().enumerate() {
         let ops = 1 + (op_seed % 5) as usize;
         let delta = random_delta(&graph, ops, op_seed);
-        let (next_graph, next_weights, stats) = engine
+        let (next_graph, next_weights, stats) = index
             .apply_delta(&graph, &weights, &delta)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         assert_eq!(stats.total_sets, THETA);
         graph = next_graph;
         weights = next_weights;
+        let engine = QueryEngine::new(Arc::new(index.clone()));
 
         let rebuilt = SketchIndex::sample(&graph, &weights, spec, THETA, 2, "differential")
             .expect("rebuild sample");
@@ -190,10 +191,11 @@ proptest! {
 }
 
 /// Regression for the serving layer: a Top-K answered from the LRU cache,
-/// then `apply_delta`, then the same query must not replay the pre-delta
-/// response.
+/// then a rollout the daemon's way — refresh a copy of the index, stand a
+/// new engine up over it — and the same query must not replay the
+/// pre-delta response, while the old engine keeps serving its generation.
 #[test]
-fn cached_top_k_is_invalidated_by_apply_delta() {
+fn a_rollout_never_serves_the_cached_pre_delta_answer() {
     // Star graph hub -> leaves with certain activation: every RRR set
     // contains the hub, so TopK{1} = [0].
     let n = 40usize;
@@ -202,7 +204,7 @@ fn cached_top_k_is_invalidated_by_apply_delta() {
     let weights = EdgeWeights::constant(&graph, 1.0);
     let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 3);
     let index = SketchIndex::sample(&graph, &weights, spec, 128, 2, "staleness").unwrap();
-    let mut engine = QueryEngine::new(Arc::new(index));
+    let engine = QueryEngine::new(Arc::new(index.clone()));
 
     let query = Query::top_k(1);
     let before = engine.execute(&query);
@@ -221,10 +223,13 @@ fn cached_top_k_is_invalidated_by_apply_delta() {
             delta = delta.insert(1, dst, 1.0);
         }
     }
-    let (graph2, weights2, _) = engine.apply_delta(&graph, &weights, &delta).unwrap();
+    let mut next = index;
+    let (graph2, weights2, _) = next.apply_delta(&graph, &weights, &delta).unwrap();
+    let rolled = QueryEngine::new(Arc::new(next));
 
-    let after = engine.execute(&query);
-    assert_ne!(after, before, "the cached pre-delta response must not survive apply_delta");
+    assert_eq!(engine.execute(&query), before, "the old engine serves its own generation");
+    let after = rolled.execute(&query);
+    assert_ne!(after, before, "the cached pre-delta response must not survive the rollout");
     match &after {
         QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![1], "new hub wins"),
         other => panic!("unexpected {other:?}"),

@@ -129,21 +129,27 @@ fn concurrent_audience_batches_equal_sequential_execution() {
     }
 }
 
+/// A rollout the daemon's way: the old engine, its pool stocked, keeps its
+/// generation's answers, and a new engine over the refreshed copy answers
+/// what a rebuild on the mutated graph answers.
 #[test]
-fn sessions_pooled_before_a_refresh_serve_the_refreshed_index() {
+fn an_engine_over_the_refreshed_index_serves_the_rebuild() {
     let (graph, weights, index, sets) = sampled_index();
     let spec = index.provenance().expect("dynamic").spec;
-    let (queries, _) = audience_queries(&sets);
-    let mut engine = QueryEngine::with_cache_capacity(Arc::new(index), 0);
+    let (queries, before) = audience_queries(&sets);
+    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
     for query in &queries {
         engine.execute_uncached(query); // stock the pool on the old generation
     }
     let (src, dst) = graph.edges().next().expect("graph has edges");
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
-    let (graph, weights, _) = engine.apply_delta(&graph, &weights, &delta).expect("refresh");
+    let mut next = index;
+    let (graph, weights, _) = next.apply_delta(&graph, &weights, &delta).expect("refresh");
+    let rolled = QueryEngine::with_cache_capacity(Arc::new(next), 0);
     // A refresh equals the rebuild, so the oracle reads the rebuild's sets.
     let (_, expected) = audience_queries(&sampled(&graph, &weights, spec, sets.len()).1);
-    for (query, expected) in queries.iter().zip(&expected) {
-        assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
+    for ((query, expected), before) in queries.iter().zip(&expected).zip(&before) {
+        assert_eq!(&rolled.execute_uncached(query), expected, "{query:?}");
+        assert_eq!(&engine.execute_uncached(query), before, "{query:?}");
     }
 }

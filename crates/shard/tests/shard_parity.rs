@@ -117,7 +117,8 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
         for shards in SHARD_COUNTS {
             for threads in THREAD_COUNTS {
                 let context = format!("{model:?}, {shards} shards, {threads} threads");
-                let mut single = QueryEngine::new(Arc::new(index.clone()));
+                let mut single_index = index.clone();
+                let single = QueryEngine::new(Arc::new(single_index.clone()));
                 let sharded_index =
                     ShardedIndex::from_index(index.clone(), shards).expect("shardable");
                 assert_eq!(sharded_index.num_shards(), shards);
@@ -126,12 +127,13 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
                 let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
                 assert_engines_agree(&single, &sharded, &queries, &context);
 
-                // Both sides take the same batch — the single engine in
-                // place, the sharded one by rollout; the refreshed answers
-                // must again be byte-identical (and the refresh stats must
-                // agree).
+                // Both sides take the same batch by rollout — a new engine
+                // over the refreshed single index, the sharded one through
+                // `rebuilt_with_delta`; the refreshed answers must again be
+                // byte-identical (and the refresh stats must agree).
                 let (g1, w1, single_stats) =
-                    single.apply_delta(&graph, &weights, &delta).expect("single refresh");
+                    single_index.apply_delta(&graph, &weights, &delta).expect("single refresh");
+                let single = QueryEngine::new(Arc::new(single_index.clone()));
                 let (sharded, g2, w2, sharded_stats) =
                     rolled(&sharded, (&graph, &weights), &delta, threads);
                 assert_eq!(single_stats, sharded_stats, "{context}: refresh stats diverged");
@@ -149,7 +151,9 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
 
                 // And a second chained delta keeps the engines in lockstep.
                 let delta2 = GraphDelta::new().delete(3, 77).insert(50, 51, 0.7);
-                let (_, _, s1) = single.apply_delta(&g1, &w1, &delta2).expect("single delta 2");
+                let (_, _, s1) =
+                    single_index.apply_delta(&g1, &w1, &delta2).expect("single delta 2");
+                let single = QueryEngine::new(Arc::new(single_index));
                 let (sharded, _, _, s2) = rolled(&sharded, (&g2, &w2), &delta2, threads);
                 assert_eq!(s1, s2);
                 assert_engines_agree(
