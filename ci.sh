@@ -190,6 +190,15 @@ if grep -rnw 'unsafe' crates/graph/src; then
   exit 1
 fi
 
+# The samplers and the set containers are safe Rust: the IC kernel's
+# bottom-up sweep splits a VisitMarker's fields instead of aliasing them,
+# and its out-side is a CsrGraph::transpose_with_slots.
+echo "==> sampler guard: crates/core/src and crates/rrr/src hold no unsafe"
+if grep -rnw 'unsafe' crates/core/src crates/rrr/src; then
+  echo "error: crates/core/src and crates/rrr/src hold no unsafe" >&2
+  exit 1
+fi
+
 # A CsrGraph is its in-lists and EdgeWeights holds one weight per in-slot,
 # parallel to them: the forward CSR, the in-slot -> forward-id permutation
 # and the accessors that read them stay gone. A forward consumer builds one

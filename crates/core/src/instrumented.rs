@@ -325,6 +325,7 @@ pub fn bitmap_check_cost(
     let mut tracker = AccessTracker::new(topology);
     let mut bitmap_tracker = AccessTracker::new(topology);
     let mut marker = crate::sampling::VisitMarker::new(n);
+    let source = crate::sampling::SamplingGraph::new(graph, weights);
 
     for set_idx in 0..num_sets {
         let worker = set_idx % threads;
@@ -343,10 +344,11 @@ pub fn bitmap_check_cost(
 
         let key = crate::sampling::SetKey::new(rng_seed, set_idx);
         let vertices =
-            crate::sampling::generate_rrr_set(graph, weights, model, key.root(n), key, &mut marker);
+            crate::sampling::generate_rrr_set(&source, model, key.root(n), key, &mut marker);
 
-        // Replay the traversal's accesses: for every reached vertex we walk
-        // its in-edges (graph reads), check the bitmap once per examined
+        // Replay the paper's top-down traversal of the set, whichever
+        // direction the kernel reached it in: for every member we walk its
+        // in-edges (graph reads), check the bitmap once per examined
         // neighbor (bitmap reads), and write the vertex into the RRR buffer.
         for (i, &v) in vertices.iter().enumerate() {
             for &u in graph.in_neighbors(v) {

@@ -14,13 +14,19 @@
 //!   fails here.
 
 use efficient_imm::balance::Schedule;
-use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
+use efficient_imm::metrics::BOTTOM_UP_SWEEPS;
+use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig, SetKey};
 use imm_diffusion::{monte_carlo_spread, DiffusionModel};
 use imm_graph::{generators, CsrGraph, EdgeList, EdgeWeights, NodeId, WeightModel};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+use std::sync::Mutex;
+
+/// The sample seed every test here draws its sets under.
+const SEED: u64 = 2024;
 
 fn sample(
     graph: &CsrGraph,
@@ -30,7 +36,7 @@ fn sample(
 ) -> RrrCollection {
     let config = SamplingConfig {
         model,
-        rng_seed: 2024,
+        rng_seed: SEED,
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 64 },
         threads: 2,
@@ -111,7 +117,8 @@ fn parallel_copies_sample_like_their_heaviest_copy_under_ic() {
 }
 
 /// `n · P(v ∈ RRR)` against `σ({v})`, vertex by vertex, as z-scores over the
-/// two estimates' combined standard error.
+/// two estimates' combined standard error. `inclusion` holds, per vertex
+/// checked, how many of how many sets held it.
 ///
 /// 600 comparisons cannot all be asked to sit inside 3σ: under a perfect
 /// sampler one or two fall outside by chance (the largest of 300 z-scores
@@ -119,11 +126,47 @@ fn parallel_copies_sample_like_their_heaviest_copy_under_ic() {
 /// correct sampler does guarantee, and a biased one breaks: at most 1 % of
 /// the vertices outside 3σ, none outside 4.5σ, no common sign (|mean z|
 /// small) and unit spread (mean z² near 1).
+fn assert_inclusion_agrees_with_forward_simulation(
+    label: &str,
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    model: DiffusionModel,
+    trials: usize,
+    inclusion: &[(NodeId, usize, usize)],
+) {
+    let nodes = graph.num_nodes();
+    let mut z_scores = Vec::with_capacity(inclusion.len());
+    for &(v, hits, sets) in inclusion {
+        let p = hits as f64 / sets as f64;
+        let reverse = nodes as f64 * p;
+        let reverse_var = (nodes * nodes) as f64 * p * (1.0 - p) / sets as f64;
+        // Seeds 2^32 apart: `monte_carlo_spread` seeds trial `t` with
+        // `seed + t`, so nearby seeds would share almost every cascade
+        // and tie all the forward errors together.
+        let forward = monte_carlo_spread(graph, weights, model, &[v], trials, (v as u64) << 32);
+        let forward_var = forward.std_dev * forward.std_dev / trials as f64;
+        let z = (reverse - forward.mean) / (reverse_var + forward_var).sqrt();
+        assert!(
+            z.abs() < 4.5,
+            "{label}, vertex {v}: n·P(v ∈ RRR) = {reverse:.3} but σ({{v}}) = {:.3} ({z:.2}σ)",
+            forward.mean
+        );
+        z_scores.push(z);
+    }
+    let checked = z_scores.len();
+    let outside = z_scores.iter().filter(|z| z.abs() > 3.0).count();
+    let mean = z_scores.iter().sum::<f64>() / checked as f64;
+    let mean_square = z_scores.iter().map(|z| z * z).sum::<f64>() / checked as f64;
+    eprintln!("{label}: {outside} outside 3σ, mean z {mean:.3}, mean z² {mean_square:.3}");
+    assert!(outside <= checked / 100, "{label}: {outside} of {checked} vertices outside 3σ");
+    assert!(mean.abs() < 0.5, "{label}: the estimates lean one way (mean z {mean:.3})");
+    assert!(mean_square < 1.3, "{label}: mean z² {mean_square:.3} is not unit spread");
+}
+
 #[test]
 fn inclusion_frequencies_agree_with_forward_simulation_for_every_vertex() {
     const NODES: usize = 300;
     const SETS: usize = 20_000;
-    const TRIALS: usize = 4_000;
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
         let (graph, weights) = fixture(model, NODES, 77);
         let sets = sample(&graph, &weights, model, SETS);
@@ -131,31 +174,104 @@ fn inclusion_frequencies_agree_with_forward_simulation_for_every_vertex() {
         for set in sets.iter() {
             set.for_each(|v| hits[v as usize] += 1);
         }
-        let mut z_scores = Vec::with_capacity(NODES);
-        for v in 0..NODES as NodeId {
-            let p = hits[v as usize] as f64 / SETS as f64;
-            let reverse = NODES as f64 * p;
-            let reverse_var = (NODES * NODES) as f64 * p * (1.0 - p) / SETS as f64;
-            // Seeds 2^32 apart: `monte_carlo_spread` seeds trial `t` with
-            // `seed + t`, so nearby seeds would share almost every cascade
-            // and tie all 300 forward errors together.
-            let forward =
-                monte_carlo_spread(&graph, &weights, model, &[v], TRIALS, (v as u64) << 32);
-            let forward_var = forward.std_dev * forward.std_dev / TRIALS as f64;
-            let z = (reverse - forward.mean) / (reverse_var + forward_var).sqrt();
-            assert!(
-                z.abs() < 4.5,
-                "{model:?}, vertex {v}: n·P(v ∈ RRR) = {reverse:.3} but σ({{v}}) = {:.3} ({z:.2}σ)",
-                forward.mean
-            );
-            z_scores.push(z);
-        }
-        let outside = z_scores.iter().filter(|z| z.abs() > 3.0).count();
-        let mean = z_scores.iter().sum::<f64>() / NODES as f64;
-        let mean_square = z_scores.iter().map(|z| z * z).sum::<f64>() / NODES as f64;
-        eprintln!("{model:?}: {outside} outside 3σ, mean z {mean:.3}, mean z² {mean_square:.3}");
-        assert!(outside <= NODES / 100, "{model:?}: {outside} of {NODES} vertices outside 3σ");
-        assert!(mean.abs() < 0.5, "{model:?}: the estimates lean one way (mean z {mean:.3})");
-        assert!(mean_square < 1.3, "{model:?}: mean z² {mean_square:.3} is not unit spread");
+        let inclusion: Vec<_> = (0..NODES as NodeId).map(|v| (v, hits[v as usize], SETS)).collect();
+        let label = format!("{model:?}");
+        assert_inclusion_agrees_with_forward_simulation(
+            &label, &graph, &weights, model, 4_000, &inclusion,
+        );
     }
+}
+
+/// Dense IC inputs, whose sets cross the sampler's switch to bottom-up
+/// sweeps: uniform [0, 1] weights (sets over most of the graph) and a
+/// constant 0.1 on a denser graph (sets from a few vertices to most of it).
+fn dense_fixtures() -> Vec<(&'static str, CsrGraph, EdgeWeights)> {
+    let mut rng = SmallRng::seed_from_u64(41);
+    let mut social = |avg_degree| {
+        CsrGraph::from_edge_list(&generators::social_network(300, avg_degree, 0.3, &mut rng))
+    };
+    let (social, denser) = (social(5), social(20));
+    let uniform = EdgeWeights::ic_uniform(&social, &mut rng);
+    let constant = EdgeWeights::constant(&denser, 0.1);
+    vec![("uniform", social, uniform), ("constant 0.1", denser, constant)]
+}
+
+/// The set of `key` by the textbook algorithm: a top-down reverse BFS from
+/// the root over the keyed coins, members sorted.
+fn top_down_ic_set(graph: &CsrGraph, weights: &EdgeWeights, key: SetKey) -> Vec<NodeId> {
+    let root = key.root(graph.num_nodes());
+    let mut member = vec![false; graph.num_nodes()];
+    member[root as usize] = true;
+    let mut queue = VecDeque::from([root]);
+    while let Some(v) = queue.pop_front() {
+        for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
+            if !member[u as usize] && key.ic_edge_is_live(u, v, w) {
+                member[u as usize] = true;
+                queue.push_back(u);
+            }
+        }
+    }
+    (0..graph.num_nodes() as NodeId).filter(|&v| member[v as usize]).collect()
+}
+
+/// Tests that read `core_rrr_bottom_up_sweeps` hold this, so the sweeps they
+/// count are their own (no other test in this file reaches the switch).
+static SWEEP_COUNTER: Mutex<()> = Mutex::new(());
+
+#[test]
+fn dense_sets_equal_a_plain_top_down_bfs_and_take_the_bottom_up_path() {
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    for (label, graph, weights) in dense_fixtures() {
+        let swept_before = BOTTOM_UP_SWEEPS.value();
+        let sets = sample(&graph, &weights, DiffusionModel::IndependentCascade, 400);
+        let sweeps = BOTTOM_UP_SWEEPS.value() - swept_before;
+        let mut members = 0;
+        for (i, set) in sets.iter().enumerate() {
+            let expected = top_down_ic_set(&graph, &weights, SetKey::new(SEED, i));
+            assert_eq!(set.to_vec(), expected, "{label}: set {i}");
+            members += expected.len();
+        }
+        eprintln!("{label}: mean set {:.1}, {sweeps} bottom-up sweeps", members as f64 / 400.0);
+        assert!(sweeps > 0, "{label}: no set took the bottom-up path");
+    }
+}
+
+#[test]
+fn permuting_in_neighbour_lists_leaves_every_dense_set_unchanged() {
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    for (label, graph, weights) in dense_fixtures() {
+        let (permuted, permuted_weights) = with_permuted_in_lists(&graph, &weights, 9);
+        let model = DiffusionModel::IndependentCascade;
+        let before = sample(&graph, &weights, model, 400);
+        let after = sample(&permuted, &permuted_weights, model, 400);
+        assert_eq!(before, after, "{label}: a set depends on in-neighbour storage order");
+    }
+}
+
+/// On dense sets one sample cannot serve every vertex: whether a set is
+/// giant is shared by all its members, so their estimates err together and
+/// the mean z-score drifts with the sample. Each vertex checked here counts
+/// its own disjoint batch of sets instead, so the z-scores are independent
+/// again.
+#[test]
+fn dense_inclusion_frequencies_agree_with_forward_simulation() {
+    const BATCH: usize = 2_000;
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (label, graph, weights) = dense_fixtures().swap_remove(0);
+    // Every third vertex: a dense cascade walks most of the graph, so the
+    // forward side is the expensive one.
+    let vertices: Vec<NodeId> = (0..graph.num_nodes() as NodeId).step_by(3).collect();
+    let model = DiffusionModel::IndependentCascade;
+    let sets = sample(&graph, &weights, model, vertices.len() * BATCH);
+    let inclusion: Vec<_> = vertices
+        .iter()
+        .enumerate()
+        .map(|(j, &v)| {
+            let batch = (j * BATCH..(j + 1) * BATCH).filter(|&i| sets.get(i).contains(v));
+            (v, batch.count(), BATCH)
+        })
+        .collect();
+    assert_inclusion_agrees_with_forward_simulation(
+        label, &graph, &weights, model, 1_000, &inclusion,
+    );
 }

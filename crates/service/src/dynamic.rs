@@ -53,7 +53,8 @@
 use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
-    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, SamplingConfig, SetKey, VisitMarker,
+    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, SamplingConfig, SamplingGraph, SetKey,
+    VisitMarker,
 };
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
@@ -299,19 +300,15 @@ fn resample_sets(
 ) -> Vec<(usize, RrrSet)> {
     crate::metrics::DELTA_SETS_RESAMPLED.add(ids.len() as u64);
     let num_nodes = new_graph.num_nodes();
+    // One out-side for the whole rollout, shared by every chunk.
+    let source = SamplingGraph::new(new_graph, new_weights);
     let resample_chunk = |chunk: &[usize]| -> Vec<(usize, RrrSet)> {
         let mut marker = VisitMarker::new(num_nodes);
         chunk
             .iter()
             .map(|&sid| {
-                let vertices = generate_indexed_rrr_set(
-                    new_graph,
-                    new_weights,
-                    spec.model,
-                    spec.rng_seed,
-                    sid,
-                    &mut marker,
-                );
+                let vertices =
+                    generate_indexed_rrr_set(&source, spec.model, spec.rng_seed, sid, &mut marker);
                 (sid, RrrSet::from_vertices(vertices, num_nodes, &spec.policy))
             })
             .collect()

@@ -2,7 +2,7 @@
 
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{
-    generate_rrr_set, generate_rrr_sets, SamplingConfig, SetKey, VisitMarker,
+    generate_rrr_set, generate_rrr_sets, SamplingConfig, SamplingGraph, SetKey, VisitMarker,
 };
 use imm_diffusion::{monte_carlo_spread, DiffusionModel};
 use imm_graph::{generators, CsrGraph, EdgeList, EdgeWeights, NodeId};
@@ -68,7 +68,7 @@ proptest! {
         let root = root_pick.index(g.num_nodes()) as NodeId;
         let mut marker = VisitMarker::new(g.num_nodes());
         let key = SetKey::new(seed, 0);
-        let set = generate_rrr_set(&g, &w, DiffusionModel::IndependentCascade, root, key, &mut marker);
+        let set = generate_rrr_set(&SamplingGraph::new(&g, &w), DiffusionModel::IndependentCascade, root, key, &mut marker);
 
         // With probability-1 edges, the RRR set must be exactly the set of
         // vertices that reach the root in the transpose (i.e. reverse BFS).
@@ -106,7 +106,7 @@ proptest! {
         let root = root_pick.index(g.num_nodes()) as NodeId;
         let mut marker = VisitMarker::new(g.num_nodes());
         let key = SetKey::new(seed, 0);
-        let set = generate_rrr_set(&g, &w, DiffusionModel::LinearThreshold, root, key, &mut marker);
+        let set = generate_rrr_set(&SamplingGraph::new(&g, &w), DiffusionModel::LinearThreshold, root, key, &mut marker);
         // No duplicates, root present, consecutive elements connected by an
         // edge (later -> earlier in the original direction).
         prop_assert!(set.contains(&root));
