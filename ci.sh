@@ -199,6 +199,21 @@ if grep -rnw 'unsafe' crates/core/src crates/rrr/src; then
   exit 1
 fi
 
+# `efficient_imm::sampling::generate_rrr_sets` is the one parallel sampling
+# driver: a run, an index build and a refresh all draw through it, and its
+# output is the chunk collections spliced in job order. The owned set type,
+# the single-set resample entry, the refresh's own chunking and the per-slot
+# assembly it replaced stay gone, and imm-service holds no sampler state.
+echo "==> sampling-driver guard: one parallel sampling driver, no owned RRR set"
+if grep -rnwIE 'RrrSet|generate_indexed_rrr_set|SlotOutput|RESAMPLE_CHUNK|push_sorted_slice' crates; then
+  echo "error: draw sets through generate_rrr_sets into an RrrCollection; do not reintroduce a second driver or RrrSet" >&2
+  exit 1
+fi
+if grep -rnwIE 'VisitMarker|SamplingGraph' crates/service/src; then
+  echo "error: crates/service/src resamples through generate_rrr_sets; sampling drivers live in efficient-imm" >&2
+  exit 1
+fi
+
 # A CsrGraph is its in-lists and EdgeWeights holds one weight per in-slot,
 # parallel to them: the forward CSR, the in-slot -> forward-id permutation
 # and the accessors that read them stay gone. A forward consumer builds one

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use efficient_imm::GlobalCounter;
 use imm_graph::generators;
-use imm_rrr::{AdaptivePolicy, RrrSet};
+use imm_rrr::{AdaptivePolicy, RrrCollection};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -60,8 +60,10 @@ fn bench_rrr_membership(c: &mut Criterion) {
     let n = 200_000usize;
     let mut rng = SmallRng::seed_from_u64(4);
     let members: Vec<u32> = (0..n as u32 / 8).map(|_| rng.gen_range(0..n as u32)).collect();
-    let sorted = RrrSet::from_vertices(members.clone(), n, &AdaptivePolicy::always_sorted());
-    let bitmap = RrrSet::from_vertices(members, n, &AdaptivePolicy::always_bitmap());
+    let mut sets = RrrCollection::new(n);
+    sets.push_vertices(members.clone(), &AdaptivePolicy::always_sorted());
+    sets.push_vertices(members, &AdaptivePolicy::always_bitmap());
+    let (sorted, bitmap) = (sets.get(0), sets.get(1));
     let probes: Vec<u32> = (0..10_000).map(|_| rng.gen_range(0..n as u32)).collect();
 
     let mut group = c.benchmark_group("rrr_membership_10k_probes");

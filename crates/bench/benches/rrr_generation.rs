@@ -35,7 +35,7 @@ fn bench_models(c: &mut Criterion) {
             fused_counter: None,
         };
         group.bench_with_input(BenchmarkId::from_parameter(model.short_name()), &model, |b, _| {
-            b.iter(|| black_box(generate_rrr_sets(&d.graph, weights, 128, 0, &cfg)))
+            b.iter(|| black_box(generate_rrr_sets(&d.graph, weights, 128, |i| i, &cfg)))
         });
     }
     group.finish();
@@ -56,16 +56,16 @@ fn bench_fusion_and_balancing(c: &mut Criterion) {
     };
 
     group.bench_function("unfused", |b| {
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &base)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, |i| i, &base)))
     });
     group.bench_function("fused_counter", |b| {
         let counter = GlobalCounter::new(d.graph.num_nodes());
         let cfg = SamplingConfig { fused_counter: Some(&counter), ..base };
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, |i| i, &cfg)))
     });
     group.bench_function("static_schedule", |b| {
         let cfg = SamplingConfig { schedule: Schedule::Static, ..base };
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, 0, &cfg)))
+        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, |i| i, &cfg)))
     });
     group.finish();
 }
@@ -99,7 +99,7 @@ fn bench_density_sweep(c: &mut Criterion) {
     group.sample_size(20);
     for (name, weights, sets) in &regimes {
         group.bench_function(*name, |b| {
-            b.iter(|| black_box(generate_rrr_sets(&graph, weights, *sets, 0, &cfg)))
+            b.iter(|| black_box(generate_rrr_sets(&graph, weights, *sets, |i| i, &cfg)))
         });
     }
     group.finish();

@@ -24,7 +24,7 @@ fn sample_sets(dataset_name: &str, num_sets: usize) -> RrrCollection {
         threads: 2,
         fused_counter: None,
     };
-    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets
+    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets
 }
 
 fn bench_selection_kernels(c: &mut Criterion) {

@@ -43,7 +43,8 @@ fn main() {
             threads,
             fused_counter: None,
         };
-        let sets = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets;
+        let sets =
+            generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets;
 
         let mut with_cfg = ExecutionConfig::new(Algorithm::Efficient, threads);
         with_cfg.features.adaptive_counter_update = true;

@@ -276,7 +276,7 @@ fn main() {
     let sets_sampled_before = efficient_imm::metrics::SETS_SAMPLED.value();
     let mut sampling_trial_secs: Vec<f64> = Vec::with_capacity(w.sampling_trials);
     let t0 = Instant::now();
-    let mut out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling);
+    let mut out = generate_rrr_sets(&graph, &weights, w.theta, |i| i, &sampling);
     sampling_trial_secs.push(t0.elapsed().as_secs_f64());
     let obs_events_during_sampling =
         // Two relaxed atomic adds per generated set (SETS_SAMPLED +
@@ -285,7 +285,7 @@ fn main() {
         2 * (efficient_imm::metrics::SETS_SAMPLED.value() - sets_sampled_before);
     for _ in 1..w.sampling_trials {
         let t = Instant::now();
-        out = generate_rrr_sets(&graph, &weights, w.theta, 0, &sampling);
+        out = generate_rrr_sets(&graph, &weights, w.theta, |i| i, &sampling);
         sampling_trial_secs.push(t.elapsed().as_secs_f64());
     }
     let sampling_secs = median(&mut sampling_trial_secs);

@@ -35,7 +35,7 @@ fn main() {
             threads: 4,
             fused_counter: None,
         };
-        let out = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg);
+        let out = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg);
         let stats = out.sets.coverage_stats();
         table.add_row(vec![
             spec.name.to_string(),

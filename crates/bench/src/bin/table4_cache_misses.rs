@@ -39,7 +39,8 @@ fn main() {
             threads: 4,
             fused_counter: None,
         };
-        let sets = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, 0, &cfg).sets;
+        let sets =
+            generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets;
 
         let hierarchy = HierarchyConfig::default();
         let ripples = cache_misses_ripples(&sets, k, threads, hierarchy);

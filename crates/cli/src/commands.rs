@@ -821,7 +821,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         threads,
         fused_counter: None,
     };
-    let out = generate_rrr_sets(&graph, &weights, args.rrr_sets, 0, &cfg);
+    let out = generate_rrr_sets(&graph, &weights, args.rrr_sets, |i| i, &cfg);
     let coverage = out.sets.coverage_stats();
 
     let json = serde_json::json!({
@@ -1160,7 +1160,7 @@ mod tests {
         // build-index, before any graph loading happens.
         let static_path = temp_path("cli_static.sketch");
         let mut collection = imm_rrr::RrrCollection::new(10);
-        collection.push(imm_rrr::RrrSet::sorted(vec![0, 1]));
+        collection.push_vertices(vec![0, 1], &imm_rrr::AdaptivePolicy::always_sorted());
         imm_service::SketchIndex::from_collection(collection, imm_service::IndexMeta::default())
             .unwrap()
             .save_to_path(&static_path)

@@ -92,6 +92,38 @@ pub fn run_imm(
     let use_fusion = exec.algorithm == Algorithm::Efficient && exec.features.kernel_fusion;
     let fused_counter = if use_fusion { Some(GlobalCounter::new(n)) } else { None };
 
+    let config = SamplingConfig {
+        model: params.model,
+        rng_seed: params.rng_seed,
+        policy,
+        schedule,
+        threads: exec.threads,
+        fused_counter: fused_counter.as_ref(),
+    };
+    // The one draw step: top `sets` up to `target`, the new sets keyed from
+    // index `sets.len()` on.
+    let draw = |sets: &mut RrrCollection, target: usize, breakdown: &mut RuntimeBreakdown| {
+        if target <= sets.len() {
+            return;
+        }
+        let start = sets.len();
+        let t0 = Instant::now();
+        let out = generate_rrr_sets(graph, weights, target - start, |job| start + job, &config);
+        breakdown.timings.generate_rrrsets += t0.elapsed();
+        breakdown.sampling_work.merge(&out.work);
+        sets.extend_from(out.sets);
+    };
+    // The one selection step, on the whole sample so far.
+    let select = |sets: &RrrCollection, breakdown: &mut RuntimeBreakdown| {
+        let t0 = Instant::now();
+        let selection = select_seeds(sets, k, exec, fused_counter.as_ref());
+        breakdown.timings.find_most_influential += t0.elapsed();
+        breakdown.selection_work.merge(&selection.work);
+        breakdown.counter_rebuilds += selection.counter_rebuilds;
+        breakdown.counter_decrements += selection.counter_decrements;
+        selection
+    };
+
     let mut sets = RrrCollection::new(n);
     let mut lower_bound = 1.0f64;
     let mut converged = false;
@@ -100,37 +132,10 @@ pub fn run_imm(
     // the current sample certifies a lower bound on OPT.
     let iterations = math::sampling_iterations(n);
     for i in 1..=iterations {
-        let target = math::theta_for_iteration(n, k, epsilon, ell, i);
-        if target > sets.len() {
-            let missing = target - sets.len();
-            let t0 = Instant::now();
-            let out = generate_rrr_sets(
-                graph,
-                weights,
-                missing,
-                sets.len(),
-                &SamplingConfig {
-                    model: params.model,
-                    rng_seed: params.rng_seed,
-                    policy,
-                    schedule,
-                    threads: exec.threads,
-                    fused_counter: fused_counter.as_ref(),
-                },
-            );
-            breakdown.timings.generate_rrrsets += t0.elapsed();
-            breakdown.sampling_work.merge(&out.work);
-            sets.extend_from(out.sets);
-        }
+        draw(&mut sets, math::theta_for_iteration(n, k, epsilon, ell, i), &mut breakdown);
         breakdown.sampling_iterations = i;
 
-        let t0 = Instant::now();
-        let selection = select_seeds(&sets, k, exec, fused_counter.as_ref());
-        breakdown.timings.find_most_influential += t0.elapsed();
-        breakdown.selection_work.merge(&selection.work);
-        breakdown.counter_rebuilds += selection.counter_rebuilds;
-        breakdown.counter_decrements += selection.counter_decrements;
-
+        let selection = select(&sets, &mut breakdown);
         if math::sampling_converged(n, selection.coverage_fraction, epsilon, i) {
             lower_bound = math::opt_lower_bound(n, selection.coverage_fraction, epsilon);
             converged = true;
@@ -148,34 +153,8 @@ pub fn run_imm(
     let theta = math::final_theta(n, k, epsilon, ell, lower_bound);
     breakdown.timings.other += t_other.elapsed();
 
-    if theta > sets.len() {
-        let missing = theta - sets.len();
-        let t0 = Instant::now();
-        let out = generate_rrr_sets(
-            graph,
-            weights,
-            missing,
-            sets.len(),
-            &SamplingConfig {
-                model: params.model,
-                rng_seed: params.rng_seed,
-                policy,
-                schedule,
-                threads: exec.threads,
-                fused_counter: fused_counter.as_ref(),
-            },
-        );
-        breakdown.timings.generate_rrrsets += t0.elapsed();
-        breakdown.sampling_work.merge(&out.work);
-        sets.extend_from(out.sets);
-    }
-
-    let t0 = Instant::now();
-    let selection = select_seeds(&sets, k, exec, fused_counter.as_ref());
-    breakdown.timings.find_most_influential += t0.elapsed();
-    breakdown.selection_work.merge(&selection.work);
-    breakdown.counter_rebuilds += selection.counter_rebuilds;
-    breakdown.counter_decrements += selection.counter_decrements;
+    draw(&mut sets, theta, &mut breakdown);
+    let selection = select(&sets, &mut breakdown);
 
     breakdown.rrr_sets_generated = sets.len();
     breakdown.rrr_memory_bytes = sets.memory_bytes();

@@ -51,10 +51,7 @@ pub mod stats;
 pub use counter::GlobalCounter;
 pub use imm::{run_imm, ImmError, ImmResult};
 pub use params::{Algorithm, EfficientFeatures, ExecutionConfig, ImmParams};
-pub use sampling::{
-    generate_indexed_rrr_set, generate_rrr_set, generate_rrr_sets, SamplingGraph, SamplingOutput,
-    SetKey,
-};
+pub use sampling::{generate_rrr_set, generate_rrr_sets, SamplingGraph, SamplingOutput, SetKey};
 pub use selection::{select_seeds, SeedSelection};
 pub use stats::{KernelTimings, RuntimeBreakdown, WorkProfile};
 

@@ -1,7 +1,6 @@
 //! Algorithm parameters and execution configuration.
 
 use imm_diffusion::DiffusionModel;
-use imm_numa::{PlacementPolicy, Topology};
 use imm_rrr::AdaptivePolicy;
 
 /// The IMM problem parameters (what to solve).
@@ -143,8 +142,8 @@ impl EfficientFeatures {
     }
 }
 
-/// How the workflow is executed: engine, parallelism, features and the
-/// modelled NUMA placement used by the instrumented kernels.
+/// How the workflow is executed: engine, parallelism, features and what the
+/// result keeps of the sample.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ExecutionConfig {
     /// Which engine runs the two kernels.
@@ -155,11 +154,6 @@ pub struct ExecutionConfig {
     pub threads: usize,
     /// EfficientIMM feature toggles (ignored by the Ripples engine).
     pub features: EfficientFeatures,
-    /// Modelled machine topology for the NUMA-instrumented runs.
-    pub topology: Topology,
-    /// Modelled placement of the shared structures (graph, RRR sets, global
-    /// counter) for the NUMA-instrumented runs.
-    pub placement: PlacementPolicy,
     /// Chunk size (in RRR sets or vertices) of a dynamically balanced job.
     pub job_chunk: usize,
     /// Return the sampled [`imm_rrr::RrrCollection`] in
@@ -176,8 +170,8 @@ pub struct ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Configuration with default features, an interleaved 8-node topology
-    /// model and the given engine/thread count.
+    /// Configuration with the engine's default features and the given
+    /// engine/thread count.
     pub fn new(algorithm: Algorithm, threads: usize) -> Self {
         ExecutionConfig {
             algorithm,
@@ -186,8 +180,6 @@ impl ExecutionConfig {
                 Algorithm::Ripples => EfficientFeatures::none(),
                 Algorithm::Efficient => EfficientFeatures::default(),
             },
-            topology: Topology::perlmutter_node(),
-            placement: PlacementPolicy::Interleaved,
             job_chunk: 64,
             retain_rrr_sets: false,
             trace_provenance: false,
@@ -203,19 +195,6 @@ impl ExecutionConfig {
     /// Opt in (or out) of recording per-set sampling provenance.
     pub fn with_provenance(mut self, trace: bool) -> Self {
         self.trace_provenance = trace;
-        self
-    }
-
-    /// Replace the feature flags.
-    pub fn with_features(mut self, features: EfficientFeatures) -> Self {
-        self.features = features;
-        self
-    }
-
-    /// Replace the modelled topology/placement.
-    pub fn with_numa(mut self, topology: Topology, placement: PlacementPolicy) -> Self {
-        self.topology = topology;
-        self.placement = placement;
         self
     }
 }

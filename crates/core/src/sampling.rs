@@ -35,10 +35,13 @@
 //! first and the rest in an order that depends on the directions taken —
 //! every consumer sorts the members or turns them into a bitmap.
 //!
-//! The parallel driver generates `count` sets and returns them in global
-//! set-index order, so results are identical — order included — for any
-//! thread count or schedule. When the EfficientIMM kernel fusion is enabled
-//! the freshly generated set immediately increments the shared
+//! [`generate_rrr_sets`] is the workspace's one parallel driver: a batch
+//! run's sample, a serving index's build and a refresh's resample all draw
+//! through it. Job `j` draws the set of key `(rng_seed, set_index(j))` for
+//! the caller's `set_index`, the jobs are balanced over the workers, and the
+//! sets come back in job order, so results are identical — order included —
+//! for any thread count or schedule. When the EfficientIMM kernel fusion is
+//! enabled the freshly generated set immediately increments the shared
 //! [`GlobalCounter`] (Algorithm 3 of the paper) while it is still hot in
 //! cache.
 
@@ -48,7 +51,7 @@ use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, EdgeWeights};
-use imm_rrr::{AdaptivePolicy, RrrCollection, SetProvenance};
+use imm_rrr::{AdaptivePolicy, Representation, RrrCollection, SetProvenance};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -233,10 +236,10 @@ fn unit_f32(h: u64) -> f32 {
 }
 
 /// The coin family of one RRR set: **the** definition of "set `i` of the
-/// sample seeded `rng_seed`". The bulk generator, the single-set resample
-/// and the refresh predicate in `imm-service` all read their randomness
-/// from here, so a set resampled in isolation is byte-identical to the one
-/// a full rebuild produces at the same index.
+/// sample seeded `rng_seed`". The bulk generator and the refresh predicate
+/// in `imm-service` both read their randomness from here, so a set
+/// resampled in isolation is byte-identical to the one a full rebuild
+/// produces at the same index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetKey {
     edges: u64,
@@ -356,7 +359,7 @@ pub fn generate_rrr_set_into(
         }
     };
     // This is the one choke point every sampling path funnels through
-    // (bulk, refresh resample, one-shot), so the instrumentation budget —
+    // (the bulk driver, one-shot), so the instrumentation budget —
     // two relaxed atomics per generated set — is paid exactly once here.
     crate::metrics::SETS_SAMPLED.increment();
     crate::metrics::SET_VERTICES.add(appended as u64);
@@ -513,21 +516,6 @@ fn lt_reverse_walk(
     out.len() - start
 }
 
-/// Generate the RRR set with global index `set_index` of the sample seeded
-/// `base_seed` (the root first; see [`generate_rrr_set`] for the order). The
-/// incremental refresh in `imm-service` resamples through this, one
-/// `source` per rollout.
-pub fn generate_indexed_rrr_set(
-    source: &SamplingGraph<'_>,
-    model: DiffusionModel,
-    base_seed: u64,
-    set_index: usize,
-    marker: &mut VisitMarker,
-) -> Vec<NodeId> {
-    let key = SetKey::new(base_seed, set_index);
-    generate_rrr_set(source, model, key.root(source.graph.num_nodes()), key, marker)
-}
-
 /// The provenance records of sets `indices` of the sample seeded
 /// `base_seed` over `num_nodes` vertices — a root is a function of the key
 /// alone, so the records are derived, not carried out of the sampling loop.
@@ -542,9 +530,8 @@ pub fn set_provenance(
 /// Result of a bulk sampling call.
 #[derive(Debug)]
 pub struct SamplingOutput {
-    /// The generated sets, in global set-index order: position `i` holds the
-    /// set of key `(rng_seed, start_index + i)` regardless of thread count
-    /// or schedule.
+    /// The generated sets in job order: position `j` holds the set of key
+    /// `(rng_seed, set_index(j))` regardless of thread count or schedule.
     pub sets: RrrCollection,
     /// Per-thread operation counts of the generation (edge probes + counter
     /// updates when fused).
@@ -569,135 +556,74 @@ pub struct SamplingConfig<'a> {
     pub fused_counter: Option<&'a GlobalCounter>,
 }
 
-/// One worker slot's accumulated output: a flat vertex arena holding every
-/// **list-bound** set the slot generated (each segment already sorted), the
-/// directory locating each segment by its global job index, and the bitmaps
-/// of the slot's heavy sets (built in the worker while the set was hot —
-/// their members never enter an arena).
-#[derive(Debug, Default)]
-struct SlotOutput {
-    arena: Vec<NodeId>,
-    /// `(job, start, len)` into `arena` — list sets only.
-    lists: Vec<(usize, u32, u32)>,
-    /// `(job, bitmap)` — bitmap-bound (heavy) sets.
-    bitmaps: Vec<(usize, imm_rrr::BitSet)>,
-}
-
-/// Generate `count` RRR sets (with global indices starting at `start_index`
-/// for key-derivation purposes), `config.threads` tasks wide on the
-/// process-global pool.
+/// Generate `count` RRR sets, `config.threads` tasks wide on the
+/// process-global pool: job `j` draws the set keyed
+/// `(config.rng_seed, set_index(j))`.
 ///
-/// The returned collection is in global set-index order for every thread
-/// count and schedule: set `i` always came from key
-/// `(rng_seed, start_index + i)`. That canonical order is what lets the
-/// `imm-service` sketch index resample individual sets later.
+/// The returned collection is in job order for every thread count and
+/// schedule: position `j` holds job `j`'s set. That canonical order is what
+/// lets a batch run top its sample up (`|job| start + job`) and the
+/// `imm-service` refresh redraw exactly the sets a delta invalidated
+/// (`|job| ids[job]`). Each job range fills its own collection, and the
+/// finished collections are spliced in range order into one that reserves
+/// the exact arena size up front.
 pub fn generate_rrr_sets(
     graph: &CsrGraph,
     weights: &EdgeWeights,
     count: usize,
-    start_index: usize,
+    set_index: impl Fn(usize) -> usize + Sync,
     config: &SamplingConfig<'_>,
 ) -> SamplingOutput {
     crate::metrics::register();
     let threads = config.threads.max(1);
     let num_nodes = graph.num_nodes();
     let source = SamplingGraph::new(graph, weights);
-    let slots: Vec<Mutex<SlotOutput>> =
-        (0..threads).map(|_| Mutex::new(SlotOutput::default())).collect();
     // Epoch-stamped visit markers are O(|V|) to build, so chunks check one
     // out of a shared pool instead of allocating their own.
     let markers: Mutex<Vec<VisitMarker>> = Mutex::new(Vec::new());
+    // Every job range's sets, keyed by the range's first job.
+    let chunks: Mutex<Vec<(usize, RrrCollection)>> = Mutex::new(Vec::new());
     let per_worker_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let atomic_ops = AtomicU64::new(0);
 
     run_jobs(threads, count, config.schedule, |worker, range| {
         let mut marker = markers.lock().pop().unwrap_or_else(|| VisitMarker::new(num_nodes));
-        // Chunk-local arena: every list-bound set of the chunk is appended
-        // here, sorted in place, and spliced into the slot arena in one bulk
-        // copy under the lock. A bitmap-bound (heavy) set is scattered into
-        // its side-table bitmap right away — while it is hot — and its
-        // segment rolled back, so the biggest sets are never copied through
-        // the arenas at all. No per-set allocation for list sets.
-        let mut buf: Vec<NodeId> = Vec::with_capacity(16 * range.len());
-        let mut entries: Vec<(usize, u32, u32)> = Vec::with_capacity(range.len());
-        let mut heavy: Vec<(usize, imm_rrr::BitSet)> = Vec::new();
+        let mut sets = RrrCollection::with_capacity(num_nodes, range.len());
+        let mut members = Vec::new();
         let mut local_ops = 0u64;
         for job in range.iter() {
-            let key = SetKey::new(config.rng_seed, start_index + job);
-            let start = buf.len();
-            let len = generate_rrr_set_into(
-                &source,
-                config.model,
-                key.root(num_nodes),
-                key,
-                &mut marker,
-                &mut buf,
-            );
+            let key = SetKey::new(config.rng_seed, set_index(job));
+            members.clear();
+            let root = key.root(num_nodes);
+            let len =
+                generate_rrr_set_into(&source, config.model, root, key, &mut marker, &mut members);
             local_ops += len as u64;
             if let Some(counter) = config.fused_counter {
-                // Kernel fusion: the fresh segment increments the shared
-                // counter while it is still hot in cache.
-                for &v in &buf[start..] {
+                // Kernel fusion: the fresh set increments the shared counter
+                // while it is still hot in cache.
+                for &v in &members {
                     counter.increment(v);
                 }
                 atomic_ops.fetch_add(len as u64, Ordering::Relaxed);
             }
-            match config.policy.choose(len, num_nodes) {
-                imm_rrr::Representation::SortedList => {
-                    buf[start..].sort_unstable();
-                    entries.push((job, start as u32, len as u32));
-                }
-                imm_rrr::Representation::Bitmap => {
-                    let bs = imm_rrr::BitSet::from_iter_with_capacity(
-                        num_nodes,
-                        buf[start..].iter().map(|&v| v as usize),
-                    );
-                    heavy.push((job, bs));
-                    buf.truncate(start);
-                }
+            // Only a list is sorted: a bitmap takes its members in any order.
+            let representation = config.policy.choose(len, num_nodes);
+            if representation == Representation::SortedList {
+                members.sort_unstable();
             }
+            sets.push_known_representation(&members, representation);
         }
         per_worker_ops[worker].fetch_add(local_ops, Ordering::Relaxed);
-        let mut slot = slots[worker].lock();
-        let base = slot.arena.len();
-        assert!(
-            base + buf.len() <= u32::MAX as usize,
-            "per-worker sampling arena exceeds the u32 offset space"
-        );
-        slot.arena.extend_from_slice(&buf);
-        slot.lists.extend(entries.iter().map(|&(job, s, l)| (job, base as u32 + s, l)));
-        slot.bitmaps.append(&mut heavy);
-        drop(slot);
+        chunks.lock().push((range.start, sets));
         markers.lock().push(marker);
     });
 
-    // Splice the per-worker arenas into the global collection in set-index
-    // order, so the output is canonical for every thread count and schedule.
-    let mut outputs: Vec<SlotOutput> = slots.into_iter().map(|m| m.into_inner()).collect();
-    const UNFILLED: u32 = u32::MAX;
-    let mut directory: Vec<(u32, u32, u32)> = vec![(UNFILLED, 0, 0); count];
-    let mut bitmap_of: Vec<Option<imm_rrr::BitSet>> = Vec::new();
-    bitmap_of.resize_with(count, || None);
-    for (slot_idx, output) in outputs.iter_mut().enumerate() {
-        for &(job, start, len) in &output.lists {
-            directory[job] = (slot_idx as u32, start, len);
-        }
-        for (job, bs) in output.bitmaps.drain(..) {
-            bitmap_of[job] = Some(bs);
-        }
-    }
-    // The slot arenas hold exactly the list-bound members, so their total is
-    // the arena reservation (bitmap sets live in the side table).
-    let list_members: usize = outputs.iter().map(|o| o.arena.len()).sum();
-    let mut sets = RrrCollection::with_arena_capacity(num_nodes, count, list_members);
-    for (job, &(slot_idx, start, len)) in directory.iter().enumerate() {
-        if let Some(bs) = bitmap_of[job].take() {
-            sets.push(imm_rrr::RrrSet::Bitmap(bs));
-        } else {
-            assert!(slot_idx != UNFILLED, "every job index is produced exactly once");
-            let members = &outputs[slot_idx as usize].arena[start as usize..(start + len) as usize];
-            sets.push_sorted_slice(members, &config.policy);
-        }
+    let mut chunks = chunks.into_inner();
+    chunks.sort_unstable_by_key(|(start, _)| *start);
+    let arena_len = chunks.iter().map(|(_, chunk)| chunk.arena_len()).sum();
+    let mut sets = RrrCollection::with_arena_capacity(num_nodes, count, arena_len);
+    for (_, chunk) in chunks {
+        sets.extend_from(chunk);
     }
     let work = WorkProfile {
         per_thread_ops: per_worker_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
@@ -887,7 +813,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let g = CsrGraph::from_edge_list(&generators::social_network(300, 6, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
-        let out = generate_rrr_sets(&g, &w, 200, 0, &config(DiffusionModel::IndependentCascade, 2));
+        let out =
+            generate_rrr_sets(&g, &w, 200, |i| i, &config(DiffusionModel::IndependentCascade, 2));
         assert_eq!(out.sets.len(), 200);
         assert!(out.work.total_ops() >= 200, "at least the roots are touched");
         assert_eq!(out.work.per_thread_ops.len(), 2);
@@ -902,7 +829,7 @@ mod tests {
         let collect = |threads: usize, schedule: Schedule| -> Vec<Vec<NodeId>> {
             let mut cfg = config(DiffusionModel::IndependentCascade, threads);
             cfg.schedule = schedule;
-            let out = generate_rrr_sets(&g, &w, 100, 0, &cfg);
+            let out = generate_rrr_sets(&g, &w, 100, |i| i, &cfg);
             out.sets.iter().map(|s| s.to_vec()).collect()
         };
 
@@ -916,26 +843,34 @@ mod tests {
     }
 
     #[test]
-    fn output_order_matches_the_indexed_keys() {
+    fn job_j_draws_the_set_of_its_index() {
         let mut rng = SmallRng::seed_from_u64(12);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 5, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
-        let cfg = config(DiffusionModel::IndependentCascade, 3);
-        let out = generate_rrr_sets(&g, &w, 40, 7, &cfg);
-        let records = set_provenance(cfg.rng_seed, 7..47, g.num_nodes());
-        let mut marker = VisitMarker::new(g.num_nodes());
+        let ids = [3usize, 17, 4, 40];
         let source = SamplingGraph::new(&g, &w);
-        for (i, set) in out.sets.iter().enumerate() {
-            let mut sorted = generate_indexed_rrr_set(
-                &source,
-                DiffusionModel::IndependentCascade,
-                cfg.rng_seed,
-                7 + i,
-                &mut marker,
-            );
-            assert_eq!(sorted[0], records[i].root, "visitation starts at the recorded root");
-            sorted.sort_unstable();
-            assert_eq!(set.to_vec(), sorted, "set {i} must come from key {}", 7 + i);
+        let mut marker = VisitMarker::new(g.num_nodes());
+        for threads in [1, 4] {
+            for schedule in [Schedule::Static, Schedule::Dynamic { chunk: 3 }] {
+                let mut cfg = config(DiffusionModel::IndependentCascade, threads);
+                cfg.schedule = schedule;
+                let out = generate_rrr_sets(&g, &w, ids.len(), |job| ids[job], &cfg);
+                assert_eq!(out.sets.len(), ids.len());
+                for (set, &i) in out.sets.iter().zip(&ids) {
+                    let key = SetKey::new(cfg.rng_seed, i);
+                    let root = key.root(g.num_nodes());
+                    let mut expected = generate_rrr_set(
+                        &source,
+                        DiffusionModel::IndependentCascade,
+                        root,
+                        key,
+                        &mut marker,
+                    );
+                    assert_eq!(expected[0], root, "visitation starts at the key's root");
+                    expected.sort_unstable();
+                    assert_eq!(set.to_vec(), expected, "{threads} threads, {schedule:?}, set {i}");
+                }
+            }
         }
     }
 
@@ -947,7 +882,7 @@ mod tests {
         let counter = GlobalCounter::new(g.num_nodes());
         let mut cfg = config(DiffusionModel::IndependentCascade, 2);
         cfg.fused_counter = Some(&counter);
-        let out = generate_rrr_sets(&g, &w, 80, 0, &cfg);
+        let out = generate_rrr_sets(&g, &w, 80, |i| i, &cfg);
 
         // Recompute occurrence counts from the materialized sets.
         let mut expected = vec![0u64; g.num_nodes()];
@@ -961,13 +896,13 @@ mod tests {
     }
 
     #[test]
-    fn start_index_changes_the_sampled_sets() {
+    fn the_set_index_changes_the_sampled_sets() {
         let mut rng = SmallRng::seed_from_u64(7);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 6, 0.2, &mut rng));
         let w = EdgeWeights::ic_weighted_cascade(&g);
         let cfg = config(DiffusionModel::IndependentCascade, 1);
-        let a = generate_rrr_sets(&g, &w, 50, 0, &cfg);
-        let b = generate_rrr_sets(&g, &w, 50, 50, &cfg);
+        let a = generate_rrr_sets(&g, &w, 50, |i| i, &cfg);
+        let b = generate_rrr_sets(&g, &w, 50, |i| 50 + i, &cfg);
         let a_sets: Vec<Vec<NodeId>> = a.sets.iter().map(|s| s.to_vec()).collect();
         let b_sets: Vec<Vec<NodeId>> = b.sets.iter().map(|s| s.to_vec()).collect();
         assert_ne!(a_sets, b_sets, "different global indices must give different keys");
@@ -977,7 +912,8 @@ mod tests {
     fn zero_count_is_a_no_op() {
         let g = CsrGraph::from_edge_list(&generators::star(10));
         let w = EdgeWeights::constant(&g, 0.5);
-        let out = generate_rrr_sets(&g, &w, 0, 0, &config(DiffusionModel::IndependentCascade, 2));
+        let out =
+            generate_rrr_sets(&g, &w, 0, |i| i, &config(DiffusionModel::IndependentCascade, 2));
         assert_eq!(out.sets.len(), 0);
         assert_eq!(out.work.total_ops(), 0);
     }
@@ -989,7 +925,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = CsrGraph::from_edge_list(&generators::social_network(400, 10, 0.3, &mut rng));
         let w = EdgeWeights::constant(&g, 0.3);
-        let out = generate_rrr_sets(&g, &w, 50, 0, &config(DiffusionModel::IndependentCascade, 2));
+        let out =
+            generate_rrr_sets(&g, &w, 50, |i| i, &config(DiffusionModel::IndependentCascade, 2));
         let stats = out.sets.coverage_stats();
         assert!(stats.max_coverage > 0.5, "max coverage {}", stats.max_coverage);
     }

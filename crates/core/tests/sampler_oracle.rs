@@ -42,7 +42,7 @@ fn sample(
         threads: 2,
         fused_counter: None,
     };
-    generate_rrr_sets(graph, weights, count, 0, &config).sets
+    generate_rrr_sets(graph, weights, count, |i| i, &config).sets
 }
 
 fn fixture(model: DiffusionModel, nodes: usize, seed: u64) -> (CsrGraph, EdgeWeights) {

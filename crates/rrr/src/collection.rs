@@ -28,7 +28,7 @@
 //! numbers come straight out of [`RrrCollection::coverage_stats`].
 
 use crate::bitset::{BitSet, BitSetIter};
-use crate::set::{AdaptivePolicy, Representation, RrrSet};
+use crate::set::{AdaptivePolicy, Representation};
 use crate::NodeId;
 
 /// Sentinel in a span's `bitmap` field: the set has no side-table entry.
@@ -71,8 +71,7 @@ pub struct CoverageStats {
 }
 
 /// A borrowed view of one RRR set: either its flat member slice out of the
-/// arena, or its bitmap side-table entry — the borrowed mirror of
-/// [`RrrSet`].
+/// arena, or its bitmap side-table entry.
 ///
 /// List sets iterate as sequential memory and test membership by binary
 /// search (`O(log |R|)`); bitmap sets test membership with a single bit
@@ -170,14 +169,6 @@ impl<'a> SetView<'a> {
     /// Collect the members into a vector (increasing order).
     pub fn to_vec(&self) -> Vec<NodeId> {
         self.iter().collect()
-    }
-
-    /// Materialize an owned [`RrrSet`] with the same representation.
-    pub fn to_set(&self) -> RrrSet {
-        match self {
-            SetView::Sorted(slice) => RrrSet::Sorted(slice.to_vec()),
-            SetView::Bitmap(b) => RrrSet::Bitmap((*b).clone()),
-        }
     }
 }
 
@@ -300,16 +291,6 @@ impl RrrCollection {
         self.spans.push(SetSpan { start, len: members.len() as u32, bitmap: NO_BITMAP });
     }
 
-    /// Append one RRR set (the [`RrrSet`] build-time value is ingested: a
-    /// sorted list is spliced into the arena, a bitmap moves into the side
-    /// table).
-    pub fn push(&mut self, set: RrrSet) {
-        match set {
-            RrrSet::Sorted(list) => self.push_list(&list),
-            RrrSet::Bitmap(bs) => self.push_bitmap(bs),
-        }
-    }
-
     /// Append a raw vertex list (unsorted, duplicate-free), applying the
     /// adaptive representation policy. A list-bound set is sorted in place
     /// and spliced into the arena — no intermediate per-set allocation
@@ -330,15 +311,9 @@ impl RrrCollection {
         }
     }
 
-    /// Append a **sorted** member slice, applying the adaptive policy.
-    /// This is the zero-copy entry point bulk samplers use to splice
-    /// per-worker arenas into the global collection.
-    pub fn push_sorted_slice(&mut self, members: &[NodeId], policy: &AdaptivePolicy) {
-        self.push_known_representation(members, policy.choose(members.len(), self.num_nodes));
-    }
-
-    /// Append a **sorted** member slice with an explicit representation
-    /// (deserializers replay the stored choice instead of re-deciding).
+    /// Append a set's duplicate-free members with an explicit
+    /// representation, as the sampler decides it once per set: a list's
+    /// members must be sorted, a bitmap takes them in any order.
     pub fn push_known_representation(
         &mut self,
         members: &[NodeId],
@@ -514,25 +489,15 @@ impl<'a> IntoIterator for &'a RrrCollection {
     }
 }
 
-/// Owned iteration materializes each set back into an [`RrrSet`] value.
-impl IntoIterator for RrrCollection {
-    type Item = RrrSet;
-    type IntoIter = std::vec::IntoIter<RrrSet>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let sets: Vec<RrrSet> = self.iter().map(|v| v.to_set()).collect();
-        sets.into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn collection_with(sets: Vec<Vec<NodeId>>, n: usize) -> RrrCollection {
         let mut c = RrrCollection::new(n);
         for s in sets {
-            c.push(RrrSet::sorted(s));
+            c.push_vertices(s, &AdaptivePolicy::always_sorted());
         }
         c
     }
@@ -637,18 +602,84 @@ mod tests {
     }
 
     #[test]
-    fn into_iterator_yields_all_sets() {
-        let c = collection_with(vec![vec![0], vec![1], vec![2]], 5);
-        assert_eq!(c.into_iter().count(), 3);
-    }
-
-    #[test]
-    fn push_sorted_slice_matches_push_vertices() {
+    fn push_known_representation_matches_push_vertices() {
         let mut a = RrrCollection::new(1000);
         let mut b = RrrCollection::new(1000);
         a.push_vertices(vec![9, 3, 7], &AdaptivePolicy::default());
-        b.push_sorted_slice(&[3, 7, 9], &AdaptivePolicy::default());
+        a.push_vertices(vec![9, 3, 7], &AdaptivePolicy::always_bitmap());
+        b.push_known_representation(&[3, 7, 9], Representation::SortedList);
+        b.push_known_representation(&[9, 3, 7], Representation::Bitmap);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn push_vertices_respects_the_policy() {
+        let mut c = RrrCollection::new(1_000_000);
+        c.push_vertices(vec![5, 1, 9, 3], &AdaptivePolicy::default());
+        assert_eq!(c.get(0).representation(), Representation::SortedList);
+        assert_eq!(c.get(0).members(), Some([1, 3, 5, 9].as_slice()));
+        let mut dense = RrrCollection::new(10);
+        dense.push_vertices(vec![5, 1, 9, 3], &AdaptivePolicy::always_bitmap());
+        assert_eq!(dense.get(0).representation(), Representation::Bitmap);
+        assert_eq!(dense.get(0).to_vec(), [1, 3, 5, 9]);
+    }
+
+    /// One collection per form holding the same members.
+    fn both_forms(vertices: &[NodeId], n: usize) -> (RrrCollection, RrrCollection) {
+        let form = |policy: AdaptivePolicy| {
+            let mut c = RrrCollection::new(n);
+            c.push_vertices(vertices.to_vec(), &policy);
+            c
+        };
+        (form(AdaptivePolicy::always_sorted()), form(AdaptivePolicy::always_bitmap()))
+    }
+
+    #[test]
+    fn contains_is_consistent_across_representations() {
+        let vertices = [2u32, 4, 8, 16, 32];
+        let (sorted, bitmap) = both_forms(&vertices, 64);
+        let (sorted, bitmap) = (sorted.get(0), bitmap.get(0));
+        for v in 0..64u32 {
+            assert_eq!(sorted.contains(v), bitmap.contains(v), "vertex {v}");
+            assert_eq!(sorted.contains(v), vertices.contains(&v));
+        }
+        assert_eq!(sorted.to_vec(), bitmap.to_vec());
+        assert_eq!(sorted.len(), bitmap.len());
+    }
+
+    #[test]
+    fn memory_accounting_differs_by_representation() {
+        let vertices: Vec<u32> = (0..100).collect();
+        let (sorted, bitmap) = both_forms(&vertices, 100_000);
+        let span = std::mem::size_of::<SetSpan>();
+        assert_eq!(sorted.memory_bytes(), span + 400);
+        // Bitmap over 100_000 vertices = 12_500 bytes regardless of contents.
+        let words = 100_000usize.div_ceil(64) * 8;
+        assert_eq!(bitmap.memory_bytes(), span + std::mem::size_of::<BitSet>() + words);
+        assert!(bitmap.memory_bytes() > sorted.memory_bytes());
+    }
+
+    #[test]
+    fn empty_set() {
+        let mut c = RrrCollection::new(100);
+        c.push_vertices(Vec::new(), &AdaptivePolicy::default());
+        let s = c.get(0);
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+        assert!(!s.contains(0));
+    }
+
+    proptest! {
+        #[test]
+        fn representations_agree(vertices in proptest::collection::hash_set(0u32..2000, 0..300)) {
+            let raw: Vec<u32> = vertices.iter().copied().collect();
+            let (sorted, bitmap) = both_forms(&raw, 2000);
+            let (sorted, bitmap) = (sorted.get(0), bitmap.get(0));
+            prop_assert_eq!(sorted.to_vec(), bitmap.to_vec());
+            for probe in [0u32, 1, 999, 1999] {
+                prop_assert_eq!(sorted.contains(probe), bitmap.contains(probe));
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! * [`BitSet`] — a plain fixed-size bitmap (built here rather than pulled in
 //!   as a dependency so the memory accounting and word layout are explicit).
-//! * [`RrrSet`] — the adaptive set: sorted `Vec<NodeId>` or `BitSet`,
-//!   selected per set by [`AdaptivePolicy`].
-//! * [`RrrCollection`] — the θ sampled sets plus the coverage/size/memory
-//!   statistics reported in the paper's Table I.
+//! * [`RrrCollection`] — the θ sampled sets, each a sorted slice of one flat
+//!   vertex arena or a [`BitSet`] as [`AdaptivePolicy`] selects, read
+//!   through borrowed [`SetView`]s, plus the coverage/size/memory statistics
+//!   reported in the paper's Table I.
 //! * [`codec`] — the length-checked byte cursor and decode error under
 //!   `imm-service`'s snapshot decoder.
 //! * [`provenance`] — per-set sampling provenance (the root each set was
@@ -41,7 +41,7 @@ pub use postings::{
     membership_edits, MembershipEdit, Postings, PostingsSource, PostingsStats, PostingsView,
 };
 pub use provenance::SetProvenance;
-pub use set::{AdaptivePolicy, Representation, RrrSet};
+pub use set::{AdaptivePolicy, Representation};
 
 /// Vertex identifier (re-exported from `imm-graph` for convenience).
 pub type NodeId = imm_graph::NodeId;

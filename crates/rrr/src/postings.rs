@@ -33,7 +33,6 @@
 
 use crate::bitset::BitSet;
 use crate::collection::{RrrCollection, SetView};
-use crate::set::RrrSet;
 use crate::NodeId;
 use std::sync::Arc;
 
@@ -812,25 +811,30 @@ fn validate_shape(
     Ok((entries, row_slots(num_nodes, row_ids)))
 }
 
-/// The memberships that differ between each `(set id, replacement)` of
-/// `changed` (sorted by id) and the set it replaces, sorted — the input of
+/// The memberships that differ between set `ids[j]` (`ids` ascending) and
+/// its replacement `replacements.get(j)`, sorted — the input of
 /// [`Postings::patched`]. The old sets are read from `postings` alone: a
 /// join is a member of a replacement the postings do not list under its id,
 /// and the leaves come out of one pass over the arrays that keeps only the
 /// changed ids — the flat lists filtered by a changed-id mask (a hit's
 /// vertex found by a binary search of the offsets), each row `AND` it.
-pub fn membership_edits(postings: &Postings, changed: &[(usize, RrrSet)]) -> Vec<MembershipEdit> {
+pub fn membership_edits(
+    postings: &Postings,
+    ids: &[usize],
+    replacements: &RrrCollection,
+) -> Vec<MembershipEdit> {
+    debug_assert_eq!(ids.len(), replacements.len());
     let view = postings.view();
     let mut edits = Vec::new();
     let mut mask = vec![0u64; view.words];
-    for (sid, new_set) in changed {
-        let sid = *sid as u32;
+    for (&sid, new_set) in ids.iter().zip(replacements) {
+        let sid = sid as u32;
         mask[(sid / 64) as usize] |= 1u64 << (sid % 64);
         edits.extend(new_set.iter().filter(|&v| !view.contains(v, sid)).map(|v| (v, sid, true)));
     }
     let mut leave = |v: NodeId, sid: u32| {
-        let at = changed.binary_search_by_key(&(sid as usize), |(id, _)| *id);
-        if !changed[at.expect("a masked id is a changed one")].1.contains(v) {
+        let at = ids.binary_search(&(sid as usize)).expect("a masked id is a changed one");
+        if !replacements.get(at).contains(v) {
             edits.push((v, sid, false));
         }
     };
@@ -887,23 +891,33 @@ mod tests {
         }
     }
 
-    /// Figure 3 of the paper, the sets `edited` names replaced, padded to
-    /// 40 sets (a threshold of 1): vertex 1 is in five of them.
-    fn figure3_with(edited: &[(usize, RrrSet)]) -> Postings {
+    /// The sorted-list sets `sets` over six vertices.
+    fn sorted_sets(sets: &[&[NodeId]]) -> RrrCollection {
+        let mut collection = RrrCollection::new(6);
+        for set in sets {
+            collection.push_vertices(set.to_vec(), &AdaptivePolicy::always_sorted());
+        }
+        collection
+    }
+
+    /// Figure 3 of the paper, set `ids[j]` replaced by `replacements.get(j)`,
+    /// padded to 40 sets (a threshold of 1): vertex 1 is in five of them.
+    fn figure3_with(ids: &[usize], replacements: &RrrCollection) -> Postings {
         let figure3: [&[NodeId]; 8] =
             [&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[1, 2]];
         let mut sets = RrrCollection::new(6);
         for sid in 0..40 {
-            match edited.iter().find(|(id, _)| *id == sid) {
-                Some((_, set)) => sets.push(set.clone()),
-                None => sets.push(RrrSet::sorted(figure3.get(sid).map_or(vec![], |m| m.to_vec()))),
-            }
+            let members = match ids.iter().position(|&id| id == sid) {
+                Some(j) => replacements.get(j).to_vec(),
+                None => figure3.get(sid).map_or(vec![], |m| m.to_vec()),
+            };
+            sets.push_vertices(members, &AdaptivePolicy::always_sorted());
         }
         Postings::build(&sets).unwrap()
     }
 
     fn mixed() -> Postings {
-        figure3_with(&[])
+        figure3_with(&[], &RrrCollection::new(6))
     }
 
     #[test]
@@ -932,7 +946,7 @@ mod tests {
     #[test]
     fn out_of_range_members_are_reported() {
         let mut bad = RrrCollection::new(4);
-        bad.push(RrrSet::sorted(vec![0, 9]));
+        bad.push_vertices(vec![0, 9], &AdaptivePolicy::always_sorted());
         assert_eq!(Postings::build(&bad), Err(9));
     }
 
@@ -955,20 +969,21 @@ mod tests {
         // Vertex 5 joins set 0 (degree 2: becomes a row); vertex 0 leaves
         // set 0 (degree 1: becomes a list); vertex 1 stays a row. The old
         // memberships come from the postings alone.
-        let changed = vec![(0usize, RrrSet::sorted(vec![1, 5])), (7, RrrSet::sorted(vec![2]))];
-        let edits = membership_edits(&postings, &changed);
+        let replacements = sorted_sets(&[&[1, 5], &[2]]);
+        let edits = membership_edits(&postings, &[0, 7], &replacements);
         assert_eq!(edits, [(0, 0, false), (1, 7, false), (5, 0, true)]);
         let patched = postings.patched(&edits);
-        let rebuilt = figure3_with(&changed);
+        let rebuilt = figure3_with(&[0, 7], &replacements);
         assert_eq!(patched, rebuilt);
         assert_eq!(patched.sections(), rebuilt.sections());
         assert!(patched.is_row(5) && !patched.is_row(0));
         assert_ne!(patched, postings);
         // A bitmap replacement reads the same, and an unchanged one edits
         // nothing.
-        let bitmap = RrrSet::from_vertices(vec![1, 5], 6, &AdaptivePolicy::always_bitmap());
-        assert_eq!(membership_edits(&postings, &[(0, bitmap)]), [(0, 0, false), (5, 0, true)]);
-        assert!(membership_edits(&postings, &[(2, RrrSet::sorted(vec![2, 4]))]).is_empty());
+        let mut bitmap = RrrCollection::new(6);
+        bitmap.push_vertices(vec![1, 5], &AdaptivePolicy::always_bitmap());
+        assert_eq!(membership_edits(&postings, &[0], &bitmap), [(0, 0, false), (5, 0, true)]);
+        assert!(membership_edits(&postings, &[2], &sorted_sets(&[&[2, 4]])).is_empty());
     }
 
     #[test]

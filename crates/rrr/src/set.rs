@@ -1,14 +1,16 @@
-//! The adaptive RRR set: sorted vertex list or bitmap, chosen per set.
+//! The adaptive RRR-set representation: sorted vertex list or bitmap, chosen
+//! per set.
 
-use crate::bitset::BitSet;
-use crate::NodeId;
-
-/// Which physical representation an [`RrrSet`] uses.
+/// Which physical representation a set of an
+/// [`RrrCollection`](crate::RrrCollection) uses, as its
+/// [`SetView`](crate::SetView) shows it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Representation {
-    /// Sorted `Vec<NodeId>`; membership by binary search.
+    /// Sorted member slice of the collection's vertex arena; membership by
+    /// binary search.
     SortedList,
-    /// Bitmap over all graph vertices; membership by a single bit test.
+    /// Bitmap over all graph vertices in the collection's side table;
+    /// membership by a single bit test.
     Bitmap,
 }
 
@@ -63,102 +65,9 @@ impl AdaptivePolicy {
     }
 }
 
-/// One random reverse-reachable set.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RrrSet {
-    /// Sorted, deduplicated vertex list.
-    Sorted(Vec<NodeId>),
-    /// Bitmap over all graph vertices.
-    Bitmap(BitSet),
-}
-
-impl RrrSet {
-    /// Build from the raw (unsorted, duplicate-free) vertex list produced by
-    /// the reverse BFS, choosing the representation with `policy`.
-    pub fn from_vertices(
-        mut vertices: Vec<NodeId>,
-        num_nodes: usize,
-        policy: &AdaptivePolicy,
-    ) -> Self {
-        match policy.choose(vertices.len(), num_nodes) {
-            Representation::SortedList => {
-                vertices.sort_unstable();
-                RrrSet::Sorted(vertices)
-            }
-            Representation::Bitmap => {
-                let bs = BitSet::from_iter_with_capacity(
-                    num_nodes,
-                    vertices.iter().map(|&v| v as usize),
-                );
-                RrrSet::Bitmap(bs)
-            }
-        }
-    }
-
-    /// Always-sorted constructor (Ripples baseline).
-    pub fn sorted(mut vertices: Vec<NodeId>) -> Self {
-        vertices.sort_unstable();
-        RrrSet::Sorted(vertices)
-    }
-
-    /// Number of vertices in the set.
-    pub fn len(&self) -> usize {
-        match self {
-            RrrSet::Sorted(v) => v.len(),
-            RrrSet::Bitmap(b) => b.len(),
-        }
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Which representation this set uses.
-    pub fn representation(&self) -> Representation {
-        match self {
-            RrrSet::Sorted(_) => Representation::SortedList,
-            RrrSet::Bitmap(_) => Representation::Bitmap,
-        }
-    }
-
-    /// Membership test: binary search for the sorted form, bit test for the
-    /// bitmap form. This asymmetry is exactly the `O(log n)` vs `O(1)`
-    /// trade-off the paper describes.
-    #[inline]
-    pub fn contains(&self, v: NodeId) -> bool {
-        match self {
-            RrrSet::Sorted(list) => list.binary_search(&v).is_ok(),
-            RrrSet::Bitmap(b) => b.contains(v as usize),
-        }
-    }
-
-    /// Iterate over the member vertices in increasing order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = NodeId> + '_> {
-        match self {
-            RrrSet::Sorted(list) => Box::new(list.iter().copied()),
-            RrrSet::Bitmap(b) => Box::new(b.iter().map(|i| i as NodeId)),
-        }
-    }
-
-    /// Collect the members into a vector (increasing order).
-    pub fn to_vec(&self) -> Vec<NodeId> {
-        self.iter().collect()
-    }
-
-    /// Heap bytes used by the payload.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            RrrSet::Sorted(list) => list.len() * std::mem::size_of::<NodeId>(),
-            RrrSet::Bitmap(b) => b.memory_bytes(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn policy_default_switches_on_density() {
@@ -183,62 +92,5 @@ mod tests {
     #[test]
     fn policy_empty_graph_is_sorted() {
         assert_eq!(AdaptivePolicy::default().choose(0, 0), Representation::SortedList);
-    }
-
-    #[test]
-    fn from_vertices_respects_policy() {
-        let vertices = vec![5u32, 1, 9, 3];
-        let sparse = RrrSet::from_vertices(vertices.clone(), 1_000_000, &AdaptivePolicy::default());
-        assert_eq!(sparse.representation(), Representation::SortedList);
-        assert_eq!(sparse.to_vec(), vec![1, 3, 5, 9]);
-
-        let dense = RrrSet::from_vertices(vertices, 10, &AdaptivePolicy::always_bitmap());
-        assert_eq!(dense.representation(), Representation::Bitmap);
-    }
-
-    #[test]
-    fn contains_is_consistent_across_representations() {
-        let vertices = vec![2u32, 4, 8, 16, 32];
-        let sorted = RrrSet::from_vertices(vertices.clone(), 64, &AdaptivePolicy::always_sorted());
-        let bitmap = RrrSet::from_vertices(vertices.clone(), 64, &AdaptivePolicy::always_bitmap());
-        for v in 0..64u32 {
-            assert_eq!(sorted.contains(v), bitmap.contains(v), "vertex {v}");
-            assert_eq!(sorted.contains(v), vertices.contains(&v));
-        }
-        assert_eq!(sorted.to_vec(), bitmap.to_vec());
-        assert_eq!(sorted.len(), bitmap.len());
-    }
-
-    #[test]
-    fn memory_accounting_differs_by_representation() {
-        let vertices: Vec<u32> = (0..100).collect();
-        let sorted =
-            RrrSet::from_vertices(vertices.clone(), 100_000, &AdaptivePolicy::always_sorted());
-        let bitmap = RrrSet::from_vertices(vertices, 100_000, &AdaptivePolicy::always_bitmap());
-        assert_eq!(sorted.memory_bytes(), 400);
-        // Bitmap over 100_000 vertices = 12_500 bytes regardless of contents.
-        assert_eq!(bitmap.memory_bytes(), 100_000usize.div_ceil(64) * 8);
-        assert!(bitmap.memory_bytes() > sorted.memory_bytes());
-    }
-
-    #[test]
-    fn empty_set() {
-        let s = RrrSet::from_vertices(vec![], 100, &AdaptivePolicy::default());
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-        assert!(!s.contains(0));
-    }
-
-    proptest! {
-        #[test]
-        fn representations_agree(vertices in proptest::collection::hash_set(0u32..2000, 0..300)) {
-            let raw: Vec<u32> = vertices.iter().copied().collect();
-            let sorted = RrrSet::from_vertices(raw.clone(), 2000, &AdaptivePolicy::always_sorted());
-            let bitmap = RrrSet::from_vertices(raw, 2000, &AdaptivePolicy::always_bitmap());
-            prop_assert_eq!(sorted.to_vec(), bitmap.to_vec());
-            for probe in [0u32, 1, 999, 1999] {
-                prop_assert_eq!(sorted.contains(probe), bitmap.contains(probe));
-            }
-        }
     }
 }

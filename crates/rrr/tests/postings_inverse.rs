@@ -95,7 +95,7 @@ proptest! {
         ][policy];
         let mut sets = RrrCollection::new(NUM_NODES);
         for members in &raw {
-            sets.push_sorted_slice(members, &policy);
+            sets.push_vertices(members.clone(), &policy);
         }
 
         let inverse = naive_inverse(&raw);

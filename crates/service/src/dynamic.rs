@@ -25,9 +25,11 @@
 //!
 //!    One rule for every weight model: degree-normalized repairs are just
 //!    more changed weights at the same destination.
-//! 2. **Resample.** Only the invalidated set indices are regenerated, each
-//!    from its own key `(rng_seed, set_index)` on the mutated graph —
-//!    exactly what a from-scratch rebuild produces at the same index. A kept
+//! 2. **Resample.** Only the invalidated set indices are regenerated, in one
+//!    call of the bulk driver (`efficient_imm::sampling::generate_rrr_sets`,
+//!    job `j` drawing invalidated id `j`), each from its own key
+//!    `(rng_seed, set_index)` on the mutated graph — exactly what a
+//!    from-scratch rebuild produces at the same index. A kept
 //!    set has the same expansions at all of its members on both graphs, so
 //!    it too equals its from-scratch counterpart. This pair of facts is the
 //!    correctness anchor the differential test suite pins down; it depends
@@ -52,14 +54,10 @@
 
 use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;
-use efficient_imm::sampling::{
-    generate_indexed_rrr_set, generate_rrr_sets, lt_pick, SamplingConfig, SamplingGraph, SetKey,
-    VisitMarker,
-};
+use efficient_imm::sampling::{generate_rrr_sets, lt_pick, SamplingConfig, SetKey};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, DeltaError, EdgeWeights, GraphDelta};
-use imm_rrr::{AdaptivePolicy, NodeId, Postings, RrrCollection, RrrSet, SetProvenance};
-use parking_lot::Mutex;
+use imm_rrr::{AdaptivePolicy, NodeId, Postings, RrrCollection, SetProvenance};
 use std::cell::OnceCell;
 
 /// How a dynamic index was sampled — everything needed to regenerate any of
@@ -284,49 +282,26 @@ fn invalidated_sets(
     ids
 }
 
-/// Ids per spawned task of a parallel resample; fewer ids than this run
-/// inline, which is the common case now that the predicate is tight.
-const RESAMPLE_CHUNK: usize = 64;
-
-/// Resample the sets at `ids` from their own keys `(spec.rng_seed, id)` on
-/// the mutated graph — exactly what a from-scratch rebuild would produce at
-/// those indices. The output is deterministic and sorted by id (`ids` must
-/// be).
+/// Resample the sets at `ids` (ascending) from their own keys
+/// `(spec.rng_seed, id)` on the mutated graph — exactly what a from-scratch
+/// rebuild would produce at those indices — through the bulk driver, as
+/// wide as the pool. The sets come back in the order of `ids`.
 fn resample_sets(
     spec: SampleSpec,
     ids: &[usize],
     new_graph: &CsrGraph,
     new_weights: &EdgeWeights,
-) -> Vec<(usize, RrrSet)> {
+) -> RrrCollection {
     crate::metrics::DELTA_SETS_RESAMPLED.add(ids.len() as u64);
-    let num_nodes = new_graph.num_nodes();
-    // One out-side for the whole rollout, shared by every chunk.
-    let source = SamplingGraph::new(new_graph, new_weights);
-    let resample_chunk = |chunk: &[usize]| -> Vec<(usize, RrrSet)> {
-        let mut marker = VisitMarker::new(num_nodes);
-        chunk
-            .iter()
-            .map(|&sid| {
-                let vertices =
-                    generate_indexed_rrr_set(&source, spec.model, spec.rng_seed, sid, &mut marker);
-                (sid, RrrSet::from_vertices(vertices, num_nodes, &spec.policy))
-            })
-            .collect()
+    let config = SamplingConfig {
+        model: spec.model,
+        rng_seed: spec.rng_seed,
+        policy: spec.policy,
+        schedule: Schedule::Dynamic { chunk: 32 },
+        threads: rayon::current_num_threads(),
+        fused_counter: None,
     };
-    let tasks = rayon::current_num_threads().min(ids.len() / RESAMPLE_CHUNK);
-    if tasks <= 1 {
-        return if ids.is_empty() { Vec::new() } else { resample_chunk(ids) };
-    }
-    let collected: Mutex<Vec<(usize, RrrSet)>> = Mutex::new(Vec::with_capacity(ids.len()));
-    rayon::scope(|scope| {
-        for chunk in ids.chunks(ids.len().div_ceil(tasks)) {
-            let (collected, resample_chunk) = (&collected, &resample_chunk);
-            scope.spawn(move |_| collected.lock().append(&mut resample_chunk(chunk)));
-        }
-    });
-    let mut changed = collected.into_inner();
-    changed.sort_unstable_by_key(|(sid, _)| *sid);
-    changed
+    generate_rrr_sets(new_graph, new_weights, ids.len(), |job| ids[job], &config).sets
 }
 
 impl SketchIndex {
@@ -350,7 +325,7 @@ impl SketchIndex {
             graph,
             weights,
             theta,
-            0,
+            |i| i,
             &SamplingConfig {
                 model: spec.model,
                 rng_seed: spec.rng_seed,
@@ -429,18 +404,18 @@ impl SketchIndex {
             provenance.spec,
             &self.postings,
         );
-        let changed = resample_sets(provenance.spec, &resampled, &new_graph, &new_weights);
+        let replacements = resample_sets(provenance.spec, &resampled, &new_graph, &new_weights);
 
         let stats = RefreshStats {
             total_sets: self.num_sets(),
-            resampled_sets: changed.len(),
+            resampled_sets: resampled.len(),
             inserted_edges: delta.insertions().len(),
             deleted_edges: delta.deletions().len(),
             reweighted_edges: delta.reweights().len(),
             num_edges_after: new_graph.num_edges(),
         };
 
-        self.patch(changed);
+        self.patch(&resampled, &replacements);
         self.meta.num_edges = new_graph.num_edges();
         let provenance = self.provenance.as_mut().expect("checked above");
         provenance.delta_log.push(DeltaLogEntry {
@@ -451,19 +426,20 @@ impl SketchIndex {
         Ok((new_graph, new_weights, stats))
     }
 
-    /// Patch the inverted postings with the changed sets.
+    /// Patch the inverted postings: set `ids[j]` (`ids` ascending) becomes
+    /// `replacements.get(j)`.
     ///
-    /// `changed` must be sorted by set id. Only the memberships that differ
-    /// between a changed set and the one it replaces — read from the
-    /// postings themselves — are edited, so the patched structure is
-    /// indistinguishable from a fresh [`SketchIndex::from_collection`] pass
-    /// over the updated sets. A mapped (shared) postings backing is dropped
-    /// here: the patched index owns its postings from now on.
-    fn patch(&mut self, changed: Vec<(usize, RrrSet)>) {
-        if changed.is_empty() {
+    /// Only the memberships that differ between a changed set and the one it
+    /// replaces — read from the postings themselves — are edited, so the
+    /// patched structure is indistinguishable from a fresh
+    /// [`SketchIndex::from_collection`] pass over the updated sets. A mapped
+    /// (shared) postings backing is dropped here: the patched index owns its
+    /// postings from now on.
+    fn patch(&mut self, ids: &[usize], replacements: &RrrCollection) {
+        if ids.is_empty() {
             return;
         }
-        let edits = imm_rrr::membership_edits(&self.postings, &changed);
+        let edits = imm_rrr::membership_edits(&self.postings, ids, replacements);
         self.postings = std::sync::Arc::new(self.postings.patched(&edits));
     }
 }
@@ -554,7 +530,7 @@ mod tests {
     fn static_indexes_refuse_apply_delta() {
         let (g, w) = fixture(60, 5);
         let mut c = RrrCollection::new(60);
-        c.push(RrrSet::sorted(vec![0, 1]));
+        c.push_vertices(vec![0, 1], &AdaptivePolicy::always_sorted());
         let mut index = SketchIndex::build(&g, c, "static").unwrap();
         assert!(!index.is_dynamic());
         let refused = index.apply_delta(&g, &w, &GraphDelta::new()).unwrap_err();
@@ -584,7 +560,7 @@ mod tests {
     fn build_with_provenance_validates_alignment() {
         let (g, _) = fixture(50, 7);
         let mut c = RrrCollection::new(50);
-        c.push(RrrSet::sorted(vec![0]));
+        c.push_vertices(vec![0], &AdaptivePolicy::always_sorted());
         let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 1);
         assert_eq!(
             SketchIndex::build_with_provenance(&g, c, Vec::new(), spec, "bad"),

@@ -247,7 +247,7 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use crate::index::IndexMeta;
-    use imm_rrr::{RrrCollection, RrrSet};
+    use imm_rrr::{AdaptivePolicy, RrrCollection};
 
     fn engine_over(num_nodes: usize, sets: &[&[NodeId]]) -> QueryEngine {
         QueryEngine::new(Arc::new(SketchIndex::over_sets(num_nodes, sets)))
@@ -526,7 +526,8 @@ mod tests {
             };
             let mut c = RrrCollection::new(400);
             for (common, rare) in &raw_sets {
-                c.push(RrrSet::sorted(common.iter().chain(rare).copied().collect()));
+                let members = common.iter().chain(rare).copied().collect();
+                c.push_vertices(members, &AdaptivePolicy::always_sorted());
             }
             let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
             let mut seeds: Vec<NodeId> = picks.into_iter().map(vertex).collect();

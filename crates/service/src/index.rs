@@ -255,12 +255,12 @@ pub(crate) fn build_postings(collection: &RrrCollection) -> Result<Postings, Ind
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::{AdaptivePolicy, RrrSet};
+    use imm_rrr::AdaptivePolicy;
 
     fn collection(num_nodes: usize, sets: &[&[NodeId]]) -> RrrCollection {
         let mut c = RrrCollection::new(num_nodes);
         for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
+            c.push_vertices(s.to_vec(), &AdaptivePolicy::always_sorted());
         }
         c
     }

@@ -39,7 +39,7 @@ fn sampled_collection(
         threads: 2,
         fused_counter: None,
     };
-    let out = efficient_imm::sampling::generate_rrr_sets(&graph, &weights, theta, 0, &cfg);
+    let out = efficient_imm::sampling::generate_rrr_sets(&graph, &weights, theta, |i| i, &cfg);
     (graph, out.sets)
 }
 
@@ -101,7 +101,7 @@ proptest! {
 /// collection whose vertices mix bit rows and lists.
 #[test]
 fn celf_matches_naive_on_degenerate_collections() {
-    use imm_rrr::{RrrCollection, RrrSet};
+    use imm_rrr::{AdaptivePolicy, RrrCollection};
 
     let cases: Vec<(usize, Vec<Vec<u32>>)> = vec![
         // Coverage exhausts before the budget: zero-gain tail rounds.
@@ -118,7 +118,7 @@ fn celf_matches_naive_on_degenerate_collections() {
     for (n, sets) in cases {
         let mut collection = RrrCollection::new(n);
         for s in &sets {
-            collection.push(RrrSet::sorted(s.clone()));
+            collection.push_vertices(s.clone(), &AdaptivePolicy::always_sorted());
         }
         let index =
             SketchIndex::from_collection(collection.clone(), imm_service::IndexMeta::default())

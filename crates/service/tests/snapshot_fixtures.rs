@@ -18,7 +18,7 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
-use imm_rrr::{BitSet, Postings, RrrCollection, RrrSet};
+use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
 use imm_service::{
     parse_head, save_parts, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance,
     SNAPSHOT_PAGE_BYTES,
@@ -49,13 +49,14 @@ fn v6_provenance() -> SketchProvenance {
 const V6_SETS: usize = 40;
 
 fn v6_collection() -> RrrCollection {
+    let (list, bitmap) = (AdaptivePolicy::always_sorted(), AdaptivePolicy::always_bitmap());
     let mut c = RrrCollection::new(NUM_NODES);
-    c.push(RrrSet::Sorted(vec![3, 9]));
-    c.push(RrrSet::Bitmap(BitSet::from_iter_with_capacity(NUM_NODES, [3])));
-    c.push(RrrSet::Sorted(vec![3]));
-    c.push(RrrSet::Sorted(vec![3]));
+    c.push_vertices(vec![3, 9], &list);
+    c.push_vertices(vec![3], &bitmap);
+    c.push_vertices(vec![3], &list);
+    c.push_vertices(vec![3], &list);
     for _ in 4..V6_SETS {
-        c.push(RrrSet::Sorted(Vec::new()));
+        c.push_vertices(Vec::new(), &list);
     }
     c
 }

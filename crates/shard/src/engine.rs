@@ -96,13 +96,13 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::{BitSet, NodeId, RrrCollection, RrrSet};
+    use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};
     use imm_service::IndexMeta;
 
     fn sharded_index(num_nodes: usize, sets: &[&[NodeId]], shards: usize) -> Arc<ShardedIndex> {
         let mut c = RrrCollection::new(num_nodes);
         for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
+            c.push_vertices(s.to_vec(), &AdaptivePolicy::always_sorted());
         }
         Arc::new(ShardedIndex::from_parts(c, IndexMeta::default(), None, shards).unwrap())
     }

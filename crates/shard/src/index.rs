@@ -171,12 +171,12 @@ impl ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imm_rrr::{NodeId, RrrSet};
+    use imm_rrr::{AdaptivePolicy, NodeId};
 
     fn collection(num_nodes: usize, sets: &[&[NodeId]]) -> RrrCollection {
         let mut c = RrrCollection::new(num_nodes);
         for s in sets {
-            c.push(RrrSet::sorted(s.to_vec()));
+            c.push_vertices(s.to_vec(), &AdaptivePolicy::always_sorted());
         }
         c
     }

@@ -315,7 +315,7 @@ fn into_index_hands_back_the_postings_it_was_given() {
 fn more_shards_than_sets_still_serve_identically() {
     let mut c = RrrCollection::new(10);
     for s in [vec![0u32, 1], vec![2], vec![1, 3, 4]] {
-        c.push(imm_rrr::RrrSet::sorted(s));
+        c.push_vertices(s, &imm_rrr::AdaptivePolicy::always_sorted());
     }
     let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
     let single = QueryEngine::new(Arc::new(index.clone()));

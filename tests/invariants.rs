@@ -167,7 +167,7 @@ fn sampling_work_profile_accounts_for_every_generated_vertex() {
         threads: 3,
         fused_counter: None,
     };
-    let out = generate_rrr_sets(&g, &w, 120, 0, &cfg);
+    let out = generate_rrr_sets(&g, &w, 120, |i| i, &cfg);
     let total_vertices: usize = out.sets.iter().map(|s| s.len()).sum();
     assert_eq!(out.work.total_ops(), total_vertices as u64);
 }

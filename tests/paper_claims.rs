@@ -26,7 +26,7 @@ fn sample(name: &str, sets: usize, threads: usize) -> RrrCollection {
         threads,
         fused_counter: None,
     };
-    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, sets, 0, &cfg).sets
+    generate_rrr_sets(&dataset.graph, &dataset.ic_weights, sets, |i| i, &cfg).sets
 }
 
 #[test]
@@ -166,7 +166,7 @@ fn claim_adaptive_representation_reduces_memory_for_dense_collections() {
             threads: 2,
             fused_counter: None,
         };
-        generate_rrr_sets(&dataset.graph, &dataset.ic_weights, 64, 0, &cfg).sets.memory_bytes()
+        generate_rrr_sets(&dataset.graph, &dataset.ic_weights, 64, |i| i, &cfg).sets.memory_bytes()
     };
     let sorted_only = build(AdaptivePolicy::always_sorted());
     let adaptive = build(AdaptivePolicy::default());
