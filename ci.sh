@@ -192,10 +192,16 @@ fi
 
 # The samplers and the set containers are safe Rust: the IC kernel's
 # bottom-up sweep splits a VisitMarker's fields instead of aliasing them,
-# and its out-side is a CsrGraph::transpose_with_slots.
-echo "==> sampler guard: crates/core/src and crates/rrr/src hold no unsafe"
+# and its out-side is a CsrGraph::transpose_with_slots. Fused sampling
+# counts each set into a per-worker tally that is merged after the join,
+# so no per-member shared atomic comes back into the sampling loop.
+echo "==> sampler guard: no unsafe in crates/core/src or crates/rrr/src, no shared counter in sampling"
 if grep -rnw 'unsafe' crates/core/src crates/rrr/src; then
   echo "error: crates/core/src and crates/rrr/src hold no unsafe" >&2
+  exit 1
+fi
+if grep -n 'counter\.increment(' crates/core/src/sampling.rs; then
+  echo "error: sampling counts into per-worker tallies; do not increment the shared counter per member" >&2
   exit 1
 fi
 

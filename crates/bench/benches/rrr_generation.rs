@@ -74,18 +74,25 @@ fn bench_fusion_and_balancing(c: &mut Criterion) {
 /// `solve-ic` benchmark input) at densities from sets of a dozen vertices
 /// (weighted cascade, constant 0.05; 2 000 sets an iteration) through
 /// mid-size ones (0.1–0.2) to sets over most of the graph (0.3, uniform
-/// [0, 1]; 200 sets an iteration).
+/// [0, 1]; 200 sets an iteration). `uniform_fused` is the uniform row
+/// counted as `run_imm` counts it, and `weighted_cascade_150k` is the
+/// sparse regime on a 150 000-node graph (2 000 sets), where a coin is
+/// rarely live and a branch on it predicts well.
 fn bench_density_sweep(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(11);
     let graph = CsrGraph::from_edge_list(&generators::social_network(2_000, 10, 0.3, &mut rng));
+    let uniform = EdgeWeights::ic_uniform(&graph, &mut rng);
+    let large = CsrGraph::from_edge_list(&generators::social_network(150_000, 10, 0.3, &mut rng));
     let regimes = [
-        ("uniform", EdgeWeights::ic_uniform(&graph, &mut rng), 200),
-        ("weighted_cascade", EdgeWeights::ic_weighted_cascade(&graph), 2_000),
-        ("const_0.05", EdgeWeights::constant(&graph, 0.05), 2_000),
-        ("const_0.1", EdgeWeights::constant(&graph, 0.1), 200),
-        ("const_0.15", EdgeWeights::constant(&graph, 0.15), 200),
-        ("const_0.2", EdgeWeights::constant(&graph, 0.2), 200),
-        ("const_0.3", EdgeWeights::constant(&graph, 0.3), 200),
+        ("uniform", &graph, uniform.clone(), 200, false),
+        ("uniform_fused", &graph, uniform, 200, true),
+        ("weighted_cascade", &graph, EdgeWeights::ic_weighted_cascade(&graph), 2_000, false),
+        ("const_0.05", &graph, EdgeWeights::constant(&graph, 0.05), 2_000, false),
+        ("const_0.1", &graph, EdgeWeights::constant(&graph, 0.1), 200, false),
+        ("const_0.15", &graph, EdgeWeights::constant(&graph, 0.15), 200, false),
+        ("const_0.2", &graph, EdgeWeights::constant(&graph, 0.2), 200, false),
+        ("const_0.3", &graph, EdgeWeights::constant(&graph, 0.3), 200, false),
+        ("weighted_cascade_150k", &large, EdgeWeights::ic_weighted_cascade(&large), 2_000, false),
     ];
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
@@ -97,9 +104,11 @@ fn bench_density_sweep(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("generate_rrrsets_ic_density");
     group.sample_size(20);
-    for (name, weights, sets) in &regimes {
+    for (name, graph, weights, sets, fused) in &regimes {
         group.bench_function(*name, |b| {
-            b.iter(|| black_box(generate_rrr_sets(&graph, weights, *sets, |i| i, &cfg)))
+            let counter = GlobalCounter::new(graph.num_nodes());
+            let cfg = SamplingConfig { fused_counter: fused.then_some(&counter), ..cfg };
+            b.iter(|| black_box(generate_rrr_sets(graph, weights, *sets, |i| i, &cfg)))
         });
     }
     group.finish();

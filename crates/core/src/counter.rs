@@ -5,6 +5,14 @@
 //! partitions, all threads scatter atomic increments into a single
 //! `counter[v]` array, and the most influential vertex is the array's argmax.
 //!
+//! The atomics are the selection kernel's. Sampling's kernel fusion
+//! (Algorithm 3) does not scatter into this counter: each worker counts
+//! the sets it draws into its own tally of plain integers, and
+//! [`crate::sampling::generate_rrr_sets`] adds the tallies into the
+//! counter on the calling thread once the workers join. On a dense IC
+//! sample (sets over most of the graph) the per-member `lock xadd` had
+//! been about a sixth of sampling.
+//!
 //! Only the scattered updates are concurrent. The whole-array passes —
 //! [`GlobalCounter::argmax`], [`GlobalCounter::reset`] and
 //! [`GlobalCounter::copy_from`] — are plain loops on the calling thread: a

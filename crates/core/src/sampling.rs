@@ -35,15 +35,22 @@
 //! first and the rest in an order that depends on the directions taken —
 //! every consumer sorts the members or turns them into a bitmap.
 //!
+//! The kernel's inner loops avoid branching on a coin that is live about
+//! half the time. A top-down level that follows one which probed at least
+//! 32 in-edges and joined an eighth of them appends branch-free; the other
+//! levels keep the branch, which predicts well when coins are rarely live.
+//! A bottom-up sweep tests out-edges four at a time.
+//!
 //! [`generate_rrr_sets`] is the workspace's one parallel driver: a batch
 //! run's sample, a serving index's build and a refresh's resample all draw
 //! through it. Job `j` draws the set of key `(rng_seed, set_index(j))` for
 //! the caller's `set_index`, the jobs are balanced over the workers, and the
 //! sets come back in job order, so results are identical — order included —
 //! for any thread count or schedule. When the EfficientIMM kernel fusion is
-//! enabled the freshly generated set immediately increments the shared
-//! [`GlobalCounter`] (Algorithm 3 of the paper) while it is still hot in
-//! cache.
+//! enabled (Algorithm 3 of the paper) each freshly generated set is counted
+//! while it is still hot in cache: into a per-worker tally of plain
+//! integers, which the driver adds into the caller's [`GlobalCounter`] once
+//! the workers join.
 
 use crate::balance::{run_jobs, Schedule};
 use crate::counter::GlobalCounter;
@@ -128,6 +135,13 @@ impl Drop for VisitMarker {
 /// three times one that does not.
 const COIN_COST: f64 = 2.0;
 
+/// The fewest in-edges a top-down level must probe for its share of joins
+/// to choose how the next level appends. A share of fewer coins misreads
+/// how often a coin is live: under weighted cascade, whose coins are live
+/// about a tenth of the time, a small level joins an eighth of its probes
+/// by chance, and branch-free appends there measured ~2–4 % slower.
+const MIN_DENSITY_PROBES: usize = 32;
+
 /// The out-edges of every vertex and their weights: the transpose of the
 /// in-lists, which a bottom-up sweep scans.
 #[derive(Debug)]
@@ -175,6 +189,13 @@ impl<'g> SamplingGraph<'g> {
     /// wait for a live edge into a member, `1 / (f · p)` for the mean weight
     /// `p`. The weights are summed (once per call) only for a level that
     /// would pay even if every edge were live.
+    ///
+    /// The model describes the branchy steps. A branch-free top-down level
+    /// pays a coin on member sources too, and a sweep pays one on every edge
+    /// of each quad it tests, into a member or not. The model deliberately
+    /// ignores both, so the kernel sweeps at the same levels whichever form
+    /// a top-down level takes, and `core_rrr_edges_probed` counts the same
+    /// probes.
     ///
     /// Out of line, like [`bottom_up_sweep`]: inlined into the kernel, the
     /// two cost its top-down loop the registers that keep the marker and
@@ -405,6 +426,10 @@ fn ic_reverse_bfs(
     let mut member_volume = level_volume;
     let mut probes = 0;
     let mut last_sweep = None;
+    // Whether the last top-down level probed enough in-edges and joined at
+    // least 1/8 of them: a coin that live is a branch the predictor misses,
+    // so the next top-down level appends branch-free.
+    let mut dense = false;
     while cursor < out.len() {
         let level_end = out.len();
         let outside = n - (level_end - start);
@@ -418,17 +443,32 @@ fn ic_reverse_bfs(
             (next_volume, last_sweep) = (added, Some(stayed));
         } else {
             probes += level_volume;
-            for at in cursor..level_end {
-                let v = out[at];
-                for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
-                    // A member's coin cannot change membership: skip it unevaluated.
-                    if !marker.visited(u) && key.ic_edge_is_live(u, v, w) {
-                        marker.visit(u);
-                        out.push(u);
-                        next_volume += graph.in_degree(u);
+            if dense {
+                top_down_level_branchless(
+                    graph,
+                    weights,
+                    key,
+                    marker,
+                    out,
+                    cursor..level_end,
+                    level_volume,
+                );
+                next_volume = out[level_end..].iter().map(|&u| graph.in_degree(u)).sum();
+            } else {
+                for at in cursor..level_end {
+                    let v = out[at];
+                    for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
+                        // A member's coin cannot change membership: skip it unevaluated.
+                        if !marker.visited(u) && key.ic_edge_is_live(u, v, w) {
+                            marker.visit(u);
+                            out.push(u);
+                            next_volume += graph.in_degree(u);
+                        }
                     }
                 }
             }
+            dense =
+                level_volume >= MIN_DENSITY_PROBES && 8 * (out.len() - level_end) >= level_volume;
         }
         cursor = level_end;
         level_volume = next_volume;
@@ -436,6 +476,43 @@ fn ic_reverse_bfs(
     }
     marker.edges_probed += probes as u64;
     out.len() - start
+}
+
+/// A top-down step of [`ic_reverse_bfs`] over the level `out[level]`, of
+/// in-edge volume `level_volume`, that does not branch on the coin.
+///
+/// Every in-edge's coin is evaluated, member sources included. The source
+/// is written to the next free slot past the level and its stamp rewritten
+/// with a select; only an edge that joins its source keeps the slot and
+/// the new stamp. So members are appended in the order the branchy step
+/// appends them. The volume bounds the appends, and the unclaimed slots
+/// are cut off at the end.
+#[inline(never)]
+fn top_down_level_branchless(
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    key: SetKey,
+    marker: &mut VisitMarker,
+    out: &mut Vec<NodeId>,
+    level: std::ops::Range<usize>,
+    level_volume: usize,
+) {
+    let VisitMarker { stamps, epoch, .. } = marker;
+    let epoch = *epoch;
+    let len = out.len();
+    out.resize(len + level_volume, 0);
+    let (members, next) = out.split_at_mut(len);
+    let mut joined = 0;
+    for &v in &members[level] {
+        for (&u, &w) in graph.in_neighbors(v).iter().zip(weights.in_weights(graph, v)) {
+            let stamp = &mut stamps[u as usize];
+            let joins = (*stamp != epoch) & key.ic_edge_is_live(u, v, w);
+            *stamp = std::hint::select_unpredictable(joins, epoch, *stamp);
+            next[joined] = u;
+            joined += joins as usize;
+        }
+    }
+    out.truncate(len + joined);
 }
 
 /// One bottom-up sweep of [`ic_reverse_bfs`]: every vertex outside the set
@@ -462,10 +539,7 @@ fn bottom_up_sweep(
     let mut joins = |u: NodeId, stamps: &mut [u32]| {
         let targets = out_side.transposed.in_neighbors(u);
         let weights = &out_side.weights[out_side.transposed.in_slots(u)];
-        let live = targets
-            .iter()
-            .zip(weights)
-            .position(|(&v, &w)| stamps[v as usize] == epoch && key.ic_edge_is_live(u, v, w));
+        let live = first_live_edge(u, targets, weights, stamps, epoch, key);
         match live {
             Some(at) => {
                 *probes += at + 1;
@@ -491,6 +565,36 @@ fn bottom_up_sweep(
         unvisited.retain(|&u| stamps[u as usize] != epoch && !joins(u, stamps));
     }
     (added, stayed)
+}
+
+/// Where `u` joins a bottom-up sweep: the position of its first out-edge
+/// (`targets`, `weights`) that is live and enters a member, if any.
+///
+/// The edges are tested four at a time, each setting its bit of a mask, so
+/// the loop branches once per four coins instead of on every coin; the
+/// first live edge is the mask's lowest set bit.
+#[inline(always)]
+fn first_live_edge(
+    u: NodeId,
+    targets: &[NodeId],
+    weights: &[f32],
+    stamps: &[u32],
+    epoch: u32,
+    key: SetKey,
+) -> Option<usize> {
+    let hit =
+        |v: NodeId, w: f32| ((stamps[v as usize] == epoch) & key.ic_edge_is_live(u, v, w)) as u32;
+    let quads = targets.chunks_exact(4).zip(weights.chunks_exact(4));
+    for (at, (v, w)) in quads.enumerate() {
+        let mask =
+            hit(v[0], w[0]) | hit(v[1], w[1]) << 1 | hit(v[2], w[2]) << 2 | hit(v[3], w[3]) << 3;
+        if mask != 0 {
+            return Some(4 * at + mask.trailing_zeros() as usize);
+        }
+    }
+    let tail = targets.len() - targets.len() % 4;
+    let mut rest = targets[tail..].iter().zip(&weights[tail..]);
+    rest.position(|(&v, &w)| hit(v, w) != 0).map(|at| tail + at)
 }
 
 fn lt_reverse_walk(
@@ -551,8 +655,11 @@ pub struct SamplingConfig<'a> {
     pub schedule: Schedule,
     /// Number of worker threads.
     pub threads: usize,
-    /// When set, every generated set immediately increments this counter —
-    /// the paper's kernel fusion.
+    /// When set, the paper's kernel fusion: every generated set is counted
+    /// as it is drawn, into a per-worker tally, and the call adds the
+    /// tallies into this counter before it returns. Counts are added to what
+    /// the counter holds, never written over it, so one counter can span
+    /// several calls.
     pub fused_counter: Option<&'a GlobalCounter>,
 }
 
@@ -581,13 +688,20 @@ pub fn generate_rrr_sets(
     // Epoch-stamped visit markers are O(|V|) to build, so chunks check one
     // out of a shared pool instead of allocating their own.
     let markers: Mutex<Vec<VisitMarker>> = Mutex::new(Vec::new());
+    // The fused counts, one tally per running job range, pooled like the
+    // markers; merged into the caller's counter once the ranges join. An
+    // entry counts sets of this call that hold its vertex, so `u32` wraps
+    // only past 2^32 sets, whose members alone would fill 16 GiB.
+    let tallies: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
     // Every job range's sets, keyed by the range's first job.
     let chunks: Mutex<Vec<(usize, RrrCollection)>> = Mutex::new(Vec::new());
     let per_worker_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
-    let atomic_ops = AtomicU64::new(0);
 
     run_jobs(threads, count, config.schedule, |worker, range| {
         let mut marker = markers.lock().pop().unwrap_or_else(|| VisitMarker::new(num_nodes));
+        let mut tally = config
+            .fused_counter
+            .map(|_| tallies.lock().pop().unwrap_or_else(|| vec![0; num_nodes]));
         let mut sets = RrrCollection::with_capacity(num_nodes, range.len());
         let mut members = Vec::new();
         let mut local_ops = 0u64;
@@ -598,13 +712,12 @@ pub fn generate_rrr_sets(
             let len =
                 generate_rrr_set_into(&source, config.model, root, key, &mut marker, &mut members);
             local_ops += len as u64;
-            if let Some(counter) = config.fused_counter {
-                // Kernel fusion: the fresh set increments the shared counter
-                // while it is still hot in cache.
+            if let Some(tally) = &mut tally {
+                // Kernel fusion: the fresh set is counted while it is still
+                // hot in cache.
                 for &v in &members {
-                    counter.increment(v);
+                    tally[v as usize] += 1;
                 }
-                atomic_ops.fetch_add(len as u64, Ordering::Relaxed);
             }
             // Only a list is sorted: a bitmap takes its members in any order.
             let representation = config.policy.choose(len, num_nodes);
@@ -616,7 +729,17 @@ pub fn generate_rrr_sets(
         per_worker_ops[worker].fetch_add(local_ops, Ordering::Relaxed);
         chunks.lock().push((range.start, sets));
         markers.lock().push(marker);
+        tallies.lock().extend(tally);
     });
+
+    if let Some(counter) = config.fused_counter {
+        for tally in tallies.into_inner() {
+            for (v, &count) in tally.iter().enumerate() {
+                let v = v as NodeId;
+                counter.set(v, counter.get(v) + count as u64);
+            }
+        }
+    }
 
     let mut chunks = chunks.into_inner();
     chunks.sort_unstable_by_key(|(start, _)| *start);
@@ -625,11 +748,11 @@ pub fn generate_rrr_sets(
     for (_, chunk) in chunks {
         sets.extend_from(chunk);
     }
-    let work = WorkProfile {
-        per_thread_ops: per_worker_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-        atomic_ops: atomic_ops.load(Ordering::Relaxed),
-        search_probes: 0,
-    };
+    let per_thread_ops: Vec<u64> =
+        per_worker_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+    // Fusion counts every member once: the counter updates of the model.
+    let atomic_ops = if config.fused_counter.is_some() { per_thread_ops.iter().sum() } else { 0 };
+    let work = WorkProfile { per_thread_ops, atomic_ops, search_probes: 0 };
     SamplingOutput { sets, work }
 }
 
@@ -874,25 +997,44 @@ mod tests {
         }
     }
 
+    /// The fused counts are added into the caller's counter, never written
+    /// over it: `run_imm` keeps one counter across its sampling rounds.
     #[test]
     fn fused_counter_matches_set_contents() {
         let mut rng = SmallRng::seed_from_u64(6);
         let g = CsrGraph::from_edge_list(&generators::social_network(150, 6, 0.2, &mut rng));
-        let w = EdgeWeights::ic_weighted_cascade(&g);
-        let counter = GlobalCounter::new(g.num_nodes());
-        let mut cfg = config(DiffusionModel::IndependentCascade, 2);
-        cfg.fused_counter = Some(&counter);
-        let out = generate_rrr_sets(&g, &w, 80, |i| i, &cfg);
+        let inputs = [
+            (DiffusionModel::IndependentCascade, EdgeWeights::ic_weighted_cascade(&g)),
+            (DiffusionModel::IndependentCascade, EdgeWeights::ic_uniform(&g, &mut rng)),
+            (DiffusionModel::LinearThreshold, EdgeWeights::lt_normalized(&g, &mut rng)),
+        ];
+        for (model, w) in &inputs {
+            for threads in [1, 2, 3] {
+                let label = format!("{:?}, {model:?}, {threads} threads", w.model());
+                let counter = GlobalCounter::new(g.num_nodes());
+                let mut cfg = config(*model, threads);
+                cfg.fused_counter = Some(&counter);
+                let first = generate_rrr_sets(&g, w, 80, |i| i, &cfg);
+                let second = generate_rrr_sets(&g, w, 50, |i| 80 + i, &cfg);
 
-        // Recompute occurrence counts from the materialized sets.
-        let mut expected = vec![0u64; g.num_nodes()];
-        for set in out.sets.iter() {
-            for v in set.iter() {
-                expected[v as usize] += 1;
+                // Recompute occurrence counts from the materialized sets.
+                let mut expected = vec![0u64; g.num_nodes()];
+                for set in first.sets.iter().chain(second.sets.iter()) {
+                    for v in set.iter() {
+                        expected[v as usize] += 1;
+                    }
+                }
+                assert_eq!(counter.snapshot(), expected, "{label}");
+                for out in [&first, &second] {
+                    assert!(out.work.atomic_ops > 0, "{label}");
+                    assert_eq!(out.work.atomic_ops, out.work.total_ops(), "{label}");
+                }
+
+                let none = generate_rrr_sets(&g, w, 0, |i| 130 + i, &cfg);
+                assert_eq!(none.work.atomic_ops, 0, "{label}");
+                assert_eq!(counter.snapshot(), expected, "{label}: an empty call moved counts");
             }
         }
-        assert_eq!(counter.snapshot(), expected);
-        assert!(out.work.atomic_ops > 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use imm_graph::{generators, CsrGraph, EdgeList, EdgeWeights, NodeId, WeightModel
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -274,4 +274,120 @@ fn dense_inclusion_frequencies_agree_with_forward_simulation() {
     assert_inclusion_agrees_with_forward_simulation(
         label, &graph, &weights, model, 1_000, &inclusion,
     );
+}
+
+/// Draws `count` IC sets at 1 and at 3 workers and holds every one to the
+/// plain BFS's set of its key. Returns the bottom-up sweeps of the draws;
+/// callers hold [`SWEEP_COUNTER`].
+fn assert_sets_are_the_plain_bfs(
+    label: &str,
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    count: usize,
+) -> u64 {
+    let swept_before = BOTTOM_UP_SWEEPS.value();
+    for threads in [1, 3] {
+        let config = SamplingConfig {
+            model: DiffusionModel::IndependentCascade,
+            rng_seed: SEED,
+            policy: AdaptivePolicy::default(),
+            schedule: Schedule::Dynamic { chunk: 16 },
+            threads,
+            fused_counter: None,
+        };
+        let sets = generate_rrr_sets(graph, weights, count, |i| i, &config).sets;
+        for (i, set) in sets.iter().enumerate() {
+            let expected = top_down_ic_set(graph, weights, SetKey::new(SEED, i));
+            assert_eq!(set.to_vec(), expected, "{label}, {threads} threads: set {i}");
+        }
+    }
+    BOTTOM_UP_SWEEPS.value() - swept_before
+}
+
+/// A weighted graph from `(source, target, weight)` triples.
+fn weighted(nodes: usize, edges: &[(NodeId, NodeId, f32)]) -> (CsrGraph, EdgeWeights) {
+    let edge_list = EdgeList::from_pairs(nodes, edges.iter().map(|&(u, v, _)| (u, v)));
+    let emitted: Vec<f32> = edges.iter().map(|&(_, _, w)| w).collect();
+    let (graph, in_slot_weights) = CsrGraph::from_edge_list_with(&edge_list, &emitted);
+    let weights = EdgeWeights::from_vec(&graph, in_slot_weights, WeightModel::Constant).unwrap();
+    (graph, weights)
+}
+
+/// The edges of a 300-node degree-8 social graph, each weighed by `weigh`.
+fn social_edges(
+    seed: u64,
+    mut weigh: impl FnMut(&mut SmallRng) -> f32,
+) -> Vec<(NodeId, NodeId, f32)> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let edge_list = generators::social_network(300, 8, 0.3, &mut rng);
+    edge_list.iter().map(|(u, v)| (u, v, weigh(&mut rng))).collect()
+}
+
+/// Parallel copies of an edge share one coin and a self-loop never joins
+/// anything, in either direction of the kernel.
+#[test]
+fn parallel_copies_and_self_loops_match_the_plain_bfs() {
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut edges = social_edges(43, |rng| rng.gen::<f32>());
+    let mut rng = SmallRng::seed_from_u64(44);
+    let copies: Vec<_> =
+        edges.iter().step_by(3).map(|&(u, v, _)| (u, v, rng.gen::<f32>())).collect();
+    edges.extend(copies);
+    edges.extend((0..300).step_by(5).map(|v| (v, v, rng.gen::<f32>())));
+    let (graph, weights) = weighted(300, &edges);
+    let sweeps = assert_sets_are_the_plain_bfs("copies and loops", &graph, &weights, 300);
+    assert!(sweeps > 0, "no set took the bottom-up path");
+}
+
+/// A weight of exactly 0 is never live and one of exactly 1 always is.
+#[test]
+fn weights_of_exactly_zero_and_one_match_the_plain_bfs() {
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let edges = social_edges(45, |rng| match rng.gen_range(0..4) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => rng.gen::<f32>(),
+    });
+    let (graph, weights) = weighted(300, &edges);
+    let sweeps = assert_sets_are_the_plain_bfs("weights 0 and 1", &graph, &weights, 300);
+    assert!(sweeps > 0, "no set took the bottom-up path");
+}
+
+/// A bottom-up sweep tests out-edges four at a time. Here every vertex
+/// outside a 40-vertex core of certain edges has 7 or 8 out-edges into the
+/// core, ascending (the order the out-side lists them in), and at most one
+/// is live: at position 0, 3, 4 or 7 (6 for the 7-edge lists, the last one
+/// past the last full quad), or none.
+#[test]
+fn first_live_out_edge_at_every_quad_position_matches_the_plain_bfs() {
+    const CORE: NodeId = 40;
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut edges: Vec<(NodeId, NodeId, f32)> = (0..CORE)
+        .flat_map(|u| (0..CORE).filter(move |&v| v != u).map(move |v| (u, v, 1.0)))
+        .collect();
+    for (j, u) in (CORE..CORE + 30).enumerate() {
+        let degree = 8 - j % 2;
+        let live = [Some(0), Some(3), Some(4), Some(degree - 1), None][j / 2 % 5];
+        let mut targets: Vec<NodeId> = (0..degree).map(|i| (j + 5 * i) as NodeId % CORE).collect();
+        targets.sort_unstable();
+        for (at, v) in targets.into_iter().enumerate() {
+            edges.push((u, v, if live == Some(at) { 1.0 } else { 0.0 }));
+        }
+    }
+    let (graph, weights) = weighted(CORE as usize + 30, &edges);
+    let sweeps = assert_sets_are_the_plain_bfs("quad positions", &graph, &weights, 200);
+    assert!(sweeps > 0, "no set took the bottom-up path");
+}
+
+/// Mid densities: a live coin is common enough that some top-down levels
+/// join an eighth of what they probe, and rare enough that others do not.
+#[test]
+fn mid_density_constants_match_the_plain_bfs() {
+    let _counting = SWEEP_COUNTER.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut rng = SmallRng::seed_from_u64(46);
+    let graph = CsrGraph::from_edge_list(&generators::social_network(300, 10, 0.3, &mut rng));
+    for p in [0.1, 0.3] {
+        let weights = EdgeWeights::constant(&graph, p);
+        assert_sets_are_the_plain_bfs(&format!("constant {p}"), &graph, &weights, 300);
+    }
 }

@@ -119,7 +119,15 @@ impl EdgeWeights {
     }
 
     /// Same constant probability on every edge.
+    ///
+    /// # Panics
+    /// Panics if `p` is NaN or outside `[0, 1]`, the weights
+    /// [`EdgeWeights::from_vec`] rejects.
     pub fn constant(graph: &CsrGraph, p: f32) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "constant edge weight {p} is not a probability in [0, 1]"
+        );
         EdgeWeights { weights: vec![p; graph.num_edges()], model: WeightModel::Constant }
     }
 
@@ -231,6 +239,18 @@ mod tests {
         let g = sample_graph();
         let w = EdgeWeights::constant(&g, 0.25);
         assert!(w.as_slice().iter().all(|&p| (p - 0.25).abs() < f32::EPSILON));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn constant_rejects_a_weight_above_one() {
+        EdgeWeights::constant(&sample_graph(), 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a probability")]
+    fn constant_rejects_nan() {
+        EdgeWeights::constant(&sample_graph(), f32::NAN);
     }
 
     #[test]
