@@ -190,6 +190,23 @@ if grep -rnw 'unsafe' crates/graph/src; then
   exit 1
 fi
 
+# The graph file is read by block-parsing newline-aligned ranges on scoped
+# threads; the line-at-a-time reader it replaced survives only as the oracle
+# in io.rs's test module (searched up to it), so there is one grammar. The
+# load's threads are std's: imm-graph depends on rand and serde alone, since
+# a new dependency would rewrite spine/Cargo.lock.
+echo "==> loader guard: one block parser in io.rs, imm-graph depends on rand and serde only"
+if sed '/^#\[cfg(test)\]/,$d' crates/graph/src/io.rs | grep -nE 'read_until|BufReader'; then
+  echo "error: crates/graph/src/io.rs parses blocks; do not bring back a line-at-a-time reader" >&2
+  exit 1
+fi
+GRAPH_DEPS="$(sed -n '/^\[dependencies\]/,/^\[/p' crates/graph/Cargo.toml \
+  | grep -E '^[A-Za-z0-9_-]+ *=' | cut -d= -f1 | tr -d ' ' | sort | tr '\n' ' ')"
+if [ "$GRAPH_DEPS" != "rand serde " ]; then
+  echo "error: crates/graph/Cargo.toml [dependencies] must be rand and serde, found: $GRAPH_DEPS" >&2
+  exit 1
+fi
+
 # The samplers and the set containers are safe Rust: the IC kernel's
 # bottom-up sweep splits a VisitMarker's fields instead of aliasing them,
 # and its out-side is a CsrGraph::transpose_with_slots. Fused sampling

@@ -162,18 +162,32 @@ fn result_json(
     })
 }
 
-fn run_one(args: &RunArgs, algorithm: Algorithm) -> Result<(serde_json::Value, f64), CliError> {
-    let (graph, weights, name) = load(&args.source, args.model, args.seed)?;
+/// Run `algorithm` on a loaded graph: its JSON log and its wall seconds.
+fn run_one(
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    name: &str,
+    args: &RunArgs,
+    algorithm: Algorithm,
+) -> Result<(serde_json::Value, f64), CliError> {
     let params = ImmParams::new(args.k, args.epsilon, args.model).with_seed(args.seed);
     let exec = ExecutionConfig::new(algorithm, args.threads);
     let start = Instant::now();
-    let result = run_imm(&graph, &weights, &params, &exec).map_err(|e| e.to_string())?;
+    let result = run_imm(graph, weights, &params, &exec).map_err(|e| e.to_string())?;
     let wall = start.elapsed().as_secs_f64();
-    Ok((result_json(&name, args, algorithm, wall, &result), wall))
+    Ok((result_json(name, args, algorithm, wall, &result), wall))
 }
 
 fn run(args: &RunArgs) -> Result<(), CliError> {
-    let (json, _) = run_one(args, args.algorithm)?;
+    let start = Instant::now();
+    let (graph, weights, name) = load(&args.source, args.model, args.seed)?;
+    // Parse, CSR build and weights: the part of the process's wall time
+    // spent before IMM.
+    let load_seconds = start.elapsed().as_secs_f64();
+    let (mut json, _) = run_one(&graph, &weights, &name, args, args.algorithm)?;
+    if let serde_json::Value::Object(pairs) = &mut json {
+        pairs.push(("load_seconds".to_string(), serde_json::json!(load_seconds)));
+    }
     let rendered = pretty(&json);
     match &args.output {
         Some(path) => {
@@ -186,8 +200,10 @@ fn run(args: &RunArgs) -> Result<(), CliError> {
 }
 
 fn compare(args: &RunArgs) -> Result<(), CliError> {
-    let (ripples_json, ripples_wall) = run_one(args, Algorithm::Ripples)?;
-    let (efficient_json, efficient_wall) = run_one(args, Algorithm::Efficient)?;
+    let (graph, weights, name) = load(&args.source, args.model, args.seed)?;
+    let (ripples_json, ripples_wall) = run_one(&graph, &weights, &name, args, Algorithm::Ripples)?;
+    let (efficient_json, efficient_wall) =
+        run_one(&graph, &weights, &name, args, Algorithm::Efficient)?;
     let speedup = ripples_wall / efficient_wall.max(1e-9);
     let combined = serde_json::json!({
         "ripples": ripples_json,
@@ -203,8 +219,16 @@ fn compare(args: &RunArgs) -> Result<(), CliError> {
 /// snapshot: the expensive phase runs exactly once, every later `query` /
 /// `stats --index` invocation loads the frozen sample instead of resampling.
 fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
+    println!("{}", pretty(&build_index_json(args)?));
+    Ok(())
+}
+
+/// [`build_index`]'s work: the snapshot written, and its JSON report.
+fn build_index_json(args: &BuildIndexArgs) -> Result<serde_json::Value, CliError> {
     let run = &args.run;
+    let start = Instant::now();
     let (graph, weights, name) = load(&run.source, run.model, run.seed)?;
+    let load_seconds = start.elapsed().as_secs_f64();
     let params = ImmParams::new(run.k, run.epsilon, run.model).with_seed(run.seed);
     let exec = ExecutionConfig::new(run.algorithm, run.threads)
         .with_retained_sets(true)
@@ -230,13 +254,13 @@ fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
         "nodes": index.num_nodes(),
         "edges": index.meta().num_edges,
         "index_memory_bytes": index.memory_bytes(),
+        "load_seconds": load_seconds,
         "build_seconds": build_seconds,
         "sampling_seconds": result.breakdown.timings.generate_rrrsets.as_secs_f64(),
         "top_k_seeds": result.seeds,
         "dynamic": index.is_dynamic(),
     });
-    println!("{}", pretty(&json));
-    Ok(())
+    Ok(json)
 }
 
 /// Rebuild the live revision of the dynamic snapshot `index`, loaded from
@@ -887,6 +911,50 @@ mod tests {
         assert!(log["theta"].as_u64().unwrap() > 0);
         std::fs::remove_file(&graph_path).ok();
         std::fs::remove_file(&out_path).ok();
+    }
+
+    #[test]
+    fn run_and_build_index_report_their_load_seconds() {
+        let graph_path = temp_path("cli_load_seconds.txt");
+        let out_path = temp_path("cli_load_seconds.json");
+        let snapshot_path = temp_path("cli_load_seconds.sketch");
+        execute(Command::Generate(GenerateArgs {
+            output: graph_path.to_string_lossy().into_owned(),
+            kind: "social".into(),
+            nodes: 300,
+            avg_degree: 6,
+            seed: 3,
+        }))
+        .unwrap();
+        let run = RunArgs {
+            source: GraphSource::File(graph_path.to_string_lossy().into_owned()),
+            model: DiffusionModel::LinearThreshold,
+            algorithm: Algorithm::Efficient,
+            k: 3,
+            epsilon: 0.5,
+            threads: 1,
+            seed: 7,
+            output: Some(out_path.to_string_lossy().into_owned()),
+        };
+        let started = Instant::now();
+        execute(Command::Run(run.clone())).unwrap();
+        let run_wall = started.elapsed().as_secs_f64();
+        let log: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+        let started = Instant::now();
+        let built = build_index_json(&BuildIndexArgs {
+            run,
+            output: snapshot_path.to_string_lossy().into_owned(),
+        })
+        .unwrap();
+        let build_wall = started.elapsed().as_secs_f64();
+        for (json, wall) in [(&log, run_wall), (&built, build_wall)] {
+            let load = json["load_seconds"].as_f64().expect("a load_seconds number");
+            assert!(load > 0.0 && load <= wall, "load {load} s of a {wall} s command");
+        }
+        for path in [graph_path, out_path, snapshot_path] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! EfficientIMM both keep the CSR immutable and shared across all worker
 //! threads, so [`CsrGraph`] is `Send + Sync` and all accessors take `&self`.
 
-use crate::edge_list::EdgeList;
+use crate::edge_list::{Edge, EdgeList};
+use crate::partition::{block_ranges, map_scoped, split_parts};
 use crate::{GraphError, NodeId};
 use std::ops::Range;
 
@@ -38,27 +39,79 @@ impl CsrGraph {
     /// [`from_edge_list`](CsrGraph::from_edge_list), carrying `per_edge` (a
     /// payload in edge-list order, such as a file's weight column) to the
     /// in-slot order of the returned graph.
-    pub fn from_edge_list_with<T: Copy + Default>(
+    ///
+    /// The destinations are split into contiguous blocks, one per available
+    /// core (`std::thread::available_parallelism`) but none for less than
+    /// 1 MiB of edges, so a list under 2 MiB of edges (262 144) is built on
+    /// the calling thread. Each block's thread scans the whole edge list
+    /// twice: once to count its destinations' in-degrees, and, after one
+    /// prefix sum over all blocks, once to scatter its edges' sources and
+    /// payload into its own slice of the in-slots. Every block therefore
+    /// keeps edge-list order within each in-list, so the result does not
+    /// depend on the split. As with the file parse, the split follows the
+    /// machine, not `--threads` or `IMM_THREADS`.
+    pub fn from_edge_list_with<T: Copy + Default + Send + Sync>(
         edge_list: &EdgeList,
         per_edge: &[T],
     ) -> (Self, Vec<T>) {
+        let blocks = split_parts(edge_list.num_edges() * std::mem::size_of::<Edge>());
+        CsrGraph::from_edge_list_in_blocks(edge_list, per_edge, blocks)
+    }
+
+    /// [`from_edge_list_with`](CsrGraph::from_edge_list_with) over exactly
+    /// `blocks` destination blocks.
+    pub(crate) fn from_edge_list_in_blocks<T: Copy + Default + Send + Sync>(
+        edge_list: &EdgeList,
+        per_edge: &[T],
+        blocks: usize,
+    ) -> (Self, Vec<T>) {
         assert_eq!(per_edge.len(), edge_list.num_edges(), "one payload entry per edge");
         let n = edge_list.num_nodes();
-        let mut in_deg = vec![0usize; n];
-        for (_, d) in edge_list.iter() {
-            in_deg[d as usize] += 1;
-        }
-        let in_offsets = prefix_sum(&in_deg);
+        let edges = edge_list.edges();
+        let dests = block_ranges(n, blocks);
+        let vertices = || dests.iter().map(|block| block.len());
 
+        // `in_offsets[v + 1]` counts `v`'s in-edges, then holds their first
+        // slot and serves as `v`'s cursor: the scatter leaves it at `v`'s
+        // end, which is the offset of `v + 1`.
+        let mut in_offsets = vec![0usize; n + 1];
+        let counts = split_runs(&mut in_offsets[1..], vertices());
+        map_scoped(dests.iter().zip(counts), |(block, counts)| {
+            for e in edges {
+                if let Some(count) = counts.get_mut((e.dst as usize).wrapping_sub(block.start)) {
+                    *count += 1;
+                }
+            }
+        });
+        let mut first = 0;
+        for cursor in &mut in_offsets[1..] {
+            (*cursor, first) = (first, first + *cursor);
+        }
+
+        // Each block's first slot, and the end of the last.
+        let firsts: Vec<usize> = dests
+            .iter()
+            .map(|block| in_offsets.get(block.start + 1).copied().unwrap_or(first))
+            .chain([first])
+            .collect();
+        let slots = || firsts.windows(2).map(|w| w[1] - w[0]);
         let mut in_sources = vec![0 as NodeId; per_edge.len()];
         let mut payload = vec![T::default(); per_edge.len()];
-        let mut cursor = in_offsets.clone();
-        for ((s, d), &p) in edge_list.iter().zip(per_edge) {
-            let slot = &mut cursor[d as usize];
-            in_sources[*slot] = s;
-            payload[*slot] = p;
-            *slot += 1;
-        }
+        let scatters = dests
+            .iter()
+            .zip(&firsts)
+            .zip(split_runs(&mut in_offsets[1..], vertices()))
+            .zip(split_runs(&mut in_sources, slots()))
+            .zip(split_runs(&mut payload, slots()));
+        map_scoped(scatters, |((((block, &base), cursors), sources), block_payload)| {
+            for (e, &p) in edges.iter().zip(per_edge) {
+                if let Some(at) = cursors.get_mut((e.dst as usize).wrapping_sub(block.start)) {
+                    sources[*at - base] = e.src;
+                    block_payload[*at - base] = p;
+                    *at += 1;
+                }
+            }
+        });
         (CsrGraph { num_nodes: n, in_offsets, in_sources }, payload)
     }
 
@@ -249,6 +302,17 @@ impl CsrGraph {
     }
 }
 
+/// `slice` cut into consecutive runs of the given lengths.
+fn split_runs<T>(mut slice: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (run, rest) = std::mem::take(&mut slice).split_at_mut(len);
+            slice = rest;
+            run
+        })
+        .collect()
+}
+
 fn prefix_sum(degrees: &[usize]) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(degrees.len() + 1);
     let mut acc = 0usize;
@@ -261,8 +325,53 @@ fn prefix_sum(degrees: &[usize]) -> Vec<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The one-pass counting sort the block build replaced, kept as the
+    /// oracle: count every in-degree, then scatter the edges in list order.
+    pub(crate) fn reference_csr<T: Copy + Default>(
+        edge_list: &EdgeList,
+        per_edge: &[T],
+    ) -> (CsrGraph, Vec<T>) {
+        let n = edge_list.num_nodes();
+        let mut in_deg = vec![0usize; n];
+        for (_, d) in edge_list.iter() {
+            in_deg[d as usize] += 1;
+        }
+        let in_offsets = prefix_sum(&in_deg);
+        let mut in_sources = vec![0 as NodeId; per_edge.len()];
+        let mut payload = vec![T::default(); per_edge.len()];
+        let mut cursor = in_offsets.clone();
+        for ((s, d), &p) in edge_list.iter().zip(per_edge) {
+            let slot = &mut cursor[d as usize];
+            in_sources[*slot] = s;
+            payload[*slot] = p;
+            *slot += 1;
+        }
+        (CsrGraph { num_nodes: n, in_offsets, in_sources }, payload)
+    }
+
+    #[test]
+    fn every_block_count_builds_the_reference_graph() {
+        // A hub that holds every edge into it, a vertex past the last
+        // edge's ids, parallel copies and self-loops.
+        let mut el = EdgeList::with_nodes(13);
+        for i in 0..40u32 {
+            el.push(i % 11, 5);
+            el.push(i % 7, (i * 3) % 11);
+        }
+        el.push(4, 4);
+        el.push(4, 4);
+        let one_hub = EdgeList::from_pairs(9, (0..30u32).map(|i| (i % 9, 3)));
+        for el in [el, one_hub, EdgeList::with_nodes(4), EdgeList::default()] {
+            let ids: Vec<usize> = (0..el.num_edges()).collect();
+            let want = reference_csr(&el, &ids);
+            for blocks in 1..=8 {
+                assert_eq!(CsrGraph::from_edge_list_in_blocks(&el, &ids, blocks), want, "{blocks}");
+            }
+        }
+    }
 
     fn triangle() -> CsrGraph {
         // 0 -> 1, 1 -> 2, 2 -> 0, 0 -> 2

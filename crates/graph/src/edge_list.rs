@@ -57,6 +57,12 @@ impl EdgeList {
         EdgeList { edges: Vec::with_capacity(cap), num_nodes }
     }
 
+    /// Wrap `edges` whose ids all lie below `num_nodes`.
+    pub(crate) fn from_parts(edges: Vec<Edge>, num_nodes: usize) -> Self {
+        debug_assert!(edges.iter().all(|e| (e.src.max(e.dst) as usize) < num_nodes));
+        EdgeList { edges, num_nodes }
+    }
+
     /// Build from raw `(src, dst)` pairs.
     pub fn from_pairs(num_nodes: usize, pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
         let mut el = EdgeList::with_nodes(num_nodes);

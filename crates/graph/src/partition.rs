@@ -56,6 +56,41 @@ pub fn block_ranges(n: usize, parts: usize) -> Vec<Range> {
     ranges
 }
 
+/// Least bytes of input one thread of the graph load takes: a file range to
+/// parse, or a block of destinations whose edges the CSR build scatters.
+/// Below twice this, the load stays on the calling thread.
+const MIN_SPLIT_BYTES: usize = 1 << 20;
+
+/// How many parts the graph load splits `bytes` of input into: one per
+/// available core, but none smaller than [`MIN_SPLIT_BYTES`].
+pub(crate) fn split_parts(bytes: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (bytes / MIN_SPLIT_BYTES).clamp(1, cores)
+}
+
+/// `work` applied to every item, in item order: the first item on the
+/// calling thread, each other one on a scoped thread of its own. A panic
+/// in any of them resumes on the caller.
+pub(crate) fn map_scoped<I: Send, O: Send>(
+    items: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> O + Sync,
+) -> Vec<O> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return Vec::new() };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut out = Vec::with_capacity(spawned.len() + 1);
+        out.push(work(first));
+        out.extend(
+            spawned.into_iter().map(|handle| {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }),
+        );
+        out
+    })
+}
+
 /// Round-robin ("interleaved") owner of item `index` among `owners` owners
 /// with the given `granularity` (items per block, e.g. a page worth of
 /// vertices). Mirrors `numactl --interleave=all` page placement.

@@ -99,20 +99,23 @@ impl EdgeWeights {
     /// fraction of one — the leftover mass is the per-step probability of no
     /// activation, matching the paper's "activating a neighbor or activating
     /// none sum to one".
+    ///
+    /// The raw weights are drawn straight into the vertex's in-slots and
+    /// scaled in place.
     pub fn lt_normalized<R: Rng + ?Sized>(graph: &CsrGraph, rng: &mut R) -> Self {
         let mut weights = vec![0.0f32; graph.num_edges()];
         let raw_dist = Uniform::new(0.05f32, 1.0f32);
         for v in 0..graph.num_nodes() as NodeId {
-            let indeg = graph.in_degree(v);
-            if indeg == 0 {
+            let in_weights = &mut weights[graph.in_slots(v)];
+            if in_weights.is_empty() {
                 continue;
             }
-            let raws: Vec<f32> = (0..indeg).map(|_| raw_dist.sample(rng)).collect();
-            let total: f32 = raws.iter().sum();
+            in_weights.fill_with(|| raw_dist.sample(rng));
+            let total: f32 = in_weights.iter().sum();
             // Total activation mass given to neighbors; the rest is "none".
             let mass: f32 = rng.gen_range(0.5f32..1.0f32);
-            for (w, raw) in weights[graph.in_slots(v)].iter_mut().zip(raws) {
-                *w = raw / total * mass;
+            for w in in_weights {
+                *w = *w / total * mass;
             }
         }
         EdgeWeights { weights, model: WeightModel::LtNormalized }
@@ -232,6 +235,25 @@ mod tests {
                 assert!(s > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn lt_normalized_matches_drawing_each_vertex_into_its_own_buffer() {
+        let g = sample_graph();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let raw_dist = Uniform::new(0.05f32, 1.0f32);
+        let mut want = Vec::new();
+        for v in 0..g.num_nodes() as NodeId {
+            if g.in_degree(v) == 0 {
+                continue;
+            }
+            let raws: Vec<f32> = (0..g.in_degree(v)).map(|_| raw_dist.sample(&mut rng)).collect();
+            let total: f32 = raws.iter().sum();
+            let mass: f32 = rng.gen_range(0.5f32..1.0f32);
+            want.extend(raws.iter().map(|raw| (raw / total * mass).to_bits()));
+        }
+        let w = EdgeWeights::lt_normalized(&g, &mut SmallRng::seed_from_u64(3));
+        assert_eq!(w.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]
