@@ -54,7 +54,8 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # postings against their naive inverse; the CELF sessions against the naive
 # greedy (fresh Top-K) and the dense oracle (audience Top-K, one copy in
 # imm-service and one in imm-shard, so that name must appear twice); the
-# spliced graph delta against the CSR rebuild it replaced.
+# spliced graph delta against the CSR rebuild it replaced; run_imm's one
+# selection per sample.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -66,7 +67,7 @@ for expected in runtime_stress \
   imm_store store_parity mmap_fallback \
   differential shard_parity sampler_oracle \
   postings_inverse celf_parity masked_differential \
-  delta_splice; do
+  delta_splice selection_rounds; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
@@ -108,9 +109,15 @@ if [ "$(grep -c . <<< "$EXEC_UNSAFE")" -ne 1 ]; then
   echo "$EXEC_UNSAFE" >&2
   exit 1
 fi
+# Whether the comment block directly above line $2 of file $1 holds a
+# `SAFETY:` line. awk reads its whole input (a done flag, not `exit`), so
+# `tac` is never cut off by SIGPIPE, which pipefail would report as a miss.
+safety_commented() {
+  head -n "$(($2 - 1))" "$1" | tac \
+    | awk '!done && /^[[:space:]]*\/\//{ if (/SAFETY:/) found = 1; next } { done = 1 } END { exit !found }'
+}
 IFS=: read -r UNSAFE_FILE UNSAFE_LINE _ <<< "$EXEC_UNSAFE"
-if ! head -n "$((UNSAFE_LINE - 1))" "$UNSAFE_FILE" | tac \
-  | awk '/^[[:space:]]*\/\//{ if (/SAFETY:/) found = 1; next } { exit } END { exit !found }'; then
+if ! safety_commented "$UNSAFE_FILE" "$UNSAFE_LINE"; then
   echo "error: the unsafe at $UNSAFE_FILE:$UNSAFE_LINE needs a SAFETY: comment directly above it" >&2
   exit 1
 fi
@@ -125,8 +132,7 @@ if [ "$(grep -c . <<< "$STORE_UNSAFE")" -ne 6 ]; then
   exit 1
 fi
 while IFS=: read -r UNSAFE_FILE UNSAFE_LINE _; do
-  if ! head -n "$((UNSAFE_LINE - 1))" "$UNSAFE_FILE" | tac \
-    | awk '/^[[:space:]]*\/\//{ if (/SAFETY:/) found = 1; next } { exit } END { exit !found }'; then
+  if ! safety_commented "$UNSAFE_FILE" "$UNSAFE_LINE"; then
     echo "error: the unsafe at $UNSAFE_FILE:$UNSAFE_LINE needs a SAFETY: comment directly above it" >&2
     exit 1
   fi
@@ -302,17 +308,36 @@ if grep -nE 'set_nonblocking|thread::sleep\(poll\)' crates/serve/src/server.rs; 
   echo "error: the accept loop blocks in accept; do not reintroduce a non-blocking listener or a poll sleep" >&2
   exit 1
 fi
-if grep -rnF 'counts[v as usize] -= 1' crates/service/src; then
+if grep -rnF 'counts[v as usize] -= 1' crates/service/src crates/rrr/src/celf.rs; then
   echo "error: CELF retires a seed with PostingsView::or_into on the covered bitmap, not a per-member walk" >&2
   exit 1
 fi
 
 # An audience Top-K session is the fresh session started with its ineligible
 # sets covered: it reads the postings and the generation's degree order, and
-# no longer walks the set-major arena for exact initial bounds.
+# no longer walks the set-major arena for exact initial bounds. The session
+# (imm-rrr's celf.rs) is searched up to its test module, which builds its
+# postings from collections.
 echo "==> audience guard: the Top-K sessions read no set-major storage"
-if grep -nE 'RrrCollection|\.sets\(\)|degree_vector' crates/service/src/masked.rs; then
-  echo "error: crates/service/src/masked.rs reads postings and the degree order only; do not reintroduce the set walk or degree_vector" >&2
+if grep -nE 'RrrCollection|\.sets\(\)|degree_vector' crates/service/src/masked.rs \
+  || sed '/^#\[cfg(test)\]/,$d' crates/rrr/src/celf.rs | grep -nE 'RrrCollection|\.sets\(\)|degree_vector'; then
+  echo "error: the Top-K sessions read postings and the degree order only; do not reintroduce the set walk or degree_vector" >&2
+  exit 1
+fi
+
+# One greedy session: `run_imm` selects with imm-rrr's LazyGreedy at every
+# θ step, as every daemon Top-K does, so the run holds no occurrence counter
+# and calls no eager kernel (the eager kernels stay as the reproduction's
+# subjects and the parity oracle, which imm.rs's tests call, so it is
+# searched up to its test module), and no second CELF session or frontier
+# pop grows outside crates/rrr/src.
+echo "==> one-greedy guard: run_imm runs CELF, one LazyGreedy in imm-rrr"
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/imm.rs | grep -nE 'GlobalCounter|select_seeds_efficient'; then
+  echo "error: run_imm selects with imm_rrr::LazyGreedy; do not bring back the counter or the eager kernel" >&2
+  exit 1
+fi
+if grep -rnE 'struct LazyGreedy|fn pop_argmax' crates src examples tests | grep -v '^crates/rrr/src/'; then
+  echo "error: the lazy-greedy session lives in crates/rrr/src alone" >&2
   exit 1
 fi
 

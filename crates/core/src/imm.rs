@@ -1,12 +1,18 @@
 //! The full IMM workflow (Algorithm 1 of the paper): the martingale sampling
 //! phase that determines θ, followed by the final seed selection.
+//!
+//! Each θ step selects once on the whole sample so far. The EfficientIMM
+//! engine selects with the lazy-greedy (CELF) session over the sample's
+//! postings ([`select_seeds_celf`]), the Ripples engine with its eager
+//! baseline kernel. When the final top-up draws no set, the last step's
+//! selection is already the one on the final sample and is returned as is.
 
 use crate::balance::Schedule;
-use crate::counter::GlobalCounter;
 use crate::math;
 use crate::params::{Algorithm, ExecutionConfig, ImmParams};
 use crate::sampling::{generate_rrr_sets, set_provenance, SamplingConfig};
-use crate::selection::select_seeds;
+use crate::selection::ripples::select_seeds_ripples;
+use crate::selection::select_seeds_celf;
 use crate::stats::RuntimeBreakdown;
 use crate::NodeId;
 use imm_graph::{CsrGraph, EdgeWeights};
@@ -64,8 +70,9 @@ pub struct ImmResult {
 ///
 /// Both engines execute the same statistical procedure (Tang et al.'s
 /// sampling/selection phases with identical θ schedules and RNG streams);
-/// they differ only in how the two kernels are parallelized, so their seed
-/// sets for the same input coincide up to ties.
+/// they differ only in how the two kernels run, and both greedy selections
+/// break ties toward the smaller vertex id, so their seeds, θ and coverage
+/// for the same input are identical.
 pub fn run_imm(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -85,26 +92,19 @@ pub fn run_imm(
     } else {
         Schedule::Static
     };
-    let policy = exec.features.representation_policy();
-
-    // The fused counter accumulates occurrence counts as sets are generated
-    // (EfficientIMM's kernel fusion); the Ripples engine never uses it.
-    let use_fusion = exec.algorithm == Algorithm::Efficient && exec.features.kernel_fusion;
-    let fused_counter = if use_fusion { Some(GlobalCounter::new(n)) } else { None };
-
     let config = SamplingConfig {
         model: params.model,
         rng_seed: params.rng_seed,
-        policy,
+        policy: exec.features.representation_policy(),
         schedule,
         threads: exec.threads,
-        fused_counter: fused_counter.as_ref(),
+        fused_counter: None,
     };
     // The one draw step: top `sets` up to `target`, the new sets keyed from
-    // index `sets.len()` on.
+    // index `sets.len()` on. Returns whether it drew any.
     let draw = |sets: &mut RrrCollection, target: usize, breakdown: &mut RuntimeBreakdown| {
         if target <= sets.len() {
-            return;
+            return false;
         }
         let start = sets.len();
         let t0 = Instant::now();
@@ -112,21 +112,25 @@ pub fn run_imm(
         breakdown.timings.generate_rrrsets += t0.elapsed();
         breakdown.sampling_work.merge(&out.work);
         sets.extend_from(out.sets);
+        true
     };
     // The one selection step, on the whole sample so far.
     let select = |sets: &RrrCollection, breakdown: &mut RuntimeBreakdown| {
         let t0 = Instant::now();
-        let selection = select_seeds(sets, k, exec, fused_counter.as_ref());
+        let selection = match exec.algorithm {
+            Algorithm::Ripples => select_seeds_ripples(sets, k, exec.threads),
+            Algorithm::Efficient => select_seeds_celf(sets, k, exec.threads),
+        };
         breakdown.timings.find_most_influential += t0.elapsed();
         breakdown.selection_work.merge(&selection.work);
-        breakdown.counter_rebuilds += selection.counter_rebuilds;
-        breakdown.counter_decrements += selection.counter_decrements;
         selection
     };
 
     let mut sets = RrrCollection::new(n);
     let mut lower_bound = 1.0f64;
     let mut converged = false;
+    // The selection on the sample as it stands.
+    let mut selection = None;
 
     // Sampling phase: geometrically growing θ until the greedy solution on
     // the current sample certifies a lower bound on OPT.
@@ -135,9 +139,9 @@ pub fn run_imm(
         draw(&mut sets, math::theta_for_iteration(n, k, epsilon, ell, i), &mut breakdown);
         breakdown.sampling_iterations = i;
 
-        let selection = select(&sets, &mut breakdown);
-        if math::sampling_converged(n, selection.coverage_fraction, epsilon, i) {
-            lower_bound = math::opt_lower_bound(n, selection.coverage_fraction, epsilon);
+        let step = selection.insert(select(&sets, &mut breakdown));
+        if math::sampling_converged(n, step.coverage_fraction, epsilon, i) {
+            lower_bound = math::opt_lower_bound(n, step.coverage_fraction, epsilon);
             converged = true;
             break;
         }
@@ -153,8 +157,11 @@ pub fn run_imm(
     let theta = math::final_theta(n, k, epsilon, ell, lower_bound);
     breakdown.timings.other += t_other.elapsed();
 
-    draw(&mut sets, theta, &mut breakdown);
-    let selection = select(&sets, &mut breakdown);
+    let drew = draw(&mut sets, theta, &mut breakdown);
+    let selection = match selection {
+        Some(selection) if !drew => selection,
+        _ => select(&sets, &mut breakdown),
+    };
 
     breakdown.rrr_sets_generated = sets.len();
     breakdown.rrr_memory_bytes = sets.memory_bytes();
@@ -254,20 +261,33 @@ mod tests {
     #[test]
     fn both_engines_agree_on_lt_across_several_martingale_iterations() {
         // Sparse LT sets on a graph this size need several doublings of θ,
-        // so the efficient kernel selects (and rebuilds its index) at each
-        // one and must match the baseline after every step.
+        // so the CELF session selects (over freshly built postings) at each
+        // one and must match the eager kernel on the final sets and the
+        // baseline run, bit for bit.
         let mut rng = SmallRng::seed_from_u64(8);
         let g = CsrGraph::from_edge_list(&generators::social_network(3000, 6, 0.3, &mut rng));
         let w = EdgeWeights::lt_normalized(&g, &mut rng);
         let params = ImmParams::new(10, 0.5, DiffusionModel::LinearThreshold).with_seed(17);
-        let ripples =
-            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Ripples, 2)).unwrap();
-        let efficient =
-            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Efficient, 2)).unwrap();
-        assert!(efficient.breakdown.sampling_iterations >= 3);
-        assert_eq!(ripples.seeds, efficient.seeds);
-        assert_eq!(ripples.theta, efficient.theta);
-        assert_eq!(ripples.coverage_fraction, efficient.coverage_fraction);
+        for threads in [1, 3] {
+            let exec = ExecutionConfig::new(Algorithm::Efficient, threads).with_retained_sets(true);
+            let efficient = run_imm(&g, &w, &params, &exec).unwrap();
+            assert!(efficient.breakdown.sampling_iterations >= 3);
+            let sets = efficient.rrr_sets.as_ref().expect("retained");
+            let eager = crate::selection::efficient::select_seeds_efficient(sets, 10, &exec, None);
+            assert_eq!(efficient.seeds, eager.seeds, "threads {threads}");
+            assert_eq!(efficient.coverage_fraction.to_bits(), eager.coverage_fraction.to_bits());
+
+            let ripples =
+                run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Ripples, threads))
+                    .unwrap();
+            assert_eq!(ripples.seeds, efficient.seeds, "threads {threads}");
+            assert_eq!(ripples.theta, efficient.theta, "threads {threads}");
+            assert_eq!(
+                ripples.coverage_fraction.to_bits(),
+                efficient.coverage_fraction.to_bits(),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]
@@ -284,20 +304,6 @@ mod tests {
             assert_eq!(result.seeds, vec![0], "{algorithm:?} must select the hub");
             assert!((result.coverage_fraction - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn kernel_fusion_does_not_change_results() {
-        let (g, w) = small_social_graph(200, 7);
-        let params = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade).with_seed(31);
-        let mut fused_cfg = ExecutionConfig::new(Algorithm::Efficient, 2);
-        fused_cfg.features.kernel_fusion = true;
-        let mut unfused_cfg = fused_cfg;
-        unfused_cfg.features.kernel_fusion = false;
-        let fused = run_imm(&g, &w, &params, &fused_cfg).unwrap();
-        let unfused = run_imm(&g, &w, &params, &unfused_cfg).unwrap();
-        assert_eq!(fused.seeds, unfused.seeds);
-        assert_eq!(fused.theta, unfused.theta);
     }
 
     #[test]

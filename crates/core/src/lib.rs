@@ -13,6 +13,13 @@
 //!   sampling and counting, adaptive RRR-set representation, adaptive counter
 //!   updates, and dynamic job balancing.
 //!
+//! An EfficientIMM [`run_imm`] samples with that engine and selects, at every
+//! θ step, with the lazy-greedy (CELF) session over the sample's postings
+//! that every `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]); the
+//! paper's eager selection kernels (`selection::{efficient, ripples}`, the
+//! shared counter, kernel fusion) stay as the reproduction's subjects and as
+//! the lazy session's parity oracle, and the Ripples run keeps its own.
+//!
 //! The high-level entry point is [`run_imm`], which executes the full
 //! martingale workflow (Algorithm 1 of the paper) under an
 //! [`ExecutionConfig`] selecting the engine, thread count, and feature flags.

@@ -1,7 +1,9 @@
 //! Sampling- and selection-kernel metrics (`core_` prefix) on the workspace
 //! `imm-obs` registry.
 //!
-//! The selection counters are paid once per `select_seeds_efficient` call.
+//! The selection counters are paid once per selection call: the rounds by
+//! `select_seeds_celf` (`run_imm`'s) and `select_seeds_efficient`, the
+//! postings walked by the eager kernel alone.
 //! The sampling loop is the hottest path in the system (millions of RRR
 //! sets per second), so instrumentation is held to the imm-obs budget:
 //! two relaxed atomic adds per generated *set* (never per vertex), paid
@@ -26,7 +28,7 @@ imm_obs::metrics! {
     pub BOTTOM_UP_SWEEPS: Counter = "core_rrr_bottom_up_sweeps",
         "Bottom-up sweeps the IC reverse BFS ran over the vertices outside a dense set";
     pub SELECTION_ROUNDS: Counter = "core_selection_rounds",
-        "Greedy rounds run by the EfficientIMM batch selection kernel (one argmax each)";
+        "Greedy rounds run by the EfficientIMM batch selections, CELF and eager (one argmax each)";
     pub SELECTION_POSTINGS_WALKED: Counter = "core_selection_postings_walked",
         "Postings entries the batch selection kernel inspected to find the sets each seed covers";
 }

@@ -71,8 +71,9 @@ pub enum Algorithm {
     /// The Ripples baseline: vertex-partitioned counting, sorted RRR sets,
     /// separate kernels.
     Ripples,
-    /// EfficientIMM: RRR-set partitioning, shared atomic counter, kernel
-    /// fusion and the adaptive optimizations.
+    /// EfficientIMM: set-partitioned sampling with the adaptive
+    /// representation and dynamic balancing; `run_imm` selects with the
+    /// lazy-greedy (CELF) session over the sample's postings.
     Efficient,
 }
 
@@ -88,11 +89,10 @@ impl Algorithm {
 
 /// Feature toggles for the EfficientIMM engine; each corresponds to one of
 /// the paper's optimizations and can be disabled for ablation studies.
+/// `run_imm` reads the representation and the balancing; the counter-update
+/// pair is read by the eager kernel (`select_seeds_efficient`) alone.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EfficientFeatures {
-    /// Fuse RRR-set generation with the initial counter update (§IV-B,
-    /// Algorithm 3).
-    pub kernel_fusion: bool,
     /// Adaptive sorted-list / bitmap RRR-set representation (§IV-C).
     pub adaptive_representation: bool,
     /// Adaptive decrement-vs-rebuild counter update after each selected seed
@@ -110,7 +110,6 @@ pub struct EfficientFeatures {
 impl Default for EfficientFeatures {
     fn default() -> Self {
         EfficientFeatures {
-            kernel_fusion: true,
             adaptive_representation: true,
             adaptive_counter_update: true,
             dynamic_balancing: true,
@@ -124,7 +123,6 @@ impl EfficientFeatures {
     /// used as the ablation floor).
     pub fn none() -> Self {
         EfficientFeatures {
-            kernel_fusion: false,
             adaptive_representation: false,
             adaptive_counter_update: false,
             dynamic_balancing: false,
@@ -233,9 +231,9 @@ mod tests {
     #[test]
     fn execution_config_defaults_follow_algorithm() {
         let ripples = ExecutionConfig::new(Algorithm::Ripples, 4);
-        assert!(!ripples.features.kernel_fusion);
+        assert!(!ripples.features.adaptive_representation);
         let eff = ExecutionConfig::new(Algorithm::Efficient, 4);
-        assert!(eff.features.kernel_fusion);
+        assert!(eff.features.adaptive_representation);
         assert!(eff.features.adaptive_counter_update);
         assert_eq!(eff.threads, 4);
         // Zero threads is clamped to one.

@@ -1,6 +1,11 @@
 //! The EfficientIMM `Find_Most_Influential_Set` kernel (Algorithm 2 of the
 //! paper).
 //!
+//! This eager kernel is one of the reproduction's subjects — the figure and
+//! table binaries and the benches measure it — and the parity oracle of the
+//! lazy-greedy (CELF) session `run_imm` selects with
+//! ([`super::select_seeds_celf`]); `run_imm` does not call it.
+//!
 //! The RRR sets — not the vertices — are partitioned across threads. Each
 //! thread scatters atomic increments for its sets into one shared
 //! [`GlobalCounter`]; the most influential vertex is the counter's argmax;

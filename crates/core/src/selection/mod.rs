@@ -1,33 +1,41 @@
 //! `Find_Most_Influential_Set`: the greedy max-coverage seed selection over
-//! the sampled RRR sets, in both of the paper's flavours.
+//! the sampled RRR sets.
+//!
+//! `run_imm` selects with [`select_seeds_celf`]: the lazy-greedy (CELF)
+//! session of `imm_rrr` ([`imm_rrr::LazyGreedy`], the one every `imm-service`
+//! Top-K runs) over the sample's postings, on the calling thread. The Ripples
+//! engine's run keeps its eager baseline kernel. The paper's two eager
+//! kernels are the reproduction's subjects, benchmarked by the figure and
+//! table binaries and kept as the parity oracle of the lazy one:
 //!
 //! * [`ripples`] — the baseline: vertices partitioned across threads, every
 //!   thread scans every RRR set, sorted sets probed with binary search,
 //!   covered sets handled by decrementing per-thread counters.
-//! * [`efficient`] — EfficientIMM: RRR sets partitioned across threads,
-//!   concurrent atomic updates to one shared counter, a sequential argmax
-//!   over it, and the adaptive decrement-vs-rebuild counter update. The
-//!   sets a seed covers come from a per-selection inverted index over the
-//!   list sets plus a bit probe of the (few, dense) bitmap sets — never from
-//!   a scan of all θ sets.
+//! * [`efficient`] — EfficientIMM (Algorithm 2): RRR sets partitioned across
+//!   threads, concurrent atomic updates to one shared counter, a sequential
+//!   argmax over it, and the adaptive decrement-vs-rebuild counter update.
+//!   The sets a seed covers come from a per-selection inverted index over
+//!   the list sets plus a bit probe of the (few, dense) bitmap sets — never
+//!   from a scan of all θ sets.
 //!
-//! Both kernels fork-join on the process-global `imm-exec` pool through
-//! `rayon::scope` / [`crate::balance::run_jobs`], `exec.threads` tasks
-//! wide; no kernel takes a pool handle.
+//! Both eager kernels fork-join on the process-global `imm-exec` pool
+//! through `rayon::scope` / [`crate::balance::run_jobs`], `exec.threads`
+//! tasks wide; no kernel takes a pool handle.
 //!
-//! Both return the same seeds for the same input (greedy max coverage is
-//! deterministic up to tie-breaking, and both kernels break ties toward the
-//! smaller vertex id); the test suite asserts this equivalence, which is the
-//! paper's "without sacrificing accuracy" claim.
+//! All three return the same seeds and coverage for the same input (greedy
+//! max coverage is deterministic up to tie-breaking, and every kernel breaks
+//! ties toward the smaller vertex id); the test suite asserts this
+//! equivalence, which is the paper's "without sacrificing accuracy" claim.
 
 pub mod efficient;
 pub mod ripples;
 
 use crate::counter::GlobalCounter;
+use crate::metrics;
 use crate::params::{Algorithm, ExecutionConfig};
 use crate::stats::WorkProfile;
 use crate::NodeId;
-use imm_rrr::RrrCollection;
+use imm_rrr::{LazyGreedy, Postings, RrrCollection};
 
 /// Result of one seed-selection run.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +54,12 @@ pub struct SeedSelection {
     pub counter_decrements: usize,
 }
 
-/// Select `k` seeds from `sets` using the engine chosen by `exec`.
+/// Select `k` seeds from `sets` with the eager kernel of the engine chosen
+/// by `exec`.
 ///
-/// When the EfficientIMM engine runs with kernel fusion the caller may pass
-/// the already-populated counter in `fused_counter`; otherwise the kernel
-/// builds its own occurrence counts.
+/// The caller may pass occurrence counts fused into sampling in
+/// `fused_counter` for the EfficientIMM kernel; otherwise the kernel builds
+/// its own.
 pub fn select_seeds(
     sets: &RrrCollection,
     k: usize,
@@ -60,6 +69,29 @@ pub fn select_seeds(
     match exec.algorithm {
         Algorithm::Ripples => ripples::select_seeds_ripples(sets, k, exec.threads),
         Algorithm::Efficient => efficient::select_seeds_efficient(sets, k, exec, fused_counter),
+    }
+}
+
+/// Select `k` seeds with the lazy-greedy (CELF) session over the postings of
+/// `sets`, built here: what `run_imm` does at every θ step. The work is the
+/// postings entries built plus the frontier evaluations, all on worker 0 of
+/// a `threads`-wide profile; the rounds go to `core_selection_rounds`.
+pub fn select_seeds_celf(sets: &RrrCollection, k: usize, threads: usize) -> SeedSelection {
+    let postings = Postings::build(sets).expect("RRR set members lie inside the vertex space");
+    let mut session = LazyGreedy::fresh(&postings);
+    let (seeds, covered) = session.top_k(postings.view(), k);
+    let celf = session.take_work();
+    metrics::register();
+    metrics::SELECTION_ROUNDS.add(celf.rounds);
+    let mut work = WorkProfile::new(threads);
+    work.per_thread_ops[0] = postings.entries() + celf.pops;
+    work.search_probes = work.per_thread_ops[0];
+    SeedSelection {
+        seeds,
+        coverage_fraction: if sets.is_empty() { 0.0 } else { covered as f64 / sets.len() as f64 },
+        work,
+        counter_rebuilds: 0,
+        counter_decrements: 0,
     }
 }
 
@@ -151,6 +183,25 @@ mod tests {
     use super::test_support::*;
     use super::*;
     use crate::params::{Algorithm, ExecutionConfig};
+
+    #[test]
+    fn celf_matches_the_reference_greedy_in_every_representation() {
+        let sets: &[&[NodeId]] =
+            &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]];
+        for policy in policies() {
+            let collection = collection_with_policy(6, sets, &policy);
+            for k in [1, 3, 6] {
+                let celf = select_seeds_celf(&collection, k, 2);
+                let (seeds, fraction) = greedy_reference(&collection, k);
+                assert_eq!(celf.seeds, seeds, "k = {k}");
+                assert_eq!(celf.coverage_fraction.to_bits(), fraction.to_bits(), "k = {k}");
+                assert_eq!(celf.work.per_thread_ops.len(), 2);
+                assert!(celf.work.total_ops() > 0);
+            }
+        }
+        let empty = select_seeds_celf(&collection(6, &[]), 2, 1);
+        assert_eq!((empty.seeds, empty.coverage_fraction), (vec![0, 0], 0.0));
+    }
 
     #[test]
     fn dispatch_runs_both_engines() {

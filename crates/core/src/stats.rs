@@ -62,8 +62,9 @@ pub struct WorkProfile {
     pub atomic_ops: u64,
     /// Membership work of the selection kernel. Ripples: binary-search
     /// probes issued (zero when bitmaps answer membership in O(1)).
-    /// EfficientIMM: inverted-index entries built (one per list-set member,
-    /// per selection) + postings entries inspected + bitmap sets probed.
+    /// EfficientIMM's eager kernel: inverted-index entries built (one per
+    /// list-set member, per selection) + postings entries inspected + bitmap
+    /// sets probed. CELF: postings entries built + frontier evaluations.
     pub search_probes: u64,
 }
 
@@ -122,10 +123,6 @@ pub struct RuntimeBreakdown {
     pub sampling_iterations: usize,
     /// Peak RRR-set storage in bytes.
     pub rrr_memory_bytes: usize,
-    /// How many counter rebuilds the adaptive update chose (EfficientIMM).
-    pub counter_rebuilds: usize,
-    /// How many decrement-style updates were used.
-    pub counter_decrements: usize,
 }
 
 impl RuntimeBreakdown {

@@ -26,8 +26,12 @@
 //! * [`Postings`] — the inverse, vertex → sets containing it, with the dual
 //!   adaptive rule: a dense vertex stores a bit row, a sparse one a list.
 //!   A serving index keeps only this.
+//! * [`LazyGreedy`] — the lazy-greedy (CELF) seed selection over a
+//!   [`Postings`]: `run_imm`'s selection at every θ step and every Top-K an
+//!   `imm-service` engine answers.
 
 pub mod bitset;
+pub mod celf;
 pub mod codec;
 pub mod collection;
 pub mod postings;
@@ -35,6 +39,7 @@ pub mod provenance;
 pub mod set;
 
 pub use bitset::BitSet;
+pub use celf::{CelfWork, LazyGreedy};
 pub use codec::{ByteReader, CodecError};
 pub use collection::{CoverageStats, RrrCollection, SetView, SetViews};
 pub use postings::{

@@ -2,7 +2,7 @@
 //! marginal-gain estimates, a batch executor, and the response cache.
 //!
 //! The Top-K path is the point of the subsystem: the engine keeps one
-//! persistent lazy-greedy session ([`crate::masked::LazyGreedy`]) — the
+//! persistent lazy-greedy session ([`imm_rrr::LazyGreedy`]) — the
 //! covered sets, the gain bounds, the selected seeds — and only ever
 //! *extends* it. Asking for `k` and later `k+5` computes five new rounds,
 //! not `k+5`; nothing is resampled, ever. The served seeds stay
@@ -17,9 +17,9 @@
 
 use crate::cache::{CacheStats, QueryCache};
 use crate::index::SketchIndex;
-use crate::masked::{LazyGreedy, MaskedPool};
+use crate::masked::{record_celf, MaskedPool};
 use crate::query::{Query, QueryKey, QueryResponse};
-use imm_rrr::{BitSet, NodeId, Postings};
+use imm_rrr::{BitSet, LazyGreedy, NodeId, Postings};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -219,7 +219,12 @@ impl QueryEngine {
 
     fn top_k(&self, k: usize) -> QueryResponse {
         let postings = self.index.postings().view();
-        let (seeds, covered) = self.greedy.lock().top_k(postings, k);
+        let (seeds, covered) = {
+            let mut greedy = self.greedy.lock();
+            let answer = greedy.top_k(postings, k);
+            record_celf(&mut greedy);
+            answer
+        };
         self.topk_response(seeds, covered)
     }
 

@@ -18,7 +18,8 @@
 //!   shared prefix: budgets `k` then `k + 5` reuse the first `k` rounds and
 //!   never resample; an optional **audience** bitmap restricts coverage to
 //!   the sets touching a vertex slice — the same session started with
-//!   every other set covered; both run the one lazy greedy of [`masked`]),
+//!   every other set covered; both run `imm_rrr`'s one lazy greedy,
+//!   [`imm_rrr::LazyGreedy`], and [`masked`] pools the audience sessions),
 //!   [`Query::Spread`] and
 //!   [`Query::Marginal`]; batches fan out across worker threads and
 //!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
@@ -79,7 +80,7 @@ pub use cache::{CacheStats, QueryCache};
 pub use dynamic::{DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance};
 pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
-pub use masked::{LazyGreedy, MaskedPool};
+pub use masked::MaskedPool;
 pub use query::{Query, QueryKey, QueryResponse};
 pub use recover::{RecoverError, Recovered};
 pub use snapshot::{

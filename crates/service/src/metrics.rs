@@ -9,9 +9,10 @@
 //!   and would drown the percentiles, so they are counted, not timed), plus
 //!   hit/miss/eviction counters and a queries/sec rate meter. The sharded
 //!   engine serves through an inner `QueryEngine`, so these cover both.
-//! * **CELF** — rounds, heap pops, and stale revalidations, recorded by
-//!   the one frontier pop every Top-K session of every engine goes
-//!   through ([`crate::masked`]). A revalidation blow-up (pops ≫ rounds)
+//! * **CELF** — rounds, heap pops, and stale revalidations, which the one
+//!   lazy-greedy session every Top-K of every engine runs
+//!   ([`imm_rrr::LazyGreedy`]) tallies and the engine adds once per query
+//!   ([`crate::masked`]). A revalidation blow-up (pops ≫ rounds)
 //!   is the classic lazy-greedy failure mode and is invisible from
 //!   end-to-end latency alone. Plus the eligible-set count of each
 //!   audience Top-K session, which its postings walk finds.
@@ -23,7 +24,7 @@
 //!   "no rows"), set when an engine starts serving and after each refresh.
 //!
 //! All hot-path updates are relaxed atomic adds; CELF totals are
-//! accumulated per round, not per pop. Engine constructors and the refresh
+//! accumulated per query, not per pop. Engine constructors and the refresh
 //! path call [`register`].
 
 use imm_rrr::PostingsStats;
