@@ -55,7 +55,8 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # greedy (fresh Top-K) and the dense oracle (audience Top-K, one copy in
 # imm-service and one in imm-shard, so that name must appear twice); the
 # spliced graph delta against the CSR rebuild it replaced; run_imm's one
-# selection per sample.
+# selection per sample that can pass its check; the sampler's once-per-worker
+# registry flush.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -67,7 +68,7 @@ for expected in runtime_stress \
   imm_store store_parity mmap_fallback \
   differential shard_parity sampler_oracle \
   postings_inverse celf_parity masked_differential \
-  delta_splice selection_rounds; do
+  delta_splice selection_rounds sampling_tallies; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
@@ -217,7 +218,10 @@ fi
 # bottom-up sweep splits a VisitMarker's fields instead of aliasing them,
 # and its out-side is a CsrGraph::transpose_with_slots. Fused sampling
 # counts each set into a per-worker tally that is merged after the join,
-# so no per-member shared atomic comes back into the sampling loop.
+# so no per-member shared atomic comes back into the sampling loop, and a
+# worker tallies its sets and members in its VisitMarker, whose drop is
+# the one flush into the registry: the set counters are named nowhere else
+# in sampling.rs, so no per-set shared atomic comes back either.
 echo "==> sampler guard: no unsafe in crates/core/src or crates/rrr/src, no shared counter in sampling"
 if grep -rnw 'unsafe' crates/core/src crates/rrr/src; then
   echo "error: crates/core/src and crates/rrr/src hold no unsafe" >&2
@@ -227,10 +231,17 @@ if grep -n 'counter\.increment(' crates/core/src/sampling.rs; then
   echo "error: sampling counts into per-worker tallies; do not increment the shared counter per member" >&2
   exit 1
 fi
+if sed '/^impl Drop for VisitMarker/,/^}/d' crates/core/src/sampling.rs \
+  | grep -nE 'SETS_SAMPLED|SET_VERTICES'; then
+  echo "error: a worker's VisitMarker flushes the set counters once per call; do not add to them per set" >&2
+  exit 1
+fi
 
-# `efficient_imm::sampling::generate_rrr_sets` is the one parallel sampling
-# driver: a run, an index build and a refresh all draw through it, and its
-# output is the chunk collections spliced in job order. The owned set type,
+# `efficient_imm::sampling::generate_rrr_sets_into` is the one parallel
+# sampling driver (`generate_rrr_sets` is it over a new collection): a run,
+# an index build and a refresh all draw through it, each pool task fills one
+# output for the whole call, and the tasks' job ranges are appended to the
+# caller's collection in job order. The owned set type,
 # the single-set resample entry, the refresh's own chunking and the per-slot
 # assembly it replaced stay gone, and imm-service holds no sampler state.
 echo "==> sampling-driver guard: one parallel sampling driver, no owned RRR set"

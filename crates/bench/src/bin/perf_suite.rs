@@ -78,7 +78,7 @@
 //!       "recording_enabled": true,      //   false under --features obs-off
 //!       "counter_add_ns": 3.1,          //   one relaxed counter add
 //!       "histogram_record_ns": 4.0,     //   one relaxed histogram record
-//!       "obs_events_per_set": 2.0,      //   core counter deltas / θ
+//!       "obs_events_per_set": 0.0003,   //   4 flushed adds per task / θ
 //!       "baseline_sampling_sets_per_sec": 1.02e6, // from --obs-baseline
 //!       "sampling_throughput_ratio": 0.99         // instrumented/baseline
 //!     }
@@ -269,20 +269,16 @@ fn main() {
     // tens of milliseconds, so a single run would be mostly scheduler
     // noise, and phase 5's obs-off comparison needs a stable number on
     // both sides. Every trial regenerates the same θ sets (same seed); the
-    // last trial's collection feeds the later phases. The core counter
-    // deltas around the first timed region tell us how many
-    // instrumentation events the workload actually generated per set
-    // (phase 5 turns that into a cost bound).
-    let sets_sampled_before = efficient_imm::metrics::SETS_SAMPLED.value();
+    // last trial's collection feeds the later phases. Phase 5 turns the
+    // instrumentation events of one call into a cost bound.
     let mut sampling_trial_secs: Vec<f64> = Vec::with_capacity(w.sampling_trials);
     let t0 = Instant::now();
     let mut out = generate_rrr_sets(&graph, &weights, w.theta, |i| i, &sampling);
     sampling_trial_secs.push(t0.elapsed().as_secs_f64());
-    let obs_events_during_sampling =
-        // Two relaxed atomic adds per generated set (SETS_SAMPLED +
-        // SET_VERTICES) at the one sampling choke point — the whole
-        // instrumentation budget.
-        2 * (efficient_imm::metrics::SETS_SAMPLED.value() - sets_sampled_before);
+    // The whole instrumentation budget: each pool task's visit marker
+    // flushes four relaxed counter adds once per call (sets, members, edge
+    // probes, sweeps), never per set.
+    let obs_events_during_sampling = 4 * sampling.threads.max(1) as u64;
     for _ in 1..w.sampling_trials {
         let t = Instant::now();
         out = generate_rrr_sets(&graph, &weights, w.theta, |i| i, &sampling);

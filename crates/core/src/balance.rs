@@ -5,16 +5,20 @@
 //! giant sets. The paper's remedy is a producer-consumer scheme in which
 //! threads pull fixed-size job batches from a shared queue as they finish.
 //!
-//! That shared queue is [`JobQueue`]: one atomic cursor. [`run_jobs`]
+//! That shared queue is [`JobQueue`]: one atomic cursor. [`run_tasks`]
 //! executes `total` jobs under either schedule as one fork-join of
 //! `threads` tasks on the process-global `imm-exec` pool, which only forks
-//! and joins — the balancing is the cursor's, not the pool's. The worker
-//! closure receives `(worker index, job range)` so callers can
-//! keep per-worker scratch state (RNGs, local collections, work counters)
-//! and preserve the locality benefits the paper notes ("while still
-//! preserving the advantages of locality … within each job batch").
+//! and joins — the balancing is the cursor's, not the pool's. Each task
+//! keeps one state for the whole call (scratch, output, tallies), made at
+//! its first job range and handed back after the join, and the worker
+//! closure receives `(state, slot, job range)`; the slot is the per-worker
+//! attribution index. That preserves the locality benefits the paper notes
+//! ("while still preserving the advantages of locality … within each job
+//! batch") across every range a task drains. [`run_jobs`] is the stateless
+//! form.
 
 use imm_graph::{block_ranges, Range};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How jobs are distributed over workers.
@@ -60,29 +64,51 @@ impl JobQueue {
     }
 }
 
-/// Execute `total` jobs as `threads` tasks under `schedule`.
+/// Execute `total` jobs as `threads` tasks under `schedule`, each task with
+/// one state for the whole call.
 ///
-/// The worker closure is called as `worker(slot, range)` where `slot` is
-/// always in `[0, threads)`; ranges never overlap and together cover
-/// `[0, total)` exactly once.
+/// A task makes its state with `init` when it takes its first job range,
+/// then calls `worker(&mut state, slot, range)` for every range it takes;
+/// `slot` is always in `[0, threads)`, and the ranges never overlap and
+/// together cover `[0, total)` exactly once. The states of the tasks that
+/// took a range come back after the join, in no particular order (a task
+/// that took none made none).
 ///
-/// Under the static schedule `slot` is the owning worker's index. Under the
-/// dynamic schedule it is the chunk ordinal modulo `threads` — the slot a
-/// perfectly balanced dynamic scheduler would hand the chunk to. Callers use
-/// the slot for per-worker accounting (work profiles, scratch buffers), so
-/// attribution stays deterministic and meaningful even when the physical
-/// machine has fewer cores than requested workers and one OS thread happens
-/// to drain most of the queue. Shared per-slot state must still be
-/// synchronized (two workers can execute chunks with the same slot
+/// Under the static schedule each task takes one range and `slot` is the
+/// owning worker's index. Under the dynamic schedule tasks take chunks off
+/// the shared cursor until it runs dry, and `slot` is the chunk ordinal
+/// modulo `threads` — the slot a perfectly balanced dynamic scheduler would
+/// hand the chunk to. Callers use the slot for per-worker accounting (work
+/// profiles), so attribution stays deterministic and meaningful even when
+/// the physical machine has fewer cores than requested workers and one OS
+/// thread happens to drain most of the queue. Shared per-slot state must
+/// still be synchronized (two tasks can execute chunks with the same slot
 /// concurrently).
-pub fn run_jobs<F>(threads: usize, total: usize, schedule: Schedule, worker: F)
+pub fn run_tasks<S, I, F>(
+    threads: usize,
+    total: usize,
+    schedule: Schedule,
+    init: I,
+    worker: F,
+) -> Vec<S>
 where
-    F: Fn(usize, Range) + Sync,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, Range) + Sync,
 {
     let threads = threads.max(1);
     if total == 0 {
-        return;
+        return Vec::new();
     }
+    let states = Mutex::new(Vec::new());
+    // One task: its ranges, in the order it takes them, then its state.
+    let task = |ranges: &mut dyn Iterator<Item = (usize, Range)>| {
+        let mut state = None;
+        for (slot, range) in ranges {
+            worker(state.get_or_insert_with(&init), slot, range);
+        }
+        states.lock().extend(state);
+    };
     match schedule {
         Schedule::Static => {
             let ranges = block_ranges(total, threads);
@@ -91,8 +117,8 @@ where
                     if range.is_empty() {
                         continue;
                     }
-                    let worker = &worker;
-                    s.spawn(move |_| worker(worker_idx, range));
+                    let task = &task;
+                    s.spawn(move |_| task(&mut std::iter::once((worker_idx, range))));
                 }
             });
         }
@@ -104,24 +130,29 @@ where
             let queue = JobQueue::new(total, chunk);
             rayon::scope(|s| {
                 for _ in 0..threads {
-                    let queue = &queue;
-                    let worker = &worker;
+                    let (queue, task) = (&queue, &task);
                     s.spawn(move |_| {
-                        while let Some(range) = queue.claim() {
-                            let slot = (range.start / chunk) % threads;
-                            worker(slot, range);
-                        }
+                        let claims = std::iter::from_fn(|| queue.claim());
+                        task(&mut claims.map(|range| ((range.start / chunk) % threads, range)))
                     });
                 }
             });
         }
     }
+    states.into_inner()
+}
+
+/// [`run_tasks`] without task state: `worker(slot, range)` for every range.
+pub fn run_jobs<F>(threads: usize, total: usize, schedule: Schedule, worker: F)
+where
+    F: Fn(usize, Range) + Sync,
+{
+    run_tasks(threads, total, schedule, || (), |_, slot, range| worker(slot, range));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::collections::HashSet;
 
     #[test]

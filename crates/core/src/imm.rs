@@ -1,22 +1,38 @@
 //! The full IMM workflow (Algorithm 1 of the paper): the martingale sampling
 //! phase that determines θ, followed by the final seed selection.
 //!
-//! Each θ step selects once on the whole sample so far. The EfficientIMM
-//! engine selects with the lazy-greedy (CELF) session over the sample's
-//! postings ([`select_seeds_celf`]), the Ripples engine with its eager
-//! baseline kernel. When the final top-up draws no set, the last step's
-//! selection is already the one on the final sample and is returned as is.
+//! Each θ step selects at most once on the whole sample so far. The Ripples
+//! engine selects at every step with its eager baseline kernel. The
+//! EfficientIMM engine selects with the lazy-greedy (CELF) session over the
+//! sample's postings ([`select_seeds_celf_over`]), and only at a step whose
+//! convergence check the selection could pass.
+//!
+//! That check is Algorithm 2's `n · F(S_i) ≥ (1 + ε′) · x_i` on the greedy
+//! coverage `F(S_i) = covered / θ_i`. The engine keeps, batch by batch, how
+//! many sets of the sample contain each vertex ([`count_memberships`]), and
+//! before it selects applies the check to `bound / θ_i`, where `bound` is
+//! the sum of the k largest counts ([`coverage_bound`]). A seed covers at
+//! most the sets containing it, so the k greedy seeds cover at most
+//! `bound` sets; dividing by θ_i and multiplying by n are monotone in
+//! floating point, so if the bound fails the check, the greedy coverage
+//! fails it too. Such a step builds no postings and plays no CELF, and the
+//! run's seeds, θ and coverage are the ones selecting at every step gives.
+//! The counts are also the degrees of the postings a selection builds
+//! ([`Postings::build_with_degrees`]), which skips its own count pass.
+//!
+//! When the final top-up draws no set, the last step's selection is already
+//! the one on the final sample and is returned as is.
 
 use crate::balance::Schedule;
 use crate::math;
 use crate::params::{Algorithm, ExecutionConfig, ImmParams};
-use crate::sampling::{generate_rrr_sets, set_provenance, SamplingConfig};
+use crate::sampling::{generate_rrr_sets_into, set_provenance, SamplingConfig};
 use crate::selection::ripples::select_seeds_ripples;
-use crate::selection::select_seeds_celf;
+use crate::selection::{coverage_bound, select_seeds_celf_over};
 use crate::stats::RuntimeBreakdown;
 use crate::NodeId;
 use imm_graph::{CsrGraph, EdgeWeights};
-use imm_rrr::{CoverageStats, RrrCollection, SetProvenance};
+use imm_rrr::{count_memberships, CoverageStats, Postings, RrrCollection, SetProvenance};
 use std::time::Instant;
 
 /// Errors returned by [`run_imm`].
@@ -108,28 +124,56 @@ pub fn run_imm(
         }
         let start = sets.len();
         let t0 = Instant::now();
-        let out = generate_rrr_sets(graph, weights, target - start, |job| start + job, &config);
+        let work = generate_rrr_sets_into(
+            graph,
+            weights,
+            target - start,
+            |job| start + job,
+            &config,
+            sets,
+        );
         breakdown.timings.generate_rrrsets += t0.elapsed();
-        breakdown.sampling_work.merge(&out.work);
-        sets.extend_from(out.sets);
+        breakdown.sampling_work.merge(&work);
         true
     };
-    // The one selection step, on the whole sample so far.
-    let select = |sets: &RrrCollection, breakdown: &mut RuntimeBreakdown| {
-        let t0 = Instant::now();
-        let selection = match exec.algorithm {
-            Algorithm::Ripples => select_seeds_ripples(sets, k, exec.threads),
-            Algorithm::Efficient => select_seeds_celf(sets, k, exec.threads),
+    // EfficientIMM: how many of the first `counted` sets contain each vertex.
+    let mut counts = vec![0u32; if exec.algorithm == Algorithm::Efficient { n } else { 0 }];
+    let mut counted = 0;
+    // The one selection step, on the whole sample so far. At θ step `i`
+    // (`check`), EfficientIMM skips it (`None`) when the coverage bound
+    // already fails the step's convergence check.
+    let mut select =
+        |sets: &RrrCollection, check: Option<usize>, breakdown: &mut RuntimeBreakdown| {
+            let t0 = Instant::now();
+            let selection = match exec.algorithm {
+                Algorithm::Ripples => Some(select_seeds_ripples(sets, k, exec.threads)),
+                Algorithm::Efficient => {
+                    count_memberships(sets, counted, &mut counts)
+                        .expect("RRR set members lie inside the vertex space");
+                    counted = sets.len();
+                    let bound = coverage_bound(&counts, k) as f64 / sets.len().max(1) as f64;
+                    match check {
+                        Some(i) if !math::sampling_converged(n, bound, epsilon, i) => None,
+                        _ => {
+                            let postings = Postings::build_with_degrees(sets, &counts)
+                                .expect("RRR set members lie inside the vertex space");
+                            Some(select_seeds_celf_over(&postings, k, exec.threads))
+                        }
+                    }
+                }
+            };
+            breakdown.timings.find_most_influential += t0.elapsed();
+            if let Some(selection) = &selection {
+                breakdown.selection_work.merge(&selection.work);
+                breakdown.selections += 1;
+            }
+            selection
         };
-        breakdown.timings.find_most_influential += t0.elapsed();
-        breakdown.selection_work.merge(&selection.work);
-        selection
-    };
 
     let mut sets = RrrCollection::new(n);
     let mut lower_bound = 1.0f64;
     let mut converged = false;
-    // The selection on the sample as it stands.
+    // The selection on the sample as it stands, if one was made.
     let mut selection = None;
 
     // Sampling phase: geometrically growing θ until the greedy solution on
@@ -139,11 +183,13 @@ pub fn run_imm(
         draw(&mut sets, math::theta_for_iteration(n, k, epsilon, ell, i), &mut breakdown);
         breakdown.sampling_iterations = i;
 
-        let step = selection.insert(select(&sets, &mut breakdown));
-        if math::sampling_converged(n, step.coverage_fraction, epsilon, i) {
-            lower_bound = math::opt_lower_bound(n, step.coverage_fraction, epsilon);
-            converged = true;
-            break;
+        selection = select(&sets, Some(i), &mut breakdown);
+        if let Some(step) = selection.as_ref() {
+            if math::sampling_converged(n, step.coverage_fraction, epsilon, i) {
+                lower_bound = math::opt_lower_bound(n, step.coverage_fraction, epsilon);
+                converged = true;
+                break;
+            }
         }
     }
     if !converged {
@@ -160,7 +206,7 @@ pub fn run_imm(
     let drew = draw(&mut sets, theta, &mut breakdown);
     let selection = match selection {
         Some(selection) if !drew => selection,
-        _ => select(&sets, &mut breakdown),
+        _ => select(&sets, None, &mut breakdown).expect("an unchecked selection is always made"),
     };
 
     breakdown.rrr_sets_generated = sets.len();

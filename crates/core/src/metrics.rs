@@ -2,23 +2,23 @@
 //! `imm-obs` registry.
 //!
 //! The selection counters are paid once per selection call: the rounds by
-//! `select_seeds_celf` (`run_imm`'s) and `select_seeds_efficient`, the
+//! `select_seeds_celf_over` (`run_imm`'s) and `select_seeds_efficient`, the
 //! postings walked by the eager kernel alone.
 //! The sampling loop is the hottest path in the system (millions of RRR
-//! sets per second), so instrumentation is held to the imm-obs budget:
-//! two relaxed atomic adds per generated *set* (never per vertex), paid
-//! once at the single choke point every sampling path funnels through.
-//! The perf suite's `obs-off` overhead guard measures exactly these
-//! events. The IC kernel's probe and sweep tallies ride in each worker's
-//! `VisitMarker` and are added when it is dropped — once per worker per
-//! sampling call. [`register`] is called once per bulk sampling or
-//! selection call, never per set.
+//! sets per second), so its instrumentation costs nothing per set: each
+//! worker tallies its sets, their members, its edge probes and its sweeps
+//! in plain fields of its `VisitMarker`, and the marker adds the four into
+//! the registry when it is dropped — once per worker per sampling call
+//! (the one-shot path: when the caller drops its marker). Two workers
+//! never share a counter's cache line per set. [`register`] is called once
+//! per bulk sampling or selection call, never per set.
 
 imm_obs::metrics! {
-    /// The one-shot path counts here too.
+    /// Added once per worker per call, off the worker's `VisitMarker`; the
+    /// one-shot path counts here too.
     pub SETS_SAMPLED: Counter = "core_rrr_sets_sampled",
         "RRR sets generated by the sampling loop across bulk and refresh paths";
-    /// Accumulated with one add per set.
+    /// Added once per worker per call, off the worker's `VisitMarker`.
     pub SET_VERTICES: Counter = "core_rrr_set_vertices",
         "Vertices appended into generated RRR sets (reverse-reachability traversal work)";
     /// Added once per worker per call, off the worker's `VisitMarker`.

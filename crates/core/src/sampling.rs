@@ -41,42 +41,46 @@
 //! levels keep the branch, which predicts well when coins are rarely live.
 //! A bottom-up sweep tests out-edges four at a time.
 //!
-//! [`generate_rrr_sets`] is the workspace's one parallel driver: a batch
-//! run's sample, a serving index's build and a refresh's resample all draw
-//! through it. Job `j` draws the set of key `(rng_seed, set_index(j))` for
-//! the caller's `set_index`, the jobs are balanced over the workers, and the
-//! sets come back in job order, so results are identical — order included —
-//! for any thread count or schedule. When the EfficientIMM kernel fusion is
-//! enabled (Algorithm 3 of the paper) each freshly generated set is counted
-//! while it is still hot in cache: into a per-worker tally of plain
-//! integers, which the driver adds into the caller's [`GlobalCounter`] once
-//! the workers join.
+//! [`generate_rrr_sets_into`] is the workspace's one parallel driver: a
+//! batch run's sample, a serving index's build and a refresh's resample all
+//! draw through it ([`generate_rrr_sets`] is it over a new collection). Job
+//! `j` draws the set of key `(rng_seed, set_index(j))` for the caller's
+//! `set_index`, the jobs are balanced over the workers, and the sets are
+//! appended to the caller's collection in job order, so results are
+//! identical — order included — for any thread count or schedule. Each pool
+//! task keeps its visit marker, scratch and output for the whole call, and
+//! its tallies reach the registry once, when the call ends. When the
+//! EfficientIMM kernel fusion is enabled (Algorithm 3 of the paper) each
+//! freshly generated set is counted while it is still hot in cache: into a
+//! per-worker tally of plain integers, which the driver adds into the
+//! caller's [`GlobalCounter`] once the workers join.
 
-use crate::balance::{run_jobs, Schedule};
+use crate::balance::{run_tasks, Schedule};
 use crate::counter::GlobalCounter;
 use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{CsrGraph, EdgeWeights};
 use imm_rrr::{AdaptivePolicy, Representation, RrrCollection, SetProvenance};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Epoch-stamped visited marker reused across RRR-set generations by one
 /// worker, so each set costs O(set size) rather than O(|V|) to reset.
 ///
-/// It also holds the worker's bottom-up state: the list of vertices not yet
-/// in the current set, and the kernel's edge-probe and sweep tallies. The
-/// tallies reach the registry (`core_rrr_edges_probed`,
-/// `core_rrr_bottom_up_sweeps`) when the marker is dropped — once per
-/// worker per sampling call, never per set.
+/// It also holds the worker's bottom-up state — the list of vertices not
+/// yet in the current set — and its tallies: sets drawn, members appended,
+/// edges probed and bottom-up sweeps. The tallies reach the registry
+/// (`core_rrr_sets_sampled`, `core_rrr_set_vertices`,
+/// `core_rrr_edges_probed`, `core_rrr_bottom_up_sweeps`) when the marker is
+/// dropped — once per worker per sampling call, never per set.
 #[derive(Debug)]
 pub struct VisitMarker {
     stamps: Vec<u32>,
     epoch: u32,
     /// The vertices a set's bottom-up sweeps left outside it.
     unvisited: Vec<NodeId>,
+    sets_sampled: u64,
+    set_vertices: u64,
     edges_probed: u64,
     bottom_up_sweeps: u64,
 }
@@ -88,6 +92,8 @@ impl VisitMarker {
             stamps: vec![0; num_nodes],
             epoch: 0,
             unvisited: Vec::new(),
+            sets_sampled: 0,
+            set_vertices: 0,
             edges_probed: 0,
             bottom_up_sweeps: 0,
         }
@@ -122,8 +128,11 @@ impl VisitMarker {
     }
 }
 
+/// The per-worker flush: the only place the sampler touches the registry.
 impl Drop for VisitMarker {
     fn drop(&mut self) {
+        crate::metrics::SETS_SAMPLED.add(self.sets_sampled);
+        crate::metrics::SET_VERTICES.add(self.set_vertices);
         crate::metrics::EDGES_PROBED.add(self.edges_probed);
         crate::metrics::BOTTOM_UP_SWEEPS.add(self.bottom_up_sweeps);
     }
@@ -379,11 +388,10 @@ pub fn generate_rrr_set_into(
             lt_reverse_walk(source.graph, source.weights, root, key, marker, out)
         }
     };
-    // This is the one choke point every sampling path funnels through
-    // (the bulk driver, one-shot), so the instrumentation budget —
-    // two relaxed atomics per generated set — is paid exactly once here.
-    crate::metrics::SETS_SAMPLED.increment();
-    crate::metrics::SET_VERTICES.add(appended as u64);
+    // Every sampling path (the bulk driver, one-shot) funnels through here:
+    // the set is tallied in the marker, whose drop flushes the tallies.
+    marker.sets_sampled += 1;
+    marker.set_vertices += appended as u64;
     appended
 }
 
@@ -663,17 +671,8 @@ pub struct SamplingConfig<'a> {
     pub fused_counter: Option<&'a GlobalCounter>,
 }
 
-/// Generate `count` RRR sets, `config.threads` tasks wide on the
-/// process-global pool: job `j` draws the set keyed
-/// `(config.rng_seed, set_index(j))`.
-///
-/// The returned collection is in job order for every thread count and
-/// schedule: position `j` holds job `j`'s set. That canonical order is what
-/// lets a batch run top its sample up (`|job| start + job`) and the
-/// `imm-service` refresh redraw exactly the sets a delta invalidated
-/// (`|job| ids[job]`). Each job range fills its own collection, and the
-/// finished collections are spliced in range order into one that reserves
-/// the exact arena size up front.
+/// Generate `count` RRR sets into a new collection: [`generate_rrr_sets_into`]
+/// over an empty one.
 pub fn generate_rrr_sets(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -681,41 +680,79 @@ pub fn generate_rrr_sets(
     set_index: impl Fn(usize) -> usize + Sync,
     config: &SamplingConfig<'_>,
 ) -> SamplingOutput {
+    let mut sets = RrrCollection::new(graph.num_nodes());
+    let work = generate_rrr_sets_into(graph, weights, count, set_index, config, &mut sets);
+    SamplingOutput { sets, work }
+}
+
+/// One pool task's state for a whole [`generate_rrr_sets_into`] call.
+struct SamplingTask {
+    marker: VisitMarker,
+    /// The members of the set being drawn.
+    members: Vec<NodeId>,
+    /// The fused counts, when the call fuses. An entry counts sets of this
+    /// call that hold its vertex, so `u32` wraps only past 2^32 sets, whose
+    /// members alone would fill 16 GiB.
+    tally: Option<Vec<u32>>,
+    /// Members appended, per slot.
+    ops: Vec<u64>,
+    /// The task's sets, in the order it drew them.
+    sets: RrrCollection,
+    /// Every job range the task took: its first job and its sets' positions
+    /// in `sets`.
+    ranges: Vec<(usize, std::ops::Range<usize>)>,
+}
+
+/// Generate `count` RRR sets and append them to `sets`, `config.threads`
+/// tasks wide on the process-global pool: job `j` draws the set keyed
+/// `(config.rng_seed, set_index(j))`. Returns the work profile.
+///
+/// The sets are appended in job order for every thread count and schedule:
+/// position `sets.len() + j` (as it was on entry) holds job `j`'s set. That
+/// canonical order is what lets a batch run top its sample up
+/// (`|job| start + job`) and the `imm-service` refresh redraw exactly the
+/// sets a delta invalidated (`|job| ids[job]`).
+///
+/// Each task keeps one visit marker, one member scratch and one output
+/// collection for every job range it takes off the queue. After the join,
+/// the ranges are appended to `sets` in job order — one copy of each list
+/// set's members into a reservation of the exact size, each bitmap moved —
+/// and every task's marker flushes its tallies into the registry once.
+pub fn generate_rrr_sets_into(
+    graph: &CsrGraph,
+    weights: &EdgeWeights,
+    count: usize,
+    set_index: impl Fn(usize) -> usize + Sync,
+    config: &SamplingConfig<'_>,
+    sets: &mut RrrCollection,
+) -> WorkProfile {
     crate::metrics::register();
     let threads = config.threads.max(1);
     let num_nodes = graph.num_nodes();
     let source = SamplingGraph::new(graph, weights);
-    // Epoch-stamped visit markers are O(|V|) to build, so chunks check one
-    // out of a shared pool instead of allocating their own.
-    let markers: Mutex<Vec<VisitMarker>> = Mutex::new(Vec::new());
-    // The fused counts, one tally per running job range, pooled like the
-    // markers; merged into the caller's counter once the ranges join. An
-    // entry counts sets of this call that hold its vertex, so `u32` wraps
-    // only past 2^32 sets, whose members alone would fill 16 GiB.
-    let tallies: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
-    // Every job range's sets, keyed by the range's first job.
-    let chunks: Mutex<Vec<(usize, RrrCollection)>> = Mutex::new(Vec::new());
-    let per_worker_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let new_task = || SamplingTask {
+        marker: VisitMarker::new(num_nodes),
+        members: Vec::new(),
+        tally: config.fused_counter.map(|_| vec![0; num_nodes]),
+        ops: vec![0; threads],
+        sets: RrrCollection::new(num_nodes),
+        ranges: Vec::new(),
+    };
 
-    run_jobs(threads, count, config.schedule, |worker, range| {
-        let mut marker = markers.lock().pop().unwrap_or_else(|| VisitMarker::new(num_nodes));
-        let mut tally = config
-            .fused_counter
-            .map(|_| tallies.lock().pop().unwrap_or_else(|| vec![0; num_nodes]));
-        let mut sets = RrrCollection::with_capacity(num_nodes, range.len());
-        let mut members = Vec::new();
-        let mut local_ops = 0u64;
+    let mut tasks = run_tasks(threads, count, config.schedule, new_task, |task, slot, range| {
+        let first = task.sets.len();
         for job in range.iter() {
             let key = SetKey::new(config.rng_seed, set_index(job));
+            let members = &mut task.members;
             members.clear();
             let root = key.root(num_nodes);
             let len =
-                generate_rrr_set_into(&source, config.model, root, key, &mut marker, &mut members);
-            local_ops += len as u64;
-            if let Some(tally) = &mut tally {
+                generate_rrr_set_into(&source, config.model, root, key, &mut task.marker, members);
+            task.ops[slot] += len as u64;
+            if let Some(tally) = &mut task.tally {
                 // Kernel fusion: the fresh set is counted while it is still
                 // hot in cache.
-                for &v in &members {
+                for &v in members.iter() {
                     tally[v as usize] += 1;
                 }
             }
@@ -724,16 +761,13 @@ pub fn generate_rrr_sets(
             if representation == Representation::SortedList {
                 members.sort_unstable();
             }
-            sets.push_known_representation(&members, representation);
+            task.sets.push_known_representation(members, representation);
         }
-        per_worker_ops[worker].fetch_add(local_ops, Ordering::Relaxed);
-        chunks.lock().push((range.start, sets));
-        markers.lock().push(marker);
-        tallies.lock().extend(tally);
+        task.ranges.push((range.start, first..task.sets.len()));
     });
 
     if let Some(counter) = config.fused_counter {
-        for tally in tallies.into_inner() {
+        for tally in tasks.iter().filter_map(|task| task.tally.as_ref()) {
             for (v, &count) in tally.iter().enumerate() {
                 let v = v as NodeId;
                 counter.set(v, counter.get(v) + count as u64);
@@ -741,19 +775,26 @@ pub fn generate_rrr_sets(
         }
     }
 
-    let mut chunks = chunks.into_inner();
-    chunks.sort_unstable_by_key(|(start, _)| *start);
-    let arena_len = chunks.iter().map(|(_, chunk)| chunk.arena_len()).sum();
-    let mut sets = RrrCollection::with_arena_capacity(num_nodes, count, arena_len);
-    for (_, chunk) in chunks {
-        sets.extend_from(chunk);
+    let mut pieces: Vec<(usize, usize, std::ops::Range<usize>)> = tasks
+        .iter()
+        .enumerate()
+        .flat_map(|(t, task)| task.ranges.iter().map(move |(job, at)| (*job, t, at.clone())))
+        .collect();
+    pieces.sort_unstable_by_key(|(job, ..)| *job);
+    sets.reserve_exact(count, tasks.iter().map(|task| task.sets.arena_len()).sum());
+    for (_, t, at) in pieces {
+        sets.append_from(&mut tasks[t].sets, at);
     }
-    let per_thread_ops: Vec<u64> =
-        per_worker_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect();
+
+    let mut per_thread_ops = vec![0u64; threads];
+    for task in &tasks {
+        for (total, ops) in per_thread_ops.iter_mut().zip(&task.ops) {
+            *total += ops;
+        }
+    }
     // Fusion counts every member once: the counter updates of the model.
     let atomic_ops = if config.fused_counter.is_some() { per_thread_ops.iter().sum() } else { 0 };
-    let work = WorkProfile { per_thread_ops, atomic_ops, search_probes: 0 };
-    SamplingOutput { sets, work }
+    WorkProfile { per_thread_ops, atomic_ops, search_probes: 0 }
 }
 
 #[cfg(test)]
@@ -946,23 +987,39 @@ mod tests {
     #[test]
     fn bulk_generation_is_deterministic_and_ordered_across_threads_and_schedules() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let g = CsrGraph::from_edge_list(&generators::social_network(200, 6, 0.2, &mut rng));
-        let w = EdgeWeights::ic_weighted_cascade(&g);
+        let g = CsrGraph::from_edge_list(&generators::social_network(400, 6, 0.2, &mut rng));
+        let w = EdgeWeights::constant(&g, 0.2);
 
-        let collect = |threads: usize, schedule: Schedule| -> Vec<Vec<NodeId>> {
+        let collect = |threads: usize, schedule: Schedule| {
             let mut cfg = config(DiffusionModel::IndependentCascade, threads);
             cfg.schedule = schedule;
-            let out = generate_rrr_sets(&g, &w, 100, |i| i, &cfg);
-            out.sets.iter().map(|s| s.to_vec()).collect()
+            generate_rrr_sets(&g, &w, 300, |i| i, &cfg)
         };
 
         // The output is in global set-index order, so equality holds without
-        // sorting — the canonical order the sketch index relies on.
-        let a = collect(1, Schedule::Static);
-        let b = collect(4, Schedule::Dynamic { chunk: 3 });
-        let c = collect(2, Schedule::Static);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
+        // sorting — the canonical order the sketch index relies on — and a
+        // set keeps its representation.
+        let reference = collect(1, Schedule::Static).sets;
+        let bitmaps = reference.coverage_stats().bitmap_sets;
+        assert!(bitmaps > 0 && bitmaps < reference.len(), "both forms: {bitmaps} bitmaps");
+        for threads in [1, 2, 3, 8] {
+            let schedules = [1, 3, 64].map(|chunk| Schedule::Dynamic { chunk });
+            for schedule in [Schedule::Static].into_iter().chain(schedules) {
+                let out = collect(threads, schedule);
+                assert_eq!(out.sets, reference, "{threads} threads, {schedule:?}");
+                assert_eq!(out.work.per_thread_ops.len(), threads);
+                let members: usize = reference.iter().map(|set| set.len()).sum();
+                assert_eq!(out.work.total_ops(), members as u64, "{threads} threads, {schedule:?}");
+            }
+        }
+
+        // Appending keeps what the collection held.
+        let mut sets =
+            generate_rrr_sets(&g, &w, 100, |i| i, &config(DiffusionModel::IndependentCascade, 2))
+                .sets;
+        let cfg = config(DiffusionModel::IndependentCascade, 3);
+        generate_rrr_sets_into(&g, &w, 200, |job| 100 + job, &cfg, &mut sets);
+        assert_eq!(sets, reference);
     }
 
     #[test]

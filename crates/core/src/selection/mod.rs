@@ -36,6 +36,8 @@ use crate::params::{Algorithm, ExecutionConfig};
 use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_rrr::{LazyGreedy, Postings, RrrCollection};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Result of one seed-selection run.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,12 +75,18 @@ pub fn select_seeds(
 }
 
 /// Select `k` seeds with the lazy-greedy (CELF) session over the postings of
-/// `sets`, built here: what `run_imm` does at every θ step. The work is the
-/// postings entries built plus the frontier evaluations, all on worker 0 of
-/// a `threads`-wide profile; the rounds go to `core_selection_rounds`.
+/// `sets`, built here: [`select_seeds_celf_over`] a [`Postings::build`].
 pub fn select_seeds_celf(sets: &RrrCollection, k: usize, threads: usize) -> SeedSelection {
     let postings = Postings::build(sets).expect("RRR set members lie inside the vertex space");
-    let mut session = LazyGreedy::fresh(&postings);
+    select_seeds_celf_over(&postings, k, threads)
+}
+
+/// Select `k` seeds with a fresh lazy-greedy (CELF) session over `postings`:
+/// what `run_imm` does at every θ step that selects. The work is the
+/// postings entries built plus the frontier evaluations, all on worker 0 of
+/// a `threads`-wide profile; the rounds go to `core_selection_rounds`.
+pub fn select_seeds_celf_over(postings: &Postings, k: usize, threads: usize) -> SeedSelection {
+    let mut session = LazyGreedy::fresh(postings);
     let (seeds, covered) = session.top_k(postings.view(), k);
     let celf = session.take_work();
     metrics::register();
@@ -86,13 +94,31 @@ pub fn select_seeds_celf(sets: &RrrCollection, k: usize, threads: usize) -> Seed
     let mut work = WorkProfile::new(threads);
     work.per_thread_ops[0] = postings.entries() + celf.pops;
     work.search_probes = work.per_thread_ops[0];
+    let sets = postings.range_len();
     SeedSelection {
         seeds,
-        coverage_fraction: if sets.is_empty() { 0.0 } else { covered as f64 / sets.len() as f64 },
+        coverage_fraction: if sets == 0 { 0.0 } else { covered as f64 / sets as f64 },
         work,
         counter_rebuilds: 0,
         counter_decrements: 0,
     }
+}
+
+/// The most sets `k` seeds can cover, given how many sets contain each
+/// vertex: the sum of the `k` largest `counts`. A seed covers at most the
+/// sets containing it, so no `k` seeds — the greedy's included — cover more.
+pub fn coverage_bound(counts: &[u32], k: usize) -> u64 {
+    // The k largest so far, smallest on top.
+    let mut largest: BinaryHeap<Reverse<u32>> = BinaryHeap::with_capacity(k + 1);
+    for &count in counts {
+        if largest.len() < k {
+            largest.push(Reverse(count));
+        } else if largest.peek().is_some_and(|&Reverse(least)| count > least) {
+            largest.pop();
+            largest.push(Reverse(count));
+        }
+    }
+    largest.iter().map(|&Reverse(count)| count as u64).sum()
 }
 
 #[cfg(test)]
@@ -183,6 +209,7 @@ mod tests {
     use super::test_support::*;
     use super::*;
     use crate::params::{Algorithm, ExecutionConfig};
+    use proptest::prelude::*;
 
     #[test]
     fn celf_matches_the_reference_greedy_in_every_representation() {
@@ -201,6 +228,37 @@ mod tests {
         }
         let empty = select_seeds_celf(&collection(6, &[]), 2, 1);
         assert_eq!((empty.seeds, empty.coverage_fraction), (vec![0, 0], 0.0));
+    }
+
+    proptest! {
+        /// The bound the θ loop checks before it selects is the sum of the k
+        /// largest counts, and never below what the greedy covers, in every
+        /// representation.
+        #[test]
+        fn the_coverage_bound_is_never_below_the_greedy_coverage(
+            raw in proptest::collection::vec(
+                proptest::collection::hash_set(0u32..120, 0..100),
+                1..150,
+            ),
+            k in 0usize..12,
+        ) {
+            let raw: Vec<Vec<NodeId>> = raw.iter().map(|set| set.iter().copied().collect()).collect();
+            for policy in policies() {
+                let sets = collection_with_policy(120, &raw, &policy);
+                let mut counts = vec![0u32; 120];
+                imm_rrr::count_memberships(&sets, 0, &mut counts).unwrap();
+                let mut largest = counts.clone();
+                largest.sort_unstable_by(|a, b| b.cmp(a));
+                let bound = coverage_bound(&counts, k);
+                prop_assert_eq!(bound, largest[..k].iter().map(|&c| c as u64).sum::<u64>());
+                let celf = select_seeds_celf(&sets, k, 1);
+                let (_, reference) = greedy_reference(&sets, k);
+                prop_assert_eq!(celf.coverage_fraction.to_bits(), reference.to_bits());
+                let covered = (celf.coverage_fraction * sets.len() as f64).round() as u64;
+                prop_assert!(covered <= bound, "{} covered, bound {}", covered, bound);
+                prop_assert!(celf.coverage_fraction <= bound as f64 / sets.len() as f64);
+            }
+        }
     }
 
     #[test]

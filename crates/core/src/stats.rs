@@ -121,6 +121,9 @@ pub struct RuntimeBreakdown {
     pub rrr_sets_generated: usize,
     /// Number of martingale iterations executed before convergence.
     pub sampling_iterations: usize,
+    /// Greedy selections played: one per θ step whose convergence check the
+    /// sample could pass, and the final one unless the last step's is reused.
+    pub selections: usize,
     /// Peak RRR-set storage in bytes.
     pub rrr_memory_bytes: usize,
 }

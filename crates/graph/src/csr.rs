@@ -77,11 +77,15 @@ impl CsrGraph {
         let mut in_offsets = vec![0usize; n + 1];
         let counts = split_runs(&mut in_offsets[1..], vertices());
         map_scoped(dests.iter().zip(counts), |(block, counts)| {
+            // One slot past the block's counts takes every edge into another
+            // block, so each edge is counted by a store rather than a branch
+            // on whose it is, which unsorted destinations would mispredict.
+            let sink = counts.len();
+            let mut local = vec![0usize; sink + 1];
             for e in edges {
-                if let Some(count) = counts.get_mut((e.dst as usize).wrapping_sub(block.start)) {
-                    *count += 1;
-                }
+                local[(e.dst as usize).wrapping_sub(block.start).min(sink)] += 1;
             }
+            counts.copy_from_slice(&local[..sink]);
         });
         let mut first = 0;
         for cursor in &mut in_offsets[1..] {

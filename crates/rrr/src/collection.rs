@@ -30,6 +30,7 @@
 use crate::bitset::{BitSet, BitSetIter};
 use crate::set::{AdaptivePolicy, Representation};
 use crate::NodeId;
+use std::ops::Range;
 
 /// Sentinel in a span's `bitmap` field: the set has no side-table entry.
 const NO_BITMAP: u32 = u32::MAX;
@@ -214,19 +215,11 @@ impl RrrCollection {
         RrrCollection { num_nodes, ..Default::default() }
     }
 
-    /// Empty collection with a reserved set-directory capacity.
-    pub fn with_capacity(num_nodes: usize, cap: usize) -> Self {
-        let mut c = Self::new(num_nodes);
-        c.spans.reserve(cap);
-        c
-    }
-
-    /// Empty collection with both directory and arena capacity reserved
-    /// (bulk builders know the total member count up front).
-    pub fn with_arena_capacity(num_nodes: usize, cap: usize, arena_cap: usize) -> Self {
-        let mut c = Self::with_capacity(num_nodes, cap);
-        c.arena.reserve(arena_cap);
-        c
+    /// Reserve room for exactly `sets` more sets holding `arena` more arena
+    /// entries (a bulk builder knows both before it appends).
+    pub fn reserve_exact(&mut self, sets: usize, arena: usize) {
+        self.spans.reserve_exact(sets);
+        self.arena.reserve_exact(arena);
     }
 
     /// Total arena entries (the members of every list set).
@@ -331,14 +324,24 @@ impl RrrCollection {
         }
     }
 
-    /// Append every set from `other` (used to merge per-thread partitions):
-    /// one bulk copy of the arena, spans rebased by a constant offset, and
-    /// `other`'s bitmap side table moved, not rebuilt.
-    pub fn extend_from(&mut self, mut other: RrrCollection) {
+    /// The arena run of the list sets among `range` (one contiguous run,
+    /// since sets are appended in order).
+    fn arena_run(&self, range: Range<usize>) -> Range<usize> {
+        let end = self.spans.get(range.end).map_or(self.arena.len(), |span| span.start as usize);
+        let start = self.spans.get(range.start).map_or(end, |span| span.start as usize);
+        start..end
+    }
+
+    /// Append the sets `range` of `other`, in order (used to assemble
+    /// per-worker outputs in job order): one bulk copy of their arena run,
+    /// spans rebased by a constant offset, and their bitmaps moved out of
+    /// `other`'s side table (left empty there), not rebuilt.
+    pub fn append_from(&mut self, other: &mut RrrCollection, range: Range<usize>) {
         debug_assert_eq!(self.num_nodes, other.num_nodes);
-        let offset = self.next_start(other.arena.len());
-        self.arena.extend_from_slice(&other.arena);
-        for span in &other.spans {
+        let run = other.arena_run(range.clone());
+        let start = self.next_start(run.len());
+        self.arena.extend_from_slice(&other.arena[run.clone()]);
+        for span in &other.spans[range] {
             let bitmap = if span.bitmap == NO_BITMAP {
                 NO_BITMAP
             } else {
@@ -346,7 +349,8 @@ impl RrrCollection {
                     std::mem::replace(&mut other.bitmaps[span.bitmap as usize], BitSet::new(0));
                 self.alloc_bitmap(taken)
             };
-            self.spans.push(SetSpan { start: span.start + offset, len: span.len, bitmap });
+            let rebased = start + (span.start - run.start as u32);
+            self.spans.push(SetSpan { start: rebased, len: span.len, bitmap });
         }
     }
 
@@ -547,28 +551,31 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_merges_partitions() {
+    fn append_from_copies_a_range_in_order() {
         let mut a = collection_with(vec![vec![0]], 5);
-        let b = collection_with(vec![vec![1], vec![2]], 5);
-        a.extend_from(b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(1).to_vec(), vec![1]);
-        assert_eq!(a.get(2).to_vec(), vec![2]);
+        let mut b = collection_with(vec![vec![1], vec![2, 3], vec![4]], 5);
+        a.append_from(&mut b, 1..3);
+        a.append_from(&mut b, 0..1);
+        a.append_from(&mut b, 3..3);
+        assert_eq!(a, collection_with(vec![vec![0], vec![2, 3], vec![4], vec![1]], 5));
+        assert_eq!(a.arena_len(), 5);
     }
 
     #[test]
-    fn extend_from_moves_bitmap_side_table_entries() {
+    fn append_from_moves_bitmap_side_table_entries() {
         let mut a = RrrCollection::new(64);
         a.push_vertices(vec![1, 2], &AdaptivePolicy::always_sorted());
         let mut b = RrrCollection::new(64);
+        b.push_vertices(vec![7], &AdaptivePolicy::always_sorted());
         b.push_vertices((0..40).collect(), &AdaptivePolicy::always_bitmap());
         b.push_vertices(vec![5], &AdaptivePolicy::always_sorted());
-        a.extend_from(b);
+        a.append_from(&mut b, 1..3);
         assert_eq!(a.len(), 3);
         assert_eq!(a.get(1).representation(), Representation::Bitmap);
         assert!(a.get(1).contains(39));
         assert!(!a.get(1).contains(41));
-        assert_eq!(a.get(2).representation(), Representation::SortedList);
+        assert_eq!(a.get(2).members(), Some([5].as_slice()));
+        assert_eq!(a.arena_len(), 3);
     }
 
     #[test]
@@ -592,7 +599,7 @@ mod tests {
     #[test]
     fn equality_is_layout_independent() {
         let mut a = collection_with(vec![vec![0, 1, 2]], 10);
-        a.extend_from(collection_with(vec![vec![3, 4]], 10));
+        a.append_from(&mut collection_with(vec![vec![3, 4]], 10), 0..1);
         assert_eq!(a, collection_with(vec![vec![0, 1, 2], vec![3, 4]], 10));
         // Representation is part of equality.
         let mut c = RrrCollection::new(10);

@@ -43,7 +43,8 @@ pub use celf::{CelfWork, LazyGreedy};
 pub use codec::{ByteReader, CodecError};
 pub use collection::{CoverageStats, RrrCollection, SetView, SetViews};
 pub use postings::{
-    membership_edits, MembershipEdit, Postings, PostingsSource, PostingsStats, PostingsView,
+    count_memberships, membership_edits, MembershipEdit, Postings, PostingsSource, PostingsStats,
+    PostingsView,
 };
 pub use provenance::SetProvenance;
 pub use set::{AdaptivePolicy, Representation};

@@ -203,8 +203,9 @@ fn members_in_space(set: SetView<'_>, n: usize, mut f: impl FnMut(NodeId)) -> Re
     outside.map_or(Ok(()), Err)
 }
 
-/// Deliver every membership of the collection's sets to `sink`, blocks of 64
-/// set ids ascending. A block holding a bitmap set delivers each vertex's bits
+/// Deliver every membership of the collection's sets `from..` to `sink`,
+/// blocks of 64 set ids ascending from `from` (block `b` holds the ids
+/// `from + 64·b ..`). A block holding a bitmap set delivers each vertex's bits
 /// whole, out of 64×64 transposes of the sets' words (one per 64 vertices,
 /// instead of one store per member); a block of list sets delivers its
 /// members one by one, sets ascending. Bitmap sets are skipped (their local
@@ -212,6 +213,7 @@ fn members_in_space(set: SetView<'_>, n: usize, mut f: impl FnMut(NodeId)) -> Re
 /// vertex space aborts the walk.
 fn walk_memberships(
     sets: &RrrCollection,
+    from: usize,
     include_bitmaps: bool,
     skipped: &mut Vec<u32>,
     sink: &mut impl MembershipSink,
@@ -223,8 +225,9 @@ fn walk_memberships(
         set.bitmap().filter(|bits| bits.capacity() == n)
     }
     let mut scratch: Vec<u64> = Vec::new();
-    for block in 0..len.div_ceil(64) {
-        let ids = block * 64..(block * 64 + 64).min(len);
+    for block in 0..len.saturating_sub(from).div_ceil(64) {
+        let first = from + block * 64;
+        let ids = first..(first + 64).min(len);
         if !(include_bitmaps && sets.has_bitmap_in(ids.start, ids.len())) {
             for local in ids {
                 match sets.get(local) {
@@ -255,6 +258,23 @@ fn walk_memberships(
     Ok(())
 }
 
+/// Add to `counts[v]` how many of the sets `from..` of `sets` contain `v`:
+/// the count pass of [`Postings::build`] over those sets, bitmap sets
+/// counted out of 64×64 bit-block transposes. Counting a growing collection
+/// batch by batch leaves the degrees [`Postings::build_with_degrees`] takes.
+/// Fails with the first member outside the vertex space.
+///
+/// # Panics
+/// Panics if `counts` does not hold one entry per vertex.
+pub fn count_memberships(
+    sets: &RrrCollection,
+    from: usize,
+    counts: &mut [u32],
+) -> Result<(), NodeId> {
+    assert_eq!(counts.len(), sets.num_nodes(), "one count per vertex");
+    walk_memberships(sets, from, true, &mut Vec::new(), &mut CountDegrees(counts))
+}
+
 /// Call `f` with the index of every set bit of `word`, ascending, offset by
 /// `base`.
 #[inline]
@@ -283,29 +303,59 @@ impl Postings {
         sets: &RrrCollection,
         row_threshold: usize,
     ) -> Result<Self, NodeId> {
-        Self::counting_sort(sets, row_threshold, true).map(|(postings, _)| postings)
+        Self::counting_sort(sets, row_threshold, true, None).map(|(postings, _)| postings)
+    }
+
+    /// [`Postings::build`] from the degrees the caller already holds —
+    /// `degrees[v]` sets of `sets` contain `v`, as [`count_memberships`]
+    /// counts them — so the counting sort skips its count pass and walks
+    /// the sets (and transposes their bitmap blocks) once.
+    ///
+    /// # Panics
+    /// Panics if `degrees` does not hold one entry per vertex, and may panic
+    /// or build wrong postings if an entry is not the vertex's degree.
+    pub fn build_with_degrees(sets: &RrrCollection, degrees: &[u32]) -> Result<Self, NodeId> {
+        assert_eq!(degrees.len(), sets.num_nodes(), "one degree per vertex");
+        Self::counting_sort(sets, sets.len() / 32, true, Some(degrees))
+            .map(|(postings, _)| postings)
     }
 
     /// The lists-only mode: invert the list-represented sets of the whole
     /// collection into lists (no vertex stores a row), and return the ids of
     /// the bitmap sets, ascending, next to them.
     pub fn build_over_list_sets(sets: &RrrCollection) -> Result<(Self, Vec<u32>), NodeId> {
-        Self::counting_sort(sets, usize::MAX, false)
+        Self::counting_sort(sets, usize::MAX, false, None)
     }
 
+    /// The counting sort: a count pass (unless `known_degrees` holds its
+    /// result), then a fill pass.
     fn counting_sort(
         sets: &RrrCollection,
         row_threshold: usize,
         include_bitmaps: bool,
+        known_degrees: Option<&[u32]>,
     ) -> Result<(Self, Vec<u32>), NodeId> {
         let (n, len) = (sets.num_nodes(), sets.len());
         assert!(u32::try_from(len).is_ok(), "more than u32::MAX sets in one postings structure");
         let words = len.div_ceil(64);
         let mut skipped = Vec::new();
 
-        let mut degrees = vec![0u32; n];
-        let mut count = CountDegrees(&mut degrees);
-        walk_memberships(sets, include_bitmaps, &mut skipped, &mut count)?;
+        let counted;
+        let degrees = match known_degrees {
+            Some(degrees) => degrees,
+            None => {
+                let mut degrees = vec![0u32; n];
+                walk_memberships(
+                    sets,
+                    0,
+                    include_bitmaps,
+                    &mut skipped,
+                    &mut CountDegrees(&mut degrees),
+                )?;
+                counted = degrees;
+                &counted
+            }
+        };
 
         let mut offsets = Vec::with_capacity(n + 1);
         let (mut row_ids, mut row_degrees) = (Vec::new(), Vec::new());
@@ -335,7 +385,12 @@ impl Postings {
             cursor: &mut cursor,
             lists: &mut lists,
         };
-        walk_memberships(sets, include_bitmaps, &mut skipped, &mut fill)?;
+        walk_memberships(sets, 0, include_bitmaps, &mut skipped, &mut fill)?;
+        debug_assert!(
+            (0..n).all(|v| row_of.get(v).is_some_and(|&slot| slot != NO_ROW)
+                || cursor[v] == offsets[v + 1]),
+            "the degrees are the sets' memberships"
+        );
 
         row_ids.append(&mut row_degrees);
         let store = Store::Owned { offsets, lists, row_table: row_ids, rows };

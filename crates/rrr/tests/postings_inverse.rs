@@ -3,9 +3,10 @@
 //! each vertex takes (row threshold forced to all-list, all-row, or the
 //! real `range_len / 32`, or a mixed one), `for_each`/`ids`, `contains`,
 //! `degree`, `count_below`, `or_into` and `count_outside` must read exactly
-//! the naive inverse.
+//! the naive inverse. Degrees counted batch by batch equal the inverse's,
+//! and a build from them equals a build, array for array.
 
-use imm_rrr::{AdaptivePolicy, Postings, RrrCollection};
+use imm_rrr::{count_memberships, AdaptivePolicy, Postings, RrrCollection};
 use proptest::prelude::*;
 
 const NUM_NODES: usize = 150;
@@ -79,6 +80,7 @@ proptest! {
         ),
         policy in 0usize..3,
         probes in proptest::collection::vec(0u32..NUM_NODES as u32, 0..12),
+        split in 0usize..140,
     ) {
         let raw: Vec<Vec<u32>> = raw_sets
             .iter()
@@ -110,6 +112,22 @@ proptest! {
             assert_reads_the_inverse(&forced, &inverse, &probes);
             prop_assert_eq!(&forced, &adaptive);
         }
+
+        // Degrees counted in two batches (cut anywhere, not only at a block
+        // of 64) are the inverse's, and a build from them is a build.
+        let split = split.min(raw.len());
+        let mut degrees = vec![0u32; NUM_NODES];
+        let mut head = RrrCollection::new(NUM_NODES);
+        for members in &raw[..split] {
+            head.push_vertices(members.clone(), &policy);
+        }
+        count_memberships(&head, 0, &mut degrees).unwrap();
+        count_memberships(&sets, split, &mut degrees).unwrap();
+        let naive: Vec<u32> = inverse.iter().map(|ids| ids.len() as u32).collect();
+        prop_assert_eq!(&degrees, &naive);
+        let known = Postings::build_with_degrees(&sets, &degrees).unwrap();
+        prop_assert_eq!(known.sections(), adaptive.sections());
+        prop_assert_eq!(known.entries(), adaptive.entries());
 
         // The lists-only mode indexes exactly the list-represented sets.
         let (lists_only, bitmap_ids) = Postings::build_over_list_sets(&sets).unwrap();
