@@ -216,9 +216,9 @@ fi
 
 # The samplers and the set containers are safe Rust: the IC kernel's
 # bottom-up sweep splits a VisitMarker's fields instead of aliasing them,
-# and its out-side is a CsrGraph::transpose_with_slots. Fused sampling
-# counts each set into a per-worker tally that is merged after the join,
-# so no per-member shared atomic comes back into the sampling loop, and a
+# and its out-side is a CsrGraph::transpose_with_slots. The driver counts
+# no vertex (a run's kernel fusion is its per-batch count_memberships), so
+# no per-member shared atomic comes back into the sampling loop, and a
 # worker tallies its sets and members in its VisitMarker, whose drop is
 # the one flush into the registry: the set counters are named nowhere else
 # in sampling.rs, so no per-set shared atomic comes back either.
@@ -234,6 +234,16 @@ fi
 if sed '/^impl Drop for VisitMarker/,/^}/d' crates/core/src/sampling.rs \
   | grep -nE 'SETS_SAMPLED|SET_VERTICES'; then
   echo "error: a worker's VisitMarker flushes the set counters once per call; do not add to them per set" >&2
+  exit 1
+fi
+
+# Kernel fusion is a run's per-batch `imm_rrr::count_memberships`, and the
+# adaptive `imm_rrr::Postings` is the one inverse, the eager kernel's cover
+# index included: the sampler's fused tally and the lists-only postings mode
+# with its bitmap side list stay gone.
+echo "==> fusion guard: one membership count, one postings inverse"
+if grep -rnwE 'fused_counter|build_over_list_sets|include_bitmaps' crates src tests examples; then
+  echo "error: count with imm_rrr::count_memberships and invert with Postings::build; no fused tally or lists-only mode" >&2
   exit 1
 fi
 

@@ -47,7 +47,7 @@ fn bench_counter(c: &mut Criterion) {
         })
     });
 
-    let values: Vec<u64> = {
+    let values: Vec<u32> = {
         let mut rng = SmallRng::seed_from_u64(3);
         (0..n).map(|_| rng.gen_range(0..10_000)).collect()
     };

@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks of the `Generate_RRRsets` kernel: IC vs. LT
-//! sampling, kernel fusion on/off, static vs. dynamic job balancing, and an
-//! IC density sweep across the reverse BFS's top-down/bottom-up switch.
+//! sampling, static vs. dynamic job balancing, and an IC density sweep
+//! across the reverse BFS's top-down/bottom-up switch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::GlobalCounter;
 use imm_bench::datasets::{find, Dataset, Scale};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
@@ -32,7 +31,6 @@ fn bench_models(c: &mut Criterion) {
             policy: AdaptivePolicy::default(),
             schedule: Schedule::Dynamic { chunk: 16 },
             threads: 4,
-            fused_counter: None,
         };
         group.bench_with_input(BenchmarkId::from_parameter(model.short_name()), &model, |b, _| {
             b.iter(|| black_box(generate_rrr_sets(&d.graph, weights, 128, |i| i, &cfg)))
@@ -41,9 +39,9 @@ fn bench_models(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fusion_and_balancing(c: &mut Criterion) {
+fn bench_balancing(c: &mut Criterion) {
     let d = dataset();
-    let mut group = c.benchmark_group("generate_rrrsets_features");
+    let mut group = c.benchmark_group("generate_rrrsets_schedule");
     group.sample_size(10);
 
     let base = SamplingConfig {
@@ -52,16 +50,10 @@ fn bench_fusion_and_balancing(c: &mut Criterion) {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 16 },
         threads: 4,
-        fused_counter: None,
     };
 
-    group.bench_function("unfused", |b| {
+    group.bench_function("dynamic_schedule", |b| {
         b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, |i| i, &base)))
-    });
-    group.bench_function("fused_counter", |b| {
-        let counter = GlobalCounter::new(d.graph.num_nodes());
-        let cfg = SamplingConfig { fused_counter: Some(&counter), ..base };
-        b.iter(|| black_box(generate_rrr_sets(&d.graph, &d.ic_weights, 128, |i| i, &cfg)))
     });
     group.bench_function("static_schedule", |b| {
         let cfg = SamplingConfig { schedule: Schedule::Static, ..base };
@@ -74,25 +66,23 @@ fn bench_fusion_and_balancing(c: &mut Criterion) {
 /// `solve-ic` benchmark input) at densities from sets of a dozen vertices
 /// (weighted cascade, constant 0.05; 2 000 sets an iteration) through
 /// mid-size ones (0.1–0.2) to sets over most of the graph (0.3, uniform
-/// [0, 1]; 200 sets an iteration). `uniform_fused` is the uniform row
-/// counted as `run_imm` counts it, and `weighted_cascade_150k` is the
-/// sparse regime on a 150 000-node graph (2 000 sets), where a coin is
-/// rarely live and a branch on it predicts well.
+/// [0, 1]; 200 sets an iteration). `weighted_cascade_150k` is the sparse
+/// regime on a 150 000-node graph (2 000 sets), where a coin is rarely live
+/// and a branch on it predicts well.
 fn bench_density_sweep(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(11);
     let graph = CsrGraph::from_edge_list(&generators::social_network(2_000, 10, 0.3, &mut rng));
     let uniform = EdgeWeights::ic_uniform(&graph, &mut rng);
     let large = CsrGraph::from_edge_list(&generators::social_network(150_000, 10, 0.3, &mut rng));
     let regimes = [
-        ("uniform", &graph, uniform.clone(), 200, false),
-        ("uniform_fused", &graph, uniform, 200, true),
-        ("weighted_cascade", &graph, EdgeWeights::ic_weighted_cascade(&graph), 2_000, false),
-        ("const_0.05", &graph, EdgeWeights::constant(&graph, 0.05), 2_000, false),
-        ("const_0.1", &graph, EdgeWeights::constant(&graph, 0.1), 200, false),
-        ("const_0.15", &graph, EdgeWeights::constant(&graph, 0.15), 200, false),
-        ("const_0.2", &graph, EdgeWeights::constant(&graph, 0.2), 200, false),
-        ("const_0.3", &graph, EdgeWeights::constant(&graph, 0.3), 200, false),
-        ("weighted_cascade_150k", &large, EdgeWeights::ic_weighted_cascade(&large), 2_000, false),
+        ("uniform", &graph, uniform, 200),
+        ("weighted_cascade", &graph, EdgeWeights::ic_weighted_cascade(&graph), 2_000),
+        ("const_0.05", &graph, EdgeWeights::constant(&graph, 0.05), 2_000),
+        ("const_0.1", &graph, EdgeWeights::constant(&graph, 0.1), 200),
+        ("const_0.15", &graph, EdgeWeights::constant(&graph, 0.15), 200),
+        ("const_0.2", &graph, EdgeWeights::constant(&graph, 0.2), 200),
+        ("const_0.3", &graph, EdgeWeights::constant(&graph, 0.3), 200),
+        ("weighted_cascade_150k", &large, EdgeWeights::ic_weighted_cascade(&large), 2_000),
     ];
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
@@ -100,19 +90,16 @@ fn bench_density_sweep(c: &mut Criterion) {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 64 },
         threads: 1,
-        fused_counter: None,
     };
     let mut group = c.benchmark_group("generate_rrrsets_ic_density");
     group.sample_size(20);
-    for (name, graph, weights, sets, fused) in &regimes {
+    for (name, graph, weights, sets) in &regimes {
         group.bench_function(*name, |b| {
-            let counter = GlobalCounter::new(graph.num_nodes());
-            let cfg = SamplingConfig { fused_counter: fused.then_some(&counter), ..cfg };
             b.iter(|| black_box(generate_rrr_sets(graph, weights, *sets, |i| i, &cfg)))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_models, bench_fusion_and_balancing, bench_density_sweep);
+criterion_group!(benches, bench_models, bench_balancing, bench_density_sweep);
 criterion_main!(benches);

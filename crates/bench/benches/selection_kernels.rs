@@ -22,7 +22,6 @@ fn sample_sets(dataset_name: &str, num_sets: usize) -> RrrCollection {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 16 },
         threads: 2,
-        fused_counter: None,
     };
     generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets
 }

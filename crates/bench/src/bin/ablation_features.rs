@@ -8,21 +8,24 @@
 //! * **Runs** — `run_imm` with a sampling-side feature off (`run_imm` reads
 //!   the representation and the balancing; it selects with CELF).
 //! * **Selections** — the selection kernels alone, timed on the final sets
-//!   of the all-optimizations run: the paper's eager kernel with the counts
-//!   fused into sampling, without them, and without the adaptive counter
-//!   update, then the lazy-greedy (CELF) session over the postings, which
-//!   is what `run_imm` runs. Every row must select the same seeds.
+//!   of the all-optimizations run: the paper's eager kernel from the counts
+//!   a run's kernel fusion leaves (`imm_rrr::count_memberships`, counted
+//!   outside the timed selection), with its own counting pass, and without
+//!   the adaptive counter update — each over the one adaptive `Postings` as
+//!   its cover index — then the lazy-greedy (CELF) session over the
+//!   postings, which is what `run_imm` runs. Every row must select the same
+//!   seeds.
 
 use efficient_imm::selection::efficient::select_seeds_efficient;
 use efficient_imm::selection::select_seeds_celf;
 use efficient_imm::{
-    run_imm, Algorithm, EfficientFeatures, ExecutionConfig, GlobalCounter, ImmParams, SeedSelection,
+    run_imm, Algorithm, EfficientFeatures, ExecutionConfig, ImmParams, SeedSelection,
 };
 use imm_bench::output::{fmt_seconds, results_dir, TextTable};
 use imm_bench::runner::weights_for;
 use imm_bench::{config, datasets};
 use imm_diffusion::DiffusionModel;
-use imm_rrr::RrrCollection;
+use imm_rrr::{count_memberships, RrrCollection};
 use std::time::Instant;
 
 /// The selection rows over the final `sets`: label, seconds, selection.
@@ -34,12 +37,9 @@ fn selections(
     let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
     let mut plain = exec;
     plain.features.adaptive_counter_update = false;
-    // What kernel fusion would have counted during sampling, outside the
-    // timed selection.
-    let fused = GlobalCounter::new(sets.num_nodes());
-    for set in sets.iter() {
-        set.for_each(|v| fused.increment(v));
-    }
+    // What a run's kernel fusion counts, outside the timed selection.
+    let mut fused = vec![0; sets.num_nodes()];
+    count_memberships(sets, 0, &mut fused).expect("RRR set members lie inside the vertex space");
     let timed = |label, select: &dyn Fn() -> SeedSelection| {
         let start = Instant::now();
         let selection = select();

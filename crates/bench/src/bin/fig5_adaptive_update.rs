@@ -41,7 +41,6 @@ fn main() {
             policy: AdaptivePolicy::default(),
             schedule: Schedule::Dynamic { chunk: 16 },
             threads,
-            fused_counter: None,
         };
         let sets =
             generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets;

@@ -220,7 +220,6 @@ fn main() {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 32 },
         threads: w.threads,
-        fused_counter: None,
     };
 
     // Phase 0: executor dispatch round-trips. Both sides fan out the same
@@ -298,7 +297,7 @@ fn main() {
     let mut selection_ms: Vec<f64> = (0..w.selection_trials)
         .map(|_| {
             let t = Instant::now();
-            let selection = select_seeds(&collection, w.k, &exec, None);
+            let selection = select_seeds(&collection, w.k, &exec);
             let ms = t.elapsed().as_secs_f64() * 1e3;
             assert_eq!(selection.seeds.len(), w.k);
             ms

@@ -33,7 +33,6 @@ fn main() {
             policy: AdaptivePolicy::default(),
             schedule: Schedule::Dynamic { chunk: 16 },
             threads: 4,
-            fused_counter: None,
         };
         let out = generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg);
         let stats = out.sets.coverage_stats();

@@ -843,7 +843,6 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 16 },
         threads,
-        fused_counter: None,
     };
     let out = generate_rrr_sets(&graph, &weights, args.rrr_sets, |i| i, &cfg);
     let coverage = out.sets.coverage_stats();

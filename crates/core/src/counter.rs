@@ -5,22 +5,20 @@
 //! partitions, all threads scatter atomic increments into a single
 //! `counter[v]` array, and the most influential vertex is the array's argmax.
 //!
-//! The atomics are the selection kernel's. Sampling's kernel fusion
-//! (Algorithm 3) does not scatter into this counter: each worker counts
-//! the sets it draws into its own tally of plain integers, and
-//! [`crate::sampling::generate_rrr_sets`] adds the tallies into the
-//! counter on the calling thread once the workers join. On a dense IC
-//! sample (sets over most of the graph) the per-member `lock xadd` had
-//! been about a sixth of sampling.
+//! The atomics are the selection kernel's. Kernel fusion (Algorithm 3) does
+//! not scatter into this counter: a run counts each sampled batch once with
+//! `imm_rrr::count_memberships` (bitmap blocks by 64×64 transposes), and the
+//! eager kernel can start from those counts ([`GlobalCounter::from_values`]):
+//! on a dense IC sample (sets over most of the graph) a per-member
+//! `lock xadd` costs about a sixth of sampling.
 //!
 //! Only the scattered updates are concurrent. The whole-array passes —
-//! [`GlobalCounter::argmax`], [`GlobalCounter::reset`] and
-//! [`GlobalCounter::copy_from`] — are plain loops on the calling thread: a
-//! pass visits a counter in ~0.3 ns, a fork-join of two trivial tasks on
-//! the persistent pool costs ~0.5–1 µs (the spine's `exec.scope_dispatch_us`,
-//! two threads on a 2-vCPU box), and splitting the passes across workers
-//! measured slower up to ~512k counters (ROADMAP, "Parallel counter
-//! passes").
+//! [`GlobalCounter::argmax`] and [`GlobalCounter::reset`] — are plain loops
+//! on the calling thread: a pass visits a counter in ~0.3 ns, a fork-join of
+//! two trivial tasks on the persistent pool costs ~0.5–1 µs (the spine's
+//! `exec.scope_dispatch_us`, two threads on a 2-vCPU box), and splitting the
+//! passes across workers measured slower up to ~512k counters (ROADMAP,
+//! "Parallel counter passes").
 //!
 //! The atomic used is a 64-bit fetch-add with relaxed ordering, which on
 //! x86-64 compiles to the same `lock`-prefixed read-modify-write on a single
@@ -45,9 +43,10 @@ impl GlobalCounter {
         GlobalCounter { counts }
     }
 
-    /// Build from plain values (used to snapshot/restore around selections).
-    pub fn from_values(values: &[u64]) -> Self {
-        GlobalCounter { counts: values.iter().map(|&v| AtomicU64::new(v)).collect() }
+    /// Build from per-vertex counts, as [`imm_rrr::count_memberships`]
+    /// leaves them.
+    pub fn from_values(values: &[u32]) -> Self {
+        GlobalCounter { counts: values.iter().map(|&v| AtomicU64::new(v as u64)).collect() }
     }
 
     /// Number of vertices covered.
@@ -95,12 +94,6 @@ impl GlobalCounter {
         self.counts[v as usize].load(Ordering::Relaxed)
     }
 
-    /// Overwrite one counter.
-    #[inline]
-    pub fn set(&self, v: NodeId, value: u64) {
-        self.counts[v as usize].store(value, Ordering::Relaxed);
-    }
-
     /// Reset every counter to zero.
     pub fn reset(&self) {
         for cell in &self.counts {
@@ -111,17 +104,6 @@ impl GlobalCounter {
     /// Snapshot the counters into a plain vector.
     pub fn snapshot(&self) -> Vec<u64> {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Copy the values of another counter of the same length.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn copy_from(&self, other: &GlobalCounter) {
-        assert_eq!(self.len(), other.len(), "counter length mismatch");
-        for (dst, src) in self.counts.iter().zip(&other.counts) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
     }
 
     /// The vertex with the largest count, and that count. Ties break toward
@@ -177,21 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn from_values_and_copy_from() {
-        let a = GlobalCounter::from_values(&[5, 3, 9]);
-        assert_eq!(a.get(2), 9);
-        let b = GlobalCounter::new(3);
-        b.copy_from(&a);
-        assert_eq!(b.snapshot(), vec![5, 3, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn copy_from_rejects_length_mismatch() {
-        GlobalCounter::new(2).copy_from(&GlobalCounter::new(3));
-    }
-
-    #[test]
     fn argmax_finds_unique_maximum() {
         let c = GlobalCounter::from_values(&[3, 7, 2, 7, 9, 1]);
         assert_eq!(c.argmax(), Some((4, 9)));
@@ -228,11 +195,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn argmax_is_the_first_occurrence_of_the_maximum(values in proptest::collection::vec(0u64..1000, 1..200)) {
+        fn argmax_is_the_first_occurrence_of_the_maximum(values in proptest::collection::vec(0u32..1000, 1..200)) {
             let c = GlobalCounter::from_values(&values);
             let max = *values.iter().max().unwrap();
             let first = values.iter().position(|&v| v == max).unwrap();
-            prop_assert_eq!(c.argmax(), Some((first as NodeId, max)));
+            prop_assert_eq!(c.argmax(), Some((first as NodeId, max as u64)));
         }
     }
 }

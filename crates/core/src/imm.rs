@@ -114,7 +114,6 @@ pub fn run_imm(
         policy: exec.features.representation_policy(),
         schedule,
         threads: exec.threads,
-        fused_counter: None,
     };
     // The one draw step: top `sets` up to `target`, the new sets keyed from
     // index `sets.len()` on. Returns whether it drew any.

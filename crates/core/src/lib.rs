@@ -13,12 +13,15 @@
 //!   sampling and counting, adaptive RRR-set representation, adaptive counter
 //!   updates, and dynamic job balancing.
 //!
-//! An EfficientIMM [`run_imm`] samples with that engine and selects, at every
-//! θ step, with the lazy-greedy (CELF) session over the sample's postings
-//! that every `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]); the
-//! paper's eager selection kernels (`selection::{efficient, ripples}`, the
-//! shared counter, kernel fusion) stay as the reproduction's subjects and as
-//! the lazy session's parity oracle, and the Ripples run keeps its own.
+//! An EfficientIMM [`run_imm`] samples with that engine, fuses the counting
+//! into its θ loop as one per-batch [`imm_rrr::count_memberships`], and
+//! selects, at a θ step whose check those counts let pass, with the
+//! lazy-greedy (CELF) session over the sample's postings that every
+//! `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]). The paper's
+//! eager selection kernels (`selection::{efficient, ripples}` and the shared
+//! counter) stay as the reproduction's subjects and as the lazy session's
+//! parity oracle; the EfficientIMM one finds covered sets through the same
+//! adaptive [`imm_rrr::Postings`], and the Ripples run keeps its own.
 //!
 //! The high-level entry point is [`run_imm`], which executes the full
 //! martingale workflow (Algorithm 1 of the paper) under an

@@ -49,14 +49,12 @@
 //! appended to the caller's collection in job order, so results are
 //! identical — order included — for any thread count or schedule. Each pool
 //! task keeps its visit marker, scratch and output for the whole call, and
-//! its tallies reach the registry once, when the call ends. When the
-//! EfficientIMM kernel fusion is enabled (Algorithm 3 of the paper) each
-//! freshly generated set is counted while it is still hot in cache: into a
-//! per-worker tally of plain integers, which the driver adds into the
-//! caller's [`GlobalCounter`] once the workers join.
+//! its tallies reach the registry once, when the call ends. The driver
+//! counts nothing per vertex: the paper's kernel fusion (Algorithm 3) is the
+//! run's per-batch `imm_rrr::count_memberships` over the sets a call
+//! appended (see `crate::imm`).
 
 use crate::balance::{run_tasks, Schedule};
-use crate::counter::GlobalCounter;
 use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_diffusion::DiffusionModel;
@@ -645,14 +643,13 @@ pub struct SamplingOutput {
     /// The generated sets in job order: position `j` holds the set of key
     /// `(rng_seed, set_index(j))` regardless of thread count or schedule.
     pub sets: RrrCollection,
-    /// Per-thread operation counts of the generation (edge probes + counter
-    /// updates when fused).
+    /// Per-thread operation counts of the generation: members appended.
     pub work: WorkProfile,
 }
 
 /// Options controlling a bulk sampling call.
 #[derive(Debug, Clone, Copy)]
-pub struct SamplingConfig<'a> {
+pub struct SamplingConfig {
     /// Diffusion model to sample under.
     pub model: DiffusionModel,
     /// Base RNG seed (per-set keys are derived from it).
@@ -663,12 +660,6 @@ pub struct SamplingConfig<'a> {
     pub schedule: Schedule,
     /// Number of worker threads.
     pub threads: usize,
-    /// When set, the paper's kernel fusion: every generated set is counted
-    /// as it is drawn, into a per-worker tally, and the call adds the
-    /// tallies into this counter before it returns. Counts are added to what
-    /// the counter holds, never written over it, so one counter can span
-    /// several calls.
-    pub fused_counter: Option<&'a GlobalCounter>,
 }
 
 /// Generate `count` RRR sets into a new collection: [`generate_rrr_sets_into`]
@@ -678,7 +669,7 @@ pub fn generate_rrr_sets(
     weights: &EdgeWeights,
     count: usize,
     set_index: impl Fn(usize) -> usize + Sync,
-    config: &SamplingConfig<'_>,
+    config: &SamplingConfig,
 ) -> SamplingOutput {
     let mut sets = RrrCollection::new(graph.num_nodes());
     let work = generate_rrr_sets_into(graph, weights, count, set_index, config, &mut sets);
@@ -690,10 +681,6 @@ struct SamplingTask {
     marker: VisitMarker,
     /// The members of the set being drawn.
     members: Vec<NodeId>,
-    /// The fused counts, when the call fuses. An entry counts sets of this
-    /// call that hold its vertex, so `u32` wraps only past 2^32 sets, whose
-    /// members alone would fill 16 GiB.
-    tally: Option<Vec<u32>>,
     /// Members appended, per slot.
     ops: Vec<u64>,
     /// The task's sets, in the order it drew them.
@@ -723,7 +710,7 @@ pub fn generate_rrr_sets_into(
     weights: &EdgeWeights,
     count: usize,
     set_index: impl Fn(usize) -> usize + Sync,
-    config: &SamplingConfig<'_>,
+    config: &SamplingConfig,
     sets: &mut RrrCollection,
 ) -> WorkProfile {
     crate::metrics::register();
@@ -733,7 +720,6 @@ pub fn generate_rrr_sets_into(
     let new_task = || SamplingTask {
         marker: VisitMarker::new(num_nodes),
         members: Vec::new(),
-        tally: config.fused_counter.map(|_| vec![0; num_nodes]),
         ops: vec![0; threads],
         sets: RrrCollection::new(num_nodes),
         ranges: Vec::new(),
@@ -749,13 +735,6 @@ pub fn generate_rrr_sets_into(
             let len =
                 generate_rrr_set_into(&source, config.model, root, key, &mut task.marker, members);
             task.ops[slot] += len as u64;
-            if let Some(tally) = &mut task.tally {
-                // Kernel fusion: the fresh set is counted while it is still
-                // hot in cache.
-                for &v in members.iter() {
-                    tally[v as usize] += 1;
-                }
-            }
             // Only a list is sorted: a bitmap takes its members in any order.
             let representation = config.policy.choose(len, num_nodes);
             if representation == Representation::SortedList {
@@ -765,15 +744,6 @@ pub fn generate_rrr_sets_into(
         }
         task.ranges.push((range.start, first..task.sets.len()));
     });
-
-    if let Some(counter) = config.fused_counter {
-        for tally in tasks.iter().filter_map(|task| task.tally.as_ref()) {
-            for (v, &count) in tally.iter().enumerate() {
-                let v = v as NodeId;
-                counter.set(v, counter.get(v) + count as u64);
-            }
-        }
-    }
 
     let mut pieces: Vec<(usize, usize, std::ops::Range<usize>)> = tasks
         .iter()
@@ -792,9 +762,7 @@ pub fn generate_rrr_sets_into(
             *total += ops;
         }
     }
-    // Fusion counts every member once: the counter updates of the model.
-    let atomic_ops = if config.fused_counter.is_some() { per_thread_ops.iter().sum() } else { 0 };
-    WorkProfile { per_thread_ops, atomic_ops, search_probes: 0 }
+    WorkProfile { per_thread_ops, atomic_ops: 0, search_probes: 0 }
 }
 
 #[cfg(test)]
@@ -805,14 +773,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    fn config(model: DiffusionModel, threads: usize) -> SamplingConfig<'static> {
+    fn config(model: DiffusionModel, threads: usize) -> SamplingConfig {
         SamplingConfig {
             model,
             rng_seed: 42,
             policy: AdaptivePolicy::default(),
             schedule: Schedule::Dynamic { chunk: 8 },
             threads,
-            fused_counter: None,
         }
     }
 
@@ -1050,46 +1017,6 @@ mod tests {
                     expected.sort_unstable();
                     assert_eq!(set.to_vec(), expected, "{threads} threads, {schedule:?}, set {i}");
                 }
-            }
-        }
-    }
-
-    /// The fused counts are added into the caller's counter, never written
-    /// over it: `run_imm` keeps one counter across its sampling rounds.
-    #[test]
-    fn fused_counter_matches_set_contents() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let g = CsrGraph::from_edge_list(&generators::social_network(150, 6, 0.2, &mut rng));
-        let inputs = [
-            (DiffusionModel::IndependentCascade, EdgeWeights::ic_weighted_cascade(&g)),
-            (DiffusionModel::IndependentCascade, EdgeWeights::ic_uniform(&g, &mut rng)),
-            (DiffusionModel::LinearThreshold, EdgeWeights::lt_normalized(&g, &mut rng)),
-        ];
-        for (model, w) in &inputs {
-            for threads in [1, 2, 3] {
-                let label = format!("{:?}, {model:?}, {threads} threads", w.model());
-                let counter = GlobalCounter::new(g.num_nodes());
-                let mut cfg = config(*model, threads);
-                cfg.fused_counter = Some(&counter);
-                let first = generate_rrr_sets(&g, w, 80, |i| i, &cfg);
-                let second = generate_rrr_sets(&g, w, 50, |i| 80 + i, &cfg);
-
-                // Recompute occurrence counts from the materialized sets.
-                let mut expected = vec![0u64; g.num_nodes()];
-                for set in first.sets.iter().chain(second.sets.iter()) {
-                    for v in set.iter() {
-                        expected[v as usize] += 1;
-                    }
-                }
-                assert_eq!(counter.snapshot(), expected, "{label}");
-                for out in [&first, &second] {
-                    assert!(out.work.atomic_ops > 0, "{label}");
-                    assert_eq!(out.work.atomic_ops, out.work.total_ops(), "{label}");
-                }
-
-                let none = generate_rrr_sets(&g, w, 0, |i| 130 + i, &cfg);
-                assert_eq!(none.work.atomic_ops, 0, "{label}");
-                assert_eq!(counter.snapshot(), expected, "{label}: an empty call moved counts");
             }
         }
     }

@@ -14,19 +14,17 @@
 //! touches less memory — the paper's adaptive counter update.
 //!
 //! Which sets a seed covers is answered without scanning the collection: each
-//! selection first builds an inverted index `vertex → ids of the list sets
-//! holding it` (`imm_rrr::Postings` in its lists-only mode: the workspace's
-//! one counting sort, over the list sets' members), so a round walks only
-//! the new seed's postings. Bitmap sets — the dense ones, whose
-//! members would dominate the index — are not indexed; they sit on a short
-//! side list and keep their O(1) bit probe. A selection's membership work is
-//! therefore Σ|R| (list sets, once) + the walked postings + one probe per
-//! round per surviving bitmap set, instead of one probe per round per set.
+//! selection first builds the sets' [`Postings`] — the workspace's one
+//! inverse, `vertex → ids of the sets holding it`, a bit row for a dense
+//! vertex and an ascending list for the rest — so a round walks only the new
+//! seed's ids, ascending. A selection's membership work is therefore Σ|R|
+//! (the build) + the walked postings, instead of one probe per round per
+//! set.
 //!
 //! What runs in parallel, through the persistent pool's fork-join
 //! ([`run_jobs`]): the initial counting pass and each round's decrement or
-//! rebuild. The per-round argmax, the fused-counter copy, the reset before a
-//! rebuild, the index build and the postings walk run on the calling thread.
+//! rebuild. The per-round argmax, the reset before a rebuild, the postings
+//! build and walk run on the calling thread.
 
 use crate::balance::{run_jobs, Schedule};
 use crate::counter::GlobalCounter;
@@ -37,33 +35,20 @@ use crate::stats::WorkProfile;
 use imm_rrr::{Postings, RrrCollection};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// One selection's membership index: postings over the list-represented
-/// sets, plus the ids of the bitmap sets that are still alive.
-struct CoverIndex {
-    /// The ids, ascending, of the list sets containing each vertex.
-    postings: Postings,
-    /// Ids, ascending, of the bitmap sets no seed has covered yet.
-    live_bitmaps: Vec<u32>,
-}
-
-impl CoverIndex {
-    fn build(sets: &RrrCollection) -> Self {
-        let (postings, live_bitmaps) = Postings::build_over_list_sets(sets)
-            .expect("RRR set members lie inside the vertex space");
-        CoverIndex { postings, live_bitmaps }
-    }
-}
-
 /// Select `k` seeds with the EfficientIMM RRR-set-partitioned kernel.
 ///
-/// `fused_counter` carries the occurrence counts accumulated during sampling
-/// when kernel fusion is enabled; without it the kernel performs the initial
-/// counting pass itself (lines 1–6 of Algorithm 2).
+/// `counts` are the sets' per-vertex occurrence counts as the run's kernel
+/// fusion leaves them ([`imm_rrr::count_memberships`]); without them the
+/// kernel performs the initial counting pass itself (lines 1–6 of
+/// Algorithm 2).
+///
+/// # Panics
+/// Panics if `counts` does not hold one entry per vertex.
 pub fn select_seeds_efficient(
     sets: &RrrCollection,
     k: usize,
     exec: &ExecutionConfig,
-    fused_counter: Option<&GlobalCounter>,
+    counts: Option<&[u32]>,
 ) -> SeedSelection {
     let threads = exec.threads.max(1);
     let n = sets.num_nodes();
@@ -86,30 +71,32 @@ pub fn select_seeds_efficient(
     let per_thread_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let atomic_ops = AtomicU64::new(0);
 
-    // Working counter. With fusion the sampled counts are copied so the
-    // caller's counter survives this selection (the martingale loop reuses it
-    // after appending more sets); without fusion the counts are built here by
-    // the set-partitioned concurrent update.
-    let counter = GlobalCounter::new(n);
-    if let Some(base) = fused_counter {
-        counter.copy_from(base);
-    } else {
-        run_jobs(threads, sets.len(), schedule, |worker, range| {
-            let mut ops = 0u64;
-            for idx in range.iter() {
-                sets.get(idx).for_each(|v| {
-                    counter.increment(v);
-                    ops += 1;
-                });
-            }
-            per_thread_ops[worker].fetch_add(ops, Ordering::Relaxed);
-            atomic_ops.fetch_add(ops, Ordering::Relaxed);
-        });
-    }
+    // Working counter: the given counts, or the set-partitioned concurrent
+    // update of every membership.
+    let counter = match counts {
+        Some(counts) => {
+            assert_eq!(counts.len(), n, "one count per vertex");
+            GlobalCounter::from_values(counts)
+        }
+        None => {
+            let counter = GlobalCounter::new(n);
+            run_jobs(threads, sets.len(), schedule, |worker, range| {
+                let mut ops = 0u64;
+                for idx in range.iter() {
+                    sets.get(idx).for_each(|v| {
+                        counter.increment(v);
+                        ops += 1;
+                    });
+                }
+                per_thread_ops[worker].fetch_add(ops, Ordering::Relaxed);
+                atomic_ops.fetch_add(ops, Ordering::Relaxed);
+            });
+            counter
+        }
+    };
 
-    let mut index = CoverIndex::build(sets);
+    let postings = Postings::build(sets).expect("RRR set members lie inside the vertex space");
     let mut postings_walked = 0u64;
-    let mut bitmap_probes = 0u64;
 
     let alive: Vec<AtomicBool> = (0..sets.len()).map(|_| AtomicBool::new(true)).collect();
     let mut alive_count = sets.len();
@@ -127,27 +114,14 @@ pub fn select_seeds_efficient(
         }
 
         // The still-alive sets covered by the new seed, in ascending id
-        // order: its postings among the list sets, and a bit probe of each
-        // surviving bitmap set (which leaves the side list once covered).
+        // order.
         covered.clear();
-        postings_walked += index.postings.degree(seed);
-        index.postings.for_each(seed, |id| {
+        postings_walked += postings.degree(seed);
+        postings.for_each(seed, |id| {
             if alive[id as usize].load(Ordering::Relaxed) {
                 covered.push(id as usize);
             }
         });
-        bitmap_probes += index.live_bitmaps.len() as u64;
-        let from_lists = covered.len();
-        index.live_bitmaps.retain(|&id| {
-            let hit = sets.get(id as usize).contains(seed);
-            if hit {
-                covered.push(id as usize);
-            }
-            !hit
-        });
-        if from_lists > 0 && covered.len() > from_lists {
-            covered.sort_unstable();
-        }
         let covered_count = covered.len();
         covered_total += covered_count;
 
@@ -211,7 +185,7 @@ pub fn select_seeds_efficient(
         work: WorkProfile {
             per_thread_ops: per_thread_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
             atomic_ops: atomic_ops.load(Ordering::Relaxed),
-            search_probes: index.postings.entries() + postings_walked + bitmap_probes,
+            search_probes: postings.entries() + postings_walked,
         },
         counter_rebuilds: rebuilds,
         counter_decrements: decrements,
@@ -222,6 +196,7 @@ pub fn select_seeds_efficient(
 mod tests {
     use super::*;
     use crate::params::Algorithm;
+    use crate::selection::select_seeds_celf;
     use crate::selection::test_support::{
         collection, collection_with_policy, greedy_reference, policies,
     };
@@ -242,13 +217,11 @@ mod tests {
         assert!(result.work.atomic_ops > 0);
     }
 
-    /// The occurrence counts sampling would have fused into a counter.
-    fn fused_counts(sets: &RrrCollection) -> GlobalCounter {
-        let base = GlobalCounter::new(sets.num_nodes());
-        for set in sets.iter() {
-            set.for_each(|v| base.increment(v));
-        }
-        base
+    /// The per-vertex counts a run's kernel fusion leaves for `sets`.
+    fn fused_counts(sets: &RrrCollection) -> Vec<u32> {
+        let mut counts = vec![0; sets.num_nodes()];
+        imm_rrr::count_memberships(sets, 0, &mut counts).unwrap();
+        counts
     }
 
     #[test]
@@ -328,30 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_sets_are_probed_only_while_alive() {
-        // All-bitmap collection: no postings; each round probes the bitmap
-        // sets no earlier seed has covered.
+    fn bitmap_sets_are_walked_in_the_one_postings() {
+        // All-bitmap collection: the postings index every membership, and
+        // each round walks the new seed's ids.
         let owned: Vec<Vec<u32>> = vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![4, 5], vec![5, 6]];
         let sets = collection_with_policy(8, &owned, &AdaptivePolicy::always_bitmap());
         let mut cfg = exec(1);
         cfg.features.adaptive_counter_update = false;
         let result = select_seeds_efficient(&sets, 3, &cfg, None);
         assert_eq!(result.seeds, vec![0, 5, 0]);
-        // Round 1 probes 5 sets and covers 3; round 2 probes the 2 left and
-        // covers both; round 3 finds an all-zero counter and probes nothing.
-        assert_eq!(result.work.search_probes, 5 + 2);
-    }
-
-    #[test]
-    fn fused_counter_gives_the_same_answer_and_preserves_the_base_counter() {
-        let sets =
-            collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        let base = fused_counts(&sets);
-        let before = base.snapshot();
-        let with_fusion = select_seeds_efficient(&sets, 2, &exec(2), Some(&base));
-        let without = select_seeds_efficient(&sets, 2, &exec(2), None);
-        assert_eq!(with_fusion.seeds, without.seeds);
-        assert_eq!(base.snapshot(), before, "selection must not clobber the sampled counts");
+        // 10 entries built; round 1 walks vertex 0's 3 ids, round 2 vertex
+        // 5's 2, round 3 finds an all-zero counter and walks nothing.
+        assert_eq!(result.work.search_probes, 10 + seed_memberships(&sets, &[0, 5]));
     }
 
     #[test]
@@ -445,19 +406,49 @@ mod tests {
             // once every set is covered.
             k in 0usize..4,
             threads in 1usize..5,
-            fused in any::<bool>(),
             adaptive in any::<bool>(),
         ) {
             let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
             let sets = collection_with_policy(100, &owned, &policies()[policy]);
             let k = [1usize, 4, 100, 107][k];
             let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
-            let base = fused.then(|| fused_counts(&sets));
             let mut cfg = exec(threads);
             cfg.features.adaptive_counter_update = adaptive;
-            let result = select_seeds_efficient(&sets, k, &cfg, base.as_ref());
+            let result = select_seeds_efficient(&sets, k, &cfg, None);
             prop_assert_eq!(result.seeds, ref_seeds);
             prop_assert_eq!(result.coverage_fraction, ref_cov);
+        }
+
+        /// The kernel seeded with the run's fused counts, the kernel's own
+        /// counting pass and the CELF session give the same seeds and
+        /// coverage bits in every representation, adaptive update on or off.
+        #[test]
+        fn fused_counts_own_counts_and_celf_agree(
+            raw_sets in proptest::collection::vec(
+                proptest::collection::hash_set(0u32..100, 1..90),
+                1..40,
+            ),
+            k in 1usize..12,
+            threads in 1usize..4,
+        ) {
+            let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
+            for policy in policies() {
+                let sets = collection_with_policy(100, &owned, &policy);
+                let celf = select_seeds_celf(&sets, k, threads);
+                let counts = fused_counts(&sets);
+                for adaptive in [false, true] {
+                    let mut cfg = exec(threads);
+                    cfg.features.adaptive_counter_update = adaptive;
+                    for given in [Some(counts.as_slice()), None] {
+                        let eager = select_seeds_efficient(&sets, k, &cfg, given);
+                        prop_assert_eq!(&eager.seeds, &celf.seeds, "{:?}", policy);
+                        prop_assert_eq!(
+                            eager.coverage_fraction.to_bits(),
+                            celf.coverage_fraction.to_bits()
+                        );
+                    }
+                }
+            }
         }
     }
 }

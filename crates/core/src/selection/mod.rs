@@ -14,9 +14,8 @@
 //! * [`efficient`] — EfficientIMM (Algorithm 2): RRR sets partitioned across
 //!   threads, concurrent atomic updates to one shared counter, a sequential
 //!   argmax over it, and the adaptive decrement-vs-rebuild counter update.
-//!   The sets a seed covers come from a per-selection inverted index over
-//!   the list sets plus a bit probe of the (few, dense) bitmap sets — never
-//!   from a scan of all θ sets.
+//!   The sets a seed covers come from the per-selection [`Postings`] —
+//!   never from a scan of all θ sets.
 //!
 //! Both eager kernels fork-join on the process-global `imm-exec` pool
 //! through `rayon::scope` / [`crate::balance::run_jobs`], `exec.threads`
@@ -30,7 +29,6 @@
 pub mod efficient;
 pub mod ripples;
 
-use crate::counter::GlobalCounter;
 use crate::metrics;
 use crate::params::{Algorithm, ExecutionConfig};
 use crate::stats::WorkProfile;
@@ -57,20 +55,11 @@ pub struct SeedSelection {
 }
 
 /// Select `k` seeds from `sets` with the eager kernel of the engine chosen
-/// by `exec`.
-///
-/// The caller may pass occurrence counts fused into sampling in
-/// `fused_counter` for the EfficientIMM kernel; otherwise the kernel builds
-/// its own.
-pub fn select_seeds(
-    sets: &RrrCollection,
-    k: usize,
-    exec: &ExecutionConfig,
-    fused_counter: Option<&GlobalCounter>,
-) -> SeedSelection {
+/// by `exec`; the EfficientIMM kernel counts the sets itself.
+pub fn select_seeds(sets: &RrrCollection, k: usize, exec: &ExecutionConfig) -> SeedSelection {
     match exec.algorithm {
         Algorithm::Ripples => ripples::select_seeds_ripples(sets, k, exec.threads),
-        Algorithm::Efficient => efficient::select_seeds_efficient(sets, k, exec, fused_counter),
+        Algorithm::Efficient => efficient::select_seeds_efficient(sets, k, exec, None),
     }
 }
 
@@ -267,7 +256,7 @@ mod tests {
             collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
         for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
             let exec = ExecutionConfig::new(algorithm, 2);
-            let result = select_seeds(&sets, 2, &exec, None);
+            let result = select_seeds(&sets, 2, &exec);
             assert_eq!(result.seeds.len(), 2);
             assert_eq!(result.seeds[0], 1, "{algorithm:?} must pick vertex 1 first");
             assert!(result.coverage_fraction > 0.0);

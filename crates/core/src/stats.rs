@@ -62,9 +62,9 @@ pub struct WorkProfile {
     pub atomic_ops: u64,
     /// Membership work of the selection kernel. Ripples: binary-search
     /// probes issued (zero when bitmaps answer membership in O(1)).
-    /// EfficientIMM's eager kernel: inverted-index entries built (one per
-    /// list-set member, per selection) + postings entries inspected + bitmap
-    /// sets probed. CELF: postings entries built + frontier evaluations.
+    /// EfficientIMM's eager kernel: postings entries built (one per member,
+    /// per selection) + postings entries the seeds walk. CELF: postings
+    /// entries built + frontier evaluations.
     pub search_probes: u64,
 }
 

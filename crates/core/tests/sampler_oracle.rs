@@ -40,7 +40,6 @@ fn sample(
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 64 },
         threads: 2,
-        fused_counter: None,
     };
     generate_rrr_sets(graph, weights, count, |i| i, &config).sets
 }
@@ -140,9 +139,9 @@ fn assert_inclusion_agrees_with_forward_simulation(
         let p = hits as f64 / sets as f64;
         let reverse = nodes as f64 * p;
         let reverse_var = (nodes * nodes) as f64 * p * (1.0 - p) / sets as f64;
-        // Seeds 2^32 apart: `monte_carlo_spread` seeds trial `t` with
-        // `seed + t`, so nearby seeds would share almost every cascade
-        // and tie all the forward errors together.
+        // One seed per vertex. `monte_carlo_spread` keys trial `t` with a
+        // full mix of `(seed, t)`, so even nearby seeds share no cascade and
+        // the forward errors stay independent; these are kept 2^32 apart.
         let forward = monte_carlo_spread(graph, weights, model, &[v], trials, (v as u64) << 32);
         let forward_var = forward.std_dev * forward.std_dev / trials as f64;
         let z = (reverse - forward.mean) / (reverse_var + forward_var).sqrt();
@@ -293,7 +292,6 @@ fn assert_sets_are_the_plain_bfs(
             policy: AdaptivePolicy::default(),
             schedule: Schedule::Dynamic { chunk: 16 },
             threads,
-            fused_counter: None,
         };
         let sets = generate_rrr_sets(graph, weights, count, |i| i, &config).sets;
         for (i, set) in sets.iter().enumerate() {

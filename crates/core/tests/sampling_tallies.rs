@@ -35,7 +35,6 @@ fn a_call_adds_its_sets_and_members_once_per_worker() {
                 policy: AdaptivePolicy::default(),
                 schedule,
                 threads,
-                fused_counter: None,
             };
             let (sets_before, vertices_before) = (SETS_SAMPLED.value(), SET_VERTICES.value());
             let out = generate_rrr_sets(&graph, weights, 250, |i| i, &config);

@@ -168,10 +168,27 @@ fn cascade<R: Rng + ?Sized>(
     }
 }
 
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function: a bijection on `u64` with full avalanche.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The RNG seed of trial `t` under `seed`: output `t + 1` of the SplitMix64
+/// stream rooted at the mixed `seed`. Nearby seeds root unrelated streams,
+/// so no two seeds share a run of trials.
+fn trial_seed(seed: u64, t: usize) -> u64 {
+    mix(mix(seed).wrapping_add(GOLDEN.wrapping_mul(t as u64 + 1)))
+}
+
 /// Monte-Carlo estimate of `σ(seeds)`: the mean activation count over
 /// `trials` independent cascades, simulated one after another on the calling
 /// thread over one transpose of the graph. Deterministic for a fixed `seed`:
-/// each trial derives its own RNG from `seed` and the trial index.
+/// each trial derives its own RNG from a full mix of `seed` and the trial
+/// index.
 pub fn monte_carlo_spread(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -185,12 +202,7 @@ pub fn monte_carlo_spread(
     }
     let forward = Forward::new(graph, weights);
     let counts: Vec<usize> = (0..trials)
-        .map(|t| {
-            let mut rng = SmallRng::seed_from_u64(
-                seed.wrapping_add(t as u64).wrapping_mul(0x9E3779B97F4A7C15),
-            );
-            cascade(&forward, model, seeds, &mut rng)
-        })
+        .map(|t| cascade(&forward, model, seeds, &mut SmallRng::seed_from_u64(trial_seed(seed, t))))
         .collect();
 
     let mean = counts.iter().sum::<usize>() as f64 / trials as f64;
@@ -292,6 +304,27 @@ mod tests {
         let a = monte_carlo_spread(&g, &w, DiffusionModel::IndependentCascade, &[0], 500, 7);
         let b = monte_carlo_spread(&g, &w, DiffusionModel::IndependentCascade, &[0], 500, 7);
         assert_eq!(a, b);
+    }
+
+    /// Nearby seeds draw unrelated trials: seed `s + 1`'s cascades are not
+    /// seed `s`'s shifted by one, which would tie their estimates together.
+    #[test]
+    fn nearby_seeds_do_not_share_trials() {
+        let g = CsrGraph::from_edge_list(&generators::star(40));
+        let w = EdgeWeights::constant(&g, 0.5);
+        // Trial `t`'s activation count, out of the means over 0..=trials.
+        let counts = |seed: u64, trials: usize| -> Vec<i64> {
+            let model = DiffusionModel::IndependentCascade;
+            let sums: Vec<f64> = (0..=trials)
+                .map(|t| monte_carlo_spread(&g, &w, model, &[0], t, seed).mean * t as f64)
+                .collect();
+            sums.windows(2).map(|pair| (pair[1] - pair[0]).round() as i64).collect()
+        };
+        for seed in [0, 7, 1 << 32] {
+            let (next, this) = (counts(seed + 1, 12), counts(seed, 13));
+            assert!(this.iter().any(|&c| c != this[0]), "seed {seed}: the cascades vary");
+            assert_ne!(next[..], this[1..], "seed {seed}");
+        }
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //! vertices) no vertex qualifies and the structure is exactly the CSR it
 //! replaces.
 //!
-//! One counting sort builds it ([`Postings::build`]), for a serving index
-//! and — in its lists-only mode, [`Postings::build_over_list_sets`] — the
-//! batch kernel's cover index.
+//! One counting sort builds it ([`Postings::build`]), for a serving index,
+//! a run's selection and the eager batch kernel's cover index alike.
 //! Bitmap sets enter through 64×64 bit-block transposes of their words
 //! rather than one store per member. The four arrays are also, verbatim, the
 //! postings sections of the mappable snapshot: [`Postings::from_source`]
@@ -208,14 +207,11 @@ fn members_in_space(set: SetView<'_>, n: usize, mut f: impl FnMut(NodeId)) -> Re
 /// `from + 64·b ..`). A block holding a bitmap set delivers each vertex's bits
 /// whole, out of 64×64 transposes of the sets' words (one per 64 vertices,
 /// instead of one store per member); a block of list sets delivers its
-/// members one by one, sets ascending. Bitmap sets are skipped (their local
-/// ids pushed to `skipped`) unless `include_bitmaps`. A member outside the
-/// vertex space aborts the walk.
+/// members one by one, sets ascending. A member outside the vertex space
+/// aborts the walk.
 fn walk_memberships(
     sets: &RrrCollection,
     from: usize,
-    include_bitmaps: bool,
-    skipped: &mut Vec<u32>,
     sink: &mut impl MembershipSink,
 ) -> Result<(), NodeId> {
     let (n, len) = (sets.num_nodes(), sets.len());
@@ -228,12 +224,9 @@ fn walk_memberships(
     for block in 0..len.saturating_sub(from).div_ceil(64) {
         let first = from + block * 64;
         let ids = first..(first + 64).min(len);
-        if !(include_bitmaps && sets.has_bitmap_in(ids.start, ids.len())) {
+        if !sets.has_bitmap_in(ids.start, ids.len()) {
             for local in ids {
-                match sets.get(local) {
-                    SetView::Bitmap(_) => skipped.push(local as u32),
-                    set => members_in_space(set, n, |v| sink.one(v, local as u32))?,
-                }
+                members_in_space(sets.get(local), n, |v| sink.one(v, local as u32))?;
             }
             continue;
         }
@@ -272,7 +265,7 @@ pub fn count_memberships(
     counts: &mut [u32],
 ) -> Result<(), NodeId> {
     assert_eq!(counts.len(), sets.num_nodes(), "one count per vertex");
-    walk_memberships(sets, from, true, &mut Vec::new(), &mut CountDegrees(counts))
+    walk_memberships(sets, from, &mut CountDegrees(counts))
 }
 
 /// Call `f` with the index of every set bit of `word`, ascending, offset by
@@ -303,7 +296,9 @@ impl Postings {
         sets: &RrrCollection,
         row_threshold: usize,
     ) -> Result<Self, NodeId> {
-        Self::counting_sort(sets, row_threshold, true, None).map(|(postings, _)| postings)
+        let mut degrees = vec![0u32; sets.num_nodes()];
+        count_memberships(sets, 0, &mut degrees)?;
+        Self::counting_sort(sets, row_threshold, &degrees)
     }
 
     /// [`Postings::build`] from the degrees the caller already holds —
@@ -316,46 +311,18 @@ impl Postings {
     /// or build wrong postings if an entry is not the vertex's degree.
     pub fn build_with_degrees(sets: &RrrCollection, degrees: &[u32]) -> Result<Self, NodeId> {
         assert_eq!(degrees.len(), sets.num_nodes(), "one degree per vertex");
-        Self::counting_sort(sets, sets.len() / 32, true, Some(degrees))
-            .map(|(postings, _)| postings)
+        Self::counting_sort(sets, sets.len() / 32, degrees)
     }
 
-    /// The lists-only mode: invert the list-represented sets of the whole
-    /// collection into lists (no vertex stores a row), and return the ids of
-    /// the bitmap sets, ascending, next to them.
-    pub fn build_over_list_sets(sets: &RrrCollection) -> Result<(Self, Vec<u32>), NodeId> {
-        Self::counting_sort(sets, usize::MAX, false, None)
-    }
-
-    /// The counting sort: a count pass (unless `known_degrees` holds its
-    /// result), then a fill pass.
+    /// The counting sort's fill pass, over the sets' `degrees`.
     fn counting_sort(
         sets: &RrrCollection,
         row_threshold: usize,
-        include_bitmaps: bool,
-        known_degrees: Option<&[u32]>,
-    ) -> Result<(Self, Vec<u32>), NodeId> {
+        degrees: &[u32],
+    ) -> Result<Self, NodeId> {
         let (n, len) = (sets.num_nodes(), sets.len());
         assert!(u32::try_from(len).is_ok(), "more than u32::MAX sets in one postings structure");
         let words = len.div_ceil(64);
-        let mut skipped = Vec::new();
-
-        let counted;
-        let degrees = match known_degrees {
-            Some(degrees) => degrees,
-            None => {
-                let mut degrees = vec![0u32; n];
-                walk_memberships(
-                    sets,
-                    0,
-                    include_bitmaps,
-                    &mut skipped,
-                    &mut CountDegrees(&mut degrees),
-                )?;
-                counted = degrees;
-                &counted
-            }
-        };
 
         let mut offsets = Vec::with_capacity(n + 1);
         let (mut row_ids, mut row_degrees) = (Vec::new(), Vec::new());
@@ -377,7 +344,6 @@ impl Postings {
         let mut cursor = offsets.clone();
         let mut lists = vec![0u32; total as usize];
         let mut rows = vec![0u64; row_ids.len() * words];
-        skipped.clear();
         let mut fill = Fill {
             row_of: &row_of,
             words,
@@ -385,7 +351,7 @@ impl Postings {
             cursor: &mut cursor,
             lists: &mut lists,
         };
-        walk_memberships(sets, 0, include_bitmaps, &mut skipped, &mut fill)?;
+        walk_memberships(sets, 0, &mut fill)?;
         debug_assert!(
             (0..n).all(|v| row_of.get(v).is_some_and(|&slot| slot != NO_ROW)
                 || cursor[v] == offsets[v + 1]),
@@ -394,9 +360,7 @@ impl Postings {
 
         row_ids.append(&mut row_degrees);
         let store = Store::Owned { offsets, lists, row_table: row_ids, rows };
-        let postings =
-            Postings { num_nodes: n, range_len: len, row_threshold, entries, store, row_of };
-        Ok((postings, skipped))
+        Ok(Postings { num_nodes: n, range_len: len, row_threshold, entries, store, row_of })
     }
 
     /// Serve the four sections of `source` in place, as the postings of
@@ -1003,19 +967,6 @@ mod tests {
         let mut bad = RrrCollection::new(4);
         bad.push_vertices(vec![0, 9], &AdaptivePolicy::always_sorted());
         assert_eq!(Postings::build(&bad), Err(9));
-    }
-
-    #[test]
-    fn the_lists_only_mode_skips_bitmap_sets_and_never_makes_a_row() {
-        let mut sets = RrrCollection::new(8);
-        sets.push_vertices(vec![0, 1], &AdaptivePolicy::always_sorted());
-        sets.push_vertices(vec![0, 2, 3], &AdaptivePolicy::always_bitmap());
-        sets.push_vertices(vec![0], &AdaptivePolicy::always_sorted());
-        let (postings, bitmaps) = Postings::build_over_list_sets(&sets).unwrap();
-        assert_eq!(bitmaps, [1]);
-        assert_eq!(postings.ids(0), [0, 2]);
-        assert!(!postings.is_row(0) && postings.ids(2).is_empty());
-        assert_eq!(postings.entries(), 3);
     }
 
     #[test]

@@ -128,18 +128,5 @@ proptest! {
         let known = Postings::build_with_degrees(&sets, &degrees).unwrap();
         prop_assert_eq!(known.sections(), adaptive.sections());
         prop_assert_eq!(known.entries(), adaptive.entries());
-
-        // The lists-only mode indexes exactly the list-represented sets.
-        let (lists_only, bitmap_ids) = Postings::build_over_list_sets(&sets).unwrap();
-        let is_bitmap: Vec<bool> = sets.iter().map(|set| set.bitmap().is_some()).collect();
-        let expected_ids: Vec<u32> =
-            (0..raw.len() as u32).filter(|&id| is_bitmap[id as usize]).collect();
-        prop_assert_eq!(bitmap_ids, expected_ids);
-        for (v, ids) in inverse.iter().enumerate() {
-            let listed: Vec<u32> =
-                ids.iter().copied().filter(|&id| !is_bitmap[id as usize]).collect();
-            prop_assert_eq!(lists_only.ids(v as u32), listed);
-            prop_assert!(!lists_only.is_row(v as u32));
-        }
     }
 }

@@ -299,7 +299,6 @@ fn resample_sets(
         policy: spec.policy,
         schedule: Schedule::Dynamic { chunk: 32 },
         threads: rayon::current_num_threads(),
-        fused_counter: None,
     };
     generate_rrr_sets(new_graph, new_weights, ids.len(), |job| ids[job], &config).sets
 }
@@ -332,7 +331,6 @@ impl SketchIndex {
                 policy: spec.policy,
                 schedule: Schedule::Dynamic { chunk: 32 },
                 threads,
-                fused_counter: None,
             },
         );
         Self::build_dynamic(graph, out.sets, spec, label)

@@ -37,7 +37,6 @@ fn sampled_collection(
         policy: imm_rrr::AdaptivePolicy::default(),
         schedule: efficient_imm::balance::Schedule::Dynamic { chunk: 16 },
         threads: 2,
-        fused_counter: None,
     };
     let out = efficient_imm::sampling::generate_rrr_sets(&graph, &weights, theta, |i| i, &cfg);
     (graph, out.sets)
@@ -60,7 +59,7 @@ fn assert_celf_matches_naive(model: DiffusionModel, graph_seed: u64, rng_seed: u
         for algorithm in [Algorithm::Efficient, Algorithm::Ripples] {
             for threads in [1usize, 2, 4] {
                 let exec = ExecutionConfig::new(algorithm, threads);
-                let naive = select_seeds(&collection, budget, &exec, None);
+                let naive = select_seeds(&collection, budget, &exec);
                 assert_eq!(
                     seeds, naive.seeds,
                     "{model:?} {algorithm:?} threads={threads} budget={budget}"
@@ -127,7 +126,7 @@ fn celf_matches_naive_on_degenerate_collections() {
         let k = n; // push past coverage exhaustion
         let (seeds, coverage) = engine_top_k(&engine, k);
         let exec = ExecutionConfig::new(Algorithm::Efficient, 1);
-        let naive = select_seeds(&collection, k, &exec, None);
+        let naive = select_seeds(&collection, k, &exec);
         assert_eq!(seeds, naive.seeds, "n={n} sets={sets:?}");
         assert!((coverage - naive.coverage_fraction).abs() < 1e-12);
     }

@@ -138,7 +138,7 @@ pub fn budgets(num_nodes: usize) -> [usize; 5] {
 pub fn sampled(g: &CsrGraph, w: &EdgeWeights, spec: SampleSpec, theta: usize) -> Indexed {
     let (model, rng_seed, policy) = (spec.model, spec.rng_seed, spec.policy);
     let schedule = Schedule::Dynamic { chunk: 32 };
-    let cfg = SamplingConfig { model, rng_seed, policy, schedule, threads: 2, fused_counter: None };
+    let cfg = SamplingConfig { model, rng_seed, policy, schedule, threads: 2 };
     let sets = generate_rrr_sets(g, w, theta, |i| i, &cfg).sets;
     let records = set_provenance(rng_seed, 0..theta, g.num_nodes());
     let index = SketchIndex::build_with_provenance(g, sets.clone(), records, spec, "masked");

@@ -165,7 +165,6 @@ fn sampling_work_profile_accounts_for_every_generated_vertex() {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 8 },
         threads: 3,
-        fused_counter: None,
     };
     let out = generate_rrr_sets(&g, &w, 120, |i| i, &cfg);
     let total_vertices: usize = out.sets.iter().map(|s| s.len()).sum();

@@ -24,7 +24,6 @@ fn sample(name: &str, sets: usize, threads: usize) -> RrrCollection {
         policy: AdaptivePolicy::default(),
         schedule: Schedule::Dynamic { chunk: 16 },
         threads,
-        fused_counter: None,
     };
     generate_rrr_sets(&dataset.graph, &dataset.ic_weights, sets, |i| i, &cfg).sets
 }
@@ -164,7 +163,6 @@ fn claim_adaptive_representation_reduces_memory_for_dense_collections() {
             policy,
             schedule: Schedule::Static,
             threads: 2,
-            fused_counter: None,
         };
         generate_rrr_sets(&dataset.graph, &dataset.ic_weights, 64, |i| i, &cfg).sets.memory_bytes()
     };
