@@ -385,19 +385,24 @@ if grep -rnE 'imm_obs::register\(|static ONCE' crates/*/src | grep -v '^crates/o
   exit 1
 fi
 
-# Criterion benches are not part of `cargo test`; make sure they always at
-# least compile so a refactor cannot silently rot them.
-echo "==> cargo bench --no-run"
-cargo bench --no-run --workspace --quiet
+# The spine is the one benchmark: no crate declares a bench target, and
+# the criterion shim the old benches needed stays out of every manifest.
+echo "==> one-benchmark guard: no [[bench]] target and no criterion in any Cargo.toml"
+if find . -name Cargo.toml -not -path './target/*' -print0 \
+  | xargs -0 grep -nE '^\[\[bench\]\]|criterion'; then
+  echo "error: spine/ is the benchmark; do not add a bench target or the criterion shim" >&2
+  exit 1
+fi
 
-# The perf baseline must stay runnable and keep emitting parseable JSON; the
-# smoke run asserts the schema internally (no timing assertions) and exits
-# non-zero on any parse failure. It runs twice — once built with obs-off
-# (recording compiled to no-ops) and once instrumented with the obs-off run
-# as `--obs-baseline` — so both build flavors and the overhead-comparison
-# plumbing stay exercised. Smoke runs record the throughput ratio without
-# asserting on it (they are too short to clear the noise floor; the checked-
-# in BENCH_7.json comes from a full run where the guard does assert).
+# The obs-off overhead guard must stay runnable and keep emitting its JSON;
+# the smoke run checks the schema version and the exact metric keys
+# internally (no timing assertions) and exits non-zero on any mismatch. It
+# runs twice — once built with obs-off (recording compiled to no-ops) and
+# once instrumented with the obs-off run as `--obs-baseline` — so both build
+# flavors and the overhead-comparison plumbing stay exercised. Smoke runs
+# record the throughput ratio without asserting on it (they are too short to
+# clear the noise floor; the checked-in BENCH_7.json comes from a full run,
+# where the ratio must stay above 0.85).
 echo "==> perf_suite --smoke, obs-off build (JSON output must parse)"
 SMOKE_BASELINE="$(mktemp /tmp/bench7_obsoff.XXXXXX.json)"
 cargo run --release -p imm-bench --features obs-off --bin perf_suite -- \

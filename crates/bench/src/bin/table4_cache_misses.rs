@@ -43,7 +43,7 @@ fn main() {
 
         let hierarchy = HierarchyConfig::default();
         let ripples = cache_misses_ripples(&sets, k, threads, hierarchy);
-        let efficient = cache_misses_efficient(&sets, k, threads, hierarchy, 0.5);
+        let efficient = cache_misses_efficient(&sets, k, threads, hierarchy);
         let reduction =
             ripples.l1_plus_l2_misses as f64 / efficient.l1_plus_l2_misses.max(1) as f64;
         let paper_reduction =

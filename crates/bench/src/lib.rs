@@ -14,8 +14,8 @@
 //! * [`output`] — plain-text tables, CSV files and the JSON run logs the
 //!   paper's artifact produces.
 //! * [`obs`] — the versioned JSON shape for `imm-obs` registry exports,
-//!   shared by the CLI's `stats --metrics` and the perf suite's
-//!   `BENCH_*.json` embed.
+//!   shared by the CLI's `stats --metrics` and the daemon's metrics
+//!   response.
 //!
 //! Each table/figure has a dedicated binary under `src/bin/`; see DESIGN.md
 //! §6 for the experiment-to-binary index.

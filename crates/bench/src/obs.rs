@@ -1,9 +1,8 @@
 //! The one JSON shape for `imm-obs` registry exports.
 //!
-//! Both consumers — the CLI's `stats --metrics` panel and the perf
-//! suite's `BENCH_*.json` embed — serialize the registry through
-//! [`registry_json`], so the two can never drift. The shape is
-//! versioned independently of the bench schema:
+//! Both consumers — the CLI's `stats --metrics` panel and the daemon's
+//! `metrics` verb — serialize the registry through [`registry_json`], so
+//! the two can never drift. The shape is versioned on its own:
 //!
 //! ```json
 //! {

@@ -723,8 +723,8 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
 }
 
 /// The workspace metric registry in the documented, versioned shape
-/// ([`imm_bench::obs`] — the same serializer the perf suite embeds in
-/// `BENCH_*.json`), plus the process-global pool's thread count.
+/// ([`imm_bench::obs`] — the same serializer the daemon's `metrics` verb
+/// answers with), plus the process-global pool's thread count.
 fn metrics_json() -> serde_json::Value {
     serde_json::json!({
         "pool": {

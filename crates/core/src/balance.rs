@@ -21,6 +21,10 @@ use imm_graph::{block_ranges, Range};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Jobs a worker claims per pull when a run balances dynamically
+/// ([`EfficientFeatures::schedule`](crate::EfficientFeatures::schedule)).
+pub const JOB_CHUNK: usize = 64;
+
 /// How jobs are distributed over workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Schedule {

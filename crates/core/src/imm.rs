@@ -23,7 +23,6 @@
 //! When the final top-up draws no set, the last step's selection is already
 //! the one on the final sample and is returned as is.
 
-use crate::balance::Schedule;
 use crate::math;
 use crate::params::{Algorithm, ExecutionConfig, ImmParams};
 use crate::sampling::{generate_rrr_sets_into, set_provenance, SamplingConfig};
@@ -103,11 +102,7 @@ pub fn run_imm(
     let epsilon = params.epsilon;
 
     let mut breakdown = RuntimeBreakdown::default();
-    let schedule = if exec.features.dynamic_balancing {
-        Schedule::Dynamic { chunk: exec.job_chunk.max(1) }
-    } else {
-        Schedule::Static
-    };
+    let schedule = exec.features.schedule();
     let config = SamplingConfig {
         model: params.model,
         rng_seed: params.rng_seed,

@@ -18,6 +18,7 @@
 //! parallel kernels, so the per-algorithm access-volume asymmetry — the thing
 //! the paper's numbers are driven by — is preserved.
 
+use crate::selection::efficient::REBUILD_THRESHOLD;
 use crate::NodeId;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{block_ranges, CsrGraph, EdgeWeights};
@@ -152,14 +153,14 @@ pub fn cache_misses_ripples(
 /// Access pattern per Algorithm 2: the RRR sets are partitioned across cores,
 /// each element is read once and triggers one atomic counter update; seed
 /// extraction scans the shared counter once per core range; the decouple step
-/// touches only the covered sets (or rebuilds from the survivors when that is
-/// cheaper, mirroring the adaptive update).
+/// touches only the covered sets (or rebuilds from the survivors when they
+/// cover more than [`REBUILD_THRESHOLD`] of the alive sets, mirroring the
+/// adaptive update).
 pub fn cache_misses_efficient(
     sets: &RrrCollection,
     k: usize,
     threads: usize,
     config: HierarchyConfig,
-    rebuild_threshold: f64,
 ) -> CacheMissReport {
     let threads = threads.max(1);
     let n = sets.num_nodes();
@@ -192,7 +193,7 @@ pub fn cache_misses_efficient(
         let covered: Vec<usize> =
             (0..sets.len()).filter(|&idx| alive[idx] && sets.get(idx).contains(seed)).collect();
         let rebuild =
-            alive_count > 0 && (covered.len() as f64 / alive_count as f64) > rebuild_threshold;
+            alive_count > 0 && (covered.len() as f64 / alive_count as f64) > REBUILD_THRESHOLD;
 
         if rebuild {
             for &idx in &covered {
@@ -410,7 +411,7 @@ mod tests {
         let sets = skewed_sets(64, 512);
         let config = HierarchyConfig::default();
         let ripples = cache_misses_ripples(&sets, 5, 4, config);
-        let efficient = cache_misses_efficient(&sets, 5, 4, config, 0.5);
+        let efficient = cache_misses_efficient(&sets, 5, 4, config);
         assert!(ripples.accesses > efficient.accesses, "baseline touches more memory");
         assert!(
             ripples.l1_plus_l2_misses > 2 * efficient.l1_plus_l2_misses,
@@ -424,8 +425,8 @@ mod tests {
     fn miss_counts_are_deterministic() {
         let sets = skewed_sets(32, 256);
         let config = HierarchyConfig::default();
-        let a = cache_misses_efficient(&sets, 3, 2, config, 0.5);
-        let b = cache_misses_efficient(&sets, 3, 2, config, 0.5);
+        let a = cache_misses_efficient(&sets, 3, 2, config);
+        let b = cache_misses_efficient(&sets, 3, 2, config);
         assert_eq!(a, b);
     }
 
@@ -445,7 +446,7 @@ mod tests {
         let r = cache_misses_ripples(&sets, 0, 2, config);
         assert_eq!(r.l1_plus_l2_misses, 0);
         assert_eq!(r.accesses, 0);
-        let e = cache_misses_efficient(&sets, 0, 2, config, 0.5);
+        let e = cache_misses_efficient(&sets, 0, 2, config);
         assert_eq!(e.l1_plus_l2_misses, 0);
         assert_eq!(e.accesses, 0);
     }

@@ -1,5 +1,6 @@
 //! Algorithm parameters and execution configuration.
 
+use crate::balance::{Schedule, JOB_CHUNK};
 use imm_diffusion::DiffusionModel;
 use imm_rrr::AdaptivePolicy;
 
@@ -96,15 +97,12 @@ pub struct EfficientFeatures {
     /// Adaptive sorted-list / bitmap RRR-set representation (§IV-C).
     pub adaptive_representation: bool,
     /// Adaptive decrement-vs-rebuild counter update after each selected seed
-    /// (§IV-C, Figure 5).
+    /// (§IV-C, Figure 5), rebuilding above
+    /// [`REBUILD_THRESHOLD`](crate::selection::efficient::REBUILD_THRESHOLD).
     pub adaptive_counter_update: bool,
     /// Dynamic producer-consumer job balancing instead of static chunking
     /// (§IV-C).
     pub dynamic_balancing: bool,
-    /// Fraction of alive RRR sets covered by the newly selected seed above
-    /// which the counter is rebuilt instead of decremented (only meaningful
-    /// when `adaptive_counter_update` is on).
-    pub rebuild_threshold: f64,
 }
 
 impl Default for EfficientFeatures {
@@ -113,7 +111,6 @@ impl Default for EfficientFeatures {
             adaptive_representation: true,
             adaptive_counter_update: true,
             dynamic_balancing: true,
-            rebuild_threshold: 0.5,
         }
     }
 }
@@ -126,7 +123,6 @@ impl EfficientFeatures {
             adaptive_representation: false,
             adaptive_counter_update: false,
             dynamic_balancing: false,
-            rebuild_threshold: 0.5,
         }
     }
 
@@ -136,6 +132,16 @@ impl EfficientFeatures {
             AdaptivePolicy::default()
         } else {
             AdaptivePolicy::always_sorted()
+        }
+    }
+
+    /// The job schedule implied by the flags: [`JOB_CHUNK`]-job pulls from
+    /// a shared cursor, or one fixed block per worker.
+    pub fn schedule(&self) -> Schedule {
+        if self.dynamic_balancing {
+            Schedule::Dynamic { chunk: JOB_CHUNK }
+        } else {
+            Schedule::Static
         }
     }
 }
@@ -152,8 +158,6 @@ pub struct ExecutionConfig {
     pub threads: usize,
     /// EfficientIMM feature toggles (ignored by the Ripples engine).
     pub features: EfficientFeatures,
-    /// Chunk size (in RRR sets or vertices) of a dynamically balanced job.
-    pub job_chunk: usize,
     /// Return the sampled [`imm_rrr::RrrCollection`] in
     /// [`ImmResult::rrr_sets`](crate::ImmResult::rrr_sets) instead of dropping
     /// it, so callers (the `imm-service` sketch index, the CLI stats path) can
@@ -178,7 +182,6 @@ impl ExecutionConfig {
                 Algorithm::Ripples => EfficientFeatures::none(),
                 Algorithm::Efficient => EfficientFeatures::default(),
             },
-            job_chunk: 64,
             retain_rrr_sets: false,
             trace_provenance: false,
         }

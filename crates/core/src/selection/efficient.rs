@@ -2,9 +2,9 @@
 //! paper).
 //!
 //! This eager kernel is one of the reproduction's subjects — the figure and
-//! table binaries and the benches measure it — and the parity oracle of the
-//! lazy-greedy (CELF) session `run_imm` selects with
-//! ([`super::select_seeds_celf`]); `run_imm` does not call it.
+//! table binaries measure it — and the parity oracle of the lazy-greedy
+//! (CELF) session `run_imm` selects with ([`super::select_seeds_celf`]);
+//! `run_imm` does not call it.
 //!
 //! The RRR sets — not the vertices — are partitioned across threads. Each
 //! thread scatters atomic increments for its sets into one shared
@@ -26,7 +26,7 @@
 //! rebuild. The per-round argmax, the reset before a rebuild, the postings
 //! build and walk run on the calling thread.
 
-use crate::balance::{run_jobs, Schedule};
+use crate::balance::run_jobs;
 use crate::counter::GlobalCounter;
 use crate::metrics;
 use crate::params::ExecutionConfig;
@@ -34,6 +34,11 @@ use crate::selection::SeedSelection;
 use crate::stats::WorkProfile;
 use imm_rrr::{Postings, RrrCollection};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Fraction of the alive RRR sets a new seed must cover for the adaptive
+/// counter update to rebuild the counter from the survivors instead of
+/// decrementing it (only read when `adaptive_counter_update` is on).
+pub const REBUILD_THRESHOLD: f64 = 0.5;
 
 /// Select `k` seeds with the EfficientIMM RRR-set-partitioned kernel.
 ///
@@ -62,11 +67,7 @@ pub fn select_seeds_efficient(
         };
     }
 
-    let schedule = if exec.features.dynamic_balancing {
-        Schedule::Dynamic { chunk: exec.job_chunk.max(1) }
-    } else {
-        Schedule::Static
-    };
+    let schedule = exec.features.schedule();
 
     let per_thread_ops: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let atomic_ops = AtomicU64::new(0);
@@ -127,7 +128,7 @@ pub fn select_seeds_efficient(
 
         let rebuild = exec.features.adaptive_counter_update
             && alive_count > 0
-            && (covered_count as f64 / alive_count as f64) > exec.features.rebuild_threshold;
+            && (covered_count as f64 / alive_count as f64) > REBUILD_THRESHOLD;
 
         if rebuild {
             // Rebuild: zero the counter and re-accumulate only the surviving
@@ -327,7 +328,6 @@ mod tests {
 
         let mut cfg = exec(2);
         cfg.features.adaptive_counter_update = true;
-        cfg.features.rebuild_threshold = 0.5;
         let adaptive = select_seeds_efficient(&sets, 2, &cfg, None);
         assert!(adaptive.counter_rebuilds >= 1, "expected at least one rebuild");
 

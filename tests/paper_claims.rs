@@ -83,7 +83,7 @@ fn claim_table4_efficientimm_reduces_l1_l2_cache_misses_by_a_large_factor() {
     let sets = sample("com-YouTube", 96, 2);
     let config = HierarchyConfig::default();
     let ripples = cache_misses_ripples(&sets, 5, 8, config);
-    let efficient = cache_misses_efficient(&sets, 5, 8, config, 0.5);
+    let efficient = cache_misses_efficient(&sets, 5, 8, config);
     let reduction = ripples.l1_plus_l2_misses as f64 / efficient.l1_plus_l2_misses.max(1) as f64;
     assert!(
         reduction > 5.0,
