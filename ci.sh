@@ -47,7 +47,8 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # binary of the workspace. In order: the execution runtime's stress suite;
 # the daemon's unit, socket-parity, frame-corruption and fault-tolerance
 # suites; the histogram and metric-catalog gates; the fault harness and its
-# chaos sweep; snapshot crash safety and golden fixtures; the mmap store's
+# chaos sweep; snapshot crash safety, golden fixtures and the round-trip and
+# corruption properties (the read-decode error order); the mmap store's
 # unit, parity and fallback suites; the refresh-equals-rebuild differential
 # and shard-parity suites and the sampler's independent oracle (order
 # independence + forward-simulation validity); the vertex-adaptive
@@ -64,7 +65,7 @@ for expected in runtime_stress \
   imm_serve socket_parity frame_corruption fault_tolerance \
   histogram metrics_catalog \
   imm_fault chaos \
-  crash_safety snapshot_fixtures \
+  crash_safety snapshot_fixtures snapshot_roundtrip \
   imm_store store_parity mmap_fallback \
   differential shard_parity sampler_oracle \
   postings_inverse celf_parity masked_differential \
@@ -163,6 +164,17 @@ if grep -rnE 'SNAPSHOT_VERSION_V[0-9]|DIRECTORY_FIELDS_V4|_LEGACY|decode_arena|e
 fi
 if [ "$(ls crates/service/tests/fixtures)" != "golden_v6.sketch" ]; then
   echo "error: crates/service/tests/fixtures must hold exactly golden_v6.sketch" >&2
+  exit 1
+fi
+
+# A read-decode open reads the snapshot file once: `SketchIndex::load_from_path`
+# and `Store::open_read` hand their one read to `SketchIndex::load_bytes`,
+# which checks the checksum beside the decode. A copy of the file's bytes
+# handed to `SketchIndex::load(` (a reader whose `read_to_end` copies it
+# again) has no place in the store or the CLI.
+echo "==> read-once guard: crates/{store,cli}/src hand no in-memory snapshot to SketchIndex::load("
+if grep -rnE 'SketchIndex::load\(|load\(&mut [^)]*\.as_slice\(\)' crates/store/src crates/cli/src; then
+  echo "error: a read-decode open reads the file once; pass its bytes to SketchIndex::load_bytes or use load_from_path" >&2
   exit 1
 fi
 

@@ -50,6 +50,16 @@
 //! list ascending and in range, no row bit beyond `num_sets`, stored degree
 //! = popcount, no vertex in both forms).
 //!
+//! # The read-decode path
+//!
+//! Every heap load goes through [`SketchIndex::load_bytes`]: the file is
+//! read once ([`SketchIndex::load_from_path`] with one exact-size read), and
+//! the payload checksum runs on a scoped helper thread *beside* the decode
+//! and validation of the sections, not before them. Both run in full on
+//! every load, and nothing is served until both pass; a checksum mismatch
+//! is reported ahead of any decode error, so a damaged file reads as
+//! [`SnapshotError::ChecksumMismatch`] whatever its damage would decode to.
+//!
 //! # Crash safety
 //!
 //! File saves are atomic: [`SketchIndex::save_to_path`] writes `<path>.tmp`,
@@ -663,22 +673,45 @@ impl SketchIndex {
         write_to_path(&self.encode(), path.as_ref())
     }
 
-    /// Read an index back from `reader`, verifying magic, version and
-    /// checksum; the stored postings are decoded and validated, not rebuilt.
-    /// A snapshot with a provenance section comes back dynamic
-    /// (refreshable), a provenance-free one static.
+    /// Read an index back from `reader`: its bytes, read to the end, go to
+    /// [`SketchIndex::load_bytes`].
     pub fn load(reader: &mut impl Read) -> Result<Self, SnapshotError> {
-        let (meta, provenance, postings) = load_verified(reader)?;
-        Ok(SketchIndex::from_parts(meta, provenance, postings))
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        Self::load_bytes(&bytes)
     }
 
-    /// Read an index back from the file at `path`, first sweeping any
-    /// `.tmp` left by an interrupted save (see
-    /// [`recover_interrupted_save`]).
+    /// Read an index back from the file at `path` — one exact-size read,
+    /// then [`SketchIndex::load_bytes`] — first sweeping any `.tmp` left by
+    /// an interrupted save (see [`recover_interrupted_save`]).
     pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         recover_interrupted_save(&path);
-        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::load(&mut file)
+        Self::load_bytes(&std::fs::read(path)?)
+    }
+
+    /// Decode a whole snapshot held in memory — the one read-decode entry,
+    /// behind [`SketchIndex::load`], [`SketchIndex::load_from_path`] and
+    /// `imm-store`'s fallback. Magic and version are checked first; then a
+    /// scoped helper thread computes the payload checksum while this thread
+    /// decodes the stored postings and validates them in full. Nothing is
+    /// returned until both are done, and a checksum mismatch is reported
+    /// ahead of any decode error, so damaged bytes always read as
+    /// [`SnapshotError::ChecksumMismatch`]. A snapshot with a provenance
+    /// section comes back dynamic (refreshable), a provenance-free one
+    /// static.
+    pub fn load_bytes(snapshot: &[u8]) -> Result<Self, SnapshotError> {
+        let (expected, payload) = split_container(snapshot)?;
+        let (actual, decoded) = std::thread::scope(|scope| {
+            let checksum = scope.spawn(|| fnv1a64(payload));
+            let decoded = decode_payload(payload);
+            let actual = checksum.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (actual, decoded)
+        });
+        if actual != expected {
+            return Err(SnapshotError::ChecksumMismatch { expected, actual });
+        }
+        let (meta, provenance, postings) = decoded?;
+        Ok(SketchIndex::from_parts(meta, provenance, postings))
     }
 }
 
@@ -697,18 +730,6 @@ fn split_container(snapshot: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     Ok((checksum, &snapshot[SNAPSHOT_HEADER_BYTES..]))
-}
-
-/// Verify the container (magic, version, checksum) and decode the payload.
-fn load_verified(reader: &mut impl Read) -> Result<Decoded, SnapshotError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    let (expected, payload) = split_container(&bytes)?;
-    let actual = fnv1a64(payload);
-    if actual != expected {
-        return Err(SnapshotError::ChecksumMismatch { expected, actual });
-    }
-    decode_payload(payload)
 }
 
 /// The magic bytes opening every delta journal.

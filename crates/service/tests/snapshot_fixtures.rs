@@ -23,6 +23,7 @@ use imm_service::{
     parse_head, save_parts, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance,
     SNAPSHOT_PAGE_BYTES,
 };
+use imm_store::Store;
 use std::path::PathBuf;
 
 const NUM_NODES: usize = 16;
@@ -259,5 +260,30 @@ fn fixture_bytes_match_the_documented_layouts() {
             on_disk,
             "{stem} encoder or container layout drifted from the checked-in fixture"
         );
+    }
+}
+
+/// One fixed point for every loader: the fixture read from a slice, read
+/// from its path, read through the store's read-decode open and mapped in
+/// place comes back as one index, and each re-saves to the fixture's bytes.
+#[test]
+fn every_loader_reads_the_v6_fixture_to_one_index_that_resaves_to_its_bytes() {
+    let (bytes, index) = load_fixture("v6");
+    let path = fixture_path("golden_v6.sketch");
+    let mut loaded = vec![
+        ("load", index),
+        ("load_from_path", SketchIndex::load_from_path(&path).expect("load_from_path")),
+        ("Store::open_read", Store::open_read(&path).expect("open_read").index),
+    ];
+    if cfg!(all(target_os = "linux", target_endian = "little")) {
+        let mapped = Store::open_mapped(&path).expect("open_mapped");
+        assert!(mapped.is_mapped());
+        loaded.push(("Store::open_mapped", mapped.index));
+    }
+    for (via, index) in &loaded {
+        assert_eq!(index, &loaded[0].1, "{via} read the fixture to another index");
+        let mut resaved = Vec::new();
+        index.save(&mut resaved).unwrap();
+        assert_eq!(resaved, bytes, "the index {via} read re-saves to other bytes");
     }
 }

@@ -4,18 +4,23 @@
 //! of loading garbage. The corruption suite covers the format byte by byte —
 //! including provenance and postings sections that lie behind a recomputed
 //! checksum, and a directory that lies behind a recomputed directory
-//! checksum — and every version field but the current one is refused.
+//! checksum — and every version field but the current one is refused. The
+//! read-decode path checks the checksum beside the decode, so a flipped
+//! byte anywhere in the payload must still surface as the checksum
+//! mismatch, through every loader, whatever the decode made of it.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use imm_service::{
-    parse_head, IndexMeta, SampleSpec, SketchIndex, SnapshotError, SnapshotSections,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    parse_head, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance, SnapshotError,
+    SnapshotSections, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
+use imm_store::Store;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const NUM_NODES: usize = 300;
 
@@ -104,28 +109,6 @@ proptest! {
     }
 
     #[test]
-    fn flipping_any_payload_byte_is_detected(
-        raw_sets in proptest::collection::vec(
-            proptest::collection::hash_set(0u32..NUM_NODES as u32, 1..30),
-            1..8,
-        ),
-        flip in any::<prop::sample::Index>(),
-    ) {
-        let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
-        let index = index_from(&owned, &[], "flip");
-        let mut bytes = snapshot_bytes(&index);
-        let header_len = SNAPSHOT_MAGIC.len() + 4 + 8;
-        let target = header_len + flip.index(bytes.len() - header_len);
-        bytes[target] ^= 0x40;
-        // A payload flip must surface as a checksum mismatch — never as a
-        // silently different index.
-        prop_assert!(matches!(
-            SketchIndex::load(&mut bytes.as_slice()),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn truncating_anywhere_is_detected(
         raw_sets in proptest::collection::vec(
             proptest::collection::hash_set(0u32..NUM_NODES as u32, 1..30),
@@ -160,23 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn flipping_any_provenance_byte_is_detected(
-        seed in 0u64..5_000,
-        flip in any::<prop::sample::Index>(),
-    ) {
-        let (index, _, _) = dynamic_index(seed);
-        let mut bytes = snapshot_bytes(&index);
-        let start = provenance_offset(&index);
-        assert!(start < bytes.len(), "dynamic snapshot must carry a provenance section");
-        let target = start + flip.index(bytes.len() - start);
-        bytes[target] ^= 0x10;
-        prop_assert!(matches!(
-            SketchIndex::load(&mut bytes.as_slice()),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn truncating_the_provenance_section_is_detected(
         seed in 0u64..5_000,
         cut in any::<prop::sample::Index>(),
@@ -186,6 +152,142 @@ proptest! {
         let start = provenance_offset(&index);
         let cut = start + cut.index(bytes.len() - start);
         prop_assert!(SketchIndex::load(&mut bytes[..cut].as_ref()).is_err());
+    }
+}
+
+/// A provenance with a two-entry delta log, and the bytes its section
+/// takes after the presence flag (model tag, seed, policy, log length, and
+/// per entry the resampled count and three length-prefixed lists).
+fn two_delta_provenance(seed: u64) -> (SketchProvenance, usize) {
+    let spec = SampleSpec::new(DiffusionModel::LinearThreshold, seed);
+    let first = GraphDelta::new().insert(1, 2, 0.25).delete(3, 4);
+    let second = GraphDelta::new().reweight(5, 6, 0.75).insert(7, 8, 0.5).insert(9, 1, 0.125);
+    // The resampled count and three lengths, then 12 bytes an insert or
+    // reweight and 8 a deletion.
+    let entry_bytes = |d: &GraphDelta| {
+        32 + 12 * (d.insertions().len() + d.reweights().len()) + 8 * d.deletions().len()
+    };
+    let len = 1 + 8 + 8 + 8 + 8 + entry_bytes(&first) + entry_bytes(&second);
+    let delta_log = vec![
+        DeltaLogEntry { delta: first, resampled_sets: 3 },
+        DeltaLogEntry { delta: second, resampled_sets: 0 },
+    ];
+    (SketchProvenance { spec, delta_log }, len)
+}
+
+/// Sets with a row vertex (vertex 7 is in every set, far above range/32) or
+/// without one (at least 64 sets of one distinct vertex each: every degree
+/// is 1, at a row threshold of 2 or more).
+fn flip_fixture_sets(with_rows: bool, raw_sets: &[Vec<u32>], shift: u32) -> Vec<Vec<u32>> {
+    if with_rows {
+        raw_sets
+            .iter()
+            .map(|set| {
+                let mut members: Vec<u32> = set.iter().copied().filter(|&v| v != 7).collect();
+                members.push(7);
+                members
+            })
+            .collect()
+    } else {
+        (0..64 + raw_sets.len() as u32 * 4).map(|set| vec![set + shift]).collect()
+    }
+}
+
+static FLIP_FILES: AtomicUsize = AtomicUsize::new(0);
+
+/// Write `bytes` to a file of its own for the path-based loaders.
+fn flip_file(bytes: &[u8]) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("imm_service_snapshot_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let n = FLIP_FILES.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("flip-{}-{n}.sketch", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The error order the read-decode path keeps: the checksum runs beside
+    /// the decode, and a mismatch wins over whatever the decode of the
+    /// damaged payload returned. One flipped byte in any region of a static
+    /// or dynamic snapshot, with rows or without, reaches `load`,
+    /// `load_from_path` and `Store::open_read` as the checksum mismatch with
+    /// the stored and the recomputed value, and as nothing else.
+    #[test]
+    fn flipping_any_payload_byte_is_detected(
+        raw_sets in proptest::collection::vec(
+            proptest::collection::hash_set(0u32..NUM_NODES as u32, 0..30),
+            1..16,
+        ),
+        with_rows in any::<bool>(),
+        dynamic in any::<bool>(),
+        shift in 0u32..(NUM_NODES as u32 - 128),
+        region in 0usize..5,
+        at in any::<prop::sample::Index>(),
+        mask in 1u8..=255,
+    ) {
+        let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
+        let sets = flip_fixture_sets(with_rows, &owned, shift);
+        let mut collection = RrrCollection::new(NUM_NODES);
+        for members in sets {
+            collection.push_vertices(members, &AdaptivePolicy::always_sorted());
+        }
+        let label = "flip-order";
+        let (provenance, provenance_len) = if dynamic {
+            let (provenance, len) = two_delta_provenance(shift as u64);
+            (Some(provenance), len)
+        } else {
+            (None, 0)
+        };
+        let meta = IndexMeta { num_edges: 12, label: label.to_string() };
+        let index =
+            SketchIndex::from_collection_with_provenance(collection, meta, provenance).unwrap();
+        let good = snapshot_bytes(&index);
+        let s = parse_head(&good).unwrap().sections;
+        prop_assert_eq!(s.row_vertices > 0, with_rows);
+        prop_assert_eq!(index.is_dynamic(), dynamic);
+
+        // The payload's regions, snapshot-relative: prelude (edge count and
+        // label), directory and its checksum, provenance (the presence flag
+        // and, when dynamic, the section), the zero padding up to the first
+        // data page, and the data sections to the end of the file.
+        let prelude = 20;
+        let directory = prelude + 8 + 4 + label.len();
+        let provenance = directory + 80;
+        let padding = provenance + 1 + provenance_len;
+        let bounds = [prelude, directory, provenance, padding, s.offsets_off, good.len()];
+        prop_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "regions {:?}", bounds);
+        let target = bounds[region] + at.index(bounds[region + 1] - bounds[region]);
+
+        let mut bytes = good.clone();
+        bytes[target] ^= mask;
+        let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+        let recomputed = fnv1a64(&bytes[20..]);
+        prop_assert_ne!(stored, recomputed);
+        let path = flip_file(&bytes);
+        let outcomes = [
+            ("load", SketchIndex::load(&mut bytes.as_slice()).map(drop)),
+            ("load_from_path", SketchIndex::load_from_path(&path).map(drop)),
+            ("Store::open_read", Store::open_read(&path).map(drop)),
+        ];
+        std::fs::remove_file(&path).ok();
+        for (via, outcome) in outcomes {
+            match outcome {
+                Err(SnapshotError::ChecksumMismatch { expected, actual }) => {
+                    prop_assert_eq!((expected, actual), (stored, recomputed), "via {}", via);
+                }
+                other => prop_assert!(
+                    false,
+                    "byte {} (region {}) flipped by {:#04x} via {}: {:?}",
+                    target,
+                    region,
+                    mask,
+                    via,
+                    other.err()
+                ),
+            }
+        }
     }
 }
 

@@ -12,9 +12,12 @@
 //!
 //! Any failure on the mapped path — a non-Linux platform, an mmap error, an
 //! injected fault — increments `store_mmap_fallbacks` and falls back to the
-//! read-decode path, which checksums and decodes the whole file onto the
-//! heap. Both paths produce logically equal indices; a parity suite pins
-//! byte-identical query responses. A file of another format version is no
+//! read-decode path, [`Store::open_read`]: one read of the file, then
+//! `SketchIndex::load_bytes`, which checksums the whole payload on a scoped
+//! helper thread beside the decode and full validation of the sections onto
+//! the heap, and serves nothing until both pass. Both paths produce
+//! logically equal indices; a parity suite pins byte-identical query
+//! responses. A file of another format version is no
 //! path's to serve: the fallback reports the same
 //! [`SnapshotError::UnsupportedVersion`] the mapped open did.
 //!
@@ -67,17 +70,19 @@ impl LoadMode {
 
 /// Per-phase startup timing of one open, in nanoseconds.
 ///
-/// `open` covers file open + metadata (+ full read on the fallback path),
-/// `map` covers mmap + head parsing (zero on the fallback path), `decode`
-/// covers index assembly — the postings shape checks on the mapped path, the
-/// whole checksum-and-decode on the fallback path.
+/// `open` covers file open + metadata on the mapped path and the one read of
+/// the whole file on the read-decode path; `map` covers mmap + head parsing
+/// (zero on the read-decode path); `decode` covers index assembly — the
+/// postings shape checks on the mapped path, and on the read-decode path the
+/// payload checksum beside the decode and full validation, until both pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StartupTimings {
-    /// File open/read phase.
+    /// File open phase; the one read of the file on the read-decode path.
     pub open_ns: u64,
     /// Mapping + head-parse phase.
     pub map_ns: u64,
-    /// Index-assembly phase.
+    /// Index-assembly phase; on the read-decode path the checksum beside
+    /// the decode and validation.
     pub decode_ns: u64,
 }
 
@@ -238,15 +243,16 @@ impl Store {
         }
     }
 
-    /// Open `path` through the classic read-decode path (full checksum,
-    /// heap-owned index).
+    /// Open `path` through the read-decode path: one read of the file, then
+    /// `SketchIndex::load_bytes` (full checksum beside the full decode and
+    /// validation; a heap-owned index).
     pub fn open_read(path: impl AsRef<Path>) -> Result<OpenedIndex, SnapshotError> {
         metrics::register();
         let t_open = Instant::now();
         let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
         let open_ns = t_open.elapsed().as_nanos() as u64;
         let t_decode = Instant::now();
-        let index = SketchIndex::load(&mut bytes.as_slice())?;
+        let index = SketchIndex::load_bytes(&bytes)?;
         let decode_ns = t_decode.elapsed().as_nanos() as u64;
         Ok(OpenedIndex {
             index,
