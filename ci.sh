@@ -302,11 +302,11 @@ fi
 # one refresh driver — a sharded index refreshes by refreshing its base — and
 # the global postings are the one Top-K source, so the trait that abstracted
 # over two of them stays gone. A sharded engine is a `QueryEngine` under a
-# shard map: sessions and the response cache live in imm-service only, the
-# crate builds no postings of its own, the scatter pool with its supervisor,
-# wake policy, placement plan and fault hook stays gone, and the unpadded
-# shard container v1 stays unread.
-echo "==> refresh guard: one refresh driver, one owner of sessions and cache, no per-shard postings, no scatter pool"
+# shard map: Top-K sessions live in imm-service only, the crate builds no
+# postings of its own, the scatter pool with its supervisor, wake policy,
+# placement plan and fault hook stays gone, and the unpadded shard container
+# v1 stays unread.
+echo "==> refresh guard: one refresh driver, one owner of sessions, no per-shard postings, no scatter pool"
 if grep -rnE 'invalidated_sets|resample_sets|delta\.apply\(' crates/shard/src; then
   echo "error: refresh a sharded index through SketchIndex::apply_delta, not a local driver" >&2
   exit 1
@@ -315,8 +315,8 @@ if grep -rn 'SetsContaining' crates; then
   echo "error: Top-K reads imm_rrr::PostingsView directly; do not reintroduce SetsContaining" >&2
   exit 1
 fi
-if grep -nE 'LazyGreedy|MaskedPool|QueryCache' crates/shard/src/engine.rs; then
-  echo "error: Top-K sessions and the response cache belong to imm_service::QueryEngine" >&2
+if grep -nE 'LazyGreedy|MaskedPool' crates/shard/src/engine.rs; then
+  echo "error: Top-K sessions belong to imm_service::QueryEngine" >&2
   exit 1
 fi
 if grep -rn 'Postings::build' crates/shard/src; then
@@ -329,6 +329,21 @@ if grep -rnE 'PinnedPool|WakeMode|ScatterError|PoolPlacement|worker_panic' crate
 fi
 if grep -rn 'SHARD_VERSION_V1' crates; then
   echo "error: shard container v1 was dropped; do not reintroduce its reader" >&2
+  exit 1
+fi
+
+# `QueryEngine::execute` is the one serving entry and computes every query
+# from the index: the response cache, its key normalisation and its
+# counters stay gone, and so do the loaders' sweep of `<path>.tmp` (a reader
+# would unlink a concurrent save's staged file) and its counter.
+# `with_cache_capacity` and `execute_uncached` survive only as inert stubs
+# the spine calls, so nothing here calls them. imm-memsim's `CacheStats` is
+# the simulated L1/L2 hierarchy's and is not searched for.
+echo "==> one-entry guard: no response cache, no .tmp sweep, no call to the spine's stubs"
+GONE_CACHE='QueryCache|QueryKey|DEFAULT_CACHE_CAPACITY|service_cache_|recover_interrupted_save|snapshot_recoveries|[.:]with_cache_capacity\(|[.:]execute_uncached\('
+if grep -rnE "$GONE_CACHE" crates tests examples \
+  || grep -rnw 'CacheStats' crates tests examples --exclude-dir=memsim; then
+  echo "error: every query is computed by QueryEngine::execute and loaders leave .tmp files alone; do not reintroduce the response cache, the sweep or a call to the spine's stubs" >&2
   exit 1
 fi
 
@@ -566,8 +581,10 @@ rm -rf "$GRAMMAR_DIR"
 # write (the armed plan stalls every snapshot write point, holding the save
 # open), then prove the wreckage is survivable: the snapshot path still
 # holds the old generation byte-for-byte (a daemon serves it in parity with
-# a pristine pre-kill copy), the stranded `.tmp` is swept on load, and the
-# sweep is counted in `snapshot_recoveries`.
+# a pristine pre-kill copy), the daemon's load leaves the stranded `.tmp`
+# alone (it could be a live save's), and re-running the same `update-index`
+# on the killed path reclaims it and writes the snapshot that update writes
+# on a pristine copy.
 echo "==> crash-recovery e2e (SIGKILL mid-snapshot-write, recovery + parity)"
 KILL_DIR="$(mktemp -d /tmp/imm_kill_smoke.XXXXXX)"
 "$CLI" generate --output "$KILL_DIR/g.txt" --kind social --nodes 400 \
@@ -596,6 +613,7 @@ if [ ! -e "$KILL_DIR/g.sketch.tmp" ]; then
   echo "error: the killed save should have stranded its temp file" >&2
   exit 1
 fi
+cp "$KILL_DIR/g.sketch.tmp" "$KILL_DIR/stranded.tmp"
 "$CLI" serve --index "$KILL_DIR/g.sketch" --socket "$KILL_DIR/imm.sock" \
   --shards 2 --threads 2 > "$KILL_DIR/serve.log" &
 KILL_SERVE_PID=$!
@@ -605,7 +623,6 @@ KILL_SERVE_PID=$!
 # shellcheck disable=SC2086
 "$CLI" query --index "$KILL_DIR/pristine.sketch" --threads 2 $BATCH \
   > "$KILL_DIR/local.json"
-"$CLI" client --socket "$KILL_DIR/imm.sock" --metrics > "$KILL_DIR/metrics.json"
 python3 - "$KILL_DIR" <<'EOF'
 import json, sys
 d = sys.argv[1]
@@ -613,17 +630,27 @@ remote = json.load(open(f"{d}/remote.json"))["responses"]
 local = json.load(open(f"{d}/local.json"))["responses"]
 if json.dumps(remote, sort_keys=True) != json.dumps(local, sort_keys=True):
     sys.exit("the recovered snapshot diverged from the pristine pre-kill copy")
-samples = json.load(open(f"{d}/metrics.json"))["metrics"]["metrics"]
-recoveries = [s for s in samples if s["name"] == "snapshot_recoveries"]
-if not recoveries or recoveries[0]["value"] < 1:
-    sys.exit(f"snapshot_recoveries must count the swept temp file: {recoveries}")
 EOF
-if [ -e "$KILL_DIR/g.sketch.tmp" ]; then
-  echo "error: the daemon's load should have swept the stranded temp file" >&2
+if ! cmp -s "$KILL_DIR/g.sketch.tmp" "$KILL_DIR/stranded.tmp"; then
+  echo "error: the daemon's load touched the stranded temp file" >&2
   exit 1
 fi
 "$CLI" client --socket "$KILL_DIR/imm.sock" --shutdown > /dev/null
 wait "$KILL_SERVE_PID"
+# The same update, re-run on the killed path and on a pristine copy.
+cp "$KILL_DIR/pristine.sketch" "$KILL_DIR/clean.sketch"
+for target in g clean; do
+  "$CLI" update-index --index "$KILL_DIR/$target.sketch" --graph "$KILL_DIR/g.txt" \
+    --delta "$KILL_DIR/churn.delta" > /dev/null
+done
+if [ -e "$KILL_DIR/g.sketch.tmp" ]; then
+  echo "error: the re-run save should have reclaimed the stranded temp file" >&2
+  exit 1
+fi
+if ! cmp "$KILL_DIR/g.sketch" "$KILL_DIR/clean.sketch"; then
+  echo "error: the re-run update on the killed path differs from the same update on a pristine copy" >&2
+  exit 1
+fi
 rm -rf "$KILL_DIR"
 
 # Journal-recovery e2e: a dynamic daemon journals two rollouts and is

@@ -98,7 +98,7 @@ Every parallel phase runs on one persistent process-wide worker pool, sized
 once at startup: --threads (where accepted) wins, then the IMM_THREADS
 environment variable, then the machine parallelism. `stats --metrics`
 appends the full workspace metric registry (exec runtime counters, sampling
-totals, per-query-type latency percentiles, cache/CELF/refresh/shard
+totals, per-query-type latency percentiles, CELF/refresh/shard
 metrics, serving-daemon counters) to the stats output. `stats --metrics
 --describe` prints the metric catalog as a markdown table (the README's
 Observability section) and exits. `query --metrics` appends the
@@ -200,14 +200,8 @@ pub struct UpdateIndexArgs {
 pub struct QueryArgs {
     /// Sketch-index snapshot to serve.
     pub index: String,
-    /// Top-k budgets to answer (one query per entry).
-    pub top_k: Vec<usize>,
-    /// Optional audience slice restricting the top-k queries.
-    pub audience: Option<Vec<u32>>,
-    /// Seed set for a spread estimate.
-    pub spread: Option<Vec<u32>>,
-    /// Seed set and candidate for a marginal-gain estimate.
-    pub marginal: Option<(Vec<u32>, u32)>,
+    /// The query batch to answer.
+    pub batch: BatchSpec,
     /// Worker threads for the query batch.
     pub threads: usize,
     /// Append the batch's before/after metrics delta to the output.
@@ -246,11 +240,11 @@ pub struct ServeArgs {
     pub mmap: bool,
 }
 
-/// The query batch a `client` invocation sends, in `query`-flag form.
+/// The query batch of a `query` or `client` invocation, in flag form.
 ///
-/// Audience bitsets are materialized later, against the *served* index's
-/// vertex-space size (fetched over the `info` verb) — the client has no
-/// local index to size them from.
+/// Audience bitsets are materialized later, against the vertex-space size of
+/// the index that answers: the loaded snapshot's for `query`, the daemon's
+/// (fetched over the `info` verb) for `client`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchSpec {
     /// Top-k budgets (one query per entry).
@@ -596,16 +590,13 @@ fn parse_batch_spec(flags: &Flags) -> Result<BatchSpec, String> {
 
 fn parse_query(flags: &Flags) -> Result<Command, String> {
     let index = flags.get("--index").ok_or("query requires --index")?.to_string();
-    let spec = parse_batch_spec(flags)?;
-    if spec.is_empty() {
+    let batch = parse_batch_spec(flags)?;
+    if batch.is_empty() {
         return Err("query needs at least one of --top-k, --spread, --marginal".into());
     }
     Ok(Command::Query(QueryArgs {
         index,
-        top_k: spec.top_k,
-        audience: spec.audience,
-        spread: spec.spread,
-        marginal: spec.marginal,
+        batch,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
         metrics: flags.has("--metrics"),
     }))
@@ -958,10 +949,12 @@ mod tests {
             cmd,
             Command::Query(QueryArgs {
                 index: "g.sketch".into(),
-                top_k: vec![3, 5],
-                audience: Some(vec![7, 8]),
-                spread: Some(vec![1, 2, 3]),
-                marginal: Some((vec![1, 2], 9)),
+                batch: BatchSpec {
+                    top_k: vec![3, 5],
+                    audience: Some(vec![7, 8]),
+                    spread: Some(vec![1, 2, 3]),
+                    marginal: Some((vec![1, 2], 9)),
+                },
                 threads: 2,
                 metrics: false,
             })

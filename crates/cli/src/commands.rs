@@ -320,7 +320,7 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
     // The save is crash-safe end to end (temp file, fsync, atomic
     // rename), so the default in-place refresh can never destroy the
     // only copy of the snapshot — a kill mid-write leaves the old
-    // generation plus a `.tmp` the next load sweeps.
+    // generation plus a `.tmp` the next save of the path reclaims.
     let output = args.output.as_deref().unwrap_or(&args.index);
     index.save_to_path(output).map_err(|e| format!("cannot write {output}: {e}"))?;
     // Only an in-place refresh supersedes the journal; writing the refreshed
@@ -415,34 +415,14 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
     let num_nodes = engine.index().num_nodes();
     // A Spread or Marginal vertex the index does not hold is refused, in the
     // words of the daemon's admission check.
+    let spec = &args.batch;
     let marginal =
-        args.marginal.iter().flat_map(|(seeds, candidate)| seeds.iter().chain([candidate]));
-    let mut named = args.spread.iter().flatten().chain(marginal);
+        spec.marginal.iter().flat_map(|(seeds, candidate)| seeds.iter().chain([candidate]));
+    let mut named = spec.spread.iter().flatten().chain(marginal);
     if let Some(&vertex) = named.find(|&&v| v as usize >= num_nodes) {
         return Err(Rejection::InvalidVertex { vertex, num_nodes: num_nodes as u64 }.to_string());
     }
-    let audience = args.audience.as_ref().map(|vertices| {
-        // Out-of-range audience vertices select no sets; dropping them here
-        // keeps the bitmap sized to the vertex space.
-        BitSet::from_iter_with_capacity(
-            num_nodes,
-            vertices.iter().map(|&v| v as usize).filter(|&v| v < num_nodes),
-        )
-    });
-    let mut queries: Vec<Query> = args
-        .top_k
-        .iter()
-        .map(|&k| match &audience {
-            None => Query::top_k(k),
-            Some(a) => Query::audience_top_k(k, a.clone()),
-        })
-        .collect();
-    if let Some(seeds) = &args.spread {
-        queries.push(Query::Spread { seeds: seeds.clone() });
-    }
-    if let Some((seeds, candidate)) = &args.marginal {
-        queries.push(Query::Marginal { seeds: seeds.clone(), candidate: *candidate });
-    }
+    let queries = batch_queries(spec, num_nodes);
 
     let before = if args.metrics {
         imm_bench::obs::register_workspace_metrics();
@@ -550,22 +530,18 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     handle.join().map_err(|_| "the daemon's accept loop or housekeeping tick panicked".to_string())
 }
 
-/// Materialize a `client` batch against the *served* index: audience
-/// bitmaps must be sized to the daemon's vertex space, which the client
-/// learns over the `info` verb (it has no local index to size them from).
-fn remote_queries(client: &mut RetryClient, spec: &BatchSpec) -> Result<Vec<Query>, CliError> {
-    let audience = match &spec.audience {
-        None => None,
-        Some(vertices) => {
-            let nodes = client.info().map_err(|e| client_failure("info", e))?.nodes as usize;
-            // Out-of-range audience vertices select no sets; dropping them
-            // mirrors the local `query` command.
-            Some(BitSet::from_iter_with_capacity(
-                nodes,
-                vertices.iter().map(|&v| v as usize).filter(|&v| v < nodes),
-            ))
-        }
-    };
+/// The queries of a `query` or `client` batch over a vertex space of
+/// `num_nodes`, which sizes the audience bitmap: Top-Ks first, then the
+/// Spread, then the Marginal.
+fn batch_queries(spec: &BatchSpec, num_nodes: usize) -> Vec<Query> {
+    let audience = spec.audience.as_ref().map(|vertices| {
+        // Out-of-range audience vertices select no sets; dropping them keeps
+        // the bitmap sized to the vertex space.
+        BitSet::from_iter_with_capacity(
+            num_nodes,
+            vertices.iter().map(|&v| v as usize).filter(|&v| v < num_nodes),
+        )
+    });
     let mut queries: Vec<Query> = spec
         .top_k
         .iter()
@@ -580,7 +556,19 @@ fn remote_queries(client: &mut RetryClient, spec: &BatchSpec) -> Result<Vec<Quer
     if let Some((seeds, candidate)) = &spec.marginal {
         queries.push(Query::Marginal { seeds: seeds.clone(), candidate: *candidate });
     }
-    Ok(queries)
+    queries
+}
+
+/// Materialize a `client` batch against the *served* index: an audience
+/// bitmap is sized to the daemon's vertex space, which the client learns
+/// over the `info` verb (it has no local index to size it from). Without an
+/// audience nothing is sized, so no `info` is asked.
+fn remote_queries(client: &mut RetryClient, spec: &BatchSpec) -> Result<Vec<Query>, CliError> {
+    let num_nodes = match spec.audience {
+        None => 0,
+        Some(_) => client.info().map_err(|e| client_failure("info", e))?.nodes as usize,
+    };
+    Ok(batch_queries(spec, num_nodes))
 }
 
 /// A structured admission rejection as a response row.
@@ -779,14 +767,14 @@ fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
 }
 
 /// Time one load path end to end: the store's per-phase open timings plus
-/// the first (uncached) query served from the freshly opened index —
-/// together the path's time-to-first-query.
+/// the first query served from the freshly opened index — together the
+/// path's time-to-first-query.
 fn startup_phase_json(opened: imm_store::OpenedIndex) -> serde_json::Value {
     let timings = opened.timings;
     let mapped_bytes = opened.mapped_len();
     let engine = QueryEngine::new(Arc::new(opened.index));
     let t_query = Instant::now();
-    let _ = engine.execute_uncached(&Query::top_k(1));
+    let _ = engine.execute(&Query::top_k(1));
     let first_query_ns = t_query.elapsed().as_nanos() as u64;
     serde_json::json!({
         "mode": opened.mode.as_str(),
@@ -1077,10 +1065,12 @@ mod tests {
 
         execute(Command::Query(QueryArgs {
             index: snapshot_path.to_string_lossy().into_owned(),
-            top_k: vec![2, 4],
-            audience: Some(vec![0, 1, 2, 3, 4, 5, 6, 7]),
-            spread: Some(vec![0, 1]),
-            marginal: Some((vec![0], 1)),
+            batch: BatchSpec {
+                top_k: vec![2, 4],
+                audience: Some(vec![0, 1, 2, 3, 4, 5, 6, 7]),
+                spread: Some(vec![0, 1]),
+                marginal: Some((vec![0], 1)),
+            },
             threads: 2,
             // Exercises the before/after registry delta path end to end.
             metrics: true,
@@ -1094,10 +1084,12 @@ mod tests {
         let query = |spread, marginal| {
             execute(Command::Query(QueryArgs {
                 index: snapshot_path.to_string_lossy().into_owned(),
-                top_k: vec![2],
-                audience: Some(vec![0, absent]),
-                spread,
-                marginal,
+                batch: BatchSpec {
+                    top_k: vec![2],
+                    audience: Some(vec![0, absent]),
+                    spread,
+                    marginal,
+                },
                 threads: 1,
                 metrics: false,
             }))
@@ -1192,10 +1184,7 @@ mod tests {
         // The refreshed snapshot still serves queries.
         execute(Command::Query(QueryArgs {
             index: snapshot_path.to_string_lossy().into_owned(),
-            top_k: vec![2],
-            audience: None,
-            spread: Some(vec![0, 5]),
-            marginal: None,
+            batch: BatchSpec { top_k: vec![2], spread: Some(vec![0, 5]), ..BatchSpec::default() },
             threads: 1,
             metrics: false,
         }))
@@ -1328,10 +1317,7 @@ mod tests {
     fn query_on_a_missing_snapshot_is_reported() {
         let err = execute(Command::Query(QueryArgs {
             index: "/nonexistent/q.sketch".into(),
-            top_k: vec![1],
-            audience: None,
-            spread: None,
-            marginal: None,
+            batch: BatchSpec { top_k: vec![1], ..BatchSpec::default() },
             threads: 1,
             metrics: false,
         }))

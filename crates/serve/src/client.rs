@@ -129,7 +129,6 @@ pub struct Client {
     /// Under an installed fault plan the wrapper injects socket faults
     /// client-side too; a transparent no-op otherwise.
     stream: imm_fault::FaultyIo<Stream>,
-    max_frame_len: usize,
     request_timeout: Option<Duration>,
 }
 
@@ -139,7 +138,6 @@ impl Client {
         let stream = Stream::connect(address).map_err(ClientError::Connect)?;
         Ok(Client {
             stream: imm_fault::FaultyIo::new(stream, "client.conn"),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             request_timeout: None,
         })
     }
@@ -150,7 +148,6 @@ impl Client {
         let stream = Stream::connect_timeout(address, timeout).map_err(ClientError::Connect)?;
         Ok(Client {
             stream: imm_fault::FaultyIo::new(stream, "client.conn"),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             request_timeout: None,
         })
     }
@@ -168,12 +165,6 @@ impl Client {
                 Err(_) => std::thread::sleep(DIAL_GAP),
             }
         }
-    }
-
-    /// Cap on one response frame's payload (defaults to
-    /// [`DEFAULT_MAX_FRAME_LEN`]).
-    pub fn set_max_frame_len(&mut self, max: usize) {
-        self.max_frame_len = max;
     }
 
     /// Bound every subsequent exchange: a reply that takes longer than
@@ -201,7 +192,7 @@ impl Client {
                 }
             },
         )?;
-        match protocol::read_frame(&mut self.stream, self.max_frame_len) {
+        match protocol::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN) {
             Ok(FrameRead::Frame(payload)) => Ok(protocol::decode_response(&payload)?),
             // EOF after the request went out: the daemon (or the path to
             // it) died with the exchange open.

@@ -218,14 +218,21 @@ impl Listener {
     }
 }
 
-/// Tuning knobs of one daemon instance.
+/// Samples in the in-flight gauge's max-over-window: at the default tick,
+/// a one-second high-water mark.
+const INFLIGHT_WINDOW: usize = 20;
+
+/// Socket write timeout per connection: a peer that stops draining its
+/// receive buffer cannot pin a connection thread forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Tuning knobs of one daemon instance. Every connection caps a frame's
+/// payload at [`DEFAULT_MAX_FRAME_LEN`] and a socket write at 30 s.
 pub struct ServerConfig {
     /// Where to listen.
     pub listen: Listen,
     /// Serving parallelism: batch requests fan across it.
     pub threads: usize,
-    /// Response-cache capacity per engine generation (0 disables).
-    pub cache_capacity: usize,
     /// Per-query cost budget in postings entries (`None` admits all).
     pub budget: Option<u64>,
     /// Bound on concurrently served requests across all connections.
@@ -235,17 +242,10 @@ pub struct ServerConfig {
     /// connection's idleness (at least 10 ms). Shutdown does not wait for
     /// it.
     pub tick: Duration,
-    /// Samples in the in-flight gauge's max-over-window.
-    pub sample_window: usize,
-    /// Decoder cap on one frame's payload.
-    pub max_frame_len: usize,
     /// Close a connection that sends no frame for this long, after a
     /// structured [`ServeError::IdleTimeout`] goodbye (slow-loris
     /// shedding). `None` keeps connections open indefinitely.
     pub idle_timeout: Option<Duration>,
-    /// Socket write timeout per connection: a peer that stops draining
-    /// its receive buffer cannot pin a connection thread forever.
-    pub write_timeout: Option<Duration>,
     /// Execution deadline per batch request: queries that have not
     /// started when it expires answer a structured
     /// [`Rejection::DeadlineExceeded`] instead of running.
@@ -259,22 +259,16 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults sized for a small deployment: global-pool parallelism,
-    /// the service-layer default cache, no cost budget, 64 in-flight
-    /// requests, a 50 ms tick with a 20-sample window (a one-second
-    /// high-water mark).
+    /// Defaults sized for a small deployment: global-pool parallelism, no
+    /// cost budget, 64 in-flight requests, a 50 ms tick.
     pub fn new(listen: Listen) -> Self {
         ServerConfig {
             listen,
             threads: imm_exec::default_threads(),
-            cache_capacity: imm_service::DEFAULT_CACHE_CAPACITY,
             budget: None,
             max_inflight: 64,
             tick: Duration::from_millis(50),
-            sample_window: 20,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             idle_timeout: None,
-            write_timeout: Some(Duration::from_secs(30)),
             batch_deadline: None,
             journal: None,
         }
@@ -324,12 +318,8 @@ pub struct Server {
     /// the `dynamic` rollout lock (`None` when journaling is off).
     journal: Mutex<Option<DeltaJournal>>,
     threads: usize,
-    cache_capacity: usize,
     tick: Duration,
-    sample_window: usize,
-    max_frame_len: usize,
     idle_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
     batch_deadline: Option<Duration>,
 }
 
@@ -350,7 +340,7 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         smetrics::register();
         imm_exec::metrics::register();
-        let engine = ShardedEngine::with_options(index, config.threads, config.cache_capacity);
+        let engine = ShardedEngine::new(index);
         let cost = CostModel::from_index(engine.index());
         let journal = match &config.journal {
             Some(path) => Some(DeltaJournal::open(path)?),
@@ -371,12 +361,8 @@ impl Server {
             metrics_provider: Box::new(metrics_provider),
             journal: Mutex::new(journal),
             threads: config.threads,
-            cache_capacity: config.cache_capacity,
             tick: config.tick,
-            sample_window: config.sample_window,
-            max_frame_len: config.max_frame_len,
             idle_timeout: config.idle_timeout,
-            write_timeout: config.write_timeout,
             batch_deadline: config.batch_deadline,
         });
 
@@ -614,8 +600,7 @@ impl Server {
                 });
             }
         }
-        let engine =
-            ShardedEngine::with_options(Arc::new(next_index), self.threads, self.cache_capacity);
+        let engine = ShardedEngine::new(Arc::new(next_index));
         let cost = CostModel::from_index(engine.index());
         *self.state.write().unwrap_or_else(|e| e.into_inner()) =
             Arc::new(EngineState { engine, cost });
@@ -642,7 +627,7 @@ impl Server {
 
 /// Sample the in-flight gauge once per tick until shutdown.
 fn tick_loop(server: &Server) {
-    let mut inflight_window = MaxWindow::new(server.sample_window);
+    let mut inflight_window = MaxWindow::new(INFLIGHT_WINDOW);
     while !server.sleep_tick() {
         server.sample(&mut inflight_window);
     }
@@ -716,7 +701,7 @@ fn serve_connection(server: &Server, stream: Stream) {
     if stream.set_read_timeout(Some(timeout)).is_err() {
         return;
     }
-    if stream.set_write_timeout(server.write_timeout).is_err() {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
     // Under an installed fault plan the socket itself misbehaves:
@@ -728,7 +713,7 @@ fn serve_connection(server: &Server, stream: Stream) {
         if server.shutdown_requested() {
             return;
         }
-        match protocol::read_frame(&mut stream, server.max_frame_len) {
+        match protocol::read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
             Ok(FrameRead::Eof) => return,
             Ok(FrameRead::Idle) => {
                 idle += timeout;

@@ -114,11 +114,9 @@ fn the_retry_client_survives_a_daemon_restart() {
     let handle = Server::start(Arc::new(sharded), None, config(path.clone()), || "{}".into())
         .expect("server");
 
-    let local = ShardedEngine::with_options(
-        Arc::new(ShardedIndex::from_index(index.clone(), 2).expect("shardable")),
-        2,
-        64,
-    );
+    let local = ShardedEngine::new(Arc::new(
+        ShardedIndex::from_index(index.clone(), 2).expect("shardable"),
+    ));
     let battery = queries(index.num_nodes());
     let expected = local.execute_batch(&battery, 2);
 
@@ -175,11 +173,9 @@ fn failed_rollouts_keep_the_old_generation_until_a_retry_lands() {
     )
     .expect("server");
 
-    let local = ShardedEngine::with_options(
-        Arc::new(ShardedIndex::from_index(index.clone(), 2).expect("shardable")),
-        2,
-        64,
-    );
+    let local = ShardedEngine::new(Arc::new(
+        ShardedIndex::from_index(index.clone(), 2).expect("shardable"),
+    ));
     let battery = queries(index.num_nodes());
     let delta = GraphDelta::new().insert(3, 40, 0.7).insert(80, 9, 0.5);
 
@@ -222,7 +218,7 @@ fn failed_rollouts_keep_the_old_generation_until_a_retry_lands() {
         assert_eq!(client.info().expect("info").rollouts, 1);
         let (next, _, _, _) =
             local.index().rebuilt_with_delta(&graph, &weights, &delta).expect("local refresh");
-        let local = ShardedEngine::with_options(Arc::new(next), 2, 64);
+        let local = ShardedEngine::new(Arc::new(next));
         let answers = client.batch(&battery).expect("new generation serves");
         for (i, (got, want)) in
             answers.iter().zip(local.execute_batch(&battery, 2).iter()).enumerate()
@@ -279,11 +275,8 @@ fn batch_deadlines_cut_queries_with_structured_rejections() {
     lax.batch_deadline = Some(Duration::from_secs(30));
     let sharded = ShardedIndex::from_index(index.clone(), 2).expect("shardable");
     let handle = Server::start(Arc::new(sharded), None, lax, || "{}".into()).expect("server");
-    let local = ShardedEngine::with_options(
-        Arc::new(ShardedIndex::from_index(index, 2).expect("shardable")),
-        2,
-        64,
-    );
+    let local =
+        ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 2).expect("shardable")));
     let mut client =
         Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
     let answers = client.batch(&battery).expect("batch");

@@ -132,11 +132,9 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         assert_eq!(info.rollouts, 0);
 
         // Local mirror of the same generation.
-        let local = ShardedEngine::with_options(
-            Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable")),
-            2,
-            64,
-        );
+        let local = ShardedEngine::new(Arc::new(
+            ShardedIndex::from_index(index.clone(), shards).expect("shardable"),
+        ));
         let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
         assert_remote_matches_local(&mut client, &local, &queries, &context);
 
@@ -151,7 +149,7 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         }
         let (next, _, _, local_stats) =
             local.index().rebuilt_with_delta(&graph, &weights, &delta).expect("local refresh");
-        let local = ShardedEngine::with_options(Arc::new(next), 2, 64);
+        let local = ShardedEngine::new(Arc::new(next));
         assert_eq!(outcome.total_sets as usize, local_stats.total_sets, "{context}");
         assert_eq!(outcome.resampled_sets as usize, local_stats.resampled_sets, "{context}");
         assert_eq!(outcome.edges_after as usize, local_stats.num_edges_after, "{context}");
@@ -194,11 +192,9 @@ fn tcp_parity_matches_in_process_engine() {
         other => panic!("expected a TCP address, got {other}"),
     }
 
-    let local = ShardedEngine::with_options(
-        Arc::new(ShardedIndex::from_index(index.clone(), 2).expect("shardable")),
-        2,
-        64,
-    );
+    let local = ShardedEngine::new(Arc::new(
+        ShardedIndex::from_index(index.clone(), 2).expect("shardable"),
+    ));
     let mut client =
         Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
     let queries = query_battery(graph.num_nodes(), 0x7CB);
@@ -241,7 +237,7 @@ fn over_budget_queries_are_rejected_while_cheap_ones_serve() {
     let outcomes = client.batch(&batch).expect("batch call");
 
     // Slot 0: cheap, admitted, byte-identical to the local engine.
-    let local = ShardedEngine::with_options(Arc::new(sharded), 2, 64);
+    let local = ShardedEngine::new(Arc::new(sharded));
     let expected = local.execute_batch(std::slice::from_ref(&cheap), 1);
     assert_eq!(outcomes[0].as_ref().expect("cheap query admitted"), &expected[0]);
 

@@ -49,8 +49,8 @@
 //!
 //! The query layer never refreshes in place: a [`crate::QueryEngine`]
 //! serves one generation for its whole life, so a rollout refreshes a copy
-//! of the index and stands a new engine up over it, and no session or
-//! cached answer of the old revision can reach the new one.
+//! of the index and stands a new engine up over it, and no session of the
+//! old revision can reach the new one.
 
 use crate::index::{IndexError, SketchIndex};
 use efficient_imm::balance::Schedule;

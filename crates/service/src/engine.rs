@@ -1,13 +1,13 @@
 //! The query engine: incremental greedy Top-K, coverage-based spread and
-//! marginal-gain estimates, a batch executor, and the response cache.
+//! marginal-gain estimates, and a batch executor.
 //!
 //! The Top-K path is the point of the subsystem: the engine keeps one
 //! persistent lazy-greedy session ([`imm_rrr::LazyGreedy`]) — the
 //! covered sets, the gain bounds, the selected seeds — and only ever
 //! *extends* it. Asking for `k` and later `k+5` computes five new rounds,
-//! not `k+5`; nothing is resampled, ever. The served seeds stay
-//! byte-identical to a fresh `run_imm`/`select_seeds` pass over the same
-//! collection.
+//! not `k+5`, and asking for `k` again reads the prefix; nothing is
+//! resampled, ever. The served seeds stay byte-identical to a fresh
+//! `run_imm`/`select_seeds` pass over the same collection.
 //!
 //! Spread and Marginal are one marking walk, `mark_and_count`, over the
 //! index's postings on a pooled scratch.
@@ -15,44 +15,13 @@
 //! The engine is also the whole of `imm-shard`'s `ShardedEngine`, which is
 //! this engine over the base index of a shard map.
 
-use crate::cache::{CacheStats, QueryCache};
 use crate::index::SketchIndex;
 use crate::masked::{record_celf, MaskedPool};
-use crate::query::{Query, QueryKey, QueryResponse};
+use crate::metrics::{MARGINAL_LATENCY, QUERY_RATE, SPREAD_LATENCY, TOPK_LATENCY};
+use crate::query::{Query, QueryResponse};
 use imm_rrr::{BitSet, LazyGreedy, NodeId, Postings};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Default response-cache capacity of a new engine.
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// Memoize one query through a response cache: consult it under the query's
-/// normalized key, compute on a miss, insert, return. The one place query
-/// metrics are recorded: hit/miss counters, the queries/sec meter, and the
-/// per-query-type latency histogram around the miss-path compute (hits
-/// return in nanoseconds and would drown the percentiles, so they are
-/// counted, not timed).
-fn serve_cached(
-    cache: &QueryCache,
-    query: &Query,
-    compute: impl FnOnce() -> QueryResponse,
-) -> QueryResponse {
-    crate::metrics::QUERY_RATE.mark();
-    let key = QueryKey::from_query(query);
-    if let Some(hit) = cache.get(&key) {
-        crate::metrics::CACHE_HITS.increment();
-        return hit;
-    }
-    crate::metrics::CACHE_MISSES.increment();
-    let latency = match query {
-        Query::TopK { .. } => &crate::metrics::TOPK_LATENCY,
-        Query::Spread { .. } => &crate::metrics::SPREAD_LATENCY,
-        Query::Marginal { .. } => &crate::metrics::MARGINAL_LATENCY,
-    };
-    let response = latency.time(compute);
-    cache.insert(key, response.clone());
-    response
-}
 
 /// Fan a batch of queries across `threads` workers, preserving input order
 /// in the returned responses.
@@ -123,16 +92,15 @@ fn mark_and_count(
 /// A query-serving engine over one frozen [`SketchIndex`].
 ///
 /// The engine is `Sync`: spread/marginal queries run lock-free against the
-/// immutable index, Top-K extensions serialize on the shared greedy prefix,
-/// and responses are memoized in an LRU cache keyed on normalized queries.
-/// It serves one generation for its whole life: a new revision of the index
-/// gets a new engine, so no session or cached answer outlives its index.
+/// immutable index, and Top-K extensions serialize on the shared greedy
+/// prefix. Every query is computed from the index. It serves one generation
+/// for its whole life: a new revision of the index gets a new engine, so no
+/// session outlives its index.
 #[derive(Debug)]
 pub struct QueryEngine {
     index: Arc<SketchIndex>,
     /// The persistent fresh Top-K session (the shared greedy prefix).
     greedy: Mutex<LazyGreedy>,
-    cache: QueryCache,
     /// Pool of all-zero coverage bitmaps (one bit per set). Spread and
     /// marginal queries check one out instead of allocating a fresh
     /// θ-sized buffer per call; concurrent batch workers each pop their own.
@@ -143,13 +111,8 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Engine with the default cache capacity.
+    /// Engine serving `index`.
     pub fn new(index: Arc<SketchIndex>) -> Self {
-        Self::with_cache_capacity(index, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Engine with an explicit cache capacity (0 disables caching).
-    pub fn with_cache_capacity(index: Arc<SketchIndex>, capacity: usize) -> Self {
         crate::metrics::register();
         crate::metrics::record_postings(index.postings().stats());
         // The audience sessions start from the fresh one: one degree order.
@@ -157,10 +120,15 @@ impl QueryEngine {
         QueryEngine {
             index,
             greedy: Mutex::new(fresh.clone()),
-            cache: QueryCache::new(capacity),
             scratch: Mutex::new(Vec::new()),
             masked: MaskedPool::new(fresh),
         }
+    }
+
+    /// [`new`](Self::new); kept for the frozen spine only (`spine/src/sut.rs`
+    /// calls it): an engine keeps no response cache, so `_capacity` is inert.
+    pub fn with_cache_capacity(index: Arc<SketchIndex>, _capacity: usize) -> Self {
+        Self::new(index)
     }
 
     /// Check an all-zero coverage bitmap out of the scratch pool (allocating
@@ -185,30 +153,30 @@ impl QueryEngine {
         &self.index
     }
 
-    /// Hit/miss counters of the response cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Answer one query, consulting the response cache first.
+    /// Answer one query from the index. The one place query metrics are
+    /// recorded: the queries/sec meter and the per-kind latency histogram.
     pub fn execute(&self, query: &Query) -> QueryResponse {
-        serve_cached(&self.cache, query, || self.execute_uncached(query))
-    }
-
-    /// Answer one query without touching the cache.
-    pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
+        QUERY_RATE.mark();
         let (theta, n) = (self.index.num_sets(), self.index.num_nodes());
         match query {
-            Query::TopK { k, audience: None } => self.top_k(*k),
-            Query::TopK { k, audience: Some(audience) } => self.masked_top_k(*k, audience),
-            Query::Spread { seeds } => {
-                QueryResponse::spread_from_tallies(self.count_marked(seeds, None), theta, n)
+            Query::TopK { k, audience: None } => TOPK_LATENCY.time(|| self.top_k(*k)),
+            Query::TopK { k, audience: Some(audience) } => {
+                TOPK_LATENCY.time(|| self.masked_top_k(*k, audience))
             }
-            Query::Marginal { seeds, candidate } => {
+            Query::Spread { seeds } => SPREAD_LATENCY.time(|| {
+                QueryResponse::spread_from_tallies(self.count_marked(seeds, None), theta, n)
+            }),
+            Query::Marginal { seeds, candidate } => MARGINAL_LATENCY.time(|| {
                 let gained = self.count_marked(seeds, Some(*candidate));
                 QueryResponse::marginal_from_tallies(gained, theta, n)
-            }
+            }),
         }
+    }
+
+    /// [`execute`](Self::execute); kept for the frozen spine only
+    /// (`spine/src/sut.rs` calls it): there is no cache to bypass.
+    pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
+        self.execute(query)
     }
 
     /// Fan a batch of queries across `threads` workers, preserving input
@@ -232,7 +200,7 @@ impl QueryEngine {
     /// at least one audience vertex (see [`Query::TopK`] for the estimator's
     /// semantics). Each query runs its own session out of the pool (the
     /// shared prefix belongs to the unrestricted selection), holding no
-    /// engine lock; repeats are served by the response cache.
+    /// engine lock.
     fn masked_top_k(&self, k: usize, audience: &BitSet) -> QueryResponse {
         let (seeds, covered) = self.masked.top_k(self.index.postings(), k, audience);
         self.topk_response(seeds, covered)
@@ -327,8 +295,8 @@ mod tests {
         }
         // Duplicates and order don't change the answer.
         assert_eq!(
-            engine.execute_uncached(&Query::Spread { seeds: vec![3, 1, 1, 3] }),
-            engine.execute_uncached(&Query::Spread { seeds: vec![1, 3] }),
+            engine.execute(&Query::Spread { seeds: vec![3, 1, 1, 3] }),
+            engine.execute(&Query::Spread { seeds: vec![1, 3] }),
         );
     }
 
@@ -339,8 +307,8 @@ mod tests {
         for candidate in 0..6u32 {
             let with: Vec<u32> = base.iter().copied().chain([candidate]).collect();
             let (s_with, s_base) = match (
-                engine.execute_uncached(&Query::Spread { seeds: with }),
-                engine.execute_uncached(&Query::Spread { seeds: base.clone() }),
+                engine.execute(&Query::Spread { seeds: with }),
+                engine.execute(&Query::Spread { seeds: base.clone() }),
             ) {
                 (
                     QueryResponse::Spread { estimate: a, .. },
@@ -348,7 +316,7 @@ mod tests {
                 ) => (a, b),
                 other => panic!("unexpected {other:?}"),
             };
-            match engine.execute_uncached(&Query::Marginal { seeds: base.clone(), candidate }) {
+            match engine.execute(&Query::Marginal { seeds: base.clone(), candidate }) {
                 QueryResponse::Marginal { gain, .. } => {
                     assert!((gain - (s_with - s_base)).abs() < 1e-9, "candidate {candidate}");
                 }
@@ -439,8 +407,8 @@ mod tests {
         let full = BitSet::from_iter_with_capacity(6, 0..6);
         for k in [1usize, 3, 6] {
             assert_eq!(
-                engine.execute_uncached(&Query::audience_top_k(k, full.clone())),
-                engine.execute_uncached(&Query::top_k(k)),
+                engine.execute(&Query::audience_top_k(k, full.clone())),
+                engine.execute(&Query::top_k(k)),
                 "k = {k}"
             );
         }
@@ -456,18 +424,28 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeated_queries() {
+    fn every_repeat_is_computed_counted_and_timed() {
+        if !imm_obs::recording_enabled() {
+            return;
+        }
+        use crate::metrics::{QUERY_RATE, SPREAD_LATENCY, TOPK_LATENCY};
+        // Other tests of this process serve queries too, but far fewer than
+        // N of either kind: lower bounds that a memoized repeat cannot meet.
+        const N: u64 = 1000;
+        let read = || (SPREAD_LATENCY.snapshot().count, TOPK_LATENCY.snapshot().count);
         let engine = figure3();
-        let q = Query::Spread { seeds: vec![1, 3] };
-        let first = engine.execute(&q);
-        let second = engine.execute(&q);
-        assert_eq!(first, second);
-        // Normalization: a permuted duplicate-carrying variant also hits.
-        let third = engine.execute(&Query::Spread { seeds: vec![3, 1, 3] });
-        assert_eq!(first, third);
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 1);
+        let spread = Query::Spread { seeds: vec![1, 3] };
+        let (queries, (spreads, top_ks)) = (QUERY_RATE.count(), read());
+        let first = engine.execute(&spread);
+        let top = engine.execute(&Query::top_k(2));
+        for _ in 1..N {
+            assert_eq!(engine.execute(&spread), first);
+            assert_eq!(engine.execute(&Query::top_k(2)), top);
+        }
+        let (spreads_after, top_ks_after) = read();
+        assert!(spreads_after >= spreads + N, "spread timings: {spreads} -> {spreads_after}");
+        assert!(top_ks_after >= top_ks + N, "top-k timings: {top_ks} -> {top_ks_after}");
+        assert!(QUERY_RATE.count() >= queries + 2 * N, "every repeat is a served query");
     }
 
     #[test]
@@ -478,28 +456,27 @@ mod tests {
             .chain((0..6).map(|v| Query::Spread { seeds: vec![v] }))
             .chain((0..6).map(|v| Query::Marginal { seeds: vec![1], candidate: v }))
             .collect();
-        let sequential: Vec<QueryResponse> =
-            queries.iter().map(|q| figure3().execute_uncached(q)).collect();
+        let sequential: Vec<QueryResponse> = queries.iter().map(|q| figure3().execute(q)).collect();
         for threads in [1usize, 2, 4] {
             let batch = engine.execute_batch(&queries, threads);
             assert_eq!(batch, sequential, "threads={threads}");
         }
         assert!(engine.execute_batch(&[], 4).is_empty());
 
-        // Sixteen distinct-budget Top-Ks over 8 threads on cache-less
-        // engines: no two chunks share a cache entry, so every chunk takes
-        // the one greedy mutex while the batch owner helps run the rest.
+        // Sixteen distinct-budget Top-Ks over 8 threads on fresh engines:
+        // every chunk takes the one greedy mutex while the batch owner helps
+        // run the rest.
         let sets: Vec<Vec<NodeId>> =
             (0..4000u32).map(|i| vec![i % 61, 61 + i % 127, 188 + (i * 7) % 211]).collect();
         let sets: Vec<&[NodeId]> = sets.iter().map(Vec::as_slice).collect();
         let index = Arc::clone(engine_over(400, &sets).index());
         let budgets: Vec<Query> = (1..=16).map(Query::top_k).collect();
         let sequential: Vec<QueryResponse> = {
-            let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
-            budgets.iter().map(|q| engine.execute_uncached(q)).collect()
+            let engine = QueryEngine::new(Arc::clone(&index));
+            budgets.iter().map(|q| engine.execute(q)).collect()
         };
         for round in 0..8 {
-            let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+            let engine = QueryEngine::new(Arc::clone(&index));
             assert_eq!(engine.execute_batch(&budgets, 8), sequential, "round {round}");
         }
     }

@@ -21,9 +21,8 @@
 //!   every other set covered; both run `imm_rrr`'s one lazy greedy,
 //!   [`imm_rrr::LazyGreedy`], and [`masked`] pools the audience sessions),
 //!   [`Query::Spread`] and
-//!   [`Query::Marginal`]; batches fan out across worker threads and
-//!   responses are memoized in an LRU [`cache::QueryCache`] keyed on
-//!   normalized queries.
+//!   [`Query::Marginal`]; batches fan out across worker threads, and every
+//!   query is computed from the index (a repeated Top-K reads the prefix).
 //! * [`snapshot`] — the binary format (magic bytes, version field,
 //!   checksum) so an index built once can be memory-loaded by later
 //!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. The format
@@ -66,7 +65,6 @@
 //! }
 //! ```
 
-pub mod cache;
 pub mod dynamic;
 pub mod engine;
 pub mod index;
@@ -76,17 +74,16 @@ pub mod query;
 pub mod recover;
 pub mod snapshot;
 
-pub use cache::{CacheStats, QueryCache};
 pub use dynamic::{DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance};
-pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
+pub use engine::QueryEngine;
 pub use index::{IndexError, IndexMeta, PostingsSource, SetId, SketchIndex};
 pub use masked::MaskedPool;
-pub use query::{Query, QueryKey, QueryResponse};
+pub use query::{Query, QueryResponse};
 pub use recover::{RecoverError, Recovered};
 pub use snapshot::{
-    parse_head, recover_interrupted_save, save_parts, snapshot_tmp_path, DeltaJournal,
-    JournalEntry, SnapshotError, SnapshotHead, SnapshotSections, JOURNAL_MAGIC,
-    SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC, SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
+    parse_head, save_parts, snapshot_tmp_path, DeltaJournal, JournalEntry, SnapshotError,
+    SnapshotHead, SnapshotSections, JOURNAL_MAGIC, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,
+    SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
 };
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).

@@ -3,12 +3,10 @@
 //!
 //! Four families, matching where serving regressions actually hide:
 //!
-//! * **Query latency + cache** — per-query-type latency histograms
-//!   recorded around the cache-miss *compute* path of
-//!   [`QueryEngine`](crate::QueryEngine) (cache hits return in nanoseconds
-//!   and would drown the percentiles, so they are counted, not timed), plus
-//!   hit/miss/eviction counters and a queries/sec rate meter. The sharded
-//!   engine serves through an inner `QueryEngine`, so these cover both.
+//! * **Query latency** — per-query-type latency histograms recorded around
+//!   every query [`QueryEngine::execute`](crate::QueryEngine::execute)
+//!   computes, plus a queries/sec rate meter. The sharded engine serves
+//!   through an inner `QueryEngine`, so these cover both.
 //! * **CELF** — rounds, heap pops, and stale revalidations, which the one
 //!   lazy-greedy session every Top-K of every engine runs
 //!   ([`imm_rrr::LazyGreedy`]) tallies and the engine adds once per query
@@ -32,17 +30,11 @@ use imm_rrr::PostingsStats;
 imm_obs::metrics! {
     /// Plain and masked.
     pub TOPK_LATENCY: Histogram = "service_topk_latency",
-        "Wall-clock latency of cache-miss TopK query computations", Nanoseconds;
+        "Wall-clock latency of TopK query computations", Nanoseconds;
     pub SPREAD_LATENCY: Histogram = "service_spread_latency",
-        "Wall-clock latency of cache-miss Spread query computations", Nanoseconds;
+        "Wall-clock latency of Spread query computations", Nanoseconds;
     pub MARGINAL_LATENCY: Histogram = "service_marginal_latency",
-        "Wall-clock latency of cache-miss Marginal query computations", Nanoseconds;
-    pub CACHE_HITS: Counter =
-        "service_cache_hits", "Queries answered from the response cache";
-    pub CACHE_MISSES: Counter = "service_cache_misses",
-        "Queries that missed the response cache and were computed";
-    pub CACHE_EVICTIONS: Counter = "service_cache_evictions",
-        "Cached responses evicted in LRU order to admit a new entry";
+        "Wall-clock latency of Marginal query computations", Nanoseconds;
     pub CELF_ROUNDS: Counter =
         "service_celf_rounds", "CELF greedy rounds played (one seed per round)";
     /// Every recount: a heap entry or a vertex entering from the degree
@@ -65,12 +57,7 @@ imm_obs::metrics! {
     pub DELTA_COIN_SKIPS: Counter = "service_delta_coin_skips",
         "Sets containing a touched destination that the coin predicate kept without resampling";
     /// Across both engines.
-    pub QUERY_RATE: RateMeter =
-        "service_queries", "Queries served (cache hits and misses combined)";
-    /// The loader found a leftover `.tmp` from a save that died before its
-    /// atomic rename, swept it, and served the last complete generation.
-    pub SNAPSHOT_RECOVERIES: Counter = "snapshot_recoveries",
-        "Leftover snapshot temp files from interrupted saves swept on load";
+    pub QUERY_RATE: RateMeter = "service_queries", "Queries served";
     pub POSTINGS_ROW_VERTICES: Gauge = "service_postings_row_vertices",
         "Vertices of the served global postings stored as bit rows (degree above theta/32)",
         Count;

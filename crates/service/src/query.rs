@@ -1,5 +1,5 @@
-//! The query vocabulary of the serving subsystem and the normalized cache
-//! keys derived from it.
+//! The query vocabulary of the serving subsystem: the requests and their
+//! answers.
 
 use imm_rrr::{BitSet, NodeId};
 
@@ -107,95 +107,5 @@ impl QueryResponse {
     pub fn marginal_from_tallies(gained: usize, theta: usize, num_nodes: usize) -> Self {
         let gain_fraction = if theta == 0 { 0.0 } else { gained as f64 / theta as f64 };
         QueryResponse::Marginal { gain_fraction, gain: num_nodes as f64 * gain_fraction }
-    }
-}
-
-/// Cache key: a [`Query`] normalized so that semantically identical requests
-/// collide. Seed lists are sorted and deduplicated — coverage is a set
-/// property, so `Spread {[3, 1, 3]}` and `Spread {[1, 3]}` share one entry —
-/// and an audience bitmap is normalized to its member list, so two bitmaps
-/// with equal members but different capacities share one entry too.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum QueryKey {
-    /// Normalized [`Query::TopK`] (budget + sorted audience members).
-    TopK(usize, Option<Vec<NodeId>>),
-    /// Normalized [`Query::Spread`] (sorted, deduplicated seeds).
-    Spread(Vec<NodeId>),
-    /// Normalized [`Query::Marginal`] (sorted, deduplicated seeds).
-    Marginal(Vec<NodeId>, NodeId),
-}
-
-fn normalize_seeds(seeds: &[NodeId]) -> Vec<NodeId> {
-    let mut out = seeds.to_vec();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-impl QueryKey {
-    /// Normalize a query into its cache key.
-    pub fn from_query(query: &Query) -> Self {
-        match query {
-            Query::TopK { k, audience } => QueryKey::TopK(
-                *k,
-                audience.as_ref().map(|a| a.iter().map(|v| v as NodeId).collect()),
-            ),
-            Query::Spread { seeds } => QueryKey::Spread(normalize_seeds(seeds)),
-            Query::Marginal { seeds, candidate } => {
-                QueryKey::Marginal(normalize_seeds(seeds), *candidate)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn equivalent_spread_queries_share_a_key() {
-        let a = QueryKey::from_query(&Query::Spread { seeds: vec![3, 1, 3, 2] });
-        let b = QueryKey::from_query(&Query::Spread { seeds: vec![1, 2, 3] });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn distinct_queries_have_distinct_keys() {
-        let spread = QueryKey::from_query(&Query::Spread { seeds: vec![1] });
-        let marginal = QueryKey::from_query(&Query::Marginal { seeds: vec![1], candidate: 2 });
-        let topk = QueryKey::from_query(&Query::top_k(1));
-        assert_ne!(spread, marginal);
-        assert_ne!(spread, topk);
-        assert_ne!(QueryKey::from_query(&Query::top_k(1)), QueryKey::from_query(&Query::top_k(2)));
-    }
-
-    #[test]
-    fn marginal_normalizes_only_the_seed_list() {
-        let a = QueryKey::from_query(&Query::Marginal { seeds: vec![5, 4], candidate: 9 });
-        let b = QueryKey::from_query(&Query::Marginal { seeds: vec![4, 5, 5], candidate: 9 });
-        let c = QueryKey::from_query(&Query::Marginal { seeds: vec![4, 5], candidate: 8 });
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn audience_is_normalized_to_its_members() {
-        let a = QueryKey::from_query(&Query::audience_top_k(
-            3,
-            BitSet::from_iter_with_capacity(10, [1, 4]),
-        ));
-        let b = QueryKey::from_query(&Query::audience_top_k(
-            3,
-            BitSet::from_iter_with_capacity(100, [4, 1]),
-        ));
-        assert_eq!(a, b, "equal members, different capacities: one cache entry");
-        assert_ne!(a, QueryKey::from_query(&Query::top_k(3)));
-        assert_ne!(
-            a,
-            QueryKey::from_query(&Query::audience_top_k(
-                3,
-                BitSet::from_iter_with_capacity(10, [1, 5]),
-            ))
-        );
     }
 }

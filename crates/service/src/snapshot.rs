@@ -67,8 +67,9 @@
 //! sees either the previous complete snapshot or the new complete
 //! snapshot — never a torn prefix. A save interrupted at any write
 //! offset (power loss, `kill -9`, injected fault) leaves at worst a
-//! stale `.tmp` beside the last good file; the path-based loaders sweep
-//! it and count the recovery in the `snapshot_recoveries` metric.
+//! stale `.tmp` beside the last good file. Loaders never touch it — it may
+//! be another process's save in flight — and the next save of the path
+//! reclaims it, since its `File::create` truncates the file.
 //! [`DeltaJournal`] complements the snapshot: the daemon journals each
 //! accepted delta (fsynced) *before* making it visible, so deltas
 //! applied after the last snapshot survive a crash, and
@@ -602,19 +603,6 @@ pub fn snapshot_tmp_path(path: impl AsRef<Path>) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Sweep the leftover `.tmp` of an interrupted save of `path`, if one
-/// exists. Returns whether anything was recovered (and counts it in the
-/// `snapshot_recoveries` metric). Called by every path-based loader.
-pub fn recover_interrupted_save(path: impl AsRef<Path>) -> bool {
-    match std::fs::remove_file(snapshot_tmp_path(path)) {
-        Ok(()) => {
-            crate::metrics::SNAPSHOT_RECOVERIES.increment();
-            true
-        }
-        Err(_) => false,
-    }
-}
-
 /// Flush the directory entry of a freshly renamed file (best effort —
 /// some filesystems refuse directory handles).
 fn sync_parent_dir(path: &Path) {
@@ -636,8 +624,8 @@ fn sync_parent_dir(path: &Path) {
 /// counted [`imm_fault::FaultyIo`] (site `snapshot.write`), so a fault
 /// plan can kill the save between any two writes and a test can prove
 /// that claim exhaustively. A failed save deliberately leaves its
-/// `.tmp` behind (a crashed process cannot clean up either); the
-/// path-based loaders sweep it via [`recover_interrupted_save`].
+/// `.tmp` behind (a crashed process cannot clean up either); the next
+/// save of `path` truncates and reuses it.
 fn write_to_path(payload: &[u8], path: &Path) -> Result<(), SnapshotError> {
     let tmp = snapshot_tmp_path(path);
     let file = std::fs::File::create(&tmp)?;
@@ -682,10 +670,9 @@ impl SketchIndex {
     }
 
     /// Read an index back from the file at `path` — one exact-size read,
-    /// then [`SketchIndex::load_bytes`] — first sweeping any `.tmp` left by
-    /// an interrupted save (see [`recover_interrupted_save`]).
+    /// then [`SketchIndex::load_bytes`]. A `.tmp` beside it is left alone:
+    /// it may be a concurrent save's staged file.
     pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        recover_interrupted_save(&path);
         Self::load_bytes(&std::fs::read(path)?)
     }
 
@@ -1020,19 +1007,24 @@ mod tests {
     }
 
     #[test]
-    fn path_saves_are_atomic_and_loaders_sweep_leftovers() {
+    fn path_saves_are_atomic_and_loaders_leave_temp_files_to_the_next_save() {
         let dir = scratch_dir("atomic");
         let path = dir.join("index.snap");
+        let tmp = snapshot_tmp_path(&path);
         let index = sample_index();
         index.save_to_path(&path).unwrap();
-        assert!(!snapshot_tmp_path(&path).exists(), "a clean save leaves no temp file");
+        assert!(!tmp.exists(), "a clean save leaves no temp file");
         assert_eq!(SketchIndex::load_from_path(&path).unwrap(), index);
 
-        // Plant a fake leftover from an interrupted save: the loader
-        // sweeps it and still serves the complete generation.
-        std::fs::write(snapshot_tmp_path(&path), b"torn prefix").unwrap();
+        // Plant a staged file, as an interrupted or in-flight save leaves
+        // one: the loader serves the complete generation and leaves it be.
+        std::fs::write(&tmp, b"torn prefix").unwrap();
         assert_eq!(SketchIndex::load_from_path(&path).unwrap(), index);
-        assert!(!snapshot_tmp_path(&path).exists(), "the loader sweeps the leftover");
+        assert_eq!(std::fs::read(&tmp).unwrap(), b"torn prefix", "a load touches no temp file");
+        // The next save reclaims it.
+        index.save_to_path(&path).unwrap();
+        assert!(!tmp.exists(), "the next clean save leaves no temp file");
+        assert_eq!(SketchIndex::load_from_path(&path).unwrap(), index);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

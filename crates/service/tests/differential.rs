@@ -190,12 +190,12 @@ proptest! {
     }
 }
 
-/// Regression for the serving layer: a Top-K answered from the LRU cache,
-/// then a rollout the daemon's way — refresh a copy of the index, stand a
-/// new engine up over it — and the same query must not replay the
-/// pre-delta response, while the old engine keeps serving its generation.
+/// Regression for the serving layer: a Top-K, then a rollout the daemon's
+/// way — refresh a copy of the index, stand a new engine up over it — and
+/// the new engine must answer from the new generation while the old engine
+/// keeps serving its own.
 #[test]
-fn a_rollout_never_serves_the_cached_pre_delta_answer() {
+fn a_rollout_serves_the_new_generation_while_the_old_engine_keeps_its_own() {
     // Star graph hub -> leaves with certain activation: every RRR set
     // contains the hub, so TopK{1} = [0].
     let n = 40usize;
@@ -208,8 +208,6 @@ fn a_rollout_never_serves_the_cached_pre_delta_answer() {
 
     let query = Query::top_k(1);
     let before = engine.execute(&query);
-    assert_eq!(engine.execute(&query), before, "second ask is served from the cache");
-    assert_eq!(engine.cache_stats().hits, 1);
     match &before {
         QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![0]),
         other => panic!("unexpected {other:?}"),
@@ -229,7 +227,7 @@ fn a_rollout_never_serves_the_cached_pre_delta_answer() {
 
     assert_eq!(engine.execute(&query), before, "the old engine serves its own generation");
     let after = rolled.execute(&query);
-    assert_ne!(after, before, "the cached pre-delta response must not survive the rollout");
+    assert_ne!(after, before, "the pre-delta response must not survive the rollout");
     match &after {
         QueryResponse::TopK { seeds, .. } => assert_eq!(seeds, &vec![1], "new hub wins"),
         other => panic!("unexpected {other:?}"),

@@ -31,11 +31,11 @@ const NUM_NODES: usize = 48;
 /// sweep: every query after the first runs on a recycled session.
 fn sweep_equals_the_dense_oracle((index, sets): Indexed, seed: u64) {
     let n = index.num_nodes();
-    let engine = QueryEngine::with_cache_capacity(Arc::new(index), 0);
+    let engine = QueryEngine::new(Arc::new(index));
     for (shape, audience) in audiences(n, seed) {
         for k in budgets(n) {
             prop_assert_eq!(
-                engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
+                engine.execute(&Query::audience_top_k(k, audience.clone())),
                 dense_masked_top_k(&sets, k, &audience),
                 "audience: {}, k = {}",
                 shape,
@@ -77,14 +77,14 @@ fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
     let spec = SampleSpec::new(DiffusionModel::LinearThreshold, 0x5EED);
     let (index, sets) = sampled(&graph, &weights, spec, 6_000);
     let n = index.num_nodes();
-    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+    let engine = QueryEngine::new(Arc::new(index.clone()));
     for i in 0..24 {
         let percent = 1 + i * 29 / 23;
         let draws = (0..n * percent / 100).map(|_| rng.gen_range(0..n)).collect::<Vec<_>>();
         let audience = BitSet::from_iter_with_capacity(n, draws);
         for k in [1, 5, 20] {
             assert_eq!(
-                engine.execute_uncached(&Query::audience_top_k(k, audience.clone())),
+                engine.execute(&Query::audience_top_k(k, audience.clone())),
                 dense_masked_top_k(&sets, k, &audience),
                 "audience {i} ({percent} % of n drawn), k = {k}"
             );
@@ -96,11 +96,11 @@ fn sparse_session_equals_the_dense_oracle_on_a_sampled_lt_index_with_hubs() {
 fn back_to_back_audiences_equal_fresh_engine_answers() {
     let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
-    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    let engine = QueryEngine::new(Arc::clone(&index));
     // A leaked count or alive bit of query i would change query i + 1.
     for query in &audience_queries(&sets).0 {
-        let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
-        assert_eq!(engine.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
+        let fresh = QueryEngine::new(Arc::clone(&index));
+        assert_eq!(engine.execute(query), fresh.execute(query), "{query:?}");
     }
 }
 
@@ -108,14 +108,14 @@ fn back_to_back_audiences_equal_fresh_engine_answers() {
 fn a_masked_query_leaves_the_persistent_prefix_intact() {
     let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
-    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
-    let fresh = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
-    let three = engine.execute_uncached(&Query::top_k(3));
+    let engine = QueryEngine::new(Arc::clone(&index));
+    let fresh = QueryEngine::new(Arc::clone(&index));
+    let three = engine.execute(&Query::top_k(3));
     for query in audience_queries(&sets).0.iter().take(3) {
-        engine.execute_uncached(query);
+        engine.execute(query);
     }
-    assert_eq!(engine.execute_uncached(&Query::top_k(3)), three);
-    assert_eq!(engine.execute_uncached(&Query::top_k(9)), fresh.execute_uncached(&Query::top_k(9)));
+    assert_eq!(engine.execute(&Query::top_k(3)), three);
+    assert_eq!(engine.execute(&Query::top_k(9)), fresh.execute(&Query::top_k(9)));
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn concurrent_audience_batches_equal_sequential_execution() {
     let (_, _, index, sets) = sampled_index();
     let index = Arc::new(index);
     let (queries, sequential) = audience_queries(&sets);
-    let engine = QueryEngine::with_cache_capacity(Arc::clone(&index), 0);
+    let engine = QueryEngine::new(Arc::clone(&index));
     for threads in [1usize, 2, 4] {
         assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads = {threads}");
     }
@@ -137,19 +137,19 @@ fn an_engine_over_the_refreshed_index_serves_the_rebuild() {
     let (graph, weights, index, sets) = sampled_index();
     let spec = index.provenance().expect("dynamic").spec;
     let (queries, before) = audience_queries(&sets);
-    let engine = QueryEngine::with_cache_capacity(Arc::new(index.clone()), 0);
+    let engine = QueryEngine::new(Arc::new(index.clone()));
     for query in &queries {
-        engine.execute_uncached(query); // stock the pool on the old generation
+        engine.execute(query); // stock the pool on the old generation
     }
     let (src, dst) = graph.edges().next().expect("graph has edges");
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
     let mut next = index;
     let (graph, weights, _) = next.apply_delta(&graph, &weights, &delta).expect("refresh");
-    let rolled = QueryEngine::with_cache_capacity(Arc::new(next), 0);
+    let rolled = QueryEngine::new(Arc::new(next));
     // A refresh equals the rebuild, so the oracle reads the rebuild's sets.
     let (_, expected) = audience_queries(&sampled(&graph, &weights, spec, sets.len()).1);
     for ((query, expected), before) in queries.iter().zip(&expected).zip(&before) {
-        assert_eq!(&rolled.execute_uncached(query), expected, "{query:?}");
-        assert_eq!(&engine.execute_uncached(query), before, "{query:?}");
+        assert_eq!(&rolled.execute(query), expected, "{query:?}");
+        assert_eq!(&engine.execute(query), before, "{query:?}");
     }
 }

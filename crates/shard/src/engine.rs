@@ -6,10 +6,10 @@
 //! the crate's acceptance property — by *being* one: Top-K (plain and
 //! audience), Spread and Marginal (one marking walk of the global postings:
 //! under a microsecond, an order of magnitude below what one cross-thread
-//! hand-off costs, so there is nothing to scatter), the response cache, the
-//! query metrics and the batch fan-out are the inner [`QueryEngine`]'s over
-//! the base index, for any shard count and any thread count. What this file
-//! adds is the shard map's one serving-side number, `shard_load_imbalance`.
+//! hand-off costs, so there is nothing to scatter), the query metrics and
+//! the batch fan-out are the inner [`QueryEngine`]'s over the base index, for
+//! any shard count and any thread count. What this file adds is the shard
+//! map's one serving-side number, `shard_load_imbalance`.
 //!
 //! An engine serves one index generation for its whole life. A delta is
 //! rolled the way the daemon rolls it: [`ShardedIndex::rebuilt_with_delta`]
@@ -17,7 +17,7 @@
 //! over it.
 
 use crate::index::ShardedIndex;
-use imm_service::{CacheStats, Query, QueryEngine, QueryResponse};
+use imm_service::{Query, QueryEngine, QueryResponse};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -31,23 +31,24 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Engine with the default cache capacity.
+    /// Engine serving `index`.
     pub fn new(index: Arc<ShardedIndex>) -> Self {
-        Self::with_options(index, 1, imm_service::DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Engine with an explicit cache capacity (0 disables caching).
-    /// `_threads` is kept for the frozen spine only (`spine/src/sut.rs` passes
-    /// it): an engine owns no threads — a batch names its own fan-out.
-    pub fn with_options(index: Arc<ShardedIndex>, _threads: usize, cache_capacity: usize) -> Self {
         // The inner engine registers the `service_*` metrics and publishes
         // the global postings' gauges; the shard map's imbalance is
         // published here. Both describe the generation this engine serves.
         crate::metrics::register();
-        let engine = QueryEngine::with_cache_capacity(Arc::clone(index.base()), cache_capacity);
+        let engine = QueryEngine::new(Arc::clone(index.base()));
         let per_shard: Vec<u64> = index.segments().iter().map(|s| s.postings_entries()).collect();
         crate::metrics::record_shard_work(&per_shard);
         ShardedEngine { index, engine }
+    }
+
+    /// [`new`](Self::new); kept for the frozen spine only (`spine/src/sut.rs`
+    /// calls it): an engine owns no threads — a batch names its own fan-out —
+    /// and keeps no response cache, so `_threads` and `_cache_capacity` are
+    /// inert.
+    pub fn with_options(index: Arc<ShardedIndex>, _threads: usize, _cache_capacity: usize) -> Self {
+        Self::new(index)
     }
 
     /// The sharded index this engine serves.
@@ -55,19 +56,9 @@ impl ShardedEngine {
         &self.index
     }
 
-    /// Hit/miss counters of the response cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.engine.cache_stats()
-    }
-
-    /// Answer one query, consulting the response cache first.
+    /// Answer one query from the index.
     pub fn execute(&self, query: &Query) -> QueryResponse {
         self.engine.execute(query)
-    }
-
-    /// Answer one query without touching the cache.
-    pub fn execute_uncached(&self, query: &Query) -> QueryResponse {
-        self.engine.execute_uncached(query)
     }
 
     /// Fan a batch of queries across the shared worker pool, preserving
@@ -76,14 +67,14 @@ impl ShardedEngine {
         self.engine.execute_batch(queries, threads)
     }
 
-    /// [`execute_uncached`](Self::execute_uncached); the `Result` is kept for
-    /// the frozen spine only (`spine/src/sut.rs` matches on `Err`).
+    /// [`execute`](Self::execute); kept for the frozen spine only
+    /// (`spine/src/sut.rs` calls it and matches on `Err`).
     pub fn try_execute_uncached(&self, query: &Query) -> Result<QueryResponse, Infallible> {
-        Ok(self.execute_uncached(query))
+        Ok(self.execute(query))
     }
 
-    /// [`execute_batch`](Self::execute_batch); the `Result` is kept for the
-    /// frozen spine only (`spine/src/sut.rs` matches on `Err`).
+    /// [`execute_batch`](Self::execute_batch); kept for the frozen spine only
+    /// (`spine/src/sut.rs` calls it and matches on `Err`).
     pub fn try_execute_batch(
         &self,
         queries: &[Query],
@@ -173,7 +164,7 @@ mod tests {
         // Other tests' engines publish the same gauges concurrently: retry
         // until a construction goes undisturbed.
         let published = (0..200).any(|_| {
-            let _engine = ShardedEngine::with_options(Arc::clone(&index), 1, 0);
+            let _engine = ShardedEngine::new(Arc::clone(&index));
             read() == expected
         });
         assert!(published, "gauges read {:?}, expected {expected:?}", read());
@@ -247,17 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeated_queries() {
-        let engine = figure3(2);
-        let q = Query::Spread { seeds: vec![1, 3] };
-        let first = engine.execute(&q);
-        assert_eq!(first, engine.execute(&q));
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
     fn batch_preserves_order_and_matches_sequential_execution() {
         let engine = figure3(3);
         let queries: Vec<Query> = (1..=4)
@@ -265,7 +245,7 @@ mod tests {
             .chain((0..6).map(|v| Query::Spread { seeds: vec![v] }))
             .collect();
         let sequential: Vec<QueryResponse> =
-            queries.iter().map(|q| figure3(3).execute_uncached(q)).collect();
+            queries.iter().map(|q| figure3(3).execute(q)).collect();
         for threads in [1usize, 2, 4] {
             assert_eq!(engine.execute_batch(&queries, threads), sequential, "threads={threads}");
         }
@@ -291,8 +271,8 @@ mod tests {
                 ] {
                     let fresh = sharded_engine(2000, &sets, shards);
                     assert_eq!(
-                        reused.execute_uncached(&query),
-                        fresh.execute_uncached(&query),
+                        reused.execute(&query),
+                        fresh.execute(&query),
                         "{shards} shards, {query:?}"
                     );
                 }

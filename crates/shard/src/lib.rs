@@ -19,9 +19,9 @@
 //!   `imm-service`'s one refresh driver and re-weighs the map.
 //! * [`ShardedEngine`] — an `imm_service::QueryEngine` over the base, which
 //!   answers the full query vocabulary (Top-K with optional audience masks,
-//!   spread, marginal, batches, response cache). Results are
-//!   **byte-identical** to the single-index `QueryEngine` for every shard
-//!   count and thread count — the crate's parity suite pins this, including
+//!   spread, marginal, batches). Results are **byte-identical** to the
+//!   single-index `QueryEngine` for every shard count and thread count —
+//!   the crate's parity suite pins this, including
 //!   after a rolled delta (`rebuilt_with_delta`, then a new engine over the
 //!   next generation: the daemon's path, and the only one).
 //!

@@ -6,7 +6,7 @@
 //! gauge (max/mean per-shard postings work, read off the shard map whenever
 //! an engine stands up over an index generation — every rollout). Everything
 //! else is *not* duplicated here: the sharded engine serves through its inner
-//! `QueryEngine`, so it shares the `service_` latency, cache, CELF and
+//! `QueryEngine`, so it shares the `service_` latency, CELF and
 //! postings-shape metrics.
 
 imm_obs::metrics! {

@@ -24,10 +24,10 @@ use std::sync::Arc;
 const NUM_NODES: usize = 48;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
-/// A cache-less engine over `index`.
+/// An engine over `index` under a `shards`-entry shard map.
 fn engine(index: &SketchIndex, shards: usize) -> ShardedEngine {
     let sharded = Arc::new(ShardedIndex::from_index(index.clone(), shards).expect("shardable"));
-    ShardedEngine::with_options(sharded, 1, 0)
+    ShardedEngine::new(sharded)
 }
 
 /// Every audience shape × every budget on `index`, at every shard count,
@@ -47,7 +47,7 @@ fn sweep_equals_the_dense_oracle((index, sets): Indexed, seed: u64) {
         let engine = engine(&index, shards);
         for (shape, audience, k, expected) in &cases {
             prop_assert_eq!(
-                &engine.execute_uncached(&Query::audience_top_k(*k, audience.clone())),
+                &engine.execute(&Query::audience_top_k(*k, audience.clone())),
                 expected,
                 "{} shards, audience: {}, k = {}",
                 shards,
@@ -89,7 +89,7 @@ fn back_to_back_audiences_equal_fresh_engine_answers() {
     // A leaked count or alive bit of query i would change query i + 1.
     for query in &queries {
         let fresh = engine(&index, 4);
-        assert_eq!(reused.execute_uncached(query), fresh.execute_uncached(query), "{query:?}");
+        assert_eq!(reused.execute(query), fresh.execute(query), "{query:?}");
     }
 }
 
@@ -99,12 +99,12 @@ fn a_masked_query_leaves_the_persistent_prefix_intact() {
     let (queries, _) = audience_queries(&sets);
     let served = engine(&index, 4);
     let fresh = engine(&index, 4);
-    let three = served.execute_uncached(&Query::top_k(3));
+    let three = served.execute(&Query::top_k(3));
     for query in queries.iter().take(3) {
-        served.execute_uncached(query);
+        served.execute(query);
     }
-    assert_eq!(served.execute_uncached(&Query::top_k(3)), three);
-    assert_eq!(served.execute_uncached(&Query::top_k(9)), fresh.execute_uncached(&Query::top_k(9)));
+    assert_eq!(served.execute(&Query::top_k(3)), three);
+    assert_eq!(served.execute(&Query::top_k(9)), fresh.execute(&Query::top_k(9)));
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn a_rolled_generation_serves_the_refreshed_index() {
     let (queries, _) = audience_queries(&sets);
     let old = engine(&index, 4);
     for query in &queries {
-        old.execute_uncached(query); // the old generation has served its sessions
+        old.execute(query); // the old generation has served its sessions
     }
     let (src, dst) = graph.edges().next().expect("graph has edges");
     let delta = GraphDelta::new().insert(3, 77, 0.8).insert(110, 9, 0.6).delete(src, dst);
@@ -132,10 +132,10 @@ fn a_rolled_generation_serves_the_refreshed_index() {
     // engine over it.
     let (next, graph, weights, _) =
         old.index().rebuilt_with_delta(&graph, &weights, &delta).expect("refresh");
-    let engine = ShardedEngine::with_options(Arc::new(next), 1, 0);
+    let engine = ShardedEngine::new(Arc::new(next));
     // A rollout equals the rebuild, so the oracle reads the rebuild's sets.
     let (_, expected) = audience_queries(&sampled(&graph, &weights, spec, sets.len()).1);
     for (query, expected) in queries.iter().zip(&expected) {
-        assert_eq!(&engine.execute_uncached(query), expected, "{query:?}");
+        assert_eq!(&engine.execute(query), expected, "{query:?}");
     }
 }

@@ -70,8 +70,8 @@ fn assert_engines_agree(
     context: &str,
 ) {
     for (i, query) in queries.iter().enumerate() {
-        let expected = single.execute_uncached(query);
-        let got = sharded.execute_uncached(query);
+        let expected = single.execute(query);
+        let got = sharded.execute(query);
         assert_eq!(got, expected, "{context}: query {i} ({query:?}) diverged");
     }
     // The batch path must agree too (and with itself across thread counts).
@@ -88,15 +88,14 @@ fn rolled(
     engine: &ShardedEngine,
     pair: (&CsrGraph, &EdgeWeights),
     delta: &GraphDelta,
-    threads: usize,
 ) -> (ShardedEngine, CsrGraph, EdgeWeights, RefreshStats) {
     let (next, graph, weights, stats) =
         engine.index().rebuilt_with_delta(pair.0, pair.1, delta).expect("sharded refresh");
-    (ShardedEngine::with_options(Arc::new(next), threads, 64), graph, weights, stats)
+    (ShardedEngine::new(Arc::new(next)), graph, weights, stats)
 }
 
-/// The acceptance grid: shard counts 1/2/4/7 × threads 1/2/4 × both
-/// models, before and after a rolled delta.
+/// The acceptance grid: shard counts 1/2/4/7 × both models, before and
+/// after a rolled delta, each query alone and in batches over 1/2/4 threads.
 #[test]
 fn sharded_serving_is_byte_identical_across_the_grid() {
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
@@ -115,54 +114,39 @@ fn sharded_serving_is_byte_identical_across_the_grid() {
             .reweight(rw_src, rw_dst, 0.4);
 
         for shards in SHARD_COUNTS {
-            for threads in THREAD_COUNTS {
-                let context = format!("{model:?}, {shards} shards, {threads} threads");
-                let mut single_index = index.clone();
-                let single = QueryEngine::new(Arc::new(single_index.clone()));
-                let sharded_index =
-                    ShardedIndex::from_index(index.clone(), shards).expect("shardable");
-                assert_eq!(sharded_index.num_shards(), shards);
-                let sharded = ShardedEngine::with_options(Arc::new(sharded_index), threads, 64);
+            let context = format!("{model:?}, {shards} shards");
+            let mut single_index = index.clone();
+            let single = QueryEngine::new(Arc::new(single_index.clone()));
+            let sharded_index = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
+            assert_eq!(sharded_index.num_shards(), shards);
+            let sharded = ShardedEngine::new(Arc::new(sharded_index));
 
-                let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
-                assert_engines_agree(&single, &sharded, &queries, &context);
+            let queries = query_battery(graph.num_nodes(), 0xBEE5 ^ shards as u64);
+            assert_engines_agree(&single, &sharded, &queries, &context);
 
-                // Both sides take the same batch by rollout — a new engine
-                // over the refreshed single index, the sharded one through
-                // `rebuilt_with_delta`; the refreshed answers must again be
-                // byte-identical (and the refresh stats must agree).
-                let (g1, w1, single_stats) =
-                    single_index.apply_delta(&graph, &weights, &delta).expect("single refresh");
-                let single = QueryEngine::new(Arc::new(single_index.clone()));
-                let (sharded, g2, w2, sharded_stats) =
-                    rolled(&sharded, (&graph, &weights), &delta, threads);
-                assert_eq!(single_stats, sharded_stats, "{context}: refresh stats diverged");
-                assert_eq!(g1.num_edges(), g2.num_edges());
-                let (single_postings, sharded_postings) =
-                    (single.index().postings(), sharded.index().global_postings());
-                assert_eq!(single_postings.sections(), sharded_postings.sections(), "{context}");
-                assert_eq!(single_postings, sharded_postings, "{context}: refreshed sets diverged");
-                assert_engines_agree(
-                    &single,
-                    &sharded,
-                    &queries,
-                    &format!("{context}, post-delta"),
-                );
+            // Both sides take the same batch by rollout — a new engine
+            // over the refreshed single index, the sharded one through
+            // `rebuilt_with_delta`; the refreshed answers must again be
+            // byte-identical (and the refresh stats must agree).
+            let (g1, w1, single_stats) =
+                single_index.apply_delta(&graph, &weights, &delta).expect("single refresh");
+            let single = QueryEngine::new(Arc::new(single_index.clone()));
+            let (sharded, g2, w2, sharded_stats) = rolled(&sharded, (&graph, &weights), &delta);
+            assert_eq!(single_stats, sharded_stats, "{context}: refresh stats diverged");
+            assert_eq!(g1.num_edges(), g2.num_edges());
+            let (single_postings, sharded_postings) =
+                (single.index().postings(), sharded.index().global_postings());
+            assert_eq!(single_postings.sections(), sharded_postings.sections(), "{context}");
+            assert_eq!(single_postings, sharded_postings, "{context}: refreshed sets diverged");
+            assert_engines_agree(&single, &sharded, &queries, &format!("{context}, post-delta"));
 
-                // And a second chained delta keeps the engines in lockstep.
-                let delta2 = GraphDelta::new().delete(3, 77).insert(50, 51, 0.7);
-                let (_, _, s1) =
-                    single_index.apply_delta(&g1, &w1, &delta2).expect("single delta 2");
-                let single = QueryEngine::new(Arc::new(single_index));
-                let (sharded, _, _, s2) = rolled(&sharded, (&g2, &w2), &delta2, threads);
-                assert_eq!(s1, s2);
-                assert_engines_agree(
-                    &single,
-                    &sharded,
-                    &queries,
-                    &format!("{context}, post-delta-2"),
-                );
-            }
+            // And a second chained delta keeps the engines in lockstep.
+            let delta2 = GraphDelta::new().delete(3, 77).insert(50, 51, 0.7);
+            let (_, _, s1) = single_index.apply_delta(&g1, &w1, &delta2).expect("single delta 2");
+            let single = QueryEngine::new(Arc::new(single_index));
+            let (sharded, _, _, s2) = rolled(&sharded, (&g2, &w2), &delta2);
+            assert_eq!(s1, s2);
+            assert_engines_agree(&single, &sharded, &queries, &format!("{context}, post-delta-2"));
         }
     }
 }
@@ -240,7 +224,7 @@ fn a_sharded_engine_is_the_single_engine_over_the_same_postings() {
             assert!(Arc::ptr_eq(sharded_index.global_postings(), index.postings()), "{context}");
             assert_eq!(sharded_index.memory_bytes(), index.memory_bytes(), "{context}");
             let single = QueryEngine::new(Arc::new(index.clone()));
-            let sharded = ShardedEngine::with_options(Arc::new(sharded_index), 1, 64);
+            let sharded = ShardedEngine::new(Arc::new(sharded_index));
             let queries = query_battery(graph.num_nodes(), 0x1D1E ^ shards as u64);
             assert_engines_agree(&single, &sharded, &queries, &context);
         }
@@ -263,13 +247,10 @@ fn concurrent_point_queries_equal_the_sequential_answers() {
         .collect();
     let expected: Vec<QueryResponse> = {
         let single = QueryEngine::new(Arc::new(index.clone()));
-        queries.iter().map(|q| single.execute_uncached(q)).collect()
+        queries.iter().map(|q| single.execute(q)).collect()
     };
-    let engine = ShardedEngine::with_options(
-        Arc::new(ShardedIndex::from_index(index, 4).expect("shardable")),
-        1,
-        0,
-    );
+    let engine =
+        ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 4).expect("shardable")));
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for t in 0..4usize {
@@ -281,7 +262,7 @@ fn concurrent_point_queries_equal_the_sequential_answers() {
                     // different queries overlap in time.
                     let i = (t * 3 + round) % queries.len();
                     assert_eq!(
-                        engine.execute_uncached(&queries[i]),
+                        engine.execute(&queries[i]),
                         expected[i],
                         "thread {t}, round {round}: {:?}",
                         queries[i]
@@ -350,15 +331,11 @@ proptest! {
         }
         let index = SketchIndex::from_collection(c, IndexMeta::default()).unwrap();
         let single = QueryEngine::new(Arc::new(index.clone()));
-        let sharded = ShardedEngine::with_options(
-            Arc::new(ShardedIndex::from_index(index, shards).unwrap()),
-            (probe_seed % 4) as usize + 1,
-            16,
-        );
+        let sharded = ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, shards).unwrap()));
         for query in query_battery(num_nodes, probe_seed) {
             prop_assert_eq!(
-                sharded.execute_uncached(&query),
-                single.execute_uncached(&query),
+                sharded.execute(&query),
+                single.execute(&query),
                 "shards = {}, query = {:?}", shards, query
             );
         }

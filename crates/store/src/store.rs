@@ -26,11 +26,12 @@
 //! The read-decode path verifies the container FNV over the entire payload;
 //! the mapped path verifies only the head's own directory checksum. This is
 //! sound because snapshots are only ever published by
-//! `SketchIndex::save_to_path`'s write-to-temp → fsync → atomic-rename discipline
-//! (PR 9): a reader can never observe a half-written file under the final
+//! `SketchIndex::save_to_path`'s write-to-temp → fsync → atomic-rename
+//! discipline: a reader can never observe a half-written file under the final
 //! path, so the data sections of any openable snapshot are exactly the bytes
 //! the (already-validated) writer produced. Torn files live under the
-//! `.tmp` name and are swept by `recover_interrupted_save`. Bit-rot on disk
+//! `.tmp` name, which no open reads or removes (it may be a save in flight);
+//! the next save of the path truncates and reuses it. Bit-rot on disk
 //! is outside the mmap fast path's contract — `verify` tooling and the
 //! fallback path still check the full container hash.
 

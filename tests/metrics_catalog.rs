@@ -53,8 +53,7 @@ fn metric_names_follow_the_snake_case_convention() {
 
 #[test]
 fn metric_names_carry_a_subsystem_prefix() {
-    const PREFIXES: [&str; 7] =
-        ["exec_", "core_", "service_", "shard_", "serve_", "snapshot_", "store_"];
+    const PREFIXES: [&str; 6] = ["exec_", "core_", "service_", "shard_", "serve_", "store_"];
     for s in full_registry() {
         assert!(
             PREFIXES.iter().any(|p| s.name.starts_with(p)),
