@@ -361,6 +361,17 @@ if grep -rnF 'counts[v as usize] -= 1' crates/service/src crates/rrr/src/celf.rs
   exit 1
 fi
 
+# The daemon keeps no clock of its own: a connection's read timeout is its
+# idle timeout, a batch checks its deadline, and admission records the
+# in-flight peak as it claims a slot. The housekeeping thread, its tick, the
+# `--tick-ms` flag and the sampled max-over-window gauge stay gone.
+echo "==> no-tick guard: no housekeeping thread, tick or sampled in-flight window"
+if grep -rnF -e MaxWindow -e sleep_tick -e tick_loop -e imm-serve-tick -e tick_ms \
+  -e --tick-ms -e '.tick =' crates tests examples; then
+  echo "error: the daemon's clocks are the idle timeout and the batch deadline; do not reintroduce the housekeeping tick or its window" >&2
+  exit 1
+fi
+
 # An audience Top-K session is the fresh session started with its ineligible
 # sets covered: it reads the postings and the generation's degree order, and
 # no longer walks the set-major arena for exact initial bounds. The session

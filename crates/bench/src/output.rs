@@ -31,11 +31,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -149,7 +144,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         // All data lines have the same width as or less than the header line.
         assert!(lines[2].starts_with("com-Amazon"));
-        assert_eq!(t.num_rows(), 2);
     }
 
     #[test]

@@ -36,9 +36,8 @@ USAGE:
   efficient-imm serve       --index <FILE> (--socket <PATH> | --tcp <ADDR>)
                             [--graph <FILE> | --dataset <NAME>] [--shards <N>]
                             [--threads <T>] [--max-cost <C>]
-                            [--max-inflight <N>] [--tick-ms <MS>]
-                            [--idle-timeout-ms <MS>] [--deadline-ms <MS>]
-                            [--journal <FILE>] [--mmap]
+                            [--max-inflight <N>] [--idle-timeout-ms <MS>]
+                            [--deadline-ms <MS>] [--journal <FILE>] [--mmap]
   efficient-imm client      (--socket <PATH> | --tcp <ADDR>) [--wait-ms <MS>]
                             [--top-k <K1,K2,..>] [--audience <V1,V2,..>]
                             [--spread <V1,V2,..>] [--marginal <V1,V2,..:C>]
@@ -70,10 +69,13 @@ Pass the snapshot's original --graph/--dataset to enable rolling
 `apply-delta` rollouts (queries keep serving on the old index until the
 refreshed one swaps in); --max-cost rejects queries
 whose postings-size cost estimate exceeds the budget, and --max-inflight
-bounds concurrently served requests. --idle-timeout-ms sheds connections
-that stay silent past the limit (a structured idle-timeout goodbye, then
-close); --deadline-ms bounds each query batch's execution, answering the
-queries the deadline cut with structured deadline-exceeded rejections;
+bounds concurrently served requests. --idle-timeout-ms is each
+connection's read timeout: a connection silent that long between frames
+gets a structured idle-timeout goodbye and is closed, and one that stalls
+that long inside a frame is dropped as truncated (without it, a silent
+peer holds only its own connection); --deadline-ms bounds each query
+batch's execution, answering the queries the deadline cut with structured
+deadline-exceeded rejections;
 --journal appends every accepted apply-delta rollout to a crash-safe
 delta journal before the new index swaps in, and replays unsnapshotted
 entries from it at startup (a journal of another history is refused);
@@ -226,9 +228,8 @@ pub struct ServeArgs {
     pub max_cost: Option<u64>,
     /// Bound on concurrently served requests.
     pub max_inflight: usize,
-    /// Housekeeping cadence in milliseconds (in-flight gauge sampling).
-    pub tick_ms: u64,
-    /// Shed connections idle past this many milliseconds (absent → never).
+    /// Each connection's read timeout in milliseconds: shed connections
+    /// silent past it, between frames or inside one (absent → never).
     pub idle_timeout_ms: Option<u64>,
     /// Per-batch execution deadline in milliseconds (absent → unbounded).
     pub deadline_ms: Option<u64>,
@@ -383,7 +384,7 @@ const GRAMMARS: [Grammar; 9] = [
     Grammar(
         "serve",
         "--index --socket --tcp --graph --dataset --shards --threads --max-cost \
-         --max-inflight --tick-ms --idle-timeout-ms --deadline-ms --journal",
+         --max-inflight --idle-timeout-ms --deadline-ms --journal",
         "--mmap",
         parse_serve,
     ),
@@ -632,7 +633,6 @@ fn parse_serve(flags: &Flags) -> Result<Command, String> {
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
         max_cost: flags.get_opt("--max-cost")?,
         max_inflight,
-        tick_ms: flags.get_parsed("--tick-ms", 50u64)?,
         idle_timeout_ms: flags.get_opt("--idle-timeout-ms")?,
         deadline_ms: flags.get_opt("--deadline-ms")?,
         journal: flags.get("--journal").map(str::to_string),
@@ -995,8 +995,6 @@ mod tests {
             "5000",
             "--max-inflight",
             "8",
-            "--tick-ms",
-            "25",
             "--idle-timeout-ms",
             "4000",
             "--deadline-ms",
@@ -1016,7 +1014,6 @@ mod tests {
                 threads: 3,
                 max_cost: Some(5000),
                 max_inflight: 8,
-                tick_ms: 25,
                 idle_timeout_ms: Some(4000),
                 deadline_ms: Some(250),
                 journal: Some("g.journal".into()),
@@ -1043,7 +1040,6 @@ mod tests {
                 assert_eq!(args.shards, 1);
                 assert_eq!(args.max_cost, None);
                 assert_eq!(args.max_inflight, 64);
-                assert_eq!(args.tick_ms, 50);
                 assert_eq!(args.idle_timeout_ms, None, "idle shedding is opt-in");
                 assert_eq!(args.deadline_ms, None, "batch deadlines are opt-in");
                 assert_eq!(args.journal, None, "journaling is opt-in");

@@ -103,16 +103,21 @@ fn load(
     match source {
         GraphSource::File(path) => {
             let (el, file_weights) = io::read_snap_file(path).map_err(|e| e.to_string())?;
+            // Each branch drops the edge list (and the line-order weight
+            // column) as soon as the CSR holds them, before the weights are
+            // built: the list is the load's largest allocation.
             let (graph, weights) = match file_weights {
                 // The weight column is in line order; it moves with its edge.
-                Some(w) => {
-                    let (graph, w) = CsrGraph::from_edge_list_with(&el, &w);
+                Some(line_weights) => {
+                    let (graph, w) = CsrGraph::from_edge_list_with(&el, &line_weights);
+                    drop((el, line_weights));
                     let weights = EdgeWeights::from_vec(&graph, w, WeightModel::Constant)
                         .map_err(|e| e.to_string())?;
                     (graph, weights)
                 }
                 None => {
                     let graph = CsrGraph::from_edge_list(&el);
+                    drop(el);
                     let model = match model {
                         DiffusionModel::IndependentCascade => WeightModel::IcUniform,
                         DiffusionModel::LinearThreshold => WeightModel::LtNormalized,
@@ -503,7 +508,6 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     config.threads = args.threads;
     config.budget = args.max_cost;
     config.max_inflight = args.max_inflight;
-    config.tick = Duration::from_millis(args.tick_ms.max(1));
     config.idle_timeout = args.idle_timeout_ms.map(Duration::from_millis);
     config.batch_deadline = args.deadline_ms.map(Duration::from_millis);
     config.journal = args.journal.as_ref().map(PathBuf::from);
@@ -527,7 +531,7 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         dynamic_enabled,
         load_mode.as_str()
     );
-    handle.join().map_err(|_| "the daemon's accept loop or housekeeping tick panicked".to_string())
+    handle.join().map_err(|_| "the daemon's accept loop panicked".to_string())
 }
 
 /// The queries of a `query` or `client` batch over a vertex space of
@@ -1261,7 +1265,6 @@ mod tests {
             threads: 2,
             max_cost: None,
             max_inflight: 8,
-            tick_ms: 10,
             idle_timeout_ms: None,
             deadline_ms: None,
             journal: None,

@@ -77,7 +77,6 @@ fn seeded_connection_chaos_never_corrupts_a_served_answer() {
         let socket = unix_path(seed);
         let mut config = ServerConfig::new(Listen::Unix(socket));
         config.threads = 2;
-        config.tick = Duration::from_millis(10);
 
         let chaos = FaultConfig { io_error: 0.06, io_partial: 0.15, ..FaultConfig::seeded(seed) };
         let (injected, served) = imm_fault::with_plan(chaos, |plan| {
@@ -140,7 +139,6 @@ fn a_disarmed_stack_serves_cleanly() {
     let socket = unix_path(u64::MAX);
     let mut config = ServerConfig::new(Listen::Unix(socket));
     config.threads = 2;
-    config.tick = Duration::from_millis(10);
     imm_fault::with_plan(FaultConfig::default(), |plan| {
         let handle = Server::start(Arc::clone(&sharded), None, config, || "{}".into())
             .expect("the daemon must start");

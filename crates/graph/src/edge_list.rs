@@ -82,12 +82,6 @@ impl EdgeList {
         self.edges.push(Edge::new(src, dst));
     }
 
-    /// Append an [`Edge`].
-    #[inline]
-    pub fn push_edge(&mut self, e: Edge) {
-        self.push(e.src, e.dst);
-    }
-
     /// Number of vertices (declared or inferred).
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -172,11 +166,6 @@ impl EdgeList {
         }
         self.num_nodes = next as usize;
         mapping
-    }
-
-    /// Consume the list and return the raw edges.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
     }
 }
 

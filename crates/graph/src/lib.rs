@@ -44,7 +44,7 @@ pub mod weights;
 pub use csr::CsrGraph;
 pub use delta::{DeltaError, GraphDelta};
 pub use edge_list::{Edge, EdgeList};
-pub use partition::{block_ranges, interleaved_owner, Range};
+pub use partition::{block_ranges, Range};
 pub use properties::{DegreeStats, SccResult};
 pub use weights::{EdgeWeights, WeightModel};
 

@@ -91,36 +91,6 @@ pub(crate) fn map_scoped<I: Send, O: Send>(
     })
 }
 
-/// Round-robin ("interleaved") owner of item `index` among `owners` owners
-/// with the given `granularity` (items per block, e.g. a page worth of
-/// vertices). Mirrors `numactl --interleave=all` page placement.
-///
-/// # Panics
-/// Panics if `owners == 0` or `granularity == 0`.
-#[inline]
-pub fn interleaved_owner(index: usize, owners: usize, granularity: usize) -> usize {
-    assert!(owners > 0, "need at least one owner");
-    assert!(granularity > 0, "granularity must be positive");
-    (index / granularity) % owners
-}
-
-/// Split `n` items into chunks of at most `chunk_size`, returning the ranges
-/// in order. Used by the dynamic job-balancing queue to build job batches.
-///
-/// # Panics
-/// Panics if `chunk_size == 0`.
-pub fn chunk_ranges(n: usize, chunk_size: usize) -> Vec<Range> {
-    assert!(chunk_size > 0, "chunk size must be positive");
-    let mut out = Vec::with_capacity(n.div_ceil(chunk_size));
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk_size).min(n);
-        out.push(Range { start, end });
-        start = end;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,38 +125,6 @@ mod tests {
     #[should_panic(expected = "zero parts")]
     fn block_ranges_zero_parts_panics() {
         block_ranges(10, 0);
-    }
-
-    #[test]
-    fn interleave_round_robins_blocks() {
-        // granularity 4, 2 owners: items 0..4 -> owner 0, 4..8 -> owner 1, 8..12 -> owner 0
-        assert_eq!(interleaved_owner(0, 2, 4), 0);
-        assert_eq!(interleaved_owner(3, 2, 4), 0);
-        assert_eq!(interleaved_owner(4, 2, 4), 1);
-        assert_eq!(interleaved_owner(7, 2, 4), 1);
-        assert_eq!(interleaved_owner(8, 2, 4), 0);
-    }
-
-    #[test]
-    fn interleave_single_owner_is_always_zero() {
-        for i in 0..100 {
-            assert_eq!(interleaved_owner(i, 1, 8), 0);
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_everything() {
-        let chunks = chunk_ranges(10, 3);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0], Range { start: 0, end: 3 });
-        assert_eq!(chunks[3], Range { start: 9, end: 10 });
-        let total: usize = chunks.iter().map(|c| c.len()).collect::<Vec<_>>().iter().sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn chunk_ranges_empty_input() {
-        assert!(chunk_ranges(0, 5).is_empty());
     }
 
     #[test]

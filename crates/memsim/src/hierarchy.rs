@@ -101,24 +101,6 @@ impl MemoryHierarchy {
         self.cores[core].access(address);
     }
 
-    /// Mutable handle to one core's caches (lets a worker thread own its
-    /// slice during a parallel section and merge later).
-    pub fn core_mut(&mut self, core: usize) -> &mut CoreCaches {
-        &mut self.cores[core]
-    }
-
-    /// Split into per-core hierarchies (consumed), so worker threads can each
-    /// drive their own without sharing.
-    pub fn into_cores(self) -> Vec<CoreCaches> {
-        self.cores
-    }
-
-    /// Rebuild from per-core hierarchies.
-    pub fn from_cores(cores: Vec<CoreCaches>) -> Self {
-        assert!(!cores.is_empty(), "need at least one core");
-        MemoryHierarchy { cores }
-    }
-
     /// Counters of one core.
     pub fn core_stats(&self, core: usize) -> HierarchyStats {
         self.cores[core].stats()
@@ -203,23 +185,13 @@ mod tests {
     #[test]
     fn per_core_hierarchies_are_independent() {
         let mut h = MemoryHierarchy::new(2, small_hierarchy());
+        assert_eq!(h.num_cores(), 2);
         h.access(0, synthetic_address(0, 0));
         h.access(0, synthetic_address(0, 0));
         assert_eq!(h.core_stats(0).l1.hits, 1);
         assert_eq!(h.core_stats(1).accesses(), 0);
         let total = h.total_stats();
         assert_eq!(total.accesses(), 2);
-    }
-
-    #[test]
-    fn split_and_merge_round_trip() {
-        let h = MemoryHierarchy::new(3, small_hierarchy());
-        let mut cores = h.into_cores();
-        cores[1].access(128);
-        let h = MemoryHierarchy::from_cores(cores);
-        assert_eq!(h.num_cores(), 3);
-        assert_eq!(h.core_stats(1).accesses(), 1);
-        assert_eq!(h.total_stats().accesses(), 1);
     }
 
     #[test]

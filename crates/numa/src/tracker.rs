@@ -125,27 +125,6 @@ impl AccessTracker {
         }
     }
 
-    /// Record `count` identical accesses at once (bulk accounting for tight
-    /// loops that would otherwise spend more time tracking than working).
-    pub fn record_bulk(
-        &mut self,
-        core: usize,
-        region: &NumaRegion,
-        index: usize,
-        kind: AccessKind,
-        count: u64,
-    ) {
-        let target_node = region.node_of_element(index);
-        let local = self.topology.node_of_core(core) == target_node;
-        let stats = &mut self.per_core[core];
-        match (kind, local) {
-            (AccessKind::Read, true) => stats.local_reads += count,
-            (AccessKind::Read, false) => stats.remote_reads += count,
-            (AccessKind::Write, true) => stats.local_writes += count,
-            (AccessKind::Write, false) => stats.remote_writes += count,
-        }
-    }
-
     /// Stats of one core.
     pub fn core_stats(&self, core: usize) -> &AccessStats {
         &self.per_core[core]
@@ -254,16 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn bulk_recording_matches_individual() {
+    fn repeated_records_accumulate() {
         let t = topo();
         let region = NumaRegion::place(128, 4, PlacementPolicy::SingleNode(0), &t);
         let mut a = AccessTracker::new(t);
-        let mut b = AccessTracker::new(t);
         for _ in 0..50 {
             a.record(1, &region, 3, AccessKind::Write);
         }
-        b.record_bulk(1, &region, 3, AccessKind::Write, 50);
-        assert_eq!(a.core_stats(1), b.core_stats(1));
+        assert_eq!(a.core_stats(1), &AccessStats { local_writes: 50, ..Default::default() });
     }
 
     #[test]

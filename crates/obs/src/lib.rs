@@ -20,12 +20,12 @@
 //! Metric names are stable, snake_case (`[a-z][a-z0-9_]*`), and prefixed
 //! with the subsystem that owns them: `exec_` (runtime), `core_`
 //! (sampling and selection), `service_` (query serving + dynamic refresh),
-//! `shard_` (shard map), `serve_` (daemon), `snapshot_` (snapshot
-//! recovery), `store_` (snapshot storage). Units are carried as a
-//! structured [`Unit`] tag, never baked into the name, so
-//! `service_topk_latency` can switch resolution without a rename. Descriptions are full sentences; the
-//! README's "Observability" catalog is generated from them (via
-//! `stats --metrics --describe`) so prose cannot drift from code.
+//! `shard_` (shard map), `serve_` (daemon), `store_` (snapshot storage).
+//! Units are carried as a structured [`Unit`] tag, never baked into the
+//! name, so `service_topk_latency` can switch resolution without a rename.
+//! Descriptions are full sentences; the README's "Observability" catalog is
+//! generated from them (via `stats --metrics --describe`) so prose cannot
+//! drift from code.
 //!
 //! # Registry
 //!
@@ -46,14 +46,12 @@
 pub mod histogram;
 pub mod rate;
 pub mod registry;
-pub mod window;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use histogram::{Histogram, HistogramSnapshot, LatencyHistogram};
 pub use rate::{RateMeter, RateSnapshot};
 pub use registry::{delta, register, snapshot, Metric, MetricKind, MetricValue, Sample};
-pub use window::MaxWindow;
 
 /// Declare a subsystem's metrics: one documented `static` per entry and one
 /// `pub fn register()` that adds every entry to the process-global registry

@@ -110,40 +110,6 @@ impl BitSet {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Rebuild from raw backing words (the inverse of [`BitSet::words`]).
-    ///
-    /// # Panics
-    /// Panics if the word count does not match the capacity or a bit beyond
-    /// `capacity` is set; deserializers should validate first.
-    pub fn from_words(capacity: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), capacity.div_ceil(WORD_BITS), "word count mismatch");
-        if let Some(last) = words.last() {
-            let tail_bits = capacity % WORD_BITS;
-            assert!(tail_bits == 0 || *last >> tail_bits == 0, "bit beyond capacity");
-        }
-        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
-        BitSet { words, capacity, ones }
-    }
-
-    /// Number of set bits shared with `other`.
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
-        self.words.iter().zip(&other.words).map(|(a, b)| (a & b).count_ones() as usize).sum()
-    }
-
-    /// In-place union with `other` (capacities must match).
-    ///
-    /// # Panics
-    /// Panics if the capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        let mut ones = 0usize;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-            ones += a.count_ones() as usize;
-        }
-        self.ones = ones;
-    }
 }
 
 /// Iterator over the set bits of a [`BitSet`].
@@ -223,23 +189,6 @@ mod tests {
         assert!(bs.is_empty());
         assert_eq!(bs.capacity(), 100);
         assert!(!bs.contains(1));
-    }
-
-    #[test]
-    fn intersection_count_works() {
-        let a = BitSet::from_iter_with_capacity(64, [1, 5, 9, 20]);
-        let b = BitSet::from_iter_with_capacity(64, [5, 20, 33]);
-        assert_eq!(a.intersection_count(&b), 2);
-        assert_eq!(b.intersection_count(&a), 2);
-    }
-
-    #[test]
-    fn union_with_merges() {
-        let mut a = BitSet::from_iter_with_capacity(70, [0, 1, 69]);
-        let b = BitSet::from_iter_with_capacity(70, [1, 2]);
-        a.union_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 1, 2, 69]);
-        assert_eq!(a.len(), 4);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! slot; the rest of the batch keeps serving. A second, request-level
 //! gate bounds the number of requests in flight across all connections:
 //! when the bound is hit the whole request is shed with a structured
-//! queue-full error instead of queueing without limit.
+//! queue-full error instead of queueing without limit. Claiming a slot
+//! is also where the in-flight high-water mark is recorded
+//! ([`INFLIGHT_PEAK`]).
 //!
 //! Pricing doubles as validation: computing a query's cost touches
 //! every vertex it names, so out-of-range vertices are caught here with
@@ -19,12 +21,19 @@
 //! — the in-process engine would panic on them (raw postings indexing),
 //! and a long-lived daemon must never let wire input reach that path.
 
+use crate::metrics::INFLIGHT_PEAK;
 use crate::protocol::Rejection;
 use imm_rrr::Postings;
 use imm_service::Query;
 use imm_shard::ShardedIndex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The most requests ever in flight at once in this process, across every
+/// [`Admission`]: what [`INFLIGHT_PEAK`] publishes. Two claims that raise it
+/// at the same instant may publish out of order, so the gauge can read below
+/// it until the next rise.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// Per-query cost estimates from the index's postings sizes.
 ///
@@ -150,14 +159,10 @@ impl Admission {
         self.budget
     }
 
-    /// Requests currently holding an in-flight slot.
-    pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
-    }
-
     /// Claim an in-flight slot, or report `(inflight, limit)` when the
     /// queue is full. Lock-free: a `fetch_update` loop so two racing
-    /// requests cannot both squeeze into the last slot.
+    /// requests cannot both squeeze into the last slot. A claim that
+    /// raises the in-flight high-water mark publishes it.
     pub fn try_acquire(&self) -> Result<InflightGuard<'_>, (u64, u64)> {
         let claimed = self.inflight.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
             if n < self.max_inflight {
@@ -167,7 +172,13 @@ impl Admission {
             }
         });
         match claimed {
-            Ok(_) => Ok(InflightGuard { admission: self }),
+            Ok(before) => {
+                let now = before + 1;
+                if PEAK.fetch_max(now, Ordering::Relaxed) < now {
+                    INFLIGHT_PEAK.set(now as f64);
+                }
+                Ok(InflightGuard { admission: self })
+            }
             Err(n) => Err((n as u64, self.max_inflight as u64)),
         }
     }
@@ -193,10 +204,16 @@ mod tests {
         let a = admission.try_acquire().expect("slot 1");
         let _b = admission.try_acquire().expect("slot 2");
         assert_eq!(admission.try_acquire().err(), Some((2, 2)));
-        assert_eq!(admission.inflight(), 2);
         drop(a);
-        assert_eq!(admission.inflight(), 1);
         let _c = admission.try_acquire().expect("slot reopened by the drop");
+        assert_eq!(admission.try_acquire().err(), Some((2, 2)), "the drop released one slot");
+    }
+
+    #[test]
+    fn claiming_a_slot_publishes_the_inflight_peak() {
+        let admission = Admission::new(None, 4);
+        let _slots: Vec<_> = (0..3).map(|_| admission.try_acquire().expect("slot")).collect();
+        assert!(INFLIGHT_PEAK.value() >= 3.0, "peak {} after 3 claims", INFLIGHT_PEAK.value());
     }
 
     #[test]

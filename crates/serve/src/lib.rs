@@ -28,12 +28,13 @@
 //!   requests with a structured queue-full error instead of queueing
 //!   without limit.
 //! * [`server`] — the daemon: a blocking accept loop + per-connection
-//!   threads, a housekeeping tick thread that samples the in-flight count
-//!   into a max-over-window gauge, a `metrics` RPC verb exposing the
-//!   live process's `imm-obs` registry, and graceful `apply_delta`
-//!   rollout — the replacement index is refreshed off to the side and
-//!   swapped in atomically with a new engine over it, so queries keep
-//!   serving on the old generation until the swap.
+//!   threads and no other thread (a connection's read timeout is its idle
+//!   timeout, and admission records the in-flight peak as it claims a
+//!   slot), a `metrics` RPC verb exposing the live process's `imm-obs`
+//!   registry, and graceful `apply_delta` rollout — the replacement index
+//!   is refreshed off to the side and swapped in atomically with a new
+//!   engine over it, so queries keep serving on the old generation until
+//!   the swap.
 //! * [`client`] — the blocking client used by the CLI `client`
 //!   subcommand, the spine's load generator, and the parity suite.
 

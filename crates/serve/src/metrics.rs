@@ -2,10 +2,9 @@
 //! `imm-obs` registry, registered by the server constructor.
 //!
 //! Counters follow the exec/shard idiom (static, relaxed adds, zero
-//! cost under `obs-off`). [`INFLIGHT_PEAK`] is a sampled gauge: the
-//! housekeeping tick peeks the racy in-flight count and publishes the max
-//! over its recent window (`imm_obs::MaxWindow`) — never the raw
-//! instantaneous read.
+//! cost under `obs-off`). [`INFLIGHT_PEAK`] is recorded where the event
+//! happens: admission sets it when a claimed slot raises the in-flight
+//! high-water mark, so no burst is too short to reach it.
 
 imm_obs::metrics! {
     pub CONNECTIONS: Counter =
@@ -43,9 +42,9 @@ imm_obs::metrics! {
     /// process's registry tells the whole fault-handling story.
     pub RETRIES: Counter = "serve_retries",
         "Idempotent requests re-sent by the retrying client after a retryable failure";
-    /// Published by the daemon's housekeeping tick (the raw counter is a
-    /// racy instantaneous read).
+    /// Set by `Admission::try_acquire` when a claimed slot raises the
+    /// high-water mark.
     pub INFLIGHT_PEAK: Gauge = "serve_inflight_peak",
-        "Peak concurrently in-flight requests over the housekeeping sampler's recent window",
+        "Peak number of requests in flight at once since the daemon started",
         Count;
 }

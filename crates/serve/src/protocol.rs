@@ -143,7 +143,8 @@ pub enum FrameRead {
     /// The peer closed the connection cleanly between frames.
     Eof,
     /// The read timeout expired with no frame started — the connection
-    /// is idle (the server's housekeeping window), not broken.
+    /// is idle, not broken. The daemon's read timeout is its idle timeout,
+    /// so a daemon connection that reads this is closed.
     Idle,
 }
 

@@ -11,11 +11,6 @@
 //!   platforms may leave it blocked); it then shuts the read half of every
 //!   live connection, so idle reads see EOF at once while in-flight
 //!   responses are still written, and joins them.
-//! * The **housekeeping tick** (one thread) sleeps on a condvar for one
-//!   tick at a time — shutdown wakes it at once — and on each tick peeks
-//!   the racy in-flight request count and publishes its max-over-window
-//!   into a gauge — the sampled replacement for reporting a point-in-time
-//!   read as a metric.
 //! * Each **connection thread** runs a strict request/response loop
 //!   over length-prefixed frames. A protocol error (bad magic,
 //!   oversized or truncated frame, garbage payload) earns a structured
@@ -23,7 +18,8 @@
 //!   or an unbounded allocation.
 //! * **Admission** gates every batch: a bounded in-flight slot per
 //!   request, a postings-size cost estimate per query (see
-//!   [`crate::admission`]).
+//!   [`crate::admission`]). Claiming a slot is also where the in-flight
+//!   high-water mark is recorded.
 //! * **Rolling refresh**: `apply_delta` builds the replacement index
 //!   off to the side — [`ShardedIndex::rebuilt_with_delta`], the base
 //!   index's refresh under the same shard map — stands a new
@@ -33,6 +29,12 @@
 //!   exactly like this. Queries that already hold the old state keep
 //!   serving on the old generation; the next request sees the new index.
 //!   Rollouts serialize behind a mutex; queries never wait on it.
+//!
+//! The daemon starts no thread beyond the accept loop and the connection
+//! threads, and keeps two clocks: a connection's read timeout is its idle
+//! timeout (a peer silent that long, between frames or in the middle of
+//! one, is dropped), and a batch request checks its deadline between
+//! chunks.
 //!
 //! Remote answers are **byte-identical** to the in-process engine's:
 //! the daemon calls the very same [`ShardedEngine`] entry points and the
@@ -46,7 +48,6 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_LEN,
 };
 use imm_graph::{CsrGraph, EdgeWeights, GraphDelta};
-use imm_obs::MaxWindow;
 use imm_service::snapshot::DeltaJournal;
 use imm_service::QueryResponse;
 use imm_shard::{ShardedEngine, ShardedIndex};
@@ -58,7 +59,7 @@ use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, PoisonError, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -218,13 +219,13 @@ impl Listener {
     }
 }
 
-/// Samples in the in-flight gauge's max-over-window: at the default tick,
-/// a one-second high-water mark.
-const INFLIGHT_WINDOW: usize = 20;
-
 /// Socket write timeout per connection: a peer that stops draining its
 /// receive buffer cannot pin a connection thread forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Back-off after a failed `accept` (out of descriptors, say): no spin, and
+/// at most one log line per back-off.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Tuning knobs of one daemon instance. Every connection caps a frame's
 /// payload at [`DEFAULT_MAX_FRAME_LEN`] and a socket write at 30 s.
@@ -237,14 +238,12 @@ pub struct ServerConfig {
     pub budget: Option<u64>,
     /// Bound on concurrently served requests across all connections.
     pub max_inflight: usize,
-    /// Housekeeping cadence: how often the in-flight gauge samples, the
-    /// back-off after a failed `accept`, and the read timeout that clocks a
-    /// connection's idleness (at least 10 ms). Shutdown does not wait for
-    /// it.
-    pub tick: Duration,
-    /// Close a connection that sends no frame for this long, after a
-    /// structured [`ServeError::IdleTimeout`] goodbye (slow-loris
-    /// shedding). `None` keeps connections open indefinitely.
+    /// A connection's read timeout (at least 1 ms). A connection that
+    /// sends no frame for this long gets a structured
+    /// [`ServeError::IdleTimeout`] goodbye and is closed; one that stalls
+    /// this long in the middle of a frame is dropped as truncated
+    /// (slow-loris shedding). `None` sets no read timeout: a silent peer
+    /// holds its own thread until it closes or the daemon shuts down.
     pub idle_timeout: Option<Duration>,
     /// Execution deadline per batch request: queries that have not
     /// started when it expires answer a structured
@@ -260,14 +259,13 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults sized for a small deployment: global-pool parallelism, no
-    /// cost budget, 64 in-flight requests, a 50 ms tick.
+    /// cost budget, 64 in-flight requests, no idle timeout, no deadline.
     pub fn new(listen: Listen) -> Self {
         ServerConfig {
             listen,
             threads: imm_exec::default_threads(),
             budget: None,
             max_inflight: 64,
-            tick: Duration::from_millis(50),
             idle_timeout: None,
             batch_deadline: None,
             journal: None,
@@ -300,11 +298,6 @@ pub struct Server {
     dynamic: Mutex<Option<(CsrGraph, EdgeWeights)>>,
     rollouts: AtomicU64,
     shutdown: AtomicBool,
-    /// What the housekeeping tick (and an accept back-off) sleeps on; a
-    /// shutdown request notifies it. The mutex guards no data: holding it
-    /// while the flag is set is what keeps a notify from being lost.
-    tick_lock: std::sync::Mutex<()>,
-    tick_wake: Condvar,
     /// The resolved listen address.
     address: Listen,
     /// The listening socket's [shutdown handle](Listener::shutdown_handle):
@@ -318,14 +311,13 @@ pub struct Server {
     /// the `dynamic` rollout lock (`None` when journaling is off).
     journal: Mutex<Option<DeltaJournal>>,
     threads: usize,
-    tick: Duration,
     idle_timeout: Option<Duration>,
     batch_deadline: Option<Duration>,
 }
 
 impl Server {
-    /// Start the daemon: bind, spawn the accept loop and the housekeeping
-    /// tick, return a handle with the resolved address.
+    /// Start the daemon: bind, spawn the accept loop, return a handle with
+    /// the resolved address.
     ///
     /// `dynamic` is the graph/weights pair rolling `apply_delta` replays
     /// against (pass `None` to serve statically); `metrics_provider`
@@ -353,57 +345,33 @@ impl Server {
             dynamic: Mutex::new(dynamic),
             rollouts: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            tick_lock: std::sync::Mutex::new(()),
-            tick_wake: Condvar::new(),
             address,
             listening: listener.shutdown_handle()?,
             live: Mutex::new(HashMap::new()),
             metrics_provider: Box::new(metrics_provider),
             journal: Mutex::new(journal),
             threads: config.threads,
-            tick: config.tick,
             idle_timeout: config.idle_timeout,
             batch_deadline: config.batch_deadline,
         });
 
-        let tick_server = Arc::clone(&server);
-        let ticker = thread::Builder::new()
-            .name("imm-serve-tick".into())
-            .spawn(move || tick_loop(&tick_server))?;
         let accept_server = Arc::clone(&server);
         let accept = thread::Builder::new()
             .name("imm-serve-accept".into())
-            .spawn(move || accept_loop(accept_server, listener))
-            .inspect_err(|_| server.request_shutdown())?;
-        Ok(ServerHandle { accept, ticker, server })
+            .spawn(move || accept_loop(accept_server, listener))?;
+        Ok(ServerHandle { accept, server })
     }
 
     fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Set the shutdown flag and wake every thread that waits for it: the
-    /// housekeeping tick through its condvar, the accept loop by shutting
-    /// the listening socket down (no dial, so an unlinked socket file does
-    /// not matter).
+    /// Set the shutdown flag and wake the accept loop by shutting the
+    /// listening socket down (no dial, so an unlinked socket file does not
+    /// matter).
     fn request_shutdown(&self) {
-        {
-            let _held = self.tick_lock.lock().unwrap_or_else(PoisonError::into_inner);
-            self.shutdown.store(true, Ordering::Release);
-        }
-        self.tick_wake.notify_all();
+        self.shutdown.store(true, Ordering::Release);
         let _ = self.listening.shutdown(Shutdown::Read);
-    }
-
-    /// Sleep one tick, cut short by a shutdown request. Returns whether
-    /// shutdown was requested.
-    fn sleep_tick(&self) -> bool {
-        let held = self.tick_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let _held = self
-            .tick_wake
-            .wait_timeout_while(held, self.tick, |_| !self.shutdown_requested())
-            .unwrap_or_else(PoisonError::into_inner);
-        self.shutdown_requested()
     }
 
     /// The engine generation serving right now. Poisoning is impossible
@@ -513,45 +481,37 @@ impl Server {
         Response::Batch(filled)
     }
 
-    /// Execute the admitted queries in bounded chunks, checking the
-    /// per-batch deadline between chunks: queries that have not started
-    /// when it expires answer a structured [`Rejection::DeadlineExceeded`]
-    /// instead of running (an in-flight chunk is allowed to finish — the
-    /// engine is not preemptible, and a chunk is small enough to bound
-    /// the overshoot).
+    /// Execute the admitted queries chunk by chunk, checking the per-batch
+    /// deadline before each chunk: queries that have not started when it
+    /// expires answer a structured [`Rejection::DeadlineExceeded`] instead
+    /// of running. With no deadline the chunk is the whole batch; with one
+    /// it is `threads × 4` queries, small enough to bound the overshoot of
+    /// the chunk in flight (the engine is not preemptible).
     fn execute_with_deadline(
         &self,
         state: &EngineState,
         admitted: &[imm_service::Query],
     ) -> Vec<Result<QueryResponse, Rejection>> {
+        let chunk = match self.batch_deadline {
+            None => admitted.len(),
+            Some(_) => self.threads.max(1) * 4,
+        };
+        let started = Instant::now();
         let mut answers = Vec::with_capacity(admitted.len());
-        match self.batch_deadline {
-            None => {
-                answers
-                    .extend(state.engine.execute_batch(admitted, self.threads).into_iter().map(Ok));
-            }
-            Some(limit) => {
-                let started = Instant::now();
-                let chunk = self.threads.max(1) * 4;
-                let mut next = 0;
-                while next < admitted.len() {
-                    let elapsed = started.elapsed();
-                    if elapsed >= limit {
-                        let cut = (admitted.len() - next) as u64;
-                        smetrics::DEADLINE_EXCEEDED.add(cut);
-                        let rejection = Rejection::DeadlineExceeded {
-                            elapsed_ms: elapsed.as_millis() as u64,
-                            deadline_ms: limit.as_millis() as u64,
-                        };
-                        answers.extend((next..admitted.len()).map(|_| Err(rejection.clone())));
-                        break;
-                    }
-                    let end = (next + chunk).min(admitted.len());
-                    let executed = state.engine.execute_batch(&admitted[next..end], self.threads);
-                    answers.extend(executed.into_iter().map(Ok));
-                    next = end;
+        for queries in admitted.chunks(chunk.max(1)) {
+            if let Some(limit) = self.batch_deadline {
+                let elapsed = started.elapsed();
+                if elapsed >= limit {
+                    smetrics::DEADLINE_EXCEEDED.add((admitted.len() - answers.len()) as u64);
+                    let rejection = Rejection::DeadlineExceeded {
+                        elapsed_ms: elapsed.as_millis() as u64,
+                        deadline_ms: limit.as_millis() as u64,
+                    };
+                    answers.resize(admitted.len(), Err(rejection));
+                    break;
                 }
             }
+            answers.extend(state.engine.execute_batch(queries, self.threads).into_iter().map(Ok));
         }
         answers
     }
@@ -617,20 +577,6 @@ impl Server {
             edges_after: stats.num_edges_after as u64,
         })
     }
-
-    /// One housekeeping observation: roll the racy in-flight peek into its
-    /// max-over-window gauge.
-    fn sample(&self, inflight: &mut MaxWindow) {
-        smetrics::INFLIGHT_PEAK.set(inflight.record(self.admission.inflight() as u64) as f64);
-    }
-}
-
-/// Sample the in-flight gauge once per tick until shutdown.
-fn tick_loop(server: &Server) {
-    let mut inflight_window = MaxWindow::new(INFLIGHT_WINDOW);
-    while !server.sleep_tick() {
-        server.sample(&mut inflight_window);
-    }
 }
 
 fn accept_loop(server: Arc<Server>, listener: Listener) {
@@ -641,13 +587,19 @@ fn accept_loop(server: Arc<Server>, listener: Listener) {
             Ok(stream) => {
                 connections.retain(|c| !c.is_finished());
                 smetrics::CONNECTIONS.increment();
+                // A connection without a second handle would never see a
+                // shutdown (its read may have no timeout), so the drain
+                // would wait on it forever: close it instead.
+                let handle = match stream.try_clone() {
+                    Ok(handle) => handle,
+                    Err(e) => {
+                        eprintln!("[imm-serve] closing a new connection, cannot clone it: {e}");
+                        continue;
+                    }
+                };
                 let id = next_id;
                 next_id += 1;
-                // Without a second handle the connection still serves; its
-                // read only notices a shutdown after one read timeout.
-                if let Ok(handle) = stream.try_clone() {
-                    server.live.lock().insert(id, handle);
-                }
+                server.live.lock().insert(id, handle);
                 let conn_server = Arc::clone(&server);
                 let spawned =
                     thread::Builder::new().name("imm-serve-conn".into()).spawn(move || {
@@ -664,11 +616,10 @@ fn accept_loop(server: Arc<Server>, listener: Listener) {
             }
             Err(_) if server.shutdown_requested() => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Out of descriptors, say: back off one tick instead of
-            // spinning, which also bounds this log to one line per tick.
+            // A shutdown during the back-off ends the loop at its next check.
             Err(e) => {
                 eprintln!("[imm-serve] accept failed: {e}");
-                server.sleep_tick();
+                thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }
@@ -693,12 +644,12 @@ fn accept_loop(server: Arc<Server>, listener: Listener) {
 /// [`ServeError::IdleTimeout`] goodbye and a close — a slow-loris peer
 /// sheds itself instead of pinning a thread.
 fn serve_connection(server: &Server, stream: Stream) {
-    // The read timeout doubles as the half-written-frame guard (a stalled
-    // mid-frame read times out into a structured Truncated error instead
-    // of hanging the thread) and the idle clock's granularity. Shutdown
-    // does not wait for it: it ends a blocked read with EOF.
-    let timeout = server.tick.max(Duration::from_millis(10));
-    if stream.set_read_timeout(Some(timeout)).is_err() {
+    // The idle timeout is the read timeout, so it also cuts a stall in the
+    // middle of a frame (a structured Truncated error). `Some(0)` is an
+    // error on Unix, hence the 1 ms floor. Shutdown does not wait for it:
+    // it ends a blocked read with EOF.
+    let idle_timeout = server.idle_timeout.map(|t| t.max(Duration::from_millis(1)));
+    if stream.set_read_timeout(idle_timeout).is_err() {
         return;
     }
     if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
@@ -708,53 +659,36 @@ fn serve_connection(server: &Server, stream: Stream) {
     // injected read/write errors, short writes, stalls. A no-op wrapper
     // otherwise.
     let mut stream = imm_fault::FaultyIo::new(stream, "serve.conn");
-    let mut idle = Duration::ZERO;
     loop {
         if server.shutdown_requested() {
             return;
         }
         match protocol::read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
             Ok(FrameRead::Eof) => return,
+            // Only the idle timeout ends a read this way.
             Ok(FrameRead::Idle) => {
-                idle += timeout;
-                if let Some(limit) = server.idle_timeout {
-                    if idle >= limit {
-                        smetrics::CONN_TIMEOUTS.increment();
-                        let goodbye = Response::Error(ServeError::IdleTimeout {
-                            idle_ms: idle.as_millis() as u64,
-                        });
-                        let _ = protocol::write_frame(
-                            &mut stream,
-                            &protocol::encode_response(&goodbye),
-                        );
+                smetrics::CONN_TIMEOUTS.increment();
+                let idle_ms = idle_timeout.unwrap_or_default().as_millis() as u64;
+                let goodbye = Response::Error(ServeError::IdleTimeout { idle_ms });
+                let _ = protocol::write_frame(&mut stream, &protocol::encode_response(&goodbye));
+                return;
+            }
+            Ok(FrameRead::Frame(payload)) => match protocol::decode_request(&payload) {
+                Ok(request) => {
+                    let (response, flow) = server.handle(request);
+                    let sent =
+                        protocol::write_frame(&mut stream, &protocol::encode_response(&response));
+                    if sent.is_err() || matches!(flow, Flow::Close) {
                         return;
                     }
                 }
-                continue;
-            }
-            Ok(FrameRead::Frame(payload)) => {
-                idle = Duration::ZERO;
-                match protocol::decode_request(&payload) {
-                    Ok(request) => {
-                        let (response, flow) = server.handle(request);
-                        let sent = protocol::write_frame(
-                            &mut stream,
-                            &protocol::encode_response(&response),
-                        );
-                        if sent.is_err() || matches!(flow, Flow::Close) {
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        smetrics::PROTOCOL_ERRORS.increment();
-                        let reply =
-                            Response::Error(ServeError::BadRequest { detail: e.to_string() });
-                        let _ =
-                            protocol::write_frame(&mut stream, &protocol::encode_response(&reply));
-                        return;
-                    }
+                Err(e) => {
+                    smetrics::PROTOCOL_ERRORS.increment();
+                    let reply = Response::Error(ServeError::BadRequest { detail: e.to_string() });
+                    let _ = protocol::write_frame(&mut stream, &protocol::encode_response(&reply));
+                    return;
                 }
-            }
+            },
             Err(e) => {
                 smetrics::PROTOCOL_ERRORS.increment();
                 // Grammar violations earn a structured goodbye; raw
@@ -776,7 +710,6 @@ fn serve_connection(server: &Server, stream: Stream) {
 /// stop/join controls.
 pub struct ServerHandle {
     accept: thread::JoinHandle<()>,
-    ticker: thread::JoinHandle<()>,
     server: Arc<Server>,
 }
 
@@ -791,18 +724,17 @@ impl ServerHandle {
         self.server.rollouts.load(Ordering::Acquire)
     }
 
-    /// Request shutdown without a client connection. The accept loop and
-    /// the housekeeping tick wake at once — no tick or read timeout is
-    /// waited out — idle connections see EOF, and in-flight responses are
-    /// still written. The `shutdown` RPC verb does the same from the wire.
+    /// Request shutdown without a client connection. The accept loop wakes
+    /// at once — no read timeout is waited out — idle and stalled
+    /// connections see EOF, and in-flight responses are still written. The
+    /// `shutdown` RPC verb does the same from the wire.
     pub fn stop(&self) {
         self.server.request_shutdown();
     }
 
     /// Wait for the daemon to exit (all connections drained, unix socket
-    /// file removed, housekeeping stopped).
+    /// file removed).
     pub fn join(self) -> thread::Result<()> {
-        let accepted = self.accept.join();
-        self.ticker.join().and(accepted)
+        self.accept.join()
     }
 }

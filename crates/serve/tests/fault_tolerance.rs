@@ -8,17 +8,20 @@
 use imm_diffusion::DiffusionModel;
 use imm_fault::FaultConfig;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
+use imm_serve::protocol::{encode_request, write_frame, FRAME_HEADER_LEN};
 use imm_serve::{
-    Client, ClientError, Listen, Rejection, RetryClient, RetryPolicy, ServeError, Server,
+    Client, ClientError, Listen, Rejection, Request, RetryClient, RetryPolicy, ServeError, Server,
     ServerConfig,
 };
 use imm_service::{DeltaJournal, Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fixture() -> (CsrGraph, EdgeWeights, SketchIndex) {
     let mut rng = SmallRng::seed_from_u64(0xFA);
@@ -52,13 +55,14 @@ fn unix_path(name: &str) -> PathBuf {
 fn config(path: PathBuf) -> ServerConfig {
     let mut config = ServerConfig::new(Listen::Unix(path));
     config.threads = 2;
-    config.tick = Duration::from_millis(10);
     config
 }
 
 /// An idle connection is closed with a structured [`ServeError::IdleTimeout`]
 /// goodbye (counted in `serve_conn_timeouts`), and the retrying client heals
-/// over it by reconnecting.
+/// over it by reconnecting. A connection stalled inside a frame is dropped
+/// by the same clock, as a truncated frame (counted in
+/// `serve_protocol_errors`).
 #[test]
 fn idle_connections_are_shed_with_a_structured_goodbye() {
     let (_, _, index) = fixture();
@@ -87,6 +91,23 @@ fn idle_connections_are_shed_with_a_structured_goodbye() {
     assert!(
         imm_serve::metrics::CONN_TIMEOUTS.value() > timeouts_before,
         "the idle close must be counted in serve_conn_timeouts"
+    );
+
+    // A peer that sends a frame header and withholds the payload is cut by
+    // the same clock, as a truncated frame.
+    let errors_before = imm_serve::metrics::PROTOCOL_ERRORS.value();
+    let Listen::Unix(path) = handle.address() else { unreachable!("a unix daemon") };
+    let mut stalled = UnixStream::connect(path).expect("connect");
+    stalled.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &encode_request(&Request::Ping)).expect("in-memory write");
+    stalled.write_all(&wire[..FRAME_HEADER_LEN]).expect("send the header");
+    let stalled_at = Instant::now();
+    stalled.read_to_end(&mut Vec::new()).expect("the daemon closes the stalled connection");
+    assert!(stalled_at.elapsed() >= Duration::from_millis(100), "cut before the idle timeout");
+    assert!(
+        imm_serve::metrics::PROTOCOL_ERRORS.value() > errors_before,
+        "the stalled frame must be counted in serve_protocol_errors"
     );
 
     // The retrying client eats the same close transparently.

@@ -128,7 +128,7 @@ fn half_written_frame_times_out_into_truncated() {
 }
 
 /// An idle connection (timeout before the first byte) is `Idle`, not an
-/// error — the server's housekeeping window depends on the distinction.
+/// error — the server's idle timeout depends on the distinction.
 #[test]
 fn timeout_before_first_byte_is_idle() {
     use std::net::{TcpListener, TcpStream};

@@ -7,20 +7,24 @@
 //! structured costs while their cheap neighbours keep serving
 //! byte-identically, and a full in-flight queue sheds whole requests.
 //! And the daemon's lifecycle on both transports: a connection is accepted
-//! the moment it arrives, and shutdown waits out neither a tick nor an idle
-//! connection's read timeout.
+//! the moment it arrives, and shutdown waits on neither an idle connection
+//! nor one stalled inside a frame.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{BitSet, NodeId};
+use imm_serve::protocol::{encode_request, write_frame, FRAME_HEADER_LEN};
 use imm_serve::{
-    Client, ClientError, CostModel, Listen, Rejection, ServeError, Server, ServerConfig,
+    Client, ClientError, CostModel, Listen, Rejection, Request, ServeError, Server, ServerConfig,
     ServerHandle,
 };
 use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::io::Write;
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,7 +118,6 @@ fn unix_socket_parity_across_shard_counts_and_rollouts() {
         let sharded = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
         let mut config = ServerConfig::new(Listen::Unix(path.clone()));
         config.threads = 2;
-        config.tick = Duration::from_millis(10);
         let handle = Server::start(
             Arc::new(sharded),
             Some((graph.clone(), weights.clone())),
@@ -183,7 +186,6 @@ fn tcp_parity_matches_in_process_engine() {
     let (graph, _weights, index) = fixture();
     let mut config = ServerConfig::new(Listen::Tcp("127.0.0.1:0".into()));
     config.threads = 2;
-    config.tick = Duration::from_millis(10);
     let handle = start(&index, 2, config);
     match handle.address() {
         Listen::Tcp(addr) => {
@@ -227,7 +229,6 @@ fn over_budget_queries_are_rejected_while_cheap_ones_serve() {
     let mut config = ServerConfig::new(Listen::Unix(unix_path("admission.sock")));
     config.threads = 2;
     config.budget = Some(budget);
-    config.tick = Duration::from_millis(10);
     let handle = start(&index, 2, config);
     let mut client =
         Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
@@ -272,7 +273,6 @@ fn full_inflight_queue_sheds_batches_with_a_structured_error() {
     let mut config = ServerConfig::new(Listen::Unix(unix_path("queue-full.sock")));
     config.threads = 2;
     config.max_inflight = 0;
-    config.tick = Duration::from_millis(10);
     let handle = start(&index, 1, config);
     let mut client =
         Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
@@ -295,7 +295,6 @@ fn static_daemon_rejects_rollouts_structurally() {
     let (graph, weights, index) = fixture();
     let mut config = ServerConfig::new(Listen::Unix(unix_path("static.sock")));
     config.threads = 2;
-    config.tick = Duration::from_millis(10);
     let handle = start(&index, 2, config);
     let mut client =
         Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
@@ -311,7 +310,6 @@ fn static_daemon_rejects_rollouts_structurally() {
     // A dynamic daemon rejects garbage delta text without rolling over.
     let mut config = ServerConfig::new(Listen::Unix(unix_path("bad-delta.sock")));
     config.threads = 2;
-    config.tick = Duration::from_millis(10);
     let sharded = ShardedIndex::from_index(index.clone(), 2).expect("shardable");
     let handle = Server::start(Arc::new(sharded), Some((graph, weights)), config, || "{}".into())
         .expect("server starts");
@@ -333,7 +331,6 @@ fn metrics_verb_round_trips_the_provider_payload() {
     let (_graph, _weights, index) = fixture();
     let mut config = ServerConfig::new(Listen::Unix(unix_path("metrics.sock")));
     config.threads = 1;
-    config.tick = Duration::from_millis(10);
     let sharded = ShardedIndex::from_index(index.clone(), 1).expect("shardable");
     let handle =
         Server::start(Arc::new(sharded), None, config, || r#"{"registry":{"metrics":[]}}"#.into())
@@ -364,9 +361,9 @@ fn stop_and_join(handle: ServerHandle) -> Duration {
     started.elapsed()
 }
 
-/// Connects are not quantised by a clock: with the default 50 ms tick and
-/// a daemon left idle for 100 ms, the median of twenty (connect + ping)
-/// rounds is a few round trips, not a housekeeping period.
+/// Connects are not quantised by a clock: with a daemon left idle for
+/// 100 ms, the median of twenty (connect + ping) rounds is a few round
+/// trips, not a polling period.
 #[test]
 fn a_connection_is_accepted_the_moment_it_arrives() {
     let (_, _, index) = fixture();
@@ -389,17 +386,15 @@ fn a_connection_is_accepted_the_moment_it_arrives() {
     }
 }
 
-/// Shutdown does not wait out a read timeout per idle connection: with a
-/// ten-second tick (an idle connection's read timeout) and two idle clients
-/// connected, `stop` + `join` returns at once.
+/// Shutdown does not wait on a connection's read: with no idle timeout (so
+/// no read timeout at all), two idle clients and one that sent a frame
+/// header and withholds the payload, `stop` + `join` returns at once.
 #[test]
 fn shutdown_does_not_wait_for_idle_connections() {
     let (_, _, index) = fixture();
     for listen in both_transports("idle-stop.sock") {
         let label = listen.to_string();
-        let mut config = ServerConfig::new(listen);
-        config.tick = Duration::from_secs(10);
-        let handle = start(&index, 1, config);
+        let handle = start(&index, 1, ServerConfig::new(listen));
         let mut idle: Vec<Client> = (0..2)
             .map(|_| Client::connect_with_retry(handle.address(), Duration::from_secs(5)))
             .collect::<Result<_, _>>()
@@ -407,6 +402,14 @@ fn shutdown_does_not_wait_for_idle_connections() {
         for client in &mut idle {
             client.ping().expect("ping");
         }
+        let mut stalled: Box<dyn Write> = match handle.address() {
+            Listen::Unix(path) => Box::new(UnixStream::connect(path).expect("connect")),
+            Listen::Tcp(addr) => Box::new(TcpStream::connect(addr.as_str()).expect("connect")),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_request(&Request::Ping)).expect("in-memory write");
+        stalled.write_all(&wire[..FRAME_HEADER_LEN]).expect("send the header");
+        std::thread::sleep(Duration::from_millis(50)); // the daemon blocks in the payload read
         let took = stop_and_join(handle);
         assert!(took < Duration::from_millis(500), "{label}: stop + join took {took:?}");
     }
@@ -418,9 +421,7 @@ fn shutdown_does_not_wait_for_idle_connections() {
 fn shutdown_finishes_when_the_socket_file_is_gone() {
     let (_, _, index) = fixture();
     let path = unix_path("unlinked.sock");
-    let mut config = ServerConfig::new(Listen::Unix(path.clone()));
-    config.tick = Duration::from_secs(10);
-    let handle = start(&index, 1, config);
+    let handle = start(&index, 1, ServerConfig::new(Listen::Unix(path.clone())));
     Client::connect_with_retry(handle.address(), Duration::from_secs(5))
         .and_then(|mut client| client.ping())
         .expect("the daemon serves");
