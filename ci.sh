@@ -33,6 +33,12 @@ cargo test -q
 echo "==> spine check (bash spine/check.sh)"
 bash spine/check.sh
 
+# spine/Cargo.lock records the [dependencies] of every workspace crate the
+# spine builds against, so a manifest edit to one of them makes the lock
+# stale; --locked fails on that instead of rewriting the pinned lock.
+echo "==> spine lock: cargo metadata --locked resolves spine/Cargo.toml"
+cargo metadata --offline --locked --manifest-path spine/Cargo.toml --format-version 1 > /dev/null
+
 # PROPTEST_CASES pins the property-suite budget (notably the incremental-
 # refresh differential suite, the correctness anchor of dynamic-graph
 # support) so the sweep is deterministic in runtime as well as in inputs
@@ -88,10 +94,10 @@ fi
 
 # The vendored rayon shim has no parallel iterators (its sequential `prelude`
 # is gone), so nothing in the tree may look parallel and not be: parallel
-# sections go through run_jobs / rayon::scope.
+# sections go through run_tasks / rayon::scope.
 echo "==> kernel guard: no parallel-iterator spellings anywhere in crates"
 if grep -rnE 'par_iter\(|into_par_iter\(|par_chunks\(' crates; then
-  echo "error: the vendored rayon shim has no parallel iterators; use run_jobs, rayon::scope or a plain loop" >&2
+  echo "error: the vendored rayon shim has no parallel iterators; use run_tasks, rayon::scope or a plain loop" >&2
   exit 1
 fi
 
@@ -385,14 +391,22 @@ if grep -nE 'RrrCollection|\.sets\(\)|degree_vector' crates/service/src/masked.r
 fi
 
 # One greedy session: `run_imm` selects with imm-rrr's LazyGreedy at every
-# θ step, as every daemon Top-K does, so the run holds no occurrence counter
-# and calls no eager kernel (the eager kernels stay as the reproduction's
-# subjects and the parity oracle, which imm.rs's tests call, so it is
-# searched up to its test module), and no second CELF session or frontier
-# pop grows outside crates/rrr/src.
-echo "==> one-greedy guard: run_imm runs CELF, one LazyGreedy in imm-rrr"
-if sed '/^#\[cfg(test)\]/,$d' crates/core/src/imm.rs | grep -nE 'GlobalCounter|select_seeds_efficient'; then
-  echo "error: run_imm selects with imm_rrr::LazyGreedy; do not bring back the counter or the eager kernel" >&2
+# θ step, as every daemon Top-K does, and no second CELF session or frontier
+# pop grows outside crates/rrr/src. efficient-imm holds only what `run`,
+# `build-index` and the daemon execute: the eager EfficientIMM kernel, its
+# shared counter and the Table II/IV replays through the cache and NUMA
+# models are the reproduction's and live in imm-bench, so no non-test file
+# of crates/core/src names them (each file is searched up to its test
+# module).
+echo "==> one-greedy guard: run_imm runs CELF, one LazyGreedy in imm-rrr, no reproduction code in core"
+CORE_REPRO="$(for f in $(find crates/core/src -name '*.rs' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | { grep -nwE 'imm_memsim|imm_numa|GlobalCounter|select_seeds_efficient|instrumented' || true; } \
+    | sed "s|^|$f:|"
+done)"
+if [ -n "$CORE_REPRO" ]; then
+  echo "$CORE_REPRO" >&2
+  echo "error: the simulators, the eager kernel and its counter live in imm-bench; crates/core/src holds what run, build-index and the daemon execute" >&2
   exit 1
 fi
 if grep -rnE 'struct LazyGreedy|fn pop_argmax' crates src examples tests | grep -v '^crates/rrr/src/'; then

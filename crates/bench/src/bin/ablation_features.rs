@@ -16,11 +16,11 @@
 //!   postings, which is what `run_imm` runs. Every row must select the same
 //!   seeds.
 
-use efficient_imm::selection::efficient::select_seeds_efficient;
 use efficient_imm::selection::select_seeds_celf;
 use efficient_imm::{
     run_imm, Algorithm, EfficientFeatures, ExecutionConfig, ImmParams, SeedSelection,
 };
+use imm_bench::efficient::select_seeds_efficient;
 use imm_bench::output::{fmt_seconds, results_dir, TextTable};
 use imm_bench::runner::weights_for;
 use imm_bench::{config, datasets};
@@ -35,8 +35,6 @@ fn selections(
     threads: usize,
 ) -> Vec<(&'static str, f64, SeedSelection)> {
     let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
-    let mut plain = exec;
-    plain.features.adaptive_counter_update = false;
     // What a run's kernel fusion counts, outside the timed selection.
     let mut fused = vec![0; sets.num_nodes()];
     count_memberships(sets, 0, &mut fused).expect("RRR set members lie inside the vertex space");
@@ -46,9 +44,11 @@ fn selections(
         (label, start.elapsed().as_secs_f64(), selection)
     };
     vec![
-        timed("eager fused", &|| select_seeds_efficient(sets, k, &exec, Some(&fused))),
-        timed("eager unfused", &|| select_seeds_efficient(sets, k, &exec, None)),
-        timed("eager, no adaptive update", &|| select_seeds_efficient(sets, k, &plain, None)),
+        timed("eager fused", &|| select_seeds_efficient(sets, k, &exec, true, Some(&fused)).0),
+        timed("eager unfused", &|| select_seeds_efficient(sets, k, &exec, true, None).0),
+        timed("eager, no adaptive update", &|| {
+            select_seeds_efficient(sets, k, &exec, false, None).0
+        }),
         timed("CELF over postings (run)", &|| select_seeds_celf(sets, k, threads)),
     ]
 }

@@ -7,8 +7,8 @@
 
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::selection::efficient::select_seeds_efficient;
 use efficient_imm::{Algorithm, ExecutionConfig};
+use imm_bench::efficient::select_seeds_efficient;
 use imm_bench::output::{fmt_ratio, fmt_seconds, results_dir, TextTable};
 use imm_bench::{config, datasets};
 use imm_diffusion::DiffusionModel;
@@ -45,23 +45,20 @@ fn main() {
         let sets =
             generate_rrr_sets(&dataset.graph, &dataset.ic_weights, num_sets, |i| i, &cfg).sets;
 
-        let mut with_cfg = ExecutionConfig::new(Algorithm::Efficient, threads);
-        with_cfg.features.adaptive_counter_update = true;
-        let mut without_cfg = with_cfg;
-        without_cfg.features.adaptive_counter_update = false;
+        let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
 
         // Selection is fast at this scale; repeat to get a stable figure.
         let reps = 5;
         let t0 = Instant::now();
         let mut rebuilds = 0usize;
         for _ in 0..reps {
-            rebuilds = select_seeds_efficient(&sets, k, &with_cfg, None).counter_rebuilds;
+            rebuilds = select_seeds_efficient(&sets, k, &exec, true, None).1;
         }
         let with_time = t0.elapsed().as_secs_f64() / reps as f64;
 
         let t0 = Instant::now();
         for _ in 0..reps {
-            select_seeds_efficient(&sets, k, &without_cfg, None);
+            select_seeds_efficient(&sets, k, &exec, false, None);
         }
         let without_time = t0.elapsed().as_secs_f64() / reps as f64;
 

@@ -1,10 +1,10 @@
 //! Table II — percentage of core time spent checking the visited bitmap,
 //! original data structures vs. NUMA-aware placement (8 NUMA nodes).
 //!
-//! Uses the NUMA-placement cost model of `efficient_imm::instrumented` (the
+//! Uses the NUMA-placement cost model of `imm_bench::instrumented` (the
 //! reproduction host has no NUMA hardware; see DESIGN.md §4).
 
-use efficient_imm::instrumented::bitmap_check_cost;
+use imm_bench::instrumented::bitmap_check_cost;
 use imm_bench::output::{fmt_percent, results_dir, TextTable};
 use imm_bench::{config, datasets};
 use imm_diffusion::DiffusionModel;

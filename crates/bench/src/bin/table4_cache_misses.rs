@@ -7,8 +7,8 @@
 //! reported next to the paper's measurement.
 
 use efficient_imm::balance::Schedule;
-use efficient_imm::instrumented::{cache_misses_efficient, cache_misses_ripples};
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
+use imm_bench::instrumented::{cache_misses_efficient, cache_misses_ripples};
 use imm_bench::output::{fmt_ratio, results_dir, TextTable};
 use imm_bench::{config, datasets};
 use imm_diffusion::DiffusionModel;

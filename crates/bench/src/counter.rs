@@ -1,9 +1,11 @@
 //! The shared global occurrence counter and its max reduction.
 //!
-//! This is the heart of EfficientIMM's new parallelization strategy
-//! (Algorithm 2 of the paper): instead of per-thread counters over vertex
-//! partitions, all threads scatter atomic increments into a single
-//! `counter[v]` array, and the most influential vertex is the array's argmax.
+//! This is the heart of EfficientIMM's parallelization strategy (Algorithm 2
+//! of the paper) as the eager kernel ([`crate::efficient`]) reproduces it:
+//! instead of per-thread counters over vertex partitions, all threads scatter
+//! atomic increments into a single `counter[v]` array, and the most
+//! influential vertex is the array's argmax. `run_imm` selects with CELF and
+//! holds no such counter.
 //!
 //! The atomics are the selection kernel's. Kernel fusion (Algorithm 3) does
 //! not scatter into this counter: a run counts each sampled batch once with
@@ -26,7 +28,7 @@
 //! touched counter's cache line is locked, so unrelated counters never
 //! contend.
 
-use crate::NodeId;
+use imm_graph::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared per-vertex occurrence counter with concurrent updates.
@@ -47,18 +49,6 @@ impl GlobalCounter {
     /// leaves them.
     pub fn from_values(values: &[u32]) -> Self {
         GlobalCounter { counts: values.iter().map(|&v| AtomicU64::new(v as u64)).collect() }
-    }
-
-    /// Number of vertices covered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the counter is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Atomically increment the counter of `v` (relaxed ordering — counts are

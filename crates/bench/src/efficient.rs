@@ -2,9 +2,10 @@
 //! paper).
 //!
 //! This eager kernel is one of the reproduction's subjects — the figure and
-//! table binaries measure it — and the parity oracle of the lazy-greedy
-//! (CELF) session `run_imm` selects with ([`super::select_seeds_celf`]);
-//! `run_imm` does not call it.
+//! table binaries measure it — and a parity oracle of the lazy-greedy (CELF)
+//! session `run_imm` selects with
+//! ([`select_seeds_celf`](efficient_imm::selection::select_seeds_celf));
+//! `run_imm` does not call it, so it lives here and not in `efficient-imm`.
 //!
 //! The RRR sets — not the vertices — are partitioned across threads. Each
 //! thread scatters atomic increments for its sets into one shared
@@ -22,30 +23,33 @@
 //! set.
 //!
 //! What runs in parallel, through the persistent pool's fork-join
-//! ([`run_jobs`]): the initial counting pass and each round's decrement or
+//! ([`run_tasks`], `exec.threads` tasks wide under `exec.features`'
+//! schedule): the initial counting pass and each round's decrement or
 //! rebuild. The per-round argmax, the reset before a rebuild, the postings
-//! build and walk run on the calling thread.
+//! build and walk run on the calling thread. The kernel feeds the same
+//! `core_selection_*` counters as `run_imm`'s CELF.
 
-use crate::balance::run_jobs;
 use crate::counter::GlobalCounter;
-use crate::metrics;
-use crate::params::ExecutionConfig;
-use crate::selection::SeedSelection;
-use crate::stats::WorkProfile;
+use efficient_imm::balance::{run_tasks, Schedule};
+use efficient_imm::{metrics, ExecutionConfig, SeedSelection, WorkProfile};
+use imm_graph::Range;
 use imm_rrr::{Postings, RrrCollection};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Fraction of the alive RRR sets a new seed must cover for the adaptive
 /// counter update to rebuild the counter from the survivors instead of
-/// decrementing it (only read when `adaptive_counter_update` is on).
+/// decrementing it (only read when the adaptive update is on).
 pub const REBUILD_THRESHOLD: f64 = 0.5;
 
-/// Select `k` seeds with the EfficientIMM RRR-set-partitioned kernel.
+/// Select `k` seeds with the EfficientIMM RRR-set-partitioned kernel; also
+/// returns how many rounds rebuilt the counter.
 ///
-/// `counts` are the sets' per-vertex occurrence counts as the run's kernel
-/// fusion leaves them ([`imm_rrr::count_memberships`]); without them the
-/// kernel performs the initial counting pass itself (lines 1–6 of
-/// Algorithm 2).
+/// `adaptive_update` turns on the paper's decrement-vs-rebuild counter
+/// update (§IV-C, Figure 5), rebuilding above [`REBUILD_THRESHOLD`]; off,
+/// every round decrements. `counts` are the sets' per-vertex occurrence
+/// counts as the run's kernel fusion leaves them
+/// ([`imm_rrr::count_memberships`]); without them the kernel performs the
+/// initial counting pass itself (lines 1–6 of Algorithm 2).
 ///
 /// # Panics
 /// Panics if `counts` does not hold one entry per vertex.
@@ -53,18 +57,14 @@ pub fn select_seeds_efficient(
     sets: &RrrCollection,
     k: usize,
     exec: &ExecutionConfig,
+    adaptive_update: bool,
     counts: Option<&[u32]>,
-) -> SeedSelection {
+) -> (SeedSelection, usize) {
     let threads = exec.threads.max(1);
     let n = sets.num_nodes();
     if n == 0 || k == 0 {
-        return SeedSelection {
-            seeds: Vec::new(),
-            coverage_fraction: 0.0,
-            work: WorkProfile::new(threads),
-            counter_rebuilds: 0,
-            counter_decrements: 0,
-        };
+        let work = WorkProfile::new(threads);
+        return (SeedSelection { seeds: Vec::new(), coverage_fraction: 0.0, work }, 0);
     }
 
     let schedule = exec.features.schedule();
@@ -104,8 +104,7 @@ pub fn select_seeds_efficient(
     let mut covered_total = 0usize;
     let mut seeds = Vec::with_capacity(k);
     let mut covered: Vec<usize> = Vec::new();
-    let mut rebuilds = 0usize;
-    let mut decrements = 0usize;
+    let mut rebuilds = 0;
 
     for _ in 0..k.min(n) {
         let (seed, seed_count) = counter.argmax().expect("counter covers at least one vertex");
@@ -126,7 +125,7 @@ pub fn select_seeds_efficient(
         let covered_count = covered.len();
         covered_total += covered_count;
 
-        let rebuild = exec.features.adaptive_counter_update
+        let rebuild = adaptive_update
             && alive_count > 0
             && (covered_count as f64 / alive_count as f64) > REBUILD_THRESHOLD;
 
@@ -156,7 +155,6 @@ pub fn select_seeds_efficient(
         } else {
             // Decrement: touch only the covered sets (lines 11–18 of
             // Algorithm 2).
-            decrements += 1;
             run_jobs(threads, covered.len(), schedule, |worker, range| {
                 let mut ops = 0u64;
                 for pos in range.iter() {
@@ -180,39 +178,84 @@ pub fn select_seeds_efficient(
 
     let coverage_fraction =
         if sets.is_empty() { 0.0 } else { covered_total as f64 / sets.len() as f64 };
-    SeedSelection {
-        seeds,
-        coverage_fraction,
-        work: WorkProfile {
-            per_thread_ops: per_thread_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
-            atomic_ops: atomic_ops.load(Ordering::Relaxed),
-            search_probes: postings.entries() + postings_walked,
-        },
-        counter_rebuilds: rebuilds,
-        counter_decrements: decrements,
-    }
+    let work = WorkProfile {
+        per_thread_ops: per_thread_ops.iter().map(|a| a.load(Ordering::Relaxed)).collect(),
+        atomic_ops: atomic_ops.load(Ordering::Relaxed),
+        search_probes: postings.entries() + postings_walked,
+    };
+    (SeedSelection { seeds, coverage_fraction, work }, rebuilds)
+}
+
+/// [`run_tasks`] without task state: `worker(slot, range)` for every range.
+fn run_jobs<F>(threads: usize, total: usize, schedule: Schedule, worker: F)
+where
+    F: Fn(usize, Range) + Sync,
+{
+    run_tasks(threads, total, schedule, || (), |_, slot, range| worker(slot, range));
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::params::Algorithm;
-    use crate::selection::select_seeds_celf;
-    use crate::selection::test_support::{
-        collection, collection_with_policy, greedy_reference, policies,
-    };
+    use efficient_imm::selection::ripples::select_seeds_ripples;
+    use efficient_imm::selection::select_seeds_celf;
+    use efficient_imm::{Algorithm, NodeId};
     use imm_rrr::{AdaptivePolicy, Representation};
     use proptest::prelude::*;
+
+    /// Build a collection whose sets take the representation `policy` picks
+    /// (the way sampling pushes them), so list and bitmap sets can mix.
+    pub(crate) fn collection_with_policy<S: AsRef<[NodeId]>>(
+        num_nodes: usize,
+        sets: &[S],
+        policy: &AdaptivePolicy,
+    ) -> RrrCollection {
+        let mut c = RrrCollection::new(num_nodes);
+        for s in sets {
+            c.push_vertices(s.as_ref().to_vec(), policy);
+        }
+        c
+    }
+
+    /// Build an all-list collection from explicit vertex lists.
+    pub(crate) fn collection<S: AsRef<[NodeId]>>(num_nodes: usize, sets: &[S]) -> RrrCollection {
+        collection_with_policy(num_nodes, sets, &AdaptivePolicy::always_sorted())
+    }
+
+    /// The three representation regimes: mixed, all lists, all bitmaps.
+    fn policies() -> [AdaptivePolicy; 3] {
+        [
+            AdaptivePolicy::default(),
+            AdaptivePolicy::always_sorted(),
+            AdaptivePolicy::always_bitmap(),
+        ]
+    }
 
     fn exec(threads: usize) -> ExecutionConfig {
         ExecutionConfig::new(Algorithm::Efficient, threads)
     }
 
+    /// The kernel with the adaptive update on and its own counting pass.
+    fn eager(sets: &RrrCollection, k: usize, threads: usize) -> SeedSelection {
+        select_seeds_efficient(sets, k, &exec(threads), true, None).0
+    }
+
+    /// The eager kernel must give the CELF session's and the Ripples
+    /// kernel's seeds and coverage bits.
+    fn assert_matches_the_other_greedies(sets: &RrrCollection, k: usize, eager: &SeedSelection) {
+        let celf = select_seeds_celf(sets, k, 1);
+        let ripples = select_seeds_ripples(sets, k, 2);
+        for other in [celf, ripples] {
+            assert_eq!(eager.seeds, other.seeds);
+            assert_eq!(eager.coverage_fraction.to_bits(), other.coverage_fraction.to_bits());
+        }
+    }
+
     #[test]
     fn picks_the_most_frequent_vertex_first_figure3_example() {
-        let sets =
-            collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        let result = select_seeds_efficient(&sets, 1, &exec(3), None);
+        let sets: [&[NodeId]; 8] =
+            [&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]];
+        let result = eager(&collection(6, &sets), 1, 3);
         assert_eq!(result.seeds, vec![1]);
         assert!((result.coverage_fraction - 0.5).abs() < 1e-12);
         assert!(result.work.atomic_ops > 0);
@@ -226,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_greedy() {
+    fn matches_celf_and_ripples_in_every_representation() {
         // 100 vertices: under the default policy the three sets of 64+
         // members become bitmaps and the rest stay lists.
         let mut owned: Vec<Vec<u32>> = vec![
@@ -251,10 +294,7 @@ mod tests {
                     .count();
                 assert_eq!(bitmaps, 3, "the default policy must mix representations here");
             }
-            let (ref_seeds, ref_cov) = greedy_reference(&sets, 4);
-            let result = select_seeds_efficient(&sets, 4, &exec(2), None);
-            assert_eq!(result.seeds, ref_seeds, "{policy:?}");
-            assert!((result.coverage_fraction - ref_cov).abs() < 1e-12, "{policy:?}");
+            assert_matches_the_other_greedies(&sets, 4, &eager(&sets, 4, 2));
         }
     }
 
@@ -278,11 +318,11 @@ mod tests {
                 set
             })
             .collect();
-        let sets = collection_with_policy(n as usize, &owned, &AdaptivePolicy::always_sorted());
+        let sets = collection(n as usize, &owned);
         let members: u64 = sets.iter().map(|set| set.len() as u64).sum();
 
-        let at_25 = select_seeds_efficient(&sets, 25, &exec(2), None);
-        let at_50 = select_seeds_efficient(&sets, 50, &exec(2), None);
+        let at_25 = eager(&sets, 25, 2);
+        let at_50 = eager(&sets, 50, 2);
         assert_eq!(at_50.seeds[..25], at_25.seeds[..]);
         assert!(at_50.coverage_fraction < 1.0);
 
@@ -307,9 +347,7 @@ mod tests {
         // each round walks the new seed's ids.
         let owned: Vec<Vec<u32>> = vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![4, 5], vec![5, 6]];
         let sets = collection_with_policy(8, &owned, &AdaptivePolicy::always_bitmap());
-        let mut cfg = exec(1);
-        cfg.features.adaptive_counter_update = false;
-        let result = select_seeds_efficient(&sets, 3, &cfg, None);
+        let (result, _) = select_seeds_efficient(&sets, 3, &exec(1), false, None);
         assert_eq!(result.seeds, vec![0, 5, 0]);
         // 10 entries built; round 1 walks vertex 0's 3 ids, round 2 vertex
         // 5's 2, round 3 finds an all-zero counter and walks nothing.
@@ -323,42 +361,37 @@ mod tests {
         let owned: Vec<Vec<u32>> = (0..40)
             .map(|i| if i < 38 { vec![0, (i % 10) + 1] } else { vec![(i % 10) + 1] })
             .collect();
-        let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let sets = collection(12, &slices);
+        let sets = collection(12, &owned);
 
-        let mut cfg = exec(2);
-        cfg.features.adaptive_counter_update = true;
-        let adaptive = select_seeds_efficient(&sets, 2, &cfg, None);
-        assert!(adaptive.counter_rebuilds >= 1, "expected at least one rebuild");
+        let (adaptive, rebuilds) = select_seeds_efficient(&sets, 2, &exec(2), true, None);
+        assert!(rebuilds >= 1, "expected at least one rebuild");
 
-        cfg.features.adaptive_counter_update = false;
-        let plain = select_seeds_efficient(&sets, 2, &cfg, None);
-        assert_eq!(plain.counter_rebuilds, 0);
+        let (plain, rebuilds) = select_seeds_efficient(&sets, 2, &exec(2), false, None);
+        assert_eq!(rebuilds, 0);
         assert_eq!(adaptive.seeds, plain.seeds, "adaptive update must not change the result");
         assert!((adaptive.coverage_fraction - plain.coverage_fraction).abs() < 1e-12);
     }
 
     #[test]
     fn static_and_dynamic_schedules_agree() {
-        let sets = collection(
-            10,
-            &[&[0, 1, 2], &[3, 4], &[5, 6, 7, 8], &[9], &[0, 9], &[4, 5], &[2, 3, 4]],
-        );
+        let sets: [&[NodeId]; 7] =
+            [&[0, 1, 2], &[3, 4], &[5, 6, 7, 8], &[9], &[0, 9], &[4, 5], &[2, 3, 4]];
+        let sets = collection(10, &sets);
         let mut dynamic_cfg = exec(3);
         dynamic_cfg.features.dynamic_balancing = true;
         let mut static_cfg = exec(3);
         static_cfg.features.dynamic_balancing = false;
-        let a = select_seeds_efficient(&sets, 3, &dynamic_cfg, None);
-        let b = select_seeds_efficient(&sets, 3, &static_cfg, None);
+        let (a, _) = select_seeds_efficient(&sets, 3, &dynamic_cfg, true, None);
+        let (b, _) = select_seeds_efficient(&sets, 3, &static_cfg, true, None);
         assert_eq!(a.seeds, b.seeds);
     }
 
     #[test]
     fn zero_k_and_empty_collection() {
-        let sets = collection(4, &[&[0, 1]]);
-        assert!(select_seeds_efficient(&sets, 0, &exec(1), None).seeds.is_empty());
-        let empty = collection(4, &[]);
-        let r = select_seeds_efficient(&empty, 2, &exec(1), None);
+        let sets = collection(4, &[[0, 1]]);
+        assert!(eager(&sets, 0, 1).seeds.is_empty());
+        let empty = collection::<&[NodeId]>(4, &[]);
+        let r = eager(&empty, 2, 1);
         assert_eq!(r.seeds.len(), 2);
         assert_eq!(r.coverage_fraction, 0.0);
     }
@@ -368,12 +401,10 @@ mod tests {
         let owned: Vec<Vec<u32>> = (0..30)
             .map(|i| (0..(i % 5 + 1)).map(|j| ((i * 7 + j * 3) % 25) as u32).collect())
             .collect();
-        let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let sets = collection(25, &slices);
-        let baseline = select_seeds_efficient(&sets, 5, &exec(1), None);
+        let sets = collection(25, &owned);
+        let baseline = eager(&sets, 5, 1);
         for threads in [2usize, 4, 8] {
-            let r = select_seeds_efficient(&sets, 5, &exec(threads), None);
-            assert_eq!(r.seeds, baseline.seeds, "threads={threads}");
+            assert_eq!(eager(&sets, 5, threads).seeds, baseline.seeds, "threads={threads}");
         }
     }
 
@@ -384,17 +415,16 @@ mod tests {
         let owned: Vec<Vec<u32>> = (0..60)
             .map(|i| vec![i as u32 % 40, (i + 1) as u32 % 40, (i + 2) as u32 % 40])
             .collect();
-        let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        let sets = collection(40, &slices);
-        let w1 = select_seeds_efficient(&sets, 1, &exec(1), None).work.total_ops();
-        let w4 = select_seeds_efficient(&sets, 1, &exec(4), None).work.total_ops();
+        let sets = collection(40, &owned);
+        let w1 = eager(&sets, 1, 1).work.total_ops();
+        let w4 = eager(&sets, 1, 4).work.total_ops();
         assert_eq!(w1, w4, "total work must be thread-count independent");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn matches_reference_on_random_instances(
+        fn matches_celf_and_ripples_on_random_instances(
             // Sets of up to 90 of 100 vertices: the default policy turns the
             // ones with 64+ members into bitmaps and keeps the rest as lists.
             raw_sets in proptest::collection::vec(
@@ -411,12 +441,8 @@ mod tests {
             let owned: Vec<Vec<u32>> = raw_sets.iter().map(|s| s.iter().copied().collect()).collect();
             let sets = collection_with_policy(100, &owned, &policies()[policy]);
             let k = [1usize, 4, 100, 107][k];
-            let (ref_seeds, ref_cov) = greedy_reference(&sets, k);
-            let mut cfg = exec(threads);
-            cfg.features.adaptive_counter_update = adaptive;
-            let result = select_seeds_efficient(&sets, k, &cfg, None);
-            prop_assert_eq!(result.seeds, ref_seeds);
-            prop_assert_eq!(result.coverage_fraction, ref_cov);
+            let (result, _) = select_seeds_efficient(&sets, k, &exec(threads), adaptive, None);
+            assert_matches_the_other_greedies(&sets, k, &result);
         }
 
         /// The kernel seeded with the run's fused counts, the kernel's own
@@ -437,10 +463,9 @@ mod tests {
                 let celf = select_seeds_celf(&sets, k, threads);
                 let counts = fused_counts(&sets);
                 for adaptive in [false, true] {
-                    let mut cfg = exec(threads);
-                    cfg.features.adaptive_counter_update = adaptive;
                     for given in [Some(counts.as_slice()), None] {
-                        let eager = select_seeds_efficient(&sets, k, &cfg, given);
+                        let (eager, _) =
+                            select_seeds_efficient(&sets, k, &exec(threads), adaptive, given);
                         prop_assert_eq!(&eager.seeds, &celf.seeds, "{:?}", policy);
                         prop_assert_eq!(
                             eager.coverage_fraction.to_bits(),

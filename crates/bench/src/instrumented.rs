@@ -2,7 +2,9 @@
 //!
 //! Hardware performance counters and real NUMA placement are not available in
 //! this reproduction environment, so the two experiments that depend on them
-//! are driven by software models instead (see DESIGN.md §4):
+//! are driven by software models instead (see DESIGN.md §4). They are the
+//! reproduction's alone, which is why the simulators are reached from here
+//! and from no serving crate:
 //!
 //! * **Table IV (L1+L2 cache misses of `Find_Most_Influential_Set`)** —
 //!   [`cache_misses_ripples`] and [`cache_misses_efficient`] replay the exact
@@ -18,10 +20,11 @@
 //! parallel kernels, so the per-algorithm access-volume asymmetry — the thing
 //! the paper's numbers are driven by — is preserved.
 
-use crate::selection::efficient::REBUILD_THRESHOLD;
-use crate::NodeId;
+use crate::efficient::REBUILD_THRESHOLD;
+use efficient_imm::sampling::{generate_rrr_set, SamplingGraph, SetKey, VisitMarker};
+use efficient_imm::selection::select_seeds_celf;
 use imm_diffusion::DiffusionModel;
-use imm_graph::{block_ranges, CsrGraph, EdgeWeights};
+use imm_graph::{block_ranges, CsrGraph, EdgeWeights, NodeId};
 use imm_memsim::{synthetic_address, HierarchyConfig, MemoryHierarchy};
 use imm_numa::{AccessKind, AccessTracker, CostModel, NumaRegion, PlacementPolicy, Topology};
 use imm_rrr::RrrCollection;
@@ -93,8 +96,9 @@ pub fn cache_misses_ripples(
 
     // Seed extraction + decouple passes.
     let mut alive = vec![true; sets.len()];
-    let seeds = greedy_seeds(sets, k);
-    for seed in seeds {
+    // The greedy's seeds (CELF's; both replays remove the same seeds in the
+    // same order).
+    for seed in select_seeds_celf(sets, k, 1).seeds {
         for (core, range) in ranges.iter().enumerate() {
             // Regional max scan over the core's local counters.
             for offset in 0..range.len() {
@@ -181,8 +185,7 @@ pub fn cache_misses_efficient(
 
     let mut alive = vec![true; sets.len()];
     let mut alive_count = sets.len();
-    let seeds = greedy_seeds(sets, k);
-    for seed in seeds {
+    for seed in select_seeds_celf(sets, k, 1).seeds {
         // Two-level parallel reduction: each core scans its slice of the
         // shared counter once.
         for (core, counter_range) in counter_ranges.iter().enumerate() {
@@ -244,44 +247,6 @@ fn rrr_element_address(set_idx: usize, v: NodeId) -> u64 {
     synthetic_address(region::RRR_SETS, set_idx as u64 * RRR_SET_STRIDE + v as u64 * VERTEX_BYTES)
 }
 
-/// Sequential greedy max-coverage (shared by both instrumented replays so the
-/// two traces remove the same seeds in the same order).
-fn greedy_seeds(sets: &RrrCollection, k: usize) -> Vec<NodeId> {
-    let n = sets.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut counts = vec![0u64; n];
-    for set in sets.iter() {
-        for v in set.iter() {
-            counts[v as usize] += 1;
-        }
-    }
-    let mut alive = vec![true; sets.len()];
-    let mut seeds = Vec::with_capacity(k);
-    for _ in 0..k.min(n) {
-        let (best, best_count) = counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(v, &c)| (v as NodeId, c))
-            .unwrap_or((0, 0));
-        seeds.push(best);
-        if best_count == 0 {
-            continue;
-        }
-        for (idx, set) in sets.iter().enumerate() {
-            if alive[idx] && set.contains(best) {
-                alive[idx] = false;
-                for v in set.iter() {
-                    counts[v as usize] = counts[v as usize].saturating_sub(1);
-                }
-            }
-        }
-    }
-    seeds
-}
-
 /// Result of the NUMA-placement experiment for one placement.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BitmapCostReport {
@@ -325,8 +290,8 @@ pub fn bitmap_check_cost(
 
     let mut tracker = AccessTracker::new(topology);
     let mut bitmap_tracker = AccessTracker::new(topology);
-    let mut marker = crate::sampling::VisitMarker::new(n);
-    let source = crate::sampling::SamplingGraph::new(graph, weights);
+    let mut marker = VisitMarker::new(n);
+    let source = SamplingGraph::new(graph, weights);
 
     for set_idx in 0..num_sets {
         let worker = set_idx % threads;
@@ -343,9 +308,8 @@ pub fn bitmap_check_cost(
         let bitmap_region = NumaRegion::place(n.div_ceil(8).max(1), 1, data_placement, &topology);
         let rrr_region = NumaRegion::place(n.max(1), 4, data_placement, &topology);
 
-        let key = crate::sampling::SetKey::new(rng_seed, set_idx);
-        let vertices =
-            crate::sampling::generate_rrr_set(&source, model, key.root(n), key, &mut marker);
+        let key = SetKey::new(rng_seed, set_idx);
+        let vertices = generate_rrr_set(&source, model, key.root(n), key, &mut marker);
 
         // Replay the paper's top-down traversal of the set, whichever
         // direction the kernel reached it in: for every member we walk its
@@ -385,7 +349,7 @@ pub fn bitmap_check_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::test_support::collection;
+    use crate::efficient::tests::collection;
     use imm_graph::generators;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -402,8 +366,7 @@ mod tests {
                 v
             })
             .collect();
-        let slices: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-        collection(n, &slices)
+        collection(n, &owned)
     }
 
     #[test]
@@ -441,7 +404,7 @@ mod tests {
 
     #[test]
     fn zero_seeds_report_zero_misses() {
-        let sets = collection(16, &[]);
+        let sets = collection::<&[NodeId]>(16, &[]);
         let config = HierarchyConfig::default();
         let r = cache_misses_ripples(&sets, 0, 2, config);
         assert_eq!(r.l1_plus_l2_misses, 0);

@@ -3,6 +3,12 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation section.
 //!
+//! * [`efficient`] — the paper's eager EfficientIMM selection kernel
+//!   (Algorithm 2) over the shared atomic [`counter`], with the adaptive
+//!   decrement-vs-rebuild update; `run_imm` selects with CELF instead, so the
+//!   kernel is a reproduction subject and a parity oracle only.
+//! * [`instrumented`] — the Table II and IV replays through the `imm-numa`
+//!   cost model and the `imm-memsim` cache hierarchy.
 //! * [`datasets`] — the registry of synthetic analogues standing in for the
 //!   eight SNAP datasets (each entry records the paper-reported reference
 //!   numbers so the output can be compared side by side).
@@ -21,7 +27,10 @@
 //! §6 for the experiment-to-binary index.
 
 pub mod config;
+pub mod counter;
 pub mod datasets;
+pub mod efficient;
+pub mod instrumented;
 pub mod obs;
 pub mod output;
 pub mod runner;

@@ -25,8 +25,8 @@ USAGE:
                             [--rrr-sets <N>] [--metrics] [--startup-timing]
   efficient-imm stats       --metrics --describe
   efficient-imm build-index (--graph <FILE> | --dataset <NAME>) --output <FILE>
-                            [--model ic|lt] [--algorithm efficientimm|ripples]
-                            [--k <K>] [--epsilon <E>] [--threads <T>] [--seed <S>]
+                            [--model ic|lt] [--k <K>] [--epsilon <E>]
+                            [--threads <T>] [--seed <S>]
   efficient-imm query       --index <FILE>
                             [--top-k <K1,K2,..>] [--audience <V1,V2,..>]
                             [--spread <V1,V2,..>] [--marginal <V1,V2,..:C>]
@@ -137,7 +137,8 @@ pub struct RunArgs {
     pub source: GraphSource,
     /// Diffusion model.
     pub model: DiffusionModel,
-    /// Engine (ignored by `compare`, which runs both).
+    /// Engine: `run`'s `--algorithm`. `compare` runs both engines, and
+    /// `build-index` (which has no such flag) always samples as EfficientIMM.
     pub algorithm: Algorithm,
     /// Number of seeds.
     pub k: usize,
@@ -352,9 +353,12 @@ pub fn pool_threads(command: &Command) -> Option<usize> {
 /// them. Its `USAGE` synopsis names the same flags (a test checks).
 struct Grammar(&'static str, &'static str, &'static str, fn(&Flags) -> Result<Command, String>);
 
-/// `run` and `build-index` read the same flags.
+/// `run` reads these flags, and `build-index` all but `--algorithm`: both
+/// engines draw the same keyed sets, θ and postings, so an index does not
+/// depend on the engine.
 const RUN_FLAGS: &str =
     "--graph --dataset --model --algorithm --k --epsilon --threads --seed --output";
+const BUILD_INDEX_FLAGS: &str = "--graph --dataset --model --k --epsilon --threads --seed --output";
 
 const GRAMMARS: [Grammar; 9] = [
     Grammar("generate", "--output --kind --nodes --avg-degree --seed", "", parse_generate),
@@ -368,7 +372,7 @@ const GRAMMARS: [Grammar; 9] = [
         "--metrics --describe --startup-timing",
         parse_stats,
     ),
-    Grammar("build-index", RUN_FLAGS, "", parse_build_index),
+    Grammar("build-index", BUILD_INDEX_FLAGS, "", parse_build_index),
     Grammar(
         "update-index",
         "--index --graph --dataset --delta --output --journal",
@@ -875,6 +879,9 @@ mod tests {
             parse(&sv(&["build-index", "--dataset", "web-Google"])).is_err(),
             "--output is required"
         );
+        // An index does not depend on the engine, so build-index takes none.
+        let ripples = ["build-index", "--dataset", "x", "--output", "g", "--algorithm", "ripples"];
+        assert_eq!(parse(&sv(&ripples)), Err("unknown flag '--algorithm' for build-index".into()));
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn build_index_json(args: &BuildIndexArgs) -> Result<serde_json::Value, CliError
     let (graph, weights, name) = load(&run.source, run.model, run.seed)?;
     let load_seconds = start.elapsed().as_secs_f64();
     let params = ImmParams::new(run.k, run.epsilon, run.model).with_seed(run.seed);
-    let exec = ExecutionConfig::new(run.algorithm, run.threads)
+    let exec = ExecutionConfig::new(Algorithm::Efficient, run.threads)
         .with_retained_sets(true)
         .with_provenance(true);
     let start = Instant::now();

@@ -14,8 +14,7 @@
 //! closure receives `(state, slot, job range)`; the slot is the per-worker
 //! attribution index. That preserves the locality benefits the paper notes
 //! ("while still preserving the advantages of locality … within each job
-//! batch") across every range a task drains. [`run_jobs`] is the stateless
-//! form.
+//! batch") across every range a task drains.
 
 use imm_graph::{block_ranges, Range};
 use parking_lot::Mutex;
@@ -146,18 +145,20 @@ where
     states.into_inner()
 }
 
-/// [`run_tasks`] without task state: `worker(slot, range)` for every range.
-pub fn run_jobs<F>(threads: usize, total: usize, schedule: Schedule, worker: F)
-where
-    F: Fn(usize, Range) + Sync,
-{
-    run_tasks(threads, total, schedule, || (), |_, slot, range| worker(slot, range));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// [`run_tasks`] without task state: `worker(slot, range)` per range.
+    fn run_jobs(
+        threads: usize,
+        total: usize,
+        schedule: Schedule,
+        worker: impl Fn(usize, Range) + Sync,
+    ) {
+        run_tasks(threads, total, schedule, || (), |_, slot, range| worker(slot, range));
+    }
 
     #[test]
     fn job_queue_hands_out_disjoint_full_coverage() {

@@ -302,7 +302,7 @@ mod tests {
     fn both_engines_agree_on_lt_across_several_martingale_iterations() {
         // Sparse LT sets on a graph this size need several doublings of θ,
         // so the CELF session selects (over freshly built postings) at each
-        // one and must match the eager kernel on the final sets and the
+        // one and must match the Ripples kernel on the final sets and the
         // baseline run, bit for bit.
         let mut rng = SmallRng::seed_from_u64(8);
         let g = CsrGraph::from_edge_list(&generators::social_network(3000, 6, 0.3, &mut rng));
@@ -313,7 +313,7 @@ mod tests {
             let efficient = run_imm(&g, &w, &params, &exec).unwrap();
             assert!(efficient.breakdown.sampling_iterations >= 3);
             let sets = efficient.rrr_sets.as_ref().expect("retained");
-            let eager = crate::selection::efficient::select_seeds_efficient(sets, 10, &exec, None);
+            let eager = select_seeds_ripples(sets, 10, threads);
             assert_eq!(efficient.seeds, eager.seeds, "threads {threads}");
             assert_eq!(efficient.coverage_fraction.to_bits(), eager.coverage_fraction.to_bits());
 

@@ -1,35 +1,36 @@
 //! # efficient-imm
 //!
-//! The core of the reproduction: the IMM influence-maximization algorithm
-//! (Tang et al., SIGMOD'15) with two interchangeable parallel engines —
+//! The core of the reproduction and of the serving stack: the IMM
+//! influence-maximization algorithm (Tang et al., SIGMOD'15) with two
+//! interchangeable parallel engines —
 //!
 //! * the **Ripples baseline** (Minutoli et al. 2019): vertex-partitioned
 //!   occurrence counting where every thread scans every RRR set, sorted RRR
 //!   sets with binary-search membership, and separate sampling/selection
 //!   kernels; and
-//! * **EfficientIMM** (this paper): RRR-set partitioning with a shared atomic
-//!   occurrence counter, a max reduction over it (the paper's is two-level
-//!   and parallel; here a sequential pass, see [`counter`]), kernel fusion of
-//!   sampling and counting, adaptive RRR-set representation, adaptive counter
-//!   updates, and dynamic job balancing.
+//! * **EfficientIMM** (this paper): RRR-set-partitioned sampling with
+//!   dynamic job balancing and the adaptive RRR-set representation, kernel
+//!   fusion of sampling and counting, and a greedy selection over the
+//!   sample's postings.
 //!
 //! An EfficientIMM [`run_imm`] samples with that engine, fuses the counting
 //! into its θ loop as one per-batch [`imm_rrr::count_memberships`], and
 //! selects, at a θ step whose check those counts let pass, with the
 //! lazy-greedy (CELF) session over the sample's postings that every
-//! `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]). The paper's
-//! eager selection kernels (`selection::{efficient, ripples}` and the shared
-//! counter) stay as the reproduction's subjects and as the lazy session's
-//! parity oracle; the EfficientIMM one finds covered sets through the same
-//! adaptive [`imm_rrr::Postings`], and the Ripples run keeps its own.
+//! `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]). A Ripples run
+//! selects with the baseline kernel ([`selection::ripples`]).
+//!
+//! This crate holds only what `run`, `build-index` and the daemon execute:
+//! the keyed sampler, the θ loop, CELF and the Ripples kernel. The paper's
+//! eager EfficientIMM selection kernel, its shared atomic counter and the
+//! Table II/IV memory-model replays are the reproduction's subjects and live
+//! in `imm-bench`.
 //!
 //! The high-level entry point is [`run_imm`], which executes the full
 //! martingale workflow (Algorithm 1 of the paper) under an
 //! [`ExecutionConfig`] selecting the engine, thread count, and feature flags.
-//! Lower-level building blocks (sampling, selection kernels, the atomic
-//! counter) are public so the benchmark harness can exercise them in
-//! isolation, which is how the paper's per-kernel tables and figures are
-//! regenerated.
+//! The sampling driver and the selections are public so the benchmark
+//! harness and the serving crates can call them on their own.
 //!
 //! ```
 //! use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
@@ -48,9 +49,7 @@
 //! ```
 
 pub mod balance;
-pub mod counter;
 pub mod imm;
-pub mod instrumented;
 pub mod math;
 pub mod metrics;
 pub mod params;
@@ -58,11 +57,10 @@ pub mod sampling;
 pub mod selection;
 pub mod stats;
 
-pub use counter::GlobalCounter;
 pub use imm::{run_imm, ImmError, ImmResult};
 pub use params::{Algorithm, EfficientFeatures, ExecutionConfig, ImmParams};
 pub use sampling::{generate_rrr_set, generate_rrr_sets, SamplingGraph, SamplingOutput, SetKey};
-pub use selection::{select_seeds, SeedSelection};
+pub use selection::SeedSelection;
 pub use stats::{KernelTimings, RuntimeBreakdown, WorkProfile};
 
 /// Vertex identifier, re-exported from `imm-graph`.

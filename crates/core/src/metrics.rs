@@ -2,8 +2,8 @@
 //! `imm-obs` registry.
 //!
 //! The selection counters are paid once per selection call: the rounds by
-//! `select_seeds_celf_over` (`run_imm`'s) and `select_seeds_efficient`, the
-//! postings walked by the eager kernel alone.
+//! `select_seeds_celf_over` (`run_imm`'s) and by the eager EfficientIMM
+//! kernel in `imm-bench`, the postings walked by the eager kernel alone.
 //! The sampling loop is the hottest path in the system (millions of RRR
 //! sets per second), so its instrumentation costs nothing per set: each
 //! worker tallies its sets, their members, its edge probes and its sweeps

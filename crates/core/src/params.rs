@@ -88,18 +88,15 @@ impl Algorithm {
     }
 }
 
-/// Feature toggles for the EfficientIMM engine; each corresponds to one of
-/// the paper's optimizations and can be disabled for ablation studies.
-/// `run_imm` reads the representation and the balancing; the counter-update
-/// pair is read by the eager kernel (`select_seeds_efficient`) alone.
+/// The sampling-side optimizations of the paper that a run applies; each
+/// can be disabled for ablation studies. `run_imm` derives every run's set
+/// representation and job schedule from them, the Ripples run's included.
+/// (The adaptive counter update is an argument of the eager kernel in
+/// `imm-bench`, the only code that reads it.)
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EfficientFeatures {
     /// Adaptive sorted-list / bitmap RRR-set representation (§IV-C).
     pub adaptive_representation: bool,
-    /// Adaptive decrement-vs-rebuild counter update after each selected seed
-    /// (§IV-C, Figure 5), rebuilding above
-    /// [`REBUILD_THRESHOLD`](crate::selection::efficient::REBUILD_THRESHOLD).
-    pub adaptive_counter_update: bool,
     /// Dynamic producer-consumer job balancing instead of static chunking
     /// (§IV-C).
     pub dynamic_balancing: bool,
@@ -107,23 +104,16 @@ pub struct EfficientFeatures {
 
 impl Default for EfficientFeatures {
     fn default() -> Self {
-        EfficientFeatures {
-            adaptive_representation: true,
-            adaptive_counter_update: true,
-            dynamic_balancing: true,
-        }
+        EfficientFeatures { adaptive_representation: true, dynamic_balancing: true }
     }
 }
 
 impl EfficientFeatures {
     /// Every optimization disabled (the "naive RRR-set-partitioned" engine
-    /// used as the ablation floor).
+    /// used as the ablation floor, and the Ripples run's sorted lists in
+    /// static blocks).
     pub fn none() -> Self {
-        EfficientFeatures {
-            adaptive_representation: false,
-            adaptive_counter_update: false,
-            dynamic_balancing: false,
-        }
+        EfficientFeatures { adaptive_representation: false, dynamic_balancing: false }
     }
 
     /// The RRR-set representation policy implied by the flags.
@@ -156,7 +146,9 @@ pub struct ExecutionConfig {
     /// per-worker scratch slots) each parallel phase splits into. The
     /// tasks run on the process-global `imm-exec` pool, whatever its size.
     pub threads: usize,
-    /// EfficientIMM feature toggles (ignored by the Ripples engine).
+    /// The set representation and job schedule of every sampling call the
+    /// run makes, for either engine: a Ripples run's
+    /// [`EfficientFeatures::none`] samples sorted lists in static blocks.
     pub features: EfficientFeatures,
     /// Return the sampled [`imm_rrr::RrrCollection`] in
     /// [`ImmResult::rrr_sets`](crate::ImmResult::rrr_sets) instead of dropping
@@ -235,9 +227,10 @@ mod tests {
     fn execution_config_defaults_follow_algorithm() {
         let ripples = ExecutionConfig::new(Algorithm::Ripples, 4);
         assert!(!ripples.features.adaptive_representation);
+        assert_eq!(ripples.features.schedule(), Schedule::Static);
         let eff = ExecutionConfig::new(Algorithm::Efficient, 4);
         assert!(eff.features.adaptive_representation);
-        assert!(eff.features.adaptive_counter_update);
+        assert!(eff.features.dynamic_balancing);
         assert_eq!(eff.threads, 4);
         // Zero threads is clamped to one.
         assert_eq!(ExecutionConfig::new(Algorithm::Efficient, 0).threads, 1);

@@ -1,36 +1,27 @@
 //! `Find_Most_Influential_Set`: the greedy max-coverage seed selection over
 //! the sampled RRR sets.
 //!
-//! `run_imm` selects with [`select_seeds_celf`]: the lazy-greedy (CELF)
-//! session of `imm_rrr` ([`imm_rrr::LazyGreedy`], the one every `imm-service`
-//! Top-K runs) over the sample's postings, on the calling thread. The Ripples
-//! engine's run keeps its eager baseline kernel. The paper's two eager
-//! kernels are the reproduction's subjects, benchmarked by the figure and
-//! table binaries and kept as the parity oracle of the lazy one:
+//! An EfficientIMM `run_imm` selects with [`select_seeds_celf_over`]: the
+//! lazy-greedy (CELF) session of `imm_rrr` ([`imm_rrr::LazyGreedy`], the one
+//! every `imm-service` Top-K runs) over the sample's postings, on the calling
+//! thread. A Ripples run selects with the baseline kernel, [`ripples`]:
+//! vertices partitioned across threads, every thread scans every RRR set,
+//! sorted sets probed with binary search, covered sets handled by
+//! decrementing per-thread counters. It fork-joins on the process-global
+//! `imm-exec` pool through `rayon::scope`, `threads` tasks wide.
 //!
-//! * [`ripples`] — the baseline: vertices partitioned across threads, every
-//!   thread scans every RRR set, sorted sets probed with binary search,
-//!   covered sets handled by decrementing per-thread counters.
-//! * [`efficient`] — EfficientIMM (Algorithm 2): RRR sets partitioned across
-//!   threads, concurrent atomic updates to one shared counter, a sequential
-//!   argmax over it, and the adaptive decrement-vs-rebuild counter update.
-//!   The sets a seed covers come from the per-selection [`Postings`] —
-//!   never from a scan of all θ sets.
+//! The paper's eager EfficientIMM kernel (Algorithm 2, a shared atomic
+//! counter) is a reproduction subject and lives in `imm-bench`.
 //!
-//! Both eager kernels fork-join on the process-global `imm-exec` pool
-//! through `rayon::scope` / [`crate::balance::run_jobs`], `exec.threads`
-//! tasks wide; no kernel takes a pool handle.
-//!
-//! All three return the same seeds and coverage for the same input (greedy
-//! max coverage is deterministic up to tie-breaking, and every kernel breaks
-//! ties toward the smaller vertex id); the test suite asserts this
-//! equivalence, which is the paper's "without sacrificing accuracy" claim.
+//! Every greedy returns the same seeds and coverage for the same input
+//! (greedy max coverage is deterministic up to tie-breaking, and every
+//! kernel breaks ties toward the smaller vertex id); the test suites assert
+//! this equivalence, which is the paper's "without sacrificing accuracy"
+//! claim.
 
-pub mod efficient;
 pub mod ripples;
 
 use crate::metrics;
-use crate::params::{Algorithm, ExecutionConfig};
 use crate::stats::WorkProfile;
 use crate::NodeId;
 use imm_rrr::{LazyGreedy, Postings, RrrCollection};
@@ -47,20 +38,6 @@ pub struct SeedSelection {
     pub coverage_fraction: f64,
     /// Per-thread operation counts.
     pub work: WorkProfile,
-    /// How many counter rebuilds the adaptive update performed (EfficientIMM
-    /// only).
-    pub counter_rebuilds: usize,
-    /// How many seed removals used plain decrements.
-    pub counter_decrements: usize,
-}
-
-/// Select `k` seeds from `sets` with the eager kernel of the engine chosen
-/// by `exec`; the EfficientIMM kernel counts the sets itself.
-pub fn select_seeds(sets: &RrrCollection, k: usize, exec: &ExecutionConfig) -> SeedSelection {
-    match exec.algorithm {
-        Algorithm::Ripples => ripples::select_seeds_ripples(sets, k, exec.threads),
-        Algorithm::Efficient => efficient::select_seeds_efficient(sets, k, exec, None),
-    }
 }
 
 /// Select `k` seeds with the lazy-greedy (CELF) session over the postings of
@@ -88,8 +65,6 @@ pub fn select_seeds_celf_over(postings: &Postings, k: usize, threads: usize) -> 
         seeds,
         coverage_fraction: if sets == 0 { 0.0 } else { covered as f64 / sets as f64 },
         work,
-        counter_rebuilds: 0,
-        counter_decrements: 0,
     }
 }
 
@@ -144,7 +119,8 @@ pub(crate) mod test_support {
     }
 
     /// Reference greedy max-coverage implementation: straightforward,
-    /// sequential, obviously correct. Both parallel kernels must match it.
+    /// sequential, obviously correct. CELF and the Ripples kernel must match
+    /// it.
     pub fn greedy_reference(sets: &RrrCollection, k: usize) -> (Vec<NodeId>, f64) {
         let n = sets.num_nodes();
         let mut alive: Vec<bool> = vec![true; sets.len()];
@@ -197,7 +173,6 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::*;
     use super::*;
-    use crate::params::{Algorithm, ExecutionConfig};
     use proptest::prelude::*;
 
     #[test]
@@ -247,19 +222,6 @@ mod tests {
                 prop_assert!(covered <= bound, "{} covered, bound {}", covered, bound);
                 prop_assert!(celf.coverage_fraction <= bound as f64 / sets.len() as f64);
             }
-        }
-    }
-
-    #[test]
-    fn dispatch_runs_both_engines() {
-        let sets =
-            collection(6, &[&[0, 1], &[1], &[2, 4], &[1, 4], &[1, 4, 5], &[3], &[0, 3], &[2]]);
-        for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
-            let exec = ExecutionConfig::new(algorithm, 2);
-            let result = select_seeds(&sets, 2, &exec);
-            assert_eq!(result.seeds.len(), 2);
-            assert_eq!(result.seeds[0], 1, "{algorithm:?} must pick vertex 1 first");
-            assert!(result.coverage_fraction > 0.0);
         }
     }
 }

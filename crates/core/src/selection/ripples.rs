@@ -33,8 +33,6 @@ pub fn select_seeds_ripples(sets: &RrrCollection, k: usize, threads: usize) -> S
             seeds: Vec::new(),
             coverage_fraction: 0.0,
             work: WorkProfile::new(threads),
-            counter_rebuilds: 0,
-            counter_decrements: 0,
         };
     }
 
@@ -156,8 +154,6 @@ pub fn select_seeds_ripples(sets: &RrrCollection, k: usize, threads: usize) -> S
             atomic_ops: 0,
             search_probes: search_probes.load(Ordering::Relaxed),
         },
-        counter_rebuilds: 0,
-        counter_decrements: k,
     }
 }
 

@@ -31,7 +31,8 @@
 //! *is* the all-zero round and every remaining round emits vertex 0,
 //! exactly what the eager batch kernels' reduction selects. Ties break
 //! toward the smaller vertex id, so the seeds are byte-identical to an
-//! eager `select_seeds` pass over the same collection.
+//! eager greedy pass (the Ripples kernel, or `imm-bench`'s EfficientIMM
+//! kernel) over the same collection.
 //!
 //! * A **fresh** session ([`LazyGreedy::fresh`]) starts with nothing
 //!   covered. Greedy max coverage is prefix-stable (the first `k` seeds of a

@@ -16,7 +16,8 @@
 //! decoder's cap **before any allocation** (a hostile prefix cannot
 //! drive an out-of-memory), a stream that ends or stalls mid-frame is a
 //! structured [`ProtocolError::Truncated`] (never a hang — reads run
-//! under the socket's read timeout), and every payload decode is
+//! under the socket's read timeout, and the daemon bounds a whole frame,
+//! [`read_frame_within`]), and every payload decode is
 //! bounds-checked (element counts are validated against the bytes
 //! actually present, audience bitmap members against the declared
 //! capacity). Nothing in this module panics on wire input; the
@@ -35,6 +36,7 @@ use imm_rrr::BitSet;
 use imm_service::{Query, QueryResponse};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Frame magic: the first four bytes of every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"IMSV";
@@ -152,18 +154,25 @@ fn is_timeout(kind: io::ErrorKind) -> bool {
     matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// `read_exact` that folds EOF *and* a stalled read (timeout mid-frame:
-/// the half-written-frame case) into [`ProtocolError::Truncated`].
+/// `read_exact` that folds EOF, a stalled read (timeout mid-frame: the
+/// half-written-frame case) *and* a short read that returns past
+/// `deadline` into [`ProtocolError::Truncated`].
 fn read_exact_frame(
     r: &mut impl Read,
     buf: &mut [u8],
     context: &'static str,
+    deadline: Option<Instant>,
 ) -> Result<(), ProtocolError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Err(ProtocolError::Truncated { context }),
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                if filled < buf.len() && deadline.is_some_and(|d| Instant::now() >= d) {
+                    return Err(ProtocolError::Truncated { context });
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(e.kind()) => return Err(ProtocolError::Truncated { context }),
             Err(e) => return Err(ProtocolError::Io(e)),
@@ -176,6 +185,22 @@ fn read_exact_frame(
 /// the first byte from truncation *after* it; the length prefix is
 /// validated against `max_len` before the payload buffer is allocated.
 pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<FrameRead, ProtocolError> {
+    read_frame_within(r, max_len, None)
+}
+
+/// [`read_frame`] with a frame deadline: a frame still incomplete `limit`
+/// after its first byte is cut as [`ProtocolError::Truncated`], so a peer
+/// that trickles bytes just inside the read timeout cannot hold the reader
+/// for as many timeouts as its frame has bytes. The clock is read when the
+/// first byte arrives and after a read that leaves the frame short, never
+/// after a read that completes a header or payload. The cut comes at the
+/// first read that returns past the deadline, so under a read timeout of
+/// `limit` a frame holds its reader for less than twice `limit`.
+pub fn read_frame_within(
+    r: &mut impl Read,
+    max_len: usize,
+    limit: Option<Duration>,
+) -> Result<FrameRead, ProtocolError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     // First byte separately: zero bytes read means EOF/idle, not truncation.
     loop {
@@ -187,7 +212,8 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<FrameRead, Protoc
             Err(e) => return Err(ProtocolError::Io(e)),
         }
     }
-    read_exact_frame(r, &mut header[1..], "frame header")?;
+    let deadline = limit.map(|limit| Instant::now() + limit);
+    read_exact_frame(r, &mut header[1..], "frame header", deadline)?;
 
     let magic = [header[0], header[1], header[2], header[3]];
     if magic != FRAME_MAGIC {
@@ -202,7 +228,7 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<FrameRead, Protoc
         return Err(ProtocolError::FrameTooLarge { len: len as u64, max: max_len as u64 });
     }
     let mut payload = vec![0u8; len];
-    read_exact_frame(r, &mut payload, "frame payload")?;
+    read_exact_frame(r, &mut payload, "frame payload", deadline)?;
     Ok(FrameRead::Frame(payload))
 }
 

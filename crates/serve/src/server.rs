@@ -645,9 +645,11 @@ fn accept_loop(server: Arc<Server>, listener: Listener) {
 /// sheds itself instead of pinning a thread.
 fn serve_connection(server: &Server, stream: Stream) {
     // The idle timeout is the read timeout, so it also cuts a stall in the
-    // middle of a frame (a structured Truncated error). `Some(0)` is an
-    // error on Unix, hence the 1 ms floor. Shutdown does not wait for it:
-    // it ends a blocked read with EOF.
+    // middle of a frame (a structured Truncated error), and it is each
+    // frame's deadline: a frame still incomplete one idle timeout after its
+    // first byte is cut the same way, however steadily its bytes trickle.
+    // `Some(0)` is an error on Unix, hence the 1 ms floor. Shutdown does not
+    // wait for it: it ends a blocked read with EOF.
     let idle_timeout = server.idle_timeout.map(|t| t.max(Duration::from_millis(1)));
     if stream.set_read_timeout(idle_timeout).is_err() {
         return;
@@ -663,7 +665,7 @@ fn serve_connection(server: &Server, stream: Stream) {
         if server.shutdown_requested() {
             return;
         }
-        match protocol::read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+        match protocol::read_frame_within(&mut stream, DEFAULT_MAX_FRAME_LEN, idle_timeout) {
             Ok(FrameRead::Eof) => return,
             // Only the idle timeout ends a read this way.
             Ok(FrameRead::Idle) => {

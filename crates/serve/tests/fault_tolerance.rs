@@ -124,6 +124,56 @@ fn idle_connections_are_shed_with_a_structured_goodbye() {
     handle.join().expect("accept loop exits");
 }
 
+/// The idle timeout bounds a whole frame, not each read: a peer that
+/// declares 64 payload bytes and sends one every 0.6 idle timeouts (so no
+/// single read ever times out) is cut as a truncated frame within two idle
+/// timeouts of its header, counted in `serve_protocol_errors`.
+#[test]
+fn a_frame_trickled_inside_the_idle_timeout_is_cut_by_its_deadline() {
+    let (_, _, index) = fixture();
+    let idle = Duration::from_millis(250);
+    let mut server_config = config(unix_path("trickle.sock"));
+    server_config.idle_timeout = Some(idle);
+    let sharded = ShardedIndex::from_index(index, 2).expect("shardable");
+    let handle =
+        Server::start(Arc::new(sharded), None, server_config, || "{}".into()).expect("server");
+    let errors_before = imm_serve::metrics::PROTOCOL_ERRORS.value();
+
+    let Listen::Unix(path) = handle.address() else { unreachable!("a unix daemon") };
+    let mut trickle = UnixStream::connect(path).expect("connect");
+    trickle.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &[0u8; 64]).expect("in-memory write");
+    trickle.write_all(&wire[..FRAME_HEADER_LEN]).expect("send the header");
+    let sent_at = Instant::now();
+    let mut writer = trickle.try_clone().expect("a second handle");
+    let payload = wire[FRAME_HEADER_LEN..].to_vec();
+    let dribble = std::thread::spawn(move || {
+        for byte in payload {
+            std::thread::sleep(idle * 3 / 5);
+            if writer.write_all(&[byte]).is_err() {
+                return;
+            }
+        }
+    });
+    // EOF, or a reset if the close raced a byte; a timeout is not a close.
+    let closed = trickle.read_to_end(&mut Vec::new());
+    let waited = sent_at.elapsed();
+    assert!(
+        closed.as_ref().map_or_else(|e| e.kind() == std::io::ErrorKind::ConnectionReset, |_| true),
+        "the daemon must close the trickling connection, got {closed:?} after {waited:?}"
+    );
+    assert!(waited < 2 * idle, "a trickled frame held its connection for {waited:?}");
+    assert!(
+        imm_serve::metrics::PROTOCOL_ERRORS.value() > errors_before,
+        "the cut frame must be counted in serve_protocol_errors"
+    );
+    dribble.join().expect("the dribbling writer stops at the close");
+
+    handle.stop();
+    handle.join().expect("accept loop exits");
+}
+
 /// A full daemon restart: the retrying client types the dead socket as a
 /// lost connection, redials, and the same battery serves byte-identically
 /// from the reborn daemon.

@@ -7,7 +7,7 @@
 //! *extends* it. Asking for `k` and later `k+5` computes five new rounds,
 //! not `k+5`, and asking for `k` again reads the prefix; nothing is
 //! resampled, ever. The served seeds stay byte-identical to a fresh
-//! `run_imm`/`select_seeds` pass over the same collection.
+//! `run_imm` or eager-kernel pass over the same collection.
 //!
 //! Spread and Marginal are one marking walk, `mark_and_count`, over the
 //! index's postings on a pooled scratch.

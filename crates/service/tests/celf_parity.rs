@@ -9,14 +9,27 @@
 #[allow(dead_code)] // this suite draws only its mixed-form collection
 mod masked_oracle;
 
-use efficient_imm::{select_seeds, Algorithm, ExecutionConfig};
+use efficient_imm::selection::ripples::select_seeds_ripples;
+use efficient_imm::{Algorithm, ExecutionConfig, SeedSelection};
+use imm_bench::efficient::select_seeds_efficient;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
+use imm_rrr::RrrCollection;
 use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+
+/// A fresh eager selection by the engine `exec` names: the Ripples baseline
+/// kernel, or the paper's EfficientIMM kernel (in `imm-bench`, adaptive
+/// counter update on).
+fn eager_selection(sets: &RrrCollection, k: usize, exec: &ExecutionConfig) -> SeedSelection {
+    match exec.algorithm {
+        Algorithm::Ripples => select_seeds_ripples(sets, k, exec.threads),
+        Algorithm::Efficient => select_seeds_efficient(sets, k, exec, true, None).0,
+    }
+}
 
 fn sampled_collection(
     model: DiffusionModel,
@@ -24,7 +37,7 @@ fn sampled_collection(
     rng_seed: u64,
     n: usize,
     theta: usize,
-) -> (CsrGraph, imm_rrr::RrrCollection) {
+) -> (CsrGraph, RrrCollection) {
     let mut rng = SmallRng::seed_from_u64(graph_seed);
     let graph = CsrGraph::from_edge_list(&generators::social_network(n, 5, 0.3, &mut rng));
     let weights = match model {
@@ -59,7 +72,7 @@ fn assert_celf_matches_naive(model: DiffusionModel, graph_seed: u64, rng_seed: u
         for algorithm in [Algorithm::Efficient, Algorithm::Ripples] {
             for threads in [1usize, 2, 4] {
                 let exec = ExecutionConfig::new(algorithm, threads);
-                let naive = select_seeds(&collection, budget, &exec);
+                let naive = eager_selection(&collection, budget, &exec);
                 assert_eq!(
                     seeds, naive.seeds,
                     "{model:?} {algorithm:?} threads={threads} budget={budget}"
@@ -100,7 +113,7 @@ proptest! {
 /// collection whose vertices mix bit rows and lists.
 #[test]
 fn celf_matches_naive_on_degenerate_collections() {
-    use imm_rrr::{AdaptivePolicy, RrrCollection};
+    use imm_rrr::AdaptivePolicy;
 
     let cases: Vec<(usize, Vec<Vec<u32>>)> = vec![
         // Coverage exhausts before the budget: zero-gain tail rounds.
@@ -126,7 +139,7 @@ fn celf_matches_naive_on_degenerate_collections() {
         let k = n; // push past coverage exhaustion
         let (seeds, coverage) = engine_top_k(&engine, k);
         let exec = ExecutionConfig::new(Algorithm::Efficient, 1);
-        let naive = select_seeds(&collection, k, &exec);
+        let naive = eager_selection(&collection, k, &exec);
         assert_eq!(seeds, naive.seeds, "n={n} sets={sets:?}");
         assert!((coverage - naive.coverage_fraction).abs() < 1e-12);
     }

@@ -1,15 +1,28 @@
 //! The acceptance property of the serving subsystem: a `SketchIndex` built
 //! once answers Top-K queries for multiple budgets with **byte-identical**
-//! seeds to a fresh `run_imm`/`select_seeds` selection over the same
+//! seeds to a fresh `run_imm` or eager-kernel selection over the same
 //! collection — without resampling anything.
 
-use efficient_imm::{run_imm, select_seeds, Algorithm, ExecutionConfig, ImmParams};
+use efficient_imm::selection::ripples::select_seeds_ripples;
+use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams, SeedSelection};
+use imm_bench::efficient::select_seeds_efficient;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
+use imm_rrr::RrrCollection;
 use imm_service::{Query, QueryEngine, QueryResponse, SketchIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+
+/// A fresh eager selection by the engine `exec` names: the Ripples baseline
+/// kernel, or the paper's EfficientIMM kernel (in `imm-bench`, adaptive
+/// counter update on).
+fn eager_selection(sets: &RrrCollection, k: usize, exec: &ExecutionConfig) -> SeedSelection {
+    match exec.algorithm {
+        Algorithm::Ripples => select_seeds_ripples(sets, k, exec.threads),
+        Algorithm::Efficient => select_seeds_efficient(sets, k, exec, true, None).0,
+    }
+}
 
 fn sampled_run(
     n: usize,
@@ -58,7 +71,7 @@ fn multiple_budgets_match_fresh_selections_and_share_the_prefix() {
     let mut largest: Vec<u32> = Vec::new();
     for k in [3usize, 8, 5, 10] {
         let (seeds, coverage) = top_k(&engine, k);
-        let fresh = select_seeds(&collection, k, &exec);
+        let fresh = eager_selection(&collection, k, &exec);
         assert_eq!(seeds, fresh.seeds, "budget {k}");
         assert!((coverage - fresh.coverage_fraction).abs() < 1e-12, "budget {k}");
         if seeds.len() > largest.len() {
@@ -78,7 +91,7 @@ fn both_selection_engines_agree_with_the_served_answer() {
     let (seeds, _) = top_k(&engine, 6);
     for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
         let exec = ExecutionConfig::new(algorithm, 3);
-        let fresh = select_seeds(&collection, 6, &exec);
+        let fresh = eager_selection(&collection, 6, &exec);
         assert_eq!(seeds, fresh.seeds, "{algorithm:?}");
     }
 }

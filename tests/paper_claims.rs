@@ -2,14 +2,12 @@
 //! reproduction's own substrates — the checks EXPERIMENTS.md summarizes.
 
 use efficient_imm::balance::Schedule;
-use efficient_imm::instrumented::{
-    bitmap_check_cost, cache_misses_efficient, cache_misses_ripples,
-};
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::selection::efficient::select_seeds_efficient;
 use efficient_imm::selection::ripples::select_seeds_ripples;
 use efficient_imm::{Algorithm, ExecutionConfig};
 use imm_bench::datasets::{find, Scale};
+use imm_bench::efficient::select_seeds_efficient;
+use imm_bench::instrumented::{bitmap_check_cost, cache_misses_efficient, cache_misses_ripples};
 use imm_diffusion::DiffusionModel;
 use imm_memsim::HierarchyConfig;
 use imm_numa::Topology;
@@ -62,8 +60,8 @@ fn claim_fig1_ripples_selection_work_replicates_with_threads_while_efficientimm_
 
     let exec1 = ExecutionConfig::new(Algorithm::Efficient, 1);
     let exec8 = ExecutionConfig::new(Algorithm::Efficient, 8);
-    let eff_1 = select_seeds_efficient(&sets, k, &exec1, None).work;
-    let eff_8 = select_seeds_efficient(&sets, k, &exec8, None).work;
+    let eff_1 = select_seeds_efficient(&sets, k, &exec1, true, None).0.work;
+    let eff_8 = select_seeds_efficient(&sets, k, &exec8, true, None).0.work;
     let growth = eff_8.total_ops() as f64 / eff_1.total_ops() as f64;
     assert!(
         (0.8..1.2).contains(&growth),
@@ -131,16 +129,12 @@ fn claim_fig5_adaptive_counter_update_touches_less_memory_on_skewed_inputs() {
     let sets = sample("com-LJ", 128, 2);
     let k = 5;
 
-    let mut adaptive_cfg = ExecutionConfig::new(Algorithm::Efficient, 4);
-    adaptive_cfg.features.adaptive_counter_update = true;
-    let mut plain_cfg = adaptive_cfg;
-    plain_cfg.features.adaptive_counter_update = false;
-
-    let adaptive = select_seeds_efficient(&sets, k, &adaptive_cfg, None);
-    let plain = select_seeds_efficient(&sets, k, &plain_cfg, None);
+    let exec = ExecutionConfig::new(Algorithm::Efficient, 4);
+    let (adaptive, rebuilds) = select_seeds_efficient(&sets, k, &exec, true, None);
+    let (plain, _) = select_seeds_efficient(&sets, k, &exec, false, None);
 
     assert_eq!(adaptive.seeds, plain.seeds, "optimization must not change the result");
-    assert!(adaptive.counter_rebuilds > 0, "dense covered sets must trigger rebuilds");
+    assert!(rebuilds > 0, "dense covered sets must trigger rebuilds");
     assert!(
         adaptive.work.total_ops() < plain.work.total_ops(),
         "adaptive update must reduce counter-update work: {} vs {}",
