@@ -39,56 +39,92 @@ bash spine/check.sh
 echo "==> spine lock: cargo metadata --locked resolves spine/Cargo.toml"
 cargo metadata --offline --locked --manifest-path spine/Cargo.toml --format-version 1 > /dev/null
 
-# PROPTEST_CASES pins the property-suite budget (notably the incremental-
-# refresh differential suite, the correctness anchor of dynamic-graph
-# support) so the sweep is deterministic in runtime as well as in inputs
-# (the vendored proptest derives its cases from a fixed seed). Suites that
-# pass an explicit with_cases(..) config are unaffected. FAULT_SEED_COUNT
-# pins the seed grid of imm-fault's daemon/client chaos sweep.
+# PROPTEST_CASES pins the property-suite budget (the snapshot round-trip
+# and corruption properties, the postings and splice oracles) so the sweep
+# is deterministic in runtime as well as in inputs (the vendored proptest
+# derives its cases from a fixed seed). Suites that pass an explicit
+# with_cases(..) config are unaffected. FAULT_SEED_COUNT pins the seed grid
+# of imm-serve's daemon/client chaos suite.
 echo "==> workspace tests (all crates, PROPTEST_CASES=32, FAULT_SEED_COUNT=4)"
 PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 
 # The sweep above is the only run of the suites below, so a test-scoping
 # change must not be able to drop one silently: each must still be a test
 # binary of the workspace. In order: the execution runtime's stress suite;
-# the daemon's unit, socket-parity, frame-corruption and fault-tolerance
-# suites; the histogram and metric-catalog gates; the fault harness and its
-# chaos sweep; snapshot crash safety, golden fixtures and the round-trip and
-# corruption properties (the read-decode error order); the mmap store's
-# unit, parity and fallback suites; the refresh-equals-rebuild differential
-# and shard-parity suites and the sampler's independent oracle (order
-# independence + forward-simulation validity); the vertex-adaptive
-# postings against their naive inverse; the CELF sessions against the naive
-# greedy (fresh Top-K) and the dense oracle (audience Top-K, one copy in
-# imm-service and one in imm-shard, so that name must appear twice); the
-# spliced graph delta against the CSR rebuild it replaced; run_imm's one
-# selection per sample that can pass its check; the sampler's once-per-worker
-# registry flush.
+# the daemon's unit, admission-and-lifecycle, frame-corruption,
+# fault-tolerance and chaos suites; the histogram and metric-catalog gates;
+# the fault harness; snapshot crash safety, golden fixtures and the
+# round-trip and corruption properties (the read-decode error order); the
+# mmap store's unit and fallback suites; the refresh bounds (a light or 1 %
+# churn resamples a bounded share) and the sampler's independent oracle
+# (order independence + forward-simulation validity); the conformance
+# matrix (every serving path against the eager kernels, the dense audience
+# oracle, the collection estimators and a from-scratch rebuild); the
+# vertex-adaptive postings against their naive inverse; the spliced graph
+# delta against the CSR rebuild it replaced; run_imm's one selection per
+# sample that can pass its check; the sampler's once-per-worker registry
+# flush.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
 for expected in runtime_stress \
-  imm_serve socket_parity frame_corruption fault_tolerance \
+  imm_serve socket_parity frame_corruption fault_tolerance chaos \
   histogram metrics_catalog \
-  imm_fault chaos \
+  imm_fault \
   crash_safety snapshot_fixtures snapshot_roundtrip \
-  imm_store store_parity mmap_fallback \
-  differential shard_parity sampler_oracle \
-  postings_inverse celf_parity masked_differential \
+  imm_store mmap_fallback \
+  differential sampler_oracle conformance \
+  postings_inverse \
   delta_splice selection_rounds sampling_tallies; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
   fi
 done
-if [ "$(grep -cx masked_differential <<< "$TEST_BINARIES")" -ne 2 ]; then
-  echo "error: both masked_differential suites (imm-service, imm-shard) must stay in the sweep" >&2
+
+# Each test of the conformance matrix prints, per family (IC, LT, static
+# collections), how many cases every backend row ran, and fails on a row
+# that ran none. Every case's stream holds an audience sweep, so this check
+# keeps what the two masked_differential suites' presence check kept (the
+# audience sweeps of QueryEngine and ShardedEngine both run), for every row,
+# and it also fails when a test stops before printing its tally.
+echo "==> conformance rows: every backend row ran at least one case of every family"
+ROW_COUNTS="$(cargo test -q --test conformance -- --nocapture 2>&1 || true)"
+for family in Ic Lt Sets; do
+  TALLY="$(grep -o "$family: cases per row {[^}]*}" <<< "$ROW_COUNTS" || true)"
+  for row in engine batch/1 batch/2 batch/4 "shared by 4 threads" shards/1 shards/2 \
+    shards/4 shards/7 daemon/unix daemon/tcp "heap load" "mapped load"; do
+    if ! grep -qE "\"$row\": [1-9]" <<< "$TALLY"; then
+      echo "error: conformance row '$row' ran no $family case:" >&2
+      grep -E "conformance|panicked|cases per row" <<< "$ROW_COUNTS" >&2 || true
+      exit 1
+    fi
+  done
+done
+
+echo "==> test guard: no #[ignore] in tests/ or any crates/*/tests"
+if grep -rn '#\[ignore' tests crates/*/tests; then
+  echo "error: #[ignore]d tests are not allowed in the root or crate test suites" >&2
   exit 1
 fi
 
-echo "==> test guard: no #[ignore] in crates/{service,shard,exec,obs,serve,fault,store}/tests"
-if grep -rn '#\[ignore' crates/service/tests crates/shard/tests crates/exec/tests crates/obs/tests crates/serve/tests crates/fault/tests crates/store/tests; then
-  echo "error: #[ignore]d tests are not allowed in the service/shard/exec/obs/serve/fault/store suites" >&2
+# The conformance matrix holds its oracles itself, so no suite shares test
+# code by path and none needs a test-only dependency cycle for them:
+# imm-service's suites no longer pull in imm-bench, and imm-fault stays a
+# leaf with no dev-dependencies (its chaos suite lives in imm-serve). The one
+# test-only cycle left is imm-service -> dev imm-store (the snapshot suites
+# run every loader).
+echo "==> test-graph guard: no #[path] include in a tests/ dir, no imm-bench dev-edge in imm-service, no dev-dependency in imm-fault"
+if grep -rnE '#\[path *=' tests crates/*/tests; then
+  echo "error: test suites share no code by #[path]; put the shared oracle in tests/conformance.rs" >&2
+  exit 1
+fi
+if sed -n '/^\[dev-dependencies\]/,/^\[/p' crates/service/Cargo.toml | grep -nE '^imm-bench *='; then
+  echo "error: imm-service takes no dev-dependency on imm-bench; the eager-kernel oracle runs in tests/conformance.rs" >&2
+  exit 1
+fi
+if grep -nE '^\[(target\..*\.)?dev-dependencies\]' crates/fault/Cargo.toml; then
+  echo "error: imm-fault is a leaf crate with no dev-dependencies; its chaos suite lives in crates/serve/tests" >&2
   exit 1
 fi
 

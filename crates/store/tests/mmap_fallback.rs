@@ -1,6 +1,7 @@
 //! Chaos case for the store: an injected fault mid-map must degrade to the
 //! read-decode path — counted, logically lossless, and still serving the
-//! exact same query responses. What no path may serve stays an error on
+//! exact same query responses — while a fault-free open maps and is counted
+//! as a mapped open. What no path may serve stays an error on
 //! every path: a file of another format version (`UnsupportedVersion`, from
 //! the mapped open and the fallback alike), a directory whose set count
 //! leaves the set-id space, and postings sections that lie (a structured
@@ -85,6 +86,25 @@ fn a_fault_mid_map_degrades_to_read_decode_and_keeps_parity() {
                 fallbacks_before + 1,
                 "exactly the faulted open is counted as a fallback"
             );
+        }
+    });
+    std::fs::remove_file(&path).ok();
+}
+
+/// Without a fault, `Store::open` maps and counts the open. Under a quiet
+/// plan, so no sibling's open lands between the two reads of the counter.
+#[test]
+fn open_prefers_the_mapping_and_counts_it() {
+    let index = sample_index(7);
+    let path = temp_path("prefer_mmap");
+    quietly(|| {
+        index.save_to_path(&path).unwrap();
+        let opens_before = imm_store::metrics::MMAP_OPENS.value();
+        let opened = Store::open(&path).expect("open");
+        assert_eq!(opened.mode, LoadMode::Mapped);
+        assert!(opened.timings.total_ns() > 0);
+        if imm_obs::recording_enabled() {
+            assert_eq!(imm_store::metrics::MMAP_OPENS.value(), opens_before + 1);
         }
     });
     std::fs::remove_file(&path).ok();
