@@ -59,7 +59,9 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # churn resamples a bounded share) and the sampler's independent oracle
 # (order independence + forward-simulation validity); the conformance
 # matrix (every serving path against the eager kernels, the dense audience
-# oracle, the collection estimators and a from-scratch rebuild); the
+# oracle, the collection estimators and a from-scratch rebuild; each family
+# test fails when a backend row ran no case, so the audience sweeps of
+# QueryEngine and ShardedEngine both run wherever the binary does); the
 # vertex-adaptive postings against their naive inverse; the spliced graph
 # delta against the CSR rebuild it replaced; run_imm's one selection per
 # sample that can pass its check; the sampler's once-per-worker registry
@@ -80,26 +82,6 @@ for expected in runtime_stress \
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
   fi
-done
-
-# Each test of the conformance matrix prints, per family (IC, LT, static
-# collections), how many cases every backend row ran, and fails on a row
-# that ran none. Every case's stream holds an audience sweep, so this check
-# keeps what the two masked_differential suites' presence check kept (the
-# audience sweeps of QueryEngine and ShardedEngine both run), for every row,
-# and it also fails when a test stops before printing its tally.
-echo "==> conformance rows: every backend row ran at least one case of every family"
-ROW_COUNTS="$(cargo test -q --test conformance -- --nocapture 2>&1 || true)"
-for family in Ic Lt Sets; do
-  TALLY="$(grep -o "$family: cases per row {[^}]*}" <<< "$ROW_COUNTS" || true)"
-  for row in engine batch/1 batch/2 batch/4 "shared by 4 threads" shards/1 shards/2 \
-    shards/4 shards/7 daemon/unix daemon/tcp "heap load" "mapped load"; do
-    if ! grep -qE "\"$row\": [1-9]" <<< "$TALLY"; then
-      echo "error: conformance row '$row' ran no $family case:" >&2
-      grep -E "conformance|panicked|cases per row" <<< "$ROW_COUNTS" >&2 || true
-      exit 1
-    fi
-  done
 done
 
 echo "==> test guard: no #[ignore] in tests/ or any crates/*/tests"

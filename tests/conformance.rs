@@ -19,9 +19,13 @@
 //! at 1, 2, 4 and 7 shards, the daemon over a unix socket and over TCP, and
 //! the heap (`SketchIndex::load_bytes`) and mapped (`Store::open_mapped`)
 //! loads of the saved snapshot. Each row is checked before and after every
-//! rolled delta. Each family's test counts the cases every row ran and
-//! fails if a row ran none, and it requires the shapes the family must
-//! reach, tallied from what ran rather than from what was asked for.
+//! rolled delta. The first drawn cases of a family run through every row;
+//! the rest of the property budget (`PROPTEST_CASES` per weight regime)
+//! runs through the engines only: a sampled draw through `engine` beside
+//! the refresh check, a drawn collection also through `shards/*`. Each
+//! family's test counts the cases every row ran and fails if a row ran
+//! none, and it requires the shapes the family must reach, tallied from
+//! what ran rather than from what was asked for.
 
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
@@ -50,14 +54,14 @@ const SHARDED: [(usize, &str); 4] =
 /// Every row, in the order [`check`] runs them.
 const ROWS: [&str; 13] = [
     "engine",
-    "batch/1",
-    "batch/2",
-    "batch/4",
-    "shared by 4 threads",
     "shards/1",
     "shards/2",
     "shards/4",
     "shards/7",
+    "batch/1",
+    "batch/2",
+    "batch/4",
+    "shared by 4 threads",
     "daemon/unix",
     "daemon/tcp",
     "heap load",
@@ -67,8 +71,21 @@ const ROWS: [&str; 13] = [
 const MAPPED: bool = cfg!(all(target_os = "linux", target_endian = "little"));
 /// The daemon rows serve the first cases of every family.
 const DAEMON_CASES: usize = 2;
-/// Drawn cases per family, besides its hand-built shapes.
-const DRAWS: u64 = 16;
+/// The drawn cases of each family that run through every row. The rest of
+/// its [`draws`] run through the engines: sampled ones through `engine`
+/// (and the refresh check), drawn collections also through `shards/*`.
+const EVERY_ROW_DRAWS: u64 = 8;
+
+/// Drawn cases per weight regime, and drawn collections: the property
+/// suites' budget, `PROPTEST_CASES` when set (as the vendored proptest
+/// reads it), else 64.
+fn draws() -> u64 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|raw| raw.parse().ok())
+        .filter(|&cases| cases > 0)
+        .unwrap_or(64)
+}
 
 #[test]
 fn independent_cascade_cases_conform() {
@@ -161,21 +178,48 @@ struct Case {
     source: Source,
     deltas: Vec<GraphDelta>,
     queries: Vec<Query>,
+    /// The rows that serve the case.
+    rows: Rows,
+    /// Vertices whose postings form the case pins: `(v, rows)` requires `v`
+    /// to be a row in generation `g` exactly when `rows[g]`.
+    forms: Vec<(NodeId, Vec<bool>)>,
+    /// Whether every delta must resample more than half the sets.
+    resamples_most: bool,
+}
+
+impl Case {
+    fn new(name: String, shapes: Vec<&'static str>, source: Source, queries: Vec<Query>) -> Case {
+        let (deltas, forms) = (Vec::new(), Vec::new());
+        let rows = Rows::Every;
+        Case { name, shapes, source, deltas, queries, rows, forms, resamples_most: false }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Rows {
+    /// Every row of [`ROWS`].
+    Every,
+    /// `engine` and `shards/*`, the two engines.
+    Engines,
+    /// `engine` alone.
+    Engine,
 }
 
 fn cases(family: Family) -> Vec<Case> {
     match family {
+        // The weight regime alternates, so each takes `draws()` cases.
         Family::Ic => {
-            (0..DRAWS).map(|i| sampled_case(family, i)).chain([crossing_case()]).collect()
+            (0..2 * draws()).map(|i| sampled_case(family, i)).chain([crossing_case()]).collect()
         }
-        Family::Lt => (0..DRAWS).map(|i| sampled_case(family, i)).chain([hub_case()]).collect(),
+        Family::Lt => (0..draws()).map(|i| sampled_case(family, i)).chain([hub_case()]).collect(),
         Family::Sets => static_cases(),
     }
 }
 
 /// A random social graph of 40–130 vertices under `family`'s model, its
 /// weight regime alternating for IC, θ of 100–260, one to three chained
-/// deltas and the standard stream.
+/// deltas and the standard stream; past the every-row draws the stream
+/// skips the audience sweep and only `engine` serves it.
 fn sampled_case(family: Family, i: u64) -> Case {
     let mut rng = SmallRng::seed_from_u64(0xC0F0 ^ (i << 8) ^ family as u64);
     let n = rng.gen_range(40..130);
@@ -204,22 +248,27 @@ fn sampled_case(family: Family, i: u64) -> Case {
     };
     let theta = rng.gen_range(100..260);
     let deltas = delta_sequence(&graph, &weights, rng.gen_range(1..4), &mut rng);
-    Case {
-        name: format!("{family:?} draw {i} (n = {n}, θ = {theta})"),
-        shapes: vec![regime],
-        source: Source::Sampled { graph, weights, spec: SampleSpec::new(model, rng.gen()), theta },
-        deltas,
-        queries: query_stream(n, rng.gen(), None),
-    }
+    let spec = SampleSpec::new(model, rng.gen());
+    let mut case = Case::new(
+        format!("{family:?} draw {i} (n = {n}, θ = {theta})"),
+        vec![regime],
+        Source::Sampled { graph, weights, spec, theta },
+        query_stream(n, rng.gen(), (i >= EVERY_ROW_DRAWS).then(Vec::new)),
+    );
+    case.deltas = deltas;
+    case.rows = if i < EVERY_ROW_DRAWS { Rows::Every } else { Rows::Engine };
+    case
 }
 
 /// A vertex that crosses the row threshold both ways: on a dense IC graph
 /// (uniform weights, so a set holds most vertices) a vertex whose out-edges
 /// are cut is in almost no set, a list; a certain edge into the vertex with
 /// the most out-edges puts it in almost every set, a row; and deleting the
-/// edge again sends it back.
+/// edge again sends it back. Each delta moves the loner in or out of most
+/// sets. The stream skips the audience sweep, which the sets' size makes
+/// slow and the dense static cases already run.
 fn crossing_case() -> Case {
-    let (n, theta) = (300, 320); // a row needs degree > 10
+    let (n, theta) = (150, 320); // a row needs degree > 10
     let mut rng = SmallRng::seed_from_u64(43);
     let dense = CsrGraph::from_edge_list(&generators::social_network(n, 10, 0.3, &mut rng));
     let weights = EdgeWeights::ic_uniform(&dense, &mut rng);
@@ -232,27 +281,26 @@ fn crossing_case() -> Case {
     let (graph, weights) = cut.apply(&dense, &weights).expect("cut the loner off");
     let out = graph.transpose();
     let hub = (0..n as NodeId).max_by_key(|&v| out.in_neighbors(v).len()).expect("vertices");
-    Case {
-        name: "row-threshold crossing".into(),
-        shapes: vec!["weights uniform"],
-        source: Source::Sampled {
-            graph,
-            weights,
-            spec: SampleSpec::new(DiffusionModel::IndependentCascade, 29),
-            theta,
-        },
-        deltas: vec![
-            GraphDelta::new().insert(loner, hub, 1.0),
-            GraphDelta::new().delete(loner, hub).insert(3, 7, 0.05),
-        ],
-        queries: query_stream(n, 0xC805, None),
-    }
+    let spec = SampleSpec::new(DiffusionModel::IndependentCascade, 29);
+    let mut case = Case::new(
+        "row-threshold crossing".into(),
+        vec!["weights uniform"],
+        Source::Sampled { graph, weights, spec, theta },
+        query_stream(n, 0xC805, Some(Vec::new())),
+    );
+    case.deltas = vec![
+        GraphDelta::new().insert(loner, hub, 1.0),
+        GraphDelta::new().delete(loner, hub).insert(3, 7, 0.05),
+    ];
+    case.forms = vec![(hub, vec![true, true, true]), (loner, vec![false, true, false])];
+    case.resamples_most = true;
+    case
 }
 
 /// The shape the benchmark's sparse workload serves, scaled down: an LT
 /// index over a 3 000-vertex social graph, whose hubs head a long degree
 /// order, audiences of 1–30 % of the vertices (drawn with repeats) and
-/// budgets 1, 5 and 20.
+/// budgets 1, 5 and 20. It takes no delta: the sampled draws roll theirs.
 fn hub_case() -> Case {
     let n = 3_000;
     let mut rng = SmallRng::seed_from_u64(0x17);
@@ -265,18 +313,13 @@ fn hub_case() -> Case {
         let audience = BitSet::from_iter_with_capacity(n, draws);
         sweep.extend([1, 5, 20].map(|k| Query::audience_top_k(k, audience.clone())));
     }
-    Case {
-        name: "hub LT index".into(),
-        shapes: vec!["hub LT index", "weights LT-normalized"],
-        deltas: delta_sequence(&graph, &weights, 1, &mut rng),
-        source: Source::Sampled {
-            graph,
-            weights,
-            spec: SampleSpec::new(DiffusionModel::LinearThreshold, 0x5EED),
-            theta: 6_000,
-        },
-        queries: query_stream(n, 0x4B, Some(sweep)),
-    }
+    let spec = SampleSpec::new(DiffusionModel::LinearThreshold, 0x5EED);
+    Case::new(
+        "hub LT index".into(),
+        vec!["hub LT index", "weights LT-normalized"],
+        Source::Sampled { graph, weights, spec, theta: 6_000 },
+        query_stream(n, 0x4B, Some(sweep)),
+    )
 }
 
 /// Hand-built collections and drawn ones, each served as a static index.
@@ -285,19 +328,13 @@ fn static_cases() -> Vec<Case> {
     let mut case = |name: String, shape: &'static str, sets: RrrCollection, num_edges: usize| {
         let queries = query_stream(sets.num_nodes(), rng.gen(), None);
         let meta = IndexMeta { num_edges, label: name.clone() };
-        Case {
-            name,
-            shapes: vec![shape],
-            source: Source::Sets(sets, meta),
-            deltas: Vec::new(),
-            queries,
-        }
+        Case::new(name, vec![shape], Source::Sets(sets, meta), queries)
     };
     let sorted = |_: usize| false;
     let mut cases = vec![case("mixed-form".into(), "mixed-form collection", mixed_form_sets(), 0)];
     // Drawn: up to 30 sets of up to 20 members, each a bitmap or a list.
     let mut draw_rng = SmallRng::seed_from_u64(0xD4A7);
-    for i in 0..DRAWS {
+    for i in 0..draws() {
         let n = [48, 80][i as usize % 2];
         let sets: Vec<Vec<NodeId>> = (0..draw_rng.gen_range(0..30))
             .map(|_| {
@@ -311,7 +348,9 @@ fn static_cases() -> Vec<Case> {
             .collect();
         let bitmaps: Vec<bool> = sets.iter().map(|_| draw_rng.gen_bool(0.5)).collect();
         let drawn = collection(n, sets, |s| bitmaps[s]);
-        cases.push(case(format!("drawn collection {i}"), "drawn collection", drawn, 0));
+        let mut drawn = case(format!("drawn collection {i}"), "drawn collection", drawn, 0);
+        drawn.rows = if i < EVERY_ROW_DRAWS { Rows::Every } else { Rows::Engines };
+        cases.push(drawn);
     }
     // Degenerate: coverage exhausted before the budget (zero-gain tail
     // rounds), everything tied, no sets, duplicate sets, more shards than
@@ -512,13 +551,19 @@ fn budgets(n: usize) -> [usize; 5] {
 // The references.
 // ---------------------------------------------------------------------------
 
-/// The reference answer to every query of `queries` over `sets`.
-fn references(sets: &RrrCollection, queries: &[Query]) -> Vec<QueryResponse> {
+/// The reference answer to every query of `case`'s stream over `sets`. The
+/// eager kernels run at 1, 2 and 4 threads for a case every row serves, at
+/// one thread otherwise, once per distinct budget.
+fn references(sets: &RrrCollection, case: &Case) -> Vec<QueryResponse> {
     let (theta, n) = (sets.len(), sets.num_nodes());
-    queries
+    let threads: &[usize] = if case.rows == Rows::Every { &[1, 2, 4] } else { &[1] };
+    let mut eager = BTreeMap::new();
+    case.queries
         .iter()
         .map(|query| match query {
-            Query::TopK { k, audience: None } => eager_top_k(sets, *k),
+            Query::TopK { k, audience: None } => {
+                eager.entry(*k).or_insert_with(|| eager_top_k(sets, *k, threads)).clone()
+            }
             Query::TopK { k, audience: Some(audience) } => dense_masked_top_k(sets, *k, audience),
             Query::Spread { seeds } => QueryResponse::Spread {
                 estimate: sets.estimate_influence(seeds),
@@ -534,12 +579,12 @@ fn references(sets: &RrrCollection, queries: &[Query]) -> Vec<QueryResponse> {
 }
 
 /// Top-K by the eager kernels: the Ripples baseline and the EfficientIMM
-/// kernel (adaptive counter update on), each at 1, 2 and 4 threads, must
-/// pick the same seeds; the answer covers what those seeds cover.
-fn eager_top_k(sets: &RrrCollection, k: usize) -> QueryResponse {
-    let picks: Vec<Vec<NodeId>> = [1, 2, 4]
-        .into_iter()
-        .flat_map(|threads| {
+/// kernel (adaptive counter update on), each at every count of `threads`,
+/// must pick the same seeds; the answer covers what those seeds cover.
+fn eager_top_k(sets: &RrrCollection, k: usize, threads: &[usize]) -> QueryResponse {
+    let picks: Vec<Vec<NodeId>> = threads
+        .iter()
+        .flat_map(|&threads| {
             let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
             [
                 select_seeds_ripples(sets, k, threads).seeds,
@@ -548,7 +593,7 @@ fn eager_top_k(sets: &RrrCollection, k: usize) -> QueryResponse {
         })
         .collect();
     assert!(picks.windows(2).all(|w| w[0] == w[1]), "the eager kernels disagree at k = {k}");
-    let seeds = picks.into_iter().next().expect("six picks");
+    let seeds = picks.into_iter().next().expect("a pick per kernel");
     let covered = covered(sets, &seeds);
     QueryResponse::top_k_from_tallies(seeds, covered, sets.len(), sets.num_nodes())
 }
@@ -631,7 +676,7 @@ impl Generation {
                 (index.expect("members lie in the vertex space"), sets.clone(), None)
             }
         };
-        Generation { expected: references(&sets, &case.queries), index, revision }
+        Generation { expected: references(&sets, case), index, revision }
     }
 
     /// Roll `delta` the daemon's way (refresh a copy; this generation stays
@@ -669,19 +714,9 @@ impl Generation {
         if delta.insertions().iter().any(|&(s, d, _)| graph.in_neighbors(d).contains(&s)) {
             tally.shapes.insert("multigraph insert");
         }
-        for v in 0..index.num_nodes() as NodeId {
-            let (was, is) = (self.index.postings().is_row(v), index.postings().is_row(v));
-            if was != is {
-                tally.shapes.insert(if is {
-                    "a vertex joins the rows"
-                } else {
-                    "a vertex leaves the rows"
-                });
-            }
-        }
         let sets = draw(&next_graph, &next_weights, *spec, theta);
         let next = Generation {
-            expected: references(&sets, &case.queries),
+            expected: references(&sets, case),
             index,
             revision: Some((next_graph, next_weights, *spec)),
         };
@@ -704,19 +739,30 @@ fn saved(index: &SketchIndex) -> Vec<u8> {
     bytes
 }
 
-/// Serve every generation of `case` through every row, rolling its deltas.
+/// Serve every generation of `case` through its rows, rolling its deltas.
 fn run_case(case: &Case, with_daemon: bool, tally: &mut Tally) {
     tally.shapes.extend(&case.shapes);
     let mut ran = BTreeSet::new();
     let mut gen = Generation::first(case, tally);
-    let mut sharded: Vec<Arc<ShardedIndex>> =
-        SHARDED.iter().map(|&(shards, _)| partition(&gen.index, shards)).collect();
-    let mut daemons = if with_daemon { Daemon::pair(&gen) } else { Vec::new() };
+    let mut sharded: Vec<Arc<ShardedIndex>> = match case.rows {
+        Rows::Engine => Vec::new(),
+        _ => SHARDED.iter().map(|&(shards, _)| partition(&gen.index, shards)).collect(),
+    };
+    let mut daemons =
+        if with_daemon && case.rows == Rows::Every { Daemon::pair(&gen) } else { Vec::new() };
     let mut context = format!("{}, generation 0", case.name);
-    let mut engine = check(&context, &gen, &case.queries, &sharded, &mut daemons, &mut ran, tally);
+    check_forms(&context, case, 0, &gen.index);
+    let mut engine = check(&context, case, &gen, &sharded, &mut daemons, &mut ran, tally);
     for (step, delta) in case.deltas.iter().enumerate() {
         context = format!("{}, after delta {}", case.name, step + 1);
         let (next, stats) = gen.rolled(&context, delta, case, tally);
+        check_forms(&context, case, step + 1, &next.index);
+        assert!(
+            !case.resamples_most || stats.resampled_sets > stats.total_sets / 2,
+            "{context}: resampled {} of {} sets",
+            stats.resampled_sets,
+            stats.total_sets
+        );
         let (graph, weights, _) = gen.revision.as_ref().expect("a sampled case");
         sharded = sharded
             .iter()
@@ -730,7 +776,7 @@ fn run_case(case: &Case, with_daemon: bool, tally: &mut Tally) {
         let old = case.queries.iter().map(|q| engine.execute(q)).collect::<Vec<_>>();
         assert_answers(&context, "the rolled-away engine", &case.queries, &old, &gen.expected);
         gen = next;
-        engine = check(&context, &gen, &case.queries, &sharded, &mut daemons, &mut ran, tally);
+        engine = check(&context, case, &gen, &sharded, &mut daemons, &mut ran, tally);
     }
     for daemon in daemons {
         ran.insert(daemon.row);
@@ -739,37 +785,59 @@ fn run_case(case: &Case, with_daemon: bool, tally: &mut Tally) {
     for row in ran {
         *tally.rows.entry(row).or_default() += 1;
     }
+    // The pinned forms held in every generation, so the crossings they
+    // describe happened.
+    for (_, rows) in &case.forms {
+        for step in rows.windows(2) {
+            match (step[0], step[1]) {
+                (false, true) => tally.shapes.insert("a vertex joins the rows"),
+                (true, false) => tally.shapes.insert("a vertex leaves the rows"),
+                _ => false,
+            };
+        }
+    }
 }
 
-/// Every row answers `queries` on `gen` `==` to the references. Returns the
-/// `engine` row's engine, its pooled sessions stocked.
+/// Hold generation `g` of `case` to the postings forms the case pins.
+fn check_forms(context: &str, case: &Case, g: usize, index: &SketchIndex) {
+    for &(v, ref rows) in &case.forms {
+        let is_row = index.postings().is_row(v);
+        assert_eq!(is_row, rows[g], "{context}: vertex {v} is a row (degree {})", index.degree(v));
+    }
+}
+
+/// Every row of `case` answers its stream on `gen` `==` to the references.
+/// Returns the `engine` row's engine, its pooled sessions stocked.
 fn check(
     context: &str,
+    case: &Case,
     gen: &Generation,
-    queries: &[Query],
     sharded: &[Arc<ShardedIndex>],
     daemons: &mut [Daemon],
     ran: &mut BTreeSet<&'static str>,
     tally: &mut Tally,
 ) -> QueryEngine {
-    let (index, expected) = (Arc::new(gen.index.clone()), &gen.expected);
+    let (index, expected, queries) = (Arc::new(gen.index.clone()), &gen.expected, &case.queries);
     // One engine serves the whole stream, so every query after the first
     // runs on recycled scratch and beside the prefix earlier Top-Ks built.
     let engine = QueryEngine::new(Arc::clone(&index));
     let answers: Vec<QueryResponse> = queries.iter().map(|q| engine.execute(q)).collect();
     assert_answers(context, "engine", queries, &answers, expected);
     ran.insert("engine");
+    for (live, (_, row)) in sharded.iter().zip(SHARDED) {
+        let sharded = ShardedEngine::new(Arc::clone(live));
+        assert_answers(context, row, queries, &sharded.execute_batch(queries, 2), expected);
+        ran.insert(row);
+    }
+    if case.rows != Rows::Every {
+        return engine;
+    }
     for (threads, row) in BATCHED {
         assert_answers(context, row, queries, &engine.execute_batch(queries, threads), expected);
         ran.insert(row);
     }
     shared_by_threads(context, &index, queries, expected);
     ran.insert("shared by 4 threads");
-    for (live, (_, row)) in sharded.iter().zip(SHARDED) {
-        let sharded = ShardedEngine::new(Arc::clone(live));
-        assert_answers(context, row, queries, &sharded.execute_batch(queries, 2), expected);
-        ran.insert(row);
-    }
     for daemon in daemons {
         daemon.check(context, gen, queries);
     }
