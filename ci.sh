@@ -110,6 +110,33 @@ if grep -nE '^\[(target\..*\.)?dev-dependencies\]' crates/fault/Cargo.toml; then
   exit 1
 fi
 
+# The CLI is a tool of the serving system and runs one engine: the paper's
+# EfficientIMM-vs-Ripples comparison and its registry of SNAP analogues are
+# imm-bench's (table3_best_runtime), so imm-cli links no imm-bench, anywhere
+# in its tree, and names rayon in no manifest of its own (rayon still reaches
+# it through core, diffusion, service and shard). Its argument grammar, up to
+# the test module, names no `compare` subcommand and no `--algorithm` or
+# `--dataset` flag.
+echo "==> serving-CLI guard: no imm-bench in imm-cli's tree, no direct rayon, no compare/--algorithm/--dataset"
+CLI_TREE="$(cargo tree --offline -p imm-cli -e normal --prefix none)"
+CLI_DIRECT="$(cargo tree --offline -p imm-cli -e normal --prefix none --depth 1)"
+if grep -E '^imm-bench ' <<< "$CLI_TREE" || grep -E '^(imm-bench|rayon) ' <<< "$CLI_DIRECT"; then
+  echo "error: imm-cli links no imm-bench and depends on no rayon itself; the reproduction stays in imm-bench" >&2
+  exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/cli/src/args.rs | grep -nE 'compare|--algorithm|--dataset'; then
+  echo "error: the CLI runs one engine on graph files; the engine comparison and the dataset registry live in imm-bench" >&2
+  exit 1
+fi
+
+# The serde shim serializes only: nothing is deserialized into a typed value,
+# so no type derives or names `Deserialize` (the shim no longer has it).
+echo "==> serde guard: no Deserialize in crates/, src/, tests/ or examples/"
+if grep -rn 'Deserialize' crates src tests examples; then
+  echo "error: the serde shim has no Deserialize; JSON is read as an untyped serde_json::Value" >&2
+  exit 1
+fi
+
 # The vendored rayon shim has no parallel iterators (its sequential `prelude`
 # is gone), so nothing in the tree may look parallel and not be: parallel
 # sections go through run_tasks / rayon::scope.
@@ -492,11 +519,14 @@ rm -f "$SMOKE_OUT" "$SMOKE_BASELINE"
 # and remove its socket file.
 echo "==> serving daemon smoke (unix socket, byte-identity, clean shutdown)"
 SERVE_DIR="$(mktemp -d /tmp/imm_serve_smoke.XXXXXX)"
-# The root-package tier-1 build does not cover the imm-cli binary; build
-# it explicitly so the smokes never run a stale CLI.
+# Tier-1's `cargo build --release` covers the CLI (a default member); build
+# it explicitly anyway so the smokes never depend on that and never run a
+# stale CLI.
 cargo build --release -p imm-cli
 CLI=target/release/efficient-imm
-"$CLI" build-index --dataset com-Amazon --output "$SERVE_DIR/g.sketch" \
+# A community graph of 1 600 vertices in blocks of 50.
+"$CLI" generate --output "$SERVE_DIR/g.txt" --kind community --nodes 1600 --seed 17 > /dev/null
+"$CLI" build-index --graph "$SERVE_DIR/g.txt" --output "$SERVE_DIR/g.sketch" \
   --threads 2 --seed 17 > /dev/null
 "$CLI" serve --index "$SERVE_DIR/g.sketch" --socket "$SERVE_DIR/imm.sock" \
   --shards 2 --threads 2 > "$SERVE_DIR/serve.log" &

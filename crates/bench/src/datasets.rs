@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Reference values reported by the paper for the original dataset.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct PaperReference {
     /// Nodes of the original SNAP graph (Table I).
     pub nodes: u64,
@@ -39,7 +39,7 @@ pub struct PaperReference {
 }
 
 /// How the synthetic analogue is generated.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub enum GeneratorKind {
     /// Community-structured graph (stochastic block model + backbone):
     /// product/co-authorship networks such as com-Amazon and com-DBLP.
@@ -76,7 +76,7 @@ pub enum GeneratorKind {
 }
 
 /// One entry of the registry.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct DatasetSpec {
     /// Short name used in output tables (matches the paper's dataset names).
     pub name: &'static str,

@@ -47,7 +47,7 @@ const VERTEX_BYTES: u64 = 4;
 const RRR_SET_STRIDE: u64 = 1 << 20;
 
 /// Result of a cache-instrumented selection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct CacheMissReport {
     /// Combined L1 + L2 misses over all simulated cores.
     pub l1_plus_l2_misses: u64,
@@ -248,7 +248,7 @@ fn rrr_element_address(set_idx: usize, v: NodeId) -> u64 {
 }
 
 /// Result of the NUMA-placement experiment for one placement.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct BitmapCostReport {
     /// Modelled cost of the visited-bitmap accesses.
     pub bitmap_cost: f64,

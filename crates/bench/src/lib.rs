@@ -19,9 +19,6 @@
 //!   collecting results.
 //! * [`output`] — plain-text tables, CSV files and the JSON run logs the
 //!   paper's artifact produces.
-//! * [`obs`] — the versioned JSON shape for `imm-obs` registry exports,
-//!   shared by the CLI's `stats --metrics` and the daemon's metrics
-//!   response.
 //!
 //! Each table/figure has a dedicated binary under `src/bin/`; see DESIGN.md
 //! §6 for the experiment-to-binary index.
@@ -31,7 +28,6 @@ pub mod counter;
 pub mod datasets;
 pub mod efficient;
 pub mod instrumented;
-pub mod obs;
 pub mod output;
 pub mod runner;
 pub mod scaling;

@@ -3,38 +3,34 @@
 //! outside it, a repeated flag and a value flag with no value are errors that
 //! name the flag and the subcommand, so a typo never falls back to a default.
 
-use efficient_imm::Algorithm;
 use imm_diffusion::DiffusionModel;
 use imm_serve::Listen;
 use std::path::PathBuf;
 
 /// Usage text printed on parse errors and by `help`.
 pub const USAGE: &str = "\
-efficient-imm — influence maximization (EfficientIMM / Ripples engines)
+efficient-imm — influence maximization with EfficientIMM: solve, index, serve
 
 USAGE:
   efficient-imm generate    --output <FILE> [--kind social|community|rmat|road]
                             [--nodes <N>] [--avg-degree <D>] [--seed <S>]
-  efficient-imm run         (--graph <FILE> | --dataset <NAME>) [--model ic|lt]
-                            [--algorithm efficientimm|ripples] [--k <K>]
+  efficient-imm run         --graph <FILE> [--model ic|lt] [--k <K>]
                             [--epsilon <E>] [--threads <T>] [--seed <S>]
                             [--output <JSON>]
-  efficient-imm compare     (--graph <FILE> | --dataset <NAME>) [--model ic|lt]
-                            [--k <K>] [--epsilon <E>] [--threads <T>] [--seed <S>]
-  efficient-imm stats       (--graph <FILE> | --dataset <NAME> | --index <FILE>)
+  efficient-imm stats       (--graph <FILE> | --index <FILE>)
                             [--rrr-sets <N>] [--metrics] [--startup-timing]
   efficient-imm stats       --metrics --describe
-  efficient-imm build-index (--graph <FILE> | --dataset <NAME>) --output <FILE>
+  efficient-imm build-index --graph <FILE> --output <FILE>
                             [--model ic|lt] [--k <K>] [--epsilon <E>]
                             [--threads <T>] [--seed <S>]
   efficient-imm query       --index <FILE>
                             [--top-k <K1,K2,..>] [--audience <V1,V2,..>]
                             [--spread <V1,V2,..>] [--marginal <V1,V2,..:C>]
                             [--threads <T>] [--metrics]
-  efficient-imm update-index --index <FILE> (--graph <FILE> | --dataset <NAME>)
-                            --delta <FILE> [--output <FILE>] [--journal <FILE>]
+  efficient-imm update-index --index <FILE> --graph <FILE> --delta <FILE>
+                            [--output <FILE>] [--journal <FILE>]
   efficient-imm serve       --index <FILE> (--socket <PATH> | --tcp <ADDR>)
-                            [--graph <FILE> | --dataset <NAME>] [--shards <N>]
+                            [--graph <FILE>] [--shards <N>]
                             [--threads <T>] [--max-cost <C>]
                             [--max-inflight <N>] [--idle-timeout-ms <MS>]
                             [--deadline-ms <MS>] [--journal <FILE>] [--mmap]
@@ -54,18 +50,17 @@ marginal-gain requests from that snapshot without resampling, and `stats
 coverage to the RRR sets touching the given vertex slice. `update-index`
 refreshes a snapshot against a batch of edge mutations (delta file lines:
 `+ src dst w`, `- src dst`, `~ src dst w`, `#` comments), resampling only
-the RRR sets the mutations touch; pass the *original* graph source — the
+the RRR sets the mutations touch; pass the *original* graph file — the
 snapshot's delta log replays every earlier batch to reconstruct the current
-revision. The --dataset name refers to the built-in SNAP analogues
-(com-Amazon, com-DBLP, com-YouTube, as-Skitter, web-Google, soc-Pokec,
-com-LJ, twitter7).
+revision. A graph file is a SNAP-format edge list (`src dst [weight]` per
+line, `#` comments), as `generate` writes.
 
 `serve` starts the long-running daemon: it loads a snapshot, lays a
 --shards-range shard map over it (the map feeds only the
 shard_load_imbalance gauge; every query reads the whole index, so answers
 do not depend on it), and answers framed RPC requests on a unix socket
 (--socket) or TCP address (--tcp) until a client sends the shutdown verb.
-Pass the snapshot's original --graph/--dataset to enable rolling
+Pass the snapshot's original --graph to enable rolling
 `apply-delta` rollouts (queries keep serving on the old index until the
 refreshed one swaps in); --max-cost rejects queries
 whose postings-size cost estimate exceeds the budget, and --max-inflight
@@ -106,15 +101,6 @@ metrics, serving-daemon counters) to the stats output. `stats --metrics
 Observability section) and exits. `query --metrics` appends the
 before/after metrics delta of the served batch to the query output.";
 
-/// Which graph source a command reads.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GraphSource {
-    /// SNAP-format edge-list file.
-    File(String),
-    /// Built-in registry dataset by name.
-    Dataset(String),
-}
-
 /// Parsed `generate` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerateArgs {
@@ -130,16 +116,13 @@ pub struct GenerateArgs {
     pub seed: u64,
 }
 
-/// Parsed `run` / `compare` options.
+/// Parsed `run` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
-    /// Where the graph comes from.
-    pub source: GraphSource,
+    /// SNAP-format edge-list file of the graph.
+    pub graph: String,
     /// Diffusion model.
     pub model: DiffusionModel,
-    /// Engine: `run`'s `--algorithm`. `compare` runs both engines, and
-    /// `build-index` (which has no such flag) always samples as EfficientIMM.
-    pub algorithm: Algorithm,
     /// Number of seeds.
     pub k: usize,
     /// Approximation parameter.
@@ -155,8 +138,8 @@ pub struct RunArgs {
 /// Parsed `stats` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsArgs {
-    /// Where the graph comes from (absent when reading a saved index).
-    pub source: Option<GraphSource>,
+    /// Graph file to sample (absent when reading a saved index).
+    pub graph: Option<String>,
     /// How many RRR sets to sample for the coverage columns.
     pub rrr_sets: usize,
     /// Sketch-index snapshot to reuse instead of resampling.
@@ -186,8 +169,8 @@ pub struct UpdateIndexArgs {
     /// Sketch-index snapshot to refresh (must carry keyed-sampler provenance,
     /// i.e. be written by this build's `build-index`).
     pub index: String,
-    /// The *original* graph source the snapshot was built from.
-    pub source: GraphSource,
+    /// The *original* graph file the snapshot was built from.
+    pub graph: String,
     /// Delta file with one mutation per line.
     pub delta: String,
     /// Where the refreshed snapshot is written (defaults to `--index`).
@@ -216,9 +199,9 @@ pub struct QueryArgs {
 pub struct ServeArgs {
     /// Sketch-index snapshot to serve.
     pub index: String,
-    /// The snapshot's original graph source; enables rolling
+    /// The snapshot's original graph file; enables rolling
     /// `apply-delta` rollouts (absent → the daemon serves statically).
-    pub source: Option<GraphSource>,
+    pub graph: Option<String>,
     /// Where the daemon listens.
     pub listen: Listen,
     /// Shard count of the shard map.
@@ -312,8 +295,6 @@ pub enum Command {
     Generate(GenerateArgs),
     /// `run`
     Run(RunArgs),
-    /// `compare`
-    Compare(RunArgs),
     /// `stats`
     Stats(StatsArgs),
     /// `build-index`
@@ -336,7 +317,7 @@ pub enum Command {
 /// default: `IMM_THREADS`, else the machine parallelism).
 pub fn pool_threads(command: &Command) -> Option<usize> {
     match command {
-        Command::Run(r) | Command::Compare(r) => Some(r.threads),
+        Command::Run(r) => Some(r.threads),
         Command::BuildIndex(b) => Some(b.run.threads),
         Command::Query(q) => Some(q.threads),
         Command::Serve(s) => Some(s.threads),
@@ -353,32 +334,21 @@ pub fn pool_threads(command: &Command) -> Option<usize> {
 /// them. Its `USAGE` synopsis names the same flags (a test checks).
 struct Grammar(&'static str, &'static str, &'static str, fn(&Flags) -> Result<Command, String>);
 
-/// `run` reads these flags, and `build-index` all but `--algorithm`: both
-/// engines draw the same keyed sets, θ and postings, so an index does not
-/// depend on the engine.
-const RUN_FLAGS: &str =
-    "--graph --dataset --model --algorithm --k --epsilon --threads --seed --output";
-const BUILD_INDEX_FLAGS: &str = "--graph --dataset --model --k --epsilon --threads --seed --output";
+/// `run` and `build-index` read the same flags: `build-index` runs the same
+/// solve and freezes its sample, so an index is what `run` selected from.
+const RUN_FLAGS: &str = "--graph --model --k --epsilon --threads --seed --output";
 
-const GRAMMARS: [Grammar; 9] = [
+const GRAMMARS: [Grammar; 8] = [
     Grammar("generate", "--output --kind --nodes --avg-degree --seed", "", parse_generate),
     Grammar("run", RUN_FLAGS, "", |f| Ok(Command::Run(parse_run(f)?))),
-    Grammar("compare", "--graph --dataset --model --k --epsilon --threads --seed", "", |f| {
-        Ok(Command::Compare(parse_run(f)?))
-    }),
     Grammar(
         "stats",
-        "--graph --dataset --index --rrr-sets",
+        "--graph --index --rrr-sets",
         "--metrics --describe --startup-timing",
         parse_stats,
     ),
-    Grammar("build-index", BUILD_INDEX_FLAGS, "", parse_build_index),
-    Grammar(
-        "update-index",
-        "--index --graph --dataset --delta --output --journal",
-        "",
-        parse_update_index,
-    ),
+    Grammar("build-index", RUN_FLAGS, "", parse_build_index),
+    Grammar("update-index", "--index --graph --delta --output --journal", "", parse_update_index),
     Grammar(
         "query",
         "--index --top-k --audience --spread --marginal --threads",
@@ -387,7 +357,7 @@ const GRAMMARS: [Grammar; 9] = [
     ),
     Grammar(
         "serve",
-        "--index --socket --tcp --graph --dataset --shards --threads --max-cost \
+        "--index --socket --tcp --graph --shards --threads --max-cost \
          --max-inflight --idle-timeout-ms --deadline-ms --journal",
         "--mmap",
         parse_serve,
@@ -455,17 +425,9 @@ impl<'a> Flags<'a> {
         self.get(name).map(|raw| parse_list(raw, name)).transpose()
     }
 
-    fn optional_source(&self) -> Result<Option<GraphSource>, String> {
-        match (self.get("--graph"), self.get("--dataset")) {
-            (Some(path), None) => Ok(Some(GraphSource::File(path.to_string()))),
-            (None, Some(name)) => Ok(Some(GraphSource::Dataset(name.to_string()))),
-            (Some(_), Some(_)) => Err("pass either --graph or --dataset, not both".into()),
-            (None, None) => Ok(None),
-        }
-    }
-
-    fn source(&self) -> Result<GraphSource, String> {
-        self.optional_source()?.ok_or_else(|| "one of --graph or --dataset is required".into())
+    /// The required `--graph` file.
+    fn graph(&self) -> Result<String, String> {
+        self.get("--graph").map(str::to_string).ok_or_else(|| "--graph <FILE> is required".into())
     }
 }
 
@@ -484,15 +446,9 @@ fn parse_run(flags: &Flags) -> Result<RunArgs, String> {
         None => DiffusionModel::IndependentCascade,
         Some(raw) => DiffusionModel::parse(raw).ok_or(format!("unknown model '{raw}'"))?,
     };
-    let algorithm = match flags.get("--algorithm").unwrap_or("efficientimm") {
-        "efficientimm" | "efficient" | "eimm" => Algorithm::Efficient,
-        "ripples" | "baseline" => Algorithm::Ripples,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
     Ok(RunArgs {
-        source: flags.source()?,
+        graph: flags.graph()?,
         model,
-        algorithm,
         k: flags.get_parsed("--k", 50usize)?,
         epsilon: flags.get_parsed("--epsilon", 0.5f64)?,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
@@ -510,7 +466,7 @@ fn parse_build_index(flags: &Flags) -> Result<Command, String> {
 fn parse_update_index(flags: &Flags) -> Result<Command, String> {
     Ok(Command::UpdateIndex(UpdateIndexArgs {
         index: flags.get("--index").ok_or("update-index requires --index")?.to_string(),
-        source: flags.source()?,
+        graph: flags.graph()?,
         delta: flags.get("--delta").ok_or("update-index requires --delta")?.to_string(),
         output: flags.get("--output").map(str::to_string),
         journal: flags.get("--journal").map(str::to_string),
@@ -519,7 +475,7 @@ fn parse_update_index(flags: &Flags) -> Result<Command, String> {
 
 fn parse_stats(flags: &Flags) -> Result<Command, String> {
     let stats = StatsArgs {
-        source: None,
+        graph: None,
         rrr_sets: 0,
         index: flags.get("--index").map(str::to_string),
         metrics: flags.has("--metrics"),
@@ -544,9 +500,9 @@ fn parse_stats(flags: &Flags) -> Result<Command, String> {
         return Err("--startup-timing times a snapshot load; pass --index <FILE>".into());
     }
     if stats.index.is_some() {
-        // A snapshot already fixes the graph and the sample: a second source or
-        // a sample size would be silently ignored, so reject the combination.
-        for conflicting in ["--graph", "--dataset", "--rrr-sets"] {
+        // A snapshot already fixes the graph and the sample: a graph file or a
+        // sample size would be silently ignored, so reject the combination.
+        for conflicting in ["--graph", "--rrr-sets"] {
             if flags.get(conflicting).is_some() {
                 return Err(format!("pass either --index or {conflicting}, not both"));
             }
@@ -554,7 +510,7 @@ fn parse_stats(flags: &Flags) -> Result<Command, String> {
         return Ok(Command::Stats(stats));
     }
     Ok(Command::Stats(StatsArgs {
-        source: Some(flags.source()?),
+        graph: Some(flags.graph()?),
         rrr_sets: flags.get_parsed("--rrr-sets", 256usize)?,
         ..stats
     }))
@@ -631,7 +587,7 @@ fn parse_serve(flags: &Flags) -> Result<Command, String> {
     }
     Ok(Command::Serve(ServeArgs {
         index: flags.get("--index").ok_or("serve requires --index")?.to_string(),
-        source: flags.optional_source()?,
+        graph: flags.get("--graph").map(str::to_string),
         listen,
         shards,
         threads: flags.get_parsed("--threads", imm_exec::default_threads())?,
@@ -723,12 +679,10 @@ mod tests {
     fn parses_run_with_all_flags() {
         let cmd = parse(&sv(&[
             "run",
-            "--dataset",
-            "web-Google",
+            "--graph",
+            "web.txt",
             "--model",
             "lt",
-            "--algorithm",
-            "ripples",
             "--k",
             "5",
             "--epsilon",
@@ -741,9 +695,8 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run(r) => {
-                assert_eq!(r.source, GraphSource::Dataset("web-Google".into()));
+                assert_eq!(r.graph, "web.txt");
                 assert_eq!(r.model, DiffusionModel::LinearThreshold);
-                assert_eq!(r.algorithm, Algorithm::Ripples);
                 assert_eq!(r.k, 5);
                 assert!((r.epsilon - 0.3).abs() < 1e-12);
                 assert_eq!(r.threads, 2);
@@ -755,26 +708,20 @@ mod tests {
     }
 
     #[test]
-    fn run_requires_exactly_one_source() {
-        assert!(parse(&sv(&["run", "--model", "ic"])).is_err());
-        assert!(parse(&sv(&["run", "--graph", "a.txt", "--dataset", "web-Google"])).is_err());
-    }
-
-    #[test]
     fn rejects_bad_values() {
-        assert!(parse(&sv(&["run", "--dataset", "x", "--k", "not-a-number"])).is_err());
-        assert!(parse(&sv(&["run", "--dataset", "x", "--model", "sir"])).is_err());
-        assert!(parse(&sv(&["run", "--dataset", "x", "--algorithm", "magic"])).is_err());
-        assert!(parse(&sv(&["run", "--dataset"])).is_err(), "dangling flag");
+        assert_eq!(parse(&sv(&["run", "--model", "ic"])), Err("--graph <FILE> is required".into()));
+        assert!(parse(&sv(&["run", "--graph", "x", "--k", "not-a-number"])).is_err());
+        assert!(parse(&sv(&["run", "--graph", "x", "--model", "sir"])).is_err());
+        assert!(parse(&sv(&["run", "--graph"])).is_err(), "dangling flag");
     }
 
     #[test]
-    fn parses_stats_and_compare() {
+    fn parses_stats() {
         let cmd = parse(&sv(&["stats", "--graph", "g.txt", "--rrr-sets", "64"])).unwrap();
         assert_eq!(
             cmd,
             Command::Stats(StatsArgs {
-                source: Some(GraphSource::File("g.txt".into())),
+                graph: Some("g.txt".into()),
                 rrr_sets: 64,
                 index: None,
                 metrics: false,
@@ -782,17 +729,15 @@ mod tests {
                 startup_timing: false,
             })
         );
-        let cmd = parse(&sv(&["compare", "--dataset", "com-Amazon"])).unwrap();
-        assert!(matches!(cmd, Command::Compare(_)));
     }
 
     #[test]
-    fn stats_accepts_an_index_instead_of_a_source() {
+    fn stats_accepts_an_index_instead_of_a_graph() {
         let cmd = parse(&sv(&["stats", "--index", "g.sketch"])).unwrap();
         assert_eq!(
             cmd,
             Command::Stats(StatsArgs {
-                source: None,
+                graph: None,
                 rrr_sets: 0,
                 index: Some("g.sketch".into()),
                 metrics: false,
@@ -800,12 +745,11 @@ mod tests {
                 startup_timing: false,
             })
         );
-        // With neither index nor source, stats is still an error.
+        // With neither index nor graph, stats is still an error.
         assert!(parse(&sv(&["stats", "--rrr-sets", "8"])).is_err());
         // A snapshot fixes the graph and the sample, so combining --index
-        // with a source or a sample size is rejected, not silently ignored.
+        // with a graph or a sample size is rejected, not silently ignored.
         assert!(parse(&sv(&["stats", "--graph", "g.txt", "--index", "g.sketch"])).is_err());
-        assert!(parse(&sv(&["stats", "--dataset", "com-DBLP", "--index", "g.sketch"])).is_err());
         assert!(parse(&sv(&["stats", "--index", "g.sketch", "--rrr-sets", "64"])).is_err());
     }
 
@@ -818,7 +762,7 @@ mod tests {
             match parse(&argv).unwrap() {
                 Command::Stats(s) => {
                     assert!(s.metrics);
-                    assert_eq!(s.source, Some(GraphSource::File("g.txt".into())));
+                    assert_eq!(s.graph.as_deref(), Some("g.txt"));
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -846,7 +790,7 @@ mod tests {
 
     #[test]
     fn pool_threads_reflects_the_explicit_flag() {
-        let cmd = parse(&sv(&["run", "--dataset", "x", "--threads", "3"])).unwrap();
+        let cmd = parse(&sv(&["run", "--graph", "x", "--threads", "3"])).unwrap();
         assert_eq!(pool_threads(&cmd), Some(3));
         let cmd = parse(&sv(&["query", "--index", "i", "--top-k", "2", "--threads", "2"])).unwrap();
         assert_eq!(pool_threads(&cmd), Some(2));
@@ -857,31 +801,21 @@ mod tests {
 
     #[test]
     fn parses_build_index() {
-        let cmd = parse(&sv(&[
-            "build-index",
-            "--dataset",
-            "web-Google",
-            "--k",
-            "7",
-            "--output",
-            "g.sketch",
-        ]))
-        .unwrap();
+        let cmd =
+            parse(&sv(&["build-index", "--graph", "web.txt", "--k", "7", "--output", "g.sketch"]))
+                .unwrap();
         match cmd {
             Command::BuildIndex(b) => {
                 assert_eq!(b.output, "g.sketch");
                 assert_eq!(b.run.k, 7);
-                assert_eq!(b.run.source, GraphSource::Dataset("web-Google".into()));
+                assert_eq!(b.run.graph, "web.txt");
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(
-            parse(&sv(&["build-index", "--dataset", "web-Google"])).is_err(),
+            parse(&sv(&["build-index", "--graph", "web.txt"])).is_err(),
             "--output is required"
         );
-        // An index does not depend on the engine, so build-index takes none.
-        let ripples = ["build-index", "--dataset", "x", "--output", "g", "--algorithm", "ripples"];
-        assert_eq!(parse(&sv(&ripples)), Err("unknown flag '--algorithm' for build-index".into()));
     }
 
     #[test]
@@ -900,7 +834,7 @@ mod tests {
             cmd,
             Command::UpdateIndex(UpdateIndexArgs {
                 index: "g.sketch".into(),
-                source: GraphSource::File("g.txt".into()),
+                graph: "g.txt".into(),
                 delta: "churn.delta".into(),
                 output: None,
                 journal: None,
@@ -910,8 +844,8 @@ mod tests {
             "update-index",
             "--index",
             "g.sketch",
-            "--dataset",
-            "com-DBLP",
+            "--graph",
+            "dblp.txt",
             "--delta",
             "churn.delta",
             "--output",
@@ -923,7 +857,7 @@ mod tests {
         match cmd {
             Command::UpdateIndex(u) => {
                 assert_eq!(u.output.as_deref(), Some("g2.sketch"));
-                assert_eq!(u.source, GraphSource::Dataset("com-DBLP".into()));
+                assert_eq!(u.graph, "dblp.txt");
                 assert_eq!(u.journal.as_deref(), Some("g.journal"));
             }
             other => panic!("unexpected {other:?}"),
@@ -970,7 +904,7 @@ mod tests {
 
     #[test]
     fn query_rejects_bad_or_missing_requests() {
-        assert!(parse(&sv(&["query", "--top-k", "3"])).is_err(), "a source is required");
+        assert!(parse(&sv(&["query", "--top-k", "3"])).is_err(), "an index is required");
         assert!(
             parse(&sv(&["query", "--index", "i"])).is_err(),
             "at least one query kind is required"
@@ -1015,7 +949,7 @@ mod tests {
             cmd,
             Command::Serve(ServeArgs {
                 index: "g.sketch".into(),
-                source: None,
+                graph: None,
                 listen: Listen::Unix("/tmp/imm.sock".into()),
                 shards: 4,
                 threads: 3,
@@ -1029,20 +963,20 @@ mod tests {
         );
         assert_eq!(pool_threads(&cmd), Some(3));
 
-        // A graph source enables rollouts; TCP addresses work too.
+        // A graph file enables rollouts; TCP addresses work too.
         let cmd = parse(&sv(&[
             "serve",
             "--index",
             "g.sketch",
             "--tcp",
             "127.0.0.1:0",
-            "--dataset",
-            "com-Amazon",
+            "--graph",
+            "g.txt",
         ]))
         .unwrap();
         match cmd {
             Command::Serve(args) => {
-                assert_eq!(args.source, Some(GraphSource::Dataset("com-Amazon".into())));
+                assert_eq!(args.graph.as_deref(), Some("g.txt"));
                 assert_eq!(args.listen, Listen::Tcp("127.0.0.1:0".into()));
                 assert_eq!(args.shards, 1);
                 assert_eq!(args.max_cost, None);
@@ -1060,18 +994,6 @@ mod tests {
         assert!(parse(&sv(&["serve", "--index", "g"])).is_err()); // no address
         assert!(parse(&sv(&["serve", "--index", "g", "--socket", "a", "--tcp", "b"])).is_err());
         assert!(parse(&sv(&["serve", "--index", "g", "--socket", "a", "--shards", "0"])).is_err());
-        assert!(parse(&sv(&[
-            "serve",
-            "--index",
-            "g",
-            "--socket",
-            "a",
-            "--graph",
-            "f",
-            "--dataset",
-            "d"
-        ]))
-        .is_err());
         assert!(
             parse(&sv(&["serve", "--index", "g", "--socket", "a", "--max-cost", "lots"])).is_err()
         );
@@ -1174,10 +1096,9 @@ mod tests {
     #[test]
     fn every_subcommand_rejects_unknown_repeated_and_valueless_flags() {
         // One valid line per subcommand, each opening with a value flag.
-        let valid: [&[&str]; 9] = [
+        let valid: [&[&str]; 8] = [
             &["generate", "--output", "g.txt"],
             &["run", "--graph", "g.txt"],
-            &["compare", "--graph", "g.txt"],
             &["stats", "--graph", "g.txt"],
             &["build-index", "--output", "g.sketch", "--graph", "g.txt"],
             &["update-index", "--index", "g.sketch", "--graph", "g.txt", "--delta", "d"],
@@ -1206,7 +1127,6 @@ mod tests {
         let typo = ["run", "--graph", "g.txt", "--k", "3", "--thread", "4", "--epsilom", "0.9"];
         assert_eq!(parse(&sv(&typo)), Err("unknown flag '--thread' for run".into()));
         assert!(parse(&sv(&["run", "--graph", "g.txt", "--k", "3", "--k", "9"])).is_err());
-        assert!(parse(&sv(&["compare", "--graph", "g.txt", "--output", "out.json"])).is_err());
         // A snapshot is one file: the shard-file flags and subcommand are gone.
         let query = ["query", "--index", "g.sketch", "--top-k", "2"];
         assert_eq!(
@@ -1221,6 +1141,32 @@ mod tests {
             parse(&sv(&["split-index", "--index", "g.sketch", "--shards", "2", "--output", "p"])),
             Err("unknown subcommand 'split-index'".into())
         );
+    }
+
+    #[test]
+    fn the_second_engine_and_the_dataset_registry_are_not_commands() {
+        // The EfficientIMM-vs-Ripples comparison runs in imm-bench's
+        // table3_best_runtime, over its registry of SNAP analogues.
+        assert_eq!(
+            parse(&sv(&["compare", "--graph", "g.txt"])),
+            Err("unknown subcommand 'compare'".into())
+        );
+        let ripples = ["run", "--graph", "g.txt", "--algorithm", "ripples"];
+        assert_eq!(parse(&sv(&ripples)), Err("unknown flag '--algorithm' for run".into()));
+        let ripples =
+            ["build-index", "--graph", "g.txt", "--output", "g", "--algorithm", "ripples"];
+        assert_eq!(parse(&sv(&ripples)), Err("unknown flag '--algorithm' for build-index".into()));
+        for argv in [
+            &["run"][..],
+            &["stats"],
+            &["build-index", "--output", "g.sketch"],
+            &["update-index", "--index", "g.sketch", "--delta", "d"],
+            &["serve", "--index", "g.sketch", "--socket", "s"],
+        ] {
+            let line = [argv, &["--dataset", "com-Amazon"]].concat();
+            let want = format!("unknown flag '--dataset' for {}", argv[0]);
+            assert_eq!(parse(&sv(&line)), Err(want), "{line:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Command implementations for the `efficient-imm` CLI.
 
 use crate::args::{
-    BatchSpec, BuildIndexArgs, ClientAction, ClientArgs, Command, GenerateArgs, GraphSource,
-    QueryArgs, RunArgs, ServeArgs, StatsArgs, UpdateIndexArgs, USAGE,
+    BatchSpec, BuildIndexArgs, ClientAction, ClientArgs, Command, GenerateArgs, QueryArgs, RunArgs,
+    ServeArgs, StatsArgs, UpdateIndexArgs, USAGE,
 };
+use crate::obs;
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams, ImmResult};
-use imm_bench::datasets::{find, Scale};
+use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, io, properties, CsrGraph, EdgeWeights, GraphDelta, WeightModel};
 use imm_rrr::{AdaptivePolicy, BitSet};
@@ -35,7 +35,6 @@ pub fn execute(command: Command) -> Result<(), CliError> {
         }
         Command::Generate(args) => generate(&args),
         Command::Run(args) => run(&args),
-        Command::Compare(args) => compare(&args),
         Command::Stats(args) => stats(&args),
         Command::BuildIndex(args) => build_index(&args),
         Command::UpdateIndex(args) => update_index(&args),
@@ -94,65 +93,52 @@ fn generate(args: &GenerateArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Load a graph and build model weights for it from either source.
-fn load(
-    source: &GraphSource,
-    model: DiffusionModel,
-    seed: u64,
-) -> Result<(CsrGraph, EdgeWeights, String), CliError> {
-    match source {
-        GraphSource::File(path) => {
-            let (el, file_weights) = io::read_snap_file(path).map_err(|e| e.to_string())?;
-            // Each branch drops the edge list (and the line-order weight
-            // column) as soon as the CSR holds them, before the weights are
-            // built: the list is the load's largest allocation.
-            let (graph, weights) = match file_weights {
-                // The weight column is in line order; it moves with its edge.
-                Some(line_weights) => {
-                    let (graph, w) = CsrGraph::from_edge_list_with(&el, &line_weights);
-                    drop((el, line_weights));
-                    let weights = EdgeWeights::from_vec(&graph, w, WeightModel::Constant)
-                        .map_err(|e| e.to_string())?;
-                    (graph, weights)
-                }
-                None => {
-                    let graph = CsrGraph::from_edge_list(&el);
-                    drop(el);
-                    let model = match model {
-                        DiffusionModel::IndependentCascade => WeightModel::IcUniform,
-                        DiffusionModel::LinearThreshold => WeightModel::LtNormalized,
-                    };
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    let weights = EdgeWeights::generate(&graph, model, 0.0, &mut rng);
-                    (graph, weights)
-                }
-            };
-            Ok((graph, weights, path.clone()))
+/// Load a graph file and its model weights: the file's weight column when it
+/// has one, else weights drawn for `model` from `seed`.
+fn load(path: &str, model: DiffusionModel, seed: u64) -> Result<(CsrGraph, EdgeWeights), CliError> {
+    let (el, file_weights) =
+        io::read_snap_file(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    // Each branch drops the edge list (and the line-order weight column) as
+    // soon as the CSR holds them, before the weights are built: the list is
+    // the load's largest allocation.
+    match file_weights {
+        // The weight column is in line order; it moves with its edge.
+        Some(line_weights) => {
+            let (graph, w) = CsrGraph::from_edge_list_with(&el, &line_weights);
+            drop((el, line_weights));
+            let weights = EdgeWeights::from_vec(&graph, w, WeightModel::Constant)
+                .map_err(|e| e.to_string())?;
+            Ok((graph, weights))
         }
-        GraphSource::Dataset(name) => {
-            let spec = find(Scale::Small, name)
-                .ok_or_else(|| format!("unknown dataset '{name}' (see `efficient-imm help`)"))?;
-            let dataset = spec.build();
-            let weights = match model {
-                DiffusionModel::IndependentCascade => dataset.ic_weights,
-                DiffusionModel::LinearThreshold => dataset.lt_weights,
+        None => {
+            let graph = CsrGraph::from_edge_list(&el);
+            drop(el);
+            let model = match model {
+                DiffusionModel::IndependentCascade => WeightModel::IcUniform,
+                DiffusionModel::LinearThreshold => WeightModel::LtNormalized,
             };
-            Ok((dataset.graph, weights, spec.name.to_string()))
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let weights = EdgeWeights::generate(&graph, model, 0.0, &mut rng);
+            Ok((graph, weights))
         }
     }
 }
 
-fn result_json(
-    name: &str,
-    args: &RunArgs,
-    algorithm: Algorithm,
-    wall: f64,
-    result: &ImmResult,
-) -> serde_json::Value {
-    serde_json::json!({
-        "input": name,
+fn run(args: &RunArgs) -> Result<(), CliError> {
+    let start = Instant::now();
+    let (graph, weights) = load(&args.graph, args.model, args.seed)?;
+    // Parse, CSR build and weights: the part of the process's wall time
+    // spent before IMM.
+    let load_seconds = start.elapsed().as_secs_f64();
+    let params = ImmParams::new(args.k, args.epsilon, args.model).with_seed(args.seed);
+    let exec = ExecutionConfig::new(Algorithm::Efficient, args.threads);
+    let start = Instant::now();
+    let result = run_imm(&graph, &weights, &params, &exec).map_err(|e| e.to_string())?;
+    let wall = start.elapsed().as_secs_f64();
+    let json = serde_json::json!({
+        "input": args.graph,
         "diffusion_model": args.model.short_name(),
-        "algorithm": algorithm.short_name(),
+        "algorithm": Algorithm::Efficient.short_name(),
         "k": args.k,
         "epsilon": args.epsilon,
         "threads": args.threads,
@@ -164,35 +150,8 @@ fn result_json(
         "estimated_influence": result.estimated_influence,
         "coverage_fraction": result.coverage_fraction,
         "seeds": result.seeds,
-    })
-}
-
-/// Run `algorithm` on a loaded graph: its JSON log and its wall seconds.
-fn run_one(
-    graph: &CsrGraph,
-    weights: &EdgeWeights,
-    name: &str,
-    args: &RunArgs,
-    algorithm: Algorithm,
-) -> Result<(serde_json::Value, f64), CliError> {
-    let params = ImmParams::new(args.k, args.epsilon, args.model).with_seed(args.seed);
-    let exec = ExecutionConfig::new(algorithm, args.threads);
-    let start = Instant::now();
-    let result = run_imm(graph, weights, &params, &exec).map_err(|e| e.to_string())?;
-    let wall = start.elapsed().as_secs_f64();
-    Ok((result_json(name, args, algorithm, wall, &result), wall))
-}
-
-fn run(args: &RunArgs) -> Result<(), CliError> {
-    let start = Instant::now();
-    let (graph, weights, name) = load(&args.source, args.model, args.seed)?;
-    // Parse, CSR build and weights: the part of the process's wall time
-    // spent before IMM.
-    let load_seconds = start.elapsed().as_secs_f64();
-    let (mut json, _) = run_one(&graph, &weights, &name, args, args.algorithm)?;
-    if let serde_json::Value::Object(pairs) = &mut json {
-        pairs.push(("load_seconds".to_string(), serde_json::json!(load_seconds)));
-    }
+        "load_seconds": load_seconds,
+    });
     let rendered = pretty(&json);
     match &args.output {
         Some(path) => {
@@ -201,22 +160,6 @@ fn run(args: &RunArgs) -> Result<(), CliError> {
         }
         None => println!("{rendered}"),
     }
-    Ok(())
-}
-
-fn compare(args: &RunArgs) -> Result<(), CliError> {
-    let (graph, weights, name) = load(&args.source, args.model, args.seed)?;
-    let (ripples_json, ripples_wall) = run_one(&graph, &weights, &name, args, Algorithm::Ripples)?;
-    let (efficient_json, efficient_wall) =
-        run_one(&graph, &weights, &name, args, Algorithm::Efficient)?;
-    let speedup = ripples_wall / efficient_wall.max(1e-9);
-    let combined = serde_json::json!({
-        "ripples": ripples_json,
-        "efficientimm": efficient_json,
-        "speedup": speedup,
-    });
-    println!("{}", pretty(&combined));
-    eprintln!("EfficientIMM speedup over Ripples: {speedup:.2}x");
     Ok(())
 }
 
@@ -232,7 +175,7 @@ fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
 fn build_index_json(args: &BuildIndexArgs) -> Result<serde_json::Value, CliError> {
     let run = &args.run;
     let start = Instant::now();
-    let (graph, weights, name) = load(&run.source, run.model, run.seed)?;
+    let (graph, weights) = load(&run.graph, run.model, run.seed)?;
     let load_seconds = start.elapsed().as_secs_f64();
     let params = ImmParams::new(run.k, run.epsilon, run.model).with_seed(run.seed);
     let exec = ExecutionConfig::new(Algorithm::Efficient, run.threads)
@@ -249,11 +192,11 @@ fn build_index_json(args: &BuildIndexArgs) -> Result<serde_json::Value, CliError
         .ok_or("internal error: the run did not return provenance despite the request")?;
     let spec =
         SampleSpec::new(run.model, run.seed).with_policy(exec.features.representation_policy());
-    let index = SketchIndex::build_with_provenance(&graph, collection, records, spec, &name)
+    let index = SketchIndex::build_with_provenance(&graph, collection, records, spec, &run.graph)
         .map_err(|e| e.to_string())?;
     index.save_to_path(&args.output).map_err(|e| format!("cannot write {}: {e}", args.output))?;
     let json = serde_json::json!({
-        "input": name,
+        "input": run.graph,
         "snapshot": args.output,
         "theta": index.num_sets(),
         "nodes": index.num_nodes(),
@@ -269,29 +212,28 @@ fn build_index_json(args: &BuildIndexArgs) -> Result<serde_json::Value, CliError
 }
 
 /// Rebuild the live revision of the dynamic snapshot `index`, loaded from
-/// `path`: load its original `source` under the snapshot's sampling spec
+/// `path`: load its original `graph` file under the snapshot's sampling spec
 /// and hand it, with the daemon's journal, to `SketchIndex::recover`.
 /// `static_hint` finishes the refusal of a static snapshot.
 fn recover(
     index: &mut SketchIndex,
     path: &str,
-    source: &GraphSource,
+    graph: &str,
     journal: Option<&str>,
     static_hint: &str,
-) -> Result<(Recovered, String), CliError> {
+) -> Result<Recovered, CliError> {
     let Some(spec) = index.provenance().map(|provenance| provenance.spec) else {
         return Err(format!(
             "{path} is a static snapshot (it stores no sampling provenance); {static_hint}"
         ));
     };
-    let (graph, weights, name) = load(source, spec.model, spec.rng_seed)?;
-    let recovered = index.recover(graph, weights, journal.map(Path::new)).map_err(|e| match e {
+    let (csr, weights) = load(graph, spec.model, spec.rng_seed)?;
+    index.recover(csr, weights, journal.map(Path::new)).map_err(|e| match e {
         RecoverError::Log { .. } => {
-            format!("{e} — is '{name}' the original source the snapshot was built from?")
+            format!("{e} — is '{graph}' the original graph the snapshot was built from?")
         }
         e => e.to_string(),
-    })?;
-    Ok((recovered, name))
+    })
 }
 
 /// Refresh a dynamic snapshot against a delta file: recover the current
@@ -309,8 +251,8 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
     let mut index = SketchIndex::load_from_path(&args.index)
         .map_err(|e| format!("cannot load {}: {e}", args.index))?;
     let journal = args.journal.as_deref();
-    let (live, name) =
-        recover(&mut index, &args.index, &args.source, journal, "rebuild it with build-index")?;
+    let live =
+        recover(&mut index, &args.index, &args.graph, journal, "rebuild it with build-index")?;
 
     let text = std::fs::read_to_string(&args.delta)
         .map_err(|e| format!("cannot read {}: {e}", args.delta))?;
@@ -334,7 +276,7 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
         DeltaJournal::clear(journal).map_err(|e| format!("cannot clear journal {journal}: {e}"))?;
     }
     let json = serde_json::json!({
-        "input": name,
+        "input": args.graph,
         "snapshot": output,
         "theta": stats.total_sets,
         "resampled_sets": stats.resampled_sets,
@@ -430,7 +372,7 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
     let queries = batch_queries(spec, num_nodes);
 
     let before = if args.metrics {
-        imm_bench::obs::register_workspace_metrics();
+        obs::register_workspace_metrics();
         Some(imm_obs::snapshot())
     } else {
         None
@@ -458,7 +400,7 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
         // histograms are differenced, gauges keep their final value.
         let delta = imm_obs::delta(&before, &imm_obs::snapshot());
         if let serde_json::Value::Object(pairs) = &mut json {
-            pairs.push(("metrics_delta".to_string(), imm_bench::obs::samples_json(&delta)));
+            pairs.push(("metrics_delta".to_string(), obs::samples_json(&delta)));
         }
     }
     println!("{}", pretty(&json));
@@ -469,10 +411,10 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
 /// bind the socket, and block until a client's `shutdown` verb (or a
 /// signal) stops the accept loop.
 ///
-/// With `--graph`/`--dataset` the live revision is recovered from the
-/// snapshot's original source (and `--journal`), as `update-index` does,
+/// With `--graph` the live revision is recovered from the snapshot's
+/// original graph file (and `--journal`), as `update-index` does,
 /// so the daemon holds the live graph revision and can serve rolling
-/// `apply-delta` rollouts. Without a source the daemon serves statically
+/// `apply-delta` rollouts. Without a graph the daemon serves statically
 /// and answers rollout requests with a structured `not-dynamic` error.
 fn serve(args: &ServeArgs) -> Result<(), CliError> {
     // `--mmap` serves borrowed views into the mapping (falling back to
@@ -488,17 +430,17 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         (index, imm_store::LoadMode::ReadDecode)
     };
 
-    if args.journal.is_some() && args.source.is_none() {
+    if args.journal.is_some() && args.graph.is_none() {
         return Err("--journal records apply-delta rollouts, which need the snapshot's \
-                    original --graph/--dataset; a static daemon cannot accept or replay them"
+                    original --graph; a static daemon cannot accept or replay them"
             .into());
     }
-    let hint = "serve it without --graph/--dataset, or rebuild it with build-index";
-    let live = (args.source.as_ref())
-        .map(|source| recover(&mut index, &args.index, source, args.journal.as_deref(), hint))
+    let hint = "serve it without --graph, or rebuild it with build-index";
+    let live = (args.graph.as_deref())
+        .map(|graph| recover(&mut index, &args.index, graph, args.journal.as_deref(), hint))
         .transpose()?;
-    let journal_replayed = live.as_ref().map_or(0, |(live, _)| live.journal_replayed);
-    let dynamic = live.map(|(live, _)| (live.graph, live.weights));
+    let journal_replayed = live.as_ref().map_or(0, |live| live.journal_replayed);
+    let dynamic = live.map(|live| (live.graph, live.weights));
     let dynamic_enabled = dynamic.is_some();
 
     let sharded = ShardedIndex::from_index(index, args.shards)
@@ -511,10 +453,9 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     config.idle_timeout = args.idle_timeout_ms.map(Duration::from_millis);
     config.batch_deadline = args.deadline_ms.map(Duration::from_millis);
     config.journal = args.journal.as_ref().map(PathBuf::from);
-    let handle = Server::start(Arc::new(sharded), dynamic, config, || {
-        pretty(&imm_bench::obs::registry_json())
-    })
-    .map_err(|e| format!("cannot start the daemon: {e}"))?;
+    let handle =
+        Server::start(Arc::new(sharded), dynamic, config, || pretty(&obs::registry_json()))
+            .map_err(|e| format!("cannot start the daemon: {e}"))?;
 
     // The startup line doubles as the readiness signal scripts wait for —
     // and carries the kernel-resolved address when `--tcp` asked for
@@ -715,14 +656,14 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
 }
 
 /// The workspace metric registry in the documented, versioned shape
-/// ([`imm_bench::obs`] — the same serializer the daemon's `metrics` verb
-/// answers with), plus the process-global pool's thread count.
+/// ([`obs`] — the same serializer the daemon's `metrics` verb answers
+/// with), plus the process-global pool's thread count.
 fn metrics_json() -> serde_json::Value {
     serde_json::json!({
         "pool": {
             "threads": imm_exec::global().num_threads(),
         },
-        "registry": imm_bench::obs::registry_json(),
+        "registry": obs::registry_json(),
     })
 }
 
@@ -811,8 +752,9 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
     if args.describe {
         // The catalog is registry metadata only — no graph, no sampling.
         // Printed as the exact markdown table of the README's
-        // "Observability" section (a facade test pins the two together).
-        print!("{}", imm_bench::obs::catalog_markdown());
+        // "Observability" section (tests/metrics_catalog.rs pins the two
+        // together).
+        print!("{}", obs::catalog_markdown());
         return Ok(());
     }
     if let Some(path) = &args.index {
@@ -821,14 +763,14 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         }
         return stats_from_index(path, args.metrics);
     }
-    let source = args.source.as_ref().ok_or("stats needs a graph source or an --index snapshot")?;
-    let (graph, weights, name) = load(source, DiffusionModel::IndependentCascade, 0xC0FFEE)?;
+    let path = args.graph.as_deref().ok_or("stats needs a graph file or an --index snapshot")?;
+    let (graph, weights) = load(path, DiffusionModel::IndependentCascade, 0xC0FFEE)?;
     let scc = properties::strongly_connected_components(&graph);
     let out_stats = properties::out_degree_stats(&graph);
 
     // The sampling pass rides the shared process-wide pool at whatever
     // width the pool was given.
-    let threads = rayon::current_num_threads();
+    let threads = imm_exec::global().num_threads();
     let cfg = SamplingConfig {
         model: DiffusionModel::IndependentCascade,
         rng_seed: 0xC0FFEE,
@@ -840,7 +782,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
     let coverage = out.sets.coverage_stats();
 
     let json = serde_json::json!({
-        "input": name,
+        "input": path,
         "nodes": graph.num_nodes(),
         "edges": graph.num_edges(),
         "graph_bytes": graph.memory_bytes() + std::mem::size_of_val(weights.as_slice()),
@@ -864,30 +806,38 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
+    /// A scratch path whose name carries this process's id, so two test runs
+    /// on one machine never share a file or a socket.
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("efficient_imm_cli_tests");
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        dir.join(format!("{}_{name}", std::process::id()))
+    }
+
+    /// `generate` a graph of `kind` with `nodes` vertices into `name`.
+    fn generated(name: &str, kind: &str, nodes: usize) -> String {
+        let path = temp_path(name).to_string_lossy().into_owned();
+        let (kind, avg_degree, seed) = (kind.into(), 6, 5);
+        execute(Command::Generate(GenerateArgs {
+            output: path.clone(),
+            kind,
+            nodes,
+            avg_degree,
+            seed,
+        }))
+        .unwrap();
+        path
     }
 
     #[test]
     fn generate_then_run_round_trips_through_a_file() {
-        let graph_path = temp_path("cli_social.txt");
+        let graph_path = generated("cli_social.txt", "social", 300);
         let out_path = temp_path("cli_run.json");
-        execute(Command::Generate(GenerateArgs {
-            output: graph_path.to_string_lossy().into_owned(),
-            kind: "social".into(),
-            nodes: 300,
-            avg_degree: 6,
-            seed: 3,
-        }))
-        .unwrap();
-        assert!(graph_path.exists());
+        assert!(Path::new(&graph_path).exists());
 
         execute(Command::Run(RunArgs {
-            source: GraphSource::File(graph_path.to_string_lossy().into_owned()),
+            graph: graph_path.clone(),
             model: DiffusionModel::IndependentCascade,
-            algorithm: Algorithm::Efficient,
             k: 3,
             epsilon: 0.5,
             threads: 2,
@@ -906,21 +856,12 @@ mod tests {
 
     #[test]
     fn run_and_build_index_report_their_load_seconds() {
-        let graph_path = temp_path("cli_load_seconds.txt");
+        let graph_path = generated("cli_load_seconds.txt", "social", 300);
         let out_path = temp_path("cli_load_seconds.json");
         let snapshot_path = temp_path("cli_load_seconds.sketch");
-        execute(Command::Generate(GenerateArgs {
-            output: graph_path.to_string_lossy().into_owned(),
-            kind: "social".into(),
-            nodes: 300,
-            avg_degree: 6,
-            seed: 3,
-        }))
-        .unwrap();
         let run = RunArgs {
-            source: GraphSource::File(graph_path.to_string_lossy().into_owned()),
+            graph: graph_path.clone(),
             model: DiffusionModel::LinearThreshold,
-            algorithm: Algorithm::Efficient,
             k: 3,
             epsilon: 0.5,
             threads: 1,
@@ -943,7 +884,7 @@ mod tests {
             let load = json["load_seconds"].as_f64().expect("a load_seconds number");
             assert!(load > 0.0 && load <= wall, "load {load} s of a {wall} s command");
         }
-        for path in [graph_path, out_path, snapshot_path] {
+        for path in [graph_path.into(), out_path, snapshot_path] {
             std::fs::remove_file(path).ok();
         }
     }
@@ -956,16 +897,15 @@ mod tests {
             let graph_path = temp_path(&format!("{name}.txt"));
             let out_path = temp_path(&format!("{name}.json"));
             std::fs::write(&graph_path, text).unwrap();
-            let source = GraphSource::File(graph_path.to_string_lossy().into_owned());
-            let (graph, weights, _) = load(&source, DiffusionModel::IndependentCascade, 7).unwrap();
+            let path = graph_path.to_string_lossy().into_owned();
+            let (graph, weights) = load(&path, DiffusionModel::IndependentCascade, 7).unwrap();
             let by_edge: std::collections::BTreeMap<(imm_graph::NodeId, imm_graph::NodeId), u32> =
                 graph.edges().zip(weights.as_slice()).map(|(e, w)| (e, w.to_bits())).collect();
             maps.push(by_edge);
 
             execute(Command::Run(RunArgs {
-                source,
+                graph: path,
                 model: DiffusionModel::IndependentCascade,
-                algorithm: Algorithm::Efficient,
                 k: 1,
                 epsilon: 0.5,
                 threads: 1,
@@ -985,26 +925,10 @@ mod tests {
     }
 
     #[test]
-    fn run_on_registry_dataset_works() {
-        execute(Command::Run(RunArgs {
-            source: GraphSource::Dataset("as-Skitter".into()),
-            model: DiffusionModel::LinearThreshold,
-            algorithm: Algorithm::Ripples,
-            k: 2,
-            epsilon: 0.5,
-            threads: 1,
-            seed: 7,
-            output: None,
-        }))
-        .unwrap();
-    }
-
-    #[test]
-    fn unknown_dataset_and_bad_generator_are_reported() {
+    fn missing_graph_file_and_bad_generator_are_reported() {
         let err = execute(Command::Run(RunArgs {
-            source: GraphSource::Dataset("no-such-graph".into()),
+            graph: "/nonexistent/g.txt".into(),
             model: DiffusionModel::IndependentCascade,
-            algorithm: Algorithm::Efficient,
             k: 2,
             epsilon: 0.5,
             threads: 1,
@@ -1012,7 +936,7 @@ mod tests {
             output: None,
         }))
         .unwrap_err();
-        assert!(err.contains("unknown dataset"));
+        assert!(err.starts_with("cannot read /nonexistent/g.txt: "), "unexpected error: {err}");
 
         let err = execute(Command::Generate(GenerateArgs {
             output: temp_path("never.txt").to_string_lossy().into_owned(),
@@ -1027,17 +951,9 @@ mod tests {
 
     #[test]
     fn stats_command_runs_on_generated_file() {
-        let graph_path = temp_path("cli_stats.txt");
-        execute(Command::Generate(GenerateArgs {
-            output: graph_path.to_string_lossy().into_owned(),
-            kind: "road".into(),
-            nodes: 100,
-            avg_degree: 4,
-            seed: 5,
-        }))
-        .unwrap();
+        let graph_path = generated("cli_stats.txt", "road", 100);
         execute(Command::Stats(StatsArgs {
-            source: Some(GraphSource::File(graph_path.to_string_lossy().into_owned())),
+            graph: Some(graph_path.clone()),
             rrr_sets: 32,
             index: None,
             metrics: true,
@@ -1050,12 +966,12 @@ mod tests {
 
     #[test]
     fn build_index_then_query_and_stats_reuse_the_snapshot() {
+        let graph_path = generated("cli_index.txt", "social", 1_000);
         let snapshot_path = temp_path("cli_index.sketch");
         execute(Command::BuildIndex(BuildIndexArgs {
             run: RunArgs {
-                source: GraphSource::Dataset("com-Amazon".into()),
+                graph: graph_path.clone(),
                 model: DiffusionModel::IndependentCascade,
-                algorithm: Algorithm::Efficient,
                 k: 4,
                 epsilon: 0.5,
                 threads: 2,
@@ -1107,7 +1023,7 @@ mod tests {
         }
 
         execute(Command::Stats(StatsArgs {
-            source: None,
+            graph: None,
             rrr_sets: 32,
             index: Some(snapshot_path.to_string_lossy().into_owned()),
             metrics: false,
@@ -1119,7 +1035,7 @@ mod tests {
         // The startup breakdown opens the same snapshot through both store
         // paths and times each phase.
         execute(Command::Stats(StatsArgs {
-            source: None,
+            graph: None,
             rrr_sets: 0,
             index: Some(snapshot_path.to_string_lossy().into_owned()),
             metrics: false,
@@ -1128,27 +1044,19 @@ mod tests {
         }))
         .unwrap();
         std::fs::remove_file(&snapshot_path).ok();
+        std::fs::remove_file(&graph_path).ok();
     }
 
     #[test]
     fn update_index_refreshes_a_snapshot_and_replays_its_log() {
-        let graph_path = temp_path("cli_update_graph.txt");
+        let graph_path = generated("cli_update_graph.txt", "social", 200);
         let snapshot_path = temp_path("cli_update.sketch");
         let delta1_path = temp_path("cli_update_1.delta");
         let delta2_path = temp_path("cli_update_2.delta");
-        execute(Command::Generate(GenerateArgs {
-            output: graph_path.to_string_lossy().into_owned(),
-            kind: "social".into(),
-            nodes: 200,
-            avg_degree: 5,
-            seed: 9,
-        }))
-        .unwrap();
         execute(Command::BuildIndex(BuildIndexArgs {
             run: RunArgs {
-                source: GraphSource::File(graph_path.to_string_lossy().into_owned()),
+                graph: graph_path.clone(),
                 model: DiffusionModel::IndependentCascade,
-                algorithm: Algorithm::Efficient,
                 k: 3,
                 epsilon: 0.5,
                 threads: 2,
@@ -1171,7 +1079,7 @@ mod tests {
         let update = |delta_path: &std::path::Path| {
             execute(Command::UpdateIndex(UpdateIndexArgs {
                 index: snapshot_path.to_string_lossy().into_owned(),
-                source: GraphSource::File(graph_path.to_string_lossy().into_owned()),
+                graph: graph_path.clone(),
                 delta: delta_path.to_string_lossy().into_owned(),
                 output: None,
                 journal: None,
@@ -1199,7 +1107,7 @@ mod tests {
         let err = update(&delta1_path).unwrap_err();
         assert!(err.contains("delta"), "unexpected error: {err}");
 
-        for p in [&graph_path, &snapshot_path, &delta1_path, &delta2_path] {
+        for p in [graph_path.into(), snapshot_path, delta1_path, delta2_path] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1208,7 +1116,7 @@ mod tests {
     fn update_index_rejects_static_snapshots_and_missing_files() {
         let err = execute(Command::UpdateIndex(UpdateIndexArgs {
             index: "/nonexistent/u.sketch".into(),
-            source: GraphSource::Dataset("com-Amazon".into()),
+            graph: "/nonexistent/u.txt".into(),
             delta: "/nonexistent/u.delta".into(),
             output: None,
             journal: None,
@@ -1227,7 +1135,7 @@ mod tests {
             .unwrap();
         let err = execute(Command::UpdateIndex(UpdateIndexArgs {
             index: static_path.to_string_lossy().into_owned(),
-            source: GraphSource::Dataset("com-Amazon".into()),
+            graph: "/nonexistent/u.txt".into(),
             delta: "/nonexistent/u.delta".into(),
             output: None,
             journal: None,
@@ -1239,14 +1147,14 @@ mod tests {
 
     #[test]
     fn serve_then_client_round_trips_over_a_unix_socket() {
+        let graph_path = generated("cli_serve.txt", "social", 1_000);
         let snapshot_path = temp_path("cli_serve.sketch");
         let socket_path = temp_path("cli_serve.sock");
         std::fs::remove_file(&socket_path).ok();
         execute(Command::BuildIndex(BuildIndexArgs {
             run: RunArgs {
-                source: GraphSource::Dataset("com-Amazon".into()),
+                graph: graph_path.clone(),
                 model: DiffusionModel::IndependentCascade,
-                algorithm: Algorithm::Efficient,
                 k: 3,
                 epsilon: 0.5,
                 threads: 2,
@@ -1259,7 +1167,7 @@ mod tests {
 
         let serve_args = ServeArgs {
             index: snapshot_path.to_string_lossy().into_owned(),
-            source: None,
+            graph: None,
             listen: imm_serve::Listen::Unix(socket_path.clone()),
             shards: 2,
             threads: 2,
@@ -1314,6 +1222,7 @@ mod tests {
         assert!(err.contains("connect"), "unexpected error: {err}");
 
         std::fs::remove_file(&snapshot_path).ok();
+        std::fs::remove_file(&graph_path).ok();
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! `efficient-imm` — command-line interface for the EfficientIMM
-//! reproduction, mirroring the paper artifact's run scripts.
+//! `efficient-imm` — the command-line tool of the EfficientIMM serving
+//! system: solve influence maximization once, freeze the sample into a
+//! sketch index, and serve queries from it.
 //!
 //! Subcommands:
 //!
-//! * `generate` — write a synthetic SNAP-analogue graph as a SNAP-format
-//!   edge-list file.
-//! * `run` — run IMM (either engine) on a graph file or a registry dataset
-//!   and print a JSON run log (seeds, runtime breakdown, θ).
-//! * `compare` — run both engines on the same input and print the speedup.
-//! * `stats` — print graph statistics and RRR-set coverage (the Table I
-//!   columns) for an input.
+//! * `generate` — write a synthetic graph as a SNAP-format edge-list file.
+//! * `run` — run IMM on a graph file and print a JSON run log (seeds,
+//!   runtime breakdown, θ).
+//! * `stats` — print graph statistics and RRR-set coverage for a graph file
+//!   or a saved index; `--metrics` appends the metric registry, and
+//!   `--metrics --describe` prints its catalog.
+//! * `build-index` — run IMM and save its RRR sets as a sketch-index
+//!   snapshot.
+//! * `update-index` — refresh a snapshot against a batch of edge mutations.
+//! * `query` — answer Top-K, Spread and Marginal queries from a snapshot.
+//! * `serve` — the daemon: serve a snapshot over a unix socket or TCP.
+//! * `client` — query or control a running daemon.
 //!
 //! Run `efficient-imm help` for the full flag list.
 
 mod args;
 mod commands;
+mod obs;
 
 use std::process::ExitCode;
 

@@ -1,8 +1,9 @@
 //! The one JSON shape for `imm-obs` registry exports.
 //!
-//! Both consumers — the CLI's `stats --metrics` panel and the daemon's
-//! `metrics` verb — serialize the registry through [`registry_json`], so
-//! the two can never drift. The shape is versioned on its own:
+//! Every export — `stats --metrics`, `query --metrics` and the daemon's
+//! `metrics` verb, whose provider the `serve` command wires to
+//! [`registry_json`] — serializes samples through [`samples_json`], so the
+//! three can never drift. The shape is versioned on its own:
 //!
 //! ```json
 //! {
@@ -13,9 +14,7 @@
 //!     { "name": "...", "kind": "gauge",     "unit": "ratio", "description": "...", "value": 1.25 },
 //!     { "name": "...", "kind": "histogram", "unit": "nanoseconds", "description": "...",
 //!       "value": { "count": 9, "p50": 95, "p90": 127, "p99": 127, "max": 127,
-//!                  "buckets": [[95, 5], [127, 4]] } },
-//!     { "name": "...", "kind": "rate",      "unit": "events_per_second", "description": "...",
-//!       "value": { "count": 9, "per_sec": 1250.0 } }
+//!                  "buckets": [[95, 5], [127, 4]] } }
 //!   ]
 //! }
 //! ```
@@ -28,7 +27,7 @@
 use imm_obs::{MetricValue, Sample};
 use serde_json::{json, Value};
 
-/// Version of the metrics JSON shape (independent of the bench schema).
+/// Version of the metrics JSON shape.
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
 
 /// Register every subsystem's metrics with the global registry, whether
@@ -58,7 +57,6 @@ fn sample_json(s: &Sample) -> Value {
             "max": h.max,
             "buckets": h.buckets.iter().map(|&(ub, c)| json!([ub, c])).collect::<Vec<_>>(),
         }),
-        MetricValue::Rate(r) => json!({ "count": r.count, "per_sec": r.per_sec }),
     };
     json!({
         "name": s.name,

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub const JOB_CHUNK: usize = 64;
 
 /// How jobs are distributed over workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum Schedule {
     /// One contiguous `total/p` block per worker, fixed up front (the
     /// Ripples-style split).

@@ -5,7 +5,7 @@ use imm_diffusion::DiffusionModel;
 use imm_rrr::AdaptivePolicy;
 
 /// The IMM problem parameters (what to solve).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ImmParams {
     /// Number of seeds to select (the paper uses `k = 50` throughout).
     pub k: usize,
@@ -67,7 +67,7 @@ impl ImmParams {
 }
 
 /// Which parallel engine executes the workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum Algorithm {
     /// The Ripples baseline: vertex-partitioned counting, sorted RRR sets,
     /// separate kernels.
@@ -93,7 +93,7 @@ impl Algorithm {
 /// representation and job schedule from them, the Ripples run's included.
 /// (The adaptive counter update is an argument of the eager kernel in
 /// `imm-bench`, the only code that reads it.)
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct EfficientFeatures {
     /// Adaptive sorted-list / bitmap RRR-set representation (§IV-C).
     pub adaptive_representation: bool,
@@ -138,7 +138,7 @@ impl EfficientFeatures {
 
 /// How the workflow is executed: engine, parallelism, features and what the
 /// result keeps of the sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct ExecutionConfig {
     /// Which engine runs the two kernels.
     pub algorithm: Algorithm,

@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 /// Wall-clock time spent in each kernel of one IMM run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct KernelTimings {
     /// Time generating RRR sets (`Generate_RRRsets`), across all martingale
     /// iterations.
@@ -53,7 +53,7 @@ impl KernelTimings {
 /// counter loads/stores, RRR-set element visits and binary-search probes.
 /// The maximum per-thread count is the modelled parallel span of the kernel;
 /// the sum is its total work.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct WorkProfile {
     /// Operations executed by each worker thread.
     pub per_thread_ops: Vec<u64>,
@@ -109,7 +109,7 @@ impl WorkProfile {
 }
 
 /// Everything recorded about one IMM run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
 pub struct RuntimeBreakdown {
     /// Wall-clock per kernel.
     pub timings: KernelTimings,

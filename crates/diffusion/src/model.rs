@@ -1,7 +1,7 @@
 //! The two diffusion models the paper evaluates.
 
 /// Which diffusion process edge weights are interpreted under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum DiffusionModel {
     /// Independent Cascade: a newly activated vertex `u` gets one chance to
     /// activate each out-neighbor `v`, succeeding with probability `p_uv`.

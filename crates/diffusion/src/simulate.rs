@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// Result of a Monte-Carlo spread estimation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct SpreadEstimate {
     /// Mean number of activated vertices (including the seeds).
     pub mean: f64,

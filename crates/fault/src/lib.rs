@@ -26,8 +26,7 @@
 //!   calls at each such site, so "retry succeeds" is deterministic.
 //!
 //! When no plan is installed every hook is a single relaxed atomic
-//! load; with the `fault-off` feature they compile to constant no-ops
-//! (the `imm-obs` `obs-off` discipline).
+//! load.
 //!
 //! Plans record every injected event; [`FaultPlan::schedule`] returns
 //! the log so determinism tests can assert same-seed ⇒ same-schedule.
@@ -315,18 +314,10 @@ static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
 // on threads; two live plans would corrupt each other's schedules).
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// Whether a fault plan is installed. Inlined single relaxed load;
-/// `const false` under the `fault-off` feature.
+/// Whether a fault plan is installed. Inlined single relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "fault-off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "fault-off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Install a plan process-globally, replacing any previous one.

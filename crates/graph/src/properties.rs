@@ -16,7 +16,7 @@ use crate::csr::CsrGraph;
 use crate::NodeId;
 
 /// Summary statistics of a degree sequence.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct DegreeStats {
     /// Minimum degree.
     pub min: usize,

@@ -23,7 +23,7 @@ use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
 
 /// How edge weights/probabilities are generated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum WeightModel {
     /// Independent Cascade with uniform-random `[0,1]` probabilities
     /// (the paper's IC preparation).

@@ -4,7 +4,7 @@ use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::Address;
 
 /// Geometry of the per-core two-level hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct HierarchyConfig {
     /// L1 data cache geometry.
     pub l1: CacheConfig,
@@ -19,7 +19,7 @@ impl Default for HierarchyConfig {
 }
 
 /// Combined counters for a hierarchy (the "L1+L2 misses" Table IV reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct HierarchyStats {
     /// L1 counters.
     pub l1: CacheStats,

@@ -7,7 +7,7 @@ use crate::topology::Topology;
 pub const PAGE_BYTES: usize = 4096;
 
 /// Where the pages of a data structure are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum PlacementPolicy {
     /// Every page on one node — the default first-touch outcome when a single
     /// thread initializes the structure; the configuration whose bandwidth

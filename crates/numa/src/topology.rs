@@ -4,7 +4,7 @@
 /// `cores_per_node` cores each, numbered so that core `c` belongs to node
 /// `c / cores_per_node` (the same contiguous mapping `numactl --hardware`
 /// reports for the EPYC system in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct Topology {
     nodes: usize,
     cores_per_node: usize,

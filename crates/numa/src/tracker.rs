@@ -20,7 +20,7 @@ pub enum AccessKind {
 }
 
 /// Aggregated access counts for one core (or one thread pinned to a core).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct AccessStats {
     /// Loads that hit the local NUMA node.
     pub local_reads: u64,
@@ -63,7 +63,7 @@ impl AccessStats {
 }
 
 /// Converts access counts into a modelled cost (arbitrary "cycles" units).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct CostModel {
     /// Cost of an access that stays on the local node.
     pub local_cost: f64,

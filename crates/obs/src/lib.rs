@@ -3,7 +3,7 @@
 //! Generalizes the PR 6 `imm-exec` counter idiom (static lazy metrics in
 //! the metriken style: a `static` with a stable name and a human
 //! description, mutated with relaxed atomics, zero cost when nobody
-//! reads it) into four metric kinds plus a process-global registry:
+//! reads it) into three metric kinds plus a process-global registry:
 //!
 //! * [`Counter`] — monotonic `u64`, one relaxed `fetch_add` per event.
 //! * [`Gauge`] — last-written `f64` (stored as bits in an `AtomicU64`),
@@ -11,9 +11,6 @@
 //! * [`Histogram`] (a.k.a. [`LatencyHistogram`]) — lock-free fixed-bucket
 //!   log-linear histogram; one relaxed `fetch_add` per recorded value,
 //!   p50/p90/p99/max on readout with bounded relative error.
-//! * [`RateMeter`] — windowed events/sec in the dataplane `rate.rs`
-//!   style: the hot path is one relaxed `fetch_add`; the window math
-//!   runs only on the (cold) read side.
 //!
 //! # Naming convention
 //!
@@ -44,13 +41,11 @@
 //! noise); [`recording_enabled`] reports which build this is.
 
 pub mod histogram;
-pub mod rate;
 pub mod registry;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use histogram::{Histogram, HistogramSnapshot, LatencyHistogram};
-pub use rate::{RateMeter, RateSnapshot};
 pub use registry::{delta, register, snapshot, Metric, MetricKind, MetricValue, Sample};
 
 /// Declare a subsystem's metrics: one documented `static` per entry and one
@@ -58,11 +53,10 @@ pub use registry::{delta, register, snapshot, Metric, MetricKind, MetricValue, S
 /// exactly once.
 ///
 /// An entry is `pub NAME: Kind = "name", "description";`, where `Kind` is
-/// [`Counter`], [`Gauge`], [`Histogram`] or [`RateMeter`], with a trailing
-/// `, Unit` (a [`Unit`] variant) for the kinds that carry one: required by
-/// gauges and histograms, optional for counters (default `Count`), absent
-/// for rate meters. The description is the static's doc comment; `///`
-/// lines written above an entry follow it.
+/// [`Counter`], [`Gauge`] or [`Histogram`], with a trailing `, Unit` (a
+/// [`Unit`] variant): required by gauges and histograms, optional for
+/// counters (default `Count`). The description is the static's doc comment;
+/// `///` lines written above an entry follow it.
 ///
 /// ```
 /// imm_obs::metrics! {
@@ -121,8 +115,6 @@ pub enum Unit {
     Bytes,
     /// A dimensionless ratio (e.g. max/mean load imbalance).
     Ratio,
-    /// Events per second (rate meters).
-    EventsPerSecond,
 }
 
 impl Unit {
@@ -133,7 +125,6 @@ impl Unit {
             Unit::Nanoseconds => "nanoseconds",
             Unit::Bytes => "bytes",
             Unit::Ratio => "ratio",
-            Unit::EventsPerSecond => "events_per_second",
         }
     }
 }
@@ -311,9 +302,7 @@ mod tests {
 
     #[test]
     fn unit_tags_are_snake_case() {
-        for unit in
-            [Unit::Count, Unit::Nanoseconds, Unit::Bytes, Unit::Ratio, Unit::EventsPerSecond]
-        {
+        for unit in [Unit::Count, Unit::Nanoseconds, Unit::Bytes, Unit::Ratio] {
             let tag = unit.as_str();
             assert!(tag.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
         }

@@ -12,7 +12,6 @@
 use std::sync::Mutex;
 
 use crate::histogram::HistogramSnapshot;
-use crate::rate::RateSnapshot;
 use crate::Unit;
 
 /// The interface every registrable metric implements.
@@ -23,13 +22,13 @@ pub trait Metric: Sync {
     fn description(&self) -> &'static str;
     /// Unit tag.
     fn unit(&self) -> Unit;
-    /// Which of the four metric kinds this is.
+    /// Which of the three metric kinds this is.
     fn kind(&self) -> MetricKind;
     /// Sample the current value.
     fn value(&self) -> MetricValue;
 }
 
-/// The four metric kinds the registry understands.
+/// The three metric kinds the registry understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Monotonic `u64` counter.
@@ -38,8 +37,6 @@ pub enum MetricKind {
     Gauge,
     /// Fixed-bucket log-linear histogram.
     Histogram,
-    /// Windowed events/sec meter.
-    Rate,
 }
 
 impl MetricKind {
@@ -49,7 +46,6 @@ impl MetricKind {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
-            MetricKind::Rate => "rate",
         }
     }
 }
@@ -63,8 +59,6 @@ pub enum MetricValue {
     Gauge(f64),
     /// Histogram readout (count, percentiles, buckets).
     Histogram(HistogramSnapshot),
-    /// Rate readout (count, events/sec).
-    Rate(RateSnapshot),
 }
 
 /// One sampled metric with its full metadata.
@@ -119,7 +113,7 @@ pub fn snapshot() -> Vec<Sample> {
 
 /// What happened between two snapshots, matched by metric name.
 ///
-/// Counters and rate counts subtract (saturating); histograms subtract
+/// Counters subtract (saturating); histograms subtract
 /// per bucket and recompute percentiles over the difference; gauges
 /// report their `after` value. Metrics present only in `after` (newly
 /// registered) are passed through unchanged.
@@ -134,12 +128,6 @@ pub fn delta(before: &[Sample], after: &[Sample]) -> Vec<Sample> {
                 }
                 (MetricValue::Histogram(av), Some(MetricValue::Histogram(bv))) => {
                     MetricValue::Histogram(av.delta(bv))
-                }
-                (MetricValue::Rate(av), Some(MetricValue::Rate(bv))) => {
-                    MetricValue::Rate(RateSnapshot {
-                        count: av.count.saturating_sub(bv.count),
-                        per_sec: av.per_sec,
-                    })
                 }
                 // Gauges (and kind mismatches, which the gate test rules
                 // out) keep the later reading.

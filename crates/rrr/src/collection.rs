@@ -52,7 +52,7 @@ struct SetSpan {
 
 /// Coverage and size statistics over a set of RRR sets (the paper's Table I
 /// columns, plus memory accounting used for the Twitter7 OOM discussion).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct CoverageStats {
     /// Number of RRR sets.
     pub count: usize,

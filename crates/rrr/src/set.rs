@@ -19,7 +19,7 @@ pub enum Representation {
 /// The paper switches on the set's size relative to the graph: below the
 /// threshold the sorted list is both smaller and cheap to sort; above it the
 /// bitmap wins on membership cost and (for very dense sets) on memory too.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct AdaptivePolicy {
     /// Sets covering at least this fraction of the graph become bitmaps.
     pub density_threshold: f64,

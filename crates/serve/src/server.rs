@@ -322,8 +322,8 @@ impl Server {
     /// `dynamic` is the graph/weights pair rolling `apply_delta` replays
     /// against (pass `None` to serve statically); `metrics_provider`
     /// renders the process's metrics registry for the `metrics` verb —
-    /// the CLI wires `imm_bench::obs::registry_json` here (the provider
-    /// lives upstream so this crate stays below the bench layer).
+    /// the CLI wires its `obs::registry_json` here (the provider lives
+    /// upstream, so this crate need not know every subsystem's metrics).
     pub fn start(
         index: Arc<ShardedIndex>,
         dynamic: Option<(CsrGraph, EdgeWeights)>,

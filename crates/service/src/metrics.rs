@@ -5,7 +5,7 @@
 //!
 //! * **Query latency** — per-query-type latency histograms recorded around
 //!   every query [`QueryEngine::execute`](crate::QueryEngine::execute)
-//!   computes, plus a queries/sec rate meter. The sharded engine serves
+//!   computes, plus a served-query counter. The sharded engine serves
 //!   through an inner `QueryEngine`, so these cover both.
 //! * **CELF** — rounds, heap pops, and stale revalidations, which the one
 //!   lazy-greedy session every Top-K of every engine runs
@@ -57,7 +57,7 @@ imm_obs::metrics! {
     pub DELTA_COIN_SKIPS: Counter = "service_delta_coin_skips",
         "Sets containing a touched destination that the coin predicate kept without resampling";
     /// Across both engines.
-    pub QUERY_RATE: RateMeter = "service_queries", "Queries served";
+    pub QUERIES: Counter = "service_queries", "Queries served";
     pub POSTINGS_ROW_VERTICES: Gauge = "service_postings_row_vertices",
         "Vertices of the served global postings stored as bit rows (degree above theta/32)",
         Count;
