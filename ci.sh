@@ -203,29 +203,33 @@ if grep -rnE "$GONE" crates --exclude=args.rs \
   exit 1
 fi
 
-# Snapshot v6 is the one format this tree writes, maps or decodes: the v1-v5
+# Snapshot v7 is the one format this tree writes, maps or decodes: the v1-v6
 # decoders, the legacy model tags, the imm_rrr set codecs and their golden
-# fixtures stay gone, and `golden_v6.sketch` (pinned three ways by the
+# fixtures stay gone, and `golden_v7.sketch` (pinned three ways by the
 # `snapshot_fixtures` binary, which the list above keeps in the sweep) is the
 # only fixture.
 echo "==> format guard: one snapshot format, one golden fixture"
 if grep -rnE 'SNAPSHOT_VERSION_V[0-9]|DIRECTORY_FIELDS_V4|_LEGACY|decode_arena|encode_arena|parse_v4_head|V4Head|rayon::prelude' crates; then
-  echo "error: snapshot v6 is the only format; do not reintroduce an older decoder, a legacy tag, a set codec or the sequential rayon prelude" >&2
+  echo "error: snapshot v7 is the only format; do not reintroduce an older decoder, a legacy tag, a set codec or the sequential rayon prelude" >&2
   exit 1
 fi
-if [ "$(ls crates/service/tests/fixtures)" != "golden_v6.sketch" ]; then
-  echo "error: crates/service/tests/fixtures must hold exactly golden_v6.sketch" >&2
+if [ "$(ls crates/service/tests/fixtures)" != "golden_v7.sketch" ]; then
+  echo "error: crates/service/tests/fixtures must hold exactly golden_v7.sketch" >&2
   exit 1
 fi
 
-# A read-decode open reads the snapshot file once: `SketchIndex::load_from_path`
-# and `Store::open_read` hand their one read to `SketchIndex::load_bytes`,
-# which checks the checksum beside the decode. A copy of the file's bytes
-# handed to `SketchIndex::load(` (a reader whose `read_to_end` copies it
-# again) has no place in the store or the CLI.
-echo "==> read-once guard: crates/{store,cli}/src hand no in-memory snapshot to SketchIndex::load("
-if grep -rnE 'SketchIndex::load\(|load\(&mut [^)]*\.as_slice\(\)' crates/store/src crates/cli/src; then
-  echo "error: a read-decode open reads the file once; pass its bytes to SketchIndex::load_bytes or use load_from_path" >&2
+# A read-decode load is one streamed pass through a fixed buffer: the
+# snapshot code (snapshot.rs up to the journal, which may read its file
+# whole) and the store's open hold no whole-file `fs::read` or
+# `read_to_end`, snapshot.rs starts no helper thread outside its tests (one
+# feeds a pipe), and neither the store nor the CLI hands
+# `SketchIndex::load(` a copy of a file's bytes.
+echo "==> stream guard: the snapshot load path reads no whole file and starts no thread"
+if sed '/^pub const JOURNAL_MAGIC/,$d' crates/service/src/snapshot.rs | grep -nE 'fs::read\(|read_to_end' \
+  || grep -nE 'fs::read\(|read_to_end' crates/store/src/store.rs \
+  || sed '/^#\[cfg(test)\]/,$d' crates/service/src/snapshot.rs | grep -nE 'thread::(scope|spawn)' \
+  || grep -rnE 'SketchIndex::load\(|load\(&mut [^)]*\.as_slice\(\)' crates/store/src crates/cli/src; then
+  echo "error: a read-decode load streams the snapshot once; do not read it whole or hash it on a helper thread" >&2
   exit 1
 fi
 

@@ -78,7 +78,7 @@ entries from it at startup (a journal of another history is refused);
 little-endian Linux; elsewhere, or when the mapping fails, it falls back
 to the checksummed read-decode load, counted by store_mmap_fallbacks),
 cutting time-to-first-query from whole-file decode to head-page parsing;
-a snapshot of any format version but this build's (6) is refused on both
+a snapshot of any format version but this build's (7) is refused on both
 paths: rebuild it with build-index. `stats --index <FILE>
 --startup-timing` prints the open/map/decode/first-query phase
 breakdown of both load paths. `client` dials a running daemon: query flags

@@ -407,16 +407,36 @@ impl Postings {
     /// everything: every list strictly ascending and inside the range, no
     /// row bit beyond the range, every stored row degree equal to the row's
     /// popcount. The checksummed read-decode path runs this.
+    ///
+    /// The list checks are branch-free passes over the flat section. A
+    /// descent (a neighbour pair `a >= b`) may only straddle the start of a
+    /// list, so the lists are strictly ascending exactly when the descents
+    /// of the whole section are the descents at list starts; and ascending
+    /// lists stay inside the range exactly when the section's maximum does.
     pub fn validate_contents(&self) -> Result<(), &'static str> {
         let view = self.view();
-        for v in 0..self.num_nodes as NodeId {
-            let list = view.list(v);
-            if !list.windows(2).all(|w| w[0] < w[1]) {
+        let lists = view.lists;
+        if let Some(last) = lists.len().checked_sub(1).filter(|&last| last > 0) {
+            // Counted in `u32` per block of pairs, which vectorizes twice as
+            // wide as a `usize` count.
+            let blocks = lists[..last].chunks(1 << 20).zip(lists[1..].chunks(1 << 20));
+            let descents: usize = blocks
+                .map(|(a, b)| a.iter().zip(b).map(|(x, y)| u32::from(x >= y)).sum::<u32>() as usize)
+                .sum();
+            let at_starts: usize = (view.offsets.windows(2))
+                .map(|w| {
+                    let (start, end) = (w[0] as usize, w[1] as usize);
+                    let at = start.clamp(1, last);
+                    usize::from((start > 0) & (start < end) & (lists[at - 1] >= lists[at]))
+                })
+                .sum();
+            if descents != at_starts {
                 return Err("posting list is not strictly ascending");
             }
-            if list.last().is_some_and(|&id| id as usize >= self.range_len) {
-                return Err("posting list names a set outside the range");
-            }
+        }
+        let max = lists.iter().copied().fold(0, u32::max);
+        if !lists.is_empty() && max as usize >= self.range_len {
+            return Err("posting list names a set outside the range");
         }
         let tail = view.tail_mask();
         for (row, &degree) in view.rows.chunks_exact(view.words.max(1)).zip(view.row_degrees) {
@@ -892,6 +912,34 @@ impl Eq for Postings {}
 mod tests {
     use super::*;
     use crate::set::AdaptivePolicy;
+
+    /// The branch-free list checks agree with the per-list definition: a
+    /// descent may straddle a list start (empty lists between included) but
+    /// not sit inside a list, and the largest id must be inside the range.
+    #[test]
+    fn list_checks_accept_descents_only_at_list_starts() {
+        // Range 64: lists stay at most 2 long. Vertices 0..6, vertex 1 and 4
+        // empty.
+        let check = |lists: Vec<u32>| {
+            let offsets = vec![0, 2, 2, 3, 5, 5, 6];
+            Postings::from_sections(6, 64, offsets, lists, Vec::new(), Vec::new())
+                .unwrap()
+                .validate_contents()
+        };
+        assert_eq!(check(vec![5, 9, 1, 0, 63, 2]), Ok(()));
+        assert_eq!(check(vec![5, 9, 9, 1, 63, 2]), Ok(()), "a tie across an empty list");
+        assert_eq!(check(vec![9, 5, 1, 0, 63, 2]), Err("posting list is not strictly ascending"));
+        assert_eq!(check(vec![5, 9, 1, 7, 7, 2]), Err("posting list is not strictly ascending"));
+        assert_eq!(
+            check(vec![5, 9, 1, 0, 64, 2]),
+            Err("posting list names a set outside the range")
+        );
+        let single = Postings::from_sections(1, 64, vec![0, 1], vec![64], Vec::new(), Vec::new());
+        assert_eq!(
+            single.unwrap().validate_contents(),
+            Err("posting list names a set outside the range")
+        );
+    }
 
     #[test]
     fn transpose_matches_the_naive_definition() {

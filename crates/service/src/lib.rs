@@ -28,7 +28,8 @@
 //!   processes: [`SketchIndex::save`] / [`SketchIndex::load`]. The format
 //!   persists the sampling spec, the delta log and the postings as the
 //!   index holds them, laid out so `imm-store` can serve a file in place.
-//!   It is the one format this build writes, reads and maps (version 6).
+//!   It is the one format this build writes, reads and maps (version 7,
+//!   its payload checksummed by [`xxh64`]), and a load is one streamed pass.
 //! * [`dynamic`] — incremental refresh under graph mutation: a dynamic index
 //!   ([`SketchIndex::sample`]) records its sampling spec, and
 //!   [`SketchIndex::apply_delta`] resamples only the RRR sets an
@@ -73,6 +74,7 @@ pub mod metrics;
 pub mod query;
 pub mod recover;
 pub mod snapshot;
+pub mod xxh64;
 
 pub use dynamic::{DeltaLogEntry, DynamicError, RefreshStats, SampleSpec, SketchProvenance};
 pub use engine::QueryEngine;
@@ -85,6 +87,7 @@ pub use snapshot::{
     SnapshotHead, SnapshotSections, JOURNAL_MAGIC, SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,
     SNAPSHOT_PAGE_BYTES, SNAPSHOT_VERSION,
 };
+pub use xxh64::Xxh64;
 
 /// Vertex identifier (re-exported from `imm-rrr` for convenience).
 pub type NodeId = imm_rrr::NodeId;

@@ -3,21 +3,22 @@
 //! Sampling dominates IMM runtime, so a sketch sampled once is worth
 //! persisting: `save` freezes a [`SketchIndex`] to disk and `load` brings it
 //! back in a later process without resampling. The container is defensive —
-//! magic bytes, a format version, and an FNV-1a checksum over the payload —
+//! magic bytes, a format version, and an XXH64 checksum over the payload —
 //! so a wrong file, another format, or flipped bits fail loudly instead of
 //! deserializing garbage into a serving index.
 //!
-//! There is one format, version 6: what this build writes is the only thing
+//! There is one format, version 7: what this build writes is the only thing
 //! it reads or maps, and any other version field is
-//! [`SnapshotError::UnsupportedVersion`]. A snapshot is its index's
+//! [`SnapshotError::UnsupportedVersion`]. Version 6 had the same payload
+//! under a byte-serial FNV-1a container checksum. A snapshot is its index's
 //! postings: there is no per-set section. Layout (all integers
 //! little-endian, all offsets **snapshot-relative**: offset 0 is the first
 //! magic byte):
 //!
 //! ```text
 //! [0..8)   magic  "IMMSKTCH"
-//! [8..12)  format version (6)
-//! [12..20) FNV-1a 64 checksum of the payload
+//! [8..12)  format version (7)
+//! [12..20) XXH64 (seed 0) of the payload
 //! [20..)   payload — the head:
 //!            num_edges u64, label (u32 length + UTF-8 bytes)
 //!            section directory: 9 × u64 (num_nodes, num_sets, postings_len,
@@ -52,13 +53,17 @@
 //!
 //! # The read-decode path
 //!
-//! Every heap load goes through [`SketchIndex::load_bytes`]: the file is
-//! read once ([`SketchIndex::load_from_path`] with one exact-size read), and
-//! the payload checksum runs on a scoped helper thread *beside* the decode
-//! and validation of the sections, not before them. Both run in full on
-//! every load, and nothing is served until both pass; a checksum mismatch
-//! is reported ahead of any decode error, so a damaged file reads as
-//! [`SnapshotError::ChecksumMismatch`] whatever its damage would decode to.
+//! Every heap load is one streamed pass, [`SketchIndex::load`] (and
+//! [`SketchIndex::load_file`] behind [`SketchIndex::load_from_path`], which
+//! holds the directory to the file's real length before reserving
+//! anything). The file goes through one fixed 64 KiB buffer, head first,
+//! then each section in order; each chunk is hashed and decoded straight
+//! into the final postings arrays while it is still in cache, so the whole
+//! file is never held in memory and each byte is written to fresh memory
+//! once. Every byte up to end of file goes through the payload checksum
+//! before any decode or validation error is returned, so a damaged file
+//! reads as [`SnapshotError::ChecksumMismatch`] whatever its damage would
+//! decode to; then the sections are validated in full.
 //!
 //! # Crash safety
 //!
@@ -77,6 +82,7 @@
 
 use crate::dynamic::{DeltaLogEntry, SampleSpec, SketchProvenance};
 use crate::index::{IndexError, IndexMeta, SketchIndex};
+use crate::xxh64::Xxh64;
 use imm_diffusion::DiffusionModel;
 use imm_graph::GraphDelta;
 use imm_rrr::codec::{ByteReader, CodecError};
@@ -87,7 +93,7 @@ use std::path::{Path, PathBuf};
 /// The magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"IMMSKTCH";
 /// The one snapshot format version: what this build writes, reads and maps.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 /// Alignment of the page-aligned data sections, as a **snapshot-relative** byte
 /// offset (offset 0 = first magic byte). Matches the small-page size, so a
 /// page-aligned mapping of the file keeps each section alignment-safe for
@@ -177,9 +183,8 @@ impl From<IndexError> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash of `bytes` — the snapshot layer's dependency-free
-/// integrity primitive (container payload, section directory, journal
-/// entries).
+/// FNV-1a 64-bit hash of `bytes` — the integrity check of the section
+/// directory and of each journal entry (the container payload is XXH64).
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -190,7 +195,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // Tags 0 and 1 named the sequential-stream sampler that preceded the keyed
-// coins; no v6 file carries them, and they are never reused.
+// coins; no v6 or v7 file carries them, and they are never reused.
 const MODEL_IC_KEYED: u8 = 2;
 const MODEL_LT_KEYED: u8 = 3;
 
@@ -429,10 +434,6 @@ pub struct SnapshotHead {
     pub provenance: Option<SketchProvenance>,
 }
 
-fn le_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
-}
-
 fn le_u64s(bytes: &[u8]) -> Vec<u64> {
     bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
 }
@@ -543,34 +544,183 @@ fn encode_payload(
     payload
 }
 
-/// What a verified snapshot decodes to; the postings are the stored
-/// sections, validated in full.
-type Decoded = (IndexMeta, Option<SketchProvenance>, Postings);
+/// Bytes of the one read buffer of a streamed load. Each chunk is hashed
+/// and decoded while it is still in cache, so the buffer stays well inside
+/// L2; a multiple of 8, so every chunk but a section's last holds whole
+/// `u32`s and `u64`s.
+const STREAM_CHUNK: usize = 64 * 1024;
 
-fn decode_payload(payload: &[u8]) -> Result<Decoded, SnapshotError> {
+/// A snapshot read front to back through one fixed buffer. Every byte after
+/// the container header goes through the payload hasher, whether the decode
+/// keeps it or not.
+struct PayloadStream<R> {
+    reader: R,
+    buf: Vec<u8>,
+    hasher: Xxh64,
+    /// Snapshot-relative offset of the next byte.
+    pos: usize,
+}
+
+/// Fill `buf` from `reader`; short only at end of file.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+impl<R: Read> PayloadStream<R> {
+    /// Read the container header (magic, version, stored checksum) — the
+    /// only bytes the hasher does not see.
+    fn open(mut reader: R) -> Result<(Self, u64), SnapshotError> {
+        let mut header = [0u8; SNAPSHOT_HEADER_BYTES];
+        let got = fill(&mut reader, &mut header)?;
+        let (expected, _) = split_container(&header[..got])?;
+        let stream = PayloadStream {
+            reader,
+            buf: vec![0; STREAM_CHUNK],
+            hasher: Xxh64::new(0),
+            pos: SNAPSHOT_HEADER_BYTES,
+        };
+        Ok((stream, expected))
+    }
+
+    /// Stream the next `len` bytes, one buffer at a time: each chunk is
+    /// hashed, then handed to `sink`. Stopping short of `len` is a
+    /// truncated payload.
+    fn take(&mut self, len: usize, mut sink: impl FnMut(&[u8])) -> Result<(), SnapshotError> {
+        let mut left = len;
+        while left > 0 {
+            let want = left.min(STREAM_CHUNK);
+            let got = fill(&mut self.reader, &mut self.buf[..want])?;
+            self.hasher.update(&self.buf[..got]);
+            self.pos += got;
+            if got < want {
+                return Err(CodecError::UnexpectedEof { needed: left, remaining: got }.into());
+            }
+            sink(&self.buf[..got]);
+            left -= got;
+        }
+        Ok(())
+    }
+
+    /// The head — prelude, directory, provenance — up to the first data
+    /// section. The directory is checked (and, when the file's length is
+    /// known, held to it) before the rest of the head is read, and nothing
+    /// is reserved ahead of the bytes that arrive.
+    fn head(&mut self, file_len: Option<u64>) -> Result<SnapshotHead, SnapshotError> {
+        let mut head = Vec::new();
+        self.take(8 + 4, |chunk| head.extend_from_slice(chunk))?;
+        let label_len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
+        let directory = (DIRECTORY_FIELDS + 1) * 8;
+        self.take(label_len + directory, |chunk| head.extend_from_slice(chunk))?;
+        let sections = SnapshotSections::read(&mut ByteReader::new(&head[12 + label_len..]))?;
+        if file_len.is_some_and(|len| len != sections.file_len as u64) {
+            return Err(SnapshotError::Corrupt(CodecError::InvalidValue(
+                "directory file length disagrees with the file",
+            )));
+        }
+        let rest = sections.offsets_off.checked_sub(self.pos).ok_or(SnapshotError::Corrupt(
+            CodecError::InvalidValue("head overruns the offsets section"),
+        ))?;
+        self.take(rest, |chunk| head.extend_from_slice(chunk))?;
+        decode_head(&head)
+    }
+
+    /// The `count` little-endian `W`-byte words of the section at `off`,
+    /// after the zero padding before it (hashed, not kept). `reserve` sizes
+    /// the vector up front: only once the directory is held to the file's
+    /// real length; otherwise it grows as the bytes arrive. `from_le` is a
+    /// generic, not a `fn` pointer, so the word loop inlines it and
+    /// vectorizes to a copy.
+    fn section<const W: usize, T>(
+        &mut self,
+        off: usize,
+        count: usize,
+        reserve: bool,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let padding = off.checked_sub(self.pos).ok_or(SnapshotError::Corrupt(
+            CodecError::InvalidValue("sections overlap or overrun the file"),
+        ))?;
+        self.take(padding, |_| {})?;
+        let mut words = Vec::with_capacity(if reserve { count } else { 0 });
+        // `validate()` bounded `count * W` by `file_len`.
+        self.take(count * W, |chunk| {
+            words.extend(chunk.chunks_exact(W).map(|b| from_le(b.try_into().expect("W bytes"))));
+        })?;
+        Ok(words)
+    }
+
+    /// Head and the four postings sections, in file order.
+    fn decode(&mut self, file_len: Option<u64>) -> Result<Decoded, SnapshotError> {
+        let head = self.head(file_len)?;
+        let s = head.sections;
+        let reserve = file_len.is_some();
+        let offsets = self.section(s.offsets_off, s.num_nodes + 1, reserve, u64::from_le_bytes)?;
+        let lists = self.section(s.postings_off, s.postings_len, reserve, u32::from_le_bytes)?;
+        let row_table =
+            self.section(s.row_table_off, s.row_vertices * 2, reserve, u32::from_le_bytes)?;
+        let rows = self.section(
+            s.rows_off,
+            s.row_vertices * s.words_per_row(),
+            reserve,
+            u64::from_le_bytes,
+        )?;
+        Ok(Decoded { head, offsets, lists, row_table, rows })
+    }
+
+    /// Hash whatever is left up to end of file; the payload digest and the
+    /// bytes that were left.
+    fn finish(mut self) -> Result<(u64, usize), SnapshotError> {
+        let mut left = 0;
+        loop {
+            let got = fill(&mut self.reader, &mut self.buf)?;
+            self.hasher.update(&self.buf[..got]);
+            left += got;
+            if got < self.buf.len() {
+                return Ok((self.hasher.digest(), left));
+            }
+        }
+    }
+}
+
+/// The sections a streamed load decoded, before the postings validate them.
+struct Decoded {
+    head: SnapshotHead,
+    offsets: Vec<u64>,
+    lists: Vec<u32>,
+    row_table: Vec<u32>,
+    rows: Vec<u64>,
+}
+
+/// The one read-decode pass behind [`SketchIndex::load`] and
+/// [`SketchIndex::load_file`]: `file_len`, when known, is the real length
+/// of what `reader` holds.
+fn load_stream(reader: impl Read, file_len: Option<u64>) -> Result<SketchIndex, SnapshotError> {
     let corrupt = |msg: &'static str| SnapshotError::Corrupt(CodecError::InvalidValue(msg));
-    let head = decode_head(payload)?;
-    let sections = &head.sections;
-    if sections.file_len != payload.len() + SNAPSHOT_HEADER_BYTES {
+    let (mut stream, expected) = PayloadStream::open(reader)?;
+    let decoded = stream.decode(file_len);
+    let (actual, trailing) = stream.finish()?;
+    if actual != expected {
+        return Err(SnapshotError::ChecksumMismatch { expected, actual });
+    }
+    let Decoded { head, offsets, lists, row_table, rows } = decoded?;
+    if trailing > 0 {
         return Err(corrupt("directory file length disagrees with the payload"));
     }
-    // `validate()` placed every section inside `file_len`.
-    let section = |off: usize, len: usize| -> &[u8] {
-        &payload[off - SNAPSHOT_HEADER_BYTES..off - SNAPSHOT_HEADER_BYTES + len]
-    };
-    let u32s = |off: usize, len: usize| le_u32s(section(off, len * 4));
-    let u64s = |off: usize, len: usize| le_u64s(section(off, len * 8));
-    let postings = Postings::from_sections(
-        sections.num_nodes,
-        sections.num_sets,
-        u64s(sections.offsets_off, sections.num_nodes + 1),
-        u32s(sections.postings_off, sections.postings_len),
-        u32s(sections.row_table_off, sections.row_vertices * 2),
-        u64s(sections.rows_off, sections.row_vertices * sections.words_per_row()),
-    )
-    .map_err(corrupt)?;
+    let s = head.sections;
+    let postings =
+        Postings::from_sections(s.num_nodes, s.num_sets, offsets, lists, row_table, rows)
+            .map_err(corrupt)?;
     postings.validate_contents().map_err(corrupt)?;
-    Ok((head.meta, head.provenance, postings))
+    Ok(SketchIndex::from_parts(head.meta, head.provenance, postings))
 }
 
 /// Serialize index components into `writer` exactly as
@@ -589,7 +739,7 @@ pub fn save_parts(
 fn write_container(payload: &[u8], writer: &mut impl Write) -> Result<(), SnapshotError> {
     writer.write_all(&SNAPSHOT_MAGIC)?;
     writer.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    writer.write_all(&fnv1a64(payload).to_le_bytes())?;
+    writer.write_all(&Xxh64::oneshot(0, payload).to_le_bytes())?;
     writer.write_all(payload)?;
     Ok(())
 }
@@ -661,44 +811,39 @@ impl SketchIndex {
         write_to_path(&self.encode(), path.as_ref())
     }
 
-    /// Read an index back from `reader`: its bytes, read to the end, go to
-    /// [`SketchIndex::load_bytes`].
+    /// Read an index back from `reader` — the one read-decode pass. The
+    /// snapshot streams through one fixed buffer: each chunk is hashed and
+    /// decoded straight into the postings arrays while it is in cache, and
+    /// the whole file is never held in memory. Every byte up to end of file
+    /// goes through the payload checksum before any decode or validation
+    /// error is returned, so damaged bytes always read as
+    /// [`SnapshotError::ChecksumMismatch`]; then the sections are validated
+    /// in full. A snapshot with a provenance section comes back dynamic
+    /// (refreshable), a provenance-free one static.
     pub fn load(reader: &mut impl Read) -> Result<Self, SnapshotError> {
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes)?;
-        Self::load_bytes(&bytes)
+        load_stream(reader, None)
     }
 
-    /// Read an index back from the file at `path` — one exact-size read,
-    /// then [`SketchIndex::load_bytes`]. A `.tmp` beside it is left alone:
-    /// it may be a concurrent save's staged file.
+    /// [`SketchIndex::load`] of an open snapshot file whose length (from its
+    /// metadata) is `len`. The directory must name that length before a
+    /// section is reserved, so a directory that lies about its sizes costs
+    /// no allocation beyond the file.
+    pub fn load_file(file: &mut std::fs::File, len: u64) -> Result<Self, SnapshotError> {
+        load_stream(file, Some(len))
+    }
+
+    /// Read an index back from the file at `path`: open it, take its length
+    /// and [`SketchIndex::load_file`] it. A pipe or other non-regular file
+    /// has no length to hold the directory to and streams through
+    /// [`SketchIndex::load`]. A `.tmp` beside it is left alone: it may be a
+    /// concurrent save's staged file.
     pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        Self::load_bytes(&std::fs::read(path)?)
-    }
-
-    /// Decode a whole snapshot held in memory — the one read-decode entry,
-    /// behind [`SketchIndex::load`], [`SketchIndex::load_from_path`] and
-    /// `imm-store`'s fallback. Magic and version are checked first; then a
-    /// scoped helper thread computes the payload checksum while this thread
-    /// decodes the stored postings and validates them in full. Nothing is
-    /// returned until both are done, and a checksum mismatch is reported
-    /// ahead of any decode error, so damaged bytes always read as
-    /// [`SnapshotError::ChecksumMismatch`]. A snapshot with a provenance
-    /// section comes back dynamic (refreshable), a provenance-free one
-    /// static.
-    pub fn load_bytes(snapshot: &[u8]) -> Result<Self, SnapshotError> {
-        let (expected, payload) = split_container(snapshot)?;
-        let (actual, decoded) = std::thread::scope(|scope| {
-            let checksum = scope.spawn(|| fnv1a64(payload));
-            let decoded = decode_payload(payload);
-            let actual = checksum.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (actual, decoded)
-        });
-        if actual != expected {
-            return Err(SnapshotError::ChecksumMismatch { expected, actual });
+        let mut file = std::fs::File::open(path)?;
+        let metadata = file.metadata()?;
+        if !metadata.is_file() {
+            return Self::load(&mut file);
         }
-        let (meta, provenance, postings) = decoded?;
-        Ok(SketchIndex::from_parts(meta, provenance, postings))
+        Self::load_file(&mut file, metadata.len())
     }
 }
 
@@ -1025,6 +1170,28 @@ mod tests {
         index.save_to_path(&path).unwrap();
         assert!(!tmp.exists(), "the next clean save leaves no temp file");
         assert_eq!(SketchIndex::load_from_path(&path).unwrap(), index);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot piped through a FIFO (say, `--index <(zcat …)`) has no
+    /// length in its metadata; it still loads, as a stream.
+    #[cfg(unix)]
+    #[test]
+    fn a_snapshot_streams_in_from_a_pipe() {
+        let dir = scratch_dir("fifo");
+        let fifo = dir.join("index.pipe");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        if !made.is_ok_and(|status| status.success()) {
+            return; // no mkfifo on this system
+        }
+        let index = sample_index();
+        let bytes = snapshot_bytes(&index);
+        let writer = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || std::fs::write(fifo, bytes))
+        };
+        assert_eq!(SketchIndex::load_from_path(&fifo).unwrap(), index);
+        writer.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,16 +5,17 @@
 //! including provenance and postings sections that lie behind a recomputed
 //! checksum, and a directory that lies behind a recomputed directory
 //! checksum — and every version field but the current one is refused. The
-//! read-decode path checks the checksum beside the decode, so a flipped
-//! byte anywhere in the payload must still surface as the checksum
-//! mismatch, through every loader, whatever the decode made of it.
+//! read-decode pass hashes every byte to end of file before it returns a
+//! decode error, so a flipped byte anywhere in the payload must still
+//! surface as the checksum mismatch, through every loader, whatever the
+//! decode made of it.
 
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, RrrCollection};
 use imm_service::{
     parse_head, DeltaLogEntry, IndexMeta, SampleSpec, SketchIndex, SketchProvenance, SnapshotError,
-    SnapshotSections, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotSections, Xxh64, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use imm_store::Store;
 use proptest::prelude::*;
@@ -41,8 +42,8 @@ fn index_from(raw_sets: &[Vec<u32>], bitmap_choices: &[bool], label: &str) -> Sk
     .expect("members are within range")
 }
 
-/// FNV-1a 64 (mirrors the snapshot writer's checksum) for refitting the
-/// checksums of tampered files.
+/// FNV-1a 64 (the section directory's checksum) for refitting a tampered
+/// directory.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -71,7 +72,7 @@ fn dynamic_index(seed: u64) -> (SketchIndex, CsrGraph, EdgeWeights) {
     (index, graph, weights)
 }
 
-/// Byte offset where the provenance section starts in a v6 file (header +
+/// Byte offset where the provenance section starts in a v7 file (header +
 /// metadata prelude + 9-field section directory and its checksum + the
 /// presence flag).
 fn provenance_offset(index: &SketchIndex) -> usize {
@@ -79,11 +80,11 @@ fn provenance_offset(index: &SketchIndex) -> usize {
     header + 8 + 4 + index.meta().label.len() + 80 + 1
 }
 
-/// Recompute the container checksum after tampering, so only the decoder
-/// itself can object.
+/// Recompute the container checksum (XXH64, seed 0) after tampering, so
+/// only the decoder itself can object.
 fn refix_checksum(bytes: &mut [u8]) {
     let header = SNAPSHOT_MAGIC.len() + 4 + 8;
-    let checksum = fnv1a64(&bytes[header..]);
+    let checksum = Xxh64::oneshot(0, &bytes[header..]);
     bytes[12..20].copy_from_slice(&checksum.to_le_bytes());
 }
 
@@ -208,9 +209,9 @@ fn flip_file(bytes: &[u8]) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The error order the read-decode path keeps: the checksum runs beside
-    /// the decode, and a mismatch wins over whatever the decode of the
-    /// damaged payload returned. One flipped byte in any region of a static
+    /// The error order the read-decode path keeps: the checksum covers every
+    /// byte to end of file, and a mismatch wins over whatever the decode of
+    /// the damaged payload returned. One flipped byte in any region of a static
     /// or dynamic snapshot, with rows or without, reaches `load`,
     /// `load_from_path` and `Store::open_read` as the checksum mismatch with
     /// the stored and the recomputed value, and as nothing else.
@@ -263,7 +264,7 @@ proptest! {
         let mut bytes = good.clone();
         bytes[target] ^= mask;
         let stored = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-        let recomputed = fnv1a64(&bytes[20..]);
+        let recomputed = Xxh64::oneshot(0, &bytes[20..]);
         prop_assert_ne!(stored, recomputed);
         let path = flip_file(&bytes);
         let outcomes = [
@@ -448,8 +449,8 @@ fn a_row_bit_beyond_the_range_is_rejected() {
     assert!(matches!(err, SnapshotError::Corrupt(_)), "surfaced as {err:?}");
 }
 
-/// One format: every version field but the current one — the retired 1–5
-/// as much as 0 or a future 7 — is refused before any payload work, by the
+/// One format: every version field but the current one — the retired 1–6
+/// as much as 0 or a future 8 — is refused before any payload work, by the
 /// loaders and by the head parser the mapped path opens with, and the error
 /// says what to do about it. (`imm-store`'s `mmap_fallback` suite runs the
 /// same fields through `Store::{open, open_read, open_mapped}`.)
@@ -458,7 +459,7 @@ fn wrong_version_fields_are_rejected_and_the_written_version_loads() {
     let (index, _, _) = dynamic_index(21);
     let good = snapshot_bytes(&index);
 
-    for bogus in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
+    for bogus in [0u32, 1, 2, 3, 4, 5, 6, 8, u32::MAX] {
         let mut bytes = good.clone();
         bytes[8..12].copy_from_slice(&bogus.to_le_bytes());
         for (via, err) in [
@@ -472,7 +473,7 @@ fn wrong_version_fields_are_rejected_and_the_written_version_loads() {
             assert_eq!(
                 err.to_string(),
                 format!(
-                    "unsupported snapshot version {bogus}: this build reads and maps version 6; \
+                    "unsupported snapshot version {bogus}: this build reads and maps version 7; \
                      rebuild the index with `build-index`"
                 )
             );
@@ -499,10 +500,10 @@ fn corrupted_header_cases_report_specific_errors() {
 
     // Unsupported version.
     let mut bad_version = good.clone();
-    bad_version[8..12].copy_from_slice(&7u32.to_le_bytes());
+    bad_version[8..12].copy_from_slice(&8u32.to_le_bytes());
     assert!(matches!(
         SketchIndex::load(&mut bad_version.as_slice()),
-        Err(SnapshotError::UnsupportedVersion(7))
+        Err(SnapshotError::UnsupportedVersion(8))
     ));
 
     // Tampered checksum field.
@@ -531,4 +532,44 @@ fn round_trip_through_a_real_file() {
     let loaded = SketchIndex::load_from_path(&path).unwrap();
     assert_eq!(loaded, index);
     std::fs::remove_file(&path).ok();
+}
+
+/// A directory that lies about its sizes behind a valid directory checksum
+/// (and a refit container checksum): 2^40 list entries claimed over a file
+/// of a few pages. Every loader returns a structured error; none reserves
+/// for the claim, which would abort the process on allocation. The
+/// path-based loaders hold the directory to the file's real length; the
+/// reader-based load never reserves ahead of the bytes that arrive.
+#[test]
+fn a_directory_claiming_2_pow_40_entries_over_a_short_file_is_an_error() {
+    let raw: Vec<Vec<u32>> = (0..64u32).map(|set| vec![set]).collect();
+    let mut bytes = snapshot_bytes(&index_from(&raw, &[], "huge"));
+    let s = parse_head(&bytes).unwrap().sections;
+    assert_eq!(s.row_vertices, 0);
+    let claimed = 1usize << 40;
+    let row_table_off = s.postings_off + claimed * 4;
+    let dir_at = 20 + 8 + 4 + "huge".len();
+    for (field, value) in [(2, claimed), (6, row_table_off), (7, row_table_off), (8, row_table_off)]
+    {
+        bytes[dir_at + 8 * field..dir_at + 8 * field + 8]
+            .copy_from_slice(&(value as u64).to_le_bytes());
+    }
+    let dir_check = fnv1a64(&bytes[dir_at..dir_at + 72]);
+    bytes[dir_at + 72..dir_at + 80].copy_from_slice(&dir_check.to_le_bytes());
+    refix_checksum(&mut bytes);
+    assert_eq!(parse_head(&bytes).unwrap_err().to_string(), {
+        "corrupt snapshot payload: invalid encoded value: directory file length disagrees with \
+         the snapshot"
+    });
+
+    let path = flip_file(&bytes);
+    let outcomes = [
+        ("load", SketchIndex::load(&mut bytes.as_slice()).map(drop)),
+        ("load_from_path", SketchIndex::load_from_path(&path).map(drop)),
+        ("Store::open_read", Store::open_read(&path).map(drop)),
+    ];
+    std::fs::remove_file(&path).ok();
+    for (via, outcome) in outcomes {
+        assert!(matches!(outcome, Err(SnapshotError::Corrupt(_))), "via {via}: {outcome:?}");
+    }
 }

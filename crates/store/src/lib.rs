@@ -1,12 +1,12 @@
 //! # imm-store
 //!
 //! Zero-copy snapshot store: serve a [`imm_service::SketchIndex`] straight
-//! from a memory-mapped v6 snapshot file.
+//! from a memory-mapped v7 snapshot file.
 //!
 //! The read-decode loader pays for the whole file before the first query:
-//! read, checksum, decode, validate every list and row. For a
-//! multi-gigabyte sketch that is seconds of startup even though the first
-//! query may touch a few kilobytes. A v6 snapshot is its index's postings
+//! one streamed pass reads, checksums and decodes it, then every list and
+//! row is validated. For a multi-gigabyte sketch that is seconds of startup
+//! even though the first query may touch a few kilobytes. A v7 snapshot is its index's postings
 //! (offsets, flat lists, row table, rows) at aligned offsets behind a
 //! checksummed directory, so this crate can instead:
 //!

@@ -1,7 +1,7 @@
 //! Opening a snapshot as a served index: the zero-copy mmap path with a
 //! counted fallback to the classic read-decode path.
 //!
-//! [`Store::open`] maps the file, parses the head of a v6 snapshot (prelude,
+//! [`Store::open`] maps the file, parses the head of a v7 snapshot (prelude,
 //! section directory, provenance — no data pages), and assembles a
 //! [`SketchIndex`] whose postings (offsets, lists, row table, rows) are
 //! **borrowed views into the mapping** — the postings are all a snapshot
@@ -12,10 +12,10 @@
 //!
 //! Any failure on the mapped path — a non-Linux platform, an mmap error, an
 //! injected fault — increments `store_mmap_fallbacks` and falls back to the
-//! read-decode path, [`Store::open_read`]: one read of the file, then
-//! `SketchIndex::load_bytes`, which checksums the whole payload on a scoped
-//! helper thread beside the decode and full validation of the sections onto
-//! the heap, and serves nothing until both pass. Both paths produce
+//! read-decode path, [`Store::open_read`]: `SketchIndex::load_file`, one
+//! streamed pass that checksums the whole payload and decodes the sections
+//! onto the heap chunk by chunk, then validates them in full, and serves
+//! nothing until both pass. Both paths produce
 //! logically equal indices; a parity suite pins byte-identical query
 //! responses. A file of another format version is no
 //! path's to serve: the fallback reports the same
@@ -23,7 +23,7 @@
 //!
 //! ## Why skipping the payload checksum is safe (kill-safety)
 //!
-//! The read-decode path verifies the container FNV over the entire payload;
+//! The read-decode path verifies the container XXH64 over the entire payload;
 //! the mapped path verifies only the head's own directory checksum. This is
 //! sound because snapshots are only ever published by
 //! `SketchIndex::save_to_path`'s write-to-temp → fsync → atomic-rename
@@ -71,19 +71,19 @@ impl LoadMode {
 
 /// Per-phase startup timing of one open, in nanoseconds.
 ///
-/// `open` covers file open + metadata on the mapped path and the one read of
-/// the whole file on the read-decode path; `map` covers mmap + head parsing
-/// (zero on the read-decode path); `decode` covers index assembly — the
-/// postings shape checks on the mapped path, and on the read-decode path the
-/// payload checksum beside the decode and full validation, until both pass.
+/// `open` covers file open + metadata on both paths; `map` covers mmap +
+/// head parsing (zero on the read-decode path); `decode` covers index
+/// assembly — the postings shape checks on the mapped path, and on the
+/// read-decode path the one streamed pass: the read, the payload checksum,
+/// the decode and the full validation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StartupTimings {
-    /// File open phase; the one read of the file on the read-decode path.
+    /// File open + metadata phase.
     pub open_ns: u64,
     /// Mapping + head-parse phase.
     pub map_ns: u64,
-    /// Index-assembly phase; on the read-decode path the checksum beside
-    /// the decode and validation.
+    /// Index-assembly phase; on the read-decode path the streamed read,
+    /// checksum, decode and validation.
     pub decode_ns: u64,
 }
 
@@ -244,16 +244,17 @@ impl Store {
         }
     }
 
-    /// Open `path` through the read-decode path: one read of the file, then
-    /// `SketchIndex::load_bytes` (full checksum beside the full decode and
-    /// validation; a heap-owned index).
+    /// Open `path` through the read-decode path: open the file, take its
+    /// length, then `SketchIndex::load_file` (one streamed pass that
+    /// checksums, decodes and validates in full; a heap-owned index).
     pub fn open_read(path: impl AsRef<Path>) -> Result<OpenedIndex, SnapshotError> {
         metrics::register();
         let t_open = Instant::now();
-        let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
+        let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
         let open_ns = t_open.elapsed().as_nanos() as u64;
         let t_decode = Instant::now();
-        let index = SketchIndex::load_bytes(&bytes)?;
+        let index = SketchIndex::load_file(&mut file, len)?;
         let decode_ns = t_decode.elapsed().as_nanos() as u64;
         Ok(OpenedIndex {
             index,

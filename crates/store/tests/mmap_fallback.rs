@@ -126,7 +126,7 @@ fn open_mapped_surfaces_the_injected_fault_without_fallback() {
 }
 
 /// One format: a file whose version field is anything but the current one
-/// — the retired 5 as much as 0 or a future 7 — is `UnsupportedVersion` from
+/// — the retired 6 as much as 0 or a future 8 — is `UnsupportedVersion` from
 /// the strict mapped open, from read-decode, and therefore from the resilient
 /// open too: the fallback has nothing older to fall back to.
 #[test]
@@ -136,7 +136,7 @@ fn other_format_versions_are_refused_on_every_path() {
     quietly(|| {
         index.save_to_path(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
-        for version in [0u32, 1, 2, 3, 4, 5, 7, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 5, 6, 8, u32::MAX] {
             let mut bytes = good.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();

@@ -17,7 +17,7 @@
 //! of the mutated graph. The rows: `QueryEngine::execute`, `execute_batch`
 //! at 1, 2 and 4 threads, four threads sharing one engine, `ShardedEngine`
 //! at 1, 2, 4 and 7 shards, the daemon over a unix socket and over TCP, and
-//! the heap (`SketchIndex::load_bytes`) and mapped (`Store::open_mapped`)
+//! the heap (`SketchIndex::load_from_path`) and mapped (`Store::open_mapped`)
 //! loads of the saved snapshot. Each row is checked before and after every
 //! rolled delta. The first drawn cases of a family run through every row;
 //! the rest of the property budget (`PROPTEST_CASES` per weight regime)
@@ -962,7 +962,7 @@ fn snapshots(
     let path = temp_path("sketch");
     index.save_to_path(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read the snapshot back");
-    let heap = SketchIndex::load_bytes(&bytes).expect("heap load");
+    let heap = SketchIndex::load_from_path(&path).expect("heap load");
     tally.shapes.insert(if heap.is_dynamic() { "dynamic snapshot" } else { "static snapshot" });
     let mut loads = vec![("heap load", heap)];
     #[cfg(all(target_os = "linux", target_endian = "little"))]
