@@ -137,6 +137,21 @@ if grep -rn 'Deserialize' crates src tests examples; then
   exit 1
 fi
 
+# The daemon has one client, `imm_serve::Client::new(address, policy)`: it
+# dials lazily (its first dial retries inside the policy's readiness window)
+# and retries idempotent verbs itself, so no wrapper type or separate
+# readiness dial comes back. A batch fans across the process-global pool,
+# which `serve --threads` sizes, so ServerConfig carries no thread count.
+echo "==> client guard: one daemon client, no readiness dial, no ServerConfig::threads"
+if grep -rnE 'RetryClient|connect_with_retry' crates src tests examples; then
+  echo "error: imm_serve::Client is the one daemon client; do not reintroduce RetryClient or connect_with_retry" >&2
+  exit 1
+fi
+if sed -n '/^pub struct ServerConfig/,/^}/p' crates/serve/src/server.rs | grep -nE '\bthreads\s*:'; then
+  echo "error: a batch fans across imm_exec::global(); ServerConfig has no threads field" >&2
+  exit 1
+fi
+
 # The vendored rayon shim has no parallel iterators (its sequential `prelude`
 # is gone), so nothing in the tree may look parallel and not be: parallel
 # sections go through run_tasks / rayon::scope.

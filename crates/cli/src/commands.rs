@@ -11,7 +11,7 @@ use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, io, properties, CsrGraph, EdgeWeights, GraphDelta, WeightModel};
 use imm_rrr::{AdaptivePolicy, BitSet};
-use imm_serve::{Client, ClientError, Rejection, RetryClient, RetryPolicy, Server, ServerConfig};
+use imm_serve::{Client, ClientError, Rejection, RetryPolicy, Server, ServerConfig};
 use imm_service::{
     DeltaJournal, Query, QueryEngine, QueryResponse, RecoverError, Recovered, SampleSpec,
     SketchIndex,
@@ -447,7 +447,6 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         .map_err(|e| format!("cannot shard {}: {e}", args.index))?;
 
     let mut config = ServerConfig::new(args.listen.clone());
-    config.threads = args.threads;
     config.budget = args.max_cost;
     config.max_inflight = args.max_inflight;
     config.idle_timeout = args.idle_timeout_ms.map(Duration::from_millis);
@@ -508,7 +507,7 @@ fn batch_queries(spec: &BatchSpec, num_nodes: usize) -> Vec<Query> {
 /// bitmap is sized to the daemon's vertex space, which the client learns
 /// over the `info` verb (it has no local index to size it from). Without an
 /// audience nothing is sized, so no `info` is asked.
-fn remote_queries(client: &mut RetryClient, spec: &BatchSpec) -> Result<Vec<Query>, CliError> {
+fn remote_queries(client: &mut Client, spec: &BatchSpec) -> Result<Vec<Query>, CliError> {
     let num_nodes = match spec.audience {
         None => 0,
         Some(_) => client.info().map_err(|e| client_failure("info", e))?.nodes as usize,
@@ -557,18 +556,14 @@ fn client_failure(verb: &str, error: ClientError) -> CliError {
 /// print one JSON report. Batch responses reuse [`response_json`], so a
 /// remote answer renders byte-identically to the local `query` command's.
 ///
-/// The connection is a [`RetryClient`]: idempotent verbs retry lost
+/// One [`Client`] serves the whole invocation, and the first action dials
+/// it: `--wait-ms` is its readiness window (the first dial retries while a
+/// just-started daemon binds its socket), idempotent verbs retry lost
 /// connections and timeouts with capped, jittered exponential backoff
 /// (reconnecting as needed — a daemon restart mid-invocation is
-/// survivable), while `apply-delta` and `shutdown` get exactly one
-/// attempt each.
+/// survivable), and `apply-delta` and `shutdown` get exactly one attempt
+/// each.
 fn client(args: &ClientArgs) -> Result<(), CliError> {
-    // `--wait-ms` keeps its readiness-gate meaning: retry the *initial*
-    // dial while a just-started daemon binds its socket.
-    if args.wait_ms > 0 {
-        Client::connect_with_retry(&args.address, Duration::from_millis(args.wait_ms))
-            .map_err(|e| e.to_string())?;
-    }
     let policy = RetryPolicy {
         attempts: args.retries.saturating_add(1),
         base_backoff: Duration::from_millis(args.retry_backoff_ms),
@@ -576,9 +571,9 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
             .request_timeout_ms
             .map(Duration::from_millis)
             .or(RetryPolicy::default().request_timeout),
-        ..RetryPolicy::default()
+        wait: Duration::from_millis(args.wait_ms),
     };
-    let mut client = RetryClient::new(args.address.clone(), policy);
+    let mut client = Client::new(args.address.clone(), policy);
 
     let mut report: Vec<(String, serde_json::Value)> =
         vec![("address".into(), serde_json::json!(args.address.to_string()))];
@@ -1210,19 +1205,43 @@ mod tests {
         assert!(!socket_path.exists(), "the daemon removes its socket on shutdown");
 
         // A vanished daemon is reported as an error, not a panic.
-        let err = execute(Command::Client(ClientArgs {
-            address: imm_serve::Listen::Unix(socket_path.clone()),
-            actions: vec![ClientAction::Ping],
-            wait_ms: 0,
-            retries: 0,
-            retry_backoff_ms: 1,
-            request_timeout_ms: None,
-        }))
-        .unwrap_err();
+        let socket = socket_path.to_string_lossy();
+        let argv = ["client", "--socket", &socket, "--retries", "0", "--ping"].map(String::from);
+        let err = execute(crate::args::parse(&argv).unwrap()).unwrap_err();
         assert!(err.contains("connect"), "unexpected error: {err}");
 
         std::fs::remove_file(&snapshot_path).ok();
         std::fs::remove_file(&graph_path).ok();
+    }
+
+    /// A `client` run is one connection: `--wait-ms` is the readiness window of the dial its
+    /// actions use (the socket is bound 50 ms into it), not a probe dialed and dropped first.
+    #[test]
+    fn a_client_run_dials_the_daemon_once() {
+        use imm_serve::protocol::*;
+        let socket_path = temp_path("cli_one_dial.sock");
+        std::fs::remove_file(&socket_path).ok();
+        let path = socket_path.clone();
+        // Answers pings, one connection at a time, until a connection carried a request.
+        let daemon = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            let listener = std::os::unix::net::UnixListener::bind(path).unwrap();
+            (1..).find(|_| {
+                let mut conn = listener.accept().unwrap().0;
+                let mut pinged = false;
+                while let FrameRead::Frame(frame) = read_frame(&mut conn, 64).unwrap() {
+                    assert_eq!(decode_request(&frame).unwrap(), Request::Ping);
+                    write_frame(&mut conn, &encode_response(&Response::Pong)).unwrap();
+                    pinged = true;
+                }
+                pinged
+            })
+        });
+        let socket = socket_path.to_string_lossy();
+        let argv = ["client", "--socket", &socket, "--wait-ms", "5000", "--ping"].map(String::from);
+        execute(crate::args::parse(&argv).unwrap()).unwrap();
+        assert_eq!(daemon.join().unwrap(), Some(1), "connections accepted for one client run");
+        std::fs::remove_file(&socket_path).ok();
     }
 
     #[test]

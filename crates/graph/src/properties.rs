@@ -5,8 +5,8 @@
 //! that the giant SCC is what makes random reverse-reachable sets cover a
 //! large fraction of the graph. This module computes:
 //!
-//! * degree statistics and histograms (skew drives the adaptive
-//!   representation and the adaptive counter update),
+//! * out-degree statistics (skew drives the adaptive representation and
+//!   the adaptive counter update),
 //! * strongly connected components (iterative Tarjan, no recursion so large
 //!   graphs don't overflow the stack),
 //! * weakly connected components,
@@ -51,28 +51,6 @@ impl DegreeStats {
 /// Out-degree statistics of `graph`.
 pub fn out_degree_stats(graph: &CsrGraph) -> DegreeStats {
     DegreeStats::from_degrees(graph.out_degrees())
-}
-
-/// In-degree statistics of `graph`.
-pub fn in_degree_stats(graph: &CsrGraph) -> DegreeStats {
-    DegreeStats::from_degrees(
-        (0..graph.num_nodes() as NodeId).map(|v| graph.in_degree(v)).collect(),
-    )
-}
-
-/// Histogram of out-degrees bucketed by powers of two:
-/// bucket `i` counts vertices with out-degree in `[2^i, 2^(i+1))`
-/// (bucket 0 counts degree 0 and 1).
-pub fn out_degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; 1];
-    for d in graph.out_degrees() {
-        let bucket = if d <= 1 { 0 } else { (usize::BITS - (d - 1).leading_zeros()) as usize };
-        if bucket >= hist.len() {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
 }
 
 /// Result of a strongly-connected-components computation.
@@ -247,8 +225,6 @@ mod tests {
         assert_eq!(out.max, 4);
         assert_eq!(out.min, 0);
         assert!((out.mean - 0.8).abs() < 1e-9);
-        let inn = in_degree_stats(&g);
-        assert_eq!(inn.max, 1);
     }
 
     #[test]
@@ -257,16 +233,6 @@ mod tests {
         let s = out_degree_stats(&g);
         assert_eq!(s.max, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn degree_histogram_buckets() {
-        // one vertex of out-degree 4 (bucket 2), four of degree 0 (bucket 0)
-        let g = CsrGraph::from_edges(5, (1..5u32).map(|i| (0, i))).unwrap();
-        let hist = out_degree_histogram(&g);
-        assert_eq!(hist[0], 4);
-        assert_eq!(*hist.last().unwrap(), 1);
-        assert_eq!(hist.iter().sum::<usize>(), 5);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl CostModel {
     }
 
     /// Total postings entries of the index.
-    pub fn total_postings(&self) -> u64 {
+    fn total_postings(&self) -> u64 {
         self.postings.entries()
     }
 

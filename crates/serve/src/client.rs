@@ -1,11 +1,10 @@
-//! Blocking client for the serving daemon, plus the retrying client the
-//! fault-tolerant callers use.
+//! The blocking client of the serving daemon.
 //!
-//! One [`Client`] owns one connection and runs a strict
-//! request/response exchange per call. The CLI `client` subcommand, the
-//! spine's load generator, and the socket parity suite all speak through
-//! this type, so its decode path is the same defensive
-//! [`protocol`] decoder the server uses — a hostile or
+//! One [`Client`] talks to one daemon address through a strict
+//! request/response exchange per call. The CLI `client` subcommand and the
+//! `daemon/unix` and `daemon/tcp` rows of the conformance matrix
+//! (`tests/conformance.rs`) speak through it, so its decode path is the
+//! same defensive [`protocol`] decoder the server uses — a hostile or
 //! broken server cannot make a client panic, hang, or over-allocate.
 //!
 //! # Failure taxonomy
@@ -22,11 +21,12 @@
 //!   error; [`ServeError::QueueFull`] is explicitly retryable and an
 //!   [`ServeError::IdleTimeout`] heals on reconnect, the rest are not.
 //!
-//! [`RetryClient`] encodes that policy: capped exponential backoff with
-//! deterministic jitter, a lifetime retry budget, reconnection on lost
-//! connections (so a daemon restart is survivable), and retries only
+//! The [`RetryPolicy`] encodes that policy: capped exponential backoff
+//! with deterministic jitter, a lifetime retry budget, reconnection on
+//! lost connections (so a daemon restart is survivable), and retries only
 //! for idempotent verbs (`ping`, `batch`, `metrics`, `info` — never
-//! `apply_delta` or `shutdown`).
+//! `apply_delta` or `shutdown`). With `attempts: 1` the client makes one
+//! attempt per call and surfaces the first failure.
 
 use crate::metrics as smetrics;
 use crate::protocol::{
@@ -39,8 +39,22 @@ use std::fmt;
 use std::io;
 use std::time::{Duration, Instant};
 
-/// The pause between two dials of [`Client::connect_with_retry`].
+/// The pause between two dials inside the readiness window.
 const DIAL_GAP: Duration = Duration::from_millis(1);
+
+/// Bound on one dial (TCP; a unix socket connects or fails at once).
+const DIAL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Cap on one backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
+
+/// Lifetime retry budget across all calls of one client: a flapping daemon
+/// degrades to fast failures instead of an unbounded retry storm.
+const RETRY_BUDGET: u32 = 64;
+
+/// Seed of the deterministic backoff jitter, so every run of a client
+/// replays the same schedule (nonzero: xorshift never leaves 0).
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Everything a call can fail with, client-side.
 #[derive(Debug)]
@@ -49,8 +63,6 @@ pub enum ClientError {
     Connect(io::Error),
     /// Transport or framing failure mid-exchange.
     Protocol(ProtocolError),
-    /// The daemon closed the connection instead of answering.
-    Closed,
     /// The connection died mid-exchange (reset, broken pipe, EOF before
     /// the reply): the request may or may not have executed server-side,
     /// so only idempotent requests are safe to retry.
@@ -77,7 +89,6 @@ impl fmt::Display for ClientError {
         match self {
             ClientError::Connect(e) => write!(f, "could not connect to the daemon: {e}"),
             ClientError::Protocol(e) => write!(f, "protocol failure: {e}"),
-            ClientError::Closed => write!(f, "the daemon closed the connection"),
             ClientError::ConnectionLost { detail } => {
                 write!(f, "connection to the daemon lost mid-exchange: {detail}")
             }
@@ -124,172 +135,22 @@ fn is_connection_loss(kind: io::ErrorKind) -> bool {
     )
 }
 
-/// A blocking connection to a serving daemon.
-pub struct Client {
-    /// Under an installed fault plan the wrapper injects socket faults
-    /// client-side too; a transparent no-op otherwise.
-    stream: imm_fault::FaultyIo<Stream>,
-    request_timeout: Option<Duration>,
-}
-
-impl Client {
-    /// Connect once.
-    pub fn connect(address: &Listen) -> Result<Self, ClientError> {
-        let stream = Stream::connect(address).map_err(ClientError::Connect)?;
-        Ok(Client {
-            stream: imm_fault::FaultyIo::new(stream, "client.conn"),
-            request_timeout: None,
-        })
-    }
-
-    /// Connect with a bound on the dial itself (TCP; unix sockets
-    /// connect or fail immediately).
-    pub fn connect_timeout(address: &Listen, timeout: Duration) -> Result<Self, ClientError> {
-        let stream = Stream::connect_timeout(address, timeout).map_err(ClientError::Connect)?;
-        Ok(Client {
-            stream: imm_fault::FaultyIo::new(stream, "client.conn"),
-            request_timeout: None,
-        })
-    }
-
-    /// Connect, retrying every millisecond for up to `wait` — the
-    /// readiness gate for a daemon that is still binding its socket. The
-    /// daemon accepts a connection the moment it arrives, so the gap
-    /// between dials is all a readiness gate adds.
-    pub fn connect_with_retry(address: &Listen, wait: Duration) -> Result<Self, ClientError> {
-        let deadline = Instant::now() + wait;
-        loop {
-            match Self::connect(address) {
-                Ok(client) => return Ok(client),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(DIAL_GAP),
-            }
-        }
-    }
-
-    /// Bound every subsequent exchange: a reply that takes longer than
-    /// `timeout` fails with [`ClientError::TimedOut`] instead of
-    /// blocking forever. Also bounds socket writes. `None` restores
-    /// fully blocking exchanges.
-    pub fn set_request_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        let stream = self.stream.get_ref();
-        stream
-            .set_read_timeout(timeout)
-            .and_then(|()| stream.set_write_timeout(timeout))
-            .map_err(|e| ClientError::Protocol(ProtocolError::Io(e)))?;
-        self.request_timeout = timeout;
-        Ok(())
-    }
-
-    /// One raw request/response exchange.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        protocol::write_frame(&mut self.stream, &protocol::encode_request(request)).map_err(
-            |e| {
-                if is_connection_loss(e.kind()) {
-                    ClientError::ConnectionLost { detail: e.to_string() }
-                } else {
-                    ClientError::Protocol(ProtocolError::Io(e))
-                }
-            },
-        )?;
-        match protocol::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN) {
-            Ok(FrameRead::Frame(payload)) => Ok(protocol::decode_response(&payload)?),
-            // EOF after the request went out: the daemon (or the path to
-            // it) died with the exchange open.
-            Ok(FrameRead::Eof) => Err(ClientError::ConnectionLost {
-                detail: "the daemon closed the connection before replying".into(),
-            }),
-            // A read timeout with no frame started: the request timeout
-            // expired (only reachable when one is set).
-            Ok(FrameRead::Idle) => Err(ClientError::TimedOut {
-                waited: self.request_timeout.unwrap_or(Duration::ZERO),
-            }),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Call, surfacing a server-reported error as [`ClientError::Server`].
-    fn checked(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self.call(request)? {
-            Response::Error(e) => Err(ClientError::Server(e)),
-            response => Ok(response),
-        }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.checked(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            _ => Err(ClientError::Unexpected { expected: "pong" }),
-        }
-    }
-
-    /// Serve a batch of queries; each answer slot is the engine's
-    /// byte-identical response or a structured admission rejection.
-    pub fn batch(
-        &mut self,
-        queries: &[Query],
-    ) -> Result<Vec<Result<QueryResponse, Rejection>>, ClientError> {
-        match self.checked(&Request::Batch(queries.to_vec()))? {
-            Response::Batch(outcomes) => Ok(outcomes),
-            _ => Err(ClientError::Unexpected { expected: "batch answers" }),
-        }
-    }
-
-    /// The daemon's live metrics registry as JSON.
-    pub fn metrics_json(&mut self) -> Result<String, ClientError> {
-        match self.checked(&Request::Metrics)? {
-            Response::MetricsJson(json) => Ok(json),
-            _ => Err(ClientError::Unexpected { expected: "metrics json" }),
-        }
-    }
-
-    /// Server identity and shape.
-    pub fn info(&mut self) -> Result<ServerInfo, ClientError> {
-        match self.checked(&Request::Info)? {
-            Response::Info(info) => Ok(info),
-            _ => Err(ClientError::Unexpected { expected: "server info" }),
-        }
-    }
-
-    /// Apply a delta (`update-index` text format) through a graceful
-    /// rollout.
-    pub fn apply_delta(&mut self, text: &str) -> Result<DeltaOutcome, ClientError> {
-        match self.checked(&Request::ApplyDelta { text: text.into() })? {
-            Response::DeltaApplied(outcome) => Ok(outcome),
-            _ => Err(ClientError::Unexpected { expected: "delta outcome" }),
-        }
-    }
-
-    /// Ask the daemon to drain and exit.
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.checked(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            _ => Err(ClientError::Unexpected { expected: "shutdown ack" }),
-        }
-    }
-}
-
-/// Retry policy of a [`RetryClient`].
+/// How a [`Client`] dials, waits and retries. Every dial is bounded by
+/// 5 s, one backoff sleep by 500 ms, and a client's lifetime retries by 64.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per idempotent call (first try included).
+    /// Total attempts per idempotent call (first try included); 1 retries
+    /// nothing.
     pub attempts: u32,
     /// Backoff before the first retry; doubles per retry.
     pub base_backoff: Duration,
-    /// Cap on one backoff sleep.
-    pub max_backoff: Duration,
-    /// Lifetime retry budget across all calls of one client: a flapping
-    /// daemon degrades to fast failures instead of an unbounded retry
-    /// storm.
-    pub budget: u32,
-    /// Bound on each dial (TCP); `None` dials blocking.
-    pub connect_timeout: Option<Duration>,
-    /// Bound on each request/response exchange; `None` waits forever.
+    /// Bound on each request/response exchange and socket write; `None`
+    /// waits forever.
     pub request_timeout: Option<Duration>,
-    /// Seed of the deterministic backoff jitter (so tests and the chaos
-    /// harness replay identical schedules).
-    pub jitter_seed: u64,
+    /// Readiness window: the client's first dial is retried every
+    /// millisecond for this long, for a daemon still binding its socket.
+    /// Zero dials once.
+    pub wait: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -297,11 +158,8 @@ impl Default for RetryPolicy {
         RetryPolicy {
             attempts: 4,
             base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            budget: 64,
-            connect_timeout: Some(Duration::from_secs(5)),
             request_timeout: Some(Duration::from_secs(30)),
-            jitter_seed: 0x9E37_79B9_7F4A_7C15,
+            wait: Duration::ZERO,
         }
     }
 }
@@ -319,7 +177,6 @@ fn retryable(error: &ClientError) -> bool {
         ClientError::Connect(_)
             | ClientError::ConnectionLost { .. }
             | ClientError::TimedOut { .. }
-            | ClientError::Closed
             | ClientError::Server(ServeError::QueueFull { .. })
             | ClientError::Server(ServeError::IdleTimeout { .. })
     )
@@ -333,37 +190,32 @@ fn connection_dead(error: &ClientError) -> bool {
         ClientError::Connect(_)
             | ClientError::ConnectionLost { .. }
             | ClientError::TimedOut { .. }
-            | ClientError::Closed
             | ClientError::Protocol(_)
             | ClientError::Server(ServeError::IdleTimeout { .. })
     )
 }
 
-/// A [`Client`] wrapper that survives transient failure: reconnects on
-/// lost connections (including a daemon restart), retries idempotent
-/// verbs with capped exponential backoff and deterministic jitter, and
-/// spends a bounded lifetime retry budget. Non-idempotent verbs
-/// (`apply_delta`, `shutdown`) get exactly one attempt — their fate on
-/// a lost connection is unknown, and guessing is worse than reporting.
-pub struct RetryClient {
+/// A blocking client of one daemon address. It dials on its first call,
+/// redials after a failure that killed the connection (including a daemon
+/// restart), retries idempotent verbs under its [`RetryPolicy`], and gives
+/// the non-idempotent ones (`apply_delta`, `shutdown`) exactly one attempt —
+/// their fate on a lost connection is unknown, and guessing is worse than
+/// reporting.
+pub struct Client {
     address: Listen,
     policy: RetryPolicy,
-    inner: Option<Client>,
+    /// Under an installed fault plan the wrapper injects socket faults
+    /// client-side too; a transparent no-op otherwise. `None` before the
+    /// first dial and after a failure that killed the connection.
+    stream: Option<imm_fault::FaultyIo<Stream>>,
     budget_left: u32,
     jitter: u64,
 }
 
-impl RetryClient {
+impl Client {
     /// A lazy client: the first call dials.
     pub fn new(address: Listen, policy: RetryPolicy) -> Self {
-        let budget_left = policy.budget;
-        let jitter = policy.jitter_seed | 1; // xorshift must not start at 0
-        RetryClient { address, policy, inner: None, budget_left, jitter }
-    }
-
-    /// The address this client dials.
-    pub fn address(&self) -> &Listen {
-        &self.address
+        Client { address, policy, stream: None, budget_left: RETRY_BUDGET, jitter: JITTER_SEED }
     }
 
     /// Retries left in the lifetime budget.
@@ -371,25 +223,66 @@ impl RetryClient {
         self.budget_left
     }
 
-    fn connect(&mut self) -> Result<&mut Client, ClientError> {
-        if self.inner.is_none() {
-            let mut client = match self.policy.connect_timeout {
-                Some(timeout) => Client::connect_timeout(&self.address, timeout)?,
-                None => Client::connect(&self.address)?,
+    /// The live connection, dialing one if there is none: the first dial
+    /// retries every millisecond inside the readiness window, a redial
+    /// dials once.
+    fn stream(&mut self) -> Result<&mut imm_fault::FaultyIo<Stream>, ClientError> {
+        if self.stream.is_none() {
+            // The readiness window is spent on the first dial.
+            let deadline = Instant::now() + std::mem::take(&mut self.policy.wait);
+            let stream = loop {
+                match Stream::connect(&self.address, DIAL_TIMEOUT) {
+                    Ok(stream) => break stream,
+                    Err(e) if Instant::now() >= deadline => return Err(ClientError::Connect(e)),
+                    Err(_) => std::thread::sleep(DIAL_GAP),
+                }
             };
-            client.set_request_timeout(self.policy.request_timeout)?;
-            self.inner = Some(client);
+            let timeout = self.policy.request_timeout;
+            stream
+                .set_read_timeout(timeout)
+                .and_then(|()| stream.set_write_timeout(timeout))
+                .map_err(|e| ClientError::Protocol(ProtocolError::Io(e)))?;
+            self.stream = Some(imm_fault::FaultyIo::new(stream, "client.conn"));
         }
-        Ok(self.inner.as_mut().expect("just connected"))
+        Ok(self.stream.as_mut().expect("just dialed"))
+    }
+
+    /// One exchange of an encoded request, surfacing a server-reported
+    /// error as [`ClientError::Server`].
+    fn exchange(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
+        let waited = self.policy.request_timeout.unwrap_or(Duration::ZERO);
+        let stream = self.stream()?;
+        protocol::write_frame(stream, frame).map_err(|e| {
+            if is_connection_loss(e.kind()) {
+                ClientError::ConnectionLost { detail: e.to_string() }
+            } else {
+                ClientError::Protocol(ProtocolError::Io(e))
+            }
+        })?;
+        match protocol::read_frame(stream, DEFAULT_MAX_FRAME_LEN) {
+            Ok(FrameRead::Frame(payload)) => match protocol::decode_response(&payload)? {
+                Response::Error(e) => Err(ClientError::Server(e)),
+                response => Ok(response),
+            },
+            // EOF after the request went out: the daemon (or the path to
+            // it) died with the exchange open.
+            Ok(FrameRead::Eof) => Err(ClientError::ConnectionLost {
+                detail: "the daemon closed the connection before replying".into(),
+            }),
+            // A read timeout with no frame started: the request timeout
+            // expired (only reachable when one is set).
+            Ok(FrameRead::Idle) => Err(ClientError::TimedOut { waited }),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Deterministic jittered exponential backoff: `base * 2^(attempt-1)`
-    /// capped at `max_backoff`, plus up to half of itself in xorshift
+    /// capped at [`MAX_BACKOFF`], plus up to half of itself in xorshift
     /// jitter (decorrelates a fleet of clients hammering one daemon).
     fn backoff(&mut self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(16);
         let raw = self.policy.base_backoff.saturating_mul(1u32 << exp);
-        let capped = raw.min(self.policy.max_backoff);
+        let capped = raw.min(MAX_BACKOFF);
         // xorshift64
         self.jitter ^= self.jitter << 13;
         self.jitter ^= self.jitter >> 7;
@@ -399,23 +292,23 @@ impl RetryClient {
         capped + Duration::from_nanos(jitter_ns)
     }
 
-    /// Run one idempotent exchange with the full retry loop.
-    fn call_idempotent<T>(
-        &mut self,
-        exchange: impl Fn(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
+    /// Send `request` under the policy: an idempotent one retries until it
+    /// succeeds, fails unretryably, runs out of attempts or drains the
+    /// budget; `apply_delta` and `shutdown` get one attempt.
+    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let frame = protocol::encode_request(request);
+        let idempotent = !matches!(request, Request::ApplyDelta { .. } | Request::Shutdown);
+        let attempts = if idempotent { self.policy.attempts.max(1) } else { 1 };
         let mut attempt = 1u32;
         loop {
-            let result = self.connect().and_then(&exchange);
-            let error = match result {
-                Ok(value) => return Ok(value),
+            let error = match self.exchange(&frame) {
+                Ok(response) => return Ok(response),
                 Err(error) => error,
             };
             if connection_dead(&error) {
-                self.inner = None;
+                self.stream = None;
             }
-            if !retryable(&error) || attempt >= self.policy.attempts.max(1) || self.budget_left == 0
-            {
+            if !retryable(&error) || attempt >= attempts || self.budget_left == 0 {
                 return Err(error);
             }
             self.budget_left -= 1;
@@ -425,53 +318,58 @@ impl RetryClient {
         }
     }
 
-    /// Run one non-idempotent exchange: a single attempt, no retry (the
-    /// connection is still re-dialed if a previous call left it dead).
-    fn call_once<T>(
-        &mut self,
-        exchange: impl FnOnce(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let result = self.connect().and_then(exchange);
-        if let Err(error) = &result {
-            if connection_dead(error) {
-                self.inner = None;
-            }
-        }
-        result
-    }
-
     /// Liveness probe (idempotent; retried).
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call_idempotent(|c| c.ping())
+        match self.call(&Request::Ping)? {
+            Response::Pong => Ok(()),
+            _ => Err(ClientError::Unexpected { expected: "pong" }),
+        }
     }
 
-    /// Serve a batch of queries (idempotent; retried — queries never
-    /// mutate the served index).
+    /// Serve a batch of queries; each answer slot is the engine's
+    /// byte-identical response or a structured admission rejection
+    /// (idempotent; retried — queries never mutate the served index).
     pub fn batch(
         &mut self,
         queries: &[Query],
     ) -> Result<Vec<Result<QueryResponse, Rejection>>, ClientError> {
-        self.call_idempotent(|c| c.batch(queries))
+        match self.call(&Request::Batch(queries.to_vec()))? {
+            Response::Batch(outcomes) => Ok(outcomes),
+            _ => Err(ClientError::Unexpected { expected: "batch answers" }),
+        }
     }
 
     /// The daemon's live metrics registry as JSON (idempotent; retried).
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
-        self.call_idempotent(|c| c.metrics_json())
+        match self.call(&Request::Metrics)? {
+            Response::MetricsJson(json) => Ok(json),
+            _ => Err(ClientError::Unexpected { expected: "metrics json" }),
+        }
     }
 
     /// Server identity and shape (idempotent; retried).
     pub fn info(&mut self) -> Result<ServerInfo, ClientError> {
-        self.call_idempotent(|c| c.info())
+        match self.call(&Request::Info)? {
+            Response::Info(info) => Ok(info),
+            _ => Err(ClientError::Unexpected { expected: "server info" }),
+        }
     }
 
-    /// Apply a delta — NOT idempotent (a delta applied twice is a
-    /// different index), so exactly one attempt.
+    /// Apply a delta (`update-index` text format) through a graceful
+    /// rollout — NOT idempotent (a delta applied twice is a different
+    /// index), so exactly one attempt.
     pub fn apply_delta(&mut self, text: &str) -> Result<DeltaOutcome, ClientError> {
-        self.call_once(|c| c.apply_delta(text))
+        match self.call(&Request::ApplyDelta { text: text.into() })? {
+            Response::DeltaApplied(outcome) => Ok(outcome),
+            _ => Err(ClientError::Unexpected { expected: "delta outcome" }),
+        }
     }
 
     /// Ask the daemon to drain and exit (one attempt).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.call_once(|c| c.shutdown())
+        match self.call(&Request::Shutdown)? {
+            Response::ShuttingDown => Ok(()),
+            _ => Err(ClientError::Unexpected { expected: "shutdown ack" }),
+        }
     }
 }

@@ -19,8 +19,8 @@
 //!   bit-exact [`Query`](imm_service::Query) /
 //!   [`QueryResponse`](imm_service::QueryResponse) codecs (`f64`s
 //!   travel as raw bits), so a remote answer is **byte-identical** to
-//!   the in-process engine's — the `shard_parity.rs` discipline, now
-//!   across a socket.
+//!   the in-process engine's, which the `daemon/unix` and `daemon/tcp`
+//!   rows of the conformance matrix (`tests/conformance.rs`) pin.
 //! * [`admission`] — per-query cost estimates from the global postings'
 //!   sizes feeding admission control: over-budget queries get a
 //!   structured [`Rejection`] while in-budget
@@ -35,8 +35,9 @@
 //!   is refreshed off to the side and swapped in atomically with a new
 //!   engine over it, so queries keep serving on the old generation until
 //!   the swap.
-//! * [`client`] — the blocking client used by the CLI `client`
-//!   subcommand, the spine's load generator, and the parity suite.
+//! * [`client`] — the one blocking client: it dials lazily, retries
+//!   idempotent verbs under a [`RetryPolicy`], and serves the CLI `client`
+//!   subcommand and the conformance matrix's daemon rows.
 
 pub mod admission;
 pub mod client;
@@ -45,7 +46,7 @@ pub mod protocol;
 pub mod server;
 
 pub use admission::{Admission, CostModel};
-pub use client::{Client, ClientError, RetryClient, RetryPolicy};
+pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{
     DeltaOutcome, ProtocolError, Rejection, Request, Response, ServeError, ServerInfo,
     DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,

@@ -29,8 +29,9 @@
 //! [`QueryResponse`] floats are encoded as raw IEEE-754 bits
 //! (`f64::to_bits`) and reconstructed with `f64::from_bits`, so a
 //! response decoded from the socket compares `==` (bit-for-bit on the
-//! floats) with the in-process engine's answer. The socket parity suite
-//! holds the daemon to exactly that.
+//! floats) with the in-process engine's answer. The `daemon/unix` and
+//! `daemon/tcp` rows of the conformance matrix (`tests/conformance.rs`)
+//! hold the daemon to exactly that.
 
 use imm_rrr::BitSet;
 use imm_service::{Query, QueryResponse};

@@ -38,8 +38,9 @@
 //!
 //! Remote answers are **byte-identical** to the in-process engine's:
 //! the daemon calls the very same [`ShardedEngine`] entry points and the
-//! wire codec round-trips `f64`s as raw bits. The socket parity suite
-//! pins this across shard counts, including after rolling refreshes.
+//! wire codec round-trips `f64`s as raw bits. The `daemon/unix` and
+//! `daemon/tcp` rows of the conformance matrix (`tests/conformance.rs`)
+//! pin this across deltas, including after rolling refreshes.
 
 use crate::admission::{Admission, CostModel};
 use crate::metrics as smetrics;
@@ -89,21 +90,10 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    pub(crate) fn connect(address: &Listen) -> io::Result<Stream> {
-        match address {
-            Listen::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-            Listen::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str())?;
-                stream.set_nodelay(true)?;
-                Ok(Stream::Tcp(stream))
-            }
-        }
-    }
-
-    /// Connect with a bound on how long the dial itself may take. Unix
+    /// Dial `address`, bounding how long the dial itself may take. Unix
     /// sockets connect (or fail) immediately and ignore the timeout; TCP
     /// dials every resolved address with `TcpStream::connect_timeout`.
-    pub(crate) fn connect_timeout(address: &Listen, timeout: Duration) -> io::Result<Stream> {
+    pub(crate) fn connect(address: &Listen, timeout: Duration) -> io::Result<Stream> {
         match address {
             Listen::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
             Listen::Tcp(addr) => {
@@ -228,12 +218,11 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Tuning knobs of one daemon instance. Every connection caps a frame's
-/// payload at [`DEFAULT_MAX_FRAME_LEN`] and a socket write at 30 s.
+/// payload at [`DEFAULT_MAX_FRAME_LEN`] and a socket write at 30 s, and a
+/// batch fans across the process-global worker pool ([`imm_exec::global`]).
 pub struct ServerConfig {
     /// Where to listen.
     pub listen: Listen,
-    /// Serving parallelism: batch requests fan across it.
-    pub threads: usize,
     /// Per-query cost budget in postings entries (`None` admits all).
     pub budget: Option<u64>,
     /// Bound on concurrently served requests across all connections.
@@ -258,12 +247,10 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults sized for a small deployment: global-pool parallelism, no
-    /// cost budget, 64 in-flight requests, no idle timeout, no deadline.
+    /// Defaults sized for a small deployment: no cost budget, 64 in-flight requests, no idle timeout, no deadline.
     pub fn new(listen: Listen) -> Self {
         ServerConfig {
             listen,
-            threads: imm_exec::default_threads(),
             budget: None,
             max_inflight: 64,
             idle_timeout: None,
@@ -310,7 +297,6 @@ pub struct Server {
     /// Crash-safety journal for accepted deltas; appends serialize under
     /// the `dynamic` rollout lock (`None` when journaling is off).
     journal: Mutex<Option<DeltaJournal>>,
-    threads: usize,
     idle_timeout: Option<Duration>,
     batch_deadline: Option<Duration>,
 }
@@ -350,7 +336,6 @@ impl Server {
             live: Mutex::new(HashMap::new()),
             metrics_provider: Box::new(metrics_provider),
             journal: Mutex::new(journal),
-            threads: config.threads,
             idle_timeout: config.idle_timeout,
             batch_deadline: config.batch_deadline,
         });
@@ -485,16 +470,17 @@ impl Server {
     /// deadline before each chunk: queries that have not started when it
     /// expires answer a structured [`Rejection::DeadlineExceeded`] instead
     /// of running. With no deadline the chunk is the whole batch; with one
-    /// it is `threads × 4` queries, small enough to bound the overshoot of
+    /// it is `threads × 4` queries (the global pool's width), small enough to bound the overshoot of
     /// the chunk in flight (the engine is not preemptible).
     fn execute_with_deadline(
         &self,
         state: &EngineState,
         admitted: &[imm_service::Query],
     ) -> Vec<Result<QueryResponse, Rejection>> {
+        let threads = imm_exec::global().num_threads();
         let chunk = match self.batch_deadline {
             None => admitted.len(),
-            Some(_) => self.threads.max(1) * 4,
+            Some(_) => threads.max(1) * 4,
         };
         let started = Instant::now();
         let mut answers = Vec::with_capacity(admitted.len());
@@ -511,7 +497,7 @@ impl Server {
                     break;
                 }
             }
-            answers.extend(state.engine.execute_batch(queries, self.threads).into_iter().map(Ok));
+            answers.extend(state.engine.execute_batch(queries, threads).into_iter().map(Ok));
         }
         answers
     }

@@ -11,7 +11,7 @@
 
 use imm_diffusion::DiffusionModel;
 use imm_fault::FaultConfig;
-use imm_serve::{ClientError, Listen, RetryClient, RetryPolicy, Server, ServerConfig};
+use imm_serve::{Client, ClientError, Listen, RetryPolicy, Server, ServerConfig};
 use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
 use rand::rngs::SmallRng;
@@ -60,7 +60,6 @@ fn is_structured(error: &ClientError) -> bool {
         ClientError::Connect(_)
             | ClientError::ConnectionLost { .. }
             | ClientError::TimedOut { .. }
-            | ClientError::Closed
             | ClientError::Server(_)
     )
 }
@@ -74,9 +73,7 @@ fn seeded_connection_chaos_never_corrupts_a_served_answer() {
     let mut total_injected = 0u64;
     let mut total_served = 0u64;
     for seed in 0..seed_count() {
-        let socket = unix_path(seed);
-        let mut config = ServerConfig::new(Listen::Unix(socket));
-        config.threads = 2;
+        let config = ServerConfig::new(Listen::Unix(unix_path(seed)));
 
         let chaos = FaultConfig { io_error: 0.06, io_partial: 0.15, ..FaultConfig::seeded(seed) };
         let (injected, served) = imm_fault::with_plan(chaos, |plan| {
@@ -85,12 +82,10 @@ fn seeded_connection_chaos_never_corrupts_a_served_answer() {
             let policy = RetryPolicy {
                 attempts: 8,
                 base_backoff: Duration::from_millis(2),
-                max_backoff: Duration::from_millis(50),
-                budget: 256,
                 request_timeout: Some(Duration::from_secs(5)),
                 ..RetryPolicy::default()
             };
-            let mut client = RetryClient::new(handle.address().clone(), policy);
+            let mut client = Client::new(handle.address().clone(), policy);
 
             let mut served = 0u64;
             for round in 0..10 {
@@ -136,13 +131,11 @@ fn a_disarmed_stack_serves_cleanly() {
     let oracle = ShardedEngine::new(Arc::clone(&sharded));
     let expected = oracle.execute_batch(&battery, 2);
 
-    let socket = unix_path(u64::MAX);
-    let mut config = ServerConfig::new(Listen::Unix(socket));
-    config.threads = 2;
+    let config = ServerConfig::new(Listen::Unix(unix_path(u64::MAX)));
     imm_fault::with_plan(FaultConfig::default(), |plan| {
         let handle = Server::start(Arc::clone(&sharded), None, config, || "{}".into())
             .expect("the daemon must start");
-        let mut client = RetryClient::new(handle.address().clone(), RetryPolicy::default());
+        let mut client = Client::new(handle.address().clone(), RetryPolicy::default());
         let budget_before = client.budget_left();
         for _ in 0..3 {
             let answers: Vec<_> = client

@@ -10,8 +10,7 @@ use imm_fault::FaultConfig;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_serve::protocol::{encode_request, write_frame, FRAME_HEADER_LEN};
 use imm_serve::{
-    Client, ClientError, Listen, Rejection, Request, RetryClient, RetryPolicy, ServeError, Server,
-    ServerConfig,
+    Client, ClientError, Listen, Rejection, Request, RetryPolicy, ServeError, Server, ServerConfig,
 };
 use imm_service::{DeltaJournal, Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
@@ -53,13 +52,16 @@ fn unix_path(name: &str) -> PathBuf {
 }
 
 fn config(path: PathBuf) -> ServerConfig {
-    let mut config = ServerConfig::new(Listen::Unix(path));
-    config.threads = 2;
-    config
+    ServerConfig::new(Listen::Unix(path))
+}
+
+/// A client that surfaces the first failure of a call.
+fn single_attempt(address: &Listen) -> Client {
+    Client::new(address.clone(), RetryPolicy { attempts: 1, ..RetryPolicy::default() })
 }
 
 /// An idle connection is closed with a structured [`ServeError::IdleTimeout`]
-/// goodbye (counted in `serve_conn_timeouts`), and the retrying client heals
+/// goodbye (counted in `serve_conn_timeouts`), and a retrying client heals
 /// over it by reconnecting. A connection stalled inside a frame is dropped
 /// by the same clock, as a truncated frame (counted in
 /// `serve_protocol_errors`).
@@ -77,15 +79,14 @@ fn idle_connections_are_shed_with_a_structured_goodbye() {
     // A raw client sees the close as either the goodbye frame or a lost
     // connection (depending on whether its write outruns the reset) —
     // both typed, both retryable, never a hang or a panic.
-    let mut raw =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut raw = single_attempt(handle.address());
     raw.ping().expect("a fresh connection serves");
     std::thread::sleep(Duration::from_millis(400));
     match raw.ping() {
         Err(ClientError::Server(ServeError::IdleTimeout { idle_ms })) => {
             assert!(idle_ms >= 120, "reported idle time {idle_ms} ms below the limit")
         }
-        Err(ClientError::ConnectionLost { .. }) | Err(ClientError::Closed) => {}
+        Err(ClientError::ConnectionLost { .. }) => {}
         other => panic!("an idled-out connection must fail typed, got {other:?}"),
     }
     assert!(
@@ -110,15 +111,13 @@ fn idle_connections_are_shed_with_a_structured_goodbye() {
         "the stalled frame must be counted in serve_protocol_errors"
     );
 
-    // The retrying client eats the same close transparently.
-    let mut retry = RetryClient::new(handle.address().clone(), RetryPolicy::default());
+    // A retrying client eats the same close transparently.
+    let mut retry = Client::new(handle.address().clone(), RetryPolicy::default());
     retry.ping().expect("first ping");
+    let budget = retry.budget_left();
     std::thread::sleep(Duration::from_millis(400));
-    retry.ping().expect("the retry client must reconnect through an idle close");
-    assert!(
-        retry.budget_left() < RetryPolicy::default().budget,
-        "healing the idle close must spend retry budget"
-    );
+    retry.ping().expect("a retrying client must reconnect through an idle close");
+    assert!(retry.budget_left() < budget, "healing the idle close must spend retry budget");
 
     retry.shutdown().expect("shutdown");
     handle.join().expect("accept loop exits");
@@ -174,7 +173,7 @@ fn a_frame_trickled_inside_the_idle_timeout_is_cut_by_its_deadline() {
     handle.join().expect("accept loop exits");
 }
 
-/// A full daemon restart: the retrying client types the dead socket as a
+/// A full daemon restart: a retrying client types the dead socket as a
 /// lost connection, redials, and the same battery serves byte-identically
 /// from the reborn daemon.
 #[test]
@@ -191,7 +190,7 @@ fn the_retry_client_survives_a_daemon_restart() {
     let battery = queries(index.num_nodes());
     let expected = local.execute_batch(&battery, 2);
 
-    let mut retry = RetryClient::new(handle.address().clone(), RetryPolicy::default());
+    let mut retry = Client::new(handle.address().clone(), RetryPolicy::default());
     let first = retry.batch(&battery).expect("batch against the first daemon");
     for (got, want) in first.iter().zip(expected.iter()) {
         assert_eq!(got.as_ref().expect("admitted"), want);
@@ -251,8 +250,7 @@ fn failed_rollouts_keep_the_old_generation_until_a_retry_lands() {
     let delta = GraphDelta::new().insert(3, 40, 0.7).insert(80, 9, 0.5);
 
     imm_fault::with_plan(FaultConfig { fail_first: 1, ..FaultConfig::seeded(17) }, |_| {
-        let mut client =
-            Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+        let mut client = single_attempt(handle.address());
 
         // Attempt 1 dies before the rebuild; attempt 2 dies after the
         // rebuild but before the swap. Both refuse with a structured
@@ -324,8 +322,7 @@ fn batch_deadlines_cut_queries_with_structured_rejections() {
     let sharded = ShardedIndex::from_index(index.clone(), 2).expect("shardable");
     let handle = Server::start(Arc::new(sharded), None, strict, || "{}".into()).expect("server");
     let before = imm_serve::metrics::DEADLINE_EXCEEDED.value();
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = single_attempt(handle.address());
     let answers = client.batch(&battery).expect("the batch itself is answered");
     assert_eq!(answers.len(), battery.len());
     for (i, answer) in answers.iter().enumerate() {
@@ -348,8 +345,7 @@ fn batch_deadlines_cut_queries_with_structured_rejections() {
     let handle = Server::start(Arc::new(sharded), None, lax, || "{}".into()).expect("server");
     let local =
         ShardedEngine::new(Arc::new(ShardedIndex::from_index(index, 2).expect("shardable")));
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = single_attempt(handle.address());
     let answers = client.batch(&battery).expect("batch");
     for (i, (got, want)) in answers.iter().zip(local.execute_batch(&battery, 2).iter()).enumerate()
     {

@@ -11,8 +11,8 @@ use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights};
 use imm_serve::protocol::{encode_request, write_frame, FRAME_HEADER_LEN};
 use imm_serve::{
-    Client, ClientError, CostModel, Listen, Rejection, Request, ServeError, Server, ServerConfig,
-    ServerHandle,
+    Client, ClientError, CostModel, Listen, Rejection, Request, RetryPolicy, ServeError, Server,
+    ServerConfig, ServerHandle,
 };
 use imm_service::{Query, SampleSpec, SketchIndex};
 use imm_shard::{ShardedEngine, ShardedIndex};
@@ -45,6 +45,11 @@ fn unix_path(name: &str) -> PathBuf {
     path
 }
 
+/// A client that surfaces the first failure of a call.
+fn connect(address: &Listen) -> Client {
+    Client::new(address.clone(), RetryPolicy { attempts: 1, ..RetryPolicy::default() })
+}
+
 fn start(index: &SketchIndex, shards: usize, config: ServerConfig) -> ServerHandle {
     let sharded = ShardedIndex::from_index(index.clone(), shards).expect("shardable");
     Server::start(Arc::new(sharded), None, config, || "{}".into()).expect("server starts")
@@ -72,11 +77,9 @@ fn over_budget_queries_are_rejected_while_cheap_ones_serve() {
     let budget = (cheap_cost + expensive_cost) / 2;
 
     let mut config = ServerConfig::new(Listen::Unix(unix_path("admission.sock")));
-    config.threads = 2;
     config.budget = Some(budget);
     let handle = start(&index, 2, config);
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = connect(handle.address());
 
     let out_of_range = graph.num_nodes() as u32 + 7;
     let batch = vec![cheap.clone(), expensive.clone(), Query::Spread { seeds: vec![out_of_range] }];
@@ -116,11 +119,9 @@ fn over_budget_queries_are_rejected_while_cheap_ones_serve() {
 fn full_inflight_queue_sheds_batches_with_a_structured_error() {
     let (_graph, _weights, index) = fixture();
     let mut config = ServerConfig::new(Listen::Unix(unix_path("queue-full.sock")));
-    config.threads = 2;
     config.max_inflight = 0;
     let handle = start(&index, 1, config);
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = connect(handle.address());
 
     client.ping().expect("control verbs still answer");
     match client.batch(&[Query::top_k(2)]) {
@@ -139,11 +140,8 @@ fn full_inflight_queue_sheds_batches_with_a_structured_error() {
 #[test]
 fn static_daemon_rejects_rollouts_structurally() {
     let (graph, weights, index) = fixture();
-    let mut config = ServerConfig::new(Listen::Unix(unix_path("static.sock")));
-    config.threads = 2;
-    let handle = start(&index, 2, config);
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let handle = start(&index, 2, ServerConfig::new(Listen::Unix(unix_path("static.sock"))));
+    let mut client = connect(handle.address());
 
     match client.apply_delta("+ 0 1 0.5\n") {
         Err(ClientError::Server(ServeError::NotDynamic)) => {}
@@ -154,13 +152,11 @@ fn static_daemon_rejects_rollouts_structurally() {
     handle.join().expect("accept loop exits");
 
     // A dynamic daemon rejects garbage delta text without rolling over.
-    let mut config = ServerConfig::new(Listen::Unix(unix_path("bad-delta.sock")));
-    config.threads = 2;
+    let config = ServerConfig::new(Listen::Unix(unix_path("bad-delta.sock")));
     let sharded = ShardedIndex::from_index(index.clone(), 2).expect("shardable");
     let handle = Server::start(Arc::new(sharded), Some((graph, weights)), config, || "{}".into())
         .expect("server starts");
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = connect(handle.address());
     match client.apply_delta("this is not a delta\n") {
         Err(ClientError::Server(ServeError::Delta { .. })) => {}
         other => panic!("expected a delta error, got {other:?}"),
@@ -182,14 +178,12 @@ fn static_daemon_rejects_rollouts_structurally() {
 #[test]
 fn metrics_verb_round_trips_the_provider_payload() {
     let (_graph, _weights, index) = fixture();
-    let mut config = ServerConfig::new(Listen::Unix(unix_path("metrics.sock")));
-    config.threads = 1;
+    let config = ServerConfig::new(Listen::Unix(unix_path("metrics.sock")));
     let sharded = ShardedIndex::from_index(index.clone(), 1).expect("shardable");
     let handle =
         Server::start(Arc::new(sharded), None, config, || r#"{"registry":{"metrics":[]}}"#.into())
             .expect("server starts");
-    let mut client =
-        Client::connect_with_retry(handle.address(), Duration::from_secs(5)).expect("connect");
+    let mut client = connect(handle.address());
     assert_eq!(client.metrics_json().expect("metrics"), r#"{"registry":{"metrics":[]}}"#);
     client.shutdown().expect("shutdown");
     handle.join().expect("accept loop exits");
@@ -227,8 +221,7 @@ fn a_connection_is_accepted_the_moment_it_arrives() {
         let mut rounds: Vec<Duration> = (0..20)
             .map(|_| {
                 let started = Instant::now();
-                let mut client = Client::connect(handle.address()).expect("connect");
-                client.ping().expect("ping");
+                connect(handle.address()).ping().expect("connect + ping");
                 started.elapsed()
             })
             .collect();
@@ -248,10 +241,7 @@ fn shutdown_does_not_wait_for_idle_connections() {
     for listen in both_transports("idle-stop.sock") {
         let label = listen.to_string();
         let handle = start(&index, 1, ServerConfig::new(listen));
-        let mut idle: Vec<Client> = (0..2)
-            .map(|_| Client::connect_with_retry(handle.address(), Duration::from_secs(5)))
-            .collect::<Result<_, _>>()
-            .expect("connect");
+        let mut idle: Vec<Client> = (0..2).map(|_| connect(handle.address())).collect();
         for client in &mut idle {
             client.ping().expect("ping");
         }
@@ -275,9 +265,7 @@ fn shutdown_finishes_when_the_socket_file_is_gone() {
     let (_, _, index) = fixture();
     let path = unix_path("unlinked.sock");
     let handle = start(&index, 1, ServerConfig::new(Listen::Unix(path.clone())));
-    Client::connect_with_retry(handle.address(), Duration::from_secs(5))
-        .and_then(|mut client| client.ping())
-        .expect("the daemon serves");
+    connect(handle.address()).ping().expect("the daemon serves");
     std::fs::remove_file(&path).expect("unlink the socket file");
     let took = stop_and_join(handle);
     assert!(took < Duration::from_millis(500), "stop + join took {took:?}");

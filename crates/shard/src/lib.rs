@@ -21,8 +21,8 @@
 //!   answers the full query vocabulary (Top-K with optional audience masks,
 //!   spread, marginal, batches). Results are **byte-identical** to the
 //!   single-index `QueryEngine` for every shard count and thread count —
-//!   the crate's parity suite pins this, including
-//!   after a rolled delta (`rebuilt_with_delta`, then a new engine over the
+//!   the `shards/*` rows of the conformance matrix (`tests/conformance.rs`)
+//!   pin this, including after a rolled delta (`rebuilt_with_delta`, then a new engine over the
 //!   next generation: the daemon's path, and the only one).
 //!
 //! ```

@@ -16,7 +16,8 @@
 //! streamed pass that checksums the whole payload and decodes the sections
 //! onto the heap chunk by chunk, then validates them in full, and serves
 //! nothing until both pass. Both paths produce
-//! logically equal indices; a parity suite pins byte-identical query
+//! logically equal indices; the `heap load` and `mapped load` rows of the
+//! conformance matrix (`tests/conformance.rs`) pin byte-identical query
 //! responses. A file of another format version is no
 //! path's to serve: the fallback reports the same
 //! [`SnapshotError::UnsupportedVersion`] the mapped open did.

@@ -35,7 +35,7 @@ use imm_bench::efficient::select_seeds_efficient;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};
-use imm_serve::{Client, Listen, Rejection, Server, ServerConfig, ServerHandle};
+use imm_serve::{Client, Listen, Rejection, RetryPolicy, Server, ServerConfig, ServerHandle};
 use imm_service::{
     parse_head, IndexMeta, Query, QueryEngine, QueryResponse, RefreshStats, SampleSpec, SketchIndex,
 };
@@ -46,7 +46,6 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 const BATCHED: [(usize, &str); 3] = [(1, "batch/1"), (2, "batch/2"), (4, "batch/4")];
 const SHARDED: [(usize, &str); 4] =
@@ -1021,14 +1020,13 @@ impl Daemon {
         [("daemon/unix", unix), ("daemon/tcp", Listen::Tcp("127.0.0.1:0".into()))]
             .into_iter()
             .map(|(row, listen)| {
-                let mut config = ServerConfig::new(listen);
-                config.threads = 2;
+                let config = ServerConfig::new(listen);
                 let sharded = ShardedIndex::from_index(gen.index.clone(), 2).expect("shardable");
                 let dynamic = gen.revision.as_ref().map(|(g, w, _)| (g.clone(), w.clone()));
                 let handle = Server::start(Arc::new(sharded), dynamic, config, || "{}".into())
                     .expect("the daemon starts");
-                let wait = Duration::from_secs(5);
-                let client = Client::connect_with_retry(handle.address(), wait).expect("connect");
+                let policy = RetryPolicy { attempts: 1, ..Default::default() };
+                let client = Client::new(handle.address().clone(), policy);
                 Daemon { row, handle, client, rollouts: 0 }
             })
             .collect()
@@ -1088,7 +1086,7 @@ impl Daemon {
     fn stop(mut self, context: &str, gen: &Generation, queries: &[Query]) {
         let address = self.handle.address().clone();
         self.client =
-            Client::connect_with_retry(&address, Duration::from_secs(5)).expect("connect");
+            Client::new(address.clone(), RetryPolicy { attempts: 1, ..Default::default() });
         self.check(&format!("{context}, fresh connection"), gen, queries);
         self.client.shutdown().expect("shutdown");
         self.handle.join().expect("the accept loop exits");
