@@ -65,7 +65,7 @@ PROPTEST_CASES=32 FAULT_SEED_COUNT=4 cargo test --workspace -q
 # vertex-adaptive postings against their naive inverse; the spliced graph
 # delta against the CSR rebuild it replaced; run_imm's one selection per
 # sample that can pass its check; the sampler's once-per-worker registry
-# flush.
+# flush; the Ripples baseline's equalities with run_imm.
 echo "==> load-bearing test binaries are part of the workspace sweep"
 TEST_BINARIES="$(cargo test --workspace --no-run 2>&1 \
   | sed -n 's|^ *Executable .*/deps/\(.*\)-[0-9a-f]*)$|\1|p')"
@@ -77,7 +77,7 @@ for expected in runtime_stress \
   imm_store mmap_fallback \
   differential sampler_oracle conformance \
   postings_inverse \
-  delta_splice selection_rounds sampling_tallies; do
+  delta_splice selection_rounds sampling_tallies ripples_parity; do
   if ! grep -qx "$expected" <<< "$TEST_BINARIES"; then
     echo "error: test binary '$expected' is no longer built by cargo test --workspace" >&2
     exit 1
@@ -462,7 +462,7 @@ fi
 # models are the reproduction's and live in imm-bench, so no non-test file
 # of crates/core/src names them (each file is searched up to its test
 # module).
-echo "==> one-greedy guard: run_imm runs CELF, one LazyGreedy in imm-rrr, no reproduction code in core"
+echo "==> one-greedy guard: run_imm runs CELF, one LazyGreedy in imm-rrr, no reproduction code or second engine in core"
 CORE_REPRO="$(for f in $(find crates/core/src -name '*.rs' | sort); do
   sed '/^#\[cfg(test)\]/,$d' "$f" \
     | { grep -nwE 'imm_memsim|imm_numa|GlobalCounter|select_seeds_efficient|instrumented' || true; } \
@@ -475,6 +475,33 @@ if [ -n "$CORE_REPRO" ]; then
 fi
 if grep -rnE 'struct LazyGreedy|fn pop_argmax' crates src examples tests | grep -v '^crates/rrr/src/'; then
   echo "error: the lazy-greedy session lives in crates/rrr/src alone" >&2
+  exit 1
+fi
+# One engine in core: the Ripples baseline (its θ loop and its kernel) is
+# imm_bench::ripples, so no code line of a non-test file of crates/core/src
+# (comments aside) names it or the parking_lot it locked with; `Algorithm`
+# is the one-variant token the spine's ExecutionConfig::new call names, and
+# ExecutionConfig carries no engine field.
+CORE_RIPPLES="$(for f in $(find crates/core/src -name '*.rs' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | { grep -nE 'ripples|Ripples|parking_lot' || true; } \
+    | { grep -vE '^[0-9]+:[[:space:]]*//' || true; } \
+    | sed "s|^|$f:|"
+done)"
+if [ -n "$CORE_RIPPLES" ]; then
+  echo "$CORE_RIPPLES" >&2
+  echo "error: the Ripples baseline lives in imm_bench::ripples; crates/core/src runs one engine" >&2
+  exit 1
+fi
+ALGORITHM_VARIANTS="$(sed -n '/^pub enum Algorithm {/,/^}/p' crates/core/src/params.rs \
+  | grep -cE '^    [A-Z]' || true)"
+if [ "$ALGORITHM_VARIANTS" != 1 ]; then
+  echo "error: Algorithm in crates/core/src/params.rs has $ALGORITHM_VARIANTS variants; it is a one-variant token" >&2
+  exit 1
+fi
+if sed -n '/^pub struct ExecutionConfig {/,/^}/p' crates/core/src/params.rs \
+  | grep -vE '^[[:space:]]*//' | grep -nw 'algorithm'; then
+  echo "error: ExecutionConfig has no algorithm field; run_imm has one engine" >&2
   exit 1
 fi
 

@@ -5,10 +5,9 @@
 //! reproduction host has one physical core; DESIGN.md §4 explains the model).
 //! Wall-clock self-speedups are printed alongside for many-core hosts.
 
-use efficient_imm::Algorithm;
 use imm_bench::output::{fmt_ratio, fmt_seconds, results_dir, TextTable};
 use imm_bench::scaling::scaling_curve;
-use imm_bench::{config, datasets};
+use imm_bench::{config, datasets, Engine};
 use imm_diffusion::DiffusionModel;
 
 fn main() {
@@ -25,7 +24,7 @@ fn main() {
         TextTable::new(&["Model", "Threads", "Wall time (s)", "Modeled speedup", "Wall speedup"]);
 
     for model in [DiffusionModel::LinearThreshold, DiffusionModel::IndependentCascade] {
-        let curve = scaling_curve(&dataset, model, Algorithm::Ripples, &thread_counts, k, eps);
+        let curve = scaling_curve(&dataset, model, Engine::Ripples, &thread_counts, k, eps);
         for point in &curve {
             table.add_row(vec![
                 model.short_name().to_uppercase(),

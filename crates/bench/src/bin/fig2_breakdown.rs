@@ -4,10 +4,10 @@
 //! Reported per thread count: wall-clock share of each kernel and the
 //! modelled per-kernel span (which is what diverges on a many-core machine).
 
-use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
+use efficient_imm::ImmParams;
 use imm_bench::output::{fmt_percent, fmt_seconds, results_dir, TextTable};
 use imm_bench::runner::weights_for;
-use imm_bench::{config, datasets};
+use imm_bench::{config, datasets, ripples};
 use imm_diffusion::DiffusionModel;
 
 fn main() {
@@ -32,9 +32,8 @@ fn main() {
     for model in [DiffusionModel::IndependentCascade, DiffusionModel::LinearThreshold] {
         for &threads in &thread_counts {
             let params = ImmParams::new(k, eps, model).with_seed(0xF16 ^ spec.seed);
-            let exec = ExecutionConfig::new(Algorithm::Ripples, threads);
-            let result = run_imm(&dataset.graph, weights_for(&dataset, model), &params, &exec)
-                .expect("valid parameters");
+            let result =
+                ripples::run(&dataset.graph, weights_for(&dataset, model), &params, threads);
             let timings = &result.breakdown.timings;
             table.add_row(vec![
                 model.short_name().to_uppercase(),

@@ -5,10 +5,9 @@
 //! wall-clock time is reported together with the speedup, mirroring the
 //! paper's `speedup_ic.csv` / `speedup_lt.csv` artifact outputs.
 
-use efficient_imm::Algorithm;
 use imm_bench::output::{fmt_ratio, fmt_seconds, results_dir, write_json_log, TextTable};
 use imm_bench::runner::run_configuration;
-use imm_bench::{config, datasets};
+use imm_bench::{config, datasets, Engine};
 use imm_diffusion::DiffusionModel;
 
 fn main() {
@@ -33,13 +32,13 @@ fn main() {
         for spec in datasets::registry(scale) {
             let dataset = spec.build();
             // (wall-clock best, its thread count, modeled-time best) per engine.
-            let mut best: Vec<(Algorithm, f64, usize, f64)> = Vec::new();
-            for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
+            let mut best: Vec<(Engine, f64, usize, f64)> = Vec::new();
+            for engine in [Engine::Ripples, Engine::Efficient] {
                 let mut best_time = f64::INFINITY;
                 let mut best_threads = 0usize;
                 let mut best_modeled = f64::INFINITY;
                 for &threads in &thread_counts {
-                    let m = run_configuration(&dataset, model, algorithm, threads, k, eps);
+                    let m = run_configuration(&dataset, model, engine, threads, k, eps);
                     if m.wall_seconds < best_time {
                         best_time = m.wall_seconds;
                         best_threads = threads;
@@ -47,7 +46,7 @@ fn main() {
                     best_modeled = best_modeled.min(m.modeled_time);
                     all_measurements.push(m);
                 }
-                best.push((algorithm, best_time, best_threads, best_modeled));
+                best.push((engine, best_time, best_threads, best_modeled));
             }
             let (_, ripples_time, ripples_threads, ripples_modeled) = best[0];
             let (_, eff_time, eff_threads, eff_modeled) = best[1];

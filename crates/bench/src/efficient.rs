@@ -197,7 +197,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use efficient_imm::selection::ripples::select_seeds_ripples;
+    use crate::ripples::select_seeds_ripples;
     use efficient_imm::selection::select_seeds_celf;
     use efficient_imm::{Algorithm, NodeId};
     use imm_rrr::{AdaptivePolicy, Representation};

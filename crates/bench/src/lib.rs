@@ -1,8 +1,12 @@
 //! # imm-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation section.
+//! paper's evaluation section, and the home of the engine the paper
+//! measures against: `efficient-imm` runs EfficientIMM only.
 //!
+//! * [`ripples`] — the Ripples baseline (Minutoli et al., 2019): its IMM
+//!   workflow ([`ripples::run`]) and its vertex-partitioned selection kernel
+//!   ([`ripples::select_seeds_ripples`]).
 //! * [`efficient`] — the paper's eager EfficientIMM selection kernel
 //!   (Algorithm 2) over the shared atomic [`counter`], with the adaptive
 //!   decrement-vs-rebuild update; `run_imm` selects with CELF instead, so the
@@ -15,8 +19,8 @@
 //! * [`scaling`] — the strong-scaling driver and the work/contention model
 //!   used to derive scaling *shapes* on this single-core reproduction host
 //!   (see DESIGN.md §4 for the substitution rationale).
-//! * [`runner`] — shared helpers for running IMM configurations and
-//!   collecting results.
+//! * [`runner`] — the [`Engine`] choice and shared helpers for running IMM
+//!   configurations and collecting results.
 //! * [`output`] — plain-text tables, CSV files and the JSON run logs the
 //!   paper's artifact produces.
 //!
@@ -29,9 +33,10 @@ pub mod datasets;
 pub mod efficient;
 pub mod instrumented;
 pub mod output;
+pub mod ripples;
 pub mod runner;
 pub mod scaling;
 
 pub use datasets::{registry, Dataset, DatasetSpec, Scale};
-pub use runner::{run_configuration, BenchMeasurement};
+pub use runner::{run_configuration, BenchMeasurement, Engine};
 pub use scaling::{modeled_time, scaling_curve, ScalingPoint};

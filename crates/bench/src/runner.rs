@@ -1,4 +1,4 @@
-//! Shared execution helpers: run one (dataset, model, algorithm, threads)
+//! Shared execution helpers: run one (dataset, model, engine, threads)
 //! configuration and collect everything the tables need.
 
 use crate::datasets::Dataset;
@@ -6,6 +6,25 @@ use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams, ImmResult};
 use imm_diffusion::DiffusionModel;
 use imm_graph::EdgeWeights;
 use std::time::Instant;
+
+/// The two engines the paper compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The Ripples baseline, [`crate::ripples::run`].
+    Ripples,
+    /// EfficientIMM, `efficient-imm`'s [`run_imm`].
+    Efficient,
+}
+
+impl Engine {
+    /// Short name used in benchmark output (`"ripples"` / `"efficientimm"`).
+    pub fn short_name(self) -> &'static str {
+        match self {
+            Engine::Ripples => "ripples",
+            Engine::Efficient => "efficientimm",
+        }
+    }
+}
 
 /// One measured configuration.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -49,26 +68,31 @@ pub fn weights_for(dataset: &Dataset, model: DiffusionModel) -> &EdgeWeights {
 pub fn run_configuration(
     dataset: &Dataset,
     model: DiffusionModel,
-    algorithm: Algorithm,
+    engine: Engine,
     threads: usize,
     k: usize,
     epsilon: f64,
 ) -> BenchMeasurement {
     let params = ImmParams::new(k, epsilon, model).with_seed(0xB5EED ^ dataset.spec.seed);
-    let exec = ExecutionConfig::new(algorithm, threads);
     let weights = weights_for(dataset, model);
     let start = Instant::now();
-    let result = run_imm(&dataset.graph, weights, &params, &exec)
-        .expect("benchmark parameters are valid for every registry dataset");
+    let result = match engine {
+        Engine::Ripples => crate::ripples::run(&dataset.graph, weights, &params, threads),
+        Engine::Efficient => {
+            let exec = ExecutionConfig::new(Algorithm::Efficient, threads);
+            run_imm(&dataset.graph, weights, &params, &exec)
+                .expect("benchmark parameters are valid for every registry dataset")
+        }
+    };
     let wall = start.elapsed().as_secs_f64();
-    measurement_from(dataset, model, algorithm, threads, wall, &result)
+    measurement_from(dataset, model, engine, threads, wall, &result)
 }
 
 /// Convert an [`ImmResult`] into the flat record the tables consume.
 pub fn measurement_from(
     dataset: &Dataset,
     model: DiffusionModel,
-    algorithm: Algorithm,
+    engine: Engine,
     threads: usize,
     wall_seconds: f64,
     result: &ImmResult,
@@ -76,7 +100,7 @@ pub fn measurement_from(
     BenchMeasurement {
         dataset: dataset.spec.name.to_string(),
         model: model.short_name().to_string(),
-        algorithm: algorithm.short_name().to_string(),
+        algorithm: engine.short_name().to_string(),
         threads,
         wall_seconds,
         sampling_seconds: result.breakdown.timings.generate_rrrsets.as_secs_f64(),
@@ -104,7 +128,7 @@ mod tests {
         let m = run_configuration(
             &dataset,
             DiffusionModel::IndependentCascade,
-            Algorithm::Efficient,
+            Engine::Efficient,
             2,
             5,
             0.5,
@@ -117,6 +141,12 @@ mod tests {
         assert!(m.theta > 0);
         assert!(m.modeled_time > 0.0);
         assert!(m.wall_seconds >= m.sampling_seconds);
+    }
+
+    #[test]
+    fn short_names() {
+        assert_eq!(Engine::Ripples.short_name(), "ripples");
+        assert_eq!(Engine::Efficient.short_name(), "efficientimm");
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! be compared on hosts that do have many cores.
 
 use crate::datasets::Dataset;
+use crate::runner::Engine;
 use crate::runner::{run_configuration, BenchMeasurement};
-use efficient_imm::{Algorithm, WorkProfile};
+use efficient_imm::WorkProfile;
 use imm_diffusion::DiffusionModel;
 
 /// Relative cost of an atomic read-modify-write vs. a plain access when `p`
@@ -69,7 +70,7 @@ pub struct ScalingPoint {
 pub fn scaling_curve(
     dataset: &Dataset,
     model: DiffusionModel,
-    algorithm: Algorithm,
+    engine: Engine,
     thread_counts: &[usize],
     k: usize,
     epsilon: f64,
@@ -78,7 +79,7 @@ pub fn scaling_curve(
     let mut base_modeled = None;
     let mut base_wall = None;
     for &threads in thread_counts {
-        let m = run_configuration(dataset, model, algorithm, threads, k, epsilon);
+        let m = run_configuration(dataset, model, engine, threads, k, epsilon);
         let base_m = *base_modeled.get_or_insert(m.modeled_time);
         let base_w = *base_wall.get_or_insert(m.wall_seconds);
         points.push(ScalingPoint {
@@ -133,10 +134,9 @@ pub fn scaling_figure(model: DiffusionModel, stem: &str) {
 
     for spec in crate::datasets::registry(scale) {
         let dataset = spec.build();
-        let ripples_curve =
-            scaling_curve(&dataset, model, Algorithm::Ripples, &thread_counts, k, eps);
+        let ripples_curve = scaling_curve(&dataset, model, Engine::Ripples, &thread_counts, k, eps);
         let efficient_curve =
-            scaling_curve(&dataset, model, Algorithm::Efficient, &thread_counts, k, eps);
+            scaling_curve(&dataset, model, Engine::Efficient, &thread_counts, k, eps);
 
         let ripples_1t = ripples_curve.first().map(|p| p.measurement.modeled_time).unwrap_or(1.0);
         // "8-thread Ripples" reference: the measured point closest to 8
@@ -214,7 +214,7 @@ mod tests {
         let eff = scaling_curve(
             &dataset,
             DiffusionModel::IndependentCascade,
-            Algorithm::Efficient,
+            Engine::Efficient,
             &threads,
             5,
             0.5,
@@ -222,7 +222,7 @@ mod tests {
         let rip = scaling_curve(
             &dataset,
             DiffusionModel::IndependentCascade,
-            Algorithm::Ripples,
+            Engine::Ripples,
             &threads,
             5,
             0.5,
@@ -244,7 +244,7 @@ mod tests {
         let curve = scaling_curve(
             &dataset,
             DiffusionModel::IndependentCascade,
-            Algorithm::Efficient,
+            Engine::Efficient,
             &[1, 2],
             4,
             0.5,

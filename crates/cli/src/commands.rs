@@ -19,6 +19,7 @@ use imm_service::{
 use imm_shard::ShardedIndex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,10 +30,7 @@ pub type CliError = String;
 /// Execute a parsed command.
 pub fn execute(command: Command) -> Result<(), CliError> {
     match command {
-        Command::Help => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        Command::Help => print_line(USAGE),
         Command::Generate(args) => generate(&args),
         Command::Run(args) => run(&args),
         Command::Stats(args) => stats(&args),
@@ -50,6 +48,27 @@ pub fn execute(command: Command) -> Result<(), CliError> {
 fn pretty(json: &serde_json::Value) -> String {
     serde_json::to_string_pretty(json)
         .unwrap_or_else(|e| format!("{{\"error\":\"cannot render json: {e}\"}}"))
+}
+
+/// Print `text` and a newline to stdout through [`write_stdout`]. (A unit
+/// test prints through `print!`, the only writer its harness captures.)
+fn print_line(text: impl std::fmt::Display) -> Result<(), CliError> {
+    let text = format!("{text}\n");
+    if cfg!(test) {
+        print!("{text}");
+        return Ok(());
+    }
+    write_stdout(&mut std::io::stdout().lock(), &text)
+}
+
+/// Write `text` to `out`, the CLI's stdout. A reader that closed the pipe
+/// (`efficient-imm … | head`) ends the output quietly; any other write
+/// error is reported.
+fn write_stdout(out: &mut impl Write, text: &str) -> Result<(), CliError> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 fn generate(args: &GenerateArgs) -> Result<(), CliError> {
@@ -83,14 +102,13 @@ fn generate(args: &GenerateArgs) -> Result<(), CliError> {
     let file = std::fs::File::create(&args.output)
         .map_err(|e| format!("cannot create {}: {e}", args.output))?;
     io::write_snap_edge_list(file, &el, None).map_err(|e| e.to_string())?;
-    println!(
+    print_line(format_args!(
         "wrote {} ({} nodes, {} edges, kind = {})",
         args.output,
         el.num_nodes(),
         el.num_edges(),
         args.kind
-    );
-    Ok(())
+    ))
 }
 
 /// Load a graph file and its model weights: the file's weight column when it
@@ -138,7 +156,7 @@ fn run(args: &RunArgs) -> Result<(), CliError> {
     let json = serde_json::json!({
         "input": args.graph,
         "diffusion_model": args.model.short_name(),
-        "algorithm": Algorithm::Efficient.short_name(),
+        "algorithm": "efficientimm",
         "k": args.k,
         "epsilon": args.epsilon,
         "threads": args.threads,
@@ -156,19 +174,17 @@ fn run(args: &RunArgs) -> Result<(), CliError> {
     match &args.output {
         Some(path) => {
             std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("run log written to {path}");
+            print_line(format_args!("run log written to {path}"))
         }
-        None => println!("{rendered}"),
+        None => print_line(rendered),
     }
-    Ok(())
 }
 
 /// Sample RRR sets once and freeze them into a reusable sketch-index
 /// snapshot: the expensive phase runs exactly once, every later `query` /
 /// `stats --index` invocation loads the frozen sample instead of resampling.
 fn build_index(args: &BuildIndexArgs) -> Result<(), CliError> {
-    println!("{}", pretty(&build_index_json(args)?));
-    Ok(())
+    print_line(pretty(&build_index_json(args)?))
 }
 
 /// [`build_index`]'s work: the snapshot written, and its JSON report.
@@ -289,8 +305,7 @@ fn update_index(args: &UpdateIndexArgs) -> Result<(), CliError> {
         "journal_entries_replayed": live.journal_replayed,
         "refresh_seconds": refresh_seconds,
     });
-    println!("{}", pretty(&json));
-    Ok(())
+    print_line(pretty(&json))
 }
 
 fn response_json(query: &Query, response: &QueryResponse) -> serde_json::Value {
@@ -403,8 +418,7 @@ fn query(args: &QueryArgs) -> Result<(), CliError> {
             pairs.push(("metrics_delta".to_string(), obs::samples_json(&delta)));
         }
     }
-    println!("{}", pretty(&json));
-    Ok(())
+    print_line(pretty(&json))
 }
 
 /// Run the serving daemon: load a snapshot, partition it into shards,
@@ -460,9 +474,9 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
     // and carries the kernel-resolved address when `--tcp` asked for
     // port 0.
     if journal_replayed > 0 {
-        println!("replayed {journal_replayed} pending journal entries");
+        print_line(format_args!("replayed {journal_replayed} pending journal entries"))?;
     }
-    println!(
+    print_line(format_args!(
         "serving {} on {} ({} shards, {} threads, dynamic: {}, load: {})",
         args.index,
         handle.address(),
@@ -470,7 +484,7 @@ fn serve(args: &ServeArgs) -> Result<(), CliError> {
         args.threads,
         dynamic_enabled,
         load_mode.as_str()
-    );
+    ))?;
     handle.join().map_err(|_| "the daemon's accept loop panicked".to_string())
 }
 
@@ -646,8 +660,7 @@ fn client(args: &ClientArgs) -> Result<(), CliError> {
             }
         }
     }
-    println!("{}", pretty(&serde_json::Value::Object(report)));
-    Ok(())
+    print_line(pretty(&serde_json::Value::Object(report)))
 }
 
 /// The workspace metric registry in the documented, versioned shape
@@ -664,7 +677,7 @@ fn metrics_json() -> serde_json::Value {
 
 /// Render a stats payload, appending the full metric registry when
 /// `--metrics` was passed.
-fn print_stats(json: serde_json::Value, metrics: bool) {
+fn print_stats(json: serde_json::Value, metrics: bool) -> Result<(), CliError> {
     let json = match (metrics, json) {
         (true, serde_json::Value::Object(mut pairs)) => {
             pairs.push(("metrics".to_string(), metrics_json()));
@@ -672,7 +685,7 @@ fn print_stats(json: serde_json::Value, metrics: bool) {
         }
         (_, json) => json,
     };
-    println!("{}", pretty(&json));
+    print_line(pretty(&json))
 }
 
 /// What a saved index holds, read off its postings — the sketches are
@@ -702,8 +715,7 @@ fn stats_from_index(path: &str, metrics: bool) -> Result<(), CliError> {
         "postings_list_entries": postings.list_entries,
         "postings_list_bytes": postings.list_bytes,
     });
-    print_stats(json, metrics);
-    Ok(())
+    print_stats(json, metrics)
 }
 
 /// Time one load path end to end: the store's per-phase open timings plus
@@ -739,8 +751,7 @@ fn startup_timing_from_index(path: &str, metrics: bool) -> Result<(), CliError> 
         "mapped": startup_phase_json(mapped),
         "read_decode": startup_phase_json(read),
     });
-    print_stats(json, metrics);
-    Ok(())
+    print_stats(json, metrics)
 }
 
 fn stats(args: &StatsArgs) -> Result<(), CliError> {
@@ -749,8 +760,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         // Printed as the exact markdown table of the README's
         // "Observability" section (tests/metrics_catalog.rs pins the two
         // together).
-        print!("{}", obs::catalog_markdown());
-        return Ok(());
+        return print_line(obs::catalog_markdown().trim_end_matches('\n'));
     }
     if let Some(path) = &args.index {
         if args.startup_timing {
@@ -793,8 +803,7 @@ fn stats(args: &StatsArgs) -> Result<(), CliError> {
         "max_rrr_coverage": coverage.max_coverage,
         "rrr_memory_bytes": coverage.memory_bytes,
     });
-    print_stats(json, args.metrics);
-    Ok(())
+    print_stats(json, args.metrics)
 }
 
 #[cfg(test)]
@@ -1259,5 +1268,27 @@ mod tests {
     #[test]
     fn help_prints_without_error() {
         execute(Command::Help).unwrap();
+    }
+
+    /// A writer whose every write and flush fails with `kind`.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn stdout_writes_end_quietly_on_a_closed_pipe_and_report_other_errors() {
+        let mut out = Vec::new();
+        write_stdout(&mut out, "line\n").unwrap();
+        assert_eq!(out, b"line\n");
+        write_stdout(&mut Failing(ErrorKind::BrokenPipe), "line\n").unwrap();
+        let err = write_stdout(&mut Failing(ErrorKind::PermissionDenied), "line\n").unwrap_err();
+        assert!(err.starts_with("cannot write to stdout"), "unexpected error: {err}");
     }
 }

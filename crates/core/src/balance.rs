@@ -17,8 +17,8 @@
 //! batch") across every range a task drains.
 
 use imm_graph::{block_ranges, Range};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Jobs a worker claims per pull when a run balances dynamically
 /// ([`EfficientFeatures::schedule`](crate::EfficientFeatures::schedule)).
@@ -28,7 +28,7 @@ pub const JOB_CHUNK: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum Schedule {
     /// One contiguous `total/p` block per worker, fixed up front (the
-    /// Ripples-style split).
+    /// Ripples baseline's split).
     Static,
     /// Workers repeatedly claim the next `chunk` jobs from a shared cursor
     /// until the queue is empty (the paper's dynamic balancing).
@@ -110,7 +110,7 @@ where
         for (slot, range) in ranges {
             worker(state.get_or_insert_with(&init), slot, range);
         }
-        states.lock().extend(state);
+        states.lock().unwrap_or_else(PoisonError::into_inner).extend(state);
     };
     match schedule {
         Schedule::Static => {
@@ -142,7 +142,7 @@ where
             });
         }
     }
-    states.into_inner()
+    states.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -187,12 +187,12 @@ mod tests {
     fn check_coverage(schedule: Schedule, total: usize, threads: usize) {
         let seen = Mutex::new(vec![0u32; total]);
         run_jobs(threads, total, schedule, |_, range| {
-            let mut guard = seen.lock();
+            let mut guard = seen.lock().unwrap();
             for i in range.iter() {
                 guard[i] += 1;
             }
         });
-        let seen = seen.into_inner();
+        let seen = seen.into_inner().unwrap();
         assert!(seen.iter().all(|&c| c == 1), "every job must run exactly once: {seen:?}");
     }
 
@@ -227,9 +227,9 @@ mod tests {
             }
             std::hint::black_box(acc);
             let cost: u64 = range.iter().map(|i| i as u64).sum();
-            per_worker.lock()[w] += cost;
+            per_worker.lock().unwrap()[w] += cost;
         });
-        let per_worker = per_worker.into_inner();
+        let per_worker = per_worker.into_inner().unwrap();
         let total_cost: u64 = per_worker.iter().sum();
         let expected: u64 = (0..total as u64).sum();
         assert_eq!(total_cost, expected);
@@ -240,9 +240,9 @@ mod tests {
         let threads = 3;
         let max_seen = Mutex::new(0usize);
         run_jobs(threads, 50, Schedule::Dynamic { chunk: 5 }, |w, _| {
-            let mut guard = max_seen.lock();
+            let mut guard = max_seen.lock().unwrap();
             *guard = (*guard).max(w);
         });
-        assert!(*max_seen.lock() < threads);
+        assert!(*max_seen.lock().unwrap() < threads);
     }
 }

@@ -1,14 +1,13 @@
 //! The full IMM workflow (Algorithm 1 of the paper): the martingale sampling
 //! phase that determines θ, followed by the final seed selection.
 //!
-//! Each θ step selects at most once on the whole sample so far. The Ripples
-//! engine selects at every step with its eager baseline kernel. The
-//! EfficientIMM engine selects with the lazy-greedy (CELF) session over the
-//! sample's postings ([`select_seeds_celf_over`]), and only at a step whose
-//! convergence check the selection could pass.
+//! Each θ step selects at most once on the whole sample so far, with the
+//! lazy-greedy (CELF) session over the sample's postings
+//! ([`select_seeds_celf_over`]), and only at a step whose convergence check
+//! the selection could pass.
 //!
 //! That check is Algorithm 2's `n · F(S_i) ≥ (1 + ε′) · x_i` on the greedy
-//! coverage `F(S_i) = covered / θ_i`. The engine keeps, batch by batch, how
+//! coverage `F(S_i) = covered / θ_i`. The run keeps, batch by batch, how
 //! many sets of the sample contain each vertex ([`count_memberships`]), and
 //! before it selects applies the check to `bound / θ_i`, where `bound` is
 //! the sum of the k largest counts ([`coverage_bound`]). A seed covers at
@@ -16,7 +15,8 @@
 //! `bound` sets; dividing by θ_i and multiplying by n are monotone in
 //! floating point, so if the bound fails the check, the greedy coverage
 //! fails it too. Such a step builds no postings and plays no CELF, and the
-//! run's seeds, θ and coverage are the ones selecting at every step gives.
+//! run's seeds, θ and coverage are the ones selecting at every step gives
+//! (the Ripples baseline in `imm-bench` selects at every step).
 //! The counts are also the degrees of the postings a selection builds
 //! ([`Postings::build_with_degrees`]), which skips its own count pass.
 //!
@@ -24,9 +24,8 @@
 //! the one on the final sample and is returned as is.
 
 use crate::math;
-use crate::params::{Algorithm, ExecutionConfig, ImmParams};
+use crate::params::{ExecutionConfig, ImmParams};
 use crate::sampling::{generate_rrr_sets_into, set_provenance, SamplingConfig};
-use crate::selection::ripples::select_seeds_ripples;
 use crate::selection::{coverage_bound, select_seeds_celf_over};
 use crate::stats::RuntimeBreakdown;
 use crate::NodeId;
@@ -66,8 +65,6 @@ pub struct ImmResult {
     pub breakdown: RuntimeBreakdown,
     /// RRR-set statistics (the paper's Table I columns).
     pub rrr_stats: CoverageStats,
-    /// Which engine produced the result.
-    pub algorithm: Algorithm,
     /// Number of worker threads used.
     pub threads: usize,
     /// The sampled RRR collection, kept only when
@@ -83,11 +80,11 @@ pub struct ImmResult {
 /// Run the complete IMM workflow on `graph` with the given parameters and
 /// execution configuration.
 ///
-/// Both engines execute the same statistical procedure (Tang et al.'s
-/// sampling/selection phases with identical θ schedules and RNG streams);
-/// they differ only in how the two kernels run, and both greedy selections
-/// break ties toward the smaller vertex id, so their seeds, θ and coverage
-/// for the same input are identical.
+/// The Ripples baseline (`imm_bench::ripples::run`) executes the same
+/// statistical procedure (Tang et al.'s sampling/selection phases with
+/// identical θ schedules and RNG streams) with its own kernels, and both
+/// greedy selections break ties toward the smaller vertex id, so their
+/// seeds, θ and coverage for the same input are identical.
 pub fn run_imm(
     graph: &CsrGraph,
     weights: &EdgeWeights,
@@ -98,7 +95,7 @@ pub fn run_imm(
 
     let n = graph.num_nodes();
     let k = params.k;
-    let ell = math::adjusted_ell(params.ell, n);
+    let ell = math::adjusted_ell(math::ELL, n);
     let epsilon = params.epsilon;
 
     let mut breakdown = RuntimeBreakdown::default();
@@ -130,30 +127,25 @@ pub fn run_imm(
         breakdown.sampling_work.merge(&work);
         true
     };
-    // EfficientIMM: how many of the first `counted` sets contain each vertex.
-    let mut counts = vec![0u32; if exec.algorithm == Algorithm::Efficient { n } else { 0 }];
+    // How many of the first `counted` sets contain each vertex.
+    let mut counts = vec![0u32; n];
     let mut counted = 0;
     // The one selection step, on the whole sample so far. At θ step `i`
-    // (`check`), EfficientIMM skips it (`None`) when the coverage bound
-    // already fails the step's convergence check.
+    // (`check`), it is skipped (`None`) when the coverage bound already
+    // fails the step's convergence check.
     let mut select =
         |sets: &RrrCollection, check: Option<usize>, breakdown: &mut RuntimeBreakdown| {
             let t0 = Instant::now();
-            let selection = match exec.algorithm {
-                Algorithm::Ripples => Some(select_seeds_ripples(sets, k, exec.threads)),
-                Algorithm::Efficient => {
-                    count_memberships(sets, counted, &mut counts)
+            count_memberships(sets, counted, &mut counts)
+                .expect("RRR set members lie inside the vertex space");
+            counted = sets.len();
+            let bound = coverage_bound(&counts, k) as f64 / sets.len().max(1) as f64;
+            let selection = match check {
+                Some(i) if !math::sampling_converged(n, bound, epsilon, i) => None,
+                _ => {
+                    let postings = Postings::build_with_degrees(sets, &counts)
                         .expect("RRR set members lie inside the vertex space");
-                    counted = sets.len();
-                    let bound = coverage_bound(&counts, k) as f64 / sets.len().max(1) as f64;
-                    match check {
-                        Some(i) if !math::sampling_converged(n, bound, epsilon, i) => None,
-                        _ => {
-                            let postings = Postings::build_with_degrees(sets, &counts)
-                                .expect("RRR set members lie inside the vertex space");
-                            Some(select_seeds_celf_over(&postings, k, exec.threads))
-                        }
-                    }
+                    Some(select_seeds_celf_over(&postings, k, exec.threads))
                 }
             };
             breakdown.timings.find_most_influential += t0.elapsed();
@@ -216,7 +208,6 @@ pub fn run_imm(
         theta: sets.len(),
         breakdown,
         rrr_stats,
-        algorithm: exec.algorithm,
         threads: exec.threads,
         rrr_sets: exec.retain_rrr_sets.then_some(sets),
         provenance,
@@ -226,6 +217,7 @@ pub fn run_imm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use imm_diffusion::DiffusionModel;
     use imm_graph::generators;
     use rand::rngs::SmallRng;
@@ -262,21 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_find_seed_sets_of_equivalent_quality() {
-        let (g, w) = small_social_graph(300, 4);
-        let params = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade).with_seed(11);
-        let ripples =
-            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Ripples, 2)).unwrap();
-        let efficient =
-            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Efficient, 2)).unwrap();
-        // Identical sampling streams and greedy tie-breaking => identical
-        // seed sets.
-        assert_eq!(ripples.seeds, efficient.seeds);
-        assert!((ripples.coverage_fraction - efficient.coverage_fraction).abs() < 1e-9);
-        assert_eq!(ripples.theta, efficient.theta);
-    }
-
-    #[test]
     fn results_are_reproducible_across_thread_counts() {
         let (g, w) = small_social_graph(250, 5);
         let params = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade).with_seed(21);
@@ -299,38 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree_on_lt_across_several_martingale_iterations() {
-        // Sparse LT sets on a graph this size need several doublings of θ,
-        // so the CELF session selects (over freshly built postings) at each
-        // one and must match the Ripples kernel on the final sets and the
-        // baseline run, bit for bit.
-        let mut rng = SmallRng::seed_from_u64(8);
-        let g = CsrGraph::from_edge_list(&generators::social_network(3000, 6, 0.3, &mut rng));
-        let w = EdgeWeights::lt_normalized(&g, &mut rng);
-        let params = ImmParams::new(10, 0.5, DiffusionModel::LinearThreshold).with_seed(17);
-        for threads in [1, 3] {
-            let exec = ExecutionConfig::new(Algorithm::Efficient, threads).with_retained_sets(true);
-            let efficient = run_imm(&g, &w, &params, &exec).unwrap();
-            assert!(efficient.breakdown.sampling_iterations >= 3);
-            let sets = efficient.rrr_sets.as_ref().expect("retained");
-            let eager = select_seeds_ripples(sets, 10, threads);
-            assert_eq!(efficient.seeds, eager.seeds, "threads {threads}");
-            assert_eq!(efficient.coverage_fraction.to_bits(), eager.coverage_fraction.to_bits());
-
-            let ripples =
-                run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Ripples, threads))
-                    .unwrap();
-            assert_eq!(ripples.seeds, efficient.seeds, "threads {threads}");
-            assert_eq!(ripples.theta, efficient.theta, "threads {threads}");
-            assert_eq!(
-                ripples.coverage_fraction.to_bits(),
-                efficient.coverage_fraction.to_bits(),
-                "threads {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn star_graph_selects_the_hub_first() {
         // Directed star (hub -> leaves) with certain activation: the hub's
         // RRR presence dominates, so it must be the first seed.
@@ -339,11 +284,10 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el);
         let w = EdgeWeights::constant(&g, 1.0);
         let params = ImmParams::new(1, 0.5, DiffusionModel::IndependentCascade).with_seed(13);
-        for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
-            let result = run_imm(&g, &w, &params, &ExecutionConfig::new(algorithm, 2)).unwrap();
-            assert_eq!(result.seeds, vec![0], "{algorithm:?} must select the hub");
-            assert!((result.coverage_fraction - 1.0).abs() < 1e-9);
-        }
+        let result =
+            run_imm(&g, &w, &params, &ExecutionConfig::new(Algorithm::Efficient, 2)).unwrap();
+        assert_eq!(result.seeds, vec![0], "the hub must be the first seed");
+        assert!((result.coverage_fraction - 1.0).abs() < 1e-9);
     }
 
     #[test]

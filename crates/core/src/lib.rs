@@ -1,34 +1,28 @@
 //! # efficient-imm
 //!
 //! The core of the reproduction and of the serving stack: the IMM
-//! influence-maximization algorithm (Tang et al., SIGMOD'15) with two
-//! interchangeable parallel engines —
+//! influence-maximization algorithm (Tang et al., SIGMOD'15) run by one
+//! parallel engine, **EfficientIMM** (this paper): RRR-set-partitioned
+//! sampling with dynamic job balancing and the adaptive RRR-set
+//! representation, kernel fusion of sampling and counting, and a greedy
+//! selection over the sample's postings.
 //!
-//! * the **Ripples baseline** (Minutoli et al. 2019): vertex-partitioned
-//!   occurrence counting where every thread scans every RRR set, sorted RRR
-//!   sets with binary-search membership, and separate sampling/selection
-//!   kernels; and
-//! * **EfficientIMM** (this paper): RRR-set-partitioned sampling with
-//!   dynamic job balancing and the adaptive RRR-set representation, kernel
-//!   fusion of sampling and counting, and a greedy selection over the
-//!   sample's postings.
-//!
-//! An EfficientIMM [`run_imm`] samples with that engine, fuses the counting
-//! into its θ loop as one per-batch [`imm_rrr::count_memberships`], and
-//! selects, at a θ step whose check those counts let pass, with the
-//! lazy-greedy (CELF) session over the sample's postings that every
-//! `imm-service` Top-K also runs ([`imm_rrr::LazyGreedy`]). A Ripples run
-//! selects with the baseline kernel ([`selection::ripples`]).
+//! [`run_imm`] samples with that engine, fuses the counting into its θ loop
+//! as one per-batch [`imm_rrr::count_memberships`], and selects, at a θ step
+//! whose check those counts let pass, with the lazy-greedy (CELF) session
+//! over the sample's postings that every `imm-service` Top-K also runs
+//! ([`imm_rrr::LazyGreedy`]).
 //!
 //! This crate holds only what `run`, `build-index` and the daemon execute:
-//! the keyed sampler, the θ loop, CELF and the Ripples kernel. The paper's
-//! eager EfficientIMM selection kernel, its shared atomic counter and the
-//! Table II/IV memory-model replays are the reproduction's subjects and live
-//! in `imm-bench`.
+//! the keyed sampler, the θ loop and CELF. The reproduction's subjects live
+//! in `imm-bench`: the baseline the paper measures against (the Ripples
+//! engine of Minutoli et al. 2019, `imm_bench::ripples`), the paper's eager
+//! EfficientIMM selection kernel with its shared atomic counter, and the
+//! Table II/IV memory-model replays.
 //!
 //! The high-level entry point is [`run_imm`], which executes the full
 //! martingale workflow (Algorithm 1 of the paper) under an
-//! [`ExecutionConfig`] selecting the engine, thread count, and feature flags.
+//! [`ExecutionConfig`] setting the thread count and feature flags.
 //! The sampling driver and the selections are public so the benchmark
 //! harness and the serving crates can call them on their own.
 //!

@@ -2,8 +2,13 @@
 //!
 //! These formulas decide how many RRR sets (θ) are needed for the
 //! `(1 - 1/e - ε)` approximation guarantee to hold with probability
-//! `1 - 1/n^ℓ`. They are shared verbatim by both engines — the paper changes
-//! *how* the kernels execute, not the statistics.
+//! `1 - 1/n^ℓ`. `run_imm` and the Ripples baseline in `imm-bench` share
+//! them verbatim — the paper changes *how* the kernels execute, not the
+//! statistics.
+
+/// The confidence exponent ℓ: IMM's guarantee holds with probability at
+/// least `1 - 1/n^ℓ`. Every run uses IMM's default, 1.
+pub const ELL: f64 = 1.0;
 
 /// Natural log of the binomial coefficient `C(n, k)`.
 ///

@@ -1,25 +1,21 @@
 //! `Find_Most_Influential_Set`: the greedy max-coverage seed selection over
 //! the sampled RRR sets.
 //!
-//! An EfficientIMM `run_imm` selects with [`select_seeds_celf_over`]: the
-//! lazy-greedy (CELF) session of `imm_rrr` ([`imm_rrr::LazyGreedy`], the one
-//! every `imm-service` Top-K runs) over the sample's postings, on the calling
-//! thread. A Ripples run selects with the baseline kernel, [`ripples`]:
-//! vertices partitioned across threads, every thread scans every RRR set,
-//! sorted sets probed with binary search, covered sets handled by
-//! decrementing per-thread counters. It fork-joins on the process-global
-//! `imm-exec` pool through `rayon::scope`, `threads` tasks wide.
+//! `run_imm` selects with [`select_seeds_celf_over`]: the lazy-greedy (CELF)
+//! session of `imm_rrr` ([`imm_rrr::LazyGreedy`], the one every
+//! `imm-service` Top-K runs) over the sample's postings, on the calling
+//! thread. It is this crate's one greedy.
 //!
-//! The paper's eager EfficientIMM kernel (Algorithm 2, a shared atomic
-//! counter) is a reproduction subject and lives in `imm-bench`.
+//! The paper's eager kernels are reproduction subjects and live in
+//! `imm-bench`: EfficientIMM's (Algorithm 2, a shared atomic counter) and
+//! the Ripples baseline's (`imm_bench::ripples`, vertices partitioned across
+//! threads, every thread scanning every RRR set).
 //!
 //! Every greedy returns the same seeds and coverage for the same input
 //! (greedy max coverage is deterministic up to tie-breaking, and every
 //! kernel breaks ties toward the smaller vertex id); the test suites assert
 //! this equivalence, which is the paper's "without sacrificing accuracy"
 //! claim.
-
-pub mod ripples;
 
 use crate::metrics;
 use crate::stats::WorkProfile;
@@ -119,8 +115,7 @@ pub(crate) mod test_support {
     }
 
     /// Reference greedy max-coverage implementation: straightforward,
-    /// sequential, obviously correct. CELF and the Ripples kernel must match
-    /// it.
+    /// sequential, obviously correct. CELF must match it.
     pub fn greedy_reference(sets: &RrrCollection, k: usize) -> (Vec<NodeId>, f64) {
         let n = sets.num_nodes();
         let mut alive: Vec<bool> = vec![true; sets.len()];

@@ -21,7 +21,7 @@ mod random;
 mod scale_free;
 pub mod structured;
 
-pub use random::{erdos_renyi, stochastic_block_model, watts_strogatz};
+pub use random::stochastic_block_model;
 pub use scale_free::{barabasi_albert, rmat, social_network, RmatParams};
 pub use structured::{
     complete, cycle, directed_grid_2d, directed_road_network, grid_2d, path, road_network, star,
@@ -39,8 +39,6 @@ mod tests {
     fn all_generators_produce_valid_edge_lists() {
         let mut rng = SmallRng::seed_from_u64(5);
         let cases: Vec<(&str, crate::EdgeList)> = vec![
-            ("er", erdos_renyi(100, 0.05, true, &mut rng)),
-            ("ws", watts_strogatz(100, 6, 0.1, &mut rng)),
             ("sbm", stochastic_block_model(&[30, 30, 40], 0.2, 0.01, &mut rng)),
             ("ba", barabasi_albert(100, 3, &mut rng)),
             ("rmat", rmat(7, 8, RmatParams::default(), &mut rng)),

@@ -199,7 +199,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn sample_graph() -> CsrGraph {
-        let el = generators::erdos_renyi(200, 0.03, true, &mut SmallRng::seed_from_u64(7));
+        let el = generators::social_network(200, 6, 0.3, &mut SmallRng::seed_from_u64(7));
         CsrGraph::from_edge_list(&el)
     }
 

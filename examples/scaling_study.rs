@@ -6,9 +6,9 @@
 //! cargo run --release --example scaling_study [dataset-name]
 //! ```
 
-use efficient_imm_repro::imm::Algorithm;
 use imm_bench::datasets::{find, Scale};
 use imm_bench::scaling::scaling_curve;
+use imm_bench::Engine;
 use imm_diffusion::DiffusionModel;
 
 fn main() {
@@ -42,12 +42,12 @@ fn main() {
             "{:<14} {:>8} {:>14} {:>18} {:>16}",
             "engine", "threads", "wall (s)", "modeled speedup", "wall speedup"
         );
-        for algorithm in [Algorithm::Ripples, Algorithm::Efficient] {
-            let curve = scaling_curve(&dataset, model, algorithm, &threads, k, eps);
+        for engine in [Engine::Ripples, Engine::Efficient] {
+            let curve = scaling_curve(&dataset, model, engine, &threads, k, eps);
             for p in &curve {
                 println!(
                     "{:<14} {:>8} {:>14.3} {:>17.2}x {:>15.2}x",
-                    algorithm.short_name(),
+                    engine.short_name(),
                     p.threads,
                     p.measurement.wall_seconds,
                     p.modeled_self_speedup,

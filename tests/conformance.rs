@@ -29,9 +29,9 @@
 
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::selection::ripples::select_seeds_ripples;
 use efficient_imm::{Algorithm, ExecutionConfig};
 use imm_bench::efficient::select_seeds_efficient;
+use imm_bench::ripples::select_seeds_ripples;
 use imm_diffusion::DiffusionModel;
 use imm_graph::{generators, CsrGraph, EdgeWeights, GraphDelta};
 use imm_rrr::{AdaptivePolicy, BitSet, NodeId, RrrCollection};

@@ -2,6 +2,7 @@
 //! through IMM to forward-simulation validation of the selected seeds.
 
 use efficient_imm::{run_imm, Algorithm, ExecutionConfig, ImmParams};
+use imm_bench::ripples;
 use imm_diffusion::{monte_carlo_spread, DiffusionModel};
 use imm_graph::{generators, io, CsrGraph, EdgeWeights};
 use rand::rngs::SmallRng;
@@ -75,14 +76,13 @@ fn engines_agree_end_to_end_on_both_models() {
         (DiffusionModel::LinearThreshold, EdgeWeights::lt_normalized(&graph, &mut rng)),
     ] {
         let params = ImmParams::new(6, 0.5, model).with_seed(17);
-        let ripples =
-            run_imm(&graph, &weights, &params, &ExecutionConfig::new(Algorithm::Ripples, 2))
-                .unwrap();
+        let ripples = ripples::run(&graph, &weights, &params, 2);
         let efficient =
             run_imm(&graph, &weights, &params, &ExecutionConfig::new(Algorithm::Efficient, 4))
                 .unwrap();
         assert_eq!(ripples.seeds, efficient.seeds, "engines disagree under {model}");
         assert_eq!(ripples.theta, efficient.theta);
+        assert_eq!(ripples.coverage_fraction.to_bits(), efficient.coverage_fraction.to_bits());
     }
 }
 

@@ -3,11 +3,11 @@
 
 use efficient_imm::balance::Schedule;
 use efficient_imm::sampling::{generate_rrr_sets, SamplingConfig};
-use efficient_imm::selection::ripples::select_seeds_ripples;
 use efficient_imm::{Algorithm, ExecutionConfig};
 use imm_bench::datasets::{find, Scale};
 use imm_bench::efficient::select_seeds_efficient;
 use imm_bench::instrumented::{bitmap_check_cost, cache_misses_efficient, cache_misses_ripples};
+use imm_bench::ripples::select_seeds_ripples;
 use imm_diffusion::DiffusionModel;
 use imm_memsim::HierarchyConfig;
 use imm_numa::Topology;
